@@ -8,19 +8,20 @@ import (
 // TestParallelIdentical pins the scheduler's core invariant: a table is a
 // function of (experiment, Short, Seed) only — the worker count changes
 // wall-clock time, never a byte of output. Cells run on private engines and
-// merge in canonical order, so -parallel 1 and -parallel 8 must agree
+// merge in canonical order, so every experiment's -parallel 1 run must match
+// the golden bytes TestRegistryGolden checks the -parallel 8 run against —
 // exactly, not approximately.
 func TestParallelIdentical(t *testing.T) {
-	for _, id := range []string{"fig4", "table4", "faults", "ablation-hybrid", "cache"} {
-		e, err := Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := e.Run(RunOpts{Short: true, Seed: 42, Parallel: 1}).JSON()
-		wide := e.Run(RunOpts{Short: true, Seed: 42, Parallel: 8}).JSON()
-		if serial != wide {
-			t.Errorf("%s: -parallel 1 and -parallel 8 output differ:\n%s", id, firstDiff(serial, wide))
-		}
+	want := loadGolden(t)
+	serial := goldenOpts
+	serial.Parallel = 1
+	for _, e := range Registry {
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			if got := e.Run(serial).JSON(); got != want[e.ID] {
+				t.Errorf("-parallel 1 output differs from %s:\n%s", goldenPath, firstDiff(want[e.ID], got))
+			}
+		})
 	}
 }
 
@@ -29,7 +30,7 @@ func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if al[i] != bl[i] {
-			return "serial: " + al[i] + "\nwide:   " + bl[i]
+			return "want: " + al[i] + "\ngot:  " + bl[i]
 		}
 	}
 	return "outputs have different lengths"
