@@ -2,7 +2,7 @@ GO ?= go
 
 BIN := bin/pvfslint
 
-.PHONY: all build test race lint lint-json lint-time lint-hotpath vet check bench-smoke bench-cache bench-scale bench-go trace-smoke metrics-smoke fuzz clean
+.PHONY: all build test race lint lint-json lint-time lint-hotpath vet check bench-smoke bench-cache bench-scale bench-check bench-go trace-smoke metrics-smoke fuzz clean
 
 # LINT_BUDGET caps the whole analyzer suite's wall time in lint-time; the
 # interprocedural pass (callgraph + detcheck) must not silently blow up CI.
@@ -99,6 +99,12 @@ trace-smoke:
 metrics-smoke:
 	$(GO) run ./cmd/pvfsbench -seed 1 -parallel 4 -shards 4 -format json -run timeline > BENCH_timeline.json
 	@echo "wrote BENCH_timeline.json"
+
+# bench-check vets and short-tests the nested benchmark/ module, which
+# `go build ./... && go test ./...` at the root cannot see; it compiles
+# against the internal packages, so an API change there breaks it silently.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test -short .
 
 # bench-go runs the engine microbenchmarks (event turnover, mailbox
 # ping-pong, contended resource, one full Figure 3 cell) with allocation

@@ -5,204 +5,105 @@ import (
 
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
-	"pvfsib/internal/mpi"
-	"pvfsib/internal/mpiio"
 	"pvfsib/internal/ogr"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sieve"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/simnet"
-	"pvfsib/internal/workload"
 )
 
-// AblationSGELimit studies the sensitivity of the RDMA Gather/Scatter
-// scheme to the per-work-request scatter/gather limit (InfiniBand's is 64).
-// It reruns the Figure 3 gather,one-reg measurement with different limits.
-func AblationSGELimit(o RunOpts) *Table { return AblationSGELimitPlan(o).Table(o.Parallel) }
-
-// AblationSGELimitPlan decomposes the sweep into one cell per SGE limit.
-func AblationSGELimitPlan(o RunOpts) *Plan {
-	n := int64(2048)
-	if o.Short {
-		n = 1024
-	}
-	limits := []int{4, 16, 64, 256}
-	pl := &Plan{}
-	for _, lim := range limits {
-		pl.Cells = append(pl.Cells, cell(fmt.Sprintf("sge-%d", lim), func() float64 {
-			params := ib.DefaultParams()
-			params.MaxSGE = lim
-			return fig3Row(n, params)["gatherone"]
-		}))
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "ablation-sge",
-			Title:  "Gather/scatter bandwidth vs. SGE limit (2048x2048 array)",
-			Header: []string{"max_sge", "gather_onereg_MB_s"},
-		}
-		for i, lim := range limits {
-			t.Add(lim, results[i].(float64))
-		}
-		t.Note("smaller limits split the transfer into more work requests, each paying its own overhead")
-		return t
-	}
-	return pl
+// ablationSGE studies the sensitivity of the RDMA Gather/Scatter scheme to
+// the per-work-request scatter/gather limit (InfiniBand's is 64). It reruns
+// the Figure 3 gather,one-reg measurement with different limits.
+var ablationSGE = Experiment{
+	ID:     "ablation-sge",
+	Title:  "SGE limit sensitivity",
+	table:  "Gather/scatter bandwidth vs. SGE limit (2048x2048 array)",
+	header: []string{"max_sge", "gather_onereg_MB_s"},
+	notes:  []string{"smaller limits split the transfer into more work requests, each paying its own overhead"},
+	sweep: func(o RunOpts) []group {
+		n := pick[int64](o.Short, 1024, 2048)
+		return each([]int{4, 16, 64, 256},
+			func(limit int) float64 {
+				params := ib.DefaultParams()
+				params.MaxSGE = limit
+				return fig3RowOn(n, params, simnet.DefaultParams())["gatherone"]
+			},
+			func(t *Table, limit int, mbs float64) { t.Add(limit, mbs) })
+	},
 }
 
-// AblationHybridThreshold sweeps the pack/gather crossover threshold of the
-// hybrid transfer policy for small and large list operations.
-func AblationHybridThreshold(o RunOpts) *Table {
-	return AblationHybridThresholdPlan(o).Table(o.Parallel)
+// ablationHybrid sweeps the pack/gather crossover threshold of the hybrid
+// transfer policy for small and large list operations: 128-segment
+// interleaved writes with the staging-buffer size as the threshold.
+var ablationHybrid = Experiment{
+	ID:     "ablation-hybrid",
+	Title:  "Hybrid threshold sweep",
+	table:  "Hybrid crossover threshold sweep, 128-segment write bandwidth (MB/s)",
+	header: []string{"threshold_kB", "segs_512B", "segs_8kB"},
+	notes:  []string{"the paper picks the 64 kB stripe size; small ops prefer pack, large ops gather"},
+	sweep: func(o RunOpts) []group {
+		return grid(pick(o.Short, []int64{16 << 10, 64 << 10, 256 << 10}, []int64{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}),
+			[]int64{512, 8192},
+			func(threshold, segSize int64) ioResult {
+				b := paperBed()
+				b.cfg.FastBufSize = threshold
+				return b.one(listIO{file: "hyb", layout: interleaved(128, segSize), opts: &pvfs.OpOptions{Reg: pvfs.RegOGR}})
+			},
+			func(t *Table, threshold int64, res []ioResult) { t.Add(line(res, wMBs, threshold>>10)...) })
+	},
 }
 
-// AblationHybridThresholdPlan is one cell per (threshold, segment size).
-func AblationHybridThresholdPlan(o RunOpts) *Plan {
-	thresholds := []int64{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
-	if o.Short {
-		thresholds = []int64{16 << 10, 64 << 10, 256 << 10}
-	}
-	segSizes := []int64{512, 8192}
-	pl := &Plan{}
-	for _, th := range thresholds {
-		for _, s := range segSizes {
-			pl.Cells = append(pl.Cells, cell(fmt.Sprintf("%dkB/%dB", th>>10, s),
-				func() float64 { return hybridThresholdCell(s, th) }))
-		}
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "ablation-hybrid",
-			Title:  "Hybrid crossover threshold sweep, 128-segment write bandwidth (MB/s)",
-			Header: []string{"threshold_kB", "segs_512B", "segs_8kB"},
-		}
-		for i, th := range thresholds {
-			t.Add(th>>10, results[2*i].(float64), results[2*i+1].(float64))
-		}
-		t.Note("the paper picks the 64 kB stripe size; small ops prefer pack, large ops gather")
-		return t
-	}
-	return pl
+// sieveModes are the forced-off, forced-on and cost-model columns of the
+// two ADS decision-quality experiments.
+var sieveModes = []sieve.Mode{sieve.Never, sieve.Always, sieve.Auto}
+
+// sieveModeWrite is the synced block-column write with a fixed server
+// sieving mode on the given bed.
+func sieveModeWrite(b bed, file string, n int64, mode sieve.Mode) ioResult {
+	return b.one(listIO{file: file, layout: blockColumn(n), opts: &pvfs.OpOptions{Sieve: mode}, sync: true})
 }
 
-func hybridThresholdCell(segSize, threshold int64) float64 {
-	const nseg = 128
-	const ranks = 4
-	cfg := pvfs.DefaultConfig()
-	cfg.FastBufSize = threshold
-	f := newFixture(cfg, 4, ranks)
-	defer f.close()
-	total := int64(ranks) * nseg * segSize
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "hyb")
-		segs := stridedSegs(cl, nseg, segSize, byte(rank.ID()))
-		var accs []pvfs.OffLen
-		for j := int64(0); j < nseg; j++ {
-			accs = append(accs, pvfs.OffLen{Off: (j*ranks + int64(rank.ID())) * segSize, Len: segSize})
-		}
-		rank.Barrier(p)
-		sim.Must(fh.WriteList(p, segs, accs, pvfs.OpOptions{Reg: pvfs.RegOGR}))
-	})
-	return bw(total, elapsed)
-}
-
-// AblationADSModel compares the ADS cost-model decision against sieving
+// ablationADSModel compares the ADS cost-model decision against sieving
 // forced always-on and always-off, for a dense small-access pattern (where
 // sieving wins) and a sparse large-access pattern (where it loses).
-func AblationADSModel(o RunOpts) *Table { return AblationADSModelPlan(o).Table(o.Parallel) }
-
-// AblationADSModelPlan is three cells (never/always/auto) per array size.
-func AblationADSModelPlan(o RunOpts) *Plan {
-	sizes := []int64{512, 4096}
-	if o.Short {
-		sizes = []int64{512}
-	}
-	pl := &Plan{}
-	for _, n := range sizes {
-		pl.Cells = append(pl.Cells,
-			cell(fmt.Sprintf("%d/never", n), func() float64 { return blockColumnWrite(n, mpiio.ListIO, true) }),
-			cell(fmt.Sprintf("%d/always", n), func() float64 { return blockColumnWriteForced(n, sieve.Always) }),
-			cell(fmt.Sprintf("%d/auto", n), func() float64 { return blockColumnWrite(n, mpiio.ListIOADS, true) }),
-		)
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "ablation-adsmodel",
-			Title:  "ADS decision quality: block-column write bandwidth (MB/s)",
-			Header: []string{"array", "never", "always", "model(auto)"},
-		}
-		for i, n := range sizes {
-			t.Add(fmt.Sprintf("%d", n),
-				results[3*i].(float64), results[3*i+1].(float64), results[3*i+2].(float64))
-		}
-		t.Note("the model should track the better of always/never in each regime")
-		return t
-	}
-	return pl
+var ablationADSModel = Experiment{
+	ID:     "ablation-adsmodel",
+	Title:  "ADS cost-model decision quality",
+	table:  "ADS decision quality: block-column write bandwidth (MB/s)",
+	header: []string{"array", "never", "always", "model(auto)"},
+	notes:  []string{"the model should track the better of always/never in each regime"},
+	sweep: func(o RunOpts) []group {
+		return grid(pick(o.Short, []int64{512}, []int64{512, 4096}), sieveModes,
+			func(n int64, mode sieve.Mode) ioResult { return sieveModeWrite(paperBed(), "bc", n, mode) },
+			func(t *Table, n int64, res []ioResult) { t.Add(line(res, wMBs, fmt.Sprintf("%d", n))...) })
+	},
 }
 
-// blockColumnWriteForced runs the block-column write with a forced sieve
-// mode.
-func blockColumnWriteForced(n int64, mode sieve.Mode) float64 {
-	const ranks = 4
-	f := newFixture(pvfs.DefaultConfig(), 4, ranks)
-	defer f.close()
-	total := n * n * 4
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "bc")
-		buf := materialize(cl, workload.BlockColumn(n, ranks, rank.ID(), 4), byte(rank.ID()))
-		rank.Barrier(p)
-		opts := pvfs.OpOptions{Sieve: mode}
-		sim.Must(fh.WriteList(p, buf.Segs, buf.Accs, opts))
-		fh.Sync(p)
-	})
-	return bw(total, elapsed)
+// ogrLayout is one buffer placement of the grouping ablation.
+type ogrLayout struct {
+	name string
+	gap  int64 // allocated pages between buffer groups
 }
 
-// AblationOGRGrouping compares the registration strategies on the raw
+// ablationOGRGroup compares the registration strategies on the raw
 // registration path: per-buffer, whole-span, and the cost-model grouping,
 // over a single-array layout and a multi-array layout with allocated gaps.
-func AblationOGRGrouping(o RunOpts) *Table { return AblationOGRGroupingPlan(o).Table(o.Parallel) }
-
-// AblationOGRGroupingPlan is one cell per (layout, strategy).
-func AblationOGRGroupingPlan(o RunOpts) *Plan {
-	nseg := 1024
-	if o.Short {
-		nseg = 256
-	}
-	layouts := []struct {
-		name string
-		gap  int64 // allocated pages between buffer groups
-	}{
-		{"one array", 0},
-		{"8 arrays, big gaps", 64},
-	}
-	strats := []string{"indiv", "span", "model"}
-	pl := &Plan{}
-	for _, layout := range layouts {
-		for _, strat := range strats {
-			gap := layout.gap
-			pl.Cells = append(pl.Cells, cell(fmt.Sprintf("%s/%s", layout.name, strat),
-				func() float64 { return ogrStrategyTime(nseg, gap, strat) }))
-		}
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "ablation-ogrgroup",
-			Title:  "OGR grouping strategies: registration time (µs) for 1024 x 4kB buffers",
-			Header: []string{"layout", "individual", "whole_span", "cost_model"},
-		}
-		for i, layout := range layouts {
-			cells := []any{layout.name}
-			for j := range strats {
-				cells = append(cells, results[i*len(strats)+j].(float64))
-			}
-			t.Add(cells...)
-		}
-		t.Note("whole-span registers gap pages too; the cost model splits only when the gap outweighs an extra operation")
-		return t
-	}
-	return pl
+var ablationOGRGroup = Experiment{
+	ID:     "ablation-ogrgroup",
+	Title:  "OGR grouping strategies",
+	table:  "OGR grouping strategies: registration time (µs) for 1024 x 4kB buffers",
+	header: []string{"layout", "individual", "whole_span", "cost_model"},
+	notes:  []string{"whole-span registers gap pages too; the cost model splits only when the gap outweighs an extra operation"},
+	sweep: func(o RunOpts) []group {
+		nseg := pick(o.Short, 256, 1024)
+		return grid([]ogrLayout{{"one array", 0}, {"8 arrays, big gaps", 64}},
+			[]string{"indiv", "span", "model"},
+			func(l ogrLayout, strat string) float64 { return ogrStrategyTime(nseg, l.gap, strat) },
+			func(t *Table, l ogrLayout, res []float64) {
+				t.Add(line(res, func(us float64) any { return us }, l.name)...)
+			})
+	},
 }
 
 func ogrStrategyTime(nseg int, gapPages int64, strat string) float64 {

@@ -4,196 +4,86 @@ import (
 	"fmt"
 
 	"pvfsib/internal/ib"
-	"pvfsib/internal/mpi"
+	"pvfsib/internal/mpiio"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sieve"
-	"pvfsib/internal/sim"
-	"pvfsib/internal/simnet"
+	"pvfsib/internal/workload"
 )
 
-// AblationNetwork reproduces the paper's Section 1 motivation: the choice
+// fabric is one network generation of the network ablation.
+type fabric struct {
+	name string
+	cfg  func() pvfs.Config
+}
+
+var fabrics = []fabric{
+	{"InfiniBand (827MB/s)", pvfs.DefaultConfig},
+	{"conventional (80MB/s)", pvfs.ConventionalConfig},
+}
+
+// ablationNetwork reproduces the paper's Section 1 motivation: the choice
 // of noncontiguous transmission scheme matters on a fast (InfiniBand)
 // network but barely registers on a conventional one, where the wire
 // itself is the bottleneck. It reruns the Figure 3 subarray transfer (one
 // 1024x1024-int subarray, i.e. 512 rows) on both fabrics and reports the
 // spread between the best and worst scheme, and additionally compares the
-// full PVFS stacks (verbs + hybrid vs. stream sockets).
-func AblationNetwork(o RunOpts) *Table { return AblationNetworkPlan(o).Table(o.Parallel) }
-
-// AblationNetworkPlan is one cell per fabric plus one per full-stack
-// configuration.
-func AblationNetworkPlan(o RunOpts) *Plan {
-	n := int64(1024)
-	if o.Short {
-		n = 512
-	}
-	fabrics := []struct {
-		name string
-		net  simnet.Params
-	}{
-		{"InfiniBand (827MB/s)", simnet.DefaultParams()},
-		{"conventional (80MB/s)", pvfs.ConventionalConfig().Net},
-	}
-	pl := &Plan{}
-	for _, fab := range fabrics {
-		netP := fab.net
-		pl.Cells = append(pl.Cells, cell(fab.name, func() map[string]float64 {
-			return fig3RowOn(n, ib.DefaultParams(), netP)
-		}))
-	}
-	pl.Cells = append(pl.Cells,
-		cell("pvfs-verbs", func() float64 { return networkCell(pvfs.DefaultConfig(), 8192) }),
-		cell("pvfs-sockets", func() float64 { return networkCell(pvfs.ConventionalConfig(), 8192) }),
-	)
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "ablation-network",
-			Title:  "Transmission schemes vs. network generation (MB/s)",
-			Header: []string{"network", "multiple", "pack", "gather_onereg", "best/worst"},
-		}
-		for i, fab := range fabrics {
-			r := results[i].(map[string]float64)
-			lo, hi := r["multiple"], r["multiple"]
-			for _, k := range []string{"packnoreg", "gatherone"} {
-				if r[k] < lo {
-					lo = r[k]
-				}
-				if r[k] > hi {
-					hi = r[k]
-				}
-			}
-			t.Add(fab.name, r["multiple"], r["packnoreg"], r["gatherone"],
-				fmt.Sprintf("%.2f", hi/lo))
-		}
+// full PVFS stacks (verbs + hybrid vs. stream sockets) on steady-state
+// 128 x 8 kB list writes.
+var ablationNetwork = Experiment{
+	ID:     "ablation-network",
+	Title:  "Transmission schemes vs. network generation",
+	table:  "Transmission schemes vs. network generation (MB/s)",
+	header: []string{"network", "multiple", "pack", "gather_onereg", "best/worst"},
+	notes:  []string{"scheme spread is large on InfiniBand and shrinks toward 1 on the conventional wire"},
+	sweep: func(o RunOpts) []group {
+		n := pick[int64](o.Short, 512, 1024)
+		schemes := each(fabrics,
+			func(fab fabric) map[string]float64 { return fig3RowOn(n, ib.DefaultParams(), fab.cfg().Net) },
+			func(t *Table, fab fabric, r map[string]float64) {
+				lo := min(r["multiple"], r["packnoreg"], r["gatherone"])
+				hi := max(r["multiple"], r["packnoreg"], r["gatherone"])
+				t.Add(fab.name, r["multiple"], r["packnoreg"], r["gatherone"], fmt.Sprintf("%.2f", hi/lo))
+			})
 		// Full-stack comparison: the paper's design vs. the TCP-era PVFS.
-		ibBW := results[len(fabrics)].(float64)
-		tcpBW := results[len(fabrics)+1].(float64)
-		t.Add("PVFS verbs+hybrid", "", "", fmt.Sprintf("%.1f", ibBW), "")
-		t.Add("PVFS stream sockets", "", "", fmt.Sprintf("%.1f", tcpBW), "")
-		t.Note("scheme spread is large on InfiniBand and shrinks toward 1 on the conventional wire")
-		return t
-	}
-	return pl
+		stacks := each([]fabric{{"PVFS verbs+hybrid", pvfs.DefaultConfig}, {"PVFS stream sockets", pvfs.ConventionalConfig}},
+			func(st fabric) ioResult {
+				return bed{st.cfg(), 4, 4}.one(steadyListIO("net", 8192, pvfs.Hybrid, noRead))
+			},
+			func(t *Table, st fabric, r ioResult) { t.Add(st.name, "", "", fmt.Sprintf("%.1f", r.w), "") })
+		return append(schemes, stacks...)
+	},
 }
 
-// networkCell measures the full PVFS list-I/O stack: 4 ranks each writing
-// 128 x segSize noncontiguous segments, steady state.
-func networkCell(cfg pvfs.Config, segSize int64) float64 {
-	const nseg = 128
-	const ranks = 4
-	f := newFixture(cfg, 4, ranks)
-	defer f.close()
-	total := int64(ranks) * nseg * segSize
-	opts := pvfs.OpOptions{Reg: pvfs.RegCached, Sieve: sieve.Never}
-	const iters = 3
-
-	segsOf := make([][]ib.SGE, ranks)
-	for i := 0; i < ranks; i++ {
-		segsOf[i] = stridedSegs(f.c.Clients[i], nseg, segSize, byte(i))
-	}
-	accsOf := func(rank int) []pvfs.OffLen {
-		var accs []pvfs.OffLen
-		for j := int64(0); j < nseg; j++ {
-			accs = append(accs, pvfs.OffLen{Off: (j*ranks + int64(rank)) * segSize, Len: segSize})
-		}
-		return accs
-	}
-	// Warm-up pass, then measured iterations.
-	f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "net")
-		sim.Must(fh.WriteList(p, segsOf[rank.ID()], accsOf(rank.ID()), opts))
-	})
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "net")
-		accs := accsOf(rank.ID())
-		rank.Barrier(p)
-		for i := 0; i < iters; i++ {
-			sim.Must(fh.WriteList(p, segsOf[rank.ID()], accs, opts))
-		}
-	})
-	return bw(total*iters, elapsed)
-}
-
-// AblationRegThrash demonstrates registration thrashing (Section 4.2: "the
+// ablationRegThrash demonstrates registration thrashing (Section 4.2: "the
 // total number of buffers registered is limited ... some registered buffers
 // must be deregistered, [which] may lead to registration thrashing"): with
 // a small pinned-memory budget, per-buffer registration through the cache
-// thrashes while OGR's single grouped region still fits.
-func AblationRegThrash(o RunOpts) *Table { return AblationRegThrashPlan(o).Table(o.Parallel) }
-
-// thrashResult carries one thrashCell measurement.
-type thrashResult struct {
-	bw   float64
-	hits int64
-}
-
-// AblationRegThrashPlan is one cell per (cache size, grouping mode).
-func AblationRegThrashPlan(o RunOpts) *Plan {
-	entries := []int{8, 64, 2048}
-	if o.Short {
-		entries = []int{8, 2048}
-	}
-	pl := &Plan{}
-	for _, e := range entries {
-		pl.Cells = append(pl.Cells,
-			cell(fmt.Sprintf("%d/indiv", e), func() thrashResult {
-				b, h := thrashCell(e, true)
-				return thrashResult{b, h}
-			}),
-			cell(fmt.Sprintf("%d/ogr", e), func() thrashResult {
-				b, h := thrashCell(e, false)
-				return thrashResult{b, h}
-			}),
-		)
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "ablation-regthrash",
-			Title:  "Registration thrashing under a pinned-memory limit (write bandwidth, MB/s)",
-			Header: []string{"cache_entries", "individual+cache", "ogr+cache", "ogr_hits", "indiv_hits"},
+// thrashes while OGR's single grouped region still fits. Each cell writes a
+// 1024-row subarray twice through a bounded pin-down cache and reports the
+// second pass's bandwidth and cache hits: a thrashing cache re-registers
+// everything; a fitting one hits.
+var ablationRegThrash = Experiment{
+	ID:     "ablation-regthrash",
+	Title:  "Registration thrashing under pin limits",
+	table:  "Registration thrashing under a pinned-memory limit (write bandwidth, MB/s)",
+	header: []string{"cache_entries", "individual+cache", "ogr+cache", "ogr_hits", "indiv_hits"},
+	notes:  []string{"1024 buffers per op: per-buffer caching needs 1024 entries to ever hit; OGR needs one"},
+	sweep: func(o RunOpts) []group {
+		const rows, rowLen = 1024, 4096
+		subarray := func(int, int) workload.Pattern {
+			return workload.Pattern{Mem: strided(rows, rowLen), File: mpiio.Contig(rows * rowLen)}
 		}
-		for i, e := range entries {
-			indiv := results[2*i].(thrashResult)
-			ogr := results[2*i+1].(thrashResult)
-			t.Add(e, indiv.bw, ogr.bw, ogr.hits, indiv.hits)
-		}
-		t.Note("1024 buffers per op: per-buffer caching needs 1024 entries to ever hit; OGR needs one")
-		return t
-	}
-	return pl
-}
-
-// thrashCell writes a 1024-row subarray twice through a bounded pin-down
-// cache and reports the second pass's bandwidth and total cache hits.
-func thrashCell(cacheEntries int, individual bool) (float64, int64) {
-	cfg := pvfs.DefaultConfig()
-	cfg.RegCacheEntries = cacheEntries
-	f := newFixture(cfg, 4, 1)
-	defer f.close()
-	cl := f.c.Clients[0]
-
-	const rows = 1024
-	const rowLen = 4096
-	segs := stridedSegs(cl, rows, rowLen, 7)
-	exts := make([]ib.SGE, len(segs))
-	copy(exts, segs)
-
-	opts := pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: pvfs.RegCached, Sieve: sieve.Never}
-	ogrCfg := cfg.OGR
-	ogrCfg.DisableGrouping = individual
-	f.c.Cfg.OGR = ogrCfg
-
-	total := int64(rows * rowLen)
-	accs := []pvfs.OffLen{{Off: 0, Len: total}}
-	// Warm pass, then the measured pass: a thrashing cache re-registers
-	// everything; a fitting one hits.
-	f.runOne(func(p *sim.Proc, cl *pvfs.Client) {
-		fh := cl.Open(p, "thrash")
-		sim.Must(fh.WriteList(p, segs, accs, opts))
-	})
-	elapsed := f.runOne(func(p *sim.Proc, cl *pvfs.Client) {
-		fh := cl.Open(p, "thrash")
-		sim.Must(fh.WriteList(p, segs, accs, opts))
-	})
-	return bw(total, elapsed), cl.HCA().Counters.RegCacheHits
+		return grid(pick(o.Short, []int{8, 2048}, []int{8, 64, 2048}), []bool{true, false},
+			func(entries int, individual bool) ioResult {
+				cfg := pvfs.DefaultConfig()
+				cfg.RegCacheEntries = entries
+				cfg.OGR.DisableGrouping = individual
+				return bed{cfg, 4, 1}.one(listIO{file: "thrash", layout: subarray, warm: "thrash",
+					opts: &pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: pvfs.RegCached, Sieve: sieve.Never}})
+			},
+			func(t *Table, entries int, res []ioResult) {
+				indiv, ogr := res[0], res[1]
+				t.Add(entries, indiv.w, ogr.w, ogr.snap.RegCacheHits, indiv.snap.RegCacheHits)
+			})
+	},
 }

@@ -11,7 +11,7 @@ import (
 // simulator, not the authors' testbed).
 
 func TestTable2MatchesPaper(t *testing.T) {
-	tbl := Table2(RunOpts{Short: true})
+	tbl := shortTable(t, "table2")
 	// RDMA write ≈ 6.0µs / 827 MB/s.
 	if lat := tbl.CellF(0, "latency_us"); lat < 5.5 || lat > 7 {
 		t.Errorf("RDMA write latency = %v µs, want ≈6.0", lat)
@@ -30,7 +30,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestTable3MatchesPaper(t *testing.T) {
-	tbl := Table3(RunOpts{Short: true})
+	tbl := shortTable(t, "table3")
 	cold, warm := tbl.FindRow("without cache"), tbl.FindRow("with cache")
 	if w := tbl.CellF(cold, "write_MB_s"); w < 20 || w > 30 {
 		t.Errorf("uncached write = %v, want ≈25", w)
@@ -47,7 +47,7 @@ func TestTable3MatchesPaper(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	tbl := Fig3(RunOpts{Short: true})
+	tbl := shortTable(t, "fig3")
 	last := len(tbl.Rows) - 1 // largest array
 	contig := tbl.CellF(last, "contig_noreg")
 	multi := tbl.CellF(last, "multiple_noreg")
@@ -81,7 +81,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4HybridTracksWinner(t *testing.T) {
-	tbl := Fig4(RunOpts{Short: true})
+	tbl := shortTable(t, "fig4")
 	for i := 0; i < len(tbl.Rows); i++ {
 		pack := tbl.CellF(i, "pack")
 		gather := tbl.CellF(i, "gather")
@@ -97,7 +97,7 @@ func TestFig4HybridTracksWinner(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	tbl := Table4(RunOpts{Short: true})
+	tbl := shortTable(t, "table4")
 	ideal := tbl.FindRow("Ideal")
 	indiv := tbl.FindRow("Indiv.")
 	ogr := tbl.FindRow("OGR")
@@ -129,7 +129,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestFig6ListIOBeatsMultiple(t *testing.T) {
-	tbl := Fig6(RunOpts{Short: true})
+	tbl := shortTable(t, "fig6")
 	for i := range tbl.Rows {
 		multi := tbl.CellF(i, "multiple")
 		ds := tbl.CellF(i, "datasieving")
@@ -151,7 +151,7 @@ func TestFig6ListIOBeatsMultiple(t *testing.T) {
 }
 
 func TestFig7ReadShape(t *testing.T) {
-	tbl := Fig7(RunOpts{Short: true})
+	tbl := shortTable(t, "fig7")
 	for i := range tbl.Rows {
 		multi := tbl.CellF(i, "multiple")
 		list := tbl.CellF(i, "listio")
@@ -168,7 +168,7 @@ func TestFig7ReadShape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tbl := Fig8(RunOpts{Short: true})
+	tbl := shortTable(t, "fig8")
 	w, r := tbl.FindRow("write"), tbl.FindRow("read")
 	// ADS beats Multiple by a large factor both ways.
 	if tbl.CellF(w, "listio+ads") < 1.5*tbl.CellF(w, "multiple") {
@@ -187,7 +187,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9DiskBoundShape(t *testing.T) {
-	tbl := Fig9(RunOpts{Short: true})
+	tbl := shortTable(t, "fig9")
 	w, r := tbl.FindRow("write"), tbl.FindRow("read")
 	// Writes: ADS still ahead of multiple.
 	if tbl.CellF(w, "listio+ads") <= tbl.CellF(w, "multiple") {
@@ -201,7 +201,7 @@ func TestFig9DiskBoundShape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	tbl := Table5(RunOpts{Short: true})
+	tbl := shortTable(t, "table5")
 	get := func(label string) float64 { return tbl.CellF(tbl.FindRow(label), "time_s") }
 	noio := get("no I/O")
 	multiple := get("Multiple I/O")
@@ -223,7 +223,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	tbl := Table6(RunOpts{Short: true})
+	tbl := shortTable(t, "table6")
 	req := tbl.FindRow("req #")
 	fsr := tbl.FindRow("read #")
 	fsw := tbl.FindRow("write #")
@@ -255,7 +255,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestAblationSGEShape(t *testing.T) {
-	tbl := AblationSGELimit(RunOpts{Short: true})
+	tbl := shortTable(t, "ablation-sge")
 	// Bandwidth must not decrease as the SGE limit grows.
 	prev := 0.0
 	for i := range tbl.Rows {
@@ -268,7 +268,7 @@ func TestAblationSGEShape(t *testing.T) {
 }
 
 func TestAblationOGRGroupingShape(t *testing.T) {
-	tbl := AblationOGRGrouping(RunOpts{Short: true})
+	tbl := shortTable(t, "ablation-ogrgroup")
 	for i := range tbl.Rows {
 		indiv := tbl.CellF(i, "individual")
 		span := tbl.CellF(i, "whole_span")
@@ -286,7 +286,7 @@ func TestAblationOGRGroupingShape(t *testing.T) {
 }
 
 func TestAblationADSModelTracksWinner(t *testing.T) {
-	tbl := AblationADSModel(RunOpts{Short: true})
+	tbl := shortTable(t, "ablation-adsmodel")
 	for i := range tbl.Rows {
 		never := tbl.CellF(i, "never")
 		always := tbl.CellF(i, "always")
@@ -314,7 +314,7 @@ func TestRegistryLookup(t *testing.T) {
 			t.Errorf("duplicate experiment id %s", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Plan == nil || e.Title == "" {
+		if e.sweep == nil || e.Title == "" || e.table == "" || len(e.header) == 0 {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
@@ -341,8 +341,29 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
+// TestTableAddRejectsRaggedRow: a row wider or narrower than the header
+// used to panic in String (too wide) or pass misaligned into the JSON and
+// CSV artifacts; Add now refuses both.
+func TestTableAddRejectsRaggedRow(t *testing.T) {
+	for _, cells := range [][]any{{"v"}, {"v", 1.0, "extra"}} {
+		tbl := &Table{ID: "x", Title: "T", Header: []string{"a", "bb"}}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "table x") {
+					t.Errorf("Add of %d cells under a 2-column header: got panic %q, want one naming the table", len(cells), msg)
+				}
+			}()
+			tbl.Add(cells...)
+		}()
+		if len(tbl.Rows) != 0 {
+			t.Errorf("ragged row of %d cells was appended", len(cells))
+		}
+	}
+}
+
 func TestAblationNetworkShape(t *testing.T) {
-	tbl := AblationNetwork(RunOpts{Short: true})
+	tbl := shortTable(t, "ablation-network")
 	ibSpread := tbl.CellF(0, "best/worst")
 	tcpSpread := tbl.CellF(1, "best/worst")
 	if ibSpread <= tcpSpread {
@@ -360,7 +381,7 @@ func TestAblationNetworkShape(t *testing.T) {
 }
 
 func TestAblationRegThrashShape(t *testing.T) {
-	tbl := AblationRegThrash(RunOpts{Short: true})
+	tbl := shortTable(t, "ablation-regthrash")
 	// Small cache: individual thrashes (0 hits, lower bandwidth), OGR fine.
 	small, large := 0, len(tbl.Rows)-1
 	if tbl.CellF(small, "indiv_hits") != 0 {
@@ -390,7 +411,7 @@ func TestTableCSV(t *testing.T) {
 }
 
 func TestExtraNoncontigShape(t *testing.T) {
-	tbl := ExtraNoncontig(RunOpts{Short: true})
+	tbl := shortTable(t, "extra-noncontig")
 	for i := range tbl.Rows {
 		multi := tbl.CellF(i, "multiple")
 		list := tbl.CellF(i, "listio")
@@ -405,7 +426,7 @@ func TestExtraNoncontigShape(t *testing.T) {
 }
 
 func TestExtraDiskSpeedShape(t *testing.T) {
-	tbl := ExtraDiskSpeed(RunOpts{Short: true})
+	tbl := shortTable(t, "extra-diskspeed")
 	for i := range tbl.Rows {
 		never := tbl.CellF(i, "never")
 		always := tbl.CellF(i, "always")
@@ -424,7 +445,7 @@ func TestExtraDiskSpeedShape(t *testing.T) {
 }
 
 func TestExtraScalingShape(t *testing.T) {
-	tbl := ExtraScaling(RunOpts{Short: true})
+	tbl := shortTable(t, "extra-scaling")
 	first, last := 0, len(tbl.Rows)-1
 	for _, col := range []string{"contig_write", "contig_read", "list_write", "list_read"} {
 		if tbl.CellF(last, col) <= tbl.CellF(first, col) {
@@ -435,7 +456,7 @@ func TestExtraScalingShape(t *testing.T) {
 }
 
 func TestExtraAppAwareShape(t *testing.T) {
-	tbl := ExtraAppAware(RunOpts{Short: true})
+	tbl := shortTable(t, "extra-appaware")
 	explicit := tbl.CellF(tbl.FindRow("explicit (4.2.1-1)"), "agg_MB_s")
 	declared := tbl.CellF(tbl.FindRow("declared (4.2.1-2)"), "agg_MB_s")
 	ogrBW := tbl.CellF(tbl.FindRow("OGR (chosen)"), "agg_MB_s")
@@ -459,7 +480,7 @@ func TestExtraAppAwareShape(t *testing.T) {
 }
 
 func TestExtraQueryMethodShape(t *testing.T) {
-	tbl := ExtraQueryMethod(RunOpts{Short: true})
+	tbl := shortTable(t, "extra-querymethod")
 	syscall := tbl.CellF(tbl.FindRow("custom syscall"), "reg_time_us")
 	proc := tbl.CellF(tbl.FindRow("/proc/pid/maps"), "reg_time_us")
 	if proc <= syscall {
@@ -474,7 +495,7 @@ func TestExtraQueryMethodShape(t *testing.T) {
 }
 
 func TestFaultsShape(t *testing.T) {
-	tbl := Faults(RunOpts{Short: true, Seed: 7})
+	tbl := runSeeded(t, "faults", 7)
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3 (two rates + storm)", len(tbl.Rows))
 	}
@@ -495,11 +516,21 @@ func TestFaultsShape(t *testing.T) {
 	}
 }
 
+// runSeeded runs experiment id's short sweep with the given seed.
+func runSeeded(t *testing.T, id string, seed int64) *Table {
+	t.Helper()
+	e, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Run(RunOpts{Short: true, Seed: seed})
+}
+
 // TestFaultsDeterministic re-runs the sweep with one seed and demands the
 // identical table, cell for cell.
 func TestFaultsDeterministic(t *testing.T) {
-	a := Faults(RunOpts{Short: true, Seed: 42})
-	b := Faults(RunOpts{Short: true, Seed: 42})
+	a := runSeeded(t, "faults", 42)
+	b := runSeeded(t, "faults", 42)
 	if a.JSON() != b.JSON() {
 		t.Errorf("same seed produced different tables:\n%s\nvs\n%s", a.JSON(), b.JSON())
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"pvfsib/internal/ib"
 	"pvfsib/internal/mpi"
 	"pvfsib/internal/mpiio"
 	"pvfsib/internal/pvfs"
@@ -9,65 +8,54 @@ import (
 	"pvfsib/internal/trace"
 )
 
-// Breakdown runs the same noncontiguous workload under each of the four
-// access methods with span tracing enabled and reports where the time
-// goes: the per-stage self-time decomposition (registration, staging
-// copies, wire, queueing, sieve, disk) the span plane computes, plus
-// request latency and peak server concurrency. It is the cost-model
-// counterpart of Figures 6/7 — not how fast each method is, but why.
-func Breakdown(o RunOpts) *Table { return BreakdownPlan(o).Table(o.Parallel) }
-
 // breakdownResult is one method's cell output.
 type breakdownResult struct {
 	elapsed sim.Duration
 	prof    *trace.Profile
 }
 
-// BreakdownPlan decomposes the experiment into one cell per access method.
-func BreakdownPlan(o RunOpts) *Plan {
-	nseg := int64(64)
-	if o.Short {
-		nseg = 16
-	}
-	pl := &Plan{}
-	for _, m := range methodList {
-		m := m
-		pl.Cells = append(pl.Cells, cell(m.String(), func() breakdownResult {
-			tr, elapsed := breakdownCell(m, nseg)
-			return breakdownResult{elapsed: elapsed, prof: tr.Profile()}
-		}))
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:    "breakdown",
-			Title: "Per-stage time decomposition by access method (span-plane self time)",
-			Header: []string{"method", "ms", "req#", "p99_ms", "inflight",
-				"reg%", "pack%", "wire%", "queue%", "sieve%", "disk%", "other%"},
-		}
-		for i, m := range methodList {
-			r := results[i].(breakdownResult)
-			p := r.prof
-			total := p.TotalNs()
-			pct := func(st trace.Stage) float64 {
-				if total <= 0 {
-					return 0
+// breakdown runs the same noncontiguous workload under each of the four
+// access methods with span tracing enabled and reports where the time
+// goes: the per-stage self-time decomposition (registration, staging
+// copies, wire, queueing, sieve, disk) the span plane computes, plus
+// request latency and peak server concurrency. It is the cost-model
+// counterpart of Figures 6/7 — not how fast each method is, but why.
+var breakdown = Experiment{
+	ID:    "breakdown",
+	Title: "Per-stage time decomposition by access method (span tracing)",
+	table: "Per-stage time decomposition by access method (span-plane self time)",
+	header: []string{"method", "ms", "req#", "p99_ms", "inflight",
+		"reg%", "pack%", "wire%", "queue%", "sieve%", "disk%", "other%"},
+	notes: []string{
+		"shares are per-stage self time summed over all spans; p99 is the root-span latency quantile upper bound",
+		"expected shape: multiple pays per-piece round trips (other/wire), datasieving reads extra disk bytes, listio+ads shifts time from disk to sieve",
+	},
+	sweep: func(o RunOpts) []group {
+		nseg := pick[int64](o.Short, 16, 64)
+		return each(methodList,
+			func(m mpiio.Method) breakdownResult {
+				tr, elapsed := breakdownCell(m, nseg)
+				return breakdownResult{elapsed: elapsed, prof: tr.Profile()}
+			},
+			func(t *Table, m mpiio.Method, r breakdownResult) {
+				p := r.prof
+				total := p.TotalNs()
+				pct := func(st trace.Stage) float64 {
+					if total <= 0 {
+						return 0
+					}
+					return float64(p.Stage[st].Ns) / float64(total) * 100
 				}
-				return float64(p.Stage[st].Ns) / float64(total) * 100
-			}
-			t.Add(m.String(),
-				float64(r.elapsed)/1e6,
-				p.Latency.Count,
-				float64(p.Latency.Quantile(0.99))/1e6,
-				p.MaxInflight(),
-				pct(trace.StageReg), pct(trace.StagePack), pct(trace.StageWire),
-				pct(trace.StageQueue), pct(trace.StageSieve), pct(trace.StageDisk),
-				pct(trace.StageOther))
-		}
-		t.Note("shares are per-stage self time summed over all spans; p99 is the root-span latency quantile upper bound")
-		t.Note("expected shape: multiple pays per-piece round trips (other/wire), datasieving reads extra disk bytes, listio+ads shifts time from disk to sieve")
-		return t
-	}
-	return pl
+				t.Add(m.String(),
+					float64(r.elapsed)/1e6,
+					p.Latency.Count,
+					float64(p.Latency.Quantile(0.99))/1e6,
+					p.MaxInflight(),
+					pct(trace.StageReg), pct(trace.StagePack), pct(trace.StageWire),
+					pct(trace.StageQueue), pct(trace.StageSieve), pct(trace.StageDisk),
+					pct(trace.StageOther))
+			})
+	},
 }
 
 // breakdownCell runs one method's write+read pass with tracing on and
@@ -81,21 +69,14 @@ func breakdownCell(m mpiio.Method, nseg int64) (*trace.Tracer, sim.Duration) {
 	defer f.close()
 	tr := f.c.EnableSpans()
 
-	segsOf := make([][]ib.SGE, ranks)
-	for i := 0; i < ranks; i++ {
-		segsOf[i] = stridedSegs(f.c.Clients[i], nseg, segSize, byte(i))
-	}
-	buildAccs := func(rank int) []pvfs.OffLen {
-		var accs []pvfs.OffLen
-		for j := int64(0); j < nseg; j++ {
-			accs = append(accs, pvfs.OffLen{Off: (j*ranks + int64(rank)) * segSize, Len: segSize})
-		}
-		return accs
+	bufs := make([]buffer, ranks)
+	for i := range bufs {
+		bufs[i] = materialize(f.c.Clients[i], interleaved(nseg, segSize)(i, ranks), byte(i))
 	}
 	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
 		file := mpiio.Open(p, cl, rank, "breakdown")
-		accs := buildAccs(rank.ID())
-		sim.Must(file.Write(p, m, segsOf[rank.ID()], accs))
+		buf := bufs[rank.ID()]
+		sim.Must(file.Write(p, m, buf.Segs, buf.Accs))
 		rank.Barrier(p)
 		// Flush the page caches so the read pass pays for real device
 		// transfers and the disk stage is visible in the decomposition.
@@ -103,7 +84,7 @@ func breakdownCell(m mpiio.Method, nseg int64) (*trace.Tracer, sim.Duration) {
 			dropAllCaches(p, f.c)
 		}
 		rank.Barrier(p)
-		sim.Must(file.Read(p, m, segsOf[rank.ID()], accs))
+		sim.Must(file.Read(p, m, buf.Segs, buf.Accs))
 	})
 	return tr, elapsed
 }
@@ -113,10 +94,6 @@ func breakdownCell(m mpiio.Method, nseg int64) (*trace.Tracer, sim.Duration) {
 // trace plus a breakdown profile. Deterministic: the same short flag
 // always yields a byte-identical span table.
 func TraceRun(short bool) *trace.Tracer {
-	nseg := int64(64)
-	if short {
-		nseg = 16
-	}
-	tr, _ := breakdownCell(mpiio.ListIOADS, nseg)
+	tr, _ := breakdownCell(mpiio.ListIOADS, pick[int64](short, 16, 64))
 	return tr
 }

@@ -13,13 +13,15 @@ import (
 	"pvfsib/internal/workload"
 )
 
-// btioMethods lists the Table 5 rows in paper order; "no I/O" runs the
-// compute loop alone.
-var btioMethods = []struct {
+// btioMethod is one Table 5 row; "no I/O" runs the compute loop alone.
+type btioMethod struct {
 	label  string
 	method mpiio.Method
 	noIO   bool
-}{
+}
+
+// btioMethods lists the Table 5 rows in paper order.
+var btioMethods = []btioMethod{
 	{"no I/O", 0, true},
 	{"Multiple I/O", mpiio.MultipleIO, false},
 	{"Collective I/O", mpiio.Collective, false},
@@ -104,16 +106,15 @@ var (
 	btioMemo = map[string]btioResult{}
 )
 
-// btioCell runs (or reuses) the BTIO run for btioMethods[i].
-func btioCell(short bool, i int) btioResult {
-	key := fmt.Sprintf("%v/%d", short, i)
+// btioCell runs (or reuses) the BTIO run for m.
+func btioCell(short bool, m btioMethod) btioResult {
+	key := fmt.Sprintf("%v/%s", short, m.label)
 	btioMu.Lock()
 	r, ok := btioMemo[key]
 	btioMu.Unlock()
 	if ok {
 		return r
 	}
-	m := btioMethods[i]
 	r = runBTIO(btioSpec(short), m.method, m.noIO)
 	r.label = m.label
 	btioMu.Lock()
@@ -122,86 +123,60 @@ func btioCell(short bool, i int) btioResult {
 	return r
 }
 
-// btioPlan builds the shared six-cell decomposition of Tables 5 and 6.
-func btioPlan(short bool, merge func(results []btioResult) *Table) *Plan {
-	pl := &Plan{}
-	for i, m := range btioMethods {
-		pl.Cells = append(pl.Cells, cell(m.label, func() btioResult { return btioCell(short, i) }))
+// btioSweep is the shared six-cell decomposition of Tables 5 and 6: one
+// group holding one (memoized) run per access method, so the renderer sees
+// the whole method set at once.
+func btioSweep(render func(t *Table, runs []btioResult)) func(o RunOpts) []group {
+	return func(o RunOpts) []group {
+		return grid([]string{"btio"}, btioMethods,
+			func(_ string, m btioMethod) btioResult { return btioCell(o.Short, m) },
+			func(t *Table, _ string, runs []btioResult) { render(t, runs) })
 	}
-	pl.Merge = func(results []any) *Table {
-		rs := make([]btioResult, len(results))
-		for i := range results {
-			rs[i] = results[i].(btioResult)
-		}
-		return merge(rs)
-	}
-	return pl
 }
 
-// Table5 reproduces the paper's Table 5: NAS BTIO class A total execution
+// table5 reproduces the paper's Table 5: NAS BTIO class A total execution
 // time and I/O overhead for every access method.
-func Table5(o RunOpts) *Table { return Table5Plan(o).Table(o.Parallel) }
-
-// Table5Plan decomposes Table 5 into one cell per access method.
-func Table5Plan(o RunOpts) *Plan {
-	return btioPlan(o.Short, func(results []btioResult) *Table {
-		t := &Table{
-			ID:     "table5",
-			Title:  "BTIO class A (paper: noio 165.6s; Multiple 180.0/14.4; Collective 169.6/4.0; List 168.2/2.6; List+ADS 167.7/2.1; DS 177.3/11.7)",
-			Header: []string{"case", "time_s", "io_overhead_s"},
+var table5 = Experiment{
+	ID:     "table5",
+	Title:  "NAS BTIO class A (Table 5)",
+	table:  "BTIO class A (paper: noio 165.6s; Multiple 180.0/14.4; Collective 169.6/4.0; List 168.2/2.6; List+ADS 167.7/2.1; DS 177.3/11.7)",
+	header: []string{"case", "time_s", "io_overhead_s"},
+	sweep: btioSweep(func(t *Table, runs []btioResult) {
+		base := runs[0].totalS
+		for _, r := range runs {
+			t.Add(r.label, r.totalS, max(r.totalS-base, r.ioS))
 		}
-		base := results[0].totalS
-		for _, r := range results {
-			over := r.totalS - base
-			if r.ioS > over {
-				over = r.ioS
-			}
-			t.Add(r.label, r.totalS, over)
-		}
-		return t
-	})
+	}),
 }
 
-// Table6 reproduces the paper's Table 6: BTIO request, registration,
+// table6 reproduces the paper's Table 6: BTIO request, registration,
 // cache-hit, and file-access characteristics per method, plus bytes moved
-// between node classes.
-func Table6(o RunOpts) *Table { return Table6Plan(o).Table(o.Parallel) }
-
-// Table6Plan decomposes Table 6 into the same six cells as Table 5; the
-// memo means a combined run computes each only once.
-func Table6Plan(o RunOpts) *Plan {
-	return btioPlan(o.Short, table6Merge)
-}
-
-func table6Merge(all []btioResult) *Table {
-	t := &Table{
-		ID:     "table6",
-		Title:  "BTIO characteristics per method",
-		Header: []string{"metric", "Mult.", "Coll.", "List", "ADS", "DS"},
-	}
-	results := all[1:] // skip no-I/O
-	row := func(name string, get func(stats.Snapshot) int64) {
-		cells := []any{name}
-		for _, r := range results {
-			cells = append(cells, get(r.snap))
+// between node classes. It reports the same six runs as Table 5; the memo
+// means a combined run computes each only once.
+var table6 = Experiment{
+	ID:     "table6",
+	Title:  "BTIO characteristics (Table 6)",
+	table:  "BTIO characteristics per method",
+	header: []string{"metric", "Mult.", "Coll.", "List", "ADS", "DS"},
+	notes: []string{
+		"paper: req# 163840/160/1360/1360/82040; read# 81920/1600/81920/5120/3140; write# 81920/1600/81920/2560/81920",
+		"req# here counts physical per-server request messages; the paper counts logical client requests",
+	},
+	sweep: btioSweep(func(t *Table, runs []btioResult) {
+		runs = runs[1:] // skip no-I/O
+		for _, m := range []struct {
+			name string
+			get  func(stats.Snapshot) any
+		}{
+			{"req #", func(s stats.Snapshot) any { return s.ReadReqs + s.WriteReqs }},
+			{"reg #", func(s stats.Snapshot) any { return s.RegLookups }},
+			{"reg cache hit", func(s stats.Snapshot) any { return s.RegCacheHits }},
+			{"read #", func(s stats.Snapshot) any { return s.FSReadCalls }},
+			{"write #", func(s stats.Snapshot) any { return s.FSWriteCalls }},
+			{"c/s comm (MB)", func(s stats.Snapshot) any { return fmt.Sprintf("%.0f", float64(s.BytesClientServer)/MB) }},
+			{"c/c comm (MB)", func(s stats.Snapshot) any { return fmt.Sprintf("%.0f", float64(s.BytesClientClient)/MB) }},
+		} {
+			t.Add(line(runs, func(r btioResult) any { return m.get(r.snap) }, m.name)...)
 		}
-		t.Add(cells...)
-	}
-	row("req #", func(s stats.Snapshot) int64 { return s.ReadReqs + s.WriteReqs })
-	row("reg #", func(s stats.Snapshot) int64 { return s.RegLookups })
-	row("reg cache hit", func(s stats.Snapshot) int64 { return s.RegCacheHits })
-	row("read #", func(s stats.Snapshot) int64 { return s.FSReadCalls })
-	row("write #", func(s stats.Snapshot) int64 { return s.FSWriteCalls })
-	rowF := func(name string, get func(stats.Snapshot) float64) {
-		cells := []any{name}
-		for _, r := range results {
-			cells = append(cells, fmt.Sprintf("%.0f", get(r.snap)))
-		}
-		t.Add(cells...)
-	}
-	rowF("c/s comm (MB)", func(s stats.Snapshot) float64 { return float64(s.BytesClientServer) / MB })
-	rowF("c/c comm (MB)", func(s stats.Snapshot) float64 { return float64(s.BytesClientClient) / MB })
-	t.Note("paper: req# 163840/160/1360/1360/82040; read# 81920/1600/81920/5120/3140; write# 81920/1600/81920/2560/81920")
-	t.Note("req# here counts physical per-server request messages; the paper counts logical client requests")
-	return t
+	}),
 }

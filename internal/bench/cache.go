@@ -4,20 +4,11 @@ import (
 	"bytes"
 	"fmt"
 
+	"pvfsib/internal/mpi"
 	"pvfsib/internal/pcache"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sim"
 )
-
-// Cache sweeps the client-side page cache (internal/pcache) over reuse ×
-// hole density × cache size, with a write-behind on/off ablation. The
-// workload is the buffer cache's reason to exist: one client issuing many
-// small strided operations one at a time (Unix-style call stream), repeated
-// over the same region `reuse` times. Uncached, every tiny operation is one
-// wire RPC; write-through caching absorbs re-reads but still pays one RPC
-// per write; write-behind coalesces the writes into a few large list
-// flushes as well. Every cell verifies its read-back bytes.
-func Cache(o RunOpts) *Table { return CachePlan(o).Table(o.Parallel) }
 
 // cacheCase is one workload geometry: reuse rounds over a strided region
 // whose file stride is density × the segment size (density 2 = 50% holes,
@@ -32,52 +23,43 @@ func (cs cacheCase) label() string {
 	return fmt.Sprintf("r%d-d%d-p%d", cs.reuse, cs.density, cs.pages)
 }
 
-// CachePlan is one cell per (case, mode); modes share nothing, so the
-// ablation columns come from independent simulations.
-func CachePlan(o RunOpts) *Plan {
-	var cases []cacheCase
-	if o.Short {
-		cases = []cacheCase{
-			{reuse: 1, density: 2, pages: 64},
-			{reuse: 4, density: 2, pages: 64},
-		}
-	} else {
-		for _, reuse := range []int{1, 4} {
-			for _, density := range []int64{2, 4} {
-				for _, pages := range []int{16, 64} {
-					cases = append(cases, cacheCase{reuse: reuse, density: density, pages: pages})
+// cache sweeps the client-side page cache (internal/pcache) over reuse ×
+// hole density × cache size, with a write-behind on/off ablation. The
+// workload is the buffer cache's reason to exist: one client issuing many
+// small strided operations one at a time (Unix-style call stream), repeated
+// over the same region `reuse` times. Uncached, every tiny operation is one
+// wire RPC; write-through caching absorbs re-reads but still pays one RPC
+// per write; write-behind coalesces the writes into a few large list
+// flushes as well. Every cell verifies its read-back bytes. One cell per
+// (case, mode); modes share nothing, so the ablation columns come from
+// independent simulations.
+var cache = Experiment{
+	ID:    "cache",
+	Title: "Client page cache: write-behind and read-ahead ablation",
+	table: "Client page cache: reuse x hole density x cache size, write-behind ablation (64 x 2kB ops/round, 1 client, 4 servers)",
+	header: []string{"case", "reuse", "density", "pages",
+		"uncached_mbs", "wt_mbs", "wb_mbs", "uncached_rpc", "wb_rpc", "wb_hit_pct", "wb_coalesce"},
+	notes: []string{"all cells verified byte-identical read-back; write-behind turns per-segment RPCs into coalesced list flushes"},
+	sweep: func(o RunOpts) []group {
+		cases := []cacheCase{{reuse: 1, density: 2, pages: 64}, {reuse: 4, density: 2, pages: 64}}
+		if !o.Short {
+			cases = nil
+			for _, reuse := range []int{1, 4} {
+				for _, density := range []int64{2, 4} {
+					for _, pages := range []int{16, 64} {
+						cases = append(cases, cacheCase{reuse: reuse, density: density, pages: pages})
+					}
 				}
 			}
 		}
-	}
-	modes := []string{"uncached", "writethrough", "writebehind"}
-	pl := &Plan{}
-	for _, cs := range cases {
-		for _, mode := range modes {
-			cs, mode := cs, mode
-			pl.Cells = append(pl.Cells, cell(cs.label()+"-"+mode, func() cacheResult {
-				return cacheCell(cs, mode, o.Shards)
-			}))
-		}
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:    "cache",
-			Title: "Client page cache: reuse x hole density x cache size, write-behind ablation (64 x 2kB ops/round, 1 client, 4 servers)",
-			Header: []string{"case", "reuse", "density", "pages",
-				"uncached_mbs", "wt_mbs", "wb_mbs", "uncached_rpc", "wb_rpc", "wb_hit_pct", "wb_coalesce"},
-		}
-		for i, cs := range cases {
-			un := results[i*len(modes)].(cacheResult)
-			wt := results[i*len(modes)+1].(cacheResult)
-			wb := results[i*len(modes)+2].(cacheResult)
-			t.Add(cs.label(), cs.reuse, cs.density, cs.pages,
-				un.mbs, wt.mbs, wb.mbs, un.rpcs, wb.rpcs, wb.hitPct, wb.coalesce)
-		}
-		t.Note("all cells verified byte-identical read-back; write-behind turns per-segment RPCs into coalesced list flushes")
-		return t
-	}
-	return pl
+		return grid(cases, []string{"uncached", "writethrough", "writebehind"},
+			func(cs cacheCase, mode string) cacheResult { return cacheCell(cs, mode, o.Shards) },
+			func(t *Table, cs cacheCase, res []cacheResult) {
+				un, wt, wb := res[0], res[1], res[2]
+				t.Add(cs.label(), cs.reuse, cs.density, cs.pages,
+					un.mbs, wt.mbs, wb.mbs, un.rpcs, wb.rpcs, wb.hitPct, wb.coalesce)
+			})
+	},
 }
 
 type cacheResult struct {
@@ -107,7 +89,7 @@ func cacheCell(cs cacheCase, mode string, shards int) cacheResult {
 		}
 		return b
 	}
-	elapsed := f.runOne(func(p *sim.Proc, cl *pvfs.Client) {
+	elapsed := f.runRanks(func(p *sim.Proc, _ *mpi.Rank, cl *pvfs.Client) {
 		fh := cl.Open(p, "cache")
 		var cf *pcache.File
 		switch mode {

@@ -7,7 +7,7 @@ import "testing"
 // throughput while cutting wire RPCs, and the cache must actually be
 // hitting (not accidentally bypassing).
 func TestCacheExperimentAcceptance(t *testing.T) {
-	tb := Cache(RunOpts{Short: true, Seed: 1, Parallel: 4})
+	tb := shortTable(t, "cache")
 	row := tb.FindRow("r4-d2-p64")
 	if row < 0 {
 		t.Fatalf("high-reuse row missing from table:\n%s", tb)

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"fmt"
-
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
-	"pvfsib/internal/mpi"
 	"pvfsib/internal/mpiio"
 	"pvfsib/internal/ogr"
 	"pvfsib/internal/pvfs"
@@ -15,145 +12,71 @@ import (
 	"pvfsib/internal/workload"
 )
 
-// ExtraNoncontig reproduces the ROMIO "noncontig" benchmark (Latham & Ross,
-// the paper's reference [15]): every process reads and writes a vector
-// pattern — veclen elements of elemsize bytes out of every nprocs*veclen —
+// extraNoncontig reproduces the ROMIO "noncontig" benchmark (Latham & Ross,
+// the paper's reference [15]): every process writes and reads a vector
+// pattern — 2048 blocks of veclen doubles out of every nprocs*veclen —
 // through each access method. The pattern is the pathological case the
 // paper's introduction cites for PVFS-over-TCP performance problems.
-func ExtraNoncontig(o RunOpts) *Table { return ExtraNoncontigPlan(o).Table(o.Parallel) }
-
-// ExtraNoncontigPlan is one cell per (veclen, method); each cell carries
-// both the write and read bandwidth.
-func ExtraNoncontigPlan(o RunOpts) *Plan {
-	veclens := []int64{8, 64, 512}
-	if o.Short {
-		veclens = []int64{64}
-	}
-	const elem = 8 // doubles, as in the original benchmark
-	const count = 2048
-	pl := &Plan{}
-	for _, veclen := range veclens {
-		for _, m := range methodList {
-			pl.Cells = append(pl.Cells, cell(fmt.Sprintf("%d/%d", veclen, m), func() wrPair {
-				w, r := noncontigCell(veclen, elem, count, m)
-				return wrPair{w, r}
-			}))
-		}
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "extra-noncontig",
-			Title:  "ROMIO noncontig benchmark, aggregate bandwidth (MB/s)",
-			Header: []string{"veclen", "op", "multiple", "datasieving", "listio", "listio+ads"},
-		}
-		i := 0
-		for _, veclen := range veclens {
-			wRow := []any{veclen, "write"}
-			rRow := []any{veclen, "read"}
-			for range methodList {
-				pair := results[i].(wrPair)
-				i++
-				wRow = append(wRow, pair.w)
-				rRow = append(rRow, pair.r)
-			}
-			t.Add(wRow...)
-			t.Add(rRow...)
-		}
-		t.Note("vector of count blocks, each veclen*8 bytes, strided by nprocs; smaller veclen = finer fragmentation")
-		return t
-	}
-	return pl
+var extraNoncontig = Experiment{
+	ID:     "extra-noncontig",
+	Title:  "ROMIO noncontig benchmark (paper ref [15])",
+	table:  "ROMIO noncontig benchmark, aggregate bandwidth (MB/s)",
+	header: []string{"veclen", "op", "multiple", "datasieving", "listio", "listio+ads"},
+	notes:  []string{"vector of count blocks, each veclen*8 bytes, strided by nprocs; smaller veclen = finer fragmentation"},
+	sweep: func(o RunOpts) []group {
+		const elem, count = 8, 2048 // doubles, as in the original benchmark
+		return grid(pick(o.Short, []int64{64}, []int64{8, 64, 512}), methodList,
+			func(veclen int64, m mpiio.Method) ioResult {
+				block := veclen * elem
+				vector := func(rank, ranks int) workload.Pattern {
+					return workload.Pattern{
+						Mem:  mpiio.Contig(count * block),
+						File: mpiio.Vector(count, block, block*int64(ranks)).Shift(int64(rank) * block),
+					}
+				}
+				return paperBed().one(listIO{file: "noncontig", layout: vector, method: m, read: readFresh})
+			},
+			func(t *Table, veclen int64, res []ioResult) {
+				t.Add(line(res, wMBs, veclen, "write")...)
+				t.Add(line(res, rMBs, veclen, "read")...)
+			})
+	},
 }
 
-// noncontigCell runs the noncontig pattern with 4 ranks and one method.
-func noncontigCell(veclen, elem, count int64, m mpiio.Method) (wBW, rBW float64) {
-	const ranks = 4
-	f := newFixture(pvfs.DefaultConfig(), 4, ranks)
-	defer f.close()
-	blockBytes := veclen * elem
-	stride := blockBytes * ranks
-	total := int64(ranks) * count * blockBytes
-
-	patFor := func(rank int) workload.Pattern {
-		return workload.Pattern{
-			Mem:  mpiio.Contig(count * blockBytes),
-			File: mpiio.Vector(count, blockBytes, stride).Shift(int64(rank) * blockBytes),
-		}
-	}
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		file := mpiio.Open(p, cl, rank, "noncontig")
-		buf := materialize(cl, patFor(rank.ID()), byte(rank.ID()))
-		rank.Barrier(p)
-		sim.Must(file.Write(p, m, buf.Segs, buf.Accs))
-	})
-	wBW = bw(total, elapsed)
-
-	elapsed = f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		file := mpiio.Open(p, cl, rank, "noncontig")
-		buf := materialize(cl, patFor(rank.ID()), byte(rank.ID()+77))
-		rank.Barrier(p)
-		sim.Must(file.Read(p, m, buf.Segs, buf.Accs))
-	})
-	rBW = bw(total, elapsed)
-	return
+// diskProfile is one storage generation of the disk-speed experiment.
+type diskProfile struct {
+	name     string
+	speed    float64
+	fastSeek bool
 }
 
-// ExtraDiskSpeed shows the "active and intelligent" property of ADS: the
+// extraDiskSpeed shows the "active and intelligent" property of ADS: the
 // cost model is built from the server's measured disk parameters, so the
 // sieve/individual decision adapts to the storage generation without
 // retuning — seek-bound disks favour sieving, near-seekless devices favour
 // individual access. Sync writes of the block-column pattern.
-func ExtraDiskSpeed(o RunOpts) *Table { return ExtraDiskSpeedPlan(o).Table(o.Parallel) }
-
-// autoResult carries the auto cell's bandwidth and sieve-decision count.
-type autoResult struct {
-	bw   float64
-	wins int64
-}
-
-// ExtraDiskSpeedPlan is three cells (never/always/auto) per storage
-// profile.
-func ExtraDiskSpeedPlan(o RunOpts) *Plan {
-	n := int64(2048)
-	if o.Short {
-		n = 1024
-	}
-	type profile struct {
-		name string
-		cfg  pvfs.Config
-	}
-	profiles := []profile{
-		{"0.25x ATA", diskSpeedConfig(0.25, false)},
-		{"1x ATA (paper)", diskSpeedConfig(1, false)},
-		{"4x ATA", diskSpeedConfig(4, false)},
-		{"SSD-like (no seek)", diskSpeedConfig(8, true)},
-	}
-	pl := &Plan{}
-	for _, pr := range profiles {
-		cfg := pr.cfg
-		pl.Cells = append(pl.Cells,
-			cell(pr.name+"/never", func() float64 { return diskSpeedCell(cfg, n, sieve.Never) }),
-			cell(pr.name+"/always", func() float64 { return diskSpeedCell(cfg, n, sieve.Always) }),
-			cell(pr.name+"/auto", func() autoResult {
-				bwv, wins := diskSpeedCellAuto(cfg, n)
-				return autoResult{bwv, wins}
-			}),
-		)
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "extra-diskspeed",
-			Title:  "ADS decision vs. storage profile, block-column sync write (MB/s)",
-			Header: []string{"disk", "never", "always", "model(auto)", "auto_sieved_windows"},
-		}
-		for i, pr := range profiles {
-			auto := results[3*i+2].(autoResult)
-			t.Add(pr.name, results[3*i].(float64), results[3*i+1].(float64), auto.bw, auto.wins)
-		}
-		t.Note("auto should track the better forced mode on every profile; the SSD-like row flips the decision to individual access")
-		return t
-	}
-	return pl
+var extraDiskSpeed = Experiment{
+	ID:     "extra-diskspeed",
+	Title:  "ADS decisions adapt to disk speed",
+	table:  "ADS decision vs. storage profile, block-column sync write (MB/s)",
+	header: []string{"disk", "never", "always", "model(auto)", "auto_sieved_windows"},
+	notes:  []string{"auto should track the better forced mode on every profile; the SSD-like row flips the decision to individual access"},
+	sweep: func(o RunOpts) []group {
+		n := pick[int64](o.Short, 1024, 2048)
+		return grid([]diskProfile{
+			{"0.25x ATA", 0.25, false},
+			{"1x ATA (paper)", 1, false},
+			{"4x ATA", 4, false},
+			{"SSD-like (no seek)", 8, true},
+		}, sieveModes,
+			func(d diskProfile, mode sieve.Mode) ioResult {
+				return sieveModeWrite(bed{diskSpeedConfig(d.speed, d.fastSeek), 4, 4}, "ds", n, mode)
+			},
+			func(t *Table, d diskProfile, res []ioResult) {
+				auto := res[len(res)-1]
+				t.Add(append(line(res, wMBs, d.name), auto.snap.SieveWins)...)
+			})
+	},
 }
 
 // diskSpeedConfig scales the disk bandwidth; fastSeek additionally collapses
@@ -170,237 +93,42 @@ func diskSpeedConfig(speed float64, fastSeek bool) pvfs.Config {
 	return cfg
 }
 
-func diskSpeedCell(cfg pvfs.Config, n int64, mode sieve.Mode) float64 {
-	const ranks = 4
-	f := newFixture(cfg, 4, ranks)
-	defer f.close()
-	total := n * n * 4
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "ds")
-		buf := materialize(cl, workload.BlockColumn(n, ranks, rank.ID(), 4), byte(rank.ID()))
-		rank.Barrier(p)
-		sim.Must(fh.WriteList(p, buf.Segs, buf.Accs, pvfs.OpOptions{Sieve: mode}))
-		fh.Sync(p)
-	})
-	return bw(total, elapsed)
+// regScheme is one registration alternative of the app-aware experiment.
+type regScheme struct {
+	name    string
+	reg     pvfs.RegPolicy
+	changes string
 }
 
-func diskSpeedCellAuto(cfg pvfs.Config, n int64) (float64, int64) {
-	const ranks = 4
-	f := newFixture(cfg, 4, ranks)
-	defer f.close()
-	total := n * n * 4
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "ds")
-		buf := materialize(cl, workload.BlockColumn(n, ranks, rank.ID(), 4), byte(rank.ID()))
-		rank.Barrier(p)
-		sim.Must(fh.WriteList(p, buf.Segs, buf.Accs, pvfs.OpOptions{}))
-		fh.Sync(p)
-	})
-	var wins int64
-	for _, s := range f.c.Servers {
-		wins += s.SieveStats.SievedWins
-	}
-	return bw(total, elapsed), wins
-}
-
-// ExtraScaling measures aggregate list-I/O bandwidth as the server count
-// grows — the striping-scalability property PVFS exists for (the paper's
-// prior work [31] evaluates it on the same testbed).
-func ExtraScaling(o RunOpts) *Table { return ExtraScalingPlan(o).Table(o.Parallel) }
-
-// scalingResult carries one server count's four bandwidths.
-type scalingResult struct {
-	cw, cr, lw, lr float64
-}
-
-// ExtraScalingPlan is one cell per server count.
-func ExtraScalingPlan(o RunOpts) *Plan {
-	counts := []int{1, 2, 4, 8}
-	if o.Short {
-		counts = []int{1, 4}
-	}
-	pl := &Plan{}
-	for _, ns := range counts {
-		pl.Cells = append(pl.Cells, cell(fmt.Sprintf("servers-%d", ns), func() scalingResult {
-			cw, cr, lw, lr := scalingCell(ns)
-			return scalingResult{cw, cr, lw, lr}
-		}))
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "extra-scaling",
-			Title:  "Aggregate bandwidth vs. I/O server count (4 clients, MB/s)",
-			Header: []string{"servers", "contig_write", "contig_read", "list_write", "list_read"},
-		}
-		for i, ns := range counts {
-			r := results[i].(scalingResult)
-			t.Add(ns, r.cw, r.cr, r.lw, r.lr)
-		}
-		t.Note("striping should scale bandwidth until the clients' links saturate")
-		return t
-	}
-	return pl
-}
-
-func scalingCell(nServers int) (cw, cr, lw, lr float64) {
-	const ranks = 4
-	const per = 8 << 20 // 8 MB per rank
-	f := newFixture(pvfs.DefaultConfig(), nServers, ranks)
-	defer f.close()
-
-	// Contiguous writes and reads at disjoint offsets.
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "scale")
-		addr := cl.Space().Malloc(per)
-		rank.Barrier(p)
-		sim.Must(fh.Write(p, addr, per, int64(rank.ID())*per, pvfs.OpOptions{}))
-	})
-	cw = bw(ranks*per, elapsed)
-	elapsed = f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "scale")
-		addr := cl.Space().Malloc(per)
-		rank.Barrier(p)
-		sim.Must(fh.Read(p, addr, per, int64(rank.ID())*per, pvfs.OpOptions{}))
-	})
-	cr = bw(ranks*per, elapsed)
-
-	// Noncontiguous list I/O on the block-column pattern.
-	n := int64(1024)
-	total := n * n * 4
-	elapsed = f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "scale-list")
-		buf := materialize(cl, workload.BlockColumn(n, ranks, rank.ID(), 4), byte(rank.ID()))
-		rank.Barrier(p)
-		sim.Must(fh.WriteList(p, buf.Segs, buf.Accs, pvfs.OpOptions{}))
-	})
-	lw = bw(total, elapsed)
-	elapsed = f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "scale-list")
-		buf := materialize(cl, workload.BlockColumn(n, ranks, rank.ID(), 4), byte(rank.ID()+9))
-		rank.Barrier(p)
-		sim.Must(fh.ReadList(p, buf.Segs, buf.Accs, pvfs.OpOptions{}))
-	})
-	lr = bw(total, elapsed)
-	return
-}
-
-// ExtraAppAware compares the paper's Section 4.2.1 design alternatives —
+// extraAppAware compares the paper's Section 4.2.1 design alternatives —
 // application-controlled registration (explicit) and declared-allocation
 // registration — against the transparent Optimistic Group Registration the
 // paper chose. The subarray write of Table 4, steady state.
-func ExtraAppAware(o RunOpts) *Table { return ExtraAppAwarePlan(o).Table(o.Parallel) }
-
-// appAwareResult carries one registration scheme's measurements.
-type appAwareResult struct {
-	bw   float64
-	regs int64
+var extraAppAware = Experiment{
+	ID:     "extra-appaware",
+	Title:  "App-aware registration alternatives (Section 4.2.1)",
+	table:  "Application-aware registration alternatives, subarray write (MB/s)",
+	header: []string{"scheme", "agg_MB_s", "regs", "app_changes"},
+	notes:  []string{"OGR reaches the app-aware schemes' performance without any application change — the design argument of Section 4.2"},
+	sweep: func(o RunOpts) []group {
+		n := pick[int64](o.Short, 1024, 2048)
+		subarray := func(rank, _ int) workload.Pattern { return workload.SubarrayWrite(n, 2, 2, rank%2, rank/2, 4) }
+		return each([]regScheme{
+			{"explicit (4.2.1-1)", pvfs.RegExplicit, "register calls"},
+			{"declared (4.2.1-2)", pvfs.RegDeclared, "declare allocation"},
+			{"OGR (chosen)", pvfs.RegOGR, "none"},
+			{"OGR + cache", pvfs.RegCached, "none"},
+		},
+			func(sc regScheme) ioResult {
+				return paperBed().one(listIO{file: "aa", layout: subarray, warm: pick(sc.reg == pvfs.RegCached, "warm", ""),
+					opts: &pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: sc.reg, Sieve: sieve.Never}})
+			},
+			func(t *Table, sc regScheme, r ioResult) {
+				// Per-process registration count, like the paper.
+				t.Add(sc.name, r.w, r.snap.Registrations/int64(paperBed().ranks), sc.changes)
+			})
+	},
 }
-
-// ExtraAppAwarePlan is one cell per registration scheme.
-func ExtraAppAwarePlan(o RunOpts) *Plan {
-	n := int64(2048)
-	if o.Short {
-		n = 1024
-	}
-	schemes := []struct {
-		name    string
-		reg     pvfs.RegPolicy
-		changes string
-	}{
-		{"explicit (4.2.1-1)", pvfs.RegExplicit, "register calls"},
-		{"declared (4.2.1-2)", pvfs.RegDeclared, "declare allocation"},
-		{"OGR (chosen)", pvfs.RegOGR, "none"},
-		{"OGR + cache", pvfs.RegCached, "none"},
-	}
-	pl := &Plan{}
-	for _, sc := range schemes {
-		reg := sc.reg
-		pl.Cells = append(pl.Cells, cell(sc.name, func() appAwareResult {
-			bwv, regs := appAwareCell(n, reg)
-			return appAwareResult{bwv, regs}
-		}))
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "extra-appaware",
-			Title:  "Application-aware registration alternatives, subarray write (MB/s)",
-			Header: []string{"scheme", "agg_MB_s", "regs", "app_changes"},
-		}
-		for i, sc := range schemes {
-			r := results[i].(appAwareResult)
-			t.Add(sc.name, r.bw, r.regs, sc.changes)
-		}
-		t.Note("OGR reaches the app-aware schemes' performance without any application change — the design argument of Section 4.2")
-		return t
-	}
-	return pl
-}
-
-func appAwareCell(n int64, reg pvfs.RegPolicy) (float64, int64) {
-	const ranks = 4
-	elem := int64(4)
-	perRank := (n / 2) * (n / 2) * elem
-	f := newFixture(pvfs.DefaultConfig(), 4, ranks)
-	defer f.close()
-
-	type rankState struct {
-		segs  []ib.SGE
-		alloc mem.Extent
-		mr    *ib.MR
-	}
-	states := make([]rankState, ranks)
-	for i := 0; i < ranks; i++ {
-		cl := f.c.Clients[i]
-		pat := workload.SubarrayWrite(n, 2, 2, i%2, i/2, elem)
-		b := materialize(cl, pat, byte(i))
-		states[i] = rankState{
-			segs:  b.Segs,
-			alloc: mem.Extent{Addr: b.Base, Len: pat.MemSpan()},
-		}
-	}
-	// Setup phase (unmeasured): explicit registration or cache warm-up.
-	f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		st := &states[rank.ID()]
-		switch reg {
-		case pvfs.RegExplicit:
-			mr, err := cl.RegisterRegion(p, st.alloc)
-			sim.Must(err)
-			st.mr = mr
-		case pvfs.RegCached:
-			fh := cl.Open(p, "warm")
-			opts := pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: reg, Sieve: sieve.Never}
-			accs := []pvfs.OffLen{{Off: int64(rank.ID()) * perRank, Len: perRank}}
-			sim.Must(fh.WriteList(p, st.segs, accs, opts))
-		}
-	})
-	var regs0 int64
-	for _, cl := range f.c.Clients {
-		regs0 += cl.HCA().Counters.Registrations
-	}
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		st := &states[rank.ID()]
-		fh := cl.Open(p, "aa")
-		opts := pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: reg, Sieve: sieve.Never}
-		if reg == pvfs.RegDeclared {
-			opts.Allocation = st.alloc
-		}
-		accs := []pvfs.OffLen{{Off: int64(rank.ID()) * perRank, Len: perRank}}
-		rank.Barrier(p)
-		sim.Must(fh.WriteList(p, st.segs, accs, opts))
-	})
-	var regsN int64
-	for _, cl := range f.c.Clients {
-		regsN += cl.HCA().Counters.Registrations
-	}
-	return bw(int64(ranks)*perRank, elapsed), (regsN - regs0) / ranks
-}
-
-// ExtraQueryMethod compares the three OS hole-query mechanisms the paper
-// discusses for OGR's fallback (Section 4.3): the custom system call
-// (≈70 µs per 1000 holes), reading /proc/$pid/maps (≈1100 µs), and a
-// mincore-style per-page probe. The OGR+Q scenario of Table 4.
-func ExtraQueryMethod(o RunOpts) *Table { return ExtraQueryMethodPlan(o).Table(o.Parallel) }
 
 // queryResult carries one hole-query mechanism's measurements.
 type queryResult struct {
@@ -408,45 +136,35 @@ type queryResult struct {
 	regs int
 }
 
-// ExtraQueryMethodPlan is one cell per query mechanism.
-func ExtraQueryMethodPlan(o RunOpts) *Plan {
-	nseg := 1024
-	if o.Short {
-		nseg = 256
-	}
-	methods := []struct {
-		name   string
-		method mem.QueryMethod
-	}{
-		{"custom syscall", mem.QuerySyscall},
-		{"/proc/pid/maps", mem.QueryProcMaps},
-		{"mincore probe", mem.QueryMincore},
-	}
-	pl := &Plan{}
-	for _, m := range methods {
-		method := m.method
-		pl.Cells = append(pl.Cells, cell(m.name, func() queryResult {
-			us, regs := queryMethodCell(nseg, method)
-			return queryResult{us, regs}
-		}))
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "extra-querymethod",
-			Title:  "OS hole-query mechanisms in OGR's fallback (registration time, µs)",
-			Header: []string{"method", "reg_time_us", "regs"},
-		}
-		for i, m := range methods {
-			r := results[i].(queryResult)
-			t.Add(m.name, r.us, r.regs)
-		}
-		t.Note("paper: ~70µs per 1000 holes via the kernel walk vs ~1100µs via /proc")
-		return t
-	}
-	return pl
+// queryMethod is one OS hole-query mechanism.
+type queryMethod struct {
+	name   string
+	method mem.QueryMethod
 }
 
-func queryMethodCell(nseg int, method mem.QueryMethod) (float64, int) {
+// extraQueryMethod compares the three OS hole-query mechanisms the paper
+// discusses for OGR's fallback (Section 4.3): the custom system call
+// (≈70 µs per 1000 holes), reading /proc/$pid/maps (≈1100 µs), and a
+// mincore-style per-page probe. The OGR+Q scenario of Table 4.
+var extraQueryMethod = Experiment{
+	ID:     "extra-querymethod",
+	Title:  "OS hole-query mechanisms (Section 4.3)",
+	table:  "OS hole-query mechanisms in OGR's fallback (registration time, µs)",
+	header: []string{"method", "reg_time_us", "regs"},
+	notes:  []string{"paper: ~70µs per 1000 holes via the kernel walk vs ~1100µs via /proc"},
+	sweep: func(o RunOpts) []group {
+		nseg := pick(o.Short, 256, 1024)
+		return each([]queryMethod{
+			{"custom syscall", mem.QuerySyscall},
+			{"/proc/pid/maps", mem.QueryProcMaps},
+			{"mincore probe", mem.QueryMincore},
+		},
+			func(m queryMethod) queryResult { return queryMethodCell(nseg, m.method) },
+			func(t *Table, m queryMethod, r queryResult) { t.Add(m.name, r.us, r.regs) })
+	},
+}
+
+func queryMethodCell(nseg int, method mem.QueryMethod) queryResult {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.DefaultParams())
 	h := ib.NewHCA(net.AddNode("n"), mem.NewAddrSpace("n"), ib.DefaultParams())
@@ -479,5 +197,5 @@ func queryMethodCell(nseg int, method mem.QueryMethod) (float64, int) {
 		elapsed = p.Now().Sub(t0)
 	})
 	runTolerant(eng)
-	return float64(elapsed.Nanoseconds()) / 1000, regs
+	return queryResult{float64(elapsed.Nanoseconds()) / 1000, regs}
 }

@@ -1,144 +1,80 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"pvfsib/internal/fault"
-	"pvfsib/internal/ib"
-	"pvfsib/internal/mem"
-	"pvfsib/internal/mpi"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sieve"
-	"pvfsib/internal/sim"
 )
 
-// Faults sweeps the fault plane: four clients write and read back a strided
-// list-I/O workload while the injector corrupts work requests, and a final
-// "storm" row adds registration pressure, a partition that heals, and an
-// I/O daemon crash/restart. Every cell verifies the read-back bytes — a
-// row only appears if no data was lost. The table reports completion time
-// and the recovery layer's counters instead of bandwidth: the interesting
-// quantity is the price of each fault class, not the fabric's peak.
-func Faults(o RunOpts) *Table { return FaultsPlan(o).Table(o.Parallel) }
-
-// FaultsPlan is one cell per error rate plus the storm cell; each cell
-// builds its own fault plan so nothing is shared across engines.
-func FaultsPlan(o RunOpts) *Plan {
-	rates := []float64{0, 0.005, 0.02, 0.05}
-	if o.Short {
-		rates = []float64{0, 0.02}
-	}
-	seed := o.Seed
-	pl := &Plan{}
-	for _, rate := range rates {
-		pl.Cells = append(pl.Cells, cell(fmt.Sprintf("wr-%.3f", rate), func() faultsResult {
-			var plan *fault.Plan
-			if rate != 0 {
-				plan = &fault.Plan{Seed: seed, WRErrorRate: rate}
-			}
-			return faultsCell(plan, o.Shards)
-		}))
-	}
-	pl.Cells = append(pl.Cells, cell("storm", func() faultsResult {
-		return faultsCell(&fault.Plan{
-			Seed:        seed,
-			WRErrorRate: 0.02,
-			RegFailRate: 0.2,
-			Cuts: []fault.Cut{
-				{A: 4, B: 1, At: 200 * time.Microsecond, Dur: 400 * time.Microsecond},
-			},
-			Crashes: []fault.Crash{
-				{Server: 2, At: 300 * time.Microsecond, Down: 600 * time.Microsecond},
-			},
-		}, o.Shards)
-	}))
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:    "faults",
-			Title: "Recovery under injected faults: completion time and recovery work (4+4, 64x4kB per rank)",
-			Header: []string{"scenario", "wr_rate",
-				"time_ms", "retries", "timeouts", "fallbacks", "aborts", "qp_resets"},
-		}
-		for i, rate := range rates {
-			r := results[i].(faultsResult)
-			t.Add("wr-errors", fmt.Sprintf("%.3f", rate), r.ms, r.s.Retries, r.s.Timeouts, r.s.Fallbacks, r.s.ServerAborts, r.s.QPResets)
-		}
-		r := results[len(rates)].(faultsResult)
-		t.Add("storm", "0.020", r.ms, r.s.Retries, r.s.Timeouts, r.s.Fallbacks, r.s.ServerAborts, r.s.QPResets)
-		t.Note("all cells verified byte-identical read-back; time grows with fault rate while the data stays intact")
-		return t
-	}
-	return pl
+// faultScenario is one row of the fault-plane sweep.
+type faultScenario struct {
+	name string
+	rate float64
+	plan func(seed int64) *fault.Plan // nil = fault-free
 }
 
-type faultsResult struct {
-	ms float64
-	s  struct {
-		Retries, Timeouts, Fallbacks, ServerAborts, QPResets int64
+// wrErrors is the scenario injecting work-request errors at rate.
+func wrErrors(rate float64) faultScenario {
+	sc := faultScenario{name: "wr-errors", rate: rate}
+	if rate != 0 {
+		sc.plan = func(seed int64) *fault.Plan { return &fault.Plan{Seed: seed, WRErrorRate: rate} }
 	}
+	return sc
 }
 
-// faultsCell runs the workload under one plan (nil = fault-free) and
-// returns completion time plus recovery counters. shards partitions the
-// cell's engine; the result is byte-identical for every value.
-func faultsCell(plan *fault.Plan, shards int) faultsResult {
-	const (
-		nseg    = 64
-		segSize = 4 << 10
-		ranks   = 4
-	)
-	cfg := pvfs.DefaultConfig()
-	cfg.Faults = plan
-	cfg.Shards = shards
-	f := newFixture(cfg, 4, ranks)
-	defer f.close()
+// storm adds registration pressure, a partition that heals, and an I/O
+// daemon crash/restart to the work-request errors.
+var storm = faultScenario{name: "storm", rate: 0.02, plan: func(seed int64) *fault.Plan {
+	return &fault.Plan{
+		Seed:        seed,
+		WRErrorRate: 0.02,
+		RegFailRate: 0.2,
+		Cuts: []fault.Cut{
+			{A: 4, B: 1, At: 200 * time.Microsecond, Dur: 400 * time.Microsecond},
+		},
+		Crashes: []fault.Crash{
+			{Server: 2, At: 300 * time.Microsecond, Down: 600 * time.Microsecond},
+		},
+	}
+}}
 
-	opts := pvfs.OpOptions{Sieve: sieve.Never}
-	segsOf := make([][]ib.SGE, ranks)
-	wantOf := make([][]byte, ranks)
-	for i := 0; i < ranks; i++ {
-		segsOf[i] = stridedSegs(f.c.Clients[i], nseg, segSize, byte(i))
-		var want []byte
-		for _, s := range segsOf[i] {
-			b, err := f.c.Clients[i].Space().Read(s.Addr, s.Len)
-			sim.Must(err)
-			want = append(want, b...)
+// faults sweeps the fault plane: four clients write and read back a strided
+// list-I/O workload (64 x 4 kB interleaved segments per rank) while the
+// injector corrupts work requests, and a final "storm" row piles every
+// fault class on. Every cell verifies the read-back bytes — a row only
+// appears if no data was lost. The table reports completion time and the
+// recovery layer's counters instead of bandwidth: the interesting quantity
+// is the price of each fault class, not the fabric's peak. Each cell builds
+// its own fault plan so nothing is shared across engines, and honors
+// o.Shards; the result is byte-identical for every value.
+var faults = Experiment{
+	ID:    "faults",
+	Title: "Recovery under injected faults (fault-plane sweep)",
+	table: "Recovery under injected faults: completion time and recovery work (4+4, 64x4kB per rank)",
+	header: []string{"scenario", "wr_rate",
+		"time_ms", "retries", "timeouts", "fallbacks", "aborts", "qp_resets"},
+	notes: []string{"all cells verified byte-identical read-back; time grows with fault rate while the data stays intact"},
+	sweep: func(o RunOpts) []group {
+		var scenarios []faultScenario
+		for _, rate := range pick(o.Short, []float64{0, 0.02}, []float64{0, 0.005, 0.02, 0.05}) {
+			scenarios = append(scenarios, wrErrors(rate))
 		}
-		wantOf[i] = want
-	}
-	buildAccs := func(rank int) []pvfs.OffLen {
-		var accs []pvfs.OffLen
-		for j := int64(0); j < nseg; j++ {
-			accs = append(accs, pvfs.OffLen{Off: (j*ranks + int64(rank)) * segSize, Len: segSize})
-		}
-		return accs
-	}
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "faults")
-		accs := buildAccs(rank.ID())
-		sim.Must(fh.WriteList(p, segsOf[rank.ID()], accs, opts))
-		fh.Sync(p)
-		rd := cl.Space().Malloc(nseg * segSize)
-		rdSegs := make([]ib.SGE, nseg)
-		for i := int64(0); i < nseg; i++ {
-			rdSegs[i] = ib.SGE{Addr: rd + mem.Addr(i*segSize), Len: segSize}
-		}
-		sim.Must(fh.ReadList(p, rdSegs, accs, opts))
-		got, err := cl.Space().Read(rd, nseg*segSize)
-		sim.Must(err)
-		if !bytes.Equal(got, wantOf[rank.ID()]) {
-			sim.Failf("bench: faults: rank %d read back corrupted data", rank.ID())
-		}
-	})
-	s := f.c.Snapshot()
-	var r faultsResult
-	r.ms = elapsed.Seconds() * 1e3
-	r.s.Retries = s.Retries
-	r.s.Timeouts = s.Timeouts
-	r.s.Fallbacks = s.Fallbacks
-	r.s.ServerAborts = s.ServerAborts
-	r.s.QPResets = s.QPResets
-	return r
+		return each(append(scenarios, storm),
+			func(sc faultScenario) ioResult {
+				b := paperBed()
+				b.cfg.Shards = o.Shards
+				if sc.plan != nil {
+					b.cfg.Faults = sc.plan(o.Seed)
+				}
+				return b.one(listIO{file: "faults", layout: interleaved(64, 4<<10),
+					opts: &pvfs.OpOptions{Sieve: sieve.Never}, sync: true, verify: true})
+			},
+			func(t *Table, sc faultScenario, r ioResult) {
+				t.Add(sc.name, fmt.Sprintf("%.3f", sc.rate), r.elapsed.Seconds()*1e3,
+					r.snap.Retries, r.snap.Timeouts, r.snap.Fallbacks, r.snap.ServerAborts, r.snap.QPResets)
+			})
+	},
 }

@@ -10,10 +10,11 @@ import (
 	"pvfsib/internal/simnet"
 )
 
-// Fig3 reproduces the paper's Figure 3: bandwidth of the noncontiguous
+// fig3 reproduces the paper's Figure 3: bandwidth of the noncontiguous
 // transfer schemes when sending one process's subarray of an N x N integer
 // array (block-distributed over 4 processes, so the subarray is N/2 x N/2
-// with row stride 4N bytes) from a compute node to an I/O node.
+// with row stride 4N bytes) from a compute node to an I/O node. One cell
+// per array size.
 //
 // Schemes:
 //
@@ -23,45 +24,26 @@ import (
 //	pack,reg          — ditto, but register/deregister the staging buffer
 //	gather,mult reg   — register every row separately, one gather write
 //	gather,one reg    — Optimistic Group Registration, one gather write
-func Fig3(o RunOpts) *Table { return Fig3Plan(o).Table(o.Parallel) }
-
-// Fig3Plan decomposes Figure 3 into one cell per array size.
-func Fig3Plan(o RunOpts) *Plan {
-	sizes := []int64{256, 512, 1024, 2048, 4096}
-	if o.Short {
-		sizes = []int64{256, 1024}
-	}
-	pl := &Plan{}
-	for _, n := range sizes {
-		pl.Cells = append(pl.Cells, cell(fmt.Sprintf("%dx%d", n, n), func() map[string]float64 {
-			return fig3Row(n, ib.DefaultParams())
-		}))
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:    "fig3",
-			Title: "Noncontiguous transfer schemes, subarray write bandwidth (MB/s)",
-			Header: []string{"array", "contig_noreg", "multiple_noreg",
-				"pack_noreg", "pack_reg", "gather_multreg", "gather_onereg"},
-		}
-		for i, n := range sizes {
-			r := results[i].(map[string]float64)
-			t.Add(fmt.Sprintf("%dx%d", n, n),
-				r["contig"], r["multiple"], r["packnoreg"], r["packreg"], r["gathermult"], r["gatherone"])
-		}
-		t.Note("paper shape: pack wins small arrays; gather,one reg approaches contiguous for large; gather,mult reg pays per-row registration")
-		return t
-	}
-	return pl
+var fig3 = Experiment{
+	ID:    "fig3",
+	Title: "Noncontiguous transfer schemes (Figure 3)",
+	table: "Noncontiguous transfer schemes, subarray write bandwidth (MB/s)",
+	header: []string{"array", "contig_noreg", "multiple_noreg",
+		"pack_noreg", "pack_reg", "gather_multreg", "gather_onereg"},
+	notes: []string{"paper shape: pack wins small arrays; gather,one reg approaches contiguous for large; gather,mult reg pays per-row registration"},
+	sweep: func(o RunOpts) []group {
+		return each(pick(o.Short, []int64{256, 1024}, []int64{256, 512, 1024, 2048, 4096}),
+			func(n int64) map[string]float64 { return fig3RowOn(n, ib.DefaultParams(), simnet.DefaultParams()) },
+			func(t *Table, n int64, r map[string]float64) {
+				t.Add(fmt.Sprintf("%dx%d", n, n),
+					r["contig"], r["multiple"], r["packnoreg"], r["packreg"], r["gathermult"], r["gatherone"])
+			})
+	},
 }
 
-// fig3Row measures every scheme for one array size and returns bandwidths.
-func fig3Row(n int64, params ib.Params) map[string]float64 {
-	return fig3RowOn(n, params, simnet.DefaultParams())
-}
-
-// fig3RowOn is fig3Row on an arbitrary fabric (the network-generation
-// ablation swaps in a conventional network).
+// fig3RowOn measures every scheme for one array size on the given HCA and
+// fabric models (the SGE ablation varies the first, the network-generation
+// ablation the second) and returns bandwidths by scheme.
 func fig3RowOn(n int64, params ib.Params, netParams simnet.Params) map[string]float64 {
 	const elem = 4
 	rows := n / 2

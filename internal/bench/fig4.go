@@ -1,116 +1,43 @@
 package bench
 
 import (
-	"fmt"
-
-	"pvfsib/internal/ib"
-	"pvfsib/internal/mpi"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sieve"
-	"pvfsib/internal/sim"
 )
 
-// Fig4 reproduces the paper's Figure 4: PVFS list I/O bandwidth with the
+// fig4 reproduces the paper's Figure 4: PVFS list I/O bandwidth with the
 // Pack/Unpack scheme, the RDMA Gather/Scatter scheme, and the hybrid used
 // in the final design. Four clients and four servers; each operation moves
 // 128 noncontiguous segments whose size sweeps 128 B .. 8 kB. Cache effects
-// are left in (the paper's first experiment set stresses the network).
-func Fig4(o RunOpts) *Table { return Fig4Plan(o).Table(o.Parallel) }
-
-// wrPair is a cell result carrying one write and one read bandwidth.
-type wrPair struct{ w, r float64 }
-
-// Fig4Plan decomposes Figure 4 into one cell per (segment size, scheme).
-func Fig4Plan(o RunOpts) *Plan {
-	sizes := []int64{128, 256, 512, 1024, 2048, 4096, 8192}
-	if o.Short {
-		sizes = []int64{128, 2048, 8192}
-	}
-	transfers := []pvfs.Transfer{pvfs.ForcePack, pvfs.ForceGather, pvfs.Hybrid}
-	pl := &Plan{}
-	for _, s := range sizes {
-		for _, tr := range transfers {
-			pl.Cells = append(pl.Cells, cell(fmt.Sprintf("%dB/%d", s, tr), func() wrPair {
-				w, r := fig4Cell(s, tr)
-				return wrPair{w, r}
-			}))
-		}
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:    "fig4",
-			Title: "List I/O transfer schemes, 128 segments, aggregate bandwidth (MB/s)",
-			Header: []string{"seg_bytes", "op",
-				"pack", "gather", "hybrid"},
-		}
-		i := 0
-		for _, s := range sizes {
-			var w, r [3]float64
-			for j := range transfers {
-				pr := results[i].(wrPair)
-				i++
-				w[j], r[j] = pr.w, pr.r
-			}
-			t.Add(s, "write", w[0], w[1], w[2])
-			t.Add(s, "read", r[0], r[1], r[2])
-		}
-		t.Note("paper shape: pack wins small totals, gather wins large, hybrid tracks the winner (crossover at the 64kB stripe size)")
-		return t
-	}
-	return pl
+// are left in (the paper's first experiment set stresses the network). One
+// cell per (segment size, scheme).
+var fig4 = Experiment{
+	ID:     "fig4",
+	Title:  "List I/O transfer schemes (Figure 4)",
+	table:  "List I/O transfer schemes, 128 segments, aggregate bandwidth (MB/s)",
+	header: []string{"seg_bytes", "op", "pack", "gather", "hybrid"},
+	notes:  []string{"paper shape: pack wins small totals, gather wins large, hybrid tracks the winner (crossover at the 64kB stripe size)"},
+	sweep: func(o RunOpts) []group {
+		return grid(pick(o.Short, []int64{128, 2048, 8192}, []int64{128, 256, 512, 1024, 2048, 4096, 8192}),
+			[]pvfs.Transfer{pvfs.ForcePack, pvfs.ForceGather, pvfs.Hybrid},
+			func(segSize int64, tr pvfs.Transfer) ioResult {
+				return paperBed().one(steadyListIO("fig4", segSize, tr, readSame))
+			},
+			func(t *Table, segSize int64, res []ioResult) {
+				t.Add(line(res, wMBs, segSize, "write")...)
+				t.Add(line(res, rMBs, segSize, "read")...)
+			})
+	},
 }
 
-// fig4Cell measures one (segment size, scheme) cell and returns write and
-// read aggregate bandwidth.
-func fig4Cell(segSize int64, tr pvfs.Transfer) (wBW, rBW float64) {
-	const nseg = 128
-	const ranks = 4
-	f := newFixture(pvfs.DefaultConfig(), 4, ranks)
-	defer f.close()
-	perRank := nseg * segSize
-	total := int64(ranks) * perRank
-
-	// Each rank's segments interleave in the file so every server sees
-	// noncontiguous pieces from every client.
-	buildAccs := func(rank int) []pvfs.OffLen {
-		var accs []pvfs.OffLen
-		for j := int64(0); j < nseg; j++ {
-			accs = append(accs, pvfs.OffLen{Off: (j*ranks + int64(rank)) * segSize, Len: segSize})
-		}
-		return accs
+// steadyListIO is list I/O on 128 interleaved segments per rank in steady
+// state, as a looped benchmark measures it: registration goes through the
+// pin-down cache, one unmeasured warm-up write, then several measured
+// iterations.
+func steadyListIO(file string, segSize int64, tr pvfs.Transfer, read readBack) listIO {
+	return listIO{
+		file: file, layout: interleaved(128, segSize),
+		opts: &pvfs.OpOptions{Transfer: tr, Reg: pvfs.RegCached, Sieve: sieve.Never},
+		warm: file, iters: 3, read: read,
 	}
-	// Steady state, as a looped benchmark measures it: registration goes
-	// through the pin-down cache, one unmeasured warm-up iteration, then
-	// several measured iterations.
-	opts := pvfs.OpOptions{Transfer: tr, Reg: pvfs.RegCached, Sieve: sieve.Never}
-	const iters = 3
-
-	segsOf := make([][]ib.SGE, ranks)
-	for i := 0; i < ranks; i++ {
-		segsOf[i] = stridedSegs(f.c.Clients[i], nseg, segSize, byte(i))
-	}
-	f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "fig4")
-		sim.Must(fh.WriteList(p, segsOf[rank.ID()], buildAccs(rank.ID()), opts))
-	})
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "fig4")
-		accs := buildAccs(rank.ID())
-		rank.Barrier(p)
-		for i := 0; i < iters; i++ {
-			sim.Must(fh.WriteList(p, segsOf[rank.ID()], accs, opts))
-		}
-	})
-	wBW = bw(total*iters, elapsed)
-
-	elapsed = f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "fig4")
-		accs := buildAccs(rank.ID())
-		rank.Barrier(p)
-		for i := 0; i < iters; i++ {
-			sim.Must(fh.ReadList(p, segsOf[rank.ID()], accs, opts))
-		}
-	})
-	rBW = bw(total*iters, elapsed)
-	return
 }

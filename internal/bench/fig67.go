@@ -3,132 +3,66 @@ package bench
 import (
 	"fmt"
 
-	"pvfsib/internal/mpi"
 	"pvfsib/internal/mpiio"
-	"pvfsib/internal/pvfs"
-	"pvfsib/internal/sim"
 	"pvfsib/internal/workload"
 )
 
-// Fig6 reproduces the paper's Figure 6: writes in the one-dimensional
-// block-column file view (each of 4 processes accesses 1 unit out of every
-// 4), for array sizes 512..8192, with the four access methods, with and
+// blockColumn is the one-dimensional block-column file view of Figures
+// 5-7: each rank accesses 1 unit out of every `ranks` in an n x n int array.
+func blockColumn(n int64) layout {
+	return func(rank, ranks int) workload.Pattern { return workload.BlockColumn(n, ranks, rank, 4) }
+}
+
+// variant is one value of a figure's second row axis: its label and the
+// run it selects.
+type variant struct {
+	name string
+	run  listIO
+}
+
+// blockColumnSweep is the shared (size x variant) x method decomposition of
+// Figures 6 and 7; val picks the bandwidth the figure plots.
+func blockColumnSweep(variants []variant, val func(ioResult) any) func(o RunOpts) []group {
+	return func(o RunOpts) []group {
+		sizes := pick(o.Short, []int64{512, 1024}, []int64{512, 1024, 2048, 4096, 8192})
+		return grid(cross(sizes, variants), methodList,
+			func(row pair[int64, variant], m mpiio.Method) ioResult {
+				run := row.b.run
+				run.file, run.layout, run.method = "bc", blockColumn(row.a), m
+				return paperBed().one(run)
+			},
+			func(t *Table, row pair[int64, variant], res []ioResult) {
+				t.Add(line(res, val, fmt.Sprintf("%d", row.a), row.b.name)...)
+			})
+	}
+}
+
+// fig6 reproduces the paper's Figure 6: writes in the block-column file
+// view, for array sizes 512..8192, with the four access methods, with and
 // without sync. ROMIO Data Sieving degenerates to Multiple I/O for writes.
-func Fig6(o RunOpts) *Table { return Fig6Plan(o).Table(o.Parallel) }
-
-// Fig6Plan decomposes Figure 6 into one cell per (size, sync, method).
-func Fig6Plan(o RunOpts) *Plan {
-	return blockColumnPlan(o, "fig6", "Block-column WRITE bandwidth (MB/s)", "sync",
-		[]string{"nosync", "sync"},
-		func(n int64, variant int, m mpiio.Method) float64 {
-			return blockColumnWrite(n, m, variant == 1)
-		},
-		"paper shape: list I/O beats ROMIO DS by 3.5-12x; ADS helps small arrays and merges with plain list I/O at 2048+")
+var fig6 = Experiment{
+	ID:     "fig6",
+	Title:  "Block-column writes (Figure 6)",
+	table:  "Block-column WRITE bandwidth (MB/s)",
+	header: []string{"array", "sync", "multiple", "datasieving", "listio", "listio+ads"},
+	notes:  []string{"paper shape: list I/O beats ROMIO DS by 3.5-12x; ADS helps small arrays and merges with plain list I/O at 2048+"},
+	sweep:  blockColumnSweep([]variant{{"nosync", listIO{}}, {"sync", listIO{sync: true}}}, wMBs),
 }
 
-// Fig7 reproduces Figure 7: block-column reads, cached and uncached.
-func Fig7(o RunOpts) *Table { return Fig7Plan(o).Table(o.Parallel) }
-
-// Fig7Plan decomposes Figure 7 into one cell per (size, cache, method).
-func Fig7Plan(o RunOpts) *Plan {
-	return blockColumnPlan(o, "fig7", "Block-column READ bandwidth (MB/s)", "cache",
-		[]string{"cached", "uncached"},
-		func(n int64, variant int, m mpiio.Method) float64 {
-			return blockColumnRead(n, m, variant == 0)
-		},
-		"paper shape: cached, ADS wins small arrays; uncached, DS is competitive until transfer overheads catch up at large sizes")
+// fig7 reproduces Figure 7: block-column reads, cached and uncached. The
+// file is produced with plain list I/O first; for the uncached case it is
+// synced and every server's page cache dropped before the measured read.
+var fig7 = Experiment{
+	ID:     "fig7",
+	Title:  "Block-column reads (Figure 7)",
+	table:  "Block-column READ bandwidth (MB/s)",
+	header: []string{"array", "cache", "multiple", "datasieving", "listio", "listio+ads"},
+	notes:  []string{"paper shape: cached, ADS wins small arrays; uncached, DS is competitive until transfer overheads catch up at large sizes"},
+	sweep:  blockColumnSweep([]variant{{"cached", populatedRead(false)}, {"uncached", populatedRead(true)}}, rMBs),
 }
 
-// blockColumnPlan is the shared (size x variant x method) decomposition of
-// Figures 6 and 7.
-func blockColumnPlan(o RunOpts, id, title, varCol string, variants []string,
-	run func(n int64, variant int, m mpiio.Method) float64, note string) *Plan {
-	sizes := blockColumnSizes(o.Short)
-	pl := &Plan{}
-	for _, n := range sizes {
-		for v := range variants {
-			for _, m := range methodList {
-				pl.Cells = append(pl.Cells, cell(fmt.Sprintf("%d/%s/%d", n, variants[v], m),
-					func() float64 { return run(n, v, m) }))
-			}
-		}
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     id,
-			Title:  title,
-			Header: []string{"array", varCol, "multiple", "datasieving", "listio", "listio+ads"},
-		}
-		i := 0
-		for _, n := range sizes {
-			for _, v := range variants {
-				row := []any{fmt.Sprintf("%d", n), v}
-				for range methodList {
-					row = append(row, results[i].(float64))
-					i++
-				}
-				t.Add(row...)
-			}
-		}
-		t.Note("%s", note)
-		return t
-	}
-	return pl
-}
-
-func blockColumnSizes(short bool) []int64 {
-	if short {
-		return []int64{512, 1024}
-	}
-	return []int64{512, 1024, 2048, 4096, 8192}
-}
-
-// blockColumnWrite measures aggregate write bandwidth for one cell.
-func blockColumnWrite(n int64, m mpiio.Method, withSync bool) float64 {
-	const ranks = 4
-	f := newFixture(pvfs.DefaultConfig(), 4, ranks)
-	defer f.close()
-	total := n * n * 4
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		file := mpiio.Open(p, cl, rank, "bc")
-		buf := materialize(cl, workload.BlockColumn(n, ranks, rank.ID(), 4), byte(rank.ID()))
-		rank.Barrier(p)
-		sim.Must(file.Write(p, m, buf.Segs, buf.Accs))
-		if withSync {
-			file.Sync(p)
-		}
-	})
-	return bw(total, elapsed)
-}
-
-// blockColumnRead measures aggregate read bandwidth for one cell. The file
-// is produced with plain list I/O first; for the uncached case every
-// server's page cache is dropped before the measured read.
-func blockColumnRead(n int64, m mpiio.Method, cached bool) float64 {
-	const ranks = 4
-	f := newFixture(pvfs.DefaultConfig(), 4, ranks)
-	defer f.close()
-	total := n * n * 4
-
-	// Populate the file (unmeasured).
-	f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		file := mpiio.Open(p, cl, rank, "bc")
-		buf := materialize(cl, workload.BlockColumn(n, ranks, rank.ID(), 4), byte(rank.ID()))
-		sim.Must(file.Write(p, mpiio.ListIO, buf.Segs, buf.Accs))
-		if !cached {
-			file.Sync(p)
-		}
-	})
-	if !cached {
-		f.c.Eng.Go("drop", func(p *sim.Proc) { dropAllCaches(p, f.c) })
-		sim.Must(f.c.Run())
-	}
-
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		file := mpiio.Open(p, cl, rank, "bc")
-		buf := materialize(cl, workload.BlockColumn(n, ranks, rank.ID(), 4), byte(rank.ID()+50))
-		rank.Barrier(p)
-		sim.Must(file.Read(p, m, buf.Segs, buf.Accs))
-	})
-	return bw(total, elapsed)
+// populatedRead is a read of a file populated beforehand, from the servers'
+// page caches or (uncached) from disk.
+func populatedRead(uncached bool) listIO {
+	return listIO{populate: true, read: readFresh, sync: uncached, dropCaches: uncached}
 }

@@ -1,105 +1,49 @@
 package bench
 
 import (
-	"fmt"
-
-	"pvfsib/internal/mpi"
 	"pvfsib/internal/mpiio"
-	"pvfsib/internal/pvfs"
-	"pvfsib/internal/sim"
 	"pvfsib/internal/workload"
 )
 
-// Fig8 reproduces the paper's Figure 8: mpi-tile-io (2x2 display of
-// 1024x768 24-bit tiles, a 9 MB file) without disk effects — writes are not
-// synced and reads come from the servers' file caches.
-func Fig8(o RunOpts) *Table { return Fig8Plan(o).Table(o.Parallel) }
-
-// Fig8Plan decomposes Figure 8 into one cell per (op, method).
-func Fig8Plan(o RunOpts) *Plan {
-	return tilePlan("fig8", "Tiled I/O without disk effects, bandwidth (MB/s)", false,
-		"paper shape: List+ADS ~5.7x Multiple for write, ~8.8x for read; 8.4%/45% over plain List I/O")
+// tileSweep is the shared op x method decomposition of Figures 8 and 9:
+// mpi-tile-io (2x2 display of 1024x768 24-bit tiles, a 9 MB file), a write
+// row then a read row.
+func tileSweep(diskEffects bool) func(o RunOpts) []group {
+	tiles := func(rank, _ int) workload.Pattern { return workload.PaperTileSpec().Tile(rank) }
+	return func(RunOpts) []group {
+		return grid([]string{"write", "read"}, methodList,
+			func(op string, m mpiio.Method) ioResult {
+				run := listIO{sync: diskEffects}
+				if op == "read" {
+					run = populatedRead(diskEffects)
+				}
+				run.file, run.layout, run.method = "tiles", tiles, m
+				return paperBed().one(run)
+			},
+			func(t *Table, op string, res []ioResult) {
+				t.Add(line(res, pick(op == "read", rMBs, wMBs), op)...)
+			})
+	}
 }
 
-// Fig9 reproduces Figure 9: the same accesses with disk effects — writes
+// fig8 reproduces the paper's Figure 8: tiled I/O without disk effects —
+// writes are not synced and reads come from the servers' file caches.
+var fig8 = Experiment{
+	ID:     "fig8",
+	Title:  "Tiled I/O without disk effects (Figure 8)",
+	table:  "Tiled I/O without disk effects, bandwidth (MB/s)",
+	header: []string{"op", "multiple", "datasieving", "listio", "listio+ads"},
+	notes:  []string{"paper shape: List+ADS ~5.7x Multiple for write, ~8.8x for read; 8.4%/45% over plain List I/O"},
+	sweep:  tileSweep(false),
+}
+
+// fig9 reproduces Figure 9: the same accesses with disk effects — writes
 // synced to disk, reads from dropped caches.
-func Fig9(o RunOpts) *Table { return Fig9Plan(o).Table(o.Parallel) }
-
-// Fig9Plan decomposes Figure 9 into one cell per (op, method).
-func Fig9Plan(o RunOpts) *Plan {
-	return tilePlan("fig9", "Tiled I/O with disk effects, bandwidth (MB/s)", true,
-		"paper shape: ADS still wins writes; for reads ROMIO DS overtakes when the disk dominates")
-}
-
-// tilePlan builds the shared write-row/read-row decomposition: one cell per
-// method for writes, then one per method for reads.
-func tilePlan(id, title string, diskEffects bool, note string) *Plan {
-	pl := &Plan{}
-	for _, m := range methodList {
-		pl.Cells = append(pl.Cells, cell(fmt.Sprintf("write/%d", m),
-			func() float64 { return tileWrite(m, diskEffects) }))
-	}
-	for _, m := range methodList {
-		pl.Cells = append(pl.Cells, cell(fmt.Sprintf("read/%d", m),
-			func() float64 { return tileRead(m, !diskEffects) }))
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     id,
-			Title:  title,
-			Header: []string{"op", "multiple", "datasieving", "listio", "listio+ads"},
-		}
-		wRow := []any{"write"}
-		rRow := []any{"read"}
-		for i := range methodList {
-			wRow = append(wRow, results[i].(float64))
-			rRow = append(rRow, results[len(methodList)+i].(float64))
-		}
-		t.Add(wRow...)
-		t.Add(rRow...)
-		t.Note("%s", note)
-		return t
-	}
-	return pl
-}
-
-func tileWrite(m mpiio.Method, withSync bool) float64 {
-	spec := workload.PaperTileSpec()
-	f := newFixture(pvfs.DefaultConfig(), 4, 4)
-	defer f.close()
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		file := mpiio.Open(p, cl, rank, "tiles")
-		buf := materialize(cl, spec.Tile(rank.ID()), byte(rank.ID()))
-		rank.Barrier(p)
-		sim.Must(file.Write(p, m, buf.Segs, buf.Accs))
-		if withSync {
-			file.Sync(p)
-		}
-	})
-	return bw(spec.FileBytes(), elapsed)
-}
-
-func tileRead(m mpiio.Method, cached bool) float64 {
-	spec := workload.PaperTileSpec()
-	f := newFixture(pvfs.DefaultConfig(), 4, 4)
-	defer f.close()
-	f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		file := mpiio.Open(p, cl, rank, "tiles")
-		buf := materialize(cl, spec.Tile(rank.ID()), byte(rank.ID()))
-		sim.Must(file.Write(p, mpiio.ListIO, buf.Segs, buf.Accs))
-		if !cached {
-			file.Sync(p)
-		}
-	})
-	if !cached {
-		f.c.Eng.Go("drop", func(p *sim.Proc) { dropAllCaches(p, f.c) })
-		sim.Must(f.c.Run())
-	}
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		file := mpiio.Open(p, cl, rank, "tiles")
-		buf := materialize(cl, spec.Tile(rank.ID()), byte(rank.ID()+9))
-		rank.Barrier(p)
-		sim.Must(file.Read(p, m, buf.Segs, buf.Accs))
-	})
-	return bw(spec.FileBytes(), elapsed)
+var fig9 = Experiment{
+	ID:     "fig9",
+	Title:  "Tiled I/O with disk effects (Figure 9)",
+	table:  "Tiled I/O with disk effects, bandwidth (MB/s)",
+	header: []string{"op", "multiple", "datasieving", "listio", "listio+ads"},
+	notes:  []string{"paper shape: ADS still wins writes; for reads ROMIO DS overtakes when the disk dominates"},
+	sweep:  tileSweep(true),
 }

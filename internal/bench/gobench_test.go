@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pvfsib/internal/ib"
+	"pvfsib/internal/simnet"
 )
 
 // BenchmarkFig3Cell measures one full Figure 3 cell — engine, network,
@@ -13,6 +14,6 @@ import (
 func BenchmarkFig3Cell(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fig3Row(512, ib.DefaultParams())
+		fig3RowOn(512, ib.DefaultParams(), simnet.DefaultParams())
 	}
 }

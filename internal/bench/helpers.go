@@ -29,12 +29,7 @@ func (f *fixture) close() { f.c.Eng.Shutdown() }
 
 func newFixture(cfg pvfs.Config, nServers, nRanks int) *fixture {
 	c := pvfs.NewCluster(sim.NewEngine(), cfg, nServers, nRanks)
-	var hcas []*ib.HCA
-	for _, cl := range c.Clients {
-		hcas = append(hcas, cl.HCA())
-	}
-	w := mpi.NewWorld(c.Eng, hcas, func(rank int, n int64) { c.Clients[rank].Acct().BytesClientClient += n })
-	return &fixture{c: c, w: w}
+	return &fixture{c: c, w: mpiio.NewWorld(c)}
 }
 
 // runRanks runs fn on every rank and drives the simulation; it returns the
@@ -64,21 +59,6 @@ func (f *fixture) runRanks(fn func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client)
 	return end.Sub(start)
 }
 
-// runOne runs fn as a single application process (on client 0's node
-// group) and returns its elapsed virtual time.
-func (f *fixture) runOne(fn func(p *sim.Proc, cl *pvfs.Client)) sim.Duration {
-	start := f.c.Eng.Now()
-	var end sim.Time
-	f.c.Eng.GoOn(f.c.Clients[0].Node().Group(), "app", func(p *sim.Proc) {
-		fn(p, f.c.Clients[0])
-		end = p.Now()
-	})
-	if err := f.c.Run(); err != nil {
-		sim.Failf("bench: simulation failed: %v", err)
-	}
-	return end.Sub(start)
-}
-
 // buffer is a materialized workload pattern in a client's address space.
 type buffer struct {
 	Base mem.Addr
@@ -89,7 +69,7 @@ type buffer struct {
 // materialize allocates pattern memory in the client's space, fills it with
 // a seed-derived byte pattern, and returns the SGE/region lists.
 func materialize(cl *pvfs.Client, pat workload.Pattern, seed byte) buffer {
-	base := cl.Space().Malloc(maxI64(pat.MemSpan(), 1))
+	base := cl.Space().Malloc(max(pat.MemSpan(), 1))
 	var segs []ib.SGE
 	for _, r := range pat.Mem {
 		segs = append(segs, ib.SGE{Addr: base + mem.Addr(r.Off), Len: r.Len})
@@ -104,19 +84,47 @@ func materialize(cl *pvfs.Client, pat workload.Pattern, seed byte) buffer {
 	return buffer{Base: base, Segs: segs, Accs: []pvfs.OffLen(pat.File)}
 }
 
+// layout gives one rank's share of a rank-parallel access: where its bytes
+// sit in its own memory and in the shared file.
+type layout func(rank, ranks int) workload.Pattern
+
+// strided is nseg noncontiguous memory segments of segSize bytes, two sizes
+// (at least 512 bytes) apart.
+func strided(nseg, segSize int64) mpiio.Flat {
+	return mpiio.Vector(nseg, segSize, max(2*segSize, 512))
+}
+
+// interleaved is the list-I/O sweeps' layout: every rank holds nseg strided
+// memory segments of segSize bytes, and segment j of rank r lands at file
+// offset (j*ranks + r) * segSize — the ranks' segments interleave, so every
+// server sees noncontiguous pieces from every client.
+func interleaved(nseg, segSize int64) layout {
+	return func(rank, ranks int) workload.Pattern {
+		return workload.Pattern{
+			Mem:  strided(nseg, segSize),
+			File: mpiio.Vector(nseg, segSize, int64(ranks)*segSize).Shift(int64(rank) * segSize),
+		}
+	}
+}
+
+// packed keeps a pattern's file regions but lays its memory segments back
+// to back, one per region: the shape of a read-back buffer.
+func packed(pat workload.Pattern) workload.Pattern {
+	m := make(mpiio.Flat, len(pat.File))
+	var off int64
+	for i, r := range pat.File {
+		m[i] = pvfs.OffLen{Off: off, Len: r.Len}
+		off += r.Len
+	}
+	return workload.Pattern{Mem: m, File: pat.File}
+}
+
 // bw returns bandwidth in the paper's MB/s for bytes moved in d.
 func bw(bytes int64, d sim.Duration) float64 {
 	if d <= 0 {
 		return 0
 	}
 	return float64(bytes) / d.Seconds() / MB
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // dropAllCaches flushes and empties every server's page cache.
@@ -129,24 +137,3 @@ func dropAllCaches(p *sim.Proc, c *pvfs.Cluster) {
 // methodList is the paper's four noncontiguous access methods in figure
 // order.
 var methodList = []mpiio.Method{mpiio.MultipleIO, mpiio.DataSieving, mpiio.ListIO, mpiio.ListIOADS}
-
-// stridedSegs allocates nseg noncontiguous segments of segSize bytes (one
-// allocation, segments two sizes apart, at least 512 bytes of stride) in
-// the client's space, filled with a seed-derived pattern.
-func stridedSegs(cl *pvfs.Client, nseg, segSize int64, seed byte) []ib.SGE {
-	stride := segSize * 2
-	if stride < 512 {
-		stride = 512
-	}
-	base := cl.Space().Malloc(nseg * stride)
-	segs := make([]ib.SGE, nseg)
-	for i := int64(0); i < nseg; i++ {
-		segs[i] = ib.SGE{Addr: base + mem.Addr(i*stride), Len: segSize}
-		data := make([]byte, segSize)
-		for j := range data {
-			data[j] = byte(int64(seed) + i + int64(j)*3)
-		}
-		sim.Must(cl.Space().Write(segs[i].Addr, data))
-	}
-	return segs
-}

@@ -15,8 +15,9 @@ import (
 // its Prometheus text exposition, and the rendered experiment table.
 func timelineArtifacts(shards int) []byte {
 	var buf bytes.Buffer
-	r := timelineRun(true, shards, &buf)
-	buf.WriteString(timelineTable(r).JSON())
+	t := timeline.newTable()
+	timelineRows(t, timelineRun(true, shards, &buf))
+	buf.WriteString(t.JSON())
 	return buf.Bytes()
 }
 
@@ -71,7 +72,7 @@ func TestTimelineByteIdentical(t *testing.T) {
 // demonstrating the detector.
 func TestTimelineDetectsSaturation(t *testing.T) {
 	for _, short := range []bool{true, false} {
-		r := timelineCell(short, 0)
+		r := timelineRun(short, 0, nil)
 		if k := saturationPoint(r.diskUtil, r.diskQ, 0.95); k < 0 {
 			t.Errorf("short=%v: no disk saturation point detected", short)
 		}

@@ -37,17 +37,24 @@ func firstDiff(a, b string) string {
 }
 
 // TestCellPanicPropagates checks that a cell panic surfaces on the caller's
-// goroutine with the cell's key, on both the serial and pooled paths.
+// goroutine with the cell's key at every pool width, and that a one-worker
+// pool stops at the failure instead of running the remaining cells.
 func TestCellPanicPropagates(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
-		pl := &Plan{
-			Cells: []Cell{
-				cell("ok", func() int { return 1 }),
-				cell("boom", func() int { panic("cell exploded") }),
-				cell("ok2", func() int { return 2 }),
-			},
-			Merge: func(results []any) *Table { return &Table{ID: "x"} },
-		}
+		ranAfter := false
+		e := Experiment{ID: "x", sweep: func(RunOpts) []group {
+			return each([]string{"ok", "boom", "ok2"},
+				func(key string) int {
+					switch key {
+					case "boom":
+						panic("cell exploded")
+					case "ok2":
+						ranAfter = parallel == 1
+					}
+					return 1
+				},
+				func(*Table, string, int) {})
+		}}
 		func() {
 			defer func() {
 				r := recover()
@@ -59,7 +66,10 @@ func TestCellPanicPropagates(t *testing.T) {
 					t.Errorf("parallel=%d: panic %v should name the cell", parallel, r)
 				}
 			}()
-			pl.Table(parallel)
+			e.Run(RunOpts{Parallel: parallel})
 		}()
+		if ranAfter {
+			t.Error("parallel=1: a cell ran after the pool had recorded a panic")
+		}
 	}
 }

@@ -20,50 +20,35 @@ type RunOpts struct {
 	// parallel shards (see sim.Engine.SetShards). Cell output is
 	// byte-identical for every value; only host wall-clock changes.
 	// Zero or one keeps the single-threaded engine. Experiments that
-	// build sharded clusters (faults, cache, scale) honor it.
+	// build sharded clusters (faults, cache, scale, extra-scaling,
+	// timeline) honor it.
 	Shards int
 }
 
-// Experiment is one reproducible table or figure, decomposed into
-// independent cells by its Plan.
+// Experiment is one reproducible table or figure, declared as data: what
+// the table looks like and the sweep of independent cells that fills it.
 type Experiment struct {
 	ID    string
-	Title string
-	Plan  func(o RunOpts) *Plan
-}
+	Title string // the -list line
 
-// Run builds the experiment's plan and executes it on o.Parallel workers.
-func (e Experiment) Run(o RunOpts) *Table { return e.Plan(o).Table(o.Parallel) }
+	// table, header and notes describe the result table: its title (with
+	// the paper's reference values where the paper states them), column
+	// names, and the static footnotes printed after any computed ones.
+	table  string
+	header []string
+	notes  []string
+	// sweep declares the experiment's row groups for the given options —
+	// axes, typed cell function and row renderer (see grid); Run executes
+	// them.
+	sweep func(o RunOpts) []group
+}
 
 // Registry lists every experiment in paper order, then the ablations.
 var Registry = []Experiment{
-	{"table2", "Network performance (Table 2)", Table2Plan},
-	{"table3", "Local file system performance (Table 3)", Table3Plan},
-	{"fig3", "Noncontiguous transfer schemes (Figure 3)", Fig3Plan},
-	{"fig4", "List I/O transfer schemes (Figure 4)", Fig4Plan},
-	{"table4", "Optimistic Group Registration impact (Table 4)", Table4Plan},
-	{"fig6", "Block-column writes (Figure 6)", Fig6Plan},
-	{"fig7", "Block-column reads (Figure 7)", Fig7Plan},
-	{"fig8", "Tiled I/O without disk effects (Figure 8)", Fig8Plan},
-	{"fig9", "Tiled I/O with disk effects (Figure 9)", Fig9Plan},
-	{"table5", "NAS BTIO class A (Table 5)", Table5Plan},
-	{"table6", "BTIO characteristics (Table 6)", Table6Plan},
-	{"ablation-sge", "SGE limit sensitivity", AblationSGELimitPlan},
-	{"ablation-hybrid", "Hybrid threshold sweep", AblationHybridThresholdPlan},
-	{"ablation-adsmodel", "ADS cost-model decision quality", AblationADSModelPlan},
-	{"ablation-ogrgroup", "OGR grouping strategies", AblationOGRGroupingPlan},
-	{"ablation-network", "Transmission schemes vs. network generation", AblationNetworkPlan},
-	{"ablation-regthrash", "Registration thrashing under pin limits", AblationRegThrashPlan},
-	{"extra-noncontig", "ROMIO noncontig benchmark (paper ref [15])", ExtraNoncontigPlan},
-	{"extra-diskspeed", "ADS decisions adapt to disk speed", ExtraDiskSpeedPlan},
-	{"extra-scaling", "Bandwidth scaling with server count", ExtraScalingPlan},
-	{"extra-appaware", "App-aware registration alternatives (Section 4.2.1)", ExtraAppAwarePlan},
-	{"extra-querymethod", "OS hole-query mechanisms (Section 4.3)", ExtraQueryMethodPlan},
-	{"faults", "Recovery under injected faults (fault-plane sweep)", FaultsPlan},
-	{"scale", "Cell scaling: iods x clients x stripe with knee detection", ScalePlan},
-	{"breakdown", "Per-stage time decomposition by access method (span tracing)", BreakdownPlan},
-	{"cache", "Client page cache: write-behind and read-ahead ablation", CachePlan},
-	{"timeline", "Checkpoint-burst timeline: sampled utilization/queue series with saturation detection", TimelinePlan},
+	table2, table3, fig3, fig4, table4, fig6, fig7, fig8, fig9, table5, table6,
+	ablationSGE, ablationHybrid, ablationADSModel, ablationOGRGroup, ablationNetwork, ablationRegThrash,
+	extraNoncontig, extraDiskSpeed, extraScaling, extraAppAware, extraQueryMethod,
+	faults, scale, breakdown, cache, timeline,
 }
 
 // Lookup finds an experiment by id.

@@ -1,132 +1,87 @@
 package bench
 
 import (
-	"fmt"
-
-	"pvfsib/internal/ib"
-	"pvfsib/internal/mem"
-	"pvfsib/internal/mpi"
+	"pvfsib/internal/mpiio"
 	"pvfsib/internal/pvfs"
-	"pvfsib/internal/sim"
+	"pvfsib/internal/workload"
 )
 
-// Scale sweeps the cell geometry — I/O server count x client count x
-// stripe size — on a strided list-I/O workload and reports aggregate
-// bandwidth, with knee detection per (stripe, clients) series: the first
-// server count whose doubling stopped paying (under 15% aggregate gain).
-// The knee is the capacity-planning number the paper's scaling figures
-// imply but never tabulate: how many iods a cell of a given client
-// population can actually use.
-func Scale(o RunOpts) *Table { return ScalePlan(o).Table(o.Parallel) }
-
-// scaleCase is one grid point.
-type scaleCase struct {
-	iods    int
-	clients int
-	stripe  int64
+// geometryCell performs the runs on one point of the cell-geometry grid —
+// I/O server count x client count x stripe size (0 = the default) — with
+// the engine partitioned into shards; output is byte-identical for every
+// shard count. Each cell builds its own cluster, so grid points share
+// nothing and the sweeps below parallelize freely.
+func geometryCell(iods, clients int, stripe int64, shards int, runs ...listIO) []ioResult {
+	cfg := pvfs.DefaultConfig()
+	if stripe != 0 {
+		cfg.StripeSize = stripe
+	}
+	cfg.Shards = shards
+	return bed{cfg, iods, clients}.run(runs...)
 }
 
-type scaleResult struct {
-	wMBs, rMBs float64
-}
-
-// agg is the series value the knee detector watches.
-func (r scaleResult) agg() float64 { return r.wMBs + r.rMBs }
-
-// ScalePlan is one cell per grid point; each cell builds its own cluster,
-// so grid points share nothing and the plan parallelizes freely.
-func ScalePlan(o RunOpts) *Plan {
-	iods := []int{1, 2, 4, 8}
-	clients := []int{2, 4, 8}
-	stripes := []int64{16 << 10, 64 << 10, 256 << 10}
-	if o.Short {
-		iods = []int{1, 2, 4}
-		clients = []int{4}
-		stripes = []int64{64 << 10}
-	}
-	pl := &Plan{}
-	for _, st := range stripes {
-		for _, nc := range clients {
-			for _, ns := range iods {
-				cs := scaleCase{iods: ns, clients: nc, stripe: st}
-				pl.Cells = append(pl.Cells, cell(fmt.Sprintf("io%d-c%d-s%dk", cs.iods, cs.clients, cs.stripe>>10),
-					func() scaleResult { return scaleCell(cs, o.Shards) }))
-			}
-		}
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "scale",
-			Title:  "Cell scaling: aggregate list-I/O bandwidth by iods x clients x stripe (MB/s)",
-			Header: []string{"stripe_kb", "clients", "iods", "write_MBs", "read_MBs"},
-		}
-		idx := 0
-		for _, st := range stripes {
-			for _, nc := range clients {
-				aggs := make([]float64, 0, len(iods))
-				for _, ns := range iods {
-					r := results[idx].(scaleResult)
-					idx++
-					t.Add(st>>10, nc, ns, r.wMBs, r.rMBs)
-					aggs = append(aggs, r.agg())
+// scale sweeps the cell geometry on a strided list-I/O workload — every
+// rank writes, syncs, then reads back 64 interleaved 8 KiB segments — and
+// reports aggregate bandwidth, with knee detection per (stripe, clients)
+// series: the first server count whose doubling stopped paying (under 15%
+// aggregate gain). The knee is the capacity-planning number the paper's
+// scaling figures imply but never tabulate: how many iods a cell of a
+// given client population can actually use.
+var scale = Experiment{
+	ID:     "scale",
+	Title:  "Cell scaling: iods x clients x stripe with knee detection",
+	table:  "Cell scaling: aggregate list-I/O bandwidth by iods x clients x stripe (MB/s)",
+	header: []string{"stripe_kb", "clients", "iods", "write_MBs", "read_MBs"},
+	sweep: func(o RunOpts) []group {
+		iods := pick(o.Short, []int{1, 2, 4}, []int{1, 2, 4, 8})
+		clients := pick(o.Short, []int{4}, []int{2, 4, 8})
+		stripes := pick(o.Short, []int64{64 << 10}, []int64{16 << 10, 64 << 10, 256 << 10})
+		return grid(cross(stripes, clients), iods,
+			func(series pair[int64, int], ns int) ioResult {
+				return geometryCell(ns, series.b, series.a, o.Shards,
+					listIO{file: "scale-grid", layout: interleaved(64, 8<<10), opts: &pvfs.OpOptions{}, sync: true, read: readPacked})[0]
+			},
+			func(t *Table, series pair[int64, int], res []ioResult) {
+				st, nc := series.a>>10, series.b
+				aggs := make([]float64, len(res))
+				for i, r := range res {
+					t.Add(st, nc, iods[i], r.w, r.r)
+					aggs[i] = r.w + r.r
 				}
 				if k := kneeIndex(aggs, 1.15); k >= 0 {
-					t.Note("knee s=%dk c=%d: under 15%% aggregate gain at %d iods", st>>10, nc, iods[k])
+					t.Note("knee s=%dk c=%d: under 15%% aggregate gain at %d iods", st, nc, iods[k])
 				} else {
-					t.Note("knee s=%dk c=%d: none up to %d iods", st>>10, nc, iods[len(iods)-1])
+					t.Note("knee s=%dk c=%d: none up to %d iods", st, nc, iods[len(iods)-1])
 				}
-			}
-		}
-		return t
-	}
-	return pl
+			})
+	},
 }
 
-// scaleCell runs the strided list workload on one grid point: every rank
-// writes then reads back 64 interleaved 8 KiB segments through list I/O.
-// shards partitions the cell's engine; output is byte-identical for every
-// value.
-func scaleCell(cs scaleCase, shards int) scaleResult {
-	const (
-		nseg    = 64
-		segSize = 8 << 10
-	)
-	cfg := pvfs.DefaultConfig()
-	cfg.StripeSize = cs.stripe
-	cfg.Shards = shards
-	f := newFixture(cfg, cs.iods, cs.clients)
-	defer f.close()
-
-	segsOf := make([][]ib.SGE, cs.clients)
-	for i := range segsOf {
-		segsOf[i] = stridedSegs(f.c.Clients[i], nseg, segSize, byte(i))
-	}
-	accsOf := func(rank int) []pvfs.OffLen {
-		accs := make([]pvfs.OffLen, 0, nseg)
-		for j := int64(0); j < nseg; j++ {
-			accs = append(accs, pvfs.OffLen{Off: (j*int64(cs.clients) + int64(rank)) * segSize, Len: segSize})
+// extraScaling measures aggregate bandwidth as the server count grows —
+// the striping-scalability property PVFS exists for (the paper's prior work
+// [31] evaluates it on the same testbed): the same geometry cell as scale,
+// swept along the iods axis only, running 8 MB-per-rank contiguous I/O at
+// disjoint offsets and then block-column list I/O on the one cluster.
+var extraScaling = Experiment{
+	ID:     "extra-scaling",
+	Title:  "Bandwidth scaling with server count",
+	table:  "Aggregate bandwidth vs. I/O server count (4 clients, MB/s)",
+	header: []string{"servers", "contig_write", "contig_read", "list_write", "list_read"},
+	notes:  []string{"striping should scale bandwidth until the clients' links saturate"},
+	sweep: func(o RunOpts) []group {
+		const per = 8 << 20
+		disjoint := func(rank, _ int) workload.Pattern {
+			return workload.Pattern{Mem: mpiio.Contig(per), File: mpiio.Contig(per).Shift(int64(rank) * per)}
 		}
-		return accs
-	}
-	total := int64(cs.clients) * nseg * segSize
-
-	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "scale-grid")
-		rank.Barrier(p)
-		sim.Must(fh.WriteList(p, segsOf[rank.ID()], accsOf(rank.ID()), pvfs.OpOptions{}))
-		fh.Sync(p)
-	})
-	w := bw(total, elapsed)
-
-	elapsed = f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
-		fh := cl.Open(p, "scale-grid")
-		rd := cl.Space().Malloc(nseg * segSize)
-		segs := make([]ib.SGE, nseg)
-		for i := int64(0); i < nseg; i++ {
-			segs[i] = ib.SGE{Addr: rd + mem.Addr(i*segSize), Len: segSize}
-		}
-		rank.Barrier(p)
-		sim.Must(fh.ReadList(p, segs, accsOf(rank.ID()), pvfs.OpOptions{}))
-	})
-	return scaleResult{wMBs: w, rMBs: bw(total, elapsed)}
+		return each(pick(o.Short, []int{1, 4}, []int{1, 2, 4, 8}),
+			func(ns int) []ioResult {
+				return geometryCell(ns, 4, 0, o.Shards,
+					listIO{file: "scale", layout: disjoint, opts: &pvfs.OpOptions{}, read: readFresh},
+					listIO{file: "scale-list", layout: blockColumn(1024), opts: &pvfs.OpOptions{}, read: readFresh})
+			},
+			func(t *Table, ns int, res []ioResult) {
+				contig, list := res[0], res[1]
+				t.Add(ns, contig.w, contig.r, list.w, list.r)
+			})
+	},
 }

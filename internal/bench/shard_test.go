@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"pvfsib/internal/fault"
-	"pvfsib/internal/ib"
-	"pvfsib/internal/mem"
 	"pvfsib/internal/mpi"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sieve"
@@ -60,28 +58,14 @@ func stormArtifacts(t *testing.T, shards int) []byte {
 	tr := f.c.EnableSpans()
 
 	opts := pvfs.OpOptions{Sieve: sieve.Never}
-	segsOf := make([][]ib.SGE, ranks)
-	for i := 0; i < ranks; i++ {
-		segsOf[i] = stridedSegs(f.c.Clients[i], nseg, segSize, byte(i))
-	}
-	buildAccs := func(rank int) []pvfs.OffLen {
-		var accs []pvfs.OffLen
-		for j := int64(0); j < nseg; j++ {
-			accs = append(accs, pvfs.OffLen{Off: (j*ranks + int64(rank)) * segSize, Len: segSize})
-		}
-		return accs
-	}
 	elapsed := f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
 		fh := cl.Open(p, "storm")
-		accs := buildAccs(rank.ID())
-		sim.Must(fh.WriteList(p, segsOf[rank.ID()], accs, opts))
+		pat := interleaved(nseg, segSize)(rank.ID(), ranks)
+		wr := materialize(cl, pat, byte(rank.ID()))
+		sim.Must(fh.WriteList(p, wr.Segs, wr.Accs, opts))
 		fh.Sync(p)
-		rd := cl.Space().Malloc(nseg * segSize)
-		rdSegs := make([]ib.SGE, nseg)
-		for i := int64(0); i < nseg; i++ {
-			rdSegs[i] = ib.SGE{Addr: rd + mem.Addr(i*segSize), Len: segSize}
-		}
-		sim.Must(fh.ReadList(p, rdSegs, accs, opts))
+		rd := materialize(cl, packed(pat), 0)
+		sim.Must(fh.ReadList(p, rd.Segs, rd.Accs, opts))
 	})
 
 	var buf bytes.Buffer
@@ -142,7 +126,7 @@ func TestShardedStormByteIdentical(t *testing.T) {
 }
 
 // TestShardedFaultsCellMatchesSerial pins the committed experiment path:
-// the faults cells (including the storm) through the real Plan/Table
+// the faults cells (including the storm) through the real sweep/Table
 // machinery must emit identical JSON with and without engine sharding.
 func TestShardedFaultsCellMatchesSerial(t *testing.T) {
 	if testing.Short() {

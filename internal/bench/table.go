@@ -27,7 +27,12 @@ type Table struct {
 }
 
 // Add appends a row, formatting each cell: floats as %.1f, others via %v.
+// A row must have exactly one cell per header column: a ragged row would
+// misalign silently in the JSON and CSV renderings.
 func (t *Table) Add(cells ...any) {
+	if len(cells) != len(t.Header) {
+		sim.Failf("bench: table %s: row of %d cells under a %d-column header", t.ID, len(cells), len(t.Header))
+	}
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {

@@ -8,41 +8,34 @@ import (
 	"pvfsib/internal/simnet"
 )
 
-// Table2 reproduces the paper's Table 2: raw network performance — 4-byte
-// one-way latency and large-message bandwidth for VAPI RDMA write, VAPI
-// RDMA read, and the MPI layer (the paper's MVAPICH).
-func Table2(o RunOpts) *Table { return Table2Plan(o).Table(o.Parallel) }
-
 // latBW is a cell result carrying one latency (µs) and one bandwidth (MB/s).
 type latBW struct{ latUS, bw float64 }
 
-// Table2Plan decomposes Table 2 into one cell per transport.
-func Table2Plan(o RunOpts) *Plan {
-	bigSize := int64(64 * MB)
-	if o.Short {
-		bigSize = 8 * MB
-	}
-	pl := &Plan{
-		Cells: []Cell{
-			cell("rdma-write", func() latBW { return table2Write(bigSize) }),
-			cell("rdma-read", func() latBW { return table2Read(bigSize) }),
-			cell("mpi", func() latBW { return table2MPI(bigSize) }),
+// transport is one row of Table 2.
+type transport struct {
+	label   string
+	measure func(bigSize int64) latBW
+}
+
+// table2 reproduces the paper's Table 2: raw network performance — 4-byte
+// one-way latency and large-message bandwidth for VAPI RDMA write, VAPI
+// RDMA read, and the MPI layer (the paper's MVAPICH). One cell per
+// transport.
+var table2 = Experiment{
+	ID:     "table2",
+	Title:  "Network performance (Table 2)",
+	table:  "Network performance (paper: write 6.0µs/827MB/s, read 12.4µs/816MB/s, MPI 6.8µs/822MB/s)",
+	header: []string{"transport", "latency_us", "bandwidth_MB_s"},
+	sweep: func(o RunOpts) []group {
+		bigSize := pick[int64](o.Short, 8*MB, 64*MB)
+		return each([]transport{
+			{"VAPI RDMA Write", table2Write},
+			{"VAPI RDMA Read", table2Read},
+			{"MVAPICH (MPI)", table2MPI},
 		},
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "table2",
-			Title:  "Network performance (paper: write 6.0µs/827MB/s, read 12.4µs/816MB/s, MPI 6.8µs/822MB/s)",
-			Header: []string{"transport", "latency_us", "bandwidth_MB_s"},
-		}
-		labels := []string{"VAPI RDMA Write", "VAPI RDMA Read", "MVAPICH (MPI)"}
-		for i, label := range labels {
-			r := results[i].(latBW)
-			t.Add(label, r.latUS, r.bw)
-		}
-		return t
-	}
-	return pl
+			func(tr transport) latBW { return tr.measure(bigSize) },
+			func(t *Table, tr transport, r latBW) { t.Add(tr.label, r.latUS, r.bw) })
+	},
 }
 
 // table2Write measures VAPI RDMA write: one-way latency via the delivery

@@ -6,36 +6,25 @@ import (
 	"pvfsib/internal/sim"
 )
 
-// Table3 reproduces the paper's Table 3: local ext3 file-system sequential
-// read and write bandwidth with and without cache effects (the paper used
-// the bonnie benchmark).
-func Table3(o RunOpts) *Table { return Table3Plan(o).Table(o.Parallel) }
-
 // table3Result carries the four bonnie measurements of one run.
 type table3Result struct{ wCold, rCold, wWarm, rWarm float64 }
 
-// Table3Plan is a single cell: the bonnie phases share one file system
-// state, so they cannot split.
-func Table3Plan(o RunOpts) *Plan {
-	total := int64(64 * MB)
-	if o.Short {
-		total = 16 * MB
-	}
-	pl := &Plan{
-		Cells: []Cell{cell("bonnie", func() table3Result { return table3Cell(total) })},
-	}
-	pl.Merge = func(results []any) *Table {
-		r := results[0].(table3Result)
-		t := &Table{
-			ID:     "table3",
-			Title:  "File system performance (paper: write 25/303 MB/s, read 20/1391 MB/s)",
-			Header: []string{"case", "write_MB_s", "read_MB_s"},
-		}
-		t.Add("without cache", r.wCold, r.rCold)
-		t.Add("with cache", r.wWarm, r.rWarm)
-		return t
-	}
-	return pl
+// table3 reproduces the paper's Table 3: local ext3 file-system sequential
+// read and write bandwidth with and without cache effects (the paper used
+// the bonnie benchmark). A single cell: the bonnie phases share one file
+// system state, so they cannot split.
+var table3 = Experiment{
+	ID:     "table3",
+	Title:  "Local file system performance (Table 3)",
+	table:  "File system performance (paper: write 25/303 MB/s, read 20/1391 MB/s)",
+	header: []string{"case", "write_MB_s", "read_MB_s"},
+	sweep: func(o RunOpts) []group {
+		return each([]int64{pick[int64](o.Short, 16*MB, 64*MB)}, table3Cell,
+			func(t *Table, _ int64, r table3Result) {
+				t.Add("without cache", r.wCold, r.rCold)
+				t.Add("with cache", r.wWarm, r.rWarm)
+			})
+	},
 }
 
 func table3Cell(total int64) table3Result {

@@ -10,20 +10,6 @@ import (
 	"pvfsib/internal/workload"
 )
 
-// Table4 reproduces the paper's Table 4: the impact of Optimistic Group
-// Registration on PVFS list I/O. A 2048x2048 integer array is block-
-// distributed over 4 processes; each writes its 4 MB subarray (1024
-// noncontiguous 4 kB rows in memory) contiguously to its own file region.
-//
-// Cases:
-//
-//	Ideal  — all registrations already in the pin-down cache
-//	Indiv. — one registration/deregistration per row
-//	OGR    — Optimistic Group Registration (one registration)
-//	OGR+Q  — buffers from 11 separate arrays with 10 unallocated holes,
-//	         forcing the optimistic attempt to fail and query the OS
-func Table4(o RunOpts) *Table { return Table4Plan(o).Table(o.Parallel) }
-
 // table4Result carries one registration case's measurements.
 type table4Result struct {
 	nosync, syncBW float64
@@ -31,37 +17,34 @@ type table4Result struct {
 	overheadUS     float64
 }
 
-// Table4Plan decomposes Table 4 into one cell per registration case.
-func Table4Plan(o RunOpts) *Plan {
-	n := int64(2048)
-	if o.Short {
-		n = 1024
-	}
-	cases := []string{"Ideal", "Indiv.", "OGR", "OGR+Q"}
-	pl := &Plan{}
-	for _, c := range cases {
-		pl.Cells = append(pl.Cells, cell(c, func() table4Result {
-			nosync, syncBW, regs, overhead := table4Case(c, n)
-			return table4Result{nosync, syncBW, regs, overhead}
-		}))
-	}
-	pl.Merge = func(results []any) *Table {
-		t := &Table{
-			ID:     "table4",
-			Title:  "Optimistic Group Registration impact (paper: Ideal 1010/82, Indiv 424/73, OGR 950/~82, OGR+Q 879/~82 MB/s; regs 0/1024/1/11)",
-			Header: []string{"case", "nosync_MB_s", "sync_MB_s", "regs", "overhead_us"},
-		}
-		for i, c := range cases {
-			r := results[i].(table4Result)
-			t.Add(c, r.nosync, r.syncBW, r.regs, r.overheadUS)
-		}
-		t.Note("regs counts actual pin operations per run; overhead is registration+deregistration virtual time per run")
-		return t
-	}
-	return pl
+// table4 reproduces the paper's Table 4: the impact of Optimistic Group
+// Registration on PVFS list I/O. A 2048x2048 integer array is block-
+// distributed over 4 processes; each writes its 4 MB subarray (1024
+// noncontiguous 4 kB rows in memory) contiguously to its own file region.
+// One cell per registration case:
+//
+//	Ideal  — all registrations already in the pin-down cache
+//	Indiv. — one registration/deregistration per row
+//	OGR    — Optimistic Group Registration (one registration)
+//	OGR+Q  — buffers from 11 separate arrays with 10 unallocated holes,
+//	         forcing the optimistic attempt to fail and query the OS
+var table4 = Experiment{
+	ID:     "table4",
+	Title:  "Optimistic Group Registration impact (Table 4)",
+	table:  "Optimistic Group Registration impact (paper: Ideal 1010/82, Indiv 424/73, OGR 950/~82, OGR+Q 879/~82 MB/s; regs 0/1024/1/11)",
+	header: []string{"case", "nosync_MB_s", "sync_MB_s", "regs", "overhead_us"},
+	notes:  []string{"regs counts actual pin operations per run; overhead is registration+deregistration virtual time per run"},
+	sweep: func(o RunOpts) []group {
+		n := pick[int64](o.Short, 1024, 2048)
+		return each([]string{"Ideal", "Indiv.", "OGR", "OGR+Q"},
+			func(kind string) table4Result { return table4Case(kind, n) },
+			func(t *Table, kind string, r table4Result) {
+				t.Add(kind, r.nosync, r.syncBW, r.regs, r.overheadUS)
+			})
+	},
 }
 
-func table4Case(kind string, n int64) (nosync, syncBW float64, regs int64, overheadUS float64) {
+func table4Case(kind string, n int64) (r table4Result) {
 	const ranks = 4
 	elem := int64(4)
 	perRank := (n / 2) * (n / 2) * elem
@@ -147,11 +130,11 @@ func table4Case(kind string, n int64) (nosync, syncBW float64, regs int64, overh
 	}
 
 	var err error
-	nosync, regs, overheadUS, err = run(false)
+	r.nosync, r.regs, r.overheadUS, err = run(false)
 	sim.Must(err)
-	syncBW, _, _, err = run(true)
+	r.syncBW, _, _, err = run(true)
 	sim.Must(err)
-	return
+	return r
 }
 
 // holeySegs builds nseg buffers of segSize bytes spread over nArrays

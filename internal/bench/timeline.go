@@ -11,17 +11,31 @@ import (
 	"pvfsib/internal/pcache"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sim"
+	"pvfsib/internal/workload"
 )
 
-// Timeline runs a checkpoint-burst workload with the metrics plane
+// timeline runs a checkpoint-burst workload with the metrics plane
 // attached and reports the sampled series interval by interval: every
 // rank periodically dumps its strided state through the page cache and
 // syncs, then computes (idles) until the next burst. The table is the
 // cluster's utilization/queue timeline — the view the aggregate counters
 // of Snapshot cannot give — plus a saturation verdict per resource: the
 // first interval where utilization pinned while the queue kept growing
-// (the time-series knee; see saturationPoint).
-func Timeline(o RunOpts) *Table { return TimelinePlan(o).Table(o.Parallel) }
+// (the time-series knee; see saturationPoint). A single cell: one cluster,
+// one workload, one pass over the sampled series. The cell honors
+// o.Shards; the series are identical for every shard count.
+var timeline = Experiment{
+	ID:    "timeline",
+	Title: "Checkpoint-burst timeline: sampled utilization/queue series with saturation detection",
+	table: "Checkpoint-burst timeline: per-interval utilization and queue depths (metrics plane)",
+	header: []string{"t_us", "tx_MBs", "net_util", "inflight",
+		"disk_util", "disk_q", "disp_q", "io_q", "dirty_pages", "wb_MBs"},
+	sweep: func(o RunOpts) []group {
+		return each([]bool{o.Short},
+			func(short bool) timelineResult { return timelineRun(short, o.Shards, nil) },
+			func(t *Table, _ bool, r timelineResult) { timelineRows(t, r) })
+	},
+}
 
 // timelineInterval is the sampling interval; timelineDepth rings hold the
 // whole run (the cell asserts nothing was evicted), so the series are
@@ -46,29 +60,10 @@ type timelineResult struct {
 	wbBytes  []float64 // write-behind bytes drained per interval
 }
 
-// TimelinePlan is a single cell: one cluster, one workload, one pass over
-// the sampled series. The cell honors o.Shards; the series are identical
-// for every shard count.
-func TimelinePlan(o RunOpts) *Plan {
-	pl := &Plan{}
-	pl.Cells = append(pl.Cells, cell("timeline", func() timelineResult {
-		return timelineCell(o.Short, o.Shards)
-	}))
-	pl.Merge = func(results []any) *Table {
-		return timelineTable(results[0].(timelineResult))
-	}
-	return pl
-}
-
-// timelineCell drives the checkpoint bursts and samples the registry.
-func timelineCell(short bool, shards int) timelineResult {
-	return timelineRun(short, shards, nil)
-}
-
-// timelineRun is timelineCell plus an optional raw-export sink: when dump
-// is non-nil the registry's full JSON and Prometheus exports are written
-// to it after the run (the determinism test compares those bytes across
-// shard counts).
+// timelineRun drives the checkpoint bursts and samples the registry. When
+// dump is non-nil the registry's full JSON and Prometheus exports are
+// written to it after the run (the determinism test compares those bytes
+// across shard counts).
 func timelineRun(short bool, shards int, dump io.Writer) timelineResult {
 	nserv, nranks, nseg := 4, 8, 16
 	bursts := 3
@@ -87,7 +82,8 @@ func timelineRun(short bool, shards int, dump io.Writer) timelineResult {
 
 	segsOf := make([][]ib.SGE, nranks)
 	for i := range segsOf {
-		segsOf[i] = stridedSegs(f.c.Clients[i], int64(nseg), segSize, byte(i))
+		mem := workload.Pattern{Mem: strided(int64(nseg), segSize)}
+		segsOf[i] = materialize(f.c.Clients[i], mem, byte(i)).Segs
 	}
 	// Each burst checkpoints into its own strided region of the rank's
 	// file: segment j of burst b lands at (b*nseg + j) * 3*segSize,
@@ -186,15 +182,9 @@ func scaleSeries(vals []float64, k float64) []float64 {
 	return vals
 }
 
-// timelineTable renders one row per interval plus the saturation
+// timelineRows renders one row per interval plus the saturation
 // verdicts. Utilizations are fractions of capacity (1.000 = pinned).
-func timelineTable(r timelineResult) *Table {
-	t := &Table{
-		ID:    "timeline",
-		Title: "Checkpoint-burst timeline: per-interval utilization and queue depths (metrics plane)",
-		Header: []string{"t_us", "tx_MBs", "net_util", "inflight",
-			"disk_util", "disk_q", "disp_q", "io_q", "dirty_pages", "wb_MBs"},
-	}
+func timelineRows(t *Table, r timelineResult) {
 	ivSec := float64(r.intervalNS) / 1e9
 	for i := range r.txBytes {
 		t.Add(
@@ -221,7 +211,6 @@ func timelineTable(r timelineResult) *Table {
 	}
 	describe("disk", r.diskUtil, r.diskQ)
 	describe("net", r.netUtil, r.inflight)
-	return t
 }
 
 // at reads vals[i], tolerating the ragged tails of series that saw no

@@ -217,12 +217,7 @@ func NewCluster(opts Options) *Cluster {
 		cfg.Faults = &plan
 	}
 	inner := pvfs.NewCluster(sim.NewEngine(), cfg, opts.Servers, opts.ComputeNodes)
-	var hcas []*ib.HCA
-	for _, cl := range inner.Clients {
-		hcas = append(hcas, cl.HCA())
-	}
-	world := mpi.NewWorld(inner.Eng, hcas, func(rank int, n int64) { inner.Clients[rank].Acct().BytesClientClient += n })
-	return &Cluster{inner: inner, world: world}
+	return &Cluster{inner: inner, world: mpiio.NewWorld(inner)}
 }
 
 // Inner exposes the underlying pvfs.Cluster for advanced use.
