@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"testing"
 
 	"pvfsib/internal/mpiio"
@@ -26,6 +29,41 @@ func TestTraceRunDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("identical runs exported different traces (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// traceGoldenPath holds the sha256 of TraceRun(true)'s Perfetto export and
+// of its breakdown profile JSON — what `pvfsbench -short -trace T.json`
+// writes to T.json and T.json.breakdown.json.
+const traceGoldenPath = "testdata/trace.golden.sha256"
+
+// TestTraceRunGolden pins the traced breakdown run to committed bytes, so
+// a change to the span plane either reproduces both files exactly or fails
+// here. `go test -run TestTraceRunGolden -update` regenerates the hashes
+// after a deliberate change.
+func TestTraceRunGolden(t *testing.T) {
+	tr := TraceRun(true)
+	var perfetto, breakdown bytes.Buffer
+	if err := tr.WritePerfetto(&perfetto); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Profile().WriteJSON(&breakdown); err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%x  perfetto\n%x  breakdown\n",
+		sha256.Sum256(perfetto.Bytes()), sha256.Sum256(breakdown.Bytes()))
+	if *update {
+		if err := os.WriteFile(traceGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(traceGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("traced run differs from %s:\ngot:\n%swant:\n%s", traceGoldenPath, got, want)
 	}
 }
 
