@@ -54,8 +54,10 @@ lint-time: $(BIN)
 	$(BIN) -time -budget $(LINT_BUDGET) ./...
 
 # check is the full CI gate: build, vet, pvfslint (both drivers — the
-# standalone pass adds the interprocedural hotpath ratchet), race tests.
-check: build vet lint lint-hotpath race
+# standalone pass adds the interprocedural hotpath ratchet), the nested
+# benchmark/ module (the only place an internal API removal it depends on
+# shows up), race tests.
+check: build vet lint lint-hotpath bench-check race
 
 # bench-smoke runs the short fault-plane and list-I/O experiments on the
 # parallel cell scheduler — with each cell's engine partitioned into 4

@@ -9,7 +9,7 @@
 //	stats" | pvfsctl
 //
 // Beyond file I/O, scripts drive the fault plane (fault inject/list/clear),
-// the trace plane (trace spans/profile/export), and the client-side page
+// the trace plane (trace on/dump/profile/export/off), and the client-side page
 // cache (cache on/stats/flush/off). See internal/ctl for the full command
 // list.
 package main

@@ -24,7 +24,7 @@ const (
 func main() {
 	cluster := pvfsib.NewCluster(pvfsib.Options{Servers: 4, ComputeNodes: 4})
 	defer cluster.Close()
-	trace := cluster.EnableTracing(64)
+	trace := cluster.EnableTracing()
 
 	err := cluster.RunMPI(func(ctx *pvfsib.Ctx) {
 		rank := ctx.Rank.ID()
@@ -98,11 +98,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("\nlast trace events:")
-	evs := trace.Events()
-	for _, ev := range evs[max(0, len(evs)-5):] {
+	fmt.Println("\nlast trace spans:")
+	spans := trace.Spans()
+	for _, sp := range spans[max(0, len(spans)-5):] {
 		fmt.Printf("  %8.1fus %-4s %-12s %6dB %s\n",
-			float64(ev.T)/1000, ev.Node, ev.Kind, ev.Bytes, ev.Detail)
+			float64(sp.Start)/1000, sp.Node, sp.Kind, sp.Bytes, sp.Attrs)
 	}
 }
 

@@ -277,9 +277,9 @@ func TestRDMAAllocFree(t *testing.T) {
 }
 
 // TestDisabledTracerAllocFree covers the trace roots ((trace.Tracer).Start,
-// (trace.Span).End/EndErr/SetBytes, (trace.Recorder).Record is exercised
-// indirectly as a no-op): with no tracer attached the span API must cost
-// nothing, because every simulator hot path calls it unconditionally.
+// (trace.Span).End/EndErr/SetBytes): with no tracer attached the span API
+// must cost nothing, because every simulator hot path calls it
+// unconditionally.
 func TestDisabledTracerAllocFree(t *testing.T) {
 	var tr *trace.Tracer
 	measure(t, "disabled tracer", func() {

@@ -21,7 +21,10 @@
 //
 // The span plane records request-scoped traces on the virtual clock:
 //
-//	trace spans                    enable span tracing (before the workload)
+//	trace on                       enable span tracing (before the workload;
+//	                               'trace spans' is the same switch)
+//	trace dump last=10             print the spans that completed last, fault
+//	                               instants included (file=PATH optional)
 //	trace profile                  print the per-stage breakdown so far
 //	trace export file=out.json     write a Perfetto (Chrome trace-event) file
 //	trace off                      detach the span tracer
@@ -64,15 +67,13 @@ import (
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sieve"
 	"pvfsib/internal/sim"
-	"pvfsib/internal/trace"
 )
 
 // Interp is one interpreter session.
 type Interp struct {
 	out     io.Writer
 	cluster *pvfs.Cluster
-	rec     *trace.Recorder
-	mx      *metrics.Registry // attached metrics plane (nil = off)
+	mx      *metrics.Registry                   // attached metrics plane (nil = off)
 	files   map[string]map[int]*pvfs.FileHandle // name -> client -> handle
 	bufs    map[string]mem.Addr                 // named buffers (reserved)
 	plan    *fault.Plan                         // active fault plan (nil = none)
@@ -829,16 +830,17 @@ func describePlan(pl *fault.Plan) string {
 	return strings.Join(parts, ", ")
 }
 
-// cmdTrace controls both observability planes: the flat event recorder
-// ('on'/'dump', unchanged) and the request-scoped span plane ('spans'
-// enables it, 'profile' prints the critical-path breakdown, 'export'
-// writes a Perfetto trace, 'off' detaches the tracer).
+// cmdTrace controls the span plane: 'on' (or 'spans') attaches the
+// tracer, 'dump' prints the spans that completed last — fault instants
+// included — one per line, 'profile' prints the critical-path breakdown,
+// 'export' writes a Perfetto trace, 'off' detaches the tracer.
 func (in *Interp) cmdTrace(a args) error {
 	if in.cluster == nil {
 		return fmt.Errorf("no cluster")
 	}
+	tr := in.cluster.Spans
 	switch a.name {
-	case "spans":
+	case "spans", "on":
 		in.cluster.EnableSpans()
 		fmt.Fprintln(in.out, "span tracing on")
 		return nil
@@ -846,56 +848,45 @@ func (in *Interp) cmdTrace(a args) error {
 		in.cluster.DisableSpans()
 		fmt.Fprintln(in.out, "span tracing off")
 		return nil
+	}
+	if tr == nil {
+		return fmt.Errorf("span tracing not enabled (run 'trace spans')")
+	}
+	switch a.name {
 	case "profile":
-		if in.cluster.Spans == nil {
-			return fmt.Errorf("span tracing not enabled (run 'trace spans')")
-		}
-		return in.cluster.Spans.Profile().WriteBreakdown(in.out)
+		return tr.Profile().WriteBreakdown(in.out)
 	case "export":
-		if in.cluster.Spans == nil {
-			return fmt.Errorf("span tracing not enabled (run 'trace spans')")
-		}
 		path := a.str("file", "")
 		if path == "" {
 			return fmt.Errorf("export wants file=PATH")
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := in.cluster.Spans.WritePerfetto(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(in.out, "exported %d spans to %s\n", in.cluster.Spans.Len(), path)
-		return nil
-	case "on":
-		n, err := a.num("cap", 1024)
-		if err != nil {
-			return err
-		}
-		in.rec = in.cluster.EnableTracing(int(n))
-		return nil
+		return in.writeTo(path, tr.WritePerfetto, func() string {
+			return fmt.Sprintf("exported %d spans to %s\n", tr.Len(), path)
+		})
 	case "dump":
-		if in.rec == nil {
-			return fmt.Errorf("tracing not enabled")
-		}
 		n, err := a.num("last", 10)
 		if err != nil {
 			return err
 		}
-		evs := in.rec.Events()
-		if int64(len(evs)) > n {
-			evs = evs[int64(len(evs))-n:]
+		// Completion order, so the rows that close a request — its last
+		// attempt, the operation itself — are the last ones printed.
+		spans := tr.Spans()
+		sort.SliceStable(spans, func(i, j int) bool { return spans[i].End < spans[j].End })
+		if n >= 0 && int64(len(spans)) > n {
+			spans = spans[int64(len(spans))-n:]
 		}
-		for _, ev := range evs {
-			fmt.Fprintf(in.out, "%12.1fus %-6s %-14s %8dB %s\n",
-				float64(ev.T)/1000, ev.Node, ev.Kind, ev.Bytes, ev.Detail)
-		}
-		return nil
+		path := a.str("file", "")
+		return in.writeTo(path, func(w io.Writer) error {
+			for _, sp := range spans {
+				detail := sp.Attrs
+				if sp.Err != "" {
+					detail = strings.TrimSpace(detail + " err=" + sp.Err)
+				}
+				fmt.Fprintf(w, "%12.1fus %-6s %-14s %8dB %s\n",
+					float64(sp.End)/1000, sp.Node, sp.Kind, sp.Bytes, detail)
+			}
+			return nil
+		}, func() string { return fmt.Sprintf("dumped %d spans to %s\n", len(spans), path) })
 	default:
 		return fmt.Errorf("trace wants 'on', 'dump', 'spans', 'profile', 'export', or 'off'")
 	}
@@ -949,22 +940,9 @@ func (in *Interp) cmdMetrics(a args) error {
 			}
 		}
 		path := a.str("file", "")
-		if path == "" {
-			return write(in.out)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(in.out, "dumped %d series to %s\n", len(in.mx.Snapshot(now)), path)
-		return nil
+		return in.writeTo(path, write, func() string {
+			return fmt.Sprintf("dumped %d series to %s\n", len(in.mx.Snapshot(now)), path)
+		})
 	case "rate":
 		if in.mx == nil {
 			return fmt.Errorf("metrics not enabled (run 'metrics on')")
@@ -1037,6 +1015,28 @@ func (in *Interp) cmdMetrics(a args) error {
 	default:
 		return fmt.Errorf("metrics wants 'on', 'dump', 'rate', 'top', or 'off'")
 	}
+}
+
+// writeTo runs write against the file at path and then prints report()
+// on the session output, or against the session output itself (no report)
+// when path is empty.
+func (in *Interp) writeTo(path string, write func(io.Writer) error, report func() string) error {
+	if path == "" {
+		return write(in.out)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprint(in.out, report())
+	return nil
 }
 
 func bytesEqual(a, b []byte) bool {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -94,8 +96,40 @@ trace on cap=128
 writelist data count=32 size=256 fstride=1024
 trace dump last=3
 `)
-	if !strings.Contains(out, "write-req") && !strings.Contains(out, "sieve-write") {
-		t.Errorf("trace dump missing events:\n%s", out)
+	if !strings.Contains(out, "span tracing on") {
+		t.Errorf("'trace on' did not report the span tracer:\n%s", out)
+	}
+	rows := regexp.MustCompile(`(?m)^ +[0-9.]+us (cn|io)[0-9] .*$`).FindAllString(out, -1)
+	if len(rows) != 3 {
+		t.Fatalf("trace dump last=3 printed %d span rows:\n%s", len(rows), out)
+	}
+	// Completion order: the write's chunk attempt closes with the last
+	// hop it waited on, so it is among the rows that finished last.
+	attempt := regexp.MustCompile(`^ +[0-9.]+us cn0 +pvfs\.attempt +[0-9]+B io[01] attempt=1 pack=(true|false)$`)
+	if !slices.ContainsFunc(rows, attempt.MatchString) {
+		t.Errorf("trace dump last=3 shows no pvfs.attempt row:\n%s", out)
+	}
+}
+
+// TestScriptTraceDumpFile: 'trace dump file=' goes through the same
+// file-or-session writer as 'trace export' and 'metrics dump'.
+func TestScriptTraceDumpFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spans.txt")
+	out := run(t, `
+cluster servers=2 clients=1
+trace spans
+write data len=65536 seed=3
+trace dump last=5 file=`+path+`
+`)
+	if !strings.Contains(out, "dumped 5 spans to "+path) {
+		t.Errorf("dump report missing:\n%s", out)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "\n"); n != 5 {
+		t.Errorf("dump file holds %d rows, want 5:\n%s", n, b)
 	}
 }
 

@@ -107,14 +107,6 @@ func (r *Registry) Current(name string) int64 {
 	return sum
 }
 
-// Intervals reports how many intervals the run spans up to `until`.
-func (r *Registry) Intervals(until sim.Time) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.lastIdx(until) + 1
-}
-
 // WriteJSON emits every series as one indented JSON document.
 func (r *Registry) WriteJSON(w io.Writer, until sim.Time) error {
 	d := Dump{

@@ -46,6 +46,7 @@ import (
 	"pvfsib/internal/mem"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sim"
+	"pvfsib/internal/stats"
 	"pvfsib/internal/trace"
 )
 
@@ -127,7 +128,7 @@ type File struct {
 	fh   *pvfs.FileHandle
 	cl   *pvfs.Client
 	clu  *pvfs.Cluster
-	acct *pvfs.Acct // the owning client's counter set (shard-local)
+	acct *stats.Acct // the owning client's counter set (shard-local)
 	cfg  Config
 
 	// mx points at the owning client's page-cache instrument handles

@@ -9,6 +9,7 @@ import (
 	"pvfsib/internal/sieve"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/simnet"
+	"pvfsib/internal/stats"
 	"pvfsib/internal/trace"
 )
 
@@ -35,7 +36,7 @@ type Client struct {
 
 	// acct tallies this client's protocol counters. Only the client's own
 	// group touches it; Cluster.Acct folds the per-entity sets together.
-	acct Acct
+	acct stats.Acct
 
 	// mx samples recovery pressure (retries, timeouts, backoff time);
 	// cacheMX holds the page cache's instrument handles (metrics.go).
@@ -45,7 +46,7 @@ type Client struct {
 
 // Acct exposes the client's own protocol counters; higher layers that act
 // on a client's behalf (the page cache, MPI) tally here.
-func (c *Client) Acct() *Acct { return &c.acct }
+func (c *Client) Acct() *stats.Acct { return &c.acct }
 
 // seq returns the next request sequence number.
 func (c *Client) seq() int64 {
@@ -285,7 +286,7 @@ func (fh *FileHandle) Stat(p *sim.Proc) int64 {
 func (c *Client) Remove(p *sim.Proc, name string) {
 	c.mgr.mu.Acquire(p)
 	resp, err := c.rpc(p, c.mgr, reqSize(0), func(seq int64) any {
-		return &reqUnlink{Seq: seq, Name: name}
+		return &reqUnlink{Seq: seq, Name: name, Ctx: p.TraceCtx()}
 	})
 	c.mgr.mu.Release()
 	sim.Must(err)
@@ -293,16 +294,18 @@ func (c *Client) Remove(p *sim.Proc, name string) {
 	if !un.Found {
 		return
 	}
+	parentCtx := p.TraceCtx()
 	wg := c.cluster.Eng.NewWaitGroup()
 	for i := range c.conns {
 		conn := c.conns[i]
 		wg.Add(1)
 		p.Go(fmt.Sprintf("rm[cn%d-io%d]", c.idx, i), func(q *sim.Proc) {
 			defer wg.Done()
+			q.SetTraceCtx(parentCtx)
 			conn.mu.Acquire(q)
 			defer conn.mu.Release()
 			_, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
-				return &reqRemove{Seq: seq, FileID: un.FileID}
+				return &reqRemove{Seq: seq, FileID: un.FileID, Ctx: parentCtx}
 			})
 			sim.Must(err)
 		})
@@ -423,7 +426,7 @@ func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen,
 				// buffers out of RDMA reach, but the pre-registered
 				// Fast-RDMA buffers always work — fall back to Pack/Unpack.
 				c.acct.Fallbacks++
-				c.cluster.Trace.Recordf(p.Now(), c.node.Name, "fallback-pack", total,
+				c.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), c.node.Name, "fallback-pack", total,
 					"registration failed: %v", err)
 				pack = true
 				regRes = nil
@@ -509,13 +512,11 @@ restart:
 			c.acct.Retries++
 			c.mx.retries.Add(p.Now(), 1)
 			c.resetConn(p, conn)
-			c.cluster.Trace.Recordf(p.Now(), c.node.Name, "retry", ch.total,
-				"io%d attempt=%d: %v", part.srv, attempt+1, err)
 			if !pack {
 				gatherFails++
 				if gatherFails >= rec.FallbackAfter {
 					c.acct.Fallbacks++
-					c.cluster.Trace.Recordf(p.Now(), c.node.Name, "fallback-pack", ch.total,
+					c.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), c.node.Name, "fallback-pack", ch.total,
 						"io%d gather failed %d times", part.srv, gatherFails)
 					pack = true
 					goto restart
@@ -564,8 +565,6 @@ func (c *Client) writeChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chun
 	cl := c.cluster
 	c.acct.WriteReqs++
 	c.acct.BytesClientServer += ch.total
-	cl.Trace.Recordf(p.Now(), c.node.Name, "write-req", ch.total,
-		"io%d pairs=%d pack=%v", conn.srv, len(ch.accs), pack)
 	seq := c.seq()
 	req := &reqWrite{Seq: seq, FileID: fileID, Accs: ch.accs, Total: ch.total, SchemePack: pack, Sieve: opts.Sieve, Ctx: p.TraceCtx()}
 	if cl.Cfg.Wire == WireStream {
@@ -646,8 +645,6 @@ func (c *Client) readChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chunk
 	cl := c.cluster
 	c.acct.ReadReqs++
 	c.acct.BytesClientServer += ch.total
-	cl.Trace.Recordf(p.Now(), c.node.Name, "read-req", ch.total,
-		"io%d pairs=%d pack=%v", conn.srv, len(ch.accs), pack)
 	seq := c.seq()
 	req := &reqRead{Seq: seq, FileID: fileID, Accs: ch.accs, Total: ch.total, SchemePack: pack, Sieve: opts.Sieve, Ctx: p.TraceCtx()}
 	if cl.Cfg.Wire == WireStream {

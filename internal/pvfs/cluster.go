@@ -13,64 +13,6 @@ import (
 	"pvfsib/internal/trace"
 )
 
-// Acct accumulates protocol-level counters maintained by the client library
-// (request counts and payload byte totals by traffic class). Higher layers
-// (MPI) add client-to-client bytes.
-type Acct struct {
-	OpenReqs  int64
-	ReadReqs  int64
-	WriteReqs int64
-	SyncReqs  int64
-
-	BytesClientServer int64
-	BytesClientClient int64
-
-	// Recovery-layer activity (all zero without a fault plane attached).
-	Retries          int64 // chunk/RPC re-issues after a failure or timeout
-	Timeouts         int64 // client waits that expired
-	Fallbacks        int64 // Gather/Scatter operations degraded to Pack/Unpack
-	ServerAborts     int64 // requests the daemons abandoned mid-protocol
-	Crashes          int64 // scheduled daemon crashes executed
-	Restarts         int64 // daemon restarts completed
-	IodRegistrations int64 // manager re-registrations after restart
-
-	// Client-side page-cache and lease activity (all zero without a
-	// pcache attached; see internal/pcache).
-	CacheHits        int64 // list operations served entirely from resident pages
-	CacheMisses      int64 // pages fetched from the servers on demand
-	CacheReadAheads  int64 // pages prefetched by the stride detector
-	WriteBehindBytes int64 // dirty bytes drained by write-behind flushes
-	CoalescedFlushes int64 // flushes merging 2+ dirty pages into one list write
-	LeaseReqs        int64 // lease acquisitions clients sent
-	LeaseGrants      int64 // leases the manager granted
-	LeaseRecalls     int64 // conflicting leases the manager recalled
-}
-
-// add accumulates o into a.
-func (a *Acct) add(o Acct) {
-	a.OpenReqs += o.OpenReqs
-	a.ReadReqs += o.ReadReqs
-	a.WriteReqs += o.WriteReqs
-	a.SyncReqs += o.SyncReqs
-	a.BytesClientServer += o.BytesClientServer
-	a.BytesClientClient += o.BytesClientClient
-	a.Retries += o.Retries
-	a.Timeouts += o.Timeouts
-	a.Fallbacks += o.Fallbacks
-	a.ServerAborts += o.ServerAborts
-	a.Crashes += o.Crashes
-	a.Restarts += o.Restarts
-	a.IodRegistrations += o.IodRegistrations
-	a.CacheHits += o.CacheHits
-	a.CacheMisses += o.CacheMisses
-	a.CacheReadAheads += o.CacheReadAheads
-	a.WriteBehindBytes += o.WriteBehindBytes
-	a.CoalescedFlushes += o.CoalescedFlushes
-	a.LeaseReqs += o.LeaseReqs
-	a.LeaseGrants += o.LeaseGrants
-	a.LeaseRecalls += o.LeaseRecalls
-}
-
 // Cluster is one simulated PVFS deployment: I/O servers (one doubling as
 // metadata manager), compute nodes running the client library, and the
 // InfiniBand fabric connecting them.
@@ -81,10 +23,6 @@ type Cluster struct {
 	Servers []*Server
 	Clients []*Client
 	Manager *Manager
-
-	// Trace, when non-nil, records request lifecycles and sieve decisions
-	// (attach with EnableTracing).
-	Trace *trace.Recorder
 
 	// Spans, when non-nil, is the request-scoped span tracer wired into
 	// every layer (attach with EnableSpans). Nil keeps every hot path
@@ -105,29 +43,19 @@ type Cluster struct {
 // the servers, then the clients, in index order. Each entity tallies its
 // own counters (its group's shard touches only its own set), so the
 // cluster-wide view is a deterministic fold regardless of shard count.
-func (c *Cluster) Acct() Acct {
-	var a Acct
-	a.add(c.Manager.acct)
+func (c *Cluster) Acct() stats.Acct {
+	var a stats.Acct
+	a.Add(c.Manager.acct)
 	for _, s := range c.Servers {
-		a.add(s.acct)
+		a.Add(s.acct)
 	}
 	for _, cl := range c.Clients {
-		a.add(cl.acct)
+		a.Add(cl.acct)
 	}
 	return a
 }
 
-// EnableTracing attaches an event recorder and returns it. The recorder
-// keeps one ring of the most recent capacity events per node, registered
-// up front so recording stays shard-local under a sharded engine and the
-// merged event order is byte-identical at any shard count.
-func (c *Cluster) EnableTracing(capacity int) *trace.Recorder {
-	c.Trace = trace.NewRecorder(capacity)
-	c.Trace.RegisterNodes(c.traceNames()...)
-	return c.Trace
-}
-
-// traceNames lists every name the layers stamp on events and spans: the
+// traceNames lists every name the layers stamp on spans and series: the
 // fabric nodes and the disks, in deterministic cluster order.
 func (c *Cluster) traceNames() []string {
 	var names []string
@@ -142,13 +70,14 @@ func (c *Cluster) traceNames() []string {
 
 // EnableSpans attaches a span tracer to every layer of the cluster — the
 // fabric, every adapter, every disk, and every daemon's sieve — so each
-// request's journey is recorded as one span tree on the virtual clock.
+// request's journey is recorded as one span tree on the virtual clock,
+// with the fault plane's instants (crash, restart, abort, pack fallback)
+// as zero-length spans under the request they hit.
 // Call it before running workloads; attaching replaces any previous
 // tracer. The same pattern as AttachFaults: one structural hook per
 // substrate, detachable with DisableSpans.
 func (c *Cluster) EnableSpans() *trace.Tracer {
-	tr := trace.NewTracer()
-	tr.RegisterNodes(c.traceNames()...)
+	tr := trace.NewTracer(c.traceNames()...)
 	c.attachTracer(tr)
 	return tr
 }
@@ -222,29 +151,7 @@ func NewCluster(eng *sim.Engine, cfg Config, nServers, nClients int) *Cluster {
 
 // Snapshot gathers the cluster-wide counters (Table 4 / Table 6 material).
 func (c *Cluster) Snapshot() stats.Snapshot {
-	a := c.Acct()
-	s := stats.Snapshot{
-		OpenReqs:          a.OpenReqs,
-		ReadReqs:          a.ReadReqs,
-		WriteReqs:         a.WriteReqs,
-		SyncReqs:          a.SyncReqs,
-		BytesClientServer: a.BytesClientServer,
-		BytesClientClient: a.BytesClientClient,
-		Retries:           a.Retries,
-		Timeouts:          a.Timeouts,
-		Fallbacks:         a.Fallbacks,
-		ServerAborts:      a.ServerAborts,
-		Crashes:           a.Crashes,
-		Restarts:          a.Restarts,
-		CacheHits:         a.CacheHits,
-		CacheMisses:       a.CacheMisses,
-		CacheReadAheads:   a.CacheReadAheads,
-		WriteBehindBytes:  a.WriteBehindBytes,
-		CoalescedFlushes:  a.CoalescedFlushes,
-		LeaseReqs:         a.LeaseReqs,
-		LeaseGrants:       a.LeaseGrants,
-		LeaseRecalls:      a.LeaseRecalls,
-	}
+	s := stats.Snapshot{Acct: c.Acct()}
 	if c.Faults != nil {
 		fc := c.Faults.Totals()
 		s.FaultWRErrors = fc.WRErrors
@@ -274,25 +181,6 @@ func (c *Cluster) Snapshot() stats.Snapshot {
 		s.DeviceWrites += dc.WriteOps
 		s.SieveWindows += srv.SieveStats.Windows
 		s.SieveWins += srv.SieveStats.SievedWins
-	}
-	if c.Spans != nil {
-		p := c.Spans.Profile()
-		s.MaxInflight = int64(p.MaxInflight())
-		s.StageRegNs = p.Stage[trace.StageReg].Ns
-		s.StagePackNs = p.Stage[trace.StagePack].Ns
-		s.StageWireNs = p.Stage[trace.StageWire].Ns
-		s.StageQueueNs = p.Stage[trace.StageQueue].Ns
-		s.StageSieveNs = p.Stage[trace.StageSieve].Ns
-		s.StageDiskNs = p.Stage[trace.StageDisk].Ns
-	}
-	if c.Metrics != nil {
-		now := c.Eng.Now()
-		s.MetricIntervals = c.Metrics.Intervals(now)
-		s.NetInflight = c.Metrics.Current("net.inflight")
-		s.DispatchQueue = c.Metrics.Current("srv.dispatch.queue")
-		s.IOQueue = c.Metrics.Current("srv.io.queue")
-		s.CachePages = c.Metrics.Current("pcache.resident")
-		s.CacheDirtyPages = c.Metrics.Current("pcache.dirty")
 	}
 	return s
 }

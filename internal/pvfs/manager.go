@@ -5,6 +5,7 @@ import (
 	"pvfsib/internal/mem"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/simnet"
+	"pvfsib/internal/stats"
 )
 
 // fileMeta is the manager's per-file metadata.
@@ -40,7 +41,7 @@ type Manager struct {
 	recallSeq int64
 
 	// acct tallies the manager's counters (lease grants and recalls).
-	acct Acct
+	acct stats.Acct
 
 	// mx samples lease-coherence activity per interval (metrics.go).
 	mx managerMetrics
@@ -87,6 +88,7 @@ func (m *Manager) serve(p *sim.Proc, qp *ib.QP) {
 			}
 			m.send(p, qp, &respOpen{Seq: req.Seq, FileID: meta.id, StripeSize: meta.stripeSize})
 		case *reqUnlink:
+			p.SetTraceCtx(req.Ctx)
 			meta, ok := m.byName[req.Name]
 			var id int64
 			if ok {
@@ -94,6 +96,7 @@ func (m *Manager) serve(p *sim.Proc, qp *ib.QP) {
 				delete(m.byName, req.Name)
 			}
 			m.send(p, qp, &respUnlink{Seq: req.Seq, FileID: id, Found: ok})
+			p.SetTraceCtx(0)
 		case *reqIodRegister:
 			m.iods[req.Server] = p.Now()
 			m.send(p, qp, &respIodRegister{})

@@ -118,6 +118,8 @@ type respStat struct {
 type reqRemove struct {
 	Seq    int64
 	FileID int64
+	// Ctx is the sender's packed trace context (see reqWrite.Ctx).
+	Ctx uint64
 }
 
 type respRemove struct{ Seq int64 }
@@ -126,6 +128,8 @@ type respRemove struct{ Seq int64 }
 type reqUnlink struct {
 	Seq  int64
 	Name string
+	// Ctx is the sender's packed trace context (see reqWrite.Ctx).
+	Ctx uint64
 }
 
 type respUnlink struct {

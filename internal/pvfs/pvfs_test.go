@@ -3,6 +3,7 @@ package pvfs
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,7 @@ import (
 	"pvfsib/internal/mem"
 	"pvfsib/internal/sieve"
 	"pvfsib/internal/sim"
+	"pvfsib/internal/trace"
 )
 
 func newCluster(t *testing.T, nServers, nClients int) *Cluster {
@@ -970,9 +972,13 @@ func segStreamsEqual(a, b []ib.SGE) bool {
 	return true
 }
 
+// TestTracingRecordsRequestsAndSieveDecisions: a traced strided write and
+// read record every chunk RPC as a pvfs.attempt span and every serviced
+// window as a sieve.window span carrying the cost model's verdict, in
+// nondecreasing start order.
 func TestTracingRecordsRequestsAndSieveDecisions(t *testing.T) {
 	c := newCluster(t, 2, 1)
-	rec := c.EnableTracing(256)
+	tr := c.EnableSpans()
 	cl := c.Clients[0]
 	app(t, c, func(p *sim.Proc) {
 		fh := cl.Open(p, "f")
@@ -991,20 +997,38 @@ func TestTracingRecordsRequestsAndSieveDecisions(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	kinds := map[string]int{}
-	for _, ev := range rec.Events() {
-		kinds[ev.Kind]++
-	}
-	for _, want := range []string{"write-req", "read-req", "sieve-write", "sieve-read"} {
-		if kinds[want] == 0 {
-			t.Errorf("no %q events recorded (kinds: %v)", want, kinds)
+	spans := tr.Spans()
+	roots := map[trace.ReqID]string{}
+	for _, s := range spans {
+		if s.Parent == 0 && s.Req != 0 {
+			roots[s.Req] = s.Kind
 		}
 	}
-	// Timestamps are nondecreasing.
-	evs := rec.Events()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].T < evs[i-1].T {
-			t.Fatalf("trace timestamps regress at %d", i)
+	seen := map[string]int{}
+	for i, s := range spans {
+		if i > 0 && s.Start < spans[i-1].Start {
+			t.Fatalf("span start times regress at %d", i)
+		}
+		switch s.Kind {
+		case "pvfs.attempt":
+			if s.Bytes == 0 || !strings.Contains(s.Attrs, "attempt=1 pack=") {
+				t.Errorf("attempt span lacks bytes or annotation: %+v", s)
+			}
+		case "sieve.window":
+			if s.Bytes == 0 || !strings.Contains(s.Attrs, "sieve=") {
+				t.Errorf("sieve window lacks bytes or verdict: %+v", s)
+			}
+		default:
+			continue
+		}
+		seen[s.Kind+" under "+roots[s.Req]]++
+	}
+	for _, want := range []string{
+		"pvfs.attempt under pvfs.writelist", "pvfs.attempt under pvfs.readlist",
+		"sieve.window under pvfs.writelist", "sieve.window under pvfs.readlist",
+	} {
+		if seen[want] == 0 {
+			t.Errorf("no %s span recorded (seen: %v)", want, seen)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"pvfsib/internal/sieve"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/simnet"
+	"pvfsib/internal/stats"
 	"pvfsib/internal/trace"
 )
 
@@ -54,7 +55,7 @@ type Server struct {
 
 	// acct tallies this daemon's protocol counters. Only the server's own
 	// group touches it; Cluster.Acct folds the per-entity sets together.
-	acct Acct
+	acct stats.Acct
 }
 
 // Down reports whether the daemon is crashed (for tests).
@@ -157,6 +158,7 @@ func (sc *serverConn) serve(p *sim.Proc) {
 			}
 			sc.send(p, smallReplyBytes, &respStat{Seq: req.Seq, LocalSize: size})
 		case *reqRemove:
+			p.SetTraceCtx(req.Ctx)
 			s.acquireIO(p)
 			if _, ok := s.files[req.FileID]; ok {
 				delete(s.files, req.FileID)
@@ -227,7 +229,7 @@ func (sc *serverConn) send(p *sim.Proc, size int, resp any) bool {
 func (sc *serverConn) abort(p *sim.Proc, op string, seq int64, why string) {
 	s := sc.srv
 	s.acct.ServerAborts++
-	s.cluster.Trace.Recordf(p.Now(), s.node.Name, "iod-abort", 0, "%s seq=%d: %s", op, seq, why)
+	s.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "iod-abort", 0, "%s seq=%d: %s", op, seq, why)
 }
 
 // waitDone waits for the rendezvous completion notice matching seq. Without a
@@ -309,9 +311,8 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *reqWrite) (next any) {
 		buf.Put()
 	}
 	s.acquireIO(p)
-	decs := sieve.Write(p, f, toSieveAccs(req.Accs), data, s.sieveParams, req.Sieve, &s.SieveStats)
+	sieve.Write(p, f, toSieveAccs(req.Accs), data, s.sieveParams, req.Sieve, &s.SieveStats)
 	s.releaseIO(p)
-	s.traceDecisions(p, "write", decs)
 	if !sc.send(p, smallReplyBytes, &respWrite{Seq: req.Seq}) {
 		sc.abort(p, "write", req.Seq, "write reply lost")
 	}
@@ -322,9 +323,8 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *reqRead) (next any) {
 	s := sc.srv
 	f := s.file(p, req.FileID)
 	s.acquireIO(p)
-	data, decs := sieve.Read(p, f, toSieveAccs(req.Accs), s.sieveParams, req.Sieve, &s.SieveStats)
+	data, _ := sieve.Read(p, f, toSieveAccs(req.Accs), s.sieveParams, req.Sieve, &s.SieveStats)
 	s.releaseIO(p)
-	s.traceDecisions(p, "read", decs)
 	if req.Stream {
 		// Stream sockets: payload rides in the reply (user-to-kernel copy).
 		sp := s.cluster.Spans.Start(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "srv.pack", trace.StagePack)
@@ -374,17 +374,6 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *reqRead) (next any) {
 		return pending
 	}
 	return nil
-}
-
-// traceDecisions records the daemon's sieve choices for one request.
-func (s *Server) traceDecisions(p *sim.Proc, op string, decs []sieve.Decision) {
-	if s.cluster.Trace == nil {
-		return
-	}
-	for _, d := range decs {
-		s.cluster.Trace.Recordf(p.Now(), s.node.Name, "sieve-"+op, d.Wanted,
-			"sieved=%v n=%d span=%d", d.UseSieve, d.N, d.Span)
-	}
 }
 
 func toSieveAccs(accs []OffLen) []sieve.Access {

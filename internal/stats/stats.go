@@ -1,57 +1,37 @@
 // Package stats defines cluster-wide operation counters, the quantities the
 // paper reports in Table 4 (registration counts and overheads) and Table 6
 // (request, registration, cache-hit, and disk-call counts, plus bytes moved
-// between node classes).
+// between node classes). Every field is an additive int64 counter; gauges and
+// time decompositions live on their own planes (trace profile, metrics).
 package stats
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
 
-// Snapshot is a point-in-time view of all cluster counters.
-type Snapshot struct {
+	"pvfsib/internal/sim"
+)
+
+// Acct is the protocol-level counter set each entity (client, server,
+// manager) tallies for itself; higher layers (MPI) add client-to-client
+// bytes. A new protocol counter is one field here plus its String mention.
+type Acct struct {
 	// Client request messages by kind (requests, not replies).
-	OpenReqs  int64
-	ReadReqs  int64
-	WriteReqs int64
-	SyncReqs  int64
-
-	// Client-side memory registration activity.
-	Registrations   int64
-	Deregistrations int64
-	RegLookups      int64 // registration attempts incl. cache hits
-	RegCacheHits    int64
-
-	// Server-side file system calls (the (lseek,read) / (lseek,write)
-	// pairs of Table 6).
-	FSReadCalls  int64
-	FSWriteCalls int64
-
-	// Server-side device operations.
-	DeviceReads  int64
-	DeviceWrites int64
+	OpenReqs, ReadReqs, WriteReqs, SyncReqs int64
 
 	// Data payload bytes between node classes.
-	BytesClientServer int64
-	BytesClientClient int64
+	BytesClientServer, BytesClientClient int64
 
-	// Sieve decisions across all servers.
-	SieveWindows int64
-	SieveWins    int64
-
-	// Fault-plane and recovery activity (all zero on fault-free runs).
-	Retries          int64 // client re-issues after failures or timeouts
+	// Recovery-layer activity (all zero without a fault plane attached).
+	Retries          int64 // chunk/RPC re-issues after a failure or timeout
 	Timeouts         int64 // client waits that expired
-	Fallbacks        int64 // gather operations degraded to pack
-	ServerAborts     int64 // requests the I/O daemons abandoned mid-protocol
-	Crashes          int64 // daemon crashes executed
+	Fallbacks        int64 // Gather/Scatter operations degraded to Pack/Unpack
+	ServerAborts     int64 // requests the daemons abandoned mid-protocol
+	Crashes          int64 // scheduled daemon crashes executed
 	Restarts         int64 // daemon restarts completed
-	QPResets         int64 // queue pairs recovered from error state
-	FaultWRErrors    int64 // injected work-request completion errors
-	FaultDrops       int64 // messages dropped by partitions
-	FaultDiskErrors  int64 // injected disk errors and slowdowns
-	FaultRegFailures int64 // injected registration rejections
+	IodRegistrations int64 // manager re-registrations after restart
 
-	// Client-side page-cache and lease-coherence activity (all zero unless
-	// a pcache is attached).
+	// Client page-cache and lease activity (all zero without internal/pcache).
 	CacheHits        int64 // list operations served entirely from resident pages
 	CacheMisses      int64 // pages fetched from the servers on demand
 	CacheReadAheads  int64 // pages prefetched by the stride detector
@@ -60,129 +40,81 @@ type Snapshot struct {
 	LeaseReqs        int64 // lease acquisitions clients sent
 	LeaseGrants      int64 // leases the manager granted
 	LeaseRecalls     int64 // conflicting leases the manager recalled
+}
 
-	// Span-derived gauges (all zero unless span tracing was enabled): the
-	// per-stage self-time decomposition of the trace plane, and the peak
-	// number of requests simultaneously in dispatch on the busiest server.
-	MaxInflight  int64
-	StageRegNs   int64 // registration / deregistration
-	StagePackNs  int64 // pack/unpack staging copies
-	StageWireNs  int64 // fabric serialization, flight, RDMA engines
-	StageQueueNs int64 // contended-resource waits (I/O mutex, disk arm)
-	StageSieveNs int64 // sieve planning and RMW overhead
-	StageDiskNs  int64 // device transfers
+// Snapshot is a point-in-time view of all cluster counters: the protocol
+// counters folded over every entity, plus what the substrate layers count.
+type Snapshot struct {
+	Acct
 
-	// Metrics-plane readings (all zero unless a metrics registry was
-	// attached): the number of completed sampling intervals, and the
-	// last-sampled values of the cluster-wide occupancy gauges.
-	MetricIntervals int64 // completed sampling intervals on the virtual clock
-	NetInflight     int64 // messages in flight across the fabric
-	DispatchQueue   int64 // requests inside dispatch across all daemons
-	IOQueue         int64 // requests queued on (or holding) the daemons' file phase
-	CachePages      int64 // resident pages across all client caches
-	CacheDirtyPages int64 // dirty pages across all client caches
+	// Client-side memory registration; lookups are attempts incl. cache hits.
+	Registrations, Deregistrations, RegLookups, RegCacheHits int64
+
+	// Server-side file system calls (the (lseek,read) / (lseek,write)
+	// pairs of Table 6) and device operations.
+	FSReadCalls, FSWriteCalls, DeviceReads, DeviceWrites int64
+
+	// Sieve decisions across all servers.
+	SieveWindows, SieveWins int64
+
+	// Substrate fault activity (all zero on fault-free runs): queue pairs
+	// recovered from error state, then injected faults by kind — work-request
+	// completion errors, partition drops, disk errors and slowdowns,
+	// registration rejections.
+	QPResets, FaultWRErrors, FaultDrops, FaultDiskErrors, FaultRegFailures int64
 }
 
 // IOReqs returns the total read+write+sync request count.
-func (s Snapshot) IOReqs() int64 { return s.ReadReqs + s.WriteReqs + s.SyncReqs }
+func (a Acct) IOReqs() int64 { return a.ReadReqs + a.WriteReqs + a.SyncReqs }
 
-// Sub returns the counter deltas s - t; use it to isolate one experiment's
-// activity.
-func (s Snapshot) Sub(t Snapshot) Snapshot {
-	return Snapshot{
-		OpenReqs:          s.OpenReqs - t.OpenReqs,
-		ReadReqs:          s.ReadReqs - t.ReadReqs,
-		WriteReqs:         s.WriteReqs - t.WriteReqs,
-		SyncReqs:          s.SyncReqs - t.SyncReqs,
-		Registrations:     s.Registrations - t.Registrations,
-		Deregistrations:   s.Deregistrations - t.Deregistrations,
-		RegLookups:        s.RegLookups - t.RegLookups,
-		RegCacheHits:      s.RegCacheHits - t.RegCacheHits,
-		FSReadCalls:       s.FSReadCalls - t.FSReadCalls,
-		FSWriteCalls:      s.FSWriteCalls - t.FSWriteCalls,
-		DeviceReads:       s.DeviceReads - t.DeviceReads,
-		DeviceWrites:      s.DeviceWrites - t.DeviceWrites,
-		BytesClientServer: s.BytesClientServer - t.BytesClientServer,
-		BytesClientClient: s.BytesClientClient - t.BytesClientClient,
-		SieveWindows:      s.SieveWindows - t.SieveWindows,
-		SieveWins:         s.SieveWins - t.SieveWins,
-		Retries:           s.Retries - t.Retries,
-		Timeouts:          s.Timeouts - t.Timeouts,
-		Fallbacks:         s.Fallbacks - t.Fallbacks,
-		ServerAborts:      s.ServerAborts - t.ServerAborts,
-		Crashes:           s.Crashes - t.Crashes,
-		Restarts:          s.Restarts - t.Restarts,
-		QPResets:          s.QPResets - t.QPResets,
-		FaultWRErrors:     s.FaultWRErrors - t.FaultWRErrors,
-		FaultDrops:        s.FaultDrops - t.FaultDrops,
-		FaultDiskErrors:   s.FaultDiskErrors - t.FaultDiskErrors,
-		FaultRegFailures:  s.FaultRegFailures - t.FaultRegFailures,
-		CacheHits:         s.CacheHits - t.CacheHits,
-		CacheMisses:       s.CacheMisses - t.CacheMisses,
-		CacheReadAheads:   s.CacheReadAheads - t.CacheReadAheads,
-		WriteBehindBytes:  s.WriteBehindBytes - t.WriteBehindBytes,
-		CoalescedFlushes:  s.CoalescedFlushes - t.CoalescedFlushes,
-		LeaseReqs:         s.LeaseReqs - t.LeaseReqs,
-		LeaseGrants:       s.LeaseGrants - t.LeaseGrants,
-		LeaseRecalls:      s.LeaseRecalls - t.LeaseRecalls,
-		// MaxInflight is a high-water mark, not a counter: the delta of a
-		// peak is meaningless, so keep the later snapshot's reading.
-		MaxInflight:  s.MaxInflight,
-		StageRegNs:   s.StageRegNs - t.StageRegNs,
-		StagePackNs:  s.StagePackNs - t.StagePackNs,
-		StageWireNs:  s.StageWireNs - t.StageWireNs,
-		StageQueueNs: s.StageQueueNs - t.StageQueueNs,
-		StageSieveNs: s.StageSieveNs - t.StageSieveNs,
-		StageDiskNs:  s.StageDiskNs - t.StageDiskNs,
-		// Interval count is cumulative; the occupancy gauges are
-		// instantaneous readings, so — like MaxInflight — deltas are
-		// meaningless and the later snapshot's values are kept.
-		MetricIntervals: s.MetricIntervals - t.MetricIntervals,
-		NetInflight:     s.NetInflight,
-		DispatchQueue:   s.DispatchQueue,
-		IOQueue:         s.IOQueue,
-		CachePages:      s.CachePages,
-		CacheDirtyPages: s.CacheDirtyPages,
+// fold adds sign*src into dst, int64 field by int64 field, descending into
+// embedded structs; a field of any other kind would silently fall out of
+// every sum and delta, so it fails loudly.
+func fold(dst, src reflect.Value, sign int64) {
+	for i := 0; i < dst.NumField(); i++ {
+		switch d := dst.Field(i); d.Kind() {
+		case reflect.Int64:
+			d.SetInt(d.Int() + sign*src.Field(i).Int())
+		case reflect.Struct:
+			fold(d, src.Field(i), sign)
+		default:
+			sim.Failf("stats: %v.%s is a %v, not an additive int64 counter", dst.Type(), dst.Type().Field(i).Name, d.Kind())
+		}
 	}
 }
 
-// String formats the snapshot as the rows of Table 6, with a recovery
-// suffix when the fault plane saw any action and a span suffix when the
-// trace plane recorded stage time.
+// Add accumulates o into a.
+func (a *Acct) Add(o Acct) { fold(reflect.ValueOf(a).Elem(), reflect.ValueOf(o), 1) }
+
+// Sub returns the deltas s - t, isolating one experiment's activity.
+func (s Snapshot) Sub(t Snapshot) Snapshot {
+	fold(reflect.ValueOf(&s).Elem(), reflect.ValueOf(t), -1)
+	return s
+}
+
+// String formats the snapshot as the rows of Table 6, plus a recovery suffix
+// when the fault plane saw any action and a cache suffix when a pcache did.
 func (s Snapshot) String() string {
 	out := fmt.Sprintf(
 		"req#=%d open#=%d reg#=%d hit=%d pin#=%d/%d read#=%d write#=%d dev#=%dr/%dw c/s=%.1fMB c/c=%.1fMB",
-		s.IOReqs(), s.OpenReqs, s.RegLookups, s.RegCacheHits,
-		s.Registrations, s.Deregistrations,
+		s.IOReqs(), s.OpenReqs, s.RegLookups, s.RegCacheHits, s.Registrations, s.Deregistrations,
 		s.FSReadCalls, s.FSWriteCalls, s.DeviceReads, s.DeviceWrites,
 		float64(s.BytesClientServer)/(1<<20), float64(s.BytesClientClient)/(1<<20))
 	if s.SieveWindows+s.SieveWins > 0 {
 		out += fmt.Sprintf(" sieve=%d/%d", s.SieveWins, s.SieveWindows)
 	}
-	if s.Retries+s.Timeouts+s.Fallbacks+s.ServerAborts+s.Crashes+s.Restarts+s.QPResets+
+	if s.Retries+s.Timeouts+s.Fallbacks+s.ServerAborts+s.Crashes+s.Restarts+s.IodRegistrations+s.QPResets+
 		s.FaultWRErrors+s.FaultDrops+s.FaultDiskErrors+s.FaultRegFailures > 0 {
-		out += fmt.Sprintf(" retry#=%d timeout#=%d fallback#=%d abort#=%d crash#=%d restart#=%d qpreset#=%d",
-			s.Retries, s.Timeouts, s.Fallbacks, s.ServerAborts, s.Crashes, s.Restarts, s.QPResets)
-		out += fmt.Sprintf(" inj(wr#=%d drop#=%d disk#=%d reg#=%d)",
+		out += fmt.Sprintf(" retry#=%d timeout#=%d fallback#=%d abort#=%d crash#=%d restart#=%d rereg#=%d qpreset#=%d"+
+			" inj(wr#=%d drop#=%d disk#=%d reg#=%d)",
+			s.Retries, s.Timeouts, s.Fallbacks, s.ServerAborts, s.Crashes, s.Restarts, s.IodRegistrations, s.QPResets,
 			s.FaultWRErrors, s.FaultDrops, s.FaultDiskErrors, s.FaultRegFailures)
 	}
 	if s.CacheHits+s.CacheMisses+s.CacheReadAheads+s.WriteBehindBytes+
 		s.CoalescedFlushes+s.LeaseReqs+s.LeaseGrants+s.LeaseRecalls > 0 {
 		out += fmt.Sprintf(" cache(hit#=%d miss#=%d ra#=%d wb=%.1fMB coalesce#=%d) lease(req#=%d grant#=%d recall#=%d)",
-			s.CacheHits, s.CacheMisses, s.CacheReadAheads,
-			float64(s.WriteBehindBytes)/(1<<20), s.CoalescedFlushes,
+			s.CacheHits, s.CacheMisses, s.CacheReadAheads, float64(s.WriteBehindBytes)/(1<<20), s.CoalescedFlushes,
 			s.LeaseReqs, s.LeaseGrants, s.LeaseRecalls)
-	}
-	if stage := s.StageRegNs + s.StagePackNs + s.StageWireNs + s.StageQueueNs + s.StageSieveNs + s.StageDiskNs; stage+s.MaxInflight > 0 {
-		out += fmt.Sprintf(" inflight=%d stage(reg=%.2fms pack=%.2fms wire=%.2fms queue=%.2fms sieve=%.2fms disk=%.2fms)",
-			s.MaxInflight,
-			float64(s.StageRegNs)/1e6, float64(s.StagePackNs)/1e6, float64(s.StageWireNs)/1e6,
-			float64(s.StageQueueNs)/1e6, float64(s.StageSieveNs)/1e6, float64(s.StageDiskNs)/1e6)
-	}
-	if s.MetricIntervals+s.NetInflight+s.DispatchQueue+s.IOQueue+s.CachePages+s.CacheDirtyPages > 0 {
-		out += fmt.Sprintf(" mx(intervals=%d inflight=%d dispq=%d ioq=%d pages=%d dirty=%d)",
-			s.MetricIntervals, s.NetInflight, s.DispatchQueue, s.IOQueue,
-			s.CachePages, s.CacheDirtyPages)
 	}
 	return out
 }

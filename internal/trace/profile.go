@@ -58,7 +58,7 @@ func (t *Tracer) Profile() *Profile {
 	// Self time: each span's duration minus the summed durations of its
 	// direct children, clamped at zero (children of a fan-out span may
 	// overlap each other and exceed the parent). Parents are resolved by
-	// ID, not index: a registered tracer packs the node index into the ID.
+	// ID, not index: the ID packs the node index with a per-node sequence.
 	byID := make(map[SpanID]int, len(spans))
 	for i := range spans {
 		byID[spans[i].ID] = i

@@ -1,18 +1,12 @@
-package trace
-
-import (
-	"fmt"
-	"sort"
-
-	"pvfsib/internal/sim"
-)
-
-// The span plane records hierarchical, request-scoped intervals on the
-// virtual clock. A Tracer owns an append-only span table; a Span is a
-// small by-value handle into it. Every method is safe on the zero Span
-// and on a nil *Tracer, so the hot path carries no conditionals and no
-// allocations when tracing is off — the same contract the flat Recorder
-// has kept since the beginning.
+// Package trace records what happened in a simulated run as hierarchical,
+// request-scoped spans on the virtual clock: request lifecycles, wire and
+// registration activity, data sieving windows, disk transfers, and — as
+// zero-length spans — the fault plane's instants (crashes, restarts,
+// aborts, pack fallbacks). A Tracer owns append-only per-node span tables;
+// a Span is a small by-value handle into them. Every method is safe on the
+// zero Span and on a nil *Tracer, so the hot path carries no conditionals
+// and no allocations when tracing is off. Spans carry virtual timestamps,
+// so two runs of the same workload produce identical traces.
 //
 // Spans form trees rooted at a request: the MPI-IO layer (or the PVFS
 // client, when used directly) mints a ReqID, and every child span —
@@ -21,6 +15,14 @@ import (
 // parent SpanID. Context crosses process boundaries as a packed Ctx
 // stored on sim.Proc, and crosses the simulated wire as an explicit
 // field on request messages.
+package trace
+
+import (
+	"fmt"
+	"sort"
+
+	"pvfsib/internal/sim"
+)
 
 // ReqID identifies one application-level request (one MPI-IO access or
 // one direct PVFS list operation). IDs are minted sequentially by the
@@ -109,10 +111,10 @@ func (s *SpanRec) Dur() int64 {
 	return int64(s.End - s.Start)
 }
 
-// SpanID packing in registered mode: the top bits carry the node's
-// registration index, the low localBits the per-node sequence. Per-node
-// sequences are pure functions of that node's own workload, so packed IDs
-// are identical at any engine shard count.
+// SpanID packing: the top bits carry the node's registration index, the
+// low localBits the per-node sequence. Per-node sequences are pure
+// functions of that node's own workload, so packed IDs are identical at any
+// engine shard count.
 const (
 	localBits = 20
 	localMask = (1 << localBits) - 1
@@ -127,37 +129,23 @@ type nodeTable struct {
 	nextReq uint32
 }
 
-// Tracer owns the span table for one cluster. A plain tracer (NewTracer)
-// keeps one table and sequential IDs — correct under a single-shard
-// engine, where the simulation runs one process at a time. RegisterNodes
-// switches it to per-node tables with packed IDs, making every operation
-// shard-local: each node's spans live in that node's table, touched only
-// by its shard, and every derived artifact (Spans order, IDs, profiles)
-// is a deterministic function of the workload alone — byte-identical at
-// any shard count. A nil *Tracer is valid and records nothing.
+// Tracer owns the span tables for one cluster: one per registered node (or
+// device), with packed IDs, so every operation is shard-local — each node's
+// spans live in that node's table, touched only by its shard — and every
+// derived artifact (Spans order, IDs, profiles) is a deterministic function
+// of the workload alone, byte-identical at any shard count. A nil *Tracer
+// is valid and records nothing.
 type Tracer struct {
-	spans   []SpanRec
-	nextReq uint32
-
-	tables map[string]*nodeTable // non-nil in registered mode
-	order  []*nodeTable          // registration order; index = idx
+	tables map[string]*nodeTable
+	order  []*nodeTable // registration order; index = idx
 }
 
-// NewTracer returns an empty tracer in plain (single-table) mode.
-func NewTracer() *Tracer { return &Tracer{} }
-
-// RegisterNodes switches the tracer to per-node tables and registers the
-// given node (and device) names. Call before any span is recorded — on a
-// sharded engine every span must come from a registered name, and each
-// name's spans must be produced only by that node's own events.
-// Registering a name twice is a no-op.
-func (t *Tracer) RegisterNodes(names ...string) {
-	if len(t.spans) > 0 {
-		sim.Failf("trace: RegisterNodes after %d spans were recorded in plain mode", len(t.spans))
-	}
-	if t.tables == nil {
-		t.tables = make(map[string]*nodeTable)
-	}
+// NewTracer returns an empty tracer for the given node (and device) names.
+// Every span must come from a registered name, and on a sharded engine each
+// name's spans must be produced only by that node's own events. Naming a
+// node twice is a no-op.
+func NewTracer(names ...string) *Tracer {
+	t := &Tracer{tables: make(map[string]*nodeTable, len(names))}
 	for _, name := range names {
 		if _, ok := t.tables[name]; ok {
 			continue
@@ -169,15 +157,12 @@ func (t *Tracer) RegisterNodes(names ...string) {
 		t.tables[name] = tab
 		t.order = append(t.order, tab)
 	}
+	return t
 }
 
 // rec resolves a span handle to its record.
 func (t *Tracer) rec(id SpanID) *SpanRec {
-	if t.tables == nil {
-		return &t.spans[id-1]
-	}
-	tab := t.order[id>>localBits]
-	return &tab.spans[(id&localMask)-1]
+	return &t.order[id>>localBits].spans[(id&localMask)-1]
 }
 
 // Span is a by-value handle to one recorded span. The zero Span (and any
@@ -190,25 +175,19 @@ type Span struct {
 }
 
 // NewRequest mints a fresh ReqID and opens its root span. Kind names the
-// access method or operation ("listio-write", "datasieving-read"). In
-// registered mode the ReqID packs the minting node's index with its own
-// sequence, so request IDs too are independent of shard interleaving.
+// access method or operation ("listio-write", "datasieving-read"). The
+// ReqID packs the minting node's index with its own sequence, so request
+// IDs too are independent of shard interleaving.
 func (t *Tracer) NewRequest(now sim.Time, node, kind string) Span {
 	if t == nil {
 		return Span{}
 	}
-	var req ReqID
-	if t.tables != nil {
-		tab := t.lookup(node)
-		tab.nextReq++
-		if tab.nextReq > localMask {
-			sim.Failf("trace: node %q minted more than %d requests", node, localMask)
-		}
-		req = ReqID(uint32(tab.idx)<<localBits | tab.nextReq)
-	} else {
-		t.nextReq++
-		req = ReqID(t.nextReq)
+	tab := t.lookup(node)
+	tab.nextReq++
+	if tab.nextReq > localMask {
+		sim.Failf("trace: node %q minted more than %d requests", node, localMask)
 	}
+	req := ReqID(uint32(tab.idx)<<localBits | tab.nextReq)
 	return t.open(now, 0, req, node, kind, StageOther)
 }
 
@@ -216,7 +195,7 @@ func (t *Tracer) NewRequest(now sim.Time, node, kind string) Span {
 func (t *Tracer) lookup(node string) *nodeTable {
 	tab := t.tables[node]
 	if tab == nil {
-		sim.Failf("trace: span from unregistered node %q (sharded tracer: register every node and device name up front)", node)
+		sim.Failf("trace: span from unregistered node %q (name every node and device in NewTracer)", node)
 	}
 	return tab
 }
@@ -237,26 +216,31 @@ func (t *Tracer) Start(now sim.Time, ctx Ctx, node, kind string, stage Stage) Sp
 }
 
 func (t *Tracer) open(now sim.Time, parent SpanID, req ReqID, node, kind string, stage Stage) Span {
-	var id SpanID
-	if t.tables != nil {
-		tab := t.lookup(node)
-		local := len(tab.spans) + 1
-		if local > localMask {
-			sim.Failf("trace: node %q recorded more than %d spans", node, localMask)
-		}
-		id = SpanID(uint32(tab.idx)<<localBits | uint32(local))
-		tab.spans = append(tab.spans, SpanRec{
-			ID: id, Parent: parent, Req: req,
-			Node: node, Kind: kind, Stage: stage, Start: now,
-		})
-	} else {
-		id = SpanID(len(t.spans) + 1)
-		t.spans = append(t.spans, SpanRec{
-			ID: id, Parent: parent, Req: req,
-			Node: node, Kind: kind, Stage: stage, Start: now,
-		})
+	tab := t.lookup(node)
+	local := len(tab.spans) + 1
+	if local > localMask {
+		sim.Failf("trace: node %q recorded more than %d spans", node, localMask)
 	}
+	id := SpanID(uint32(tab.idx)<<localBits | uint32(local))
+	tab.spans = append(tab.spans, SpanRec{
+		ID: id, Parent: parent, Req: req,
+		Node: node, Kind: kind, Stage: stage, Start: now,
+	})
 	return Span{t: t, id: id, req: req}
+}
+
+// Instant records something that happened at one moment — a crash, an
+// abort, a fallback decision — as an already-ended zero-length span under
+// ctx (a detached root when ctx is zero), so it shows up in every span view
+// under the request it hit without adding time to any stage.
+func (t *Tracer) Instant(now sim.Time, ctx Ctx, node, kind string, bytes int64, format string, args ...any) {
+	if t == nil {
+		return
+	}
+	r := t.rec(t.open(now, ctx.Span(), ctx.Req(), node, kind, StageOther).id)
+	r.Bytes = bytes
+	r.Attrs = fmt.Sprintf(format, args...)
+	r.End, r.Ended = now, true
 }
 
 // End closes the span at the given virtual time. Ending a span twice is
@@ -328,18 +312,13 @@ func (s Span) Ctx() Ctx {
 // Req returns the span's request ID (zero for detached spans).
 func (s Span) Req() ReqID { return s.req }
 
-// Spans returns the recorded span table. In plain mode this is the
-// tracer's own storage in creation order — callers must not mutate it. In
-// registered mode it is a fresh merged copy in canonical order — sorted
-// by start time, ties broken by node registration index then per-node
-// sequence — which depends only on the workload, never on how a sharded
-// engine interleaved the nodes.
+// Spans returns the recorded spans as a fresh merged copy in canonical
+// order — sorted by start time, ties broken by node registration index
+// then per-node sequence — which depends only on the workload, never on
+// how a sharded engine interleaved the nodes.
 func (t *Tracer) Spans() []SpanRec {
 	if t == nil {
 		return nil
-	}
-	if t.tables == nil {
-		return t.spans
 	}
 	out := make([]SpanRec, 0, t.Len())
 	for _, tab := range t.order {
@@ -357,9 +336,6 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	if t.tables == nil {
-		return len(t.spans)
-	}
 	n := 0
 	for _, tab := range t.order {
 		n += len(tab.spans)
@@ -371,9 +347,6 @@ func (t *Tracer) Len() int {
 func (t *Tracer) Requests() int {
 	if t == nil {
 		return 0
-	}
-	if t.tables == nil {
-		return int(t.nextReq)
 	}
 	n := 0
 	for _, tab := range t.order {

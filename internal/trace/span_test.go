@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -20,6 +21,7 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 		if sp.Recording() {
 			t.Fatal("nil tracer reports Recording")
 		}
+		tr.Instant(2, sp.Ctx(), "cn0", "iod-abort", 0, "reply lost")
 		sp.EndErr(2, nil)
 		root.End(3)
 	})
@@ -31,7 +33,7 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 // TestSpanTree checks parenting, request propagation, and error capture
 // through a small hand-built tree.
 func TestSpanTree(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracer("cn0", "io1")
 	root := tr.NewRequest(100, "cn0", "listio-write")
 	child := tr.Start(110, root.Ctx(), "io1", "srv.dispatch", StageOther)
 	leaf := tr.Start(120, child.Ctx(), "io1", "disk.write", StageDisk)
@@ -68,7 +70,7 @@ func TestSpanTree(t *testing.T) {
 // TestDetachedStart: a Start with zero context records a root with no
 // request ID, excluded from request accounting.
 func TestDetachedStart(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracer("io0")
 	sp := tr.Start(5, 0, "io0", "disk.read", StageDisk)
 	sp.End(9)
 	if got := tr.Requests(); got != 0 {
@@ -80,6 +82,42 @@ func TestDetachedStart(t *testing.T) {
 	p := tr.Profile()
 	if p.Latency.Count != 0 {
 		t.Errorf("detached root counted in request latency: %d", p.Latency.Count)
+	}
+}
+
+// TestInstantIsZeroLengthSpan: an instant lands under the request it hit
+// as an ended zero-length span carrying its bytes and detail, merges into
+// Spans in (start, node, sequence) order, and adds no time to the profile.
+func TestInstantIsZeroLengthSpan(t *testing.T) {
+	tr := NewTracer("cn0", "io1")
+	root := tr.NewRequest(100, "cn0", "listio-write")
+	srv := tr.Start(120, root.Ctx(), "io1", "srv.dispatch", StageOther)
+	tr.Instant(120, root.Ctx(), "cn0", "fallback-pack", 4096, "io%d gather failed %d times", 1, 2)
+	tr.Instant(130, 0, "io1", "iod-crash", 0, "daemon down")
+	srv.End(150)
+	root.End(200)
+
+	spans := tr.Spans()
+	var kinds []string
+	for _, s := range spans {
+		kinds = append(kinds, s.Kind)
+	}
+	// Equal start times break by registration order: cn0 before io1.
+	want := []string{"listio-write", "fallback-pack", "srv.dispatch", "iod-crash"}
+	if !slices.Equal(kinds, want) {
+		t.Fatalf("kinds = %v, want %v", kinds, want)
+	}
+	fb, crash := spans[1], spans[3]
+	if !fb.Ended || fb.Dur() != 0 || fb.Req != root.Req() || fb.Parent != spans[0].ID ||
+		fb.Bytes != 4096 || fb.Attrs != "io1 gather failed 2 times" {
+		t.Errorf("request instant = %+v", fb)
+	}
+	if !crash.Ended || crash.Dur() != 0 || crash.Req != 0 || crash.Parent != 0 {
+		t.Errorf("detached instant = %+v", crash)
+	}
+	p := tr.Profile()
+	if p.TotalNs() != 100 || p.Latency.Count != 1 || p.Latency.Max != 100 {
+		t.Errorf("instants moved the profile: total=%d latency=%+v", p.TotalNs(), p.Latency)
 	}
 }
 
@@ -144,7 +182,7 @@ func TestHistogramMerge(t *testing.T) {
 // TestProfileSelfTime checks the per-stage self-time decomposition: a
 // child's time is subtracted from its parent's stage, not double-counted.
 func TestProfileSelfTime(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracer("cn0")
 	root := tr.NewRequest(0, "cn0", "listio-write") // other
 	reg := tr.Start(10, root.Ctx(), "cn0", "ib.reg", StageReg)
 	pack := tr.Start(15, reg.Ctx(), "cn0", "pvfs.pack", StagePack)
@@ -174,7 +212,7 @@ func TestProfileSelfTime(t *testing.T) {
 // trace-event contract: a displayTimeUnit, process-name metadata, and
 // complete ("X") events with pid/tid/ts/dur on every span.
 func TestPerfettoSchema(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracer("cn0", "io1")
 	root := tr.NewRequest(1000, "cn0", "listio-write")
 	sp := tr.Start(1100, root.Ctx(), "io1", "srv.dispatch", StageOther)
 	sp.SetBytes(64)

@@ -344,11 +344,12 @@ func (c *Cluster) Run(fn func(p *Proc, cl *Client)) error {
 // process; the cluster must not be used afterwards.
 func (c *Cluster) Close() { c.inner.Eng.Shutdown() }
 
-// TraceRecorder is a bounded ring of structured simulation events.
-type TraceRecorder = trace.Recorder
+// Tracer is the request-scoped span tracer: every request's journey
+// through the layers as one span tree on the virtual clock, with fault
+// instants as zero-length spans (see internal/trace).
+type Tracer = trace.Tracer
 
-// EnableTracing attaches an event recorder (request lifecycles, server
-// sieve decisions) keeping the most recent capacity events.
-func (c *Cluster) EnableTracing(capacity int) *TraceRecorder {
-	return c.inner.EnableTracing(capacity)
-}
+// EnableTracing attaches a span tracer to every layer of the cluster and
+// returns it; Spans lists what was recorded, Profile aggregates it, and
+// WritePerfetto exports it. Call before running workloads.
+func (c *Cluster) EnableTracing() *Tracer { return c.inner.EnableSpans() }
