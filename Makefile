@@ -109,20 +109,24 @@ bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test -short .
 
 # bench-go runs the engine microbenchmarks (event turnover, mailbox
-# ping-pong, contended resource, one full Figure 3 cell) with allocation
-# reporting — the numbers the engine-hot-path work is graded on — and the
-# AllocFree tests, which assert 0 allocs/op in steady state for every
-# declared //pvfslint:hotpath root.
+# ping-pong, contended resource, one full Figure 3 cell) and the I/O
+# daemon's data path (the sieve over the ledger's 128-access geometry, a
+# 1 MiB list read end to end) with allocation reporting — B/op on the
+# latter is per-request bookkeeping, never payload — and the AllocFree
+# tests, which assert 0 allocs/op in steady state for every declared
+# //pvfslint:hotpath root and no payload-proportional allocation on the
+# list path.
 bench-go:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim/
-	$(GO) test -run NONE -bench BenchmarkFig3Cell -benchmem ./internal/bench/
-	$(GO) test -run AllocFree -count 1 -v ./internal/bench/
+	$(GO) test -run NONE -bench 'BenchmarkFig3Cell|BenchmarkSieve(Read|Write)128|BenchmarkListRead1MiB' -benchmem ./internal/bench/
+	$(GO) test -run 'AllocFree|AllocIndependentOfPayload' -count 1 -v ./internal/bench/
 	$(GO) test -run TestShardedCellThroughput -count 1 -v ./internal/sim/
 
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFlattenDatatype -fuzztime=30s ./internal/mpiio/
 	$(GO) test -run=NONE -fuzz=FuzzGroupRegions -fuzztime=30s ./internal/ogr/
 	$(GO) test -run=NONE -fuzz=FuzzStrideDetect -fuzztime=30s ./internal/pcache/
+	$(GO) test -run=NONE -fuzz=FuzzSieveModel -fuzztime=30s ./internal/sieve/
 
 clean:
 	rm -f $(BIN)

@@ -11,11 +11,13 @@
 // data sieving.
 //
 // File bytes are really stored, so higher layers can verify data integrity
-// end-to-end.
+// end-to-end. They live in one BlockSize slice per written block, allocated
+// on a block's first write; ReadInto and WriteAt copy between those blocks
+// and the caller's slice and allocate nothing else, and ReadAt is the one
+// call that returns a fresh slice.
 package localfs
 
 import (
-	"container/list"
 	"sort"
 	"time"
 
@@ -160,21 +162,17 @@ func (f *File) blockRange(off, size int64) (first, last int64) {
 	return off / bs, (off + size - 1) / bs
 }
 
-// ReadAt reads up to size bytes at offset off, returning fewer (or none)
-// at end of file, like pread(2). Cache misses on written blocks go to the
-// disk with read-ahead; holes read as zeros without media access.
-func (f *File) ReadAt(p *sim.Proc, off, size int64) []byte {
+// ReadInto reads up to len(dst) bytes at offset off into dst and returns how
+// many it read: fewer (or none) at end of file, like pread(2). Cache misses
+// on written blocks go to the disk with read-ahead; holes read as zeros
+// without media access. Bytes of dst past the count are left untouched.
+func (f *File) ReadInto(p *sim.Proc, off int64, dst []byte) int {
 	fs := f.fs
 	fs.Counters.ReadCalls++
 	p.Sleep(fs.params.CallOverhead)
-	if off >= f.size {
-		return nil
-	}
-	if off+size > f.size {
-		size = f.size - off
-	}
+	size := min(int64(len(dst)), f.size-off)
 	if size <= 0 {
-		return nil
+		return 0
 	}
 	bs := fs.params.BlockSize
 	first, last := f.blockRange(off, size)
@@ -182,10 +180,7 @@ func (f *File) ReadAt(p *sim.Proc, off, size int64) []byte {
 	// Find runs of blocks that must come from the media: written blocks
 	// not present in the cache.
 	for blk := first; blk <= last; {
-		if fs.cache.present(f, blk) || !f.written(blk) {
-			if fs.cache.present(f, blk) {
-				fs.cache.touch(p, f, blk, false)
-			}
+		if fs.cache.hit(f, blk) || !f.written(blk) {
 			blk++
 			continue
 		}
@@ -210,9 +205,17 @@ func (f *File) ReadAt(p *sim.Proc, off, size int64) []byte {
 	// Copy out at cached-read bandwidth.
 	p.Sleep(sim.Duration(float64(size) / fs.params.CachedReadBW * 1e9))
 	fs.Counters.BytesRead += size
+	f.copyOut(off, dst[:size])
+	return int(size)
+}
 
-	out := make([]byte, size)
-	f.copyOut(off, out)
+// ReadAt is ReadInto into a fresh slice of the bytes available, nil at or
+// past end of file.
+func (f *File) ReadAt(p *sim.Proc, off, size int64) []byte {
+	out := make([]byte, max(0, min(size, f.size-off)))
+	if f.ReadInto(p, off, out) == 0 {
+		return nil
+	}
 	return out
 }
 
@@ -244,11 +247,7 @@ func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) {
 
 	f.copyIn(off, data)
 	for blk := first; blk <= last; blk++ {
-		if fs.cache.present(f, blk) {
-			fs.cache.touch(p, f, blk, true)
-		} else {
-			fs.cache.insert(p, f, blk, true)
-		}
+		fs.cache.insert(p, f, blk, true)
 	}
 	if off+size > f.size {
 		f.size = off + size
@@ -340,25 +339,25 @@ func (f *File) copyOut(off int64, dst []byte) {
 			n = copy(dst, b[bo:])
 		} else {
 			// Hole: zeros.
-			n = int(bs - bo)
-			if n > len(dst) {
-				n = len(dst)
-			}
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			n = min(int(bs-bo), len(dst))
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		off += int64(n)
 	}
 }
 
-// pageCache is a global LRU over (file, block) with write-back.
+// pageCache is a global LRU over (file, block) with write-back. Entries live
+// in one slab and link to their LRU neighbours by slab index, with freed
+// slots chained through next, so caching a block costs no heap object of
+// its own.
 type pageCache struct {
-	fs      *FS
-	entries map[cacheKey]*list.Element
-	lru     *list.List // front = most recent
-	bytes   int64
+	fs         *FS
+	index      map[cacheKey]int32
+	ents       []cacheEntry
+	head, tail int32 // most and least recently used; noEntry when empty
+	free       int32 // head of the free-slot chain
+	bytes      int64
 }
 
 type cacheKey struct {
@@ -367,69 +366,118 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	key   cacheKey
-	dirty bool
+	key        cacheKey
+	dirty      bool
+	prev, next int32
 }
 
+const noEntry int32 = -1
+
 func newPageCache(fs *FS) *pageCache {
-	return &pageCache{fs: fs, entries: make(map[cacheKey]*list.Element), lru: list.New()}
+	return &pageCache{fs: fs, index: make(map[cacheKey]int32), head: noEntry, tail: noEntry, free: noEntry}
 }
 
 func (c *pageCache) present(f *File, blk int64) bool {
-	_, ok := c.entries[cacheKey{f, blk}]
+	_, ok := c.index[cacheKey{f, blk}]
 	return ok
 }
 
-// touch promotes an existing entry, optionally marking it dirty.
-func (c *pageCache) touch(p *sim.Proc, f *File, blk int64, dirty bool) {
-	el, ok := c.entries[cacheKey{f, blk}]
-	if !ok {
-		sim.Failf("localfs: touch of uncached block %d of %s", blk, f.name)
+// hit reports whether the block is cached and, if so, promotes it.
+func (c *pageCache) hit(f *File, blk int64) bool {
+	i, ok := c.index[cacheKey{f, blk}]
+	if ok {
+		c.promote(i)
 	}
-	c.lru.MoveToFront(el)
-	if dirty {
-		el.Value.(*cacheEntry).dirty = true
+	return ok
+}
+
+// unlink takes entry i out of the LRU chain.
+func (c *pageCache) unlink(i int32) {
+	e := &c.ents[i]
+	if e.prev == noEntry {
+		c.head = e.next
+	} else {
+		c.ents[e.prev].next = e.next
+	}
+	if e.next == noEntry {
+		c.tail = e.prev
+	} else {
+		c.ents[e.next].prev = e.prev
 	}
 }
 
-// insert adds a block, evicting LRU entries as needed.
+// pushFront links entry i in as the most recently used.
+func (c *pageCache) pushFront(i int32) {
+	e := &c.ents[i]
+	e.prev, e.next = noEntry, c.head
+	if c.head == noEntry {
+		c.tail = i
+	} else {
+		c.ents[c.head].prev = i
+	}
+	c.head = i
+}
+
+func (c *pageCache) promote(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
+// drop removes entry i from the cache without writing it back.
+func (c *pageCache) drop(i int32) {
+	c.unlink(i)
+	delete(c.index, c.ents[i].key)
+	c.ents[i] = cacheEntry{next: c.free}
+	c.free = i
+	c.bytes -= c.fs.params.BlockSize
+}
+
+// insert adds a block or promotes it if already cached, evicting LRU
+// entries as needed; dirty marks it modified either way.
 func (c *pageCache) insert(p *sim.Proc, f *File, blk int64, dirty bool) {
 	key := cacheKey{f, blk}
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
+	if i, ok := c.index[key]; ok {
+		c.promote(i)
 		if dirty {
-			el.Value.(*cacheEntry).dirty = true
+			c.ents[i].dirty = true
 		}
 		return
 	}
 	bs := c.fs.params.BlockSize
-	for c.bytes+bs > c.fs.params.CacheBytes && c.lru.Len() > 0 {
+	for c.bytes+bs > c.fs.params.CacheBytes && c.tail != noEntry {
 		c.evictOne(p)
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, dirty: dirty})
+	i := c.free
+	if i == noEntry {
+		i = int32(len(c.ents))
+		c.ents = append(c.ents, cacheEntry{})
+	} else {
+		c.free = c.ents[i].next
+	}
+	c.ents[i] = cacheEntry{key: key, dirty: dirty}
+	c.index[key] = i
+	c.pushFront(i)
 	c.bytes += bs
 }
 
 func (c *pageCache) evictOne(p *sim.Proc) {
-	el := c.lru.Back()
-	ent := el.Value.(*cacheEntry)
+	ent := c.ents[c.tail]
 	if ent.dirty {
 		bs := c.fs.params.BlockSize
 		c.fs.dsk.Write(p, ent.key.file.mediaOffset(ent.key.blk*bs), bs)
-		ent.dirty = false
 	}
-	c.lru.Remove(el)
-	delete(c.entries, ent.key)
-	c.bytes -= c.fs.params.BlockSize
+	c.drop(c.tail)
 }
 
 // flushFile writes the file's dirty blocks in offset order, coalescing
 // adjacent blocks into single media writes.
 func (c *pageCache) flushFile(p *sim.Proc, f *File) {
 	var dirty []int64
-	for key, el := range c.entries {
-		if key.file == f && el.Value.(*cacheEntry).dirty {
-			dirty = append(dirty, key.blk)
+	for i := c.head; i != noEntry; i = c.ents[i].next {
+		if e := c.ents[i]; e.key.file == f && e.dirty {
+			dirty = append(dirty, e.key.blk)
 		}
 	}
 	if len(dirty) == 0 {
@@ -451,25 +499,27 @@ func (c *pageCache) flushFile(p *sim.Proc, f *File) {
 	}
 	flush(runStart, prev)
 	for _, blk := range dirty {
-		c.entries[cacheKey{f, blk}].Value.(*cacheEntry).dirty = false
+		if i, ok := c.index[cacheKey{f, blk}]; ok {
+			c.ents[i].dirty = false
+		}
 	}
 }
 
 // purgeFile drops every cached block of f without writing dirty data back.
 func (c *pageCache) purgeFile(f *File) {
-	for key, el := range c.entries {
-		if key.file != f {
-			continue
+	for i := c.head; i != noEntry; {
+		next := c.ents[i].next
+		if c.ents[i].key.file == f {
+			c.drop(i)
 		}
-		c.lru.Remove(el)
-		delete(c.entries, key)
-		c.bytes -= c.fs.params.BlockSize
+		i = next
 	}
 }
 
 func (c *pageCache) clear() {
-	c.entries = make(map[cacheKey]*list.Element)
-	c.lru.Init()
+	clear(c.index)
+	c.ents = c.ents[:0]
+	c.head, c.tail, c.free = noEntry, noEntry, noEntry
 	c.bytes = 0
 }
 

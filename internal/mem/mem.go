@@ -291,14 +291,19 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 func (s *AddrSpace) AllocatedPages() int { return len(s.pages) }
 
 // ScratchPool recycles transient byte buffers by power-of-two size class:
-// RDMA gather staging, read responses, and similar copies that live only for
-// one hop. It is not safe for concurrent use; each simulation cell owns its
-// own pool, serialized by the engine's one-process-at-a-time execution.
+// RDMA gather staging, the I/O daemon's request payloads and sieve windows,
+// and similar copies that live only for one hop. It is not safe for
+// concurrent use; each pool belongs to one node (or one engine shard),
+// serialized by the engine's one-process-at-a-time execution. A nil pool is
+// valid: Get allocates and Put discards.
 const (
 	scratchMinBits   = 6  // 64 B smallest class
 	scratchMaxBits   = 26 // 64 MiB largest pooled class
 	scratchClasses   = scratchMaxBits - scratchMinBits + 1
-	scratchClassKeep = 64 // buffers retained per class
+	scratchClassKeep = 64 // buffers retained per class, while they fit scratchClassKeepBytes
+	// scratchClassKeepBytes bounds what one class pins: without it the 64
+	// buffers of the 64 MiB class alone could hold 4 GiB.
+	scratchClassKeepBytes = 64 << 20
 )
 
 type ScratchPool struct {
@@ -318,11 +323,19 @@ func scratchClass(n int) int {
 	return c
 }
 
+// scratchKeep is how many free buffers class c retains.
+func scratchKeep(c int) int {
+	return min(scratchClassKeep, scratchClassKeepBytes>>(scratchMinBits+c))
+}
+
 // Get returns a length-n buffer with undefined contents. Requests beyond the
 // largest class fall back to a plain allocation that Put will decline.
 func (p *ScratchPool) Get(n int) []byte {
 	if n <= 0 {
 		return nil
+	}
+	if p == nil {
+		return make([]byte, n)
 	}
 	p.Gets++
 	if n > 1<<scratchMaxBits {
@@ -341,14 +354,15 @@ func (p *ScratchPool) Get(n int) []byte {
 
 // Put returns a buffer obtained from Get to its size class. Ownership must
 // be unique: recycling a buffer still referenced elsewhere corrupts a later
-// Get. Buffers that are not pool-shaped (wrong capacity) are left to the GC.
+// Get. Buffers that are not pool-shaped (wrong capacity) and buffers beyond
+// the class's retention bound are left to the GC.
 func (p *ScratchPool) Put(b []byte) {
 	c := cap(b)
-	if c < 1<<scratchMinBits || c > 1<<scratchMaxBits || c&(c-1) != 0 {
+	if p == nil || c < 1<<scratchMinBits || c > 1<<scratchMaxBits || c&(c-1) != 0 {
 		return
 	}
 	cl := scratchClass(c)
-	if len(p.classes[cl]) < scratchClassKeep {
+	if len(p.classes[cl]) < scratchKeep(cl) {
 		p.classes[cl] = append(p.classes[cl], b[:0])
 	}
 }

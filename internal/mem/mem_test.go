@@ -282,3 +282,66 @@ func TestPropertyHolesPartitionSpan(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// scratchHits drains what the pool retained for size-n buffers after it was
+// offered offered of them.
+func scratchHits(n, offered int) int64 {
+	var p ScratchPool
+	bufs := make([][]byte, offered)
+	for i := range bufs {
+		bufs[i] = p.Get(n)
+	}
+	for _, b := range bufs {
+		p.Put(b)
+	}
+	for range bufs {
+		p.Get(n)
+	}
+	return p.Hits
+}
+
+func TestScratchPoolRetentionBoundedInBytes(t *testing.T) {
+	for _, tc := range []struct {
+		size, offered int
+		kept          int64
+	}{
+		{1 << 10, 70, 64}, // small classes keep 64 buffers
+		{1 << 20, 70, 64}, // 64 x 1 MiB is exactly the byte bound
+		{4 << 20, 20, 16}, // 4 MiB sieve windows: 64 MiB / 4 MiB
+		{64 << 20, 2, 1},  // the largest class keeps one buffer, not 4 GiB
+	} {
+		if got := scratchHits(tc.size, tc.offered); got != tc.kept {
+			t.Errorf("class of %d B retained %d of %d buffers, want %d", tc.size, got, tc.offered, tc.kept)
+		}
+	}
+}
+
+func TestScratchPoolDeclinesForeignBuffers(t *testing.T) {
+	var p ScratchPool
+	for _, n := range []int{32, 100, 3000, 1<<20 + 1} {
+		p.Put(make([]byte, n)) // capacity is no power of two, or below the smallest class
+	}
+	p.Put(make([]byte, 128<<20)) // beyond the largest class
+	for _, n := range []int{32, 100, 3000, 1<<20 + 1} {
+		p.Get(n)
+	}
+	if p.Hits != 0 || p.Gets != 4 {
+		t.Errorf("foreign buffers were recycled: gets %d hits %d", p.Gets, p.Hits)
+	}
+	b := p.Get(100)
+	p.Put(b)
+	if got := p.Get(70); p.Hits != 1 || len(got) != 70 || cap(got) != 128 {
+		t.Errorf("own buffer not recycled: hits %d len %d cap %d", p.Hits, len(got), cap(got))
+	}
+}
+
+func TestNilScratchPoolAllocates(t *testing.T) {
+	var p *ScratchPool
+	if b := p.Get(100); len(b) != 100 {
+		t.Errorf("nil pool Get(100) has length %d", len(b))
+	}
+	p.Put(make([]byte, 64))
+	if p.Get(0) != nil {
+		t.Error("Get(0) should be nil")
+	}
+}

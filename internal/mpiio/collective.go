@@ -66,7 +66,7 @@ func splitByOwner(memSegs []ib.SGE, fileAccs []pvfs.OffLen, doms []pvfs.OffLen) 
 	}
 	err := forEachPiece(memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
 		// A piece may straddle domain boundaries; cut it.
-		si, so := 0, int64(0)
+		cur := memCursor{segs: segs}
 		off := acc.Off
 		remaining := acc.Len
 		for remaining > 0 {
@@ -74,25 +74,8 @@ func splitByOwner(memSegs []ib.SGE, fileAccs []pvfs.OffLen, doms []pvfs.OffLen) 
 			if owner < 0 {
 				return fmt.Errorf("mpiio: offset %d outside global extent", off)
 			}
-			n := doms[owner].End() - off
-			if n > remaining {
-				n = remaining
-			}
-			var frags []ib.SGE
-			need := n
-			for need > 0 {
-				seg := segs[si]
-				take := seg.Len - so
-				if take > need {
-					take = need
-				}
-				frags = append(frags, ib.SGE{Addr: seg.Addr + mem.Addr(so), Len: take})
-				so += take
-				if so == seg.Len {
-					si, so = si+1, 0
-				}
-				need -= take
-			}
+			n := min(doms[owner].End()-off, remaining)
+			frags := cur.take(nil, n)
 			owned[owner] = append(owned[owner], pieceRef{off: off, length: n, frags: frags})
 			off += n
 			remaining -= n
@@ -139,6 +122,13 @@ func (f *File) ensureTPBuf(n int64) mem.Addr {
 	return f.tpBuf
 }
 
+// putAll returns a round's exchange buffers to the rank's pool.
+func (f *File) putAll(bufs [][]byte) {
+	for _, b := range bufs {
+		f.scratch.Put(b)
+	}
+}
+
 // clipToExtent cuts the aligned streams down to the pieces intersecting
 // [lo, hi), preserving byte order.
 func clipToExtent(memSegs []ib.SGE, fileAccs []pvfs.OffLen, lo, hi int64) ([]ib.SGE, []pvfs.OffLen, error) {
@@ -157,24 +147,9 @@ func clipToExtent(memSegs []ib.SGE, fileAccs []pvfs.OffLen, lo, hi int64) ([]ib.
 			return nil
 		}
 		outAccs = append(outAccs, pvfs.OffLen{Off: cutLo, Len: cutHi - cutLo})
-		skip := cutLo - acc.Off
-		need := cutHi - cutLo
-		for _, s := range segs {
-			if need <= 0 {
-				break
-			}
-			if skip >= s.Len {
-				skip -= s.Len
-				continue
-			}
-			take := s.Len - skip
-			if take > need {
-				take = need
-			}
-			outSegs = append(outSegs, ib.SGE{Addr: s.Addr + mem.Addr(skip), Len: take})
-			need -= take
-			skip = 0
-		}
+		cur := memCursor{segs: segs}
+		cur.skip(cutLo - acc.Off)
+		outSegs = cur.take(outSegs, cutHi-cutLo)
 		return nil
 	})
 	return outSegs, outAccs, err
@@ -225,22 +200,29 @@ func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pv
 	}
 	cfgIB := f.client.Cluster().Cfg.IB
 
-	// Exchange phase: encode (off, len, data) pieces per owner.
+	// Exchange phase: encode (off, len, data) pieces per owner, each owner's
+	// message sized up front and filled in place. Messages are copied on
+	// send, and this rank's own passes through got, so they go back to the
+	// pool when the round is over.
 	parts := make([][]byte, f.rank.Size())
+	defer f.putAll(parts)
 	var packed int64
 	for owner, pieces := range owned {
-		var buf []byte
+		size := 0
 		for _, pc := range pieces {
-			var hdr [16]byte
-			binary.LittleEndian.PutUint64(hdr[:], uint64(pc.off))
-			binary.LittleEndian.PutUint64(hdr[8:], uint64(pc.length))
-			buf = append(buf, hdr[:]...)
+			size += 16 + int(pc.length)
+		}
+		buf := f.scratch.Get(size)
+		at := int64(0)
+		for _, pc := range pieces {
+			binary.LittleEndian.PutUint64(buf[at:], uint64(pc.off))
+			binary.LittleEndian.PutUint64(buf[at+8:], uint64(pc.length))
+			at += 16
 			for _, s := range pc.frags {
-				b, err := f.client.Space().Read(s.Addr, s.Len)
-				if err != nil {
+				if err := f.client.Space().ReadInto(s.Addr, buf[at:at+s.Len]); err != nil {
 					return err
 				}
-				buf = append(buf, b...)
+				at += s.Len
 			}
 			packed += pc.length
 		}
@@ -374,6 +356,7 @@ func (f *File) collectiveReadRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvf
 		}
 	}
 	replies := make([][]byte, f.rank.Size())
+	defer f.putAll(replies)
 	if rHi > rLo {
 		buf := f.ensureTPBuf(rHi - rLo)
 		if err := f.fh.Read(p, buf, rHi-rLo, rLo, pvfs.OpOptions{Sieve: sieve.Never}); err != nil {
@@ -381,15 +364,19 @@ func (f *File) collectiveReadRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvf
 		}
 		var carved int64
 		for src, pieces := range perSrc {
-			var out []byte
+			size := int64(0)
 			for _, pc := range pieces {
-				b, err := f.client.Space().Read(buf+mem.Addr(pc.off-rLo), pc.length)
-				if err != nil {
+				size += pc.length
+			}
+			out := f.scratch.Get(int(size))
+			at := int64(0)
+			for _, pc := range pieces {
+				if err := f.client.Space().ReadInto(buf+mem.Addr(pc.off-rLo), out[at:at+pc.length]); err != nil {
 					return err
 				}
-				out = append(out, b...)
-				carved += pc.length
+				at += pc.length
 			}
+			carved += size
 			replies[src] = out
 		}
 		p.Sleep(cfgIB.MemcpyTime(carved))

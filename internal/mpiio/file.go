@@ -73,6 +73,9 @@ type File struct {
 	// cbWindow overrides the per-rank collective buffering window
 	// (ROMIO's cb_buffer_size); zero means the default.
 	cbWindow int64
+	// scratch holds the two-phase exchange buffers between rounds; only
+	// this rank touches it.
+	scratch mem.ScratchPool
 
 	// cache, when non-nil, is the client-side page cache the independent
 	// list methods route through (see EnableCache).
@@ -270,31 +273,52 @@ func (f *File) readMethod(p *sim.Proc, method Method, memSegs []ib.SGE, fileAccs
 	return fmt.Errorf("mpiio: unknown method %d", method)
 }
 
+// memCursor walks a stream of memory segments front to back.
+type memCursor struct {
+	segs []ib.SGE
+	so   int64 // bytes of segs[0] already passed
+}
+
+// next steps past the rest of the current segment, or n bytes of it if that
+// is less, and returns what it passed.
+func (c *memCursor) next(n int64) ib.SGE {
+	seg := c.segs[0]
+	frag := ib.SGE{Addr: seg.Addr + mem.Addr(c.so), Len: min(seg.Len-c.so, n)}
+	if c.so += frag.Len; c.so == seg.Len {
+		c.segs, c.so = c.segs[1:], 0
+	}
+	return frag
+}
+
+// skip steps past the next n bytes.
+func (c *memCursor) skip(n int64) {
+	for n > 0 {
+		n -= c.next(n).Len
+	}
+}
+
+// take steps past the next n bytes and appends their fragments to dst.
+func (c *memCursor) take(dst []ib.SGE, n int64) []ib.SGE {
+	for n > 0 {
+		frag := c.next(n)
+		dst = append(dst, frag)
+		n -= frag.Len
+	}
+	return dst
+}
+
 // forEachPiece walks the two aligned streams and yields, for every file
-// region, the memory fragments carrying its bytes.
+// region, the memory fragments carrying its bytes. The fragment slice is
+// reused from one region to the next: fn must not retain it.
 func forEachPiece(memSegs []ib.SGE, fileAccs []pvfs.OffLen, fn func(acc pvfs.OffLen, segs []ib.SGE) error) error {
 	if ib.TotalLen(memSegs) != pvfs.TotalOffLen(fileAccs) {
 		return fmt.Errorf("mpiio: memory bytes (%d) != file bytes (%d)",
 			ib.TotalLen(memSegs), pvfs.TotalOffLen(fileAccs))
 	}
-	si := 0
-	var so int64
+	cur := memCursor{segs: memSegs}
+	var frag []ib.SGE
 	for _, acc := range fileAccs {
-		var frag []ib.SGE
-		need := acc.Len
-		for need > 0 {
-			seg := memSegs[si]
-			take := seg.Len - so
-			if take > need {
-				take = need
-			}
-			frag = append(frag, ib.SGE{Addr: seg.Addr + mem.Addr(so), Len: take})
-			so += take
-			if so == seg.Len {
-				si, so = si+1, 0
-			}
-			need -= take
-		}
+		frag = cur.take(frag[:0], acc.Len)
 		if err := fn(acc, frag); err != nil {
 			return err
 		}
@@ -331,61 +355,37 @@ func (f *File) dsRead(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen) err
 		return fmt.Errorf("mpiio: memory bytes != file bytes")
 	}
 	lo, hi := extentOf(fileAccs)
-	cfgIB := f.client.Cluster().Cfg.IB
+	space, cfgIB := f.client.Space(), f.client.Cluster().Cfg.IB
+	// Regions before first end at or below the current window; at is where
+	// first's bytes start in memory. The next window resumes from there.
+	first, at := 0, memCursor{segs: memSegs}
 	for winLo := lo; winLo < hi; winLo += f.dsBufSize {
-		winHi := winLo + f.dsBufSize
-		if winHi > hi {
-			winHi = hi
-		}
+		winHi := min(winLo+f.dsBufSize, hi)
 		if err := f.fh.Read(p, f.dsBuf, winHi-winLo, winLo, pvfs.OpOptions{Sieve: sieve.Never}); err != nil {
 			return err
 		}
 		// Extract every piece that overlaps this window.
-		err := forEachPiece(memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
-			aLo, aHi := acc.Off, acc.End()
-			if aHi <= winLo || aLo >= winHi {
-				return nil
+		cur := at
+		for i := first; i < len(fileAccs); i++ {
+			acc := fileAccs[i]
+			if acc.End() <= winLo || acc.Off >= winHi {
+				cur.skip(acc.Len)
+			} else {
+				pLo, pHi := max(acc.Off, winLo), min(acc.End(), winHi)
+				p.Sleep(cfgIB.MemcpyTime(pHi - pLo))
+				cur.skip(pLo - acc.Off)
+				for src := pLo; src < pHi; {
+					frag := cur.next(pHi - src)
+					if err := space.Copy(frag.Addr, f.dsBuf+mem.Addr(src-winLo), frag.Len); err != nil {
+						return err
+					}
+					src += frag.Len
+				}
+				cur.skip(acc.End() - pHi)
 			}
-			cut := func(x int64) int64 { // clamp into window
-				if x < winLo {
-					return winLo
-				}
-				if x > winHi {
-					return winHi
-				}
-				return x
+			if i == first && acc.End() <= winHi {
+				first, at = i+1, cur
 			}
-			pLo, pHi := cut(aLo), cut(aHi)
-			data, err := f.client.Space().Read(f.dsBuf+mem.Addr(pLo-winLo), pHi-pLo)
-			if err != nil {
-				return err
-			}
-			p.Sleep(cfgIB.MemcpyTime(pHi - pLo))
-			// Walk this access's memory fragments, skipping bytes
-			// before pLo.
-			skip := pLo - aLo
-			for _, s := range segs {
-				if len(data) == 0 {
-					break
-				}
-				if skip >= s.Len {
-					skip -= s.Len
-					continue
-				}
-				n := s.Len - skip
-				if n > int64(len(data)) {
-					n = int64(len(data))
-				}
-				if err := f.client.Space().Write(s.Addr+mem.Addr(skip), data[:n]); err != nil {
-					return err
-				}
-				data = data[n:]
-				skip = 0
-			}
-			return nil
-		})
-		if err != nil {
-			return err
 		}
 	}
 	return nil

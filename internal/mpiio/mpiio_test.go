@@ -173,7 +173,7 @@ func TestForEachPieceAlignment(t *testing.T) {
 	accs := []pvfs.OffLen{{Off: 0, Len: 50}, {Off: 100, Len: 50}}
 	var pieces [][]ib.SGE
 	err := forEachPiece(segs, accs, func(acc pvfs.OffLen, frag []ib.SGE) error {
-		pieces = append(pieces, frag)
+		pieces = append(pieces, append([]ib.SGE(nil), frag...)) // frag is reused
 		return nil
 	})
 	if err != nil {

@@ -570,13 +570,13 @@ func (c *Client) writeChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chun
 	if cl.Cfg.Wire == WireStream {
 		// Stream sockets: the payload rides in the request. The gather
 		// into the socket is one user-to-kernel copy.
-		data := make([]byte, 0, ch.total)
+		data := make([]byte, ch.total) // owned by the request from here on
+		off := int64(0)
 		for _, s := range ch.segs {
-			b, err := c.space.Read(s.Addr, s.Len)
-			if err != nil {
+			if err := c.space.ReadInto(s.Addr, data[off:off+s.Len]); err != nil {
 				return fmt.Errorf("pvfs: stream gather: %w", err)
 			}
-			data = append(data, b...)
+			off += s.Len
 		}
 		c.cpuCopy(p, "pvfs.pack", ch.total, cl.Cfg.IB.MemcpyTime(ch.total)+cl.Cfg.StreamOverhead)
 		req.Stream = true
@@ -593,18 +593,14 @@ func (c *Client) writeChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chun
 	if pack {
 		// Pack the user segments into the Fast-RDMA buffer (one copy),
 		// push it, then send the request.
-		packed := make([]byte, 0, ch.total)
+		dst := conn.fastBuf.Addr
 		for _, s := range ch.segs {
-			b, err := c.space.Read(s.Addr, s.Len)
-			if err != nil {
+			if err := c.space.Copy(dst, s.Addr, s.Len); err != nil {
 				return fmt.Errorf("pvfs: pack gather: %w", err)
 			}
-			packed = append(packed, b...)
+			dst += mem.Addr(s.Len)
 		}
 		c.cpuCopy(p, "pvfs.pack", ch.total, cl.Cfg.IB.MemcpyTime(ch.total))
-		if err := c.space.Write(conn.fastBuf.Addr, packed); err != nil {
-			return err
-		}
 		if err := conn.qp.RDMAWrite(p, []ib.SGE{{Addr: conn.fastBuf.Addr, Len: ch.total}}, conn.srvAddr, conn.srvKey); err != nil {
 			return fmt.Errorf("pvfs: pack push: %w", err)
 		}
@@ -680,16 +676,13 @@ func (c *Client) readChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chunk
 			return err
 		}
 		// Unpack into the user segments (one copy).
-		data, err := c.space.Read(conn.fastBuf.Addr, ch.total)
-		if err != nil {
-			return err
-		}
 		c.cpuCopy(p, "pvfs.unpack", ch.total, cl.Cfg.IB.MemcpyTime(ch.total))
+		src := conn.fastBuf.Addr
 		for _, s := range ch.segs {
-			if err := c.space.Write(s.Addr, data[:s.Len]); err != nil {
+			if err := c.space.Copy(s.Addr, src, s.Len); err != nil {
 				return fmt.Errorf("pvfs: unpack scatter: %w", err)
 			}
-			data = data[s.Len:]
+			src += mem.Addr(s.Len)
 		}
 		return nil
 	}

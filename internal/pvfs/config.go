@@ -234,14 +234,9 @@ func ConventionalConfig() Config {
 	return cfg
 }
 
-// OffLen is one contiguous file region.
-type OffLen struct {
-	Off int64
-	Len int64
-}
-
-// End returns the first offset past the region.
-func (o OffLen) End() int64 { return o.Off + o.Len }
+// OffLen is one contiguous file region: the same type end to end, so a
+// request's region list reaches the daemon's sieve as it left the client.
+type OffLen = sieve.Access
 
 // TotalOffLen sums the lengths of a region list.
 func TotalOffLen(accs []OffLen) int64 {

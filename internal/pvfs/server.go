@@ -30,6 +30,10 @@ type Server struct {
 	sieveParams sieve.Params
 	// SieveStats accumulates the daemon's data sieving decisions.
 	SieveStats sieve.Stats
+	// scratch holds the daemon's request payloads between the staging pages
+	// and the file, and the sieve's windows. Only this server's group
+	// touches it.
+	scratch mem.ScratchPool
 
 	// ioMu serializes the file-access phase of request processing: the
 	// PVFS I/O daemon is single-threaded, so local file operations from
@@ -92,6 +96,7 @@ func newServer(c *Cluster, idx int) *Server {
 	sim.Must(err)
 	s.staging = staging
 	s.sieveParams = sieve.ModelFromFS(s.fs, c.Cfg.IB.MemcpyBandwidth)
+	s.sieveParams.Pool = &s.scratch
 	return s
 }
 
@@ -271,6 +276,16 @@ func (sc *serverConn) waitDone(p *sim.Proc, seq int64, write bool) (ok bool, pen
 	}
 }
 
+// unstage copies a request's payload out of the daemon's address space into
+// a scratch buffer the caller must Put back.
+func (s *Server) unstage(addr mem.Addr, n int64) []byte {
+	data := s.scratch.Get(int(n))
+	if err := s.space.ReadInto(addr, data); err != nil {
+		sim.Failf("pvfs: server %d: staged payload read: %v", s.idx, err)
+	}
+	return data
+}
+
 func (sc *serverConn) handleWrite(p *sim.Proc, req *reqWrite) (next any) {
 	s := sc.srv
 	f := s.file(p, req.FileID)
@@ -283,11 +298,7 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *reqWrite) (next any) {
 		data = req.Data
 	} else if req.SchemePack {
 		// Data already landed in the connection receive buffer.
-		b, err := s.space.Read(sc.recvBuf.Addr, req.Total)
-		if err != nil {
-			sim.Failf("pvfs: server %d: pack buffer read: %v", s.idx, err)
-		}
-		data = b
+		data = s.unstage(sc.recvBuf.Addr, req.Total)
 	} else {
 		// Rendezvous: hand the client a staging buffer, wait for the
 		// completion notice, then pull the bytes out of it.
@@ -303,16 +314,16 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *reqWrite) (next any) {
 			sc.abort(p, "write", req.Seq, "rendezvous expired")
 			return pending
 		}
-		b, err := s.space.Read(buf.Addr, req.Total)
-		if err != nil {
-			sim.Failf("pvfs: server %d: staging read: %v", s.idx, err)
-		}
-		data = b
+		data = s.unstage(buf.Addr, req.Total)
 		buf.Put()
 	}
 	s.acquireIO(p)
-	sieve.Write(p, f, toSieveAccs(req.Accs), data, s.sieveParams, req.Sieve, &s.SieveStats)
+	sieve.Write(p, f, req.Accs, data, s.sieveParams, req.Sieve, &s.SieveStats)
 	s.releaseIO(p)
+	if !req.Stream {
+		// The message owns a stream payload; everything else was unstaged.
+		s.scratch.Put(data)
+	}
 	if !sc.send(p, smallReplyBytes, &respWrite{Seq: req.Seq}) {
 		sc.abort(p, "write", req.Seq, "write reply lost")
 	}
@@ -323,7 +334,14 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *reqRead) (next any) {
 	s := sc.srv
 	f := s.file(p, req.FileID)
 	s.acquireIO(p)
-	data, _ := sieve.Read(p, f, toSieveAccs(req.Accs), s.sieveParams, req.Sieve, &s.SieveStats)
+	var data []byte
+	if req.Stream {
+		// The reply owns a stream payload from here on, so it is not scratch.
+		data = make([]byte, req.Total)
+	} else {
+		data = s.scratch.Get(int(req.Total))
+	}
+	sieve.ReadInto(p, f, req.Accs, data, s.sieveParams, req.Sieve, &s.SieveStats)
 	s.releaseIO(p)
 	if req.Stream {
 		// Stream sockets: payload rides in the reply (user-to-kernel copy).
@@ -339,6 +357,7 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *reqRead) (next any) {
 	if err := s.space.Write(buf.Addr, data); err != nil {
 		sim.Failf("pvfs: server %d: staging write: %v", s.idx, err)
 	}
+	s.scratch.Put(data) // before the first step that can abort
 	if req.SchemePack {
 		// Push the packed bytes straight into the client's buffer. The
 		// target is the connection's statically registered fast buffer, so
@@ -374,12 +393,4 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *reqRead) (next any) {
 		return pending
 	}
 	return nil
-}
-
-func toSieveAccs(accs []OffLen) []sieve.Access {
-	out := make([]sieve.Access, len(accs))
-	for i, a := range accs {
-		out[i] = sieve.Access{Off: a.Off, Len: a.Len}
-	}
-	return out
 }

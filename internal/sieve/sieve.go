@@ -14,12 +14,19 @@
 // It is deliberately conservative: bandwidths are the *uncached* disk
 // curves, so when sieving is chosen it is almost certainly beneficial once
 // caching helps further.
+//
+// Payload moves between the file and the caller's buffer: ReadInto and Write
+// allocate per request only what planWindows needs (one entry per access),
+// and take each sieve or read-modify-write window from Params.Pool. Read is
+// the one call that returns a fresh payload-sized slice.
 package sieve
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"pvfsib/internal/localfs"
+	"pvfsib/internal/mem"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/trace"
 )
@@ -48,6 +55,10 @@ type Params struct {
 	// MaxBuffer caps the sieve staging buffer; larger spans are split
 	// into windows decided independently.
 	MaxBuffer int64
+	// Pool, when set, supplies the window buffers; nil allocates one per
+	// window. Pool buffers arrive with stale contents, which is why every
+	// window is zero-filled past what the file returned.
+	Pool *mem.ScratchPool
 
 	// Tracer, when set, records one span per window carrying the cost
 	// model's verdict; Node labels those spans with the serving daemon.
@@ -105,40 +116,45 @@ type Stats struct {
 	WantedBytes int64 // bytes the client actually asked for (S_req)
 }
 
+// placed is one access with the offset of its bytes in the request payload
+// (the accesses' bytes concatenated in request order).
+type placed struct {
+	Access
+	pos int64
+}
+
 // window is a run of accesses whose span fits the staging buffer.
 type window struct {
-	accs []Access // sorted by offset
+	accs []placed // sorted by offset
 	span Access
 }
 
 // planWindows sorts accesses and greedily packs them into spans of at most
-// maxBuffer bytes. Unbounded maxBuffer yields a single window.
+// maxBuffer bytes. Unbounded maxBuffer yields a single window. Equal
+// accesses stay in request order, so of duplicate writes the last one wins.
 func planWindows(accs []Access, maxBuffer int64) []window {
-	sorted := make([]Access, len(accs))
-	copy(sorted, accs)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Off != sorted[j].Off {
-			return sorted[i].Off < sorted[j].Off
-		}
-		return sorted[i].Len < sorted[j].Len
+	sorted := make([]placed, len(accs))
+	var pos int64
+	for i, a := range accs {
+		sorted[i] = placed{a, pos}
+		pos += a.Len
+	}
+	slices.SortFunc(sorted, func(a, b placed) int {
+		return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len), cmp.Compare(a.pos, b.pos))
 	})
 	var wins []window
-	cur := window{accs: sorted[:1], span: sorted[0]}
-	for _, a := range sorted[1:] {
-		end := a.End()
-		if cur.span.End() > end {
-			end = cur.span.End()
-		}
-		if maxBuffer > 0 && end-cur.span.Off > maxBuffer && len(cur.accs) > 0 {
-			wins = append(wins, cur)
-			cur = window{accs: []Access{a}, span: a}
+	start, span := 0, sorted[0].Access
+	for i := 1; i < len(sorted); i++ {
+		a := sorted[i].Access
+		end := max(a.End(), span.End())
+		if maxBuffer > 0 && end-span.Off > maxBuffer {
+			wins = append(wins, window{sorted[start:i], span})
+			start, span = i, a
 			continue
 		}
-		cur.accs = append(cur.accs, a)
-		cur.span.Len = end - cur.span.Off
+		span.Len = end - span.Off
 	}
-	wins = append(wins, cur)
-	return wins
+	return append(wins, window{sorted[start:], span})
 }
 
 // decide evaluates the cost model for one window.
@@ -174,9 +190,39 @@ func xferTime(size int64, bw float64) sim.Duration {
 	return sim.Duration(float64(size) / bw * 1e9)
 }
 
-// Read services the accesses against the file, returning the wanted bytes
-// concatenated in the order the accesses were given (reads past end of file
-// return zeros). The returned decisions describe each window.
+// ReadInto services the accesses against the file, filling dst with the
+// wanted bytes concatenated in the order the accesses were given (reads past
+// end of file return zeros); dst must be as long as the accesses together.
+// The returned decisions describe each window.
+func ReadInto(p *sim.Proc, f *localfs.File, accs []Access, dst []byte, params Params, mode Mode, stats *Stats) []Decision {
+	if len(accs) == 0 {
+		return nil
+	}
+	var decisions []Decision
+	for _, w := range planWindows(accs, params.MaxBuffer) {
+		d := params.decide(w, false)
+		applyMode(&d, mode)
+		decisions = append(decisions, d)
+		record(stats, d)
+		sp := startWindowSpan(p, params, d)
+		if d.UseSieve {
+			buf := params.Pool.Get(int(w.span.Len))
+			readPadded(p, f, w.span.Off, buf)
+			for _, a := range w.accs {
+				copy(dst[a.pos:a.pos+a.Len], buf[a.Off-w.span.Off:])
+			}
+			params.Pool.Put(buf)
+		} else {
+			for _, a := range w.accs {
+				readPadded(p, f, a.Off, dst[a.pos:a.pos+a.Len])
+			}
+		}
+		sp.End(p.Now())
+	}
+	return decisions
+}
+
+// Read is ReadInto into a fresh slice.
 func Read(p *sim.Proc, f *localfs.File, accs []Access, params Params, mode Mode, stats *Stats) ([]byte, []Decision) {
 	if len(accs) == 0 {
 		return nil, nil
@@ -186,36 +232,7 @@ func Read(p *sim.Proc, f *localfs.File, accs []Access, params Params, mode Mode,
 		total += a.Len
 	}
 	out := make([]byte, total)
-	// Offsets of each access's slice in out, in original order.
-	pos := make(map[Access][]int64)
-	cursor := int64(0)
-	for _, a := range accs {
-		pos[a] = append(pos[a], cursor)
-		cursor += a.Len
-	}
-
-	var decisions []Decision
-	for _, w := range planWindows(accs, params.MaxBuffer) {
-		d := params.decide(w, false)
-		applyMode(&d, mode)
-		decisions = append(decisions, d)
-		record(stats, d)
-		sp := startWindowSpan(p, params, d)
-		if d.UseSieve {
-			buf := readPadded(p, f, w.span.Off, w.span.Len)
-			for _, a := range w.accs {
-				piece := buf[a.Off-w.span.Off : a.End()-w.span.Off]
-				placePiece(out, pos, a, piece)
-			}
-		} else {
-			for _, a := range w.accs {
-				piece := readPadded(p, f, a.Off, a.Len)
-				placePiece(out, pos, a, piece)
-			}
-		}
-		sp.End(p.Now())
-	}
-	return out, decisions
+	return out, ReadInto(p, f, accs, out, params, mode, stats)
 }
 
 // Write services the accesses with the given data (concatenated in access
@@ -225,28 +242,6 @@ func Write(p *sim.Proc, f *localfs.File, accs []Access, data []byte, params Para
 	if len(accs) == 0 {
 		return nil
 	}
-	// Slice data into per-access pieces in the original order.
-	pieces := make([][]byte, len(accs))
-	cursor := int64(0)
-	for i, a := range accs {
-		pieces[i] = data[cursor : cursor+a.Len]
-		cursor += a.Len
-	}
-	// Sorting inside planWindows loses the original order, so key pieces
-	// by access; duplicates consume pieces FIFO.
-	queue := make(map[Access][][]byte)
-	order := make([]Access, len(accs))
-	copy(order, accs)
-	for i, a := range order {
-		queue[a] = append(queue[a], pieces[i])
-	}
-	take := func(a Access) []byte {
-		q := queue[a]
-		piece := q[0]
-		queue[a] = q[1:]
-		return piece
-	}
-
 	var decisions []Decision
 	for _, w := range planWindows(accs, params.MaxBuffer) {
 		d := params.decide(w, true)
@@ -256,16 +251,18 @@ func Write(p *sim.Proc, f *localfs.File, accs []Access, data []byte, params Para
 		sp := startWindowSpan(p, params, d)
 		if d.UseSieve {
 			f.Lock(p, w.span.Off, w.span.Len)
-			buf := readPadded(p, f, w.span.Off, w.span.Len)
+			buf := params.Pool.Get(int(w.span.Len))
+			readPadded(p, f, w.span.Off, buf)
 			for _, a := range w.accs {
-				copy(buf[a.Off-w.span.Off:a.End()-w.span.Off], take(a))
+				copy(buf[a.Off-w.span.Off:], data[a.pos:a.pos+a.Len])
 			}
 			p.Sleep(xferTime(d.Wanted, params.Bmem)) // modify phase
 			f.WriteAt(p, w.span.Off, buf)
 			f.Unlock(p, w.span.Off, w.span.Len)
+			params.Pool.Put(buf)
 		} else {
 			for _, a := range w.accs {
-				f.WriteAt(p, a.Off, take(a))
+				f.WriteAt(p, a.Off, data[a.pos:a.pos+a.Len])
 			}
 		}
 		sp.End(p.Now())
@@ -309,22 +306,10 @@ func record(stats *Stats, d Decision) {
 	}
 }
 
-// readPadded reads [off, off+size), zero-padding past end of file so sieve
-// extraction arithmetic stays simple.
-func readPadded(p *sim.Proc, f *localfs.File, off, size int64) []byte {
-	got := f.ReadAt(p, off, size)
-	if int64(len(got)) == size {
-		return got
-	}
-	out := make([]byte, size)
-	copy(out, got)
-	return out
-}
-
-// placePiece copies the piece into every output slot for the access;
-// duplicate accesses receive identical bytes, so this is idempotent.
-func placePiece(out []byte, pos map[Access][]int64, a Access, piece []byte) {
-	for _, s := range pos[a] {
-		copy(out[s:s+a.Len], piece)
-	}
+// readPadded fills dst from the file at off, zeroing whatever lies past end
+// of file: sieve extraction arithmetic stays simple, and a pooled dst's
+// stale bytes can reach neither the caller nor, through a read-modify-write
+// window that extends the file, the disk.
+func readPadded(p *sim.Proc, f *localfs.File, off int64, dst []byte) {
+	clear(dst[f.ReadInto(p, off, dst):])
 }
