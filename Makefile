@@ -108,8 +108,11 @@ metrics-smoke:
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test -short .
 
-# bench-go runs the engine microbenchmarks (event turnover, mailbox
-# ping-pong, contended resource, one full Figure 3 cell) and the I/O
+# bench-go runs the engine microbenchmarks (event turnover, the process
+# switch in its four shapes — self-waking Sleep, mailbox ping-pong,
+# contended resource, spawn on a reused carrier — one full Figure 3 cell;
+# TestSwitchAllocFree in the package's tests holds the first three to 0
+# allocs/op) and the I/O
 # daemon's data path (the sieve over the ledger's 128-access geometry, a
 # 1 MiB list read end to end) with allocation reporting — B/op on the
 # latter is per-request bookkeeping, never payload — and the AllocFree

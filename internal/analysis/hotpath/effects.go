@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 
+	"pvfsib/internal/analysis"
 	"pvfsib/internal/analysis/callgraph"
 )
 
@@ -286,47 +287,67 @@ func intrinsicEffect(fn *types.Func) (Kind, string, bool) {
 			// sort boxes through sort.Interface / allocates scratch.
 			return KindAlloc, qual, true
 		}
-	case "container/heap":
-		if name == "Push" {
-			return KindAlloc, "heap.Push (boxes the pushed value)", true
-		}
 	}
 	return 0, "", false
 }
 
-// heapTargets devirtualizes container/heap helpers: heap.Push(h, x) calls
-// h's Push/Len/Less/Swap, so the implementor's methods — if they are in the
-// analyzed program — propagate their summaries through the stdlib call.
-func (h *hot) heapTargets(n *callgraph.Node, c callgraph.Call) []string {
-	if c.Static == nil || c.Static.Pkg() == nil || c.Static.Pkg().Path() != "container/heap" {
-		return nil
+// exprObj returns the object an identifier or selector expression names.
+func exprObj(info *types.Info, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return info.ObjectOf(e)
+	case *ast.SelectorExpr:
+		return info.ObjectOf(e.Sel)
 	}
-	switch c.Static.Name() {
-	case "Init", "Push", "Pop", "Fix", "Remove":
-	default:
-		return nil
-	}
-	call, ok := c.Site.(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return nil
-	}
-	tv, ok := n.Info.Types[call.Args[0]]
-	if !ok || tv.Type == nil {
-		return nil
-	}
-	var ids []string
-	mset := types.NewMethodSet(tv.Type)
-	for _, m := range []string{"Len", "Less", "Swap", "Push", "Pop"} {
-		for i := 0; i < mset.Len(); i++ {
-			if fn, ok := mset.At(i).Obj().(*types.Func); ok && fn.Name() == m {
-				id := callgraph.IDOf(fn)
-				if h.prog.Node(id) != nil {
-					ids = append(ids, id)
-				}
-			}
+	return nil
+}
+
+// coroHandles finds the package's coroutine handles: variables and fields
+// holding a func value obtained from iter.Pull — its next and stop results,
+// the yield parameter of the function it was given, and copies of those.
+// Calling one suspends the caller until the other side switches back.
+func coroHandles(pass *analysis.Pass) map[types.Object]bool {
+	info := pass.TypesInfo
+	handles := make(map[types.Object]bool)
+	mark := func(obj types.Object) {
+		if obj != nil { // _, or an element of something
+			handles[obj] = true
 		}
 	}
-	return ids
+	assigns := func(visit func(*ast.AssignStmt)) {
+		for _, f := range pass.Files {
+			ast.Inspect(f, func(nd ast.Node) bool {
+				if as, ok := nd.(*ast.AssignStmt); ok {
+					visit(as)
+				}
+				return true
+			})
+		}
+	}
+	assigns(func(as *ast.AssignStmt) { // next, stop := iter.Pull(seq)
+		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+		if !ok || len(as.Rhs) != 1 || len(call.Args) != 1 {
+			return
+		}
+		fn, ok := exprObj(info, call.Fun).(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "iter" || fn.Name() != "Pull" {
+			return
+		}
+		for _, lhs := range as.Lhs {
+			mark(exprObj(info, lhs))
+		}
+		if seq, ok := info.TypeOf(call.Args[0]).(*types.Signature); ok && seq.Params().Len() == 1 {
+			mark(seq.Params().At(0))
+		}
+	})
+	assigns(func(as *ast.AssignStmt) { // c.yield = yield
+		for i, rhs := range as.Rhs {
+			if len(as.Lhs) == len(as.Rhs) && handles[exprObj(info, rhs)] {
+				mark(exprObj(info, as.Lhs[i]))
+			}
+		}
+	})
+	return handles
 }
 
 // devirt resolves an interface call site to a single concrete method when

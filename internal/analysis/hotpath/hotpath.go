@@ -20,11 +20,12 @@
 //     closures and go statements, map inserts, string concatenation,
 //     conversions that copy, arguments boxed into interface parameters,
 //     variadic argument slices, bound method values, and allocating stdlib
-//     intrinsics (fmt.Sprintf, errors.New, container/heap.Push, ...);
+//     intrinsics (fmt.Sprintf, errors.New, ...);
 //   - block: channel operations (send, receive, select, range), blocking
-//     stdlib intrinsics (sync Lock/Wait, time.Sleep) — the sim package's
-//     own wait primitives need no special cases, their channel handshakes
-//     propagate up through their bodies;
+//     stdlib intrinsics (sync Lock/Wait, time.Sleep) and coroutine switches
+//     (a call of a func value obtained from iter.Pull) — the sim package's
+//     own wait primitives need no special cases, the switch they suspend
+//     with propagates up through their bodies;
 //   - syscall: wall-clock reads (time.Now and friends) and os/syscall
 //     calls — the effects the engine-sharding roadmap item must prove
 //     absent under the partitioned event loop;
@@ -210,7 +211,7 @@ func run(pass *analysis.Pass) error {
 	st.pkgs[pass.Pkg.Path()] = true
 
 	prog, g := callgraph.Of(pass)
-	h := &hot{pass: pass, prog: prog, st: st, facts: make(map[*callgraph.Node][]localEffect)}
+	h := &hot{pass: pass, prog: prog, st: st, facts: make(map[*callgraph.Node][]localEffect), coro: coroHandles(pass)}
 
 	// Collect this package's root directives before summarizing, so a root
 	// that is also reachable from another root is still summarized normally.
@@ -427,6 +428,7 @@ type hot struct {
 	prog  *callgraph.Program
 	st    *state
 	facts map[*callgraph.Node][]localEffect
+	coro  map[types.Object]bool // see coroHandles
 }
 
 // summarize computes one function's effect summary from its body and its
@@ -468,13 +470,10 @@ func (h *hot) summarize(n *callgraph.Node, sums map[string]effSummary) effSummar
 			if kind, what, ok := intrinsicEffect(c.Static); ok {
 				add(effKey{kind: kind, fn: n.ID, what: what}, witness{pos: sitePos, site: sitePos})
 			}
-			for _, id := range h.heapTargets(n, c) {
-				propagate(id, sitePos)
-			}
 		}
-		targets, dyn := h.resolve(n, c)
-		if dyn != "" {
-			add(effKey{kind: KindDynamic, fn: n.ID, what: dyn}, witness{pos: sitePos, site: sitePos})
+		targets, kind, what := h.resolve(n, c)
+		if what != "" {
+			add(effKey{kind: kind, fn: n.ID, what: what}, witness{pos: sitePos, site: sitePos})
 		}
 		for _, id := range targets {
 			propagate(id, sitePos)
@@ -484,18 +483,22 @@ func (h *hot) summarize(n *callgraph.Node, sums map[string]effSummary) effSummar
 }
 
 // resolve maps one call edge to propagation targets and, when the callees
-// cannot be enumerated mode-independently, the dynamic-effect description.
-func (h *hot) resolve(n *callgraph.Node, c callgraph.Call) ([]string, string) {
+// cannot be enumerated mode-independently, the call's own effect: dynamic,
+// or a blocking switch when the callee is a coroutine handle.
+func (h *hot) resolve(n *callgraph.Node, c callgraph.Call) ([]string, Kind, string) {
 	if c.Static != nil {
-		return []string{callgraph.IDOf(c.Static)}, ""
+		return []string{callgraph.IDOf(c.Static)}, 0, ""
 	}
 	if c.Iface != nil {
 		if id, ok := h.devirt(n, c); ok {
-			return []string{id}, ""
+			return []string{id}, 0, ""
 		}
-		return h.prog.TargetsOf(c), "interface call " + c.Method
+		return h.prog.TargetsOf(c), KindDynamic, "interface call " + c.Method
 	}
-	return nil, "func-value call"
+	if h.coro[exprObj(n.Info, c.Site.(*ast.CallExpr).Fun)] {
+		return nil, KindBlock, "coroutine switch"
+	}
+	return nil, KindDynamic, "func-value call"
 }
 
 func prepend(id string, chain []string) []string {

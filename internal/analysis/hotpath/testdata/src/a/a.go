@@ -6,6 +6,7 @@ package a
 
 import (
 	"fmt"
+	"iter"
 	"pvfsib/internal/sim"
 	"sync"
 	"time"
@@ -126,6 +127,62 @@ func formatty(n int) string {
 //pvfslint:hotpath
 func bindIt(p *sim.Proc) func() int64 {
 	return p.Now // want `allocation "method value \(bound closure\)" in a\.bindIt`
+}
+
+// coro is a coroutine in the engine's style: next and stop come from
+// iter.Pull, and the body keeps its yield parameter in a field so that code
+// it calls can suspend it.
+type coro struct {
+	next  func() (int, bool)
+	stop  func()
+	yield func(int) bool
+	other func()
+}
+
+func (c *coro) body(yield func(int) bool) {
+	c.yield = yield
+}
+
+func newCoro() *coro {
+	c := new(coro)
+	c.next, c.stop = iter.Pull(c.body)
+	return c
+}
+
+func resume(c *coro)  { c.next() }
+func suspend(c *coro) { c.yield(1) }
+func finish(c *coro)  { c.stop() }
+
+// switcher reaches all three handles: each is a blocking coroutine switch,
+// not an unknown callee. A func-typed field that never saw iter.Pull stays
+// a dynamic call.
+//
+//pvfslint:hotpath
+func switcher(c *coro) {
+	resume(c)  // want `blocking effect "coroutine switch" in a\.resume \(via a\.resume\)`
+	suspend(c) // want `blocking effect "coroutine switch" in a\.suspend \(via a\.suspend\)`
+	finish(c)  // want `blocking effect "coroutine switch" in a\.finish \(via a\.finish\)`
+	c.other()  // want `dynamic call "func-value call" in a\.switcher`
+}
+
+// pullLit covers the literal form: the yield parameter of a function
+// literal, with the results thrown away.
+//
+//pvfslint:hotpath
+func pullLit() {
+	_, _ = iter.Pull(func(yield func(int) bool) { // want `allocation "closure" in a\.pullLit`
+		yield(1) // want `blocking effect "coroutine switch" in a\.pullLit`
+	})
+}
+
+// pullLocals covers results held in local variables (one finding: the key
+// is per function, so stop folds into next's).
+//
+//pvfslint:hotpath
+func pullLocals(c *coro) {
+	next, stop := iter.Pull(c.body) // want `allocation "method value \(bound closure\)" in a\.pullLocals`
+	next()                          // want `blocking effect "coroutine switch" in a\.pullLocals`
+	stop()
 }
 
 // badClasses has a malformed class list.

@@ -29,70 +29,115 @@ func BenchmarkEventHeap(b *testing.B) {
 	}
 }
 
-// BenchmarkEventHeapReady measures the zero-delay fast path: callbacks due
-// at the current instant go through the ready FIFO, not the heap.
-func BenchmarkEventHeapReady(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	n := 0
-	var step func()
-	step = func() {
-		n++
-		if n < b.N {
-			e.After(0, step)
-		}
-	}
-	b.ResetTimer()
-	e.After(0, step)
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
+// The switch loops below are what a process switch costs, one shape each.
+// Every loop builds its own engine, runs n iterations and shuts down, so
+// BenchmarkX reports the per-iteration cost and TestSwitchAllocFree can
+// assert that a run's allocations do not grow with n.
+var switchLoops = map[string]func(n int) error{
+	"Sleep":    sleepLoop,
+	"Mailbox":  mailboxLoop,
+	"Resource": resourceLoop,
 }
 
-// BenchmarkMailbox measures a ping-pong between two processes over two
-// mailboxes: each round trip is two sends, two receives, and two
-// park/wake cycles.
-func BenchmarkMailbox(b *testing.B) {
-	b.ReportAllocs()
+// sleepLoop is one process sleeping n times with nothing else queued: every
+// expiry is next in line, the self-wake path.
+func sleepLoop(n int) error {
 	e := NewEngine()
+	defer e.Shutdown()
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	return e.Run()
+}
+
+// mailboxLoop is a ping-pong between two processes over two mailboxes:
+// each round trip is two sends, two receives, and two park/wake cycles.
+func mailboxLoop(n int) error {
+	e := NewEngine()
+	defer e.Shutdown()
 	req := e.NewMailbox("req")
 	rsp := e.NewMailbox("rsp")
+	var token any = 1
 	e.Go("server", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			rsp.Send(req.Recv(p))
 		}
 	})
-	b.ResetTimer()
 	e.Go("client", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			req.Send(i)
+		for i := 0; i < n; i++ {
+			req.Send(token)
 			rsp.Recv(p)
 		}
 	})
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
+	return e.Run()
 }
 
-// BenchmarkResource measures contended acquire/release: two processes
-// sharing a capacity-1 resource, so every acquisition after the first
-// parks and is woken by the peer's release.
-func BenchmarkResource(b *testing.B) {
-	b.ReportAllocs()
+// resourceLoop is contended acquire/release: two processes sharing a
+// capacity-1 resource, so every acquisition after the first parks and is
+// woken by the peer's release.
+func resourceLoop(n int) error {
 	e := NewEngine()
+	defer e.Shutdown()
 	r := e.NewResource("lock", 1)
 	worker := func(p *Proc) {
-		for i := 0; i < b.N/2; i++ {
+		for i := 0; i < n/2; i++ {
 			r.Acquire(p)
 			p.Yield()
 			r.Release()
 		}
 	}
-	b.ResetTimer()
 	e.Go("a", worker)
 	e.Go("b", worker)
-	if err := e.Run(); err != nil {
+	return e.Run()
+}
+
+// spawnLoop spawns n children one after the other, each finished before
+// the next starts: after the first, every spawn reuses the idle carrier and
+// costs the Proc alone.
+func spawnLoop(n int) error {
+	e := NewEngine()
+	defer e.Shutdown()
+	wg := e.NewWaitGroup()
+	child := func(*Proc) { wg.Done() }
+	e.Go("parent", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			p.Go("child", child)
+			wg.Wait(p)
+		}
+	})
+	return e.Run()
+}
+
+func benchLoop(b *testing.B, loop func(n int) error) {
+	b.ReportAllocs()
+	if err := loop(b.N); err != nil {
 		b.Fatal(err)
+	}
+}
+
+func BenchmarkSleep(b *testing.B)    { benchLoop(b, sleepLoop) }
+func BenchmarkMailbox(b *testing.B)  { benchLoop(b, mailboxLoop) }
+func BenchmarkResource(b *testing.B) { benchLoop(b, resourceLoop) }
+func BenchmarkSpawn(b *testing.B)    { benchLoop(b, spawnLoop) }
+
+// TestSwitchAllocFree: Sleep, Mailbox and Resource allocate to set up (the
+// engine, two processes, their carriers) and nothing per switch, so a run
+// of 20000 iterations allocates exactly what a run of 200 does.
+func TestSwitchAllocFree(t *testing.T) {
+	for name, loop := range switchLoops {
+		allocs := func(n int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if err := loop(n); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			})
+		}
+		if short, long := allocs(200), allocs(20000); long != short {
+			t.Errorf("%s: %.0f allocations for 20000 iterations, %.0f for 200: want 0 allocs/op", name, long, short)
+		}
 	}
 }
 

@@ -1,0 +1,69 @@
+//go:build go1.23
+
+package sim
+
+import (
+	"fmt"
+	"iter"
+)
+
+// carrier is a runtime coroutine that process bodies run on. The shard
+// resumes it with next and a blocking process suspends it with yield: direct
+// switches that never enter the scheduler's run queues. Once its body has
+// returned it waits on the shard's idle list, so a spawn rarely makes one.
+type carrier struct {
+	p     *Proc // the process being run; nil while idle
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	free  *carrier // shard.idle link
+}
+
+// shutdown is the panic value that unwinds the body of a stopped carrier.
+type shutdown struct{}
+
+// bind gives p an idle carrier, or a new one if none is idle.
+func (s *shard) bind(p *Proc) {
+	c := s.idle
+	if c != nil {
+		s.idle = c.free
+	} else {
+		c = new(carrier)
+		c.next, c.stop = iter.Pull(c.loop)
+	}
+	c.p, p.c = p, c
+}
+
+// loop is the coroutine: run a body, go idle, repeat, until stopped.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for s := c.p.g.sh; c.runBody(); {
+		c.free, s.idle = s.idle, c
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runBody runs c.p to completion; reuse is false after a panic or Shutdown.
+func (c *carrier) runBody() (reuse bool) {
+	p, s := c.p, c.p.g.sh
+	defer func() {
+		r := recover()
+		if _, dead := r.(shutdown); r != nil && !dead {
+			s.panicked = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
+		}
+		s.unregister(p)
+		c.p, p.c, p.fn = nil, nil, nil
+		reuse = r == nil
+	}()
+	p.fn(p)
+	return
+}
+
+// suspend switches back to the shard until the next resume, or Shutdown.
+func (p *Proc) suspend() {
+	if !p.c.yield(struct{}{}) {
+		panic(shutdown{})
+	}
+}

@@ -1,5 +1,5 @@
 // Package sim implements a deterministic discrete-event simulation engine
-// with a virtual clock and goroutine-backed processes.
+// with a virtual clock and coroutine-backed processes.
 //
 // The engine drives at most one process per shard at a time, so simulation
 // code needs no locking and is fully deterministic: the interleaving of
@@ -7,8 +7,10 @@
 // scheduler. Virtual time advances only when the event heap says so; data
 // manipulation within a process is instantaneous in virtual time.
 //
-// A process is an ordinary function running on its own goroutine. It receives
-// a *Proc handle and uses it to interact with virtual time:
+// A process is an ordinary function running on a carrier: a pooled runtime
+// coroutine (iter.Pull) that its shard switches into and out of directly,
+// bypassing the Go scheduler. It receives a *Proc handle and uses it to
+// interact with virtual time:
 //
 //	eng := sim.NewEngine()
 //	eng.Go("client", func(p *sim.Proc) {
@@ -25,7 +27,7 @@
 // Work can be partitioned into Groups — one per simulated node is the
 // intended granularity — and groups spread round-robin over shards
 // (SetShards). Each shard owns its own event heap, free list, and process
-// set and runs on its own OS thread; shards synchronize conservatively on
+// set and runs on its own goroutine; shards synchronize conservatively on
 // the engine's lookahead (SetLookahead): a window [T, T+lookahead) is safe
 // to execute in parallel because no cross-shard event scheduled inside the
 // window can land before its end. Cross-shard scheduling is only legal with
@@ -42,14 +44,13 @@
 // classic (time, sequence) FIFO order.
 //
 // The inner loop is allocation-free in steady state: event structs are
-// recycled through a per-shard free list and every process carries its own
-// reusable wake event (a parked process has at most one pending resume).
+// recycled through a per-shard free list, every process carries its own
+// reusable wake event (a parked process has at most one pending resume), and
+// a Sleep whose expiry is the next event in line returns without a switch.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,30 +93,50 @@ type event struct {
 	next *event // free-list link
 }
 
+// before is the canonical event order; keys are unique, so pop order is a
+// function of the keys alone, never of the heap's shape.
+func before(a, b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.gid < b.gid || a.gid == b.gid && a.gseq < b.gseq
+}
+
+// eventHeap is a binary min-heap on before.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (h *eventHeap) pushEv(e *event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for ; i > 0 && before(e, q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i] = q[(i-1)/2]
 	}
-	if h[i].gid != h[j].gid {
-		return h[i].gid < h[j].gid
+	q[i] = e
+	*h = q
+}
+
+func (h *eventHeap) popEv() *event {
+	q := *h
+	n := len(q) - 1
+	top, e := q[0], q[n]
+	q[n] = nil
+	*h = q[:n]
+	i := 0
+	for kid := 1; kid < n; kid = 2*i + 1 {
+		if kid+1 < n && before(q[kid+1], q[kid]) {
+			kid++
+		}
+		if !before(q[kid], e) {
+			break
+		}
+		q[i] = q[kid]
+		i = kid
 	}
-	return h[i].gseq < h[j].gseq
+	if n > 0 {
+		q[i] = e
+	}
+	return top
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-func (h *eventHeap) pushEv(e *event) { heap.Push(h, e) }
-func (h *eventHeap) popEv() *event   { return heap.Pop(h).(*event) }
 
 // Group is one logical partition of the simulation — one simulated node's
 // worth of processes, timers, and synchronization state. Groups are the unit
@@ -143,11 +164,10 @@ type Engine struct {
 	shards    []*shard
 	groups    []*Group // groups[0] is the default group
 	lookahead Duration
-	windowEnd Time // current window bound; read-only while shards run
-	now       Time // engine clock: authoritative when idle
+	windowEnd Time // end of the open window, or limit+1 unsharded; read-only while shards run
+	now       Time // engine clock of a sharded engine: authoritative when idle
 	running   bool
 	sharded   bool // len(shards) > 1
-	killed    bool
 	stopped   atomic.Bool
 	windows   int64 // barrier rounds executed by runSharded
 }
@@ -298,8 +318,14 @@ func (e *Engine) DefaultGroup() *Group { return e.groups[0] }
 
 // Now returns the current virtual time. While a sharded engine is running,
 // each shard has its own clock — use Proc.Now from simulation code; Engine.Now
-// is for idle engines (between Run calls, or after Run returns).
-func (e *Engine) Now() Time { return e.now }
+// is for idle engines (between Run calls, or after Run returns). Unsharded,
+// the engine clock is the one shard's clock.
+func (e *Engine) Now() Time {
+	if !e.sharded {
+		return e.shards[0].now
+	}
+	return e.now
+}
 
 // scheduleEv stamps ev with origin's canonical key and routes it to exec's
 // shard. The caller must be executing on origin's shard (or the engine must
@@ -360,7 +386,7 @@ func (e *Engine) ScheduleOn(g *Group, t Time, fn func()) {
 }
 
 // After runs fn d from now in the default group.
-func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.now.Add(d), fn) }
+func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.Now().Add(d), fn) }
 
 // AfterCall runs fn(arg) d from now in the default group. Passing a
 // package-level function and an already-live argument keeps hot paths free
@@ -369,15 +395,16 @@ func (e *Engine) AfterCall(d Duration, fn func(any), arg any) {
 	g := e.groupless("AfterCall")
 	ev := g.sh.alloc()
 	ev.afn, ev.arg = fn, arg
-	e.scheduleEv(ev, e.now.Add(d), g, g)
+	e.scheduleEv(ev, e.Now().Add(d), g, g)
 }
 
 // Proc is the handle a simulation process uses to interact with virtual time.
 type Proc struct {
-	eng    *Engine
-	g      *Group
-	name   string
-	resume chan struct{}
+	eng  *Engine
+	g    *Group
+	name string
+	fn   func(*Proc) // the body; nil once it has returned
+	c    *carrier    // the coroutine the body runs on, until it returns
 	// wakeEv is the process's reusable wake slot: a blocked process has at
 	// most one pending resume, so its transfer event never needs the
 	// engine's free list, let alone a fresh allocation.
@@ -449,24 +476,12 @@ func (p *Proc) Go(name string, fn func(q *Proc)) *Proc {
 }
 
 func (e *Engine) goAt(origin, g *Group, t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, g: g, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, g: g, name: name, fn: fn}
 	p.wakeEv.proc = p
 	s := g.sh
 	p.idx = len(s.procs)
 	s.procs = append(s.procs, p)
-	s.live++
-	go func() {
-		<-p.resume // wait for the shard to hand us the run token
-		defer func() {
-			if r := recover(); r != nil {
-				s.panicked = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-			}
-			s.live--
-			s.unregister(p)
-			s.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
+	s.bind(p)
 	e.scheduleEv(&p.wakeEv, t, origin, g)
 	return p
 }
@@ -493,17 +508,22 @@ func (p *Proc) AfterCallOn(g *Group, d Duration, fn func(any), arg any) {
 	p.eng.scheduleEv(ev, s.now.Add(d), p.g, g)
 }
 
-// park suspends the calling process until something wakes it. It must only
-// be called from within the process's own goroutine.
+// park suspends the calling process until something wakes it. From a timer
+// callback or on another process's handle there is no coroutine of p's to
+// suspend, so the call fails.
 func (p *Proc) park() {
 	s := p.g.sh
+	if s.cur != p {
+		p.misuse("park", "called outside its own process")
+	}
 	p.parked = true
 	s.nParked++
-	s.yield <- struct{}{}
-	<-p.resume
-	if p.eng.killed {
-		runtime.Goexit() // deferred wrapper signals the shard
-	}
+	p.suspend()
+}
+
+// misuse fails a call that breaks the process protocol.
+func (p *Proc) misuse(op, why string) {
+	Failf("sim: %s of %q %s", op, p.name, why)
 }
 
 // wake schedules p to resume at the current virtual time on its own shard.
@@ -512,12 +532,12 @@ func (p *Proc) park() {
 // cross-shard interaction violates the lookahead contract.
 func (e *Engine) wake(p *Proc) {
 	if !p.parked {
-		panic(fmt.Sprintf("sim: wake of non-parked process %q", p.name))
+		p.misuse("wake", "while it is not parked")
 	}
 	if p.sleeping {
 		// The wake slot is already queued for the sleep expiry; enqueueing
 		// it twice would corrupt the timeline.
-		panic(fmt.Sprintf("sim: wake of sleeping process %q", p.name))
+		p.misuse("wake", "while it sleeps")
 	}
 	p.parked = false
 	s := p.g.sh
@@ -532,15 +552,22 @@ func (p *Proc) Sleep(d Duration) {
 		d = 0
 	}
 	s := p.g.sh
+	if s.cur != p {
+		p.misuse("Sleep", "called outside its own process")
+	}
+	p.eng.scheduleEv(&p.wakeEv, s.now.Add(d), p.g, p.g)
+	// Self-wake: if the expiry is the very next event of this run, the
+	// shard loop would pop it and switch straight back here. Do what it
+	// would have done and keep running.
+	if ev := &p.wakeEv; s.events[0] == ev && ev.t < p.eng.windowEnd && !p.eng.stopped.Load() {
+		s.now = s.events.popEv().t
+		s.nExec++
+		return
+	}
 	p.parked = true
 	p.sleeping = true
 	s.nParked++
-	p.eng.scheduleEv(&p.wakeEv, s.now.Add(d), p.g, p.g)
-	s.yield <- struct{}{}
-	<-p.resume
-	if p.eng.killed {
-		runtime.Goexit()
-	}
+	p.suspend()
 }
 
 // Yield lets any other event scheduled for the current instant in this
@@ -588,22 +615,20 @@ func (e *Engine) RunUntil(limit Time) error {
 // sharded loop because the canonical event key is partition-independent.
 func (e *Engine) runSingle(limit Time) error {
 	s := e.shards[0]
+	e.windowEnd = limit + 1
 	for len(s.events) > 0 && !e.stopped.Load() {
 		if s.events[0].t > limit {
 			s.now = limit
-			e.now = limit
 			return nil
 		}
 		ev := s.events.popEv()
 		s.now = ev.t
-		e.now = ev.t
 		s.nExec++
 		s.exec(ev)
 		if s.panicked != nil {
 			panic(s.panicked)
 		}
 	}
-	e.now = s.now
 	return e.checkDeadlock()
 }
 
@@ -697,12 +722,12 @@ func (e *Engine) checkDeadlock() error {
 		}
 	}
 	sort.Strings(names)
-	return &DeadlockError{Time: e.now, Parked: names}
+	return &DeadlockError{Time: e.Now(), Parked: names}
 }
 
 // Stop makes Run return soon: after the current event on an unsharded
 // engine, at the current window barrier on a sharded one. Parked processes
-// are abandoned (their goroutines stay blocked until the test ends); Stop is
+// are abandoned (their carriers stay suspended until Shutdown); Stop is
 // intended for benchmarks that only need the clock reading.
 func (e *Engine) Stop() { e.stopped.Store(true) }
 
@@ -710,10 +735,11 @@ func (e *Engine) Stop() { e.stopped.Store(true) }
 // everything its processes reference — becomes garbage-collectable.
 // Without it, service processes that wait forever (device engines, daemon
 // loops) pin their whole simulated world in memory for the life of the Go
-// process. Call it when a simulation will not be used again; the engine
-// must not be used afterwards.
+// process. Parked bodies unwind (their deferred functions run) and idle
+// carriers end; a process whose first event never ran is not parked, and its
+// carrier stays suspended as its goroutine used to. Call it when a
+// simulation will not be used again; the engine must not be used afterwards.
 func (e *Engine) Shutdown() {
-	e.killed = true
 	for _, s := range e.shards {
 		procs := make([]*Proc, 0, s.nParked)
 		for _, p := range s.procs {
@@ -725,9 +751,13 @@ func (e *Engine) Shutdown() {
 			p.parked = false
 			p.sleeping = false
 			s.nParked--
-			p.resume <- struct{}{} // park() sees killed and exits the goroutine
-			<-s.yield              // its deferred wrapper signals completion
+			s.cur = p // the body unwinds as the running process
+			p.c.stop()
 		}
+		for c := s.idle; c != nil; c = c.free {
+			c.stop()
+		}
+		s.cur, s.idle = nil, nil
 		s.events = nil
 		s.free = nil
 		s.inbox = nil
@@ -755,11 +785,11 @@ type shard struct {
 	idx      int
 	now      Time
 	events   eventHeap
-	free     *event        // recycled fn/afn events
-	yield    chan struct{} // a running proc signals here when it parks or exits
-	procs    []*Proc       // spawned and not yet finished
+	free     *event   // recycled fn/afn events
+	cur      *Proc    // the process whose body is executing, if any
+	idle     *carrier // carriers whose last body returned, linked by free
+	procs    []*Proc  // spawned and not yet finished
 	nParked  int
-	live     int // processes spawned and not yet finished
 	panicked any
 
 	// Execution telemetry, surfaced by Engine.Telemetry.
@@ -777,11 +807,10 @@ type shard struct {
 
 func newShard(e *Engine, idx int) *shard {
 	return &shard{
-		eng:   e,
-		idx:   idx,
-		yield: make(chan struct{}),
-		work:  make(chan Time),
-		done:  make(chan struct{}),
+		eng:  e,
+		idx:  idx,
+		work: make(chan Time),
+		done: make(chan struct{}),
 	}
 }
 
@@ -795,9 +824,7 @@ func (s *shard) alloc() *event {
 	return &event{}
 }
 
-// unregister removes a finished process from the live list. It runs on the
-// process's goroutine while the shard is blocked on the yield handshake, so
-// the mutation is ordered before the shard resumes.
+// unregister removes a finished process from the live list.
 func (s *shard) unregister(p *Proc) {
 	last := len(s.procs) - 1
 	s.procs[p.idx] = s.procs[last]
@@ -815,8 +842,9 @@ func (s *shard) exec(ev *event) {
 			p.sleeping = false
 			s.nParked--
 		}
-		p.resume <- struct{}{}
-		<-s.yield
+		s.cur = p
+		p.c.next()
+		s.cur = nil
 		return
 	}
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
@@ -878,18 +906,17 @@ func (s *shard) drain(we Time) {
 			s.panicked = r
 		}
 	}()
-	n := int64(0)
+	start := s.nExec
 	for len(s.events) > 0 && s.events[0].t < we {
 		ev := s.events.popEv()
 		s.now = ev.t
-		n++
+		s.nExec++
 		s.exec(ev)
 		if s.panicked != nil {
 			break
 		}
 	}
-	s.nExec += n
-	if n > s.maxWindow {
+	if n := s.nExec - start; n > s.maxWindow {
 		s.maxWindow = n
 	}
 }

@@ -421,7 +421,7 @@ func TestShutdownTerminatesParkedProcs(t *testing.T) {
 	nParked, live := 0, 0
 	for _, s := range e.shards {
 		nParked += s.nParked
-		live += s.live
+		live += len(s.procs)
 	}
 	if nParked != 0 {
 		t.Errorf("%d processes still parked after Shutdown", nParked)
