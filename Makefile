@@ -112,15 +112,18 @@ bench-check:
 # switch in its four shapes — self-waking Sleep, mailbox ping-pong,
 # contended resource, spawn on a reused carrier — one full Figure 3 cell;
 # TestSwitchAllocFree in the package's tests holds the first three to 0
-# allocs/op) and the I/O
+# allocs/op), the storage under every payload byte (AddrSpace accesses,
+# a recycled Malloc/Free, the hole query; localfs extent reads, writes and
+# a scratch file's create/remove) and the I/O
 # daemon's data path (the sieve over the ledger's 128-access geometry, a
 # 1 MiB list read end to end) with allocation reporting — B/op on the
 # latter is per-request bookkeeping, never payload — and the AllocFree
 # tests, which assert 0 allocs/op in steady state for every declared
-# //pvfslint:hotpath root and no payload-proportional allocation on the
-# list path.
+# //pvfslint:hotpath root and for AddrSpace accesses, and no
+# payload-proportional allocation on the list path.
 bench-go:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim/
+	$(GO) test -run NONE -bench . -benchmem ./internal/mem/ ./internal/localfs/
 	$(GO) test -run NONE -bench 'BenchmarkFig3Cell|BenchmarkSieve(Read|Write)128|BenchmarkListRead1MiB' -benchmem ./internal/bench/
 	$(GO) test -run 'AllocFree|AllocIndependentOfPayload' -count 1 -v ./internal/bench/
 	$(GO) test -run TestShardedCellThroughput -count 1 -v ./internal/sim/
@@ -130,6 +133,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzGroupRegions -fuzztime=30s ./internal/ogr/
 	$(GO) test -run=NONE -fuzz=FuzzStrideDetect -fuzztime=30s ./internal/pcache/
 	$(GO) test -run=NONE -fuzz=FuzzSieveModel -fuzztime=30s ./internal/sieve/
+	$(GO) test -run=NONE -fuzz=FuzzAddrSpaceModel -fuzztime=30s ./internal/mem/
+	$(GO) test -run=NONE -fuzz=FuzzFileExtents -fuzztime=30s ./internal/localfs/
 
 clean:
 	rm -f $(BIN)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pvfsib/internal/mem"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sieve"
 	"pvfsib/internal/sim"
@@ -74,4 +75,28 @@ func TestListIOAllocIndependentOfPayload(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAddrSpaceAllocFree pins the storage under every payload copy: an
+// access to simulated memory — inside one mapping or across two — allocates
+// nothing, and neither does a Malloc and Free pair once storage of that size
+// has been freed before (it is recycled; only the address is new).
+func TestAddrSpaceAllocFree(t *testing.T) {
+	s := mem.NewAddrSpace("pin")
+	a := s.Malloc(64 << 10)
+	b := s.Malloc(64 << 10) // adjacent: a+60k .. +8k crosses into it
+	buf := make([]byte, 8<<10)
+	measure(t, "Write", func() { sim.Must(s.Write(a+100, buf)); sim.Must(s.Write(a+60<<10, buf)) })
+	measure(t, "ReadInto", func() { sim.Must(s.ReadInto(b+100, buf)); sim.Must(s.ReadInto(a+60<<10, buf)) })
+	measure(t, "Copy", func() { sim.Must(s.Copy(b+4096, a+100, 2048)); sim.Must(s.Copy(a+61<<10, a+60<<10, 8<<10)) })
+	measure(t, "Allocated", func() {
+		if !s.Allocated(mem.Extent{Addr: a + 5, Len: 100 << 10}) || s.Allocated(mem.Extent{Addr: b, Len: 65 << 10}) {
+			t.Error("Allocated is wrong")
+		}
+	})
+	measure(t, "Malloc+Free", func() {
+		e := mem.Extent{Addr: s.Malloc(4 << 20), Len: 4 << 20}
+		sim.Must(s.Write(e.Addr+1<<20, buf))
+		s.Free(e)
+	})
 }

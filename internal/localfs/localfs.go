@@ -11,10 +11,11 @@
 // data sieving.
 //
 // File bytes are really stored, so higher layers can verify data integrity
-// end-to-end. They live in one BlockSize slice per written block, allocated
-// on a block's first write; ReadInto and WriteAt copy between those blocks
-// and the caller's slice and allocate nothing else, and ReadAt is the one
-// call that returns a fresh slice.
+// end-to-end. They live in extents, slabs of 64 blocks with a bitmap of the
+// blocks written, allocated on the first write into their range; Remove
+// keeps a removed file's extents for the files created next. ReadInto and
+// WriteAt copy between extents and the caller's slice and allocate nothing
+// else, and ReadAt is the one call that returns a fresh slice.
 package localfs
 
 import (
@@ -83,9 +84,10 @@ type FS struct {
 	dsk    *disk.Disk
 	params Params
 
-	files  map[string]*File
-	nextID int64
-	cache  *pageCache
+	files   map[string]*File
+	nextID  int64
+	cache   *pageCache
+	freeExt []*extent // extents of removed files, extentKeepBytes at most
 
 	// Counters accumulates call counts.
 	Counters Counters
@@ -110,7 +112,7 @@ type File struct {
 	name string
 	id   int64
 	size int64
-	data map[int64][]byte // block index -> BlockSize bytes; presence = ever written
+	data map[int64]*extent // by block index / extentBlocks
 
 	locks *lockTable
 }
@@ -126,7 +128,7 @@ func (fs *FS) Open(p *sim.Proc, name string) *File {
 		fs:    fs,
 		name:  name,
 		id:    fs.nextID,
-		data:  make(map[int64][]byte),
+		data:  make(map[int64]*extent),
 		locks: newLockTable(fs.eng),
 	}
 	fs.nextID++
@@ -134,9 +136,9 @@ func (fs *FS) Open(p *sim.Proc, name string) *File {
 	return f
 }
 
-// Remove deletes the named file like unlink(2): its bytes vanish and its
-// cached blocks (dirty or not) are discarded. It reports whether the file
-// existed.
+// Remove deletes the named file like unlink(2): its bytes vanish — a *File
+// kept across the call is empty — and its cached blocks (dirty or not) are
+// discarded. It reports whether the file existed.
 func (fs *FS) Remove(p *sim.Proc, name string) bool {
 	p.Sleep(fs.params.OpenOverhead)
 	f, ok := fs.files[name]
@@ -145,6 +147,17 @@ func (fs *FS) Remove(p *sim.Proc, name string) bool {
 	}
 	delete(fs.files, name)
 	fs.cache.purgeFile(f)
+	// In index order, so that which extent a later file gets does not hang
+	// on map iteration.
+	extBytes := extentBlocks * fs.params.BlockSize
+	for i := int64(0); i*extBytes < f.size && (int64(len(fs.freeExt))+1)*extBytes <= extentKeepBytes; i++ {
+		if e := f.data[i]; e != nil {
+			e.stale, e.written = e.stale|e.written, 0
+			fs.freeExt = append(fs.freeExt, e)
+		}
+	}
+	clear(f.data)
+	f.size = 0
 	return true
 }
 
@@ -303,27 +316,56 @@ func (f *File) Unlock(p *sim.Proc, off, size int64) {
 	f.locks.unlock(off, size)
 }
 
-// written reports whether the block has ever been written.
-func (f *File) written(blk int64) bool {
-	_, ok := f.data[blk]
-	return ok
+// extent is the storage of extentBlocks consecutive blocks of one file.
+type extent struct {
+	data    []byte // extentBlocks * BlockSize
+	written uint64 // bit b: block b has been written
+	stale   uint64 // bit b: block b still holds bytes of a removed file
 }
 
+const (
+	extentBlocks = 64 // one bit each in extent.written
+	// extentKeepBytes bounds the storage of removed files one FS keeps.
+	extentKeepBytes = 64 << 20
+)
+
+// has reports whether block b of the extent has been written; a nil extent
+// has no blocks.
+func (e *extent) has(b int64) bool { return e != nil && e.written>>b&1 != 0 }
+
+// written reports whether the block has ever been written.
+func (f *File) written(blk int64) bool {
+	return f.data[blk/extentBlocks].has(blk % extentBlocks)
+}
+
+// block returns the block's bytes for writing, zeroed on its first write.
 func (f *File) block(blk int64) []byte {
-	b, ok := f.data[blk]
-	if !ok {
-		b = make([]byte, f.fs.params.BlockSize)
-		f.data[blk] = b
+	fs := f.fs
+	bs := fs.params.BlockSize
+	e := f.data[blk/extentBlocks]
+	if e == nil {
+		if n := len(fs.freeExt); n > 0 {
+			e, fs.freeExt[n-1] = fs.freeExt[n-1], nil
+			fs.freeExt = fs.freeExt[:n-1]
+		} else {
+			e = &extent{data: make([]byte, extentBlocks*bs)}
+		}
+		f.data[blk/extentBlocks] = e
 	}
-	return b
+	b := blk % extentBlocks
+	data := e.data[b*bs : (b+1)*bs]
+	if e.stale>>b&1 != 0 {
+		clear(data)
+		e.stale &^= 1 << b
+	}
+	e.written |= 1 << b
+	return data
 }
 
 func (f *File) copyIn(off int64, data []byte) {
 	bs := f.fs.params.BlockSize
 	for len(data) > 0 {
-		blk := off / bs
-		bo := off % bs
-		n := copy(f.block(blk)[bo:], data)
+		n := copy(f.block(off / bs)[off%bs:], data)
 		data = data[n:]
 		off += int64(n)
 	}
@@ -332,15 +374,12 @@ func (f *File) copyIn(off int64, data []byte) {
 func (f *File) copyOut(off int64, dst []byte) {
 	bs := f.fs.params.BlockSize
 	for len(dst) > 0 {
-		blk := off / bs
-		bo := off % bs
-		var n int
-		if b, ok := f.data[blk]; ok {
-			n = copy(dst, b[bo:])
+		blk, bo := off/bs, off%bs
+		n := min(int(bs-bo), len(dst))
+		if e, b := f.data[blk/extentBlocks], blk%extentBlocks; e.has(b) {
+			copy(dst[:n], e.data[b*bs+bo:])
 		} else {
-			// Hole: zeros.
-			n = min(int(bs-bo), len(dst))
-			clear(dst[:n])
+			clear(dst[:n]) // hole: zeros
 		}
 		dst = dst[n:]
 		off += int64(n)

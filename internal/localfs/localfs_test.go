@@ -10,14 +10,14 @@ import (
 	"pvfsib/internal/simnet"
 )
 
-func newFS(t *testing.T) (*sim.Engine, *FS) {
+func newFS(t testing.TB) (*sim.Engine, *FS) {
 	t.Helper()
 	eng := sim.NewEngine()
 	d := disk.New(eng, "d", disk.DefaultParams())
 	return eng, New(eng, d, DefaultParams())
 }
 
-func runSim(t *testing.T, eng *sim.Engine, fn func(p *sim.Proc)) {
+func runSim(t testing.TB, eng *sim.Engine, fn func(p *sim.Proc)) {
 	t.Helper()
 	eng.Go("test", fn)
 	if err := eng.Run(); err != nil {

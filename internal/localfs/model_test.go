@@ -1,0 +1,333 @@
+package localfs
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"pvfsib/internal/sim"
+)
+
+// blockFile is a file's storage as it was before extents: one BlockSize
+// slice per written block in a map, presence meaning "ever written". Its
+// four methods are the former File's, verbatim; writeAt and readInto add
+// the size bookkeeping of WriteAt and ReadInto. It is the oracle the extent
+// storage is held to, op by op.
+type blockFile struct {
+	bs   int64
+	size int64
+	data map[int64][]byte
+}
+
+func newBlockFile(bs int64) *blockFile { return &blockFile{bs: bs, data: make(map[int64][]byte)} }
+
+func (f *blockFile) written(blk int64) bool {
+	_, ok := f.data[blk]
+	return ok
+}
+
+func (f *blockFile) block(blk int64) []byte {
+	b, ok := f.data[blk]
+	if !ok {
+		b = make([]byte, f.bs)
+		f.data[blk] = b
+	}
+	return b
+}
+
+func (f *blockFile) copyIn(off int64, data []byte) {
+	bs := f.bs
+	for len(data) > 0 {
+		blk := off / bs
+		bo := off % bs
+		n := copy(f.block(blk)[bo:], data)
+		data = data[n:]
+		off += int64(n)
+	}
+}
+
+func (f *blockFile) copyOut(off int64, dst []byte) {
+	bs := f.bs
+	for len(dst) > 0 {
+		blk := off / bs
+		bo := off % bs
+		var n int
+		if b, ok := f.data[blk]; ok {
+			n = copy(dst, b[bo:])
+		} else {
+			// Hole: zeros.
+			n = min(int(bs-bo), len(dst))
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		off += int64(n)
+	}
+}
+
+func (f *blockFile) writeAt(off int64, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	f.copyIn(off, data)
+	f.size = max(f.size, off+int64(len(data)))
+}
+
+func (f *blockFile) readInto(off int64, dst []byte) int {
+	size := min(int64(len(dst)), f.size-off)
+	if size <= 0 {
+		return 0
+	}
+	f.copyOut(off, dst[:size])
+	return int(size)
+}
+
+// handle is one *File with its oracle. A handle kept across Remove stays
+// usable and is held to an empty oracle from then on: its bytes vanished.
+type handle struct {
+	f    *File
+	m    *blockFile
+	name string
+}
+
+// fsPair drives an FS and the oracles with the same calls.
+type fsPair struct {
+	t       testing.TB
+	p       *sim.Proc
+	fs      *FS
+	open    map[string]*handle
+	handles []*handle // every handle ever opened, removed ones too
+	stamp   byte
+}
+
+func (x *fsPair) openFile(name string) *handle {
+	x.t.Helper()
+	f := x.fs.Open(x.p, name)
+	h := x.open[name]
+	if h == nil {
+		h = &handle{f: f, m: newBlockFile(x.fs.params.BlockSize), name: name}
+		x.open[name] = h
+		x.handles = append(x.handles, h)
+	}
+	if h.f != f {
+		x.t.Fatalf("Open(%q) returned a different file than the one open", name)
+	}
+	return h
+}
+
+func (x *fsPair) remove(name string) {
+	x.t.Helper()
+	h := x.open[name]
+	if got := x.fs.Remove(x.p, name); got != (h != nil) {
+		x.t.Fatalf("Remove(%q) = %t with the file open: %t", name, got, h != nil)
+	}
+	if h != nil {
+		delete(x.open, name)
+		h.m = newBlockFile(h.m.bs)
+	}
+	if keep := extentKeepBytes / (extentBlocks * x.fs.params.BlockSize); int64(len(x.fs.freeExt)) > keep {
+		x.t.Fatalf("%d extents kept, bound %d", len(x.fs.freeExt), keep)
+	}
+}
+
+func (x *fsPair) write(h *handle, off, n int64) {
+	x.stamp += 29
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = x.stamp + byte(i*5) | 1 // never zero
+	}
+	h.f.WriteAt(x.p, off, data)
+	h.m.writeAt(off, data)
+}
+
+func (x *fsPair) read(h *handle, off, n int64) {
+	x.t.Helper()
+	got, want := bytes.Repeat([]byte{0xEE}, int(n)), bytes.Repeat([]byte{0xEE}, int(n))
+	if a, b := h.f.ReadInto(x.p, off, got), h.m.readInto(off, want); a != b {
+		x.t.Fatalf("%s: ReadInto(%d, %d) = %d, oracle %d", h.name, off, n, a, b)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		x.t.Fatalf("%s: ReadInto(%d, %d): byte %d is %#x, oracle %#x", h.name, off, n, i, got[i], want[i])
+	}
+}
+
+// sweep compares size, the written state of every block (it decides which
+// reads go to the disk) and every byte of every handle.
+func (x *fsPair) sweep() {
+	x.t.Helper()
+	bs := x.fs.params.BlockSize
+	for _, h := range x.handles {
+		if h.f.Size() != h.m.size {
+			x.t.Fatalf("%s: size %d, oracle %d", h.name, h.f.Size(), h.m.size)
+		}
+		for blk := int64(0); blk*bs < h.m.size+extentBlocks*bs; blk++ {
+			if a, b := h.f.written(blk), h.m.written(blk); a != b {
+				x.t.Fatalf("%s: block %d written %t, oracle %t", h.name, blk, a, b)
+			}
+		}
+		for off := int64(0); off < h.m.size; off += 1 << 20 {
+			x.read(h, off, 1<<20)
+		}
+	}
+}
+
+// script turns a byte string into calls; it reads as zeros past its end.
+type script struct{ b []byte }
+
+func (sc *script) byte() int64 {
+	if len(sc.b) == 0 {
+		return 0
+	}
+	v := sc.b[0]
+	sc.b = sc.b[1:]
+	return int64(v)
+}
+
+func (sc *script) word() int64 { return sc.byte()<<8 | sc.byte() }
+
+// span draws an offset within the first three extents or so — rarely far
+// out, leaving a sparse file — and a length of up to 80 kB, short half the
+// time.
+func (sc *script) span() (off, n int64) {
+	off = sc.word() * 13
+	if sc.byte()%16 == 0 {
+		off += 20 << 20
+	}
+	n = 1 + sc.word()%(80<<10)
+	if sc.byte()%2 == 0 {
+		n = 1 + n%300
+	}
+	return off, n
+}
+
+// runFileScript interprets data against a fresh file system.
+func runFileScript(t testing.TB, data []byte) {
+	t.Helper()
+	eng, fs := newFS(t)
+	runSim(t, eng, func(p *sim.Proc) {
+		x := &fsPair{t: t, p: p, fs: fs, open: map[string]*handle{}}
+		sc := &script{b: data}
+		names := []string{"a", "b", "c"}
+		for ops := 0; len(sc.b) > 0 && ops < 400; ops++ {
+			op := sc.byte() % 16
+			if op < 2 || len(x.handles) == 0 {
+				x.openFile(names[sc.byte()%3])
+				continue
+			}
+			h := x.handles[sc.byte()%int64(len(x.handles))] // removed ones too
+			switch {
+			case op < 9:
+				off, n := sc.span()
+				x.write(h, off, n)
+			case op < 13:
+				off, n := sc.span()
+				x.read(h, off, n)
+			case op == 13:
+				h.f.Sync(p)
+			case op == 14:
+				fs.DropCaches(p)
+			default:
+				x.remove(names[sc.byte()%3])
+			}
+		}
+		x.sweep()
+	})
+}
+
+func TestFileExtentsModelRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(20030903))
+	for iter := 0; iter < 40; iter++ {
+		data := make([]byte, 100+rng.Intn(2500))
+		rng.Read(data)
+		runFileScript(t, data)
+	}
+}
+
+func FuzzFileExtents(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 12, 200, 2000} {
+		data := make([]byte, n)
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runFileScript(t, data) })
+}
+
+// TestRecycledExtentReadsZero: a file that gets a removed file's extents
+// reads zeros in the blocks it never wrote and around what it wrote into a
+// block, before and after the page cache is dropped.
+func TestRecycledExtentReadsZero(t *testing.T) {
+	eng, fs := newFS(t)
+	runSim(t, eng, func(p *sim.Proc) {
+		x := &fsPair{t: t, p: p, fs: fs, open: map[string]*handle{}}
+		bs := fs.params.BlockSize
+		old := x.openFile("old")
+		x.write(old, 0, 3*extentBlocks*bs) // three extents, every byte nonzero
+		x.remove("old")
+		if len(fs.freeExt) != 3 {
+			t.Fatalf("%d extents kept of 3", len(fs.freeExt))
+		}
+		h := x.openFile("new")
+		x.write(h, 5000, 100)                // inside block 1: the block's head and tail stay zero
+		x.write(h, 2*bs-10, 20)              // last bytes of block 1, first of block 2
+		x.write(h, extentBlocks*bs+7*bs, bs) // one whole block of the second extent
+		x.write(h, 3*extentBlocks*bs-1, 1)   // the file's last byte, in the third
+		if len(fs.freeExt) != 0 {
+			t.Fatalf("%d extents still free: the new file did not recycle", len(fs.freeExt))
+		}
+		x.sweep()
+		fs.DropCaches(p)
+		x.sweep()
+		// A recycled extent is recycled again with its stale blocks intact.
+		x.remove("new")
+		x.write(x.openFile("third"), extentBlocks*bs-1, 2)
+		x.sweep()
+	})
+}
+
+// TestRemovedFileHandleIsDetached: a *File kept across Remove is an empty
+// file of its own — it reads nothing of the file that inherits its extents
+// and cannot write into it.
+func TestRemovedFileHandleIsDetached(t *testing.T) {
+	eng, fs := newFS(t)
+	runSim(t, eng, func(p *sim.Proc) {
+		x := &fsPair{t: t, p: p, fs: fs, open: map[string]*handle{}}
+		stale := x.openFile("f")
+		x.write(stale, 0, 100<<10)
+		x.remove("f")
+		if stale.f.Size() != 0 || stale.f.ReadAt(p, 0, 100) != nil {
+			t.Error("a removed file still has bytes")
+		}
+		fresh := x.openFile("f") // same name, the removed file's extent
+		if fresh.f == stale.f {
+			t.Fatal("Open after Remove returned the removed file")
+		}
+		x.write(fresh, 0, 100<<10)
+		x.read(stale, 0, 100<<10) // nothing
+		x.write(stale, 10, 5000)  // lands in storage of its own
+		x.read(fresh, 0, 100<<10)
+		x.read(stale, 0, 8000)
+		x.sweep()
+	})
+}
+
+// TestExtentRecycleBounded: an FS keeps extentKeepBytes of removed files'
+// storage and leaves the rest to the collector.
+func TestExtentRecycleBounded(t *testing.T) {
+	eng, fs := newFS(t)
+	runSim(t, eng, func(p *sim.Proc) {
+		extBytes := extentBlocks * fs.params.BlockSize
+		keep := int(extentKeepBytes / extBytes)
+		f := fs.Open(p, "sparse")
+		for i := 0; i < keep+40; i++ {
+			f.WriteAt(p, int64(i)*extBytes, []byte{1}) // one byte in each extent
+		}
+		fs.Remove(p, "sparse")
+		if len(fs.freeExt) != keep {
+			t.Errorf("%d extents kept of %d, bound %d", len(fs.freeExt), keep+40, keep)
+		}
+	})
+}

@@ -5,15 +5,20 @@
 // allocated, and discovering where the "true" holes lie costs a query to the
 // operating system (the paper measures ≈70 µs per 1000 holes with a custom
 // system call versus ≈1100 µs reading /proc/$pid/maps). This package models
-// exactly those mechanics: page-granular allocations with real byte storage,
+// exactly those mechanics: an address space is the sorted list of its
+// mappings — page-aligned intervals, each one contiguous run of real bytes,
+// which is what the operating system answers the hole query from — with
 // byte-granular reads and writes, hole enumeration, and the query costs.
 //
 // Real data flows through the address space — tests can verify end-to-end
 // integrity of every transfer path — while all costs are virtual time.
+// An access costs one copy per mapping it crosses, usually one. Freed
+// addresses are never handed out again; freed storage is (DESIGN.md §8.4).
 package mem
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pvfsib/internal/sim"
@@ -77,24 +82,56 @@ func queryCost(m QueryMethod, holes int, pages int64) sim.Duration {
 	}
 }
 
-// AddrSpace is one process's simulated virtual memory.
+// AddrSpace is one process's simulated virtual memory: the list of its
+// mappings, as the kernel keeps it. Addresses are handed out once and never
+// again, so a stale registration or RDMA to freed memory always fails; the
+// storage behind a mapping freed whole is kept for the next Malloc of the
+// same size.
 type AddrSpace struct {
-	name  string
-	pages map[uint64][]byte // page index -> PageSize bytes, presence = allocated
-	brk   Addr              // bump pointer for Malloc
+	name string
+	maps []mapping // page-aligned, non-overlapping, sorted by base
+	hint int       // index of the mapping search found last
+	brk  Addr      // bump pointer for Malloc
+
+	// free holds the zeroed storage of mappings freed whole, by size,
+	// recycleMaxBytes of it at most.
+	free      map[int64][][]byte
+	freeBytes int64
 
 	// MallocCalls counts allocations, for tests.
 	MallocCalls int
 }
 
+// recycleMaxBytes bounds the freed storage one address space keeps.
+const recycleMaxBytes = 64 << 20
+
+// mapping is one contiguous allocated range with its bytes.
+type mapping struct {
+	base Addr
+	data []byte // whole pages
+	// dirtyLo and dirtyHi bound the bytes of data ever written, so that
+	// recycling clears those and not the whole mapping.
+	dirtyLo, dirtyHi int
+	// part marks a piece of a partly freed mapping: it shares its storage
+	// with its siblings, which therefore is never recycled.
+	part bool
+}
+
+func (m *mapping) end() Addr { return m.base + Addr(len(m.data)) }
+
+func (m *mapping) dirty(lo, hi int) {
+	m.dirtyLo, m.dirtyHi = min(m.dirtyLo, lo), max(m.dirtyHi, hi)
+}
+
+// piece returns the mapping of data[lo:hi) after a partial Free.
+func (m *mapping) piece(lo, hi int) mapping {
+	return mapping{base: m.base + Addr(lo), data: m.data[lo:hi:hi], part: true}
+}
+
 // NewAddrSpace creates an empty address space. The bump allocator starts at
 // a nonzero base so that address 0 is never valid.
 func NewAddrSpace(name string) *AddrSpace {
-	return &AddrSpace{
-		name:  name,
-		pages: make(map[uint64][]byte),
-		brk:   Addr(1 << 20),
-	}
+	return &AddrSpace{name: name, brk: Addr(1 << 20), free: make(map[int64][][]byte)}
 }
 
 // Name returns the label given at creation.
@@ -109,12 +146,17 @@ func (s *AddrSpace) Malloc(size int64) Addr {
 		panic("mem: Malloc of nonpositive size")
 	}
 	base := s.brk
-	npages := (size + PageSize - 1) / PageSize
-	first := base.PageOf()
-	for i := int64(0); i < npages; i++ {
-		s.pages[first+uint64(i)] = make([]byte, PageSize)
+	n := (size + PageSize - 1) / PageSize * PageSize
+	var data []byte
+	if l := s.free[n]; len(l) > 0 {
+		data, l[len(l)-1] = l[len(l)-1], nil
+		s.free[n] = l[:len(l)-1]
+		s.freeBytes -= n
+	} else {
+		data = make([]byte, n)
 	}
-	s.brk = base + Addr(npages*PageSize)
+	s.maps = append(s.maps, mapping{base: base, data: data, dirtyLo: int(n)})
+	s.brk = base + Addr(n)
 	s.MallocCalls++
 	return base
 }
@@ -129,32 +171,87 @@ func (s *AddrSpace) Reserve(npages int64) {
 	s.brk += Addr(npages * PageSize)
 }
 
+// pageSpan returns the page-aligned range covering a nonempty extent.
+func (e Extent) pageSpan() (lo, hi Addr) {
+	return Addr(e.Addr.PageOf() * PageSize), Addr(((e.End() - 1).PageOf() + 1) * PageSize)
+}
+
+// search returns the index of the first mapping that ends above addr — the
+// one holding addr if any does — or len(s.maps).
+func (s *AddrSpace) search(addr Addr) int {
+	if h := s.hint; h < len(s.maps) && s.maps[h].base <= addr && addr < s.maps[h].end() {
+		return h
+	}
+	lo, hi := 0, len(s.maps)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); s.maps[mid].end() > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	s.hint = lo
+	return lo
+}
+
+// covers returns the index of the mapping holding addr if mappings cover
+// [addr, addr+n) without a gap, and -1 otherwise; n must be positive.
+func (s *AddrSpace) covers(addr Addr, n int64) int {
+	i := s.search(addr)
+	if i == len(s.maps) || s.maps[i].base > addr {
+		return -1
+	}
+	for j, end := i, addr+Addr(n); s.maps[j].end() < end; j++ {
+		if j+1 == len(s.maps) || s.maps[j+1].base != s.maps[j].end() {
+			return -1
+		}
+	}
+	return i
+}
+
 // Free releases every allocated page overlapping the extent. Freeing
 // unallocated pages is a no-op, as with munmap.
 func (s *AddrSpace) Free(e Extent) {
 	if e.Len <= 0 {
 		return
 	}
-	first := e.Addr.PageOf()
-	last := (e.End() - 1).PageOf()
-	for pg := first; pg <= last; pg++ {
-		delete(s.pages, pg)
+	lo, hi := e.pageSpan()
+	keep := make([]mapping, 0, 2) // what stays of the first and the last mapping touched
+	i := s.search(lo)
+	j := i
+	for ; j < len(s.maps) && s.maps[j].base < hi; j++ {
+		m := &s.maps[j]
+		if lo <= m.base && m.end() <= hi {
+			s.recycle(m)
+			continue
+		}
+		if m.base < lo {
+			keep = append(keep, m.piece(0, int(lo-m.base)))
+		}
+		if hi < m.end() {
+			keep = append(keep, m.piece(int(hi-m.base), len(m.data)))
+		}
 	}
+	s.maps = slices.Replace(s.maps, i, j, keep...)
+}
+
+// recycle keeps the storage of a mapping freed whole for a later Malloc of
+// its size, zeroed again where it was written.
+func (s *AddrSpace) recycle(m *mapping) {
+	n := int64(len(m.data))
+	if m.part || s.freeBytes+n > recycleMaxBytes {
+		return
+	}
+	if m.dirtyLo < m.dirtyHi {
+		clear(m.data[m.dirtyLo:m.dirtyHi])
+	}
+	s.free[n] = append(s.free[n], m.data)
+	s.freeBytes += n
 }
 
 // Allocated reports whether every page overlapping the extent is allocated.
 func (s *AddrSpace) Allocated(e Extent) bool {
-	if e.Len <= 0 {
-		return true
-	}
-	first := e.Addr.PageOf()
-	last := (e.End() - 1).PageOf()
-	for pg := first; pg <= last; pg++ {
-		if _, ok := s.pages[pg]; !ok {
-			return false
-		}
-	}
-	return true
+	return e.Len <= 0 || s.covers(e.Addr, e.Len) >= 0
 }
 
 // Holes returns the unallocated page-aligned gaps within the extent, in
@@ -164,20 +261,16 @@ func (s *AddrSpace) Holes(e Extent) []Extent {
 	if e.Len <= 0 {
 		return holes
 	}
-	first := e.Addr.PageOf()
-	last := (e.End() - 1).PageOf()
-	var open *Extent
-	for pg := first; pg <= last; pg++ {
-		if _, ok := s.pages[pg]; ok {
-			open = nil
-			continue
+	at, hi := e.pageSpan()
+	for i := s.search(at); at < hi; i++ {
+		next, resume := hi, hi // the hole's end, and where allocated memory ends after it
+		if i < len(s.maps) && s.maps[i].base < hi {
+			next, resume = s.maps[i].base, s.maps[i].end()
 		}
-		if open != nil {
-			open.Len += PageSize
-			continue
+		if at < next {
+			holes = append(holes, Extent{Addr: at, Len: int64(next - at)})
 		}
-		holes = append(holes, Extent{Addr: Addr(pg * PageSize), Len: PageSize})
-		open = &holes[len(holes)-1]
+		at = resume
 	}
 	return holes
 }
@@ -205,16 +298,17 @@ func (er *errRange) Error() string {
 // byte is unallocated (a simulated segmentation fault), in which case no
 // bytes are written.
 func (s *AddrSpace) Write(addr Addr, data []byte) error {
-	e := Extent{Addr: addr, Len: int64(len(data))}
-	if !s.Allocated(e) {
-		return &errRange{space: s.name, op: "write", e: e}
+	if len(data) == 0 {
+		return nil
 	}
-	for len(data) > 0 {
-		pg := addr.PageOf()
-		off := int(uint64(addr) % PageSize)
-		n := copy(s.pages[pg][off:], data)
+	i := s.covers(addr, int64(len(data)))
+	if i < 0 {
+		return &errRange{space: s.name, op: "write", e: Extent{Addr: addr, Len: int64(len(data))}}
+	}
+	for off := int(addr - s.maps[i].base); len(data) > 0; i, off = i+1, 0 {
+		n := copy(s.maps[i].data[off:], data)
+		s.maps[i].dirty(off, off+n)
 		data = data[n:]
-		addr += Addr(n)
 	}
 	return nil
 }
@@ -222,73 +316,89 @@ func (s *AddrSpace) Write(addr Addr, data []byte) error {
 // Read copies length bytes starting at addr into a fresh slice. It fails if
 // any touched byte is unallocated.
 func (s *AddrSpace) Read(addr Addr, length int64) ([]byte, error) {
-	e := Extent{Addr: addr, Len: length}
-	if !s.Allocated(e) {
-		return nil, &errRange{space: s.name, op: "read", e: e}
-	}
 	out := make([]byte, length)
-	dst := out
-	for len(dst) > 0 {
-		pg := addr.PageOf()
-		off := int(uint64(addr) % PageSize)
-		n := copy(dst, s.pages[pg][off:])
-		dst = dst[n:]
-		addr += Addr(n)
+	if err := s.ReadInto(addr, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // ReadInto is like Read but fills the provided slice, avoiding allocation.
 func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
-	e := Extent{Addr: addr, Len: int64(len(dst))}
-	if !s.Allocated(e) {
-		return &errRange{space: s.name, op: "read", e: e}
+	if len(dst) == 0 {
+		return nil
 	}
-	for len(dst) > 0 {
-		pg := addr.PageOf()
-		off := int(uint64(addr) % PageSize)
-		n := copy(dst, s.pages[pg][off:])
-		dst = dst[n:]
-		addr += Addr(n)
+	i := s.covers(addr, int64(len(dst)))
+	if i < 0 {
+		return &errRange{space: s.name, op: "read", e: Extent{Addr: addr, Len: int64(len(dst))}}
+	}
+	for off := int(addr - s.maps[i].base); len(dst) > 0; i, off = i+1, 0 {
+		dst = dst[copy(dst, s.maps[i].data[off:]):]
 	}
 	return nil
 }
 
 // Copy moves n bytes from src to dst inside the address space without
 // allocating — the primitive behind cache-page fills and drains, where a
-// heap buffer per copy would dominate the client's steady state. The two
-// ranges must not overlap (cache frames and user buffers never do); both
-// must be fully allocated, and nothing is written on failure.
+// heap buffer per copy would dominate the client's steady state. The ranges
+// may overlap: dst receives what src held before the call, as with memmove.
+// Both must be fully allocated, and nothing is written on failure.
 func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 	if n <= 0 {
 		return nil
 	}
-	if !s.Allocated(Extent{Addr: src, Len: n}) {
+	si, di := s.covers(src, n), s.covers(dst, n)
+	if si < 0 {
 		return &errRange{space: s.name, op: "read", e: Extent{Addr: src, Len: n}}
 	}
-	if !s.Allocated(Extent{Addr: dst, Len: n}) {
+	if di < 0 {
 		return &errRange{space: s.name, op: "write", e: Extent{Addr: dst, Len: n}}
 	}
+	// One copy per pair of mappings crossed — usually one in all, and copy
+	// itself is a memmove. With dst inside [src, src+n) the pairs go last to
+	// first, so no source byte is overwritten before it is read.
+	back := src < dst && dst < src+Addr(n)
+	if back {
+		si, di = s.search(src+Addr(n)-1), s.search(dst+Addr(n)-1)
+	}
 	for n > 0 {
-		so := int64(uint64(src) % PageSize)
-		do := int64(uint64(dst) % PageSize)
-		chunk := PageSize - so
-		if r := PageSize - do; r < chunk {
-			chunk = r
+		sm, dm := &s.maps[si], &s.maps[di]
+		so, do := int64(src)-int64(sm.base), int64(dst)-int64(dm.base)
+		var c int64
+		if back {
+			c = min(so+n, do+n, n)
+			so, do = so+n-c, do+n-c
+			if so == 0 {
+				si--
+			}
+			if do == 0 {
+				di--
+			}
+		} else {
+			c = min(int64(len(sm.data))-so, int64(len(dm.data))-do, n)
+			src, dst = src+Addr(c), dst+Addr(c)
+			if so+c == int64(len(sm.data)) {
+				si++
+			}
+			if do+c == int64(len(dm.data)) {
+				di++
+			}
 		}
-		if chunk > n {
-			chunk = n
-		}
-		copy(s.pages[dst.PageOf()][do:do+chunk], s.pages[src.PageOf()][so:so+chunk])
-		src += Addr(chunk)
-		dst += Addr(chunk)
-		n -= chunk
+		copy(dm.data[do:do+c], sm.data[so:so+c])
+		dm.dirty(int(do), int(do+c))
+		n -= c
 	}
 	return nil
 }
 
 // AllocatedPages reports the number of currently allocated pages.
-func (s *AddrSpace) AllocatedPages() int { return len(s.pages) }
+func (s *AddrSpace) AllocatedPages() int {
+	n := 0
+	for i := range s.maps {
+		n += len(s.maps[i].data) / PageSize
+	}
+	return n
+}
 
 // ScratchPool recycles transient byte buffers by power-of-two size class:
 // RDMA gather staging, the I/O daemon's request payloads and sieve windows,
