@@ -2,7 +2,7 @@ GO ?= go
 
 BIN := bin/pvfslint
 
-.PHONY: all build test race lint lint-json lint-time lint-hotpath vet check bench-smoke bench-cache bench-scale bench-check bench-go trace-smoke metrics-smoke fuzz clean
+.PHONY: all build test race lint lint-json lint-time vet check bench-smoke bench-cache bench-scale bench-check bench-go trace-smoke metrics-smoke fuzz clean
 
 # LINT_BUDGET caps the whole analyzer suite's wall time in lint-time; the
 # interprocedural pass (callgraph + detcheck) must not silently blow up CI.
@@ -34,19 +34,12 @@ vet:
 lint: $(BIN)
 	$(GO) vet -vettool=$(CURDIR)/$(BIN) ./...
 
-# lint-hotpath runs the standalone driver (interprocedural: whole-module
-# call graph, stale-entry detection) and archives the hotpath budget drift
-# as hotpath.budget.drift.json — {"new": [], "stale": []} when clean. It
-# fails on any drift; regeneration (pvfslint -write-budget) is a deliberate
-# local act, never automatic in CI.
-lint-hotpath: $(BIN)
-	$(BIN) -budget-drift hotpath.budget.drift.json ./...
-
-# lint-json runs the standalone driver and archives the findings as JSON
-# (pvfslint.json) and SARIF (pvfslint.sarif); it fails when any
-# unsuppressed finding remains.
+# lint-json runs the standalone driver — whole-module call graph, so this
+# is where hotpath sees effects across packages and where its Finish hook
+# reports audits no root reaches any more — and archives the findings as
+# pvfslint.json; it fails when any unsuppressed finding remains.
 lint-json: $(BIN)
-	$(BIN) -json -sarif pvfslint.sarif ./... > pvfslint.json
+	$(BIN) -json ./... > pvfslint.json
 
 # lint-time reports per-analyzer wall time and fails if the whole suite
 # exceeds LINT_BUDGET.
@@ -57,7 +50,7 @@ lint-time: $(BIN)
 # standalone pass adds the interprocedural hotpath ratchet), the nested
 # benchmark/ module (the only place an internal API removal it depends on
 # shows up), race tests.
-check: build vet lint lint-hotpath bench-check race
+check: build vet lint lint-json bench-check race
 
 # bench-smoke runs the short fault-plane and list-I/O experiments on the
 # parallel cell scheduler — with each cell's engine partitioned into 4

@@ -6,8 +6,8 @@
 // checked, not dropped), lockorder (sim.Resource pairs acquire in one
 // consistent order, interprocedurally over the callgraph), okreason (every
 // suppression names its analyzer and gives a reason), hotpath (effects
-// reachable from //pvfslint:hotpath roots are audited against
-// lint/hotpath.budget.json, and no sim handle escapes the engine's
+// reachable from //pvfslint:hotpath roots are audited where they happen, by
+// a //pvfslint:ok hotpath directive, and no sim handle escapes the engine's
 // single-threaded world), tracecheck (spans are ended exactly once on every
 // normal path), and detcheck (nondeterminism sources must not reach
 // deterministic outputs — interprocedural, over the callgraph layer).
@@ -21,37 +21,22 @@
 //
 //	-json          findings to stdout as a JSON array (file, line, column,
 //	               analyzer, message); human-readable lines still go to stderr
-//	-sarif FILE    also write the findings as SARIF 2.1.0 to FILE; "-sarif -"
-//	               writes the SARIF to stdout instead (incompatible with -json:
-//	               stdout carries exactly one machine-readable stream)
 //	-time          report per-analyzer wall time to stderr
 //	-budget DUR    fail (exit 1) if the whole suite takes longer than DUR,
 //	               even with no findings — the CI guard that keeps the
 //	               interprocedural pass from silently blowing up lint time
 //	-only NAMES    run only the comma-separated analyzers (unknown names are
 //	               a usage error)
-//	-write-budget[=FILE]
-//	               regenerate the hotpath budget from this run's effects,
-//	               carrying over the reasons of entries that survive; new
-//	               entries get an empty reason for a human to fill in.
-//	               Budget-diff findings are suppressed for the run (the file
-//	               being rewritten is the baseline they diff against); all
-//	               other findings still report and count
-//	-budget-drift FILE
-//	               write the hotpath budget drift — {"new": [...], "stale":
-//	               [...]} — to FILE (always written, empty lists when clean);
-//	               CI archives it next to the SARIF report
 //
 // Exit codes: 0 clean, 1 findings (or over the -budget time), 2 usage or
-// load error (bad flags, unresolvable patterns, type errors, unreadable
-// budget file).
+// load error (bad flags, unresolvable patterns, type errors).
 //
 // In vet mode the tool speaks the cmd/go vet-tool protocol (-V=full, -flags,
 // and a *.cfg compilation-unit file per package). Interprocedural analyzers
 // see cross-package summaries only in standalone mode; under go vet each
 // compilation unit is a separate process, so they degrade to per-package
-// analysis (hotpath's vet-mode findings are a subset of standalone's, so
-// one budget serves both; stale-entry detection runs standalone only).
+// analysis (hotpath's vet-mode findings are a subset of standalone's; an
+// audit no root reaches any more is detected standalone only).
 package main
 
 import (
@@ -64,9 +49,7 @@ import (
 	"time"
 
 	"pvfsib/internal/analysis"
-	"pvfsib/internal/analysis/hotpath"
 	"pvfsib/internal/analysis/load"
-	"pvfsib/internal/analysis/sarif"
 	"pvfsib/internal/analysis/suite"
 	"pvfsib/internal/analysis/unit"
 )
@@ -84,12 +67,6 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// budgetDrift is the JSON shape of the -budget-drift report.
-type budgetDrift struct {
-	New   []hotpath.Entry `json:"new"`
-	Stale []hotpath.Entry `json:"stale"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	analyzers := suite.All()
 
@@ -97,15 +74,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// vet is driving and the whole command line belongs to the vet-tool
 	// protocol.
 	var (
-		jsonOut     bool
-		timeOut     bool
-		sarifFile   string
-		budget      time.Duration
-		only        string
-		writeBudget bool
-		budgetFile  string
-		driftFile   string
-		patterns    []string
+		jsonOut  bool
+		timeOut  bool
+		budget   time.Duration
+		only     string
+		patterns []string
 	)
 	for i := 0; i < len(args); i++ {
 		a := args[i]
@@ -124,25 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			jsonOut = true
 		case a == "-time":
 			timeOut = true
-		case a == "-write-budget" || strings.HasPrefix(a, "-write-budget="):
-			// The value is optional, so only the -write-budget=FILE form
-			// carries one; a bare -write-budget must not swallow a pattern.
-			writeBudget = true
-			budgetFile = strings.TrimPrefix(strings.TrimPrefix(a, "-write-budget"), "=")
-		case strings.HasPrefix(a, "-budget-drift"):
-			v, ok := takeValue("budget-drift")
-			if !ok {
-				fmt.Fprintln(stderr, "pvfslint: -budget-drift needs a file argument")
-				return 2
-			}
-			driftFile = v
-		case strings.HasPrefix(a, "-sarif"):
-			v, ok := takeValue("sarif")
-			if !ok {
-				fmt.Fprintln(stderr, "pvfslint: -sarif needs a file argument")
-				return 2
-			}
-			sarifFile = v
 		case strings.HasPrefix(a, "-only"):
 			v, ok := takeValue("only")
 			if !ok {
@@ -168,10 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			patterns = append(patterns, a)
 		}
 	}
-	if sarifFile == "-" && jsonOut {
-		fmt.Fprintln(stderr, "pvfslint: -json and -sarif - both claim stdout; pick one")
-		return 2
-	}
 	if only != "" {
 		byName := make(map[string]*analysis.Analyzer)
 		for _, a := range analyzers {
@@ -191,56 +141,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	repo := analysis.NewRepo()
-	findings, err := load.PackagesRepo(".", patterns, analyzers, repo)
+	findings, timing, err := load.PackagesTimed(".", patterns, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "pvfslint: %v\n", err)
 		return 2
-	}
-	if writeBudget {
-		// The baseline is being rewritten, so diffs against the old one are
-		// noise this run; everything else (escape checks, other analyzers)
-		// still counts.
-		kept := findings[:0]
-		for _, f := range findings {
-			if f.Analyzer == "hotpath" &&
-				(strings.HasPrefix(f.Message, "hot path ") || strings.HasPrefix(f.Message, "hotpath budget entry")) {
-				continue
-			}
-			kept = append(kept, f)
-		}
-		findings = kept
-		path := budgetFile
-		if path == "" {
-			path = hotpath.BudgetPath(repo)
-		}
-		if path == "" {
-			path = hotpath.DefaultPath(".")
-		}
-		if err := hotpath.WriteBudget(path, hotpath.Produced(repo), hotpath.LoadedBudget(repo)); err != nil {
-			fmt.Fprintf(stderr, "pvfslint: writing budget: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "pvfslint: wrote %d budget entr%s to %s\n",
-			len(hotpath.Produced(repo)), plural(len(hotpath.Produced(repo)), "y", "ies"), path)
-	}
-	if driftFile != "" {
-		fresh, stale := hotpath.Drift(repo)
-		drift := budgetDrift{New: fresh, Stale: stale}
-		if drift.New == nil {
-			drift.New = []hotpath.Entry{}
-		}
-		if drift.Stale == nil {
-			drift.Stale = []hotpath.Entry{}
-		}
-		data, err := json.MarshalIndent(drift, "", "  ")
-		if err == nil {
-			err = os.WriteFile(driftFile, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "pvfslint: writing budget drift: %v\n", err)
-			return 2
-		}
 	}
 	for _, f := range findings {
 		fmt.Fprintln(stderr, f)
@@ -263,37 +167,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if sarifFile != "" {
-		wd, _ := os.Getwd()
-		report := sarif.Build(analyzers, findings, wd)
-		if sarifFile == "-" {
-			if err := report.Write(stdout); err != nil {
-				fmt.Fprintf(stderr, "pvfslint: writing SARIF: %v\n", err)
-				return 2
-			}
-		} else {
-			f, err := os.Create(sarifFile)
-			if err != nil {
-				fmt.Fprintf(stderr, "pvfslint: %v\n", err)
-				return 2
-			}
-			werr := report.Write(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintf(stderr, "pvfslint: writing SARIF: %v\n", werr)
-				return 2
-			}
-		}
-	}
 
 	var total time.Duration
-	for _, d := range repo.Timing {
+	for _, d := range timing {
 		total += d
 	}
 	if timeOut {
-		timing := repo.Timing
 		names := make([]string, 0, len(timing))
 		for name := range timing {
 			names = append(names, name)
@@ -322,11 +201,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		status = 1
 	}
 	return status
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -15,12 +15,9 @@ func TestUsageErrors(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"json and sarif stdout conflict", []string{"-json", "-sarif", "-"}},
 		{"unknown -only analyzer", []string{"-only", "nosuch"}},
 		{"bad -budget duration", []string{"-budget", "banana"}},
-		{"-sarif without a file", []string{"-sarif"}},
 		{"-only without a list", []string{"-only"}},
-		{"-budget-drift without a file", []string{"-budget-drift"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,9 +78,8 @@ func TestExitCodes(t *testing.T) {
 	})
 }
 
-// TestStdoutModes checks output-mode precedence: -json puts exactly one JSON
-// array on stdout, "-sarif -" puts exactly one SARIF document there, and the
-// human-readable findings stay on stderr either way.
+// TestStdoutModes checks the -json output mode: exactly one JSON array on
+// stdout, and the human-readable findings still on stderr.
 func TestStdoutModes(t *testing.T) {
 	files := map[string]string{
 		"lib/lib.go": "package lib\n\nfunc Boom() { panic(\"no\") }\n",
@@ -105,81 +101,35 @@ func TestStdoutModes(t *testing.T) {
 			t.Errorf("human-readable finding missing from stderr:\n%s", stderr.String())
 		}
 	})
-	t.Run("sarif stdout", func(t *testing.T) {
-		writeModule(t, files)
-		var stdout, stderr bytes.Buffer
-		if got := run([]string{"-sarif", "-", "./..."}, &stdout, &stderr); got != 1 {
-			t.Fatalf("exit = %d, want 1\nstderr: %s", got, stderr.String())
-		}
-		var doc struct {
-			Version string `json:"version"`
-		}
-		if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
-			t.Fatalf("stdout is not a SARIF document: %v\n%s", err, stdout.String())
-		}
-		if doc.Version != "2.1.0" {
-			t.Errorf("SARIF version = %q, want 2.1.0", doc.Version)
-		}
-	})
 }
 
-// TestWriteBudgetAndDrift checks the ratchet plumbing end to end on a module
-// with a hotpath root: the first run reports the fresh effect and writes the
-// drift, -write-budget regenerates the baseline and suppresses the diff, and
-// a rerun against the written baseline still fails only for the missing
-// reason.
-func TestWriteBudgetAndDrift(t *testing.T) {
-	files := map[string]string{
-		"lib/lib.go": "package lib\n\n//pvfslint:hotpath\nfunc Hot() []byte { return make([]byte, 8) }\n",
+// TestHotpathAudits drives the audit ratchet through the standalone driver,
+// Finish hook included: an unaudited effect fails naming root, chain and the
+// effect's line; a directive there clears it for the root that reaches it;
+// and once no root does, the directive itself is the finding.
+func TestHotpathAudits(t *testing.T) {
+	const effect = "func grow(s []int) []int {\n\treturn append(s, 1)\n}\n"
+	const audited = "func grow(s []int) []int {\n\t//pvfslint:ok hotpath amortized growth\n\treturn append(s, 1)\n}\n"
+	const root = "\n//pvfslint:hotpath\nfunc Hot(s []int) { grow(s) }\n"
+	cases := []struct {
+		name, src string
+		exit      int
+		stderr    string
+	}{
+		{"unaudited", effect + root, 1, `hot path lib.Hot: allocation "append (may grow)" in lib.grow at lib.go:4 (via lib.grow) — unaudited`},
+		{"audited", audited + root, 0, ""},
+		{"unreached", audited, 1, "lib.go:4:2: stale audit: no //pvfslint:hotpath root that budgets this effect reaches it any more"},
 	}
-	writeModule(t, files)
-
-	var stdout, stderr bytes.Buffer
-	if got := run([]string{"-budget-drift", "drift.json", "./..."}, &stdout, &stderr); got != 1 {
-		t.Fatalf("fresh effect: exit = %d, want 1\nstderr: %s", got, stderr.String())
-	}
-	if !bytes.Contains(stderr.Bytes(), []byte("hot path lib.Hot")) {
-		t.Fatalf("missing hot path finding:\n%s", stderr.String())
-	}
-	driftData, err := os.ReadFile("drift.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var drift budgetDrift
-	if err := json.Unmarshal(driftData, &drift); err != nil {
-		t.Fatal(err)
-	}
-	if len(drift.New) != 1 || len(drift.Stale) != 0 {
-		t.Fatalf("drift = %d new, %d stale, want 1/0:\n%s", len(drift.New), len(drift.Stale), driftData)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if got := run([]string{"-write-budget", "./..."}, &stdout, &stderr); got != 0 {
-		t.Fatalf("-write-budget: exit = %d, want 0\nstderr: %s", got, stderr.String())
-	}
-	if _, err := os.Stat("lint/hotpath.budget.json"); err != nil {
-		t.Fatalf("budget not written: %v", err)
-	}
-
-	// The regenerated entry has no reason yet, so the rerun flags exactly
-	// that — not the effect itself.
-	stdout.Reset()
-	stderr.Reset()
-	if got := run([]string{"-budget-drift", "drift.json", "./..."}, &stdout, &stderr); got != 1 {
-		t.Fatalf("unreasoned entry: exit = %d, want 1\nstderr: %s", got, stderr.String())
-	}
-	if !bytes.Contains(stderr.Bytes(), []byte("carries no reason")) ||
-		bytes.Contains(stderr.Bytes(), []byte("not in the hotpath budget")) {
-		t.Fatalf("want only the no-reason finding:\n%s", stderr.String())
-	}
-	if driftData, err = os.ReadFile("drift.json"); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(driftData, &drift); err != nil {
-		t.Fatal(err)
-	}
-	if len(drift.New) != 0 || len(drift.Stale) != 0 {
-		t.Fatalf("drift after regeneration = %d new, %d stale, want 0/0:\n%s", len(drift.New), len(drift.Stale), driftData)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			writeModule(t, map[string]string{"lib/lib.go": "package lib\n\n" + tc.src})
+			var stdout, stderr bytes.Buffer
+			if got := run([]string{"./..."}, &stdout, &stderr); got != tc.exit {
+				t.Errorf("exit = %d, want %d", got, tc.exit)
+			}
+			if !bytes.Contains(stderr.Bytes(), []byte(tc.stderr)) {
+				t.Errorf("stderr lacks %q:\n%s", tc.stderr, stderr.String())
+			}
+		})
 	}
 }

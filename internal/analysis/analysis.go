@@ -39,12 +39,12 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 	// Finish, if non-nil, runs once after every package of a driver run has
 	// been analyzed, with the run-wide store. Whole-program checks that only
-	// make sense when the analysis has seen everything — hotpath's
-	// stale-budget detection — live here. Only drivers that walk a complete
+	// make sense when the analysis has seen everything — hotpath's audits
+	// that no root reaches any more — live here. Only drivers that walk a
 	// module with one shared Repo invoke it (the standalone loader and
 	// analysistest); the go vet driver sees one compilation unit per process
 	// and never calls Finish. Finish diagnostics bypass pvfslint:ok
-	// suppression: they have no source line of their own to carry one.
+	// suppression.
 	Finish func(repo *Repo, report func(Diagnostic)) error
 }
 
@@ -68,9 +68,19 @@ type Pass struct {
 	// filtered before it is called.
 	Report func(Diagnostic)
 
-	// suppress maps file line numbers to the set of analyzer names with a
-	// pvfslint:ok directive covering that line. Built lazily.
-	suppress map[int]map[string]bool
+	// directives lists this analyzer's pvfslint:ok directive comments in
+	// source order, covered maps each line one of them covers to it, and
+	// used holds those a lookup has hit. Built lazily.
+	directives []token.Pos
+	covered    map[lineKey]token.Pos
+	used       map[token.Pos]bool
+}
+
+// lineKey names one source line. Directives cover lines of their own file
+// only: two files of a package share line numbers, not suppressions.
+type lineKey struct {
+	file *token.File
+	line int
 }
 
 // Repo carries state across the packages of one driver run: a keyed store
@@ -111,36 +121,69 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Suppressed reports whether a "//pvfslint:ok <analyzer>" directive covers
 // the line of pos (the directive may sit on the same line or the line above).
 func (p *Pass) Suppressed(pos token.Pos) bool {
-	if p.suppress == nil {
-		p.suppress = make(map[int]map[string]bool)
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					text = strings.TrimSpace(text)
-					if !strings.HasPrefix(text, "pvfslint:ok") {
-						continue
-					}
-					fields := strings.Fields(text)
-					if len(fields) < 2 {
-						continue
-					}
-					name := fields[1]
-					line := p.Fset.Position(c.Pos()).Line
-					// The directive covers its own line (end-of-line
-					// comment) and the next line (comment above).
-					for _, l := range [2]int{line, line + 1} {
-						if p.suppress[l] == nil {
-							p.suppress[l] = make(map[string]bool)
-						}
-						p.suppress[l][name] = true
-					}
+	return p.Directive(pos).IsValid()
+}
+
+// Directive returns the position of this analyzer's pvfslint:ok directive
+// covering the line of pos, or token.NoPos, and counts the directive as used.
+func (p *Pass) Directive(pos token.Pos) token.Pos {
+	p.scanDirectives()
+	tf := p.Fset.File(pos)
+	if tf == nil {
+		return token.NoPos
+	}
+	d := p.covered[lineKey{tf, tf.Line(pos)}]
+	if d.IsValid() {
+		p.used[d] = true
+	}
+	return d
+}
+
+// Unused lists, in source order, this analyzer's directives that no
+// Suppressed or Directive call has hit so far: audits of nothing.
+func (p *Pass) Unused() []token.Pos {
+	p.scanDirectives()
+	var out []token.Pos
+	for _, d := range p.directives {
+		if !p.used[d] {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+func (p *Pass) scanDirectives() {
+	if p.covered != nil {
+		return
+	}
+	p.covered = make(map[lineKey]token.Pos)
+	p.used = make(map[token.Pos]bool)
+	for _, f := range p.Files {
+		tf := p.Fset.File(f.Pos())
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if args, ok := OKDirective(c.Text); !ok || len(args) == 0 || args[0] != p.Analyzer.Name {
+					continue
 				}
+				p.directives = append(p.directives, c.Pos())
+				// The directive covers its own line (end-of-line
+				// comment) and the next line (comment above).
+				line := tf.Line(c.Pos())
+				p.covered[lineKey{tf, line}] = c.Pos()
+				p.covered[lineKey{tf, line + 1}] = c.Pos()
 			}
 		}
 	}
-	line := p.Fset.Position(pos).Line
-	return p.suppress[line][p.Analyzer.Name]
+}
+
+// OKDirective parses a "//pvfslint:ok <analyzer> <reason...>" comment and
+// returns the fields after the marker; ok is false for any other comment.
+func OKDirective(text string) (args []string, ok bool) {
+	fields := strings.Fields(strings.TrimPrefix(text, "//"))
+	if len(fields) == 0 || fields[0] != "pvfslint:ok" {
+		return nil, false
+	}
+	return fields[1:], true
 }
 
 // PathHasSuffix reports whether a package import path is pkg or ends with

@@ -15,7 +15,9 @@
 // The expectation comment is `// want` followed by one or more backquoted
 // Go regular expressions, all of which must match diagnostics reported on
 // that line. Diagnostics on lines without a matching expectation, and
-// expectations without a matching diagnostic, fail the test.
+// expectations without a matching diagnostic, fail the test. Where the line
+// ends in a comment of its own — a diagnostic about a directive lands on the
+// directive — the expectation goes before it as `/* want ... */`.
 package analysistest
 
 import (
@@ -45,6 +47,14 @@ import (
 // package: diagnostics landing in stub files are discarded.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	t.Helper()
+	RunSuite(t, dir, []*analysis.Analyzer{a}, pkgPath)
+}
+
+// RunSuite is Run for several analyzers at once, for contracts two of them
+// hold together (a hotpath audit silences hotpath; okreason demands its
+// reason).
+func RunSuite(t *testing.T, dir string, as []*analysis.Analyzer, pkgPath string) {
+	t.Helper()
 	ld := &loader{
 		root: filepath.Join(dir, "src"),
 		fset: token.NewFileSet(),
@@ -58,15 +68,15 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	repo := analysis.NewRepo()
 	var diags []analysis.Diagnostic
 	for _, dep := range ld.order {
-		ds, err := analysis.RunAllRepo([]*analysis.Analyzer{a}, ld.fset, dep.files, dep.pkg, dep.info, repo)
+		ds, err := analysis.RunAllRepo(as, ld.fset, dep.files, dep.pkg, dep.info, repo)
 		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, dep.pkg.Path(), err)
+			t.Fatal(err)
 		}
 		diags = append(diags, ds...)
 	}
-	final, err := analysis.RunFinish([]*analysis.Analyzer{a}, repo)
+	final, err := analysis.RunFinish(as, repo)
 	if err != nil {
-		t.Fatalf("running %s finish: %v", a.Name, err)
+		t.Fatal(err)
 	}
 	diags = append(diags, final...)
 
@@ -131,7 +141,7 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[key]
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				text := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"))
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}

@@ -30,6 +30,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"pvfsib/internal/analysis"
 )
 
 // Graph is the control-flow graph of one function body. Entry starts the
@@ -354,7 +356,7 @@ func (b *builder) stmt(s ast.Stmt) {
 
 	case *ast.ExprStmt:
 		b.expr(s.X)
-		if b.terminates(s.X) {
+		if NeverReturns(b.info, s.X) {
 			// panic / sim.Failf: no normal successor.
 			b.cur = b.newBlock()
 		}
@@ -505,33 +507,29 @@ func (b *builder) expr(e ast.Expr) {
 	b.add(e)
 }
 
-// terminates reports whether the expression is a call that never returns:
+// NeverReturns reports whether the expression is a call that never returns:
 // the panic builtin, or sim.Failf (the scheduler's terminating assertion).
-func (b *builder) terminates(e ast.Expr) bool {
+// Without type information only a call spelled panic(...) qualifies.
+func NeverReturns(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if fun.Name != "panic" {
-			return false
-		}
-		if b.info == nil {
-			return true
-		}
-		_, isBuiltin := b.info.Uses[fun].(*types.Builtin)
-		return isBuiltin
-	case *ast.SelectorExpr:
-		if fun.Sel.Name != "Failf" {
-			return false
-		}
-		if b.info == nil {
-			return false
-		}
-		obj := b.info.Uses[fun.Sel]
-		return obj != nil && obj.Pkg() != nil &&
-			(obj.Pkg().Path() == "internal/sim" || strings.HasSuffix(obj.Pkg().Path(), "/internal/sim"))
+	id, bare := call.Fun.(*ast.Ident)
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	if id == nil {
+		return false
+	}
+	if info == nil {
+		return bare && id.Name == "panic"
+	}
+	switch obj := info.Uses[id].(type) {
+	case *types.Builtin:
+		return obj.Name() == "panic"
+	case *types.Func:
+		return obj.Name() == "Failf" && analysis.IsPkg(obj.Pkg(), "internal/sim")
 	}
 	return false
 }

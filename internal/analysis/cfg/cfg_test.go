@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"testing"
 )
 
@@ -212,6 +213,40 @@ func f() {
 				}
 			}
 		}
+	}
+}
+
+// TestNeverReturnsTyped checks the typed form inside the engine package
+// itself, where Failf is called unqualified: a shadowing panic and an
+// ordinary call return, the builtin and Failf do not.
+func TestNeverReturnsTyped(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "sim.go", `package sim
+func Failf(format string, args ...any) { panic(format) }
+func other()                           {}
+func f(panic func(string)) {
+	Failf("x")
+	other()
+	panic("shadowed")
+}`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+	if _, err := (&types.Config{}).Check("pvfsib/internal/sim", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"Failf": true, "other": false, "panic": false}
+	body := f.Decls[2].(*ast.FuncDecl).Body
+	for _, st := range body.List {
+		call := st.(*ast.ExprStmt).X.(*ast.CallExpr)
+		name := call.Fun.(*ast.Ident).Name
+		if got := NeverReturns(info, call); got != want[name] {
+			t.Errorf("NeverReturns(%s(...)) = %v, want %v", name, got, want[name])
+		}
+	}
+	if !NeverReturns(info, f.Decls[0].(*ast.FuncDecl).Body.List[0].(*ast.ExprStmt).X) {
+		t.Error("NeverReturns(builtin panic) = false")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"pvfsib/internal/analysis"
 	"pvfsib/internal/analysis/callgraph"
+	"pvfsib/internal/analysis/cfg"
 )
 
 // localEffect is one effect site in a function's own body.
@@ -84,6 +85,11 @@ func (h *hot) localEffects(n *callgraph.Node) []localEffect {
 					}
 				}
 			case *ast.CallExpr:
+				if cfg.NeverReturns(info, nd) {
+					// Building the arguments of a call that never returns
+					// is not a hot-path effect: the run is already over.
+					return false
+				}
 				h.callEffects(info, nd, add)
 			}
 			return true
@@ -220,7 +226,7 @@ func isConstExpr(info *types.Info, e ast.Expr) bool {
 // simulator is stdlib-only, and the table covers the stdlib's blocking,
 // wall-clock, and allocating entry points that hot-path code could
 // plausibly reach. A new stdlib dependency on the hot path extends the
-// table, not the budget.
+// table, not the audits.
 func intrinsicEffect(fn *types.Func) (Kind, string, bool) {
 	pkg := fn.Pkg()
 	if pkg == nil {

@@ -40,24 +40,31 @@
 // the dispatch is budgeted as dynamic and, additionally, every CHA
 // implementor's summary propagates (standalone mode sees cross-package
 // implementors; the go vet driver analyzes one compilation unit per process
-// and degrades to the same-package subset, which is why the dynamic entry —
-// computable identically in both modes — is the budget key, not the CHA
+// and degrades to the same-package subset, which is why the dynamic site —
+// computable identically in both modes — is what gets audited, not the CHA
 // resolution).
 //
-// Findings are diffed against a checked-in baseline, lint/hotpath.budget.json,
-// keyed by (root, effect, containing function, what). The baseline is a
-// ratchet, not a snapshot: any effect not in the budget fails the suite with
-// a root→callee chain; a budget entry the analysis no longer produces is a
-// hard error (stale audit, detected in the Finish hook of whole-module
-// runs); a matched entry with an empty reason is an error too — the same
-// hygiene okreason enforces for //pvfslint:ok. "pvfslint -write-budget"
-// regenerates the file, preserving existing reasons.
+// An effect is audited once, where it happens: a directive
+//
+//	//pvfslint:ok hotpath <reason>
+//
+// on the effect's line or the line above it — the suite's one suppression
+// mechanism — audits that effect for every root, present and future, that
+// reaches it. In a function's doc comment the directive covers the whole
+// body, for functions that are cold or blocking as a whole (error
+// formatting, a deadlock report, a barrier). Building the arguments of a
+// call that never returns (panic, sim.Failf) needs no audit: it is not a
+// hot-path effect. The audits are a ratchet: an unaudited effect reachable
+// from a root fails the suite with the root→callee chain and the effect's
+// own file:line, where the directive would go; a directive without a reason
+// fails okreason; a directive that audits nothing — no effect on its line,
+// or (detected in the Finish hook of whole-module runs) an effect no root
+// reaches any more — is a stale audit and fails too.
 //
 // hotpath also subsumes the retired engescape analyzer: no *sim.Proc or
 // *sim.Engine may be captured by a real goroutine or stored in a
 // package-level variable (see escape.go). Those checks are unconditional —
-// repo-wide, not root-scoped — and keep engescape's suppression contract
-// under "//pvfslint:ok hotpath <reason>".
+// repo-wide, not root-scoped — and are suppressed by the same directive.
 //
 // Test files and the analysis tooling itself (internal/analysis/...,
 // cmd/pvfslint) are skipped.
@@ -68,6 +75,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -75,11 +83,14 @@ import (
 	"pvfsib/internal/analysis/callgraph"
 )
 
+// analyzerName also names the directive: //pvfslint:ok hotpath.
+const analyzerName = "hotpath"
+
 // Analyzer enforces the allocation/blocking/wall-clock budget of declared
 // hot-path roots.
 var Analyzer = &analysis.Analyzer{
-	Name:   "hotpath",
-	Doc:    "effects reachable from //pvfslint:hotpath roots (allocation, blocking, syscall/wall-clock, dynamic dispatch) must be audited in lint/hotpath.budget.json; sim engine handles must not escape to goroutines or globals",
+	Name:   analyzerName,
+	Doc:    "effects reachable from //pvfslint:hotpath roots (allocation, blocking, syscall/wall-clock, dynamic dispatch) must be audited at the site with //pvfslint:ok hotpath <reason>; sim engine handles must not escape to goroutines or globals",
 	Run:    run,
 	Finish: finish,
 }
@@ -131,14 +142,16 @@ const (
 	classAll = classAlloc | classBlock | classSyscall
 )
 
-// effKey identifies one budgetable effect: its kind, the function whose body
-// contains the effect site, and a short description. The witness chain is
-// deliberately not part of the key — a refactor that reroutes the path to an
-// already-audited effect does not invalidate the audit.
+// effKey identifies one effect in a summary. An unaudited effect is keyed by
+// its kind, the function whose body contains the site, and a short
+// description — sites of one function that read the same fold into one
+// finding. An audited effect is keyed by its kind and its directive alone:
+// all a root needs to know is that it reached the audit.
 type effKey struct {
-	kind Kind
-	fn   string // callgraph ID of the containing function
-	what string
+	kind  Kind
+	fn    string // callgraph ID of the containing function
+	what  string
+	audit token.Pos // the covering //pvfslint:ok hotpath directive, if any
 }
 
 // witness carries one deterministic evidence trail for an effect key.
@@ -158,37 +171,25 @@ type witness struct {
 // equality is a length compare.
 type effSummary map[effKey]witness
 
-// rootInfo records one declared hot-path root.
-type rootInfo struct {
-	classes uint8
-	declPos token.Pos
-}
-
 // stateKey is the Repo key of the run-wide hotpath state.
 const stateKey = "hotpath.state"
 
 // state is the cross-package accumulator for one driver run.
 type state struct {
-	sums       map[string]effSummary
-	budget     *Budget
-	budgetPath string
-	matched    []bool // per budget entry
-	produced   []Entry
-	seen       map[string]bool // produced entry keys
-	fresh      []Entry         // produced but not budgeted
-	stale      []Entry         // budgeted but not produced (filled by finish)
-	roots      map[string]rootInfo
-	pkgs       map[string]bool // packages whose summaries this run computed
+	sums map[string]effSummary
+	// audits holds every directive that covers an effect; reached, those
+	// among them some root arrived at with the effect's class budgeted.
+	audits  map[token.Pos]bool
+	reached map[token.Pos]bool
 }
 
 func getState(repo *analysis.Repo) *state {
 	st, _ := repo.Get(stateKey).(*state)
 	if st == nil {
 		st = &state{
-			sums:  make(map[string]effSummary),
-			seen:  make(map[string]bool),
-			roots: make(map[string]rootInfo),
-			pkgs:  make(map[string]bool),
+			sums:    make(map[string]effSummary),
+			audits:  make(map[token.Pos]bool),
+			reached: make(map[token.Pos]bool),
 		}
 		repo.Set(stateKey, st)
 	}
@@ -208,14 +209,16 @@ func run(pass *analysis.Pass) error {
 		repo = analysis.NewRepo()
 	}
 	st := getState(repo)
-	st.pkgs[pass.Pkg.Path()] = true
 
 	prog, g := callgraph.Of(pass)
 	h := &hot{pass: pass, prog: prog, st: st, facts: make(map[*callgraph.Node][]localEffect), coro: coroHandles(pass)}
 
-	// Collect this package's root directives before summarizing, so a root
+	// Summarize the whole package before looking at its roots, so a root
 	// that is also reachable from another root is still summarized normally.
-	var roots []*callgraph.Node
+	callgraph.Fixpoint(g.SCCs, st.sums,
+		func(a, b effSummary) bool { return len(a) == len(b) },
+		h.summarize)
+
 	for _, n := range g.Nodes {
 		rest, ok := rootDirective(n.Decl)
 		if !ok {
@@ -226,30 +229,16 @@ func run(pass *analysis.Pass) error {
 			pass.Reportf(n.Decl.Pos(), "bad //pvfslint:hotpath directive on %s: %v", shortID(n.ID), err)
 			continue
 		}
-		st.roots[n.ID] = rootInfo{classes: classes, declPos: n.Decl.Name.Pos()}
-		roots = append(roots, n)
-	}
-
-	callgraph.Fixpoint(g.SCCs, st.sums,
-		func(a, b effSummary) bool { return len(a) == len(b) },
-		h.summarize)
-
-	// Load the baseline even when this package declares no roots: a budget
-	// entry whose root directive was deleted outright must still turn stale
-	// in Finish, which requires the budget to have been resolved.
-	if err := h.loadBudget(); err != nil {
-		return err
-	}
-	if len(roots) == 0 {
-		return nil
-	}
-	idx := st.budget.index()
-	for _, n := range roots {
-		ri := st.roots[n.ID]
 		s := st.sums[n.ID]
-		keys := make([]effKey, 0, len(s))
+		var keys []effKey
 		for k := range s {
-			keys = append(keys, k)
+			switch {
+			case k.kind != KindDynamic && classes&classBit(k.kind) == 0:
+			case k.audit.IsValid():
+				st.reached[k.audit] = true
+			default:
+				keys = append(keys, k)
+			}
 		}
 		sort.Slice(keys, func(i, j int) bool {
 			a, b := keys[i], keys[j]
@@ -262,21 +251,7 @@ func run(pass *analysis.Pass) error {
 			return a.what < b.what
 		})
 		for _, k := range keys {
-			if k.kind != KindDynamic && ri.classes&classBit(k.kind) == 0 {
-				continue
-			}
 			w := s[k]
-			e := Entry{Root: n.ID, Effect: k.kind.String(), Func: k.fn, What: k.what, Chain: w.chain}
-			if st.seen[e.key()] {
-				continue
-			}
-			st.seen[e.key()] = true
-			st.produced = append(st.produced, e)
-			if i, ok := idx[e.key()]; ok {
-				st.matched[i] = true
-				continue
-			}
-			st.fresh = append(st.fresh, e)
 			via := ""
 			if len(w.chain) > 0 {
 				parts := make([]string, len(w.chain))
@@ -285,71 +260,37 @@ func run(pass *analysis.Pass) error {
 				}
 				via = " (via " + strings.Join(parts, " → ") + ")"
 			}
-			pass.Reportf(w.site, "hot path %s: %s %q in %s%s — not in the hotpath budget: eliminate it, or audit it with a reasoned entry via pvfslint -write-budget",
-				shortID(n.ID), k.kind.noun(), k.what, shortID(k.fn), via)
+			at := pass.Fset.Position(w.pos)
+			// Reported past the suppression filter: the one place to
+			// silence an effect is the effect, not a call site above it.
+			pass.Report(analysis.Diagnostic{Pos: w.site, Analyzer: analyzerName, Message: fmt.Sprintf(
+				"hot path %s: %s %q in %s at %s:%d%s — unaudited: eliminate it, or audit it there with //pvfslint:ok hotpath <reason>",
+				shortID(n.ID), k.kind.noun(), k.what, shortID(k.fn), filepath.Base(at.Filename), at.Line, via)})
 		}
 	}
+
+	// Every effect and escape of the package has consulted its directive by
+	// now; one nothing consulted audits nothing.
+	for _, d := range pass.Unused() {
+		pass.Report(analysis.Diagnostic{Pos: d, Analyzer: analyzerName,
+			Message: "stale audit: //pvfslint:ok hotpath covers no hot-path effect here — remove the directive"})
+	}
 	return nil
 }
 
-// loadBudget resolves and loads the baseline once per run. An unreadable or
-// malformed budget is a load error (driver exit 2), not a finding.
-func (h *hot) loadBudget() error {
-	st := h.st
-	if st.budget != nil {
-		return nil
-	}
-	path := BudgetOverride
-	if path == "" {
-		path = discoverBudget(h.pass)
-	}
-	b, err := LoadBudget(path)
-	if err != nil {
-		return fmt.Errorf("hotpath: reading budget %s: %w", path, err)
-	}
-	st.budget = b
-	st.budgetPath = path
-	st.matched = make([]bool, len(b.Entries))
-	return nil
-}
-
-// finish runs once per whole-module driver run: stale-audit detection and
-// the empty-reason check. Both need the complete produced set, so they
-// cannot run per package; the go vet driver (one unit per process) never
-// gets here, which is fine — vet-mode entries are a subset of standalone
-// entries, and the repository self-check runs the standalone loader.
+// finish runs once per whole-module driver run and reports the audits no
+// root reached. It needs every root's summary, so it cannot run per package;
+// the go vet driver (one unit per process) never gets here, and a run over
+// part of the module proves nothing about roots it never summarized.
 func finish(repo *analysis.Repo, report func(analysis.Diagnostic)) error {
 	st, _ := repo.Get(stateKey).(*state)
-	if st == nil || st.budget == nil {
+	if st == nil {
 		return nil
 	}
-	for i, be := range st.budget.Entries {
-		// Only judge entries whose root package was analyzed this run: a
-		// partial run (pvfslint ./internal/mem) proves nothing about roots
-		// it never summarized.
-		if !st.pkgs[rootPkg(be.Root)] {
-			continue
-		}
-		pos := token.NoPos
-		if ri, ok := st.roots[be.Root]; ok {
-			pos = ri.declPos
-		}
-		switch {
-		case !st.matched[i]:
-			st.stale = append(st.stale, be)
-			report(analysis.Diagnostic{
-				Pos:      pos,
-				Analyzer: "hotpath",
-				Message: fmt.Sprintf("hotpath budget entry is stale: root %s no longer yields %s %q in %s — remove the entry or regenerate with pvfslint -write-budget",
-					shortID(be.Root), kindOf(be.Effect).noun(), be.What, shortID(be.Func)),
-			})
-		case strings.TrimSpace(be.Reason) == "":
-			report(analysis.Diagnostic{
-				Pos:      pos,
-				Analyzer: "hotpath",
-				Message: fmt.Sprintf("hotpath budget entry for root %s (%s %q in %s) carries no reason: an audited entry must say why the effect is acceptable",
-					shortID(be.Root), kindOf(be.Effect).noun(), be.What, shortID(be.Func)),
-			})
+	for d := range st.audits {
+		if !st.reached[d] {
+			report(analysis.Diagnostic{Pos: d, Analyzer: analyzerName,
+				Message: "stale audit: no //pvfslint:hotpath root that budgets this effect reaches it any more — remove the directive"})
 		}
 	}
 	return nil
@@ -410,18 +351,6 @@ func classBit(k Kind) uint8 {
 	return 0
 }
 
-func kindOf(s string) Kind {
-	switch s {
-	case "alloc":
-		return KindAlloc
-	case "block":
-		return KindBlock
-	case "syscall":
-		return KindSyscall
-	}
-	return KindDynamic
-}
-
 // hot is the per-pass analysis context.
 type hot struct {
 	pass  *analysis.Pass
@@ -440,10 +369,19 @@ func (h *hot) summarize(n *callgraph.Node, sums map[string]effSummary) effSummar
 			out[k] = w
 		}
 	}
+	// own records an effect of n's own body, under its audit if it has one.
+	own := func(kind Kind, what string, pos token.Pos) {
+		k := effKey{kind: kind, fn: n.ID, what: what}
+		if d := h.audit(n, pos); d.IsValid() {
+			h.st.audits[d] = true
+			k = effKey{kind: kind, audit: d}
+		}
+		add(k, witness{pos: pos, site: pos})
+	}
 	// Own-body effects first: a function's own witness always beats a chain
 	// through an SCC sibling, which keeps chains minimal and convergent.
 	for _, le := range h.localEffects(n) {
-		add(effKey{kind: le.kind, fn: n.ID, what: le.what}, witness{pos: le.pos, site: le.pos})
+		own(le.kind, le.what, le.pos)
 	}
 	propagate := func(id string, sitePos token.Pos) {
 		if h.prog.Node(id) == nil {
@@ -459,8 +397,7 @@ func (h *hot) summarize(n *callgraph.Node, sums map[string]effSummary) effSummar
 			if _, isCall := c.Site.(*ast.CallExpr); !isCall {
 				if c.Static.Type().(*types.Signature).Recv() != nil {
 					// x.M taken as a value binds the receiver: a closure.
-					add(effKey{kind: KindAlloc, fn: n.ID, what: "method value (bound closure)"},
-						witness{pos: sitePos, site: sitePos})
+					own(KindAlloc, "method value (bound closure)", sitePos)
 				}
 			}
 			// Intrinsics are keyed by package path, which only matches
@@ -468,18 +405,36 @@ func (h *hot) summarize(n *callgraph.Node, sums map[string]effSummary) effSummar
 			// runs (the corpus stubs shadow those paths deliberately, to
 			// pin the table down in tests).
 			if kind, what, ok := intrinsicEffect(c.Static); ok {
-				add(effKey{kind: kind, fn: n.ID, what: what}, witness{pos: sitePos, site: sitePos})
+				own(kind, what, sitePos)
 			}
 		}
 		targets, kind, what := h.resolve(n, c)
 		if what != "" {
-			add(effKey{kind: kind, fn: n.ID, what: what}, witness{pos: sitePos, site: sitePos})
+			own(kind, what, sitePos)
 		}
 		for _, id := range targets {
 			propagate(id, sitePos)
 		}
 	}
 	return out
+}
+
+// audit returns the directive that audits an effect at pos in n's body: the
+// one on the effect's line or the line above, else one in n's doc comment.
+func (h *hot) audit(n *callgraph.Node, pos token.Pos) token.Pos {
+	if d := h.pass.Directive(pos); d.IsValid() {
+		return d
+	}
+	if n.Decl.Doc != nil {
+		for _, c := range n.Decl.Doc.List {
+			// A directive covers its own line, so a doc line that looks
+			// itself up and finds itself is one.
+			if d := h.pass.Directive(c.Pos()); d == c.Pos() {
+				return d
+			}
+		}
+	}
+	return token.NoPos
 }
 
 // resolve maps one call edge to propagation targets and, when the callees
@@ -505,23 +460,6 @@ func prepend(id string, chain []string) []string {
 	out := make([]string, 0, len(chain)+1)
 	out = append(out, id)
 	return append(out, chain...)
-}
-
-// rootPkg extracts the package path from a callgraph ID ("pkg.F" or
-// "(pkg.T).M").
-func rootPkg(id string) string {
-	if rest, ok := strings.CutPrefix(id, "("); ok {
-		if j := strings.Index(rest, ")"); j > 0 {
-			if i := strings.LastIndex(rest[:j], "."); i >= 0 {
-				return rest[:i]
-			}
-		}
-		return ""
-	}
-	if i := strings.LastIndex(id, "."); i >= 0 {
-		return id[:i]
-	}
-	return ""
 }
 
 // shortID trims the module prefix off a callgraph ID for messages.

@@ -3,37 +3,29 @@ package hotpath_test
 import (
 	"testing"
 
+	"pvfsib/internal/analysis"
 	"pvfsib/internal/analysis/analysistest"
 	"pvfsib/internal/analysis/hotpath"
+	"pvfsib/internal/analysis/okreason"
 )
 
-// pinBudget points the analyzer at a corpus-local baseline for one test.
-// A path that does not exist is the empty budget (every effect fresh).
-func pinBudget(t *testing.T, path string) {
-	t.Helper()
-	old := hotpath.BudgetOverride
-	hotpath.BudgetOverride = path
-	t.Cleanup(func() { hotpath.BudgetOverride = old })
-}
-
-// TestEffects checks effect detection against an empty budget: allocation
+// TestEffects checks effect detection with nothing audited: allocation
 // kinds, blocking primitives, devirtualization, SCC recursion, intrinsics,
-// the class filter, and the directive parser.
+// calls that never return, the class filter, and the directive parser.
 func TestEffects(t *testing.T) {
-	pinBudget(t, "testdata/nonexistent.budget.json")
 	analysistest.Run(t, "testdata", hotpath.Analyzer, "a")
 }
 
-// TestBudgetRatchet checks the baseline diff: matched reasoned entries are
-// silent, stale and unreasoned entries are errors.
+// TestBudgetRatchet checks the site audits that are a root's budget: an
+// audited effect is silent from every root, an unaudited one fails from each,
+// a doc-comment audit covers a body, and a directive that gives no reason,
+// covers no effect, or audits what no root reaches is an error.
 func TestBudgetRatchet(t *testing.T) {
-	pinBudget(t, "testdata/b.budget.json")
-	analysistest.Run(t, "testdata", hotpath.Analyzer, "b")
+	analysistest.RunSuite(t, "testdata", []*analysis.Analyzer{hotpath.Analyzer, okreason.Analyzer}, "b")
 }
 
 // TestEscapes checks the checks inherited from engescape, including the
 // suppression directive under the hotpath name.
 func TestEscapes(t *testing.T) {
-	pinBudget(t, "testdata/nonexistent.budget.json")
 	analysistest.Run(t, "testdata", hotpath.Analyzer, "esc")
 }

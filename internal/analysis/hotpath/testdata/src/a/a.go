@@ -1,7 +1,7 @@
 // Package a exercises the hotpath analyzer's effect detection: allocation
 // kinds, blocking primitives, interface devirtualization, SCC recursion,
-// intrinsics, and the directive's class filter. The test pins the budget to
-// a nonexistent file, so every effect is fresh and reports.
+// intrinsics, calls that never return, and the directive's class filter.
+// Nothing here is audited, so every effect reports.
 package a
 
 import (
@@ -16,7 +16,7 @@ import (
 //
 //pvfslint:hotpath
 func kinds(n int, m map[string]int, s []int, ch chan int) {
-	b := make([]byte, n) // want `hot path a\.kinds: allocation "make" in a\.kinds — not in the hotpath budget`
+	b := make([]byte, n) // want `hot path a\.kinds: allocation "make" in a\.kinds at a\.go:19 — unaudited: eliminate it, or audit it there with //pvfslint:ok hotpath <reason>`
 	_ = b
 	q := new(int) // want `allocation "new" in a\.kinds`
 	_ = q
@@ -39,11 +39,11 @@ func strider(a, b string) string {
 }
 
 // pump blocks through the sim stub: Recv parks, Park receives — the effect
-// reports with the interprocedural chain.
+// reports with the interprocedural chain and its own position in the stub.
 //
 //pvfslint:hotpath
 func pump(p *sim.Proc, mb *sim.Mailbox) {
-	mb.Recv(p) // want `blocking effect "chan receive" in \(sim\.Proc\)\.Park \(via \(sim\.Mailbox\)\.Recv → \(sim\.Proc\)\.Park\)`
+	mb.Recv(p) // want `blocking effect "chan receive" in \(sim\.Proc\)\.Park at sim\.go:38 \(via \(sim\.Mailbox\)\.Recv → \(sim\.Proc\)\.Park\)`
 }
 
 type iface interface{ M() int }
@@ -71,7 +71,7 @@ func devirted() int {
 //
 //pvfslint:hotpath
 func dynamic(x iface) int {
-	return x.M() // want `dynamic call "interface call M" in a\.dynamic` `allocation "make" in \(a\.impl1\)\.M \(via \(a\.impl1\)\.M\)`
+	return x.M() // want `dynamic call "interface call M" in a\.dynamic` `allocation "make" in \(a\.impl1\)\.M at \S+:\d+ \(via \(a\.impl1\)\.M\)`
 }
 
 // looper reaches an allocation through a two-function recursion cycle: the
@@ -79,7 +79,7 @@ func dynamic(x iface) int {
 //
 //pvfslint:hotpath
 func looper(n int) {
-	mutualA(n) // want `allocation "make" in a\.mutualB \(via a\.mutualA → a\.mutualB\)`
+	mutualA(n) // want `allocation "make" in a\.mutualB at \S+:\d+ \(via a\.mutualA → a\.mutualB\)`
 }
 
 func mutualA(n int) {
@@ -122,6 +122,18 @@ func formatty(n int) string {
 	return fmt.Sprintf("n=%d", n) // want `allocation "fmt\.Sprintf" in a\.formatty` `allocation "variadic argument slice" in a\.formatty` `allocation "interface conversion \(boxing\)" in a\.formatty`
 }
 
+// fatal builds the arguments of two calls that never return: the run is
+// over, so neither Failf's boxed variadic arguments nor the panic message's
+// concatenation is a hot-path effect. What Failf itself does still counts.
+//
+//pvfslint:hotpath
+func fatal(n int, name string) {
+	if n < 0 {
+		sim.Failf("bad n %d", n) // want `allocation "string concatenation" in sim\.Failf at sim\.go:12 \(via sim\.Failf\)`
+	}
+	panic("unreachable: " + name)
+}
+
 // bindIt returns a bound method value — a closure allocation.
 //
 //pvfslint:hotpath
@@ -159,9 +171,9 @@ func finish(c *coro)  { c.stop() }
 //
 //pvfslint:hotpath
 func switcher(c *coro) {
-	resume(c)  // want `blocking effect "coroutine switch" in a\.resume \(via a\.resume\)`
-	suspend(c) // want `blocking effect "coroutine switch" in a\.suspend \(via a\.suspend\)`
-	finish(c)  // want `blocking effect "coroutine switch" in a\.finish \(via a\.finish\)`
+	resume(c)  // want `blocking effect "coroutine switch" in a\.resume at \S+:\d+ \(via a\.resume\)`
+	suspend(c) // want `blocking effect "coroutine switch" in a\.suspend at \S+:\d+ \(via a\.suspend\)`
+	finish(c)  // want `blocking effect "coroutine switch" in a\.finish at \S+:\d+ \(via a\.finish\)`
 	c.other()  // want `dynamic call "func-value call" in a\.switcher`
 }
 

@@ -1,25 +1,74 @@
-// Package b exercises the budget ratchet against testdata/b.budget.json:
-// a matched reasoned entry is silent, a stale entry and an unreasoned entry
-// are errors at the root's declaration.
+// Package b exercises the audit ratchet: an effect is audited once, where it
+// happens, by a //pvfslint:ok hotpath directive. An audited site is silent
+// from every root that reaches it, an unaudited one fails from each, and an
+// audit of nothing is itself a finding. The test runs okreason alongside
+// hotpath, because the two hold the contract together.
 package b
 
-// audited's make is in the budget with a reason: silent.
-//
-//pvfslint:hotpath
-func audited(n int) []byte {
+// grow's append is audited at the site.
+func grow(s []int) []int {
+	//pvfslint:ok hotpath amortized growth; the backing array is retained
+	return append(s, 1)
+}
+
+// leak's allocation is not.
+func leak(n int) []byte {
 	return make([]byte, n)
 }
 
-// outgrown's body lost the allocation its budget entry still audits.
+// first and second both reach both: grow is silent from either, leak fails
+// from each with the chain and the effect's own position.
 //
 //pvfslint:hotpath
-func outgrown() int { // want `hotpath budget entry is stale: root b\.outgrown no longer yields allocation "make" in b\.outgrown`
-	return 0
+func first(s []int) {
+	grow(s)
+	leak(1) // want `hot path b\.first: allocation "make" in b\.leak at b\.go:16 \(via b\.leak\) — unaudited`
 }
 
-// unreasoned's make is budgeted, but the entry carries no reason.
+// second also tries to audit leak from above the call that reaches it. An
+// audit belongs at the effect: the finding stands, and the directive, which
+// covers no effect, is stale.
 //
 //pvfslint:hotpath
-func unreasoned(n int) []byte { // want `hotpath budget entry for root b\.unreasoned \(allocation "make" in b\.unreasoned\) carries no reason`
+func second(s []int) {
+	grow(s)
+	/* want `stale audit: //pvfslint:ok hotpath covers no hot-path effect here` */ //pvfslint:ok hotpath leak is cold on this path
+	leak(2) // want `hot path b\.second: allocation "make" in b\.leak at b\.go:16 \(via b\.leak\) — unaudited`
+}
+
+// unreasoned's directive silences hotpath and says nothing: okreason fails it.
+//
+//pvfslint:hotpath
+func unreasoned(n int) []byte {
+	return make([]byte, n) /* want `pvfslint:ok hotpath gives no reason` */ //pvfslint:ok hotpath
+}
+
+// orphan's audit is of a real effect, but no root reaches orphan any more.
+func orphan(n int) []byte {
+	/* want `stale audit: no //pvfslint:hotpath root that budgets this effect reaches it any more` */ //pvfslint:ok hotpath scratch for first, before first stopped calling it
 	return make([]byte, n)
+}
+
+// report is cold as a whole: one directive in its doc comment covers every
+// effect of its body.
+//
+//pvfslint:ok hotpath error formatting; runs only when the run already failed
+func report(names []string, n int) string {
+	names = append(names, "x")
+	m := make(map[string]int)
+	m["k"] = n
+	return names[0] + "!"
+}
+
+//pvfslint:hotpath
+func failing(names []string) string { return report(names, 1) }
+
+// sender parks by design: its class list budgets allocation and wall-clock
+// effects only, so the unaudited chan send is none of its business. The
+// allocation still is.
+//
+//pvfslint:hotpath alloc,syscall
+func sender(ch chan int, n int) []byte {
+	ch <- n
+	return make([]byte, n) // want `hot path b\.sender: allocation "make" in b\.sender at b\.go:73 — unaudited`
 }

@@ -7,6 +7,12 @@
 // do.
 package sim
 
+// Failf never returns; analyzers recognize it by name and package.
+func Failf(format string, args ...any) {
+	msg := "sim: " + format
+	panic(msg)
+}
+
 type Engine struct {
 	procs []*Proc
 }

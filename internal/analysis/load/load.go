@@ -61,25 +61,15 @@ func Packages(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]
 
 // PackagesTimed is Packages plus the per-analyzer wall-clock totals for the
 // whole run (the numbers behind pvfslint -time and the lint-time budget).
-func PackagesTimed(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, map[string]time.Duration, error) {
-	repo := analysis.NewRepo()
-	findings, err := PackagesRepo(dir, patterns, analyzers, repo)
-	return findings, repo.Timing, err
-}
-
-// PackagesRepo is the full-control variant: the caller supplies the run-wide
-// store and keeps it afterwards — how cmd/pvfslint reaches the entries
-// hotpath produced when regenerating the budget (-write-budget) or writing
-// the drift report (-budget-drift).
 //
 // One analysis.Repo is shared by every package, and "go list -deps" emits
 // dependencies before dependents, so interprocedural analyzers (detcheck,
 // lockorder, hotpath) see every in-module callee's summary before the
 // caller's package — provided the patterns cover the dependency (as ./...
 // does). After the last package, each analyzer's Finish hook runs once with
-// the same store; its diagnostics (hotpath's stale-budget errors) join the
+// the same store; its diagnostics (hotpath's unreached audits) join the
 // findings.
-func PackagesRepo(dir string, patterns []string, analyzers []*analysis.Analyzer, repo *analysis.Repo) ([]Finding, error) {
+func PackagesTimed(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, map[string]time.Duration, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Name,Dir,Standard,Export,GoFiles,Imports,Module"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -87,7 +77,7 @@ func PackagesRepo(dir string, patterns []string, analyzers []*analysis.Analyzer,
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+		return nil, nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 
 	pkgs := make(map[string]*listPackage)
@@ -98,7 +88,7 @@ func PackagesRepo(dir string, patterns []string, analyzers []*analysis.Analyzer,
 		if err := dec.Decode(p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("go list output: %v", err)
+			return nil, nil, fmt.Errorf("go list output: %v", err)
 		}
 		pkgs[p.ImportPath] = p
 		order = append(order, p)
@@ -119,13 +109,14 @@ func PackagesRepo(dir string, patterns []string, analyzers []*analysis.Analyzer,
 	cmd.Stdout = &targetOut
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+		return nil, nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 	targets := make(map[string]bool)
 	for _, line := range bytes.Fields(targetOut.Bytes()) {
 		targets[string(line)] = true
 	}
 
+	repo := analysis.NewRepo()
 	fset := token.NewFileSet()
 	gcImporter := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
@@ -150,18 +141,18 @@ func PackagesRepo(dir string, patterns []string, analyzers []*analysis.Analyzer,
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			files = append(files, f)
 		}
 		info := analysis.NewInfo()
 		pkg, err := tc.Check(p.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
+			return nil, nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
 		}
 		diags, err := analysis.RunAllRepo(analyzers, fset, files, pkg, info, repo)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, d := range diags {
 			findings = append(findings, Finding{
@@ -173,7 +164,7 @@ func PackagesRepo(dir string, patterns []string, analyzers []*analysis.Analyzer,
 	}
 	final, err := analysis.RunFinish(analyzers, repo)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, d := range final {
 		findings = append(findings, Finding{
@@ -192,5 +183,5 @@ func PackagesRepo(dir string, patterns []string, analyzers []*analysis.Analyzer,
 		}
 		return a.Column < b.Column
 	})
-	return findings, nil
+	return findings, repo.Timing, nil
 }

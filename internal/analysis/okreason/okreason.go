@@ -13,7 +13,6 @@ package okreason
 import (
 	"fmt"
 	"go/token"
-	"strings"
 
 	"pvfsib/internal/analysis"
 )
@@ -40,16 +39,13 @@ func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, "pvfslint:ok") {
-					continue
-				}
-				fields := strings.Fields(text)
+				args, ok := analysis.OKDirective(c.Text)
 				switch {
-				case len(fields) < 2:
+				case !ok:
+				case len(args) == 0:
 					report(c.Pos(), "pvfslint:ok directive names no analyzer: write //pvfslint:ok <analyzer> <reason>")
-				case len(fields) < 3:
-					report(c.Pos(), "pvfslint:ok %s gives no reason: a suppression is an audited exception, say why the site is safe", fields[1])
+				case len(args) == 1:
+					report(c.Pos(), "pvfslint:ok %s gives no reason: a suppression is an audited exception, say why the site is safe", args[0])
 				}
 			}
 		}

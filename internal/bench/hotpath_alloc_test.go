@@ -14,11 +14,11 @@ import (
 )
 
 // These tests are the runtime teeth behind the hotpath analyzer: every
-// //pvfslint:hotpath root whose budget says "steady state allocates
+// //pvfslint:hotpath root whose audits say "steady state allocates
 // nothing" is exercised here through testing.AllocsPerRun after a warm-up
-// that fills the free lists and queue backing arrays. A budget entry can
-// argue an allocation away as "free-list miss" or "error path only"; this
-// file checks the argument against the allocator.
+// that fills the free lists and queue backing arrays. An audit can argue
+// an allocation away as "free-list miss" or "error path only"; this file
+// checks the argument against the allocator.
 
 // stepHorizon bounds one measured step's virtual time; keepAlive is the
 // sleeper period that keeps a future event queued so RunUntil stops at the

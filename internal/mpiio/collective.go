@@ -159,7 +159,10 @@ func clipToExtent(memSegs []ib.SGE, fileAccs []pvfs.OffLen, lo, hi int64) ([]ib.
 // cb_buffer_size); a round covers Size() times this many bytes.
 const collectiveWindow = 4 << 20
 
-func (f *File) collectiveWrite(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen) error {
+// collectiveRounds drives one collective access, write or read alike: agree
+// on the global extent, then run round over it window by window.
+func (f *File) collectiveRounds(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen,
+	round func(f *File, p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen, glo, ghi int64) error) error {
 	if f.rank == nil {
 		return ErrNoWorld
 	}
@@ -174,17 +177,14 @@ func (f *File) collectiveWrite(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.Of
 	if window <= 0 {
 		window = collectiveWindow
 	}
-	round := window * int64(f.rank.Size())
-	for lo := glo; lo < ghi; lo += round {
-		hi := lo + round
-		if hi > ghi {
-			hi = ghi
-		}
+	step := window * int64(f.rank.Size())
+	for lo := glo; lo < ghi; lo += step {
+		hi := min(lo+step, ghi)
 		segs, accs, err := clipToExtent(memSegs, fileAccs, lo, hi)
 		if err != nil {
 			return err
 		}
-		if err := f.collectiveWriteRound(p, segs, accs, lo, hi); err != nil {
+		if err := round(f, p, segs, accs, lo, hi); err != nil {
 			return err
 		}
 	}
@@ -281,37 +281,6 @@ func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pv
 	}
 	p.Sleep(cfgIB.MemcpyTime(assembled))
 	return f.fh.Write(p, buf, wHi-wLo, wLo, pvfs.OpOptions{Sieve: sieve.Never})
-}
-
-func (f *File) collectiveRead(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen) error {
-	if f.rank == nil {
-		return ErrNoWorld
-	}
-	glo, ghi := f.exchangeExtents(p, fileAccs)
-	if ghi <= glo {
-		f.rank.Barrier(p)
-		return nil
-	}
-	window := f.cbWindow
-	if window <= 0 {
-		window = collectiveWindow
-	}
-	round := window * int64(f.rank.Size())
-	for lo := glo; lo < ghi; lo += round {
-		hi := lo + round
-		if hi > ghi {
-			hi = ghi
-		}
-		segs, accs, err := clipToExtent(memSegs, fileAccs, lo, hi)
-		if err != nil {
-			return err
-		}
-		if err := f.collectiveReadRound(p, segs, accs, lo, hi); err != nil {
-			return err
-		}
-	}
-	f.rank.Barrier(p)
-	return nil
 }
 
 func (f *File) collectiveReadRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen, glo, ghi int64) error {

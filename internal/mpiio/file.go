@@ -231,7 +231,7 @@ func (f *File) writeMethod(p *sim.Proc, method Method, memSegs []ib.SGE, fileAcc
 		if err := f.drainCache(p); err != nil {
 			return err
 		}
-		return f.collectiveWrite(p, memSegs, fileAccs)
+		return f.collectiveRounds(p, memSegs, fileAccs, (*File).collectiveWriteRound)
 	}
 	return fmt.Errorf("mpiio: unknown method %d", method)
 }
@@ -268,7 +268,7 @@ func (f *File) readMethod(p *sim.Proc, method Method, memSegs []ib.SGE, fileAccs
 		if err := f.drainCache(p); err != nil {
 			return err
 		}
-		return f.collectiveRead(p, memSegs, fileAccs)
+		return f.collectiveRounds(p, memSegs, fileAccs, (*File).collectiveReadRound)
 	}
 	return fmt.Errorf("mpiio: unknown method %d", method)
 }

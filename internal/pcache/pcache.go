@@ -409,6 +409,7 @@ func (f *File) tryFast(p *sim.Proc, segs []ib.SGE, accs []pvfs.OffLen, write boo
 		}
 		if !f.cl.Space().Allocated(mem.Extent{Addr: addr, Len: n}) {
 			f.mu.Release()
+			//pvfslint:ok hotpath error path: fires only when the caller’s buffer lies outside its allocated address space
 			return false, fmt.Errorf("pcache: user buffer %v unallocated", mem.Extent{Addr: addr, Len: n})
 		}
 		if write && !f.frames[fi].dirty {

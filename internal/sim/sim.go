@@ -77,7 +77,7 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // event is a scheduled callback. Exactly one of fn, afn, or proc is set: fn
-// is a plain closure, afn+arg is the closure-free form (AfterCall), and proc
+// is a plain closure, afn+arg is the closure-free form (AfterCallOn), and proc
 // marks a process wake event living inside its Proc (never recycled here).
 // Events are ordered by the canonical key (t, gid, gseq): origin group and
 // per-group sequence, which is independent of the group-to-shard binding.
@@ -106,6 +106,7 @@ func before(a, b *event) bool {
 type eventHeap []*event
 
 func (h *eventHeap) pushEv(e *event) {
+	//pvfslint:ok hotpath heap growth: amortized doubling up to the high-water mark of pending events; the typed sift loop stores the *event directly and the slice is reused for the engine's lifetime
 	q := append(*h, e)
 	i := len(q) - 1
 	for ; i > 0 && before(e, q[(i-1)/2]); i = (i - 1) / 2 {
@@ -342,7 +343,9 @@ func (e *Engine) scheduleEv(ev *event, t Time, origin, exec *Group) {
 				exec.name, t, e.windowEnd)
 		}
 		ev.t = t
+		//pvfslint:ok hotpath cross-shard hand-off: the target shard's inbox mutex, taken only for events crossing shards at or beyond the window end — the shard-local fast path pushes straight onto the local heap with no lock
 		s.inMu.Lock()
+		//pvfslint:ok hotpath ready-queue append; the backing array is retained across turns and reaches steady-state capacity
 		s.inbox = append(s.inbox, ev)
 		s.inMu.Unlock()
 		return
@@ -387,16 +390,6 @@ func (e *Engine) ScheduleOn(g *Group, t Time, fn func()) {
 
 // After runs fn d from now in the default group.
 func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.Now().Add(d), fn) }
-
-// AfterCall runs fn(arg) d from now in the default group. Passing a
-// package-level function and an already-live argument keeps hot paths free
-// of per-call closure allocations; it is otherwise identical to After.
-func (e *Engine) AfterCall(d Duration, fn func(any), arg any) {
-	g := e.groupless("AfterCall")
-	ev := g.sh.alloc()
-	ev.afn, ev.arg = fn, arg
-	e.scheduleEv(ev, e.Now().Add(d), g, g)
-}
 
 // Proc is the handle a simulation process uses to interact with virtual time.
 type Proc struct {
@@ -581,6 +574,7 @@ type DeadlockError struct {
 	Parked []string // names of parked processes
 }
 
+//pvfslint:ok hotpath error formatting; a deadlock report means the simulation already failed
 func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock at %v: %d process(es) parked forever: %v",
 		e.Time, len(e.Parked), e.Parked)
@@ -598,11 +592,12 @@ func (e *Engine) Run() error {
 //
 // This is the simulator's innermost loop: every virtual nanosecond of every
 // experiment flows through it, so it is a declared hot path — any effect
-// reachable from here must be audited in lint/hotpath.budget.json.
+// reachable from here must be audited where it happens (//pvfslint:ok hotpath).
 //
 //pvfslint:hotpath
 func (e *Engine) RunUntil(limit Time) error {
 	e.running = true
+	//pvfslint:ok hotpath once per Run: the deferred running-flag reset, never on the event path
 	defer func() { e.running = false }()
 	if !e.sharded {
 		return e.runSingle(limit)
@@ -643,10 +638,13 @@ func (e *Engine) runSharded(limit Time) error {
 		Failf("sim: sharded engine with no lookahead declared (SetLookahead)")
 	}
 	for _, s := range e.shards {
+		//pvfslint:ok hotpath sharded run setup: one worker goroutine per shard, started once per Run and joined at the end, never per event
 		go s.workerLoop()
 	}
+	//pvfslint:ok hotpath sharded run teardown: the deferred close of every shard's work channel, once per Run
 	defer func() {
 		for _, s := range e.shards {
+			//pvfslint:ok hotpath sharded run teardown: the deferred close of every shard's work channel, once per Run
 			s.work <- stopWorker
 		}
 	}()
@@ -679,9 +677,11 @@ func (e *Engine) runSharded(limit Time) error {
 		e.windows++
 		e.windowEnd = we
 		for _, s := range e.shards {
+			//pvfslint:ok hotpath window barrier: one work send per shard per window, amortized over every event the window drains
 			s.work <- we
 		}
 		for _, s := range e.shards {
+			//pvfslint:ok hotpath window barrier: one done receive per shard per window, amortized over every event the window drains
 			<-s.done
 		}
 		for _, s := range e.shards {
@@ -705,6 +705,7 @@ func (e *Engine) runSharded(limit Time) error {
 	return e.checkDeadlock()
 }
 
+//pvfslint:ok hotpath deadlock-diagnosis path: collects parked-process names only when the simulation is already stuck
 func (e *Engine) checkDeadlock() error {
 	nParked := 0
 	for _, s := range e.shards {
@@ -821,6 +822,7 @@ func (s *shard) alloc() *event {
 		ev.next = nil
 		return ev
 	}
+	//pvfslint:ok hotpath event free-list miss: one allocation per high-water mark of in-flight events on the shard, recycled thereafter
 	return &event{}
 }
 
@@ -843,6 +845,7 @@ func (s *shard) exec(ev *event) {
 			s.nParked--
 		}
 		s.cur = p
+		//pvfslint:ok hotpath process resume: the shard loop switches straight into the process's carrier and gets control back when the body parks, sleeps or returns — one coroswitch each way where a channel send/receive pair through the Go scheduler used to be
 		p.c.next()
 		s.cur = nil
 		return
@@ -852,9 +855,11 @@ func (s *shard) exec(ev *event) {
 	ev.next = s.free
 	s.free = ev
 	if afn != nil {
+		//pvfslint:ok hotpath event callback dispatch: fn/afn are the scheduled callbacks themselves — dynamic by design, the event loop's whole job
 		afn(arg)
 		return
 	}
+	//pvfslint:ok hotpath event callback dispatch: fn/afn are the scheduled callbacks themselves — dynamic by design, the event loop's whole job
 	fn()
 }
 
@@ -863,6 +868,7 @@ func (s *shard) exec(ev *event) {
 // so inbox arrival order — the only scheduler-dependent order in the whole
 // engine — cannot influence execution order.
 func (s *shard) ingest() {
+	//pvfslint:ok hotpath barrier-time inbox ingest: mutex taken once per shard per window while every shard is idle, moving hand-offs into the canonical heap where the partition-independent key orders them
 	s.inMu.Lock()
 	evs := s.inbox
 	s.inbox = s.inbox[:0]
@@ -884,11 +890,13 @@ const stopWorker = Time(-1)
 // workerLoop runs on the shard's own goroutine for the duration of one
 // sharded Run: each window it drains local events below the window end.
 func (s *shard) workerLoop() {
+	//pvfslint:ok hotpath window barrier: one work receive per window on the shard's own goroutine, amortized over every event the window drains
 	for we := range s.work {
 		if we == stopWorker {
 			return
 		}
 		s.drain(we)
+		//pvfslint:ok hotpath window barrier: one done send per window, amortized over every event the window drains
 		s.done <- struct{}{}
 	}
 }
@@ -897,10 +905,11 @@ func (s *shard) workerLoop() {
 // events schedule locally inside the window.
 //
 // This is the sharded twin of the engine's inner loop and a declared hot
-// path: effects reachable from here are audited in lint/hotpath.budget.json.
+// path: effects reachable from here are audited where they happen.
 //
 //pvfslint:hotpath
 func (s *shard) drain(we Time) {
+	//pvfslint:ok hotpath panic containment: the deferred recover closure is created once per window, not per event, so a process panic on a worker goroutine surfaces on the driving thread
 	defer func() {
 		if r := recover(); r != nil && s.panicked == nil {
 			s.panicked = r

@@ -84,7 +84,6 @@ type Node struct {
 	net   *Network
 	group *sim.Group
 	tx    *sim.Resource
-	rx    *sim.Resource
 	stage *sim.Mailbox // in-flight messages, ordered by wire arrival
 	Inbox *sim.Mailbox // fully received messages, consumed by the host
 
@@ -172,6 +171,7 @@ func (node *Node) allocMsg() *Message {
 		m.next = nil
 		return m
 	}
+	//pvfslint:ok hotpath per-shard message free-list miss: one allocation per high-water mark of in-flight messages on the owning shard, recycled thereafter
 	return &Message{}
 }
 
@@ -256,7 +256,6 @@ func (n *Network) AddNodeIn(g *sim.Group, name string) *Node {
 		group:    g,
 		shardIdx: g.ShardIndex(),
 		tx:       n.eng.NewResource(fmt.Sprintf("%s.tx", name), 1),
-		rx:       n.eng.NewResource(fmt.Sprintf("%s.rx", name), 1),
 		stage:    n.eng.NewMailbox(fmt.Sprintf("%s.stage", name)),
 		Inbox:    n.eng.NewMailbox(fmt.Sprintf("%s.inbox", name)),
 	}
@@ -285,7 +284,7 @@ func (node *Node) Network() *Network { return node.net }
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // rxEngine drains staged messages, charging receive-side serialization.
-// Parking (Recv, Acquire, Sleep) is this engine's job, so only allocation
+// Parking (Recv, Sleep) is this engine's job, so only allocation
 // and wall-clock effects are budgeted.
 //
 //pvfslint:hotpath alloc,syscall
@@ -295,10 +294,8 @@ func (node *Node) rxEngine(p *sim.Proc) {
 		node.mx.staged.Add(p.Now(), -1)
 		sp := node.net.tracer.Start(p.Now(), trace.Ctx(m.Ctx), node.Name, "net.rx", trace.StageWire)
 		sp.SetBytes(int64(m.Size))
-		node.rx.Acquire(p)
 		rx0 := p.Now()
 		p.Sleep(node.net.params.SerializationTime(m.Size))
-		node.rx.Release()
 		m.ArriveAt = p.Now()
 		node.mx.rxBusy.AddSpan(rx0, m.ArriveAt)
 		sp.End(p.Now())
@@ -326,6 +323,7 @@ func (node *Node) Send(p *sim.Proc, dst NodeID, size int, payload any) error {
 	sp := node.net.tracer.Start(p.Now(), trace.Ctx(p.TraceCtx()), node.Name, "net.tx", trace.StageWire)
 	sp.SetBytes(int64(size))
 	if fp := node.net.faults; fp != nil {
+		//pvfslint:ok hotpath fault-plane hook behind a nil guard; no dynamic call when faults are off
 		drop, extra := fp.SendVerdict(p.Now(), int(node.ID), int(dst), size)
 		if extra > 0 {
 			p.Sleep(extra)
