@@ -103,11 +103,13 @@ bench-check:
 
 # bench-go runs the engine microbenchmarks (event turnover, the process
 # switch in its four shapes — self-waking Sleep, mailbox ping-pong,
-# contended resource, spawn on a reused carrier — one full Figure 3 cell;
-# TestSwitchAllocFree in the package's tests holds the first three to 0
-# allocs/op), the storage under every payload byte (AddrSpace accesses,
-# a recycled Malloc/Free, the hole query; localfs extent reads, writes and
-# a scratch file's create/remove) and the I/O
+# contended resource, spawn on a reused carrier — and a callback chain that
+# never switches; TestSwitchAllocFree in the package's tests holds all but
+# the spawn to 0 allocs/op), one full Figure 3 cell, one message end to end
+# (QP.Send, both fabric engines, the adapter's receive handler, QP.Recv: the
+# number to read beside BenchmarkMailbox), the storage under every payload
+# byte (AddrSpace accesses, a recycled Malloc/Free, the hole query; localfs
+# extent reads, writes and a scratch file's create/remove) and the I/O
 # daemon's data path (the sieve over the ledger's 128-access geometry, a
 # 1 MiB list read end to end) with allocation reporting — B/op on the
 # latter is per-request bookkeeping, never payload — and the AllocFree
@@ -117,7 +119,7 @@ bench-check:
 bench-go:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim/
 	$(GO) test -run NONE -bench . -benchmem ./internal/mem/ ./internal/localfs/
-	$(GO) test -run NONE -bench 'BenchmarkFig3Cell|BenchmarkSieve(Read|Write)128|BenchmarkListRead1MiB' -benchmem ./internal/bench/
+	$(GO) test -run NONE -bench 'BenchmarkFig3Cell|BenchmarkMessagePath|BenchmarkSieve(Read|Write)128|BenchmarkListRead1MiB' -benchmem ./internal/bench/
 	$(GO) test -run 'AllocFree|AllocIndependentOfPayload' -count 1 -v ./internal/bench/
 	$(GO) test -run TestShardedCellThroughput -count 1 -v ./internal/sim/
 

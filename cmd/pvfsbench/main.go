@@ -13,7 +13,8 @@
 //	pvfsbench -shards 4             partition each cell's engine into 4 parallel
 //	                                shards (same output, less wall clock)
 //	pvfsbench -format json ...      machine-readable output (one JSON object per table)
-//	pvfsbench -hostmeta ...         append a host-side JSON record (wall clock, allocs)
+//	pvfsbench -hostmeta ...         append a host-side JSON record (wall clock, allocs,
+//	                                engine events, process switches, inline wakes)
 //	pvfsbench -trace out.json       run a traced workload, write a Perfetto trace
 //	                                (plus out.json.breakdown.json) and print the
 //	                                critical-path breakdown
@@ -43,12 +44,13 @@ import (
 // deliberately kept out of the tables themselves (tables stay functions of
 // the inputs; wall clock and allocation counts are not).
 type hostMeta struct {
-	Parallel    int                `json:"parallel"`
-	GoMaxProcs  int                `json:"gomaxprocs"`
-	WallSeconds float64            `json:"wall_s"`
-	Mallocs     uint64             `json:"mallocs"`
-	TotalAlloc  uint64             `json:"total_alloc_bytes"`
-	Experiments map[string]float64 `json:"experiment_wall_s"`
+	Parallel         int                `json:"parallel"`
+	GoMaxProcs       int                `json:"gomaxprocs"`
+	WallSeconds      float64            `json:"wall_s"`
+	Mallocs          uint64             `json:"mallocs"`
+	TotalAlloc       uint64             `json:"total_alloc_bytes"`
+	bench.EngineWork                    // events, resumes, inline_wakes
+	Experiments      map[string]float64 `json:"experiment_wall_s"`
 }
 
 // writeTrace runs the traced breakdown workload, writes its Perfetto
@@ -93,7 +95,7 @@ func main() {
 		shards   = flag.Int("shards", 0, "engine shards per cell (0 or 1 = single-threaded engine; output is identical for every value)")
 		timings  = flag.Bool("timings", true, "print real (host) runtime per experiment")
 		format   = flag.String("format", "table", "output format: table, csv, or json")
-		hostmeta = flag.Bool("hostmeta", false, "append a JSON host record (wall clock, allocs) after the tables")
+		hostmeta = flag.Bool("hostmeta", false, "append a JSON host record (wall clock, allocs, engine events, process switches, inline wakes) after the tables")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		tracef   = flag.String("trace", "", "run a traced workload and write a Perfetto (Chrome trace-event) JSON file")
@@ -177,6 +179,7 @@ func main() {
 			WallSeconds: time.Since(start).Seconds(), //pvfslint:ok detcheck -hostmeta wall time is host diagnostics, never part of results
 			Mallocs:     m1.Mallocs - m0.Mallocs,
 			TotalAlloc:  m1.TotalAlloc - m0.TotalAlloc,
+			EngineWork:  bench.Retired(),
 			Experiments: perExp,
 		}
 		b, err := json.Marshal(map[string]hostMeta{"hostmeta": meta})

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
@@ -25,7 +26,33 @@ type fixture struct {
 // close terminates the fixture's service processes so the whole simulated
 // cluster becomes garbage-collectable; sweeps build many clusters and would
 // otherwise exhaust host memory.
-func (f *fixture) close() { f.c.Eng.Shutdown() }
+func (f *fixture) close() { retire(f.c.Eng) }
+
+// EngineWork is what the engines of finished cells executed. It describes
+// the host's work, never a table's content.
+type EngineWork struct {
+	Events      int64 `json:"events"`
+	Resumes     int64 `json:"resumes"`      // events that switched into a process
+	InlineWakes int64 `json:"inline_wakes"` // events that were Sleep expiries taken without a switch
+}
+
+var retired struct{ events, resumes, inlineWakes atomic.Int64 }
+
+// Retired returns the work of every engine retired so far, by any cell on
+// any worker.
+func Retired() EngineWork {
+	return EngineWork{retired.events.Load(), retired.resumes.Load(), retired.inlineWakes.Load()}
+}
+
+// retire adds a finished cell's engine to the Retired totals and shuts it
+// down.
+func retire(eng *sim.Engine) {
+	tm := eng.Telemetry()
+	retired.events.Add(tm.TotalEvents())
+	retired.resumes.Add(tm.Resumes)
+	retired.inlineWakes.Add(tm.InlineWakes)
+	eng.Shutdown()
+}
 
 func newFixture(cfg pvfs.Config, nServers, nRanks int) *fixture {
 	c := pvfs.NewCluster(sim.NewEngine(), cfg, nServers, nRanks)

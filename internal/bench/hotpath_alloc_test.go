@@ -120,9 +120,9 @@ func TestMailboxPingPongAllocFree(t *testing.T) {
 	}
 }
 
-// TestSimnetSendAllocFree covers the (simnet.Node).Send, deliverStage, and
-// (simnet.Node).rxEngine roots: pooled messages from one node's send
-// through the receiver's staging engine and back to the free list.
+// TestSimnetSendAllocFree covers the (simnet.Node).Send, deliverStage and
+// rxDone roots: pooled messages from one node's send through the
+// receiver's two receive callbacks and back to the free list.
 func TestSimnetSendAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.DefaultParams())
@@ -170,7 +170,7 @@ func TestSimnetSendAllocFree(t *testing.T) {
 
 // rdmaPair builds two HCA-equipped nodes with statically registered
 // buffers, ready for steady-state verbs traffic.
-func rdmaPair(t *testing.T) (eng *sim.Engine, qa, qb *ib.QP, sges []ib.SGE, raddr mem.Addr, rkey ib.Key) {
+func rdmaPair(t testing.TB) (eng *sim.Engine, qa, qb *ib.QP, sges []ib.SGE, raddr mem.Addr, rkey ib.Key) {
 	t.Helper()
 	eng = sim.NewEngine()
 	net := simnet.New(eng, simnet.DefaultParams())
@@ -191,7 +191,7 @@ func rdmaPair(t *testing.T) (eng *sim.Engine, qa, qb *ib.QP, sges []ib.SGE, radd
 	return eng, qa, qb, sges, lb, mrB.Key
 }
 
-// TestQPSendAllocFree covers the (ib.QP).Send and (ib.HCA).dispatch roots:
+// TestQPSendAllocFree covers the (ib.QP).Send and (ib.HCA).receive roots:
 // channel-semantics messages ride pooled wire structs end to end.
 func TestQPSendAllocFree(t *testing.T) {
 	eng, qa, qb, _, _, _ := rdmaPair(t)
@@ -234,9 +234,9 @@ func TestQPSendAllocFree(t *testing.T) {
 	}
 }
 
-// TestRDMAAllocFree covers the (ib.QP).RDMAWrite, (ib.QP).RDMARead, and
-// (ib.HCA).dispatch roots: one-sided transfers with pooled wire structs,
-// pooled reply mailboxes, and pooled scratch buffers.
+// TestRDMAAllocFree covers the (ib.QP).RDMAWrite, (ib.QP).RDMARead,
+// (ib.HCA).receive and (ib.HCA).respond roots: one-sided transfers with
+// pooled wire structs, pooled reply mailboxes, and pooled scratch buffers.
 func TestRDMAAllocFree(t *testing.T) {
 	eng, qa, _, sges, raddr, rkey := rdmaPair(t)
 	sleeper(eng)

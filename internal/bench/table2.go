@@ -133,5 +133,5 @@ func runTolerant(eng *sim.Engine) {
 			sim.Must(err)
 		}
 	}
-	eng.Shutdown()
+	retire(eng)
 }

@@ -69,5 +69,6 @@ func table3Cell(total int64) table3Result {
 		rWarm = bw(total, p.Now().Sub(t0))
 	})
 	sim.Must(eng.Run())
+	retire(eng)
 	return table3Result{wCold, rCold, wWarm, rWarm}
 }

@@ -8,7 +8,7 @@ import (
 // no-op sinks, so the verbs hot paths sample unconditionally. Every
 // series is owned by the HCA's node and only updated by that node's
 // events: work requests sample on the initiator's shard, and the
-// outstanding-read gauge's decrement (dispatch handling the response)
+// outstanding-read gauge's decrement (the response's receive event)
 // also runs on the initiator.
 type hcaMetrics struct {
 	regHits  metrics.Counter // pin-down cache lookups served without registering

@@ -48,6 +48,13 @@ type HCA struct {
 	mx     hcaMetrics
 	down   bool
 
+	// The read responder (respond) and the arrivals it holds up. serving is
+	// the validated read request the responder has been handed, nil while it
+	// is idle; backlog is every message received since, in arrival order.
+	serving *simnet.Message
+	backlog []*simnet.Message
+	wakeup  *sim.Cond
+
 	// wp is this HCA's shard's pool bundle (wire structs + scratch
 	// buffers), shared by every HCA whose node runs on the same shard.
 	wp *wirePool
@@ -61,8 +68,9 @@ type HCA struct {
 	OnRDMAWriteApplied func(raddr mem.Addr, n int64)
 }
 
-// NewHCA attaches an HCA to a fabric node and its host address space, and
-// starts the adapter's inbound processing engine.
+// NewHCA attaches an HCA to a fabric node and its host address space: the
+// adapter becomes the node's receiver (receive), and its one process,
+// hca[node], is the read responder (respond).
 func NewHCA(node *simnet.Node, space *mem.AddrSpace, params Params) *HCA {
 	h := &HCA{
 		node:   node,
@@ -77,7 +85,9 @@ func NewHCA(node *simnet.Node, space *mem.AddrSpace, params Params) *HCA {
 		*aux = new(wirePool)
 	}
 	h.wp = (*aux).(*wirePool)
-	h.engine().GoOn(node.Group(), fmt.Sprintf("hca[%s]", node.Name), h.dispatch)
+	h.wakeup = h.engine().NewCond()
+	node.SetReceiver(h.receive)
+	h.engine().GoOn(node.Group(), fmt.Sprintf("hca[%s]", node.Name), h.respond)
 	return h
 }
 
@@ -251,30 +261,57 @@ func (h *HCA) putWireReadResp(w *wireRDMAReadResp) {
 	h.wp.freeReadResps = w
 }
 
-// dispatch is the adapter's inbound engine: it demultiplexes wire messages
-// to queue pairs, applies RDMA writes to host memory, and serves RDMA reads.
+// receive is the adapter's inbound path, run inside the node's receive
+// event: it demultiplexes the message to its queue pair, applies an RDMA
+// write to host memory or completes an outstanding read. Nothing here can
+// wait; the one message that needs waiting for, a valid RDMA read request,
+// goes to the responder, and while the responder is busy every arrival
+// queues behind it — the inbound engine is one pipeline, so a read being
+// served holds up whatever was received after it.
 //
-// With a fault plane attached, anomalies that are hard protocol-invariant
-// violations in a fault-free run — an RDMA against a deregistered region, a
-// read response nobody is waiting for — become expected leftovers of a
-// failed epoch (the peer timed out, reset, and released its buffers) and
-// are discarded instead of failing the simulation. A down adapter discards
-// everything: in-flight requests to a crashed daemon die silently.
+//pvfslint:hotpath
+func (h *HCA) receive(m *simnet.Message) {
+	if h.serving != nil {
+		//pvfslint:ok hotpath backlog append behind a busy responder; the slice is retained across reads and stops growing at the high-water mark of arrivals during one
+		h.backlog = append(h.backlog, m)
+		return
+	}
+	if h.deliver(m) {
+		h.serving = m
+		h.wakeup.Signal()
+		return
+	}
+	h.node.Network().Recycle(m)
+}
+
+// respond is the read responder, the adapter's only process. It serves the
+// read request receive handed it, then everything that arrived meanwhile,
+// in arrival order and in its own context — a further read request it
+// serves itself — and goes idle once the backlog is empty.
 //
-// The dispatch engine blocks by design (Recv, read turnaround, the response
-// send), so only allocation and wall-clock effects are budgeted.
+// The responder blocks by design (read turnaround, the response send), so
+// only allocation and wall-clock effects are budgeted.
 //
 //pvfslint:hotpath alloc,syscall
-func (h *HCA) dispatch(p *sim.Proc) {
+func (h *HCA) respond(p *sim.Proc) {
 	net := h.node.Network()
 	for {
-		m := h.node.Inbox.Recv(p).(*simnet.Message)
-		if h.down {
-			h.discard(m)
-		} else {
-			h.handleWire(p, m)
+		for h.serving == nil {
+			h.wakeup.Wait(p)
 		}
-		net.Recycle(m)
+		h.serveRead(p, h.serving)
+		net.Recycle(h.serving)
+		// serveRead blocks, so the backlog may grow while it is drained.
+		for i := 0; i < len(h.backlog); i++ {
+			m := h.backlog[i]
+			h.backlog[i] = nil
+			if h.deliver(m) {
+				h.serveRead(p, m)
+			}
+			net.Recycle(m)
+		}
+		h.backlog = h.backlog[:0]
+		h.serving = nil
 	}
 }
 
@@ -299,8 +336,22 @@ func (h *HCA) discard(m *simnet.Message) {
 	}
 }
 
-// handleWire processes one inbound wire message on a live adapter.
-func (h *HCA) handleWire(p *sim.Proc, m *simnet.Message) {
+// deliver disposes of one inbound wire message without waiting, at the
+// instant it is called. It reports true for the one message it cannot
+// finish: a valid RDMA read request, which the caller must serve
+// (serveRead); every other message is consumed.
+//
+// With a fault plane attached, anomalies that are hard protocol-invariant
+// violations in a fault-free run — an RDMA against a deregistered region, a
+// read response nobody is waiting for — become expected leftovers of a
+// failed epoch (the peer timed out, reset, and released its buffers) and
+// are discarded instead of failing the simulation. A down adapter discards
+// everything: in-flight requests to a crashed daemon die silently.
+func (h *HCA) deliver(m *simnet.Message) (read bool) {
+	if h.down {
+		h.discard(m)
+		return false
+	}
 	switch w := m.Payload.(type) {
 	case *wireSend:
 		q, ok := h.qps[w.dstQP]
@@ -314,7 +365,7 @@ func (h *HCA) handleWire(p *sim.Proc, m *simnet.Message) {
 			if h.faults != nil {
 				h.scratch().Put(w.data)
 				h.putWireWrite(w)
-				return // stale write from a failed epoch; NAK and drop
+				return false // stale write from a failed epoch; NAK and drop
 			}
 			sim.Failf("ib: %s: RDMA write outside registered region (rkey %d)", h.node.Name, w.rkey)
 		}
@@ -332,44 +383,51 @@ func (h *HCA) handleWire(p *sim.Proc, m *simnet.Message) {
 		if !mr.Valid() || !mr.Covers(mem.Extent{Addr: w.raddr, Len: w.size}) {
 			if h.faults != nil {
 				h.putWireReadReq(w)
-				return // stale read from a failed epoch; initiator times out
+				return false // stale read from a failed epoch; initiator times out
 			}
 			sim.Failf("ib: %s: RDMA read outside registered region (rkey %d)", h.node.Name, w.rkey)
 		}
-		data := h.scratch().Get(int(w.size))
-		if err := h.space.ReadInto(w.raddr, data); err != nil {
-			sim.Failf("ib: %s: RDMA read fault: %v", h.node.Name, err)
-		}
-		p.Sleep(h.params.ReadTurnaround)
-		resp := h.allocWireReadResp()
-		resp.id, resp.data = w.id, data
-		initiator := w.initiator
-		h.putWireReadReq(w)
-		if err := h.node.Send(p, initiator, len(data)+wireHeader, resp); err != nil {
-			h.scratch().Put(data)
-			h.putWireReadResp(resp)
-			return // partitioned mid-read; the initiator times out
-		}
+		return true
 	case *wireRDMAReadResp:
 		mb, ok := h.reads[w.id]
 		if !ok {
 			if h.faults != nil {
 				h.scratch().Put(w.data)
 				h.putWireReadResp(w)
-				return // response for a read that already timed out
+				return false // response for a read that already timed out
 			}
 			sim.Failf("ib: %s: RDMA read response for unknown id %d", h.node.Name, w.id)
 		}
 		delete(h.reads, w.id)
-		// Dispatch runs on the initiator's own shard, so the gauge decrement
-		// stays node-local.
-		h.mx.outReads.Add(p.Now(), -1)
+		// The receive event runs on the initiator's own shard, so the gauge
+		// decrement stays node-local.
+		h.mx.outReads.Add(h.node.Group().Now(), -1)
 		// The wire struct itself travels the last hop: a pointer crosses
 		// the mailbox without boxing, where the bare []byte would allocate
 		// an interface header per read. The initiator unwraps and recycles.
 		mb.Send(w)
 	default:
 		sim.Failf("ib: %s: unknown wire message %T", h.node.Name, m.Payload)
+	}
+	return false
+}
+
+// serveRead answers a read request deliver found valid: it snapshots the
+// region, waits out the turnaround and transmits the response.
+func (h *HCA) serveRead(p *sim.Proc, m *simnet.Message) {
+	w := m.Payload.(*wireRDMAReadReq)
+	data := h.scratch().Get(int(w.size))
+	if err := h.space.ReadInto(w.raddr, data); err != nil {
+		sim.Failf("ib: %s: RDMA read fault: %v", h.node.Name, err)
+	}
+	p.Sleep(h.params.ReadTurnaround)
+	resp := h.allocWireReadResp()
+	resp.id, resp.data = w.id, data
+	initiator := w.initiator
+	h.putWireReadReq(w)
+	if err := h.node.Send(p, initiator, len(data)+wireHeader, resp); err != nil {
+		h.scratch().Put(data) // partitioned mid-read; the initiator times out
+		h.putWireReadResp(resp)
 	}
 }
 
@@ -506,7 +564,7 @@ func (q *QP) RDMAWrite(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error 
 		wr := sges[:n]
 		sges = sges[n:]
 		size := TotalLen(wr)
-		// Gather into one pooled staging buffer; the receiving dispatch
+		// Gather into one pooled staging buffer; the receiving adapter
 		// recycles it after scattering into host memory.
 		data := h.scratch().Get(int(size))
 		off := 0
@@ -606,7 +664,7 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 			v, ok := mb.RecvTimeout(p, h.params.WRTimeout)
 			if !ok {
 				// The reads entry is gone, so a late response is discarded
-				// in dispatch and never lands in the recycled mailbox.
+				// on receipt and never lands in the recycled mailbox.
 				delete(h.reads, id)
 				h.mx.outReads.Add(p.Now(), -1)
 				h.putReadMB(mb)

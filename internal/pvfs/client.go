@@ -22,6 +22,7 @@ type Client struct {
 	hca     *ib.HCA
 	cache   *ib.RegCache
 	conns   []*clientConn // one per server
+	servers []int         // every server's index, the fan-out set of whole-file operations
 	mgr     *clientConn   // connection to the metadata manager
 	// cpu serializes host-memory copies (pack/unpack): the per-server
 	// transfer legs of one operation run concurrently on the wire, but
@@ -65,6 +66,42 @@ type clientConn struct {
 	// srvAddr/srvKey is the server-side receive buffer for pack writes.
 	srvAddr mem.Addr
 	srvKey  ib.Key
+	// child names, per kind of fan-out, the process this server's share runs on.
+	child [len(fanKinds)]string
+}
+
+// The kinds of per-server fan-out; kind[cnX-ioY] names a child.
+const (
+	fanOp = iota
+	fanStat
+	fanRemove
+	fanSync
+)
+
+var fanKinds = [...]string{fanOp: "op", fanStat: "stat", fanRemove: "rm", fanSync: "sync"}
+
+// fanOut runs fn(q, i) once per entry of srvs, all starting now, and returns
+// when the last has returned. The caller runs i == 0 itself, after spawning
+// a child for every other i — named after server srvs[i], working under the
+// caller's trace context — so the shares begin in index order.
+func (c *Client) fanOut(p *sim.Proc, kind int, srvs []int, fn func(q *sim.Proc, i int)) {
+	if len(srvs) == 1 {
+		fn(p, 0)
+		return
+	}
+	ctx := p.TraceCtx()
+	wg := c.cluster.Eng.NewWaitGroup()
+	wg.Add(len(srvs) - 1)
+	for i := 1; i < len(srvs); i++ {
+		i := i
+		p.Go(c.conns[srvs[i]].child[kind], func(q *sim.Proc) {
+			defer wg.Done()
+			q.SetTraceCtx(ctx)
+			fn(q, i)
+		})
+	}
+	fn(p, 0)
+	wg.Wait(p)
 }
 
 // Space returns the client's simulated address space; applications allocate
@@ -122,7 +159,11 @@ func (c *Client) connect() {
 			srvAddr: recvAddr,
 			srvKey:  recvMR.Key,
 		}
+		for kind, name := range fanKinds {
+			conn.child[kind] = fmt.Sprintf("%s[cn%d-io%d]", name, c.idx, s.idx)
+		}
 		c.conns = append(c.conns, conn)
+		c.servers = append(c.servers, s.idx)
 
 		sconn := &serverConn{
 			srv:     s,
@@ -245,25 +286,16 @@ func (fh *FileHandle) Stat(p *sim.Proc) int64 {
 	c := fh.client
 	n := len(c.conns)
 	sizes := make([]int64, n)
-	parentCtx := p.TraceCtx()
-	wg := c.cluster.Eng.NewWaitGroup()
-	for i := range c.conns {
-		i := i
+	c.fanOut(p, fanStat, c.servers, func(q *sim.Proc, i int) {
 		conn := c.conns[i]
-		wg.Add(1)
-		p.Go(fmt.Sprintf("stat[cn%d-io%d]", c.idx, i), func(q *sim.Proc) {
-			defer wg.Done()
-			q.SetTraceCtx(parentCtx)
-			conn.mu.Acquire(q)
-			defer conn.mu.Release()
-			resp, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
-				return &reqStat{Seq: seq, FileID: fh.id}
-			})
-			sim.Must(err)
-			sizes[i] = resp.(*respStat).LocalSize
+		conn.mu.Acquire(q)
+		defer conn.mu.Release()
+		resp, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
+			return &reqStat{Seq: seq, FileID: fh.id}
 		})
-	}
-	wg.Wait(p)
+		sim.Must(err)
+		sizes[i] = resp.(*respStat).LocalSize
+	})
 	var eof int64
 	for srv, local := range sizes {
 		if local == 0 {
@@ -294,46 +326,31 @@ func (c *Client) Remove(p *sim.Proc, name string) {
 	if !un.Found {
 		return
 	}
-	parentCtx := p.TraceCtx()
-	wg := c.cluster.Eng.NewWaitGroup()
-	for i := range c.conns {
+	ctx := p.TraceCtx()
+	c.fanOut(p, fanRemove, c.servers, func(q *sim.Proc, i int) {
 		conn := c.conns[i]
-		wg.Add(1)
-		p.Go(fmt.Sprintf("rm[cn%d-io%d]", c.idx, i), func(q *sim.Proc) {
-			defer wg.Done()
-			q.SetTraceCtx(parentCtx)
-			conn.mu.Acquire(q)
-			defer conn.mu.Release()
-			_, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
-				return &reqRemove{Seq: seq, FileID: un.FileID, Ctx: parentCtx}
-			})
-			sim.Must(err)
+		conn.mu.Acquire(q)
+		defer conn.mu.Release()
+		_, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
+			return &reqRemove{Seq: seq, FileID: un.FileID, Ctx: ctx}
 		})
-	}
-	wg.Wait(p)
+		sim.Must(err)
+	})
 }
 
 // Sync flushes the file on every I/O server, like fsync.
 func (fh *FileHandle) Sync(p *sim.Proc) {
 	c := fh.client
-	parentCtx := p.TraceCtx()
-	wg := c.cluster.Eng.NewWaitGroup()
-	for i := range c.conns {
+	c.fanOut(p, fanSync, c.servers, func(q *sim.Proc, i int) {
 		conn := c.conns[i]
-		wg.Add(1)
-		p.Go(fmt.Sprintf("sync[cn%d-io%d]", c.idx, i), func(q *sim.Proc) {
-			defer wg.Done()
-			q.SetTraceCtx(parentCtx)
-			conn.mu.Acquire(q)
-			defer conn.mu.Release()
-			c.acct.SyncReqs++
-			_, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
-				return &reqSync{Seq: seq, FileID: fh.id, Ctx: q.TraceCtx()}
-			})
-			sim.Must(err)
+		conn.mu.Acquire(q)
+		defer conn.mu.Release()
+		c.acct.SyncReqs++
+		_, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
+			return &reqSync{Seq: seq, FileID: fh.id, Ctx: q.TraceCtx()}
 		})
-	}
-	wg.Wait(p)
+		sim.Must(err)
+	})
 }
 
 // listOp is the traced entry point for one list operation: it opens the
@@ -368,7 +385,8 @@ func (fh *FileHandle) listOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen, o
 }
 
 // doListOp fans a list operation out across the servers, running the
-// per-server chunks in parallel.
+// per-server chunks in parallel; an operation that touches one server runs
+// start to finish on the calling process.
 //
 // The transfer scheme is chosen once per operation (Section 4.3's hybrid
 // rule: Pack/Unpack when the total size is at most the stripe size, RDMA
@@ -434,20 +452,13 @@ func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen,
 		}
 	}
 	var firstErr error
-	opCtx := p.TraceCtx()
-	wg := c.cluster.Eng.NewWaitGroup()
-	for _, part := range parts {
-		part := part
-		wg.Add(1)
-		p.Go(fmt.Sprintf("op[cn%d-io%d]", c.idx, part.srv), func(q *sim.Proc) {
-			defer wg.Done()
-			q.SetTraceCtx(opCtx)
-			if err := c.runPart(q, fh.id, part, pack, opts, write); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
+	switch len(parts) {
+	case 0: // an empty operation reaches no server
+	case 1:
+		firstErr = c.runPart(p, fh.id, parts[0], pack, opts, write)
+	default:
+		firstErr = c.runParts(p, fh.id, parts, pack, opts, write)
 	}
-	wg.Wait(p)
 	if regRes != nil {
 		if err := ogr.Release(p, reg, regRes); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("pvfs: list buffer release: %w", err)
@@ -458,6 +469,23 @@ func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen,
 			firstErr = fmt.Errorf("pvfs: declared allocation release: %w", err)
 		}
 	}
+	return firstErr
+}
+
+// runParts runs the parts of an operation that spans servers side by side
+// and returns the first error any of them ended with; a function of its own
+// so that what the fan-out captures costs a one-server operation nothing.
+func (c *Client) runParts(p *sim.Proc, fileID int64, parts []*serverPart, pack bool, opts OpOptions, write bool) error {
+	srvs := make([]int, len(parts))
+	for i, part := range parts {
+		srvs[i] = part.srv
+	}
+	var firstErr error
+	c.fanOut(p, fanOp, srvs, func(q *sim.Proc, i int) {
+		if err := c.runPart(q, fileID, parts[i], pack, opts, write); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	})
 	return firstErr
 }
 

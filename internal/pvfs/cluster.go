@@ -195,13 +195,13 @@ func isInfra(name string) bool {
 			return true
 		}
 	}
-	return strings.HasSuffix(name, ".rxengine")
+	return false
 }
 
 // Run drives the simulation until all application processes finish. The
-// infrastructure processes (HCA engines, I/O daemons, the manager) park
-// forever waiting for more work; a parked *application* process is a real
-// deadlock and is reported.
+// infrastructure processes (the adapters' read responders, I/O daemons, the
+// manager) park forever waiting for more work; a parked *application*
+// process is a real deadlock and is reported.
 func (c *Cluster) Run() error {
 	err := c.Eng.Run()
 	if err == nil {

@@ -1,0 +1,247 @@
+package pvfs
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"pvfsib/internal/ib"
+	"pvfsib/internal/mem"
+	"pvfsib/internal/metrics"
+	"pvfsib/internal/sim"
+)
+
+// pinning is what every adapter of the cluster has registered.
+type pinning struct {
+	bytes int64
+	mrs   int
+}
+
+func pinned(c *Cluster) pinning {
+	var r pinning
+	add := func(h *ib.HCA) {
+		r.bytes += h.PinnedBytes()
+		r.mrs += h.NumMRs()
+	}
+	for _, s := range c.Servers {
+		add(s.hca)
+	}
+	for _, cl := range c.Clients {
+		add(cl.hca)
+	}
+	return r
+}
+
+// TestQuiescenceAfterMixedScript: every client writes a strided list across
+// all servers, syncs, reads it back, does a one-server write and read,
+// stats and removes its file — fault-free and under the storm plan. When
+// the script is done nothing of it is left anywhere on the message path: no
+// event pending, no message staged at a port or inside an adapter, every
+// read responder parked idle and nothing else parked, and pinning back at
+// what set-up registered.
+func TestQuiescenceAfterMixedScript(t *testing.T) {
+	for _, faulty := range []bool{false, true} {
+		t.Run(fmt.Sprintf("faults=%t", faulty), func(t *testing.T) {
+			cfg := DefaultConfig()
+			if faulty {
+				cfg.Faults = stormPlan(7)
+			}
+			c := NewCluster(sim.NewEngine(), cfg, 4, 4)
+			mx := c.EnableMetrics(metrics.Config{})
+			base := pinned(c)
+			for ci, cl := range c.Clients {
+				c.Eng.GoOn(cl.node.Group(), fmt.Sprintf("script%d", ci), func(p *sim.Proc) {
+					quiesceScript(t, p, cl, ci)
+				})
+			}
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if s := c.Snapshot(); faulty && (s.Retries == 0 || s.Timeouts == 0) {
+				t.Errorf("plan not exercised: %d retries, %d timeouts", s.Retries, s.Timeouts)
+			}
+			if n := c.Eng.Pending(); n != 0 {
+				t.Errorf("%d events pending", n)
+			}
+			if now := pinned(c); now != base {
+				t.Errorf("pinning %+v, %+v after set-up", now, base)
+			}
+			for _, name := range c.traceNames() {
+				if strings.HasSuffix(name, ".disk") {
+					continue
+				}
+				for _, g := range []string{"net.inflight", "net.tx.queue", "ib.sendq", "ib.reads.outstanding"} {
+					if v := mx.Gauge(name, g).Current(); v != 0 {
+						t.Errorf("%s: %s = %d at quiescence", name, g, v)
+					}
+				}
+			}
+			// With no event left, a further Run reports who is parked: one
+			// idle read responder per adapter and the daemons' connection
+			// loops, all waiting for a message.
+			de, ok := c.Eng.Run().(*sim.DeadlockError)
+			if !ok {
+				t.Fatal("no service process parked")
+			}
+			responders := 0
+			for _, name := range de.Parked {
+				if !isInfra(name) {
+					t.Errorf("%s still parked", name)
+				}
+				if strings.HasPrefix(name, "hca[") {
+					responders++
+				}
+			}
+			if want := len(c.Servers) + len(c.Clients); responders != want {
+				t.Errorf("%d read responders parked idle, want %d", responders, want)
+			}
+			c.Eng.Shutdown()
+		})
+	}
+}
+
+// quiesceScript is one client's share of TestQuiescenceAfterMixedScript.
+func quiesceScript(t *testing.T, p *sim.Proc, cl *Client, ci int) {
+	const (
+		segLen = 4 << 10
+		nSegs  = 48
+		stride = 24 << 10
+	)
+	fh := cl.Open(p, fmt.Sprintf("quiesce%d", ci))
+	total := int64(segLen * nSegs)
+	src, want := fill(cl, total, byte(ci))
+	dst := cl.Space().Malloc(total)
+	var wsegs, rsegs []ib.SGE
+	var accs []OffLen
+	for i := 0; i < nSegs; i++ {
+		wsegs = append(wsegs, ib.SGE{Addr: src + mem.Addr(i*segLen), Len: segLen})
+		rsegs = append(rsegs, ib.SGE{Addr: dst + mem.Addr(i*segLen), Len: segLen})
+		accs = append(accs, OffLen{Off: int64(i) * stride, Len: segLen})
+	}
+	if err := fh.WriteList(p, wsegs, accs, OpOptions{}); err != nil {
+		t.Errorf("cn%d: WriteList: %v", ci, err)
+		return
+	}
+	fh.Sync(p)
+	if err := fh.ReadList(p, rsegs, accs, OpOptions{}); err != nil {
+		t.Errorf("cn%d: ReadList: %v", ci, err)
+		return
+	}
+	if got, err := cl.Space().Read(dst, total); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("cn%d: list read-back differs (%v)", ci, err)
+	}
+	// A 3 kB piece inside one stripe: one server, the Multiple I/O shape.
+	if err := fh.Write(p, src, 3<<10, 1<<10, OpOptions{}); err != nil {
+		t.Errorf("cn%d: Write: %v", ci, err)
+		return
+	}
+	if err := fh.Read(p, dst, 3<<10, 1<<10, OpOptions{}); err != nil {
+		t.Errorf("cn%d: Read: %v", ci, err)
+		return
+	}
+	if got, err := cl.Space().Read(dst, 3<<10); err != nil || !bytes.Equal(got, want[:3<<10]) {
+		t.Errorf("cn%d: one-server read-back differs (%v)", ci, err)
+	}
+	if size, want := fh.Stat(p), int64(nSegs-1)*stride+segLen; size != want {
+		t.Errorf("cn%d: Stat = %d, want %d", ci, size, want)
+	}
+	cl.Remove(p, fh.Name())
+	if err := cl.RegCache().Flush(p); err != nil {
+		t.Errorf("cn%d: flushing the pin-down cache: %v", ci, err)
+	}
+}
+
+// TestFanOutSpawnsAllButTheFirstPart: the servers' adapters are down, so a
+// write parks forever waiting for its replies and the deadlock report names
+// every process the operation is running on. A write inside one stripe runs
+// on its caller alone; one over four stripes runs the first server's part on
+// the caller and one child for each of the other three.
+func TestFanOutSpawnsAllButTheFirstPart(t *testing.T) {
+	for _, tc := range []struct {
+		n    int64
+		want []string
+	}{
+		{3 << 10, []string{"app"}},
+		{4 * 64 << 10, []string{"app", "op[cn0-io1]", "op[cn0-io2]", "op[cn0-io3]"}},
+	} {
+		c := newCluster(t, 4, 1)
+		cl := c.Clients[0]
+		if c.Cfg.StripeSize != 64<<10 {
+			t.Fatalf("stripe size %d: the cases assume 64 kB stripes", c.Cfg.StripeSize)
+		}
+		src, _ := fill(cl, tc.n, 1)
+		c.Eng.Go("app", func(p *sim.Proc) {
+			fh := cl.Open(p, "f")
+			for _, s := range c.Servers {
+				s.hca.SetDown(true)
+			}
+			err := fh.Write(p, src, tc.n, 0, OpOptions{})
+			t.Errorf("write to dead servers returned (%v)", err)
+		})
+		de, ok := c.Eng.Run().(*sim.DeadlockError)
+		if !ok {
+			t.Fatalf("%d bytes: the write did not park", tc.n)
+		}
+		var got []string
+		for _, name := range de.Parked {
+			if !isInfra(name) {
+				got = append(got, name)
+			}
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%d bytes: the operation runs on %v, want %v", tc.n, got, tc.want)
+		}
+		c.Eng.Shutdown()
+	}
+}
+
+// TestChunkPartPassThroughEqualsCut: for parts as splitOp makes them,
+// handing a part that fits one request through as the chunk is the same as
+// cutting it element by element — and a part that does not fit is cut.
+func TestChunkPartPassThroughEqualsCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	passed := 0
+	for iter := 0; iter < 500; iter++ {
+		stripe := int64(1) << (9 + rng.Intn(8))
+		nServers := 1 + rng.Intn(5)
+		var segs []ib.SGE
+		var accs []OffLen
+		var left int64
+		addr, off := mem.Addr(0x10000), int64(rng.Intn(4096))
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			l := int64(1 + rng.Intn(3*int(stripe)))
+			accs = append(accs, OffLen{Off: off, Len: l})
+			off += l + int64(rng.Intn(2))*int64(rng.Intn(2*int(stripe))) // sometimes adjacent
+			left += l
+		}
+		for left > 0 {
+			l := min(left, int64(1+rng.Intn(3*int(stripe))))
+			segs = append(segs, ib.SGE{Addr: addr, Len: l})
+			addr += mem.Addr(l + int64(rng.Intn(2))*64) // sometimes adjacent
+			left -= l
+		}
+		parts, err := splitOp(segs, accs, stripe, nServers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxPairs := 1 + rng.Intn(16)
+		maxBytes := stripe << rng.Intn(4)
+		for _, part := range parts {
+			got, want := chunkPart(part, maxPairs, maxBytes), cutPart(part, maxPairs, maxBytes)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("part %+v, limits %d pairs / %d bytes:\nchunkPart %+v\ncutPart   %+v", part, maxPairs, maxBytes, got, want)
+			}
+			if len(got) == 1 && &got[0].accs[0] == &part.accs[0] {
+				passed++
+			}
+		}
+	}
+	if passed == 0 {
+		t.Error("no generated part took the pass-through")
+	}
+}

@@ -49,17 +49,9 @@ func splitOp(memSegs []ib.SGE, fileAccs []OffLen, stripeSize int64, nServers int
 		}
 	}
 
-	parts := make(map[int]*serverPart)
+	// Parts in first-touch order; at most nServers of them, so finding a
+	// server's part is a short scan.
 	ordered := make([]*serverPart, 0, nServers)
-	part := func(srv int) *serverPart {
-		if p, ok := parts[srv]; ok {
-			return p
-		}
-		p := &serverPart{srv: srv}
-		parts[srv] = p
-		ordered = append(ordered, p)
-		return p
-	}
 
 	mi, fi := 0, 0   // current segment / region index
 	var mo, fo int64 // bytes consumed within each
@@ -77,7 +69,17 @@ func splitOp(memSegs []ib.SGE, fileAccs []OffLen, stripeSize int64, nServers int
 			n = b
 		}
 		srv, local := locate(fileOff, stripeSize, nServers)
-		p := part(srv)
+		var p *serverPart
+		for _, q := range ordered {
+			if q.srv == srv {
+				p = q
+				break
+			}
+		}
+		if p == nil {
+			p = &serverPart{srv: srv}
+			ordered = append(ordered, p)
+		}
 		// The two streams only need to carry the same bytes in the same
 		// order — they are not paired element-wise — so merge adjacent
 		// fragments on each side independently. File-side merging is what
@@ -117,8 +119,21 @@ type chunk struct {
 
 // chunkPart cuts a server part into request-sized chunks: at most maxPairs
 // file regions and at most maxBytes data per chunk. Memory segments are
-// split at chunk boundaries so each chunk's streams stay aligned.
+// split at chunk boundaries so each chunk's streams stay aligned. A part
+// that fits one request is that request: its lists are the chunk's, shared,
+// not rebuilt.
 func chunkPart(p *serverPart, maxPairs int, maxBytes int64) []chunk {
+	if n := len(p.accs); 0 < n && n <= maxPairs {
+		if total := TotalOffLen(p.accs); total <= maxBytes {
+			return []chunk{{accs: p.accs, segs: p.segs, total: total}}
+		}
+	}
+	return cutPart(p, maxPairs, maxBytes)
+}
+
+// cutPart is chunkPart's general case, building every chunk element by
+// element.
+func cutPart(p *serverPart, maxPairs int, maxBytes int64) []chunk {
 	var chunks []chunk
 	var cur chunk
 	flush := func() {

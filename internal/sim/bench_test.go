@@ -34,9 +34,10 @@ func BenchmarkEventHeap(b *testing.B) {
 // BenchmarkX reports the per-iteration cost and TestSwitchAllocFree can
 // assert that a run's allocations do not grow with n.
 var switchLoops = map[string]func(n int) error{
-	"Sleep":    sleepLoop,
-	"Mailbox":  mailboxLoop,
-	"Resource": resourceLoop,
+	"Sleep":     sleepLoop,
+	"Mailbox":   mailboxLoop,
+	"Resource":  resourceLoop,
+	"AfterCall": afterCallLoop,
 }
 
 // sleepLoop is one process sleeping n times with nothing else queued: every
@@ -93,6 +94,29 @@ func resourceLoop(n int) error {
 	return e.Run()
 }
 
+// afterCallLoop is a device modeled without a process: a chain of n
+// callbacks on one group, each scheduling its successor with
+// Group.AfterCall — no switch at all, and no closure per event.
+func afterCallLoop(n int) error {
+	e := NewEngine()
+	defer e.Shutdown()
+	d := &callbackDevice{g: e.AddGroup("dev"), left: n}
+	d.g.AfterCall(time.Microsecond, deviceTick, d)
+	return e.Run()
+}
+
+type callbackDevice struct {
+	g    *Group
+	left int
+}
+
+func deviceTick(v any) {
+	d := v.(*callbackDevice)
+	if d.left--; d.left > 0 {
+		d.g.AfterCall(time.Microsecond, deviceTick, d)
+	}
+}
+
 // spawnLoop spawns n children one after the other, each finished before
 // the next starts: after the first, every spawn reuses the idle carrier and
 // costs the Proc alone.
@@ -118,14 +142,16 @@ func benchLoop(b *testing.B, loop func(n int) error) {
 	}
 }
 
-func BenchmarkSleep(b *testing.B)    { benchLoop(b, sleepLoop) }
-func BenchmarkMailbox(b *testing.B)  { benchLoop(b, mailboxLoop) }
-func BenchmarkResource(b *testing.B) { benchLoop(b, resourceLoop) }
-func BenchmarkSpawn(b *testing.B)    { benchLoop(b, spawnLoop) }
+func BenchmarkSleep(b *testing.B)     { benchLoop(b, sleepLoop) }
+func BenchmarkMailbox(b *testing.B)   { benchLoop(b, mailboxLoop) }
+func BenchmarkResource(b *testing.B)  { benchLoop(b, resourceLoop) }
+func BenchmarkAfterCall(b *testing.B) { benchLoop(b, afterCallLoop) }
+func BenchmarkSpawn(b *testing.B)     { benchLoop(b, spawnLoop) }
 
-// TestSwitchAllocFree: Sleep, Mailbox and Resource allocate to set up (the
-// engine, two processes, their carriers) and nothing per switch, so a run
-// of 20000 iterations allocates exactly what a run of 200 does.
+// TestSwitchAllocFree: Sleep, Mailbox, Resource and AfterCall allocate to
+// set up (the engine, its processes, their carriers) and nothing per switch
+// or callback, so a run of 20000 iterations allocates exactly what a run of
+// 200 does.
 func TestSwitchAllocFree(t *testing.T) {
 	for name, loop := range switchLoops {
 		allocs := func(n int) float64 {

@@ -57,7 +57,9 @@ func TestSleepBeyondBoundIsNotTakenInline(t *testing.T) {
 }
 
 // TestInlineWakesAreCounted: a wake taken inline is still an executed
-// event — one for the spawn and one per Sleep, at every shard count.
+// event — one for the spawn and one per Sleep, at every shard count — and
+// telemetry says which of them switched: unsharded only the spawn does, and
+// a window's end forces a switch on the Sleep that crosses it.
 func TestInlineWakesAreCounted(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		e := NewEngine()
@@ -74,6 +76,9 @@ func TestInlineWakesAreCounted(t *testing.T) {
 		tm := e.Telemetry()
 		if tm.TotalEvents() != 101 {
 			t.Errorf("shards=%d: %d events, want 101", shards, tm.TotalEvents())
+		}
+		if tm.Resumes+tm.InlineWakes != 101 || tm.Resumes < 1 || shards == 1 && tm.Resumes != 1 {
+			t.Errorf("shards=%d: %d resumes + %d inline wakes, want 101 in all, one resume unsharded", shards, tm.Resumes, tm.InlineWakes)
 		}
 		if shards > 1 && tm.Shards[0].MaxWindowEvents < 2 {
 			t.Errorf("shards=%d: max window events %d: inline wakes missing from the window count", shards, tm.Shards[0].MaxWindowEvents)

@@ -3,8 +3,8 @@ package sim
 import "fmt"
 
 // Must and Failf are the sanctioned escape hatch for code running inside a
-// simulation process with no error path to its caller (an adapter's dispatch
-// engine, a benchmark driver's worker). The panic unwinds through Engine.Run
+// simulation process or event callback with no error path to its caller (an
+// adapter's receive handler, a benchmark driver's worker). The panic unwinds through Engine.Run
 // like any process failure, but keeping the call here — rather than a bare
 // panic at each site — keeps the pvfslint nopanic rule meaningful: library
 // code either returns a wrapped error or deliberately routes through the

@@ -160,6 +160,25 @@ func (g *Group) Name() string { return g.name }
 // worker thread, so pooling needs no locks) index them with this.
 func (g *Group) ShardIndex() int { return g.sh.idx }
 
+// Now returns the virtual time on the group's shard. It is for the group's
+// own event callbacks, which have no Proc to ask; between Run calls it reads
+// the idle clock.
+func (g *Group) Now() Time { return g.sh.now }
+
+// AfterCall runs fn(arg) d from now on g itself. It is AfterCallOn for code
+// that is already executing one of g's events — a device modeled as event
+// callbacks instead of a process — and therefore has no Proc.
+func (g *Group) AfterCall(d Duration, fn func(any), arg any) { g.afterCallOn(g, d, fn, arg) }
+
+// afterCallOn schedules fn(arg) d from now on exec's shard, keyed by g; the
+// caller must be executing on g's shard.
+func (g *Group) afterCallOn(exec *Group, d Duration, fn func(any), arg any) {
+	s := g.sh
+	ev := s.alloc()
+	ev.afn, ev.arg = fn, arg
+	g.eng.scheduleEv(ev, s.now.Add(d), g, exec)
+}
+
 // Engine owns the virtual clock, the groups, and the shards.
 type Engine struct {
 	shards    []*shard
@@ -196,6 +215,12 @@ type Telemetry struct {
 	// Windows is the number of conservative synchronization rounds run by
 	// the sharded loop (zero on an unsharded engine).
 	Windows int64 `json:"windows"`
+	// Resumes is the number of events that switched into a process (every
+	// other event is a callback run on the shard's own stack); InlineWakes
+	// is the number of Sleep expiries taken without a switch. Both are
+	// summed over shards, and both depend on where the windows fall.
+	Resumes     int64 `json:"resumes"`
+	InlineWakes int64 `json:"inline_wakes"`
 	// Shards holds one entry per shard.
 	Shards []ShardLoad `json:"shards"`
 }
@@ -247,6 +272,8 @@ func (e *Engine) Telemetry() Telemetry {
 	t := Telemetry{Windows: e.windows, Shards: make([]ShardLoad, len(e.shards))}
 	for i, s := range e.shards {
 		t.Shards[i] = ShardLoad{Events: s.nExec, Ingested: s.nIngest, MaxWindowEvents: s.maxWindow}
+		t.Resumes += s.nResume
+		t.InlineWakes += s.nInline
 	}
 	return t
 }
@@ -495,10 +522,7 @@ func (p *Proc) After(d Duration, fn func()) {
 // this for message delivery) and the event is passed through the target
 // shard's inbox at the next window barrier.
 func (p *Proc) AfterCallOn(g *Group, d Duration, fn func(any), arg any) {
-	s := p.g.sh
-	ev := s.alloc()
-	ev.afn, ev.arg = fn, arg
-	p.eng.scheduleEv(ev, s.now.Add(d), p.g, g)
+	p.g.afterCallOn(g, d, fn, arg)
 }
 
 // park suspends the calling process until something wakes it. From a timer
@@ -555,6 +579,7 @@ func (p *Proc) Sleep(d Duration) {
 	if ev := &p.wakeEv; s.events[0] == ev && ev.t < p.eng.windowEnd && !p.eng.stopped.Load() {
 		s.now = s.events.popEv().t
 		s.nExec++
+		s.nInline++
 		return
 	}
 	p.parked = true
@@ -795,6 +820,8 @@ type shard struct {
 
 	// Execution telemetry, surfaced by Engine.Telemetry.
 	nExec     int64 // events executed
+	nResume   int64 // of which switched into a process
+	nInline   int64 // of which were Sleep expiries taken without a switch
 	nIngest   int64 // cross-shard hand-offs received
 	maxWindow int64 // most events executed in one window
 
@@ -845,6 +872,7 @@ func (s *shard) exec(ev *event) {
 			s.nParked--
 		}
 		s.cur = p
+		s.nResume++
 		//pvfslint:ok hotpath process resume: the shard loop switches straight into the process's carrier and gets control back when the body parks, sleeps or returns — one coroswitch each way where a channel send/receive pair through the Go scheduler used to be
 		p.c.next()
 		s.cur = nil

@@ -57,12 +57,13 @@ type NodeID int
 
 // Message is one fabric transfer. Payload is opaque to the network.
 // Messages are pooled per shard: Send allocates from the sender's shard
-// pool and the Inbox consumer hands a finished message back via
-// Network.Recycle, which returns it to the receiver's shard pool. Each
-// pool is touched only by code running on its shard's worker thread, so
-// pooling needs no locks; at one shard there is a single pool and any
-// traffic pattern — including one-directional streams — recirculates the
-// same structs allocation-free, exactly as the pre-shard global pool did.
+// pool and the consumer (the node's receiver, or whoever drains its Inbox)
+// hands a finished message back via Network.Recycle, which returns it to
+// the receiver's shard pool. Each pool is touched only by code running on
+// its shard's worker thread, so pooling needs no locks; at one shard there
+// is a single pool and any traffic pattern — including one-directional
+// streams — recirculates the same structs allocation-free, exactly as the
+// pre-shard global pool did.
 type Message struct {
 	From, To NodeID
 	Size     int
@@ -74,7 +75,7 @@ type Message struct {
 	Ctx uint64
 
 	dst  *Node    // delivery target, set while in flight
-	next *Message // free-list link
+	next *Message // link in the receiver's staging FIFO, then in a free list
 }
 
 // Node is one port on the fabric.
@@ -84,8 +85,18 @@ type Node struct {
 	net   *Network
 	group *sim.Group
 	tx    *sim.Resource
-	stage *sim.Mailbox // in-flight messages, ordered by wire arrival
-	Inbox *sim.Mailbox // fully received messages, consumed by the host
+	// Inbox holds fully received messages for a node with no receiver
+	// attached (SetReceiver); its consumer must Recycle them.
+	Inbox *sim.Mailbox
+
+	// The receive engine: messages whose head has reached the port form a
+	// FIFO in wire arrival order, linked through Message.next. The first is
+	// being received — it is the argument of the pending rxDone event — and
+	// the engine is idle exactly when rxTail is nil.
+	rxTail  *Message
+	rxSince sim.Time       // when the first message's reception began
+	rxSpan  trace.Span     // its net.rx span
+	recv    func(*Message) // takes received messages instead of Inbox
 
 	shardIdx int // the group's shard; indexes the network's per-shard pools
 
@@ -96,8 +107,8 @@ type Node struct {
 // zero state is a no-op sink, so the fabric's hot paths sample
 // unconditionally. All series belong to the node's own name and are only
 // touched by the node's events: tx-side samples run on the sender's
-// shard, and the staged-message gauge is split so the increment
-// (deliverStage) and decrement (rxEngine) both execute on the receiver.
+// shard, and the staged-message gauge moves only in the receiver's own
+// arrival and completion events (deliverStage, rxDone).
 type nodeMetrics struct {
 	txBytes metrics.Counter // payload bytes accepted for transmission
 	txBusy  metrics.Busy    // transmit engine occupancy
@@ -176,10 +187,10 @@ func (node *Node) allocMsg() *Message {
 }
 
 // Recycle returns a delivered message to the receiving shard's free list.
-// The Inbox consumer calls it once the payload has been handed off; the
-// message must not be touched afterwards. The consumer runs on the
-// receiver's shard, so the pool access is unlocked; request/reply flows
-// recirculate the structs between the two shard pools.
+// The consumer calls it once the payload has been handed off; the message
+// must not be touched afterwards. The consumer runs on the receiver's
+// shard, so the pool access is unlocked; request/reply flows recirculate
+// the structs between the two shard pools.
 func (n *Network) Recycle(m *Message) {
 	pool := &n.pools[m.dst.shardIdx]
 	m.Payload = nil
@@ -195,7 +206,7 @@ func (n *Network) Recycle(m *Message) {
 func (n *Network) SetFaults(f FaultPolicy) { n.faults = f }
 
 // SetTracer attaches (or, with nil, detaches) the span tracer. With no
-// tracer Send and the receive engines record nothing and allocate
+// tracer Send and the receive callbacks record nothing and allocate
 // nothing — the same zero-overhead contract the fault hook keeps.
 func (n *Network) SetTracer(tr *trace.Tracer) { n.tracer = tr }
 
@@ -234,16 +245,15 @@ func (n *Network) Params() Params { return n.params }
 // Engine returns the simulation engine.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// AddNode attaches a new node in the engine's default group and starts its
-// receive engine.
+// AddNode attaches a new node in the engine's default group.
 func (n *Network) AddNode(name string) *Node {
 	return n.AddNodeIn(n.eng.DefaultGroup(), name)
 }
 
-// AddNodeIn attaches a new node whose receive engine — and, by the layering
-// contract, every process and timer of the host that owns the node — runs
-// in group g. Group-per-node placement is what lets a sharded engine run
-// nodes in parallel.
+// AddNodeIn attaches a new node whose receive callbacks — and, by the
+// layering contract, every process and timer of the host that owns the
+// node — run in group g. Group-per-node placement is what lets a sharded
+// engine run nodes in parallel.
 func (n *Network) AddNodeIn(g *sim.Group, name string) *Node {
 	if g.ShardIndex() >= len(n.pools) {
 		sim.Failf("simnet: node %q on shard %d but the fabric was built for %d shards (call Engine.SetShards before simnet.New)",
@@ -256,7 +266,6 @@ func (n *Network) AddNodeIn(g *sim.Group, name string) *Node {
 		group:    g,
 		shardIdx: g.ShardIndex(),
 		tx:       n.eng.NewResource(fmt.Sprintf("%s.tx", name), 1),
-		stage:    n.eng.NewMailbox(fmt.Sprintf("%s.stage", name)),
 		Inbox:    n.eng.NewMailbox(fmt.Sprintf("%s.inbox", name)),
 	}
 	n.nodes = append(n.nodes, node)
@@ -264,9 +273,14 @@ func (n *Network) AddNodeIn(g *sim.Group, name string) *Node {
 	if n.mx != nil {
 		node.attachMetrics(n.mx)
 	}
-	n.eng.GoOn(g, fmt.Sprintf("%s.rxengine", name), node.rxEngine)
 	return node
 }
+
+// SetReceiver makes fn the sink of every message the node receives, in
+// place of Inbox: fn runs inside the receive event, on the node's group, at
+// the instant the last byte arrives. It must not block, and it owns the
+// message (Recycle). An adapter attaches itself once, before traffic starts.
+func (node *Node) SetReceiver(fn func(*Message)) { node.recv = fn }
 
 // Group returns the group the node's host runs in.
 func (node *Node) Group() *sim.Group { return node.group }
@@ -282,26 +296,6 @@ func (node *Node) Network() *Network { return node.net }
 
 // NumNodes reports how many nodes are attached.
 func (n *Network) NumNodes() int { return len(n.nodes) }
-
-// rxEngine drains staged messages, charging receive-side serialization.
-// Parking (Recv, Sleep) is this engine's job, so only allocation
-// and wall-clock effects are budgeted.
-//
-//pvfslint:hotpath alloc,syscall
-func (node *Node) rxEngine(p *sim.Proc) {
-	for {
-		m := node.stage.Recv(p).(*Message)
-		node.mx.staged.Add(p.Now(), -1)
-		sp := node.net.tracer.Start(p.Now(), trace.Ctx(m.Ctx), node.Name, "net.rx", trace.StageWire)
-		sp.SetBytes(int64(m.Size))
-		rx0 := p.Now()
-		p.Sleep(node.net.params.SerializationTime(m.Size))
-		m.ArriveAt = p.Now()
-		node.mx.rxBusy.AddSpan(rx0, m.ArriveAt)
-		sp.End(p.Now())
-		node.Inbox.Send(m)
-	}
-}
 
 // Send transmits size bytes with the given payload from this node to dst.
 // The calling process blocks for the transmit-side serialization time; the
@@ -371,15 +365,58 @@ func (node *Node) Send(p *sim.Proc, dst NodeID, size int, payload any) error {
 	return nil
 }
 
-// deliverStage is the closure-free arrival callback: the message joins the
-// receiver's staging queue one path latency after transmission started.
+// deliverStage is the closure-free arrival callback: one path latency after
+// transmission started the message joins the receiver's staging FIFO, and
+// an idle receive engine starts on it at once. It executes on the
+// receiver's shard, which owns everything it touches.
 //
 //pvfslint:hotpath
 func deliverStage(v any) {
 	m := v.(*Message)
-	// This callback executes on the receiver's shard at SentAt + latency
-	// (the event's own timestamp), so the receiver-owned staged gauge may
-	// be sampled here; the matching decrement is in rxEngine.
-	m.dst.mx.staged.Add(m.SentAt.Add(m.dst.net.params.Latency), 1)
-	m.dst.stage.Send(m)
+	node := m.dst
+	node.mx.staged.Add(node.group.Now(), 1)
+	tail := node.rxTail
+	node.rxTail = m
+	if tail != nil {
+		tail.next = m
+		return
+	}
+	node.rxBegin(m)
+}
+
+// rxBegin starts receiving the first staged message: the port is occupied
+// for the message's serialization time.
+func (node *Node) rxBegin(m *Message) {
+	now := node.group.Now()
+	node.mx.staged.Add(now, -1)
+	node.rxSpan = node.net.tracer.Start(now, trace.Ctx(m.Ctx), node.Name, "net.rx", trace.StageWire)
+	node.rxSpan.SetBytes(int64(m.Size))
+	node.rxSince = now
+	node.group.AfterCall(node.net.params.SerializationTime(m.Size), rxDone, m)
+}
+
+// rxDone is the completion callback of the receive engine: the last byte of
+// the first staged message is in. The message goes to the node's receiver
+// (or Inbox) and the next one, if any, starts.
+//
+//pvfslint:hotpath
+func rxDone(v any) {
+	m := v.(*Message)
+	node := m.dst
+	m.ArriveAt = node.group.Now()
+	node.mx.rxBusy.AddSpan(node.rxSince, m.ArriveAt)
+	node.rxSpan.End(m.ArriveAt)
+	next := m.next
+	if next == nil {
+		node.rxTail = nil
+	}
+	if node.recv != nil {
+		//pvfslint:ok hotpath the attached adapter's receive handler, a func value so that simnet need not import it; the handler is a full-class hot-path root itself
+		node.recv(m)
+	} else {
+		node.Inbox.Send(m)
+	}
+	if next != nil {
+		node.rxBegin(next)
+	}
 }

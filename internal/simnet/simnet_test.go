@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"pvfsib/internal/metrics"
 	"pvfsib/internal/sim"
+	"pvfsib/internal/trace"
 )
 
 func testNet(t *testing.T) (*sim.Engine, *Network, *Node, *Node) {
@@ -16,22 +18,12 @@ func testNet(t *testing.T) (*sim.Engine, *Network, *Node, *Node) {
 	return eng, net, a, b
 }
 
-// run executes the engine, tolerating the perpetually-parked rx engines.
+// run executes the engine to completion: the fabric itself has no process,
+// so anything still parked is a test process that never got its message.
 func run(t *testing.T, eng *sim.Engine) {
 	t.Helper()
-	err := eng.Run()
-	if err == nil {
-		return
-	}
-	de, ok := err.(*sim.DeadlockError)
-	if !ok {
+	if err := eng.Run(); err != nil {
 		t.Fatal(err)
-	}
-	// Only rx engines may remain parked (they wait for messages forever).
-	for _, name := range de.Parked {
-		if len(name) < 9 || name[len(name)-9:] != ".rxengine" {
-			t.Fatalf("unexpected parked process %q", name)
-		}
 	}
 }
 
@@ -138,6 +130,69 @@ func TestIncastSharesReceiverBandwidth(t *testing.T) {
 	minTime := net.Params().SerializationTime(nsenders * size)
 	if last < sim.Time(minTime) {
 		t.Errorf("incast finished at %v, faster than receive line rate %v", last, minTime)
+	}
+}
+
+// TestBackToBackArrivalsQueueOnTheReceiveEngine: two senders start a
+// microsecond apart, so the second head reaches dst while the first message
+// is still being received and waits for it. The engine is two event callbacks: the second
+// reception starts in the event that ends the first, the staged gauge and
+// the net.rx spans say so, and once the traffic is through nothing is
+// parked — the fabric has no process of its own.
+func TestBackToBackArrivalsQueueOnTheReceiveEngine(t *testing.T) {
+	eng := sim.NewEngine()
+	net := New(eng, DefaultParams())
+	dst := net.AddNode("dst")
+	mx := metrics.NewRegistry(metrics.Config{})
+	mx.RegisterNodes("dst", "src0", "src1")
+	tr := trace.NewTracer("dst", "src0", "src1")
+	net.SetTracer(tr)
+	sizes := []int{3 << 10, 48 << 10}
+	for i, size := range sizes {
+		src := net.AddNode([]string{"src0", "src1"}[i])
+		eng.Go("send", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(i) * time.Microsecond)
+			if err := src.Send(p, dst.ID, size, nil); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	net.SetMetrics(mx)
+	var got []*Message
+	eng.Go("recv", func(p *sim.Proc) {
+		for range sizes {
+			got = append(got, dst.Inbox.Recv(p).(*Message))
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatalf("after the last message: %v", err)
+	}
+	par := net.Params()
+	first := sim.Time(par.Latency + par.SerializationTime(sizes[0]))
+	if got[0].ArriveAt != first {
+		t.Errorf("first arrival at %v, want %v", got[0].ArriveAt, first)
+	}
+	if want := first.Add(par.SerializationTime(sizes[1])); got[1].ArriveAt != want {
+		t.Errorf("second arrival at %v, want %v: the first arrival plus its own serialization time", got[1].ArriveAt, want)
+	}
+	if cur, hi := dst.mx.staged.Current(), dst.mx.staged.High(); cur != 0 || hi != 1 {
+		t.Errorf("net.inflight = %d (high %d), want 0 (high 1: the second message, while the first was received)", cur, hi)
+	}
+	if dst.rxTail != nil || eng.Pending() != 0 {
+		t.Errorf("receive engine not idle: tail %v, %d events pending", dst.rxTail, eng.Pending())
+	}
+	var rx []trace.SpanRec
+	for _, sp := range tr.Spans() {
+		if sp.Kind == "net.rx" {
+			rx = append(rx, sp)
+		}
+	}
+	if len(rx) != 2 || !rx[0].Ended || !rx[1].Ended {
+		t.Fatalf("net.rx spans: %+v, want two ended spans", rx)
+	}
+	if rx[0].End != first || rx[1].Start != first || rx[1].End != got[1].ArriveAt {
+		t.Errorf("net.rx spans [%v, %v] and [%v, %v]: the second must start where the first ends, at %v",
+			rx[0].Start, rx[0].End, rx[1].Start, rx[1].End, first)
 	}
 }
 
