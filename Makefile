@@ -2,7 +2,7 @@ GO ?= go
 
 BIN := bin/pvfslint
 
-.PHONY: all build test race lint lint-json lint-time vet check bench-smoke bench-cache bench-scale bench-check bench-go trace-smoke metrics-smoke fuzz clean
+.PHONY: all build test race lint lint-json lint-time vet check bench-smoke bench-cache bench-scale bench-hostcost bench-check bench-go trace-smoke metrics-smoke fuzz clean
 
 # LINT_BUDGET caps the whole analyzer suite's wall time in lint-time; the
 # interprocedural pass (callgraph + detcheck) must not silently blow up CI.
@@ -78,6 +78,17 @@ bench-cache:
 	$(GO) run ./cmd/pvfsbench -seed 1 -parallel 4 -format json -run cache > BENCH_cache.json
 	@echo "wrote BENCH_cache.json"
 
+# bench-hostcost runs every short experiment and archives what each cost
+# the host in exact counts — engine events, process switches, inline wakes,
+# bytes copied and cleared, each also per request and per payload byte — as
+# BENCH_hostcost.json: the host clock as a committed file, so that a relay
+# or a copy put back on a data path shows in a diff (and fails
+# TestHostCostFile in tier-1). Deterministic at a fixed -seed and -shards;
+# -parallel and GOMAXPROCS change wall clock only.
+bench-hostcost:
+	$(GO) run ./cmd/pvfsbench -short -seed 1 -parallel 1 -shards 1 -format json -timings=false -run hostcost > BENCH_hostcost.json
+	@echo "wrote BENCH_hostcost.json"
+
 # trace-smoke runs the traced breakdown workload (ListIO+ADS, short) and
 # archives the Perfetto trace (open in ui.perfetto.dev or chrome://tracing)
 # plus the machine-readable stage-breakdown profile. Deterministic: the
@@ -107,7 +118,9 @@ bench-check:
 # never switches; TestSwitchAllocFree in the package's tests holds all but
 # the spawn to 0 allocs/op), one full Figure 3 cell, one message end to end
 # (QP.Send, both fabric engines, the adapter's receive handler, QP.Recv: the
-# number to read beside BenchmarkMailbox), the storage under every payload
+# number to read beside BenchmarkMailbox; BenchmarkAlltoallvOwned is the
+# two-phase exchange on top of it: four ranks, 64 kB parts handed over and
+# released, no payload-sized allocation), the storage under every payload
 # byte (AddrSpace accesses, a recycled Malloc/Free, the hole query; localfs
 # extent reads, writes and a scratch file's create/remove) and the I/O
 # daemon's data path (the sieve over the ledger's 128-access geometry, a
@@ -120,6 +133,7 @@ bench-go:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim/
 	$(GO) test -run NONE -bench . -benchmem ./internal/mem/ ./internal/localfs/
 	$(GO) test -run NONE -bench 'BenchmarkFig3Cell|BenchmarkMessagePath|BenchmarkSieve(Read|Write)128|BenchmarkListRead1MiB' -benchmem ./internal/bench/
+	$(GO) test -run NONE -bench BenchmarkAlltoallvOwned -benchmem ./internal/mpi/
 	$(GO) test -run 'AllocFree|AllocIndependentOfPayload' -count 1 -v ./internal/bench/
 	$(GO) test -run TestShardedCellThroughput -count 1 -v ./internal/sim/
 

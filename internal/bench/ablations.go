@@ -134,6 +134,6 @@ func ogrStrategyTime(nseg int, gapPages int64, strat string) float64 {
 		sim.Must(ogr.Release(p, ogr.Direct{HCA: h}, res))
 		elapsed = p.Now().Sub(t0)
 	})
-	runTolerant(eng)
+	runTolerant(eng, h.Space())
 	return float64(elapsed.Nanoseconds()) / 1000
 }

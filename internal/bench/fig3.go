@@ -165,6 +165,6 @@ func fig3RowOn(n int64, params ib.Params, netParams simnet.Params) map[string]fl
 			sim.Must(ogr.Release(p, ogr.Direct{HCA: cli}, res))
 		}))
 	})
-	runTolerant(eng)
+	runTolerant(eng, cli.Space(), srv.Space())
 	return out
 }

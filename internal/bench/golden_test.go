@@ -20,24 +20,30 @@ const goldenPath = "testdata/short.golden.json"
 
 var goldenOpts = RunOpts{Short: true, Seed: 1, Parallel: 8}
 
-// shortTables runs each experiment at goldenOpts at most once per test
-// binary; the golden comparison and the shape tests read the same tables.
-var shortTables = func() map[string]func() *Table {
-	m := make(map[string]func() *Table, len(Registry))
-	for _, e := range Registry {
-		m[e.ID] = sync.OnceValue(func() *Table { return e.Run(goldenOpts) })
-	}
-	return m
-}()
+// shortRun runs every experiment at goldenOpts, in Registry order, once per
+// test binary: the golden comparison and the shape tests read its tables,
+// TestHostCostFile what each experiment cost the host. It is one pass so that
+// the costs are those of a fresh `-run all` (and so that the suite pays for
+// one pass, not two); it must not overlap with a test that runs cells of its
+// own in parallel, which holds as long as no top-level test that reaches it
+// calls t.Parallel.
+var shortRun = sync.OnceValue(func() (r struct {
+	tables map[string]*Table
+	work   []HostWork
+}) {
+	r.tables = make(map[string]*Table, len(Registry))
+	r.work = costOf(Registry, goldenOpts, func(t *Table) { r.tables[t.ID] = t })
+	return r
+})
 
 // shortTable returns experiment id's table at goldenOpts.
 func shortTable(t testing.TB, id string) *Table {
 	t.Helper()
-	run, ok := shortTables[id]
+	tbl, ok := shortRun().tables[id]
 	if !ok {
 		t.Fatalf("unknown experiment %q", id)
 	}
-	return run()
+	return tbl
 }
 
 // loadGolden returns the committed golden tables as JSON text keyed by id.

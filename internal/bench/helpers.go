@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
@@ -26,32 +26,61 @@ type fixture struct {
 // close terminates the fixture's service processes so the whole simulated
 // cluster becomes garbage-collectable; sweeps build many clusters and would
 // otherwise exhaust host memory.
-func (f *fixture) close() { retire(f.c.Eng) }
-
-// EngineWork is what the engines of finished cells executed. It describes
-// the host's work, never a table's content.
-type EngineWork struct {
-	Events      int64 `json:"events"`
-	Resumes     int64 `json:"resumes"`      // events that switched into a process
-	InlineWakes int64 `json:"inline_wakes"` // events that were Sleep expiries taken without a switch
+func (f *fixture) close() {
+	acct := f.c.Acct()
+	retire(f.c.Eng, HostWork{Requests: acct.IOReqs(), PayloadBytes: acct.BytesClientServer}, f)
 }
 
-var retired struct{ events, resumes, inlineWakes atomic.Int64 }
-
-// Retired returns the work of every engine retired so far, by any cell on
-// any worker.
-func Retired() EngineWork {
-	return EngineWork{retired.events.Load(), retired.resumes.Load(), retired.inlineWakes.Load()}
+// HostCost folds what the fixture has cost the host so far: the cluster's
+// share and the MPI world's.
+func (f *fixture) HostCost() sim.HostCost {
+	hc := f.c.HostCost()
+	hc.Add(f.w.HostCost())
+	return hc
 }
 
-// retire adds a finished cell's engine to the Retired totals and shuts it
-// down.
-func retire(eng *sim.Engine) {
-	tm := eng.Telemetry()
-	retired.events.Add(tm.TotalEvents())
-	retired.resumes.Add(tm.Resumes)
-	retired.inlineWakes.Add(tm.InlineWakes)
+// HostWork is what finished cells cost the host next to the simulated work
+// that bought: it describes the host, never a table's content.
+type HostWork struct {
+	sim.HostCost
+	Requests     int64 `json:"requests"`      // request messages clients sent to servers (read, write, sync)
+	PayloadBytes int64 `json:"payload_bytes"` // data bytes between clients and servers
+}
+
+var retired struct {
+	sync.Mutex
+	work HostWork
+}
+
+// Retired returns the work of every cell retired so far, by any cell on any
+// worker.
+func Retired() HostWork {
+	retired.Lock()
+	defer retired.Unlock()
+	return retired.work
+}
+
+// coster is a layer that tallies its own host cost.
+type coster interface{ HostCost() sim.HostCost }
+
+// retire adds a finished cell's work — what the caller counted plus the
+// host cost of parts, which must cover the engine — to the Retired totals and
+// shuts the engine down.
+func retire(eng *sim.Engine, work HostWork, parts ...coster) {
+	for _, part := range parts {
+		work.Add(part.HostCost())
+	}
+	retired.Lock()
+	retired.work.Add(work.HostCost)
+	retired.work.Requests += work.Requests
+	retired.work.PayloadBytes += work.PayloadBytes
+	retired.Unlock()
 	eng.Shutdown()
+}
+
+// sub returns w - o, the work done between two readings of Retired.
+func (w HostWork) sub(o HostWork) HostWork {
+	return HostWork{w.HostCost.Sub(o.HostCost), w.Requests - o.Requests, w.PayloadBytes - o.PayloadBytes}
 }
 
 func newFixture(cfg pvfs.Config, nServers, nRanks int) *fixture {
@@ -97,18 +126,37 @@ type buffer struct {
 // a seed-derived byte pattern, and returns the SGE/region lists.
 func materialize(cl *pvfs.Client, pat workload.Pattern, seed byte) buffer {
 	base := cl.Space().Malloc(max(pat.MemSpan(), 1))
-	var segs []ib.SGE
-	for _, r := range pat.Mem {
-		segs = append(segs, ib.SGE{Addr: base + mem.Addr(r.Off), Len: r.Len})
+	segs := make([]ib.SGE, len(pat.Mem))
+	for i, r := range pat.Mem {
+		segs[i] = ib.SGE{Addr: base + mem.Addr(r.Off), Len: r.Len}
 	}
-	for i, s := range segs {
-		data := make([]byte, s.Len)
-		for j := range data {
-			data[j] = byte(int(seed) + i*31 + j)
-		}
-		sim.Must(cl.Space().Write(s.Addr, data))
-	}
+	fillPattern(cl.Space(), segs, seed)
 	return buffer{Base: base, Segs: segs, Accs: []pvfs.OffLen(pat.File)}
+}
+
+// fillRun is the most pattern bytes one write into simulated memory takes
+// from patternBytes.
+const fillRun = 64 << 10
+
+// patternBytes[k] is byte(k). The pattern's byte j of segment i is
+// byte(seed + i*31 + j), which has period 256 in j: any run of it up to
+// fillRun long is a subslice of this table, starting at the run's phase.
+var patternBytes = func() (t [256 + fillRun]byte) {
+	for k := range t {
+		t[k] = byte(k)
+	}
+	return
+}()
+
+// fillPattern writes the seed-derived pattern into the segments, straight
+// from the table: no buffer is built to be copied from.
+func fillPattern(space *mem.AddrSpace, segs []ib.SGE, seed byte) {
+	for i, s := range segs {
+		for off := int64(0); off < s.Len; off += fillRun {
+			phase := (int64(seed) + int64(i)*31 + off) & 255
+			sim.Must(space.Write(s.Addr+mem.Addr(off), patternBytes[phase:phase+min(s.Len-off, fillRun)]))
+		}
+	}
 }
 
 // layout gives one rank's share of a rank-parallel access: where its bytes

@@ -1,71 +1,165 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
+	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
 	"pvfsib/internal/mpi"
+	"pvfsib/internal/mpiio"
 	"pvfsib/internal/pvfs"
+	"pvfsib/internal/sieve"
 	"pvfsib/internal/sim"
 )
 
-// TestMultipleIOEventBudget holds the fixed cost of a request on the host
-// clock: Multiple I/O as Figure 8 runs it — one rank, one contiguous
-// pack-sized request per 3 kB piece, each inside one stripe — written and
-// read back on the paper's cluster. Both counts are exact at any seed (the
-// cell draws no randomness), and the ceilings are those counts with the
-// inbound message path run to completion. A process between Node.Send and
-// the process that wants the message — a relay — costs at least one event
-// and one switch per message, three messages a request (a relay in the
-// fabric and one in the adapter make it 26 events and 12 switches), and
-// fails here.
+// TestMultipleIOEventBudget holds the cost of moving a byte on the host
+// clock, access method by access method: the Figure 8 geometry — 64 pieces
+// of 3 kB per rank, each inside one stripe — written and read back on the
+// paper's servers in steady state (the same access has run once before).
+// The counts are exact at any seed (the cell draws no randomness) and the
+// ceilings are the counts measured with the inbound message path run to
+// completion and exchange buffers handed over:
+//
+//   - events and process switches. Multiple I/O is the row the test is named
+//     for: 18 events and 3 switches per request, the other 15 being
+//     callbacks and Sleeps that were next in line. A process between
+//     Node.Send and the process that wants the message — a relay — costs at
+//     least one event and one switch per message, three messages a request
+//     (a relay in the fabric and one in the adapter make it 26 and 12).
+//   - bytes copied, which over the payload is the number of host copies a
+//     payload byte goes through: a copy put back on a data path (a second
+//     copy in the daemon's unstage, the body copy in an owning send) moves a
+//     whole row by one.
+//
+// The three list-shaped methods take their transfer scheme from the
+// operation's options, so they run under each; data sieving and collective
+// I/O reach PVFS only through MPI-IO, which leaves the choice to the hybrid
+// rule (their large contiguous requests gather).
 func TestMultipleIOEventBudget(t *testing.T) {
 	const (
 		pieces = 64
 		piece  = 3 << 10
 		stride = 16 << 10
-
-		eventsPerRequest  = 18
-		resumesPerRequest = 3 // the other 15 are callbacks and Sleeps that were next in line
+		// payload is what one rank's write and read of its pieces move.
+		payload = 2 * pieces * piece
 	)
-	f := newFixture(pvfs.DefaultConfig(), 4, 1)
+	// list is the three list-shaped methods: one PVFS list operation per
+	// batch pieces, with the given sieving mode.
+	list := func(batch int, mode sieve.Mode) func(tr pvfs.Transfer) accessOp {
+		return func(tr pvfs.Transfer) accessOp {
+			opts := pvfs.OpOptions{Transfer: tr, Sieve: mode}
+			return func(p *sim.Proc, file *mpiio.File, b buffer, write bool) {
+				for i := 0; i < pieces; i += batch {
+					if write {
+						sim.Must(file.Handle().WriteList(p, b.Segs[i:i+batch], b.Accs[i:i+batch], opts))
+					} else {
+						sim.Must(file.Handle().ReadList(p, b.Segs[i:i+batch], b.Accs[i:i+batch], opts))
+					}
+				}
+			}
+		}
+	}
+	viaMPIIO := func(m mpiio.Method) func(pvfs.Transfer) accessOp {
+		return func(pvfs.Transfer) accessOp {
+			return func(p *sim.Proc, file *mpiio.File, b buffer, write bool) {
+				if write {
+					sim.Must(file.Write(p, m, b.Segs, b.Accs))
+				} else {
+					sim.Must(file.Read(p, m, b.Segs, b.Accs))
+				}
+			}
+		}
+	}
+	all := []pvfs.Transfer{pvfs.ForcePack, pvfs.ForceGather, pvfs.Hybrid}
+	for _, row := range []struct {
+		method  string
+		ranks   int
+		schemes []pvfs.Transfer
+		op      func(pvfs.Transfer) accessOp
+		// Ceilings per scheme, in schemes order: events, process switches,
+		// bytes copied.
+		budget [][3]int64
+	}{
+		// 128 requests of 3 kB: 18 events and 3 switches each (gather: 27 and
+		// 5, a registration on either side of the transfer); 5 copies a byte
+		// packed, 4 gathered.
+		{"multiple", 1, all, list(1, sieve.Never),
+			[][3]int64{{18 * 128, 3 * 128, 5 * payload}, {27 * 128, 5 * 128, 4 * payload}, {18 * 128, 3 * 128, 5 * payload}}},
+		// 8 requests of 48 kB, 16 pieces each.
+		{"listio", 1, all, list(pieces, sieve.Never),
+			[][3]int64{{407, 331, 5 * payload}, {476, 365, 4 * payload}, {476, 365, 4 * payload}}},
+		// The same through the servers' sieve: fewer disk calls, and the
+		// window's bytes copied once more where a window is sieved.
+		{"listio+ads", 1, all, list(pieces, sieve.Auto),
+			[][3]int64{{287, 211, 5*payload + 61440}, {356, 245, 4*payload + 61440}, {356, 245, 4*payload + 61440}}},
+		// Writes as Multiple I/O, reads the 1 MB extent whole and extracts.
+		{"datasieving", 1, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.DataSieving),
+			[][3]int64{{1331, 249, 4543488}}},
+		// Two ranks: pack, hand over, assemble, one contiguous request each.
+		{"collective", 2, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.Collective),
+			[][3]int64{{838, 418, 13910112}}},
+	} {
+		for i, tr := range row.schemes {
+			t.Run(fmt.Sprintf("%s/%s", row.method, tr), func(t *testing.T) {
+				reqs, payload, cost := accessCost(t, row.ranks, pieces, piece, stride, row.op(tr))
+				t.Logf("%d requests, %d payload bytes: %d events (%.2f per request), %d process switches (%.2f), %d inline wakes, %d bytes copied (%.3f per payload byte), %d cleared",
+					reqs, payload, cost.Events, float64(cost.Events)/float64(reqs), cost.Resumes, float64(cost.Resumes)/float64(reqs),
+					cost.InlineWakes, cost.BytesCopied, float64(cost.BytesCopied)/float64(payload), cost.BytesCleared)
+				for j, c := range []struct {
+					what string
+					got  int64
+				}{{"events", cost.Events}, {"process switches", cost.Resumes}, {"bytes copied", cost.BytesCopied}} {
+					if max := row.budget[i][j]; c.got > max {
+						t.Errorf("%d %s for %d requests and %d payload bytes, ceiling %d", c.got, c.what, reqs, payload, max)
+					}
+				}
+			})
+		}
+	}
+}
+
+// accessOp moves a rank's buffer to or from the file by one access method.
+type accessOp func(p *sim.Proc, file *mpiio.File, b buffer, write bool)
+
+// accessCost runs op as a write then a read on every rank of a 4-server
+// cluster, twice, and returns what the second run cost the host together
+// with the requests and payload bytes it moved. Rank r's piece i is
+// piece bytes at file offset i*stride + r*piece, from packed memory.
+func accessCost(t *testing.T, ranks int, pieces, piece, stride int64, op accessOp) (reqs, payload int64, cost sim.HostCost) {
+	t.Helper()
+	f := newFixture(pvfs.DefaultConfig(), 4, ranks)
 	defer f.close()
-	cl := f.c.Clients[0]
-	buf := cl.Space().Malloc(pieces * piece)
-	var fh *pvfs.FileHandle
-	// Untimed: open, and one request to every server so that pools and
-	// free lists are warm.
-	f.runRanks(func(p *sim.Proc, _ *mpi.Rank, _ *pvfs.Client) {
-		fh = cl.Open(p, "tile")
-		for i := int64(0); i < 4; i++ {
-			sim.Must(fh.Write(p, buf, piece, i*f.c.Cfg.StripeSize, pvfs.OpOptions{}))
-		}
-	})
-	tm0, reqs0 := f.c.Eng.Telemetry(), f.c.Snapshot()
-	f.runRanks(func(p *sim.Proc, _ *mpi.Rank, _ *pvfs.Client) {
+	bufs := make([]buffer, ranks)
+	files := make([]*mpiio.File, ranks)
+	for r, cl := range f.c.Clients {
+		b := buffer{Base: cl.Space().Malloc(pieces * piece)}
 		for i := int64(0); i < pieces; i++ {
-			sim.Must(fh.Write(p, buf+mem.Addr(i*piece), piece, i*stride, pvfs.OpOptions{}))
+			b.Segs = append(b.Segs, ib.SGE{Addr: b.Base + mem.Addr(i*piece), Len: piece})
+			b.Accs = append(b.Accs, pvfs.OffLen{Off: i*stride + int64(r)*piece, Len: piece})
 		}
-		for i := int64(0); i < pieces; i++ {
-			sim.Must(fh.Read(p, buf+mem.Addr(i*piece), piece, i*stride, pvfs.OpOptions{}))
-		}
-	})
-	tm1, reqs1 := f.c.Eng.Telemetry(), f.c.Snapshot()
-	reqs := (reqs1.WriteReqs + reqs1.ReadReqs) - (reqs0.WriteReqs + reqs0.ReadReqs)
-	if reqs != 2*pieces {
-		t.Fatalf("%d requests for %d pieces written and read: a piece is no longer one request", reqs, pieces)
+		fillPattern(cl.Space(), b.Segs, byte(r))
+		bufs[r] = b
 	}
-	// Less the one event, a switch, that starts the measured process.
-	events := tm1.TotalEvents() - tm0.TotalEvents() - 1
-	resumes := tm1.Resumes - tm0.Resumes - 1
-	t.Logf("%d requests: %d events (%.2f per request), %d process switches (%.2f), %d inline wakes",
-		reqs, events, float64(events)/float64(reqs), resumes, float64(resumes)/float64(reqs), tm1.InlineWakes-tm0.InlineWakes)
-	if events > eventsPerRequest*reqs {
-		t.Errorf("%d events for %d requests, ceiling %d per request", events, reqs, eventsPerRequest)
+	pass := func() {
+		f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
+			id := rank.ID()
+			if files[id] == nil {
+				files[id] = mpiio.Open(p, cl, rank, "tile")
+			}
+			op(p, files[id], bufs[id], true)
+			op(p, files[id], bufs[id], false)
+		})
 	}
-	if resumes > resumesPerRequest*reqs {
-		t.Errorf("%d process switches for %d requests, ceiling %d per request", resumes, reqs, resumesPerRequest)
-	}
+	pass() // untimed: pools, free lists, file blocks and pin-down caches warm up
+	cost0, acct0 := f.HostCost(), f.c.Acct()
+	pass()
+	acct := f.c.Acct()
+	// Less the one event, a switch, that starts each rank's process.
+	cost = f.HostCost().Sub(cost0)
+	cost.Events -= int64(ranks)
+	cost.Resumes -= int64(ranks)
+	return acct.ReadReqs + acct.WriteReqs - acct0.ReadReqs - acct0.WriteReqs, acct.BytesClientServer - acct0.BytesClientServer, cost
 }
 
 // BenchmarkMessagePath is one channel-semantics message end to end: QP.Send

@@ -51,15 +51,16 @@ var Registry = []Experiment{
 	faults, scale, breakdown, cache, timeline,
 }
 
-// Lookup finds an experiment by id.
+// Lookup finds an experiment by id: one of Registry, or HostCost.
 func Lookup(id string) (Experiment, error) {
-	for _, e := range Registry {
+	known := append(Registry[:len(Registry):len(Registry)], HostCost)
+	for _, e := range known {
 		if e.ID == id {
 			return e, nil
 		}
 	}
-	ids := make([]string, len(Registry))
-	for i, e := range Registry {
+	ids := make([]string, len(known))
+	for i, e := range known {
 		ids[i] = e.ID
 	}
 	sort.Strings(ids)

@@ -65,7 +65,7 @@ func table2Write(bigSize int64) latBW {
 		sim.Must(a.Deregister(p, mrA))
 		sim.Must(b.Deregister(p, mrB))
 	})
-	runTolerant(eng)
+	runTolerant(eng, a.Space(), b.Space())
 	return latBW{float64(lat.Nanoseconds()) / 1000, bw(bigSize, elapsed)}
 }
 
@@ -94,7 +94,7 @@ func table2Read(bigSize int64) latBW {
 		sim.Must(a.Deregister(p, mrA))
 		sim.Must(b.Deregister(p, mrB))
 	})
-	runTolerant(eng)
+	runTolerant(eng, a.Space(), b.Space())
 	return latBW{float64(lat.Nanoseconds()) / 1000, bw(bigSize, elapsed)}
 }
 
@@ -110,7 +110,7 @@ func table2MPI(bigSize int64) latBW {
 	eng.Go("send", func(p *sim.Proc) {
 		w.Rank(0).Send(p, 1, []byte{1, 2, 3, 4})
 		w.Rank(0).Recv(p, 1) // sync before bandwidth phase
-		w.Rank(0).Send(p, 1, make([]byte, bigSize))
+		w.Rank(0).SendOwned(p, 1, make([]byte, bigSize))
 	})
 	eng.Go("recv", func(p *sim.Proc) {
 		w.Rank(1).Recv(p, 0)
@@ -121,17 +121,18 @@ func table2MPI(bigSize int64) latBW {
 		w.Rank(1).Recv(p, 0)
 		elapsed = p.Now().Sub(t0)
 	})
-	runTolerant(eng)
+	runTolerant(eng, w)
 	return latBW{float64(lat.Nanoseconds()) / 1000, bw(bigSize, elapsed)}
 }
 
 // runTolerant drives an engine, ignoring forever-parked infrastructure,
-// then shuts the engine down so its simulated world can be collected.
-func runTolerant(eng *sim.Engine) {
+// then shuts the engine down so its simulated world can be collected; parts
+// are the layers of that world that tally host cost.
+func runTolerant(eng *sim.Engine, parts ...coster) {
 	if err := eng.Run(); err != nil {
 		if _, ok := err.(*sim.DeadlockError); !ok {
 			sim.Must(err)
 		}
 	}
-	retire(eng)
+	retire(eng, HostWork{}, append(parts, eng.Telemetry())...)
 }

@@ -69,6 +69,6 @@ func table3Cell(total int64) table3Result {
 		rWarm = bw(total, p.Now().Sub(t0))
 	})
 	sim.Must(eng.Run())
-	retire(eng)
+	retire(eng, HostWork{}, eng.Telemetry(), fs)
 	return table3Result{wCold, rCold, wWarm, rWarm}
 }

@@ -319,6 +319,18 @@ func (h *HCA) respond(p *sim.Proc) {
 // HCA on the shard (single-threaded under the shard's worker).
 func (h *HCA) scratch() *mem.ScratchPool { return &h.wp.scratch }
 
+// PoolHostCost returns what the staging pools of a fabric's adapters, one per
+// engine shard, have cost the host so far.
+func PoolHostCost(net *simnet.Network, shards int) sim.HostCost {
+	var hc sim.HostCost
+	for i := 0; i < shards; i++ {
+		if wp, ok := (*net.ShardAux(i)).(*wirePool); ok {
+			hc.Add(wp.scratch.HostCost())
+		}
+	}
+	return hc
+}
+
 // discard frees the pooled staging and wire struct of a message a down
 // adapter throws away.
 func (h *HCA) discard(m *simnet.Message) {

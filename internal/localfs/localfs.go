@@ -91,6 +91,8 @@ type FS struct {
 
 	// Counters accumulates call counts.
 	Counters Counters
+	// host counts what the file bytes cost the host (see HostCost).
+	host sim.HostCost
 }
 
 // New creates a file system over the given disk.
@@ -99,6 +101,12 @@ func New(eng *sim.Engine, dsk *disk.Disk, params Params) *FS {
 	fs.cache = newPageCache(fs)
 	return fs
 }
+
+// HostCost returns what the file bytes have cost the host so far: bytes
+// copied into and out of extents, bytes zeroed (a fresh extent whole, a
+// recycled one block by block as its stale blocks are first written), and
+// how many extents were allocated against how many reused.
+func (fs *FS) HostCost() sim.HostCost { return fs.host }
 
 // Disk returns the underlying device.
 func (fs *FS) Disk() *disk.Disk { return fs.dsk }
@@ -347,8 +355,11 @@ func (f *File) block(blk int64) []byte {
 		if n := len(fs.freeExt); n > 0 {
 			e, fs.freeExt[n-1] = fs.freeExt[n-1], nil
 			fs.freeExt = fs.freeExt[:n-1]
+			fs.host.Recycled++
 		} else {
 			e = &extent{data: make([]byte, extentBlocks*bs)}
+			fs.host.Fresh++
+			fs.host.BytesCleared += extentBlocks * bs
 		}
 		f.data[blk/extentBlocks] = e
 	}
@@ -356,6 +367,7 @@ func (f *File) block(blk int64) []byte {
 	data := e.data[b*bs : (b+1)*bs]
 	if e.stale>>b&1 != 0 {
 		clear(data)
+		fs.host.BytesCleared += bs
 		e.stale &^= 1 << b
 	}
 	e.written |= 1 << b
@@ -364,6 +376,7 @@ func (f *File) block(blk int64) []byte {
 
 func (f *File) copyIn(off int64, data []byte) {
 	bs := f.fs.params.BlockSize
+	f.fs.host.BytesCopied += int64(len(data))
 	for len(data) > 0 {
 		n := copy(f.block(off / bs)[off%bs:], data)
 		data = data[n:]
@@ -378,8 +391,10 @@ func (f *File) copyOut(off int64, dst []byte) {
 		n := min(int(bs-bo), len(dst))
 		if e, b := f.data[blk/extentBlocks], blk%extentBlocks; e.has(b) {
 			copy(dst[:n], e.data[b*bs+bo:])
+			f.fs.host.BytesCopied += int64(n)
 		} else {
 			clear(dst[:n]) // hole: zeros
+			f.fs.host.BytesCleared += int64(n)
 		}
 		dst = dst[n:]
 		off += int64(n)

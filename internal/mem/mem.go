@@ -100,6 +100,8 @@ type AddrSpace struct {
 
 	// MallocCalls counts allocations, for tests.
 	MallocCalls int
+	// host counts what the accesses cost the host (see HostCost).
+	host sim.HostCost
 }
 
 // recycleMaxBytes bounds the freed storage one address space keeps.
@@ -152,8 +154,11 @@ func (s *AddrSpace) Malloc(size int64) Addr {
 		data, l[len(l)-1] = l[len(l)-1], nil
 		s.free[n] = l[:len(l)-1]
 		s.freeBytes -= n
+		s.host.Recycled++
 	} else {
 		data = make([]byte, n)
+		s.host.Fresh++
+		s.host.BytesCleared += n
 	}
 	s.maps = append(s.maps, mapping{base: base, data: data, dirtyLo: int(n)})
 	s.brk = base + Addr(n)
@@ -244,6 +249,7 @@ func (s *AddrSpace) recycle(m *mapping) {
 	}
 	if m.dirtyLo < m.dirtyHi {
 		clear(m.data[m.dirtyLo:m.dirtyHi])
+		s.host.BytesCleared += int64(m.dirtyHi - m.dirtyLo)
 	}
 	s.free[n] = append(s.free[n], m.data)
 	s.freeBytes += n
@@ -307,6 +313,7 @@ func (s *AddrSpace) Write(addr Addr, data []byte) error {
 		//pvfslint:ok hotpath errRange construction — error path for an out-of-range DMA write
 		return &errRange{space: s.name, op: "write", e: Extent{Addr: addr, Len: int64(len(data))}}
 	}
+	s.host.BytesCopied += int64(len(data))
 	for off := int(addr - s.maps[i].base); len(data) > 0; i, off = i+1, 0 {
 		n := copy(s.maps[i].data[off:], data)
 		s.maps[i].dirty(off, off+n)
@@ -335,6 +342,7 @@ func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
 		//pvfslint:ok hotpath errRange construction — error path for an out-of-range DMA read
 		return &errRange{space: s.name, op: "read", e: Extent{Addr: addr, Len: int64(len(dst))}}
 	}
+	s.host.BytesCopied += int64(len(dst))
 	for off := int(addr - s.maps[i].base); len(dst) > 0; i, off = i+1, 0 {
 		dst = dst[copy(dst, s.maps[i].data[off:]):]
 	}
@@ -362,6 +370,7 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 	// One copy per pair of mappings crossed — usually one in all, and copy
 	// itself is a memmove. With dst inside [src, src+n) the pairs go last to
 	// first, so no source byte is overwritten before it is read.
+	s.host.BytesCopied += n
 	back := src < dst && dst < src+Addr(n)
 	if back {
 		si, di = s.search(src+Addr(n)-1), s.search(dst+Addr(n)-1)
@@ -396,6 +405,11 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 	return nil
 }
 
+// HostCost returns what the space's storage has cost the host so far: bytes
+// copied by Write, ReadInto and Copy, bytes zeroed for Malloc and on recycling,
+// and how many Mallocs allocated against how many reused freed storage.
+func (s *AddrSpace) HostCost() sim.HostCost { return s.host }
+
 // AllocatedPages reports the number of currently allocated pages.
 func (s *AddrSpace) AllocatedPages() int {
 	n := 0
@@ -427,6 +441,8 @@ type ScratchPool struct {
 	// Gets and Hits count requests and free-list hits, for tests and the
 	// allocation-trajectory numbers in BENCH_smoke.json.
 	Gets, Hits int64
+	// missBytes is the storage the misses allocated.
+	missBytes int64
 }
 
 // scratchClass returns the index of the smallest class holding n bytes.
@@ -456,6 +472,7 @@ func (p *ScratchPool) Get(n int) []byte {
 	}
 	p.Gets++
 	if n > 1<<scratchMaxBits {
+		p.missBytes += int64(n)
 		return make([]byte, n)
 	}
 	c := scratchClass(n)
@@ -466,7 +483,14 @@ func (p *ScratchPool) Get(n int) []byte {
 		p.Hits++
 		return b[:n]
 	}
+	p.missBytes += 1 << (scratchMinBits + c)
 	return make([]byte, n, 1<<(scratchMinBits+c))
+}
+
+// HostCost returns the pool's requests as host cost: hits reused a buffer,
+// misses allocated (and the runtime zeroed) one.
+func (p *ScratchPool) HostCost() sim.HostCost {
+	return sim.HostCost{Fresh: p.Gets - p.Hits, Recycled: p.Hits, BytesCleared: p.missBytes}
 }
 
 // Put returns a buffer obtained from Get to its size class. Ownership must

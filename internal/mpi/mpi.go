@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pvfsib/internal/ib"
+	"pvfsib/internal/mem"
 	"pvfsib/internal/sim"
 )
 
@@ -35,6 +36,15 @@ type Rank struct {
 	world *World
 	id    int
 	qps   []*ib.QP // index = peer rank; nil for self
+
+	// scratch recycles message bodies: Send draws its copy from it and a
+	// receiver that is done with a body puts it there (Scratch). Only the
+	// rank's own process touches it. A body is taken from the sender's pool
+	// and released into the receiver's, so buffers migrate between ranks;
+	// an exchange in which every rank sends what it receives keeps the
+	// pools level.
+	scratch mem.ScratchPool
+	copied  int64 // bytes Send copied, host side
 }
 
 // NewWorld builds a world with one rank per HCA (rank i on hcas[i]) and
@@ -62,6 +72,17 @@ func NewWorld(eng *sim.Engine, hcas []*ib.HCA, acct func(rank int, bytes int64))
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
 
+// HostCost returns what the ranks' message bodies have cost the host so far:
+// the bytes Send copied and the traffic of the ranks' pools.
+func (w *World) HostCost() sim.HostCost {
+	var hc sim.HostCost
+	for _, r := range w.ranks {
+		hc.BytesCopied += r.copied
+		hc.Add(r.scratch.HostCost())
+	}
+	return hc
+}
+
 // Rank returns rank i's handle.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
@@ -71,23 +92,39 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return len(r.world.ranks) }
 
-// Send delivers data to rank dst (blocking until the send side completes,
-// like a buffered MPI_Send).
+// Scratch returns the rank's pool of message bodies. A body built for
+// SendOwned comes from Get; the rank that received it (or any other body)
+// and is done with it gives it to Put. Only the rank's own process may use
+// the pool.
+func (r *Rank) Scratch() *mem.ScratchPool { return &r.scratch }
+
+// Send delivers a copy of data to rank dst (blocking until the send side
+// completes, like a buffered MPI_Send); the caller keeps data and may
+// overwrite it as soon as Send returns.
 func (r *Rank) Send(p *sim.Proc, dst int, data []byte) {
+	body := r.scratch.Get(len(data))
+	r.copied += int64(copy(body, data))
+	r.SendOwned(p, dst, body)
+}
+
+// SendOwned is Send without the copy: body itself becomes the message that
+// dst's Recv returns, so the caller gives it up and must not touch it again.
+func (r *Rank) SendOwned(p *sim.Proc, dst int, body []byte) {
 	if dst == r.id {
 		sim.Failf("mpi: send to self")
 	}
 	p.Sleep(SoftwareOverhead)
 	if r.world.acct != nil {
-		r.world.acct(r.id, int64(len(data)))
+		r.world.acct(r.id, int64(len(body)))
 	}
 	// Control QPs never see injected completion errors; a failure here
 	// would mean a partition cut client-to-client links, which mini-MPI
 	// (like MPI itself) does not survive.
-	sim.Must(r.qps[dst].Send(p, len(data), append([]byte(nil), data...)))
+	sim.Must(r.qps[dst].Send(p, len(body), body))
 }
 
-// Recv blocks until a message from rank src arrives and returns its payload.
+// Recv blocks until a message from rank src arrives and returns its payload,
+// which the caller now owns.
 func (r *Rank) Recv(p *sim.Proc, src int) []byte {
 	if src == r.id {
 		sim.Failf("mpi: recv from self")
@@ -165,12 +202,22 @@ func (r *Rank) Allgather(p *sim.Proc, data []byte) [][]byte {
 	return out
 }
 
-// Alltoallv sends parts[j] to rank j and returns the parts received from
-// every rank, indexed by source (parts[self] is passed through locally).
-// Sends are buffered (they complete without waiting for the receiver), so
-// posting all sends before draining receives cannot deadlock; rounds are
-// shifted so senders do not all hit the same receiver at once.
+// Alltoallv sends a copy of parts[j] to rank j and returns the parts
+// received from every rank, indexed by source (parts[self] is passed through
+// locally). Sends are buffered (they complete without waiting for the
+// receiver), so posting all sends before draining receives cannot deadlock;
+// rounds are shifted so senders do not all hit the same receiver at once.
 func (r *Rank) Alltoallv(p *sim.Proc, parts [][]byte) [][]byte {
+	return r.alltoallv(p, parts, (*Rank).Send)
+}
+
+// AlltoallvOwned is Alltoallv without the copies: every parts[j] is given
+// away as by SendOwned, and what comes back belongs to the caller.
+func (r *Rank) AlltoallvOwned(p *sim.Proc, parts [][]byte) [][]byte {
+	return r.alltoallv(p, parts, (*Rank).SendOwned)
+}
+
+func (r *Rank) alltoallv(p *sim.Proc, parts [][]byte, send func(*Rank, *sim.Proc, int, []byte)) [][]byte {
 	n := r.Size()
 	if len(parts) != n {
 		sim.Failf("mpi: Alltoallv needs %d parts, got %d", n, len(parts))
@@ -178,7 +225,7 @@ func (r *Rank) Alltoallv(p *sim.Proc, parts [][]byte) [][]byte {
 	out := make([][]byte, n)
 	out[r.id] = parts[r.id]
 	for k := 1; k < n; k++ {
-		r.Send(p, (r.id+k)%n, parts[(r.id+k)%n])
+		send(r, p, (r.id+k)%n, parts[(r.id+k)%n])
 	}
 	for k := 1; k < n; k++ {
 		src := (r.id - k + n) % n

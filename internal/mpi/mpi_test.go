@@ -220,3 +220,129 @@ func TestReduceAndAllreduce(t *testing.T) {
 		}
 	})
 }
+
+// TestSendCopiesBody pins the copying contract (the ledger's all-to-all
+// kernel hands one set of parts to every rank, every iteration): the sender
+// may overwrite a body as soon as Send returns, and the receiver still reads
+// what was sent.
+func TestSendCopiesBody(t *testing.T) {
+	eng, w := world(t, 2, nil)
+	spawn(t, eng, w, func(p *sim.Proc, r *Rank) {
+		if r.ID() == 0 {
+			body := []byte("first")
+			r.Send(p, 1, body)
+			copy(body, "XXXXX")
+			r.Send(p, 1, body)
+			return
+		}
+		first, second := r.Recv(p, 0), r.Recv(p, 0)
+		if string(first) != "first" || string(second) != "XXXXX" {
+			t.Errorf("got %q then %q, want \"first\" then \"XXXXX\"", first, second)
+		}
+	})
+}
+
+// TestAlltoallvSharesParts is the kernel's shape: every rank passes the same
+// parts, twice, and nobody's copy is disturbed by another rank's release.
+func TestAlltoallvSharesParts(t *testing.T) {
+	const n = 4
+	eng, w := world(t, n, nil)
+	parts := make([][]byte, n)
+	for j := range parts {
+		parts[j] = bytes.Repeat([]byte{byte(j + 1)}, 100)
+	}
+	spawn(t, eng, w, func(p *sim.Proc, r *Rank) {
+		for iter := 0; iter < 2; iter++ {
+			got := r.Alltoallv(p, parts)
+			for src, g := range got {
+				if !bytes.Equal(g, parts[r.ID()]) {
+					t.Errorf("iteration %d: rank %d from %d: got %v...", iter, r.ID(), src, g[:4])
+				}
+				if src != r.ID() {
+					r.Scratch().Put(g)
+				}
+			}
+		}
+	})
+	for j, part := range parts {
+		if !bytes.Equal(part, bytes.Repeat([]byte{byte(j + 1)}, 100)) {
+			t.Errorf("the caller's parts[%d] changed", j)
+		}
+	}
+}
+
+// TestSendOwnedHandsOverTheBody: what SendOwned is given is what Recv
+// returns, the same backing array, not a copy of it.
+func TestSendOwnedHandsOverTheBody(t *testing.T) {
+	eng, w := world(t, 2, nil)
+	body := w.Rank(0).Scratch().Get(4096)
+	copy(body, "owned")
+	spawn(t, eng, w, func(p *sim.Proc, r *Rank) {
+		if r.ID() == 0 {
+			r.SendOwned(p, 1, body)
+			return
+		}
+		got := r.Recv(p, 0)
+		if &got[0] != &body[0] || len(got) != len(body) {
+			t.Error("Recv returned another array than SendOwned was given")
+		}
+		if string(got[:5]) != "owned" {
+			t.Errorf("got %q", got[:5])
+		}
+	})
+	if hc := w.HostCost(); hc.BytesCopied != 0 {
+		t.Errorf("an owning send copied %d bytes", hc.BytesCopied)
+	}
+}
+
+// BenchmarkAlltoallvOwned is the two-phase exchange's transport: four ranks
+// trade 64 kB parts taken from their pools and release what they receive.
+// B/op is slice headers and boxed bodies; a payload-sized allocation after
+// the first exchange is a pool miss and fails the benchmark.
+func BenchmarkAlltoallvOwned(b *testing.B) {
+	const n, size = 4, 64 << 10
+	eng := sim.NewEngine()
+	net := simnet.New(eng, simnet.DefaultParams())
+	hcas := make([]*ib.HCA, n)
+	for i := range hcas {
+		name := fmt.Sprintf("cn%d", i)
+		hcas[i] = ib.NewHCA(net.AddNode(name), mem.NewAddrSpace(name), ib.DefaultParams())
+	}
+	w := NewWorld(eng, hcas, nil)
+	exchange := func(p *sim.Proc, r *Rank, parts [][]byte) {
+		for j := range parts {
+			parts[j] = r.Scratch().Get(size)
+		}
+		for _, g := range r.AlltoallvOwned(p, parts) {
+			r.Scratch().Put(g)
+		}
+	}
+	misses := func() int64 { hc := w.HostCost(); return hc.Fresh }
+	var warm int64
+	b.ReportAllocs()
+	for i := 0; i < n; i++ {
+		r := w.Rank(i)
+		eng.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+			parts := make([][]byte, n)
+			exchange(p, r, parts)
+			r.Barrier(p)
+			if r.ID() == 0 {
+				warm = misses()
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				exchange(p, r, parts)
+			}
+		})
+	}
+	if err := eng.Run(); err != nil {
+		if _, ok := err.(*sim.DeadlockError); !ok {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	eng.Shutdown()
+	if got := misses(); got != warm {
+		b.Errorf("%d pool misses after the first exchange", got-warm)
+	}
+}

@@ -1,11 +1,12 @@
 package mpiio
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
@@ -33,6 +34,22 @@ type pieceRef struct {
 	frags       []ib.SGE
 }
 
+// tpScratch is the descriptor storage of a two-phase round, kept on the File
+// from one round to the next so that a round in steady state allocates none:
+// what clipToExtent cut the round's window down to, what splitByOwner made of
+// that (frags backs every pieceRef.frags of the round), and the spans of the
+// pieces a write round received.
+type tpScratch struct {
+	segs  []ib.SGE
+	accs  []pvfs.OffLen
+	owned [][]pieceRef
+	frags []ib.SGE
+	spans []span
+}
+
+// span is a file range [lo, hi).
+type span struct{ lo, hi int64 }
+
 // domains splits [lo, hi) into n even shares.
 func domains(lo, hi int64, n int) []pvfs.OffLen {
 	out := make([]pvfs.OffLen, n)
@@ -53,9 +70,18 @@ func domains(lo, hi int64, n int) []pvfs.OffLen {
 	return out
 }
 
-// splitByOwner cuts the aligned streams at domain boundaries.
-func splitByOwner(memSegs []ib.SGE, fileAccs []pvfs.OffLen, doms []pvfs.OffLen) ([][]pieceRef, error) {
-	owned := make([][]pieceRef, len(doms))
+// splitByOwner cuts the aligned streams at domain boundaries into sc.owned,
+// one list of pieces per domain.
+func (sc *tpScratch) splitByOwner(memSegs []ib.SGE, fileAccs []pvfs.OffLen, doms []pvfs.OffLen) ([][]pieceRef, error) {
+	if len(sc.owned) != len(doms) {
+		sc.owned = make([][]pieceRef, len(doms))
+	}
+	for i := range sc.owned {
+		sc.owned[i] = slices.Grow(sc.owned[i][:0], len(fileAccs)/len(doms)+1)
+	}
+	// Every cut, at a piece's end or at a domain boundary, starts one
+	// fragment more than the segments alone make.
+	sc.frags = slices.Grow(sc.frags[:0], len(memSegs)+len(fileAccs)+len(doms))
 	ownerOf := func(off int64) int {
 		for i, d := range doms {
 			if d.Len > 0 && off >= d.Off && off < d.End() {
@@ -75,14 +101,15 @@ func splitByOwner(memSegs []ib.SGE, fileAccs []pvfs.OffLen, doms []pvfs.OffLen) 
 				return fmt.Errorf("mpiio: offset %d outside global extent", off)
 			}
 			n := min(doms[owner].End()-off, remaining)
-			frags := cur.take(nil, n)
-			owned[owner] = append(owned[owner], pieceRef{off: off, length: n, frags: frags})
+			at := len(sc.frags)
+			sc.frags = cur.take(sc.frags, n)
+			sc.owned[owner] = append(sc.owned[owner], pieceRef{off: off, length: n, frags: sc.frags[at:len(sc.frags):len(sc.frags)]})
 			off += n
 			remaining -= n
 		}
 		return nil
 	})
-	return owned, err
+	return sc.owned, err
 }
 
 // exchangeExtents allgathers each rank's (lo,hi) and returns the global
@@ -92,10 +119,10 @@ func (f *File) exchangeExtents(p *sim.Proc, fileAccs []pvfs.OffLen) (int64, int6
 	if len(fileAccs) > 0 {
 		lo, hi = extentOf(fileAccs)
 	}
-	enc := make([]byte, 16)
-	binary.LittleEndian.PutUint64(enc, uint64(lo))
+	var enc [16]byte
+	binary.LittleEndian.PutUint64(enc[:], uint64(lo))
 	binary.LittleEndian.PutUint64(enc[8:], uint64(hi))
-	all := f.rank.Allgather(p, enc)
+	all := f.rank.Allgather(p, enc[:])
 	glo, ghi := int64(math.MaxInt64), int64(-1)
 	for _, e := range all {
 		l := int64(binary.LittleEndian.Uint64(e))
@@ -110,6 +137,7 @@ func (f *File) exchangeExtents(p *sim.Proc, fileAccs []pvfs.OffLen) (int64, int6
 			ghi = h
 		}
 	}
+	f.release(all)
 	return glo, ghi
 }
 
@@ -122,18 +150,21 @@ func (f *File) ensureTPBuf(n int64) mem.Addr {
 	return f.tpBuf
 }
 
-// putAll returns a round's exchange buffers to the rank's pool.
-func (f *File) putAll(bufs [][]byte) {
+// release gives message bodies this rank is done with — received, or its
+// own passed through an exchange — to the rank's pool. Bodies handed to an
+// owning send are the receiver's to release, not the sender's.
+func (f *File) release(bufs [][]byte) {
 	for _, b := range bufs {
-		f.scratch.Put(b)
+		f.rank.Scratch().Put(b)
 	}
 }
 
 // clipToExtent cuts the aligned streams down to the pieces intersecting
-// [lo, hi), preserving byte order.
-func clipToExtent(memSegs []ib.SGE, fileAccs []pvfs.OffLen, lo, hi int64) ([]ib.SGE, []pvfs.OffLen, error) {
-	var outSegs []ib.SGE
-	var outAccs []pvfs.OffLen
+// [lo, hi), preserving byte order; the result lives in sc until the next
+// call.
+func (sc *tpScratch) clipToExtent(memSegs []ib.SGE, fileAccs []pvfs.OffLen, lo, hi int64) ([]ib.SGE, []pvfs.OffLen, error) {
+	sc.accs = slices.Grow(sc.accs[:0], len(fileAccs))
+	sc.segs = slices.Grow(sc.segs[:0], len(memSegs)+len(fileAccs))
 	err := forEachPiece(memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
 		// Cut the piece against the window.
 		cutLo, cutHi := acc.Off, acc.End()
@@ -146,13 +177,13 @@ func clipToExtent(memSegs []ib.SGE, fileAccs []pvfs.OffLen, lo, hi int64) ([]ib.
 		if cutHi <= cutLo {
 			return nil
 		}
-		outAccs = append(outAccs, pvfs.OffLen{Off: cutLo, Len: cutHi - cutLo})
+		sc.accs = append(sc.accs, pvfs.OffLen{Off: cutLo, Len: cutHi - cutLo})
 		cur := memCursor{segs: segs}
 		cur.skip(cutLo - acc.Off)
-		outSegs = cur.take(outSegs, cutHi-cutLo)
+		sc.segs = cur.take(sc.segs, cutHi-cutLo)
 		return nil
 	})
-	return outSegs, outAccs, err
+	return sc.segs, sc.accs, err
 }
 
 // collectiveWindow is each rank's share of one two-phase round (ROMIO's
@@ -180,7 +211,7 @@ func (f *File) collectiveRounds(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.O
 	step := window * int64(f.rank.Size())
 	for lo := glo; lo < ghi; lo += step {
 		hi := min(lo+step, ghi)
-		segs, accs, err := clipToExtent(memSegs, fileAccs, lo, hi)
+		segs, accs, err := f.tp.clipToExtent(memSegs, fileAccs, lo, hi)
 		if err != nil {
 			return err
 		}
@@ -192,34 +223,47 @@ func (f *File) collectiveRounds(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.O
 	return nil
 }
 
+// Exchange messages carry pieces back to back, each a 16-byte header (file
+// offset, length) followed, in a write round, by the piece's bytes.
+const pieceHdr = 16
+
+func putPieceHdr(b []byte, off, length int64) {
+	binary.LittleEndian.PutUint64(b, uint64(off))
+	binary.LittleEndian.PutUint64(b[8:], uint64(length))
+}
+
+func pieceHdrAt(b []byte) (off, length int64) {
+	return int64(binary.LittleEndian.Uint64(b)), int64(binary.LittleEndian.Uint64(b[8:]))
+}
+
 func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen, glo, ghi int64) error {
 	doms := domains(glo, ghi, f.rank.Size())
-	owned, err := splitByOwner(memSegs, fileAccs, doms)
+	owned, err := f.tp.splitByOwner(memSegs, fileAccs, doms)
 	if err != nil {
 		return err
 	}
 	cfgIB := f.client.Cluster().Cfg.IB
+	space, pool := f.client.Space(), f.rank.Scratch()
 
 	// Exchange phase: encode (off, len, data) pieces per owner, each owner's
-	// message sized up front and filled in place. Messages are copied on
-	// send, and this rank's own passes through got, so they go back to the
-	// pool when the round is over.
+	// message sized up front and filled in place. The messages are handed
+	// over, not copied: each becomes its owner's to release, and what this
+	// rank receives (its own message included) goes to its pool once the
+	// domain is assembled.
 	parts := make([][]byte, f.rank.Size())
-	defer f.putAll(parts)
 	var packed int64
 	for owner, pieces := range owned {
 		size := 0
 		for _, pc := range pieces {
-			size += 16 + int(pc.length)
+			size += pieceHdr + int(pc.length)
 		}
-		buf := f.scratch.Get(size)
+		buf := pool.Get(size)
 		at := int64(0)
 		for _, pc := range pieces {
-			binary.LittleEndian.PutUint64(buf[at:], uint64(pc.off))
-			binary.LittleEndian.PutUint64(buf[at+8:], uint64(pc.length))
-			at += 16
+			putPieceHdr(buf[at:], pc.off, pc.length)
+			at += pieceHdr
 			for _, s := range pc.frags {
-				if err := f.client.Space().ReadInto(s.Addr, buf[at:at+s.Len]); err != nil {
+				if err := space.ReadInto(s.Addr, buf[at:at+s.Len]); err != nil {
 					return err
 				}
 				at += s.Len
@@ -229,35 +273,26 @@ func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pv
 		parts[owner] = buf
 	}
 	p.Sleep(cfgIB.MemcpyTime(packed))
-	got := f.rank.Alltoallv(p, parts)
+	got := f.rank.AlltoallvOwned(p, parts)
+	defer f.release(got)
 
 	// I/O phase: assemble my domain and write it contiguously.
-	type span struct{ lo, hi int64 }
-	var pieces []span
-	var raw []struct {
-		off  int64
-		data []byte
-	}
+	spans := f.tp.spans[:0]
 	for _, msg := range got {
 		for len(msg) > 0 {
-			off := int64(binary.LittleEndian.Uint64(msg))
-			length := int64(binary.LittleEndian.Uint64(msg[8:]))
-			data := msg[16 : 16+length]
-			msg = msg[16+length:]
-			pieces = append(pieces, span{off, off + length})
-			raw = append(raw, struct {
-				off  int64
-				data []byte
-			}{off, data})
+			off, length := pieceHdrAt(msg)
+			spans = append(spans, span{off, off + length})
+			msg = msg[pieceHdr+length:]
 		}
 	}
-	if len(pieces) == 0 {
+	f.tp.spans = spans
+	if len(spans) == 0 {
 		return nil
 	}
-	sort.Slice(pieces, func(i, j int) bool { return pieces[i].lo < pieces[j].lo })
-	wLo, wHi := pieces[0].lo, pieces[0].hi
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	wLo, wHi := spans[0].lo, spans[0].hi
 	dense := true
-	for _, s := range pieces[1:] {
+	for _, s := range spans[1:] {
 		if s.lo > wHi {
 			dense = false
 		}
@@ -273,11 +308,15 @@ func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pv
 		}
 	}
 	var assembled int64
-	for _, pc := range raw {
-		if err := f.client.Space().Write(buf+mem.Addr(pc.off-wLo), pc.data); err != nil {
-			return err
+	for _, msg := range got {
+		for len(msg) > 0 {
+			off, length := pieceHdrAt(msg)
+			if err := space.Write(buf+mem.Addr(off-wLo), msg[pieceHdr:pieceHdr+length]); err != nil {
+				return err
+			}
+			assembled += length
+			msg = msg[pieceHdr+length:]
 		}
-		assembled += int64(len(pc.data))
 	}
 	p.Sleep(cfgIB.MemcpyTime(assembled))
 	return f.fh.Write(p, buf, wHi-wLo, wLo, pvfs.OpOptions{Sieve: sieve.Never})
@@ -285,72 +324,63 @@ func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pv
 
 func (f *File) collectiveReadRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen, glo, ghi int64) error {
 	doms := domains(glo, ghi, f.rank.Size())
-	owned, err := splitByOwner(memSegs, fileAccs, doms)
+	owned, err := f.tp.splitByOwner(memSegs, fileAccs, doms)
 	if err != nil {
 		return err
 	}
 	cfgIB := f.client.Cluster().Cfg.IB
+	space, pool := f.client.Space(), f.rank.Scratch()
 
 	// Phase 1: ship request descriptors to the owners.
 	reqs := make([][]byte, f.rank.Size())
 	for owner, pieces := range owned {
-		buf := make([]byte, 0, 16*len(pieces))
-		for _, pc := range pieces {
-			var hdr [16]byte
-			binary.LittleEndian.PutUint64(hdr[:], uint64(pc.off))
-			binary.LittleEndian.PutUint64(hdr[8:], uint64(pc.length))
-			buf = append(buf, hdr[:]...)
+		buf := pool.Get(pieceHdr * len(pieces))
+		for i, pc := range pieces {
+			putPieceHdr(buf[pieceHdr*i:], pc.off, pc.length)
 		}
 		reqs[owner] = buf
 	}
-	gotReqs := f.rank.Alltoallv(p, reqs)
+	gotReqs := f.rank.AlltoallvOwned(p, reqs)
+	defer f.release(gotReqs)
 
 	// I/O phase: read the requested span of my domain once, then carve
 	// out each requester's pieces.
-	type reqPiece struct{ off, length int64 }
-	perSrc := make([][]reqPiece, len(gotReqs))
 	rLo, rHi := int64(math.MaxInt64), int64(-1)
-	for src, msg := range gotReqs {
-		for len(msg) > 0 {
-			off := int64(binary.LittleEndian.Uint64(msg))
-			length := int64(binary.LittleEndian.Uint64(msg[8:]))
-			msg = msg[16:]
-			perSrc[src] = append(perSrc[src], reqPiece{off, length})
-			if off < rLo {
-				rLo = off
-			}
-			if off+length > rHi {
-				rHi = off + length
-			}
+	for _, msg := range gotReqs {
+		for ; len(msg) > 0; msg = msg[pieceHdr:] {
+			off, length := pieceHdrAt(msg)
+			rLo, rHi = min(rLo, off), max(rHi, off+length)
 		}
 	}
 	replies := make([][]byte, f.rank.Size())
-	defer f.putAll(replies)
 	if rHi > rLo {
 		buf := f.ensureTPBuf(rHi - rLo)
 		if err := f.fh.Read(p, buf, rHi-rLo, rLo, pvfs.OpOptions{Sieve: sieve.Never}); err != nil {
 			return err
 		}
 		var carved int64
-		for src, pieces := range perSrc {
+		for src, req := range gotReqs {
 			size := int64(0)
-			for _, pc := range pieces {
-				size += pc.length
+			for msg := req; len(msg) > 0; msg = msg[pieceHdr:] {
+				_, length := pieceHdrAt(msg)
+				size += length
 			}
-			out := f.scratch.Get(int(size))
+			out := pool.Get(int(size))
 			at := int64(0)
-			for _, pc := range pieces {
-				if err := f.client.Space().ReadInto(buf+mem.Addr(pc.off-rLo), out[at:at+pc.length]); err != nil {
+			for msg := req; len(msg) > 0; msg = msg[pieceHdr:] {
+				off, length := pieceHdrAt(msg)
+				if err := space.ReadInto(buf+mem.Addr(off-rLo), out[at:at+length]); err != nil {
 					return err
 				}
-				at += pc.length
+				at += length
 			}
 			carved += size
 			replies[src] = out
 		}
 		p.Sleep(cfgIB.MemcpyTime(carved))
 	}
-	gotData := f.rank.Alltoallv(p, replies)
+	gotData := f.rank.AlltoallvOwned(p, replies)
+	defer f.release(gotData)
 
 	// Scatter the replies into my memory fragments, in piece order.
 	var scattered int64
@@ -358,7 +388,7 @@ func (f *File) collectiveReadRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvf
 		data := gotData[owner]
 		for _, pc := range pieces {
 			for _, s := range pc.frags {
-				if err := f.client.Space().Write(s.Addr, data[:s.Len]); err != nil {
+				if err := space.Write(s.Addr, data[:s.Len]); err != nil {
 					return err
 				}
 				data = data[s.Len:]

@@ -73,9 +73,8 @@ type File struct {
 	// cbWindow overrides the per-rank collective buffering window
 	// (ROMIO's cb_buffer_size); zero means the default.
 	cbWindow int64
-	// scratch holds the two-phase exchange buffers between rounds; only
-	// this rank touches it.
-	scratch mem.ScratchPool
+	// tp holds the two-phase descriptor slices between rounds.
+	tp tpScratch
 
 	// cache, when non-nil, is the client-side page cache the independent
 	// list methods route through (see EnableCache).

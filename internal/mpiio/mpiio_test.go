@@ -669,7 +669,7 @@ func TestCollectiveWindowedRounds(t *testing.T) {
 func TestClipToExtent(t *testing.T) {
 	segs := []ib.SGE{{Addr: 0x1000, Len: 100}}
 	accs := []pvfs.OffLen{{Off: 0, Len: 30}, {Off: 50, Len: 70}}
-	outSegs, outAccs, err := clipToExtent(segs, accs, 20, 60)
+	outSegs, outAccs, err := new(tpScratch).clipToExtent(segs, accs, 20, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,6 +55,25 @@ func (c *Cluster) Acct() stats.Acct {
 	return a
 }
 
+// HostCost folds what the cluster has cost the host so far: the engine's
+// events and switches, and the bytes copied and cleared and the storage
+// allocated or reused behind every node's memory, every server's files and
+// the staging pools. Each layer counts where it does the work; like
+// sim.Telemetry the result describes the execution and belongs in no table.
+func (c *Cluster) HostCost() sim.HostCost {
+	hc := c.Eng.Telemetry().HostCost()
+	hc.Add(ib.PoolHostCost(c.Net, c.Eng.NumShards()))
+	for _, s := range c.Servers {
+		hc.Add(s.space.HostCost())
+		hc.Add(s.fs.HostCost())
+		hc.Add(s.scratch.HostCost())
+	}
+	for _, cl := range c.Clients {
+		hc.Add(cl.space.HostCost())
+	}
+	return hc
+}
+
 // traceNames lists every name the layers stamp on spans and series: the
 // fabric nodes and the disks, in deterministic cluster order.
 func (c *Cluster) traceNames() []string {

@@ -278,6 +278,50 @@ func (e *Engine) Telemetry() Telemetry {
 	return t
 }
 
+// HostCost is what a stretch of simulation cost the host, in exact counts:
+// the engine's work next to the storage work behind the simulated bytes.
+// Every layer that moves, clears or recycles storage keeps one of its own,
+// plain fields bumped where the work happens and touched only by the shard
+// that owns the layer; a cluster folds them with Add. Like Telemetry it
+// describes the execution and never feeds a virtual artifact.
+type HostCost struct {
+	Events      int64 `json:"events"`
+	Resumes     int64 `json:"resumes"`      // events that switched into a process
+	InlineWakes int64 `json:"inline_wakes"` // Sleep expiries taken without a switch
+	// BytesCopied is payload moved by copy; BytesCleared is storage zeroed,
+	// a fresh allocation whole and recycled storage where it was dirty.
+	BytesCopied  int64 `json:"bytes_copied"`
+	BytesCleared int64 `json:"bytes_cleared"`
+	// Fresh and Recycled count the storage requests (simulated mallocs,
+	// file extents, scratch buffers) that allocated and that reused.
+	Fresh    int64 `json:"fresh"`
+	Recycled int64 `json:"recycled"`
+}
+
+// Add accumulates o into h.
+func (h *HostCost) Add(o HostCost) { h.fold(o, 1) }
+
+// Sub returns h - o, the cost of what ran between two readings.
+func (h HostCost) Sub(o HostCost) HostCost {
+	h.fold(o, -1)
+	return h
+}
+
+func (h *HostCost) fold(o HostCost, sign int64) {
+	h.Events += sign * o.Events
+	h.Resumes += sign * o.Resumes
+	h.InlineWakes += sign * o.InlineWakes
+	h.BytesCopied += sign * o.BytesCopied
+	h.BytesCleared += sign * o.BytesCleared
+	h.Fresh += sign * o.Fresh
+	h.Recycled += sign * o.Recycled
+}
+
+// HostCost returns the engine's share of the host cost.
+func (t Telemetry) HostCost() HostCost {
+	return HostCost{Events: t.TotalEvents(), Resumes: t.Resumes, InlineWakes: t.InlineWakes}
+}
+
 // NewEngine returns an engine with the clock at zero, one shard, and the
 // default group.
 func NewEngine() *Engine {
