@@ -124,15 +124,17 @@ bench-check:
 # byte (AddrSpace accesses, a recycled Malloc/Free, the hole query; localfs
 # extent reads, writes and a scratch file's create/remove) and the I/O
 # daemon's data path (the sieve over the ledger's 128-access geometry, a
-# 1 MiB list read end to end) with allocation reporting — B/op on the
-# latter is per-request bookkeeping, never payload — and the AllocFree
-# tests, which assert 0 allocs/op in steady state for every declared
-# //pvfslint:hotpath root and for AddrSpace accesses, and no
-# payload-proportional allocation on the list path.
+# 1 MiB list read end to end, and BenchmarkListOp, the Multiple I/O unit of
+# work: one 3 kB list write and read, 0 allocs/op) with allocation reporting
+# — B/op is bookkeeping, never payload — and the AllocFree tests, which
+# assert 0 allocs/op in steady state for every declared //pvfslint:hotpath
+# root, for AddrSpace accesses and for a list operation from the client's
+# entry point to the reply, and no payload-proportional allocation on the
+# list path.
 bench-go:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim/
 	$(GO) test -run NONE -bench . -benchmem ./internal/mem/ ./internal/localfs/
-	$(GO) test -run NONE -bench 'BenchmarkFig3Cell|BenchmarkMessagePath|BenchmarkSieve(Read|Write)128|BenchmarkListRead1MiB' -benchmem ./internal/bench/
+	$(GO) test -run NONE -bench 'BenchmarkFig3Cell|BenchmarkMessagePath|BenchmarkSieve(Read|Write)128|BenchmarkListRead1MiB|BenchmarkListOp' -benchmem ./internal/bench/
 	$(GO) test -run NONE -bench BenchmarkAlltoallvOwned -benchmem ./internal/mpi/
 	$(GO) test -run 'AllocFree|AllocIndependentOfPayload' -count 1 -v ./internal/bench/
 	$(GO) test -run TestShardedCellThroughput -count 1 -v ./internal/sim/
@@ -144,6 +146,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSieveModel -fuzztime=30s ./internal/sieve/
 	$(GO) test -run=NONE -fuzz=FuzzAddrSpaceModel -fuzztime=30s ./internal/mem/
 	$(GO) test -run=NONE -fuzz=FuzzFileExtents -fuzztime=30s ./internal/localfs/
+	$(GO) test -run=NONE -fuzz=FuzzSplitChunks -fuzztime=30s ./internal/pvfs/
 
 clean:
 	rm -f $(BIN)

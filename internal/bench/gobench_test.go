@@ -26,8 +26,8 @@ func BenchmarkFig3Cell(b *testing.B) {
 
 // benchSieve runs the daemon's sieve over the benchmark ledger's kSieve
 // geometry — 128 accesses of 2 kB with 50 % holes against a cached 8 MB
-// file — with a scratch pool, as the daemon calls it. B/op is the number to
-// watch: it holds the per-request plan and no payload.
+// file — with a scratch pool and a plan scratch, as the daemon calls it:
+// 0 B/op, neither payload nor per-request plan.
 func benchSieve(b *testing.B, write bool) {
 	accs := make([]sieve.Access, 128)
 	for i := range accs {
@@ -37,7 +37,7 @@ func benchSieve(b *testing.B, write bool) {
 	eng := sim.NewEngine()
 	fs := localfs.New(eng, disk.New(eng, "disk", disk.DefaultParams()), localfs.DefaultParams())
 	params := sieve.ModelFromFS(fs, ib.DefaultParams().MemcpyBandwidth)
-	params.Pool = new(mem.ScratchPool)
+	params.Pool, params.Plan = new(mem.ScratchPool), new(sieve.Plan)
 	b.ReportAllocs()
 	eng.Go("bench", func(p *sim.Proc) {
 		f := fs.Open(p, "k")
@@ -75,6 +75,33 @@ func BenchmarkListRead1MiB(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sim.Must(fh.ReadList(p, buf.Segs, buf.Accs, pvfs.OpOptions{}))
+		}
+	})
+	if err := f.c.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkListOp is the Multiple I/O unit of work — a 3 kB write and a 3 kB
+// read inside one stripe, each one list operation and one request — end to
+// end on the paper's 4+4 cluster: split, chunk, record, wire, daemon, sieve,
+// file, reply. 0 allocs/op: TestListOpAllocFree holds it there.
+func BenchmarkListOp(b *testing.B) {
+	f := newFixture(pvfs.DefaultConfig(), 4, 4)
+	defer f.close()
+	cl := f.c.Clients[0]
+	const n = 3 << 10
+	addr := cl.Space().Malloc(n)
+	opts := pvfs.OpOptions{Sieve: sieve.Never}
+	b.ReportAllocs()
+	f.c.Eng.GoOn(cl.Node().Group(), "bench", func(p *sim.Proc) {
+		fh := cl.Open(p, "bench")
+		sim.Must(fh.Write(p, addr, n, 1<<10, opts))
+		sim.Must(fh.Read(p, addr, n, 1<<10, opts))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sim.Must(fh.Write(p, addr, n, 1<<10, opts))
+			sim.Must(fh.Read(p, addr, n, 1<<10, opts))
 		}
 	})
 	if err := f.c.Run(); err != nil {

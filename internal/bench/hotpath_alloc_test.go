@@ -8,6 +8,7 @@ import (
 	"pvfsib/internal/mem"
 	"pvfsib/internal/pcache"
 	"pvfsib/internal/pvfs"
+	"pvfsib/internal/sieve"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/simnet"
 	"pvfsib/internal/trace"
@@ -347,5 +348,103 @@ func TestCacheHitAllocFree(t *testing.T) {
 	}
 	if missed {
 		t.Fatal("a step ended before the hit batch completed")
+	}
+}
+
+// TestListOpAllocFree covers the list-I/O roots — (pvfs.opPlan).split, the
+// chunk cursor, (sieve.Plan).planWindows and the daemon's two handlers — and
+// everything between FileHandle.WriteList/ReadList and the reply: in steady
+// state an operation describes itself in its client's recycled plan, its
+// requests and replies ride recycled records, and the daemon plans its
+// windows in its own scratch. What is left is one sim.Proc for every server
+// but the first that an operation spans, so the one-server cases allocate
+// nothing and the four-server cases exactly their children.
+func TestListOpAllocFree(t *testing.T) {
+	const (
+		stripe  = 64 << 10
+		opsStep = 8
+	)
+	// strided lays n pieces of the given length over memory and, with the
+	// given stride, over the file.
+	strided := func(base mem.Addr, n, length, stride int64) (segs []ib.SGE, accs []pvfs.OffLen) {
+		for i := int64(0); i < n; i++ {
+			segs = append(segs, ib.SGE{Addr: base + mem.Addr(i*length), Len: length})
+			accs = append(accs, pvfs.OffLen{Off: i * stride, Len: length})
+		}
+		return
+	}
+	for _, tc := range []struct {
+		name       string
+		n, length  int64
+		stride     int64
+		opts       pvfs.OpOptions
+		registered bool // the buffer is registered up front (RegExplicit)
+		children   int  // processes one operation spawns
+	}{
+		// The Multiple I/O shape: 3 kB inside one stripe, one request.
+		{"one server/pack", 1, 3 << 10, 0, pvfs.OpOptions{Transfer: pvfs.ForcePack, Sieve: sieve.Never}, false, 0},
+		// 160 pairs on one server: cut into two requests by the pair limit,
+		// each a sieved window.
+		{"one server/pack/cut/ads", 160, 256, 384, pvfs.OpOptions{Transfer: pvfs.ForcePack, Sieve: sieve.Auto}, false, 0},
+		{"one server/gather/ads", 16, 2 << 10, 3 << 10, pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: pvfs.RegExplicit, Sieve: sieve.Auto}, true, 0},
+		{"one server/gather", 16, 2 << 10, 3 << 10, pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: pvfs.RegExplicit, Sieve: sieve.Never}, true, 0},
+		// The Figure 8 list shape: 64 pieces of 3 kB over four servers.
+		{"four servers/pack", 64, 3 << 10, 16 << 10, pvfs.OpOptions{Transfer: pvfs.ForcePack, Sieve: sieve.Never}, false, 3},
+		{"four servers/gather/ads", 64, 3 << 10, 16 << 10, pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: pvfs.RegExplicit, Sieve: sieve.Auto}, true, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			c := pvfs.NewCluster(eng, pvfs.DefaultConfig(), 4, 1)
+			defer eng.Shutdown()
+			if c.Cfg.StripeSize != stripe {
+				t.Fatalf("stripe size %d: the cases assume %d", c.Cfg.StripeSize, stripe)
+			}
+			sleeper(eng)
+			ctl := eng.NewMailbox("listctl")
+			done := eng.NewMailbox("listdone")
+			var token any = 1
+			cl := c.Clients[0]
+			base := cl.Space().Malloc(tc.n * tc.length)
+			segs, accs := strided(base, tc.n, tc.length, tc.stride)
+			eng.Go("listapp", func(p *sim.Proc) {
+				fh := cl.Open(p, "hot")
+				if tc.registered {
+					_, err := cl.RegisterRegion(p, mem.Extent{Addr: base, Len: tc.n * tc.length})
+					sim.Must(err)
+				}
+				for {
+					v := ctl.Recv(p)
+					for i := 0; i < opsStep; i++ {
+						sim.Must(fh.WriteList(p, segs, accs, tc.opts))
+						sim.Must(fh.ReadList(p, segs, accs, tc.opts))
+					}
+					done.Send(v)
+				}
+			})
+			var stepErr error
+			missed := false
+			step := func() {
+				ctl.Send(token)
+				if err := eng.RunUntil(eng.Now().Add(stepHorizon)); err != nil {
+					stepErr = err
+				}
+				if _, ok := done.TryRecv(); !ok {
+					missed = true
+				}
+			}
+			for i := 0; i < warmups; i++ {
+				step()
+			}
+			want := float64(2 * opsStep * tc.children)
+			if avg := testing.AllocsPerRun(runs, step); avg != want {
+				t.Errorf("%.1f allocs per step of %d writes and %d reads, want %.0f (the operations' child processes)", avg, opsStep, opsStep, want)
+			}
+			if stepErr != nil {
+				t.Fatal(stepErr)
+			}
+			if missed {
+				t.Fatal("a step ended before the operations completed")
+			}
+		})
 	}
 }

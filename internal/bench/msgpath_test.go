@@ -31,6 +31,13 @@ import (
 //     payload byte goes through: a copy put back on a data path (a second
 //     copy in the daemon's unstage, the body copy in an owning send) moves a
 //     whole row by one.
+//   - host mallocs, less what spawning the ranks costs. A list operation
+//     describes itself in recycled plans, cursors, records and sieve scratch,
+//     so the Multiple I/O rows allocate nothing per request, and what the
+//     other rows allocate is the registration bookkeeping of a gather
+//     operation, the children of an operation that spans servers and MPI-IO's
+//     own lists: a descriptor rebuilt per request moves a row by the number
+//     of its requests.
 //
 // The three list-shaped methods take their transfer scheme from the
 // operation's options, so they run under each; data sieving and collective
@@ -78,38 +85,44 @@ func TestMultipleIOEventBudget(t *testing.T) {
 		schemes []pvfs.Transfer
 		op      func(pvfs.Transfer) accessOp
 		// Ceilings per scheme, in schemes order: events, process switches,
-		// bytes copied.
-		budget [][3]int64
+		// bytes copied, host mallocs.
+		budget [][4]int64
 	}{
 		// 128 requests of 3 kB: 18 events and 3 switches each (gather: 27 and
 		// 5, a registration on either side of the transfer); 5 copies a byte
-		// packed, 4 gathered.
+		// packed, 4 gathered; no malloc (gather: 5 a request, the group
+		// registration's result and lists in ogr.RegisterBuffers).
 		{"multiple", 1, all, list(1, sieve.Never),
-			[][3]int64{{18 * 128, 3 * 128, 5 * payload}, {27 * 128, 5 * 128, 4 * payload}, {18 * 128, 3 * 128, 5 * payload}}},
-		// 8 requests of 48 kB, 16 pieces each.
+			[][4]int64{{18 * 128, 3 * 128, 5 * payload, 0}, {27 * 128, 5 * 128, 4 * payload, 5 * 128}, {18 * 128, 3 * 128, 5 * payload, 0}}},
+		// 8 requests of 48 kB, 16 pieces each: two operations over four
+		// servers, so six child processes (gather: and two registrations).
 		{"listio", 1, all, list(pieces, sieve.Never),
-			[][3]int64{{407, 331, 5 * payload}, {476, 365, 4 * payload}, {476, 365, 4 * payload}}},
+			[][4]int64{{407, 331, 5 * payload, 6}, {476, 365, 4 * payload, 16}, {476, 365, 4 * payload, 16}}},
 		// The same through the servers' sieve: fewer disk calls, and the
 		// window's bytes copied once more where a window is sieved.
 		{"listio+ads", 1, all, list(pieces, sieve.Auto),
-			[][3]int64{{287, 211, 5*payload + 61440}, {356, 245, 4*payload + 61440}, {356, 245, 4*payload + 61440}}},
+			[][4]int64{{287, 211, 5*payload + 61440, 6}, {356, 245, 4*payload + 61440, 16}, {356, 245, 4*payload + 61440, 16}}},
 		// Writes as Multiple I/O, reads the 1 MB extent whole and extracts.
 		{"datasieving", 1, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.DataSieving),
-			[][3]int64{{1331, 249, 4543488}}},
+			[][4]int64{{1331, 249, 4543488, 8}}},
 		// Two ranks: pack, hand over, assemble, one contiguous request each.
 		{"collective", 2, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.Collective),
-			[][3]int64{{838, 418, 13910112}}},
+			[][4]int64{{838, 418, 13910112, 86}}},
 	} {
 		for i, tr := range row.schemes {
 			t.Run(fmt.Sprintf("%s/%s", row.method, tr), func(t *testing.T) {
-				reqs, payload, cost := accessCost(t, row.ranks, pieces, piece, stride, row.op(tr))
-				t.Logf("%d requests, %d payload bytes: %d events (%.2f per request), %d process switches (%.2f), %d inline wakes, %d bytes copied (%.3f per payload byte), %d cleared",
+				reqs, payload, cost, mallocs := accessCost(t, row.ranks, pieces, piece, stride, row.op(tr))
+				t.Logf("%d requests, %d payload bytes: %d events (%.2f per request), %d process switches (%.2f), %d inline wakes, %d bytes copied (%.3f per payload byte), %d cleared, %d mallocs (%.2f per request)",
 					reqs, payload, cost.Events, float64(cost.Events)/float64(reqs), cost.Resumes, float64(cost.Resumes)/float64(reqs),
-					cost.InlineWakes, cost.BytesCopied, float64(cost.BytesCopied)/float64(payload), cost.BytesCleared)
+					cost.InlineWakes, cost.BytesCopied, float64(cost.BytesCopied)/float64(payload), cost.BytesCleared,
+					mallocs, float64(mallocs)/float64(reqs))
 				for j, c := range []struct {
 					what string
 					got  int64
-				}{{"events", cost.Events}, {"process switches", cost.Resumes}, {"bytes copied", cost.BytesCopied}} {
+				}{{"events", cost.Events}, {"process switches", cost.Resumes}, {"bytes copied", cost.BytesCopied}, {"host mallocs", mallocs}} {
+					if raceEnabled && c.what == "host mallocs" {
+						continue // the detector's runtime allocates too: ±2 a pass
+					}
 					if max := row.budget[i][j]; c.got > max {
 						t.Errorf("%d %s for %d requests and %d payload bytes, ceiling %d", c.got, c.what, reqs, payload, max)
 					}
@@ -124,9 +137,10 @@ type accessOp func(p *sim.Proc, file *mpiio.File, b buffer, write bool)
 
 // accessCost runs op as a write then a read on every rank of a 4-server
 // cluster, twice, and returns what the second run cost the host together
-// with the requests and payload bytes it moved. Rank r's piece i is
-// piece bytes at file offset i*stride + r*piece, from packed memory.
-func accessCost(t *testing.T, ranks int, pieces, piece, stride int64, op accessOp) (reqs, payload int64, cost sim.HostCost) {
+// with the requests and payload bytes it moved, and the heap objects it
+// allocated beyond those of a pass whose ranks do nothing. Rank r's piece i
+// is piece bytes at file offset i*stride + r*piece, from packed memory.
+func accessCost(t *testing.T, ranks int, pieces, piece, stride int64, op accessOp) (reqs, payload int64, cost sim.HostCost, mallocs int64) {
 	t.Helper()
 	f := newFixture(pvfs.DefaultConfig(), 4, ranks)
 	defer f.close()
@@ -141,11 +155,15 @@ func accessCost(t *testing.T, ranks int, pieces, piece, stride int64, op accessO
 		fillPattern(cl.Space(), b.Segs, byte(r))
 		bufs[r] = b
 	}
+	idle := false
 	pass := func() {
 		f.runRanks(func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
 			id := rank.ID()
 			if files[id] == nil {
 				files[id] = mpiio.Open(p, cl, rank, "tile")
+			}
+			if idle {
+				return
 			}
 			op(p, files[id], bufs[id], true)
 			op(p, files[id], bufs[id], false)
@@ -159,7 +177,12 @@ func accessCost(t *testing.T, ranks int, pieces, piece, stride int64, op accessO
 	cost = f.HostCost().Sub(cost0)
 	cost.Events -= int64(ranks)
 	cost.Resumes -= int64(ranks)
-	return acct.ReadReqs + acct.WriteReqs - acct0.ReadReqs - acct0.WriteReqs, acct.BytesClientServer - acct0.BytesClientServer, cost
+	// Averaged over further passes, as AllocsPerRun does, so that a stray
+	// allocation by the runtime does not count.
+	mallocs = int64(testing.AllocsPerRun(4, pass))
+	idle = true
+	mallocs -= int64(testing.AllocsPerRun(4, pass))
+	return acct.ReadReqs + acct.WriteReqs - acct0.ReadReqs - acct0.WriteReqs, acct.BytesClientServer - acct0.BytesClientServer, cost, mallocs
 }
 
 // BenchmarkMessagePath is one channel-semantics message end to end: QP.Send

@@ -126,6 +126,8 @@ type File struct {
 }
 
 // Open returns the named file, creating it if needed.
+//
+//pvfslint:ok hotpath file creation: the first open of a name builds the file once; every later open is a map lookup
 func (fs *FS) Open(p *sim.Proc, name string) *File {
 	fs.Counters.OpenCalls++
 	p.Sleep(fs.params.OpenOverhead)
@@ -257,7 +259,7 @@ func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) {
 
 	// Partially-covered edge blocks that exist on media but are not
 	// cached must be read first (block-granular read-modify-write).
-	for _, blk := range []int64{first, last} {
+	for _, blk := range [2]int64{first, last} {
 		bStart, bEnd := blk*bs, (blk+1)*bs
 		fullyCovered := off <= bStart && off+size >= bEnd
 		if !fullyCovered && f.written(blk) && !fs.cache.present(f, blk) {
@@ -357,10 +359,12 @@ func (f *File) block(blk int64) []byte {
 			fs.freeExt = fs.freeExt[:n-1]
 			fs.host.Recycled++
 		} else {
+			//pvfslint:ok hotpath file growth: a fresh extent only when the file reaches blocks it never held and no freed extent is left to recycle
 			e = &extent{data: make([]byte, extentBlocks*bs)}
 			fs.host.Fresh++
 			fs.host.BytesCleared += extentBlocks * bs
 		}
+		//pvfslint:ok hotpath file growth: one extent-table entry per extent the file has reached
 		f.data[blk/extentBlocks] = e
 	}
 	b := blk % extentBlocks
@@ -506,11 +510,13 @@ func (c *pageCache) insert(p *sim.Proc, f *File, blk int64, dirty bool) {
 	i := c.free
 	if i == noEntry {
 		i = int32(len(c.ents))
+		//pvfslint:ok hotpath page-cache entry table: grows to the cache's resident high-water mark, then evicted entries are reused
 		c.ents = append(c.ents, cacheEntry{})
 	} else {
 		c.free = c.ents[i].next
 	}
 	c.ents[i] = cacheEntry{key: key, dirty: dirty}
+	//pvfslint:ok hotpath page-cache index: eviction deletes its key, so the map stays at the resident high-water mark
 	c.index[key] = i
 	c.pushFront(i)
 	c.bytes += bs
@@ -590,6 +596,7 @@ type lockTable struct {
 
 type lockRange struct{ off, size int64 }
 
+//pvfslint:ok hotpath file creation: one lock table per file, built when the file is
 func newLockTable(eng *sim.Engine) *lockTable {
 	return &lockTable{eng: eng, cond: eng.NewCond()}
 }
@@ -598,12 +605,14 @@ func (lt *lockTable) lock(p *sim.Proc, off, size int64) {
 	for lt.conflicts(off, size) {
 		lt.cond.Wait(p)
 	}
+	//pvfslint:ok hotpath held-range list: reaches the most ranges of the file locked at once and stops
 	lt.held = append(lt.held, lockRange{off, size})
 }
 
 func (lt *lockTable) unlock(off, size int64) {
 	for i, r := range lt.held {
 		if r.off == off && r.size == size {
+			//pvfslint:ok hotpath removal in place: shifts the tail down, never grows
 			lt.held = append(lt.held[:i], lt.held[i+1:]...)
 			lt.cond.Broadcast()
 			return

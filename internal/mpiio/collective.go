@@ -45,6 +45,9 @@ type tpScratch struct {
 	owned [][]pieceRef
 	frags []ib.SGE
 	spans []span
+	// piece is forEachPiece's fragment list; the independent Multiple I/O
+	// path walks its pieces with it too.
+	piece []ib.SGE
 }
 
 // span is a file range [lo, hi).
@@ -90,7 +93,7 @@ func (sc *tpScratch) splitByOwner(memSegs []ib.SGE, fileAccs []pvfs.OffLen, doms
 		}
 		return -1
 	}
-	err := forEachPiece(memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
+	err := forEachPiece(&sc.piece, memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
 		// A piece may straddle domain boundaries; cut it.
 		cur := memCursor{segs: segs}
 		off := acc.Off
@@ -165,7 +168,7 @@ func (f *File) release(bufs [][]byte) {
 func (sc *tpScratch) clipToExtent(memSegs []ib.SGE, fileAccs []pvfs.OffLen, lo, hi int64) ([]ib.SGE, []pvfs.OffLen, error) {
 	sc.accs = slices.Grow(sc.accs[:0], len(fileAccs))
 	sc.segs = slices.Grow(sc.segs[:0], len(memSegs)+len(fileAccs))
-	err := forEachPiece(memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
+	err := forEachPiece(&sc.piece, memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
 		// Cut the piece against the window.
 		cutLo, cutHi := acc.Off, acc.End()
 		if cutLo < lo {

@@ -14,8 +14,9 @@
 package mpiio
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pvfsib/internal/pvfs"
 )
@@ -49,21 +50,36 @@ func (f Flat) Shift(disp int64) Flat {
 func (f Flat) Repeat(count, extent int64) Flat {
 	out := make(Flat, 0, int64(len(f))*count)
 	for i := int64(0); i < count; i++ {
-		out = append(out, f.Shift(i*extent)...)
+		for _, r := range f {
+			out = append(out, pvfs.OffLen{Off: r.Off + i*extent, Len: r.Len})
+		}
 	}
-	return out.Normalize()
+	return out.normalize()
 }
 
-// Normalize sorts the regions and merges adjacent ones.
+// Normalize returns the regions sorted and with adjacent ones merged; the
+// receiver is left as it was.
 func (f Flat) Normalize() Flat {
 	if len(f) == 0 {
 		return f
 	}
-	out := make(Flat, len(f))
-	copy(out, f)
-	sort.Slice(out, func(i, j int) bool { return out[i].Off < out[j].Off })
-	merged := out[:1]
-	for _, r := range out[1:] {
+	return slices.Clone(f).normalize()
+}
+
+// normalize is Normalize in place, for a list the caller built and owns: it
+// sorts the regions — only when they are out of order, which the lists the
+// constructors build never are — and merges adjacent ones into the front of
+// the same slice.
+func (f Flat) normalize() Flat {
+	if len(f) == 0 {
+		return f
+	}
+	byOff := func(a, b pvfs.OffLen) int { return cmp.Compare(a.Off, b.Off) }
+	if !slices.IsSortedFunc(f, byOff) {
+		slices.SortFunc(f, byOff)
+	}
+	merged := f[:1]
+	for _, r := range f[1:] {
 		last := &merged[len(merged)-1]
 		if r.Off == last.End() {
 			last.Len += r.Len
@@ -89,7 +105,7 @@ func Vector(count, blocklen, stride int64) Flat {
 	for i := int64(0); i < count; i++ {
 		f = append(f, pvfs.OffLen{Off: i * stride, Len: blocklen})
 	}
-	return f.Normalize()
+	return f.normalize()
 }
 
 // Indexed describes blocks at explicit offsets (MPI_Type_create_hindexed).
@@ -101,7 +117,7 @@ func Indexed(offs, lens []int64) (Flat, error) {
 	for i := range offs {
 		f = append(f, pvfs.OffLen{Off: offs[i], Len: lens[i]})
 	}
-	return f.Normalize(), nil
+	return f.normalize(), nil
 }
 
 // Subarray2D describes a subRows x subCols block starting at (startRow,
@@ -119,7 +135,7 @@ func Subarray2D(rows, cols, subRows, subCols, startRow, startCol, elem int64) (F
 			Len: subCols * elem,
 		})
 	}
-	return f.Normalize(), nil
+	return f.normalize(), nil
 }
 
 // Subarray3D is the 3-D analogue with the last dimension fastest-varying.
@@ -137,7 +153,7 @@ func Subarray3D(dims, subs, starts [3]int64, elem int64) (Flat, error) {
 			f = append(f, pvfs.OffLen{Off: off, Len: subs[2] * elem})
 		}
 	}
-	return f.Normalize(), nil
+	return f.normalize(), nil
 }
 
 // View is an MPI-IO file view: a displacement plus a filetype pattern that
@@ -187,5 +203,5 @@ func (v View) Map(viewOff, n int64) (Flat, error) {
 		tile++
 		within = 0
 	}
-	return out.Normalize(), nil
+	return out.normalize(), nil
 }

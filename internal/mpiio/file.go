@@ -308,17 +308,17 @@ func (c *memCursor) take(dst []ib.SGE, n int64) []ib.SGE {
 
 // forEachPiece walks the two aligned streams and yields, for every file
 // region, the memory fragments carrying its bytes. The fragment slice is
-// reused from one region to the next: fn must not retain it.
-func forEachPiece(memSegs []ib.SGE, fileAccs []pvfs.OffLen, fn func(acc pvfs.OffLen, segs []ib.SGE) error) error {
+// *scratch, reused from one region to the next and kept for the next call:
+// fn must not retain it.
+func forEachPiece(scratch *[]ib.SGE, memSegs []ib.SGE, fileAccs []pvfs.OffLen, fn func(acc pvfs.OffLen, segs []ib.SGE) error) error {
 	if ib.TotalLen(memSegs) != pvfs.TotalOffLen(fileAccs) {
 		return fmt.Errorf("mpiio: memory bytes (%d) != file bytes (%d)",
 			ib.TotalLen(memSegs), pvfs.TotalOffLen(fileAccs))
 	}
 	cur := memCursor{segs: memSegs}
-	var frag []ib.SGE
 	for _, acc := range fileAccs {
-		frag = cur.take(frag[:0], acc.Len)
-		if err := fn(acc, frag); err != nil {
+		*scratch = cur.take((*scratch)[:0], acc.Len)
+		if err := fn(acc, *scratch); err != nil {
 			return err
 		}
 	}
@@ -329,7 +329,7 @@ func forEachPiece(memSegs []ib.SGE, fileAccs []pvfs.OffLen, fn func(acc pvfs.Off
 // a cache attached, one cache operation per region: exactly the Unix-style
 // call stream a client buffer cache is built to absorb.
 func (f *File) multiple(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen, write bool) error {
-	return forEachPiece(memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
+	return forEachPiece(&f.tp.piece, memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
 		if f.cache != nil {
 			if write {
 				return f.cache.WriteList(p, segs, []pvfs.OffLen{acc})

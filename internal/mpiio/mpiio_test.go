@@ -3,6 +3,7 @@ package mpiio
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -138,6 +139,36 @@ func TestRepeatAndShift(t *testing.T) {
 	}
 }
 
+// TestConstructorsBuildTheirListOnce: a constructor sizes its list once and
+// normalises it where it stands; Normalize and Shift on a list the caller
+// holds copy and leave it as it was.
+func TestConstructorsBuildTheirListOnce(t *testing.T) {
+	must := func(_ Flat, err error) { sim.Must(err) }
+	for name, build := range map[string]func(){
+		"Vector":     func() { Vector(64, 8, 32) },
+		"Subarray2D": func() { must(Subarray2D(64, 64, 16, 16, 8, 8, 4)) },
+		"Subarray3D": func() { must(Subarray3D([3]int64{8, 8, 8}, [3]int64{4, 4, 4}, [3]int64{1, 1, 1}, 8)) },
+		"Repeat":     func() { Contig(10).Repeat(16, 100) },
+	} {
+		if n := testing.AllocsPerRun(10, build); n > 1 {
+			t.Errorf("%s: %.0f allocations, want its one list", name, n)
+		}
+	}
+	offs, lens := []int64{300, 0, 100, 110}, []int64{10, 10, 10, 10}
+	if n := testing.AllocsPerRun(10, func() { must(Indexed(offs, lens)) }); n > 1 {
+		t.Errorf("Indexed out of order: %.0f allocations, want its one list", n)
+	}
+	mine := Flat{{Off: 300, Len: 10}, {Off: 0, Len: 10}, {Off: 10, Len: 10}}
+	before := slices.Clone(mine)
+	if got, want := mine.Normalize(), (Flat{{Off: 0, Len: 20}, {Off: 300, Len: 10}}); !slices.Equal(got, want) {
+		t.Errorf("Normalize = %v, want %v", got, want)
+	}
+	mine.Shift(7)
+	if !slices.Equal(mine, before) {
+		t.Errorf("Normalize or Shift changed its receiver: %v, was %v", mine, before)
+	}
+}
+
 func TestViewMap(t *testing.T) {
 	// View: every other 10-byte block, displacement 1000.
 	v := View{Disp: 1000, Pattern: Flat{{Off: 0, Len: 10}}, Extent: 20}
@@ -172,7 +203,7 @@ func TestForEachPieceAlignment(t *testing.T) {
 	segs := []ib.SGE{{Addr: 0x1000, Len: 30}, {Addr: 0x2000, Len: 70}}
 	accs := []pvfs.OffLen{{Off: 0, Len: 50}, {Off: 100, Len: 50}}
 	var pieces [][]ib.SGE
-	err := forEachPiece(segs, accs, func(acc pvfs.OffLen, frag []ib.SGE) error {
+	err := forEachPiece(new([]ib.SGE), segs, accs, func(acc pvfs.OffLen, frag []ib.SGE) error {
 		pieces = append(pieces, append([]ib.SGE(nil), frag...)) // frag is reused
 		return nil
 	})

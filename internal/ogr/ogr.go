@@ -20,9 +20,10 @@
 package ogr
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
@@ -118,7 +119,7 @@ type group struct {
 func planGroups(bufs []mem.Extent, cfg Config) []group {
 	sorted := make([]mem.Extent, len(bufs))
 	copy(sorted, bufs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
+	slices.SortFunc(sorted, func(a, b mem.Extent) int { return cmp.Compare(a.Addr, b.Addr) })
 
 	if cfg.WholeSpan {
 		span := mem.Extent{

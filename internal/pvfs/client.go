@@ -34,6 +34,13 @@ type Client struct {
 	// recallFns holds per-file lease recall callbacks (lease.go), run in
 	// registration order by the client's recall daemon.
 	recallFns map[int64][]*recallFn
+	// plans is the stack of operation plans not in use (split.go);
+	// plansMade counts every plan the client ever built, so the plans are
+	// all home when the two agree.
+	plans     []*opPlan
+	plansMade int
+	// recs is the record pool of the client's engine shard (proto.go).
+	recs *recordPool
 
 	// acct tallies this client's protocol counters. Only the client's own
 	// group touches it; Cluster.Acct folds the per-entity sets together.
@@ -80,28 +87,57 @@ const (
 
 var fanKinds = [...]string{fanOp: "op", fanStat: "stat", fanRemove: "rm", fanSync: "sync"}
 
-// fanOut runs fn(q, i) once per entry of srvs, all starting now, and returns
-// when the last has returned. The caller runs i == 0 itself, after spawning
-// a child for every other i — named after server srvs[i], working under the
-// caller's trace context — so the shares begin in index order.
-func (c *Client) fanOut(p *sim.Proc, kind int, srvs []int, fn func(q *sim.Proc, i int)) {
-	if len(srvs) == 1 {
-		fn(p, 0)
+// fanOut runs share(pl, q, i) once per entry of pl.srvs, all starting now,
+// and returns when the last has returned. The caller runs i == 0 itself,
+// after spawning a child for every other i — named after server pl.srvs[i],
+// working under the caller's trace context — so the shares begin in index
+// order. What a share needs travels in the plan and share is a function, not
+// a closure, so a fan-out allocates nothing but its children's processes.
+func (c *Client) fanOut(p *sim.Proc, kind int, pl *opPlan, share func(pl *opPlan, q *sim.Proc, i int)) {
+	if len(pl.srvs) == 1 {
+		share(pl, p, 0)
 		return
 	}
-	ctx := p.TraceCtx()
-	wg := c.cluster.Eng.NewWaitGroup()
-	wg.Add(len(srvs) - 1)
-	for i := 1; i < len(srvs); i++ {
-		i := i
-		p.Go(c.conns[srvs[i]].child[kind], func(q *sim.Proc) {
-			defer wg.Done()
-			q.SetTraceCtx(ctx)
-			fn(q, i)
-		})
+	pl.ctx, pl.share = p.TraceCtx(), share
+	pl.wg.Add(len(pl.srvs) - 1)
+	for i := 1; i < len(pl.srvs); i++ {
+		p.Go(c.conns[pl.srvs[i]].child[kind], pl.kid(i).run)
 	}
-	fn(p, 0)
-	wg.Wait(p)
+	share(pl, p, 0)
+	pl.wg.Wait(p)
+}
+
+// fanChild is one child slot of a plan's fan-out: run is the process body
+// of share i, bound once when the slot is made.
+type fanChild struct {
+	pl  *opPlan
+	i   int
+	run func(q *sim.Proc)
+}
+
+// kid returns the plan's child slot for share i.
+func (pl *opPlan) kid(i int) *fanChild {
+	for len(pl.kids) <= i {
+		// One child slot, and its bound body, per share a fan-out on this
+		// plan has had: at most the cluster's server count.
+		k := &fanChild{pl: pl, i: len(pl.kids)}
+		k.run = k.body
+		pl.kids = append(pl.kids, k)
+	}
+	return pl.kids[i]
+}
+
+func (k *fanChild) body(q *sim.Proc) {
+	pl := k.pl
+	defer pl.wg.Done()
+	q.SetTraceCtx(pl.ctx)
+	pl.share(pl, q, k.i)
+}
+
+// toAllServers aims the plan's fan-out at every server, as the whole-file
+// operations do.
+func (pl *opPlan) toAllServers() {
+	pl.srvs = append(pl.srvs[:0], pl.c.servers...)
 }
 
 // Space returns the client's simulated address space; applications allocate
@@ -133,6 +169,7 @@ func newClient(cl *Cluster, idx int) *Client {
 	}
 	c.cache = ib.NewRegCache(c.hca, cl.Cfg.RegCacheBytes, cl.Cfg.RegCacheEntries)
 	c.cpu = cl.Eng.NewResource(fmt.Sprintf("cn%d.cpu", idx), 1)
+	c.recs = cl.recordPool(node)
 	return c
 }
 
@@ -285,19 +322,14 @@ func (fh *FileHandle) Read(p *sim.Proc, addr mem.Addr, n int64, off int64, opts 
 func (fh *FileHandle) Stat(p *sim.Proc) int64 {
 	c := fh.client
 	n := len(c.conns)
-	sizes := make([]int64, n)
-	c.fanOut(p, fanStat, c.servers, func(q *sim.Proc, i int) {
-		conn := c.conns[i]
-		conn.mu.Acquire(q)
-		defer conn.mu.Release()
-		resp, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
-			return &reqStat{Seq: seq, FileID: fh.id}
-		})
-		sim.Must(err)
-		sizes[i] = resp.(*respStat).LocalSize
-	})
+	pl := c.takePlan()
+	defer c.releasePlan(pl)
+	pl.toAllServers()
+	pl.fileID = fh.id
+	pl.sizes = append(pl.sizes[:0], make([]int64, n)...)
+	c.fanOut(p, fanStat, pl, (*opPlan).statShare)
 	var eof int64
-	for srv, local := range sizes {
+	for srv, local := range pl.sizes {
 		if local == 0 {
 			continue
 		}
@@ -313,6 +345,23 @@ func (fh *FileHandle) Stat(p *sim.Proc) int64 {
 	return eof
 }
 
+func (pl *opPlan) statShare(q *sim.Proc, i int) {
+	resp := pl.rpcShare(q, i, func(seq int64) any { return &reqStat{Seq: seq, FileID: pl.fileID} })
+	pl.sizes[i] = resp.(*respStat).LocalSize
+}
+
+// rpcShare issues share i's small request on its server's connection and
+// returns the reply.
+func (pl *opPlan) rpcShare(q *sim.Proc, i int, build func(seq int64) any) any {
+	c := pl.c
+	conn := c.conns[pl.srvs[i]]
+	conn.mu.Acquire(q)
+	defer conn.mu.Release()
+	resp, err := c.rpc(q, conn, reqSize(0), build)
+	sim.Must(err)
+	return resp
+}
+
 // Remove unlinks the file from the manager's name space and deletes every
 // server's stripe file. Removing a nonexistent name is a no-op.
 func (c *Client) Remove(p *sim.Proc, name string) {
@@ -326,31 +375,31 @@ func (c *Client) Remove(p *sim.Proc, name string) {
 	if !un.Found {
 		return
 	}
-	ctx := p.TraceCtx()
-	c.fanOut(p, fanRemove, c.servers, func(q *sim.Proc, i int) {
-		conn := c.conns[i]
-		conn.mu.Acquire(q)
-		defer conn.mu.Release()
-		_, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
-			return &reqRemove{Seq: seq, FileID: un.FileID, Ctx: ctx}
-		})
-		sim.Must(err)
-	})
+	pl := c.takePlan()
+	defer c.releasePlan(pl)
+	pl.toAllServers()
+	pl.fileID = un.FileID
+	c.fanOut(p, fanRemove, pl, (*opPlan).removeShare)
+}
+
+func (pl *opPlan) removeShare(q *sim.Proc, i int) {
+	// Every share works under the caller's trace context, its own included.
+	pl.rpcShare(q, i, func(seq int64) any { return &reqRemove{Seq: seq, FileID: pl.fileID, Ctx: q.TraceCtx()} })
 }
 
 // Sync flushes the file on every I/O server, like fsync.
 func (fh *FileHandle) Sync(p *sim.Proc) {
 	c := fh.client
-	c.fanOut(p, fanSync, c.servers, func(q *sim.Proc, i int) {
-		conn := c.conns[i]
-		conn.mu.Acquire(q)
-		defer conn.mu.Release()
-		c.acct.SyncReqs++
-		_, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
-			return &reqSync{Seq: seq, FileID: fh.id, Ctx: q.TraceCtx()}
-		})
-		sim.Must(err)
-	})
+	pl := c.takePlan()
+	defer c.releasePlan(pl)
+	pl.toAllServers()
+	pl.fileID = fh.id
+	c.fanOut(p, fanSync, pl, (*opPlan).syncShare)
+}
+
+func (pl *opPlan) syncShare(q *sim.Proc, i int) {
+	pl.c.acct.SyncReqs++
+	pl.rpcShare(q, i, func(seq int64) any { return &reqSync{Seq: seq, FileID: pl.fileID, Ctx: q.TraceCtx()} })
 }
 
 // listOp is the traced entry point for one list operation: it opens the
@@ -397,8 +446,10 @@ func (fh *FileHandle) listOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen, o
 func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen, opts OpOptions, write bool) error {
 	c := fh.client
 	cfg := c.cluster.Cfg
-	parts, err := splitOp(memSegs, fileAccs, fh.stripeSize, len(c.conns))
-	if err != nil {
+	// The operation describes itself in a plan it owns until it returns.
+	pl := c.takePlan()
+	defer c.releasePlan(pl)
+	if err := pl.split(memSegs, fileAccs, fh.stripeSize, len(c.conns)); err != nil {
 		return err
 	}
 	total := ib.TotalLen(memSegs)
@@ -435,7 +486,12 @@ func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen,
 		default:
 			var ogrCfg ogr.Config
 			reg, ogrCfg = c.registrar(opts.Reg)
-			regRes, err = ogr.RegisterBuffers(p, reg, c.space, segExtents(memSegs), ogrCfg)
+			pl.exts = pl.exts[:0]
+			for _, s := range memSegs {
+				pl.exts = append(pl.exts, s.Extent())
+			}
+			var err error
+			regRes, err = ogr.RegisterBuffers(p, reg, c.space, pl.exts, ogrCfg)
 			if err != nil {
 				if c.cluster.recovery() == nil || !recoverable(err) {
 					return fmt.Errorf("pvfs: list buffer registration: %w", err)
@@ -452,12 +508,12 @@ func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen,
 		}
 	}
 	var firstErr error
-	switch len(parts) {
+	switch len(pl.parts) {
 	case 0: // an empty operation reaches no server
 	case 1:
-		firstErr = c.runPart(p, fh.id, parts[0], pack, opts, write)
+		firstErr = c.runPart(p, fh.id, &pl.parts[0], pack, opts, write)
 	default:
-		firstErr = c.runParts(p, fh.id, parts, pack, opts, write)
+		firstErr = c.runParts(p, pl, fh.id, pack, opts, write)
 	}
 	if regRes != nil {
 		if err := ogr.Release(p, reg, regRes); err != nil && firstErr == nil {
@@ -473,20 +529,23 @@ func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen,
 }
 
 // runParts runs the parts of an operation that spans servers side by side
-// and returns the first error any of them ended with; a function of its own
-// so that what the fan-out captures costs a one-server operation nothing.
-func (c *Client) runParts(p *sim.Proc, fileID int64, parts []*serverPart, pack bool, opts OpOptions, write bool) error {
-	srvs := make([]int, len(parts))
-	for i, part := range parts {
-		srvs[i] = part.srv
+// and returns the first error any of them ended with. What the shares need
+// to know goes into the plan here, so a one-server operation pays for none
+// of it.
+func (c *Client) runParts(p *sim.Proc, pl *opPlan, fileID int64, pack bool, opts OpOptions, write bool) error {
+	pl.srvs = pl.srvs[:0]
+	for i := range pl.parts {
+		pl.srvs = append(pl.srvs, pl.parts[i].srv)
 	}
-	var firstErr error
-	c.fanOut(p, fanOp, srvs, func(q *sim.Proc, i int) {
-		if err := c.runPart(q, fileID, parts[i], pack, opts, write); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	})
-	return firstErr
+	pl.fileID, pl.pack, pl.opts, pl.write = fileID, pack, opts, write
+	c.fanOut(p, fanOp, pl, (*opPlan).partShare)
+	return pl.err
+}
+
+func (pl *opPlan) partShare(q *sim.Proc, i int) {
+	if err := pl.c.runPart(q, pl.fileID, &pl.parts[i], pl.pack, pl.opts, pl.write); err != nil && pl.err == nil {
+		pl.err = err
+	}
 }
 
 // runPart executes one server's share of a list operation, chunk by chunk.
@@ -507,7 +566,11 @@ restart:
 		maxBytes = cfg.FastBufSize
 	}
 	conn := c.conns[part.srv]
-	for _, ch := range chunkPart(part, cfg.MaxListCount, maxBytes) {
+	for chunks := part.chunks(cfg.MaxListCount, maxBytes); ; {
+		ch, ok := chunks.next()
+		if !ok {
+			return nil
+		}
 		gatherFails := 0
 		for attempt := 0; ; attempt++ {
 			// Every attempt — including re-issues after a timeout or a
@@ -559,7 +622,6 @@ restart:
 			c.mx.backoff.AddSpan(t0, p.Now())
 		}
 	}
-	return nil
 }
 
 // cpuCopy charges one staging copy (pack or unpack) on the client's copy
@@ -589,12 +651,55 @@ func (c *Client) registrar(policy RegPolicy) (ogr.Registrar, ogr.Config) {
 	}
 }
 
+// request builds the record announcing a chunk: the chunk's regions are
+// copied into the record, which owns them from here on (proto.go).
+func (c *Client) request(p *sim.Proc, kind recKind, seq, fileID int64, ch chunk, pack bool, opts OpOptions) *record {
+	req := c.recs.take(kind, seq)
+	req.FileID, req.Total, req.SchemePack, req.Sieve, req.Ctx = fileID, ch.total, pack, opts.Sieve, p.TraceCtx()
+	// A record's region list reaches the request pair limit once and is
+	// recycled with the record.
+	req.Accs = append(req.Accs, ch.accs...)
+	return req
+}
+
+// send posts a record on the connection. A record the send could not post
+// never left this node, so it goes back to the pool it came from.
+func (c *Client) send(p *sim.Proc, conn *clientConn, size int, r *record) error {
+	err := conn.qp.Send(p, size, r)
+	if err != nil {
+		c.recs.put(r)
+	}
+	return err
+}
+
+// expect waits for the reply of the given kind to request seq and returns
+// it; the caller recycles it. Any other reply is a protocol error.
+func (c *Client) expect(p *sim.Proc, conn *clientConn, seq int64, kind recKind) (*record, error) {
+	resp, err := c.recvResp(p, conn, seq)
+	if err != nil {
+		return nil, err
+	}
+	r, ok := resp.(*record)
+	if !ok || r.Kind != kind {
+		return nil, fmt.Errorf("pvfs: expected a %v reply, got %T %v", kind, resp, resp)
+	}
+	return r, nil
+}
+
+// await is expect for a reply that carries nothing the caller reads.
+func (c *Client) await(p *sim.Proc, conn *clientConn, seq int64, kind recKind) error {
+	r, err := c.expect(p, conn, seq, kind)
+	if err == nil {
+		c.recs.put(r)
+	}
+	return err
+}
+
 func (c *Client) writeChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chunk, pack bool, opts OpOptions) error {
 	cl := c.cluster
 	c.acct.WriteReqs++
 	c.acct.BytesClientServer += ch.total
 	seq := c.seq()
-	req := &reqWrite{Seq: seq, FileID: fileID, Accs: ch.accs, Total: ch.total, SchemePack: pack, Sieve: opts.Sieve, Ctx: p.TraceCtx()}
 	if cl.Cfg.Wire == WireStream {
 		// Stream sockets: the payload rides in the request. The gather
 		// into the socket is one user-to-kernel copy.
@@ -607,12 +712,12 @@ func (c *Client) writeChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chun
 			off += s.Len
 		}
 		c.cpuCopy(p, "pvfs.pack", ch.total, cl.Cfg.IB.MemcpyTime(ch.total)+cl.Cfg.StreamOverhead)
-		req.Stream = true
-		req.Data = data
-		if err := conn.qp.Send(p, reqSize(len(ch.accs))+int(ch.total), req); err != nil {
+		req := c.request(p, recWrite, seq, fileID, ch, pack, opts)
+		req.Stream, req.Data = true, data
+		if err := c.send(p, conn, reqSize(len(ch.accs))+int(ch.total), req); err != nil {
 			return err
 		}
-		if _, err := c.recvResp(p, conn, seq); err != nil { // respWrite
+		if err := c.await(p, conn, seq, recWriteResp); err != nil {
 			return err
 		}
 		p.Sleep(cl.Cfg.StreamOverhead)
@@ -632,37 +737,29 @@ func (c *Client) writeChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chun
 		if err := conn.qp.RDMAWrite(p, []ib.SGE{{Addr: conn.fastBuf.Addr, Len: ch.total}}, conn.srvAddr, conn.srvKey); err != nil {
 			return fmt.Errorf("pvfs: pack push: %w", err)
 		}
-		if err := conn.qp.Send(p, reqSize(len(ch.accs)), req); err != nil {
+		if err := c.send(p, conn, reqSize(len(ch.accs)), c.request(p, recWrite, seq, fileID, ch, pack, opts)); err != nil {
 			return err
 		}
-		if _, err := c.recvResp(p, conn, seq); err != nil { // respWrite
-			return err
-		}
-		return nil
+		return c.await(p, conn, seq, recWriteResp)
 	}
 	// Gather: buffers were registered at operation start; rendezvous,
 	// then RDMA-gather-write straight from user memory.
-	if err := conn.qp.Send(p, reqSize(len(ch.accs)), req); err != nil {
+	if err := c.send(p, conn, reqSize(len(ch.accs)), c.request(p, recWrite, seq, fileID, ch, pack, opts)); err != nil {
 		return err
 	}
-	ready, err := c.recvResp(p, conn, seq)
+	ready, err := c.expect(p, conn, seq, recWriteReady)
 	if err != nil {
 		return err
 	}
-	r, ok := ready.(*respWriteReady)
-	if !ok {
-		return fmt.Errorf("pvfs: expected WriteReady, got %T", ready)
-	}
-	if err := conn.qp.RDMAWrite(p, ch.segs, r.Addr, r.Key); err != nil {
+	addr, key := ready.Addr, ready.Key
+	c.recs.put(ready)
+	if err := conn.qp.RDMAWrite(p, ch.segs, addr, key); err != nil {
 		return fmt.Errorf("pvfs: gather write: %w", err)
 	}
-	if err := conn.qp.Send(p, reqSize(0), &reqWriteDone{Seq: seq}); err != nil {
+	if err := c.send(p, conn, reqSize(0), c.recs.take(recWriteDone, seq)); err != nil {
 		return err
 	}
-	if _, err := c.recvResp(p, conn, seq); err != nil { // respWrite
-		return err
-	}
-	return nil
+	return c.await(p, conn, seq, recWriteResp)
 }
 
 func (c *Client) readChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chunk, pack bool, opts OpOptions) error {
@@ -670,20 +767,16 @@ func (c *Client) readChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chunk
 	c.acct.ReadReqs++
 	c.acct.BytesClientServer += ch.total
 	seq := c.seq()
-	req := &reqRead{Seq: seq, FileID: fileID, Accs: ch.accs, Total: ch.total, SchemePack: pack, Sieve: opts.Sieve, Ctx: p.TraceCtx()}
+	req := c.request(p, recRead, seq, fileID, ch, pack, opts)
 	if cl.Cfg.Wire == WireStream {
 		req.Stream = true
 		p.Sleep(cl.Cfg.StreamOverhead)
-		if err := conn.qp.Send(p, reqSize(len(ch.accs)), req); err != nil {
+		if err := c.send(p, conn, reqSize(len(ch.accs)), req); err != nil {
 			return err
 		}
-		resp, err := c.recvResp(p, conn, seq)
+		r, err := c.expect(p, conn, seq, recReadResp)
 		if err != nil {
 			return err
-		}
-		r, ok := resp.(*respRead)
-		if !ok {
-			return fmt.Errorf("pvfs: expected stream ReadResp, got %T", resp)
 		}
 		// Kernel-to-user copy plus the scatter into the segments.
 		c.cpuCopy(p, "pvfs.unpack", ch.total, cl.Cfg.IB.MemcpyTime(ch.total)+cl.Cfg.StreamOverhead)
@@ -694,13 +787,15 @@ func (c *Client) readChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chunk
 			}
 			data = data[s.Len:]
 		}
+		c.recs.put(r)
 		return nil
 	}
 	if pack {
-		if err := conn.qp.Send(p, reqSize(len(ch.accs)), req); err != nil {
+		if err := c.send(p, conn, reqSize(len(ch.accs)), req); err != nil {
 			return err
 		}
-		if _, err := c.recvResp(p, conn, seq); err != nil { // respRead: data already in fastBuf
+		// The reply says the data is already in fastBuf.
+		if err := c.await(p, conn, seq, recReadResp); err != nil {
 			return err
 		}
 		// Unpack into the user segments (one copy).
@@ -716,30 +811,17 @@ func (c *Client) readChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chunk
 	}
 	// Gather/scatter: buffers were registered at operation start;
 	// RDMA-read the staged bytes directly into user memory.
-	if err := conn.qp.Send(p, reqSize(len(ch.accs)), req); err != nil {
+	if err := c.send(p, conn, reqSize(len(ch.accs)), req); err != nil {
 		return err
 	}
-	ready, err := c.recvResp(p, conn, seq)
+	ready, err := c.expect(p, conn, seq, recReadResp)
 	if err != nil {
 		return err
 	}
-	r, ok := ready.(*respRead)
-	if !ok {
-		return fmt.Errorf("pvfs: expected ReadResp, got %T", ready)
-	}
-	if err := conn.qp.RDMARead(p, ch.segs, r.Addr, r.Key); err != nil {
+	addr, key := ready.Addr, ready.Key
+	c.recs.put(ready)
+	if err := conn.qp.RDMARead(p, ch.segs, addr, key); err != nil {
 		return fmt.Errorf("pvfs: scatter read: %w", err)
 	}
-	if err := conn.qp.Send(p, reqSize(0), &reqReadDone{Seq: seq}); err != nil {
-		return err
-	}
-	return nil
-}
-
-func segExtents(segs []ib.SGE) []mem.Extent {
-	out := make([]mem.Extent, len(segs))
-	for i, s := range segs {
-		out[i] = s.Extent()
-	}
-	return out
+	return c.send(p, conn, reqSize(0), c.recs.take(recReadDone, seq))
 }

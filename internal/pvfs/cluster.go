@@ -37,6 +37,15 @@ type Cluster struct {
 	// into every layer (attach with EnableMetrics). Nil keeps every
 	// sampling site a single-branch no-op.
 	Metrics *metrics.Registry
+
+	// recs holds one record pool per engine shard (proto.go); a node's
+	// processes use the pool of the shard the node runs on.
+	recs []recordPool
+}
+
+// recordPool returns the pool of the shard that runs the node.
+func (c *Cluster) recordPool(n *simnet.Node) *recordPool {
+	return &c.recs[n.Group().ShardIndex()]
 }
 
 // Acct sums the protocol counters across every entity — the manager, then
@@ -139,6 +148,7 @@ func NewCluster(eng *sim.Engine, cfg Config, nServers, nClients int) *Cluster {
 		Net: simnet.New(eng, cfg.Net),
 		Cfg: cfg,
 	}
+	c.recs = make([]recordPool, eng.NumShards())
 	for i := 0; i < nServers; i++ {
 		c.Servers = append(c.Servers, newServer(c, i))
 	}

@@ -14,3 +14,20 @@ func (c *Cluster) EntityAccts() []stats.Acct {
 	}
 	return out
 }
+
+// Under go test a recycled record and a released operation plan are
+// overwritten, so that any use after release — a server reading a request's
+// regions after its handler recycled it, a chunk outliving its plan — shows
+// as a failed operation or a differing byte instead of passing on stale but
+// plausible values.
+func init() { poisonReleased = true }
+
+// recordsOut is the number of records taken from the cluster's pools and
+// not recycled.
+func (c *Cluster) recordsOut() int64 {
+	var n int64
+	for i := range c.recs {
+		n += c.recs[i].taken - c.recs[i].recycled
+	}
+	return n
+}

@@ -4,6 +4,7 @@ import (
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
 	"pvfsib/internal/sieve"
+	"pvfsib/internal/sim"
 )
 
 // Wire protocol between clients, I/O daemons, and the metadata manager.
@@ -31,72 +32,131 @@ type respOpen struct {
 	StripeSize int64
 }
 
-// reqWrite announces a list write of Total bytes covering Accs (server-local
-// regions). With SchemePack the data has already been RDMA-written into the
-// connection's receive buffer; with gather the server replies with a staging
-// buffer for the client to RDMA-write into.
-type reqWrite struct {
-	Seq        int64
-	FileID     int64
-	Accs       []OffLen
-	Total      int64
+// record is the one message type of the data path: list-I/O requests, the
+// rendezvous messages of a gather transfer and the replies, told apart by
+// Kind. Records are pooled per engine shard exactly as simnet.Message and
+// the adapters' wire structs are — the sender takes one from its shard's
+// free list, the consumer recycles it into its own — and because requests
+// and replies are the same type, a connection's traffic recirculates them
+// between the two shards' pools instead of draining one and growing the
+// other.
+//
+// A record owns its region list. The sender copies a chunk's regions into
+// Accs when it builds the request, which is what serialisation does on a
+// real wire: a request still queued or being served after its client timed
+// out, re-chunked the part or reused the operation plan never sees the
+// client's scratch.
+type record struct {
+	Kind recKind
+	Seq  int64
+	// FileID, Accs (server-local regions, in payload order) and Total (their
+	// bytes) describe a recWrite or recRead request.
+	FileID int64
+	Accs   []OffLen
+	Total  int64
+	// SchemePack: the payload travels through the connection's Fast-RDMA
+	// buffers (a write's data has already been RDMA-written into the
+	// server's receive buffer, a read's is RDMA-written into the client's
+	// before the reply); otherwise the server stages it and the two sides
+	// rendezvous.
 	SchemePack bool
 	Sieve      sieve.Mode
 	// Ctx is the sender's packed trace context; server-side spans for
 	// this request become children of it. Zero when tracing is off.
 	Ctx uint64
-	// Stream carries the payload inline (stream-socket transport).
+	// Stream: the payload rides inline in Data (stream-socket transport),
+	// in the request of a write and in the reply of a read. The record
+	// owns Data until it is recycled.
 	Stream bool
 	Data   []byte
-}
-
-// respWriteReady carries the staging buffer for a gather write.
-type respWriteReady struct {
-	Seq  int64
+	// Addr/Key is the server's staging buffer, carried by recWriteReady and
+	// by the recReadResp of a gather read.
 	Addr mem.Addr
 	Key  ib.Key
+
+	next *record // free-list link
 }
 
-// reqWriteDone tells the server the gather RDMA write has completed.
-type reqWriteDone struct{ Seq int64 }
+// recKind says which message of the data path a record is.
+type recKind uint8
 
-// respWrite completes a write request.
-type respWrite struct{ Seq int64 }
+const (
+	// recFree marks a record in a free list; nothing on the wire carries it.
+	recFree recKind = iota
+	// recWrite announces a list write of Total bytes covering Accs. With
+	// SchemePack the data is already in the connection's receive buffer;
+	// with gather the server answers recWriteReady.
+	recWrite
+	// recWriteReady carries the staging buffer for a gather write.
+	recWriteReady
+	// recWriteDone tells the server the gather RDMA write has completed.
+	recWriteDone
+	// recWriteResp completes a write request.
+	recWriteResp
+	// recRead requests a list read.
+	recRead
+	// recReadResp completes a pack read (data already delivered) or, for
+	// gather, announces the staging buffer to RDMA-read from.
+	recReadResp
+	// recReadDone releases the server's staging buffer after a gather read.
+	recReadDone
+)
 
-// reqRead requests a list read. With SchemePack the server RDMA-writes the
-// packed bytes into the connection's client-side buffer before replying;
-// with gather the server stages the bytes and the client RDMA-reads them.
-type reqRead struct {
-	Seq        int64
-	FileID     int64
-	Accs       []OffLen
-	Total      int64
-	SchemePack bool
-	Sieve      sieve.Mode
-	// Ctx is the sender's packed trace context (see reqWrite.Ctx).
-	Ctx uint64
-	// Stream asks for the payload inline in the reply.
-	Stream bool
+var recKindNames = [...]string{"free", "write", "write-ready", "write-done", "write-resp", "read", "read-resp", "read-done"}
+
+func (k recKind) String() string { return recKindNames[k] }
+
+// recordPool is one engine shard's free list of records. Only code running
+// on that shard touches it, so it needs no lock; taken and recycled count
+// what left and what came back, for the quiescence checks.
+type recordPool struct {
+	free            *record
+	taken, recycled int64
 }
 
-// respRead completes a pack read (data already delivered) or, for gather,
-// announces the staging buffer to RDMA-read from.
-type respRead struct {
-	Seq  int64
-	Addr mem.Addr
-	Key  ib.Key
-	// Data carries the payload for stream-transport reads.
-	Data []byte
+// poisonReleased makes a recycled record and a released operation plan
+// unusable instead of merely reusable, so that a use after release fails
+// loudly. The package's tests switch it on (export_test.go); nothing else
+// writes it.
+var poisonReleased bool
+
+// take returns a record of the given kind and sequence number, every other
+// field zero and Accs empty, from the free list or fresh.
+func (rp *recordPool) take(kind recKind, seq int64) *record {
+	rp.taken++
+	r := rp.free
+	if r == nil {
+		//pvfslint:ok hotpath record free-list miss: one allocation per high-water mark of records in flight on the owning shard, recycled thereafter
+		r = &record{}
+	} else {
+		rp.free = r.next
+	}
+	*r = record{Kind: kind, Seq: seq, Accs: r.Accs[:0]}
+	return r
 }
 
-// reqReadDone releases the server's staging buffer after a gather read.
-type reqReadDone struct{ Seq int64 }
+// put recycles a record its consumer is done with. A record that never
+// comes back — dropped on a cut link, discarded by a down adapter, drained
+// by a QP reset — is the garbage collector's.
+func (rp *recordPool) put(r *record) {
+	if r.Kind == recFree {
+		sim.Failf("pvfs: record recycled twice")
+	}
+	rp.recycled++
+	r.Kind, r.Data = recFree, nil
+	if poisonReleased {
+		r.Seq = -1
+		poisonAccs(r.Accs)
+	}
+	r.next = rp.free
+	rp.free = r
+}
 
 // reqSync asks the server to flush the file's dirty data to disk.
 type reqSync struct {
 	Seq    int64
 	FileID int64
-	// Ctx is the sender's packed trace context (see reqWrite.Ctx).
+	// Ctx is the sender's packed trace context (see record.Ctx).
 	Ctx uint64
 }
 
@@ -118,7 +178,7 @@ type respStat struct {
 type reqRemove struct {
 	Seq    int64
 	FileID int64
-	// Ctx is the sender's packed trace context (see reqWrite.Ctx).
+	// Ctx is the sender's packed trace context (see record.Ctx).
 	Ctx uint64
 }
 
@@ -128,7 +188,7 @@ type respRemove struct{ Seq int64 }
 type reqUnlink struct {
 	Seq  int64
 	Name string
-	// Ctx is the sender's packed trace context (see reqWrite.Ctx).
+	// Ctx is the sender's packed trace context (see record.Ctx).
 	Ctx uint64
 }
 
@@ -191,15 +251,13 @@ type respLeaseRecallAck struct{ Seq int64 }
 // sequence numbers; a request retry gets a fresh number.
 type seqer interface{ seqNum() int64 }
 
-func (r *respOpen) seqNum() int64       { return r.Seq }
-func (r *respUnlink) seqNum() int64     { return r.Seq }
-func (r *respWriteReady) seqNum() int64 { return r.Seq }
-func (r *respWrite) seqNum() int64      { return r.Seq }
-func (r *respRead) seqNum() int64       { return r.Seq }
-func (r *respSync) seqNum() int64       { return r.Seq }
-func (r *respStat) seqNum() int64       { return r.Seq }
-func (r *respRemove) seqNum() int64     { return r.Seq }
-func (r *respLease) seqNum() int64      { return r.Seq }
+func (r *respOpen) seqNum() int64   { return r.Seq }
+func (r *respUnlink) seqNum() int64 { return r.Seq }
+func (r *record) seqNum() int64     { return r.Seq }
+func (r *respSync) seqNum() int64   { return r.Seq }
+func (r *respStat) seqNum() int64   { return r.Seq }
+func (r *respRemove) seqNum() int64 { return r.Seq }
+func (r *respLease) seqNum() int64  { return r.Seq }
 
 func (r *respLeaseRelease) seqNum() int64 { return r.Seq }
 

@@ -42,66 +42,86 @@ func pinned(c *Cluster) pinning {
 // the script is done nothing of it is left anywhere on the message path: no
 // event pending, no message staged at a port or inside an adapter, every
 // read responder parked idle and nothing else parked, and pinning back at
-// what set-up registered.
+// what set-up registered. Nor on the descriptor path: every operation plan
+// is back on its client's stack, and fault-free every record taken from a
+// shard's pool has been recycled into one (under faults a record dropped on
+// a cut link or discarded by a down adapter is the garbage collector's) —
+// on one engine shard and on four, where requests and replies carry records
+// from pool to pool.
 func TestQuiescenceAfterMixedScript(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		t.Run(fmt.Sprintf("faults=%t", faulty), func(t *testing.T) {
-			cfg := DefaultConfig()
-			if faulty {
-				cfg.Faults = stormPlan(7)
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { quiescence(t, faulty, shards) })
 			}
-			c := NewCluster(sim.NewEngine(), cfg, 4, 4)
-			mx := c.EnableMetrics(metrics.Config{})
-			base := pinned(c)
-			for ci, cl := range c.Clients {
-				c.Eng.GoOn(cl.node.Group(), fmt.Sprintf("script%d", ci), func(p *sim.Proc) {
-					quiesceScript(t, p, cl, ci)
-				})
-			}
-			if err := c.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if s := c.Snapshot(); faulty && (s.Retries == 0 || s.Timeouts == 0) {
-				t.Errorf("plan not exercised: %d retries, %d timeouts", s.Retries, s.Timeouts)
-			}
-			if n := c.Eng.Pending(); n != 0 {
-				t.Errorf("%d events pending", n)
-			}
-			if now := pinned(c); now != base {
-				t.Errorf("pinning %+v, %+v after set-up", now, base)
-			}
-			for _, name := range c.traceNames() {
-				if strings.HasSuffix(name, ".disk") {
-					continue
-				}
-				for _, g := range []string{"net.inflight", "net.tx.queue", "ib.sendq", "ib.reads.outstanding"} {
-					if v := mx.Gauge(name, g).Current(); v != 0 {
-						t.Errorf("%s: %s = %d at quiescence", name, g, v)
-					}
-				}
-			}
-			// With no event left, a further Run reports who is parked: one
-			// idle read responder per adapter and the daemons' connection
-			// loops, all waiting for a message.
-			de, ok := c.Eng.Run().(*sim.DeadlockError)
-			if !ok {
-				t.Fatal("no service process parked")
-			}
-			responders := 0
-			for _, name := range de.Parked {
-				if !isInfra(name) {
-					t.Errorf("%s still parked", name)
-				}
-				if strings.HasPrefix(name, "hca[") {
-					responders++
-				}
-			}
-			if want := len(c.Servers) + len(c.Clients); responders != want {
-				t.Errorf("%d read responders parked idle, want %d", responders, want)
-			}
-			c.Eng.Shutdown()
 		})
 	}
+}
+
+func quiescence(t *testing.T, faulty bool, shards int) {
+	cfg := DefaultConfig()
+	cfg.Shards = shards
+	if faulty {
+		cfg.Faults = stormPlan(7)
+	}
+	c := NewCluster(sim.NewEngine(), cfg, 4, 4)
+	mx := c.EnableMetrics(metrics.Config{})
+	base := pinned(c)
+	for ci, cl := range c.Clients {
+		c.Eng.GoOn(cl.node.Group(), fmt.Sprintf("script%d", ci), func(p *sim.Proc) {
+			quiesceScript(t, p, cl, ci)
+		})
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Snapshot(); faulty && (s.Retries == 0 || s.Timeouts == 0) {
+		t.Errorf("plan not exercised: %d retries, %d timeouts", s.Retries, s.Timeouts)
+	}
+	if n := c.Eng.Pending(); n != 0 {
+		t.Errorf("%d events pending", n)
+	}
+	if now := pinned(c); now != base {
+		t.Errorf("pinning %+v, %+v after set-up", now, base)
+	}
+	for _, name := range c.traceNames() {
+		if strings.HasSuffix(name, ".disk") {
+			continue
+		}
+		for _, g := range []string{"net.inflight", "net.tx.queue", "ib.sendq", "ib.reads.outstanding"} {
+			if v := mx.Gauge(name, g).Current(); v != 0 {
+				t.Errorf("%s: %s = %d at quiescence", name, g, v)
+			}
+		}
+	}
+	// With no event left, a further Run reports who is parked: one
+	// idle read responder per adapter and the daemons' connection
+	// loops, all waiting for a message.
+	de, ok := c.Eng.Run().(*sim.DeadlockError)
+	if !ok {
+		t.Fatal("no service process parked")
+	}
+	responders := 0
+	for _, name := range de.Parked {
+		if !isInfra(name) {
+			t.Errorf("%s still parked", name)
+		}
+		if strings.HasPrefix(name, "hca[") {
+			responders++
+		}
+	}
+	if want := len(c.Servers) + len(c.Clients); responders != want {
+		t.Errorf("%d read responders parked idle, want %d", responders, want)
+	}
+	for _, cl := range c.Clients {
+		if cl.plansMade == 0 || len(cl.plans) != cl.plansMade {
+			t.Errorf("cn%d: %d of %d operation plans home", cl.idx, len(cl.plans), cl.plansMade)
+		}
+	}
+	if out := c.recordsOut(); out < 0 || !faulty && out != 0 {
+		t.Errorf("%d records taken and not recycled", out)
+	}
+	c.Eng.Shutdown()
 }
 
 // quiesceScript is one client's share of TestQuiescenceAfterMixedScript.
@@ -231,8 +251,9 @@ func TestChunkPartPassThroughEqualsCut(t *testing.T) {
 		}
 		maxPairs := 1 + rng.Intn(16)
 		maxBytes := stripe << rng.Intn(4)
+		checkSplitChunks(t, segs, accs, stripe, nServers, maxPairs, maxBytes)
 		for _, part := range parts {
-			got, want := chunkPart(part, maxPairs, maxBytes), cutPart(part, maxPairs, maxBytes)
+			got, want := chunkPart(part, maxPairs, maxBytes), refCutPart(part, maxPairs, maxBytes)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("part %+v, limits %d pairs / %d bytes:\nchunkPart %+v\ncutPart   %+v", part, maxPairs, maxBytes, got, want)
 			}

@@ -44,6 +44,9 @@ func (c *Client) recvResp(p *sim.Proc, conn *clientConn, seq int64) (any, error)
 			return nil, errTimeout
 		}
 		if s, ok := payload.(seqer); ok && s.seqNum() != seq {
+			if r, isRec := payload.(*record); isRec {
+				c.recs.put(r)
+			}
 			continue
 		}
 		return payload, nil

@@ -60,6 +60,12 @@ type Server struct {
 	// acct tallies this daemon's protocol counters. Only the server's own
 	// group touches it; Cluster.Acct folds the per-entity sets together.
 	acct stats.Acct
+
+	// recs is the record pool of the daemon's engine shard (proto.go).
+	recs *recordPool
+	// sievePlan is the sieve's per-request scratch; like the scratch pool it
+	// is only used under ioMu.
+	sievePlan sieve.Plan
 }
 
 // Down reports whether the daemon is crashed (for tests).
@@ -97,6 +103,8 @@ func newServer(c *Cluster, idx int) *Server {
 	s.staging = staging
 	s.sieveParams = sieve.ModelFromFS(s.fs, c.Cfg.IB.MemcpyBandwidth)
 	s.sieveParams.Pool = &s.scratch
+	s.sieveParams.Plan = &s.sievePlan
+	s.recs = c.recordPool(node)
 	return s
 }
 
@@ -117,7 +125,9 @@ func (s *Server) file(p *sim.Proc, id int64) *localfs.File {
 	if f, ok := s.files[id]; ok {
 		return f
 	}
+	//pvfslint:ok hotpath first request for a file on this daemon (or the first after a restart): names and opens its stripe file once
 	f := s.fs.Open(p, fmt.Sprintf("f%06d", id))
+	//pvfslint:ok hotpath open-file table: one entry per file the daemon serves
 	s.files[id] = f
 	return f
 }
@@ -142,14 +152,19 @@ func (sc *serverConn) serve(p *sim.Proc) {
 			continue
 		}
 		switch req := payload.(type) {
-		case *reqWrite:
+		case *record:
+			if req.Kind != recWrite && req.Kind != recRead {
+				sim.Failf("pvfs: server %d: unexpected %v record", s.idx, req.Kind)
+			}
+			// The handler owns the request until it returns.
 			sp := s.startDispatch(p, req.Ctx, req.Total)
-			pending = sc.handleWrite(p, req)
+			if req.Kind == recWrite {
+				pending = sc.handleWrite(p, req)
+			} else {
+				pending = sc.handleRead(p, req)
+			}
 			s.endDispatch(p, sp)
-		case *reqRead:
-			sp := s.startDispatch(p, req.Ctx, req.Total)
-			pending = sc.handleRead(p, req)
-			s.endDispatch(p, sp)
+			s.recs.put(req)
 		case *reqSync:
 			p.SetTraceCtx(req.Ctx)
 			s.acquireIO(p)
@@ -215,6 +230,16 @@ func (s *Server) releaseIO(p *sim.Proc) {
 	s.mx.ioBusy.AddSpan(held, p.Now())
 }
 
+// reply sends the client a record. One the send could not post never left
+// this node and goes back to the pool.
+func (sc *serverConn) reply(p *sim.Proc, size int, r *record) bool {
+	ok := sc.send(p, size, r)
+	if !ok {
+		sc.srv.recs.put(r)
+	}
+	return ok
+}
+
 // send replies to the client. A send can only fail under the fault plane
 // (injected completion error, partition drop, crashed adapter); the daemon
 // resets its QP so the connection can keep serving and reports failure — the
@@ -234,15 +259,16 @@ func (sc *serverConn) send(p *sim.Proc, size int, resp any) bool {
 func (sc *serverConn) abort(p *sim.Proc, op string, seq int64, why string) {
 	s := sc.srv
 	s.acct.ServerAborts++
+	//pvfslint:ok hotpath abort diagnostics: only the fault plane aborts a request
 	s.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "iod-abort", 0, "%s seq=%d: %s", op, seq, why)
 }
 
-// waitDone waits for the rendezvous completion notice matching seq. Without a
+// waitDone waits for the rendezvous completion notice (want) matching seq. Without a
 // fault plane it blocks and anything unexpected is a protocol violation (the
 // original strict protocol). Under faults it waits at most ServerTimeout,
 // ignores stale notices from attempts the client already abandoned, and pushes
 // back any other request for serve to reprocess.
-func (sc *serverConn) waitDone(p *sim.Proc, seq int64, write bool) (ok bool, pending any) {
+func (sc *serverConn) waitDone(p *sim.Proc, seq int64, want recKind) (ok bool, pending any) {
 	s := sc.srv
 	rec := s.cluster.recovery()
 	for {
@@ -256,23 +282,19 @@ func (sc *serverConn) waitDone(p *sim.Proc, seq int64, write bool) (ok bool, pen
 				return false, nil
 			}
 		}
-		switch d := payload.(type) {
-		case *reqWriteDone:
-			if write && d.Seq == seq {
-				return true, nil
-			}
-		case *reqReadDone:
-			if !write && d.Seq == seq {
-				return true, nil
-			}
-		default:
-			if rec != nil {
-				return false, payload
-			}
+		d, isRec := payload.(*record)
+		isDone := isRec && (d.Kind == recWriteDone || d.Kind == recReadDone)
+		if isDone && d.Kind == want && d.Seq == seq {
+			s.recs.put(d)
+			return true, nil
 		}
 		if rec == nil {
 			sim.Failf("pvfs: server %d: expected completion for seq %d, got %#v", s.idx, seq, payload)
 		}
+		if !isDone {
+			return false, payload
+		}
+		s.recs.put(d) // a stale notice from an attempt the client abandoned
 	}
 }
 
@@ -286,7 +308,10 @@ func (s *Server) unstage(addr mem.Addr, n int64) []byte {
 	return data
 }
 
-func (sc *serverConn) handleWrite(p *sim.Proc, req *reqWrite) (next any) {
+// handleWrite serves one list write; serve recycles req when it returns.
+//
+//pvfslint:hotpath alloc
+func (sc *serverConn) handleWrite(p *sim.Proc, req *record) (next any) {
 	s := sc.srv
 	f := s.file(p, req.FileID)
 	var data []byte
@@ -303,12 +328,14 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *reqWrite) (next any) {
 		// Rendezvous: hand the client a staging buffer, wait for the
 		// completion notice, then pull the bytes out of it.
 		buf := s.staging.Get(p)
-		if !sc.send(p, smallReplyBytes, &respWriteReady{Seq: req.Seq, Addr: buf.Addr, Key: buf.MR.Key}) {
+		ready := s.recs.take(recWriteReady, req.Seq)
+		ready.Addr, ready.Key = buf.Addr, buf.MR.Key
+		if !sc.reply(p, smallReplyBytes, ready) {
 			buf.Put()
 			sc.abort(p, "write", req.Seq, "write-ready reply lost")
 			return nil
 		}
-		ok, pending := sc.waitDone(p, req.Seq, true)
+		ok, pending := sc.waitDone(p, req.Seq, recWriteDone)
 		if !ok {
 			buf.Put()
 			sc.abort(p, "write", req.Seq, "rendezvous expired")
@@ -324,19 +351,23 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *reqWrite) (next any) {
 		// The message owns a stream payload; everything else was unstaged.
 		s.scratch.Put(data)
 	}
-	if !sc.send(p, smallReplyBytes, &respWrite{Seq: req.Seq}) {
+	if !sc.reply(p, smallReplyBytes, s.recs.take(recWriteResp, req.Seq)) {
 		sc.abort(p, "write", req.Seq, "write reply lost")
 	}
 	return nil
 }
 
-func (sc *serverConn) handleRead(p *sim.Proc, req *reqRead) (next any) {
+// handleRead serves one list read; serve recycles req when it returns.
+//
+//pvfslint:hotpath alloc
+func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 	s := sc.srv
 	f := s.file(p, req.FileID)
 	s.acquireIO(p)
 	var data []byte
 	if req.Stream {
 		// The reply owns a stream payload from here on, so it is not scratch.
+		//pvfslint:ok hotpath stream-socket transport, not the verbs data path: the reply owns its payload
 		data = make([]byte, req.Total)
 	} else {
 		data = s.scratch.Get(int(req.Total))
@@ -348,7 +379,9 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *reqRead) (next any) {
 		sp := s.cluster.Spans.Start(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "srv.pack", trace.StagePack)
 		p.Sleep(s.cluster.Cfg.IB.MemcpyTime(req.Total) + s.cluster.Cfg.StreamOverhead)
 		sp.End(p.Now())
-		if !sc.send(p, smallReplyBytes+int(req.Total), &respRead{Seq: req.Seq, Data: data}) {
+		resp := s.recs.take(recReadResp, req.Seq)
+		resp.Data = data
+		if !sc.reply(p, smallReplyBytes+int(req.Total), resp) {
 			sc.abort(p, "read", req.Seq, "stream reply lost")
 		}
 		return nil
@@ -363,6 +396,7 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *reqRead) (next any) {
 		// target is the connection's statically registered fast buffer, so
 		// fault-free a failure here is a broken connection invariant; under
 		// faults it is an injected completion error and the request aborts.
+		//pvfslint:ok hotpath one-entry gather list on the stack: RDMAWrite reads it before returning and keeps nothing
 		if err := sc.qp.RDMAWrite(p, []ib.SGE{{Addr: buf.Addr, Len: req.Total}}, sc.cliAddr, sc.cliKey); err != nil {
 			if s.cluster.recovery() == nil {
 				sim.Must(err)
@@ -375,18 +409,20 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *reqRead) (next any) {
 			return nil
 		}
 		buf.Put()
-		if !sc.send(p, smallReplyBytes, &respRead{Seq: req.Seq}) {
+		if !sc.reply(p, smallReplyBytes, s.recs.take(recReadResp, req.Seq)) {
 			sc.abort(p, "read", req.Seq, "pack reply lost")
 		}
 		return nil
 	}
 	// Gather: the client scatters out of the staging buffer itself.
-	if !sc.send(p, smallReplyBytes, &respRead{Seq: req.Seq, Addr: buf.Addr, Key: buf.MR.Key}) {
+	ready := s.recs.take(recReadResp, req.Seq)
+	ready.Addr, ready.Key = buf.Addr, buf.MR.Key
+	if !sc.reply(p, smallReplyBytes, ready) {
 		buf.Put()
 		sc.abort(p, "read", req.Seq, "read-ready reply lost")
 		return nil
 	}
-	ok, pending := sc.waitDone(p, req.Seq, false)
+	ok, pending := sc.waitDone(p, req.Seq, recReadDone)
 	buf.Put()
 	if !ok {
 		sc.abort(p, "read", req.Seq, "rendezvous expired")

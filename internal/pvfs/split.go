@@ -5,6 +5,7 @@ import (
 
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
+	"pvfsib/internal/sim"
 )
 
 // Striping: file offset off lives in stripe off/StripeSize; stripe k is
@@ -20,38 +21,159 @@ func locate(off, stripeSize int64, nServers int) (srv int, local int64) {
 
 // serverPart is the portion of a list-I/O operation destined for one server:
 // server-local file regions plus the matching client memory segments, both
-// in the same byte order.
+// in the same byte order. It lives by value in its operation's plan, and its
+// lists keep their backing from one operation to the next.
 type serverPart struct {
 	srv  int
 	accs []OffLen
 	segs []ib.SGE
+	// cur walks the part request by request (runPart).
+	cur chunkCursor
 }
 
-// splitOp fans a list-I/O operation out by server. The flattened memory
-// stream and the flattened file stream describe the same bytes in the same
-// order; both are cut at every stripe boundary and every segment/region
-// boundary, and each fragment is appended to its server's part, preserving
-// byte order within each server.
-func splitOp(memSegs []ib.SGE, fileAccs []OffLen, stripeSize int64, nServers int) ([]*serverPart, error) {
+// opPlan is everything one operation builds to describe itself: the
+// per-server parts, the cursors that cut them into requests and, for an
+// operation that spans servers, what its fan-out shares. A client recycles
+// its plans (takePlan, releasePlan): an operation owns one from start to
+// finish, so two operations in flight on one client — an application call
+// and a page-cache flush, say — never share one, and in steady state an
+// operation allocates nothing to describe itself.
+type opPlan struct {
+	c *Client
+	// parts holds the operation's parts in first-touch order; the elements
+	// between len and cap are earlier operations', kept for their backing.
+	parts []serverPart
+	// exts is the gather registration's view of the memory segments.
+	exts []mem.Extent
+
+	// The rest is the state of a fan-out (Client.fanOut): the servers the
+	// shares go to, the function that runs one share, what the shares need
+	// to know about the operation, and where they report.
+	srvs   []int
+	share  func(pl *opPlan, q *sim.Proc, i int)
+	fileID int64
+	pack   bool
+	opts   OpOptions
+	write  bool
+	ctx    uint64 // the caller's trace context, inherited by the children
+	err    error  // the first error a share ended with
+	sizes  []int64
+	wg     *sim.WaitGroup
+	kids   []*fanChild
+}
+
+// takePlan hands the calling operation a plan of its own, most recently
+// released first.
+func (c *Client) takePlan() *opPlan {
+	if n := len(c.plans); n > 0 {
+		pl := c.plans[n-1]
+		c.plans = c.plans[:n-1]
+		return pl
+	}
+	c.plansMade++
+	// A miss: one plan per high-water mark of operations in flight on the
+	// client, recycled thereafter.
+	return &opPlan{c: c, wg: c.cluster.Eng.NewWaitGroup()}
+}
+
+// releasePlan takes back the plan of an operation that has returned; every
+// share of its fan-out has finished by then.
+func (c *Client) releasePlan(pl *opPlan) {
+	pl.err, pl.share = nil, nil
+	if poisonReleased {
+		pl.poison()
+	}
+	c.plans = append(c.plans, pl)
+}
+
+// poison overwrites every list a released plan keeps, used or not, with
+// values no operation could carry.
+func (pl *opPlan) poison() {
+	parts := pl.parts[:cap(pl.parts)]
+	for i := range parts {
+		p := &parts[i]
+		p.srv = -1
+		poisonAccs(p.accs)
+		poisonSegs(p.segs)
+		poisonAccs(p.cur.accs)
+		poisonSegs(p.cur.segs)
+		p.cur.part = nil
+	}
+	exts := pl.exts[:cap(pl.exts)]
+	for i := range exts {
+		exts[i] = mem.Extent{Addr: ^mem.Addr(0), Len: -1}
+	}
+	srvs := pl.srvs[:cap(pl.srvs)]
+	for i := range srvs {
+		srvs[i] = -1
+	}
+	pl.fileID = -1
+}
+
+func poisonAccs(accs []OffLen) {
+	accs = accs[:cap(accs)]
+	for i := range accs {
+		accs[i] = OffLen{Off: -1, Len: -1}
+	}
+}
+
+func poisonSegs(segs []ib.SGE) {
+	segs = segs[:cap(segs)]
+	for i := range segs {
+		segs[i] = ib.SGE{Addr: ^mem.Addr(0), Len: -1}
+	}
+}
+
+// part returns the plan's part for server srv, adding an empty one — on the
+// backing of whatever part an earlier operation kept in that slot — when the
+// operation has not touched the server yet. At most nServers parts exist, so
+// finding one is a short scan.
+func (pl *opPlan) part(srv int) *serverPart {
+	for i := range pl.parts {
+		if pl.parts[i].srv == srv {
+			return &pl.parts[i]
+		}
+	}
+	n := len(pl.parts)
+	if n < cap(pl.parts) {
+		pl.parts = pl.parts[:n+1]
+	} else {
+		//pvfslint:ok hotpath plan growth: one slot per server an operation on this plan has touched, at most the cluster's server count
+		pl.parts = append(pl.parts, serverPart{})
+	}
+	p := &pl.parts[n]
+	p.srv, p.accs, p.segs = srv, p.accs[:0], p.segs[:0]
+	return p
+}
+
+// split fans a list-I/O operation out by server, into pl.parts. The
+// flattened memory stream and the flattened file stream describe the same
+// bytes in the same order; both are cut at every stripe boundary and every
+// segment/region boundary, and each fragment is appended to its server's
+// part, preserving byte order within each server. The caller's lists are
+// read, never kept.
+//
+//pvfslint:hotpath alloc
+func (pl *opPlan) split(memSegs []ib.SGE, fileAccs []OffLen, stripeSize int64, nServers int) error {
+	pl.parts = pl.parts[:0]
 	memTotal := ib.TotalLen(memSegs)
 	fileTotal := TotalOffLen(fileAccs)
 	if memTotal != fileTotal {
-		return nil, fmt.Errorf("pvfs: memory bytes (%d) != file bytes (%d)", memTotal, fileTotal)
+		//pvfslint:ok hotpath error path: the caller's two lists disagree
+		return fmt.Errorf("pvfs: memory bytes (%d) != file bytes (%d)", memTotal, fileTotal)
 	}
 	for _, s := range memSegs {
 		if s.Len <= 0 {
-			return nil, fmt.Errorf("pvfs: empty memory segment %v", s)
+			//pvfslint:ok hotpath error path: malformed caller list
+			return fmt.Errorf("pvfs: empty memory segment %v", s)
 		}
 	}
 	for _, a := range fileAccs {
 		if a.Len <= 0 || a.Off < 0 {
-			return nil, fmt.Errorf("pvfs: bad file region %+v", a)
+			//pvfslint:ok hotpath error path: malformed caller list
+			return fmt.Errorf("pvfs: bad file region %+v", a)
 		}
 	}
-
-	// Parts in first-touch order; at most nServers of them, so finding a
-	// server's part is a short scan.
-	ordered := make([]*serverPart, 0, nServers)
 
 	mi, fi := 0, 0   // current segment / region index
 	var mo, fo int64 // bytes consumed within each
@@ -69,17 +191,7 @@ func splitOp(memSegs []ib.SGE, fileAccs []OffLen, stripeSize int64, nServers int
 			n = b
 		}
 		srv, local := locate(fileOff, stripeSize, nServers)
-		var p *serverPart
-		for _, q := range ordered {
-			if q.srv == srv {
-				p = q
-				break
-			}
-		}
-		if p == nil {
-			p = &serverPart{srv: srv}
-			ordered = append(ordered, p)
-		}
+		p := pl.part(srv)
 		// The two streams only need to carry the same bytes in the same
 		// order — they are not paired element-wise — so merge adjacent
 		// fragments on each side independently. File-side merging is what
@@ -89,14 +201,10 @@ func splitOp(memSegs []ib.SGE, fileAccs []OffLen, stripeSize int64, nServers int
 		if k := len(p.accs) - 1; k >= 0 && p.accs[k].End() == local {
 			p.accs[k].Len += n
 		} else {
+			//pvfslint:ok hotpath plan scratch growth: a part's region list reaches the longest any operation on this plan has needed and stops
 			p.accs = append(p.accs, OffLen{Off: local, Len: n})
 		}
-		if k := len(p.segs) - 1; k >= 0 &&
-			p.segs[k].Addr+mem.Addr(p.segs[k].Len) == seg.Addr+mem.Addr(mo) {
-			p.segs[k].Len += n
-		} else {
-			p.segs = append(p.segs, ib.SGE{Addr: seg.Addr + mem.Addr(mo), Len: n})
-		}
+		p.segs = appendSeg(p.segs, seg.Addr+mem.Addr(mo), n)
 		mo += n
 		fo += n
 		remaining -= n
@@ -107,7 +215,18 @@ func splitOp(memSegs []ib.SGE, fileAccs []OffLen, stripeSize int64, nServers int
 			fi, fo = fi+1, 0
 		}
 	}
-	return ordered, nil
+	return nil
+}
+
+// appendSeg extends a memory stream by n bytes at addr, growing the last
+// segment when the bytes follow it directly.
+func appendSeg(segs []ib.SGE, addr mem.Addr, n int64) []ib.SGE {
+	if k := len(segs) - 1; k >= 0 && segs[k].Addr+mem.Addr(segs[k].Len) == addr {
+		segs[k].Len += n
+		return segs
+	}
+	//pvfslint:ok hotpath plan scratch growth: a segment list reaches the longest any operation on this plan has needed and stops
+	return append(segs, ib.SGE{Addr: addr, Len: n})
 }
 
 // chunk is one request's worth of a server part.
@@ -117,70 +236,63 @@ type chunk struct {
 	total int64
 }
 
-// chunkPart cuts a server part into request-sized chunks: at most maxPairs
-// file regions and at most maxBytes data per chunk. Memory segments are
-// split at chunk boundaries so each chunk's streams stay aligned. A part
-// that fits one request is that request: its lists are the chunk's, shared,
-// not rebuilt.
-func chunkPart(p *serverPart, maxPairs int, maxBytes int64) []chunk {
-	if n := len(p.accs); 0 < n && n <= maxPairs {
-		if total := TotalOffLen(p.accs); total <= maxBytes {
-			return []chunk{{accs: p.accs, segs: p.segs, total: total}}
-		}
-	}
-	return cutPart(p, maxPairs, maxBytes)
+// chunkCursor cuts a server part into request-sized chunks, one per call of
+// next: at most maxPairs file regions and at most maxBytes data each, the
+// memory segments split at chunk boundaries so each chunk's streams stay
+// aligned. A part that fits one request is that request — its lists are the
+// chunk's, shared, not rebuilt; otherwise the chunk is built in the cursor's
+// own lists, which the next call overwrites.
+type chunkCursor struct {
+	part     *serverPart
+	maxPairs int
+	maxBytes int64
+	ai, si   int   // the region and the segment the next chunk starts in
+	ao, so   int64 // bytes of them earlier chunks consumed
+	accs     []OffLen
+	segs     []ib.SGE
 }
 
-// cutPart is chunkPart's general case, building every chunk element by
-// element.
-func cutPart(p *serverPart, maxPairs int, maxBytes int64) []chunk {
-	var chunks []chunk
-	var cur chunk
-	flush := func() {
-		if len(cur.accs) > 0 {
-			chunks = append(chunks, cur)
-			cur = chunk{}
+// chunks points the part's cursor at the part's first byte.
+func (p *serverPart) chunks(maxPairs int, maxBytes int64) *chunkCursor {
+	accs, segs := p.cur.accs, p.cur.segs
+	p.cur = chunkCursor{part: p, maxPairs: maxPairs, maxBytes: maxBytes, accs: accs, segs: segs}
+	return &p.cur
+}
+
+// next returns the part's next chunk, or false when the part is used up.
+//
+//pvfslint:hotpath alloc
+func (cc *chunkCursor) next() (chunk, bool) {
+	p := cc.part
+	if cc.ai == len(p.accs) {
+		return chunk{}, false
+	}
+	if n := len(p.accs); cc.ai == 0 && cc.ao == 0 && n <= cc.maxPairs {
+		if total := TotalOffLen(p.accs); total <= cc.maxBytes {
+			cc.ai = n
+			return chunk{accs: p.accs, segs: p.segs, total: total}, true
 		}
 	}
-	si := 0
-	var so int64 // bytes consumed of segs[si]
-	takeSegs := func(n int64) {
+	ch := chunk{accs: cc.accs[:0], segs: cc.segs[:0]}
+	for cc.ai < len(p.accs) && len(ch.accs) < cc.maxPairs && ch.total < cc.maxBytes {
+		a := p.accs[cc.ai]
+		n := min(a.Len-cc.ao, cc.maxBytes-ch.total)
+		//pvfslint:ok hotpath cursor scratch growth: a chunk's region list reaches the request pair limit and stops
+		ch.accs = append(ch.accs, OffLen{Off: a.Off + cc.ao, Len: n})
+		ch.total += n
+		if cc.ao += n; cc.ao == a.Len {
+			cc.ai, cc.ao = cc.ai+1, 0
+		}
 		for n > 0 {
-			seg := p.segs[si]
-			take := seg.Len - so
-			if take > n {
-				take = n
-			}
-			// Merge into the last chunk segment when contiguous.
-			if k := len(cur.segs) - 1; k >= 0 &&
-				cur.segs[k].Addr+mem.Addr(cur.segs[k].Len) == seg.Addr+mem.Addr(so) {
-				cur.segs[k].Len += take
-			} else {
-				cur.segs = append(cur.segs, ib.SGE{Addr: seg.Addr + mem.Addr(so), Len: take})
-			}
-			so += take
-			if so == seg.Len {
-				si, so = si+1, 0
+			seg := p.segs[cc.si]
+			take := min(seg.Len-cc.so, n)
+			ch.segs = appendSeg(ch.segs, seg.Addr+mem.Addr(cc.so), take)
+			if cc.so += take; cc.so == seg.Len {
+				cc.si, cc.so = cc.si+1, 0
 			}
 			n -= take
 		}
 	}
-	for _, a := range p.accs {
-		for a.Len > 0 {
-			if len(cur.accs) >= maxPairs || cur.total >= maxBytes {
-				flush()
-			}
-			n := a.Len
-			if room := maxBytes - cur.total; n > room {
-				n = room
-			}
-			cur.accs = append(cur.accs, OffLen{Off: a.Off, Len: n})
-			cur.total += n
-			takeSegs(n)
-			a.Off += n
-			a.Len -= n
-		}
-	}
-	flush()
-	return chunks
+	cc.accs, cc.segs = ch.accs, ch.segs
+	return ch, true
 }

@@ -20,8 +20,10 @@ import (
 // applies its pieces in (Off, Len, request position) order — the order the
 // daemon services them, so of duplicates the later one wins — extending the
 // file with zeros as needed. checkModel holds Read, ReadInto and Write to it
-// with a pool whose every buffer arrives filled with 0xA5, and to the same
-// calls, decisions and bytes without a pool.
+// with a pool whose every buffer arrives filled with 0xA5 and a Plan every
+// earlier case has used, and to the same calls, decisions and bytes without
+// either. refPlanWindows is the window planner as it was before it built in a
+// Plan: every case's windows must equal its, element for element.
 
 const (
 	modelWritten = 40 << 10 // initial file size
@@ -57,13 +59,13 @@ type modelOutcome struct {
 }
 
 // runModelCase services accs against a fresh copy of the initial file.
-func runModelCase(t testing.TB, accs []Access, data []byte, maxBuffer int64, mode Mode, write bool, pool *mem.ScratchPool) modelOutcome {
+func runModelCase(t testing.TB, accs []Access, data []byte, maxBuffer int64, mode Mode, write bool, pool *mem.ScratchPool, plan *Plan) modelOutcome {
 	t.Helper()
 	eng := sim.NewEngine()
 	fs := localfs.New(eng, disk.New(eng, "d", disk.DefaultParams()), localfs.DefaultParams())
 	params := ModelFromFS(fs, 1300*simnet.MB)
 	params.MaxBuffer = maxBuffer
-	params.Pool = pool
+	params.Pool, params.Plan = pool, plan
 	var out modelOutcome
 	eng.Go("model", func(p *sim.Proc) {
 		f := fs.Open(p, "f")
@@ -80,6 +82,7 @@ func runModelCase(t testing.TB, accs []Access, data []byte, maxBuffer int64, mod
 			out.read = pool.Get(len(data)) // stale until ReadInto fills it
 			out.decisions = ReadInto(p, f, accs, out.read, params, mode, nil)
 		}
+		out.decisions = slices.Clone(out.decisions) // the plan's next request reuses them
 		out.counters = fs.Counters
 		out.file = f.ReadAt(p, 0, f.Size())
 	})
@@ -132,8 +135,9 @@ func checkModel(t testing.TB, accs []Access, maxBuffer int64, mode Mode, write b
 		}
 	}
 
-	plain := runModelCase(t, accs, data, maxBuffer, mode, write, nil)
-	pooled := runModelCase(t, accs, data, maxBuffer, mode, write, dirtyPool())
+	checkWindows(t, accs, maxBuffer)
+	plain := runModelCase(t, accs, data, maxBuffer, mode, write, nil, nil)
+	pooled := runModelCase(t, accs, data, maxBuffer, mode, write, dirtyPool(), &usedPlan)
 	for _, run := range []struct {
 		name string
 		got  modelOutcome
@@ -151,6 +155,52 @@ func checkModel(t testing.TB, accs []Access, maxBuffer int64, mode Mode, write b
 	}
 	if plain.counters != pooled.counters {
 		t.Errorf("file-system calls differ with a pool: %+v vs %+v", plain.counters, pooled.counters)
+	}
+}
+
+// usedPlan is the scratch every case plans in, so each meets whatever the
+// cases before it left behind.
+var usedPlan Plan
+
+// refPlanWindows is planWindows as it was when it allocated its lists.
+func refPlanWindows(accs []Access, maxBuffer int64) []window {
+	sorted := make([]placed, len(accs))
+	var pos int64
+	for i, a := range accs {
+		sorted[i] = placed{a, pos}
+		pos += a.Len
+	}
+	slices.SortFunc(sorted, func(a, b placed) int {
+		return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len), cmp.Compare(a.pos, b.pos))
+	})
+	var wins []window
+	start, span := 0, sorted[0].Access
+	for i := 1; i < len(sorted); i++ {
+		a := sorted[i].Access
+		end := max(a.End(), span.End())
+		if maxBuffer > 0 && end-span.Off > maxBuffer {
+			wins = append(wins, window{sorted[start:i], span})
+			start, span = i, a
+			continue
+		}
+		span.Len = end - span.Off
+	}
+	return append(wins, window{sorted[start:], span})
+}
+
+// checkWindows compares the windows planned in the used scratch with the
+// reference's.
+func checkWindows(t testing.TB, accs []Access, maxBuffer int64) {
+	t.Helper()
+	if len(accs) == 0 {
+		return
+	}
+	got, want := usedPlan.planWindows(accs, maxBuffer), refPlanWindows(accs, maxBuffer)
+	same := slices.EqualFunc(got, want, func(a, b window) bool {
+		return a.span == b.span && slices.Equal(a.accs, b.accs)
+	})
+	if !same {
+		t.Errorf("windows differ from the reference for %v, MaxBuffer %d:\n%+v\n%+v", accs, maxBuffer, got, want)
 	}
 }
 

@@ -15,10 +15,12 @@
 // curves, so when sieving is chosen it is almost certainly beneficial once
 // caching helps further.
 //
-// Payload moves between the file and the caller's buffer: ReadInto and Write
-// allocate per request only what planWindows needs (one entry per access),
-// and take each sieve or read-modify-write window from Params.Pool. Read is
-// the one call that returns a fresh payload-sized slice.
+// Payload moves between the file and the caller's buffer, and a request's
+// bookkeeping lives in caller-owned scratch: ReadInto and Write take each
+// sieve or read-modify-write window from Params.Pool and the sorted access
+// list, the windows and the returned decisions from Params.Plan, so a daemon
+// that sets both allocates nothing per request. Read is the one call that
+// returns a fresh payload-sized slice.
 package sieve
 
 import (
@@ -59,6 +61,12 @@ type Params struct {
 	// window. Pool buffers arrive with stale contents, which is why every
 	// window is zero-filled past what the file returned.
 	Pool *mem.ScratchPool
+	// Plan, when set, is the scratch a request's sorted access list, its
+	// windows and its decisions are built in; nil allocates them per
+	// request. One request at a time may use a Plan (the I/O daemon's is
+	// guarded by its file-phase mutex, like its Pool), and the decisions a
+	// call returns are valid until the next call with the same Plan.
+	Plan *Plan
 
 	// Tracer, when set, records one span per window carrying the cost
 	// model's verdict; Node labels those spans with the serving daemon.
@@ -129,35 +137,84 @@ type window struct {
 	span Access
 }
 
+// Plan is the reusable scratch of one request's bookkeeping: the backing of
+// the sorted access list, of the windows cut from it and of the decisions
+// returned to the caller. The zero value is ready to use.
+type Plan struct {
+	sorted    []placed
+	wins      []window
+	decisions []Decision
+}
+
 // planWindows sorts accesses and greedily packs them into spans of at most
 // maxBuffer bytes. Unbounded maxBuffer yields a single window. Equal
 // accesses stay in request order, so of duplicate writes the last one wins.
-func planWindows(accs []Access, maxBuffer int64) []window {
-	sorted := make([]placed, len(accs))
+// The windows live in pl and are valid until it plans the next request.
+//
+//pvfslint:hotpath alloc
+func (pl *Plan) planWindows(accs []Access, maxBuffer int64) []window {
+	// The scratch reaches the longest access list a request has carried (at
+	// most the list-I/O pair limit) and stops growing.
+	sorted := slices.Grow(pl.sorted[:0], len(accs))[:len(accs)]
 	var pos int64
+	inOrder := true
 	for i, a := range accs {
 		sorted[i] = placed{a, pos}
 		pos += a.Len
+		// Positions only grow, so a list ascending by (Off, Len) is
+		// already in the sort's order.
+		if i > 0 {
+			if prev := accs[i-1]; a.Off < prev.Off || a.Off == prev.Off && a.Len < prev.Len {
+				inOrder = false
+			}
+		}
 	}
-	slices.SortFunc(sorted, func(a, b placed) int {
-		return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len), cmp.Compare(a.pos, b.pos))
-	})
-	var wins []window
+	if !inOrder {
+		slices.SortFunc(sorted, comparePlaced)
+	}
+	wins := pl.wins[:0]
 	start, span := 0, sorted[0].Access
 	for i := 1; i < len(sorted); i++ {
 		a := sorted[i].Access
 		end := max(a.End(), span.End())
 		if maxBuffer > 0 && end-span.Off > maxBuffer {
+			//pvfslint:ok hotpath plan scratch growth: reaches the most windows one request has been cut into and stops
 			wins = append(wins, window{sorted[start:i], span})
 			start, span = i, a
 			continue
 		}
 		span.Len = end - span.Off
 	}
-	return append(wins, window{sorted[start:], span})
+	//pvfslint:ok hotpath plan scratch growth: reaches the most windows one request has been cut into and stops
+	wins = append(wins, window{sorted[start:], span})
+	pl.sorted, pl.wins = sorted, wins
+	return wins
+}
+
+// comparePlaced orders accesses by offset, then length, then request position.
+func comparePlaced(a, b placed) int {
+	if c := cmp.Compare(a.Off, b.Off); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Len, b.Len); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// plan returns the scratch a request builds its bookkeeping in: the caller's
+// when it supplied one, a fresh one otherwise.
+func (p Params) plan() *Plan {
+	if p.Plan != nil {
+		return p.Plan
+	}
+	//pvfslint:ok hotpath no-scratch fallback: a caller that sets Params.Plan, as the I/O daemon does, never reaches it
+	return new(Plan)
 }
 
 // decide evaluates the cost model for one window.
+//
+//pvfslint:ok hotpath cost-model bandwidth curves: Br and Bw are Params fields set once when the daemon starts (the disk's ReadBW/WriteBW), plain arithmetic
 func (p Params) decide(w window, write bool) Decision {
 	d := Decision{N: len(w.accs), Span: w.span.Len}
 	var tIndiv, tSieve sim.Duration
@@ -193,15 +250,18 @@ func xferTime(size int64, bw float64) sim.Duration {
 // ReadInto services the accesses against the file, filling dst with the
 // wanted bytes concatenated in the order the accesses were given (reads past
 // end of file return zeros); dst must be as long as the accesses together.
-// The returned decisions describe each window.
+// The returned decisions describe each window; with Params.Plan set they are
+// valid until the next call on the same Plan.
 func ReadInto(p *sim.Proc, f *localfs.File, accs []Access, dst []byte, params Params, mode Mode, stats *Stats) []Decision {
 	if len(accs) == 0 {
 		return nil
 	}
-	var decisions []Decision
-	for _, w := range planWindows(accs, params.MaxBuffer) {
+	pl := params.plan()
+	decisions := pl.decisions[:0]
+	for _, w := range pl.planWindows(accs, params.MaxBuffer) {
 		d := params.decide(w, false)
 		applyMode(&d, mode)
+		//pvfslint:ok hotpath plan scratch growth: one decision per window, reaches the most windows one request has been cut into and stops
 		decisions = append(decisions, d)
 		record(stats, d)
 		sp := startWindowSpan(p, params, d)
@@ -219,6 +279,7 @@ func ReadInto(p *sim.Proc, f *localfs.File, accs []Access, dst []byte, params Pa
 		}
 		sp.End(p.Now())
 	}
+	pl.decisions = decisions
 	return decisions
 }
 
@@ -237,15 +298,17 @@ func Read(p *sim.Proc, f *localfs.File, accs []Access, params Params, mode Mode,
 
 // Write services the accesses with the given data (concatenated in access
 // order). Sieved windows perform a locked read-modify-write; individual
-// windows write each piece directly.
+// windows write each piece directly. The returned decisions are as ReadInto's.
 func Write(p *sim.Proc, f *localfs.File, accs []Access, data []byte, params Params, mode Mode, stats *Stats) []Decision {
 	if len(accs) == 0 {
 		return nil
 	}
-	var decisions []Decision
-	for _, w := range planWindows(accs, params.MaxBuffer) {
+	pl := params.plan()
+	decisions := pl.decisions[:0]
+	for _, w := range pl.planWindows(accs, params.MaxBuffer) {
 		d := params.decide(w, true)
 		applyMode(&d, mode)
+		//pvfslint:ok hotpath plan scratch growth: one decision per window, reaches the most windows one request has been cut into and stops
 		decisions = append(decisions, d)
 		record(stats, d)
 		sp := startWindowSpan(p, params, d)
@@ -267,6 +330,7 @@ func Write(p *sim.Proc, f *localfs.File, accs []Access, data []byte, params Para
 		}
 		sp.End(p.Now())
 	}
+	pl.decisions = decisions
 	return decisions
 }
 
@@ -277,6 +341,7 @@ func startWindowSpan(p *sim.Proc, params Params, d Decision) trace.Span {
 	sp := params.Tracer.Start(p.Now(), trace.Ctx(p.TraceCtx()), params.Node, "sieve.window", trace.StageSieve)
 	sp.SetBytes(d.Wanted)
 	if sp.Recording() {
+		//pvfslint:ok hotpath annotation formatting behind the Recording guard; a disabled tracer never reaches it
 		sp.Annotate("sieve=%t n=%d span=%d t_ds=%v t_indiv=%v", d.UseSieve, d.N, d.Span, d.Tds, d.Tindiv)
 	}
 	return sp

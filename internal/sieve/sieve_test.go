@@ -49,7 +49,7 @@ func strided(base, n, l, stride int64) []Access {
 func TestModelPrefersSievingForDenseSmallAccesses(t *testing.T) {
 	_, _, params := newFile(t)
 	// 128 accesses of 512 bytes with stride 2 kB: span 256 kB, wanted 64 kB.
-	w := planWindows(strided(0, 128, 512, 2048), params.MaxBuffer)[0]
+	w := new(Plan).planWindows(strided(0, 128, 512, 2048), params.MaxBuffer)[0]
 	d := params.decide(w, false)
 	if !d.UseSieve {
 		t.Errorf("model should sieve dense small reads: Tds=%v Tindiv=%v", d.Tds, d.Tindiv)
@@ -64,7 +64,7 @@ func TestModelRejectsSievingForSparseAccesses(t *testing.T) {
 	_, _, params := newFile(t)
 	params.MaxBuffer = 1 << 40 // unbounded: one window
 	// 4 accesses of 64 kB spread over 512 MB: huge span, tiny wanted.
-	w := planWindows(strided(0, 4, 64<<10, 128<<20), params.MaxBuffer)[0]
+	w := new(Plan).planWindows(strided(0, 4, 64<<10, 128<<20), params.MaxBuffer)[0]
 	d := params.decide(w, false)
 	if d.UseSieve {
 		t.Errorf("model should not sieve sparse reads: Tds=%v Tindiv=%v", d.Tds, d.Tindiv)
@@ -75,7 +75,7 @@ func TestModelRejectsSievingForFewLargeAccesses(t *testing.T) {
 	_, _, params := newFile(t)
 	// 2 accesses of 2 MB each, adjacent-ish: individual access is already
 	// near peak bandwidth; sieve write would double the work.
-	w := planWindows(strided(0, 2, 2<<20, 4<<20), 1<<40)[0]
+	w := new(Plan).planWindows(strided(0, 2, 2<<20, 4<<20), 1<<40)[0]
 	d := params.decide(w, true)
 	if d.UseSieve {
 		t.Errorf("write sieving of large accesses should lose: Tds=%v Tindiv=%v", d.Tds, d.Tindiv)
@@ -94,7 +94,7 @@ func TestDecisionCostFormulas(t *testing.T) {
 		Ounlock: time.Duration(5) * time.Second,
 	}
 	accs := []Access{{Off: 0, Len: 100}, {Off: 200, Len: 100}}
-	w := planWindows(accs, 0)[0]
+	w := new(Plan).planWindows(accs, 0)[0]
 	d := params.decide(w, false)
 	// T_read = 2*(7+13) + 2*(100/100) = 42s
 	if want := 42 * time.Second; d.Tindiv != want {
@@ -256,7 +256,7 @@ func TestAutoModeFollowsModel(t *testing.T) {
 
 func TestWindowSplitRespectsMaxBuffer(t *testing.T) {
 	accs := strided(0, 100, 1024, 128<<10) // span ~12.8 MB
-	wins := planWindows(accs, 4<<20)
+	wins := new(Plan).planWindows(accs, 4<<20)
 	if len(wins) < 3 {
 		t.Fatalf("got %d windows, want >=3", len(wins))
 	}

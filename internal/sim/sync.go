@@ -245,6 +245,8 @@ type Cond struct {
 }
 
 // NewCond creates a condition variable.
+//
+//pvfslint:ok hotpath set-up: conditions are made with the object they guard (a file's lock table, a buffer pool), not per operation
 func (e *Engine) NewCond() *Cond { return &Cond{eng: e} }
 
 // Wait parks the calling process until signaled. As with sync.Cond, callers

@@ -62,7 +62,11 @@ func SubarrayWrite(n int64, px, py, ix, iy int, elem int64) Pattern {
 func BlockColumn(n int64, nprocs, rank int, elem int64) Pattern {
 	colw := n / int64(nprocs) * elem
 	rowBytes := n * elem
-	file := mpiio.Vector(n, colw, rowBytes).Shift(int64(rank) * colw)
+	// The vector is this call's own, so it is displaced where it stands.
+	file := mpiio.Vector(n, colw, rowBytes)
+	for i := range file {
+		file[i].Off += int64(rank) * colw
+	}
 	return Pattern{
 		Mem:  mpiio.Contig(n * colw),
 		File: file,
@@ -182,15 +186,21 @@ func (s BTIOSpec) Dump(rank, d int) Pattern {
 	bk := s.Grid / int64(side)
 	klo := pk * bk
 	base := int64(d) * s.DumpBytes()
-	var file mpiio.Flat
+	// Runs come out in ascending file order, so normalising them is merging
+	// each into its predecessor when the two touch (one process owns every
+	// line, and the dump is one run).
+	file := make(mpiio.Flat, 0, bk*((s.Grid-pj+int64(side)-1)/int64(side)))
 	runLen := s.Grid * CellBytes
 	for k := klo; k < klo+bk; k++ {
 		for j := pj; j < s.Grid; j += int64(side) {
 			off := base + ((k*s.Grid)+j)*s.Grid*CellBytes
+			if n := len(file) - 1; n >= 0 && file[n].End() == off {
+				file[n].Len += runLen
+				continue
+			}
 			file = append(file, pvfs.OffLen{Off: off, Len: runLen})
 		}
 	}
-	file = file.Normalize()
 	return Pattern{
 		Mem:  mpiio.Contig(file.Total()),
 		File: file,

@@ -69,6 +69,23 @@ func TestBlockColumnTilesFile(t *testing.T) {
 	}
 }
 
+// TestPatternsBuildTheirListOnce: the block-column view is displaced where
+// the vector constructor built it, and a BTIO dump sizes its run list before
+// filling it — one file list per pattern, plus the one-entry memory list.
+func TestPatternsBuildTheirListOnce(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { BlockColumn(64, 4, 1, 4) }); n > 2 {
+		t.Errorf("BlockColumn: %.0f allocations, want 2", n)
+	}
+	s := PaperBTIOSpec()
+	if n := testing.AllocsPerRun(10, func() { s.Dump(1, 3) }); n > 2 {
+		t.Errorf("BTIOSpec.Dump: %.0f allocations, want 2", n)
+	}
+	// One process owns every line of the cube, so its dump is one run.
+	if p := (BTIOSpec{Grid: 8, NProcs: 1, Dumps: 1}).Dump(0, 0); len(p.File) != 1 || p.File[0].Len != 8*8*8*CellBytes {
+		t.Errorf("single-process dump: %v", p.File)
+	}
+}
+
 func TestPaperTileSpec(t *testing.T) {
 	s := PaperTileSpec()
 	if s.FileBytes() != 2*2*1024*768*3 {
