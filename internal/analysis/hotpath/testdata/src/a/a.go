@@ -197,6 +197,17 @@ func pullLocals(c *coro) {
 	stop()
 }
 
+type record struct{ n int }
+
+// pooled reaches an allocation only through a generic free list's miss: the
+// call on the instantiation resolves to the generic body, so the stub's
+// unaudited new(T) reports from here.
+//
+//pvfslint:hotpath
+func pooled(l *sim.FreeList[record]) int {
+	return l.Take().n // want `allocation "new" in \(sim\.FreeList\)\.Take at sim\.go:\d+ \(via \(sim\.FreeList\)\.Take\)`
+}
+
 // badClasses has a malformed class list.
 //
 //pvfslint:hotpath alloc,zap

@@ -46,3 +46,18 @@ func (m *Mailbox) Recv(p *Proc) any {
 	p.Park()
 	return nil
 }
+
+// FreeList is the engine's generic free list: every pool's one allocation
+// is the miss in Take, reached through the instantiated method.
+type FreeList[T any] struct {
+	free []*T
+}
+
+func (l *FreeList[T]) Take() *T {
+	if n := len(l.free) - 1; n >= 0 {
+		x := l.free[n]
+		l.free = l.free[:n]
+		return x
+	}
+	return new(T)
+}

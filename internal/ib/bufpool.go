@@ -29,17 +29,18 @@ func (b *Buffer) SGE(n int64) (SGE, error) {
 // per-operation transfers through the pool pay no registration cost — the
 // defining property of the Pack/Unpack ("pack, no reg") scheme.
 type BufPool struct {
-	hca  *HCA
-	size int64
-	free []*Buffer
-	cond *sim.Cond
+	hca   *HCA
+	size  int64
+	count int
+	free  []*Buffer
+	cond  *sim.Cond
 }
 
 // NewBufPool allocates and statically registers count buffers of size bytes
 // each in the HCA's host memory. Pools are built once at system setup, so
 // registration is free in virtual time.
 func NewBufPool(h *HCA, count int, size int64) (*BufPool, error) {
-	pool := &BufPool{hca: h, size: size, cond: h.engine().NewCond()}
+	pool := &BufPool{hca: h, size: size, count: count, cond: h.engine().NewCond()}
 	for i := 0; i < count; i++ {
 		addr := h.space.Malloc(size)
 		mr, err := h.RegisterStatic(mem.Extent{Addr: addr, Len: size})
@@ -53,6 +54,11 @@ func NewBufPool(h *HCA, count int, size int64) (*BufPool, error) {
 
 // BufSize returns the size of each buffer.
 func (pool *BufPool) BufSize() int64 { return pool.size }
+
+// Census reports the pool's buffers that are not home.
+func (pool *BufPool) Census(add func(pool string, out int64)) {
+	add("ib.staging", int64(pool.count-len(pool.free)))
+}
 
 // Get returns a free buffer, blocking until one is available.
 func (pool *BufPool) Get(p *sim.Proc) *Buffer {

@@ -10,6 +10,10 @@ import (
 	"pvfsib/internal/simnet"
 )
 
+// A recycled wire record and the staging bytes it carried are overwritten,
+// so that a use after release shows as a differing byte.
+func init() { sim.PoisonReleased = true }
+
 // pair builds two HCA-equipped nodes on one fabric.
 func pair(t *testing.T) (*sim.Engine, *HCA, *HCA) {
 	t.Helper()

@@ -41,7 +41,7 @@ type HCA struct {
 	nextQPNum  uint32
 	nextReadID uint64
 	reads      map[uint64]*sim.Mailbox
-	readMBFree []*sim.Mailbox // drained reply mailboxes, reused across reads
+	readMBs    sim.FreeList[sim.Mailbox] // drained reply mailboxes, reused across reads
 
 	faults FaultInjector
 	tracer *trace.Tracer
@@ -55,7 +55,7 @@ type HCA struct {
 	backlog []*simnet.Message
 	wakeup  *sim.Cond
 
-	// wp is this HCA's shard's pool bundle (wire structs + scratch
+	// wp is this HCA's shard's pool bundle (wire records + scratch
 	// buffers), shared by every HCA whose node runs on the same shard.
 	wp *wirePool
 
@@ -142,123 +142,80 @@ func (q *QP) HCA() *HCA { return q.hca }
 // Wire message formats. Sizes on the wire are payload plus a small header.
 const wireHeader = 32
 
-type wireSend struct {
+// wire is every message one adapter sends another, told apart by kind: a
+// channel-semantics send, an RDMA write with its gathered bytes, an RDMA read
+// request and its response. One type rather than one per kind is what keeps
+// the shards' lists level: a request's record leaves the initiator's shard
+// and its reply's record comes back to it.
+type wire struct {
+	kind wireKind
+	// dstQP, size and payload are a send's: the remote queue pair, the
+	// sender-declared size and what the receiver's Recv returns.
 	dstQP   uint32
 	size    int
 	payload any
-
-	next *wireSend
-}
-
-type wireRDMAWrite struct {
-	raddr mem.Addr
-	rkey  Key
-	data  []byte
-
-	next *wireRDMAWrite
-}
-
-type wireRDMAReadReq struct {
-	id        uint64
-	initiator simnet.NodeID
+	// raddr and rkey are the remote region of a write or a read request;
+	// id pairs a read request (of size bytes, from initiator) with its
+	// response.
 	raddr     mem.Addr
 	rkey      Key
-	size      int64
-
-	next *wireRDMAReadReq
-}
-
-type wireRDMAReadResp struct {
-	id   uint64
+	id        uint64
+	initiator simnet.NodeID
+	// data is a write's gathered bytes or a read response's snapshot, a
+	// scratch buffer the record owns until it is recycled.
 	data []byte
-
-	next *wireRDMAReadResp
 }
 
-// wirePool is one shard's bundle of wire-struct free lists plus the scratch
-// pool for RDMA gather and read-response staging copies. It lives in the
-// fabric's per-shard aux slot, shared by every HCA on the shard: a wire
-// struct or buffer is allocated on the sender's shard and released on the
-// consumer's, and each list is only ever touched from its own shard's
-// worker thread, so no locking is needed. At one shard there is a single
-// bundle and every flow — including one-directional RDMA streams —
-// recirculates structs allocation-free, like the pre-shard owner pools. At
-// higher shard counts a strictly one-way flow migrates structs to the
-// consuming shard and the sender's allocations are the (accounted) price
-// of parallelism.
+// wireKind says which message a wire record is.
+type wireKind uint8
+
+const (
+	// wireFree marks a record in a free list; nothing on the wire carries it.
+	wireFree wireKind = iota
+	wireSend
+	wireWrite
+	wireReadReq
+	wireReadResp
+)
+
+// wirePool is one shard's free list of wire records plus the scratch pool
+// for RDMA gather and read-response staging copies. It lives in the
+// fabric's per-shard aux slot, shared by every HCA on the shard: a record or
+// buffer is taken on the sender's shard and released on the consumer's, and
+// each list is only ever touched from its own shard's worker thread, so no
+// locking is needed.
 type wirePool struct {
-	scratch       mem.ScratchPool
-	freeSends     *wireSend
-	freeWrites    *wireRDMAWrite
-	freeReadReqs  *wireRDMAReadReq
-	freeReadResps *wireRDMAReadResp
+	scratch mem.ScratchPool
+	wires   sim.FreeList[wire]
 }
 
-// allocWireSend returns a recycled wire struct from h's shard pool, or a
-// fresh one.
-func (h *HCA) allocWireSend() *wireSend {
-	if w := h.wp.freeSends; w != nil {
-		h.wp.freeSends = w.next
-		w.next = nil
-		return w
+// takeWire returns a wire record of the given kind from h's shard's list;
+// the sender sets every field the kind uses.
+func (h *HCA) takeWire(kind wireKind) *wire {
+	w := h.wp.wires.Take()
+	w.kind = kind
+	return w
+}
+
+// putWire recycles a consumed wire record, and the staging buffer it
+// carries, into h's shard's pools. h must be the HCA on whose shard the
+// caller is executing.
+func (h *HCA) putWire(w *wire) {
+	if w.kind == wireFree {
+		sim.Failf("ib: %s: wire record recycled twice", h.node.Name)
 	}
-	//pvfslint:ok hotpath wire free-list miss: one allocation per high-water mark of in-flight sends, recycled thereafter
-	return &wireSend{}
-}
-
-// putWireSend releases a consumed wire struct into h's shard pool. h must
-// be the HCA on whose shard the caller is executing.
-func (h *HCA) putWireSend(w *wireSend) {
-	w.payload = nil
-	w.next = h.wp.freeSends
-	h.wp.freeSends = w
-}
-
-func (h *HCA) allocWireWrite() *wireRDMAWrite {
-	if w := h.wp.freeWrites; w != nil {
-		h.wp.freeWrites = w.next
-		w.next = nil
-		return w
+	if w.data != nil {
+		if sim.PoisonReleased {
+			for i := range w.data {
+				w.data[i] = 0xDB
+			}
+		}
+		h.scratch().Put(w.data)
 	}
-	//pvfslint:ok hotpath wire free-list miss: one allocation per high-water mark of in-flight writes, recycled thereafter
-	return &wireRDMAWrite{}
-}
-
-func (h *HCA) putWireWrite(w *wireRDMAWrite) {
-	w.data = nil
-	w.next = h.wp.freeWrites
-	h.wp.freeWrites = w
-}
-
-func (h *HCA) allocWireReadReq() *wireRDMAReadReq {
-	if w := h.wp.freeReadReqs; w != nil {
-		h.wp.freeReadReqs = w.next
-		w.next = nil
-		return w
-	}
-	//pvfslint:ok hotpath wire free-list miss: one allocation per high-water mark of outstanding reads, recycled thereafter
-	return &wireRDMAReadReq{}
-}
-
-func (h *HCA) putWireReadReq(w *wireRDMAReadReq) {
-	w.next = h.wp.freeReadReqs
-	h.wp.freeReadReqs = w
-}
-
-func (h *HCA) allocWireReadResp() *wireRDMAReadResp {
-	if w := h.wp.freeReadResps; w != nil {
-		h.wp.freeReadResps = w.next
-		w.next = nil
-		return w
-	}
-	//pvfslint:ok hotpath wire free-list miss: one allocation per high-water mark of outstanding read replies, recycled thereafter
-	return &wireRDMAReadResp{}
-}
-
-func (h *HCA) putWireReadResp(w *wireRDMAReadResp) {
-	w.data = nil
-	w.next = h.wp.freeReadResps
-	h.wp.freeReadResps = w
+	// The fields a kind does not use are never read, so only what the
+	// record references is cleared.
+	w.kind, w.payload, w.data = wireFree, nil, nil
+	h.wp.wires.Put(w)
 }
 
 // receive is the adapter's inbound path, run inside the node's receive
@@ -331,21 +288,20 @@ func PoolHostCost(net *simnet.Network, shards int) sim.HostCost {
 	return hc
 }
 
-// discard frees the pooled staging and wire struct of a message a down
-// adapter throws away.
-func (h *HCA) discard(m *simnet.Message) {
-	switch w := m.Payload.(type) {
-	case *wireSend:
-		h.putWireSend(w)
-	case *wireRDMAWrite:
-		h.scratch().Put(w.data)
-		h.putWireWrite(w)
-	case *wireRDMAReadReq:
-		h.putWireReadReq(w)
-	case *wireRDMAReadResp:
-		h.scratch().Put(w.data)
-		h.putWireReadResp(w)
+// Census reports, shard by shard, the wire records and staging buffers a
+// fabric's adapters took from their pools and did not recycle.
+func Census(net *simnet.Network, shards int, add func(pool string, out int64)) {
+	for i := 0; i < shards; i++ {
+		if wp, ok := (*net.ShardAux(i)).(*wirePool); ok {
+			add("ib.wires", wp.wires.Out())
+			add("ib.scratch", wp.scratch.Out())
+		}
 	}
+}
+
+// Census reports the adapter's reply mailboxes taken and not recycled.
+func (h *HCA) Census(add func(pool string, out int64)) {
+	add("ib.read-mailboxes", h.readMBs.Out())
 }
 
 // deliver disposes of one inbound wire message without waiting, at the
@@ -360,23 +316,23 @@ func (h *HCA) discard(m *simnet.Message) {
 // are discarded instead of failing the simulation. A down adapter discards
 // everything: in-flight requests to a crashed daemon die silently.
 func (h *HCA) deliver(m *simnet.Message) (read bool) {
+	w := m.Payload.(*wire)
 	if h.down {
-		h.discard(m)
+		h.putWire(w)
 		return false
 	}
-	switch w := m.Payload.(type) {
-	case *wireSend:
+	switch w.kind {
+	case wireSend:
 		q, ok := h.qps[w.dstQP]
 		if !ok {
 			sim.Failf("ib: %s: send to unknown QP %d", h.node.Name, w.dstQP)
 		}
 		q.inbox.Send(w)
-	case *wireRDMAWrite:
+	case wireWrite:
 		mr := h.lookup(w.rkey)
 		if !mr.Valid() || !mr.Covers(mem.Extent{Addr: w.raddr, Len: int64(len(w.data))}) {
 			if h.faults != nil {
-				h.scratch().Put(w.data)
-				h.putWireWrite(w)
+				h.putWire(w)
 				return false // stale write from a failed epoch; NAK and drop
 			}
 			sim.Failf("ib: %s: RDMA write outside registered region (rkey %d)", h.node.Name, w.rkey)
@@ -388,24 +344,22 @@ func (h *HCA) deliver(m *simnet.Message) (read bool) {
 			//pvfslint:ok hotpath OnRDMAWriteApplied completion hook behind a nil guard; set only by the server flow-control layer
 			h.OnRDMAWriteApplied(w.raddr, int64(len(w.data)))
 		}
-		h.scratch().Put(w.data)
-		h.putWireWrite(w)
-	case *wireRDMAReadReq:
+		h.putWire(w)
+	case wireReadReq:
 		mr := h.lookup(w.rkey)
-		if !mr.Valid() || !mr.Covers(mem.Extent{Addr: w.raddr, Len: w.size}) {
+		if !mr.Valid() || !mr.Covers(mem.Extent{Addr: w.raddr, Len: int64(w.size)}) {
 			if h.faults != nil {
-				h.putWireReadReq(w)
+				h.putWire(w)
 				return false // stale read from a failed epoch; initiator times out
 			}
 			sim.Failf("ib: %s: RDMA read outside registered region (rkey %d)", h.node.Name, w.rkey)
 		}
 		return true
-	case *wireRDMAReadResp:
+	case wireReadResp:
 		mb, ok := h.reads[w.id]
 		if !ok {
 			if h.faults != nil {
-				h.scratch().Put(w.data)
-				h.putWireReadResp(w)
+				h.putWire(w)
 				return false // response for a read that already timed out
 			}
 			sim.Failf("ib: %s: RDMA read response for unknown id %d", h.node.Name, w.id)
@@ -414,12 +368,12 @@ func (h *HCA) deliver(m *simnet.Message) (read bool) {
 		// The receive event runs on the initiator's own shard, so the gauge
 		// decrement stays node-local.
 		h.mx.outReads.Add(h.node.Group().Now(), -1)
-		// The wire struct itself travels the last hop: a pointer crosses
+		// The wire record itself travels the last hop: a pointer crosses
 		// the mailbox without boxing, where the bare []byte would allocate
 		// an interface header per read. The initiator unwraps and recycles.
 		mb.Send(w)
 	default:
-		sim.Failf("ib: %s: unknown wire message %T", h.node.Name, m.Payload)
+		sim.Failf("ib: %s: wire record of kind %d", h.node.Name, w.kind)
 	}
 	return false
 }
@@ -427,19 +381,18 @@ func (h *HCA) deliver(m *simnet.Message) (read bool) {
 // serveRead answers a read request deliver found valid: it snapshots the
 // region, waits out the turnaround and transmits the response.
 func (h *HCA) serveRead(p *sim.Proc, m *simnet.Message) {
-	w := m.Payload.(*wireRDMAReadReq)
-	data := h.scratch().Get(int(w.size))
+	w := m.Payload.(*wire)
+	data := h.scratch().Get(w.size)
 	if err := h.space.ReadInto(w.raddr, data); err != nil {
 		sim.Failf("ib: %s: RDMA read fault: %v", h.node.Name, err)
 	}
 	p.Sleep(h.params.ReadTurnaround)
-	resp := h.allocWireReadResp()
+	resp := h.takeWire(wireReadResp)
 	resp.id, resp.data = w.id, data
 	initiator := w.initiator
-	h.putWireReadReq(w)
+	h.putWire(w)
 	if err := h.node.Send(p, initiator, len(data)+wireHeader, resp); err != nil {
-		h.scratch().Put(data) // partitioned mid-read; the initiator times out
-		h.putWireReadResp(resp)
+		h.putWire(resp) // partitioned mid-read; the initiator times out
 	}
 }
 
@@ -461,11 +414,11 @@ func (q *QP) Send(p *sim.Proc, size int, payload any) error {
 	h.Counters.SendMsgs++
 	h.Counters.BytesOut += int64(size)
 	h.mx.sendQ.Add(p.Now(), 1)
-	w := h.allocWireSend()
+	w := h.takeWire(wireSend)
 	w.dstQP, w.size, w.payload = q.remoteNum, size, payload
 	err := h.node.Send(p, q.remote, size+wireHeader, w)
 	if err != nil {
-		h.putWireSend(w) // dropped on the wire; never reached the peer
+		h.putWire(w) // dropped on the wire; never reached the peer
 		h.mx.sendQ.Add(p.Now(), -1)
 		err = q.wireFault("send", err)
 		sp.EndErr(p.Now(), err)
@@ -480,9 +433,9 @@ func (q *QP) Send(p *sim.Proc, size int, payload any) error {
 // Recv blocks until a message arrives on this endpoint and returns its
 // payload and the sender-declared size.
 func (q *QP) Recv(p *sim.Proc) (int, any) {
-	w := q.inbox.Recv(p).(*wireSend)
+	w := q.inbox.Recv(p).(*wire)
 	size, payload := w.size, w.payload
-	q.hca.putWireSend(w)
+	q.hca.putWire(w)
 	return size, payload
 }
 
@@ -494,30 +447,11 @@ func (q *QP) RecvTimeout(p *sim.Proc, d sim.Duration) (int, any, bool) {
 	if !ok {
 		return 0, nil, false
 	}
-	w := v.(*wireSend)
+	w := v.(*wire)
 	size, payload := w.size, w.payload
-	q.hca.putWireSend(w)
+	q.hca.putWire(w)
 	return size, payload, true
 }
-
-// getReadMB returns a drained reply mailbox from the free list, or a fresh
-// one. Each outstanding RDMA read holds one until its response (or timeout).
-func (h *HCA) getReadMB() *sim.Mailbox {
-	if n := len(h.readMBFree); n > 0 {
-		mb := h.readMBFree[n-1]
-		h.readMBFree[n-1] = nil
-		h.readMBFree = h.readMBFree[:n-1]
-		return mb
-	}
-	//pvfslint:ok hotpath mailbox free-list miss: names a fresh reply mailbox once per high-water mark of outstanding reads
-	return h.engine().NewMailbox(fmt.Sprintf("read[%s]", h.node.Name))
-}
-
-// putReadMB recycles a reply mailbox. The caller must guarantee it is empty
-// and unreferenced by h.reads, so no late sender can reach it.
-//
-//pvfslint:ok hotpath free-list push; the backing array reaches the outstanding-read high-water mark and stops growing
-func (h *HCA) putReadMB(mb *sim.Mailbox) { h.readMBFree = append(h.readMBFree, mb) }
 
 // sgeCost returns the initiator-side DMA setup time for a gather list.
 func (h *HCA) sgeCost(sges []SGE) sim.Duration {
@@ -599,12 +533,11 @@ func (q *QP) RDMAWrite(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error 
 		h.Counters.RDMAWrites++
 		h.Counters.BytesOut += size
 		h.mx.sendQ.Add(p.Now(), 1)
-		w := h.allocWireWrite()
+		w := h.takeWire(wireWrite)
 		w.raddr, w.rkey, w.data = raddr+mem.Addr(offset), rkey, data
 		err := h.node.Send(p, q.remote, int(size)+wireHeader, w)
 		if err != nil {
-			h.scratch().Put(data) // dropped on the wire; never reached the peer
-			h.putWireWrite(w)
+			h.putWire(w) // dropped on the wire; never reached the peer
 			h.mx.sendQ.Add(p.Now(), -1)
 			err = q.wireFault("rdma-write", err)
 			sp.EndErr(p.Now(), err)
@@ -651,25 +584,28 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 		}
 		h.nextReadID++
 		id := h.nextReadID
-		mb := h.getReadMB()
+		// Each outstanding read holds a reply mailbox until its response
+		// (or timeout) and recycles it drained and out of h.reads, so no
+		// late sender can reach it.
+		mb := h.readMBs.Take()
 		//pvfslint:ok hotpath outstanding-read table insert; deleted on completion, so the table stays at the in-flight high-water mark
 		h.reads[id] = mb
 		h.mx.outReads.Add(p.Now(), 1)
 		p.Sleep(h.sgeCost(wr))
 		h.Counters.RDMAReads++
-		req := h.allocWireReadReq()
+		req := h.takeWire(wireReadReq)
 		req.id, req.initiator = id, h.node.ID
-		req.raddr, req.rkey, req.size = raddr+mem.Addr(offset), rkey, size
+		req.raddr, req.rkey, req.size = raddr+mem.Addr(offset), rkey, int(size)
 		err := h.node.Send(p, q.remote, wireHeader, req)
 		if err != nil {
 			delete(h.reads, id)
 			h.mx.outReads.Add(p.Now(), -1)
-			h.putWireReadReq(req)
+			h.putWire(req)
 			err = q.wireFault("rdma-read", err)
 			sp.EndErr(p.Now(), err)
 			return err
 		}
-		var data []byte
+		var resp *wire
 		if h.faults != nil {
 			// Under faults the response may never come (responder crashed
 			// or the return path partitioned): bound the wait.
@@ -679,7 +615,7 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 				// on receipt and never lands in the recycled mailbox.
 				delete(h.reads, id)
 				h.mx.outReads.Add(p.Now(), -1)
-				h.putReadMB(mb)
+				h.readMBs.Put(mb)
 				q.state = QPError
 				h.Counters.WRErrors++
 				//pvfslint:ok hotpath WCError construction on the response-timeout path — fault path only
@@ -687,19 +623,15 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 				sp.EndErr(p.Now(), wcErr)
 				return wcErr
 			}
-			resp := v.(*wireRDMAReadResp)
-			data = resp.data
-			h.putWireReadResp(resp)
+			resp = v.(*wire)
 		} else {
-			resp := mb.Recv(p).(*wireRDMAReadResp)
-			data = resp.data
-			h.putWireReadResp(resp)
+			resp = mb.Recv(p).(*wire)
 		}
-		h.putReadMB(mb)
-		buf := data
+		h.readMBs.Put(mb)
+		data := resp.data
 		for _, s := range wr {
 			if err := h.space.Write(s.Addr, data[:s.Len]); err != nil {
-				h.scratch().Put(buf)
+				h.putWire(resp)
 				//pvfslint:ok hotpath error path: scatter-fault diagnostic after a DMA range check failed
 				err = fmt.Errorf("ib: %s: RDMA read scatter fault: %w", h.node.Name, err)
 				sp.EndErr(p.Now(), err)
@@ -707,7 +639,7 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 			}
 			data = data[s.Len:]
 		}
-		h.scratch().Put(buf)
+		h.putWire(resp)
 		offset += size
 	}
 	sp.End(p.Now())

@@ -135,36 +135,23 @@ func TestResponderServesQueuedReadInSamePass(t *testing.T) {
 	}
 }
 
-// poolCensus counts what one shard's adapter pools hold free, and how often
+// poolCensus counts what one shard's adapter pools have out, and how often
 // the scratch pool had to allocate.
 type poolCensus struct {
-	sends, writes, readReqs, readResps int
-	scratchMisses                      int64
+	wires, scratch, scratchMisses int64
 }
 
 func census(wp *wirePool) poolCensus {
-	c := poolCensus{scratchMisses: wp.scratch.Gets - wp.scratch.Hits}
-	for w := wp.freeSends; w != nil; w = w.next {
-		c.sends++
-	}
-	for w := wp.freeWrites; w != nil; w = w.next {
-		c.writes++
-	}
-	for w := wp.freeReadReqs; w != nil; w = w.next {
-		c.readReqs++
-	}
-	for w := wp.freeReadResps; w != nil; w = w.next {
-		c.readResps++
-	}
-	return c
+	return poolCensus{wires: wp.wires.Out(), scratch: wp.scratch.Out(), scratchMisses: wp.scratch.Gets - wp.scratch.Hits}
 }
 
 // TestDownAdapterDiscardsItsBacklog: the target goes down while a send, an
 // RDMA write and a read request wait behind a read being served. The
 // responder throws all three away when it gets to them — nothing reaches a
 // queue pair or host memory — and every pooled object comes back: a second,
-// identical round allocates no wire struct, no scratch buffer and no fabric
-// message the first had not already made.
+// identical round leaves no further wire record or scratch buffer out and
+// allocates no scratch buffer and no fabric message the first had not
+// already made.
 func TestDownAdapterDiscardsItsBacklog(t *testing.T) {
 	s := newStar(t, 3)
 	msgs := map[*simnet.Message]bool{} // every fabric message any adapter received
@@ -196,7 +183,7 @@ func TestDownAdapterDiscardsItsBacklog(t *testing.T) {
 		s.eng.Go("lost read", func(p *sim.Proc) {
 			// Posted without waiting for the response that never comes.
 			p.Sleep(10 * time.Microsecond)
-			req := s.peers[2].allocWireReadReq()
+			req := s.peers[2].takeWire(wireReadReq)
 			req.id, req.initiator = 1<<40, s.peers[2].node.ID
 			req.raddr, req.rkey, req.size = s.src, s.key, 4096
 			sim.Must(s.peers[2].node.Send(p, s.target.node.ID, wireHeader, req))

@@ -119,9 +119,7 @@ func (q *QP) Reset(p *sim.Proc) {
 		if !ok {
 			break
 		}
-		if w, ok := v.(*wireSend); ok {
-			q.hca.putWireSend(w)
-		}
+		q.hca.putWire(v.(*wire))
 	}
 	q.state = QPReady
 	q.hca.Counters.QPResets++

@@ -439,8 +439,10 @@ type ScratchPool struct {
 	classes [scratchClasses][][]byte
 
 	// Gets and Hits count requests and free-list hits, for tests and the
-	// allocation-trajectory numbers in BENCH_smoke.json.
+	// allocation-trajectory numbers in BENCH_smoke.json; puts counts the
+	// buffers handed back, kept or not.
 	Gets, Hits int64
+	puts       int64
 	// missBytes is the storage the misses allocated.
 	missBytes int64
 }
@@ -487,6 +489,10 @@ func (p *ScratchPool) Get(n int) []byte {
 	return make([]byte, n, 1<<(scratchMinBits+c))
 }
 
+// Out is how many buffers Get handed out and Put has not had back. Summed
+// over pools that trade buffers it is zero when every buffer came home.
+func (p *ScratchPool) Out() int64 { return p.Gets - p.puts }
+
 // HostCost returns the pool's requests as host cost: hits reused a buffer,
 // misses allocated (and the runtime zeroed) one.
 func (p *ScratchPool) HostCost() sim.HostCost {
@@ -499,7 +505,11 @@ func (p *ScratchPool) HostCost() sim.HostCost {
 // the class's retention bound are left to the GC.
 func (p *ScratchPool) Put(b []byte) {
 	c := cap(b)
-	if p == nil || c < 1<<scratchMinBits || c > 1<<scratchMaxBits || c&(c-1) != 0 {
+	if p == nil || c == 0 {
+		return
+	}
+	p.puts++
+	if c < 1<<scratchMinBits || c > 1<<scratchMaxBits || c&(c-1) != 0 {
 		return
 	}
 	cl := scratchClass(c)

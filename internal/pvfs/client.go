@@ -34,11 +34,8 @@ type Client struct {
 	// recallFns holds per-file lease recall callbacks (lease.go), run in
 	// registration order by the client's recall daemon.
 	recallFns map[int64][]*recallFn
-	// plans is the stack of operation plans not in use (split.go);
-	// plansMade counts every plan the client ever built, so the plans are
-	// all home when the two agree.
-	plans     []*opPlan
-	plansMade int
+	// plans holds the operation plans not in use (split.go).
+	plans sim.FreeList[opPlan]
 	// recs is the record pool of the client's engine shard (proto.go).
 	recs *recordPool
 

@@ -121,15 +121,9 @@ type Config struct {
 	// StreamOverhead is the per-message TCP/IP stack cost charged on each
 	// side when Wire is WireStream.
 	StreamOverhead sim.Duration
-	// Transfer is the default transmission scheme (verbs wire only).
-	Transfer Transfer
-	// Reg is the default registration policy for gather transfers.
-	Reg RegPolicy
 	// RegCacheBytes and RegCacheEntries size each client's pin-down cache.
 	RegCacheBytes   int64
 	RegCacheEntries int
-	// Sieve is the servers' default sieving mode.
-	Sieve sieve.Mode
 	// OGR configures group registration.
 	OGR ogr.Config
 
@@ -206,11 +200,8 @@ func DefaultConfig() Config {
 		StagingBuffers:  8,
 		Wire:            WireVerbs,
 		StreamOverhead:  30 * time.Microsecond,
-		Transfer:        Hybrid,
-		Reg:             RegCached,
 		RegCacheBytes:   256 << 20,
 		RegCacheEntries: 1024,
-		Sieve:           sieve.Auto,
 		OGR:             ogr.DefaultConfig(),
 		Recovery:        DefaultRecovery(),
 		Net:             simnet.DefaultParams(),

@@ -1,6 +1,10 @@
 package pvfs
 
-import "pvfsib/internal/stats"
+import (
+	"pvfsib/internal/ib"
+	"pvfsib/internal/sim"
+	"pvfsib/internal/stats"
+)
 
 // EntityAccts exposes every entity's own protocol counters to external
 // tests, in Cluster.Acct's fold order: manager, servers, clients.
@@ -15,19 +19,36 @@ func (c *Cluster) EntityAccts() []stats.Acct {
 	return out
 }
 
-// Under go test a recycled record and a released operation plan are
-// overwritten, so that any use after release — a server reading a request's
-// regions after its handler recycled it, a chunk outliving its plan — shows
-// as a failed operation or a differing byte instead of passing on stale but
-// plausible values.
-func init() { poisonReleased = true }
+// Under go test a recycled record, a released operation plan and a
+// recycled wire record with its staging bytes are overwritten, so that any
+// use after release — a server reading a request's regions after its handler
+// recycled it, a chunk outliving its plan, a scatter from a recycled read
+// response — shows as a failed operation or a differing byte instead of
+// passing on stale but plausible values.
+func init() { sim.PoisonReleased = true }
 
-// recordsOut is the number of records taken from the cluster's pools and
-// not recycled.
-func (c *Cluster) recordsOut() int64 {
-	var n int64
+// census sums, pool by pool, what the cluster's pools handed out and did not
+// get back: every shard's free lists of events, carriers, messages, wire
+// records and protocol records, every adapter's reply mailboxes, the staging
+// and scratch buffers, and every client's operation plans.
+func (c *Cluster) census() map[string]int64 {
+	out := map[string]int64{}
+	add := func(pool string, n int64) { out[pool] += n }
+	c.Eng.Census(add)
+	c.Net.Census(add)
+	ib.Census(c.Net, c.Eng.NumShards(), add)
 	for i := range c.recs {
-		n += c.recs[i].taken - c.recs[i].recycled
+		add("pvfs.records", c.recs[i].Out())
 	}
-	return n
+	c.Manager.hca.Census(add)
+	for _, s := range c.Servers {
+		s.hca.Census(add)
+		s.staging.Census(add)
+		add("pvfs.iod-scratch", s.scratch.Out())
+	}
+	for _, cl := range c.Clients {
+		cl.hca.Census(add)
+		add("pvfs.plans", cl.plans.Out())
+	}
+	return out
 }

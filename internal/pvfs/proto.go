@@ -73,8 +73,6 @@ type record struct {
 	// by the recReadResp of a gather read.
 	Addr mem.Addr
 	Key  ib.Key
-
-	next *record // free-list link
 }
 
 // recKind says which message of the data path a record is.
@@ -107,30 +105,13 @@ var recKindNames = [...]string{"free", "write", "write-ready", "write-done", "wr
 func (k recKind) String() string { return recKindNames[k] }
 
 // recordPool is one engine shard's free list of records. Only code running
-// on that shard touches it, so it needs no lock; taken and recycled count
-// what left and what came back, for the quiescence checks.
-type recordPool struct {
-	free            *record
-	taken, recycled int64
-}
-
-// poisonReleased makes a recycled record and a released operation plan
-// unusable instead of merely reusable, so that a use after release fails
-// loudly. The package's tests switch it on (export_test.go); nothing else
-// writes it.
-var poisonReleased bool
+// on that shard touches it, so it needs no lock.
+type recordPool struct{ sim.FreeList[record] }
 
 // take returns a record of the given kind and sequence number, every other
 // field zero and Accs empty, from the free list or fresh.
 func (rp *recordPool) take(kind recKind, seq int64) *record {
-	rp.taken++
-	r := rp.free
-	if r == nil {
-		//pvfslint:ok hotpath record free-list miss: one allocation per high-water mark of records in flight on the owning shard, recycled thereafter
-		r = &record{}
-	} else {
-		rp.free = r.next
-	}
+	r := rp.Take()
 	*r = record{Kind: kind, Seq: seq, Accs: r.Accs[:0]}
 	return r
 }
@@ -142,14 +123,12 @@ func (rp *recordPool) put(r *record) {
 	if r.Kind == recFree {
 		sim.Failf("pvfs: record recycled twice")
 	}
-	rp.recycled++
 	r.Kind, r.Data = recFree, nil
-	if poisonReleased {
+	if sim.PoisonReleased {
 		r.Seq = -1
 		poisonAccs(r.Accs)
 	}
-	r.next = rp.free
-	rp.free = r
+	rp.Put(r)
 }
 
 // reqSync asks the server to flush the file's dirty data to disk.

@@ -42,12 +42,13 @@ func pinned(c *Cluster) pinning {
 // the script is done nothing of it is left anywhere on the message path: no
 // event pending, no message staged at a port or inside an adapter, every
 // read responder parked idle and nothing else parked, and pinning back at
-// what set-up registered. Nor on the descriptor path: every operation plan
-// is back on its client's stack, and fault-free every record taken from a
-// shard's pool has been recycled into one (under faults a record dropped on
-// a cut link or discarded by a down adapter is the garbage collector's) —
-// on one engine shard and on four, where requests and replies carry records
-// from pool to pool.
+// what set-up registered. Nor in any pool (Cluster.census): fault-free
+// everything taken from a free list, a scratch pool or a staging pool has
+// been recycled into one, but for the carriers of the parked service
+// processes; under faults nothing is recycled twice (a message, wire record
+// or record dropped on a cut link or discarded by a down adapter is the
+// garbage collector's) — on one engine shard and on four, where requests and
+// replies carry objects from shard to shard.
 func TestQuiescenceAfterMixedScript(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		t.Run(fmt.Sprintf("faults=%t", faulty), func(t *testing.T) {
@@ -113,13 +114,20 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 	if want := len(c.Servers) + len(c.Clients); responders != want {
 		t.Errorf("%d read responders parked idle, want %d", responders, want)
 	}
-	for _, cl := range c.Clients {
-		if cl.plansMade == 0 || len(cl.plans) != cl.plansMade {
-			t.Errorf("cn%d: %d of %d operation plans home", cl.idx, len(cl.plans), cl.plansMade)
+	census := c.census()
+	pools := []string{"sim.events", "sim.carriers", "simnet.messages", "ib.wires", "ib.read-mailboxes",
+		"ib.scratch", "ib.staging", "pvfs.records", "pvfs.plans", "pvfs.iod-scratch"}
+	for _, pool := range pools {
+		out, want := census[pool], int64(0)
+		if pool == "sim.carriers" {
+			want = int64(len(de.Parked))
+		}
+		if out < 0 || !faulty && out != want {
+			t.Errorf("%s: %d taken and not recycled, want %d", pool, out, want)
 		}
 	}
-	if out := c.recordsOut(); out < 0 || !faulty && out != 0 {
-		t.Errorf("%d records taken and not recycled", out)
+	if len(census) != len(pools) {
+		t.Errorf("census %v, want the pools %v", census, pools)
 	}
 	c.Eng.Shutdown()
 }

@@ -65,25 +65,21 @@ type opPlan struct {
 // takePlan hands the calling operation a plan of its own, most recently
 // released first.
 func (c *Client) takePlan() *opPlan {
-	if n := len(c.plans); n > 0 {
-		pl := c.plans[n-1]
-		c.plans = c.plans[:n-1]
-		return pl
+	pl := c.plans.Take()
+	if pl.c == nil {
+		pl.c, pl.wg = c, c.cluster.Eng.NewWaitGroup()
 	}
-	c.plansMade++
-	// A miss: one plan per high-water mark of operations in flight on the
-	// client, recycled thereafter.
-	return &opPlan{c: c, wg: c.cluster.Eng.NewWaitGroup()}
+	return pl
 }
 
 // releasePlan takes back the plan of an operation that has returned; every
 // share of its fan-out has finished by then.
 func (c *Client) releasePlan(pl *opPlan) {
 	pl.err, pl.share = nil, nil
-	if poisonReleased {
+	if sim.PoisonReleased {
 		pl.poison()
 	}
-	c.plans = append(c.plans, pl)
+	c.plans.Put(pl)
 }
 
 // poison overwrites every list a released plan keeps, used or not, with

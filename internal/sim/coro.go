@@ -10,25 +10,21 @@ import (
 // carrier is a runtime coroutine that process bodies run on. The shard
 // resumes it with next and a blocking process suspends it with yield: direct
 // switches that never enter the scheduler's run queues. Once its body has
-// returned it waits on the shard's idle list, so a spawn rarely makes one.
+// returned it waits on the shard's free list, so a spawn rarely makes one.
 type carrier struct {
 	p     *Proc // the process being run; nil while idle
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	free  *carrier // shard.idle link
 }
 
 // shutdown is the panic value that unwinds the body of a stopped carrier.
 type shutdown struct{}
 
-// bind gives p an idle carrier, or a new one if none is idle.
+// bind gives p an idle carrier, or starts a new one if none is idle.
 func (s *shard) bind(p *Proc) {
-	c := s.idle
-	if c != nil {
-		s.idle = c.free
-	} else {
-		c = new(carrier)
+	c := s.carriers.Take()
+	if c.next == nil {
 		c.next, c.stop = iter.Pull(c.loop)
 	}
 	c.p, p.c = p, c
@@ -38,7 +34,7 @@ func (s *shard) bind(p *Proc) {
 func (c *carrier) loop(yield func(struct{}) bool) {
 	c.yield = yield
 	for s := c.p.g.sh; c.runBody(); {
-		c.free, s.idle = s.idle, c
+		s.carriers.Put(c)
 		if !yield(struct{}{}) {
 			return
 		}

@@ -188,9 +188,9 @@ func TestBodyPanicRetiresCarrier(t *testing.T) {
 	if want := `sim: process "boom" panicked: kaboom`; r != want {
 		t.Errorf("Run panicked with %v, want %q", r, want)
 	}
-	for c := e.shards[0].idle; c != nil; c = c.free {
+	for _, c := range e.shards[0].carriers.free {
 		if c == died {
-			t.Error("the carrier of a panicked body went back on the idle list")
+			t.Error("the carrier of a panicked body went back on the free list")
 		}
 	}
 }

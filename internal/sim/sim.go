@@ -90,7 +90,6 @@ type event struct {
 	afn  func(any)
 	arg  any
 	proc *Proc
-	next *event // free-list link
 }
 
 // before is the canonical event order; keys are unique, so pop order is a
@@ -174,7 +173,7 @@ func (g *Group) AfterCall(d Duration, fn func(any), arg any) { g.afterCallOn(g, 
 // caller must be executing on g's shard.
 func (g *Group) afterCallOn(exec *Group, d Duration, fn func(any), arg any) {
 	s := g.sh
-	ev := s.alloc()
+	ev := s.evs.Take()
 	ev.afn, ev.arg = fn, arg
 	g.eng.scheduleEv(ev, s.now.Add(d), g, exec)
 }
@@ -442,7 +441,7 @@ func (e *Engine) groupless(what string) *Group {
 // group. On a sharded engine use ScheduleOn or Proc.After.
 func (e *Engine) Schedule(t Time, fn func()) {
 	g := e.groupless("Schedule")
-	ev := g.sh.alloc()
+	ev := g.sh.evs.Take()
 	ev.fn = fn
 	e.scheduleEv(ev, t, g, g)
 }
@@ -454,7 +453,7 @@ func (e *Engine) ScheduleOn(g *Group, t Time, fn func()) {
 	if e.running {
 		Failf("sim: ScheduleOn while running; use Proc.After or Proc.AfterCallOn")
 	}
-	ev := g.sh.alloc()
+	ev := g.sh.evs.Take()
 	ev.fn = fn
 	e.scheduleEv(ev, t, g, g)
 }
@@ -554,7 +553,7 @@ func (e *Engine) goAt(origin, g *Group, t Time, name string, fn func(p *Proc)) *
 // on the caller's shard, so it may consult and mutate the caller's state.
 func (p *Proc) After(d Duration, fn func()) {
 	s := p.g.sh
-	ev := s.alloc()
+	ev := s.evs.Take()
 	ev.fn = fn
 	p.eng.scheduleEv(ev, s.now.Add(d), p.g, p.g)
 }
@@ -824,13 +823,22 @@ func (e *Engine) Shutdown() {
 			s.cur = p // the body unwinds as the running process
 			p.c.stop()
 		}
-		for c := s.idle; c != nil; c = c.free {
+		for _, c := range s.carriers.free {
 			c.stop()
 		}
-		s.cur, s.idle = nil, nil
+		s.cur, s.carriers = nil, FreeList[carrier]{}
 		s.events = nil
-		s.free = nil
 		s.inbox = nil
+	}
+}
+
+// Census reports, shard by shard, the events and carriers taken from the
+// engine's free lists and not recycled: at quiescence no event is out, and
+// one carrier is out per process still alive.
+func (e *Engine) Census(add func(pool string, out int64)) {
+	for _, s := range e.shards {
+		add("sim.events", s.evs.Out())
+		add("sim.carriers", s.carriers.Out())
 	}
 }
 
@@ -855,10 +863,10 @@ type shard struct {
 	idx      int
 	now      Time
 	events   eventHeap
-	free     *event   // recycled fn/afn events
-	cur      *Proc    // the process whose body is executing, if any
-	idle     *carrier // carriers whose last body returned, linked by free
-	procs    []*Proc  // spawned and not yet finished
+	evs      FreeList[event]   // recycled fn/afn events
+	cur      *Proc             // the process whose body is executing, if any
+	carriers FreeList[carrier] // carriers whose last body returned
+	procs    []*Proc           // spawned and not yet finished
 	nParked  int
 	panicked any
 
@@ -884,17 +892,6 @@ func newShard(e *Engine, idx int) *shard {
 		work: make(chan Time),
 		done: make(chan struct{}),
 	}
-}
-
-// alloc returns a recycled event or a fresh one.
-func (s *shard) alloc() *event {
-	if ev := s.free; ev != nil {
-		s.free = ev.next
-		ev.next = nil
-		return ev
-	}
-	//pvfslint:ok hotpath event free-list miss: one allocation per high-water mark of in-flight events on the shard, recycled thereafter
-	return &event{}
 }
 
 // unregister removes a finished process from the live list.
@@ -924,8 +921,7 @@ func (s *shard) exec(ev *event) {
 	}
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
 	ev.fn, ev.afn, ev.arg, ev.eg = nil, nil, nil, nil
-	ev.next = s.free
-	s.free = ev
+	s.evs.Put(ev)
 	if afn != nil {
 		//pvfslint:ok hotpath event callback dispatch: fn/afn are the scheduled callbacks themselves — dynamic by design, the event loop's whole job
 		afn(arg)

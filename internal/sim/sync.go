@@ -66,8 +66,8 @@ func (q *anyQueue) pop() any {
 
 // Mailbox is an unbounded FIFO message queue between simulation processes.
 // Send never blocks; Recv blocks (in virtual time) until a message arrives.
+// The zero value is an empty mailbox, so mailboxes can be pooled.
 type Mailbox struct {
-	eng     *Engine
 	name    string
 	queue   anyQueue
 	waiters procQueue // processes parked in Recv, FIFO
@@ -75,8 +75,7 @@ type Mailbox struct {
 
 // NewMailbox creates an empty mailbox. The name is used in diagnostics.
 func (e *Engine) NewMailbox(name string) *Mailbox {
-	//pvfslint:ok hotpath reached only through the getReadMB free-list miss; one mailbox per high-water mark of outstanding reads
-	return &Mailbox{eng: e, name: name}
+	return &Mailbox{name: name}
 }
 
 // Send enqueues v and wakes the oldest waiting receiver, if any. It may be
@@ -84,7 +83,8 @@ func (e *Engine) NewMailbox(name string) *Mailbox {
 func (m *Mailbox) Send(v any) {
 	m.queue.push(v)
 	if m.waiters.len() > 0 {
-		m.eng.wake(m.waiters.pop())
+		p := m.waiters.pop()
+		p.eng.wake(p)
 	}
 }
 
@@ -121,7 +121,7 @@ func (m *Mailbox) RecvTimeout(p *Proc, d Duration) (v any, ok bool) {
 			}
 			if m.waiters.remove(waiter) {
 				timedOut = true
-				m.eng.wake(waiter)
+				waiter.eng.wake(waiter)
 			}
 		})
 		m.waiters.push(p)

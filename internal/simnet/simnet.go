@@ -75,7 +75,7 @@ type Message struct {
 	Ctx uint64
 
 	dst  *Node    // delivery target, set while in flight
-	next *Message // link in the receiver's staging FIFO, then in a free list
+	next *Message // link in the receiver's staging FIFO
 }
 
 // Node is one port on the fabric.
@@ -147,11 +147,11 @@ var ErrDropped = errors.New("simnet: message dropped (link partitioned)")
 
 // shardPool is one shard's share of the fabric's pooled state. The aux slot
 // is opaque per-shard storage for higher layers (the ib adapter keeps its
-// wire-struct and scratch-buffer pools there) so every pool in the cell
+// wire-record and scratch-buffer pools there) so every pool in the cell
 // follows the same discipline: owned by one worker thread, lock-free.
 type shardPool struct {
-	freeMsgs *Message
-	aux      any
+	msgs sim.FreeList[Message]
+	aux  any
 }
 
 // Network is the crossbar plus all attached nodes.
@@ -173,31 +173,26 @@ type Network struct {
 // Callers must only touch the slot from code running on shard i.
 func (n *Network) ShardAux(i int) *any { return &n.pools[i].aux }
 
-// allocMsg returns a recycled message from the sending node's shard pool or
-// a fresh one. Send runs on the sender's shard, so the access is unlocked.
-func (node *Node) allocMsg() *Message {
-	pool := &node.net.pools[node.shardIdx]
-	if m := pool.freeMsgs; m != nil {
-		pool.freeMsgs = m.next
-		m.next = nil
-		return m
-	}
-	//pvfslint:ok hotpath per-shard message free-list miss: one allocation per high-water mark of in-flight messages on the owning shard, recycled thereafter
-	return &Message{}
-}
-
 // Recycle returns a delivered message to the receiving shard's free list.
 // The consumer calls it once the payload has been handed off; the message
 // must not be touched afterwards. The consumer runs on the receiver's
 // shard, so the pool access is unlocked; request/reply flows recirculate
 // the structs between the two shard pools.
 func (n *Network) Recycle(m *Message) {
+	if m.dst == nil {
+		sim.Failf("simnet: message recycled twice")
+	}
 	pool := &n.pools[m.dst.shardIdx]
-	m.Payload = nil
-	m.dst = nil
-	m.Ctx = 0
-	m.next = pool.freeMsgs
-	pool.freeMsgs = m
+	m.Payload, m.dst, m.Ctx, m.next = nil, nil, 0, nil
+	pool.msgs.Put(m)
+}
+
+// Census reports the messages taken from each shard's free list and not
+// recycled into it; their sum is the messages out of the fabric's pools.
+func (n *Network) Census(add func(pool string, out int64)) {
+	for i := range n.pools {
+		add("simnet.messages", n.pools[i].msgs.Out())
+	}
 }
 
 // SetFaults attaches (or, with nil, detaches) the fault policy. With no
@@ -337,7 +332,8 @@ func (node *Node) Send(p *sim.Proc, dst NodeID, size int, payload any) error {
 		}
 	}
 	n := node.net
-	m := node.allocMsg()
+	// Send runs on the sender's shard, so its free list is unlocked.
+	m := n.pools[node.shardIdx].msgs.Take()
 	m.From, m.To, m.Size, m.Payload = node.ID, dst, size, payload
 	m.ArriveAt = 0
 	m.Ctx = uint64(sp.Ctx())
