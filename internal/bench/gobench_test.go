@@ -6,7 +6,6 @@ import (
 	"pvfsib/internal/disk"
 	"pvfsib/internal/ib"
 	"pvfsib/internal/localfs"
-	"pvfsib/internal/mem"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sieve"
 	"pvfsib/internal/sim"
@@ -26,8 +25,8 @@ func BenchmarkFig3Cell(b *testing.B) {
 
 // benchSieve runs the daemon's sieve over the benchmark ledger's kSieve
 // geometry — 128 accesses of 2 kB with 50 % holes against a cached 8 MB
-// file — with a scratch pool and a plan scratch, as the daemon calls it:
-// 0 B/op, neither payload nor per-request plan.
+// file — with a plan scratch, as the daemon calls it: 0 B/op, neither
+// payload nor per-request plan.
 func benchSieve(b *testing.B, write bool) {
 	accs := make([]sieve.Access, 128)
 	for i := range accs {
@@ -37,7 +36,7 @@ func benchSieve(b *testing.B, write bool) {
 	eng := sim.NewEngine()
 	fs := localfs.New(eng, disk.New(eng, "disk", disk.DefaultParams()), localfs.DefaultParams())
 	params := sieve.ModelFromFS(fs, ib.DefaultParams().MemcpyBandwidth)
-	params.Pool, params.Plan = new(mem.ScratchPool), new(sieve.Plan)
+	params.Plan = new(sieve.Plan)
 	b.ReportAllocs()
 	eng.Go("bench", func(p *sim.Proc) {
 		f := fs.Open(p, "k")

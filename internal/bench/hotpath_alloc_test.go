@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"pvfsib/internal/disk"
 	"pvfsib/internal/ib"
+	"pvfsib/internal/localfs"
 	"pvfsib/internal/mem"
 	"pvfsib/internal/pcache"
 	"pvfsib/internal/pvfs"
@@ -352,10 +354,12 @@ func TestCacheHitAllocFree(t *testing.T) {
 }
 
 // TestListOpAllocFree covers the list-I/O roots — (pvfs.opPlan).split, the
-// chunk cursor, (sieve.Plan).planWindows and the daemon's two handlers — and
+// chunk cursor, (ogr.Scratch).RegisterBuffers, the pin-down cache's Get and
+// Put, (sieve.Plan).planWindows and the daemon's two handlers — and
 // everything between FileHandle.WriteList/ReadList and the reply: in steady
-// state an operation describes itself in its client's recycled plan, its
-// requests and replies ride recycled records, and the daemon plans its
+// state an operation describes itself in its client's recycled plan, plans
+// its group registration there and finds its buffers in the pin-down cache,
+// its requests and replies ride recycled records, and the daemon plans its
 // windows in its own scratch. What is left is one sim.Proc for every server
 // but the first that an operation spans, so the one-server cases allocate
 // nothing and the four-server cases exactly their children.
@@ -388,9 +392,15 @@ func TestListOpAllocFree(t *testing.T) {
 		{"one server/pack/cut/ads", 160, 256, 384, pvfs.OpOptions{Transfer: pvfs.ForcePack, Sieve: sieve.Auto}, false, 0},
 		{"one server/gather/ads", 16, 2 << 10, 3 << 10, pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: pvfs.RegExplicit, Sieve: sieve.Auto}, true, 0},
 		{"one server/gather", 16, 2 << 10, 3 << 10, pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: pvfs.RegExplicit, Sieve: sieve.Never}, true, 0},
+		// The same under the default registration policy: OGR through the
+		// pin-down cache.
+		{"one server/gather/cached/ads", 16, 2 << 10, 3 << 10, pvfs.OpOptions{Transfer: pvfs.ForceGather, Sieve: sieve.Auto}, false, 0},
+		{"one server/gather/cached", 16, 2 << 10, 3 << 10, pvfs.OpOptions{Transfer: pvfs.ForceGather, Sieve: sieve.Never}, false, 0},
 		// The Figure 8 list shape: 64 pieces of 3 kB over four servers.
 		{"four servers/pack", 64, 3 << 10, 16 << 10, pvfs.OpOptions{Transfer: pvfs.ForcePack, Sieve: sieve.Never}, false, 3},
 		{"four servers/gather/ads", 64, 3 << 10, 16 << 10, pvfs.OpOptions{Transfer: pvfs.ForceGather, Reg: pvfs.RegExplicit, Sieve: sieve.Auto}, true, 3},
+		{"four servers/gather/cached/ads", 64, 3 << 10, 16 << 10, pvfs.OpOptions{Transfer: pvfs.ForceGather, Sieve: sieve.Auto}, false, 3},
+		{"four servers/gather/cached", 64, 3 << 10, 16 << 10, pvfs.OpOptions{Transfer: pvfs.ForceGather, Sieve: sieve.Never}, false, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
@@ -446,5 +456,47 @@ func TestListOpAllocFree(t *testing.T) {
 				t.Fatal("a step ended before the operations completed")
 			}
 		})
+	}
+}
+
+// TestSyncAllocFree covers the (localfs.pageCache).flushFile root: an fsync
+// of a file with runs of dirty blocks collects them in the cache's own list,
+// sorts it in place and writes the runs.
+func TestSyncAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	fs := localfs.New(eng, disk.New(eng, "disk", disk.DefaultParams()), localfs.DefaultParams())
+	sleeper(eng)
+	ctl := eng.NewMailbox("syncctl")
+	done := eng.NewMailbox("syncdone")
+	var token any = 1
+	block := make([]byte, 4<<10)
+	eng.Go("syncer", func(p *sim.Proc) {
+		f := fs.Open(p, "dirty")
+		for {
+			v := ctl.Recv(p)
+			// Three runs, dirtied out of order.
+			for _, blk := range []int64{40, 7, 8, 9, 41, 100, 6} {
+				f.WriteAt(p, blk*int64(len(block)), block)
+			}
+			f.Sync(p)
+			done.Send(v)
+		}
+	})
+	var stepErr error
+	missed := false
+	measure(t, "sync", func() {
+		ctl.Send(token)
+		if err := eng.RunUntil(eng.Now().Add(stepHorizon)); err != nil {
+			stepErr = err
+		}
+		if _, ok := done.TryRecv(); !ok {
+			missed = true
+		}
+	})
+	if stepErr != nil {
+		t.Fatal(stepErr)
+	}
+	if missed {
+		t.Fatal("a step ended before the sync completed")
 	}
 }

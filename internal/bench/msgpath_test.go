@@ -33,11 +33,12 @@ import (
 //     whole row by one.
 //   - host mallocs, less what spawning the ranks costs. A list operation
 //     describes itself in recycled plans, cursors, records and sieve scratch,
-//     so the Multiple I/O rows allocate nothing per request, and what the
-//     other rows allocate is the registration bookkeeping of a gather
-//     operation, the children of an operation that spans servers and MPI-IO's
-//     own lists: a descriptor rebuilt per request moves a row by the number
-//     of its requests.
+//     and a gather operation plans its group registration in its plan and
+//     finds its buffers in the pin-down cache, so the Multiple I/O rows
+//     allocate nothing per request, and what the other rows allocate is the
+//     children of an operation that spans servers and MPI-IO's own lists: a
+//     descriptor rebuilt per request moves a row by the number of its
+//     requests.
 //
 // The three list-shaped methods take their transfer scheme from the
 // operation's options, so they run under each; data sieving and collective
@@ -90,24 +91,23 @@ func TestMultipleIOEventBudget(t *testing.T) {
 	}{
 		// 128 requests of 3 kB: 18 events and 3 switches each (gather: 27 and
 		// 5, a registration on either side of the transfer); 5 copies a byte
-		// packed, 4 gathered; no malloc (gather: 5 a request, the group
-		// registration's result and lists in ogr.RegisterBuffers).
+		// packed, 4 gathered; no malloc.
 		{"multiple", 1, all, list(1, sieve.Never),
-			[][4]int64{{18 * 128, 3 * 128, 5 * payload, 0}, {27 * 128, 5 * 128, 4 * payload, 5 * 128}, {18 * 128, 3 * 128, 5 * payload, 0}}},
+			[][4]int64{{18 * 128, 3 * 128, 5 * payload, 0}, {27 * 128, 5 * 128, 4 * payload, 0}, {18 * 128, 3 * 128, 5 * payload, 0}}},
 		// 8 requests of 48 kB, 16 pieces each: two operations over four
-		// servers, so six child processes (gather: and two registrations).
+		// servers, so six child processes.
 		{"listio", 1, all, list(pieces, sieve.Never),
-			[][4]int64{{407, 331, 5 * payload, 6}, {476, 365, 4 * payload, 16}, {476, 365, 4 * payload, 16}}},
-		// The same through the servers' sieve: fewer disk calls, and the
-		// window's bytes copied once more where a window is sieved.
+			[][4]int64{{407, 331, 5 * payload, 6}, {476, 365, 4 * payload, 6}, {476, 365, 4 * payload, 6}}},
+		// The same through the servers' sieve: fewer disk calls, and a
+		// sieved window copies only the bytes its request names.
 		{"listio+ads", 1, all, list(pieces, sieve.Auto),
-			[][4]int64{{287, 211, 5*payload + 61440, 6}, {356, 245, 4*payload + 61440, 16}, {356, 245, 4*payload + 61440, 16}}},
+			[][4]int64{{287, 211, 5 * payload, 6}, {356, 245, 4 * payload, 6}, {356, 245, 4 * payload, 6}}},
 		// Writes as Multiple I/O, reads the 1 MB extent whole and extracts.
 		{"datasieving", 1, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.DataSieving),
-			[][4]int64{{1331, 249, 4543488, 8}}},
+			[][4]int64{{1331, 249, 4543488, 3}}},
 		// Two ranks: pack, hand over, assemble, one contiguous request each.
 		{"collective", 2, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.Collective),
-			[][4]int64{{838, 418, 13910112, 86}}},
+			[][4]int64{{838, 418, 13910112, 56}}},
 	} {
 		for i, tr := range row.schemes {
 			t.Run(fmt.Sprintf("%s/%s", row.method, tr), func(t *testing.T) {

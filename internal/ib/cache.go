@@ -1,9 +1,9 @@
 package ib
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pvfsib/internal/mem"
 	"pvfsib/internal/sim"
@@ -14,29 +14,31 @@ import (
 // Lookups succeed when a cached region fully covers the requested extent.
 //
 // Entries carry a reference count; unreferenced entries stay cached until
-// capacity pressure evicts them (LRU), at which point they are actually
-// deregistered and the deregistration cost is charged to the process that
-// caused the eviction.
+// capacity pressure evicts them (least recently released first), at which
+// point they are actually deregistered and the deregistration cost is
+// charged to the process that caused the eviction.
 type RegCache struct {
 	hca        *HCA
 	maxBytes   int64
 	maxEntries int
 
 	entries map[Key]*cacheEntry
-	lru     *list.List // front = most recent; only refs==0 entries are evictable
 	// all holds every entry in registration order. Lookups scan it instead
 	// of the entries map so that which covering region a hit returns — and
 	// with it the hit/miss counters and eviction pattern — is identical on
 	// every run.
-	all   *list.List
+	all   []*cacheEntry
 	bytes int64
+	// releases counts Puts that left an entry unreferenced; each such entry
+	// keeps the count as its stamp, so the least recently released one —
+	// the LRU victim — is the unreferenced entry with the smallest stamp.
+	releases int64
 }
 
 type cacheEntry struct {
-	mr    *MR
-	refs  int
-	elem  *list.Element // non-nil while on the LRU (refs == 0)
-	aelem *list.Element // position on the registration-order list
+	mr       *MR
+	refs     int
+	released int64 // the cache's release count when refs last fell to 0
 }
 
 // NewRegCache creates a pin-down cache over the HCA's registrations.
@@ -48,21 +50,20 @@ func NewRegCache(h *HCA, maxBytes int64, maxEntries int) *RegCache {
 		maxBytes:   maxBytes,
 		maxEntries: maxEntries,
 		entries:    make(map[Key]*cacheEntry),
-		lru:        list.New(),
-		all:        list.New(),
 	}
 }
 
 // Get returns a registered region covering e, registering it if no cached
 // region covers it. The returned MR is referenced and must be released with
 // Put. A cache hit costs no virtual time.
+//
+//pvfslint:hotpath alloc
 func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
-	for el := c.all.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*cacheEntry)
+	for _, ent := range c.all {
 		if ent.mr.Covers(e) {
 			c.hca.Counters.RegCacheHits++
 			c.hca.mx.regHits.Add(p.Now(), 1)
-			c.ref(ent)
+			ent.refs++
 			return ent.mr, nil
 		}
 	}
@@ -83,8 +84,11 @@ func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
 	if err != nil {
 		return nil, err
 	}
+	//pvfslint:ok hotpath cache miss: one entry per region registered, which pays a registration anyway
 	ent := &cacheEntry{mr: mr, refs: 1}
-	ent.aelem = c.all.PushBack(ent)
+	//pvfslint:ok hotpath registration-order list: reaches the most regions cached at once and stops
+	c.all = append(c.all, ent)
+	//pvfslint:ok hotpath cache miss: eviction deletes its key, so the map stays at the most regions cached at once
 	c.entries[mr.Key] = ent
 	c.bytes += need
 	return mr, nil
@@ -93,21 +97,26 @@ func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
 // Put releases a reference obtained from Get. The region remains registered
 // and cached for future hits — unless the cache is over capacity (Get never
 // evicts referenced entries, so a burst of simultaneously-pinned buffers can
-// overshoot), in which case the least-recently-used unreferenced entries are
-// deregistered now, their cost charged to p. This is what produces
+// overshoot), in which case the least recently released unreferenced entries
+// are deregistered now, their cost charged to p. This is what produces
 // registration thrashing when the pinnable budget is smaller than an
 // operation's working set (Section 4.2).
+//
+//pvfslint:hotpath alloc
 func (c *RegCache) Put(p *sim.Proc, mr *MR) error {
 	ent, ok := c.entries[mr.Key]
 	if !ok {
+		//pvfslint:ok hotpath error path: a region the cache never handed out
 		return fmt.Errorf("ib: RegCache.Put of unknown MR (key %d): %w", mr.Key, ErrInvalidMR)
 	}
 	if ent.refs <= 0 {
+		//pvfslint:ok hotpath error path: a Put without its Get
 		return errors.New("ib: RegCache.Put without matching Get")
 	}
 	ent.refs--
 	if ent.refs == 0 {
-		ent.elem = c.lru.PushFront(ent)
+		c.releases++
+		ent.released = c.releases
 	}
 	for c.bytes > c.maxBytes || len(c.entries) > c.maxEntries {
 		evicted, err := c.evictOne(p)
@@ -121,28 +130,23 @@ func (c *RegCache) Put(p *sim.Proc, mr *MR) error {
 	return nil
 }
 
-func (c *RegCache) ref(ent *cacheEntry) {
-	if ent.refs == 0 && ent.elem != nil {
-		c.lru.Remove(ent.elem)
-		ent.elem = nil
-	}
-	ent.refs++
-}
-
-// evictOne deregisters the least-recently-used unreferenced entry.
+// evictOne deregisters the least-recently-released unreferenced entry.
 func (c *RegCache) evictOne(p *sim.Proc) (bool, error) {
-	back := c.lru.Back()
-	if back == nil {
+	victim := -1
+	for i, ent := range c.all {
+		if ent.refs == 0 && (victim < 0 || ent.released < c.all[victim].released) {
+			victim = i
+		}
+	}
+	if victim < 0 {
 		return false, nil
 	}
-	ent := back.Value.(*cacheEntry)
-	c.lru.Remove(back)
-	ent.elem = nil
-	c.all.Remove(ent.aelem)
-	ent.aelem = nil
+	ent := c.all[victim]
+	c.all = slices.Delete(c.all, victim, victim+1)
 	delete(c.entries, ent.mr.Key)
 	c.bytes -= ent.mr.Extent.Pages() * mem.PageSize
 	if err := c.hca.Deregister(p, ent.mr); err != nil {
+		//pvfslint:ok hotpath error path: the adapter refused to deregister
 		return false, fmt.Errorf("ib: RegCache eviction: %w", err)
 	}
 	return true, nil

@@ -15,11 +15,14 @@
 // blocks written, allocated on the first write into their range; Remove
 // keeps a removed file's extents for the files created next. ReadInto and
 // WriteAt copy between extents and the caller's slice and allocate nothing
-// else, and ReadAt is the one call that returns a fresh slice.
+// else, and ReadAt is the one call that returns a fresh slice. ReadPieces
+// and WritePieces charge a whole span but copy only the pieces of it that a
+// caller names, the host side of a data-sieving window.
 package localfs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"pvfsib/internal/disk"
@@ -190,10 +193,40 @@ func (f *File) blockRange(off, size int64) (first, last int64) {
 // on written blocks go to the disk with read-ahead; holes read as zeros
 // without media access. Bytes of dst past the count are left untouched.
 func (f *File) ReadInto(p *sim.Proc, off int64, dst []byte) int {
+	n := f.chargeRead(p, off, int64(len(dst)))
+	f.copyOut(off, dst[:n])
+	return int(n)
+}
+
+// Piece is one region of a span that ReadPieces or WritePieces copies: Len
+// bytes at file offset Off, held at Pos in the caller's buffer.
+type Piece struct {
+	Off, Len, Pos int64
+}
+
+// ReadPieces is ReadInto of the size bytes at off for the clock — the call,
+// cache misses with read-ahead, the copy-out bandwidth and the counters are
+// the span's — that copies only the pieces, each into buf[Pos:Pos+Len]. The
+// pieces lie inside the span; their bytes past end of file read as zeros.
+// With no pieces it is the charge of reading the span and nothing else.
+func (f *File) ReadPieces(p *sim.Proc, off, size int64, pieces []Piece, buf []byte) {
+	eof := off + f.chargeRead(p, off, size)
+	for _, pc := range pieces {
+		dst := buf[pc.Pos : pc.Pos+pc.Len]
+		n := min(max(eof-pc.Off, 0), pc.Len)
+		f.copyOut(pc.Off, dst[:n])
+		clear(dst[n:])
+	}
+}
+
+// chargeRead charges a read of up to size bytes at off and returns how many
+// the file holds there: the call, media reads for the written blocks the
+// cache lacks (with read-ahead), and the copy-out bandwidth.
+func (f *File) chargeRead(p *sim.Proc, off, size int64) int64 {
 	fs := f.fs
 	fs.Counters.ReadCalls++
 	p.Sleep(fs.params.CallOverhead)
-	size := min(int64(len(dst)), f.size-off)
+	size = min(size, f.size-off)
 	if size <= 0 {
 		return 0
 	}
@@ -228,8 +261,7 @@ func (f *File) ReadInto(p *sim.Proc, off int64, dst []byte) int {
 	// Copy out at cached-read bandwidth.
 	p.Sleep(sim.Duration(float64(size) / fs.params.CachedReadBW * 1e9))
 	fs.Counters.BytesRead += size
-	f.copyOut(off, dst[:size])
-	return int(size)
+	return size
 }
 
 // ReadAt is ReadInto into a fresh slice of the bytes available, nil at or
@@ -245,20 +277,50 @@ func (f *File) ReadAt(p *sim.Proc, off, size int64) []byte {
 // WriteAt writes data at offset off, extending the file as needed. Writes
 // land in the page cache (write-back); call Sync to force them to media.
 func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) {
+	size := int64(len(data))
+	if !f.chargeWrite(p, off, size) {
+		return
+	}
+	f.copyIn(off, data)
+	f.dirty(p, off, size)
+}
+
+// WritePieces is WriteAt of a size-byte span at off whose bytes outside the
+// pieces are the file's own — the write half of a read-modify-write. It
+// charges the span's call, copy-in bandwidth, edge-block reads, dirty blocks
+// and growth past end of file, and gives every block of the span its
+// storage, but copies in only the pieces, in the order given (of overlapping
+// pieces the later wins), each from buf[Pos:Pos+Len]. The span's other
+// bytes keep what the file holds: zeros in holes and past end of file.
+func (f *File) WritePieces(p *sim.Proc, off, size int64, pieces []Piece, buf []byte) {
+	if !f.chargeWrite(p, off, size) {
+		return
+	}
+	first, last := f.blockRange(off, size)
+	for blk := first; blk <= last; blk++ {
+		f.block(blk)
+	}
+	for _, pc := range pieces {
+		f.copyIn(pc.Off, buf[pc.Pos:pc.Pos+pc.Len])
+	}
+	f.dirty(p, off, size)
+}
+
+// chargeWrite charges a write of size bytes at off — the call, the copy-in
+// bandwidth, and the media reads of partly covered edge blocks that are
+// written but not cached (block-granular read-modify-write) — and reports
+// whether there is anything to write.
+func (f *File) chargeWrite(p *sim.Proc, off, size int64) bool {
 	fs := f.fs
 	fs.Counters.WriteCalls++
-	size := int64(len(data))
 	p.Sleep(fs.params.CallOverhead)
 	if size == 0 {
-		return
+		return false
 	}
 	p.Sleep(sim.Duration(float64(size) / fs.params.CachedWriteBW * 1e9))
 	fs.Counters.BytesWrote += size
 	bs := fs.params.BlockSize
 	first, last := f.blockRange(off, size)
-
-	// Partially-covered edge blocks that exist on media but are not
-	// cached must be read first (block-granular read-modify-write).
 	for _, blk := range [2]int64{first, last} {
 		bStart, bEnd := blk*bs, (blk+1)*bs
 		fullyCovered := off <= bStart && off+size >= bEnd
@@ -267,10 +329,15 @@ func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) {
 			fs.cache.insert(p, f, blk, false)
 		}
 	}
+	return true
+}
 
-	f.copyIn(off, data)
+// dirty marks the written span's blocks dirty in the cache and extends the
+// file to cover it.
+func (f *File) dirty(p *sim.Proc, off, size int64) {
+	first, last := f.blockRange(off, size)
 	for blk := first; blk <= last; blk++ {
-		fs.cache.insert(p, f, blk, true)
+		f.fs.cache.insert(p, f, blk, true)
 	}
 	if off+size > f.size {
 		f.size = off + size
@@ -304,7 +371,7 @@ func (fs *FS) sortedFiles() []*File {
 	for _, f := range fs.files {
 		out = append(out, f)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].id < out[j].id })
+	slices.SortFunc(out, func(a, b *File) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
@@ -416,6 +483,7 @@ type pageCache struct {
 	head, tail int32 // most and least recently used; noEntry when empty
 	free       int32 // head of the free-slot chain
 	bytes      int64
+	flushList  []int64 // flushFile's dirty-block list between flushes
 }
 
 type cacheKey struct {
@@ -532,37 +600,36 @@ func (c *pageCache) evictOne(p *sim.Proc) {
 }
 
 // flushFile writes the file's dirty blocks in offset order, coalescing
-// adjacent blocks into single media writes.
+// adjacent blocks into single media writes. It collects them in the cache's
+// flush list, which it takes for the call and hands back afterwards: the
+// disk sleeps between writes, and another flush may start meanwhile.
+//
+//pvfslint:hotpath alloc
 func (c *pageCache) flushFile(p *sim.Proc, f *File) {
-	var dirty []int64
+	dirty := c.flushList[:0]
+	c.flushList = nil
 	for i := c.head; i != noEntry; i = c.ents[i].next {
 		if e := c.ents[i]; e.key.file == f && e.dirty {
+			//pvfslint:ok hotpath flush-list growth: reaches the most dirty blocks one file has held at once and stops
 			dirty = append(dirty, e.key.blk)
 		}
 	}
-	if len(dirty) == 0 {
-		return
-	}
-	sortInt64s(dirty)
+	slices.Sort(dirty)
 	bs := c.fs.params.BlockSize
-	runStart := dirty[0]
-	prev := dirty[0]
-	flush := func(start, end int64) { // blocks [start, end]
-		c.fs.dsk.Write(p, f.mediaOffset(start*bs), (end-start+1)*bs)
-	}
-	for _, blk := range dirty[1:] {
-		if blk != prev+1 {
-			flush(runStart, prev)
-			runStart = blk
+	for i := 0; i < len(dirty); {
+		j := i + 1
+		for j < len(dirty) && dirty[j] == dirty[j-1]+1 {
+			j++
 		}
-		prev = blk
+		c.fs.dsk.Write(p, f.mediaOffset(dirty[i]*bs), int64(j-i)*bs)
+		i = j
 	}
-	flush(runStart, prev)
 	for _, blk := range dirty {
 		if i, ok := c.index[cacheKey{f, blk}]; ok {
 			c.ents[i].dirty = false
 		}
 	}
+	c.flushList = dirty[:0]
 }
 
 // purgeFile drops every cached block of f without writing dirty data back.
@@ -581,10 +648,6 @@ func (c *pageCache) clear() {
 	c.ents = c.ents[:0]
 	c.head, c.tail, c.free = noEntry, noEntry, noEntry
 	c.bytes = 0
-}
-
-func sortInt64s(s []int64) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // lockTable is a simple byte-range lock manager.

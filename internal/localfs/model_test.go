@@ -5,14 +5,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"pvfsib/internal/disk"
 	"pvfsib/internal/sim"
 )
 
 // blockFile is a file's storage as it was before extents: one BlockSize
 // slice per written block in a map, presence meaning "ever written". Its
 // four methods are the former File's, verbatim; writeAt and readInto add
-// the size bookkeeping of WriteAt and ReadInto. It is the oracle the extent
-// storage is held to, op by op.
+// the size bookkeeping of WriteAt and ReadInto, and span gives ReadPieces and
+// WritePieces their meaning as the sieve had it before pieces. It is the
+// oracle the extent storage is held to, op by op.
 type blockFile struct {
 	bs   int64
 	size int64
@@ -81,6 +83,19 @@ func (f *blockFile) readInto(off int64, dst []byte) int {
 	return int(size)
 }
 
+// span returns the size bytes at off as a read-modify-write window sees them
+// — read, zero-filled past end of file — with the pieces copied in from buf
+// in the order given: what WritePieces writes, and with no pieces what
+// ReadPieces reads its pieces out of.
+func (f *blockFile) span(off, size int64, pieces []Piece, buf []byte) []byte {
+	out := make([]byte, size)
+	f.readInto(off, out)
+	for _, pc := range pieces {
+		copy(out[pc.Off-off:pc.Off+pc.Len-off], buf[pc.Pos:])
+	}
+	return out
+}
+
 // handle is one *File with its oracle. A handle kept across Remove stays
 // usable and is held to an empty oracle from then on: its bytes vanished.
 type handle struct {
@@ -89,7 +104,10 @@ type handle struct {
 	name string
 }
 
-// fsPair drives an FS and the oracles with the same calls.
+// fsPair drives an FS and the oracles with the same calls. With spans set
+// it services ReadPieces and WritePieces the way the sieve did before
+// pieces — ReadInto and WriteAt of the whole span through a buffer — so that
+// a script run both ways can be held to charging the same.
 type fsPair struct {
 	t       testing.TB
 	p       *sim.Proc
@@ -97,6 +115,7 @@ type fsPair struct {
 	open    map[string]*handle
 	handles []*handle // every handle ever opened, removed ones too
 	stamp   byte
+	spans   bool
 }
 
 func (x *fsPair) openFile(name string) *handle {
@@ -130,11 +149,7 @@ func (x *fsPair) remove(name string) {
 }
 
 func (x *fsPair) write(h *handle, off, n int64) {
-	x.stamp += 29
-	data := make([]byte, n)
-	for i := range data {
-		data[i] = x.stamp + byte(i*5) | 1 // never zero
-	}
+	data := x.fill(n)
 	h.f.WriteAt(x.p, off, data)
 	h.m.writeAt(off, data)
 }
@@ -152,6 +167,68 @@ func (x *fsPair) read(h *handle, off, n int64) {
 		}
 		x.t.Fatalf("%s: ReadInto(%d, %d): byte %d is %#x, oracle %#x", h.name, off, n, i, got[i], want[i])
 	}
+}
+
+// fill returns n never-zero bytes of the next stamp.
+func (x *fsPair) fill(n int64) []byte {
+	x.stamp += 29
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = x.stamp + byte(i*5) | 1
+	}
+	return data
+}
+
+// writePieces writes the pieces of the size-byte span at off.
+func (x *fsPair) writePieces(h *handle, off, size int64, pieces []Piece) {
+	buf := x.fill(piecesLen(pieces))
+	want := h.m.span(off, size, pieces, buf)
+	if x.spans {
+		h.f.WriteAt(x.p, off, want)
+	} else {
+		h.f.WritePieces(x.p, off, size, pieces, buf)
+	}
+	h.m.writeAt(off, want)
+}
+
+// readPieces reads the pieces of the size-byte span at off into a buffer of
+// 0xEE bytes, which must all be overwritten.
+func (x *fsPair) readPieces(h *handle, off, size int64, pieces []Piece) {
+	x.t.Helper()
+	n := piecesLen(pieces)
+	got, want := bytes.Repeat([]byte{0xEE}, int(n)), bytes.Repeat([]byte{0xEE}, int(n))
+	if x.spans {
+		span := make([]byte, size)
+		clear(span[h.f.ReadInto(x.p, off, span):])
+		for _, pc := range pieces {
+			copy(got[pc.Pos:pc.Pos+pc.Len], span[pc.Off-off:])
+		}
+	} else {
+		h.f.ReadPieces(x.p, off, size, pieces, got)
+	}
+	span := h.m.span(off, size, nil, nil)
+	for _, pc := range pieces {
+		copy(want[pc.Pos:pc.Pos+pc.Len], span[pc.Off-off:])
+	}
+	if i := firstDiff(got, want); i >= 0 {
+		x.t.Fatalf("%s: ReadPieces(%d, %d, %v): byte %d is %#x, oracle %#x", h.name, off, size, pieces, i, got[i], want[i])
+	}
+}
+
+func piecesLen(pieces []Piece) (n int64) {
+	for _, pc := range pieces {
+		n += pc.Len
+	}
+	return n
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 // sweep compares size, the written state of every block (it decides which
@@ -203,16 +280,47 @@ func (sc *script) span() (off, n int64) {
 	return off, n
 }
 
-// runFileScript interprets data against a fresh file system.
-func runFileScript(t testing.TB, data []byte) {
+// pieces draws up to four pieces inside the span, laid back to back in the
+// buffer in the order drawn; a piece may repeat an earlier one or overlap it.
+func (sc *script) pieces(off, n int64) []Piece {
+	var out []Piece
+	var pos int64
+	for k := sc.byte() % 5; k > 0; k-- {
+		pc := Piece{Off: off + sc.word()%n}
+		pc.Len = 1 + sc.word()%(off+n-pc.Off)
+		if len(out) > 0 && sc.byte()%4 == 0 {
+			pc = out[sc.byte()%int64(len(out))]
+		}
+		pc.Pos = pos
+		pos += pc.Len
+		out = append(out, pc)
+	}
+	return out
+}
+
+// scriptRun is what a script leaves behind that both ways of servicing
+// pieces must agree on: the virtual clock and every call, disk and storage
+// count but the bytes copied and cleared.
+type scriptRun struct {
+	now             sim.Time
+	counters        Counters
+	disk            disk.Counters
+	fresh, recycled int64
+	cacheBytes      int64
+}
+
+// runFileScript interprets data against a fresh file system, servicing
+// pieces as spans when spans is set.
+func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 	t.Helper()
 	eng, fs := newFS(t)
+	var out scriptRun
 	runSim(t, eng, func(p *sim.Proc) {
-		x := &fsPair{t: t, p: p, fs: fs, open: map[string]*handle{}}
+		x := &fsPair{t: t, p: p, fs: fs, open: map[string]*handle{}, spans: spans}
 		sc := &script{b: data}
 		names := []string{"a", "b", "c"}
 		for ops := 0; len(sc.b) > 0 && ops < 400; ops++ {
-			op := sc.byte() % 16
+			op := sc.byte() % 20
 			if op < 2 || len(x.handles) == 0 {
 				x.openFile(names[sc.byte()%3])
 				continue
@@ -229,12 +337,30 @@ func runFileScript(t testing.TB, data []byte) {
 				h.f.Sync(p)
 			case op == 14:
 				fs.DropCaches(p)
-			default:
+			case op == 15:
 				x.remove(names[sc.byte()%3])
+			case op < 18:
+				off, n := sc.span()
+				x.writePieces(h, off, n, sc.pieces(off, n))
+			default:
+				off, n := sc.span()
+				x.readPieces(h, off, n, sc.pieces(off, n))
 			}
 		}
 		x.sweep()
+		hc := fs.HostCost()
+		out = scriptRun{p.Now(), fs.Counters, fs.dsk.Counters, hc.Fresh, hc.Recycled, fs.CacheBytesUsed()}
 	})
+	return out
+}
+
+// checkFileScript runs a script servicing pieces both ways, each against
+// the oracle, and holds the two runs to the same charges.
+func checkFileScript(t testing.TB, data []byte) {
+	t.Helper()
+	if pieces, spans := runFileScript(t, data, false), runFileScript(t, data, true); pieces != spans {
+		t.Fatalf("pieces charge differently from their spans:\n%+v\n%+v", pieces, spans)
+	}
 }
 
 func TestFileExtentsModelRandom(t *testing.T) {
@@ -242,7 +368,7 @@ func TestFileExtentsModelRandom(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		data := make([]byte, 100+rng.Intn(2500))
 		rng.Read(data)
-		runFileScript(t, data)
+		checkFileScript(t, data)
 	}
 }
 
@@ -253,7 +379,7 @@ func FuzzFileExtents(f *testing.F) {
 		rng.Read(data)
 		f.Add(data)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { runFileScript(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) { checkFileScript(t, data) })
 }
 
 // TestRecycledExtentReadsZero: a file that gets a removed file's extents

@@ -274,6 +274,7 @@ func (s *AddrSpace) Holes(e Extent) []Extent {
 			next, resume = s.maps[i].base, s.maps[i].end()
 		}
 		if at < next {
+			//pvfslint:ok hotpath hole query: group registration asks only after an optimistic registration failed
 			holes = append(holes, Extent{Addr: at, Len: int64(next - at)})
 		}
 		at = resume

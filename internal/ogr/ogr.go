@@ -114,19 +114,34 @@ type group struct {
 	bufs []mem.Extent
 }
 
+// Scratch is the reusable bookkeeping of group registration: the buffers
+// sorted by address, the groups cut from them (their buffer lists are runs
+// of the sorted list) and the Result with its regions. The zero value is
+// ready. One registration at a time may use a Scratch, and the Result it
+// returns is valid until the next RegisterBuffers on it.
+type Scratch struct {
+	sorted []mem.Extent
+	groups []group
+	res    Result
+}
+
 // planGroups sorts the buffers and greedily merges neighbours when the cost
 // model favours swallowing the hole between them.
-func planGroups(bufs []mem.Extent, cfg Config) []group {
-	sorted := make([]mem.Extent, len(bufs))
-	copy(sorted, bufs)
-	slices.SortFunc(sorted, func(a, b mem.Extent) int { return cmp.Compare(a.Addr, b.Addr) })
+func (s *Scratch) planGroups(bufs []mem.Extent, cfg Config) []group {
+	//pvfslint:ok hotpath plan scratch growth: reaches the longest buffer list an operation has registered and stops
+	sorted := append(s.sorted[:0], bufs...)
+	slices.SortFunc(sorted, compareAddr)
+	s.sorted = sorted
 
 	if cfg.WholeSpan {
-		span := mem.Extent{
-			Addr: sorted[0].Addr,
-			Len:  int64(sorted[len(sorted)-1].End() - sorted[0].Addr),
+		// The buffer that starts last need not end last.
+		span := sorted[0]
+		for _, b := range sorted[1:] {
+			span.Len = max(span.Len, int64(b.End()-span.Addr))
 		}
-		return []group{{span: span, bufs: sorted}}
+		//pvfslint:ok hotpath plan scratch growth: reaches the most groups an operation has been cut into and stops
+		s.groups = append(s.groups[:0], group{span: span, bufs: sorted})
+		return s.groups
 	}
 
 	// Cost of one extra operation vs. cost per extra page registered.
@@ -140,54 +155,70 @@ func planGroups(bufs []mem.Extent, cfg Config) []group {
 		maxHolePages = -1
 	}
 
-	var groups []group
-	cur := group{span: sorted[0], bufs: sorted[:1]}
-	for _, b := range sorted[1:] {
+	groups := s.groups[:0]
+	start, span := 0, sorted[0]
+	for i := 1; i < len(sorted); i++ {
+		b := sorted[i]
 		holePages := int64(0)
-		if b.Addr > cur.span.End() {
-			hole := mem.Extent{Addr: cur.span.End(), Len: int64(b.Addr - cur.span.End())}
+		if b.Addr > span.End() {
+			hole := mem.Extent{Addr: span.End(), Len: int64(b.Addr - span.End())}
 			holePages = hole.Pages()
 		}
 		if holePages <= maxHolePages {
 			// Merge: extend the span to cover b.
-			if b.End() > cur.span.End() {
-				cur.span.Len = int64(b.End() - cur.span.Addr)
+			if b.End() > span.End() {
+				span.Len = int64(b.End() - span.Addr)
 			}
-			cur.bufs = append(cur.bufs, b)
 			continue
 		}
-		groups = append(groups, cur)
-		cur = group{span: b, bufs: []mem.Extent{b}}
+		//pvfslint:ok hotpath plan scratch growth: reaches the most groups an operation has been cut into and stops
+		groups = append(groups, group{span: span, bufs: sorted[start:i]})
+		start, span = i, b
 	}
-	groups = append(groups, cur)
-	return groups
+	//pvfslint:ok hotpath plan scratch growth: reaches the most groups an operation has been cut into and stops
+	s.groups = append(groups, group{span: span, bufs: sorted[start:]})
+	return s.groups
 }
 
+func compareAddr(a, b mem.Extent) int { return cmp.Compare(a.Addr, b.Addr) }
+
 // RegisterBuffers pins all the buffers using Optimistic Group Registration
-// and returns the regions holding them. Call Release when the transfer
-// completes. space must be the address space the HCA is bound to.
+// and returns the regions holding them, in a fresh Scratch. Call Release
+// when the transfer completes. space must be the address space the HCA is
+// bound to.
 func RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpace, bufs []mem.Extent, cfg Config) (*Result, error) {
+	return new(Scratch).RegisterBuffers(p, reg, space, bufs, cfg)
+}
+
+// RegisterBuffers is the package's RegisterBuffers planned in s: the Result
+// is s's, valid until s registers again.
+//
+//pvfslint:hotpath alloc
+func (s *Scratch) RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpace, bufs []mem.Extent, cfg Config) (*Result, error) {
+	res := &s.res
+	*res = Result{MRs: res.MRs[:0]}
 	if len(bufs) == 0 {
-		return &Result{}, nil
+		return res, nil
 	}
 	for _, b := range bufs {
 		if b.Len <= 0 {
+			//pvfslint:ok hotpath error path: an empty buffer is a caller bug
 			return nil, fmt.Errorf("ogr: empty buffer %v", b)
 		}
 	}
-	res := &Result{}
 	t0 := p.Now()
-	defer func() { res.RegTime = p.Now().Sub(t0) }()
-
-	for _, g := range planGroups(bufs, cfg) {
+	for _, g := range s.planGroups(bufs, cfg) {
 		// Step 2: optimistic registration of the whole candidate span.
+		//pvfslint:ok hotpath registrar dispatch: Direct or Cached, as the operation's registration policy picks
 		mr, err := reg.Register(p, g.span)
 		if err == nil {
+			//pvfslint:ok hotpath result scratch growth: reaches the most regions an operation has registered and stops
 			res.MRs = append(res.MRs, mr)
 			res.Registrations++
 			continue
 		}
 		if !errors.Is(err, ib.ErrNotAllocated) {
+			//pvfslint:ok hotpath error path: the registration failed outright
 			return nil, errors.Join(err, releaseAll(p, reg, res))
 		}
 		res.FailedAttempts++
@@ -195,24 +226,27 @@ func RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpace, bufs []me
 		// Step 3: fall back.
 		if len(g.bufs) <= cfg.SmallGroupLimit {
 			if err := registerEach(p, reg, g.bufs, res); err != nil {
+				//pvfslint:ok hotpath error path: the registration failed outright
 				return nil, errors.Join(err, releaseAll(p, reg, res))
 			}
 			continue
 		}
 		res.Queried = true
 		holes := space.QueryHoles(p, g.span, cfg.QueryMethod)
-		runs := subtractHoles(g.span, holes)
-		for _, run := range runs {
+		for _, run := range subtractHoles(g.span, holes) {
 			if !coversAnyBuffer(run, g.bufs) {
 				continue
 			}
+			//pvfslint:ok hotpath registrar dispatch: Direct or Cached, as the operation's registration policy picks
 			mr, err := reg.Register(p, run)
 			if err != nil {
 				if errors.Is(err, ib.ErrNotAllocated) {
 					err = ErrBufferUnallocated
 				}
+				//pvfslint:ok hotpath error path: the registration failed outright
 				return nil, errors.Join(err, releaseAll(p, reg, res))
 			}
+			//pvfslint:ok hotpath result scratch growth: reaches the most regions an operation has registered and stops
 			res.MRs = append(res.MRs, mr)
 			res.Registrations++
 		}
@@ -220,15 +254,18 @@ func RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpace, bufs []me
 		// application error.
 		for _, b := range g.bufs {
 			if !covered(b, res.MRs) {
+				//pvfslint:ok hotpath error path: a buffer the application never allocated
 				return nil, errors.Join(ErrBufferUnallocated, releaseAll(p, reg, res))
 			}
 		}
 	}
+	res.RegTime = p.Now().Sub(t0)
 	return res, nil
 }
 
 func registerEach(p *sim.Proc, reg Registrar, bufs []mem.Extent, res *Result) error {
 	for _, b := range bufs {
+		//pvfslint:ok hotpath registrar dispatch: Direct or Cached, as the operation's registration policy picks
 		mr, err := reg.Register(p, b)
 		if err != nil {
 			if errors.Is(err, ib.ErrNotAllocated) {
@@ -236,6 +273,7 @@ func registerEach(p *sim.Proc, reg Registrar, bufs []mem.Extent, res *Result) er
 			}
 			return err
 		}
+		//pvfslint:ok hotpath result scratch growth: reaches the most regions an operation has registered and stops
 		res.MRs = append(res.MRs, mr)
 		res.Registrations++
 	}
@@ -248,15 +286,23 @@ func Release(p *sim.Proc, reg Registrar, res *Result) error {
 }
 
 // releaseAll releases every region, keeps going past failures, and returns
-// the failures joined (nil when all releases succeed).
+// the failures joined (nil when all releases succeed). The result keeps its
+// region list's backing for the next registration in its Scratch; under
+// sim.PoisonReleased the released regions are overwritten with nil.
 func releaseAll(p *sim.Proc, reg Registrar, res *Result) error {
 	var errs []error
 	for _, mr := range res.MRs {
+		//pvfslint:ok hotpath registrar dispatch: Direct or Cached, as the operation's registration policy picks
 		if err := reg.Release(p, mr); err != nil {
+			//pvfslint:ok hotpath error path: a release failed
 			errs = append(errs, err)
 		}
 	}
-	res.MRs = nil
+	if sim.PoisonReleased {
+		clear(res.MRs[:cap(res.MRs)])
+	}
+	res.MRs = res.MRs[:0]
+	//pvfslint:ok hotpath error path: Join returns nil without allocating when nothing failed
 	return errors.Join(errs...)
 }
 
@@ -267,6 +313,7 @@ func subtractHoles(span mem.Extent, holes []mem.Extent) []mem.Extent {
 	cursor := span.Addr
 	for _, h := range holes {
 		if h.Addr > cursor {
+			//pvfslint:ok hotpath hole query: runs only after an optimistic registration failed
 			runs = append(runs, mem.Extent{Addr: cursor, Len: int64(h.Addr - cursor)})
 		}
 		if h.End() > cursor {
@@ -274,6 +321,7 @@ func subtractHoles(span mem.Extent, holes []mem.Extent) []mem.Extent {
 		}
 	}
 	if span.End() > cursor {
+		//pvfslint:ok hotpath hole query: runs only after an optimistic registration failed
 		runs = append(runs, mem.Extent{Addr: cursor, Len: int64(span.End() - cursor)})
 	}
 	return runs

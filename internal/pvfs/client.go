@@ -488,7 +488,7 @@ func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen,
 				pl.exts = append(pl.exts, s.Extent())
 			}
 			var err error
-			regRes, err = ogr.RegisterBuffers(p, reg, c.space, pl.exts, ogrCfg)
+			regRes, err = pl.reg.RegisterBuffers(p, reg, c.space, pl.exts, ogrCfg)
 			if err != nil {
 				if c.cluster.recovery() == nil || !recoverable(err) {
 					return fmt.Errorf("pvfs: list buffer registration: %w", err)

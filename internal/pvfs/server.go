@@ -31,8 +31,7 @@ type Server struct {
 	// SieveStats accumulates the daemon's data sieving decisions.
 	SieveStats sieve.Stats
 	// scratch holds the daemon's request payloads between the staging pages
-	// and the file, and the sieve's windows. Only this server's group
-	// touches it.
+	// and the file. Only this server's group touches it.
 	scratch mem.ScratchPool
 
 	// ioMu serializes the file-access phase of request processing: the
@@ -63,8 +62,7 @@ type Server struct {
 
 	// recs is the record pool of the daemon's engine shard (proto.go).
 	recs *recordPool
-	// sievePlan is the sieve's per-request scratch; like the scratch pool it
-	// is only used under ioMu.
+	// sievePlan is the sieve's per-request scratch, only used under ioMu.
 	sievePlan sieve.Plan
 }
 
@@ -102,7 +100,6 @@ func newServer(c *Cluster, idx int) *Server {
 	sim.Must(err)
 	s.staging = staging
 	s.sieveParams = sieve.ModelFromFS(s.fs, c.Cfg.IB.MemcpyBandwidth)
-	s.sieveParams.Pool = &s.scratch
 	s.sieveParams.Plan = &s.sievePlan
 	s.recs = c.recordPool(node)
 	return s

@@ -5,6 +5,7 @@ import (
 
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
+	"pvfsib/internal/ogr"
 	"pvfsib/internal/sim"
 )
 
@@ -43,8 +44,10 @@ type opPlan struct {
 	// parts holds the operation's parts in first-touch order; the elements
 	// between len and cap are earlier operations', kept for their backing.
 	parts []serverPart
-	// exts is the gather registration's view of the memory segments.
+	// exts is the gather registration's view of the memory segments, and
+	// reg the scratch it plans its groups and keeps its result in.
 	exts []mem.Extent
+	reg  ogr.Scratch
 
 	// The rest is the state of a fan-out (Client.fanOut): the servers the
 	// shares go to, the function that runs one share, what the shares need

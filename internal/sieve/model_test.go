@@ -10,7 +10,6 @@ import (
 
 	"pvfsib/internal/disk"
 	"pvfsib/internal/localfs"
-	"pvfsib/internal/mem"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/simnet"
 )
@@ -20,7 +19,7 @@ import (
 // applies its pieces in (Off, Len, request position) order — the order the
 // daemon services them, so of duplicates the later one wins — extending the
 // file with zeros as needed. checkModel holds Read, ReadInto and Write to it
-// with a pool whose every buffer arrives filled with 0xA5 and a Plan every
+// with a read destination that arrives filled with 0xA5 and a Plan every
 // earlier case has used, and to the same calls, decisions and bytes without
 // either. refPlanWindows is the window planner as it was before it built in a
 // Plan: every case's windows must equal its, element for element.
@@ -32,23 +31,9 @@ const (
 	dirty        = 0xA5
 )
 
-// dirtyPool returns a pool holding 0xA5-filled buffers in every class a
-// check can ask for: offsets stay below 64 kB + 3000 and a request below
-// 64 accesses of 3000 bytes.
-func dirtyPool() *mem.ScratchPool {
-	pool := new(mem.ScratchPool)
-	for size := 64; size <= 256<<10; size <<= 1 {
-		a, b := pool.Get(size), pool.Get(size)
-		for _, buf := range [][]byte{a, b} {
-			for i := range buf {
-				buf[i] = dirty
-			}
-		}
-		pool.Put(a)
-		pool.Put(b)
-	}
-	return pool
-}
+// dirtyBuf returns n bytes of 0xA5: a read destination whose every byte the
+// read must overwrite.
+func dirtyBuf(n int) []byte { return bytes.Repeat([]byte{dirty}, n) }
 
 // modelOutcome is what one run leaves behind.
 type modelOutcome struct {
@@ -58,14 +43,15 @@ type modelOutcome struct {
 	counters  localfs.Counters
 }
 
-// runModelCase services accs against a fresh copy of the initial file.
-func runModelCase(t testing.TB, accs []Access, data []byte, maxBuffer int64, mode Mode, write bool, pool *mem.ScratchPool, plan *Plan) modelOutcome {
+// runModelCase services accs against a fresh copy of the initial file: reads
+// through Read without a plan, through ReadInto into a dirty buffer with one.
+func runModelCase(t testing.TB, accs []Access, data []byte, maxBuffer int64, mode Mode, write bool, plan *Plan) modelOutcome {
 	t.Helper()
 	eng := sim.NewEngine()
 	fs := localfs.New(eng, disk.New(eng, "d", disk.DefaultParams()), localfs.DefaultParams())
 	params := ModelFromFS(fs, 1300*simnet.MB)
 	params.MaxBuffer = maxBuffer
-	params.Pool, params.Plan = pool, plan
+	params.Plan = plan
 	var out modelOutcome
 	eng.Go("model", func(p *sim.Proc) {
 		f := fs.Open(p, "f")
@@ -76,10 +62,10 @@ func runModelCase(t testing.TB, accs []Access, data []byte, maxBuffer int64, mod
 		switch {
 		case write:
 			out.decisions = Write(p, f, accs, data, params, mode, nil)
-		case pool == nil:
+		case plan == nil:
 			out.read, out.decisions = Read(p, f, accs, params, mode, nil)
 		default:
-			out.read = pool.Get(len(data)) // stale until ReadInto fills it
+			out.read = dirtyBuf(len(data))
 			out.decisions = ReadInto(p, f, accs, out.read, params, mode, nil)
 		}
 		out.decisions = slices.Clone(out.decisions) // the plan's next request reuses them
@@ -93,7 +79,7 @@ func runModelCase(t testing.TB, accs []Access, data []byte, maxBuffer int64, mod
 }
 
 // checkModel runs one access list through the sieve with and without a
-// dirty pool and compares both with the flat model.
+// dirty destination and a used plan, and compares both with the flat model.
 func checkModel(t testing.TB, accs []Access, maxBuffer int64, mode Mode, write bool) {
 	t.Helper()
 	var total int64
@@ -109,20 +95,20 @@ func checkModel(t testing.TB, accs []Access, maxBuffer int64, mode Mode, write b
 	clear(model[modelHoleLo:modelHoleHi])
 	var wantRead []byte
 	if write {
-		pieces := make([]placed, len(accs))
+		pieces := make([]localfs.Piece, len(accs))
 		var pos int64
 		for i, a := range accs {
-			pieces[i] = placed{a, pos}
+			pieces[i] = localfs.Piece{Off: a.Off, Len: a.Len, Pos: pos}
 			pos += a.Len
 		}
-		slices.SortFunc(pieces, func(a, b placed) int {
-			return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len), cmp.Compare(a.pos, b.pos))
+		slices.SortFunc(pieces, func(a, b localfs.Piece) int {
+			return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len), cmp.Compare(a.Pos, b.Pos))
 		})
 		for _, pc := range pieces {
-			if grow := pc.End() - int64(len(model)); grow > 0 {
+			if grow := pc.Off + pc.Len - int64(len(model)); grow > 0 {
 				model = append(model, make([]byte, grow)...)
 			}
-			copy(model[pc.Off:pc.End()], data[pc.pos:])
+			copy(model[pc.Off:pc.Off+pc.Len], data[pc.Pos:])
 		}
 	} else {
 		wantRead = make([]byte, 0, total)
@@ -136,12 +122,12 @@ func checkModel(t testing.TB, accs []Access, maxBuffer int64, mode Mode, write b
 	}
 
 	checkWindows(t, accs, maxBuffer)
-	plain := runModelCase(t, accs, data, maxBuffer, mode, write, nil, nil)
-	pooled := runModelCase(t, accs, data, maxBuffer, mode, write, dirtyPool(), &usedPlan)
+	plain := runModelCase(t, accs, data, maxBuffer, mode, write, nil)
+	pooled := runModelCase(t, accs, data, maxBuffer, mode, write, &usedPlan)
 	for _, run := range []struct {
 		name string
 		got  modelOutcome
-	}{{"no pool", plain}, {"dirty pool", pooled}} {
+	}{{"no plan", plain}, {"used plan, dirty buffer", pooled}} {
 		if !bytes.Equal(run.got.file, model) {
 			t.Errorf("%s: file differs from the model (first at %d, sizes %d vs %d)",
 				run.name, firstDiff(run.got.file, model), len(run.got.file), len(model))
@@ -151,10 +137,10 @@ func checkModel(t testing.TB, accs []Access, maxBuffer int64, mode Mode, write b
 		}
 	}
 	if !slices.Equal(plain.decisions, pooled.decisions) {
-		t.Errorf("decisions differ with a pool:\n%+v\n%+v", plain.decisions, pooled.decisions)
+		t.Errorf("decisions differ with a used plan:\n%+v\n%+v", plain.decisions, pooled.decisions)
 	}
 	if plain.counters != pooled.counters {
-		t.Errorf("file-system calls differ with a pool: %+v vs %+v", plain.counters, pooled.counters)
+		t.Errorf("file-system calls differ with a used plan: %+v vs %+v", plain.counters, pooled.counters)
 	}
 }
 
@@ -164,19 +150,19 @@ var usedPlan Plan
 
 // refPlanWindows is planWindows as it was when it allocated its lists.
 func refPlanWindows(accs []Access, maxBuffer int64) []window {
-	sorted := make([]placed, len(accs))
+	sorted := make([]localfs.Piece, len(accs))
 	var pos int64
 	for i, a := range accs {
-		sorted[i] = placed{a, pos}
+		sorted[i] = localfs.Piece{Off: a.Off, Len: a.Len, Pos: pos}
 		pos += a.Len
 	}
-	slices.SortFunc(sorted, func(a, b placed) int {
-		return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len), cmp.Compare(a.pos, b.pos))
+	slices.SortFunc(sorted, func(a, b localfs.Piece) int {
+		return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len), cmp.Compare(a.Pos, b.Pos))
 	})
 	var wins []window
-	start, span := 0, sorted[0].Access
+	start, span := 0, Access{sorted[0].Off, sorted[0].Len}
 	for i := 1; i < len(sorted); i++ {
-		a := sorted[i].Access
+		a := Access{sorted[i].Off, sorted[i].Len}
 		end := max(a.End(), span.End())
 		if maxBuffer > 0 && end-span.Off > maxBuffer {
 			wins = append(wins, window{sorted[start:i], span})

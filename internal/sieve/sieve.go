@@ -15,12 +15,14 @@
 // curves, so when sieving is chosen it is almost certainly beneficial once
 // caching helps further.
 //
-// Payload moves between the file and the caller's buffer, and a request's
-// bookkeeping lives in caller-owned scratch: ReadInto and Write take each
-// sieve or read-modify-write window from Params.Pool and the sorted access
-// list, the windows and the returned decisions from Params.Plan, so a daemon
-// that sets both allocates nothing per request. Read is the one call that
-// returns a fresh payload-sized slice.
+// Payload moves between the file and the caller's buffer and nowhere else:
+// a sieved window is charged as one read (and, for writes, one locked
+// read-modify-write) of its whole span, but localfs.File.ReadPieces and
+// WritePieces copy only the bytes the request names, so the span never
+// passes through a buffer of its own. A request's bookkeeping — the sorted
+// access list, the windows and the returned decisions — lives in
+// Params.Plan, so a daemon that sets it allocates nothing per request. Read
+// is the one call that returns a fresh payload-sized slice.
 package sieve
 
 import (
@@ -28,7 +30,6 @@ import (
 	"slices"
 
 	"pvfsib/internal/localfs"
-	"pvfsib/internal/mem"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/trace"
 )
@@ -57,15 +58,11 @@ type Params struct {
 	// MaxBuffer caps the sieve staging buffer; larger spans are split
 	// into windows decided independently.
 	MaxBuffer int64
-	// Pool, when set, supplies the window buffers; nil allocates one per
-	// window. Pool buffers arrive with stale contents, which is why every
-	// window is zero-filled past what the file returned.
-	Pool *mem.ScratchPool
 	// Plan, when set, is the scratch a request's sorted access list, its
 	// windows and its decisions are built in; nil allocates them per
 	// request. One request at a time may use a Plan (the I/O daemon's is
-	// guarded by its file-phase mutex, like its Pool), and the decisions a
-	// call returns are valid until the next call with the same Plan.
+	// guarded by its file-phase mutex), and the decisions a call returns
+	// are valid until the next call with the same Plan.
 	Plan *Plan
 
 	// Tracer, when set, records one span per window carrying the cost
@@ -124,16 +121,11 @@ type Stats struct {
 	WantedBytes int64 // bytes the client actually asked for (S_req)
 }
 
-// placed is one access with the offset of its bytes in the request payload
-// (the accesses' bytes concatenated in request order).
-type placed struct {
-	Access
-	pos int64
-}
-
-// window is a run of accesses whose span fits the staging buffer.
+// window is a run of accesses whose span fits the staging buffer. Each
+// access is the piece the file copies, Pos being where its bytes sit in the
+// request payload (the accesses' bytes concatenated in request order).
 type window struct {
-	accs []placed // sorted by offset
+	accs []localfs.Piece // sorted by offset
 	span Access
 }
 
@@ -141,7 +133,7 @@ type window struct {
 // the sorted access list, of the windows cut from it and of the decisions
 // returned to the caller. The zero value is ready to use.
 type Plan struct {
-	sorted    []placed
+	sorted    []localfs.Piece
 	wins      []window
 	decisions []Decision
 }
@@ -159,7 +151,7 @@ func (pl *Plan) planWindows(accs []Access, maxBuffer int64) []window {
 	var pos int64
 	inOrder := true
 	for i, a := range accs {
-		sorted[i] = placed{a, pos}
+		sorted[i] = localfs.Piece{Off: a.Off, Len: a.Len, Pos: pos}
 		pos += a.Len
 		// Positions only grow, so a list ascending by (Off, Len) is
 		// already in the sort's order.
@@ -170,12 +162,12 @@ func (pl *Plan) planWindows(accs []Access, maxBuffer int64) []window {
 		}
 	}
 	if !inOrder {
-		slices.SortFunc(sorted, comparePlaced)
+		slices.SortFunc(sorted, comparePieces)
 	}
 	wins := pl.wins[:0]
-	start, span := 0, sorted[0].Access
+	start, span := 0, Access{sorted[0].Off, sorted[0].Len}
 	for i := 1; i < len(sorted); i++ {
-		a := sorted[i].Access
+		a := Access{sorted[i].Off, sorted[i].Len}
 		end := max(a.End(), span.End())
 		if maxBuffer > 0 && end-span.Off > maxBuffer {
 			//pvfslint:ok hotpath plan scratch growth: reaches the most windows one request has been cut into and stops
@@ -191,15 +183,15 @@ func (pl *Plan) planWindows(accs []Access, maxBuffer int64) []window {
 	return wins
 }
 
-// comparePlaced orders accesses by offset, then length, then request position.
-func comparePlaced(a, b placed) int {
+// comparePieces orders accesses by offset, then length, then request position.
+func comparePieces(a, b localfs.Piece) int {
 	if c := cmp.Compare(a.Off, b.Off); c != 0 {
 		return c
 	}
 	if c := cmp.Compare(a.Len, b.Len); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.pos, b.pos)
+	return cmp.Compare(a.Pos, b.Pos)
 }
 
 // plan returns the scratch a request builds its bookkeeping in: the caller's
@@ -266,15 +258,10 @@ func ReadInto(p *sim.Proc, f *localfs.File, accs []Access, dst []byte, params Pa
 		record(stats, d)
 		sp := startWindowSpan(p, params, d)
 		if d.UseSieve {
-			buf := params.Pool.Get(int(w.span.Len))
-			readPadded(p, f, w.span.Off, buf)
-			for _, a := range w.accs {
-				copy(dst[a.pos:a.pos+a.Len], buf[a.Off-w.span.Off:])
-			}
-			params.Pool.Put(buf)
+			f.ReadPieces(p, w.span.Off, w.span.Len, w.accs, dst)
 		} else {
-			for _, a := range w.accs {
-				readPadded(p, f, a.Off, dst[a.pos:a.pos+a.Len])
+			for i, a := range w.accs {
+				f.ReadPieces(p, a.Off, a.Len, w.accs[i:i+1], dst)
 			}
 		}
 		sp.End(p.Now())
@@ -313,19 +300,17 @@ func Write(p *sim.Proc, f *localfs.File, accs []Access, data []byte, params Para
 		record(stats, d)
 		sp := startWindowSpan(p, params, d)
 		if d.UseSieve {
+			// Read the span, modify it, write it back, under the window's
+			// lock. The span's bytes outside the accesses are the file's
+			// own throughout, so only the accesses are copied.
 			f.Lock(p, w.span.Off, w.span.Len)
-			buf := params.Pool.Get(int(w.span.Len))
-			readPadded(p, f, w.span.Off, buf)
-			for _, a := range w.accs {
-				copy(buf[a.Off-w.span.Off:], data[a.pos:a.pos+a.Len])
-			}
+			f.ReadPieces(p, w.span.Off, w.span.Len, nil, nil)
 			p.Sleep(xferTime(d.Wanted, params.Bmem)) // modify phase
-			f.WriteAt(p, w.span.Off, buf)
+			f.WritePieces(p, w.span.Off, w.span.Len, w.accs, data)
 			f.Unlock(p, w.span.Off, w.span.Len)
-			params.Pool.Put(buf)
 		} else {
 			for _, a := range w.accs {
-				f.WriteAt(p, a.Off, data[a.pos:a.pos+a.Len])
+				f.WriteAt(p, a.Off, data[a.Pos:a.Pos+a.Len])
 			}
 		}
 		sp.End(p.Now())
@@ -369,12 +354,4 @@ func record(stats *Stats, d Decision) {
 		stats.IndivWins++
 		stats.SievedBytes += d.Wanted
 	}
-}
-
-// readPadded fills dst from the file at off, zeroing whatever lies past end
-// of file: sieve extraction arithmetic stays simple, and a pooled dst's
-// stale bytes can reach neither the caller nor, through a read-modify-write
-// window that extends the file, the disk.
-func readPadded(p *sim.Proc, f *localfs.File, off int64, dst []byte) {
-	clear(dst[f.ReadInto(p, off, dst):])
 }
