@@ -33,12 +33,13 @@ import (
 //     whole row by one.
 //   - host mallocs, less what spawning the ranks costs. A list operation
 //     describes itself in recycled plans, cursors, records and sieve scratch,
-//     and a gather operation plans its group registration in its plan and
-//     finds its buffers in the pin-down cache, so the Multiple I/O rows
-//     allocate nothing per request, and what the other rows allocate is the
-//     children of an operation that spans servers and MPI-IO's own lists: a
-//     descriptor rebuilt per request moves a row by the number of its
-//     requests.
+//     a gather operation plans its group registration in its plan and finds
+//     its buffers in the pin-down cache, and the children of an operation
+//     that spans servers run on recycled carriers with their process
+//     records, so every row through PVFS alone allocates nothing, and what
+//     collective I/O allocates is MPI-IO's own: a descriptor rebuilt per
+//     request, or a process record per child, moves a row by the number of
+//     its requests.
 //
 // The three list-shaped methods take their transfer scheme from the
 // operation's options, so they run under each; data sieving and collective
@@ -97,17 +98,17 @@ func TestMultipleIOEventBudget(t *testing.T) {
 		// 8 requests of 48 kB, 16 pieces each: two operations over four
 		// servers, so six child processes.
 		{"listio", 1, all, list(pieces, sieve.Never),
-			[][4]int64{{407, 331, 5 * payload, 6}, {476, 365, 4 * payload, 6}, {476, 365, 4 * payload, 6}}},
+			[][4]int64{{407, 331, 5 * payload, 0}, {476, 365, 4 * payload, 0}, {476, 365, 4 * payload, 0}}},
 		// The same through the servers' sieve: fewer disk calls, and a
 		// sieved window copies only the bytes its request names.
 		{"listio+ads", 1, all, list(pieces, sieve.Auto),
-			[][4]int64{{287, 211, 5 * payload, 6}, {356, 245, 4 * payload, 6}, {356, 245, 4 * payload, 6}}},
+			[][4]int64{{287, 211, 5 * payload, 0}, {356, 245, 4 * payload, 0}, {356, 245, 4 * payload, 0}}},
 		// Writes as Multiple I/O, reads the 1 MB extent whole and extracts.
 		{"datasieving", 1, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.DataSieving),
-			[][4]int64{{1331, 249, 4543488, 3}}},
+			[][4]int64{{1331, 249, 4543488, 0}}},
 		// Two ranks: pack, hand over, assemble, one contiguous request each.
 		{"collective", 2, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.Collective),
-			[][4]int64{{838, 418, 13910112, 56}}},
+			[][4]int64{{838, 418, 13910112, 38}}},
 	} {
 		for i, tr := range row.schemes {
 			t.Run(fmt.Sprintf("%s/%s", row.method, tr), func(t *testing.T) {

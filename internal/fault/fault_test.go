@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -88,5 +89,50 @@ func TestEmpty(t *testing.T) {
 	}
 	if (Plan{Crashes: []Crash{{Server: 1}}}).Empty() {
 		t.Fatal("plan with a crash reported Empty")
+	}
+}
+
+// TestRandsReseedLikeFresh is attach plan A, detach, attach plan B with the
+// generators kept across the attaches, as a cluster keeps them: B draws on
+// every stream, the root's and each registered node's, exactly what an
+// injector built fresh for B draws, and A's counters are untouched.
+func TestRandsReseedLikeFresh(t *testing.T) {
+	planA := Plan{Seed: 7, WRErrorRate: 0.3, DiskErrorRate: 0.2}
+	planB := Plan{Seed: 11, WRErrorRate: 0.5, RegFailRate: 0.4, DiskSlowRate: 0.3}
+	nodes := []string{"io0", "io0.disk", "cn0", "unregistered"}
+	build := func(plan Plan, rs *Rands) *Injector {
+		in := NewInjectorFrom(plan, rs)
+		for _, n := range nodes[:3] {
+			in.Register(n)
+		}
+		return in
+	}
+	draws := func(in *Injector) (out []bool) {
+		for i := 0; i < 64; i++ {
+			for _, n := range nodes {
+				out = append(out, in.WRError(0, n), in.RegFail(0, n), in.DiskFault(0, n, true, 4096) > 0)
+			}
+		}
+		return out
+	}
+	var rs Rands
+	a := build(planA, &rs)
+	draws(a)
+	totalsA := a.Totals()
+	if totalsA.WRErrors == 0 || totalsA.DiskErrors == 0 {
+		t.Fatalf("plan A injected %v: the script draws too little", totalsA)
+	}
+	b, fresh := build(planB, &rs), build(planB, new(Rands))
+	if got, want := draws(b), draws(fresh); !slices.Equal(got, want) {
+		t.Error("an injector on reseeded generators draws other values than a fresh one")
+	}
+	if b.Totals() != fresh.Totals() {
+		t.Errorf("reseeded injector counted %v, fresh one %v", b.Totals(), fresh.Totals())
+	}
+	if a.Totals() != totalsA {
+		t.Errorf("plan A's counters moved from %v to %v after plan B drew", totalsA, a.Totals())
+	}
+	if len(rs.byName) != len(nodes) {
+		t.Errorf("%d generators kept for %d streams", len(rs.byName), len(nodes))
 	}
 }

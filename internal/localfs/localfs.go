@@ -91,6 +91,8 @@ type FS struct {
 	nextID  int64
 	cache   *pageCache
 	freeExt []*extent // extents of removed files, extentKeepBytes at most
+	// syncList is SyncAll's list of files between calls (sortedFiles).
+	syncList []*File
 
 	// Counters accumulates call counts.
 	Counters Counters
@@ -351,11 +353,14 @@ func (f *File) Sync(p *sim.Proc) {
 	f.fs.cache.flushFile(p, f)
 }
 
-// SyncAll flushes every file.
+// SyncAll flushes every file, in creation order.
 func (fs *FS) SyncAll(p *sim.Proc) {
-	for _, f := range fs.sortedFiles() {
+	files := fs.sortedFiles()
+	for _, f := range files {
 		f.Sync(p)
 	}
+	clear(files)
+	fs.syncList = files[:0]
 }
 
 // DropCaches flushes all dirty data and then empties the page cache, like
@@ -366,8 +371,12 @@ func (fs *FS) DropCaches(p *sim.Proc) {
 	fs.cache.clear()
 }
 
+// sortedFiles lists the files in creation order, in the FS's own list. The
+// caller has the list until it hands it back in fs.syncList; a second
+// caller while the first sleeps builds its own.
 func (fs *FS) sortedFiles() []*File {
-	out := make([]*File, 0, len(fs.files))
+	out := fs.syncList
+	fs.syncList = nil
 	for _, f := range fs.files {
 		out = append(out, f)
 	}

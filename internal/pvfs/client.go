@@ -322,9 +322,9 @@ func (fh *FileHandle) Stat(p *sim.Proc) int64 {
 	pl := c.takePlan()
 	defer c.releasePlan(pl)
 	pl.toAllServers()
-	pl.fileID = fh.id
+	pl.fileID, pl.kind = fh.id, recStat
 	pl.sizes = append(pl.sizes[:0], make([]int64, n)...)
-	c.fanOut(p, fanStat, pl, (*opPlan).statShare)
+	c.fanOut(p, fanStat, pl, (*opPlan).fileShare)
 	var eof int64
 	for srv, local := range pl.sizes {
 		if local == 0 {
@@ -342,21 +342,29 @@ func (fh *FileHandle) Stat(p *sim.Proc) int64 {
 	return eof
 }
 
-func (pl *opPlan) statShare(q *sim.Proc, i int) {
-	resp := pl.rpcShare(q, i, func(seq int64) any { return &reqStat{Seq: seq, FileID: pl.fileID} })
-	pl.sizes[i] = resp.(*respStat).LocalSize
-}
-
-// rpcShare issues share i's small request on its server's connection and
-// returns the reply.
-func (pl *opPlan) rpcShare(q *sim.Proc, i int, build func(seq int64) any) any {
+// fileShare is share i of a whole-file request of the plan's kind — Sync,
+// Stat or Remove — on its server's connection, under the share's trace
+// context. A Stat keeps the server's local size in pl.sizes[i].
+func (pl *opPlan) fileShare(q *sim.Proc, i int) {
 	c := pl.c
+	if pl.kind == recSync {
+		c.acct.SyncReqs++
+	}
 	conn := c.conns[pl.srvs[i]]
 	conn.mu.Acquire(q)
 	defer conn.mu.Release()
-	resp, err := c.rpc(q, conn, reqSize(0), build)
+	resp, err := c.rpc(q, conn, reqSize(0), func(seq int64) any {
+		req := c.recs.take(pl.kind, seq)
+		req.FileID, req.Ctx = pl.fileID, q.TraceCtx()
+		return req
+	})
 	sim.Must(err)
-	return resp
+	r, err := asReply(resp, pl.kind+1) // a reply is the kind after its request's
+	sim.Must(err)
+	if pl.kind == recStat {
+		pl.sizes[i] = r.Total
+	}
+	c.recs.put(r)
 }
 
 // Remove unlinks the file from the manager's name space and deletes every
@@ -375,13 +383,8 @@ func (c *Client) Remove(p *sim.Proc, name string) {
 	pl := c.takePlan()
 	defer c.releasePlan(pl)
 	pl.toAllServers()
-	pl.fileID = un.FileID
-	c.fanOut(p, fanRemove, pl, (*opPlan).removeShare)
-}
-
-func (pl *opPlan) removeShare(q *sim.Proc, i int) {
-	// Every share works under the caller's trace context, its own included.
-	pl.rpcShare(q, i, func(seq int64) any { return &reqRemove{Seq: seq, FileID: pl.fileID, Ctx: q.TraceCtx()} })
+	pl.fileID, pl.kind = un.FileID, recRemove
+	c.fanOut(p, fanRemove, pl, (*opPlan).fileShare)
 }
 
 // Sync flushes the file on every I/O server, like fsync.
@@ -390,13 +393,8 @@ func (fh *FileHandle) Sync(p *sim.Proc) {
 	pl := c.takePlan()
 	defer c.releasePlan(pl)
 	pl.toAllServers()
-	pl.fileID = fh.id
-	c.fanOut(p, fanSync, pl, (*opPlan).syncShare)
-}
-
-func (pl *opPlan) syncShare(q *sim.Proc, i int) {
-	pl.c.acct.SyncReqs++
-	pl.rpcShare(q, i, func(seq int64) any { return &reqSync{Seq: seq, FileID: pl.fileID, Ctx: q.TraceCtx()} })
+	pl.fileID, pl.kind = fh.id, recSync
+	c.fanOut(p, fanSync, pl, (*opPlan).fileShare)
 }
 
 // listOp is the traced entry point for one list operation: it opens the
@@ -659,23 +657,29 @@ func (c *Client) request(p *sim.Proc, kind recKind, seq, fileID int64, ch chunk,
 	return req
 }
 
-// send posts a record on the connection. A record the send could not post
+// send posts a request on the connection. A record the send could not post
 // never left this node, so it goes back to the pool it came from.
-func (c *Client) send(p *sim.Proc, conn *clientConn, size int, r *record) error {
-	err := conn.qp.Send(p, size, r)
-	if err != nil {
+func (c *Client) send(p *sim.Proc, conn *clientConn, size int, req any) error {
+	err := conn.qp.Send(p, size, req)
+	if r, ok := req.(*record); ok && err != nil {
 		c.recs.put(r)
 	}
 	return err
 }
 
 // expect waits for the reply of the given kind to request seq and returns
-// it; the caller recycles it. Any other reply is a protocol error.
+// it; the caller recycles it.
 func (c *Client) expect(p *sim.Proc, conn *clientConn, seq int64, kind recKind) (*record, error) {
 	resp, err := c.recvResp(p, conn, seq)
 	if err != nil {
 		return nil, err
 	}
+	return asReply(resp, kind)
+}
+
+// asReply returns resp as a record of the given reply kind. Any other reply
+// is a protocol error.
+func asReply(resp any, kind recKind) (*record, error) {
 	r, ok := resp.(*record)
 	if !ok || r.Kind != kind {
 		return nil, fmt.Errorf("pvfs: expected a %v reply, got %T %v", kind, resp, resp)

@@ -31,7 +31,8 @@ type Cluster struct {
 
 	// Faults is the attached fault injector, nil for fault-free runs
 	// (attach with Cfg.Faults or AttachFaults).
-	Faults *fault.Injector
+	Faults     *fault.Injector
+	faultRands fault.Rands // one generator per fault stream, reseeded by every AttachFaults
 
 	// Metrics, when non-nil, is the virtual-time metrics registry wired
 	// into every layer (attach with EnableMetrics). Nil keeps every

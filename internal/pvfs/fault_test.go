@@ -192,3 +192,56 @@ func TestCrashValidation(t *testing.T) {
 	cfg.Faults = &fault.Plan{Crashes: []fault.Crash{{Server: 0, At: time.Millisecond, Down: time.Millisecond}}}
 	NewCluster(sim.NewEngine(), cfg, 4, 4)
 }
+
+// TestUnsentRecordGoesBack syncs, stats and removes a file while the link
+// from the client to one of its servers is cut. Every request record whose
+// send fails is handed back to its pool before the retry, so once the link
+// heals and the retries get through, no record is left out.
+func TestUnsentRecordGoesBack(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Faults = &fault.Plan{Seed: 1}
+	c := NewCluster(sim.NewEngine(), cfg, 2, 1)
+	cl := c.Clients[0]
+	c.Eng.GoOn(cl.node.Group(), "script", func(p *sim.Proc) {
+		fh := cl.Open(p, "f")
+		c.AttachFaults(&fault.Plan{Seed: 1, Cuts: []fault.Cut{
+			{A: int(cl.node.ID), B: int(c.Servers[1].node.ID), Dur: 200 * time.Microsecond},
+		}})
+		fh.Sync(p)
+		fh.Stat(p)
+		cl.Remove(p, "f")
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Snapshot(); s.Retries == 0 || s.FaultDrops == 0 {
+		t.Fatalf("the cut failed no send: %d retries, %d drops", s.Retries, s.FaultDrops)
+	}
+	if out := c.census()["pvfs.records"]; out != 0 {
+		t.Errorf("pvfs.records: %d taken and not recycled", out)
+	}
+	c.Eng.Shutdown()
+}
+
+// TestWholeFileReplyKind pins what fileShare accepts: the reply to a Sync,
+// Stat or Remove is the kind after its request's, and a record of any other
+// kind with the right sequence number is a protocol error, as on the data
+// path.
+func TestWholeFileReplyKind(t *testing.T) {
+	reqs := []recKind{recSync, recStat, recRemove}
+	for _, k := range reqs {
+		if got, want := (k + 1).String(), k.String()+"-resp"; got != want {
+			t.Errorf("the kind after %v is %v, want %v", k, got, want)
+		}
+		for _, other := range reqs {
+			reply := &record{Kind: other + 1}
+			r, err := asReply(reply, k+1)
+			if ok := err == nil && r == reply; ok != (other == k) {
+				t.Errorf("%v request: %v reply accepted %t", k, other+1, ok)
+			}
+		}
+		if _, err := asReply(&record{Kind: k}, k+1); err == nil {
+			t.Errorf("%v request: its own kind accepted as the reply", k)
+		}
+	}
+}

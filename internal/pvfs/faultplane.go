@@ -38,7 +38,7 @@ func (c *Cluster) AttachFaults(plan *fault.Plan) *fault.Injector {
 				cr.Server, len(c.Servers)-1)
 		}
 	}
-	inj := fault.NewInjector(*plan)
+	inj := fault.NewInjectorFrom(*plan, &c.faultRands)
 	// Every node (and every disk) draws from its own seeded stream and
 	// tallies into its own counter set, so the fault schedule and counts
 	// are independent of cross-node event interleaving — byte-identical at

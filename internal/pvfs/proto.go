@@ -32,14 +32,14 @@ type respOpen struct {
 	StripeSize int64
 }
 
-// record is the one message type of the data path: list-I/O requests, the
-// rendezvous messages of a gather transfer and the replies, told apart by
-// Kind. Records are pooled per engine shard exactly as simnet.Message and
-// the adapters' wire structs are — the sender takes one from its shard's
-// free list, the consumer recycles it into its own — and because requests
-// and replies are the same type, a connection's traffic recirculates them
-// between the two shards' pools instead of draining one and growing the
-// other.
+// record is the one message type between a client and an iod: list-I/O
+// requests, the rendezvous messages of a gather transfer, whole-file
+// requests and the replies, told apart by Kind. Records are pooled per
+// engine shard exactly as simnet.Message and the adapters' wire structs are
+// — the sender takes one from its shard's free list, the consumer recycles
+// it into its own — and because requests and replies are the same type, a
+// connection's traffic recirculates them between the two shards' pools
+// instead of draining one and growing the other.
 //
 // A record owns its region list. The sender copies a chunk's regions into
 // Accs when it builds the request, which is what serialisation does on a
@@ -50,7 +50,8 @@ type record struct {
 	Kind recKind
 	Seq  int64
 	// FileID, Accs (server-local regions, in payload order) and Total (their
-	// bytes) describe a recWrite or recRead request.
+	// bytes) describe a recWrite or recRead request; a whole-file request
+	// has a FileID alone, and a recStatResp has the local size in Total.
 	FileID int64
 	Accs   []OffLen
 	Total  int64
@@ -98,9 +99,18 @@ const (
 	recReadResp
 	// recReadDone releases the server's staging buffer after a gather read.
 	recReadDone
+	// The whole-file requests: flush the file to disk, report the stripe
+	// file's local size, delete it. Each one's reply is the kind after it.
+	recSync
+	recSyncResp
+	recStat
+	recStatResp
+	recRemove
+	recRemoveResp
 )
 
-var recKindNames = [...]string{"free", "write", "write-ready", "write-done", "write-resp", "read", "read-resp", "read-done"}
+var recKindNames = [...]string{"free", "write", "write-ready", "write-done", "write-resp", "read", "read-resp", "read-done",
+	"sync", "sync-resp", "stat", "stat-resp", "remove", "remove-resp"}
 
 func (k recKind) String() string { return recKindNames[k] }
 
@@ -130,38 +140,6 @@ func (rp *recordPool) put(r *record) {
 	}
 	rp.Put(r)
 }
-
-// reqSync asks the server to flush the file's dirty data to disk.
-type reqSync struct {
-	Seq    int64
-	FileID int64
-	// Ctx is the sender's packed trace context (see record.Ctx).
-	Ctx uint64
-}
-
-type respSync struct{ Seq int64 }
-
-// reqStat asks a server for its stripe file's local size, from which the
-// client computes the logical end of file.
-type reqStat struct {
-	Seq    int64
-	FileID int64
-}
-
-type respStat struct {
-	Seq       int64
-	LocalSize int64
-}
-
-// reqRemove asks a server to delete its stripe file.
-type reqRemove struct {
-	Seq    int64
-	FileID int64
-	// Ctx is the sender's packed trace context (see record.Ctx).
-	Ctx uint64
-}
-
-type respRemove struct{ Seq int64 }
 
 // reqUnlink asks the manager to drop a name from the name space.
 type reqUnlink struct {
@@ -233,9 +211,6 @@ type seqer interface{ seqNum() int64 }
 func (r *respOpen) seqNum() int64   { return r.Seq }
 func (r *respUnlink) seqNum() int64 { return r.Seq }
 func (r *record) seqNum() int64     { return r.Seq }
-func (r *respSync) seqNum() int64   { return r.Seq }
-func (r *respStat) seqNum() int64   { return r.Seq }
-func (r *respRemove) seqNum() int64 { return r.Seq }
 func (r *respLease) seqNum() int64  { return r.Seq }
 
 func (r *respLeaseRelease) seqNum() int64 { return r.Seq }

@@ -47,8 +47,9 @@ func pinned(c *Cluster) pinning {
 // been recycled into one, but for the carriers of the parked service
 // processes; under faults nothing is recycled twice (a message, wire record
 // or record dropped on a cut link or discarded by a down adapter is the
-// garbage collector's) — on one engine shard and on four, where requests and
-// replies carry objects from shard to shard.
+// garbage collector's) and the engine's pools are exact: no timeout record
+// is out and no carrier but the parked processes' — on one engine shard and
+// on four, where requests and replies carry objects from shard to shard.
 func TestQuiescenceAfterMixedScript(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		t.Run(fmt.Sprintf("faults=%t", faulty), func(t *testing.T) {
@@ -115,14 +116,17 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 		t.Errorf("%d read responders parked idle, want %d", responders, want)
 	}
 	census := c.census()
-	pools := []string{"sim.events", "sim.carriers", "simnet.messages", "ib.wires", "ib.read-mailboxes",
+	pools := []string{"sim.events", "sim.carriers", "sim.timeouts", "simnet.messages", "ib.wires", "ib.read-mailboxes",
 		"ib.scratch", "ib.staging", "pvfs.records", "pvfs.plans", "pvfs.iod-scratch"}
 	for _, pool := range pools {
 		out, want := census[pool], int64(0)
 		if pool == "sim.carriers" {
 			want = int64(len(de.Parked))
 		}
-		if out < 0 || !faulty && out != want {
+		// The engine's own pools lose nothing to a fault: with no event
+		// left, every timer has fired and every live process is parked.
+		exact := !faulty || strings.HasPrefix(pool, "sim.")
+		if out < 0 || exact && out != want {
 			t.Errorf("%s: %d taken and not recycled, want %d", pool, out, want)
 		}
 	}

@@ -81,7 +81,7 @@ func (c *Client) rpc(p *sim.Proc, conn *clientConn, size int, build func(seq int
 	rec := c.cluster.recovery()
 	for attempt := 0; ; attempt++ {
 		seq := c.seq()
-		err := conn.qp.Send(p, size, build(seq))
+		err := c.send(p, conn, size, build(seq))
 		if err == nil {
 			var payload any
 			payload, err = c.recvResp(p, conn, seq)

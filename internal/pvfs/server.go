@@ -148,12 +148,13 @@ func (sc *serverConn) serve(p *sim.Proc) {
 			// adapter went down.
 			continue
 		}
-		switch req := payload.(type) {
-		case *record:
-			if req.Kind != recWrite && req.Kind != recRead {
-				sim.Failf("pvfs: server %d: unexpected %v record", s.idx, req.Kind)
-			}
-			// The handler owns the request until it returns.
+		req, ok := payload.(*record)
+		if !ok {
+			sim.Failf("pvfs: server %d: unexpected message %T", s.idx, payload)
+		}
+		// The handler owns the request until it returns.
+		switch req.Kind {
+		case recWrite, recRead:
 			sp := s.startDispatch(p, req.Ctx, req.Total)
 			if req.Kind == recWrite {
 				pending = sc.handleWrite(p, req)
@@ -161,31 +162,27 @@ func (sc *serverConn) serve(p *sim.Proc) {
 				pending = sc.handleRead(p, req)
 			}
 			s.endDispatch(p, sp)
-			s.recs.put(req)
-		case *reqSync:
+		case recSync, recRemove:
 			p.SetTraceCtx(req.Ctx)
 			s.acquireIO(p)
-			s.file(p, req.FileID).Sync(p)
-			s.releaseIO(p)
-			sc.send(p, smallReplyBytes, &respSync{Seq: req.Seq})
-		case *reqStat:
-			var size int64
-			if f, ok := s.files[req.FileID]; ok {
-				size = f.Size()
-			}
-			sc.send(p, smallReplyBytes, &respStat{Seq: req.Seq, LocalSize: size})
-		case *reqRemove:
-			p.SetTraceCtx(req.Ctx)
-			s.acquireIO(p)
-			if _, ok := s.files[req.FileID]; ok {
+			if req.Kind == recSync {
+				s.file(p, req.FileID).Sync(p)
+			} else if _, ok := s.files[req.FileID]; ok {
 				delete(s.files, req.FileID)
 				s.fs.Remove(p, fmt.Sprintf("f%06d", req.FileID))
 			}
 			s.releaseIO(p)
-			sc.send(p, smallReplyBytes, &respRemove{Seq: req.Seq})
+			sc.reply(p, smallReplyBytes, s.recs.take(req.Kind+1, req.Seq))
+		case recStat:
+			resp := s.recs.take(recStatResp, req.Seq)
+			if f, ok := s.files[req.FileID]; ok {
+				resp.Total = f.Size()
+			}
+			sc.reply(p, smallReplyBytes, resp)
 		default:
-			sim.Failf("pvfs: server %d: unexpected message %T", s.idx, payload)
+			sim.Failf("pvfs: server %d: unexpected %v record", s.idx, req.Kind)
 		}
+		s.recs.put(req)
 		p.SetTraceCtx(0)
 	}
 }
@@ -227,25 +224,17 @@ func (s *Server) releaseIO(p *sim.Proc) {
 	s.mx.ioBusy.AddSpan(held, p.Now())
 }
 
-// reply sends the client a record. One the send could not post never left
-// this node and goes back to the pool.
-func (sc *serverConn) reply(p *sim.Proc, size int, r *record) bool {
-	ok := sc.send(p, size, r)
-	if !ok {
-		sc.srv.recs.put(r)
-	}
-	return ok
-}
-
-// send replies to the client. A send can only fail under the fault plane
-// (injected completion error, partition drop, crashed adapter); the daemon
-// resets its QP so the connection can keep serving and reports failure — the
+// reply sends the client a record. A send can only fail under the fault
+// plane (injected completion error, partition drop, crashed adapter); the
+// daemon resets its QP so the connection can keep serving, puts the record,
+// which never left this node, back in the pool and reports failure — the
 // client's timeout covers the lost reply, and every request is idempotent.
-func (sc *serverConn) send(p *sim.Proc, size int, resp any) bool {
-	if err := sc.qp.Send(p, size, resp); err != nil {
+func (sc *serverConn) reply(p *sim.Proc, size int, r *record) bool {
+	if err := sc.qp.Send(p, size, r); err != nil {
 		if sc.qp.State() == ib.QPError {
 			sc.qp.Reset(p)
 		}
+		sc.srv.recs.put(r)
 		return false
 	}
 	return true

@@ -55,6 +55,7 @@ type opPlan struct {
 	srvs   []int
 	share  func(pl *opPlan, q *sim.Proc, i int)
 	fileID int64
+	kind   recKind // a whole-file request's (fileShare)
 	pack   bool
 	opts   OpOptions
 	write  bool

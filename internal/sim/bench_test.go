@@ -38,6 +38,8 @@ var switchLoops = map[string]func(n int) error{
 	"Mailbox":   mailboxLoop,
 	"Resource":  resourceLoop,
 	"AfterCall": afterCallLoop,
+	"Spawn":     spawnLoop,
+	"TimedWait": timedWaitLoop,
 }
 
 // sleepLoop is one process sleeping n times with nothing else queued: every
@@ -119,7 +121,7 @@ func deviceTick(v any) {
 
 // spawnLoop spawns n children one after the other, each finished before
 // the next starts: after the first, every spawn reuses the idle carrier and
-// costs the Proc alone.
+// the process record inside it.
 func spawnLoop(n int) error {
 	e := NewEngine()
 	defer e.Shutdown()
@@ -135,6 +137,36 @@ func spawnLoop(n int) error {
 	return e.Run()
 }
 
+// timedWaitLoop is n timed waits on one mailbox, every other one woken by
+// a Send and the rest expiring: the sender sends every 3µs, 1µs into a
+// wait, and the next wait expires 2µs later, each after the timer of the
+// wait before it has gone off stale.
+func timedWaitLoop(n int) error {
+	e := NewEngine()
+	defer e.Shutdown()
+	mb := e.NewMailbox("mb")
+	var token any = 1
+	e.Go("sender", func(p *Proc) {
+		for i := 0; i < n; i += 2 {
+			p.Sleep(time.Microsecond)
+			mb.Send(token)
+			p.Sleep(2 * time.Microsecond)
+		}
+	})
+	var err error
+	e.Go("waiter", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			if _, ok := mb.RecvTimeout(p, 2*time.Microsecond); ok != (i%2 == 0) && err == nil {
+				err = fmt.Errorf("wait %d at %v: ok=%v, want every other wait to time out", i, p.Now(), ok)
+			}
+		}
+	})
+	if runErr := e.Run(); runErr != nil {
+		return runErr
+	}
+	return err
+}
+
 func benchLoop(b *testing.B, loop func(n int) error) {
 	b.ReportAllocs()
 	if err := loop(b.N); err != nil {
@@ -147,11 +179,12 @@ func BenchmarkMailbox(b *testing.B)   { benchLoop(b, mailboxLoop) }
 func BenchmarkResource(b *testing.B)  { benchLoop(b, resourceLoop) }
 func BenchmarkAfterCall(b *testing.B) { benchLoop(b, afterCallLoop) }
 func BenchmarkSpawn(b *testing.B)     { benchLoop(b, spawnLoop) }
+func BenchmarkTimedWait(b *testing.B) { benchLoop(b, timedWaitLoop) }
 
-// TestSwitchAllocFree: Sleep, Mailbox, Resource and AfterCall allocate to
-// set up (the engine, its processes, their carriers) and nothing per switch
-// or callback, so a run of 20000 iterations allocates exactly what a run of
-// 200 does.
+// TestSwitchAllocFree: Sleep, Mailbox, Resource, AfterCall, spawns and
+// timed waits allocate to set up (the engine, its processes, their
+// carriers) and nothing per switch, callback, spawn or wait, so a run of
+// 20000 iterations allocates exactly what a run of 200 does.
 func TestSwitchAllocFree(t *testing.T) {
 	for name, loop := range switchLoops {
 		allocs := func(n int) float64 {

@@ -7,12 +7,13 @@ import (
 	"iter"
 )
 
-// carrier is a runtime coroutine that process bodies run on. The shard
-// resumes it with next and a blocking process suspends it with yield: direct
-// switches that never enter the scheduler's run queues. Once its body has
-// returned it waits on the shard's free list, so a spawn rarely makes one.
+// carrier is a runtime coroutine that process bodies run on, with the
+// record of the process it runs. The shard resumes it with next and a
+// blocking process suspends it with yield: direct switches that never enter
+// the scheduler's run queues. Once its body has returned it waits, record
+// and all, on the shard's free list, so a spawn rarely makes one.
 type carrier struct {
-	p     *Proc // the process being run; nil while idle
+	p     Proc // the process being run, or the last one while idle; p.c is this carrier
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
@@ -21,13 +22,14 @@ type carrier struct {
 // shutdown is the panic value that unwinds the body of a stopped carrier.
 type shutdown struct{}
 
-// bind gives p an idle carrier, or starts a new one if none is idle.
-func (s *shard) bind(p *Proc) {
+// takeCarrier returns an idle carrier, or starts a new one if none is idle.
+func (s *shard) takeCarrier() *carrier {
 	c := s.carriers.Take()
 	if c.next == nil {
+		//pvfslint:ok hotpath carrier miss: one coroutine, and the bound loop it runs, per high-water mark of live processes on the shard; the carrier is recycled thereafter
 		c.next, c.stop = iter.Pull(c.loop)
 	}
-	c.p, p.c = p, c
+	return c
 }
 
 // loop is the coroutine: run a body, go idle, repeat, until stopped.
@@ -43,16 +45,22 @@ func (c *carrier) loop(yield func(struct{}) bool) {
 
 // runBody runs c.p to completion; reuse is false after a panic or Shutdown.
 func (c *carrier) runBody() (reuse bool) {
-	p, s := c.p, c.p.g.sh
+	p, s := &c.p, c.p.g.sh
+	//pvfslint:ok hotpath the body's recover: a deferred closure the compiler keeps on the carrier's stack, once per body
 	defer func() {
 		r := recover()
 		if _, dead := r.(shutdown); r != nil && !dead {
+			//pvfslint:ok hotpath panic report: only a body that panicked gets here, and the run fails with it
 			s.panicked = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
 		}
 		s.unregister(p)
-		c.p, p.c, p.fn = nil, nil, nil
+		p.fn = nil
+		if PoisonReleased { // an idle record fails on use, so a stale handle cannot act
+			p.eng, p.g, p.name, p.idx, p.traceCtx = nil, nil, "released process", -1, ^uint64(0)
+		}
 		reuse = r == nil
 	}()
+	//pvfslint:ok hotpath the process body itself: what the carrier exists to run, dynamic by design
 	p.fn(p)
 	return
 }

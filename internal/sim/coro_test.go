@@ -101,8 +101,8 @@ func waitGoroutines(t *testing.T, want int) {
 
 // TestShutdownStopsCarriers: Shutdown unwinds parked bodies (their deferred
 // functions run exactly once) and ends idle carriers, so no goroutine of
-// the engine's survives it; a finished process's handle stays valid after
-// another process has taken over its carrier.
+// the engine's survives it; a process spawned after another has returned
+// takes over its carrier, record included.
 func TestShutdownStopsCarriers(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		base := runtime.NumGoroutine()
@@ -123,9 +123,9 @@ func TestShutdownStopsCarriers(t *testing.T) {
 		var first, second *Proc
 		var firstCarrier, secondCarrier *carrier
 		e.GoOn(g, "parent", body(func(p *Proc) {
-			first = p.Go("first", body(func(q *Proc) { firstCarrier = q.c }))
+			p.Go("first", body(func(q *Proc) { first, firstCarrier = q, q.c }))
 			p.Sleep(time.Microsecond) // first has returned: its carrier is idle
-			second = p.Go("second", body(func(q *Proc) { secondCarrier = q.c }))
+			p.Go("second", body(func(q *Proc) { second, secondCarrier = q, q.c }))
 			p.Sleep(time.Microsecond)
 		}))
 		if err := e.RunUntil(Time(time.Second)); err != nil {
@@ -134,8 +134,8 @@ func TestShutdownStopsCarriers(t *testing.T) {
 		if firstCarrier == nil || firstCarrier != secondCarrier {
 			t.Errorf("shards=%d: second ran on carrier %p, want first's idle carrier %p", shards, secondCarrier, firstCarrier)
 		}
-		if first.Name() != "first" || second.Name() != "second" {
-			t.Errorf("shards=%d: handles read %q and %q after carrier reuse", shards, first.Name(), second.Name())
+		if first != second || first != &firstCarrier.p {
+			t.Errorf("shards=%d: second's record %p, want first's %p inside their carrier", shards, second, first)
 		}
 		e.Shutdown()
 		for _, name := range []string{"daemon", "sleeper", "parent", "first", "second"} {
@@ -230,7 +230,8 @@ func TestBlockingOutsideOwnProcessFails(t *testing.T) {
 		t.Run(tc.name+"/callback", func(t *testing.T) {
 			e := NewEngine()
 			defer e.Shutdown()
-			q := e.Go("q", func(p *Proc) { p.Sleep(time.Second) })
+			var q *Proc
+			e.Go("q", func(p *Proc) { q = p; p.Sleep(time.Second) })
 			e.After(time.Microsecond, func() { tc.block(e, q) })
 			if r := runPanic(t, e); r != tc.want {
 				t.Errorf("Run panicked with %v, want %q", r, tc.want)
@@ -239,7 +240,8 @@ func TestBlockingOutsideOwnProcessFails(t *testing.T) {
 		t.Run(tc.name+"/other process", func(t *testing.T) {
 			e := NewEngine()
 			defer e.Shutdown()
-			q := e.Go("q", func(p *Proc) { p.Sleep(time.Second) })
+			var q *Proc
+			e.Go("q", func(p *Proc) { q = p; p.Sleep(time.Second) })
 			e.Go("intruder", func(p *Proc) {
 				p.Sleep(time.Microsecond)
 				tc.block(e, q)

@@ -1,9 +1,9 @@
 package sim
 
 // FreeList is a LIFO of recycled *T: the one free-list discipline of the
-// simulator, behind its events and carriers, the fabric's messages, the
-// adapters' wire records and read mailboxes, and the file system's protocol
-// records and operation plans. Each list belongs to one engine shard (or to
+// simulator, behind its events, carriers and timeouts, the fabric's messages,
+// the adapters' wire records and read mailboxes, and the file system's
+// protocol records and operation plans. Each list belongs to one engine shard (or to
 // one object that lives on one), so it needs no lock; an object may come back
 // to a different shard's list than the one it left, and the counts of every
 // list together say how many are out. The zero value is an empty list, and
@@ -45,8 +45,8 @@ func (l *FreeList[T]) Put(x *T) {
 func (l *FreeList[T]) Out() int64 { return l.made - int64(len(l.free)) }
 
 // PoisonReleased makes the owners of pooled objects overwrite what they
-// release — protocol records, operation plans, wire records and the staging
-// bytes they carry — with values no live object could hold, so that a use
-// after release fails loudly instead of passing on stale but plausible
-// values. Tests switch it on; nothing else writes it.
+// release — process, protocol and wire records, operation plans and staging
+// bytes — with values no live object could hold, so that a use after
+// release fails loudly instead of passing on stale but plausible values.
+// Tests switch it on; nothing else writes it.
 var PoisonReleased bool

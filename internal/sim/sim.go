@@ -19,6 +19,11 @@
 //	})
 //	eng.Run()
 //
+// The handle is the argument the body receives, valid until the body
+// returns: the process record lives in its carrier and is recycled with it,
+// so the spawn functions return no handle, and one kept longer names
+// whichever process the carrier runs next (under PoisonReleased, none).
+//
 // Synchronization primitives (Mailbox, Resource, WaitGroup, Cond) are built
 // on the park/wake mechanism and never consume virtual time by themselves.
 //
@@ -43,10 +48,10 @@
 // everything in the default group on one shard, which reduces to the
 // classic (time, sequence) FIFO order.
 //
-// The inner loop is allocation-free in steady state: event structs are
-// recycled through a per-shard free list, every process carries its own
-// reusable wake event (a parked process has at most one pending resume), and
-// a Sleep whose expiry is the next event in line returns without a switch.
+// The inner loop, a spawn and a timed wait allocate nothing in steady state:
+// event structs are recycled through a per-shard free list, every process
+// carries its own reusable wake event (a parked process has at most one
+// pending resume), and a Sleep whose expiry is next returns without a switch.
 package sim
 
 import (
@@ -368,9 +373,6 @@ func (e *Engine) SetLookahead(d Duration) {
 	}
 }
 
-// Lookahead returns the declared synchronization window (zero if none).
-func (e *Engine) Lookahead() Duration { return e.lookahead }
-
 // AddGroup declares a new group, bound round-robin to one of the engine's
 // shards. Call SetShards first; adding groups while the engine runs is an
 // error.
@@ -461,20 +463,22 @@ func (e *Engine) ScheduleOn(g *Group, t Time, fn func()) {
 // After runs fn d from now in the default group.
 func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.Now().Add(d), fn) }
 
-// Proc is the handle a simulation process uses to interact with virtual time.
+// Proc is the handle a simulation process uses to interact with virtual
+// time: the process record, part of its carrier, valid until the body returns.
 type Proc struct {
 	eng  *Engine
 	g    *Group
 	name string
 	fn   func(*Proc) // the body; nil once it has returned
-	c    *carrier    // the coroutine the body runs on, until it returns
+	c    *carrier    // the carrier this record is part of
 	// wakeEv is the process's reusable wake slot: a blocked process has at
 	// most one pending resume, so its transfer event never needs the
 	// engine's free list, let alone a fresh allocation.
 	wakeEv   event
 	parked   bool
-	sleeping bool // parked with the wake slot already queued (Sleep)
-	idx      int  // position in its shard's proc list, for O(1) removal
+	sleeping bool     // parked with the wake slot already queued (Sleep)
+	idx      int      // position in its shard's proc list, for O(1) removal
+	wait     *timeout // the timed wait in progress, nil if none (RecvTimeout)
 	// traceCtx is the packed trace context (request + span IDs) the
 	// process is currently working under. The engine never interprets it
 	// — it is an opaque word the trace layer threads through spawns and
@@ -504,49 +508,52 @@ func (p *Proc) Now() Time { return p.g.sh.now }
 // Go spawns a new process in the default group that begins executing at the
 // current virtual time. The name is used in deadlock reports. On a sharded
 // engine, runtime spawns must use Proc.Go (same group) or happen while the
-// engine is idle (GoOn).
-func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
+// engine is idle (GoOn). The process's handle is the argument fn receives.
+func (e *Engine) Go(name string, fn func(p *Proc)) {
 	g := e.groupless("Go")
-	return e.goAt(g, g, g.sh.now, name, fn)
+	e.goAt(g, g, g.sh.now, name, fn)
 }
 
 // GoAt spawns a new process in the default group that begins executing at
 // time t.
-func (e *Engine) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
+func (e *Engine) GoAt(t Time, name string, fn func(p *Proc)) {
 	g := e.groupless("GoAt")
-	return e.goAt(g, g, t, name, fn)
+	e.goAt(g, g, t, name, fn)
 }
 
 // GoOn spawns a new process in group g. It is legal only while the engine is
 // idle: shard-local process lists cannot be mutated from another shard.
 // Processes spawn their own same-group children at runtime with Proc.Go.
-func (e *Engine) GoOn(g *Group, name string, fn func(p *Proc)) *Proc {
-	return e.GoAtOn(g, g.sh.now, name, fn)
+func (e *Engine) GoOn(g *Group, name string, fn func(p *Proc)) {
+	e.GoAtOn(g, g.sh.now, name, fn)
 }
 
 // GoAtOn is GoOn starting at time t.
-func (e *Engine) GoAtOn(g *Group, t Time, name string, fn func(p *Proc)) *Proc {
+func (e *Engine) GoAtOn(g *Group, t Time, name string, fn func(p *Proc)) {
 	if e.running {
 		Failf("sim: GoOn/GoAtOn while running; spawn same-group children with Proc.Go")
 	}
-	return e.goAt(g, g, t, name, fn)
+	e.goAt(g, g, t, name, fn)
 }
 
 // Go spawns a child process in the calling process's group, beginning at the
 // current virtual time.
-func (p *Proc) Go(name string, fn func(q *Proc)) *Proc {
-	return p.eng.goAt(p.g, p.g, p.g.sh.now, name, fn)
+func (p *Proc) Go(name string, fn func(q *Proc)) {
+	p.eng.goAt(p.g, p.g, p.g.sh.now, name, fn)
 }
 
-func (e *Engine) goAt(origin, g *Group, t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, g: g, name: name, fn: fn}
-	p.wakeEv.proc = p
+// goAt starts fn on an idle carrier, its record reset all but the carrier link.
+//
+//pvfslint:hotpath alloc
+func (e *Engine) goAt(origin, g *Group, t Time, name string, fn func(p *Proc)) {
 	s := g.sh
-	p.idx = len(s.procs)
+	c := s.takeCarrier()
+	p := &c.p
+	*p = Proc{eng: e, g: g, name: name, fn: fn, c: c, idx: len(s.procs)}
+	p.wakeEv.proc = p
+	//pvfslint:ok hotpath amortized live-process list growth; the backing array is retained and reaches the high-water mark of live processes on the shard
 	s.procs = append(s.procs, p)
-	s.bind(p)
 	e.scheduleEv(&p.wakeEv, t, origin, g)
-	return p
 }
 
 // After runs fn d from now on the calling process's group — the timer lands
@@ -832,13 +839,14 @@ func (e *Engine) Shutdown() {
 	}
 }
 
-// Census reports, shard by shard, the events and carriers taken from the
-// engine's free lists and not recycled: at quiescence no event is out, and
-// one carrier is out per process still alive.
+// Census reports, shard by shard, the events, carriers and timeout records
+// taken from the engine's free lists and not recycled: at quiescence no
+// event or timeout is out, and one carrier is out per process still alive.
 func (e *Engine) Census(add func(pool string, out int64)) {
 	for _, s := range e.shards {
 		add("sim.events", s.evs.Out())
 		add("sim.carriers", s.carriers.Out())
+		add("sim.timeouts", s.timeouts.Out())
 	}
 }
 
@@ -867,6 +875,7 @@ type shard struct {
 	cur      *Proc             // the process whose body is executing, if any
 	carriers FreeList[carrier] // carriers whose last body returned
 	procs    []*Proc           // spawned and not yet finished
+	timeouts FreeList[timeout] // records of timed waits' timers (RecvTimeout)
 	nParked  int
 	panicked any
 

@@ -104,34 +104,49 @@ func (m *Mailbox) Recv(p *Proc) any {
 // while the mailbox is empty, so a message already queued returns immediately
 // and costs nothing. Timeouts are the foundation of the fault-recovery layer;
 // code on the no-fault path should use Recv, which schedules no timer events.
+//
+//pvfslint:hotpath alloc
 func (m *Mailbox) RecvTimeout(p *Proc, d Duration) (v any, ok bool) {
 	for m.queue.len() == 0 {
-		// armed distinguishes this wait from any later wait by the same
-		// process on the same mailbox; timedOut records that the timer, not
-		// a Send, woke us. The timer only fires for a process still in the
-		// waiter list: a process already woken by Send (or removed by an
-		// earlier timer) is left alone.
-		armed := true
-		timedOut := false
-		waiter := p
-		//pvfslint:ok hotpath timer-callback capture, armed only while the mailbox is empty; one closure per timed wait, and timed waits run only under faults
-		p.After(d, func() {
-			if !armed {
-				return
-			}
-			if m.waiters.remove(waiter) {
-				timedOut = true
-				waiter.eng.wake(waiter)
-			}
-		})
+		// Each park is a wait of its own timeout record: a timer left over
+		// from an earlier wait, or an earlier body, carries another one.
+		s := p.g.sh
+		t := s.timeouts.Take()
+		*t = timeout{p: p, m: m, sh: s}
+		p.wait = t
+		p.g.afterCallOn(p.g, d, expire, t)
 		m.waiters.push(p)
 		p.park()
-		armed = false
-		if timedOut {
+		if p.wait == nil {
 			return nil, false
 		}
+		p.wait = nil // woken by a Send: the timer is stale from here on
 	}
 	return m.queue.pop(), true
+}
+
+// timeout is what a timed wait's timer carries: the waiting process, the
+// mailbox, and the shard the record is recycled into. A record goes back to
+// the free list only when its timer fires, so no two timers out at once
+// share one, and a wait is told apart by its record alone.
+type timeout struct {
+	p  *Proc
+	m  *Mailbox
+	sh *shard
+}
+
+// expire is a timed wait's timer: it times the wait out, clearing p.wait,
+// unless the process has left that wait or was already woken.
+func expire(arg any) {
+	t := arg.(*timeout)
+	p, m, s := t.p, t.m, t.sh
+	current := p.wait == t
+	*t = timeout{}
+	s.timeouts.Put(t)
+	if current && m.waiters.remove(p) {
+		p.wait = nil
+		p.eng.wake(p)
+	}
 }
 
 // TryRecv returns the oldest queued message without blocking. ok is false if
@@ -197,9 +212,6 @@ func (r *Resource) Use(p *Proc, d Duration) {
 	p.Sleep(d)
 	r.Release()
 }
-
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
 
 // WaitGroup counts outstanding work items, like sync.WaitGroup but in
 // virtual time.

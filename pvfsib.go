@@ -64,7 +64,8 @@ type (
 	Addr = mem.Addr
 	// Extent is a byte range of simulated memory.
 	Extent = mem.Extent
-	// Proc is a simulation process handle.
+	// Proc is a simulation process handle. It is valid until the body it
+	// was handed to returns; after that it names whichever process reuses it.
 	Proc = sim.Proc
 	// Duration is virtual time.
 	Duration = sim.Duration
@@ -251,7 +252,8 @@ func (c *Cluster) FaultCounters() FaultCounters {
 
 // Ctx is the per-rank context handed to RunMPI bodies.
 type Ctx struct {
-	// Proc is the rank's simulation process.
+	// Proc is the rank's simulation process, valid until the rank's body
+	// returns.
 	Proc *Proc
 	// Rank is the MPI rank (Barrier, Send/Recv, collectives).
 	Rank *Rank
