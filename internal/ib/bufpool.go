@@ -7,7 +7,10 @@ import (
 	"pvfsib/internal/sim"
 )
 
-// Buffer is one pre-registered staging buffer from a BufPool.
+// Buffer is one pre-registered staging buffer from a BufPool. A buffer is
+// backed only while it is lent: its taker backs it with storage of exactly
+// Size bytes (mem.AddrSpace.Exchange) and may take the storage out again;
+// Put hands whatever it still holds to the pool's store.
 type Buffer struct {
 	Addr mem.Addr
 	Size int64
@@ -34,19 +37,22 @@ type BufPool struct {
 	count int
 	free  []*Buffer
 	cond  *sim.Cond
+	store *mem.ScratchPool
 }
 
 // NewBufPool allocates and statically registers count buffers of size bytes
-// each in the HCA's host memory. Pools are built once at system setup, so
-// registration is free in virtual time.
-func NewBufPool(h *HCA, count int, size int64) (*BufPool, error) {
-	pool := &BufPool{hca: h, size: size, count: count, cond: h.engine().NewCond()}
+// (a whole number of pages) each in the HCA's host memory, and hands their
+// storage to store: a free buffer is unbacked. Pools are built once at
+// system setup, so registration is free in virtual time.
+func NewBufPool(h *HCA, count int, size int64, store *mem.ScratchPool) (*BufPool, error) {
+	pool := &BufPool{hca: h, size: size, count: count, cond: h.engine().NewCond(), store: store}
 	for i := 0; i < count; i++ {
 		addr := h.space.Malloc(size)
 		mr, err := h.RegisterStatic(mem.Extent{Addr: addr, Len: size})
 		if err != nil {
 			return nil, fmt.Errorf("ib: buffer pool registration: %w", err)
 		}
+		store.Put(h.space.Exchange(addr, nil)[:0])
 		pool.free = append(pool.free, &Buffer{Addr: addr, Size: size, MR: mr, pool: pool})
 	}
 	return pool, nil
@@ -70,8 +76,12 @@ func (pool *BufPool) Get(p *sim.Proc) *Buffer {
 	return b
 }
 
-// Put returns a buffer to the pool and wakes one waiter.
+// Put unbacks a buffer, handing its storage to the pool's store, returns it
+// to the pool and wakes one waiter. Storage a buffer held goes back at length
+// 0, so sim.PoisonReleased leaves it as it is: the mapping was its one holder,
+// and every access through an unbacked mapping fails.
 func (b *Buffer) Put() {
+	b.pool.store.Put(b.pool.hca.space.Exchange(b.Addr, nil)[:0])
 	//pvfslint:ok hotpath free-list push: the backing array held every buffer of the pool at construction, so it never grows
 	b.pool.free = append(b.pool.free, b)
 	b.pool.cond.Signal()

@@ -2,6 +2,9 @@ package ib
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -428,7 +431,7 @@ func TestBufPoolBlocksWhenEmpty(t *testing.T) {
 	var gotAt sim.Time
 	eng.Go("setup", func(p *sim.Proc) {
 		var err error
-		pool, err = NewBufPool(a, 1, 64<<10)
+		pool, err = NewBufPool(a, 1, 64<<10, new(mem.ScratchPool))
 		if err != nil {
 			t.Error(err)
 			return
@@ -451,7 +454,7 @@ func TestBufPoolBlocksWhenEmpty(t *testing.T) {
 func TestBufPoolPreRegistered(t *testing.T) {
 	eng, a, _ := pair(t)
 	eng.Go("t", func(p *sim.Proc) {
-		pool, err := NewBufPool(a, 4, 64<<10)
+		pool, err := NewBufPool(a, 4, 64<<10, new(mem.ScratchPool))
 		if err != nil {
 			t.Error(err)
 			return
@@ -501,5 +504,80 @@ func TestCountersAdd(t *testing.T) {
 	c.Add(d)
 	if c.Registrations != 5 || c.BytesOut != 150 {
 		t.Errorf("Add: %+v", c)
+	}
+}
+
+// quietPlane is a fault plane that injects nothing: attached, it only turns
+// the leftovers of a failed epoch from broken invariants into drops.
+type quietPlane struct{}
+
+func (quietPlane) WRError(sim.Time, string) bool { return false }
+func (quietPlane) RegFail(sim.Time, string) bool { return false }
+
+// TestReleasedStagingBufferDropsStaleRDMA: a staging buffer holds storage
+// only while it is lent, so an RDMA write or read that reaches one after it
+// went back to its pool touches no byte. With a fault plane attached that is
+// a stale access from a failed epoch and is dropped: the write lands nowhere
+// and the buffer stays unbacked, the read gets no response and times out.
+// Without one it is a broken invariant and fails the run.
+func TestReleasedStagingBufferDropsStaleRDMA(t *testing.T) {
+	for _, faulty := range []bool{true, false} {
+		for _, op := range []string{"write", "read"} {
+			t.Run(fmt.Sprintf("faults=%t/%s", faulty, op), func(t *testing.T) {
+				eng, a, b := pair(t)
+				qa, _ := Connect(a, b)
+				if faulty {
+					a.SetFaults(quietPlane{})
+					b.SetFaults(quietPlane{})
+				}
+				store := new(mem.ScratchPool)
+				pool, err := NewBufPool(b, 1, 64<<10, store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := a.Space().Malloc(mem.PageSize)
+				if _, err := a.RegisterStatic(mem.Extent{Addr: src, Len: mem.PageSize}); err != nil {
+					t.Fatal(err)
+				}
+				var opErr error
+				var buf *Buffer
+				eng.Go("t", func(p *sim.Proc) {
+					buf = pool.Get(p)
+					b.Space().Exchange(buf.Addr, store.Get(int(buf.Size)))
+					buf.Put() // released: unbacked again
+					sges := []SGE{{Addr: src, Len: 512}}
+					if op == "write" {
+						opErr = qa.RDMAWrite(p, sges, buf.Addr, buf.MR.Key)
+					} else {
+						opErr = qa.RDMARead(p, sges, buf.Addr, buf.MR.Key)
+					}
+					p.Sleep(time.Millisecond)
+				})
+				panicked := func() (r any) {
+					defer func() { r = recover() }()
+					run(t, eng)
+					return nil
+				}()
+				if !faulty {
+					if msg := fmt.Sprint(panicked); !strings.Contains(msg, "RDMA "+op+" fault") {
+						t.Fatalf("stale RDMA %s into a released buffer: run ended with %q, want a fault", op, msg)
+					}
+					return
+				}
+				if panicked != nil {
+					t.Fatalf("stale RDMA %s under faults: %v", op, panicked)
+				}
+				var wc *WCError
+				if op == "write" && opErr != nil || op == "read" && !(errors.As(opErr, &wc) && wc.Status == WCResponseTimeout) {
+					t.Errorf("RDMA %s returned %v", op, opErr)
+				}
+				if err := b.Space().ReadInto(buf.Addr, make([]byte, 1)); err == nil {
+					t.Error("the released buffer is backed")
+				}
+				if n := b.wp.wires.Out(); n != 0 {
+					t.Errorf("%d wire records not recycled", n)
+				}
+			})
+		}
 	}
 }

@@ -204,14 +204,7 @@ func (h *HCA) putWire(w *wire) {
 	if w.kind == wireFree {
 		sim.Failf("ib: %s: wire record recycled twice", h.node.Name)
 	}
-	if w.data != nil {
-		if sim.PoisonReleased {
-			for i := range w.data {
-				w.data[i] = 0xDB
-			}
-		}
-		h.scratch().Put(w.data)
-	}
+	h.scratch().Put(w.data)
 	// The fields a kind does not use are never read, so only what the
 	// record references is cleared.
 	w.kind, w.payload, w.data = wireFree, nil, nil
@@ -310,11 +303,12 @@ func (h *HCA) Census(add func(pool string, out int64)) {
 // (serveRead); every other message is consumed.
 //
 // With a fault plane attached, anomalies that are hard protocol-invariant
-// violations in a fault-free run — an RDMA against a deregistered region, a
-// read response nobody is waiting for — become expected leftovers of a
-// failed epoch (the peer timed out, reset, and released its buffers) and
-// are discarded instead of failing the simulation. A down adapter discards
-// everything: in-flight requests to a crashed daemon die silently.
+// violations in a fault-free run — an RDMA against a deregistered region or
+// a released, unbacked buffer (BufPool), a read response nobody is waiting
+// for — become expected leftovers of a failed epoch (the peer timed out,
+// reset, and released its buffers) and are discarded instead of failing the
+// simulation. A down adapter discards everything: in-flight requests to a
+// crashed daemon die silently.
 func (h *HCA) deliver(m *simnet.Message) (read bool) {
 	w := m.Payload.(*wire)
 	if h.down {
@@ -338,6 +332,10 @@ func (h *HCA) deliver(m *simnet.Message) (read bool) {
 			sim.Failf("ib: %s: RDMA write outside registered region (rkey %d)", h.node.Name, w.rkey)
 		}
 		if err := h.space.Write(w.raddr, w.data); err != nil {
+			if h.faults != nil {
+				h.putWire(w)
+				return false // stale write into a released buffer; NAK and drop
+			}
 			sim.Failf("ib: %s: RDMA write fault: %v", h.node.Name, err)
 		}
 		if h.OnRDMAWriteApplied != nil {
@@ -379,12 +377,19 @@ func (h *HCA) deliver(m *simnet.Message) (read bool) {
 }
 
 // serveRead answers a read request deliver found valid: it snapshots the
-// region, waits out the turnaround and transmits the response.
+// region, waits out the turnaround and transmits the response. Under faults
+// a read of a buffer released since (unbacked) is dropped like deliver drops
+// one of a deregistered region.
 func (h *HCA) serveRead(p *sim.Proc, m *simnet.Message) {
 	w := m.Payload.(*wire)
 	data := h.scratch().Get(w.size)
 	if err := h.space.ReadInto(w.raddr, data); err != nil {
-		sim.Failf("ib: %s: RDMA read fault: %v", h.node.Name, err)
+		if h.faults == nil {
+			sim.Failf("ib: %s: RDMA read fault: %v", h.node.Name, err)
+		}
+		h.scratch().Put(data)
+		h.putWire(w)
+		return // the initiator times out
 	}
 	p.Sleep(h.params.ReadTurnaround)
 	resp := h.takeWire(wireReadResp)

@@ -407,6 +407,9 @@ type extent struct {
 	data    []byte // extentBlocks * BlockSize
 	written uint64 // bit b: block b has been written
 	stale   uint64 // bit b: block b still holds bytes of a removed file
+	// slot[b] is the page-cache entry caching block b, plus one; 0 if none.
+	// A cached block is a written one, so its extent exists.
+	slot [extentBlocks]int32
 }
 
 const (
@@ -484,10 +487,9 @@ func (f *File) copyOut(off int64, dst []byte) {
 // pageCache is a global LRU over (file, block) with write-back. Entries live
 // in one slab and link to their LRU neighbours by slab index, with freed
 // slots chained through next, so caching a block costs no heap object of
-// its own.
+// its own; a block finds its entry through its extent's slot.
 type pageCache struct {
 	fs         *FS
-	index      map[cacheKey]int32
 	ents       []cacheEntry
 	head, tail int32 // most and least recently used; noEntry when empty
 	free       int32 // head of the free-slot chain
@@ -509,21 +511,30 @@ type cacheEntry struct {
 const noEntry int32 = -1
 
 func newPageCache(fs *FS) *pageCache {
-	return &pageCache{fs: fs, index: make(map[cacheKey]int32), head: noEntry, tail: noEntry, free: noEntry}
+	return &pageCache{fs: fs, head: noEntry, tail: noEntry, free: noEntry}
+}
+
+// lookup returns the block's extent.slot, nil if it has no extent, and the
+// entry caching it, noEntry if none does.
+func (k cacheKey) lookup() (*int32, int32) {
+	if e := k.file.data[k.blk/extentBlocks]; e != nil {
+		return &e.slot[k.blk%extentBlocks], e.slot[k.blk%extentBlocks] - 1
+	}
+	return nil, noEntry
 }
 
 func (c *pageCache) present(f *File, blk int64) bool {
-	_, ok := c.index[cacheKey{f, blk}]
-	return ok
+	_, i := cacheKey{f, blk}.lookup()
+	return i != noEntry
 }
 
 // hit reports whether the block is cached and, if so, promotes it.
 func (c *pageCache) hit(f *File, blk int64) bool {
-	i, ok := c.index[cacheKey{f, blk}]
-	if ok {
+	_, i := cacheKey{f, blk}.lookup()
+	if i != noEntry {
 		c.promote(i)
 	}
-	return ok
+	return i != noEntry
 }
 
 // unlink takes entry i out of the LRU chain.
@@ -563,7 +574,8 @@ func (c *pageCache) promote(i int32) {
 // drop removes entry i from the cache without writing it back.
 func (c *pageCache) drop(i int32) {
 	c.unlink(i)
-	delete(c.index, c.ents[i].key)
+	slot, _ := c.ents[i].key.lookup()
+	*slot = 0
 	c.ents[i] = cacheEntry{next: c.free}
 	c.free = i
 	c.bytes -= c.fs.params.BlockSize
@@ -573,7 +585,7 @@ func (c *pageCache) drop(i int32) {
 // entries as needed; dirty marks it modified either way.
 func (c *pageCache) insert(p *sim.Proc, f *File, blk int64, dirty bool) {
 	key := cacheKey{f, blk}
-	if i, ok := c.index[key]; ok {
+	if _, i := key.lookup(); i != noEntry {
 		c.promote(i)
 		if dirty {
 			c.ents[i].dirty = true
@@ -593,8 +605,8 @@ func (c *pageCache) insert(p *sim.Proc, f *File, blk int64, dirty bool) {
 		c.free = c.ents[i].next
 	}
 	c.ents[i] = cacheEntry{key: key, dirty: dirty}
-	//pvfslint:ok hotpath page-cache index: eviction deletes its key, so the map stays at the resident high-water mark
-	c.index[key] = i
+	slot, _ := key.lookup() // after the evictions, which may sleep
+	*slot = i + 1
 	c.pushFront(i)
 	c.bytes += bs
 }
@@ -634,7 +646,7 @@ func (c *pageCache) flushFile(p *sim.Proc, f *File) {
 		i = j
 	}
 	for _, blk := range dirty {
-		if i, ok := c.index[cacheKey{f, blk}]; ok {
+		if _, i := (cacheKey{f, blk}).lookup(); i != noEntry {
 			c.ents[i].dirty = false
 		}
 	}
@@ -653,7 +665,10 @@ func (c *pageCache) purgeFile(f *File) {
 }
 
 func (c *pageCache) clear() {
-	clear(c.index)
+	for i := c.head; i != noEntry; i = c.ents[i].next {
+		slot, _ := c.ents[i].key.lookup()
+		*slot = 0
+	}
 	c.ents = c.ents[:0]
 	c.head, c.tail, c.free = noEntry, noEntry, noEntry
 	c.bytes = 0

@@ -3,6 +3,7 @@ package localfs
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pvfsib/internal/disk"
@@ -116,6 +117,12 @@ type fsPair struct {
 	handles []*handle // every handle ever opened, removed ones too
 	stamp   byte
 	spans   bool
+	ref     *mapCache // the page cache the FS's is held to (checkCache)
+}
+
+func newFSPair(t testing.TB, p *sim.Proc, fs *FS) *fsPair {
+	ref := &mapCache{index: map[cacheKey]int32{}, head: noEntry, tail: noEntry, free: noEntry, params: fs.params}
+	return &fsPair{t: t, p: p, fs: fs, open: map[string]*handle{}, ref: ref}
 }
 
 func (x *fsPair) openFile(name string) *handle {
@@ -136,6 +143,9 @@ func (x *fsPair) openFile(name string) *handle {
 func (x *fsPair) remove(name string) {
 	x.t.Helper()
 	h := x.open[name]
+	if f := x.fs.files[name]; f != nil {
+		x.ref.purgeFile(f)
+	}
 	if got := x.fs.Remove(x.p, name); got != (h != nil) {
 		x.t.Fatalf("Remove(%q) = %t with the file open: %t", name, got, h != nil)
 	}
@@ -150,6 +160,7 @@ func (x *fsPair) remove(name string) {
 
 func (x *fsPair) write(h *handle, off, n int64) {
 	data := x.fill(n)
+	x.ref.write(h, off, n)
 	h.f.WriteAt(x.p, off, data)
 	h.m.writeAt(off, data)
 }
@@ -157,6 +168,7 @@ func (x *fsPair) write(h *handle, off, n int64) {
 func (x *fsPair) read(h *handle, off, n int64) {
 	x.t.Helper()
 	got, want := bytes.Repeat([]byte{0xEE}, int(n)), bytes.Repeat([]byte{0xEE}, int(n))
+	x.ref.read(h, off, n)
 	if a, b := h.f.ReadInto(x.p, off, got), h.m.readInto(off, want); a != b {
 		x.t.Fatalf("%s: ReadInto(%d, %d) = %d, oracle %d", h.name, off, n, a, b)
 	}
@@ -183,6 +195,7 @@ func (x *fsPair) fill(n int64) []byte {
 func (x *fsPair) writePieces(h *handle, off, size int64, pieces []Piece) {
 	buf := x.fill(piecesLen(pieces))
 	want := h.m.span(off, size, pieces, buf)
+	x.ref.write(h, off, size)
 	if x.spans {
 		h.f.WriteAt(x.p, off, want)
 	} else {
@@ -197,6 +210,7 @@ func (x *fsPair) readPieces(h *handle, off, size int64, pieces []Piece) {
 	x.t.Helper()
 	n := piecesLen(pieces)
 	got, want := bytes.Repeat([]byte{0xEE}, int(n)), bytes.Repeat([]byte{0xEE}, int(n))
+	x.ref.read(h, off, size)
 	if x.spans {
 		span := make([]byte, size)
 		clear(span[h.f.ReadInto(x.p, off, span):])
@@ -307,16 +321,21 @@ type scriptRun struct {
 	disk            disk.Counters
 	fresh, recycled int64
 	cacheBytes      int64
+	wroteBack       int // dirty blocks evicted
 }
 
 // runFileScript interprets data against a fresh file system, servicing
-// pieces as spans when spans is set.
+// pieces as spans when spans is set. The page cache holds scriptCacheBlocks,
+// so that scripts evict and write back, and is held to the reference after
+// every op.
 func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 	t.Helper()
 	eng, fs := newFS(t)
+	fs.params.CacheBytes = scriptCacheBlocks * fs.params.BlockSize
 	var out scriptRun
 	runSim(t, eng, func(p *sim.Proc) {
-		x := &fsPair{t: t, p: p, fs: fs, open: map[string]*handle{}, spans: spans}
+		x := newFSPair(t, p, fs)
+		x.spans = spans
 		sc := &script{b: data}
 		names := []string{"a", "b", "c"}
 		for ops := 0; len(sc.b) > 0 && ops < 400; ops++ {
@@ -335,8 +354,10 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 				x.read(h, off, n)
 			case op == 13:
 				h.f.Sync(p)
+				x.ref.flushFile(h.f)
 			case op == 14:
 				fs.DropCaches(p)
+				x.ref.clear()
 			case op == 15:
 				x.remove(names[sc.byte()%3])
 			case op < 18:
@@ -346,29 +367,37 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 				off, n := sc.span()
 				x.readPieces(h, off, n, sc.pieces(off, n))
 			}
+			x.checkCache()
 		}
 		x.sweep()
+		x.checkCache()
 		hc := fs.HostCost()
-		out = scriptRun{p.Now(), fs.Counters, fs.dsk.Counters, hc.Fresh, hc.Recycled, fs.CacheBytesUsed()}
+		out = scriptRun{p.Now(), fs.Counters, fs.dsk.Counters, hc.Fresh, hc.Recycled, fs.CacheBytesUsed(), x.ref.wroteBack}
 	})
 	return out
 }
 
 // checkFileScript runs a script servicing pieces both ways, each against
 // the oracle, and holds the two runs to the same charges.
-func checkFileScript(t testing.TB, data []byte) {
+func checkFileScript(t testing.TB, data []byte) scriptRun {
 	t.Helper()
-	if pieces, spans := runFileScript(t, data, false), runFileScript(t, data, true); pieces != spans {
+	pieces, spans := runFileScript(t, data, false), runFileScript(t, data, true)
+	if pieces != spans {
 		t.Fatalf("pieces charge differently from their spans:\n%+v\n%+v", pieces, spans)
 	}
+	return pieces
 }
 
 func TestFileExtentsModelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20030903))
+	wroteBack := 0
 	for iter := 0; iter < 40; iter++ {
 		data := make([]byte, 100+rng.Intn(2500))
 		rng.Read(data)
-		checkFileScript(t, data)
+		wroteBack += checkFileScript(t, data).wroteBack
+	}
+	if wroteBack == 0 {
+		t.Error("no script evicted a dirty block: the cache is too large to test write-back")
 	}
 }
 
@@ -388,7 +417,7 @@ func FuzzFileExtents(f *testing.F) {
 func TestRecycledExtentReadsZero(t *testing.T) {
 	eng, fs := newFS(t)
 	runSim(t, eng, func(p *sim.Proc) {
-		x := &fsPair{t: t, p: p, fs: fs, open: map[string]*handle{}}
+		x := newFSPair(t, p, fs)
 		bs := fs.params.BlockSize
 		old := x.openFile("old")
 		x.write(old, 0, 3*extentBlocks*bs) // three extents, every byte nonzero
@@ -420,7 +449,7 @@ func TestRecycledExtentReadsZero(t *testing.T) {
 func TestRemovedFileHandleIsDetached(t *testing.T) {
 	eng, fs := newFS(t)
 	runSim(t, eng, func(p *sim.Proc) {
-		x := &fsPair{t: t, p: p, fs: fs, open: map[string]*handle{}}
+		x := newFSPair(t, p, fs)
 		stale := x.openFile("f")
 		x.write(stale, 0, 100<<10)
 		x.remove("f")
@@ -456,4 +485,217 @@ func TestExtentRecycleBounded(t *testing.T) {
 			t.Errorf("%d extents kept of %d, bound %d", len(fs.freeExt), keep+40, keep)
 		}
 	})
+}
+
+// scriptCacheBlocks is the page cache of runFileScript: fewer blocks than
+// one read-ahead and an 80 kB write, so that scripts evict and write back.
+const scriptCacheBlocks = 80
+
+// mapCache is the page cache as it was before the extents held its index:
+// an LRU slab found through a map[cacheKey]int32. Its methods from unlink to
+// clear are the former pageCache's, verbatim but for the disk writes, which
+// it counts instead; read and write make the calls chargeRead, chargeWrite
+// and dirty make, from the block oracle's state before the call.
+type mapCache struct {
+	index      map[cacheKey]int32
+	ents       []cacheEntry
+	head, tail int32
+	free       int32
+	bytes      int64
+	params     Params
+	wroteBack  int
+}
+
+func (c *mapCache) read(h *handle, off, n int64) {
+	m, bs := h.m, c.params.BlockSize
+	size := min(n, m.size-off)
+	if size <= 0 {
+		return
+	}
+	first, last := off/bs, (off+size-1)/bs
+	for blk := first; blk <= last; {
+		if c.hit(h.f, blk) || !m.written(blk) {
+			blk++
+			continue
+		}
+		start := blk
+		for blk <= last && !c.present(h.f, blk) && m.written(blk) {
+			blk++
+		}
+		end := blk
+		ahead := start + (c.params.ReadAhead+bs-1)/bs
+		for end < ahead && end < (m.size+bs-1)/bs && m.written(end) && !c.present(h.f, end) {
+			end++
+		}
+		for b := start; b < end; b++ {
+			c.insert(h.f, b, false)
+		}
+	}
+}
+
+func (c *mapCache) write(h *handle, off, n int64) {
+	bs := c.params.BlockSize
+	first, last := off/bs, (off+n-1)/bs
+	for _, blk := range [2]int64{first, last} {
+		covered := off <= blk*bs && off+n >= (blk+1)*bs
+		if !covered && h.m.written(blk) && !c.present(h.f, blk) {
+			c.insert(h.f, blk, false)
+		}
+	}
+	for blk := first; blk <= last; blk++ {
+		c.insert(h.f, blk, true)
+	}
+}
+
+func (c *mapCache) present(f *File, blk int64) bool {
+	_, ok := c.index[cacheKey{f, blk}]
+	return ok
+}
+
+func (c *mapCache) hit(f *File, blk int64) bool {
+	i, ok := c.index[cacheKey{f, blk}]
+	if ok {
+		c.promote(i)
+	}
+	return ok
+}
+
+func (c *mapCache) unlink(i int32) {
+	e := &c.ents[i]
+	if e.prev == noEntry {
+		c.head = e.next
+	} else {
+		c.ents[e.prev].next = e.next
+	}
+	if e.next == noEntry {
+		c.tail = e.prev
+	} else {
+		c.ents[e.next].prev = e.prev
+	}
+}
+
+func (c *mapCache) pushFront(i int32) {
+	e := &c.ents[i]
+	e.prev, e.next = noEntry, c.head
+	if c.head == noEntry {
+		c.tail = i
+	} else {
+		c.ents[c.head].prev = i
+	}
+	c.head = i
+}
+
+func (c *mapCache) promote(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
+func (c *mapCache) drop(i int32) {
+	c.unlink(i)
+	delete(c.index, c.ents[i].key)
+	c.ents[i] = cacheEntry{next: c.free}
+	c.free = i
+	c.bytes -= c.params.BlockSize
+}
+
+func (c *mapCache) insert(f *File, blk int64, dirty bool) {
+	key := cacheKey{f, blk}
+	if i, ok := c.index[key]; ok {
+		c.promote(i)
+		if dirty {
+			c.ents[i].dirty = true
+		}
+		return
+	}
+	bs := c.params.BlockSize
+	for c.bytes+bs > c.params.CacheBytes && c.tail != noEntry {
+		c.evictOne()
+	}
+	i := c.free
+	if i == noEntry {
+		i = int32(len(c.ents))
+		c.ents = append(c.ents, cacheEntry{})
+	} else {
+		c.free = c.ents[i].next
+	}
+	c.ents[i] = cacheEntry{key: key, dirty: dirty}
+	c.index[key] = i
+	c.pushFront(i)
+	c.bytes += bs
+}
+
+func (c *mapCache) evictOne() {
+	if c.ents[c.tail].dirty {
+		c.wroteBack++
+	}
+	c.drop(c.tail)
+}
+
+func (c *mapCache) flushFile(f *File) {
+	for i := c.head; i != noEntry; i = c.ents[i].next {
+		if c.ents[i].key.file == f {
+			c.ents[i].dirty = false
+		}
+	}
+}
+
+func (c *mapCache) purgeFile(f *File) {
+	for i := c.head; i != noEntry; {
+		next := c.ents[i].next
+		if c.ents[i].key.file == f {
+			c.drop(i)
+		}
+		i = next
+	}
+}
+
+func (c *mapCache) clear() {
+	clear(c.index)
+	c.ents = c.ents[:0]
+	c.head, c.tail, c.free = noEntry, noEntry, noEntry
+	c.bytes = 0
+}
+
+// checkCache holds the FS's page cache to the reference: the same blocks
+// in the same LRU order with the same dirty flags, each entry found through
+// its block's slot, and no other slot of any extent, removed files' and
+// free ones included, naming an entry.
+func (x *fsPair) checkCache() {
+	x.t.Helper()
+	c, r := x.fs.cache, x.ref
+	n := 0
+	i, j := c.head, r.head
+	for ; i != noEntry && j != noEntry; i, j = c.ents[i].next, r.ents[j].next {
+		got, want := c.ents[i].key, r.ents[j].key
+		if got != want || c.ents[i].dirty != r.ents[j].dirty {
+			x.t.Fatalf("LRU position %d: %s block %d (dirty %t), reference %s block %d (dirty %t)",
+				n, got.file.name, got.blk, c.ents[i].dirty, want.file.name, want.blk, r.ents[j].dirty)
+		}
+		if slot, k := got.lookup(); slot == nil || k != i {
+			x.t.Fatalf("%s block %d is cached in entry %d; its slot names %d", got.file.name, got.blk, i, k)
+		}
+		n++
+	}
+	if i != noEntry || j != noEntry {
+		x.t.Fatalf("the LRU lists agree for %d blocks, then one ends (cache %t, reference %t)", n, i == noEntry, j == noEntry)
+	}
+	exts := slices.Clone(x.fs.freeExt)
+	for _, h := range x.handles {
+		for _, e := range h.f.data {
+			exts = append(exts, e)
+		}
+	}
+	slots := 0
+	for _, e := range exts {
+		for _, s := range e.slot {
+			if s != 0 {
+				slots++
+			}
+		}
+	}
+	if slots != n || c.bytes != r.bytes {
+		x.t.Fatalf("%d slots name an entry, %d blocks cached; %d bytes, reference %d", slots, n, c.bytes, r.bytes)
+	}
 }

@@ -110,7 +110,8 @@ const recycleMaxBytes = 64 << 20
 // mapping is one contiguous allocated range with its bytes.
 type mapping struct {
 	base Addr
-	data []byte // whole pages
+	size int    // whole pages
+	data []byte // size bytes, or nil while the mapping is unbacked
 	// dirtyLo and dirtyHi bound the bytes of data ever written, so that
 	// recycling clears those and not the whole mapping.
 	dirtyLo, dirtyHi int
@@ -119,7 +120,7 @@ type mapping struct {
 	part bool
 }
 
-func (m *mapping) end() Addr { return m.base + Addr(len(m.data)) }
+func (m *mapping) end() Addr { return m.base + Addr(m.size) }
 
 func (m *mapping) dirty(lo, hi int) {
 	m.dirtyLo, m.dirtyHi = min(m.dirtyLo, lo), max(m.dirtyHi, hi)
@@ -127,7 +128,11 @@ func (m *mapping) dirty(lo, hi int) {
 
 // piece returns the mapping of data[lo:hi) after a partial Free.
 func (m *mapping) piece(lo, hi int) mapping {
-	return mapping{base: m.base + Addr(lo), data: m.data[lo:hi:hi], part: true}
+	p := mapping{base: m.base + Addr(lo), size: hi - lo, part: true}
+	if m.data != nil {
+		p.data = m.data[lo:hi:hi]
+	}
+	return p
 }
 
 // NewAddrSpace creates an empty address space. The bump allocator starts at
@@ -160,7 +165,7 @@ func (s *AddrSpace) Malloc(size int64) Addr {
 		s.host.Fresh++
 		s.host.BytesCleared += n
 	}
-	s.maps = append(s.maps, mapping{base: base, data: data, dirtyLo: int(n)})
+	s.maps = append(s.maps, mapping{base: base, size: int(n), data: data, dirtyLo: int(n)})
 	s.brk = base + Addr(n)
 	s.MallocCalls++
 	return base
@@ -200,18 +205,24 @@ func (s *AddrSpace) search(addr Addr) int {
 }
 
 // covers returns the index of the mapping holding addr if mappings cover
-// [addr, addr+n) without a gap, and -1 otherwise; n must be positive.
-func (s *AddrSpace) covers(addr Addr, n int64) int {
+// [addr, addr+n) without a gap, backed ones only if backed is set, and -1
+// otherwise; n must be positive.
+func (s *AddrSpace) covers(addr Addr, n int64, backed bool) int {
 	i := s.search(addr)
 	if i == len(s.maps) || s.maps[i].base > addr {
 		return -1
 	}
-	for j, end := i, addr+Addr(n); s.maps[j].end() < end; j++ {
+	for j, end := i, addr+Addr(n); ; j++ {
+		if backed && s.maps[j].data == nil {
+			return -1
+		}
+		if s.maps[j].end() >= end {
+			return i
+		}
 		if j+1 == len(s.maps) || s.maps[j+1].base != s.maps[j].end() {
 			return -1
 		}
 	}
-	return i
 }
 
 // Free releases every allocated page overlapping the extent. Freeing
@@ -234,7 +245,7 @@ func (s *AddrSpace) Free(e Extent) {
 			keep = append(keep, m.piece(0, int(lo-m.base)))
 		}
 		if hi < m.end() {
-			keep = append(keep, m.piece(int(hi-m.base), len(m.data)))
+			keep = append(keep, m.piece(int(hi-m.base), m.size))
 		}
 	}
 	s.maps = slices.Replace(s.maps, i, j, keep...)
@@ -243,8 +254,8 @@ func (s *AddrSpace) Free(e Extent) {
 // recycle keeps the storage of a mapping freed whole for a later Malloc of
 // its size, zeroed again where it was written.
 func (s *AddrSpace) recycle(m *mapping) {
-	n := int64(len(m.data))
-	if m.part || s.freeBytes+n > recycleMaxBytes {
+	n := int64(m.size)
+	if m.part || m.data == nil || s.freeBytes+n > recycleMaxBytes {
 		return
 	}
 	if m.dirtyLo < m.dirtyHi {
@@ -257,7 +268,7 @@ func (s *AddrSpace) recycle(m *mapping) {
 
 // Allocated reports whether every page overlapping the extent is allocated.
 func (s *AddrSpace) Allocated(e Extent) bool {
-	return e.Len <= 0 || s.covers(e.Addr, e.Len) >= 0
+	return e.Len <= 0 || s.covers(e.Addr, e.Len, false) >= 0
 }
 
 // Holes returns the unallocated page-aligned gaps within the extent, in
@@ -309,7 +320,7 @@ func (s *AddrSpace) Write(addr Addr, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	i := s.covers(addr, int64(len(data)))
+	i := s.covers(addr, int64(len(data)), true)
 	if i < 0 {
 		//pvfslint:ok hotpath errRange construction — error path for an out-of-range DMA write
 		return &errRange{space: s.name, op: "write", e: Extent{Addr: addr, Len: int64(len(data))}}
@@ -338,7 +349,7 @@ func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	i := s.covers(addr, int64(len(dst)))
+	i := s.covers(addr, int64(len(dst)), true)
 	if i < 0 {
 		//pvfslint:ok hotpath errRange construction — error path for an out-of-range DMA read
 		return &errRange{space: s.name, op: "read", e: Extent{Addr: addr, Len: int64(len(dst))}}
@@ -359,7 +370,7 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 	if n <= 0 {
 		return nil
 	}
-	si, di := s.covers(src, n), s.covers(dst, n)
+	si, di := s.covers(src, n, true), s.covers(dst, n, true)
 	if si < 0 {
 		//pvfslint:ok hotpath errRange construction — error path for an out-of-range arena copy
 		return &errRange{space: s.name, op: "read", e: Extent{Addr: src, Len: n}}
@@ -406,6 +417,22 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 	return nil
 }
 
+// Exchange backs the whole mapping that starts at addr with data, exactly
+// its length, or with nothing, and returns the storage it held (nil if none):
+// bytes change owner without a copy. An unbacked mapping keeps its addresses
+// and registrations, but any byte access to it fails as one to unallocated
+// memory does. A piece of a partly freed mapping shares storage: no exchange.
+func (s *AddrSpace) Exchange(addr Addr, data []byte) []byte {
+	i := s.search(addr)
+	if i == len(s.maps) || s.maps[i].base != addr || s.maps[i].part || data != nil && len(data) != s.maps[i].size {
+		sim.Failf("mem: %s: no whole mapping of %d bytes at %#x to exchange", s.name, len(data), uint64(addr))
+	}
+	m := &s.maps[i]
+	old := m.data
+	m.data, m.dirtyLo, m.dirtyHi = data, 0, m.size
+	return old
+}
+
 // HostCost returns what the space's storage has cost the host so far: bytes
 // copied by Write, ReadInto and Copy, bytes zeroed for Malloc and on recycling,
 // and how many Mallocs allocated against how many reused freed storage.
@@ -415,7 +442,7 @@ func (s *AddrSpace) HostCost() sim.HostCost { return s.host }
 func (s *AddrSpace) AllocatedPages() int {
 	n := 0
 	for i := range s.maps {
-		n += len(s.maps[i].data) / PageSize
+		n += s.maps[i].size / PageSize
 	}
 	return n
 }
@@ -503,13 +530,20 @@ func (p *ScratchPool) HostCost() sim.HostCost {
 // Put returns a buffer obtained from Get to its size class. Ownership must
 // be unique: recycling a buffer still referenced elsewhere corrupts a later
 // Get. Buffers that are not pool-shaped (wrong capacity) and buffers beyond
-// the class's retention bound are left to the GC.
+// the class's retention bound are left to the GC. Under sim.PoisonReleased
+// its len(b) bytes are overwritten, so a stale reader sees garbage.
 func (p *ScratchPool) Put(b []byte) {
 	c := cap(b)
 	if p == nil || c == 0 {
 		return
 	}
 	p.puts++
+	if sim.PoisonReleased && len(b) > 0 {
+		b[0] = 0xDB
+		for n := 1; n < len(b); n *= 2 {
+			copy(b[n:], b[:n])
+		}
+	}
 	if c < 1<<scratchMinBits || c > 1<<scratchMaxBits || c&(c-1) != 0 {
 		return
 	}

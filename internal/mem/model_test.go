@@ -12,7 +12,9 @@ import (
 // slice per allocated page in a map. It is the oracle the extent
 // implementation is held to, op by op. Its methods are the former
 // AddrSpace's, verbatim, except Copy, which the former code got wrong on
-// overlapping ranges and which here goes through a temporary.
+// overlapping ranges and which here goes through a temporary, and the byte
+// accesses, which also fail on an unbacked page: one allocated but nil
+// (Exchange).
 type pageSpace struct {
 	name  string
 	pages map[uint64][]byte
@@ -84,9 +86,39 @@ func (s *pageSpace) Holes(e Extent) []Extent {
 	return holes
 }
 
+// backed is Allocated with every page also backed.
+func (s *pageSpace) backed(e Extent) bool {
+	if !s.Allocated(e) {
+		return false
+	}
+	for pg := e.Addr.PageOf(); e.Len > 0 && pg <= (e.End()-1).PageOf(); pg++ {
+		if s.pages[pg] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// Exchange backs the n bytes at addr, a whole mapping, with a copy of data,
+// or unbacks them with nil, and returns the bytes they held, nil if none.
+func (s *pageSpace) Exchange(addr Addr, n int64, data []byte) []byte {
+	var old []byte
+	for off := int64(0); off < n; off += PageSize {
+		pg := (addr + Addr(off)).PageOf()
+		if s.pages[pg] != nil {
+			old = append(old, s.pages[pg]...)
+		}
+		s.pages[pg] = nil
+		if data != nil {
+			s.pages[pg] = bytes.Clone(data[off : off+PageSize])
+		}
+	}
+	return old
+}
+
 func (s *pageSpace) Write(addr Addr, data []byte) error {
 	e := Extent{Addr: addr, Len: int64(len(data))}
-	if !s.Allocated(e) {
+	if !s.backed(e) {
 		return &errRange{space: s.name, op: "write", e: e}
 	}
 	for len(data) > 0 {
@@ -101,7 +133,7 @@ func (s *pageSpace) Write(addr Addr, data []byte) error {
 
 func (s *pageSpace) ReadInto(addr Addr, dst []byte) error {
 	e := Extent{Addr: addr, Len: int64(len(dst))}
-	if !s.Allocated(e) {
+	if !s.backed(e) {
 		return &errRange{space: s.name, op: "read", e: e}
 	}
 	for len(dst) > 0 {
@@ -118,10 +150,10 @@ func (s *pageSpace) Copy(dst, src Addr, n int64) error {
 	if n <= 0 {
 		return nil
 	}
-	if !s.Allocated(Extent{Addr: src, Len: n}) {
+	if !s.backed(Extent{Addr: src, Len: n}) {
 		return &errRange{space: s.name, op: "read", e: Extent{Addr: src, Len: n}}
 	}
-	if !s.Allocated(Extent{Addr: dst, Len: n}) {
+	if !s.backed(Extent{Addr: dst, Len: n}) {
 		return &errRange{space: s.name, op: "write", e: Extent{Addr: dst, Len: n}}
 	}
 	tmp := make([]byte, n)
@@ -224,6 +256,25 @@ func (p *pair) copy(dst, src Addr, n int64) {
 	}
 }
 
+// exchange backs the mapping Malloc made for e with fresh bytes, or unbacks
+// it, and compares the storage it gave back with the oracle's. A mapping
+// freed since, wholly or in part, is left alone: only a whole one exchanges.
+func (p *pair) exchange(e Extent, back bool) {
+	p.t.Helper()
+	n := (e.Len + PageSize - 1) / PageSize * PageSize
+	if !p.m.Allocated(Extent{Addr: e.Addr, Len: n}) {
+		return
+	}
+	var data []byte
+	if back {
+		data = p.fill(n)
+	}
+	want := p.m.Exchange(e.Addr, n, data)
+	if got := p.s.Exchange(e.Addr, data); !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+		p.t.Fatalf("Exchange(%v, backed %t) gave back %d bytes, oracle %d, or different ones", e, back, len(got), len(want))
+	}
+}
+
 func (p *pair) query(e Extent) {
 	p.t.Helper()
 	if a, b := p.s.Allocated(e), p.m.Allocated(e); a != b {
@@ -259,8 +310,8 @@ func (p *pair) sweep() {
 	}
 	for i := range p.s.maps {
 		m := &p.s.maps[i]
-		if uint64(m.base)%PageSize != 0 || len(m.data) == 0 || len(m.data)%PageSize != 0 {
-			p.t.Fatalf("mapping %d: base %#x, %d bytes", i, uint64(m.base), len(m.data))
+		if uint64(m.base)%PageSize != 0 || m.size == 0 || m.size%PageSize != 0 || m.data != nil && len(m.data) != m.size {
+			p.t.Fatalf("mapping %d: base %#x, %d bytes, %d of storage", i, uint64(m.base), m.size, len(m.data))
 		}
 		if i > 0 && m.base < p.s.maps[i-1].end() {
 			p.t.Fatalf("mapping %d at %#x starts below the end of its predecessor", i, uint64(m.base))
@@ -302,7 +353,7 @@ func runScript(t testing.TB, data []byte) {
 	p := newPair(t)
 	sc := &script{b: data}
 	for ops := 0; len(sc.b) > 0 && ops < 2000; ops++ {
-		switch sc.byte() % 12 {
+		switch op := sc.byte() % 14; op {
 		case 0:
 			p.malloc(1 + sc.word()%(6*PageSize))
 		case 1: // a size seen before: the one that recycles
@@ -343,6 +394,10 @@ func runScript(t testing.TB, data []byte) {
 			from, _ := p.place(sc)
 			to, n := p.place(sc)
 			p.query(Extent{Addr: min(from, to), Len: int64(max(from, to)-min(from, to)) + n})
+		case 12, 13: // backed (12) or unbacked, from either
+			if len(p.allocs) > 0 {
+				p.exchange(p.allocs[sc.byte()%int64(len(p.allocs))], op == 12)
+			}
 		}
 	}
 	p.sweep()
@@ -422,7 +477,7 @@ func TestCopyOverlap(t *testing.T) {
 
 // backing returns the address range of a mapping's storage.
 func backing(s *AddrSpace, addr Addr) (lo, hi uintptr) {
-	m := &s.maps[s.covers(addr, 1)]
+	m := &s.maps[s.covers(addr, 1, true)]
 	lo = uintptr(unsafe.Pointer(unsafe.SliceData(m.data)))
 	return lo, lo + uintptr(len(m.data))
 }

@@ -109,10 +109,10 @@ type Config struct {
 	// MaxListCount bounds offset-length pairs per request message.
 	MaxListCount int
 	// MaxRequestBytes bounds the data carried by one request; it equals
-	// the server staging buffer size.
+	// the server staging buffer size, a whole number of pages.
 	MaxRequestBytes int64
-	// FastBufSize is the Fast-RDMA buffer size and the hybrid pack/gather
-	// threshold.
+	// FastBufSize is the Fast-RDMA buffer size, a whole number of pages,
+	// and the hybrid pack/gather threshold.
 	FastBufSize int64
 	// StagingBuffers is the number of staging buffers per server.
 	StagingBuffers int

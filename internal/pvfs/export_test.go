@@ -44,7 +44,8 @@ func (c *Cluster) census() map[string]int64 {
 	for _, s := range c.Servers {
 		s.hca.Census(add)
 		s.staging.Census(add)
-		add("pvfs.iod-scratch", s.scratch.Out())
+		// Set-up handed the pool every staging buffer's storage unasked.
+		add("pvfs.iod-scratch", s.scratch.Out()+int64(c.Cfg.StagingBuffers))
 	}
 	for _, cl := range c.Clients {
 		cl.hca.Census(add)

@@ -133,6 +133,26 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 	if len(census) != len(pools) {
 		t.Errorf("census %v, want the pools %v", census, pools)
 	}
+	// A staging buffer holds storage only while it is lent: every one is
+	// home and unbacked, so no stale byte can be read out of it.
+	for _, s := range c.Servers {
+		c.Eng.GoOn(s.node.Group(), "probe", func(p *sim.Proc) {
+			var bufs []*ib.Buffer
+			for range c.Cfg.StagingBuffers {
+				b := s.staging.Get(p)
+				if err := s.space.ReadInto(b.Addr, make([]byte, 1)); err == nil {
+					t.Errorf("io%d: staging buffer at %#x is backed at quiescence", s.idx, uint64(b.Addr))
+				}
+				bufs = append(bufs, b)
+			}
+			for _, b := range bufs {
+				b.Put()
+			}
+		})
+	}
+	if _, ok := c.Eng.Run().(*sim.DeadlockError); !ok {
+		t.Error("the staging probe did not finish")
+	}
 	c.Eng.Shutdown()
 }
 

@@ -30,8 +30,10 @@ type Server struct {
 	sieveParams sieve.Params
 	// SieveStats accumulates the daemon's data sieving decisions.
 	SieveStats sieve.Stats
-	// scratch holds the daemon's request payloads between the staging pages
-	// and the file. Only this server's group touches it.
+	// scratch is the storage of the daemon's request payloads, which changes
+	// owner between it, the staging buffers and the connections' receive
+	// buffers (mem.AddrSpace.Exchange) and is never copied between them.
+	// Only this server's group touches it.
 	scratch mem.ScratchPool
 
 	// ioMu serializes the file-access phase of request processing: the
@@ -96,7 +98,7 @@ func newServer(c *Cluster, idx int) *Server {
 		files:   make(map[int64]*localfs.File),
 	}
 	s.fs = localfs.New(c.Eng, s.dsk, c.Cfg.FS)
-	staging, err := ib.NewBufPool(s.hca, c.Cfg.StagingBuffers, c.Cfg.MaxRequestBytes)
+	staging, err := ib.NewBufPool(s.hca, c.Cfg.StagingBuffers, c.Cfg.MaxRequestBytes, &s.scratch)
 	sim.Must(err)
 	s.staging = staging
 	s.sieveParams = sieve.ModelFromFS(s.fs, c.Cfg.IB.MemcpyBandwidth)
@@ -284,16 +286,6 @@ func (sc *serverConn) waitDone(p *sim.Proc, seq int64, want recKind) (ok bool, p
 	}
 }
 
-// unstage copies a request's payload out of the daemon's address space into
-// a scratch buffer the caller must Put back.
-func (s *Server) unstage(addr mem.Addr, n int64) []byte {
-	data := s.scratch.Get(int(n))
-	if err := s.space.ReadInto(addr, data); err != nil {
-		sim.Failf("pvfs: server %d: staged payload read: %v", s.idx, err)
-	}
-	return data
-}
-
 // handleWrite serves one list write; serve recycles req when it returns.
 //
 //pvfslint:hotpath alloc
@@ -308,12 +300,14 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *record) (next any) {
 		sp.End(p.Now())
 		data = req.Data
 	} else if req.SchemePack {
-		// Data already landed in the connection receive buffer.
-		data = s.unstage(sc.recvBuf.Addr, req.Total)
+		// Data already landed in the connection receive buffer: take its
+		// storage and back the buffer with a pool buffer of its size.
+		data = s.space.Exchange(sc.recvBuf.Addr, s.scratch.Get(int(sc.recvBuf.Size)))[:req.Total]
 	} else {
-		// Rendezvous: hand the client a staging buffer, wait for the
-		// completion notice, then pull the bytes out of it.
+		// Rendezvous: back a staging buffer and hand it to the client, wait
+		// for the completion notice, then take its storage as the payload.
 		buf := s.staging.Get(p)
+		s.space.Exchange(buf.Addr, s.scratch.Get(int(buf.Size)))
 		ready := s.recs.take(recWriteReady, req.Seq)
 		ready.Addr, ready.Key = buf.Addr, buf.MR.Key
 		if !sc.reply(p, smallReplyBytes, ready) {
@@ -327,14 +321,14 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *record) (next any) {
 			sc.abort(p, "write", req.Seq, "rendezvous expired")
 			return pending
 		}
-		data = s.unstage(buf.Addr, req.Total)
+		data = s.space.Exchange(buf.Addr, nil)[:req.Total]
 		buf.Put()
 	}
 	s.acquireIO(p)
 	sieve.Write(p, f, req.Accs, data, s.sieveParams, req.Sieve, &s.SieveStats)
 	s.releaseIO(p)
 	if !req.Stream {
-		// The message owns a stream payload; everything else was unstaged.
+		// The message owns a stream payload; everything else is the pool's.
 		s.scratch.Put(data)
 	}
 	if !sc.reply(p, smallReplyBytes, s.recs.take(recWriteResp, req.Seq)) {
@@ -356,9 +350,10 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 		//pvfslint:ok hotpath stream-socket transport, not the verbs data path: the reply owns its payload
 		data = make([]byte, req.Total)
 	} else {
-		data = s.scratch.Get(int(req.Total))
+		// Staging-sized: this storage becomes the staging buffer's.
+		data = s.scratch.Get(int(s.staging.BufSize()))
 	}
-	sieve.ReadInto(p, f, req.Accs, data, s.sieveParams, req.Sieve, &s.SieveStats)
+	sieve.ReadInto(p, f, req.Accs, data[:req.Total], s.sieveParams, req.Sieve, &s.SieveStats)
 	s.releaseIO(p)
 	if req.Stream {
 		// Stream sockets: payload rides in the reply (user-to-kernel copy).
@@ -373,10 +368,7 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 		return nil
 	}
 	buf := s.staging.Get(p)
-	if err := s.space.Write(buf.Addr, data); err != nil {
-		sim.Failf("pvfs: server %d: staging write: %v", s.idx, err)
-	}
-	s.scratch.Put(data) // before the first step that can abort
+	s.space.Exchange(buf.Addr, data) // buf.Put hands it back to the pool
 	if req.SchemePack {
 		// Push the packed bytes straight into the client's buffer. The
 		// target is the connection's statically registered fast buffer, so
