@@ -28,9 +28,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the project's own analyzers (sgelimit, regcheck, simblock,
-# nopanic, mrlife, errflow, lockorder, okreason, hotpath, tracecheck,
-# detcheck) through the go vet driver, covering test files too.
+# lint runs the project's own nine analyzers (sgelimit, regcheck, nopanic,
+# lifetime, errflow, lockorder, hotpath, detcheck, okreason) through the go
+# vet driver, covering test files too.
 lint: $(BIN)
 	$(GO) vet -vettool=$(CURDIR)/$(BIN) ./...
 

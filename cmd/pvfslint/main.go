@@ -1,16 +1,16 @@
-// Pvfslint runs the repository's static-analysis suite: sgelimit (the
-// 64-entry InfiniBand SGE cap), regcheck (RDMA buffers must trace to a
-// registered MR), simblock (no blocking sim call while a sim.Resource is
-// held), nopanic (no panic in library packages), mrlife (registrations are
-// released exactly once on every path), errflow (repo-API errors are
-// checked, not dropped), lockorder (sim.Resource pairs acquire in one
-// consistent order, interprocedurally over the callgraph), okreason (every
-// suppression names its analyzer and gives a reason), hotpath (effects
-// reachable from //pvfslint:hotpath roots are audited where they happen, by
-// a //pvfslint:ok hotpath directive, and no sim handle escapes the engine's
-// single-threaded world), tracecheck (spans are ended exactly once on every
-// normal path), and detcheck (nondeterminism sources must not reach
-// deterministic outputs — interprocedural, over the callgraph layer).
+// Pvfslint runs the repository's static-analysis suite of nine analyzers:
+// sgelimit (the 64-entry InfiniBand SGE cap), regcheck (RDMA buffers must
+// trace to a registered MR), nopanic (no panic in library packages),
+// lifetime (registrations and spans are released exactly once on every
+// path), errflow (repo-API errors are checked, not dropped), lockorder (no
+// blocking sim call while a sim.Resource is held, and sim.Resource pairs
+// acquire in one consistent order, interprocedurally over the callgraph),
+// hotpath (effects reachable from //pvfslint:hotpath roots are audited
+// where they happen, by a //pvfslint:ok hotpath directive, and no sim
+// handle escapes the engine's single-threaded world), detcheck
+// (nondeterminism sources must not reach deterministic outputs —
+// interprocedural, over the callgraph layer), and okreason (every
+// suppression names an analyzer of the suite and gives a reason).
 //
 // Two modes:
 //

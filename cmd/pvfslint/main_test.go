@@ -18,6 +18,7 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown -only analyzer", []string{"-only", "nosuch"}},
 		{"bad -budget duration", []string{"-budget", "banana"}},
 		{"-only without a list", []string{"-only"}},
+		{"-only a folded analyzer", []string{"-only", "mrlife"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
-// function bodies, for the flow-sensitive pvfslint analyzers (mrlife,
+// function bodies, for the flow-sensitive pvfslint analyzers (lifetime,
 // errflow, lockorder). It is the repository's stdlib-only stand-in for
 // golang.org/x/tools/go/cfg, extended with two things those analyzers need:
 //
@@ -20,7 +20,7 @@
 //
 // The defer chain is a may-execute approximation: a defer registered inside
 // a branch still appears on the chain for every exit. Analyzers that care
-// (mrlife) keep joins of diverging states silent, so the approximation
+// (lifetime) keep joins of diverging states silent, so the approximation
 // cannot manufacture definite-state reports on its own.
 package cfg
 
@@ -66,6 +66,18 @@ type Edge struct {
 	To     *Block
 	Cond   ast.Expr
 	Branch bool
+}
+
+// Evaluated is the part of a block node that runs where the node sits. A
+// range loop's head holds the whole RangeStmt, but only the range
+// expression is evaluated there: the body's statements live in their own
+// blocks, and a transfer that walked them at the head too would see every
+// body call twice.
+func Evaluated(n ast.Node) ast.Node {
+	if rs, ok := n.(*ast.RangeStmt); ok {
+		return rs.X
+	}
+	return n
 }
 
 // String renders the graph for tests and debugging.
@@ -267,7 +279,8 @@ func (b *builder) stmt(s ast.Stmt) {
 		body := b.newBlock()
 		join := b.newBlock()
 		// The RangeStmt node itself sits in the head: a transfer sees the
-		// per-iteration key/value definitions there.
+		// per-iteration key/value definitions there (and, through
+		// Evaluated, only the range expression as code run there).
 		b.edge(b.cur, Edge{To: head})
 		head.Nodes = append(head.Nodes, s)
 		b.edge(head, Edge{To: body})

@@ -10,10 +10,10 @@
 // fresh (or unchanged) fact, never mutate their input — blocks share
 // incoming facts.
 //
-// The engine is intraprocedural; Summarize is the hook for the one-level
-// call summaries the pvfslint analyzers use: it builds the CFG of every
-// function declaration in a package once and lets the analyzer compute a
-// per-function summary, which its Transfer can then consult at call sites.
+// The engine is intraprocedural; Summarize is the hook for one-level call
+// summaries: it hands every function declaration of a package to the
+// analyzer to compute a per-function summary, which its Transfer can then
+// consult at call sites.
 package dataflow
 
 import (
@@ -119,20 +119,13 @@ func (r *Result) Replay(p Problem, visit func(blk *cfg.Block, n ast.Node, before
 	}
 }
 
-// FuncInfo pairs one function declaration with its control-flow graph.
-type FuncInfo struct {
-	Decl  *ast.FuncDecl
-	Obj   *types.Func
-	Graph *cfg.Graph
-}
-
-// Summarize builds the CFG of every function declaration with a body in
-// files and hands each to compute; the results, keyed by the function's
-// types.Func, are the one-level call summaries analyzers consult at
-// intra-package call sites. Function literals are not summarized — a
-// literal's body is analyzed as part of the function that contains it only
-// when the analyzer chooses to descend.
-func Summarize[S any](info *types.Info, files []*ast.File, compute func(fn FuncInfo) S) map[*types.Func]S {
+// Summarize hands every function declaration with a body in files to
+// compute; the results, keyed by the function's types.Func, are the
+// one-level call summaries analyzers consult at intra-package call sites.
+// Function literals are not summarized — a literal's body is analyzed as
+// part of the function that contains it only when the analyzer chooses to
+// descend.
+func Summarize[S any](info *types.Info, files []*ast.File, compute func(fd *ast.FuncDecl) S) map[*types.Func]S {
 	out := make(map[*types.Func]S)
 	for _, f := range files {
 		for _, decl := range f.Decls {
@@ -140,11 +133,9 @@ func Summarize[S any](info *types.Info, files []*ast.File, compute func(fn FuncI
 			if !ok || fd.Body == nil {
 				continue
 			}
-			obj, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
+			if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
+				out[obj] = compute(fd)
 			}
-			out[obj] = compute(FuncInfo{Decl: fd, Obj: obj, Graph: cfg.Build(fd.Body, info)})
 		}
 	}
 	return out

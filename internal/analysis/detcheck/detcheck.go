@@ -232,7 +232,7 @@ func (d *detcheck) report(n *callgraph.Node, sums map[string]summary) {
 				}
 				if as, ok := st.(*ast.AssignStmt); ok && len(as.Rhs) == 1 && len(as.Lhs) == 1 &&
 					ast.Unparen(as.Rhs[0]) == call {
-					if obj := identObj(d.pass.TypesInfo, as.Lhs[0]); obj != nil {
+					if obj := analysis.IdentObj(d.pass.TypesInfo, as.Lhs[0]); obj != nil {
 						if stable, _ := sortScan(d.pass.TypesInfo, stmts[i+1:], obj); stable {
 							return true
 						}
@@ -437,7 +437,7 @@ func sinkCall(c callgraph.Call) (string, bool) {
 func rangeVars(info *types.Info, rs *ast.RangeStmt) map[types.Object]bool {
 	out := make(map[types.Object]bool)
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
-		if obj := identObj(info, e); obj != nil {
+		if obj := analysis.IdentObj(info, e); obj != nil {
 			out[obj] = true
 		}
 	}
@@ -534,7 +534,7 @@ func collectTargets(info *types.Info, body *ast.BlockStmt) []types.Object {
 		if !ok || !isBuiltin(info, call, "append") {
 			return true
 		}
-		if obj := identObj(info, as.Lhs[0]); obj != nil && !seen[obj] {
+		if obj := analysis.IdentObj(info, as.Lhs[0]); obj != nil && !seen[obj] {
 			seen[obj] = true
 			out = append(out, obj)
 		}
@@ -632,7 +632,7 @@ func sortArgObj(info *types.Info, arg ast.Expr) types.Object {
 	if call, ok := arg.(*ast.CallExpr); ok && len(call.Args) == 1 {
 		arg = ast.Unparen(call.Args[0])
 	}
-	return identObj(info, arg)
+	return analysis.IdentObj(info, arg)
 }
 
 func sortName(info *types.Info, call *ast.CallExpr) string {
@@ -655,17 +655,6 @@ func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	_, ok = info.Uses[id].(*types.Builtin)
 	return ok
-}
-
-func identObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
 }
 
 // mentionsVar reports whether e reads one of the given objects.

@@ -218,7 +218,7 @@ func (p *problem) Transfer(n ast.Node, in dataflow.Fact) dataflow.Fact {
 		// a node that IS a call discards all its results.
 		if !p.deferred[stmt] {
 			if i := p.errResult(stmt); i >= 0 {
-				p.reportAt(stmt.Pos(), "error result of %s is discarded", callName(stmt))
+				p.reportAt(stmt.Pos(), "error result of %s is discarded", analysis.CallName(stmt))
 			}
 		}
 	case *ast.ReturnStmt:
@@ -231,7 +231,7 @@ func (p *problem) Transfer(n ast.Node, in dataflow.Fact) dataflow.Fact {
 			}
 		}
 		for obj, pos := range out {
-			p.reportObj(obj, stmt.Pos(), "return without checking the error assigned to %s at %s", obj.Name(), p.position(pos))
+			p.reportObj(obj, stmt.Pos(), "return without checking the error assigned to %s at %s", obj.Name(), p.pass.Line(pos))
 		}
 	}
 	return out
@@ -243,12 +243,12 @@ func (p *problem) transferAssign(stmt *ast.AssignStmt, mutate func() fact, out f
 	// Overwrites: assigning anything to a still-unchecked error variable
 	// loses the old error.
 	for _, lhs := range stmt.Lhs {
-		obj := p.lhsObj(lhs)
+		obj := analysis.IdentObj(p.pass.TypesInfo, lhs)
 		if obj == nil {
 			continue
 		}
 		if pos, tracked := out[obj]; tracked {
-			p.reportObj(obj, lhs.Pos(), "%s is overwritten before the error assigned at %s is checked", obj.Name(), p.position(pos))
+			p.reportObj(obj, lhs.Pos(), "%s is overwritten before the error assigned at %s is checked", obj.Name(), p.pass.Line(pos))
 			delete(mutate(), obj)
 		}
 	}
@@ -273,11 +273,11 @@ func (p *problem) transferAssign(stmt *ast.AssignStmt, mutate func() fact, out f
 	} else {
 		return
 	}
-	if isBlank(target) {
-		p.reportAt(target.Pos(), "error result of %s is assigned to the blank identifier", callName(call))
+	if analysis.IsBlank(target) {
+		p.reportAt(target.Pos(), "error result of %s is assigned to the blank identifier", analysis.CallName(call))
 		return
 	}
-	if obj := p.lhsObj(target); obj != nil && p.trackable(obj) {
+	if obj := analysis.IdentObj(p.pass.TypesInfo, target); obj != nil && p.trackable(obj) {
 		mutate()[obj] = call.Pos()
 	}
 }
@@ -298,7 +298,7 @@ func (p *problem) errResult(call *ast.CallExpr) int {
 	}
 	res := sig.Results()
 	for i := 0; i < res.Len(); i++ {
-		if isErrorType(res.At(i).Type()) {
+		if analysis.IsErrorType(res.At(i).Type()) {
 			return i
 		}
 	}
@@ -312,22 +312,11 @@ func (p *problem) trackable(obj types.Object) bool {
 	if !ok || v.IsField() || v.Pkg() != p.pass.Pkg {
 		return false
 	}
-	if !isErrorType(v.Type()) {
+	if !analysis.IsErrorType(v.Type()) {
 		return false
 	}
 	// Skip package-level variables: their lifetime crosses functions.
 	return v.Parent() != v.Pkg().Scope()
-}
-
-func (p *problem) lhsObj(e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if obj := p.pass.TypesInfo.Defs[id]; obj != nil {
-		return obj
-	}
-	return p.pass.TypesInfo.Uses[id]
 }
 
 func (p *problem) reportAt(pos token.Pos, format string, args ...any) {
@@ -345,29 +334,4 @@ func (p *problem) reportObj(obj types.Object, pos token.Pos, format string, args
 	}
 	p.reported[obj] = true
 	p.pass.Reportf(pos, format, args...)
-}
-
-func (p *problem) position(pos token.Pos) token.Position {
-	out := p.pass.Fset.Position(pos)
-	out.Column = 0
-	return out
-}
-
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-func isBlank(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "_"
-}
-
-func callName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return "call"
 }

@@ -21,7 +21,7 @@ func TestEffects(t *testing.T) {
 // a doc-comment audit covers a body, and a directive that gives no reason,
 // covers no effect, or audits what no root reaches is an error.
 func TestBudgetRatchet(t *testing.T) {
-	analysistest.RunSuite(t, "testdata", []*analysis.Analyzer{hotpath.Analyzer, okreason.Analyzer}, "b")
+	analysistest.RunSuite(t, "testdata", []*analysis.Analyzer{hotpath.Analyzer, okreason.New(hotpath.Analyzer.Name)}, "b")
 }
 
 // TestEscapes checks the checks inherited from engescape, including the

@@ -1,36 +1,52 @@
-// Package lockorder defines a flow-sensitive analyzer for sim.Resource
-// acquisition order. The simulator's Resource is a counting semaphore with
-// no deadlock detection: two processes that acquire the same pair of
-// resources in opposite orders hang the simulated cluster just like real
-// mutexes hang a real one.
+// Package lockorder defines a flow-sensitive analyzer for what a process
+// does while it holds a sim.Resource. The simulator's Resource is a
+// counting semaphore with no deadlock detection: two processes that acquire
+// the same pair of resources in opposite orders hang the simulated cluster
+// just like real mutexes hang a real one, and so does a process that parks
+// under a hold while the wake-up it waits for needs the held resource — the
+// classic shape with a server's ioMu. Only sleeping under a hold is fine:
+// sleep wake-ups come from the event heap, not from other processes.
 //
 // The analyzer tracks, along each path of each function, the ordered list
 // of resources currently held (a deferred Release keeps the resource held
-// through the body; the CFG's exit chain pops it). Every Acquire or Use
-// while holding adds acquired-after edges from each held resource to the
-// new one; a call to a function with a known summary adds edges to
-// everything it may acquire transitively. Summaries are computed bottom-up
-// over the shared interprocedural call graph (the callgraph layer), so an
-// Acquire buried two helpers deep — in this package or an already-analyzed
-// one — still orders after the locks held at the call site.
+// through the body; the CFG's exit chain pops it; each function literal is
+// its own process and starts with nothing held). It reports:
+//
+//   - a blocking primitive — Resource.Acquire or Use, Mailbox.Recv,
+//     Cond.Wait, WaitGroup.Wait — called while the list is non-empty;
+//   - a resource re-acquired through the same expression while already
+//     held, which self-deadlocks at capacity 1 (one finding, not also the
+//     blocking one);
+//   - every acquired-after edge that lies on a cycle. Every Acquire or Use
+//     while holding adds edges from each held resource to the new one; a
+//     call to a function with a known summary adds edges to everything it
+//     may acquire transitively. Summaries are computed bottom-up over the
+//     shared interprocedural call graph (the callgraph layer), so an
+//     Acquire buried two helpers deep — in this package or an
+//     already-analyzed one — still orders after the locks held at the call
+//     site. A site that closes a cycle gets the cycle finding instead of
+//     the blocking one.
 //
 // Resources are named by their canonical key: "Type.field" for a resource
 // stored in a struct field (all instances of a type share a key — lock
 // order is a per-type discipline), the variable name for package-level and
 // local resources. The acquired-after graph accumulates across the
 // packages of one run; after each package the analyzer reports every
-// not-yet-reported edge that lies on a cycle, and any resource re-acquired
-// through the same expression while already held. Under go vet each
-// compilation unit is a separate process, so cycles spanning packages are
-// caught in standalone mode only.
+// not-yet-reported edge that lies on a cycle. Under go vet each compilation
+// unit is a separate process, so cycles spanning packages are caught in
+// standalone mode only.
 //
-// Test files are skipped.
+// A genuine nested-hold site declares its lock order with a
+// "//pvfslint:ok lockorder <order>" directive. Test files are analyzed
+// too: a test that parks under a hold hangs like any other process.
 package lockorder
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,11 +56,20 @@ import (
 	"pvfsib/internal/analysis/dataflow"
 )
 
-// Analyzer reports sim.Resource acquisition cycles and re-acquisitions.
+// Analyzer reports blocking under a held sim.Resource, re-acquisitions, and
+// acquisition-order cycles.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "sim.Resource pairs must be acquired in a consistent order everywhere",
+	Doc:  "no blocking sim primitive while a sim.Resource is held, and sim.Resource pairs acquired in one consistent order everywhere",
 	Run:  run,
+}
+
+// parks lists the sim primitives besides a Resource's own Acquire and Use
+// that park the calling process until another process acts.
+var parks = [...]struct{ typ, method string }{
+	{"Mailbox", "Recv"},
+	{"Cond", "Wait"},
+	{"WaitGroup", "Wait"},
 }
 
 // held is one held resource: its canonical key plus the receiver expression
@@ -110,10 +135,6 @@ func run(pass *analysis.Pass) error {
 	callgraph.Fixpoint(g.SCCs, a.st.sums, equalKeys, a.summarize)
 
 	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Package).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
@@ -135,6 +156,9 @@ func run(pass *analysis.Pass) error {
 type lockorder struct {
 	pass *analysis.Pass
 	st   *state
+	// blocked holds this package's blocking-under-hold findings until the
+	// cycle report, which takes any site they share.
+	blocked []analysis.Diagnostic
 }
 
 // summarize computes one function's transitive may-acquire set: its own
@@ -316,7 +340,7 @@ func (p *problem) Transfer(n ast.Node, in dataflow.Fact) dataflow.Fact {
 		return f
 	}
 	out := f
-	forEachCall(n, func(call *ast.CallExpr) {
+	analysis.ForEachCall(cfg.Evaluated(n), func(call *ast.CallExpr) {
 		recv, method := p.a.resourceCall(call)
 		if recv != nil {
 			k := p.a.key(recv)
@@ -326,12 +350,16 @@ func (p *problem) Transfer(n ast.Node, in dataflow.Fact) dataflow.Fact {
 			switch method {
 			case "Acquire", "Use":
 				expr := analysis.ExprString(p.a.pass.Fset, recv)
-				if p.record {
+				if p.record && len(out) > 0 {
+					again := false
 					for _, h := range out {
 						p.a.addEdge(h.key, k, call.Pos())
-						if h.key == k && h.expr == expr {
-							p.a.pass.Reportf(call.Pos(), "%s is acquired while already held: a second Acquire on the same resource self-deadlocks when capacity is exhausted", expr)
-						}
+						again = again || (h.key == k && h.expr == expr)
+					}
+					if again {
+						p.a.pass.Reportf(call.Pos(), "%s is acquired while already held: a second Acquire on the same resource self-deadlocks when capacity is exhausted", expr)
+					} else {
+						p.a.block(call.Pos(), "Resource."+method, out)
 					}
 				}
 				if method == "Acquire" {
@@ -351,15 +379,22 @@ func (p *problem) Transfer(n ast.Node, in dataflow.Fact) dataflow.Fact {
 			}
 			return
 		}
+		if !p.record || len(out) == 0 {
+			return
+		}
+		for _, b := range parks {
+			if _, ok := analysis.ReceiverMethod(p.a.pass.TypesInfo, call, "internal/sim", b.typ, b.method); ok {
+				p.a.block(call.Pos(), b.typ+"."+b.method, out)
+				return
+			}
+		}
 		// A callee with a known transitive summary: everything it may
 		// acquire, however deep, is ordered after everything currently
 		// held.
-		if p.record && len(out) > 0 {
-			if fn := dataflow.Callee(p.a.pass.TypesInfo, call); fn != nil {
-				for _, k := range p.a.st.sums[callgraph.IDOf(fn)] {
-					for _, h := range out {
-						p.a.addEdge(h.key, k, call.Pos())
-					}
+		if fn := dataflow.Callee(p.a.pass.TypesInfo, call); fn != nil {
+			for _, k := range p.a.st.sums[callgraph.IDOf(fn)] {
+				for _, h := range out {
+					p.a.addEdge(h.key, k, call.Pos())
 				}
 			}
 		}
@@ -367,10 +402,24 @@ func (p *problem) Transfer(n ast.Node, in dataflow.Fact) dataflow.Fact {
 	return out
 }
 
+// block records a blocking call made while the resources in hold are held.
+func (a *lockorder) block(pos token.Pos, call string, hold fact) {
+	var names []string
+	for _, h := range hold {
+		if !slices.Contains(names, h.expr) {
+			names = append(names, h.expr)
+		}
+	}
+	a.blocked = append(a.blocked, analysis.Diagnostic{Pos: pos, Message: fmt.Sprintf(
+		"blocking %s while holding sim.Resource %s; if the wake-up needs the held resource the simulation deadlocks — release first, or declare the lock order with //pvfslint:ok lockorder",
+		call, strings.Join(names, ", "))})
+}
+
 // reportCycles reports every recorded edge that lies on a cycle and has not
 // been reported after an earlier package, rendering the cycle path in the
-// message. The edge graph is global, so a cycle whose halves live in two
-// packages surfaces when the second half arrives.
+// message, then this package's blocking findings at sites no cycle took.
+// The edge graph is global, so a cycle whose halves live in two packages
+// surfaces when the second half arrives.
 func (a *lockorder) reportCycles() {
 	succs := make(map[string][]string)
 	for e := range a.st.edges {
@@ -391,15 +440,22 @@ func (a *lockorder) reportCycles() {
 		return keys[i].to < keys[j].to
 	})
 
+	onCycle := make(map[token.Pos]bool)
 	for _, e := range keys {
 		if a.st.reported[e] {
 			continue
 		}
 		if path := findPath(succs, e.to, e.from); path != nil {
 			a.st.reported[e] = true
+			onCycle[a.st.edges[e]] = true
 			cycle := append([]string{e.from}, path...)
 			a.pass.Reportf(a.st.edges[e], "acquiring %s while holding %s creates a lock-order cycle: %s",
 				e.to, e.from, strings.Join(cycle, " -> "))
+		}
+	}
+	for _, d := range a.blocked {
+		if !onCycle[d.Pos] {
+			a.pass.Reportf(d.Pos, "%s", d.Message)
 		}
 	}
 }
@@ -425,18 +481,4 @@ func findPath(succs map[string][]string, src, dst string) []string {
 		return nil
 	}
 	return dfs(src, []string{src})
-}
-
-// forEachCall visits every call in n, not descending into function
-// literals (they run later, under their own lock context).
-func forEachCall(n ast.Node, visit func(*ast.CallExpr)) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			visit(m)
-		}
-		return true
-	})
 }

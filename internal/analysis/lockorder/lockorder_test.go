@@ -10,3 +10,7 @@ import (
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", lockorder.Analyzer, "a")
 }
+
+func TestBlockingUnderHold(t *testing.T) {
+	analysistest.Run(t, "testdata", lockorder.Analyzer, "b")
+}

@@ -76,6 +76,7 @@ type clean struct {
 func goodNested(p *sim.Proc, s *clean) {
 	s.mu.Acquire(p)
 	defer s.mu.Release()
+	//pvfslint:ok lockorder lock order clean.mu < clean.cpu everywhere
 	s.cpu.Use(p, 10)
 }
 
@@ -84,6 +85,7 @@ func goodNested(p *sim.Proc, s *clean) {
 func goodDeferOrder(p *sim.Proc, s *clean) {
 	s.mu.Acquire(p)
 	defer s.mu.Release()
+	//pvfslint:ok lockorder lock order clean.mu < clean.cpu everywhere
 	s.cpu.Acquire(p)
 	defer s.cpu.Release()
 }

@@ -29,7 +29,8 @@ func runOn(t *testing.T, src string) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunAll([]*analysis.Analyzer{okreason.Analyzer}, fset, []*ast.File{f}, pkg, info)
+	suite := okreason.New("regcheck", "nopanic", "lockorder")
+	diags, err := analysis.RunAll([]*analysis.Analyzer{suite}, fset, []*ast.File{f}, pkg, info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func runOn(t *testing.T, src string) []analysis.Diagnostic {
 func TestWellFormedDirectiveIsSilent(t *testing.T) {
 	diags := runOn(t, `package a
 func f() {
-	//pvfslint:ok simblock release is re-acquired immediately below
+	//pvfslint:ok lockorder release is re-acquired immediately below
 	_ = 0
 }`)
 	if len(diags) != 0 {
@@ -82,6 +83,22 @@ func f() {
 }`)
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
+	}
+}
+
+// TestUnknownAnalyzerIsFlagged: a directive naming an analyzer the suite
+// does not have suppresses nothing, reason or not.
+func TestUnknownAnalyzerIsFlagged(t *testing.T) {
+	diags := runOn(t, `package a
+func f() {
+	//pvfslint:ok simblock release is re-acquired immediately below
+	_ = 0
+}`)
+	if len(diags) != 1 {
+		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
+	}
+	if !strings.Contains(diags[0].Message, "pvfslint:ok names simblock, which is not an analyzer of the suite") {
+		t.Fatalf("unexpected message: %s", diags[0].Message)
 	}
 }
 

@@ -7,29 +7,30 @@ import (
 	"pvfsib/internal/analysis/detcheck"
 	"pvfsib/internal/analysis/errflow"
 	"pvfsib/internal/analysis/hotpath"
+	"pvfsib/internal/analysis/lifetime"
 	"pvfsib/internal/analysis/lockorder"
-	"pvfsib/internal/analysis/mrlife"
 	"pvfsib/internal/analysis/nopanic"
 	"pvfsib/internal/analysis/okreason"
 	"pvfsib/internal/analysis/regcheck"
 	"pvfsib/internal/analysis/sgelimit"
-	"pvfsib/internal/analysis/simblock"
-	"pvfsib/internal/analysis/tracecheck"
 )
 
-// All returns every analyzer in the suite.
+// All returns every analyzer in the suite. okreason comes last: it checks
+// that each directive names one of the others.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+	all := []*analysis.Analyzer{
 		sgelimit.Analyzer,
 		regcheck.Analyzer,
-		simblock.Analyzer,
 		nopanic.Analyzer,
-		mrlife.Analyzer,
+		lifetime.Analyzer,
 		errflow.Analyzer,
 		lockorder.Analyzer,
-		okreason.Analyzer,
 		hotpath.Analyzer,
-		tracecheck.Analyzer,
 		detcheck.Analyzer,
 	}
+	names := make([]string, len(all))
+	for i, a := range all {
+		names[i] = a.Name
+	}
+	return append(all, okreason.New(names...))
 }

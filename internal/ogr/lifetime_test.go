@@ -9,7 +9,7 @@ import (
 	"pvfsib/internal/sim"
 )
 
-// These tests pin down the registration-lifetime contract that the mrlife
+// These tests pin down the registration-lifetime contract that the lifetime
 // analyzer enforces statically: Release is idempotent on a Result, a failed
 // RegisterBuffers leaves nothing pinned, and a raw double Deregister is an
 // error rather than silent corruption.

@@ -44,7 +44,7 @@ type Profile struct {
 const dispatchKind = "srv.dispatch"
 
 // Profile aggregates the tracer's span table. Open (never-ended) spans
-// contribute nothing — the tracecheck analyzer exists to keep those from
+// contribute nothing — the lifetime analyzer exists to keep those from
 // occurring in the first place.
 func (t *Tracer) Profile() *Profile {
 	p := &Profile{}

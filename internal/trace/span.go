@@ -245,9 +245,10 @@ func (t *Tracer) Instant(now sim.Time, ctx Ctx, node, kind string, bytes int64, 
 	r.End, r.Ended = now, true
 }
 
-// End closes the span at the given virtual time. Ending a span twice is
-// a bug (the tracecheck analyzer flags it statically); at runtime the
-// second End wins so a trace is still produced for inspection.
+// End closes the span at the given virtual time. Ending a span twice, or
+// touching it after End (SetBytes, Annotate), is a bug (the lifetime
+// analyzer flags both statically); at runtime the second End wins so a
+// trace is still produced for inspection.
 //
 //pvfslint:hotpath
 func (s Span) End(now sim.Time) {
