@@ -2,7 +2,7 @@ GO ?= go
 
 BIN := bin/pvfslint
 
-.PHONY: all build test race lint lint-json lint-time vet check bench-smoke bench-cache bench-scale bench-hostcost bench-check bench-go trace-smoke metrics-smoke fuzz clean
+.PHONY: all build test race lint lint-json lint-time vet check bench-smoke bench-cache bench-scale bench-hostcost bench-check bench-go trace-smoke metrics-smoke fuzz loc clean
 
 # LINT_BUDGET caps the whole analyzer suite's wall time in lint-time; the
 # interprocedural pass (callgraph + detcheck) must not silently blow up CI.
@@ -147,6 +147,21 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzAddrSpaceModel -fuzztime=30s ./internal/mem/
 	$(GO) test -run=NONE -fuzz=FuzzFileExtents -fuzztime=30s ./internal/localfs/
 	$(GO) test -run=NONE -fuzz=FuzzSplitChunks -fuzztime=30s ./internal/pvfs/
+
+# loc prints the root module's Go lines per top-level package — non-test
+# and _test.go apart, a package under internal/ or cmd/ with its
+# subpackages — over every .go file outside benchmark/ and testdata/, then
+# the totals: the count a simplicity change reports before and after.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -path '*/testdata/*' | sort | awk ' \
+		{ f = $$0; sub(/^\.\//, "", f); n = split(f, p, "/"); \
+		  pkg = n == 1 ? "." : n == 2 ? p[1] : p[1] "/" p[2]; \
+		  c = 0; while ((getline line < $$0) > 0) c++; close($$0); \
+		  if (f ~ /_test\.go$$/) { test[pkg] += c; tt += c } else { src[pkg] += c; ts += c } \
+		  if (!(pkg in seen)) { seen[pkg] = 1; order[++np] = pkg } } \
+		END { printf "%-24s %8s %8s\n", "package", "non-test", "test"; \
+		  for (i = 1; i <= np; i++) printf "%-24s %8d %8d\n", order[i], src[order[i]], test[order[i]]; \
+		  printf "%-24s %8d %8d\n", "total", ts, tt }'
 
 clean:
 	rm -f $(BIN)

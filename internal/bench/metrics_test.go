@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"runtime"
 	"testing"
 
@@ -63,6 +66,36 @@ func TestTimelineByteIdentical(t *testing.T) {
 					shards, procs, i, window(want), window(got))
 			}
 		}
+	}
+}
+
+// metricsGoldenPath holds the sha256 of the short timeline cell's full
+// metrics dump: the registry's JSON export followed by its Prometheus text,
+// as timelineRun writes them. Every series of every node is in it, the
+// page-cache, RPC-recovery, lease and pin-down-cache counters included.
+const metricsGoldenPath = "testdata/metrics.golden.sha256"
+
+// TestTimelineMetricsGolden pins the metrics plane to committed bytes, so a
+// change to how a layer counts or attaches either reproduces the dump
+// exactly or fails here. `go test ./internal/bench -run
+// TestTimelineMetricsGolden -update` regenerates the hash after a
+// deliberate change.
+func TestTimelineMetricsGolden(t *testing.T) {
+	var dump bytes.Buffer
+	timelineRun(true, 1, &dump)
+	got := fmt.Sprintf("%x  metrics\n", sha256.Sum256(dump.Bytes()))
+	if *update {
+		if err := os.WriteFile(metricsGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(metricsGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("timeline metrics dump differs from %s:\ngot:\n%swant:\n%s", metricsGoldenPath, got, want)
 	}
 }
 

@@ -128,58 +128,31 @@ func timelineRun(short bool, shards int, dump io.Writer) timelineResult {
 				s.Node, s.Name, s.Lost, s.First)
 		}
 	}
+	// Every node's series of a name, summed interval by interval and
+	// scaled by k (the window starts at interval 0: the cell asserts
+	// First==0 above).
+	sums := metrics.SumByName(snap)
+	sum := func(name string, k float64) []float64 {
+		out := make([]float64, len(sums[name].Vals))
+		for i, v := range sums[name].Vals {
+			out[i] = float64(v) * k
+		}
+		return out
+	}
 	iv := float64(timelineInterval)
-	ports := timelineNodes(snap, "net.tx.busy")
 	return timelineResult{
 		intervalNS: int64(timelineInterval),
 		servers:    nserv,
-		txBytes:    seriesSum(snap, "net.tx.bytes"),
-		netUtil:    scaleSeries(seriesSum(snap, "net.tx.busy"), 1/(iv*float64(ports))),
-		inflight:   seriesSum(snap, "net.inflight"),
-		diskUtil:   scaleSeries(seriesSum(snap, "disk.busy"), 1/(iv*float64(nserv))),
-		diskQ:      seriesSum(snap, "disk.queue"),
-		dispQ:      seriesSum(snap, "srv.dispatch.queue"),
-		ioQ:        seriesSum(snap, "srv.io.queue"),
-		dirty:      seriesSum(snap, "pcache.dirty"),
-		wbBytes:    seriesSum(snap, "pcache.wb.bytes"),
+		txBytes:    sum("net.tx.bytes", 1),
+		netUtil:    sum("net.tx.busy", 1/(iv*float64(sums["net.tx.busy"].Nodes))),
+		inflight:   sum("net.inflight", 1),
+		diskUtil:   sum("disk.busy", 1/(iv*float64(nserv))),
+		diskQ:      sum("disk.queue", 1),
+		dispQ:      sum("srv.dispatch.queue", 1),
+		ioQ:        sum("srv.io.queue", 1),
+		dirty:      sum("pcache.dirty", 1),
+		wbBytes:    sum("pcache.wb.bytes", 1),
 	}
-}
-
-// seriesSum sums every node's series of the given name element-wise. The
-// snapshot's windows all start at interval 0 (the cell asserts First==0),
-// so indexes align.
-func seriesSum(snap []metrics.Series, name string) []float64 {
-	var out []float64
-	for _, s := range snap {
-		if s.Name != name {
-			continue
-		}
-		for len(out) < len(s.Vals) {
-			out = append(out, 0)
-		}
-		for i, v := range s.Vals {
-			out[i] += float64(v)
-		}
-	}
-	return out
-}
-
-// timelineNodes counts the nodes exporting a series of the given name.
-func timelineNodes(snap []metrics.Series, name string) int {
-	n := 0
-	for _, s := range snap {
-		if s.Name == name {
-			n++
-		}
-	}
-	return n
-}
-
-func scaleSeries(vals []float64, k float64) []float64 {
-	for i := range vals {
-		vals[i] *= k
-	}
-	return vals
 }
 
 // timelineRows renders one row per interval plus the saturation

@@ -52,6 +52,7 @@ package ctl
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -109,14 +110,18 @@ func (in *Interp) Run(src io.Reader) error {
 	return sc.Err()
 }
 
-// args holds a command's positional name and key=value options.
+// args holds a command's positional name and key=value options, and the
+// first option that did not parse: an accessor that fails records its
+// error and returns the default, so a command reads every option and then
+// checks err once, before it acts.
 type args struct {
 	name string
 	kv   map[string]string
+	err  error
 }
 
-func parseArgs(fields []string) args {
-	a := args{kv: map[string]string{}}
+func parseArgs(fields []string) *args {
+	a := &args{kv: map[string]string{}}
 	for _, f := range fields {
 		if k, v, ok := strings.Cut(f, "="); ok {
 			a.kv[k] = v
@@ -127,35 +132,44 @@ func parseArgs(fields []string) args {
 	return a
 }
 
-func (a args) str(key, def string) string {
+// fail records a parse error unless an earlier one is already recorded.
+func (a *args) fail(format string, v ...any) {
+	if a.err == nil {
+		a.err = fmt.Errorf(format, v...)
+	}
+}
+
+func (a *args) str(key, def string) string {
 	if v, ok := a.kv[key]; ok {
 		return v
 	}
 	return def
 }
 
-func (a args) num(key string, def int64) (int64, error) {
+func (a *args) num(key string, def int64) int64 {
 	v, ok := a.kv[key]
 	if !ok {
-		return def, nil
+		return def
 	}
 	n, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q", key, v)
+		a.fail("bad %s=%q", key, v)
+		return def
 	}
-	return n, nil
+	return n
 }
 
-func (a args) float(key string, def float64) (float64, error) {
+func (a *args) float(key string, def float64) float64 {
 	v, ok := a.kv[key]
 	if !ok {
-		return def, nil
+		return def
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q", key, v)
+		a.fail("bad %s=%q", key, v)
+		return def
 	}
-	return f, nil
+	return f
 }
 
 func (in *Interp) exec(line string) error {
@@ -164,6 +178,14 @@ func (in *Interp) exec(line string) error {
 	switch cmd {
 	case "cluster":
 		return in.cmdCluster(rest)
+	case "echo":
+		fmt.Fprintln(in.out, strings.TrimSpace(strings.TrimPrefix(line, "echo")))
+		return nil
+	}
+	if in.cluster == nil {
+		return fmt.Errorf("no cluster (run 'cluster' first)")
+	}
+	switch cmd {
 	case "open":
 		return in.cmdOpen(rest)
 	case "write", "read":
@@ -205,15 +227,9 @@ func (in *Interp) exec(line string) error {
 			return nil
 		})
 	case "stats":
-		if in.cluster == nil {
-			return fmt.Errorf("no cluster")
-		}
 		fmt.Fprintf(in.out, "%v\n", in.cluster.Snapshot())
 		return nil
 	case "time":
-		if in.cluster == nil {
-			return fmt.Errorf("no cluster")
-		}
 		fmt.Fprintf(in.out, "t=%v\n", in.cluster.Eng.Now())
 		return nil
 	case "fault":
@@ -224,29 +240,18 @@ func (in *Interp) exec(line string) error {
 		return in.cmdCache(rest)
 	case "metrics":
 		return in.cmdMetrics(rest)
-	case "echo":
-		fmt.Fprintln(in.out, strings.TrimSpace(strings.TrimPrefix(line, "echo")))
-		return nil
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 }
 
-func (in *Interp) cmdCluster(a args) error {
+func (in *Interp) cmdCluster(a *args) error {
 	if in.cluster != nil {
 		return fmt.Errorf("cluster already created")
 	}
-	servers, err := a.num("servers", 4)
-	if err != nil {
-		return err
-	}
-	clients, err := a.num("clients", 1)
-	if err != nil {
-		return err
-	}
-	stripe, err := a.num("stripe", 0)
-	if err != nil {
-		return err
+	servers, clients, stripe := a.num("servers", 4), a.num("clients", 1), a.num("stripe", 0)
+	if a.err != nil {
+		return a.err
 	}
 	cfg := pvfs.DefaultConfig()
 	if a.str("wire", "") == "stream" {
@@ -263,9 +268,6 @@ func (in *Interp) cmdCluster(a args) error {
 
 // app runs fn as one application process and drives the cluster.
 func (in *Interp) app(fn func(p *sim.Proc) error) error {
-	if in.cluster == nil {
-		return fmt.Errorf("no cluster (run 'cluster' first)")
-	}
 	var ferr error
 	in.cluster.Eng.Go("ctl", func(p *sim.Proc) { ferr = fn(p) })
 	if err := in.cluster.Run(); err != nil {
@@ -274,68 +276,51 @@ func (in *Interp) app(fn func(p *sim.Proc) error) error {
 	return ferr
 }
 
-func (in *Interp) client(a args) (*pvfs.Client, error) {
-	idx, err := a.num("client", 0)
-	if err != nil {
-		return nil, err
-	}
-	if in.cluster == nil {
-		return nil, fmt.Errorf("no cluster")
+// withClient checks every option the command has read, then runs fn as
+// one application process on the client that client= names.
+func (in *Interp) withClient(a *args, fn func(p *sim.Proc, cl *pvfs.Client) error) error {
+	idx := a.num("client", 0)
+	if a.err != nil {
+		return a.err
 	}
 	if idx < 0 || int(idx) >= len(in.cluster.Clients) {
-		return nil, fmt.Errorf("client %d out of range", idx)
+		return fmt.Errorf("client %d out of range", idx)
 	}
-	return in.cluster.Clients[idx], nil
-}
-
-func (in *Interp) withClient(a args, fn func(p *sim.Proc, cl *pvfs.Client) error) error {
-	cl, err := in.client(a)
-	if err != nil {
-		return err
-	}
+	cl := in.cluster.Clients[idx]
 	return in.app(func(p *sim.Proc) error { return fn(p, cl) })
 }
 
-func (in *Interp) withFile(a args, fn func(p *sim.Proc, fh *pvfs.FileHandle) error) error {
+// withFile is withClient on the named file, opened (and kept) for the
+// client on first use.
+func (in *Interp) withFile(a *args, fn func(p *sim.Proc, fh *pvfs.FileHandle) error) error {
 	if a.name == "" {
 		return fmt.Errorf("missing file name")
 	}
-	cl, err := in.client(a)
-	if err != nil {
-		return err
-	}
-	return in.app(func(p *sim.Proc) error {
-		fh, err := in.handle(p, cl, a)
-		if err != nil {
-			return err
-		}
-		return fn(p, fh)
+	stripe := a.num("stripe", 0)
+	return in.withClient(a, func(p *sim.Proc, cl *pvfs.Client) error {
+		return fn(p, in.handle(p, cl, a.name, stripe))
 	})
 }
 
 // handle opens (and caches) the named file for the client.
-func (in *Interp) handle(p *sim.Proc, cl *pvfs.Client, a args) (*pvfs.FileHandle, error) {
+func (in *Interp) handle(p *sim.Proc, cl *pvfs.Client, name string, stripe int64) *pvfs.FileHandle {
 	idx := 0
 	for i, c := range in.cluster.Clients {
 		if c == cl {
 			idx = i
 		}
 	}
-	byClient, ok := in.files[a.name]
+	byClient, ok := in.files[name]
 	if !ok {
 		byClient = map[int]*pvfs.FileHandle{}
-		in.files[a.name] = byClient
+		in.files[name] = byClient
 	}
 	if fh, ok := byClient[idx]; ok {
-		return fh, nil
+		return fh
 	}
-	stripe, err := a.num("stripe", 0)
-	if err != nil {
-		return nil, err
-	}
-	fh := cl.OpenStriped(p, a.name, stripe)
+	fh := cl.OpenStriped(p, name, stripe)
 	byClient[idx] = fh
-	return fh, nil
+	return fh
 }
 
 // cached returns (creating on first use) the page cache wrapping fh when
@@ -392,41 +377,22 @@ func (in *Interp) forEachCache(fn func(name string, idx int, f *pcache.File) err
 // configuration that wraps every subsequent file command, 'stats' prints
 // the cache and lease counters plus per-cache residency, 'flush' drains
 // write-behind state, 'off' flushes, releases leases, and detaches.
-func (in *Interp) cmdCache(a args) error {
-	if in.cluster == nil {
-		return fmt.Errorf("no cluster")
-	}
+func (in *Interp) cmdCache(a *args) error {
 	switch a.name {
 	case "on":
 		cfg := pcache.DefaultConfig()
-		var err error
-		if cfg.PageSize, err = a.num("pagesize", cfg.PageSize); err != nil {
-			return err
-		}
-		pages, err := a.num("pages", int64(cfg.Pages))
-		if err != nil {
-			return err
-		}
-		cfg.Pages = int(pages)
-		hw, err := a.num("highwater", int64(cfg.DirtyHighWater))
-		if err != nil {
-			return err
-		}
-		cfg.DirtyHighWater = int(hw)
-		ra, err := a.num("readahead", int64(cfg.ReadAhead))
-		if err != nil {
-			return err
-		}
-		if ra <= 0 {
+		cfg.PageSize = a.num("pagesize", cfg.PageSize)
+		cfg.Pages = int(a.num("pages", int64(cfg.Pages)))
+		cfg.DirtyHighWater = int(a.num("highwater", int64(cfg.DirtyHighWater)))
+		if ra := a.num("readahead", int64(cfg.ReadAhead)); ra <= 0 {
 			cfg.NoReadAhead = true
 		} else {
 			cfg.ReadAhead = int(ra)
 		}
-		wt, err := a.num("wt", 0)
-		if err != nil {
-			return err
+		cfg.WriteThrough = a.num("wt", 0) != 0
+		if a.err != nil {
+			return a.err
 		}
-		cfg.WriteThrough = wt != 0
 		in.cacheCfg = &cfg
 		fmt.Fprintf(in.out, "caching on: %d x %dB pages, highwater %d, readahead %d, writethrough %v\n",
 			cfg.Pages, cfg.PageSize, cfg.DirtyHighWater, cfg.ReadAhead, cfg.WriteThrough)
@@ -478,7 +444,7 @@ func (in *Interp) cmdCache(a args) error {
 	}
 }
 
-func (in *Interp) cmdOpen(a args) error {
+func (in *Interp) cmdOpen(a *args) error {
 	return in.withFile(a, func(p *sim.Proc, fh *pvfs.FileHandle) error {
 		fmt.Fprintf(in.out, "opened %s (stripe %d)\n", fh.Name(), fh.StripeSize())
 		return nil
@@ -486,7 +452,7 @@ func (in *Interp) cmdOpen(a args) error {
 }
 
 // opOptions parses method/sieve options.
-func opOptions(a args) (pvfs.OpOptions, error) {
+func opOptions(a *args) pvfs.OpOptions {
 	var opts pvfs.OpOptions
 	switch m := a.str("method", "hybrid"); m {
 	case "hybrid":
@@ -495,7 +461,7 @@ func opOptions(a args) (pvfs.OpOptions, error) {
 	case "gather":
 		opts.Transfer = pvfs.ForceGather
 	default:
-		return opts, fmt.Errorf("unknown method %q", m)
+		a.fail("unknown method %q", m)
 	}
 	switch s := a.str("sieve", "auto"); s {
 	case "auto":
@@ -505,9 +471,9 @@ func opOptions(a args) (pvfs.OpOptions, error) {
 	case "never":
 		opts.Sieve = sieve.Never
 	default:
-		return opts, fmt.Errorf("unknown sieve mode %q", s)
+		a.fail("unknown sieve mode %q", s)
 	}
-	return opts, nil
+	return opts
 }
 
 // pattern fills n bytes derived from seed.
@@ -519,29 +485,14 @@ func pattern(n int64, seed int64) []byte {
 	return b
 }
 
-func (in *Interp) cmdContig(cmd string, a args) error {
-	length, err := a.num("len", 4096)
-	if err != nil {
-		return err
-	}
-	off, err := a.num("off", 0)
-	if err != nil {
-		return err
-	}
-	seed, err := a.num("seed", 0)
-	if err != nil {
-		return err
-	}
-	opts, err := opOptions(a)
-	if err != nil {
-		return err
-	}
-	verify, hasVerify := a.kv["verify"]
+func (in *Interp) cmdContig(cmd string, a *args) error {
+	length, off, seed := a.num("len", 4096), a.num("off", 0), a.num("seed", 0)
+	opts := opOptions(a)
+	_, hasVerify := a.kv["verify"]
+	vseed := a.num("verify", 0)
 	return in.withFile(a, func(p *sim.Proc, fh *pvfs.FileHandle) error {
-		cl, err := in.client(a)
-		if err != nil {
-			return err
-		}
+		cl := fh.Client()
+		var err error
 		addr := cl.Space().Malloc(length)
 		t0 := p.Now()
 		cf := in.cached(fh)
@@ -567,15 +518,11 @@ func (in *Interp) cmdContig(cmd string, a args) error {
 				return err
 			}
 			if hasVerify {
-				vseed, err := strconv.ParseInt(verify, 10, 64)
-				if err != nil {
-					return fmt.Errorf("bad verify=%q", verify)
-				}
 				got, err := cl.Space().Read(addr, length)
 				if err != nil {
 					return err
 				}
-				if !bytesEqual(got, pattern(length, vseed)) {
+				if !bytes.Equal(got, pattern(length, vseed)) {
 					return fmt.Errorf("verification failed")
 				}
 			}
@@ -586,44 +533,16 @@ func (in *Interp) cmdContig(cmd string, a args) error {
 	})
 }
 
-func (in *Interp) cmdList(cmd string, a args) error {
-	count, err := a.num("count", 16)
-	if err != nil {
-		return err
-	}
-	size, err := a.num("size", 512)
-	if err != nil {
-		return err
-	}
-	fstride, err := a.num("fstride", size*2)
-	if err != nil {
-		return err
-	}
-	foff, err := a.num("foff", 0)
-	if err != nil {
-		return err
-	}
-	mstride, err := a.num("mstride", size)
-	if err != nil {
-		return err
-	}
-	if mstride < size {
-		mstride = size
-	}
-	seed, err := a.num("seed", 0)
-	if err != nil {
-		return err
-	}
-	opts, err := opOptions(a)
-	if err != nil {
-		return err
-	}
-	verify, hasVerify := a.kv["verify"]
+func (in *Interp) cmdList(cmd string, a *args) error {
+	count, size := a.num("count", 16), a.num("size", 512)
+	fstride, foff, mstride := a.num("fstride", size*2), a.num("foff", 0), max(a.num("mstride", size), size)
+	seed := a.num("seed", 0)
+	opts := opOptions(a)
+	_, hasVerify := a.kv["verify"]
+	vseed := a.num("verify", 0)
 	return in.withFile(a, func(p *sim.Proc, fh *pvfs.FileHandle) error {
-		cl, err := in.client(a)
-		if err != nil {
-			return err
-		}
+		cl := fh.Client()
+		var err error
 		base := cl.Space().Malloc(count * mstride)
 		var segs []ib.SGE
 		var accs []pvfs.OffLen
@@ -659,17 +578,13 @@ func (in *Interp) cmdList(cmd string, a args) error {
 				return err
 			}
 			if hasVerify {
-				vseed, err := strconv.ParseInt(verify, 10, 64)
-				if err != nil {
-					return fmt.Errorf("bad verify=%q", verify)
-				}
 				want := pattern(total, vseed)
 				for i, s := range segs {
 					got, err := cl.Space().Read(s.Addr, size)
 					if err != nil {
 						return err
 					}
-					if !bytesEqual(got, want[int64(i)*size:int64(i+1)*size]) {
+					if !bytes.Equal(got, want[int64(i)*size:int64(i+1)*size]) {
 						return fmt.Errorf("verification failed at piece %d", i)
 					}
 				}
@@ -687,15 +602,12 @@ func (in *Interp) cmdList(cmd string, a args) error {
 // 'list' shows the active plan and what the injector has done so far.
 // Daemon crashes already planted on the timeline by an earlier inject
 // still fire after clear, like a real scheduled outage would.
-func (in *Interp) cmdFault(a args) error {
-	if in.cluster == nil {
-		return fmt.Errorf("no cluster")
-	}
+func (in *Interp) cmdFault(a *args) error {
 	switch a.name {
 	case "inject":
-		plan, err := in.parsePlan(a)
-		if err != nil {
-			return err
+		plan := in.parsePlan(a)
+		if a.err != nil {
+			return a.err
 		}
 		if plan.Empty() {
 			return fmt.Errorf("empty plan: set wr=, reg=, diskerr=, diskslow=, cut=, spike=, or crash=")
@@ -722,15 +634,12 @@ func (in *Interp) cmdFault(a args) error {
 	}
 }
 
-// parsePlan builds a fault plan from one inject line. Rates are
-// probabilities in [0,1]; cut=A:B:AT:DUR, spike=FROM:TO:AT:DUR:EXTRA, and
-// crash=SERVER:AT:DOWN take microseconds and accept comma-separated lists.
-func (in *Interp) parsePlan(a args) (*fault.Plan, error) {
-	plan := &fault.Plan{}
-	var err error
-	if plan.Seed, err = a.num("seed", 1); err != nil {
-		return nil, err
-	}
+// parsePlan builds a fault plan from one inject line, recording the first
+// bad option in a. Rates are probabilities in [0,1];
+// cut=A:B:AT:DUR, spike=FROM:TO:AT:DUR:EXTRA, and crash=SERVER:AT:DOWN
+// take microseconds and accept comma-separated lists.
+func (in *Interp) parsePlan(a *args) *fault.Plan {
+	plan := &fault.Plan{Seed: a.num("seed", 1)}
 	for _, r := range []struct {
 		key string
 		dst *float64
@@ -740,43 +649,36 @@ func (in *Interp) parsePlan(a args) (*fault.Plan, error) {
 		{"diskerr", &plan.DiskErrorRate},
 		{"diskslow", &plan.DiskSlowRate},
 	} {
-		if *r.dst, err = a.float(r.key, 0); err != nil {
-			return nil, err
-		}
-		if *r.dst < 0 || *r.dst > 1 {
-			return nil, fmt.Errorf("%s=%g out of [0,1]", r.key, *r.dst)
+		if *r.dst = a.float(r.key, 0); *r.dst < 0 || *r.dst > 1 {
+			a.fail("%s=%g out of [0,1]", r.key, *r.dst)
 		}
 	}
 	us := func(n int64) sim.Duration { return sim.Duration(n) * 1000 }
 	for _, spec := range splitSpecs(a.str("cut", "")) {
-		v, err := splitInts("cut", spec, 4)
-		if err != nil {
-			return nil, err
+		if v := splitInts(a, "cut", spec, 4); v != nil {
+			plan.Cuts = append(plan.Cuts, fault.Cut{
+				A: int(v[0]), B: int(v[1]), At: us(v[2]), Dur: us(v[3])})
 		}
-		plan.Cuts = append(plan.Cuts, fault.Cut{
-			A: int(v[0]), B: int(v[1]), At: us(v[2]), Dur: us(v[3])})
 	}
 	for _, spec := range splitSpecs(a.str("spike", "")) {
-		v, err := splitInts("spike", spec, 5)
-		if err != nil {
-			return nil, err
+		if v := splitInts(a, "spike", spec, 5); v != nil {
+			plan.Spikes = append(plan.Spikes, fault.Spike{
+				From: int(v[0]), To: int(v[1]), At: us(v[2]), Dur: us(v[3]), Extra: us(v[4])})
 		}
-		plan.Spikes = append(plan.Spikes, fault.Spike{
-			From: int(v[0]), To: int(v[1]), At: us(v[2]), Dur: us(v[3]), Extra: us(v[4])})
 	}
 	for _, spec := range splitSpecs(a.str("crash", "")) {
-		v, err := splitInts("crash", spec, 3)
-		if err != nil {
-			return nil, err
+		v := splitInts(a, "crash", spec, 3)
+		if v == nil {
+			continue
 		}
-		srv := int(v[0])
-		if srv <= 0 || srv >= len(in.cluster.Servers) {
-			return nil, fmt.Errorf("crash server %d out of range (1..%d; server 0 hosts the manager)",
+		if srv := int(v[0]); srv <= 0 || srv >= len(in.cluster.Servers) {
+			a.fail("crash server %d out of range (1..%d; server 0 hosts the manager)",
 				srv, len(in.cluster.Servers)-1)
+		} else {
+			plan.Crashes = append(plan.Crashes, fault.Crash{Server: srv, At: us(v[1]), Down: us(v[2])})
 		}
-		plan.Crashes = append(plan.Crashes, fault.Crash{Server: srv, At: us(v[1]), Down: us(v[2])})
 	}
-	return plan, nil
+	return plan
 }
 
 func splitSpecs(s string) []string {
@@ -786,20 +688,24 @@ func splitSpecs(s string) []string {
 	return strings.Split(s, ",")
 }
 
-func splitInts(what, spec string, want int) ([]int64, error) {
+// splitInts parses one colon-separated spec of want ints, or records why
+// it cannot in a and returns nil.
+func splitInts(a *args, what, spec string, want int) []int64 {
 	parts := strings.Split(spec, ":")
 	if len(parts) != want {
-		return nil, fmt.Errorf("bad %s=%q: want %d colon-separated ints", what, spec, want)
+		a.fail("bad %s=%q: want %d colon-separated ints", what, spec, want)
+		return nil
 	}
 	out := make([]int64, want)
 	for i, p := range parts {
 		n, err := strconv.ParseInt(p, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad %s=%q: %q is not an int", what, spec, p)
+			a.fail("bad %s=%q: %q is not an int", what, spec, p)
+			return nil
 		}
 		out[i] = n
 	}
-	return out, nil
+	return out
 }
 
 func describePlan(pl *fault.Plan) string {
@@ -834,10 +740,7 @@ func describePlan(pl *fault.Plan) string {
 // tracer, 'dump' prints the spans that completed last — fault instants
 // included — one per line, 'profile' prints the critical-path breakdown,
 // 'export' writes a Perfetto trace, 'off' detaches the tracer.
-func (in *Interp) cmdTrace(a args) error {
-	if in.cluster == nil {
-		return fmt.Errorf("no cluster")
-	}
+func (in *Interp) cmdTrace(a *args) error {
 	tr := in.cluster.Spans
 	switch a.name {
 	case "spans", "on":
@@ -864,9 +767,9 @@ func (in *Interp) cmdTrace(a args) error {
 			return fmt.Sprintf("exported %d spans to %s\n", tr.Len(), path)
 		})
 	case "dump":
-		n, err := a.num("last", 10)
-		if err != nil {
-			return err
+		n := a.num("last", 10)
+		if a.err != nil {
+			return a.err
 		}
 		// Completion order, so the rows that close a request — its last
 		// attempt, the operation itself — are the last ones printed.
@@ -901,19 +804,18 @@ func (in *Interp) cmdTrace(a args) error {
 // zero-cost no-op sinks. Everything except 'top' is deterministic;
 // 'top' describes the execution (per-shard event counts), which depends
 // on the shard count and must never feed a determinism-checked artifact.
-func (in *Interp) cmdMetrics(a args) error {
-	if in.cluster == nil {
-		return fmt.Errorf("no cluster")
+func (in *Interp) cmdMetrics(a *args) error {
+	switch a.name {
+	case "dump", "rate":
+		if in.mx == nil {
+			return fmt.Errorf("metrics not enabled (run 'metrics on')")
+		}
 	}
 	switch a.name {
 	case "on":
-		us, err := a.num("interval", 50)
-		if err != nil {
-			return err
-		}
-		depth, err := a.num("depth", 2048)
-		if err != nil {
-			return err
+		us, depth := a.num("interval", 50), a.num("depth", 2048)
+		if a.err != nil {
+			return a.err
 		}
 		if us <= 0 || depth <= 0 {
 			return fmt.Errorf("interval and depth must be positive")
@@ -925,9 +827,6 @@ func (in *Interp) cmdMetrics(a args) error {
 		fmt.Fprintf(in.out, "metrics on: interval %dus, depth %d\n", us, depth)
 		return nil
 	case "dump":
-		if in.mx == nil {
-			return fmt.Errorf("metrics not enabled (run 'metrics on')")
-		}
 		now := in.cluster.Eng.Now()
 		write := func(w io.Writer) error {
 			switch f := a.str("format", "json"); f {
@@ -944,39 +843,15 @@ func (in *Interp) cmdMetrics(a args) error {
 			return fmt.Sprintf("dumped %d series to %s\n", len(in.mx.Snapshot(now)), path)
 		})
 	case "rate":
-		if in.mx == nil {
-			return fmt.Errorf("metrics not enabled (run 'metrics on')")
+		last, filter := a.num("last", 5), a.str("name", "")
+		if a.err != nil {
+			return a.err
 		}
-		last, err := a.num("last", 5)
-		if err != nil {
-			return err
-		}
-		filter := a.str("name", "")
-		// Aggregate each series name across nodes; the snapshot's windows
-		// all share the same First, so indexes align.
-		type agg struct {
-			kind  string
-			total int64
-			vals  []int64
-		}
-		byName := map[string]*agg{}
+		sums := metrics.SumByName(in.mx.Snapshot(in.cluster.Eng.Now()))
 		var names []string
-		for _, s := range in.mx.Snapshot(in.cluster.Eng.Now()) {
-			if filter != "" && s.Name != filter {
-				continue
-			}
-			g, ok := byName[s.Name]
-			if !ok {
-				g = &agg{kind: s.Kind}
-				byName[s.Name] = g
-				names = append(names, s.Name)
-			}
-			g.total += s.Total
-			for len(g.vals) < len(s.Vals) {
-				g.vals = append(g.vals, 0)
-			}
-			for i, v := range s.Vals {
-				g.vals[i] += v
+		for name := range sums {
+			if filter == "" || name == filter {
+				names = append(names, name)
 			}
 		}
 		if filter != "" && len(names) == 0 {
@@ -985,13 +860,13 @@ func (in *Interp) cmdMetrics(a args) error {
 		sort.Strings(names)
 		ivUS := int64(in.mx.Interval()) / 1000
 		for _, name := range names {
-			g := byName[name]
-			vals := g.vals
+			g := sums[name]
+			vals := g.Vals
 			if int64(len(vals)) > last {
 				vals = vals[int64(len(vals))-last:]
 			}
 			fmt.Fprintf(in.out, "%-22s %-7s total=%-12d last %dx%dus: %v\n",
-				name, g.kind, g.total, len(vals), ivUS, vals)
+				name, g.Kind, g.Total, len(vals), ivUS, vals)
 		}
 		return nil
 	case "top":
@@ -1037,18 +912,6 @@ func (in *Interp) writeTo(path string, write func(io.Writer) error, report func(
 	}
 	fmt.Fprint(in.out, report())
 	return nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func mbps(n int64, d sim.Duration) float64 {

@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/transcript.golden from this run")
 
 // run executes a script and returns the output.
 func run(t *testing.T, script string) string {
@@ -347,5 +350,34 @@ func TestScriptCacheErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("script %q: err = %v, want %q", tc.script, err, tc.want)
 		}
+	}
+}
+
+// TestTranscriptGolden runs testdata/transcript.pvfs — one session that
+// attaches the page cache, a fault storm, the metrics registry and the
+// span tracer, runs list, contiguous and cached I/O under them, and prints
+// from every plane — and compares the whole output with
+// testdata/transcript.golden. `go test ./internal/ctl -run
+// TestTranscriptGolden -update` rewrites the golden after a deliberate
+// output change.
+func TestTranscriptGolden(t *testing.T) {
+	const golden = "testdata/transcript.golden"
+	script, err := os.ReadFile("testdata/transcript.pvfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run(t, string(script))
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("transcript differs from %s:\n%s", golden, got)
 	}
 }

@@ -132,11 +132,6 @@ func (d *Disk) SetFaults(f FaultInjector) { d.faults = f }
 // registered; the device belongs to one server's group, so its series
 // stay shard-local. Call while the engine is idle.
 func (d *Disk) SetMetrics(mx *metrics.Registry) {
-	if mx == nil {
-		d.mxBusy = metrics.Busy{}
-		d.mxQueue = metrics.Gauge{}
-		return
-	}
 	d.mxBusy = mx.Busy(d.name, "disk.busy")
 	d.mxQueue = mx.Gauge(d.name, "disk.queue")
 }

@@ -61,13 +61,11 @@ func NewRegCache(h *HCA, maxBytes int64, maxEntries int) *RegCache {
 func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
 	for _, ent := range c.all {
 		if ent.mr.Covers(e) {
-			c.hca.Counters.RegCacheHits++
 			c.hca.mx.regHits.Add(p.Now(), 1)
 			ent.refs++
 			return ent.mr, nil
 		}
 	}
-	c.hca.Counters.RegCacheMisses++
 	c.hca.mx.regMiss.Add(p.Now(), 1)
 	// Evict until the new region fits.
 	need := e.Pages() * mem.PageSize

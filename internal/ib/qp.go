@@ -80,12 +80,9 @@ func NewHCA(node *simnet.Node, space *mem.AddrSpace, params Params) *HCA {
 		qps:    make(map[uint32]*QP),
 		reads:  make(map[uint64]*sim.Mailbox),
 	}
-	aux := node.Network().ShardAux(node.Group().ShardIndex())
-	if *aux == nil {
-		*aux = new(wirePool)
-	}
-	h.wp = (*aux).(*wirePool)
+	h.wp = wirePoolOf(node.Network(), node.Group().ShardIndex())
 	h.wakeup = h.engine().NewCond()
+	h.SetMetrics(nil)
 	node.SetReceiver(h.receive)
 	h.engine().GoOn(node.Group(), fmt.Sprintf("hca[%s]", node.Name), h.respond)
 	return h
@@ -189,6 +186,16 @@ type wirePool struct {
 	wires   sim.FreeList[wire]
 }
 
+// wirePoolOf returns shard i's pool bundle, making it on first use. It is
+// the only reader of the fabric's per-shard slot, which holds nothing else.
+func wirePoolOf(net *simnet.Network, i int) *wirePool {
+	aux := net.ShardAux(i)
+	if *aux == nil {
+		*aux = new(wirePool)
+	}
+	return (*aux).(*wirePool)
+}
+
 // takeWire returns a wire record of the given kind from h's shard's list;
 // the sender sets every field the kind uses.
 func (h *HCA) takeWire(kind wireKind) *wire {
@@ -274,9 +281,7 @@ func (h *HCA) scratch() *mem.ScratchPool { return &h.wp.scratch }
 func PoolHostCost(net *simnet.Network, shards int) sim.HostCost {
 	var hc sim.HostCost
 	for i := 0; i < shards; i++ {
-		if wp, ok := (*net.ShardAux(i)).(*wirePool); ok {
-			hc.Add(wp.scratch.HostCost())
-		}
+		hc.Add(wirePoolOf(net, i).scratch.HostCost())
 	}
 	return hc
 }
@@ -285,10 +290,9 @@ func PoolHostCost(net *simnet.Network, shards int) sim.HostCost {
 // fabric's adapters took from their pools and did not recycle.
 func Census(net *simnet.Network, shards int, add func(pool string, out int64)) {
 	for i := 0; i < shards; i++ {
-		if wp, ok := (*net.ShardAux(i)).(*wirePool); ok {
-			add("ib.wires", wp.wires.Out())
-			add("ib.scratch", wp.scratch.Out())
-		}
+		wp := wirePoolOf(net, i)
+		add("ib.wires", wp.wires.Out())
+		add("ib.scratch", wp.scratch.Out())
 	}
 }
 

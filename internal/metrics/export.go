@@ -107,6 +107,34 @@ func (r *Registry) Current(name string) int64 {
 	return sum
 }
 
+// Sum is every node's series of one name added together: the run totals,
+// and the values interval by interval.
+type Sum struct {
+	Kind  string
+	Nodes int // series summed
+	Total int64
+	Vals  []int64
+}
+
+// SumByName adds up a snapshot's series by name across nodes. A snapshot's
+// series all cover the same window, so their values align index by index.
+func SumByName(snap []Series) map[string]*Sum {
+	sums := make(map[string]*Sum)
+	for _, s := range snap {
+		g := sums[s.Name]
+		if g == nil {
+			g = &Sum{Kind: s.Kind, Vals: make([]int64, len(s.Vals))}
+			sums[s.Name] = g
+		}
+		g.Nodes++
+		g.Total += s.Total
+		for i, v := range s.Vals {
+			g.Vals[i] += v
+		}
+	}
+	return sums
+}
+
 // WriteJSON emits every series as one indented JSON document.
 func (r *Registry) WriteJSON(w io.Writer, until sim.Time) error {
 	d := Dump{

@@ -152,12 +152,29 @@ func (s *series) bucket(idx int64) int {
 // Counter is a monotonically accumulating instrument: each Add lands in
 // the interval containing t (per-interval deltas) and in the cumulative
 // total. The zero Counter is a valid no-op sink.
-type Counter struct{ s *series }
+//
+// A counter may also have an owner (Owned): the always-on int64 its
+// entity keeps for Snapshot. Add then counts the event once, into both,
+// so the two can never drift apart; with no series (a nil registry) only
+// the owner counts.
+type Counter struct {
+	s   *series
+	own *int64
+}
+
+// Owned returns c writing through to owner as well as to its series.
+func (c Counter) Owned(owner *int64) Counter {
+	c.own = owner
+	return c
+}
 
 // Add records v at virtual time t. A zero-value Counter ignores the call.
 //
 //pvfslint:hotpath
 func (c Counter) Add(t sim.Time, v int64) {
+	if c.own != nil {
+		*c.own += v
+	}
 	s := c.s
 	if s == nil {
 		return

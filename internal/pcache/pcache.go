@@ -128,13 +128,15 @@ type File struct {
 	fh   *pvfs.FileHandle
 	cl   *pvfs.Client
 	clu  *pvfs.Cluster
-	acct *stats.Acct // the owning client's counter set (shard-local)
+	acct *stats.Acct // the owning client's counter set, for CoalescedFlushes
 	cfg  Config
 
-	// mx points at the owning client's page-cache instrument handles
-	// (zero-value sinks with metrics off). The client's gauges aggregate
-	// across all its caches, so each File contributes occupancy deltas
-	// from its last sample (mxRes/mxDirty) rather than absolute values.
+	// mx points at the owning client's page-cache instrument handles. Its
+	// counters write through to the client's Acct, metrics on or off; the
+	// gauges are zero-value sinks with metrics off. The client's gauges
+	// aggregate across all its caches, so each File contributes occupancy
+	// deltas from its last sample (mxRes/mxDirty) rather than absolute
+	// values.
 	mx      *pvfs.CacheMetrics
 	mxRes   int64
 	mxDirty int64
@@ -460,7 +462,6 @@ func (f *File) tryFast(p *sim.Proc, segs []ib.SGE, accs []pvfs.OffLen, write boo
 			}
 		}
 	}
-	f.acct.CacheHits++
 	f.mx.Hits.Add(p.Now(), 1)
 	f.sampleMX(p)
 	p.Sleep(f.ibp.MemcpyTime(total))
@@ -653,8 +654,6 @@ func (f *File) fetchLocked(p *sim.Proc, misses, ra int) error {
 		fr.dirty = false
 		f.table[pno] = frames[i]
 	}
-	f.acct.CacheMisses += int64(misses)
-	f.acct.CacheReadAheads += int64(ra)
 	f.mx.Misses.Add(p.Now(), int64(misses))
 	f.mx.ReadAheads.Add(p.Now(), int64(ra))
 	return nil
@@ -742,7 +741,6 @@ func (f *File) flushLocked(p *sim.Proc) error {
 	if len(f.pnos) > 1 {
 		f.acct.CoalescedFlushes++
 	}
-	f.acct.WriteBehindBytes += nbytes
 	f.mx.WBBytes.Add(p.Now(), nbytes)
 	for _, i := range f.pnos {
 		f.frames[i].dirty = false

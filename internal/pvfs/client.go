@@ -167,6 +167,7 @@ func newClient(cl *Cluster, idx int) *Client {
 	c.cache = ib.NewRegCache(c.hca, cl.Cfg.RegCacheBytes, cl.Cfg.RegCacheEntries)
 	c.cpu = cl.Eng.NewResource(fmt.Sprintf("cn%d.cpu", idx), 1)
 	c.recs = cl.recordPool(node)
+	c.setMetrics(nil)
 	return c
 }
 
@@ -595,7 +596,6 @@ restart:
 			if rec == nil || !recoverable(err) {
 				return err
 			}
-			c.acct.Retries++
 			c.mx.retries.Add(p.Now(), 1)
 			c.resetConn(p, conn)
 			if !pack {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pvfsib/internal/disk"
 	"pvfsib/internal/fault"
 	"pvfsib/internal/ib"
 	"pvfsib/internal/metrics"
@@ -38,6 +39,13 @@ type Cluster struct {
 	// into every layer (attach with EnableMetrics). Nil keeps every
 	// sampling site a single-branch no-op.
 	Metrics *metrics.Registry
+
+	// names lists every name the layers stamp on spans, series and fault
+	// streams, in cluster order: each server's node and disk, then each
+	// client's node (the manager shares server 0's). The tracer, the
+	// registry and the injector all register from it, so the three planes
+	// agree on node order.
+	names []string
 
 	// recs holds one record pool per engine shard (proto.go); a node's
 	// processes use the pool of the shard the node runs on.
@@ -84,50 +92,67 @@ func (c *Cluster) HostCost() sim.HostCost {
 	return hc
 }
 
-// traceNames lists every name the layers stamp on spans and series: the
-// fabric nodes and the disks, in deterministic cluster order.
-func (c *Cluster) traceNames() []string {
-	var names []string
-	for _, s := range c.Servers {
-		names = append(names, s.node.Name, s.dsk.Name())
-	}
-	for _, cl := range c.Clients {
-		names = append(names, cl.node.Name)
-	}
-	return append(names, c.Manager.node.Name)
-}
-
 // EnableSpans attaches a span tracer to every layer of the cluster — the
 // fabric, every adapter, every disk, and every daemon's sieve — so each
 // request's journey is recorded as one span tree on the virtual clock,
 // with the fault plane's instants (crash, restart, abort, pack fallback)
 // as zero-length spans under the request they hit.
 // Call it before running workloads; attaching replaces any previous
-// tracer. The same pattern as AttachFaults: one structural hook per
-// substrate, detachable with DisableSpans.
+// tracer, and DisableSpans detaches it.
 func (c *Cluster) EnableSpans() *trace.Tracer {
-	tr := trace.NewTracer(c.traceNames()...)
-	c.attachTracer(tr)
-	return tr
+	c.Spans = trace.NewTracer(c.names...)
+	c.attach()
+	return c.Spans
 }
 
 // DisableSpans detaches the span tracer from every layer, restoring the
 // allocation-free untraced paths. The old tracer (and its recorded
 // spans) stays readable.
-func (c *Cluster) DisableSpans() { c.attachTracer(nil) }
+func (c *Cluster) DisableSpans() {
+	c.Spans = nil
+	c.attach()
+}
 
-func (c *Cluster) attachTracer(tr *trace.Tracer) {
-	c.Spans = tr
+// attach is the one fan-out of the observer planes: it wires the
+// cluster's span tracer, metrics registry and fault injector — each nil
+// when detached — into every layer that consults them: the fabric, each
+// server's adapter, disk, sieve and daemon, each client's adapter and
+// library, and the manager (whose adapter is server 0's). Handing a layer
+// a plane that did not change leaves that plane's output as it was, so
+// attaching one plane never perturbs another. Call while the engine is
+// idle.
+func (c *Cluster) attach() {
+	tr, mx := c.Spans, c.Metrics
+	// A nil *fault.Injector in an interface would be a non-nil hook.
+	var inj interface {
+		simnet.FaultPolicy
+		ib.FaultInjector
+		disk.FaultInjector
+	}
+	if c.Faults != nil {
+		inj = c.Faults
+	}
+	adapter := func(h *ib.HCA) {
+		h.SetTracer(tr)
+		h.SetMetrics(mx)
+		h.SetFaults(inj)
+	}
 	c.Net.SetTracer(tr)
+	c.Net.SetMetrics(mx)
+	c.Net.SetFaults(inj)
 	for _, s := range c.Servers {
-		s.hca.SetTracer(tr)
+		adapter(s.hca)
 		s.dsk.SetTracer(tr)
-		s.sieveParams.Tracer = tr
-		s.sieveParams.Node = s.node.Name
+		s.dsk.SetMetrics(mx)
+		s.dsk.SetFaults(inj)
+		s.sieveParams.Tracer, s.sieveParams.Node = tr, s.node.Name
+		s.setMetrics(mx)
 	}
 	for _, cl := range c.Clients {
-		cl.hca.SetTracer(tr)
+		adapter(cl.hca)
+		cl.setMetrics(mx)
 	}
+	c.Manager.setMetrics(mx)
 }
 
 // NewCluster builds a cluster with the given server and client counts. All
@@ -151,7 +176,9 @@ func NewCluster(eng *sim.Engine, cfg Config, nServers, nClients int) *Cluster {
 	}
 	c.recs = make([]recordPool, eng.NumShards())
 	for i := 0; i < nServers; i++ {
-		c.Servers = append(c.Servers, newServer(c, i))
+		s := newServer(c, i)
+		c.Servers = append(c.Servers, s)
+		c.names = append(c.names, s.node.Name, s.dsk.Name())
 	}
 	c.Manager = newManager(c)
 	for _, s := range c.Servers {
@@ -171,6 +198,7 @@ func NewCluster(eng *sim.Engine, cfg Config, nServers, nClients int) *Cluster {
 	for i := 0; i < nClients; i++ {
 		cl := newClient(c, i)
 		c.Clients = append(c.Clients, cl)
+		c.names = append(c.names, cl.node.Name)
 		cl.connect()
 	}
 	if cfg.Faults != nil {

@@ -22,14 +22,7 @@ import (
 func (c *Cluster) AttachFaults(plan *fault.Plan) *fault.Injector {
 	if plan == nil {
 		c.Faults = nil
-		c.Net.SetFaults(nil)
-		for _, s := range c.Servers {
-			s.hca.SetFaults(nil)
-			s.dsk.SetFaults(nil)
-		}
-		for _, cl := range c.Clients {
-			cl.hca.SetFaults(nil)
-		}
+		c.attach()
 		return nil
 	}
 	for _, cr := range plan.Crashes {
@@ -38,29 +31,16 @@ func (c *Cluster) AttachFaults(plan *fault.Plan) *fault.Injector {
 				cr.Server, len(c.Servers)-1)
 		}
 	}
-	inj := fault.NewInjectorFrom(*plan, &c.faultRands)
 	// Every node (and every disk) draws from its own seeded stream and
 	// tallies into its own counter set, so the fault schedule and counts
 	// are independent of cross-node event interleaving — byte-identical at
 	// any engine shard count — and every injector access is shard-local.
-	for _, s := range c.Servers {
-		inj.Register(s.node.Name)
-		inj.Register(s.dsk.Name())
+	c.Faults = fault.NewInjectorFrom(*plan, &c.faultRands)
+	for _, name := range c.names {
+		c.Faults.Register(name)
 	}
-	for _, cl := range c.Clients {
-		inj.Register(cl.node.Name)
-	}
-	inj.Register(c.Manager.node.Name)
-	inj.RegisterLinks(c.Net.NumNodes())
-	c.Faults = inj
-	c.Net.SetFaults(inj)
-	for _, s := range c.Servers {
-		s.hca.SetFaults(inj)
-		s.dsk.SetFaults(inj)
-	}
-	for _, cl := range c.Clients {
-		cl.hca.SetFaults(inj)
-	}
+	c.Faults.RegisterLinks(c.Net.NumNodes())
+	c.attach()
 	now := c.Eng.Now()
 	for _, cr := range plan.Crashes {
 		cr := cr
@@ -76,7 +56,7 @@ func (c *Cluster) AttachFaults(plan *fault.Plan) *fault.Injector {
 			fmt.Sprintf("iod[restart-io%d]", cr.Server),
 			func(p *sim.Proc) { srv.restart(p) })
 	}
-	return inj
+	return c.Faults
 }
 
 // recovery returns the retry parameters, or nil when no fault plane is

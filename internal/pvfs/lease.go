@@ -70,7 +70,6 @@ func (m *Manager) handleLease(p *sim.Proc, qp *ib.QP, req *reqLease) {
 			ls.readers = append(ls.readers, req.Client)
 		}
 	}
-	m.acct.LeaseGrants++
 	m.mx.leaseGrants.Add(p.Now(), 1)
 	m.leaseMu.Release()
 	m.send(p, qp, &respLease{Seq: req.Seq})
@@ -94,7 +93,6 @@ func (m *Manager) handleLeaseRelease(p *sim.Proc, qp *ib.QP, req *reqLeaseReleas
 // table afterwards. Runs on the requesting client's manager serve process,
 // so the recalled client's own serve process stays responsive throughout.
 func (m *Manager) recall(p *sim.Proc, client int, fileID int64) {
-	m.acct.LeaseRecalls++
 	m.mx.leaseRecalls.Add(p.Now(), 1)
 	rec := m.cluster.recovery()
 	qp := m.cbs[client]

@@ -16,8 +16,8 @@ type fileMeta struct {
 
 // Manager is the PVFS metadata manager. It provides the cluster-wide name
 // space and per-file striping metadata; it never participates in data
-// transfers. Like the paper's testbed it shares a node with the first I/O
-// server when the cluster has one, otherwise it gets its own node.
+// transfers. Like the paper's testbed it shares a node (and so an adapter)
+// with the first I/O server.
 type Manager struct {
 	node  *simnet.Node
 	space *mem.AddrSpace
@@ -56,17 +56,12 @@ func newManager(c *Cluster) *Manager {
 		leases:  make(map[int64]*leaseState),
 		leaseMu: c.Eng.NewResource("mgr.leases", 1),
 		cbs:     make(map[int]*ib.QP),
-	}
-	if len(c.Servers) > 0 {
 		// Co-located with the first I/O server.
-		m.node = c.Servers[0].node
-		m.space = c.Servers[0].space
-		m.hca = c.Servers[0].hca
-	} else {
-		m.node = c.Net.AddNodeIn(c.Eng.AddGroup("mgr"), "mgr")
-		m.space = mem.NewAddrSpace("mgr")
-		m.hca = ib.NewHCA(m.node, m.space, c.Cfg.IB)
+		node:  c.Servers[0].node,
+		space: c.Servers[0].space,
+		hca:   c.Servers[0].hca,
 	}
+	m.setMetrics(nil)
 	return m
 }
 

@@ -30,7 +30,9 @@ type managerMetrics struct {
 // (internal/pcache) samples through, exposed as a struct of handles so
 // the cache — which opens files while the simulation is running — never
 // touches the registry itself: all creation happens here at attach time,
-// on an idle engine. Zero-value handles are no-op sinks.
+// on an idle engine. Hits, Misses, ReadAheads and WBBytes write through
+// to the client's Acct, so the cache counts each event once, metrics on
+// or off; the other handles are no-op sinks without a registry.
 type CacheMetrics struct {
 	Resident   metrics.Gauge   // pages holding data
 	Dirty      metrics.Gauge   // pages with unflushed bytes
@@ -47,10 +49,6 @@ type CacheMetrics struct {
 func (c *Client) CacheMetrics() *CacheMetrics { return &c.cacheMX }
 
 func (s *Server) setMetrics(mx *metrics.Registry) {
-	if mx == nil {
-		s.mx = serverMetrics{}
-		return
-	}
 	name := s.node.Name
 	s.mx = serverMetrics{
 		dispQ:  mx.Gauge(name, "srv.dispatch.queue"),
@@ -59,38 +57,34 @@ func (s *Server) setMetrics(mx *metrics.Registry) {
 	}
 }
 
+// setMetrics (re)binds the client's instruments. The counters that shadow
+// an Acct field write through to it with or without a registry, so
+// newClient binds them before anything can count.
 func (c *Client) setMetrics(mx *metrics.Registry) {
-	if mx == nil {
-		c.mx = clientMetrics{}
-		c.cacheMX = CacheMetrics{}
-		return
-	}
 	name := c.node.Name
 	c.mx = clientMetrics{
-		retries:  mx.Counter(name, "rpc.retry"),
-		timeouts: mx.Counter(name, "rpc.timeout"),
+		retries:  mx.Counter(name, "rpc.retry").Owned(&c.acct.Retries),
+		timeouts: mx.Counter(name, "rpc.timeout").Owned(&c.acct.Timeouts),
 		backoff:  mx.Busy(name, "rpc.backoff"),
 	}
 	c.cacheMX = CacheMetrics{
 		Resident:   mx.Gauge(name, "pcache.resident"),
 		Dirty:      mx.Gauge(name, "pcache.dirty"),
-		Hits:       mx.Counter(name, "pcache.hit"),
-		Misses:     mx.Counter(name, "pcache.miss"),
-		ReadAheads: mx.Counter(name, "pcache.readahead"),
-		WBBytes:    mx.Counter(name, "pcache.wb.bytes"),
+		Hits:       mx.Counter(name, "pcache.hit").Owned(&c.acct.CacheHits),
+		Misses:     mx.Counter(name, "pcache.miss").Owned(&c.acct.CacheMisses),
+		ReadAheads: mx.Counter(name, "pcache.readahead").Owned(&c.acct.CacheReadAheads),
+		WBBytes:    mx.Counter(name, "pcache.wb.bytes").Owned(&c.acct.WriteBehindBytes),
 		Recalls:    mx.Counter(name, "pcache.recall"),
 	}
 }
 
+// setMetrics (re)binds the manager's lease counters, which write through
+// to its Acct; newManager binds them.
 func (m *Manager) setMetrics(mx *metrics.Registry) {
-	if mx == nil {
-		m.mx = managerMetrics{}
-		return
-	}
 	name := m.node.Name
 	m.mx = managerMetrics{
-		leaseGrants:  mx.Counter(name, "lease.grant"),
-		leaseRecalls: mx.Counter(name, "lease.recall"),
+		leaseGrants:  mx.Counter(name, "lease.grant").Owned(&m.acct.LeaseGrants),
+		leaseRecalls: mx.Counter(name, "lease.recall").Owned(&m.acct.LeaseRecalls),
 	}
 }
 
@@ -103,29 +97,16 @@ func (m *Manager) setMetrics(mx *metrics.Registry) {
 // Attaching replaces any previous registry; detach with DisableMetrics.
 // Call while the engine is idle.
 func (c *Cluster) EnableMetrics(cfg metrics.Config) *metrics.Registry {
-	mx := metrics.NewRegistry(cfg)
-	mx.RegisterNodes(c.traceNames()...)
-	c.attachMetrics(mx)
-	return mx
+	c.Metrics = metrics.NewRegistry(cfg)
+	c.Metrics.RegisterNodes(c.names...)
+	c.attach()
+	return c.Metrics
 }
 
 // DisableMetrics detaches the registry from every layer, restoring the
 // zero-cost no-op sinks. The old registry (and its recorded series)
 // stays readable.
-func (c *Cluster) DisableMetrics() { c.attachMetrics(nil) }
-
-func (c *Cluster) attachMetrics(mx *metrics.Registry) {
-	c.Metrics = mx
-	c.Net.SetMetrics(mx)
-	for _, s := range c.Servers {
-		s.hca.SetMetrics(mx)
-		s.dsk.SetMetrics(mx)
-		s.setMetrics(mx)
-	}
-	for _, cl := range c.Clients {
-		cl.hca.SetMetrics(mx)
-		cl.setMetrics(mx)
-	}
-	c.Manager.hca.SetMetrics(mx)
-	c.Manager.setMetrics(mx)
+func (c *Cluster) DisableMetrics() {
+	c.Metrics = nil
+	c.attach()
 }

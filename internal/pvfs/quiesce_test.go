@@ -86,7 +86,7 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 	if now := pinned(c); now != base {
 		t.Errorf("pinning %+v, %+v after set-up", now, base)
 	}
-	for _, name := range c.traceNames() {
+	for _, name := range c.names {
 		if strings.HasSuffix(name, ".disk") {
 			continue
 		}

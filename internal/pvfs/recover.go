@@ -39,7 +39,6 @@ func (c *Client) recvResp(p *sim.Proc, conn *clientConn, seq int64) (any, error)
 	for {
 		_, payload, ok := conn.qp.RecvTimeout(p, rec.Timeout)
 		if !ok {
-			c.acct.Timeouts++
 			c.mx.timeouts.Add(p.Now(), 1)
 			return nil, errTimeout
 		}
@@ -92,7 +91,6 @@ func (c *Client) rpc(p *sim.Proc, conn *clientConn, size int, build func(seq int
 		if rec == nil || !recoverable(err) {
 			return nil, err
 		}
-		c.acct.Retries++
 		c.mx.retries.Add(p.Now(), 1)
 		c.resetConn(p, conn)
 		if attempt+1 >= rec.MaxRetries {

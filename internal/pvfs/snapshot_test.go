@@ -9,6 +9,7 @@ import (
 	"pvfsib/internal/fault"
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
+	"pvfsib/internal/metrics"
 	"pvfsib/internal/pcache"
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sim"
@@ -22,6 +23,9 @@ import (
 // own — and checks that Cluster.Snapshot's embedded protocol set is the
 // field-by-field sum over those entities, that a snapshot minus itself is
 // the zero value, and that none of it depends on the engine's shard count.
+// A metrics registry is attached from the start, and each of the ten
+// counters bound to an entity's own count must read the same total in the
+// registry as in the snapshot: a site that counted only one side fails.
 func TestSnapshotFoldsEveryEntity(t *testing.T) {
 	var first string
 	for _, shards := range []int{1, 2} {
@@ -36,6 +40,7 @@ func TestSnapshotFoldsEveryEntity(t *testing.T) {
 		}
 		cfg.Shards = shards
 		c := pvfs.NewCluster(sim.NewEngine(), cfg, 4, 4)
+		mx := c.EnableMetrics(metrics.Config{})
 		for ci, cl := range c.Clients {
 			c.Eng.GoOn(cl.Node().Group(), fmt.Sprintf("worker%d", ci), func(p *sim.Proc) {
 				stormRank(t, p, cl, ci, len(c.Clients))
@@ -71,6 +76,24 @@ func TestSnapshotFoldsEveryEntity(t *testing.T) {
 		} {
 			if nonzero.n == 0 {
 				t.Errorf("shards=%d: no %s; the fold over that entity class is not exercised", shards, nonzero.what)
+			}
+		}
+		var regMisses int64
+		for _, cl := range c.Clients {
+			regMisses += cl.HCA().Counters.RegCacheMisses
+		}
+		for _, bound := range []struct {
+			series string
+			want   int64
+		}{
+			{"rpc.retry", snap.Retries}, {"rpc.timeout", snap.Timeouts},
+			{"pcache.hit", snap.CacheHits}, {"pcache.miss", snap.CacheMisses},
+			{"pcache.readahead", snap.CacheReadAheads}, {"pcache.wb.bytes", snap.WriteBehindBytes},
+			{"lease.grant", snap.LeaseGrants}, {"lease.recall", snap.LeaseRecalls},
+			{"ib.regcache.hit", snap.RegCacheHits}, {"ib.regcache.miss", regMisses},
+		} {
+			if got := mx.Current(bound.series); got != bound.want {
+				t.Errorf("shards=%d: registry %s = %d, snapshot counts %d", shards, bound.series, got, bound.want)
 			}
 		}
 		if d := snap.Sub(snap); d != (stats.Snapshot{}) {

@@ -118,10 +118,6 @@ type nodeMetrics struct {
 }
 
 func (node *Node) attachMetrics(mx *metrics.Registry) {
-	if mx == nil {
-		node.mx = nodeMetrics{}
-		return
-	}
 	node.mx = nodeMetrics{
 		txBytes: mx.Counter(node.Name, "net.tx.bytes"),
 		txBusy:  mx.Busy(node.Name, "net.tx.busy"),
@@ -146,9 +142,9 @@ type FaultPolicy interface {
 var ErrDropped = errors.New("simnet: message dropped (link partitioned)")
 
 // shardPool is one shard's share of the fabric's pooled state. The aux slot
-// is opaque per-shard storage for higher layers (the ib adapter keeps its
-// wire-record and scratch-buffer pools there) so every pool in the cell
-// follows the same discipline: owned by one worker thread, lock-free.
+// holds the ib adapters' wire-record and scratch-buffer pools (ib's
+// wirePoolOf is its only reader), so every pool in the cell follows the
+// same discipline: owned by one worker thread, lock-free.
 type shardPool struct {
 	msgs sim.FreeList[Message]
 	aux  any
