@@ -21,6 +21,8 @@ const MB = simnet.MB
 type fixture struct {
 	c *pvfs.Cluster
 	w *mpi.World
+	// setup is the bytes building the cluster and the world cleared.
+	setup int64
 }
 
 // close terminates the fixture's service processes so the whole simulated
@@ -28,7 +30,7 @@ type fixture struct {
 // otherwise exhaust host memory.
 func (f *fixture) close() {
 	acct := f.c.Acct()
-	retire(f.c.Eng, HostWork{Requests: acct.IOReqs(), PayloadBytes: acct.BytesClientServer}, f)
+	retire(f.c.Eng, HostWork{Requests: acct.IOReqs(), PayloadBytes: acct.BytesClientServer, SetupCleared: f.setup}, f)
 }
 
 // HostCost folds what the fixture has cost the host so far: the cluster's
@@ -45,6 +47,7 @@ type HostWork struct {
 	sim.HostCost
 	Requests     int64 `json:"requests"`      // request messages clients sent to servers (read, write, sync)
 	PayloadBytes int64 `json:"payload_bytes"` // data bytes between clients and servers
+	SetupCleared int64 `json:"setup_cleared"` // the part of BytesCleared spent building clusters
 }
 
 var retired struct {
@@ -74,18 +77,21 @@ func retire(eng *sim.Engine, work HostWork, parts ...coster) {
 	retired.work.Add(work.HostCost)
 	retired.work.Requests += work.Requests
 	retired.work.PayloadBytes += work.PayloadBytes
+	retired.work.SetupCleared += work.SetupCleared
 	retired.Unlock()
 	eng.Shutdown()
 }
 
 // sub returns w - o, the work done between two readings of Retired.
 func (w HostWork) sub(o HostWork) HostWork {
-	return HostWork{w.HostCost.Sub(o.HostCost), w.Requests - o.Requests, w.PayloadBytes - o.PayloadBytes}
+	return HostWork{w.HostCost.Sub(o.HostCost), w.Requests - o.Requests, w.PayloadBytes - o.PayloadBytes, w.SetupCleared - o.SetupCleared}
 }
 
 func newFixture(cfg pvfs.Config, nServers, nRanks int) *fixture {
 	c := pvfs.NewCluster(sim.NewEngine(), cfg, nServers, nRanks)
-	return &fixture{c: c, w: mpiio.NewWorld(c)}
+	f := &fixture{c: c, w: mpiio.NewWorld(c)}
+	f.setup = f.HostCost().BytesCleared
+	return f
 }
 
 // runRanks runs fn on every rank and drives the simulation; it returns the

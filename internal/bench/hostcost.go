@@ -7,7 +7,8 @@ import (
 // HostCost is the host clock as exact counts: it runs every Registry
 // experiment, one after another, and reports what each cost the host — the
 // engine's events, process switches and inline wakes, the bytes every layer
-// copied and cleared — in all, per request and per payload byte. The counts
+// copied, and the bytes cleared while building clusters and after — in all,
+// and all but the set-up also per request and per payload byte. The counts
 // are functions of (-short, -seed, -shards) like the tables (-parallel only
 // spreads an experiment's cells over workers; the sums are the same), so the
 // table is a committed artifact, BENCH_hostcost.json, in which a reintroduced
@@ -16,14 +17,15 @@ import (
 var HostCost = Experiment{
 	ID:    "hostcost",
 	Title: "Host cost of every experiment in exact counts (not part of 'all')",
-	table: "Host cost per experiment: engine events, process switches, inline wakes, bytes copied and cleared",
+	table: "Host cost per experiment: engine events, process switches, inline wakes, bytes copied, bytes cleared in set-up and after",
 	header: []string{"experiment", "requests", "payload_bytes",
-		"events", "resumes", "inline_wakes", "bytes_copied", "bytes_cleared",
+		"events", "resumes", "inline_wakes", "bytes_copied", "setup_cleared", "steady_cleared",
 		"events/req", "resumes/req", "inline_wakes/req", "copied/req", "cleared/req",
 		"events/byte", "resumes/byte", "inline_wakes/byte", "copied/byte", "cleared/byte"},
 	notes: []string{
 		"requests = read, write and sync request messages clients sent to servers; payload_bytes = data bytes between clients and servers; '-' where an experiment has none",
-		"bytes_copied: AddrSpace.Write/ReadInto/Copy, localfs copyIn/copyOut, mpi.Send's pooled copy; bytes_cleared: fresh mappings, extents and scratch buffers whole, recycled storage where it was dirty, holes read as zeros",
+		"bytes_copied: AddrSpace.Write/ReadInto/Copy, localfs copyIn/copyOut, mpi.Send's pooled copy; bytes cleared: fresh mapping storage (made at a mapping's first access), extents and scratch buffers whole, recycled storage where it was dirty, holes read as zeros",
+		"setup_cleared: what building each cell's cluster and MPI world cleared; steady_cleared: everything after, and what cleared/req and cleared/byte divide",
 		"the harness's own pattern fill and verification reads go through AddrSpace and are counted; table2, table3, fig3, ablation-ogrgroup and extra-querymethod build no cluster and fold the engine plus the address spaces or file system they use",
 	},
 	sweep: func(o RunOpts) []group {
@@ -57,14 +59,12 @@ func costOf(exps []Experiment, o RunOpts, keep func(*Table)) []HostWork {
 	return out
 }
 
-// hostCostRow renders one experiment's counts, then each per request and per
-// payload byte.
+// hostCostRow renders one experiment's counts, then each but the set-up per
+// request and per payload byte.
 func hostCostRow(id string, w HostWork) []any {
-	counts := []int64{w.Events, w.Resumes, w.InlineWakes, w.BytesCopied, w.BytesCleared}
-	row := []any{id, w.Requests, w.PayloadBytes}
-	for _, c := range counts {
-		row = append(row, c)
-	}
+	steady := w.BytesCleared - w.SetupCleared
+	row := []any{id, w.Requests, w.PayloadBytes, w.Events, w.Resumes, w.InlineWakes, w.BytesCopied, w.SetupCleared, steady}
+	counts := []int64{w.Events, w.Resumes, w.InlineWakes, w.BytesCopied, steady}
 	for _, per := range []int64{w.Requests, w.PayloadBytes} {
 		for _, c := range counts {
 			if per == 0 {

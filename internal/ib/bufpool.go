@@ -8,9 +8,10 @@ import (
 )
 
 // Buffer is one pre-registered staging buffer from a BufPool. A buffer is
-// backed only while it is lent: its taker backs it with storage of exactly
-// Size bytes (mem.AddrSpace.Exchange) and may take the storage out again;
-// Put hands whatever it still holds to the pool's store.
+// backed only while it is lent: its taker backs it with storage of at most
+// Size bytes, as many as its request names (mem.AddrSpace.Exchange), and may
+// take the storage out again; Put hands whatever it still holds to the
+// pool's store.
 type Buffer struct {
 	Addr mem.Addr
 	Size int64
@@ -33,7 +34,6 @@ func (b *Buffer) SGE(n int64) (SGE, error) {
 // defining property of the Pack/Unpack ("pack, no reg") scheme.
 type BufPool struct {
 	hca   *HCA
-	size  int64
 	count int
 	free  []*Buffer
 	cond  *sim.Cond
@@ -41,25 +41,23 @@ type BufPool struct {
 }
 
 // NewBufPool allocates and statically registers count buffers of size bytes
-// (a whole number of pages) each in the HCA's host memory, and hands their
-// storage to store: a free buffer is unbacked. Pools are built once at
-// system setup, so registration is free in virtual time.
+// (a whole number of pages) each in the HCA's host memory, and unbacks them
+// before any storage is made: a free buffer is unbacked, and store only ever
+// holds what lent buffers handed back. Pools are built once at system setup,
+// so registration is free in virtual time.
 func NewBufPool(h *HCA, count int, size int64, store *mem.ScratchPool) (*BufPool, error) {
-	pool := &BufPool{hca: h, size: size, count: count, cond: h.engine().NewCond(), store: store}
+	pool := &BufPool{hca: h, count: count, cond: h.engine().NewCond(), store: store}
 	for i := 0; i < count; i++ {
 		addr := h.space.Malloc(size)
 		mr, err := h.RegisterStatic(mem.Extent{Addr: addr, Len: size})
 		if err != nil {
 			return nil, fmt.Errorf("ib: buffer pool registration: %w", err)
 		}
-		store.Put(h.space.Exchange(addr, nil)[:0])
+		h.space.Exchange(addr, nil)
 		pool.free = append(pool.free, &Buffer{Addr: addr, Size: size, MR: mr, pool: pool})
 	}
 	return pool, nil
 }
-
-// BufSize returns the size of each buffer.
-func (pool *BufPool) BufSize() int64 { return pool.size }
 
 // Census reports the pool's buffers that are not home.
 func (pool *BufPool) Census(add func(pool string, out int64)) {

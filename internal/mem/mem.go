@@ -14,6 +14,13 @@
 // integrity of every transfer path — while all costs are virtual time.
 // An access costs one copy per mapping it crosses, usually one. Freed
 // addresses are never handed out again; freed storage is (DESIGN.md §8.4).
+//
+// Malloc reserves: it takes the address, and the registration a caller
+// makes over it is charged as pinned on the virtual clock, but the mapping
+// gets its storage only at its first byte access, as NP-RDMA registers
+// memory without pinning it and creates pages on first access. Exchange
+// hands storage in and out of a mapping, and may back only a prefix of it:
+// an I/O daemon lends a request the bytes the request names.
 package mem
 
 import (
@@ -85,8 +92,8 @@ func queryCost(m QueryMethod, holes int, pages int64) sim.Duration {
 // AddrSpace is one process's simulated virtual memory: the list of its
 // mappings, as the kernel keeps it. Addresses are handed out once and never
 // again, so a stale registration or RDMA to freed memory always fails; the
-// storage behind a mapping freed whole is kept for the next Malloc of the
-// same size.
+// storage behind a mapping freed whole is kept for the next mapping of the
+// same size that is backed.
 type AddrSpace struct {
 	name string
 	maps []mapping // page-aligned, non-overlapping, sorted by base
@@ -94,8 +101,9 @@ type AddrSpace struct {
 	brk  Addr      // bump pointer for Malloc
 
 	// free holds the zeroed storage of mappings freed whole, by size,
-	// recycleMaxBytes of it at most.
-	free      map[int64][][]byte
+	// recycleMaxBytes of it at most. A list is reached by pointer, so that
+	// taking from it on an access inserts nothing into the map.
+	free      map[int64]*[][]byte
 	freeBytes int64
 
 	// MallocCalls counts allocations, for tests.
@@ -110,13 +118,18 @@ const recycleMaxBytes = 64 << 20
 // mapping is one contiguous allocated range with its bytes.
 type mapping struct {
 	base Addr
-	size int    // whole pages
-	data []byte // size bytes, or nil while the mapping is unbacked
+	size int // whole pages
+	// data is the backed prefix of the mapping: size bytes, or fewer after
+	// an Exchange, or nil while it is unbacked. A byte past it fails.
+	data []byte
+	// reserved marks a mapping no access has touched yet: its first byte
+	// access backs all of it.
+	reserved bool
 	// dirtyLo and dirtyHi bound the bytes of data ever written, so that
 	// recycling clears those and not the whole mapping.
 	dirtyLo, dirtyHi int
-	// part marks a piece of a partly freed mapping: it shares its storage
-	// with its siblings, which therefore is never recycled.
+	// part marks a piece of a partly freed backed mapping: it shares its
+	// storage with its siblings, which therefore is never recycled.
 	part bool
 }
 
@@ -126,11 +139,13 @@ func (m *mapping) dirty(lo, hi int) {
 	m.dirtyLo, m.dirtyHi = min(m.dirtyLo, lo), max(m.dirtyHi, hi)
 }
 
-// piece returns the mapping of data[lo:hi) after a partial Free.
+// piece returns the mapping of bytes [lo, hi) after a partial Free: a
+// reserved one of its own if m is reserved, else a part sharing what m's
+// storage holds of them.
 func (m *mapping) piece(lo, hi int) mapping {
-	p := mapping{base: m.base + Addr(lo), size: hi - lo, part: true}
-	if m.data != nil {
-		p.data = m.data[lo:hi:hi]
+	p := mapping{base: m.base + Addr(lo), size: hi - lo, reserved: m.reserved, part: !m.reserved}
+	if n := len(m.data); lo < n {
+		p.data = m.data[lo:min(hi, n):min(hi, n)]
 	}
 	return p
 }
@@ -138,7 +153,7 @@ func (m *mapping) piece(lo, hi int) mapping {
 // NewAddrSpace creates an empty address space. The bump allocator starts at
 // a nonzero base so that address 0 is never valid.
 func NewAddrSpace(name string) *AddrSpace {
-	return &AddrSpace{name: name, brk: Addr(1 << 20), free: make(map[int64][][]byte)}
+	return &AddrSpace{name: name, brk: Addr(1 << 20), free: make(map[int64]*[][]byte)}
 }
 
 // Name returns the label given at creation.
@@ -146,7 +161,8 @@ func (s *AddrSpace) Name() string { return s.name }
 
 // Malloc allocates size bytes (rounded up to whole pages) at the current
 // break and returns the page-aligned base address. Consecutive Mallocs are
-// adjacent; use Reserve to introduce unallocated holes between them.
+// adjacent; use Reserve to introduce unallocated holes between them. The
+// mapping reads as zeros; its storage is made at its first byte access.
 func (s *AddrSpace) Malloc(size int64) Addr {
 	if size <= 0 {
 		//pvfslint:ok nopanic Malloc's contract mirrors C malloc: a nonpositive size is a caller bug, and an error return would infect every inline call site
@@ -154,21 +170,33 @@ func (s *AddrSpace) Malloc(size int64) Addr {
 	}
 	base := s.brk
 	n := (size + PageSize - 1) / PageSize * PageSize
-	var data []byte
-	if l := s.free[n]; len(l) > 0 {
-		data, l[len(l)-1] = l[len(l)-1], nil
-		s.free[n] = l[:len(l)-1]
-		s.freeBytes -= n
-		s.host.Recycled++
-	} else {
-		data = make([]byte, n)
-		s.host.Fresh++
-		s.host.BytesCleared += n
-	}
-	s.maps = append(s.maps, mapping{base: base, size: int(n), data: data, dirtyLo: int(n)})
+	s.maps = append(s.maps, mapping{base: base, size: int(n), reserved: true})
 	s.brk = base + Addr(n)
 	s.MallocCalls++
 	return base
+}
+
+// bytes returns the storage of m, backing a reserved mapping first with
+// recycled storage of its size if any is kept, and fresh storage otherwise.
+func (s *AddrSpace) bytes(m *mapping) []byte {
+	if !m.reserved {
+		return m.data
+	}
+	n := int64(m.size)
+	if l := s.free[n]; l != nil && len(*l) > 0 {
+		k := len(*l) - 1
+		m.data = (*l)[k]
+		(*l)[k], *l = nil, (*l)[:k]
+		s.freeBytes -= n
+		s.host.Recycled++
+	} else {
+		//pvfslint:ok hotpath first touch: a mapping gets its storage once, at its first byte access, unless freed storage of its size is kept
+		m.data = make([]byte, n)
+		s.host.Fresh++
+		s.host.BytesCleared += n
+	}
+	m.reserved, m.dirtyLo, m.dirtyHi = false, m.size, 0
+	return m.data
 }
 
 // Reserve advances the allocator by npages pages without allocating them,
@@ -205,18 +233,20 @@ func (s *AddrSpace) search(addr Addr) int {
 }
 
 // covers returns the index of the mapping holding addr if mappings cover
-// [addr, addr+n) without a gap, backed ones only if backed is set, and -1
-// otherwise; n must be positive.
-func (s *AddrSpace) covers(addr Addr, n int64, backed bool) int {
+// [addr, addr+n) without a gap, and -1 otherwise; with access set, every
+// byte of the range must also be backed or in a reserved mapping, which the
+// access will back. n must be positive.
+func (s *AddrSpace) covers(addr Addr, n int64, access bool) int {
 	i := s.search(addr)
 	if i == len(s.maps) || s.maps[i].base > addr {
 		return -1
 	}
 	for j, end := i, addr+Addr(n); ; j++ {
-		if backed && s.maps[j].data == nil {
+		m := &s.maps[j]
+		if access && !m.reserved && min(end, m.end()) > m.base+Addr(len(m.data)) {
 			return -1
 		}
-		if s.maps[j].end() >= end {
+		if m.end() >= end {
 			return i
 		}
 		if j+1 == len(s.maps) || s.maps[j+1].base != s.maps[j].end() {
@@ -251,18 +281,23 @@ func (s *AddrSpace) Free(e Extent) {
 	s.maps = slices.Replace(s.maps, i, j, keep...)
 }
 
-// recycle keeps the storage of a mapping freed whole for a later Malloc of
+// recycle keeps the storage of a mapping freed whole for a later mapping of
 // its size, zeroed again where it was written.
 func (s *AddrSpace) recycle(m *mapping) {
 	n := int64(m.size)
-	if m.part || m.data == nil || s.freeBytes+n > recycleMaxBytes {
+	if m.part || len(m.data) != m.size || s.freeBytes+n > recycleMaxBytes {
 		return
 	}
 	if m.dirtyLo < m.dirtyHi {
 		clear(m.data[m.dirtyLo:m.dirtyHi])
 		s.host.BytesCleared += int64(m.dirtyHi - m.dirtyLo)
 	}
-	s.free[n] = append(s.free[n], m.data)
+	l := s.free[n]
+	if l == nil {
+		l = new([][]byte)
+		s.free[n] = l
+	}
+	*l = append(*l, m.data)
 	s.freeBytes += n
 }
 
@@ -314,8 +349,8 @@ func (er *errRange) Error() string {
 }
 
 // Write copies data into the address space at addr. It fails if any touched
-// byte is unallocated (a simulated segmentation fault), in which case no
-// bytes are written.
+// byte is unallocated or unbacked (a simulated segmentation fault), in which
+// case no bytes are written.
 func (s *AddrSpace) Write(addr Addr, data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -327,7 +362,7 @@ func (s *AddrSpace) Write(addr Addr, data []byte) error {
 	}
 	s.host.BytesCopied += int64(len(data))
 	for off := int(addr - s.maps[i].base); len(data) > 0; i, off = i+1, 0 {
-		n := copy(s.maps[i].data[off:], data)
+		n := copy(s.bytes(&s.maps[i])[off:], data)
 		s.maps[i].dirty(off, off+n)
 		data = data[n:]
 	}
@@ -335,7 +370,7 @@ func (s *AddrSpace) Write(addr Addr, data []byte) error {
 }
 
 // Read copies length bytes starting at addr into a fresh slice. It fails if
-// any touched byte is unallocated.
+// any touched byte is unallocated or unbacked.
 func (s *AddrSpace) Read(addr Addr, length int64) ([]byte, error) {
 	out := make([]byte, length)
 	if err := s.ReadInto(addr, out); err != nil {
@@ -356,7 +391,7 @@ func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
 	}
 	s.host.BytesCopied += int64(len(dst))
 	for off := int(addr - s.maps[i].base); len(dst) > 0; i, off = i+1, 0 {
-		dst = dst[copy(dst, s.maps[i].data[off:]):]
+		dst = dst[copy(dst, s.bytes(&s.maps[i])[off:]):]
 	}
 	return nil
 }
@@ -365,7 +400,7 @@ func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
 // allocating — the primitive behind cache-page fills and drains, where a
 // heap buffer per copy would dominate the client's steady state. The ranges
 // may overlap: dst receives what src held before the call, as with memmove.
-// Both must be fully allocated, and nothing is written on failure.
+// Both must be fully allocated and backed, and nothing is written on failure.
 func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 	if n <= 0 {
 		return nil
@@ -389,6 +424,7 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 	}
 	for n > 0 {
 		sm, dm := &s.maps[si], &s.maps[di]
+		sd, dd := s.bytes(sm), s.bytes(dm)
 		so, do := int64(src)-int64(sm.base), int64(dst)-int64(dm.base)
 		var c int64
 		if back {
@@ -401,41 +437,44 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 				di--
 			}
 		} else {
-			c = min(int64(len(sm.data))-so, int64(len(dm.data))-do, n)
+			c = min(int64(len(sd))-so, int64(len(dd))-do, n)
 			src, dst = src+Addr(c), dst+Addr(c)
-			if so+c == int64(len(sm.data)) {
+			if so+c == int64(len(sd)) {
 				si++
 			}
-			if do+c == int64(len(dm.data)) {
+			if do+c == int64(len(dd)) {
 				di++
 			}
 		}
-		copy(dm.data[do:do+c], sm.data[so:so+c])
+		copy(dd[do:do+c], sd[so:so+c])
 		dm.dirty(int(do), int(do+c))
 		n -= c
 	}
 	return nil
 }
 
-// Exchange backs the whole mapping that starts at addr with data, exactly
-// its length, or with nothing, and returns the storage it held (nil if none):
-// bytes change owner without a copy. An unbacked mapping keeps its addresses
-// and registrations, but any byte access to it fails as one to unallocated
-// memory does. A piece of a partly freed mapping shares storage: no exchange.
+// Exchange backs the whole mapping that starts at addr with data, at most
+// its length, or with nothing, and returns the storage it held (nil if none,
+// as for a mapping never touched): bytes change owner without a copy. The
+// mapping is backed up to len(data); it keeps its addresses and
+// registrations, but a byte access past its backing fails as one to
+// unallocated memory does. A piece of a partly freed mapping shares storage:
+// no exchange.
 func (s *AddrSpace) Exchange(addr Addr, data []byte) []byte {
 	i := s.search(addr)
-	if i == len(s.maps) || s.maps[i].base != addr || s.maps[i].part || data != nil && len(data) != s.maps[i].size {
-		sim.Failf("mem: %s: no whole mapping of %d bytes at %#x to exchange", s.name, len(data), uint64(addr))
+	if i == len(s.maps) || s.maps[i].base != addr || s.maps[i].part || len(data) > s.maps[i].size {
+		sim.Failf("mem: %s: no whole mapping of at least %d bytes at %#x to exchange", s.name, len(data), uint64(addr))
 	}
 	m := &s.maps[i]
 	old := m.data
-	m.data, m.dirtyLo, m.dirtyHi = data, 0, m.size
+	m.data, m.reserved, m.dirtyLo, m.dirtyHi = data, false, 0, m.size
 	return old
 }
 
 // HostCost returns what the space's storage has cost the host so far: bytes
-// copied by Write, ReadInto and Copy, bytes zeroed for Malloc and on recycling,
-// and how many Mallocs allocated against how many reused freed storage.
+// copied by Write, ReadInto and Copy, bytes zeroed for fresh storage and on
+// recycling, and how many mappings their first access backed with fresh
+// storage against how many with freed storage.
 func (s *AddrSpace) HostCost() sim.HostCost { return s.host }
 
 // AllocatedPages reports the number of currently allocated pages.

@@ -345,3 +345,101 @@ func TestNilScratchPoolAllocates(t *testing.T) {
 		t.Error("Get(0) should be nil")
 	}
 }
+
+// TestMallocReserves: a Malloc costs no storage until a byte access; then
+// the mapping reads as zeros and was backed once.
+func TestMallocReserves(t *testing.T) {
+	s := NewAddrSpace("t")
+	a := s.Malloc(4 * PageSize)
+	if !s.Allocated(Extent{Addr: a, Len: 4 * PageSize}) || len(s.Holes(Extent{Addr: a, Len: 4 * PageSize})) != 0 {
+		t.Error("a reserved mapping is not allocated")
+	}
+	if hc := s.HostCost(); hc != (sim.HostCost{}) {
+		t.Errorf("Malloc, Allocated and Holes cost %+v, want nothing", hc)
+	}
+	got, err := s.Read(a+PageSize+3, 2*PageSize)
+	if err != nil || !bytes.Equal(got, make([]byte, 2*PageSize)) {
+		t.Errorf("untouched mapping read %d bytes, not all zero, err %v", len(got), err)
+	}
+	if hc := s.HostCost(); hc.Fresh != 1 || hc.BytesCleared != 4*PageSize {
+		t.Errorf("first access cost %+v, want one fresh 4-page storage", hc)
+	}
+}
+
+// TestExchangeUntouched: taking the storage out of a mapping never touched
+// gives nothing back and leaves the mapping failing, as a free staging
+// buffer is; backing it again makes it readable.
+func TestExchangeUntouched(t *testing.T) {
+	s := NewAddrSpace("t")
+	a := s.Malloc(2 * PageSize)
+	if old := s.Exchange(a, nil); old != nil {
+		t.Errorf("Exchange of an untouched mapping gave back %d bytes", len(old))
+	}
+	if err := s.Write(a, []byte{1}); err == nil {
+		t.Error("write to an unbacked mapping succeeded")
+	}
+	if hc := s.HostCost(); hc.Fresh+hc.Recycled != 0 {
+		t.Errorf("an exchanged-out mapping was backed: %+v", hc)
+	}
+	s.Exchange(a, make([]byte, 2*PageSize))
+	if err := s.Write(a+2*PageSize-1, []byte{1}); err != nil {
+		t.Errorf("write after backing: %v", err)
+	}
+}
+
+// TestPartialFreeUntouched: the pieces of an untouched mapping stay
+// allocated, read as zeros and are backed each on its own.
+func TestPartialFreeUntouched(t *testing.T) {
+	s := NewAddrSpace("t")
+	a := s.Malloc(4 * PageSize)
+	s.Free(Extent{Addr: a + PageSize, Len: 2 * PageSize})
+	if !s.Allocated(Extent{Addr: a, Len: PageSize}) || !s.Allocated(Extent{Addr: a + 3*PageSize, Len: PageSize}) ||
+		s.Allocated(Extent{Addr: a + PageSize, Len: 1}) {
+		t.Fatal("partial Free of an untouched mapping freed the wrong pages")
+	}
+	if err := s.Write(a+3*PageSize, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Read(a, PageSize); err != nil || !bytes.Equal(got, make([]byte, PageSize)) {
+		t.Errorf("first piece read %d bytes, not all zero, err %v", len(got), err)
+	}
+	if hc := s.HostCost(); hc.Fresh != 2 || hc.BytesCleared != 2*PageSize {
+		t.Errorf("pieces cost %+v, want one fresh page each", hc)
+	}
+	s.Free(Extent{Addr: a, Len: 4 * PageSize})
+	if s.AllocatedPages() != 0 {
+		t.Errorf("%d pages left", s.AllocatedPages())
+	}
+}
+
+// TestShortExchange: storage shorter than the mapping backs a prefix of it;
+// an access past the prefix fails and moves nothing, and the storage comes
+// back out at its own length.
+func TestShortExchange(t *testing.T) {
+	s := NewAddrSpace("t")
+	a := s.Malloc(4 * PageSize)
+	b := s.Malloc(PageSize) // adjacent: an access may only cross into it from a full backing
+	s.Exchange(a, make([]byte, 5000))
+	if err := s.Write(a+4990, bytes.Repeat([]byte{9}, 10)); err != nil {
+		t.Fatalf("write inside the backing: %v", err)
+	}
+	if err := s.Write(a+4990, bytes.Repeat([]byte{8}, 11)); err == nil {
+		t.Error("write past a short backing succeeded")
+	}
+	if _, err := s.Read(a+3*PageSize, 1); err == nil {
+		t.Error("read past a short backing succeeded")
+	}
+	if err := s.Copy(b, a+4999, 2); err == nil {
+		t.Error("copy out past a short backing succeeded")
+	}
+	if err := s.Copy(a+4000, b, 2000); err == nil {
+		t.Error("copy in past a short backing succeeded")
+	}
+	old := s.Exchange(a, nil)
+	if len(old) != 5000 || !bytes.Equal(old[4990:], bytes.Repeat([]byte{9}, 10)) {
+		t.Errorf("gave back %d bytes, want the 5000 lent with the write at 4990", len(old))
+	}
+	if _, err := s.Read(b, PageSize); err != nil {
+		t.Errorf("the neighbour: %v", err)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"unsafe"
+
+	"pvfsib/internal/sim"
 )
 
 // pageSpace is the address space as it was before mappings: one PageSize
@@ -13,24 +15,34 @@ import (
 // implementation is held to, op by op. Its methods are the former
 // AddrSpace's, verbatim, except Copy, which the former code got wrong on
 // overlapping ranges and which here goes through a temporary, and the byte
-// accesses, which also fail on an unbacked page: one allocated but nil
-// (Exchange).
+// accesses, which also fail on an unbacked byte: one of a page allocated but
+// nil, or past the end of a page's shorter slice (Exchange), and which back
+// the reserved pages they touch.
 type pageSpace struct {
 	name  string
 	pages map[uint64][]byte
-	brk   Addr
+	// reserved holds, for each allocated page no access has touched yet,
+	// the mapping it belongs to: touching any page of a mapping backs all
+	// of it. A partial Free makes each piece a mapping of its own.
+	reserved map[uint64]int
+	ids      int // mappings named so far
+	brk      Addr
+	// backings counts the mappings an access backed.
+	backings int64
 }
 
 func newPageSpace(name string) *pageSpace {
-	return &pageSpace{name: name, pages: make(map[uint64][]byte), brk: Addr(1 << 20)}
+	return &pageSpace{name: name, pages: make(map[uint64][]byte), reserved: make(map[uint64]int), brk: Addr(1 << 20)}
 }
 
 func (s *pageSpace) Malloc(size int64) Addr {
 	base := s.brk
 	npages := (size + PageSize - 1) / PageSize
 	first := base.PageOf()
+	s.ids++
 	for i := int64(0); i < npages; i++ {
-		s.pages[first+uint64(i)] = make([]byte, PageSize)
+		s.pages[first+uint64(i)] = nil
+		s.reserved[first+uint64(i)] = s.ids
 	}
 	s.brk = base + Addr(npages*PageSize)
 	return base
@@ -46,6 +58,33 @@ func (s *pageSpace) Free(e Extent) {
 	last := (e.End() - 1).PageOf()
 	for pg := first; pg <= last; pg++ {
 		delete(s.pages, pg)
+		delete(s.reserved, pg)
+	}
+	// A reserved mapping cut in two leaves two mappings.
+	if id, ok := s.reserved[first-1]; ok && s.reserved[last+1] == id {
+		s.ids++
+		for pg := last + 1; s.reserved[pg] == id; pg++ {
+			s.reserved[pg] = s.ids
+		}
+	}
+}
+
+// touch backs, with zeros, every reserved mapping the extent touches.
+func (s *pageSpace) touch(e Extent) {
+	for pg := e.Addr.PageOf(); e.Len > 0 && pg <= (e.End()-1).PageOf(); pg++ {
+		id, ok := s.reserved[pg]
+		if !ok {
+			continue
+		}
+		lo := pg
+		for s.reserved[lo-1] == id {
+			lo--
+		}
+		for q := lo; s.reserved[q] == id; q++ {
+			delete(s.reserved, q)
+			s.pages[q] = make([]byte, PageSize)
+		}
+		s.backings++
 	}
 }
 
@@ -86,21 +125,26 @@ func (s *pageSpace) Holes(e Extent) []Extent {
 	return holes
 }
 
-// backed is Allocated with every page also backed.
+// backed is Allocated with every byte also backed or reserved.
 func (s *pageSpace) backed(e Extent) bool {
 	if !s.Allocated(e) {
 		return false
 	}
-	for pg := e.Addr.PageOf(); e.Len > 0 && pg <= (e.End()-1).PageOf(); pg++ {
-		if s.pages[pg] == nil {
+	for a := e.Addr; a < e.End(); a = Addr((a.PageOf() + 1) * PageSize) {
+		pg := a.PageOf()
+		if _, ok := s.reserved[pg]; ok {
+			continue
+		}
+		if hi := min(e.End(), Addr((pg+1)*PageSize)) - Addr(pg*PageSize); int(hi) > len(s.pages[pg]) {
 			return false
 		}
 	}
 	return true
 }
 
-// Exchange backs the n bytes at addr, a whole mapping, with a copy of data,
-// or unbacks them with nil, and returns the bytes they held, nil if none.
+// Exchange backs the first len(data) of the n bytes at addr, a whole
+// mapping, with a copy of data and unbacks the rest, and returns the bytes
+// they held, nil if none.
 func (s *pageSpace) Exchange(addr Addr, n int64, data []byte) []byte {
 	var old []byte
 	for off := int64(0); off < n; off += PageSize {
@@ -108,9 +152,10 @@ func (s *pageSpace) Exchange(addr Addr, n int64, data []byte) []byte {
 		if s.pages[pg] != nil {
 			old = append(old, s.pages[pg]...)
 		}
+		delete(s.reserved, pg)
 		s.pages[pg] = nil
-		if data != nil {
-			s.pages[pg] = bytes.Clone(data[off : off+PageSize])
+		if off < int64(len(data)) {
+			s.pages[pg] = bytes.Clone(data[off:min(off+PageSize, int64(len(data)))])
 		}
 	}
 	return old
@@ -121,6 +166,7 @@ func (s *pageSpace) Write(addr Addr, data []byte) error {
 	if !s.backed(e) {
 		return &errRange{space: s.name, op: "write", e: e}
 	}
+	s.touch(e)
 	for len(data) > 0 {
 		pg := addr.PageOf()
 		off := int(uint64(addr) % PageSize)
@@ -136,6 +182,7 @@ func (s *pageSpace) ReadInto(addr Addr, dst []byte) error {
 	if !s.backed(e) {
 		return &errRange{space: s.name, op: "read", e: e}
 	}
+	s.touch(e)
 	for len(dst) > 0 {
 		pg := addr.PageOf()
 		off := int(uint64(addr) % PageSize)
@@ -189,6 +236,8 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// malloc reserves: what the new mapping reads, and the storage its first
+// access gives it, the oracle's reads and backing counts check.
 func (p *pair) malloc(size int64) Extent {
 	p.t.Helper()
 	brk := p.s.brk
@@ -198,12 +247,16 @@ func (p *pair) malloc(size int64) Extent {
 	}
 	e := Extent{Addr: a, Len: size}
 	p.allocs = append(p.allocs, e)
-	// Whatever storage it got, a new allocation reads as zeros.
-	got, err := p.s.Read(a, size)
-	if err != nil || !bytes.Equal(got, make([]byte, size)) {
-		p.t.Fatalf("Malloc(%d) at %#x is not zeroed (err %v)", size, uint64(a), err)
-	}
 	return e
+}
+
+// backings fails the test unless every mapping an access backed drew its
+// storage from the free lists or from make exactly once.
+func (p *pair) backings() {
+	p.t.Helper()
+	if hc := p.s.HostCost(); hc.Fresh+hc.Recycled != p.m.backings {
+		p.t.Fatalf("%d fresh + %d recycled storages, oracle %d mappings backed", hc.Fresh, hc.Recycled, p.m.backings)
+	}
 }
 
 func (p *pair) reserve(npages int64) {
@@ -256,22 +309,24 @@ func (p *pair) copy(dst, src Addr, n int64) {
 	}
 }
 
-// exchange backs the mapping Malloc made for e with fresh bytes, or unbacks
-// it, and compares the storage it gave back with the oracle's. A mapping
-// freed since, wholly or in part, is left alone: only a whole one exchanges.
-func (p *pair) exchange(e Extent, back bool) {
+// exchange backs the first length bytes of the mapping Malloc made for e
+// with fresh bytes — all of it if length is n or more — or unbacks it if
+// length is 0, and compares the storage it gave back with the oracle's. A
+// mapping freed since, wholly or in part, is left alone: only a whole one
+// exchanges.
+func (p *pair) exchange(e Extent, length int64) {
 	p.t.Helper()
 	n := (e.Len + PageSize - 1) / PageSize * PageSize
 	if !p.m.Allocated(Extent{Addr: e.Addr, Len: n}) {
 		return
 	}
 	var data []byte
-	if back {
-		data = p.fill(n)
+	if length > 0 {
+		data = p.fill(min(length, n))
 	}
 	want := p.m.Exchange(e.Addr, n, data)
 	if got := p.s.Exchange(e.Addr, data); !bytes.Equal(got, want) || (got == nil) != (want == nil) {
-		p.t.Fatalf("Exchange(%v, backed %t) gave back %d bytes, oracle %d, or different ones", e, back, len(got), len(want))
+		p.t.Fatalf("Exchange(%v, %d bytes) gave back %d bytes, oracle %d, or different ones", e, len(data), len(got), len(want))
 	}
 }
 
@@ -288,18 +343,21 @@ func (p *pair) query(e Extent) {
 	}
 }
 
-// sweep compares every page between the first address and the break, then
-// the invariants of the mapping list itself.
+// sweep compares every page between the first address and the break, which
+// backs every reserved mapping, then the invariants of the mapping list
+// itself.
 func (p *pair) sweep() {
 	p.t.Helper()
+	p.backings()
 	p.query(Extent{Addr: p.base, Len: int64(p.s.brk - p.base)})
 	for a := p.base; a < p.s.brk; a += PageSize {
 		p.read(a, PageSize)
 	}
+	p.backings()
 	var free int64
 	for n, l := range p.s.free {
-		free += n * int64(len(l))
-		for _, b := range l {
+		free += n * int64(len(*l))
+		for _, b := range *l {
 			if int64(len(b)) != n || !bytes.Equal(b, make([]byte, n)) {
 				p.t.Fatalf("free list of size %d holds a buffer of %d bytes, or one that is not zero", n, len(b))
 			}
@@ -310,8 +368,8 @@ func (p *pair) sweep() {
 	}
 	for i := range p.s.maps {
 		m := &p.s.maps[i]
-		if uint64(m.base)%PageSize != 0 || m.size == 0 || m.size%PageSize != 0 || m.data != nil && len(m.data) != m.size {
-			p.t.Fatalf("mapping %d: base %#x, %d bytes, %d of storage", i, uint64(m.base), m.size, len(m.data))
+		if uint64(m.base)%PageSize != 0 || m.size == 0 || m.size%PageSize != 0 || len(m.data) > m.size || m.reserved {
+			p.t.Fatalf("mapping %d: base %#x, %d bytes, %d of storage, reserved %t after a read", i, uint64(m.base), m.size, len(m.data), m.reserved)
 		}
 		if i > 0 && m.base < p.s.maps[i-1].end() {
 			p.t.Fatalf("mapping %d at %#x starts below the end of its predecessor", i, uint64(m.base))
@@ -353,7 +411,7 @@ func runScript(t testing.TB, data []byte) {
 	p := newPair(t)
 	sc := &script{b: data}
 	for ops := 0; len(sc.b) > 0 && ops < 2000; ops++ {
-		switch op := sc.byte() % 14; op {
+		switch op := sc.byte() % 15; op {
 		case 0:
 			p.malloc(1 + sc.word()%(6*PageSize))
 		case 1: // a size seen before: the one that recycles
@@ -394,11 +452,14 @@ func runScript(t testing.TB, data []byte) {
 			from, _ := p.place(sc)
 			to, n := p.place(sc)
 			p.query(Extent{Addr: min(from, to), Len: int64(max(from, to)-min(from, to)) + n})
-		case 12, 13: // backed (12) or unbacked, from either
+		case 12, 13, 14: // backed whole (12), unbacked, or backed up to a byte count (14), from any
 			if len(p.allocs) > 0 {
-				p.exchange(p.allocs[sc.byte()%int64(len(p.allocs))], op == 12)
+				e := p.allocs[sc.byte()%int64(len(p.allocs))]
+				length := map[int64]int64{12: e.Len + PageSize, 13: 0, 14: 1 + sc.word()%e.Len}[op]
+				p.exchange(e, length)
 			}
 		}
+		p.backings()
 	}
 	p.sweep()
 }
@@ -475,23 +536,25 @@ func TestCopyOverlap(t *testing.T) {
 	}
 }
 
-// backing returns the address range of a mapping's storage.
-func backing(s *AddrSpace, addr Addr) (lo, hi uintptr) {
-	m := &s.maps[s.covers(addr, 1, true)]
+// backing reads the mapping at addr whole, which backs it and checks that
+// it reads as the oracle does, and returns the address range of its storage.
+func (p *pair) backing(addr Addr) (lo, hi uintptr) {
+	m := &p.s.maps[p.s.covers(addr, 1, true)]
+	p.read(m.base, int64(m.size))
 	lo = uintptr(unsafe.Pointer(unsafe.SliceData(m.data)))
 	return lo, lo + uintptr(len(m.data))
 }
 
 // TestRecycledBackingReadsZero: storage comes back zeroed wherever the
 // previous owner wrote it — through Write or Copy, at its ends or in the
-// middle — and storage that was never written comes back as it is.
+// middle — and storage that was only read comes back as it is.
 func TestRecycledBackingReadsZero(t *testing.T) {
 	const size = 16 * PageSize
 	for _, tc := range []struct {
 		name  string
 		dirty func(p *pair, e Extent)
 	}{
-		{"untouched", func(*pair, Extent) {}},
+		{"only read", func(*pair, Extent) {}},
 		{"middle", func(p *pair, e Extent) { p.write(e.Addr+5*PageSize+3, 100) }},
 		{"both ends", func(p *pair, e Extent) { p.write(e.Addr, 1); p.write(e.End()-1, 1) }},
 		{"copied into", func(p *pair, e Extent) {
@@ -509,10 +572,10 @@ func TestRecycledBackingReadsZero(t *testing.T) {
 		p.malloc(PageSize) // the neighbour below
 		e := p.malloc(size)
 		tc.dirty(p, e)
-		lo, _ := backing(p.s, e.Addr)
+		lo, _ := p.backing(e.Addr)
 		p.free(e)
-		again := p.malloc(size) // malloc checks that it reads zero
-		if l, _ := backing(p.s, again.Addr); l != lo {
+		again := p.malloc(size)
+		if l, _ := p.backing(again.Addr); l != lo { // it reads zero, as the oracle's page does
 			t.Errorf("%s: a mapping freed whole was not recycled by the next Malloc of its size", tc.name)
 		}
 		if again.Addr == e.Addr {
@@ -529,19 +592,19 @@ func TestSplitBackingNotRecycled(t *testing.T) {
 	p := newPair(t)
 	e := p.malloc(8 * PageSize)
 	p.write(e.Addr, e.Len)
-	lo, hi := backing(p.s, e.Addr)
+	lo, hi := p.backing(e.Addr)
 	p.free(Extent{Addr: e.Addr + 2*PageSize, Len: 2 * PageSize}) // pieces [0,2) and [4,8)
 	p.free(Extent{Addr: e.Addr, Len: 2 * PageSize})              // the first piece, whole
 	for _, size := range []int64{2 * PageSize, 8 * PageSize} {
 		fresh := p.malloc(size)
-		if l, _ := backing(p.s, fresh.Addr); lo <= l && l < hi {
+		if l, _ := p.backing(fresh.Addr); lo <= l && l < hi {
 			t.Errorf("Malloc(%d) got storage inside a backing whose sibling piece is alive", size)
 		}
 		p.write(fresh.Addr, size)
 	}
 	p.read(e.Addr+4*PageSize, 4*PageSize) // the living sibling still holds its bytes
 	p.free(Extent{Addr: e.Addr + 4*PageSize, Len: 4 * PageSize})
-	p.malloc(4 * PageSize) // zero (malloc checks), recycled or not
+	p.malloc(4 * PageSize) // zero (the sweep reads it), recycled or not
 	p.malloc(8 * PageSize)
 	p.sweep()
 }
@@ -609,7 +672,8 @@ func TestAddressNeverHandedOutTwice(t *testing.T) {
 }
 
 // TestRecycleBounded: the free lists stop at recycleMaxBytes, whatever is
-// freed.
+// freed. Each buffer is written first, for an untouched one has no storage
+// to recycle.
 func TestRecycleBounded(t *testing.T) {
 	s := NewAddrSpace("t")
 	var es []Extent
@@ -617,11 +681,18 @@ func TestRecycleBounded(t *testing.T) {
 		es = append(es, Extent{Addr: s.Malloc(recycleMaxBytes / 4), Len: recycleMaxBytes / 4})
 	}
 	big := Extent{Addr: s.Malloc(recycleMaxBytes + PageSize), Len: recycleMaxBytes + PageSize}
+	for _, e := range append(es, big) {
+		sim.Must(s.Write(e.Addr, []byte{1}))
+	}
 	s.Free(big)
 	for _, e := range es {
 		s.Free(e)
 	}
-	if s.freeBytes != recycleMaxBytes || len(s.free[recycleMaxBytes/4]) != 4 || len(s.free[big.Len]) != 0 {
-		t.Errorf("kept %d bytes: %d quarter-bound buffers, %d beyond the bound", s.freeBytes, len(s.free[recycleMaxBytes/4]), len(s.free[big.Len]))
+	quarters := 0
+	if l := s.free[recycleMaxBytes/4]; l != nil {
+		quarters = len(*l)
+	}
+	if s.freeBytes != recycleMaxBytes || quarters != 4 || s.free[big.Len] != nil {
+		t.Errorf("kept %d bytes: %d quarter-bound buffers, and beyond the bound %v", s.freeBytes, quarters, s.free[big.Len])
 	}
 }

@@ -19,6 +19,10 @@ func (c *Cluster) EntityAccts() []stats.Acct {
 	return out
 }
 
+// ScratchCost exposes what the daemon's payload pool has cost the host to
+// external tests: its misses are the storage lent to requests.
+func (s *Server) ScratchCost() sim.HostCost { return s.scratch.HostCost() }
+
 // Under go test a recycled record, a released operation plan and a
 // recycled wire record with its staging bytes are overwritten, so that any
 // use after release — a server reading a request's regions after its handler
@@ -44,8 +48,7 @@ func (c *Cluster) census() map[string]int64 {
 	for _, s := range c.Servers {
 		s.hca.Census(add)
 		s.staging.Census(add)
-		// Set-up handed the pool every staging buffer's storage unasked.
-		add("pvfs.iod-scratch", s.scratch.Out()+int64(c.Cfg.StagingBuffers))
+		add("pvfs.iod-scratch", s.scratch.Out())
 	}
 	for _, cl := range c.Clients {
 		cl.hca.Census(add)

@@ -298,3 +298,32 @@ func TestChunkPartPassThroughEqualsCut(t *testing.T) {
 		t.Error("no generated part took the pass-through")
 	}
 }
+
+// TestPackTakeKeepsPoolBalanced: a pack write of no bytes into a receive
+// buffer nothing ever landed in takes nothing and lends the buffer nothing,
+// so the daemon's pool stays balanced and the buffer stays reserved for the
+// next write; a write that landed bytes trades the buffer's storage for a
+// pool buffer, and the payload going back to the pool balances it again.
+func TestPackTakeKeepsPoolBalanced(t *testing.T) {
+	c := NewCluster(sim.NewEngine(), DefaultConfig(), 1, 1)
+	s := c.Servers[0]
+	size := c.Cfg.FastBufSize
+	sc := &serverConn{srv: s, recvBuf: &ib.Buffer{Addr: s.space.Malloc(size), Size: size}}
+	if data := sc.takePacked(0); data != nil || s.scratch.Out() != 0 {
+		t.Errorf("a zero-length pack write took %d bytes and left %d pool buffers out", len(data), s.scratch.Out())
+	}
+	if err := s.space.Write(sc.recvBuf.Addr, []byte("packed")); err != nil {
+		t.Fatalf("the receive buffer no longer takes a write: %v", err)
+	}
+	data := sc.takePacked(6)
+	if string(data) != "packed" || s.scratch.Out() != 1 {
+		t.Errorf("took %q with %d pool buffers out, want \"packed\" and the one lent", data, s.scratch.Out())
+	}
+	s.scratch.Put(data)
+	if s.scratch.Out() != 0 {
+		t.Errorf("%d pool buffers out after the payload went back", s.scratch.Out())
+	}
+	if err := s.space.Write(sc.recvBuf.Addr+mem.Addr(size)-1, []byte{1}); err != nil {
+		t.Errorf("the lent pool buffer does not back the whole receive buffer: %v", err)
+	}
+}

@@ -300,14 +300,13 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *record) (next any) {
 		sp.End(p.Now())
 		data = req.Data
 	} else if req.SchemePack {
-		// Data already landed in the connection receive buffer: take its
-		// storage and back the buffer with a pool buffer of its size.
-		data = s.space.Exchange(sc.recvBuf.Addr, s.scratch.Get(int(sc.recvBuf.Size)))[:req.Total]
+		data = sc.takePacked(req.Total)
 	} else {
-		// Rendezvous: back a staging buffer and hand it to the client, wait
-		// for the completion notice, then take its storage as the payload.
+		// Rendezvous: back a staging buffer with the bytes the request
+		// names and hand it to the client, wait for the completion notice,
+		// then take its storage as the payload.
 		buf := s.staging.Get(p)
-		s.space.Exchange(buf.Addr, s.scratch.Get(int(buf.Size)))
+		s.space.Exchange(buf.Addr, s.scratch.Get(int(req.Total)))
 		ready := s.recs.take(recWriteReady, req.Seq)
 		ready.Addr, ready.Key = buf.Addr, buf.MR.Key
 		if !sc.reply(p, smallReplyBytes, ready) {
@@ -337,6 +336,19 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *record) (next any) {
 	return nil
 }
 
+// takePacked takes the n bytes a pack write landed in the connection's
+// receive buffer: the buffer's storage becomes the payload, and a pool
+// buffer of its size backs it for the next write. A write of no bytes takes
+// and lends nothing: nothing may ever have landed in the buffer, and a lend
+// to a buffer without storage would take a pool buffer and give none back.
+func (sc *serverConn) takePacked(n int64) []byte {
+	if n == 0 {
+		return nil
+	}
+	s := sc.srv
+	return s.space.Exchange(sc.recvBuf.Addr, s.scratch.Get(int(sc.recvBuf.Size)))[:n]
+}
+
 // handleRead serves one list read; serve recycles req when it returns.
 //
 //pvfslint:hotpath alloc
@@ -350,8 +362,8 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 		//pvfslint:ok hotpath stream-socket transport, not the verbs data path: the reply owns its payload
 		data = make([]byte, req.Total)
 	} else {
-		// Staging-sized: this storage becomes the staging buffer's.
-		data = s.scratch.Get(int(s.staging.BufSize()))
+		// Request-sized: this storage becomes the staging buffer's.
+		data = s.scratch.Get(int(req.Total))
 	}
 	sieve.ReadInto(p, f, req.Accs, data[:req.Total], s.sieveParams, req.Sieve, &s.SieveStats)
 	s.releaseIO(p)
