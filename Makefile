@@ -2,9 +2,9 @@ GO ?= go
 
 BIN := bin/pvfslint
 
-.PHONY: all build test race lint lint-json lint-time vet check bench-smoke bench-cache bench-scale bench-hostcost bench-check bench-go trace-smoke metrics-smoke fuzz loc clean
+.PHONY: all build test race lint vet check mutate bench-smoke bench-cache bench-scale bench-hostcost bench-check bench-go trace-smoke metrics-smoke fuzz loc clean
 
-# LINT_BUDGET caps the whole analyzer suite's wall time in lint-time; the
+# LINT_BUDGET caps the whole analyzer suite's wall time in lint; the
 # interprocedural pass (callgraph + detcheck) must not silently blow up CI.
 LINT_BUDGET ?= 30s
 
@@ -28,29 +28,29 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the project's own nine analyzers (sgelimit, regcheck, nopanic,
-# lifetime, errflow, lockorder, hotpath, detcheck, okreason) through the go
-# vet driver, covering test files too.
+# lint runs the project's own seven analyzers (nopanic, lifetime, errflow,
+# lockorder, hotpath, detcheck, okreason) over every package and its test
+# files — whole-module call graph, so hotpath sees effects across packages
+# and reports audits no root reaches any more — archives the findings as
+# pvfslint.json and the per-analyzer wall time on stderr, and fails on any
+# unsuppressed finding or when the suite takes longer than LINT_BUDGET.
 lint: $(BIN)
-	$(GO) vet -vettool=$(CURDIR)/$(BIN) ./...
+	$(BIN) -json -time -budget $(LINT_BUDGET) ./... > pvfslint.json
 
-# lint-json runs the standalone driver — whole-module call graph, so this
-# is where hotpath sees effects across packages and where its Finish hook
-# reports audits no root reaches any more — and archives the findings as
-# pvfslint.json; it fails when any unsuppressed finding remains.
-lint-json: $(BIN)
-	$(BIN) -json ./... > pvfslint.json
+# check is the full CI gate: build, vet, pvfslint, the nested benchmark/
+# module (the only place an internal API removal it depends on shows up),
+# race tests.
+check: build vet lint bench-check race
 
-# lint-time reports per-analyzer wall time and fails if the whole suite
-# exceeds LINT_BUDGET.
-lint-time: $(BIN)
-	$(BIN) -time -budget $(LINT_BUDGET) ./...
-
-# check is the full CI gate: build, vet, pvfslint (both drivers — the
-# standalone pass adds the interprocedural hotpath ratchet), the nested
-# benchmark/ module (the only place an internal API removal it depends on
-# shows up), race tests.
-check: build vet lint lint-json bench-check race
+# mutate runs the analyzer suite's ledger (cmd/mutate): every row of
+# cmd/mutate/catalogue.json applied to a copy of the module, with the
+# build, pvfslint, the mutated package's tests, every package's tests and
+# the short pvfsbench hash timed over each, and a per-analyzer verdict
+# (DESIGN.md §6.1). It takes about 20 s a row (12 min for the catalogue on
+# 2 vCPUs); not a CI step.
+mutate:
+	$(GO) run ./cmd/mutate > BENCH_mutation.json
+	@echo "wrote BENCH_mutation.json"
 
 # bench-smoke runs the short fault-plane and list-I/O experiments on the
 # parallel cell scheduler — with each cell's engine partitioned into 4

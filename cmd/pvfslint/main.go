@@ -1,23 +1,26 @@
-// Pvfslint runs the repository's static-analysis suite of nine analyzers:
-// sgelimit (the 64-entry InfiniBand SGE cap), regcheck (RDMA buffers must
-// trace to a registered MR), nopanic (no panic in library packages),
-// lifetime (registrations and spans are released exactly once on every
-// path), errflow (repo-API errors are checked, not dropped), lockorder (no
-// blocking sim call while a sim.Resource is held, and sim.Resource pairs
-// acquire in one consistent order, interprocedurally over the callgraph),
-// hotpath (effects reachable from //pvfslint:hotpath roots are audited
-// where they happen, by a //pvfslint:ok hotpath directive, and no sim
-// handle escapes the engine's single-threaded world), detcheck
-// (nondeterminism sources must not reach deterministic outputs —
-// interprocedural, over the callgraph layer), and okreason (every
-// suppression names an analyzer of the suite and gives a reason).
+// Pvfslint runs the repository's static-analysis suite of seven analyzers:
+// nopanic (no panic in library packages), lifetime (registrations and spans
+// are released exactly once on every path), errflow (repo-API errors are
+// checked, not dropped), lockorder (no blocking sim call while a
+// sim.Resource is held, and sim.Resource pairs acquire in one consistent
+// order, interprocedurally over the callgraph), hotpath (effects reachable
+// from //pvfslint:hotpath roots are audited where they happen, by a
+// //pvfslint:ok hotpath directive, and no sim handle escapes the engine's
+// single-threaded world), detcheck (nondeterminism sources must not reach
+// deterministic outputs — interprocedural, over the callgraph layer), and
+// okreason (every suppression names an analyzer of the suite and gives a
+// reason). The mutation ledger (cmd/mutate, DESIGN.md §6.1) decides which
+// of them keep their place.
 //
-// Two modes:
+// Usage:
 //
-//	pvfslint ./...                      # standalone, loads packages via go list
-//	go vet -vettool=$(pwd)/pvfslint ./...  # driven by go vet, covers test files too
+//	pvfslint [flags] [packages]     # default ./...
 //
-// Standalone flags:
+// It loads the packages with go list and analyzes each one and its test
+// files: a _test.go file is type-checked in its test unit, as go vet and
+// go test compile it.
+//
+// Flags:
 //
 //	-json          findings to stdout as a JSON array (file, line, column,
 //	               analyzer, message); human-readable lines still go to stderr
@@ -30,13 +33,6 @@
 //
 // Exit codes: 0 clean, 1 findings (or over the -budget time), 2 usage or
 // load error (bad flags, unresolvable patterns, type errors).
-//
-// In vet mode the tool speaks the cmd/go vet-tool protocol (-V=full, -flags,
-// and a *.cfg compilation-unit file per package). Interprocedural analyzers
-// see cross-package summaries only in standalone mode; under go vet each
-// compilation unit is a separate process, so they degrade to per-package
-// analysis (hotpath's vet-mode findings are a subset of standalone's; an
-// audit no root reaches any more is detected standalone only).
 package main
 
 import (
@@ -51,7 +47,6 @@ import (
 	"pvfsib/internal/analysis"
 	"pvfsib/internal/analysis/load"
 	"pvfsib/internal/analysis/suite"
-	"pvfsib/internal/analysis/unit"
 )
 
 func main() {
@@ -70,9 +65,6 @@ type jsonFinding struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	analyzers := suite.All()
 
-	// The flags below are ours; any other flag (or a .cfg operand) means go
-	// vet is driving and the whole command line belongs to the vet-tool
-	// protocol.
 	var (
 		jsonOut  bool
 		timeOut  bool
@@ -116,8 +108,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 			budget = d
-		case strings.HasPrefix(a, "-") || strings.HasSuffix(a, ".cfg"):
-			return unit.Main(args, analyzers, stdout, stderr)
+		case strings.HasPrefix(a, "-"):
+			fmt.Fprintf(stderr, "pvfslint: unknown flag %s\n", a)
+			return 2
 		default:
 			patterns = append(patterns, a)
 		}
@@ -141,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	findings, timing, err := load.PackagesTimed(".", patterns, analyzers)
+	findings, timing, err := load.Packages(".", patterns, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "pvfslint: %v\n", err)
 		return 2

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,6 +20,9 @@ func TestUsageErrors(t *testing.T) {
 		{"bad -budget duration", []string{"-budget", "banana"}},
 		{"-only without a list", []string{"-only"}},
 		{"-only a folded analyzer", []string{"-only", "mrlife"}},
+		{"-only a cut analyzer", []string{"-only", "regcheck"}},
+		{"-only the other cut analyzer", []string{"-only", "sgelimit"}},
+		{"a go vet protocol flag", []string{"-V=full"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -47,8 +51,8 @@ func writeModule(t *testing.T, files map[string]string) {
 	t.Chdir(dir)
 }
 
-// TestExitCodes drives the standalone mode end to end over tiny modules:
-// 0 for a clean module, 1 for findings, 2 for an unresolvable pattern.
+// TestExitCodes drives the driver end to end over tiny modules: 0 for a
+// clean module, 1 for findings, 2 for an unresolvable pattern.
 func TestExitCodes(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
 		writeModule(t, map[string]string{
@@ -68,6 +72,34 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("exit = %d, want 1\nstderr: %s", got, stderr.String())
 		}
 	})
+	// A finding in a test file is reported at its _test.go position, in a
+	// package's own test files and in its external test package alike, and
+	// a directive there suppresses it. lockorder reads test files; the sim
+	// stub gives it a Resource to track.
+	const sim = "package sim\n\ntype Proc struct{}\n\ntype Resource struct{}\n\nfunc (r *Resource) Acquire(p *Proc) {}\n"
+	const twice = "\n\nimport \"m/internal/sim\"\n\nfunc twice(r *sim.Resource, p *sim.Proc) {\n\tr.Acquire(p)\n%s\tr.Acquire(p)\n}\n"
+	for _, pkg := range []string{"lib", "lib_test"} {
+		for _, directive := range []string{"", "\t//pvfslint:ok lockorder the second Acquire is the misuse under test\n"} {
+			t.Run(fmt.Sprintf("test file in package %s, directive %t", pkg, directive != ""), func(t *testing.T) {
+				writeModule(t, map[string]string{
+					"internal/sim/sim.go": sim,
+					"lib/lib.go":          "package lib\n",
+					"lib/lib_test.go":     "package " + pkg + fmt.Sprintf(twice, directive),
+				})
+				want := 1
+				if directive != "" {
+					want = 0
+				}
+				var stdout, stderr bytes.Buffer
+				if got := run([]string{"./..."}, &stdout, &stderr); got != want {
+					t.Errorf("exit = %d, want %d\nstderr: %s", got, want, stderr.String())
+				}
+				if pos := filepath.Join("lib", "lib_test.go") + ":7:2: r is acquired while already held"; want == 1 && !bytes.Contains(stderr.Bytes(), []byte(pos)) {
+					t.Errorf("stderr lacks %q:\n%s", pos, stderr.String())
+				}
+			})
+		}
+	}
 	t.Run("load error", func(t *testing.T) {
 		writeModule(t, map[string]string{
 			"lib/lib.go": "package lib\n",

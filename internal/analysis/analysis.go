@@ -4,10 +4,10 @@
 // module cannot be a dependency).
 //
 // An Analyzer inspects one type-checked package at a time through a Pass and
-// reports Diagnostics. Drivers (cmd/pvfslint) run analyzers either over a
-// "go vet -vettool" compilation-unit config or over packages loaded with
-// "go list"; tests run them over small GOPATH-style corpora (see the
-// analysistest package).
+// reports Diagnostics. The driver (cmd/pvfslint, through the load package)
+// runs analyzers over packages and their test units loaded with "go list";
+// tests run them over small GOPATH-style corpora (see the analysistest
+// package).
 //
 // Findings can be suppressed site-by-site with a directive comment
 //
@@ -40,11 +40,10 @@ type Analyzer struct {
 	// Finish, if non-nil, runs once after every package of a driver run has
 	// been analyzed, with the run-wide store. Whole-program checks that only
 	// make sense when the analysis has seen everything — hotpath's audits
-	// that no root reaches any more — live here. Only drivers that walk a
-	// module with one shared Repo invoke it (the standalone loader and
-	// analysistest); the go vet driver sees one compilation unit per process
-	// and never calls Finish. Finish diagnostics bypass pvfslint:ok
-	// suppression.
+	// that no root reaches any more — live here. Drivers invoke it once with
+	// the Repo the module's packages shared (the loader and analysistest); a
+	// test unit's own Repo never gets it. No directive suppresses a Finish
+	// diagnostic.
 	Finish func(repo *Repo, report func(Diagnostic)) error
 }
 
@@ -59,9 +58,8 @@ type Pass struct {
 	// Repo is the driver-run-wide store shared by every pass of one driver
 	// invocation. Interprocedural analyzers (detcheck) stash cross-package
 	// state here — the call-graph program and function summaries — relying
-	// on the standalone loader's dependency-first package order. Drivers
-	// always set it; in go vet mode each compilation unit gets a fresh
-	// store, so cross-package summaries are only available standalone.
+	// on the loader's dependency-first package order. Drivers always set
+	// it; a test unit gets a fresh store, so its passes see the unit alone.
 	Repo *Repo
 
 	// Report delivers a finding. Drivers set it; suppressed findings are
@@ -85,7 +83,7 @@ type lineKey struct {
 
 // Repo carries state across the packages of one driver run: a keyed store
 // for interprocedural analyzers plus per-analyzer wall-clock totals (the
-// numbers behind pvfslint -time and the lint-time CI budget).
+// numbers behind pvfslint -time and the lint budget).
 type Repo struct {
 	state  map[string]any
 	Timing map[string]time.Duration

@@ -49,7 +49,7 @@ func TestDirectiveCoversItsOwnFileOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunAll([]*analysis.Analyzer{probe}, fset, files, pkg, info)
+	diags, err := analysis.RunAll([]*analysis.Analyzer{probe}, fset, files, pkg, info, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ import (
 // // want expectations in its files.
 //
 // The whole import closure of the target package is analyzed, dependencies
-// first, with one shared analysis.Repo — the standalone loader's contract —
+// first, with one shared analysis.Repo — the loader's contract —
 // so interprocedural analyzers see their stub callees' summaries (a corpus
 // sim.Mailbox.Recv with a channel-op body propagates a may-block fact into
 // the target package). The analyzer's Finish hook, if any, runs after the
@@ -68,7 +68,7 @@ func RunSuite(t *testing.T, dir string, as []*analysis.Analyzer, pkgPath string)
 	repo := analysis.NewRepo()
 	var diags []analysis.Diagnostic
 	for _, dep := range ld.order {
-		ds, err := analysis.RunAllRepo(as, ld.fset, dep.files, dep.pkg, dep.info, repo)
+		ds, err := analysis.RunAll(as, ld.fset, dep.files, dep.pkg, dep.info, repo)
 		if err != nil {
 			t.Fatal(err)
 		}

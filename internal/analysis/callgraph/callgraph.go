@@ -1,6 +1,6 @@
 // Package callgraph is the interprocedural layer of the pvfslint framework:
 // a repo-wide call graph built incrementally, one type-checked package at a
-// time, in the dependency-first order the standalone loader guarantees.
+// time, in the dependency-first order the loader guarantees.
 //
 // The graph replaces the one-level dataflow.Summarize pattern with true
 // bottom-up summary computation: AddPackage returns the new package's
@@ -11,11 +11,11 @@
 // never spans packages and the per-package bottom-up order is globally
 // bottom-up.
 //
-// Identity is by name, not by pointer: the standalone loader type-checks
-// each package from source but its dependencies from export data, so the
-// same function is represented by different *types.Func objects in
-// different packages' type universes. Nodes are therefore keyed by a stable
-// string ID ("pkg.F" or "(pkg.T).M") that both universes agree on.
+// Identity is by name, not by pointer: the loader type-checks each package
+// from source but its dependencies from export data, so the same function is
+// represented by different *types.Func objects in different packages' type
+// universes. Nodes are therefore keyed by a stable string ID ("pkg.F" or
+// "(pkg.T).M") that both universes agree on.
 //
 // Call edges cover static calls (package functions and concrete methods),
 // method values (taking x.M without calling it is an edge — the value may

@@ -17,13 +17,12 @@ const (
 
 // Of returns the run-wide shared Program and the pass's package slice of it,
 // adding the package (its non-test files) on first request. Repeated calls
-// for the same package — by later analyzers of the same pass, or by the same
-// analyzer driven over duplicate vet units — return the cached PackageGraph.
+// for the same package by later analyzers of the same pass return the
+// cached PackageGraph.
 //
 // The driver's package order is the caller's contract exactly as it is for
-// AddPackage: dependencies first (the standalone loader guarantees it; the
-// go vet driver gives each unit a fresh Repo, so the program degrades to one
-// package there).
+// AddPackage: dependencies first (the loader guarantees it; a test unit gets
+// a fresh Repo, so its program is the one package).
 func Of(pass *analysis.Pass) (*Program, *PackageGraph) {
 	repo := pass.Repo
 	if repo == nil {

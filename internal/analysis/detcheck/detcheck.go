@@ -15,9 +15,9 @@
 // internal/stats, internal/trace, internal/disk, internal/bench, plus
 // fmt.Print*/Fprint*, (*json.Encoder).Encode, and os file methods. A
 // function "reaches a sink" when its body calls one directly or
-// transitively — computed bottom-up over callgraph SCCs, across packages
-// when the driver shares one analysis.Repo (the standalone loader; go vet
-// mode degrades to per-package summaries). Interface dispatch resolves via
+// transitively — computed bottom-up over callgraph SCCs, across the
+// packages of one driver run (a test unit, with a Repo of its own, sees its
+// own package's summaries). Interface dispatch resolves via
 // the call graph's name-set CHA; a dynamic call with no known targets is
 // conservatively treated as sink-reaching.
 //

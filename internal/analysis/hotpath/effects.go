@@ -360,8 +360,8 @@ func coroHandles(pass *analysis.Pass) map[types.Object]bool {
 // the receiver is a local variable with exactly one assignment of concrete
 // type and its address is never taken — the per-callsite devirtualization
 // rule. It is deliberately narrow: anything less locally evident stays a
-// dynamic site, which keeps the result identical in standalone and vet
-// modes.
+// dynamic site, which keeps the result identical whether or not the
+// implementors' packages are in the run.
 func (h *hot) devirt(n *callgraph.Node, c callgraph.Call) (string, bool) {
 	call, ok := c.Site.(*ast.CallExpr)
 	if !ok || n.Decl == nil || n.Decl.Body == nil {

@@ -38,10 +38,9 @@
 // Interface dispatch is devirtualized per call site when the receiver is a
 // local variable with exactly one assignment of concrete type; otherwise
 // the dispatch is budgeted as dynamic and, additionally, every CHA
-// implementor's summary propagates (standalone mode sees cross-package
-// implementors; the go vet driver analyzes one compilation unit per process
-// and degrades to the same-package subset, which is why the dynamic site —
-// computable identically in both modes — is what gets audited, not the CHA
+// implementor's summary propagates (the implementors the run has seen: a
+// test unit sees its own package's only, which is why the dynamic site —
+// computable identically either way — is what gets audited, not the CHA
 // resolution).
 //
 // An effect is audited once, where it happens: a directive
@@ -280,8 +279,8 @@ func run(pass *analysis.Pass) error {
 
 // finish runs once per whole-module driver run and reports the audits no
 // root reached. It needs every root's summary, so it cannot run per package;
-// the go vet driver (one unit per process) never gets here, and a run over
-// part of the module proves nothing about roots it never summarized.
+// a test unit's Repo never gets here, and a run over part of the module
+// proves nothing about roots it never summarized.
 func finish(repo *analysis.Repo, report func(analysis.Diagnostic)) error {
 	st, _ := repo.Get(stateKey).(*state)
 	if st == nil {

@@ -32,9 +32,9 @@
 // order is a per-type discipline), the variable name for package-level and
 // local resources. The acquired-after graph accumulates across the
 // packages of one run; after each package the analyzer reports every
-// not-yet-reported edge that lies on a cycle. Under go vet each compilation
-// unit is a separate process, so cycles spanning packages are caught in
-// standalone mode only.
+// not-yet-reported edge that lies on a cycle. A test unit has a graph of
+// its own, so a cycle with one half in a test file and the other in another
+// package is not seen.
 //
 // A genuine nested-hold site declares its lock order with a
 // "//pvfslint:ok lockorder <order>" directive. Test files are analyzed

@@ -29,8 +29,8 @@ func runOn(t *testing.T, src string) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := okreason.New("regcheck", "nopanic", "lockorder")
-	diags, err := analysis.RunAll([]*analysis.Analyzer{suite}, fset, []*ast.File{f}, pkg, info)
+	suite := okreason.New("hotpath", "nopanic", "lockorder")
+	diags, err := analysis.RunAll([]*analysis.Analyzer{suite}, fset, []*ast.File{f}, pkg, info, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +51,13 @@ func f() {
 func TestMissingReasonIsFlagged(t *testing.T) {
 	diags := runOn(t, `package a
 func f() {
-	//pvfslint:ok regcheck
+	//pvfslint:ok hotpath
 	_ = 0
 }`)
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
 	}
-	if !strings.Contains(diags[0].Message, "pvfslint:ok regcheck gives no reason") {
+	if !strings.Contains(diags[0].Message, "pvfslint:ok hotpath gives no reason") {
 		t.Fatalf("unexpected message: %s", diags[0].Message)
 	}
 }

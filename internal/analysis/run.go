@@ -22,19 +22,12 @@ func NewInfo() *types.Info {
 }
 
 // RunAll runs every analyzer over one type-checked package and returns the
-// combined diagnostics. Each call gets a fresh Repo, so interprocedural
-// analyzers see only this package; drivers that analyze many packages use
-// RunAllRepo with one shared Repo instead.
-func RunAll(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	return RunAllRepo(analyzers, fset, files, pkg, info, nil)
-}
-
-// RunAllRepo is RunAll with an explicit run-wide store. Drivers that walk a
-// whole module in dependency order (the standalone loader) pass the same
-// Repo for every package, giving interprocedural analyzers their
-// cross-package summaries; nil makes a fresh store. Per-analyzer wall time
-// is accumulated into repo.Timing.
-func RunAllRepo(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, repo *Repo) ([]Diagnostic, error) {
+// combined diagnostics. Drivers that walk a whole module in dependency order
+// (the loader) pass the same Repo for every package, giving interprocedural
+// analyzers their cross-package summaries; nil makes a fresh store, so the
+// analyzers see only this package. Per-analyzer wall time is accumulated
+// into repo.Timing.
+func RunAll(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, repo *Repo) ([]Diagnostic, error) {
 	if repo == nil {
 		repo = NewRepo()
 	}

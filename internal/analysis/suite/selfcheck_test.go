@@ -8,11 +8,12 @@ import (
 	"pvfsib/internal/analysis/load"
 )
 
-// TestRepositoryIsClean runs the whole pvfslint suite over this repository
-// and fails on any finding. This is the tier-1 guard behind the invariants
-// the analyzers enforce: a regression that reintroduces a hot-path panic, a
-// magic-number SGE cap, an unregistered RDMA buffer, or a blocking call
-// under a held resource fails `go test ./...`, not just the lint step.
+// TestRepositoryIsClean runs the whole pvfslint suite over this repository,
+// test files included, and fails on any finding. This is the tier-1 guard
+// behind the invariants the analyzers enforce: a regression that
+// reintroduces a library panic, a leaked registration or span, a dropped
+// error, or a blocking call under a held resource fails `go test ./...`,
+// not just the lint step.
 func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to the go command")
@@ -21,7 +22,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := load.Packages(root, []string{"./..."}, All())
+	findings, _, err := load.Packages(root, []string{"./..."}, All())
 	if err != nil {
 		t.Fatalf("loading repository: %v", err)
 	}

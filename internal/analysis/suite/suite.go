@@ -11,16 +11,12 @@ import (
 	"pvfsib/internal/analysis/lockorder"
 	"pvfsib/internal/analysis/nopanic"
 	"pvfsib/internal/analysis/okreason"
-	"pvfsib/internal/analysis/regcheck"
-	"pvfsib/internal/analysis/sgelimit"
 )
 
 // All returns every analyzer in the suite. okreason comes last: it checks
 // that each directive names one of the others.
 func All() []*analysis.Analyzer {
 	all := []*analysis.Analyzer{
-		sgelimit.Analyzer,
-		regcheck.Analyzer,
 		nopanic.Analyzer,
 		lifetime.Analyzer,
 		errflow.Analyzer,

@@ -24,8 +24,9 @@ import (
 )
 
 // HardMaxSGE is the InfiniBand hardware cap on scatter/gather entries per
-// work request (Section 4.1). Params.MaxSGE configures the simulated HCA but
-// may not exceed this; the sgelimit analyzer enforces both directions.
+// work request (Section 4.1) and the default Params.MaxSGE. The QP transfer
+// methods split every list at Params.MaxSGE, which the SGE ablation raises
+// past the cap on purpose.
 const HardMaxSGE = 64
 
 // Params holds the HCA timing and capacity model.

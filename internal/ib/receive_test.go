@@ -58,7 +58,6 @@ func newStar(t *testing.T, n int) *star {
 func (s *star) read(t *testing.T, i int, at sim.Duration, n int64, done *sim.Time) {
 	s.eng.Go("read", func(p *sim.Proc) {
 		p.Sleep(at)
-		//pvfslint:ok regcheck newStar registered every peer's landing buffer statically
 		if err := s.out[i].RDMARead(p, []SGE{{Addr: s.bufs[i], Len: n}}, s.src, s.key); err != nil {
 			t.Errorf("peer %d: %v", i, err)
 		}

@@ -2,6 +2,7 @@ package pvfs
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -243,5 +244,58 @@ func TestWholeFileReplyKind(t *testing.T) {
 		if _, err := asReply(&record{Kind: k}, k+1); err == nil {
 			t.Errorf("%v request: its own kind accepted as the reply", k)
 		}
+	}
+}
+
+// TestLostWriteReadyPutsStagingBack cuts the link between a client and its
+// server just as the server answers a gather write's request with the
+// write-ready reply that lends it a staging buffer. The server aborts the
+// write and must put the buffer back: once the link heals and the client's
+// retry completes, every staging buffer and every byte of the server's
+// scratch is home. The cut's start is swept until one run loses exactly
+// that reply; every run must end with nothing out.
+func TestLostWriteReadyPutsStagingBack(t *testing.T) {
+	const total = 16 << 10
+	hit := false
+	for at := sim.Duration(0); at < 100*time.Microsecond && !hit; at += time.Microsecond {
+		cfg := DefaultConfig()
+		cfg.Faults = &fault.Plan{Seed: 1}
+		c := NewCluster(sim.NewEngine(), cfg, 1, 1)
+		tr := c.EnableSpans()
+		cl, srv := c.Clients[0], c.Servers[0]
+		c.Eng.GoOn(cl.node.Group(), "script", func(p *sim.Proc) {
+			fh := cl.Open(p, "f")
+			src, want := fill(cl, total, 3)
+			c.AttachFaults(&fault.Plan{Seed: 1, Cuts: []fault.Cut{
+				{A: int(cl.node.ID), B: int(srv.node.ID), At: at, Dur: 20 * time.Microsecond},
+			}})
+			segs := []ib.SGE{{Addr: src, Len: total / 2}, {Addr: src + total/2, Len: total / 2}}
+			if err := fh.WriteList(p, segs, []OffLen{{Off: 0, Len: total}}, OpOptions{Transfer: ForceGather}); err != nil {
+				t.Errorf("cut at %v: WriteList: %v", at, err)
+				return
+			}
+			dst := cl.Space().Malloc(total)
+			if err := fh.Read(p, dst, total, 0, OpOptions{}); err != nil {
+				t.Errorf("cut at %v: Read: %v", at, err)
+			} else if got, err := cl.Space().Read(dst, total); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("cut at %v: read-back differs (%v)", at, err)
+			}
+		})
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range tr.Spans() {
+			hit = hit || s.Kind == "iod-abort" && strings.Contains(s.Attrs, "write-ready reply lost")
+		}
+		census := c.census()
+		for _, pool := range []string{"ib.staging", "pvfs.iod-scratch"} {
+			if out := census[pool]; out != 0 {
+				t.Errorf("cut at %v: %s: %d taken and not recycled", at, pool, out)
+			}
+		}
+		c.Eng.Shutdown()
+	}
+	if !hit {
+		t.Fatal("no cut lost the write-ready reply")
 	}
 }
