@@ -28,12 +28,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the project's own seven analyzers (nopanic, lifetime, errflow,
-# lockorder, hotpath, detcheck, okreason) over every package and its test
-# files — whole-module call graph, so hotpath sees effects across packages
-# and reports audits no root reaches any more — archives the findings as
-# pvfslint.json and the per-analyzer wall time on stderr, and fails on any
-# unsuppressed finding or when the suite takes longer than LINT_BUDGET.
+# lint runs the project's own five analyzers (nopanic, lifetime, errflow,
+# detcheck, okreason) over every package — whole-module call graph, so
+# detcheck follows nondeterminism across packages — archives the findings
+# as pvfslint.json and the per-analyzer wall time on stderr, and fails on
+# any unsuppressed finding or when the suite takes longer than LINT_BUDGET.
 lint: $(BIN)
 	$(BIN) -json -time -budget $(LINT_BUDGET) ./... > pvfslint.json
 
@@ -127,16 +126,17 @@ bench-check:
 # 1 MiB list read end to end, and BenchmarkListOp, the Multiple I/O unit of
 # work: one 3 kB list write and read, 0 allocs/op) with allocation reporting
 # — B/op is bookkeeping, never payload — and the AllocFree tests, which
-# assert 0 allocs/op in steady state for every declared //pvfslint:hotpath
-# root, for AddrSpace accesses and for a list operation from the client's
-# entry point to the reply, and no payload-proportional allocation on the
-# list path.
+# assert 0 allocs/op in steady state for every data path (DESIGN.md §8.2):
+# simnet and QP sends and a sync in their own packages, the engine, RDMA,
+# AddrSpace accesses, a cache hit and a list operation from the client's
+# entry point to the reply in internal/bench, and no payload-proportional
+# allocation on the list path.
 bench-go:
 	$(GO) test -run NONE -bench . -benchmem ./internal/sim/
 	$(GO) test -run NONE -bench . -benchmem ./internal/mem/ ./internal/localfs/
 	$(GO) test -run NONE -bench 'BenchmarkFig3Cell|BenchmarkMessagePath|BenchmarkSieve(Read|Write)128|BenchmarkListRead1MiB|BenchmarkListOp' -benchmem ./internal/bench/
 	$(GO) test -run NONE -bench BenchmarkAlltoallvOwned -benchmem ./internal/mpi/
-	$(GO) test -run 'AllocFree|AllocIndependentOfPayload' -count 1 -v ./internal/bench/
+	$(GO) test -run 'AllocFree|AllocIndependentOfPayload' -count 1 -v ./internal/bench/ ./internal/simnet/ ./internal/ib/ ./internal/localfs/
 	$(GO) test -run TestShardedCellThroughput -count 1 -v ./internal/sim/
 
 fuzz:

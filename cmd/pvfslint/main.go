@@ -1,12 +1,7 @@
-// Pvfslint runs the repository's static-analysis suite of seven analyzers:
+// Pvfslint runs the repository's static-analysis suite of five analyzers:
 // nopanic (no panic in library packages), lifetime (registrations and spans
 // are released exactly once on every path), errflow (repo-API errors are
-// checked, not dropped), lockorder (no blocking sim call while a
-// sim.Resource is held, and sim.Resource pairs acquire in one consistent
-// order, interprocedurally over the callgraph), hotpath (effects reachable
-// from //pvfslint:hotpath roots are audited where they happen, by a
-// //pvfslint:ok hotpath directive, and no sim handle escapes the engine's
-// single-threaded world), detcheck (nondeterminism sources must not reach
+// checked, not dropped), detcheck (nondeterminism sources must not reach
 // deterministic outputs — interprocedural, over the callgraph layer), and
 // okreason (every suppression names an analyzer of the suite and gives a
 // reason). The mutation ledger (cmd/mutate, DESIGN.md §6.1) decides which
@@ -16,9 +11,8 @@
 //
 //	pvfslint [flags] [packages]     # default ./...
 //
-// It loads the packages with go list and analyzes each one and its test
-// files: a _test.go file is type-checked in its test unit, as go vet and
-// go test compile it.
+// It loads the packages with go list and analyzes each one's non-test
+// files.
 //
 // Flags:
 //

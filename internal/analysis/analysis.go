@@ -5,9 +5,8 @@
 //
 // An Analyzer inspects one type-checked package at a time through a Pass and
 // reports Diagnostics. The driver (cmd/pvfslint, through the load package)
-// runs analyzers over packages and their test units loaded with "go list";
-// tests run them over small GOPATH-style corpora (see the analysistest
-// package).
+// runs analyzers over packages loaded with "go list"; tests run them over
+// small GOPATH-style corpora (see the analysistest package).
 //
 // Findings can be suppressed site-by-site with a directive comment
 //
@@ -15,7 +14,8 @@
 //
 // placed on the flagged line or the line above it. The reason is mandatory
 // by convention: a suppression is an audited, documented exception (for
-// example a nested-lock site that declares its lock order), not an opt-out.
+// example a wall-clock read that only feeds a host diagnostic), not an
+// opt-out.
 package analysis
 
 import (
@@ -37,14 +37,6 @@ type Analyzer struct {
 	// Run inspects the package in pass and reports findings via
 	// pass.Report or pass.Reportf.
 	Run func(pass *Pass) error
-	// Finish, if non-nil, runs once after every package of a driver run has
-	// been analyzed, with the run-wide store. Whole-program checks that only
-	// make sense when the analysis has seen everything — hotpath's audits
-	// that no root reaches any more — live here. Drivers invoke it once with
-	// the Repo the module's packages shared (the loader and analysistest); a
-	// test unit's own Repo never gets it. No directive suppresses a Finish
-	// diagnostic.
-	Finish func(repo *Repo, report func(Diagnostic)) error
 }
 
 // Pass is one analyzer's view of one type-checked package.
@@ -59,19 +51,16 @@ type Pass struct {
 	// invocation. Interprocedural analyzers (detcheck) stash cross-package
 	// state here — the call-graph program and function summaries — relying
 	// on the loader's dependency-first package order. Drivers always set
-	// it; a test unit gets a fresh store, so its passes see the unit alone.
+	// it.
 	Repo *Repo
 
 	// Report delivers a finding. Drivers set it; suppressed findings are
 	// filtered before it is called.
 	Report func(Diagnostic)
 
-	// directives lists this analyzer's pvfslint:ok directive comments in
-	// source order, covered maps each line one of them covers to it, and
-	// used holds those a lookup has hit. Built lazily.
-	directives []token.Pos
-	covered    map[lineKey]token.Pos
-	used       map[token.Pos]bool
+	// covered holds every line one of this analyzer's pvfslint:ok
+	// directives covers. Built lazily.
+	covered map[lineKey]bool
 }
 
 // lineKey names one source line. Directives cover lines of their own file
@@ -119,43 +108,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Suppressed reports whether a "//pvfslint:ok <analyzer>" directive covers
 // the line of pos (the directive may sit on the same line or the line above).
 func (p *Pass) Suppressed(pos token.Pos) bool {
-	return p.Directive(pos).IsValid()
-}
-
-// Directive returns the position of this analyzer's pvfslint:ok directive
-// covering the line of pos, or token.NoPos, and counts the directive as used.
-func (p *Pass) Directive(pos token.Pos) token.Pos {
 	p.scanDirectives()
 	tf := p.Fset.File(pos)
-	if tf == nil {
-		return token.NoPos
-	}
-	d := p.covered[lineKey{tf, tf.Line(pos)}]
-	if d.IsValid() {
-		p.used[d] = true
-	}
-	return d
-}
-
-// Unused lists, in source order, this analyzer's directives that no
-// Suppressed or Directive call has hit so far: audits of nothing.
-func (p *Pass) Unused() []token.Pos {
-	p.scanDirectives()
-	var out []token.Pos
-	for _, d := range p.directives {
-		if !p.used[d] {
-			out = append(out, d)
-		}
-	}
-	return out
+	return tf != nil && p.covered[lineKey{tf, tf.Line(pos)}]
 }
 
 func (p *Pass) scanDirectives() {
 	if p.covered != nil {
 		return
 	}
-	p.covered = make(map[lineKey]token.Pos)
-	p.used = make(map[token.Pos]bool)
+	p.covered = make(map[lineKey]bool)
 	for _, f := range p.Files {
 		tf := p.Fset.File(f.Pos())
 		for _, cg := range f.Comments {
@@ -163,12 +125,11 @@ func (p *Pass) scanDirectives() {
 				if args, ok := OKDirective(c.Text); !ok || len(args) == 0 || args[0] != p.Analyzer.Name {
 					continue
 				}
-				p.directives = append(p.directives, c.Pos())
 				// The directive covers its own line (end-of-line
 				// comment) and the next line (comment above).
 				line := tf.Line(c.Pos())
-				p.covered[lineKey{tf, line}] = c.Pos()
-				p.covered[lineKey{tf, line + 1}] = c.Pos()
+				p.covered[lineKey{tf, line}] = true
+				p.covered[lineKey{tf, line + 1}] = true
 			}
 		}
 	}

@@ -39,21 +39,11 @@ import (
 // // want expectations in its files.
 //
 // The whole import closure of the target package is analyzed, dependencies
-// first, with one shared analysis.Repo — the loader's contract —
-// so interprocedural analyzers see their stub callees' summaries (a corpus
-// sim.Mailbox.Recv with a channel-op body propagates a may-block fact into
-// the target package). The analyzer's Finish hook, if any, runs after the
-// last package. Expectations are still checked only against the target
-// package: diagnostics landing in stub files are discarded.
+// first, with one shared analysis.Repo — the loader's contract — so an
+// interprocedural analyzer (detcheck) sees its stub callees' summaries.
+// Expectations are still checked only against the target package:
+// diagnostics landing in stub files are discarded.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
-	t.Helper()
-	RunSuite(t, dir, []*analysis.Analyzer{a}, pkgPath)
-}
-
-// RunSuite is Run for several analyzers at once, for contracts two of them
-// hold together (a hotpath audit silences hotpath; okreason demands its
-// reason).
-func RunSuite(t *testing.T, dir string, as []*analysis.Analyzer, pkgPath string) {
 	t.Helper()
 	ld := &loader{
 		root: filepath.Join(dir, "src"),
@@ -68,17 +58,12 @@ func RunSuite(t *testing.T, dir string, as []*analysis.Analyzer, pkgPath string)
 	repo := analysis.NewRepo()
 	var diags []analysis.Diagnostic
 	for _, dep := range ld.order {
-		ds, err := analysis.RunAll(as, ld.fset, dep.files, dep.pkg, dep.info, repo)
+		ds, err := analysis.RunAll([]*analysis.Analyzer{a}, ld.fset, dep.files, dep.pkg, dep.info, repo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		diags = append(diags, ds...)
 	}
-	final, err := analysis.RunFinish(as, repo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags = append(diags, final...)
 
 	wants := collectWants(t, ld.fset, lp.files)
 

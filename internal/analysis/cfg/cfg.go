@@ -1,6 +1,6 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies, for the flow-sensitive pvfslint analyzers (lifetime,
-// errflow, lockorder). It is the repository's stdlib-only stand-in for
+// errflow). It is the repository's stdlib-only stand-in for
 // golang.org/x/tools/go/cfg, extended with two things those analyzers need:
 //
 //   - labeled edges: an edge out of a block that ends in a branch condition

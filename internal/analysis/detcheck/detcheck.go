@@ -16,9 +16,8 @@
 // fmt.Print*/Fprint*, (*json.Encoder).Encode, and os file methods. A
 // function "reaches a sink" when its body calls one directly or
 // transitively — computed bottom-up over callgraph SCCs, across the
-// packages of one driver run (a test unit, with a Repo of its own, sees its
-// own package's summaries). Interface dispatch resolves via
-// the call graph's name-set CHA; a dynamic call with no known targets is
+// packages of one driver run. Interface dispatch resolves via the call
+// graph's name-set CHA; a dynamic call with no known targets is
 // conservatively treated as sink-reaching.
 //
 // Sanitizers make a source clean:
@@ -40,9 +39,8 @@
 // "returns nondeterministically ordered data"; sink-reaching callers are
 // flagged at the call site unless they sort the result before use.
 //
-// The analyzer skips _test.go files and the analysis tooling itself
-// (internal/analysis/..., cmd/pvfslint), whose map iteration feeds only
-// its own diagnostics.
+// The analyzer skips the analysis tooling itself (internal/analysis/...,
+// cmd/pvfslint), whose map iteration feeds only its own diagnostics.
 package detcheck
 
 import (

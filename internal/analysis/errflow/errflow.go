@@ -16,8 +16,8 @@
 //
 // The join is intersection: a variable is flagged only when no path checked
 // it, so "checked on one arm only" stays silent. Deferred calls are exempt
-// from the discard check ("defer release" is accepted idiom), and test
-// files are skipped.
+// from the discard check ("defer release" is accepted idiom). Test files
+// are not analyzed: the loader reads none.
 package errflow
 
 import (
@@ -53,10 +53,6 @@ func (f fact) clone() fact {
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Package).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if fn, ok := n.(*ast.FuncDecl); ok {
 				if fn.Body != nil {

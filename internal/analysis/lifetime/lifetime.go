@@ -48,7 +48,7 @@
 //
 // RegisterStatic is deliberately not an origin: static registrations are
 // setup-lifetime by contract and are never deregistered. Test files are
-// skipped — tests exercise misuse on purpose.
+// not analyzed (the loader reads none) — tests exercise misuse on purpose.
 package lifetime
 
 import (
@@ -56,7 +56,6 @@ import (
 	"go/token"
 	"go/types"
 	"slices"
-	"strings"
 
 	"pvfsib/internal/analysis"
 	"pvfsib/internal/analysis/cfg"
@@ -160,10 +159,6 @@ func run(pass *analysis.Pass) error {
 	a := &lifetime{pass: pass, info: pass.TypesInfo}
 	a.summaries = dataflow.Summarize(pass.TypesInfo, pass.Files, a.summarize)
 	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Package).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				a.checkFunc(fd.Body)

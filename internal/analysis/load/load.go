@@ -1,9 +1,9 @@
 // Package load runs the pvfslint suite over packages named by go list
-// patterns. It shells out to "go list -deps -test -export -json" to obtain,
-// for every package matching the patterns and for its test variants, its Go
-// files, its import map and the export-data files of all dependencies (the
-// go command builds them as a side effect of -export), then type-checks and
-// analyzes each main-module package and each of its test units.
+// patterns. It shells out to "go list -deps -export -json" to obtain, for
+// every package matching the patterns, its Go files and the export-data
+// files of all dependencies (the go command builds them as a side effect of
+// -export), then type-checks and analyzes each main-module package. No
+// analyzer checks _test.go files, so none are loaded.
 //
 // This is the path behind "pvfslint ./..." and the repository self-check
 // test.
@@ -24,7 +24,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"pvfsib/internal/analysis"
@@ -37,8 +36,6 @@ type listPackage struct {
 	Standard   bool
 	Export     string
 	GoFiles    []string
-	ForTest    string
-	ImportMap  map[string]string
 	Module     *struct{ Path string }
 }
 
@@ -54,26 +51,16 @@ func (f Finding) String() string {
 }
 
 // Packages runs the analyzers over every main-module package matching the
-// go list patterns, in dir, and over their test units. It returns all
-// findings sorted by position and the per-analyzer wall-clock totals for the
-// whole run (the numbers behind pvfslint -time and the lint budget).
+// go list patterns, in dir. It returns all findings sorted by position and
+// the per-analyzer wall-clock totals for the whole run (the numbers behind
+// pvfslint -time and the lint budget).
 //
 // One analysis.Repo is shared by every package, and "go list -deps" emits
-// dependencies before dependents, so interprocedural analyzers (detcheck,
-// lockorder, hotpath) see every in-module callee's summary before the
-// caller's package — provided the patterns cover the dependency (as ./...
-// does). After the last package, each analyzer's Finish hook runs once with
-// the same store; its diagnostics (hotpath's unreached audits) join the
-// findings.
-//
-// Test files are analyzed as the go command compiles them: each test unit
-// ("X [X.test]", the package with its _test.go files, and "X_test
-// [X.test]", the external test package) is type-checked under its plain
-// path against the export data its ImportMap names, with a fresh Repo of
-// its own, and only its findings in _test.go files are kept — the rest were
-// reported by the package's own pass.
+// dependencies before dependents, so an interprocedural analyzer (detcheck)
+// sees every in-module callee's summary before the caller's package —
+// provided the patterns cover the dependency (as ./... does).
 func Packages(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, map[string]time.Duration, error) {
-	args := append([]string{"list", "-deps", "-test", "-export", "-json=ImportPath,Dir,Standard,Export,GoFiles,ForTest,ImportMap,Module"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Standard,Export,GoFiles,Module"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -116,56 +103,29 @@ func Packages(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]
 
 	repo := analysis.NewRepo()
 	fset := token.NewFileSet()
-	gc := func() types.Importer {
-		return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			file, ok := exports[path]
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", path)
-			}
-			return os.Open(file)
-		})
-	}
-	// The packages share one importer, so each dependency is read once;
-	// a test unit sees its own variants of them, so it gets its own.
-	shared := gc()
-	var findings []Finding
-	keep := func(diags []analysis.Diagnostic, testOnly bool) {
-		for _, d := range diags {
-			pos := fset.Position(d.Pos)
-			if !testOnly || strings.HasSuffix(pos.Filename, "_test.go") {
-				findings = append(findings, Finding{Position: pos, Message: d.Message, Analyzer: d.Analyzer})
-			}
+	// The packages share one importer, so each dependency is read once.
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
-	}
+		return os.Open(file)
+	})
+	var findings []Finding
 	for _, p := range order {
 		// Deps are in the list only for their export data; analyze the
-		// packages the patterns named and their test units. A dependency
-		// recompiled for a test ("Y [X.test]") brings no file of its own.
-		path, _, _ := strings.Cut(p.ImportPath, " ")
-		isUnit := p.ForTest != "" && targets[p.ForTest] && (path == p.ForTest || path == p.ForTest+"_test")
-		if p.Standard || p.Module == nil || !(isUnit || p.ForTest == "" && targets[path]) {
+		// packages the patterns named.
+		if p.Standard || p.Module == nil || !targets[p.ImportPath] {
 			continue
 		}
-		unitRepo, imp := repo, shared
-		if isUnit {
-			unitRepo, imp = analysis.NewRepo(), gc()
-		}
-		diags, err := check(fset, p, path, imp, analyzers, unitRepo)
+		diags, err := check(fset, p, imp, analyzers, repo)
 		if err != nil {
 			return nil, nil, err
 		}
-		keep(diags, isUnit)
-		if isUnit {
-			for name, d := range unitRepo.Timing {
-				repo.Timing[name] += d
-			}
+		for _, d := range diags {
+			findings = append(findings, Finding{Position: fset.Position(d.Pos), Message: d.Message, Analyzer: d.Analyzer})
 		}
 	}
-	final, err := analysis.RunFinish(analyzers, repo)
-	if err != nil {
-		return nil, nil, err
-	}
-	keep(final, false)
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].Position, findings[j].Position
 		if a.Filename != b.Filename {
@@ -179,9 +139,9 @@ func Packages(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]
 	return findings, repo.Timing, nil
 }
 
-// check parses p's files, type-checks them as package path with imports
-// resolved through p's ImportMap by imp, and runs the analyzers with repo.
-func check(fset *token.FileSet, p *listPackage, path string, imp types.Importer, analyzers []*analysis.Analyzer, repo *analysis.Repo) ([]analysis.Diagnostic, error) {
+// check parses p's files, type-checks them with imports resolved by imp,
+// and runs the analyzers with repo.
+func check(fset *token.FileSet, p *listPackage, imp types.Importer, analyzers []*analysis.Analyzer, repo *analysis.Repo) ([]analysis.Diagnostic, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
@@ -190,23 +150,11 @@ func check(fset *token.FileSet, p *listPackage, path string, imp types.Importer,
 		}
 		files = append(files, f)
 	}
-	tc := &types.Config{
-		Importer: importerFunc(func(path string) (*types.Package, error) {
-			if mapped, ok := p.ImportMap[path]; ok {
-				path = mapped
-			}
-			return imp.Import(path)
-		}),
-		Sizes: types.SizesFor("gc", build.Default.GOARCH),
-	}
+	tc := &types.Config{Importer: imp, Sizes: types.SizesFor("gc", build.Default.GOARCH)}
 	info := analysis.NewInfo()
-	pkg, err := tc.Check(path, fset, files, info)
+	pkg, err := tc.Check(p.ImportPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
 	}
 	return analysis.RunAll(analyzers, fset, files, pkg, info, repo)
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -11,14 +11,13 @@
 // panic is allowed in:
 //   - package internal/sim itself (the scheduler's assertion machinery),
 //   - package main (cmd/ and examples/ entry points),
-//   - _test.go files,
+//   - _test.go files (the loader reads none),
 //   - sites carrying a "//pvfslint:ok nopanic <reason>" directive.
 package nopanic
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"pvfsib/internal/analysis"
 )
@@ -35,10 +34,6 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Package).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -51,26 +51,3 @@ func RunAll(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *
 	}
 	return out, nil
 }
-
-// RunFinish invokes every analyzer's Finish hook, in suite order, with the
-// shared run-wide store, and returns their combined diagnostics. Drivers
-// that analyze a whole module with one Repo call it exactly once, after the
-// last package; per-analyzer wall time is folded into repo.Timing.
-func RunFinish(analyzers []*Analyzer, repo *Repo) ([]Diagnostic, error) {
-	if repo == nil {
-		repo = NewRepo()
-	}
-	var out []Diagnostic
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		start := time.Now()
-		err := a.Finish(repo, func(d Diagnostic) { out = append(out, d) })
-		repo.Timing[a.Name] += time.Since(start)
-		if err != nil {
-			return nil, fmt.Errorf("analyzer %s (finish): %w", a.Name, err)
-		}
-	}
-	return out, nil
-}

@@ -6,9 +6,7 @@ import (
 	"pvfsib/internal/analysis"
 	"pvfsib/internal/analysis/detcheck"
 	"pvfsib/internal/analysis/errflow"
-	"pvfsib/internal/analysis/hotpath"
 	"pvfsib/internal/analysis/lifetime"
-	"pvfsib/internal/analysis/lockorder"
 	"pvfsib/internal/analysis/nopanic"
 	"pvfsib/internal/analysis/okreason"
 )
@@ -20,8 +18,6 @@ func All() []*analysis.Analyzer {
 		nopanic.Analyzer,
 		lifetime.Analyzer,
 		errflow.Analyzer,
-		lockorder.Analyzer,
-		hotpath.Analyzer,
 		detcheck.Analyzer,
 	}
 	names := make([]string, len(all))

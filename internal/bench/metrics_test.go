@@ -10,6 +10,7 @@ import (
 
 	"pvfsib/internal/metrics"
 	"pvfsib/internal/sim"
+	"pvfsib/internal/sim/simtest"
 )
 
 // timelineArtifacts runs the short timeline workload on a cluster
@@ -112,8 +113,7 @@ func TestTimelineDetectsSaturation(t *testing.T) {
 	}
 }
 
-// TestMetricsNilSinkAllocFree is the runtime check behind the
-// metrics-off budget entries: zero-value instrument handles — what every
+// TestMetricsNilSinkAllocFree: zero-value instrument handles — what every
 // layer holds when no registry is attached — must cost nothing on the
 // allocator, because the sampling sites run unconditionally on the
 // simulator's hot paths.
@@ -121,7 +121,7 @@ func TestMetricsNilSinkAllocFree(t *testing.T) {
 	var c metrics.Counter
 	var g metrics.Gauge
 	var b metrics.Busy
-	measure(t, "nil metrics sinks", func() {
+	simtest.Measure(t, "nil metrics sinks", func() {
 		for i := 0; i < 64; i++ {
 			c.Add(sim.Time(i), 1)
 			g.Set(sim.Time(i), int64(i))

@@ -8,6 +8,7 @@ import (
 	"pvfsib/internal/pvfs"
 	"pvfsib/internal/sieve"
 	"pvfsib/internal/sim"
+	"pvfsib/internal/sim/simtest"
 )
 
 // payloadSlack is how far the bytes allocated per list operation may move
@@ -86,15 +87,15 @@ func TestAddrSpaceAllocFree(t *testing.T) {
 	a := s.Malloc(64 << 10)
 	b := s.Malloc(64 << 10) // adjacent: a+60k .. +8k crosses into it
 	buf := make([]byte, 8<<10)
-	measure(t, "Write", func() { sim.Must(s.Write(a+100, buf)); sim.Must(s.Write(a+60<<10, buf)) })
-	measure(t, "ReadInto", func() { sim.Must(s.ReadInto(b+100, buf)); sim.Must(s.ReadInto(a+60<<10, buf)) })
-	measure(t, "Copy", func() { sim.Must(s.Copy(b+4096, a+100, 2048)); sim.Must(s.Copy(a+61<<10, a+60<<10, 8<<10)) })
-	measure(t, "Allocated", func() {
+	simtest.Measure(t, "Write", func() { sim.Must(s.Write(a+100, buf)); sim.Must(s.Write(a+60<<10, buf)) })
+	simtest.Measure(t, "ReadInto", func() { sim.Must(s.ReadInto(b+100, buf)); sim.Must(s.ReadInto(a+60<<10, buf)) })
+	simtest.Measure(t, "Copy", func() { sim.Must(s.Copy(b+4096, a+100, 2048)); sim.Must(s.Copy(a+61<<10, a+60<<10, 8<<10)) })
+	simtest.Measure(t, "Allocated", func() {
 		if !s.Allocated(mem.Extent{Addr: a + 5, Len: 100 << 10}) || s.Allocated(mem.Extent{Addr: b, Len: 65 << 10}) {
 			t.Error("Allocated is wrong")
 		}
 	})
-	measure(t, "Malloc+Free", func() {
+	simtest.Measure(t, "Malloc+Free", func() {
 		e := mem.Extent{Addr: s.Malloc(4 << 20), Len: 4 << 20}
 		sim.Must(s.Write(e.Addr+1<<20, buf))
 		s.Free(e)

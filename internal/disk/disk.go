@@ -191,7 +191,6 @@ func (d *Disk) xfer(p *sim.Proc, off, size int64, read bool) {
 		sp.Annotate("seek=1")
 	}
 	if d.faults != nil {
-		//pvfslint:ok hotpath fault-plane hook behind the nil check; fault-free runs never make the call
 		dur += d.faults.DiskFault(p.Now(), d.name, read, size)
 	}
 	d.Counters.BusyTime += dur

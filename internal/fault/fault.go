@@ -268,11 +268,9 @@ func (in *Injector) Plan() Plan { return in.plan }
 // matches reports whether the (a, b) endpoint pattern covers the (from, to)
 // link in either direction.
 func matches(a, b, from, to int) bool {
-	//pvfslint:ok hotpath fault-plane rule evaluation; runs only when an injector is attached, which the alloc-free configuration leaves nil
 	dir := func(x, y int) bool {
 		return (x == Wildcard || x == from) && (y == Wildcard || y == to)
 	}
-	//pvfslint:ok hotpath fault-plane rule predicate; reachable only when an injector is attached
 	return dir(a, b) || dir(b, a)
 }
 

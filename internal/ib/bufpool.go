@@ -80,7 +80,6 @@ func (pool *BufPool) Get(p *sim.Proc) *Buffer {
 // and every access through an unbacked mapping fails.
 func (b *Buffer) Put() {
 	b.pool.store.Put(b.pool.hca.space.Exchange(b.Addr, nil)[:0])
-	//pvfslint:ok hotpath free-list push: the backing array held every buffer of the pool at construction, so it never grows
 	b.pool.free = append(b.pool.free, b)
 	b.pool.cond.Signal()
 }

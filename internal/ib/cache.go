@@ -56,8 +56,6 @@ func NewRegCache(h *HCA, maxBytes int64, maxEntries int) *RegCache {
 // Get returns a registered region covering e, registering it if no cached
 // region covers it. The returned MR is referenced and must be released with
 // Put. A cache hit costs no virtual time.
-//
-//pvfslint:hotpath alloc
 func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
 	for _, ent := range c.all {
 		if ent.mr.Covers(e) {
@@ -82,11 +80,8 @@ func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
 	if err != nil {
 		return nil, err
 	}
-	//pvfslint:ok hotpath cache miss: one entry per region registered, which pays a registration anyway
 	ent := &cacheEntry{mr: mr, refs: 1}
-	//pvfslint:ok hotpath registration-order list: reaches the most regions cached at once and stops
 	c.all = append(c.all, ent)
-	//pvfslint:ok hotpath cache miss: eviction deletes its key, so the map stays at the most regions cached at once
 	c.entries[mr.Key] = ent
 	c.bytes += need
 	return mr, nil
@@ -99,16 +94,12 @@ func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
 // are deregistered now, their cost charged to p. This is what produces
 // registration thrashing when the pinnable budget is smaller than an
 // operation's working set (Section 4.2).
-//
-//pvfslint:hotpath alloc
 func (c *RegCache) Put(p *sim.Proc, mr *MR) error {
 	ent, ok := c.entries[mr.Key]
 	if !ok {
-		//pvfslint:ok hotpath error path: a region the cache never handed out
 		return fmt.Errorf("ib: RegCache.Put of unknown MR (key %d): %w", mr.Key, ErrInvalidMR)
 	}
 	if ent.refs <= 0 {
-		//pvfslint:ok hotpath error path: a Put without its Get
 		return errors.New("ib: RegCache.Put without matching Get")
 	}
 	ent.refs--
@@ -144,7 +135,6 @@ func (c *RegCache) evictOne(p *sim.Proc) (bool, error) {
 	delete(c.entries, ent.mr.Key)
 	c.bytes -= ent.mr.Extent.Pages() * mem.PageSize
 	if err := c.hca.Deregister(p, ent.mr); err != nil {
-		//pvfslint:ok hotpath error path: the adapter refused to deregister
 		return false, fmt.Errorf("ib: RegCache eviction: %w", err)
 	}
 	return true, nil

@@ -10,6 +10,7 @@ import (
 
 	"pvfsib/internal/mem"
 	"pvfsib/internal/sim"
+	"pvfsib/internal/sim/simtest"
 	"pvfsib/internal/simnet"
 )
 
@@ -127,6 +128,27 @@ func TestSendRecv(t *testing.T) {
 	if got != "request" {
 		t.Errorf("payload = %q", got)
 	}
+}
+
+// TestQPSendAllocFree: channel-semantics messages ride pooled wire structs
+// from QP.Send through the peer adapter's receive handler to QP.Recv, and a
+// steady-state send allocates nothing.
+func TestQPSendAllocFree(t *testing.T) {
+	eng, a, b := pair(t)
+	qa, qb := Connect(a, b)
+	var token any = 1
+	eng.Go("rx", func(p *sim.Proc) {
+		for {
+			qb.Recv(p)
+		}
+	})
+	simtest.AllocFree(t, eng, "qp send", func(p *sim.Proc) {
+		for i := 0; i < 16; i++ {
+			if err := qa.Send(p, 4096, token); err != nil {
+				sim.Failf("ib: qp send: %v", err)
+			}
+		}
+	})
 }
 
 func TestRDMAWriteGatherDataIntegrity(t *testing.T) {

@@ -51,8 +51,6 @@ var (
 // fails with ErrNotAllocated if any touched page is unallocated; per the
 // kernel's behaviour the cost of the failed attempt is still (mostly) paid,
 // since the page-table walk happens before the failure is detected.
-//
-//pvfslint:ok hotpath a registration pins a region in one MR: the cost the pin-down cache and group registration exist to save, counted per access method by TestMultipleIOEventBudget
 func (h *HCA) Register(p *sim.Proc, e mem.Extent) (*MR, error) {
 	if e.Len <= 0 {
 		return nil, fmt.Errorf("ib: register empty extent %v", e)

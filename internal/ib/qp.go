@@ -225,11 +225,8 @@ func (h *HCA) putWire(w *wire) {
 // goes to the responder, and while the responder is busy every arrival
 // queues behind it — the inbound engine is one pipeline, so a read being
 // served holds up whatever was received after it.
-//
-//pvfslint:hotpath
 func (h *HCA) receive(m *simnet.Message) {
 	if h.serving != nil {
-		//pvfslint:ok hotpath backlog append behind a busy responder; the slice is retained across reads and stops growing at the high-water mark of arrivals during one
 		h.backlog = append(h.backlog, m)
 		return
 	}
@@ -245,11 +242,6 @@ func (h *HCA) receive(m *simnet.Message) {
 // read request receive handed it, then everything that arrived meanwhile,
 // in arrival order and in its own context — a further read request it
 // serves itself — and goes idle once the backlog is empty.
-//
-// The responder blocks by design (read turnaround, the response send), so
-// only allocation and wall-clock effects are budgeted.
-//
-//pvfslint:hotpath alloc,syscall
 func (h *HCA) respond(p *sim.Proc) {
 	net := h.node.Network()
 	for {
@@ -343,7 +335,6 @@ func (h *HCA) deliver(m *simnet.Message) (read bool) {
 			sim.Failf("ib: %s: RDMA write fault: %v", h.node.Name, err)
 		}
 		if h.OnRDMAWriteApplied != nil {
-			//pvfslint:ok hotpath OnRDMAWriteApplied completion hook behind a nil guard; set only by the server flow-control layer
 			h.OnRDMAWriteApplied(w.raddr, int64(len(w.data)))
 		}
 		h.putWire(w)
@@ -411,8 +402,6 @@ func (h *HCA) serveRead(p *sim.Proc, m *simnet.Message) {
 // injected completion error or a partitioned link fails the send with a
 // *WCError and moves the QP to the error state; without a fault plane
 // attached Send never fails.
-//
-//pvfslint:hotpath alloc,syscall
 func (q *QP) Send(p *sim.Proc, size int, payload any) error {
 	h := q.hca
 	if err := q.wrFault(p, "send"); err != nil {
@@ -479,11 +468,9 @@ func (h *HCA) sgeCost(sges []SGE) sim.Duration {
 func (h *HCA) checkLocal(op string, sges []SGE) error {
 	for _, s := range sges {
 		if s.Len <= 0 {
-			//pvfslint:ok hotpath error path: fires only for an empty or unregistered local segment
 			return fmt.Errorf("ib: %s: empty SGE %v", op, s)
 		}
 		if !h.coveredLocally(s.Extent()) {
-			//pvfslint:ok hotpath error path: fires only for an empty or unregistered local segment
 			return fmt.Errorf("ib: %s: %s: local segment %v not registered", h.node.Name, op, s.Extent())
 		}
 	}
@@ -497,8 +484,6 @@ func (h *HCA) checkLocal(op string, sges []SGE) error {
 // data arrives on the wire (before any message the caller sends afterwards).
 // An unregistered or unreadable local segment fails the whole work request
 // before anything is sent.
-//
-//pvfslint:hotpath alloc,syscall
 func (q *QP) RDMAWrite(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 	h := q.hca
 	if err := h.checkLocal("RDMA write", sges); err != nil {
@@ -507,7 +492,6 @@ func (q *QP) RDMAWrite(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error 
 	sp := h.tracer.Start(p.Now(), trace.Ctx(p.TraceCtx()), h.node.Name, "ib.rdma-write", trace.StageWire)
 	if sp.Recording() {
 		sp.SetBytes(TotalLen(sges))
-		//pvfslint:ok hotpath annotation formatting behind the Recording guard; a disabled tracer never reaches it
 		sp.Annotate("sges=%d", len(sges))
 	}
 	offset := int64(0)
@@ -526,7 +510,6 @@ func (q *QP) RDMAWrite(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error 
 		for _, s := range wr {
 			if err := h.space.ReadInto(s.Addr, data[off:off+int(s.Len)]); err != nil {
 				h.scratch().Put(data)
-				//pvfslint:ok hotpath error path: gather-fault diagnostic after a DMA range check failed
 				err = fmt.Errorf("ib: %s: RDMA write gather fault: %w", h.node.Name, err)
 				sp.EndErr(p.Now(), err)
 				return err
@@ -565,8 +548,6 @@ func (q *QP) RDMAWrite(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error 
 // Lists longer than MaxSGE split into multiple work requests. The caller
 // blocks until all data has arrived and been scattered. An unregistered or
 // unwritable local segment fails the work request.
-//
-//pvfslint:hotpath alloc,syscall
 func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 	h := q.hca
 	if err := h.checkLocal("RDMA read", sges); err != nil {
@@ -575,7 +556,6 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 	sp := h.tracer.Start(p.Now(), trace.Ctx(p.TraceCtx()), h.node.Name, "ib.rdma-read", trace.StageWire)
 	if sp.Recording() {
 		sp.SetBytes(TotalLen(sges))
-		//pvfslint:ok hotpath annotation formatting behind the Recording guard; a disabled tracer never reaches it
 		sp.Annotate("sges=%d", len(sges))
 	}
 	offset := int64(0)
@@ -597,7 +577,6 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 		// (or timeout) and recycles it drained and out of h.reads, so no
 		// late sender can reach it.
 		mb := h.readMBs.Take()
-		//pvfslint:ok hotpath outstanding-read table insert; deleted on completion, so the table stays at the in-flight high-water mark
 		h.reads[id] = mb
 		h.mx.outReads.Add(p.Now(), 1)
 		p.Sleep(h.sgeCost(wr))
@@ -627,7 +606,6 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 				h.readMBs.Put(mb)
 				q.state = QPError
 				h.Counters.WRErrors++
-				//pvfslint:ok hotpath WCError construction on the response-timeout path — fault path only
 				wcErr := &WCError{Status: WCResponseTimeout, Op: "rdma-read"}
 				sp.EndErr(p.Now(), wcErr)
 				return wcErr
@@ -641,7 +619,6 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 		for _, s := range wr {
 			if err := h.space.Write(s.Addr, data[:s.Len]); err != nil {
 				h.putWire(resp)
-				//pvfslint:ok hotpath error path: scatter-fault diagnostic after a DMA range check failed
 				err = fmt.Errorf("ib: %s: RDMA read scatter fault: %w", h.node.Name, err)
 				sp.EndErr(p.Now(), err)
 				return err

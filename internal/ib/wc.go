@@ -137,11 +137,9 @@ func (q *QP) wrFault(p *sim.Proc, op string) error {
 	if q.state == QPError {
 		return ErrQPState
 	}
-	//pvfslint:ok hotpath fault-injector hook behind a nil guard; no dynamic call when faults are off
 	if h.faults != nil && !q.control && h.faults.WRError(p.Now(), h.node.Name) {
 		q.state = QPError
 		h.Counters.WRErrors++
-		//pvfslint:ok hotpath WCError construction for an injected work-request error — fault path only
 		return &WCError{Status: WCWorkRequestError, Op: op}
 	}
 	return nil
@@ -155,6 +153,5 @@ func (q *QP) wireFault(op string, err error) error {
 	}
 	q.state = QPError
 	q.hca.Counters.WRErrors++
-	//pvfslint:ok hotpath WCError construction after a fabric send failure — fault path only
 	return &WCError{Status: WCRetryExceeded, Op: op}
 }

@@ -131,8 +131,6 @@ type File struct {
 }
 
 // Open returns the named file, creating it if needed.
-//
-//pvfslint:ok hotpath file creation: the first open of a name builds the file once; every later open is a map lookup
 func (fs *FS) Open(p *sim.Proc, name string) *File {
 	fs.Counters.OpenCalls++
 	p.Sleep(fs.params.OpenOverhead)
@@ -438,12 +436,10 @@ func (f *File) block(blk int64) []byte {
 			fs.freeExt = fs.freeExt[:n-1]
 			fs.host.Recycled++
 		} else {
-			//pvfslint:ok hotpath file growth: a fresh extent only when the file reaches blocks it never held and no freed extent is left to recycle
 			e = &extent{data: make([]byte, extentBlocks*bs)}
 			fs.host.Fresh++
 			fs.host.BytesCleared += extentBlocks * bs
 		}
-		//pvfslint:ok hotpath file growth: one extent-table entry per extent the file has reached
 		f.data[blk/extentBlocks] = e
 	}
 	b := blk % extentBlocks
@@ -599,7 +595,6 @@ func (c *pageCache) insert(p *sim.Proc, f *File, blk int64, dirty bool) {
 	i := c.free
 	if i == noEntry {
 		i = int32(len(c.ents))
-		//pvfslint:ok hotpath page-cache entry table: grows to the cache's resident high-water mark, then evicted entries are reused
 		c.ents = append(c.ents, cacheEntry{})
 	} else {
 		c.free = c.ents[i].next
@@ -624,14 +619,11 @@ func (c *pageCache) evictOne(p *sim.Proc) {
 // adjacent blocks into single media writes. It collects them in the cache's
 // flush list, which it takes for the call and hands back afterwards: the
 // disk sleeps between writes, and another flush may start meanwhile.
-//
-//pvfslint:hotpath alloc
 func (c *pageCache) flushFile(p *sim.Proc, f *File) {
 	dirty := c.flushList[:0]
 	c.flushList = nil
 	for i := c.head; i != noEntry; i = c.ents[i].next {
 		if e := c.ents[i]; e.key.file == f && e.dirty {
-			//pvfslint:ok hotpath flush-list growth: reaches the most dirty blocks one file has held at once and stops
 			dirty = append(dirty, e.key.blk)
 		}
 	}
@@ -683,7 +675,6 @@ type lockTable struct {
 
 type lockRange struct{ off, size int64 }
 
-//pvfslint:ok hotpath file creation: one lock table per file, built when the file is
 func newLockTable(eng *sim.Engine) *lockTable {
 	return &lockTable{eng: eng, cond: eng.NewCond()}
 }
@@ -692,14 +683,12 @@ func (lt *lockTable) lock(p *sim.Proc, off, size int64) {
 	for lt.conflicts(off, size) {
 		lt.cond.Wait(p)
 	}
-	//pvfslint:ok hotpath held-range list: reaches the most ranges of the file locked at once and stops
 	lt.held = append(lt.held, lockRange{off, size})
 }
 
 func (lt *lockTable) unlock(off, size int64) {
 	for i, r := range lt.held {
 		if r.off == off && r.size == size {
-			//pvfslint:ok hotpath removal in place: shifts the tail down, never grows
 			lt.held = append(lt.held[:i], lt.held[i+1:]...)
 			lt.cond.Broadcast()
 			return

@@ -7,6 +7,7 @@ import (
 
 	"pvfsib/internal/disk"
 	"pvfsib/internal/sim"
+	"pvfsib/internal/sim/simtest"
 	"pvfsib/internal/simnet"
 )
 
@@ -293,6 +294,28 @@ func TestCountersTrackCalls(t *testing.T) {
 	if c.OpenCalls != 1 || c.WriteCalls != 1 || c.ReadCalls != 2 || c.SyncCalls != 1 {
 		t.Errorf("counters = %+v", c)
 	}
+}
+
+// TestSyncAllocFree: an fsync of a file with runs of dirty blocks collects
+// them in the cache's own flush list, sorts it in place and writes the
+// runs; SyncAll, which DropCaches runs, lists the files in the file
+// system's own slice. In steady state neither allocates.
+func TestSyncAllocFree(t *testing.T) {
+	eng, fs := newFS(t)
+	block := make([]byte, 4<<10)
+	var f, g *File
+	simtest.AllocFree(t, eng, "sync", func(p *sim.Proc) {
+		if f == nil {
+			f, g = fs.Open(p, "dirty"), fs.Open(p, "other")
+		}
+		// Three runs, dirtied out of order.
+		for _, blk := range []int64{40, 7, 8, 9, 41, 100, 6} {
+			f.WriteAt(p, blk*int64(len(block)), block)
+		}
+		f.Sync(p)
+		g.WriteAt(p, 0, block)
+		fs.SyncAll(p)
+	})
 }
 
 func TestPropertySparseWriteReadEquivalence(t *testing.T) {

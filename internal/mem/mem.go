@@ -190,7 +190,6 @@ func (s *AddrSpace) bytes(m *mapping) []byte {
 		s.freeBytes -= n
 		s.host.Recycled++
 	} else {
-		//pvfslint:ok hotpath first touch: a mapping gets its storage once, at its first byte access, unless freed storage of its size is kept
 		m.data = make([]byte, n)
 		s.host.Fresh++
 		s.host.BytesCleared += n
@@ -320,7 +319,6 @@ func (s *AddrSpace) Holes(e Extent) []Extent {
 			next, resume = s.maps[i].base, s.maps[i].end()
 		}
 		if at < next {
-			//pvfslint:ok hotpath hole query: group registration asks only after an optimistic registration failed
 			holes = append(holes, Extent{Addr: at, Len: int64(next - at)})
 		}
 		at = resume
@@ -344,7 +342,6 @@ type errRange struct {
 }
 
 func (er *errRange) Error() string {
-	//pvfslint:ok hotpath error formatting; runs only when a range error is rendered, never on the success path
 	return fmt.Sprintf("mem: %s: %s %v touches unallocated memory", er.space, er.op, er.e)
 }
 
@@ -357,7 +354,6 @@ func (s *AddrSpace) Write(addr Addr, data []byte) error {
 	}
 	i := s.covers(addr, int64(len(data)), true)
 	if i < 0 {
-		//pvfslint:ok hotpath errRange construction — error path for an out-of-range DMA write
 		return &errRange{space: s.name, op: "write", e: Extent{Addr: addr, Len: int64(len(data))}}
 	}
 	s.host.BytesCopied += int64(len(data))
@@ -386,7 +382,6 @@ func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
 	}
 	i := s.covers(addr, int64(len(dst)), true)
 	if i < 0 {
-		//pvfslint:ok hotpath errRange construction — error path for an out-of-range DMA read
 		return &errRange{space: s.name, op: "read", e: Extent{Addr: addr, Len: int64(len(dst))}}
 	}
 	s.host.BytesCopied += int64(len(dst))
@@ -407,11 +402,9 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 	}
 	si, di := s.covers(src, n, true), s.covers(dst, n, true)
 	if si < 0 {
-		//pvfslint:ok hotpath errRange construction — error path for an out-of-range arena copy
 		return &errRange{space: s.name, op: "read", e: Extent{Addr: src, Len: n}}
 	}
 	if di < 0 {
-		//pvfslint:ok hotpath errRange construction — error path for an out-of-range arena copy
 		return &errRange{space: s.name, op: "write", e: Extent{Addr: dst, Len: n}}
 	}
 	// One copy per pair of mappings crossed — usually one in all, and copy
@@ -530,8 +523,6 @@ func scratchKeep(c int) int {
 
 // Get returns a length-n buffer with undefined contents. Requests beyond the
 // largest class fall back to a plain allocation that Put will decline.
-//
-//pvfslint:ok hotpath pool miss: one buffer per high-water mark of concurrent scratch users, recycled via Put
 func (p *ScratchPool) Get(n int) []byte {
 	if n <= 0 {
 		return nil
@@ -588,7 +579,6 @@ func (p *ScratchPool) Put(b []byte) {
 	}
 	cl := scratchClass(c)
 	if len(p.classes[cl]) < scratchKeep(cl) {
-		//pvfslint:ok hotpath free-list push; the backing array reaches the pool high-water mark and stops growing
 		p.classes[cl] = append(p.classes[cl], b[:0])
 	}
 }

@@ -169,8 +169,6 @@ func (c Counter) Owned(owner *int64) Counter {
 }
 
 // Add records v at virtual time t. A zero-value Counter ignores the call.
-//
-//pvfslint:hotpath
 func (c Counter) Add(t sim.Time, v int64) {
 	if c.own != nil {
 		*c.own += v
@@ -199,8 +197,6 @@ func (c Counter) Total() int64 {
 type Gauge struct{ s *series }
 
 // Set records the absolute value v at virtual time t.
-//
-//pvfslint:hotpath
 func (g Gauge) Set(t sim.Time, v int64) {
 	s := g.s
 	if s == nil {
@@ -217,8 +213,6 @@ func (g Gauge) Set(t sim.Time, v int64) {
 
 // Add shifts the gauge by d at virtual time t (queue-depth style: +1 on
 // enqueue, -1 on dequeue).
-//
-//pvfslint:hotpath
 func (g Gauge) Add(t sim.Time, d int64) {
 	s := g.s
 	if s == nil {
@@ -258,8 +252,6 @@ type Busy struct{ s *series }
 // AddSpan charges the busy span [from, to) at its completion time. Spans
 // are charged by the owning node, typically right after the modeled
 // Sleep, so `to` is the node's current time.
-//
-//pvfslint:hotpath
 func (b Busy) AddSpan(from, to sim.Time) {
 	s := b.s
 	if s == nil || to <= from {

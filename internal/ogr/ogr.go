@@ -128,7 +128,6 @@ type Scratch struct {
 // planGroups sorts the buffers and greedily merges neighbours when the cost
 // model favours swallowing the hole between them.
 func (s *Scratch) planGroups(bufs []mem.Extent, cfg Config) []group {
-	//pvfslint:ok hotpath plan scratch growth: reaches the longest buffer list an operation has registered and stops
 	sorted := append(s.sorted[:0], bufs...)
 	slices.SortFunc(sorted, compareAddr)
 	s.sorted = sorted
@@ -139,7 +138,6 @@ func (s *Scratch) planGroups(bufs []mem.Extent, cfg Config) []group {
 		for _, b := range sorted[1:] {
 			span.Len = max(span.Len, int64(b.End()-span.Addr))
 		}
-		//pvfslint:ok hotpath plan scratch growth: reaches the most groups an operation has been cut into and stops
 		s.groups = append(s.groups[:0], group{span: span, bufs: sorted})
 		return s.groups
 	}
@@ -171,11 +169,9 @@ func (s *Scratch) planGroups(bufs []mem.Extent, cfg Config) []group {
 			}
 			continue
 		}
-		//pvfslint:ok hotpath plan scratch growth: reaches the most groups an operation has been cut into and stops
 		groups = append(groups, group{span: span, bufs: sorted[start:i]})
 		start, span = i, b
 	}
-	//pvfslint:ok hotpath plan scratch growth: reaches the most groups an operation has been cut into and stops
 	s.groups = append(groups, group{span: span, bufs: sorted[start:]})
 	return s.groups
 }
@@ -192,8 +188,6 @@ func RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpace, bufs []me
 
 // RegisterBuffers is the package's RegisterBuffers planned in s: the Result
 // is s's, valid until s registers again.
-//
-//pvfslint:hotpath alloc
 func (s *Scratch) RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpace, bufs []mem.Extent, cfg Config) (*Result, error) {
 	res := &s.res
 	*res = Result{MRs: res.MRs[:0]}
@@ -202,23 +196,19 @@ func (s *Scratch) RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpa
 	}
 	for _, b := range bufs {
 		if b.Len <= 0 {
-			//pvfslint:ok hotpath error path: an empty buffer is a caller bug
 			return nil, fmt.Errorf("ogr: empty buffer %v", b)
 		}
 	}
 	t0 := p.Now()
 	for _, g := range s.planGroups(bufs, cfg) {
 		// Step 2: optimistic registration of the whole candidate span.
-		//pvfslint:ok hotpath registrar dispatch: Direct or Cached, as the operation's registration policy picks
 		mr, err := reg.Register(p, g.span)
 		if err == nil {
-			//pvfslint:ok hotpath result scratch growth: reaches the most regions an operation has registered and stops
 			res.MRs = append(res.MRs, mr)
 			res.Registrations++
 			continue
 		}
 		if !errors.Is(err, ib.ErrNotAllocated) {
-			//pvfslint:ok hotpath error path: the registration failed outright
 			return nil, errors.Join(err, releaseAll(p, reg, res))
 		}
 		res.FailedAttempts++
@@ -226,7 +216,6 @@ func (s *Scratch) RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpa
 		// Step 3: fall back.
 		if len(g.bufs) <= cfg.SmallGroupLimit {
 			if err := registerEach(p, reg, g.bufs, res); err != nil {
-				//pvfslint:ok hotpath error path: the registration failed outright
 				return nil, errors.Join(err, releaseAll(p, reg, res))
 			}
 			continue
@@ -237,16 +226,13 @@ func (s *Scratch) RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpa
 			if !coversAnyBuffer(run, g.bufs) {
 				continue
 			}
-			//pvfslint:ok hotpath registrar dispatch: Direct or Cached, as the operation's registration policy picks
 			mr, err := reg.Register(p, run)
 			if err != nil {
 				if errors.Is(err, ib.ErrNotAllocated) {
 					err = ErrBufferUnallocated
 				}
-				//pvfslint:ok hotpath error path: the registration failed outright
 				return nil, errors.Join(err, releaseAll(p, reg, res))
 			}
-			//pvfslint:ok hotpath result scratch growth: reaches the most regions an operation has registered and stops
 			res.MRs = append(res.MRs, mr)
 			res.Registrations++
 		}
@@ -254,7 +240,6 @@ func (s *Scratch) RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpa
 		// application error.
 		for _, b := range g.bufs {
 			if !covered(b, res.MRs) {
-				//pvfslint:ok hotpath error path: a buffer the application never allocated
 				return nil, errors.Join(ErrBufferUnallocated, releaseAll(p, reg, res))
 			}
 		}
@@ -265,7 +250,6 @@ func (s *Scratch) RegisterBuffers(p *sim.Proc, reg Registrar, space *mem.AddrSpa
 
 func registerEach(p *sim.Proc, reg Registrar, bufs []mem.Extent, res *Result) error {
 	for _, b := range bufs {
-		//pvfslint:ok hotpath registrar dispatch: Direct or Cached, as the operation's registration policy picks
 		mr, err := reg.Register(p, b)
 		if err != nil {
 			if errors.Is(err, ib.ErrNotAllocated) {
@@ -273,7 +257,6 @@ func registerEach(p *sim.Proc, reg Registrar, bufs []mem.Extent, res *Result) er
 			}
 			return err
 		}
-		//pvfslint:ok hotpath result scratch growth: reaches the most regions an operation has registered and stops
 		res.MRs = append(res.MRs, mr)
 		res.Registrations++
 	}
@@ -292,9 +275,7 @@ func Release(p *sim.Proc, reg Registrar, res *Result) error {
 func releaseAll(p *sim.Proc, reg Registrar, res *Result) error {
 	var errs []error
 	for _, mr := range res.MRs {
-		//pvfslint:ok hotpath registrar dispatch: Direct or Cached, as the operation's registration policy picks
 		if err := reg.Release(p, mr); err != nil {
-			//pvfslint:ok hotpath error path: a release failed
 			errs = append(errs, err)
 		}
 	}
@@ -302,7 +283,6 @@ func releaseAll(p *sim.Proc, reg Registrar, res *Result) error {
 		clear(res.MRs[:cap(res.MRs)])
 	}
 	res.MRs = res.MRs[:0]
-	//pvfslint:ok hotpath error path: Join returns nil without allocating when nothing failed
 	return errors.Join(errs...)
 }
 
@@ -313,7 +293,6 @@ func subtractHoles(span mem.Extent, holes []mem.Extent) []mem.Extent {
 	cursor := span.Addr
 	for _, h := range holes {
 		if h.Addr > cursor {
-			//pvfslint:ok hotpath hole query: runs only after an optimistic registration failed
 			runs = append(runs, mem.Extent{Addr: cursor, Len: int64(h.Addr - cursor)})
 		}
 		if h.End() > cursor {
@@ -321,7 +300,6 @@ func subtractHoles(span mem.Extent, holes []mem.Extent) []mem.Extent {
 		}
 	}
 	if span.End() > cursor {
-		//pvfslint:ok hotpath hole query: runs only after an optimistic registration failed
 		runs = append(runs, mem.Extent{Addr: cursor, Len: int64(span.End() - cursor)})
 	}
 	return runs

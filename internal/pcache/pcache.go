@@ -195,8 +195,6 @@ func (f *File) Handle() *pvfs.FileHandle { return f.fh }
 // sampleMX re-samples the occupancy gauges from the table and dirty
 // count, emitting only the delta since the last sample. Call with the
 // mutex held, after any state change, before releasing it.
-//
-//pvfslint:hotpath alloc,syscall
 func (f *File) sampleMX(p *sim.Proc) {
 	if res := int64(len(f.table)); res != f.mxRes {
 		f.mx.Resident.Add(p.Now(), res-f.mxRes)
@@ -386,8 +384,6 @@ func (f *File) lockWithLease(p *sim.Proc, write bool) error {
 // This is the cache's steady-state hit path: zero allocations per
 // operation. Blocking is its job — the mutex acquire and the memcpy-time
 // sleep park the process by design.
-//
-//pvfslint:hotpath alloc,syscall
 func (f *File) tryFast(p *sim.Proc, segs []ib.SGE, accs []pvfs.OffLen, write bool, total int64) (bool, error) {
 	f.mu.Acquire(p)
 	if !f.covered(write) || (write && f.cfg.WriteThrough) {
@@ -411,7 +407,6 @@ func (f *File) tryFast(p *sim.Proc, segs []ib.SGE, accs []pvfs.OffLen, write boo
 		}
 		if !f.cl.Space().Allocated(mem.Extent{Addr: addr, Len: n}) {
 			f.mu.Release()
-			//pvfslint:ok hotpath error path: fires only when the caller’s buffer lies outside its allocated address space
 			return false, fmt.Errorf("pcache: user buffer %v unallocated", mem.Extent{Addr: addr, Len: n})
 		}
 		if write && !f.frames[fi].dirty {

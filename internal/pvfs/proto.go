@@ -135,7 +135,9 @@ func (rp *recordPool) put(r *record) {
 	}
 	r.Kind, r.Data = recFree, nil
 	if sim.PoisonReleased {
-		r.Seq = -1
+		// No MR owns the last address and key, so an RDMA aimed at a
+		// released record's staging buffer fails.
+		r.Seq, r.Addr, r.Key = -1, ^mem.Addr(0), ^ib.Key(0)
 		poisonAccs(r.Accs)
 	}
 	rp.Put(r)

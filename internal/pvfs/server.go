@@ -124,9 +124,7 @@ func (s *Server) file(p *sim.Proc, id int64) *localfs.File {
 	if f, ok := s.files[id]; ok {
 		return f
 	}
-	//pvfslint:ok hotpath first request for a file on this daemon (or the first after a restart): names and opens its stripe file once
 	f := s.fs.Open(p, fmt.Sprintf("f%06d", id))
-	//pvfslint:ok hotpath open-file table: one entry per file the daemon serves
 	s.files[id] = f
 	return f
 }
@@ -247,7 +245,6 @@ func (sc *serverConn) reply(p *sim.Proc, size int, r *record) bool {
 func (sc *serverConn) abort(p *sim.Proc, op string, seq int64, why string) {
 	s := sc.srv
 	s.acct.ServerAborts++
-	//pvfslint:ok hotpath abort diagnostics: only the fault plane aborts a request
 	s.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "iod-abort", 0, "%s seq=%d: %s", op, seq, why)
 }
 
@@ -287,8 +284,6 @@ func (sc *serverConn) waitDone(p *sim.Proc, seq int64, want recKind) (ok bool, p
 }
 
 // handleWrite serves one list write; serve recycles req when it returns.
-//
-//pvfslint:hotpath alloc
 func (sc *serverConn) handleWrite(p *sim.Proc, req *record) (next any) {
 	s := sc.srv
 	f := s.file(p, req.FileID)
@@ -350,8 +345,6 @@ func (sc *serverConn) takePacked(n int64) []byte {
 }
 
 // handleRead serves one list read; serve recycles req when it returns.
-//
-//pvfslint:hotpath alloc
 func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 	s := sc.srv
 	f := s.file(p, req.FileID)
@@ -359,7 +352,6 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 	var data []byte
 	if req.Stream {
 		// The reply owns a stream payload from here on, so it is not scratch.
-		//pvfslint:ok hotpath stream-socket transport, not the verbs data path: the reply owns its payload
 		data = make([]byte, req.Total)
 	} else {
 		// Request-sized: this storage becomes the staging buffer's.
@@ -386,7 +378,6 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 		// target is the connection's statically registered fast buffer, so
 		// fault-free a failure here is a broken connection invariant; under
 		// faults it is an injected completion error and the request aborts.
-		//pvfslint:ok hotpath one-entry gather list on the stack: RDMAWrite reads it before returning and keeps nothing
 		if err := sc.qp.RDMAWrite(p, []ib.SGE{{Addr: buf.Addr, Len: req.Total}}, sc.cliAddr, sc.cliKey); err != nil {
 			if s.cluster.recovery() == nil {
 				sim.Must(err)

@@ -138,7 +138,6 @@ func (pl *opPlan) part(srv int) *serverPart {
 	if n < cap(pl.parts) {
 		pl.parts = pl.parts[:n+1]
 	} else {
-		//pvfslint:ok hotpath plan growth: one slot per server an operation on this plan has touched, at most the cluster's server count
 		pl.parts = append(pl.parts, serverPart{})
 	}
 	p := &pl.parts[n]
@@ -152,25 +151,20 @@ func (pl *opPlan) part(srv int) *serverPart {
 // segment/region boundary, and each fragment is appended to its server's
 // part, preserving byte order within each server. The caller's lists are
 // read, never kept.
-//
-//pvfslint:hotpath alloc
 func (pl *opPlan) split(memSegs []ib.SGE, fileAccs []OffLen, stripeSize int64, nServers int) error {
 	pl.parts = pl.parts[:0]
 	memTotal := ib.TotalLen(memSegs)
 	fileTotal := TotalOffLen(fileAccs)
 	if memTotal != fileTotal {
-		//pvfslint:ok hotpath error path: the caller's two lists disagree
 		return fmt.Errorf("pvfs: memory bytes (%d) != file bytes (%d)", memTotal, fileTotal)
 	}
 	for _, s := range memSegs {
 		if s.Len <= 0 {
-			//pvfslint:ok hotpath error path: malformed caller list
 			return fmt.Errorf("pvfs: empty memory segment %v", s)
 		}
 	}
 	for _, a := range fileAccs {
 		if a.Len <= 0 || a.Off < 0 {
-			//pvfslint:ok hotpath error path: malformed caller list
 			return fmt.Errorf("pvfs: bad file region %+v", a)
 		}
 	}
@@ -201,7 +195,6 @@ func (pl *opPlan) split(memSegs []ib.SGE, fileAccs []OffLen, stripeSize int64, n
 		if k := len(p.accs) - 1; k >= 0 && p.accs[k].End() == local {
 			p.accs[k].Len += n
 		} else {
-			//pvfslint:ok hotpath plan scratch growth: a part's region list reaches the longest any operation on this plan has needed and stops
 			p.accs = append(p.accs, OffLen{Off: local, Len: n})
 		}
 		p.segs = appendSeg(p.segs, seg.Addr+mem.Addr(mo), n)
@@ -225,7 +218,6 @@ func appendSeg(segs []ib.SGE, addr mem.Addr, n int64) []ib.SGE {
 		segs[k].Len += n
 		return segs
 	}
-	//pvfslint:ok hotpath plan scratch growth: a segment list reaches the longest any operation on this plan has needed and stops
 	return append(segs, ib.SGE{Addr: addr, Len: n})
 }
 
@@ -260,8 +252,6 @@ func (p *serverPart) chunks(maxPairs int, maxBytes int64) *chunkCursor {
 }
 
 // next returns the part's next chunk, or false when the part is used up.
-//
-//pvfslint:hotpath alloc
 func (cc *chunkCursor) next() (chunk, bool) {
 	p := cc.part
 	if cc.ai == len(p.accs) {
@@ -277,7 +267,6 @@ func (cc *chunkCursor) next() (chunk, bool) {
 	for cc.ai < len(p.accs) && len(ch.accs) < cc.maxPairs && ch.total < cc.maxBytes {
 		a := p.accs[cc.ai]
 		n := min(a.Len-cc.ao, cc.maxBytes-ch.total)
-		//pvfslint:ok hotpath cursor scratch growth: a chunk's region list reaches the request pair limit and stops
 		ch.accs = append(ch.accs, OffLen{Off: a.Off + cc.ao, Len: n})
 		ch.total += n
 		if cc.ao += n; cc.ao == a.Len {

@@ -142,8 +142,6 @@ type Plan struct {
 // maxBuffer bytes. Unbounded maxBuffer yields a single window. Equal
 // accesses stay in request order, so of duplicate writes the last one wins.
 // The windows live in pl and are valid until it plans the next request.
-//
-//pvfslint:hotpath alloc
 func (pl *Plan) planWindows(accs []Access, maxBuffer int64) []window {
 	// The scratch reaches the longest access list a request has carried (at
 	// most the list-I/O pair limit) and stops growing.
@@ -170,14 +168,12 @@ func (pl *Plan) planWindows(accs []Access, maxBuffer int64) []window {
 		a := Access{sorted[i].Off, sorted[i].Len}
 		end := max(a.End(), span.End())
 		if maxBuffer > 0 && end-span.Off > maxBuffer {
-			//pvfslint:ok hotpath plan scratch growth: reaches the most windows one request has been cut into and stops
 			wins = append(wins, window{sorted[start:i], span})
 			start, span = i, a
 			continue
 		}
 		span.Len = end - span.Off
 	}
-	//pvfslint:ok hotpath plan scratch growth: reaches the most windows one request has been cut into and stops
 	wins = append(wins, window{sorted[start:], span})
 	pl.sorted, pl.wins = sorted, wins
 	return wins
@@ -200,13 +196,10 @@ func (p Params) plan() *Plan {
 	if p.Plan != nil {
 		return p.Plan
 	}
-	//pvfslint:ok hotpath no-scratch fallback: a caller that sets Params.Plan, as the I/O daemon does, never reaches it
 	return new(Plan)
 }
 
 // decide evaluates the cost model for one window.
-//
-//pvfslint:ok hotpath cost-model bandwidth curves: Br and Bw are Params fields set once when the daemon starts (the disk's ReadBW/WriteBW), plain arithmetic
 func (p Params) decide(w window, write bool) Decision {
 	d := Decision{N: len(w.accs), Span: w.span.Len}
 	var tIndiv, tSieve sim.Duration
@@ -253,7 +246,6 @@ func ReadInto(p *sim.Proc, f *localfs.File, accs []Access, dst []byte, params Pa
 	for _, w := range pl.planWindows(accs, params.MaxBuffer) {
 		d := params.decide(w, false)
 		applyMode(&d, mode)
-		//pvfslint:ok hotpath plan scratch growth: one decision per window, reaches the most windows one request has been cut into and stops
 		decisions = append(decisions, d)
 		record(stats, d)
 		sp := startWindowSpan(p, params, d)
@@ -295,7 +287,6 @@ func Write(p *sim.Proc, f *localfs.File, accs []Access, data []byte, params Para
 	for _, w := range pl.planWindows(accs, params.MaxBuffer) {
 		d := params.decide(w, true)
 		applyMode(&d, mode)
-		//pvfslint:ok hotpath plan scratch growth: one decision per window, reaches the most windows one request has been cut into and stops
 		decisions = append(decisions, d)
 		record(stats, d)
 		sp := startWindowSpan(p, params, d)
@@ -326,7 +317,6 @@ func startWindowSpan(p *sim.Proc, params Params, d Decision) trace.Span {
 	sp := params.Tracer.Start(p.Now(), trace.Ctx(p.TraceCtx()), params.Node, "sieve.window", trace.StageSieve)
 	sp.SetBytes(d.Wanted)
 	if sp.Recording() {
-		//pvfslint:ok hotpath annotation formatting behind the Recording guard; a disabled tracer never reaches it
 		sp.Annotate("sieve=%t n=%d span=%d t_ds=%v t_indiv=%v", d.UseSieve, d.N, d.Span, d.Tds, d.Tindiv)
 	}
 	return sp

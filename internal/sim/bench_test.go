@@ -271,11 +271,11 @@ func TestShardedCellThroughput(t *testing.T) {
 		}
 		var sink uint64
 		cellWorkload(e, 100, 1000, 50, 150, &sink)
-		start := time.Now() //pvfslint:ok detcheck wall-clock speedup is host diagnostics, never part of results
+		start := time.Now()
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(start) //pvfslint:ok detcheck wall-clock speedup is host diagnostics, never part of results
+		return time.Since(start)
 	}
 	t1, t4 := run(1), run(4)
 	speedup := float64(t1) / float64(t4)

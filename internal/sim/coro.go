@@ -26,7 +26,6 @@ type shutdown struct{}
 func (s *shard) takeCarrier() *carrier {
 	c := s.carriers.Take()
 	if c.next == nil {
-		//pvfslint:ok hotpath carrier miss: one coroutine, and the bound loop it runs, per high-water mark of live processes on the shard; the carrier is recycled thereafter
 		c.next, c.stop = iter.Pull(c.loop)
 	}
 	return c
@@ -46,11 +45,9 @@ func (c *carrier) loop(yield func(struct{}) bool) {
 // runBody runs c.p to completion; reuse is false after a panic or Shutdown.
 func (c *carrier) runBody() (reuse bool) {
 	p, s := &c.p, c.p.g.sh
-	//pvfslint:ok hotpath the body's recover: a deferred closure the compiler keeps on the carrier's stack, once per body
 	defer func() {
 		r := recover()
 		if _, dead := r.(shutdown); r != nil && !dead {
-			//pvfslint:ok hotpath panic report: only a body that panicked gets here, and the run fails with it
 			s.panicked = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
 		}
 		s.unregister(p)
@@ -60,7 +57,6 @@ func (c *carrier) runBody() (reuse bool) {
 		}
 		reuse = r == nil
 	}()
-	//pvfslint:ok hotpath the process body itself: what the carrier exists to run, dynamic by design
 	p.fn(p)
 	return
 }

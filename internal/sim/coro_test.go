@@ -222,7 +222,6 @@ func TestBlockingOutsideOwnProcessFails(t *testing.T) {
 		{"Acquire", func(e *Engine, q *Proc) {
 			r := e.NewResource("r", 1)
 			r.Acquire(q)
-			//pvfslint:ok lockorder the second Acquire has to park: parking outside q's own body is the misuse under test
 			r.Acquire(q)
 		}, `sim: park of "q" called outside its own process`},
 	}

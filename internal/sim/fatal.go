@@ -22,6 +22,5 @@ func Must(err error) {
 // Failf panics with a formatted message. Use it inside simulation processes
 // for fatal conditions that have no error value to propagate.
 func Failf(format string, args ...any) {
-	//pvfslint:ok hotpath failure path: formats the fatal diagnostic once, immediately before panicking
 	panic(fmt.Sprintf(format, args...))
 }

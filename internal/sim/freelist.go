@@ -28,13 +28,11 @@ func (l *FreeList[T]) Take() *T {
 		return x
 	}
 	l.made++
-	//pvfslint:ok hotpath free-list miss: one allocation per high-water mark of objects out of the list's kind on the shard, recycled thereafter
 	return new(T)
 }
 
 // Put recycles x, which the caller must not touch afterwards.
 func (l *FreeList[T]) Put(x *T) {
-	//pvfslint:ok hotpath free-list push; the backing array reaches the high-water mark of objects recycled into the list and stops growing
 	l.free = append(l.free, x)
 }
 

@@ -110,7 +110,6 @@ func before(a, b *event) bool {
 type eventHeap []*event
 
 func (h *eventHeap) pushEv(e *event) {
-	//pvfslint:ok hotpath heap growth: amortized doubling up to the high-water mark of pending events; the typed sift loop stores the *event directly and the slice is reused for the engine's lifetime
 	q := append(*h, e)
 	i := len(q) - 1
 	for ; i > 0 && before(e, q[(i-1)/2]); i = (i - 1) / 2 {
@@ -415,9 +414,7 @@ func (e *Engine) scheduleEv(ev *event, t Time, origin, exec *Group) {
 				exec.name, t, e.windowEnd)
 		}
 		ev.t = t
-		//pvfslint:ok hotpath cross-shard hand-off: the target shard's inbox mutex, taken only for events crossing shards at or beyond the window end — the shard-local fast path pushes straight onto the local heap with no lock
 		s.inMu.Lock()
-		//pvfslint:ok hotpath ready-queue append; the backing array is retained across turns and reaches steady-state capacity
 		s.inbox = append(s.inbox, ev)
 		s.inMu.Unlock()
 		return
@@ -543,15 +540,12 @@ func (p *Proc) Go(name string, fn func(q *Proc)) {
 }
 
 // goAt starts fn on an idle carrier, its record reset all but the carrier link.
-//
-//pvfslint:hotpath alloc
 func (e *Engine) goAt(origin, g *Group, t Time, name string, fn func(p *Proc)) {
 	s := g.sh
 	c := s.takeCarrier()
 	p := &c.p
 	*p = Proc{eng: e, g: g, name: name, fn: fn, c: c, idx: len(s.procs)}
 	p.wakeEv.proc = p
-	//pvfslint:ok hotpath amortized live-process list growth; the backing array is retained and reaches the high-water mark of live processes on the shard
 	s.procs = append(s.procs, p)
 	e.scheduleEv(&p.wakeEv, t, origin, g)
 }
@@ -649,7 +643,6 @@ type DeadlockError struct {
 	Parked []string // names of parked processes
 }
 
-//pvfslint:ok hotpath error formatting; a deadlock report means the simulation already failed
 func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock at %v: %d process(es) parked forever: %v",
 		e.Time, len(e.Parked), e.Parked)
@@ -666,13 +659,10 @@ func (e *Engine) Run() error {
 // deadlock or an empty queue.
 //
 // This is the simulator's innermost loop: every virtual nanosecond of every
-// experiment flows through it, so it is a declared hot path — any effect
-// reachable from here must be audited where it happens (//pvfslint:ok hotpath).
-//
-//pvfslint:hotpath
+// experiment flows through it, so its steady state allocates nothing
+// (TestEngineTurnoverAllocFree).
 func (e *Engine) RunUntil(limit Time) error {
 	e.running = true
-	//pvfslint:ok hotpath once per Run: the deferred running-flag reset, never on the event path
 	defer func() { e.running = false }()
 	if !e.sharded {
 		return e.runSingle(limit)
@@ -713,13 +703,10 @@ func (e *Engine) runSharded(limit Time) error {
 		Failf("sim: sharded engine with no lookahead declared (SetLookahead)")
 	}
 	for _, s := range e.shards {
-		//pvfslint:ok hotpath sharded run setup: one worker goroutine per shard, started once per Run and joined at the end, never per event
 		go s.workerLoop()
 	}
-	//pvfslint:ok hotpath sharded run teardown: the deferred close of every shard's work channel, once per Run
 	defer func() {
 		for _, s := range e.shards {
-			//pvfslint:ok hotpath sharded run teardown: the deferred close of every shard's work channel, once per Run
 			s.work <- stopWorker
 		}
 	}()
@@ -752,11 +739,9 @@ func (e *Engine) runSharded(limit Time) error {
 		e.windows++
 		e.windowEnd = we
 		for _, s := range e.shards {
-			//pvfslint:ok hotpath window barrier: one work send per shard per window, amortized over every event the window drains
 			s.work <- we
 		}
 		for _, s := range e.shards {
-			//pvfslint:ok hotpath window barrier: one done receive per shard per window, amortized over every event the window drains
 			<-s.done
 		}
 		for _, s := range e.shards {
@@ -780,7 +765,6 @@ func (e *Engine) runSharded(limit Time) error {
 	return e.checkDeadlock()
 }
 
-//pvfslint:ok hotpath deadlock-diagnosis path: collects parked-process names only when the simulation is already stuck
 func (e *Engine) checkDeadlock() error {
 	nParked := 0
 	for _, s := range e.shards {
@@ -923,7 +907,6 @@ func (s *shard) exec(ev *event) {
 		}
 		s.cur = p
 		s.nResume++
-		//pvfslint:ok hotpath process resume: the shard loop switches straight into the process's carrier and gets control back when the body parks, sleeps or returns — one coroswitch each way where a channel send/receive pair through the Go scheduler used to be
 		p.c.next()
 		s.cur = nil
 		return
@@ -932,11 +915,9 @@ func (s *shard) exec(ev *event) {
 	ev.fn, ev.afn, ev.arg, ev.eg = nil, nil, nil, nil
 	s.evs.Put(ev)
 	if afn != nil {
-		//pvfslint:ok hotpath event callback dispatch: fn/afn are the scheduled callbacks themselves — dynamic by design, the event loop's whole job
 		afn(arg)
 		return
 	}
-	//pvfslint:ok hotpath event callback dispatch: fn/afn are the scheduled callbacks themselves — dynamic by design, the event loop's whole job
 	fn()
 }
 
@@ -945,7 +926,6 @@ func (s *shard) exec(ev *event) {
 // so inbox arrival order — the only scheduler-dependent order in the whole
 // engine — cannot influence execution order.
 func (s *shard) ingest() {
-	//pvfslint:ok hotpath barrier-time inbox ingest: mutex taken once per shard per window while every shard is idle, moving hand-offs into the canonical heap where the partition-independent key orders them
 	s.inMu.Lock()
 	evs := s.inbox
 	s.inbox = s.inbox[:0]
@@ -967,13 +947,11 @@ const stopWorker = Time(-1)
 // workerLoop runs on the shard's own goroutine for the duration of one
 // sharded Run: each window it drains local events below the window end.
 func (s *shard) workerLoop() {
-	//pvfslint:ok hotpath window barrier: one work receive per window on the shard's own goroutine, amortized over every event the window drains
 	for we := range s.work {
 		if we == stopWorker {
 			return
 		}
 		s.drain(we)
-		//pvfslint:ok hotpath window barrier: one done send per window, amortized over every event the window drains
 		s.done <- struct{}{}
 	}
 }
@@ -981,12 +959,8 @@ func (s *shard) workerLoop() {
 // drain executes this shard's events with t < we, including events those
 // events schedule locally inside the window.
 //
-// This is the sharded twin of the engine's inner loop and a declared hot
-// path: effects reachable from here are audited where they happen.
-//
-//pvfslint:hotpath
+// This is the sharded twin of the engine's inner loop.
 func (s *shard) drain(we Time) {
-	//pvfslint:ok hotpath panic containment: the deferred recover closure is created once per window, not per event, so a process panic on a worker goroutine surfaces on the driving thread
 	defer func() {
 		if r := recover(); r != nil && s.panicked == nil {
 			s.panicked = r

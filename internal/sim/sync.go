@@ -11,7 +11,6 @@ type procQueue struct {
 
 func (q *procQueue) len() int { return len(q.items) - q.head }
 
-//pvfslint:ok hotpath amortized queue growth; the backing array is retained and reaches steady-state capacity
 func (q *procQueue) push(p *Proc) { q.items = append(q.items, p) }
 func (q *procQueue) compactIfDry() {
 	if q.head == len(q.items) {
@@ -51,7 +50,6 @@ type anyQueue struct {
 
 func (q *anyQueue) len() int { return len(q.items) - q.head }
 
-//pvfslint:ok hotpath amortized queue growth; the backing array is retained and reaches steady-state capacity
 func (q *anyQueue) push(v any) { q.items = append(q.items, v) }
 func (q *anyQueue) pop() any {
 	v := q.items[q.head]
@@ -104,8 +102,6 @@ func (m *Mailbox) Recv(p *Proc) any {
 // while the mailbox is empty, so a message already queued returns immediately
 // and costs nothing. Timeouts are the foundation of the fault-recovery layer;
 // code on the no-fault path should use Recv, which schedules no timer events.
-//
-//pvfslint:hotpath alloc
 func (m *Mailbox) RecvTimeout(p *Proc, d Duration) (v any, ok bool) {
 	for m.queue.len() == 0 {
 		// Each park is a wait of its own timeout record: a timer left over
@@ -257,8 +253,6 @@ type Cond struct {
 }
 
 // NewCond creates a condition variable.
-//
-//pvfslint:ok hotpath set-up: conditions are made with the object they guard (a file's lock table, a buffer pool), not per operation
 func (e *Engine) NewCond() *Cond { return &Cond{eng: e} }
 
 // Wait parks the calling process until signaled. As with sync.Cond, callers

@@ -296,11 +296,6 @@ func (n *Network) NumNodes() int { return len(n.nodes) }
 // (latency spike) or drop the message, in which case Send returns
 // ErrDropped after charging the serialization time the failed retries
 // consumed; without a policy Send never fails.
-//
-// Send blocks by design (transmit engine, serialization time), so only
-// allocation and wall-clock effects are budgeted.
-//
-//pvfslint:hotpath alloc,syscall
 func (node *Node) Send(p *sim.Proc, dst NodeID, size int, payload any) error {
 	if dst < 0 || int(dst) >= len(node.net.nodes) {
 		sim.Failf("simnet: send to unknown node %d", dst)
@@ -308,7 +303,6 @@ func (node *Node) Send(p *sim.Proc, dst NodeID, size int, payload any) error {
 	sp := node.net.tracer.Start(p.Now(), trace.Ctx(p.TraceCtx()), node.Name, "net.tx", trace.StageWire)
 	sp.SetBytes(int64(size))
 	if fp := node.net.faults; fp != nil {
-		//pvfslint:ok hotpath fault-plane hook behind a nil guard; no dynamic call when faults are off
 		drop, extra := fp.SendVerdict(p.Now(), int(node.ID), int(dst), size)
 		if extra > 0 {
 			p.Sleep(extra)
@@ -361,8 +355,6 @@ func (node *Node) Send(p *sim.Proc, dst NodeID, size int, payload any) error {
 // transmission started the message joins the receiver's staging FIFO, and
 // an idle receive engine starts on it at once. It executes on the
 // receiver's shard, which owns everything it touches.
-//
-//pvfslint:hotpath
 func deliverStage(v any) {
 	m := v.(*Message)
 	node := m.dst
@@ -390,8 +382,6 @@ func (node *Node) rxBegin(m *Message) {
 // rxDone is the completion callback of the receive engine: the last byte of
 // the first staged message is in. The message goes to the node's receiver
 // (or Inbox) and the next one, if any, starts.
-//
-//pvfslint:hotpath
 func rxDone(v any) {
 	m := v.(*Message)
 	node := m.dst
@@ -403,7 +393,6 @@ func rxDone(v any) {
 		node.rxTail = nil
 	}
 	if node.recv != nil {
-		//pvfslint:ok hotpath the attached adapter's receive handler, a func value so that simnet need not import it; the handler is a full-class hot-path root itself
 		node.recv(m)
 	} else {
 		node.Inbox.Send(m)

@@ -6,6 +6,7 @@ import (
 
 	"pvfsib/internal/metrics"
 	"pvfsib/internal/sim"
+	"pvfsib/internal/sim/simtest"
 	"pvfsib/internal/trace"
 )
 
@@ -217,6 +218,64 @@ func TestDisjointPairsRunInParallel(t *testing.T) {
 			t.Errorf("flow finished at %v, want %v (no cross-pair interference)", f, oneFlow)
 		}
 	}
+}
+
+// TestCrossedSendsAtOneInstant: two nodes that send to each other at the
+// same instant, two senders a node, are two independent directions. A
+// sender holds its own transmit engine only, so each node's two messages
+// queue there and both directions finish together. A send that also took
+// the peer's engine while holding its own would deadlock here: the second
+// sender on each node gets its own engine when the first finishes, then
+// waits for the peer's, which the peer's second sender holds — the run
+// ends in a sim.DeadlockError.
+func TestCrossedSendsAtOneInstant(t *testing.T) {
+	eng, net, a, b := testNet(t)
+	const size = 1 * MB
+	var arrived [2][2]sim.Time
+	for i, pair := range [2][2]*Node{{a, b}, {b, a}} {
+		from, to := pair[0], pair[1]
+		for range 2 {
+			eng.Go("send", func(p *sim.Proc) {
+				if err := from.Send(p, to.ID, size, nil); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		eng.Go("recv", func(p *sim.Proc) {
+			for j := range arrived[i] {
+				arrived[i][j] = to.Inbox.Recv(p).(*Message).ArriveAt
+			}
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatalf("crossed sends: %v", err)
+	}
+	ser := sim.Time(net.Params().SerializationTime(size))
+	first := ser + sim.Time(net.Params().Latency)
+	want := [2]sim.Time{first, first + ser}
+	if arrived != [2][2]sim.Time{want, want} {
+		t.Errorf("arrivals %v, want %v in both directions", arrived, want)
+	}
+}
+
+// TestSimnetSendAllocFree: pooled messages go from one node's Send through
+// the receiver's two receive callbacks (deliverStage, rxDone) and back to
+// the free list, and a steady-state send allocates nothing.
+func TestSimnetSendAllocFree(t *testing.T) {
+	eng, net, a, b := testNet(t)
+	var token any = 1
+	eng.Go("rx", func(p *sim.Proc) {
+		for {
+			net.Recycle(b.Inbox.Recv(p).(*Message))
+		}
+	})
+	simtest.AllocFree(t, eng, "simnet send", func(p *sim.Proc) {
+		for i := 0; i < 16; i++ {
+			if err := a.Send(p, b.ID, 4096, token); err != nil {
+				sim.Failf("simnet: send: %v", err)
+			}
+		}
+	})
 }
 
 func TestSendToUnknownNodePanics(t *testing.T) {

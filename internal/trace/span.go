@@ -206,8 +206,6 @@ func (t *Tracer) lookup(node string) *nodeTable {
 //
 // Every traced operation calls Start, tracer attached or not; the nil-
 // tracer fast path must stay effect-free.
-//
-//pvfslint:hotpath
 func (t *Tracer) Start(now sim.Time, ctx Ctx, node, kind string, stage Stage) Span {
 	if t == nil {
 		return Span{}
@@ -222,7 +220,6 @@ func (t *Tracer) open(now sim.Time, parent SpanID, req ReqID, node, kind string,
 		sim.Failf("trace: node %q recorded more than %d spans", node, localMask)
 	}
 	id := SpanID(uint32(tab.idx)<<localBits | uint32(local))
-	//pvfslint:ok hotpath span-table append, taken only when a recorder is attached; a disabled tracer returns the zero span before it
 	tab.spans = append(tab.spans, SpanRec{
 		ID: id, Parent: parent, Req: req,
 		Node: node, Kind: kind, Stage: stage, Start: now,
@@ -240,7 +237,6 @@ func (t *Tracer) Instant(now sim.Time, ctx Ctx, node, kind string, bytes int64, 
 	}
 	r := t.rec(t.open(now, ctx.Span(), ctx.Req(), node, kind, StageOther).id)
 	r.Bytes = bytes
-	//pvfslint:ok hotpath instant formatting behind the nil-tracer return; a disabled tracer never reaches it
 	r.Attrs = fmt.Sprintf(format, args...)
 	r.End, r.Ended = now, true
 }
@@ -249,8 +245,6 @@ func (t *Tracer) Instant(now sim.Time, ctx Ctx, node, kind string, bytes int64, 
 // touching it after End (SetBytes, Annotate), is a bug (the lifetime
 // analyzer flags both statically); at runtime the second End wins so a
 // trace is still produced for inspection.
-//
-//pvfslint:hotpath
 func (s Span) End(now sim.Time) {
 	if s.t == nil {
 		return
@@ -262,8 +256,6 @@ func (s Span) End(now sim.Time) {
 
 // EndErr closes the span and records the error that terminated it; a nil
 // error is equivalent to End.
-//
-//pvfslint:hotpath
 func (s Span) EndErr(now sim.Time, err error) {
 	if s.t == nil {
 		return
@@ -272,14 +264,11 @@ func (s Span) EndErr(now sim.Time, err error) {
 	r.End = now
 	r.Ended = true
 	if err != nil {
-		//pvfslint:ok hotpath err.Error() on the failure path; a span ends in error only when the operation already failed
 		r.Err = err.Error()
 	}
 }
 
 // SetBytes records the payload size the span moved.
-//
-//pvfslint:hotpath
 func (s Span) SetBytes(n int64) {
 	if s.t == nil {
 		return
@@ -288,8 +277,6 @@ func (s Span) SetBytes(n int64) {
 }
 
 // Annotate appends a formatted "key=value" attribute to the span.
-//
-//pvfslint:ok hotpath annotation formatting behind the Recording guard; a disabled tracer never reaches it
 func (s Span) Annotate(format string, args ...any) {
 	if s.t == nil {
 		return
