@@ -64,15 +64,21 @@ func (pool *BufPool) Census(add func(pool string, out int64)) {
 	add("ib.staging", int64(pool.count-len(pool.free)))
 }
 
-// Get returns a free buffer, blocking until one is available.
+// Get returns a free buffer, blocking until one is available. It advances
+// the buffer's generation, so every key lent before (Key) is fenced off.
 func (pool *BufPool) Get(p *sim.Proc) *Buffer {
 	for len(pool.free) == 0 {
 		pool.cond.Wait(p)
 	}
 	b := pool.free[len(pool.free)-1]
 	pool.free = pool.free[:len(pool.free)-1]
+	b.MR.gen++
 	return b
 }
+
+// Key returns the key a peer is lent for this lend of the buffer: its
+// region's key with the current generation.
+func (b *Buffer) Key() Key { return b.MR.Key | Key(b.MR.gen)<<genShift }
 
 // Put unbacks a buffer, handing its storage to the pool's store, returns it
 // to the pool and wakes one waiter. Storage a buffer held goes back at length

@@ -536,16 +536,44 @@ type quietPlane struct{}
 func (quietPlane) WRError(sim.Time, string) bool { return false }
 func (quietPlane) RegFail(sim.Time, string) bool { return false }
 
+// slowReturn is a fabric fault policy that holds every message one node
+// sends for extra before it leaves: a read response it serves arrives that
+// much later.
+type slowReturn struct {
+	from  simnet.NodeID
+	extra sim.Duration
+}
+
+func (s slowReturn) SendVerdict(_ sim.Time, from, _ int, _ int) (bool, sim.Duration) {
+	if from == int(s.from) {
+		return false, s.extra
+	}
+	return false, 0
+}
+
 // TestReleasedStagingBufferDropsStaleRDMA: a staging buffer holds storage
-// only while it is lent, so an RDMA write or read that reaches one after it
-// went back to its pool touches no byte. With a fault plane attached that is
-// a stale access from a failed epoch and is dropped: the write lands nowhere
-// and the buffer stays unbacked, the read gets no response and times out.
-// Without one it is a broken invariant and fails the run.
+// only while it is lent, and each lend fences off the keys of the ones
+// before, so an RDMA write or read that reaches a buffer with the key of an
+// earlier lend touches no byte — whether the buffer went back to its pool
+// (released), was lent again before the access arrived (re-lent), or, for a
+// read, was lent again after the read was served and before its response
+// arrived (re-lent in flight). With a fault plane attached that is a stale
+// access from a failed epoch and is dropped: the write lands nowhere, the
+// read gets no response and times out. Without one it is a broken invariant
+// and fails the run.
 func TestReleasedStagingBufferDropsStaleRDMA(t *testing.T) {
+	cases := []struct{ name, op string }{
+		{"released", "write"}, {"released", "read"},
+		{"re-lent", "write"}, {"re-lent", "read"},
+		{"re-lent in flight", "read"},
+	}
 	for _, faulty := range []bool{true, false} {
-		for _, op := range []string{"write", "read"} {
-			t.Run(fmt.Sprintf("faults=%t/%s", faulty, op), func(t *testing.T) {
+		for _, tc := range cases {
+			name := fmt.Sprintf("faults=%t/%s/%s", faulty, tc.name, tc.op)
+			if tc.name == "released" {
+				name = fmt.Sprintf("faults=%t/%s", faulty, tc.op)
+			}
+			t.Run(name, func(t *testing.T) {
 				eng, a, b := pair(t)
 				qa, _ := Connect(a, b)
 				if faulty {
@@ -561,17 +589,45 @@ func TestReleasedStagingBufferDropsStaleRDMA(t *testing.T) {
 				if _, err := a.RegisterStatic(mem.Extent{Addr: src, Len: mem.PageSize}); err != nil {
 					t.Fatal(err)
 				}
+				if err := a.Space().Write(src, bytes.Repeat([]byte{0x5A}, mem.PageSize)); err != nil {
+					t.Fatal(err)
+				}
+				// relent is what the buffer's second lend holds.
+				relent := bytes.Repeat([]byte{0xC3}, 512)
 				var opErr error
 				var buf *Buffer
-				eng.Go("t", func(p *sim.Proc) {
+				lend := func(p *sim.Proc, data []byte) {
 					buf = pool.Get(p)
-					b.Space().Exchange(buf.Addr, store.Get(int(buf.Size)))
-					buf.Put() // released: unbacked again
+					b.Space().Exchange(buf.Addr, store.Get(len(data)))
+					if err := b.Space().Write(buf.Addr, data); err != nil {
+						t.Error(err)
+					}
+				}
+				eng.Go("t", func(p *sim.Proc) {
+					lend(p, make([]byte, 512))
+					key := buf.Key()
+					switch tc.name {
+					case "released":
+						buf.Put()
+					case "re-lent":
+						buf.Put()
+						lend(p, relent)
+					case "re-lent in flight":
+						// The read reaches b after about 7 µs and is served;
+						// its response leaves 50 µs later. In between the
+						// buffer goes back and is lent again.
+						b.Node().Network().SetFaults(slowReturn{from: b.NodeID(), extra: 50 * time.Microsecond})
+						eng.Go("re-lend", func(q *sim.Proc) {
+							q.Sleep(20 * time.Microsecond)
+							buf.Put()
+							lend(q, relent)
+						})
+					}
 					sges := []SGE{{Addr: src, Len: 512}}
-					if op == "write" {
-						opErr = qa.RDMAWrite(p, sges, buf.Addr, buf.MR.Key)
+					if tc.op == "write" {
+						opErr = qa.RDMAWrite(p, sges, buf.Addr, key)
 					} else {
-						opErr = qa.RDMARead(p, sges, buf.Addr, buf.MR.Key)
+						opErr = qa.RDMARead(p, sges, buf.Addr, key)
 					}
 					p.Sleep(time.Millisecond)
 				})
@@ -581,23 +637,35 @@ func TestReleasedStagingBufferDropsStaleRDMA(t *testing.T) {
 					return nil
 				}()
 				if !faulty {
-					if msg := fmt.Sprint(panicked); !strings.Contains(msg, "RDMA "+op+" fault") {
-						t.Fatalf("stale RDMA %s into a released buffer: run ended with %q, want a fault", op, msg)
+					if msg := fmt.Sprint(panicked); !strings.Contains(msg, "RDMA "+tc.op+" fault") {
+						t.Fatalf("stale RDMA %s into a %s buffer: run ended with %q, want a fault", tc.op, tc.name, msg)
 					}
 					return
 				}
 				if panicked != nil {
-					t.Fatalf("stale RDMA %s under faults: %v", op, panicked)
+					t.Fatalf("stale RDMA %s under faults: %v", tc.op, panicked)
 				}
 				var wc *WCError
-				if op == "write" && opErr != nil || op == "read" && !(errors.As(opErr, &wc) && wc.Status == WCResponseTimeout) {
-					t.Errorf("RDMA %s returned %v", op, opErr)
+				if tc.op == "write" && opErr != nil || tc.op == "read" && !(errors.As(opErr, &wc) && wc.Status == WCResponseTimeout) {
+					t.Errorf("RDMA %s returned %v", tc.op, opErr)
 				}
-				if err := b.Space().ReadInto(buf.Addr, make([]byte, 1)); err == nil {
-					t.Error("the released buffer is backed")
+				if tc.name == "released" {
+					if err := b.Space().ReadInto(buf.Addr, make([]byte, 1)); err == nil {
+						t.Error("the released buffer is backed")
+					}
+				} else if got, err := b.Space().Read(buf.Addr, 512); err != nil || !bytes.Equal(got, relent) {
+					t.Errorf("the re-lent buffer lost its bytes (%v)", err)
+				}
+				if got, _ := a.Space().Read(src, 512); tc.op == "read" && !bytes.Equal(got, bytes.Repeat([]byte{0x5A}, 512)) {
+					t.Error("a fenced read landed bytes")
 				}
 				if n := b.wp.wires.Out(); n != 0 {
 					t.Errorf("%d wire records not recycled", n)
+				}
+				// A recycled pvfs record's key is poisoned to ^Key(0); with
+				// its generation masked off it still names no region.
+				if mr := b.lookup(^Key(0)); mr != nil {
+					t.Errorf("the poisoned key resolves to %v", mr)
 				}
 			})
 		}

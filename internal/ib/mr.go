@@ -10,15 +10,25 @@ import (
 )
 
 // Key names a registered memory region. A single key stands in for the
-// lkey/rkey pair of real verbs.
+// lkey/rkey pair of real verbs. Its high bits carry the region's lend
+// generation, as real verbs carry a consumer-owned key byte that changes on
+// every fast-register: a key lent before the region was lent again names no
+// region (HCA.lookup).
 type Key uint64
 
-// MR is a registered memory region on one HCA.
+// genShift is where a key's generation starts. Thirty-two bits, where real
+// verbs have eight, so that no run lends a buffer often enough to wrap.
+const genShift = 32
+
+// MR is a registered memory region on one HCA. Key is its generation-0
+// key; a region a BufPool lends carries a generation that each lend
+// advances (Buffer.Key), and every other region stays at 0.
 type MR struct {
 	Key    Key
 	Extent mem.Extent
 	hca    *HCA
 	valid  bool
+	gen    uint32
 }
 
 // Covers reports whether the extent lies wholly inside the region.
@@ -136,8 +146,25 @@ func (h *HCA) Deregister(p *sim.Proc, mr *MR) error {
 	return nil
 }
 
-// lookup returns the MR for key, or nil.
-func (h *HCA) lookup(key Key) *MR { return h.mrs[key] }
+// lookup returns the MR for key, or nil if none is registered under it or
+// the key's generation is not the region's current one: a stale key names
+// no region, as a deregistered one does.
+func (h *HCA) lookup(key Key) *MR {
+	mr := h.mrs[key&(1<<genShift-1)]
+	if mr == nil || Key(mr.gen) != key>>genShift {
+		return nil
+	}
+	return mr
+}
+
+// checkRemote checks an RDMA that names this HCA's memory: the key is
+// current and its region covers the extent.
+func (h *HCA) checkRemote(key Key, e mem.Extent) error {
+	if mr := h.lookup(key); !mr.Valid() || !mr.Covers(e) {
+		return fmt.Errorf("rkey %#x names no registered region covering %v", uint64(key), e)
+	}
+	return nil
+}
 
 // coveredLocally reports whether the extent lies inside some registered MR.
 func (h *HCA) coveredLocally(e mem.Extent) bool {

@@ -158,9 +158,13 @@ type wire struct {
 	rkey      Key
 	id        uint64
 	initiator simnet.NodeID
-	// data is a write's gathered bytes or a read response's snapshot, a
-	// scratch buffer the record owns until it is recycled.
+	// data is a write's gathered bytes or a cross-shard read response's
+	// snapshot, a scratch buffer the record owns until it is recycled.
 	data []byte
+	// src is the responder of a same-shard read response, which carries no
+	// bytes: it names them by raddr, rkey and size, and the initiator
+	// copies them out of src's memory on arrival (RDMARead).
+	src *HCA
 }
 
 // wireKind says which message a wire record is.
@@ -214,7 +218,7 @@ func (h *HCA) putWire(w *wire) {
 	h.scratch().Put(w.data)
 	// The fields a kind does not use are never read, so only what the
 	// record references is cleared.
-	w.kind, w.payload, w.data = wireFree, nil, nil
+	w.kind, w.payload, w.data, w.src = wireFree, nil, nil, nil
 	h.wp.wires.Put(w)
 }
 
@@ -299,10 +303,11 @@ func (h *HCA) Census(add func(pool string, out int64)) {
 // (serveRead); every other message is consumed.
 //
 // With a fault plane attached, anomalies that are hard protocol-invariant
-// violations in a fault-free run — an RDMA against a deregistered region or
-// a released, unbacked buffer (BufPool), a read response nobody is waiting
-// for — become expected leftovers of a failed epoch (the peer timed out,
-// reset, and released its buffers) and are discarded instead of failing the
+// violations in a fault-free run — an RDMA against a deregistered region, a
+// released, unbacked buffer (BufPool) or one lent again since its key was
+// (a stale generation), a read response nobody is waiting for — become
+// expected leftovers of a failed epoch (the peer timed out, reset, and
+// released its buffers) and are discarded instead of failing the
 // simulation. A down adapter discards everything: in-flight requests to a
 // crashed daemon die silently.
 func (h *HCA) deliver(m *simnet.Message) (read bool) {
@@ -319,18 +324,14 @@ func (h *HCA) deliver(m *simnet.Message) (read bool) {
 		}
 		q.inbox.Send(w)
 	case wireWrite:
-		mr := h.lookup(w.rkey)
-		if !mr.Valid() || !mr.Covers(mem.Extent{Addr: w.raddr, Len: int64(len(w.data))}) {
+		err := h.checkRemote(w.rkey, mem.Extent{Addr: w.raddr, Len: int64(len(w.data))})
+		if err == nil {
+			err = h.space.Write(w.raddr, w.data)
+		}
+		if err != nil {
 			if h.faults != nil {
 				h.putWire(w)
 				return false // stale write from a failed epoch; NAK and drop
-			}
-			sim.Failf("ib: %s: RDMA write outside registered region (rkey %d)", h.node.Name, w.rkey)
-		}
-		if err := h.space.Write(w.raddr, w.data); err != nil {
-			if h.faults != nil {
-				h.putWire(w)
-				return false // stale write into a released buffer; NAK and drop
 			}
 			sim.Failf("ib: %s: RDMA write fault: %v", h.node.Name, err)
 		}
@@ -339,13 +340,12 @@ func (h *HCA) deliver(m *simnet.Message) (read bool) {
 		}
 		h.putWire(w)
 	case wireReadReq:
-		mr := h.lookup(w.rkey)
-		if !mr.Valid() || !mr.Covers(mem.Extent{Addr: w.raddr, Len: int64(w.size)}) {
+		if err := h.checkRemote(w.rkey, mem.Extent{Addr: w.raddr, Len: int64(w.size)}); err != nil {
 			if h.faults != nil {
 				h.putWire(w)
 				return false // stale read from a failed epoch; initiator times out
 			}
-			sim.Failf("ib: %s: RDMA read outside registered region (rkey %d)", h.node.Name, w.rkey)
+			sim.Failf("ib: %s: RDMA read fault: %v", h.node.Name, err)
 		}
 		return true
 	case wireReadResp:
@@ -371,29 +371,53 @@ func (h *HCA) deliver(m *simnet.Message) (read bool) {
 	return false
 }
 
-// serveRead answers a read request deliver found valid: it snapshots the
-// region, waits out the turnaround and transmits the response. Under faults
-// a read of a buffer released since (unbacked) is dropped like deliver drops
-// one of a deregistered region.
+// serveRead answers a read request deliver found valid, waits out the
+// turnaround and transmits the response. To an initiator on this HCA's
+// engine shard the response names the region, and the initiator copies it
+// on arrival; to one on another shard, whose thread cannot read this memory
+// then, it carries a snapshot. Under faults a read of a buffer released
+// since (unbacked) is dropped like deliver drops one of a deregistered
+// region.
 func (h *HCA) serveRead(p *sim.Proc, m *simnet.Message) {
 	w := m.Payload.(*wire)
-	data := h.scratch().Get(w.size)
-	if err := h.space.ReadInto(w.raddr, data); err != nil {
+	initiator := w.initiator
+	resp := h.takeWire(wireReadResp)
+	resp.id, resp.size = w.id, w.size
+	var err error
+	if h.node.Network().Node(initiator).Group().ShardIndex() == h.node.Group().ShardIndex() {
+		resp.raddr, resp.rkey, resp.src = w.raddr, w.rkey, h
+		err = resp.source()
+	} else {
+		resp.data = h.scratch().Get(w.size)
+		err = h.space.ReadInto(w.raddr, resp.data)
+	}
+	h.putWire(w)
+	if err != nil {
 		if h.faults == nil {
 			sim.Failf("ib: %s: RDMA read fault: %v", h.node.Name, err)
 		}
-		h.scratch().Put(data)
-		h.putWire(w)
+		h.putWire(resp)
 		return // the initiator times out
 	}
 	p.Sleep(h.params.ReadTurnaround)
-	resp := h.takeWire(wireReadResp)
-	resp.id, resp.data = w.id, data
-	initiator := w.initiator
-	h.putWire(w)
-	if err := h.node.Send(p, initiator, len(data)+wireHeader, resp); err != nil {
+	if err := h.node.Send(p, initiator, resp.size+wireHeader, resp); err != nil {
 		h.putWire(resp) // partitioned mid-read; the initiator times out
 	}
+}
+
+// source checks the bytes a same-shard read response names: the key is
+// current at the responder and the bytes are readable. At serve time that
+// is the read's check; at arrival a response that fails it was fenced off
+// since.
+func (w *wire) source() error {
+	ext := mem.Extent{Addr: w.raddr, Len: int64(w.size)}
+	if err := w.src.checkRemote(w.rkey, ext); err != nil {
+		return err
+	}
+	if !w.src.space.Accessible(ext) {
+		return fmt.Errorf("%v of rkey %#x is not backed", ext, uint64(w.rkey))
+	}
+	return nil
 }
 
 // Send transmits a channel-semantics message of the given payload size to the
@@ -543,11 +567,35 @@ func (q *QP) RDMAWrite(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error 
 	return nil
 }
 
+// land scatters a read response into the segments: straight out of the
+// responder's memory for a response that names its source, one copy per
+// segment, and out of the snapshot it carries otherwise.
+func (h *HCA) land(sges []SGE, resp *wire) error {
+	raddr, data := resp.raddr, resp.data
+	for _, s := range sges {
+		var err error
+		if resp.src != nil {
+			err = h.space.CopyFrom(s.Addr, resp.src.space, raddr, s.Len)
+			raddr += mem.Addr(s.Len)
+		} else {
+			err = h.space.Write(s.Addr, data[:s.Len])
+			data = data[s.Len:]
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RDMARead reads a contiguous remote region and scatters it into the local
 // segments (the verbs shape: remote side contiguous, local side scattered).
 // Lists longer than MaxSGE split into multiple work requests. The caller
 // blocks until all data has arrived and been scattered. An unregistered or
-// unwritable local segment fails the work request.
+// unwritable local segment fails the work request. A response from a
+// responder on this shard is checked against the fence again when it
+// arrives, and its bytes are copied then, straight from the responder's
+// memory (land).
 func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 	h := q.hca
 	if err := h.checkLocal("RDMA read", sges); err != nil {
@@ -597,12 +645,21 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 		if h.faults != nil {
 			// Under faults the response may never come (responder crashed
 			// or the return path partitioned): bound the wait.
+			posted := p.Now()
 			v, ok := mb.RecvTimeout(p, h.params.WRTimeout)
 			if !ok {
 				// The reads entry is gone, so a late response is discarded
 				// on receipt and never lands in the recycled mailbox.
 				delete(h.reads, id)
 				h.mx.outReads.Add(p.Now(), -1)
+			} else if resp = v.(*wire); resp.src != nil && resp.source() != nil {
+				// Fenced since it was served: the response is dropped, and
+				// the read waits out its timeout as if it never came.
+				h.putWire(resp)
+				resp = nil
+				p.Sleep(h.params.WRTimeout - p.Now().Sub(posted))
+			}
+			if resp == nil {
 				h.readMBs.Put(mb)
 				q.state = QPError
 				h.Counters.WRErrors++
@@ -610,20 +667,20 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 				sp.EndErr(p.Now(), wcErr)
 				return wcErr
 			}
-			resp = v.(*wire)
 		} else {
 			resp = mb.Recv(p).(*wire)
+			if resp.src != nil {
+				if err := resp.source(); err != nil {
+					sim.Failf("ib: %s: RDMA read fault: %v", h.node.Name, err)
+				}
+			}
 		}
 		h.readMBs.Put(mb)
-		data := resp.data
-		for _, s := range wr {
-			if err := h.space.Write(s.Addr, data[:s.Len]); err != nil {
-				h.putWire(resp)
-				err = fmt.Errorf("ib: %s: RDMA read scatter fault: %w", h.node.Name, err)
-				sp.EndErr(p.Now(), err)
-				return err
-			}
-			data = data[s.Len:]
+		if err := h.land(wr, resp); err != nil {
+			h.putWire(resp)
+			err = fmt.Errorf("ib: %s: RDMA read scatter fault: %w", h.node.Name, err)
+			sp.EndErr(p.Now(), err)
+			return err
 		}
 		h.putWire(resp)
 		offset += size

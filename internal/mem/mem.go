@@ -396,28 +396,35 @@ func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
 // heap buffer per copy would dominate the client's steady state. The ranges
 // may overlap: dst receives what src held before the call, as with memmove.
 // Both must be fully allocated and backed, and nothing is written on failure.
-func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
+func (s *AddrSpace) Copy(dst, src Addr, n int64) error { return s.CopyFrom(dst, s, src, n) }
+
+// CopyFrom moves n bytes from src in the address space from to dst in s, as
+// Copy does inside one space (from may be s): one memmove per pair of
+// mappings crossed, no buffer between them, and nothing written on failure.
+// It is how an RDMA read lands straight from the responder's memory. The
+// bytes count as copied in s.
+func (s *AddrSpace) CopyFrom(dst Addr, from *AddrSpace, src Addr, n int64) error {
 	if n <= 0 {
 		return nil
 	}
-	si, di := s.covers(src, n, true), s.covers(dst, n, true)
+	si, di := from.covers(src, n, true), s.covers(dst, n, true)
 	if si < 0 {
-		return &errRange{space: s.name, op: "read", e: Extent{Addr: src, Len: n}}
+		return &errRange{space: from.name, op: "read", e: Extent{Addr: src, Len: n}}
 	}
 	if di < 0 {
 		return &errRange{space: s.name, op: "write", e: Extent{Addr: dst, Len: n}}
 	}
-	// One copy per pair of mappings crossed — usually one in all, and copy
-	// itself is a memmove. With dst inside [src, src+n) the pairs go last to
-	// first, so no source byte is overwritten before it is read.
+	// Usually one copy in all. With dst inside [src, src+n) of the same
+	// space the pairs go last to first, so no source byte is overwritten
+	// before it is read.
 	s.host.BytesCopied += n
-	back := src < dst && dst < src+Addr(n)
+	back := from == s && src < dst && dst < src+Addr(n)
 	if back {
 		si, di = s.search(src+Addr(n)-1), s.search(dst+Addr(n)-1)
 	}
 	for n > 0 {
-		sm, dm := &s.maps[si], &s.maps[di]
-		sd, dd := s.bytes(sm), s.bytes(dm)
+		sm, dm := &from.maps[si], &s.maps[di]
+		sd, dd := from.bytes(sm), s.bytes(dm)
 		so, do := int64(src)-int64(sm.base), int64(dst)-int64(dm.base)
 		var c int64
 		if back {
@@ -446,6 +453,13 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error {
 	return nil
 }
 
+// Accessible reports whether a byte access of the whole extent would
+// succeed: every byte allocated, and backed or in a mapping the access
+// would back.
+func (s *AddrSpace) Accessible(e Extent) bool {
+	return e.Len <= 0 || s.covers(e.Addr, e.Len, true) >= 0
+}
+
 // Exchange backs the whole mapping that starts at addr with data, at most
 // its length, or with nothing, and returns the storage it held (nil if none,
 // as for a mapping never touched): bytes change owner without a copy. The
@@ -465,9 +479,9 @@ func (s *AddrSpace) Exchange(addr Addr, data []byte) []byte {
 }
 
 // HostCost returns what the space's storage has cost the host so far: bytes
-// copied by Write, ReadInto and Copy, bytes zeroed for fresh storage and on
-// recycling, and how many mappings their first access backed with fresh
-// storage against how many with freed storage.
+// copied by Write, ReadInto, Copy and CopyFrom, bytes zeroed for fresh
+// storage and on recycling, and how many mappings their first access backed
+// with fresh storage against how many with freed storage.
 func (s *AddrSpace) HostCost() sim.HostCost { return s.host }
 
 // AllocatedPages reports the number of currently allocated pages.

@@ -193,18 +193,20 @@ func (s *pageSpace) ReadInto(addr Addr, dst []byte) error {
 	return nil
 }
 
-func (s *pageSpace) Copy(dst, src Addr, n int64) error {
+func (s *pageSpace) Copy(dst, src Addr, n int64) error { return s.CopyFrom(dst, s, src, n) }
+
+func (s *pageSpace) CopyFrom(dst Addr, from *pageSpace, src Addr, n int64) error {
 	if n <= 0 {
 		return nil
 	}
-	if !s.backed(Extent{Addr: src, Len: n}) {
-		return &errRange{space: s.name, op: "read", e: Extent{Addr: src, Len: n}}
+	if !from.backed(Extent{Addr: src, Len: n}) {
+		return &errRange{space: from.name, op: "read", e: Extent{Addr: src, Len: n}}
 	}
 	if !s.backed(Extent{Addr: dst, Len: n}) {
 		return &errRange{space: s.name, op: "write", e: Extent{Addr: dst, Len: n}}
 	}
 	tmp := make([]byte, n)
-	if err := s.ReadInto(src, tmp); err != nil {
+	if err := from.ReadInto(src, tmp); err != nil {
 		return err
 	}
 	return s.Write(dst, tmp)
@@ -309,6 +311,15 @@ func (p *pair) copy(dst, src Addr, n int64) {
 	}
 }
 
+// copyFrom moves n bytes from src in the other pair's space to dst in this
+// one, in both implementations.
+func (p *pair) copyFrom(dst Addr, from *pair, src Addr, n int64) {
+	p.t.Helper()
+	if a, b := errText(p.s.CopyFrom(dst, from.s, src, n)), errText(p.m.CopyFrom(dst, from.m, src, n)); a != b {
+		p.t.Fatalf("CopyFrom(%#x, %s, %#x, %d): %q, oracle %q", uint64(dst), from.s.name, uint64(src), n, a, b)
+	}
+}
+
 // exchange backs the first length bytes of the mapping Malloc made for e
 // with fresh bytes — all of it if length is n or more — or unbacks it if
 // length is 0, and compares the storage it gave back with the oracle's. A
@@ -334,6 +345,9 @@ func (p *pair) query(e Extent) {
 	p.t.Helper()
 	if a, b := p.s.Allocated(e), p.m.Allocated(e); a != b {
 		p.t.Fatalf("Allocated(%v) = %t, oracle %t", e, a, b)
+	}
+	if a, b := p.s.Accessible(e), p.m.backed(e); a != b {
+		p.t.Fatalf("Accessible(%v) = %t, oracle %t", e, a, b)
 	}
 	if a, b := p.s.Holes(e), p.m.Holes(e); !slices.Equal(a, b) || (a == nil) != (b == nil) {
 		p.t.Fatalf("Holes(%v) = %v, oracle %v", e, a, b)
@@ -405,13 +419,15 @@ func (p *pair) place(sc *script) (Addr, int64) {
 	return e.Addr + Addr(sc.word()%(e.Len+PageSize)), 1 + sc.word()%(4*PageSize)
 }
 
-// runScript interprets data against a fresh pair.
+// runScript interprets data against two fresh pairs, one address space and
+// its peer: every op but the last two works on the current pair.
 func runScript(t testing.TB, data []byte) {
 	t.Helper()
-	p := newPair(t)
+	p, peer := newPair(t), newPair(t)
+	peer.s.name, peer.m.name = "y", "y"
 	sc := &script{b: data}
 	for ops := 0; len(sc.b) > 0 && ops < 2000; ops++ {
-		switch op := sc.byte() % 15; op {
+		switch op := sc.byte() % 17; op {
 		case 0:
 			p.malloc(1 + sc.word()%(6*PageSize))
 		case 1: // a size seen before: the one that recycles
@@ -458,10 +474,18 @@ func runScript(t testing.TB, data []byte) {
 				length := map[int64]int64{12: e.Len + PageSize, 13: 0, 14: 1 + sc.word()%e.Len}[op]
 				p.exchange(e, length)
 			}
+		case 15: // the peer takes the ops from here on
+			p, peer = peer, p
+		case 16: // from the peer into this space: an RDMA read landing
+			src, n := peer.place(sc)
+			dst, _ := p.place(sc)
+			p.copyFrom(dst, peer, src, n)
 		}
 		p.backings()
+		peer.backings()
 	}
 	p.sweep()
+	peer.sweep()
 }
 
 func TestAddrSpaceModelRandom(t *testing.T) {
@@ -695,4 +719,36 @@ func TestRecycleBounded(t *testing.T) {
 	if s.freeBytes != recycleMaxBytes || quarters != 4 || s.free[big.Len] != nil {
 		t.Errorf("kept %d bytes: %d quarter-bound buffers, and beyond the bound %v", s.freeBytes, quarters, s.free[big.Len])
 	}
+}
+
+// TestCopyFromBetweenSpaces lands bytes from one space in another across
+// mapping boundaries on both sides, and checks that an unbacked source or
+// an unallocated destination fails with nothing written.
+func TestCopyFromBetweenSpaces(t *testing.T) {
+	p, peer := newPair(t), newPair(t)
+	peer.s.name, peer.m.name = "y", "y"
+	src := peer.malloc(2 * PageSize)
+	peer.malloc(3 * PageSize)
+	peer.write(src.Addr, 5*PageSize)
+	dst := p.malloc(PageSize)
+	p.malloc(4 * PageSize)
+	p.write(dst.Addr, 5*PageSize)
+
+	p.copyFrom(dst.Addr+100, peer, src.Addr+PageSize+7, 3*PageSize)
+	p.sweep()
+
+	peer.exchange(src, 0) // unbacked source
+	before, _ := p.s.Read(dst.Addr, 5*PageSize)
+	if err := p.s.CopyFrom(dst.Addr, peer.s, src.Addr+10, 100); err == nil {
+		t.Error("CopyFrom out of an unbacked source succeeded")
+	}
+	if err := p.s.CopyFrom(p.s.brk-10, peer.s, src.End(), 100); err == nil {
+		t.Error("CopyFrom into unallocated memory succeeded")
+	}
+	if after, _ := p.s.Read(dst.Addr, 5*PageSize); !bytes.Equal(after, before) {
+		t.Error("a failed CopyFrom wrote bytes")
+	}
+	p.copyFrom(dst.Addr, peer, src.Addr+10, 100)
+	p.sweep()
+	peer.sweep()
 }

@@ -299,3 +299,76 @@ func TestLostWriteReadyPutsStagingBack(t *testing.T) {
 		t.Fatal("no cut lost the write-ready reply")
 	}
 }
+
+// TestLateRDMAWriteMissesRelentStaging delays a client's gather RDMA write
+// past the iod's ServerTimeout with a latency spike on its link. The iod
+// gives up on the rendezvous and lends its one staging buffer to another
+// client's read, whose bytes the buffer holds when the late write arrives.
+// The write carries the key of the earlier lend, so it must land nowhere:
+// the reader gets the bytes it wrote, and the late writer's retry still
+// puts its own bytes in the file.
+//
+// The schedule, from the spikes' start: the late write's rendezvous opens
+// at about 490 µs and expires at 645 µs, when the read, asked at 300 µs and
+// waiting for the buffer since, takes it; the late RDMA write lands at
+// about 685 µs, the read is served at about 700 µs and completes inside its
+// own 150 µs.
+func TestLateRDMAWriteMissesRelentStaging(t *testing.T) {
+	const (
+		lateLen = 16 << 10
+		readLen = 32 << 10
+	)
+	cfg := DefaultConfig()
+	cfg.StagingBuffers = 1
+	cfg.Recovery.ServerTimeout = 150 * time.Microsecond
+	cfg.Faults = &fault.Plan{Seed: 1}
+	c := NewCluster(sim.NewEngine(), cfg, 1, 2)
+	late, reader, srv := c.Clients[0], c.Clients[1], c.Servers[0]
+	gather := OpOptions{Transfer: ForceGather}
+	app(t, c, func(p *sim.Proc) {
+		fa, fb := late.Open(p, "late"), reader.Open(p, "read")
+		src, want := fill(reader, readLen, 9)
+		if err := fb.Write(p, src, readLen, 0, gather); err != nil {
+			t.Fatalf("setup write: %v", err)
+		}
+		c.AttachFaults(&fault.Plan{Seed: 1, Spikes: []fault.Spike{
+			{From: int(late.node.ID), To: int(srv.node.ID), Dur: 2 * time.Millisecond, Extra: 160 * time.Microsecond},
+			{From: int(reader.node.ID), To: int(srv.node.ID), Dur: 2 * time.Millisecond, Extra: 20 * time.Microsecond},
+		}})
+		wg := c.Eng.NewWaitGroup()
+		wg.Add(2)
+		var lateWant []byte
+		c.Eng.Go("late", func(q *sim.Proc) {
+			defer wg.Done()
+			var addr mem.Addr
+			addr, lateWant = fill(late, lateLen, 0xA0)
+			if err := fa.Write(q, addr, lateLen, 0, gather); err != nil {
+				t.Errorf("late write: %v", err)
+			}
+		})
+		c.Eng.Go("reader", func(q *sim.Proc) {
+			defer wg.Done()
+			q.Sleep(300 * time.Microsecond)
+			dst := reader.Space().Malloc(readLen)
+			if err := fb.Read(q, dst, readLen, 0, gather); err != nil {
+				t.Errorf("read: %v", err)
+				return
+			}
+			if got, err := reader.Space().Read(dst, readLen); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("the read lost its bytes to the late write (%v)", err)
+			}
+		})
+		wg.Wait(p)
+		dst := late.Space().Malloc(lateLen)
+		if err := fa.Read(p, dst, lateLen, 0, OpOptions{}); err != nil {
+			t.Fatalf("read-back: %v", err)
+		}
+		if got, _ := late.Space().Read(dst, lateLen); !bytes.Equal(got, lateWant) {
+			t.Error("the late writer's retry did not land")
+		}
+	})
+	// One abort, the late write's: the read completed at its first lend.
+	if s := c.Snapshot(); s.ServerAborts != 1 || s.Retries != 1 {
+		t.Errorf("%d aborts and %d retries, want the late write's one", s.ServerAborts, s.Retries)
+	}
+}

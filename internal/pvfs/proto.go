@@ -70,8 +70,9 @@ type record struct {
 	// owns Data until it is recycled.
 	Stream bool
 	Data   []byte
-	// Addr/Key is the server's staging buffer, carried by recWriteReady and
-	// by the recReadResp of a gather read.
+	// Addr/Key is the server's staging buffer and the key of this lend of
+	// it (ib.Buffer.Key), carried by recWriteReady and by the recReadResp
+	// of a gather read.
 	Addr mem.Addr
 	Key  ib.Key
 }

@@ -179,6 +179,12 @@ func (sc *serverConn) serve(p *sim.Proc) {
 				resp.Total = f.Size()
 			}
 			sc.reply(p, smallReplyBytes, resp)
+		case recWriteDone, recReadDone:
+			// Under faults, the notice of a rendezvous this handler gave
+			// up on: the client's transfer outlived ServerTimeout.
+			if s.cluster.recovery() == nil {
+				sim.Failf("pvfs: server %d: unexpected %v record", s.idx, req.Kind)
+			}
 		default:
 			sim.Failf("pvfs: server %d: unexpected %v record", s.idx, req.Kind)
 		}
@@ -303,7 +309,7 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *record) (next any) {
 		buf := s.staging.Get(p)
 		s.space.Exchange(buf.Addr, s.scratch.Get(int(req.Total)))
 		ready := s.recs.take(recWriteReady, req.Seq)
-		ready.Addr, ready.Key = buf.Addr, buf.MR.Key
+		ready.Addr, ready.Key = buf.Addr, buf.Key()
 		if !sc.reply(p, smallReplyBytes, ready) {
 			buf.Put()
 			sc.abort(p, "write", req.Seq, "write-ready reply lost")
@@ -397,7 +403,7 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 	}
 	// Gather: the client scatters out of the staging buffer itself.
 	ready := s.recs.take(recReadResp, req.Seq)
-	ready.Addr, ready.Key = buf.Addr, buf.MR.Key
+	ready.Addr, ready.Key = buf.Addr, buf.Key()
 	if !sc.reply(p, smallReplyBytes, ready) {
 		buf.Put()
 		sc.abort(p, "read", req.Seq, "read-ready reply lost")
