@@ -13,15 +13,22 @@
 // File bytes are really stored, so higher layers can verify data integrity
 // end-to-end. They live in extents, slabs of 64 blocks with a bitmap of the
 // blocks written, allocated on the first write into their range; Remove
-// keeps a removed file's extents for the files created next. ReadInto and
-// WriteAt copy between extents and the caller's slice and allocate nothing
-// else, and ReadAt is the one call that returns a fresh slice. ReadPieces
-// and WritePieces charge a whole span but copy only the pieces of it that a
+// keeps a removed file's extents for the files created next. ReadPieces and
+// WritePieces charge a whole span but move only the pieces of it that a
 // caller names, the host side of a data-sieving window.
+//
+// A read does not copy: it lends. ReadPieces records the pieces on a Loan
+// into storage the caller owns, and whoever reads the loan copies them
+// straight out of the extents — an RDMA read lands file bytes in the
+// client's segment in one copy. The file settles a loan (copies its pieces
+// into the storage) before it changes a byte the loan spans, and ReadInto
+// and ReadAt are a loan settled at once. Loans are pooled, so a read
+// allocates nothing but the fresh slice ReadAt returns.
 package localfs
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -91,6 +98,7 @@ type FS struct {
 	nextID  int64
 	cache   *pageCache
 	freeExt []*extent // extents of removed files, extentKeepBytes at most
+	loans   sim.FreeList[Loan]
 	// syncList is SyncAll's list of files between calls (sortedFiles).
 	syncList []*File
 
@@ -113,6 +121,11 @@ func New(eng *sim.Engine, dsk *disk.Disk, params Params) *FS {
 // how many extents were allocated against how many reused.
 func (fs *FS) HostCost() sim.HostCost { return fs.host }
 
+// Census reports the loans lent and not released.
+func (fs *FS) Census(add func(pool string, out int64)) {
+	add("localfs.loans", fs.loans.Out())
+}
+
 // Disk returns the underlying device.
 func (fs *FS) Disk() *disk.Disk { return fs.dsk }
 
@@ -126,6 +139,8 @@ type File struct {
 	id   int64
 	size int64
 	data map[int64]*extent // by block index / extentBlocks
+	// loans heads the list of the file's unsettled loans.
+	loans *Loan
 
 	locks *lockTable
 }
@@ -159,6 +174,9 @@ func (fs *FS) Remove(p *sim.Proc, name string) bool {
 		return false
 	}
 	delete(fs.files, name)
+	for f.loans != nil {
+		f.loans.Settle() // before the extents go to another file
+	}
 	fs.cache.purgeFile(f)
 	// In index order, so that which extent a later file gets does not hang
 	// on map iteration.
@@ -191,14 +209,18 @@ func (f *File) blockRange(off, size int64) (first, last int64) {
 // ReadInto reads up to len(dst) bytes at offset off into dst and returns how
 // many it read: fewer (or none) at end of file, like pread(2). Cache misses
 // on written blocks go to the disk with read-ahead; holes read as zeros
-// without media access. Bytes of dst past the count are left untouched.
+// without media access. Bytes of dst past the count are left untouched. It
+// is a loan into dst, settled at once.
 func (f *File) ReadInto(p *sim.Proc, off int64, dst []byte) int {
 	n := f.chargeRead(p, off, int64(len(dst)))
-	f.copyOut(off, dst[:n])
+	l := f.Lend(dst)
+	l.add(Piece{Off: off, Len: n}, n)
+	l.Settle()
+	l.Release()
 	return int(n)
 }
 
-// Piece is one region of a span that ReadPieces or WritePieces copies: Len
+// Piece is one region of a span that ReadPieces or WritePieces moves: Len
 // bytes at file offset Off, held at Pos in the caller's buffer.
 type Piece struct {
 	Off, Len, Pos int64
@@ -206,16 +228,14 @@ type Piece struct {
 
 // ReadPieces is ReadInto of the size bytes at off for the clock — the call,
 // cache misses with read-ahead, the copy-out bandwidth and the counters are
-// the span's — that copies only the pieces, each into buf[Pos:Pos+Len]. The
+// the span's — that lends only the pieces on l, each to hold at Pos. The
 // pieces lie inside the span; their bytes past end of file read as zeros.
-// With no pieces it is the charge of reading the span and nothing else.
-func (f *File) ReadPieces(p *sim.Proc, off, size int64, pieces []Piece, buf []byte) {
+// With no pieces it is the charge of reading the span and nothing else, and
+// l may be nil.
+func (f *File) ReadPieces(p *sim.Proc, off, size int64, pieces []Piece, l *Loan) {
 	eof := off + f.chargeRead(p, off, size)
 	for _, pc := range pieces {
-		dst := buf[pc.Pos : pc.Pos+pc.Len]
-		n := min(max(eof-pc.Off, 0), pc.Len)
-		f.copyOut(pc.Off, dst[:n])
-		clear(dst[n:])
+		l.add(pc, min(max(eof-pc.Off, 0), pc.Len))
 	}
 }
 
@@ -296,12 +316,13 @@ func (f *File) WritePieces(p *sim.Proc, off, size int64, pieces []Piece, buf []b
 	if !f.chargeWrite(p, off, size) {
 		return
 	}
-	first, last := f.blockRange(off, size)
-	for blk := first; blk <= last; blk++ {
-		f.block(blk)
-	}
 	for _, pc := range pieces {
 		f.copyIn(pc.Off, buf[pc.Pos:pc.Pos+pc.Len])
+	}
+	// The rest of the span reads as it did, zeros where it was a hole.
+	first, last := f.blockRange(off, size)
+	for blk := first; blk <= last; blk++ {
+		f.claim(blk)
 	}
 	f.dirty(p, off, size)
 }
@@ -425,58 +446,274 @@ func (f *File) written(blk int64) bool {
 	return f.data[blk/extentBlocks].has(blk % extentBlocks)
 }
 
-// block returns the block's bytes for writing, zeroed on its first write.
-func (f *File) block(blk int64) []byte {
-	fs := f.fs
-	bs := fs.params.BlockSize
-	e := f.data[blk/extentBlocks]
-	if e == nil {
-		if n := len(fs.freeExt); n > 0 {
-			e, fs.freeExt[n-1] = fs.freeExt[n-1], nil
-			fs.freeExt = fs.freeExt[:n-1]
-			fs.host.Recycled++
-		} else {
-			e = &extent{data: make([]byte, extentBlocks*bs)}
-			fs.host.Fresh++
-			fs.host.BytesCleared += extentBlocks * bs
-		}
-		f.data[blk/extentBlocks] = e
+// extent returns the file's i-th extent, recycling a removed file's or
+// making one if the file has none there.
+func (f *File) extent(i int64) *extent {
+	e := f.data[i]
+	if e != nil {
+		return e
 	}
-	b := blk % extentBlocks
-	data := e.data[b*bs : (b+1)*bs]
+	fs := f.fs
+	if n := len(fs.freeExt); n > 0 {
+		e, fs.freeExt[n-1] = fs.freeExt[n-1], nil
+		fs.freeExt = fs.freeExt[:n-1]
+		fs.host.Recycled++
+	} else {
+		e = &extent{data: make([]byte, extentBlocks*fs.params.BlockSize)}
+		fs.host.Fresh++
+		fs.host.BytesCleared += extentBlocks * fs.params.BlockSize
+	}
+	f.data[i] = e
+	return e
+}
+
+// claim marks the block written, zeroing it first if it holds a removed
+// file's bytes.
+func (f *File) claim(blk int64) {
+	bs := f.fs.params.BlockSize
+	e, b := f.extent(blk/extentBlocks), blk%extentBlocks
 	if e.stale>>b&1 != 0 {
-		clear(data)
-		fs.host.BytesCleared += bs
+		clear(e.data[b*bs : (b+1)*bs])
+		f.fs.host.BytesCleared += bs
 		e.stale &^= 1 << b
 	}
 	e.written |= 1 << b
-	return data
 }
 
+// copyIn writes data at off, one copy per extent it spans, after settling
+// the loans of the bytes it changes. A block that still holds a removed
+// file's bytes is cleared only where the write leaves it uncovered.
 func (f *File) copyIn(off int64, data []byte) {
-	bs := f.fs.params.BlockSize
-	f.fs.host.BytesCopied += int64(len(data))
+	f.settleLoans(off, off+int64(len(data)))
+	fs := f.fs
+	bs := fs.params.BlockSize
+	extBytes := extentBlocks * bs
+	fs.host.BytesCopied += int64(len(data))
 	for len(data) > 0 {
-		n := copy(f.block(off / bs)[off%bs:], data)
+		e := f.extent(off / extBytes)
+		eo := off % extBytes
+		n := min(extBytes-eo, int64(len(data)))
+		first, last := eo/bs, (eo+n-1)/bs
+		run := (uint64(1)<<(last-first+1) - 1) << first // 1<<64 is 0 in Go
+		if stale := e.stale & run; stale != 0 {
+			if stale>>first&1 != 0 {
+				clear(e.data[first*bs : eo])
+				fs.host.BytesCleared += eo - first*bs
+			}
+			if stale>>last&1 != 0 {
+				clear(e.data[eo+n : (last+1)*bs])
+				fs.host.BytesCleared += (last+1)*bs - eo - n
+			}
+			e.stale &^= run
+		}
+		e.written |= run
+		copy(e.data[eo:eo+n], data)
 		data = data[n:]
-		off += int64(n)
+		off += n
 	}
 }
 
-func (f *File) copyOut(off int64, dst []byte) {
+// copyOut fills dst with the file's bytes at off, one copy or clear per run
+// of written blocks or of holes within an extent, and returns how many it
+// copied rather than cleared.
+func (f *File) copyOut(off int64, dst []byte) (copied int64) {
 	bs := f.fs.params.BlockSize
+	extBytes := extentBlocks * bs
 	for len(dst) > 0 {
-		blk, bo := off/bs, off%bs
-		n := min(int(bs-bo), len(dst))
-		if e, b := f.data[blk/extentBlocks], blk%extentBlocks; e.has(b) {
-			copy(dst[:n], e.data[b*bs+bo:])
-			f.fs.host.BytesCopied += int64(n)
+		e, eo := f.data[off/extBytes], off%extBytes
+		b := eo / bs
+		end, written := extBytes, false // the run of blocks like b's
+		if e != nil {
+			w := e.written >> b
+			written = w&1 != 0
+			if written {
+				w = ^w
+			}
+			end = min(b+int64(bits.TrailingZeros64(w)), extentBlocks) * bs
+		}
+		n := min(end-eo, int64(len(dst)))
+		if written {
+			copy(dst[:n], e.data[eo:])
+			copied += n
 		} else {
 			clear(dst[:n]) // hole: zeros
-			f.fs.host.BytesCleared += int64(n)
 		}
 		dst = dst[n:]
-		off += int64(n)
+		off += n
+	}
+	return copied
+}
+
+// Loan is file bytes lent to storage its taker owns: the pieces of one or
+// more reads, each to hold at its Pos. Until the loan is settled, a read of
+// it copies them out of the file's extents; settling copies them into the
+// storage, once. The file settles a loan before it changes a byte the loan
+// spans, so a loan reads what the file held at the charge. Loans are pooled
+// per file system and listed in their file's unsettled loans.
+type Loan struct {
+	fs     *FS
+	file   *File // nil while the loan is in the pool
+	dst    []byte
+	pieces []lentPiece // ordered by Pos while sorted is set
+	sorted bool
+	// lo and hi bound the file bytes the loan names, before end of file.
+	lo, hi  int64
+	hint    int // the piece ReadAt ended in last
+	settled bool
+	// prev and next link the file's unsettled loans.
+	prev, next *Loan
+}
+
+// lentPiece is a lent Piece with the bytes of it before end of file at the
+// charge; the rest reads as zeros.
+type lentPiece struct {
+	Piece
+	avail int64
+}
+
+// Lend starts a loan of the file's bytes into dst, which the taker keeps
+// owning; ReadPieces adds to it. Release ends it.
+func (f *File) Lend(dst []byte) *Loan {
+	l := f.fs.loans.Take()
+	l.fs, l.file, l.dst, l.sorted = f.fs, f, dst, true
+	l.lo, l.hi = 0, 0
+	l.next = f.loans
+	if f.loans != nil {
+		f.loans.prev = l
+	}
+	f.loans = l
+	return l
+}
+
+// add lends a piece of which the first avail bytes are in the file.
+func (l *Loan) add(pc Piece, avail int64) {
+	if l.settled {
+		sim.Failf("localfs: lend on a settled loan")
+	}
+	if n := len(l.pieces); n > 0 && pc.Pos < l.pieces[n-1].Pos {
+		l.sorted = false
+	}
+	l.pieces = append(l.pieces, lentPiece{pc, avail})
+	if avail > 0 {
+		if l.lo == l.hi {
+			l.lo, l.hi = pc.Off, pc.Off+avail
+		} else {
+			l.lo, l.hi = min(l.lo, pc.Off), max(l.hi, pc.Off+avail)
+		}
+	}
+}
+
+// ReadAt fills dst with the loan's bytes from offset off of its storage:
+// the file's bytes where a piece is lent, the storage's own elsewhere.
+func (l *Loan) ReadAt(dst []byte, off int64) {
+	if l.file == nil {
+		sim.Failf("localfs: read of a released loan")
+	}
+	if l.settled {
+		copy(dst, l.dst[off:])
+		return
+	}
+	if !l.sorted {
+		slices.SortFunc(l.pieces, func(a, b lentPiece) int { return cmp.Compare(a.Pos, b.Pos) })
+		l.sorted = true
+	}
+	i := l.find(off)
+	for len(dst) > 0 {
+		if i == len(l.pieces) || l.pieces[i].Pos > off {
+			end := int64(len(l.dst))
+			if i < len(l.pieces) {
+				end = l.pieces[i].Pos
+			}
+			n := copy(dst[:min(end-off, int64(len(dst)))], l.dst[off:])
+			dst, off = dst[n:], off+int64(n)
+			continue
+		}
+		pc := l.pieces[i]
+		at := off - pc.Pos
+		n := min(pc.Len-at, int64(len(dst)))
+		k := min(max(pc.avail-at, 0), n)
+		l.file.copyOut(pc.Off+at, dst[:k])
+		clear(dst[k:n])
+		dst, off = dst[n:], off+n
+		l.hint = i
+		i++
+	}
+}
+
+// find returns the index of the first piece that ends past off, trying the
+// piece the last ReadAt ended in and the one after it first.
+func (l *Loan) find(off int64) int {
+	for i := l.hint; i < min(l.hint+2, len(l.pieces)); i++ {
+		if pc := l.pieces[i]; pc.Pos <= off && off < pc.Pos+pc.Len {
+			return i
+		}
+	}
+	lo, hi := 0, len(l.pieces)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); l.pieces[mid].Pos+l.pieces[mid].Len > off {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// Settle copies the loan's pieces into its storage, after which a read of
+// the loan reads the storage. A settled loan stays settled.
+func (l *Loan) Settle() {
+	if l.file == nil {
+		sim.Failf("localfs: settle of a released loan")
+	}
+	if l.settled {
+		return
+	}
+	l.settled = true
+	l.unlink()
+	for _, pc := range l.pieces {
+		d := l.dst[pc.Pos : pc.Pos+pc.Len]
+		c := l.file.copyOut(pc.Off, d[:pc.avail])
+		clear(d[pc.avail:])
+		l.fs.host.BytesCopied += c
+		l.fs.host.BytesCleared += pc.avail - c
+	}
+}
+
+// Release ends the loan, settled or not, and returns it to the pool.
+func (l *Loan) Release() {
+	if l.file == nil {
+		sim.Failf("localfs: loan released twice")
+	}
+	if !l.settled {
+		l.unlink()
+	}
+	l.file, l.dst, l.settled, l.hint = nil, nil, false, 0
+	l.pieces = l.pieces[:0]
+	l.fs.loans.Put(l)
+}
+
+// unlink takes the loan out of its file's unsettled loans.
+func (l *Loan) unlink() {
+	if l.prev != nil {
+		l.prev.next = l.next
+	} else {
+		l.file.loans = l.next
+	}
+	if l.next != nil {
+		l.next.prev = l.prev
+	}
+	l.prev, l.next = nil, nil
+}
+
+// settleLoans settles every unsettled loan of the file that names a byte of
+// [lo, hi).
+func (f *File) settleLoans(lo, hi int64) {
+	for l := f.loans; l != nil; {
+		next := l.next
+		if l.lo < hi && lo < l.hi {
+			l.Settle()
+		}
+		l = next
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"pvfsib/internal/disk"
+	"pvfsib/internal/mem"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/sim/simtest"
 	"pvfsib/internal/simnet"
@@ -316,6 +317,46 @@ func TestSyncAllocFree(t *testing.T) {
 		g.WriteAt(p, 0, block)
 		fs.SyncAll(p)
 	})
+}
+
+// TestLoanAllocFree: an I/O daemon's gathered read in steady state — a loan
+// of strided pieces from the pool, lent to a staging mapping, landed in a
+// client's space straight out of the extents, a write that settles another
+// loan, and the releases — allocates nothing.
+func TestLoanAllocFree(t *testing.T) {
+	const pieces, piece, stride = 16, 2 << 10, 3 << 10
+	eng, fs := newFS(t)
+	iod, client := mem.NewAddrSpace("iod"), mem.NewAddrSpace("client")
+	staging := iod.Malloc(pieces * piece)
+	dst := client.Malloc(pieces * piece)
+	storage := make([]byte, pieces*piece)
+	block := make([]byte, piece)
+	accs := make([]Piece, pieces)
+	for i := range accs {
+		accs[i] = Piece{Off: int64(i * stride), Len: piece, Pos: int64((pieces - 1 - i) * piece)}
+	}
+	var f *File
+	simtest.AllocFree(t, eng, "loan", func(p *sim.Proc) {
+		if f == nil {
+			f = fs.Open(p, "lent")
+			f.WriteAt(p, 0, make([]byte, pieces*stride))
+			sim.Must(client.Write(dst, storage)) // backs the client's mapping
+		}
+		l := f.Lend(storage)
+		f.ReadPieces(p, 0, pieces*stride, accs, l)
+		iod.Exchange(staging, storage)
+		iod.Lend(staging, l)
+		sim.Must(client.CopyFrom(dst, iod, staging, pieces*piece))
+		iod.Exchange(staging, nil)
+
+		settled := f.Lend(storage)
+		f.ReadPieces(p, 0, pieces*stride, accs, settled)
+		f.WriteAt(p, stride, block)
+		settled.Release()
+	})
+	if out := fs.loans.Out(); out != 0 {
+		t.Errorf("%d loans not released", out)
+	}
 }
 
 func TestPropertySparseWriteReadEquivalence(t *testing.T) {

@@ -118,6 +118,7 @@ type fsPair struct {
 	stamp   byte
 	spans   bool
 	ref     *mapCache // the page cache the FS's is held to (checkCache)
+	lent    []*lent   // loans held open
 }
 
 func newFSPair(t testing.TB, p *sim.Proc, fs *FS) *fsPair {
@@ -205,7 +206,8 @@ func (x *fsPair) writePieces(h *handle, off, size int64, pieces []Piece) {
 }
 
 // readPieces reads the pieces of the size-byte span at off into a buffer of
-// 0xEE bytes, which must all be overwritten.
+// 0xEE bytes, which must all be overwritten: through a loan, read before it
+// is settled and then settled.
 func (x *fsPair) readPieces(h *handle, off, size int64, pieces []Piece) {
 	x.t.Helper()
 	n := piecesLen(pieces)
@@ -218,7 +220,15 @@ func (x *fsPair) readPieces(h *handle, off, size int64, pieces []Piece) {
 			copy(got[pc.Pos:pc.Pos+pc.Len], span[pc.Off-off:])
 		}
 	} else {
-		h.f.ReadPieces(x.p, off, size, pieces, got)
+		l := h.f.Lend(got)
+		h.f.ReadPieces(x.p, off, size, pieces, l)
+		lent := make([]byte, n)
+		l.ReadAt(lent, 0)
+		l.Settle()
+		l.Release()
+		if i := firstDiff(lent, got); i >= 0 {
+			x.t.Fatalf("%s: ReadPieces(%d, %d, %v): byte %d reads %#x lent, %#x settled", h.name, off, size, pieces, i, lent[i], got[i])
+		}
 	}
 	span := h.m.span(off, size, nil, nil)
 	for _, pc := range pieces {
@@ -227,6 +237,73 @@ func (x *fsPair) readPieces(h *handle, off, size int64, pieces []Piece) {
 	if i := firstDiff(got, want); i >= 0 {
 		x.t.Fatalf("%s: ReadPieces(%d, %d, %v): byte %d is %#x, oracle %#x", h.name, off, size, pieces, i, got[i], want[i])
 	}
+}
+
+// lent is a loan a script holds open, with what it must read: the oracle's
+// bytes of its pieces at the lend, and the storage's own 0xEE elsewhere.
+// Servicing pieces as spans, there is no loan: the span is read into the
+// storage at once.
+type lent struct {
+	h       *handle
+	loan    *Loan
+	pieces  []Piece
+	storage []byte
+	want    []byte
+}
+
+// lend lends the pieces of the size-byte span at off into storage tail
+// bytes longer than they are, and keeps the loan.
+func (x *fsPair) lend(h *handle, off, size int64, pieces []Piece, tail int64) {
+	n := piecesLen(pieces) + tail
+	ln := &lent{h: h, pieces: pieces, storage: bytes.Repeat([]byte{0xEE}, int(n)), want: bytes.Repeat([]byte{0xEE}, int(n))}
+	x.ref.read(h, off, size)
+	span := h.m.span(off, size, nil, nil)
+	for _, pc := range pieces {
+		copy(ln.want[pc.Pos:pc.Pos+pc.Len], span[pc.Off-off:])
+	}
+	if x.spans {
+		span := make([]byte, size)
+		clear(span[h.f.ReadInto(x.p, off, span):])
+		for _, pc := range pieces {
+			copy(ln.storage[pc.Pos:pc.Pos+pc.Len], span[pc.Off-off:])
+		}
+	} else {
+		ln.loan = h.f.Lend(ln.storage)
+		h.f.ReadPieces(x.p, off, size, pieces, ln.loan)
+	}
+	x.lent = append(x.lent, ln)
+}
+
+// readLent reads n bytes at off of a loan held open.
+func (x *fsPair) readLent(ln *lent, off, n int64) {
+	x.t.Helper()
+	got := make([]byte, n)
+	if ln.loan != nil {
+		ln.loan.ReadAt(got, off)
+	} else {
+		copy(got, ln.storage[off:])
+	}
+	if i := firstDiff(got, ln.want[off:off+n]); i >= 0 {
+		x.t.Fatalf("%s: loan of %v read at %d+%d: byte %d is %#x, lent %#x", ln.h.name, ln.pieces, off, n, i, got[i], ln.want[off+int64(i)])
+	}
+}
+
+// release ends the i-th loan held open, settling it first if settle is set
+// and checking the storage then holds what the loan read.
+func (x *fsPair) release(i int, settle bool) {
+	x.t.Helper()
+	ln := x.lent[i]
+	x.lent = slices.Delete(x.lent, i, i+1)
+	if ln.loan == nil {
+		return
+	}
+	if settle {
+		ln.loan.Settle()
+		if j := firstDiff(ln.storage, ln.want); j >= 0 {
+			x.t.Fatalf("%s: loan of %v settled: byte %d is %#x, lent %#x", ln.h.name, ln.pieces, j, ln.storage[j], ln.want[j])
+		}
+	}
+	ln.loan.Release()
 }
 
 func piecesLen(pieces []Piece) (n int64) {
@@ -339,7 +416,7 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 		sc := &script{b: data}
 		names := []string{"a", "b", "c"}
 		for ops := 0; len(sc.b) > 0 && ops < 400; ops++ {
-			op := sc.byte() % 20
+			op := sc.byte() % 24
 			if op < 2 || len(x.handles) == 0 {
 				x.openFile(names[sc.byte()%3])
 				continue
@@ -363,11 +440,41 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 			case op < 18:
 				off, n := sc.span()
 				x.writePieces(h, off, n, sc.pieces(off, n))
-			default:
+			case op < 20:
 				off, n := sc.span()
 				x.readPieces(h, off, n, sc.pieces(off, n))
+			case op == 20:
+				off, n := sc.span()
+				x.lend(h, off, n, sc.pieces(off, n), sc.byte()%3*20)
+			case len(x.lent) == 0:
+			case op == 21:
+				ln := x.lent[sc.byte()%int64(len(x.lent))]
+				if size := int64(len(ln.want)); size > 0 {
+					off := sc.word() % size
+					x.readLent(ln, off, 1+sc.word()%(size-off))
+				}
+			case op == 22:
+				x.release(int(sc.byte()%int64(len(x.lent))), sc.byte()%2 == 0)
+			default: // a write over a lent piece, of its file or of the one that took its extents
+				ln := x.lent[sc.byte()%int64(len(x.lent))]
+				if sc.byte()%2 == 0 {
+					h = ln.h
+				}
+				if len(ln.pieces) > 0 {
+					pc := ln.pieces[sc.byte()%int64(len(ln.pieces))]
+					x.write(h, pc.Off+sc.word()%pc.Len, 1+sc.word()%(8<<10))
+				}
 			}
 			x.checkCache()
+		}
+		for _, ln := range x.lent {
+			x.readLent(ln, 0, int64(len(ln.want)))
+		}
+		for len(x.lent) > 0 {
+			x.release(len(x.lent)-1, len(x.lent)%2 == 0)
+		}
+		if out := fs.loans.Out(); out != 0 {
+			t.Fatalf("%d loans not released", out)
 		}
 		x.sweep()
 		x.checkCache()

@@ -20,7 +20,10 @@
 // gets its storage only at its first byte access, as NP-RDMA registers
 // memory without pinning it and creates pages on first access. Exchange
 // hands storage in and out of a mapping, and may back only a prefix of it:
-// an I/O daemon lends a request the bytes the request names.
+// an I/O daemon lends a request the bytes the request names. Lend goes one
+// step further: the mapping owes its bytes to a Lender — the daemon's file
+// — and a read of it copies them from there until something settles them
+// into the mapping's storage.
 package mem
 
 import (
@@ -131,12 +134,36 @@ type mapping struct {
 	// part marks a piece of a partly freed backed mapping: it shares its
 	// storage with its siblings, which therefore is never recycled.
 	part bool
+	// lender, when set, owes the mapping its bytes (Lend): reads ask it,
+	// and it settles them into data before anything writes data.
+	lender Lender
 }
 
 func (m *mapping) end() Addr { return m.base + Addr(m.size) }
 
 func (m *mapping) dirty(lo, hi int) {
 	m.dirtyLo, m.dirtyHi = min(m.dirtyLo, lo), max(m.dirtyHi, hi)
+}
+
+// settle has m's lender, if it has one, put what it owes into m's storage
+// and lets it go: from then on the storage holds the mapping's bytes.
+func (m *mapping) settle() {
+	if l := m.lender; l != nil {
+		m.lender = nil
+		l.Settle()
+		l.Release()
+	}
+}
+
+// Lender owes a lent mapping its bytes (AddrSpace.Lend).
+type Lender interface {
+	// ReadAt fills dst with the mapping's bytes from offset off.
+	ReadAt(dst []byte, off int64)
+	// Settle copies what the lender owes into the storage the mapping held
+	// when it was lent; a second Settle does nothing.
+	Settle()
+	// Release ends the loan: the mapping no longer refers to the lender.
+	Release()
 }
 
 // piece returns the mapping of bytes [lo, hi) after a partial Free: a
@@ -266,6 +293,7 @@ func (s *AddrSpace) Free(e Extent) {
 	j := i
 	for ; j < len(s.maps) && s.maps[j].base < hi; j++ {
 		m := &s.maps[j]
+		m.settle() // what stays of m keeps its storage
 		if lo <= m.base && m.end() <= hi {
 			s.recycle(m)
 			continue
@@ -358,8 +386,10 @@ func (s *AddrSpace) Write(addr Addr, data []byte) error {
 	}
 	s.host.BytesCopied += int64(len(data))
 	for off := int(addr - s.maps[i].base); len(data) > 0; i, off = i+1, 0 {
-		n := copy(s.bytes(&s.maps[i])[off:], data)
-		s.maps[i].dirty(off, off+n)
+		m := &s.maps[i]
+		m.settle()
+		n := copy(s.bytes(m)[off:], data)
+		m.dirty(off, off+n)
 		data = data[n:]
 	}
 	return nil
@@ -376,6 +406,7 @@ func (s *AddrSpace) Read(addr Addr, length int64) ([]byte, error) {
 }
 
 // ReadInto is like Read but fills the provided slice, avoiding allocation.
+// A lent mapping's bytes come from its lender.
 func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
 	if len(dst) == 0 {
 		return nil
@@ -386,7 +417,14 @@ func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
 	}
 	s.host.BytesCopied += int64(len(dst))
 	for off := int(addr - s.maps[i].base); len(dst) > 0; i, off = i+1, 0 {
-		dst = dst[copy(dst, s.bytes(&s.maps[i])[off:]):]
+		m := &s.maps[i]
+		if m.lender == nil {
+			dst = dst[copy(dst, s.bytes(m)[off:]):]
+			continue
+		}
+		n := min(len(dst), len(m.data)-off)
+		m.lender.ReadAt(dst[:n], int64(off))
+		dst = dst[n:]
 	}
 	return nil
 }
@@ -401,8 +439,9 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error { return s.CopyFrom(dst, 
 // CopyFrom moves n bytes from src in the address space from to dst in s, as
 // Copy does inside one space (from may be s): one memmove per pair of
 // mappings crossed, no buffer between them, and nothing written on failure.
-// It is how an RDMA read lands straight from the responder's memory. The
-// bytes count as copied in s.
+// It is how an RDMA read lands straight from the responder's memory, or
+// from the lender of the responder's mapping. The bytes count as copied in
+// s.
 func (s *AddrSpace) CopyFrom(dst Addr, from *AddrSpace, src Addr, n int64) error {
 	if n <= 0 {
 		return nil
@@ -424,6 +463,7 @@ func (s *AddrSpace) CopyFrom(dst Addr, from *AddrSpace, src Addr, n int64) error
 	}
 	for n > 0 {
 		sm, dm := &from.maps[si], &s.maps[di]
+		dm.settle() // before sm is read: it may be dm
 		sd, dd := from.bytes(sm), s.bytes(dm)
 		so, do := int64(src)-int64(sm.base), int64(dst)-int64(dm.base)
 		var c int64
@@ -446,7 +486,11 @@ func (s *AddrSpace) CopyFrom(dst Addr, from *AddrSpace, src Addr, n int64) error
 				di++
 			}
 		}
-		copy(dd[do:do+c], sd[so:so+c])
+		if sm.lender != nil {
+			sm.lender.ReadAt(dd[do:do+c], so)
+		} else {
+			copy(dd[do:do+c], sd[so:so+c])
+		}
 		dm.dirty(int(do), int(do+c))
 		n -= c
 	}
@@ -466,16 +510,38 @@ func (s *AddrSpace) Accessible(e Extent) bool {
 // mapping is backed up to len(data); it keeps its addresses and
 // registrations, but a byte access past its backing fails as one to
 // unallocated memory does. A piece of a partly freed mapping shares storage:
-// no exchange.
+// no exchange. A lent mapping's lender is released without settling: the
+// storage given back holds only what the lender settled into it, if it did.
 func (s *AddrSpace) Exchange(addr Addr, data []byte) []byte {
 	i := s.search(addr)
 	if i == len(s.maps) || s.maps[i].base != addr || s.maps[i].part || len(data) > s.maps[i].size {
 		sim.Failf("mem: %s: no whole mapping of at least %d bytes at %#x to exchange", s.name, len(data), uint64(addr))
 	}
 	m := &s.maps[i]
+	if l := m.lender; l != nil {
+		m.lender = nil
+		l.Release()
+	}
 	old := m.data
 	m.data, m.reserved, m.dirtyLo, m.dirtyHi = data, false, 0, m.size
 	return old
+}
+
+// Lend makes the whole mapping that starts at addr owe its bytes to l. A
+// read of it — ReadInto, the source side of CopyFrom — asks l for them, and
+// whatever writes its storage — Write, CopyFrom into it, Free — has l settle
+// them there first; Exchange releases l unsettled. The mapping keeps its
+// storage, so Accessible and every fence on it answer as for a backed
+// mapping. A mapping no access has touched has nothing to lend.
+func (s *AddrSpace) Lend(addr Addr, l Lender) {
+	i := s.search(addr)
+	if i == len(s.maps) || s.maps[i].base != addr || s.maps[i].part || s.maps[i].reserved {
+		sim.Failf("mem: %s: no whole touched mapping at %#x to lend", s.name, uint64(addr))
+	}
+	m := &s.maps[i]
+	m.settle()
+	m.lender = l
+	m.dirty(0, len(m.data)) // the settle writes it
 }
 
 // HostCost returns what the space's storage has cost the host so far: bytes

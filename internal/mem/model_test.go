@@ -336,8 +336,83 @@ func (p *pair) exchange(e Extent, length int64) {
 		data = p.fill(min(length, n))
 	}
 	want := p.m.Exchange(e.Addr, n, data)
-	if got := p.s.Exchange(e.Addr, data); !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+	l := p.lent(e.Addr)
+	var held []byte // what a lent mapping's storage held: the stub never settled
+	if l != nil {
+		held = bytes.Clone(l.storage)
+		want = held
+	}
+	got := p.s.Exchange(e.Addr, data)
+	if l != nil && (!l.released || l.settled) {
+		p.t.Fatalf("Exchange of a lent mapping: loan released %t, settled %t; want released unsettled", l.released, l.settled)
+	}
+	if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
 		p.t.Fatalf("Exchange(%v, %d bytes) gave back %d bytes, oracle %d, or different ones", e, len(data), len(got), len(want))
+	}
+}
+
+// stubLender owes a lent mapping the bytes it was made with; the storage
+// is what the mapping held at the lend, and the stub fails the test on any
+// call after its release.
+type stubLender struct {
+	t        testing.TB
+	owed     []byte
+	storage  []byte
+	settled  bool
+	released bool
+}
+
+func (l *stubLender) live(what string) {
+	if l.released {
+		l.t.Fatalf("%s after the loan was released", what)
+	}
+}
+
+func (l *stubLender) ReadAt(dst []byte, off int64) {
+	l.live("ReadAt")
+	copy(dst, l.owed[off:])
+}
+
+func (l *stubLender) Settle() {
+	l.live("Settle")
+	if !l.settled {
+		copy(l.storage, l.owed)
+	}
+	l.settled = true
+}
+
+func (l *stubLender) Release() {
+	l.live("Release")
+	l.released = true
+}
+
+// lent returns the stub the whole mapping at addr owes its bytes to, nil if
+// it is not lent.
+func (p *pair) lent(addr Addr) *stubLender {
+	if i := p.s.search(addr); i < len(p.s.maps) && p.s.maps[i].base == addr && p.s.maps[i].lender != nil {
+		return p.s.maps[i].lender.(*stubLender)
+	}
+	return nil
+}
+
+// lend lends the mapping Malloc made for e, if it is still whole and has
+// been touched, to a stub owing fresh bytes; the oracle takes those bytes
+// as written. What the mapping's storage held stays in it.
+func (p *pair) lend(e Extent) {
+	p.t.Helper()
+	i := p.s.search(e.Addr)
+	if i == len(p.s.maps) || p.s.maps[i].base != e.Addr || p.s.maps[i].part || p.s.maps[i].reserved {
+		return
+	}
+	m := &p.s.maps[i]
+	old := p.lent(e.Addr)
+	l := &stubLender{t: p.t, owed: p.fill(int64(len(m.data))), storage: m.data}
+	p.s.Lend(e.Addr, l)
+	if old != nil && !(old.settled && old.released) {
+		p.t.Fatalf("Lend over a lent mapping: the loan before was settled %t, released %t", old.settled, old.released)
+	}
+	if len(l.owed) > 0 {
+		sim.Must(p.m.Write(e.Addr, l.owed))
 	}
 }
 
@@ -427,7 +502,7 @@ func runScript(t testing.TB, data []byte) {
 	peer.s.name, peer.m.name = "y", "y"
 	sc := &script{b: data}
 	for ops := 0; len(sc.b) > 0 && ops < 2000; ops++ {
-		switch op := sc.byte() % 17; op {
+		switch op := sc.byte() % 18; op {
 		case 0:
 			p.malloc(1 + sc.word()%(6*PageSize))
 		case 1: // a size seen before: the one that recycles
@@ -480,6 +555,10 @@ func runScript(t testing.TB, data []byte) {
 			src, n := peer.place(sc)
 			dst, _ := p.place(sc)
 			p.copyFrom(dst, peer, src, n)
+		case 17:
+			if len(p.allocs) > 0 {
+				p.lend(p.allocs[sc.byte()%int64(len(p.allocs))])
+			}
 		}
 		p.backings()
 		peer.backings()

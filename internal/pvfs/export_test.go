@@ -34,7 +34,8 @@ func init() { sim.PoisonReleased = true }
 // census sums, pool by pool, what the cluster's pools handed out and did not
 // get back: every shard's free lists of events, carriers, messages, wire
 // records and protocol records, every adapter's reply mailboxes, the staging
-// and scratch buffers, and every client's operation plans.
+// and scratch buffers, every file system's loans, and every client's
+// operation plans.
 func (c *Cluster) census() map[string]int64 {
 	out := map[string]int64{}
 	add := func(pool string, n int64) { out[pool] += n }
@@ -48,6 +49,7 @@ func (c *Cluster) census() map[string]int64 {
 	for _, s := range c.Servers {
 		s.hca.Census(add)
 		s.staging.Census(add)
+		s.fs.Census(add)
 		add("pvfs.iod-scratch", s.scratch.Out())
 	}
 	for _, cl := range c.Clients {

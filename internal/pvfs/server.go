@@ -355,17 +355,11 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 	s := sc.srv
 	f := s.file(p, req.FileID)
 	s.acquireIO(p)
-	var data []byte
 	if req.Stream {
 		// The reply owns a stream payload from here on, so it is not scratch.
-		data = make([]byte, req.Total)
-	} else {
-		// Request-sized: this storage becomes the staging buffer's.
-		data = s.scratch.Get(int(req.Total))
-	}
-	sieve.ReadInto(p, f, req.Accs, data[:req.Total], s.sieveParams, req.Sieve, &s.SieveStats)
-	s.releaseIO(p)
-	if req.Stream {
+		data := make([]byte, req.Total)
+		sieve.ReadInto(p, f, req.Accs, data, s.sieveParams, req.Sieve, &s.SieveStats)
+		s.releaseIO(p)
 		// Stream sockets: payload rides in the reply (user-to-kernel copy).
 		sp := s.cluster.Spans.Start(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "srv.pack", trace.StagePack)
 		p.Sleep(s.cluster.Cfg.IB.MemcpyTime(req.Total) + s.cluster.Cfg.StreamOverhead)
@@ -377,8 +371,18 @@ func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 		}
 		return nil
 	}
+	// Request-sized storage, which becomes the staging buffer's. The file
+	// lends the bytes into it instead of copying them, and whoever reads the
+	// buffer — the client's RDMA read, the pack path's gather — copies them
+	// out of the file. The file settles the loan if it changes them first;
+	// buf.Put ends it and hands the storage back to the pool, filled or not.
+	data := s.scratch.Get(int(req.Total))
+	loan := f.Lend(data)
+	sieve.Lend(p, f, req.Accs, loan, s.sieveParams, req.Sieve, &s.SieveStats)
+	s.releaseIO(p)
 	buf := s.staging.Get(p)
-	s.space.Exchange(buf.Addr, data) // buf.Put hands it back to the pool
+	s.space.Exchange(buf.Addr, data)
+	s.space.Lend(buf.Addr, loan)
 	if req.SchemePack {
 		// Push the packed bytes straight into the client's buffer. The
 		// target is the connection's statically registered fast buffer, so

@@ -17,12 +17,14 @@
 //
 // Payload moves between the file and the caller's buffer and nowhere else:
 // a sieved window is charged as one read (and, for writes, one locked
-// read-modify-write) of its whole span, but localfs.File.ReadPieces and
-// WritePieces copy only the bytes the request names, so the span never
-// passes through a buffer of its own. A request's bookkeeping — the sorted
-// access list, the windows and the returned decisions — lives in
-// Params.Plan, so a daemon that sets it allocates nothing per request. Read
-// is the one call that returns a fresh payload-sized slice.
+// read-modify-write) of its whole span, but localfs.File.ReadPieces lends
+// and WritePieces copies only the bytes the request names, so the span
+// never passes through a buffer of its own. A read lends (Lend): its bytes
+// stay in the file until whoever holds the loan reads or settles them. A
+// request's bookkeeping — the sorted access list, the windows and the
+// returned decisions — lives in Params.Plan, so a daemon that sets it
+// allocates nothing per request. Read is the one call that returns a fresh
+// payload-sized slice.
 package sieve
 
 import (
@@ -232,12 +234,12 @@ func xferTime(size int64, bw float64) sim.Duration {
 	return sim.Duration(float64(size) / bw * 1e9)
 }
 
-// ReadInto services the accesses against the file, filling dst with the
-// wanted bytes concatenated in the order the accesses were given (reads past
-// end of file return zeros); dst must be as long as the accesses together.
-// The returned decisions describe each window; with Params.Plan set they are
-// valid until the next call on the same Plan.
-func ReadInto(p *sim.Proc, f *localfs.File, accs []Access, dst []byte, params Params, mode Mode, stats *Stats) []Decision {
+// Lend services the accesses against the file, lending the wanted bytes on
+// l at their places in the accesses concatenated in the order given (reads
+// past end of file return zeros). The returned decisions describe each
+// window; with Params.Plan set they are valid until the next call on the
+// same Plan.
+func Lend(p *sim.Proc, f *localfs.File, accs []Access, l *localfs.Loan, params Params, mode Mode, stats *Stats) []Decision {
 	if len(accs) == 0 {
 		return nil
 	}
@@ -250,15 +252,25 @@ func ReadInto(p *sim.Proc, f *localfs.File, accs []Access, dst []byte, params Pa
 		record(stats, d)
 		sp := startWindowSpan(p, params, d)
 		if d.UseSieve {
-			f.ReadPieces(p, w.span.Off, w.span.Len, w.accs, dst)
+			f.ReadPieces(p, w.span.Off, w.span.Len, w.accs, l)
 		} else {
 			for i, a := range w.accs {
-				f.ReadPieces(p, a.Off, a.Len, w.accs[i:i+1], dst)
+				f.ReadPieces(p, a.Off, a.Len, w.accs[i:i+1], l)
 			}
 		}
 		sp.End(p.Now())
 	}
 	pl.decisions = decisions
+	return decisions
+}
+
+// ReadInto is Lend into dst, settled at once: dst must be as long as the
+// accesses together.
+func ReadInto(p *sim.Proc, f *localfs.File, accs []Access, dst []byte, params Params, mode Mode, stats *Stats) []Decision {
+	l := f.Lend(dst)
+	decisions := Lend(p, f, accs, l, params, mode, stats)
+	l.Settle()
+	l.Release()
 	return decisions
 }
 
