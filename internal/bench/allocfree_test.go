@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -104,6 +105,45 @@ func TestRDMAAllocFree(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestQuiescentRunAllocFree covers (pvfs.Cluster).Run, which is the
+// engine's Run: an application process writes and the run returns once it
+// is done, with every adapter's responder, every daemon's connection loop,
+// the manager's and the recall daemons parked for good. They are daemons, so
+// the run is not a deadlock and builds no report — a step allocates nothing
+// — while a process of the application parked for good still is one, named
+// alone.
+func TestQuiescentRunAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	c := pvfs.NewCluster(eng, pvfs.DefaultConfig(), 4, 2)
+	defer eng.Shutdown()
+	cl := c.Clients[0]
+	buf := cl.Space().Malloc(4 << 10)
+	var fh *pvfs.FileHandle
+	app := func(p *sim.Proc) {
+		if fh == nil {
+			fh = cl.Open(p, "quiet")
+		}
+		sim.Must(fh.Write(p, buf, 4<<10, 0, pvfs.OpOptions{}))
+	}
+	var runErr error
+	simtest.Measure(t, "quiescent run", func() {
+		eng.GoOn(cl.Node().Group(), "app", app)
+		if err := c.Run(); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	never := eng.NewMailbox("never")
+	eng.GoOn(c.Clients[1].Node().Group(), "stuck", func(p *sim.Proc) { never.Recv(p) })
+	eng.GoOn(cl.Node().Group(), "app", app)
+	de, ok := c.Run().(*sim.DeadlockError)
+	if !ok || !reflect.DeepEqual(de.Parked, []string{"stuck"}) {
+		t.Errorf("a run with one application process parked for good returned %v, want a deadlock naming it alone", de)
+	}
 }
 
 // TestDisabledTracerAllocFree covers (trace.Tracer).Start and the span

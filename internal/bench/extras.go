@@ -196,6 +196,6 @@ func queryMethodCell(nseg int, method mem.QueryMethod) queryResult {
 		sim.Must(ogr.Release(p, ogr.Direct{HCA: h}, res))
 		elapsed = p.Now().Sub(t0)
 	})
-	runTolerant(eng, h.Space())
+	runAndRetire(eng, h.Space())
 	return queryResult{float64(elapsed.Nanoseconds()) / 1000, regs}
 }

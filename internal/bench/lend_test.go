@@ -12,21 +12,21 @@ import (
 	"pvfsib/internal/sim"
 )
 
-// holdReadRequest is a fabric fault policy that holds the RDMA read
-// requests one node sends another from a given time on — the messages that
-// carry only the wire header; a list request and a completion notice are
-// larger — for extra, and stamps when it held the first. The request is
-// held rather than the response: the sender of the response is the iod's
-// read responder, and holding it would hold every RDMA the iod answers.
-type holdReadRequest struct {
+// holdSmall is a fabric fault policy that holds the messages of at most
+// maxSize bytes one node sends another from a given time on for extra, and
+// stamps when it held the first. At 64 bytes it holds RDMA read requests,
+// which carry only the wire header; at 96 also completion notices, a
+// request header with no regions; a list request is larger.
+type holdSmall struct {
 	from, to int
+	maxSize  int
 	since    sim.Time
 	extra    sim.Duration
 	heldAt   sim.Time
 }
 
-func (h *holdReadRequest) SendVerdict(now sim.Time, from, to int, size int) (bool, sim.Duration) {
-	if from != h.from || to != h.to || now < h.since || size > 64 {
+func (h *holdSmall) SendVerdict(now sim.Time, from, to int, size int) (bool, sim.Duration) {
+	if from != h.from || to != h.to || now < h.since || size > h.maxSize {
 		return false, 0
 	}
 	if h.heldAt == 0 {
@@ -81,7 +81,10 @@ func lentReadHazard(t *testing.T, remove bool) {
 			// The reader writes the file, then reads it at readStart; the
 			// writer starts after more.
 			const readStart = sim.Time(2 * time.Millisecond)
-			policy := &holdReadRequest{from: int(reader.Node().ID), to: int(srv.ID), since: readStart, extra: hold}
+			// The RDMA read request is held rather than the response: the
+			// sender of the response is the iod's read responder, and holding
+			// it would hold every RDMA the iod answers.
+			policy := &holdSmall{from: int(reader.Node().ID), to: int(srv.ID), maxSize: 64, since: readStart, extra: hold}
 			c.Net.SetFaults(policy)
 			gather := pvfs.OpOptions{Transfer: pvfs.ForceGather}
 
@@ -142,5 +145,68 @@ func lentReadHazard(t *testing.T, remove bool) {
 				t.Fatalf("the read got byte %d as %#x, from before the write %#x", i, got[i], want[i])
 			}
 		})
+	}
+}
+
+// TestLateWriteMissesReusedRecord: an iod handler looks its file up when a
+// gather write arrives and writes once the client's completion notice does.
+// The notice is held on the fabric while another client removes the file
+// and writes a new one, whose stripe file takes the removed one's record;
+// the late write must not land in the new file.
+func TestLateWriteMissesReusedRecord(t *testing.T) {
+	const (
+		span    = 64 << 10
+		writeAt = sim.Time(2 * time.Millisecond)
+		after   = 200 * time.Microsecond
+		hold    = 2 * time.Millisecond
+	)
+	c := pvfs.NewCluster(sim.NewEngine(), pvfs.DefaultConfig(), 1, 2)
+	late, other := c.Clients[0], c.Clients[1]
+	srv := c.Servers[0].HCA().Node()
+	policy := &holdSmall{from: int(late.Node().ID), to: int(srv.ID), maxSize: 96, since: writeAt, extra: hold}
+	c.Net.SetFaults(policy)
+	gather := pvfs.OpOptions{Transfer: pvfs.ForceGather}
+	fill := func(cl *pvfs.Client, b byte) mem.Addr {
+		a := cl.Space().Malloc(span)
+		sim.Must(cl.Space().Write(a, bytes.Repeat([]byte{b}, span)))
+		return a
+	}
+	var removedAt, freshDone sim.Time
+	c.Eng.GoOn(late.Node().Group(), "late", func(p *sim.Proc) {
+		fh := late.Open(p, "doomed")
+		src := fill(late, 0xAA)
+		sim.Must(fh.Write(p, src, span, 0, gather)) // the stripe file exists
+		p.Sleep(writeAt.Sub(p.Now()))
+		sim.Must(fh.Write(p, src, span, 0, gather))
+	})
+	c.Eng.GoOn(other.Node().Group(), "other", func(q *sim.Proc) {
+		q.Sleep(writeAt.Sub(q.Now()) + after)
+		other.Remove(q, "doomed")
+		removedAt = q.Now()
+		sim.Must(other.Open(q, "fresh").Write(q, fill(other, 0xF1), span, 0, gather))
+		freshDone = q.Now()
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if policy.heldAt == 0 || policy.heldAt > removedAt || freshDone > policy.heldAt.Add(hold) {
+		t.Fatalf("the new file was not written while the notice was held: notice held at %v for %v, removed at %v, new file written by %v",
+			policy.heldAt, hold, removedAt, freshDone)
+	}
+	dst := other.Space().Malloc(span)
+	c.Eng.GoOn(other.Node().Group(), "check", func(q *sim.Proc) {
+		sim.Must(other.Open(q, "fresh").Read(q, dst, span, 0, pvfs.OpOptions{}))
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := other.Space().Read(dst, span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		if b != 0xF1 {
+			t.Fatalf("the new file holds byte %#x at %d, not its own 0xf1: the removed file's late write landed in it", b, i)
+		}
 	}
 }

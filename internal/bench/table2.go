@@ -65,7 +65,7 @@ func table2Write(bigSize int64) latBW {
 		sim.Must(a.Deregister(p, mrA))
 		sim.Must(b.Deregister(p, mrB))
 	})
-	runTolerant(eng, a.Space(), b.Space())
+	runAndRetire(eng, a.Space(), b.Space())
 	return latBW{float64(lat.Nanoseconds()) / 1000, bw(bigSize, elapsed)}
 }
 
@@ -94,7 +94,7 @@ func table2Read(bigSize int64) latBW {
 		sim.Must(a.Deregister(p, mrA))
 		sim.Must(b.Deregister(p, mrB))
 	})
-	runTolerant(eng, a.Space(), b.Space())
+	runAndRetire(eng, a.Space(), b.Space())
 	return latBW{float64(lat.Nanoseconds()) / 1000, bw(bigSize, elapsed)}
 }
 
@@ -121,18 +121,15 @@ func table2MPI(bigSize int64) latBW {
 		w.Rank(1).Recv(p, 0)
 		elapsed = p.Now().Sub(t0)
 	})
-	runTolerant(eng, w)
+	runAndRetire(eng, w)
 	return latBW{float64(lat.Nanoseconds()) / 1000, bw(bigSize, elapsed)}
 }
 
-// runTolerant drives an engine, ignoring forever-parked infrastructure,
-// then shuts the engine down so its simulated world can be collected; parts
-// are the layers of that world that tally host cost.
-func runTolerant(eng *sim.Engine, parts ...coster) {
-	if err := eng.Run(); err != nil {
-		if _, ok := err.(*sim.DeadlockError); !ok {
-			sim.Must(err)
-		}
-	}
+// runAndRetire drives an engine — the adapters' responders are daemons, so
+// it ends when the cell's own processes do — then shuts the engine down so
+// its simulated world can be collected; parts are the layers of that world
+// that tally host cost.
+func runAndRetire(eng *sim.Engine, parts ...coster) {
+	sim.Must(eng.Run())
 	retire(eng, HostWork{}, append(parts, eng.Telemetry())...)
 }

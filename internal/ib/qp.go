@@ -84,7 +84,7 @@ func NewHCA(node *simnet.Node, space *mem.AddrSpace, params Params) *HCA {
 	h.wakeup = h.engine().NewCond()
 	h.SetMetrics(nil)
 	node.SetReceiver(h.receive)
-	h.engine().GoOn(node.Group(), fmt.Sprintf("hca[%s]", node.Name), h.respond)
+	h.engine().GoDaemonOn(node.Group(), fmt.Sprintf("hca[%s]", node.Name), h.respond)
 	return h
 }
 

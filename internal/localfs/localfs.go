@@ -13,9 +13,11 @@
 // File bytes are really stored, so higher layers can verify data integrity
 // end-to-end. They live in extents, slabs of 64 blocks with a bitmap of the
 // blocks written, allocated on the first write into their range; Remove
-// keeps a removed file's extents for the files created next. ReadPieces and
-// WritePieces charge a whole span but move only the pieces of it that a
-// caller names, the host side of a data-sieving window.
+// keeps a removed file's extents, and its File record with its lock table,
+// for the files created next, so creating and removing a file allocates
+// nothing once warm. ReadPieces and WritePieces charge a whole span but move
+// only the pieces of it that a caller names, the host side of a
+// data-sieving window.
 //
 // A read does not copy: it lends. ReadPieces records the pieces on a Loan
 // into storage the caller owns, and whoever reads the loan copies them
@@ -98,7 +100,9 @@ type FS struct {
 	nextID  int64
 	cache   *pageCache
 	freeExt []*extent // extents of removed files, extentKeepBytes at most
-	loans   sim.FreeList[Loan]
+	// freeFiles holds removed files' records for Open to reuse.
+	freeFiles []*File
+	loans     sim.FreeList[Loan]
 	// syncList is SyncAll's list of files between calls (sortedFiles).
 	syncList []*File
 
@@ -132,13 +136,17 @@ func (fs *FS) Disk() *disk.Disk { return fs.dsk }
 // Params returns the timing model.
 func (fs *FS) Params() Params { return fs.params }
 
-// File is one sparse file.
+// File is one sparse file. Its record is valid until Remove: the next Open
+// of a new file may hand it out again.
 type File struct {
 	fs   *FS
 	name string
 	id   int64
+	// gen counts the Removes of the record, so that a holder can tell that
+	// the file it looked up is gone (Gen).
+	gen  int64
 	size int64
-	data map[int64]*extent // by block index / extentBlocks
+	data []*extent // by block index / extentBlocks; nil past the last one made
 	// loans heads the list of the file's unsettled loans.
 	loans *Loan
 
@@ -152,21 +160,24 @@ func (fs *FS) Open(p *sim.Proc, name string) *File {
 	if f, ok := fs.files[name]; ok {
 		return f
 	}
-	f := &File{
-		fs:    fs,
-		name:  name,
-		id:    fs.nextID,
-		data:  make(map[int64]*extent),
-		locks: newLockTable(fs.eng),
+	var f *File
+	if n := len(fs.freeFiles); n > 0 {
+		f, fs.freeFiles[n-1] = fs.freeFiles[n-1], nil
+		fs.freeFiles = fs.freeFiles[:n-1]
+	} else {
+		f = &File{fs: fs, locks: newLockTable(fs.eng)}
 	}
+	f.name, f.id = name, fs.nextID
 	fs.nextID++
 	fs.files[name] = f
 	return f
 }
 
-// Remove deletes the named file like unlink(2): its bytes vanish — a *File
-// kept across the call is empty — and its cached blocks (dirty or not) are
-// discarded. It reports whether the file existed.
+// Remove deletes the named file like unlink(2): its bytes vanish and its
+// cached blocks (dirty or not) are discarded. The record goes back to the FS
+// for the next Open of a new file, so a *File must not be used past its
+// Remove; Gen tells a holder that it happened. It reports whether the file
+// existed.
 func (fs *FS) Remove(p *sim.Proc, name string) bool {
 	p.Sleep(fs.params.OpenOverhead)
 	f, ok := fs.files[name]
@@ -178,19 +189,26 @@ func (fs *FS) Remove(p *sim.Proc, name string) bool {
 		f.loans.Settle() // before the extents go to another file
 	}
 	fs.cache.purgeFile(f)
-	// In index order, so that which extent a later file gets does not hang
-	// on map iteration.
+	// In index order, so that which extent a later file gets is fixed.
 	extBytes := extentBlocks * fs.params.BlockSize
-	for i := int64(0); i*extBytes < f.size && (int64(len(fs.freeExt))+1)*extBytes <= extentKeepBytes; i++ {
+	for i := 0; i < len(f.data) && (int64(len(fs.freeExt))+1)*extBytes <= extentKeepBytes; i++ {
 		if e := f.data[i]; e != nil {
 			e.stale, e.written = e.stale|e.written, 0
 			fs.freeExt = append(fs.freeExt, e)
 		}
 	}
 	clear(f.data)
+	f.data = f.data[:0]
 	f.size = 0
+	f.gen++
+	fs.freeFiles = append(fs.freeFiles, f)
 	return true
 }
+
+// Gen returns how many times the record has been removed. A holder that
+// notes it when it looks the file up and finds it changed later knows the
+// file is gone and the record may be another file's.
+func (f *File) Gen() int64 { return f.gen }
 
 // Name returns the file's name.
 func (f *File) Name() string { return f.name }
@@ -443,16 +461,27 @@ func (e *extent) has(b int64) bool { return e != nil && e.written>>b&1 != 0 }
 
 // written reports whether the block has ever been written.
 func (f *File) written(blk int64) bool {
-	return f.data[blk/extentBlocks].has(blk % extentBlocks)
+	return f.ext(blk / extentBlocks).has(blk % extentBlocks)
+}
+
+// ext returns the file's i-th extent, nil if it has none there.
+func (f *File) ext(i int64) *extent {
+	if i < int64(len(f.data)) {
+		return f.data[i]
+	}
+	return nil
 }
 
 // extent returns the file's i-th extent, recycling a removed file's or
 // making one if the file has none there.
 func (f *File) extent(i int64) *extent {
-	e := f.data[i]
-	if e != nil {
+	if e := f.ext(i); e != nil {
 		return e
 	}
+	for int64(len(f.data)) <= i {
+		f.data = append(f.data, nil)
+	}
+	var e *extent
 	fs := f.fs
 	if n := len(fs.freeExt); n > 0 {
 		e, fs.freeExt[n-1] = fs.freeExt[n-1], nil
@@ -520,7 +549,7 @@ func (f *File) copyOut(off int64, dst []byte) (copied int64) {
 	bs := f.fs.params.BlockSize
 	extBytes := extentBlocks * bs
 	for len(dst) > 0 {
-		e, eo := f.data[off/extBytes], off%extBytes
+		e, eo := f.ext(off/extBytes), off%extBytes
 		b := eo / bs
 		end, written := extBytes, false // the run of blocks like b's
 		if e != nil {
@@ -750,7 +779,7 @@ func newPageCache(fs *FS) *pageCache {
 // lookup returns the block's extent.slot, nil if it has no extent, and the
 // entry caching it, noEntry if none does.
 func (k cacheKey) lookup() (*int32, int32) {
-	if e := k.file.data[k.blk/extentBlocks]; e != nil {
+	if e := k.file.ext(k.blk / extentBlocks); e != nil {
 		return &e.slot[k.blk%extentBlocks], e.slot[k.blk%extentBlocks] - 1
 	}
 	return nil, noEntry

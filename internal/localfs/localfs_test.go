@@ -319,6 +319,28 @@ func TestSyncAllocFree(t *testing.T) {
 	})
 }
 
+// TestCreateRemoveAllocFree: a scratch file's life as an I/O daemon sees it
+// in the ledger's rounds — created, written over several extents, synced
+// and removed, under alternating names — allocates nothing once the first
+// pass has made the record, its lock table and its extents: the next file
+// takes all three from the removed one.
+func TestCreateRemoveAllocFree(t *testing.T) {
+	eng, fs := newFS(t)
+	data := make([]byte, 300<<10)
+	names := [2]string{"f000001", "f000002"}
+	step := 0
+	simtest.AllocFree(t, eng, "create/remove", func(p *sim.Proc) {
+		name := names[step%2]
+		step++
+		f := fs.Open(p, name)
+		f.WriteAt(p, 4<<10, data)
+		f.Sync(p)
+		if !fs.Remove(p, name) {
+			t.Errorf("%s: not there to remove", name)
+		}
+	})
+}
+
 // TestLoanAllocFree: an I/O daemon's gathered read in steady state — a loan
 // of strided pieces from the pool, lent to a staging mapping, landed in a
 // client's space straight out of the extents, a write that settles another

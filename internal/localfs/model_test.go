@@ -97,12 +97,13 @@ func (f *blockFile) span(off, size int64, pieces []Piece, buf []byte) []byte {
 	return out
 }
 
-// handle is one *File with its oracle. A handle kept across Remove stays
-// usable and is held to an empty oracle from then on: its bytes vanished.
+// handle is one *File with its oracle. Remove ends it: the record goes back
+// to the FS, and the next Open of a new file may hand it out again.
 type handle struct {
-	f    *File
-	m    *blockFile
-	name string
+	f       *File
+	m       *blockFile
+	name    string
+	removed bool
 }
 
 // fsPair drives an FS and the oracles with the same calls. With spans set
@@ -114,7 +115,7 @@ type fsPair struct {
 	p       *sim.Proc
 	fs      *FS
 	open    map[string]*handle
-	handles []*handle // every handle ever opened, removed ones too
+	handles []*handle // the open files' handles
 	stamp   byte
 	spans   bool
 	ref     *mapCache // the page cache the FS's is held to (checkCache)
@@ -152,7 +153,8 @@ func (x *fsPair) remove(name string) {
 	}
 	if h != nil {
 		delete(x.open, name)
-		h.m = newBlockFile(h.m.bs)
+		h.removed = true
+		x.handles = slices.DeleteFunc(x.handles, func(o *handle) bool { return o == h })
 	}
 	if keep := extentKeepBytes / (extentBlocks * x.fs.params.BlockSize); int64(len(x.fs.freeExt)) > keep {
 		x.t.Fatalf("%d extents kept, bound %d", len(x.fs.freeExt), keep)
@@ -421,7 +423,7 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 				x.openFile(names[sc.byte()%3])
 				continue
 			}
-			h := x.handles[sc.byte()%int64(len(x.handles))] // removed ones too
+			h := x.handles[sc.byte()%int64(len(x.handles))]
 			switch {
 			case op < 9:
 				off, n := sc.span()
@@ -457,7 +459,7 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 				x.release(int(sc.byte()%int64(len(x.lent))), sc.byte()%2 == 0)
 			default: // a write over a lent piece, of its file or of the one that took its extents
 				ln := x.lent[sc.byte()%int64(len(x.lent))]
-				if sc.byte()%2 == 0 {
+				if sc.byte()%2 == 0 && !ln.h.removed {
 					h = ln.h
 				}
 				if len(ln.pieces) > 0 {
@@ -550,28 +552,31 @@ func TestRecycledExtentReadsZero(t *testing.T) {
 	})
 }
 
-// TestRemovedFileHandleIsDetached: a *File kept across Remove is an empty
-// file of its own — it reads nothing of the file that inherits its extents
-// and cannot write into it.
-func TestRemovedFileHandleIsDetached(t *testing.T) {
+// TestRemovedFileRecordIsReused: Remove hands the file's record back to the
+// FS and the next Open of a new file takes it, with a media region of its
+// own and nothing of the removed file's bytes; Gen tells a holder of the
+// record that the file it looked up is gone.
+func TestRemovedFileRecordIsReused(t *testing.T) {
 	eng, fs := newFS(t)
 	runSim(t, eng, func(p *sim.Proc) {
 		x := newFSPair(t, p, fs)
-		stale := x.openFile("f")
-		x.write(stale, 0, 100<<10)
+		old := x.openFile("f")
+		x.write(old, 0, 100<<10)
+		rec, gen, region := old.f, old.f.Gen(), old.f.mediaOffset(0)
 		x.remove("f")
-		if stale.f.Size() != 0 || stale.f.ReadAt(p, 0, 100) != nil {
-			t.Error("a removed file still has bytes")
+		if rec.Gen() == gen {
+			t.Error("Remove left the record's generation as it was")
 		}
-		fresh := x.openFile("f") // same name, the removed file's extent
-		if fresh.f == stale.f {
-			t.Fatal("Open after Remove returned the removed file")
+		fresh := x.openFile("g") // a new name, the removed file's record and extents
+		if fresh.f != rec {
+			t.Fatal("Open after Remove made a record instead of reusing the removed one")
 		}
-		x.write(fresh, 0, 100<<10)
-		x.read(stale, 0, 100<<10) // nothing
-		x.write(stale, 10, 5000)  // lands in storage of its own
-		x.read(fresh, 0, 100<<10)
-		x.read(stale, 0, 8000)
+		if fresh.f.Size() != 0 || fresh.f.mediaOffset(0) == region {
+			t.Errorf("reused record: size %d, media region %d (the removed file's: %d)", fresh.f.Size(), fresh.f.mediaOffset(0), region)
+		}
+		x.read(fresh, 0, 100<<10) // zeros, not the removed file's bytes
+		x.write(fresh, 10, 5000)
+		x.read(fresh, 0, 8000)
 		x.sweep()
 	})
 }
@@ -791,7 +796,9 @@ func (x *fsPair) checkCache() {
 	exts := slices.Clone(x.fs.freeExt)
 	for _, h := range x.handles {
 		for _, e := range h.f.data {
-			exts = append(exts, e)
+			if e != nil {
+				exts = append(exts, e)
+			}
 		}
 	}
 	slots := 0

@@ -29,7 +29,15 @@ type World struct {
 	// acct, when set, receives the payload byte count of every
 	// point-to-point message (client-to-client accounting).
 	acct func(rank int, bytes int64)
+	// envelopes holds each engine shard's envelopes not in flight.
+	envelopes []sim.FreeList[envelope]
 }
+
+// envelope carries one message body through a queue pair. The QP's payload
+// is an interface, which holds a pointer as it is but boxes a slice header
+// in a fresh allocation, so a body travels in a pooled envelope. A sender
+// takes one from its shard's list and the receiver puts it into its own.
+type envelope struct{ body []byte }
 
 // Rank is one MPI process.
 type Rank struct {
@@ -45,15 +53,20 @@ type Rank struct {
 	// pools level.
 	scratch mem.ScratchPool
 	copied  int64 // bytes Send copied, host side
+	// envelopes is the list of the rank's shard (World.envelopes).
+	envelopes *sim.FreeList[envelope]
+	// out holds what a collective returns, until the rank's next one.
+	out [][]byte
 }
 
 // NewWorld builds a world with one rank per HCA (rank i on hcas[i]) and
 // fully connects them. acct may be nil.
 func NewWorld(eng *sim.Engine, hcas []*ib.HCA, acct func(rank int, bytes int64)) *World {
-	w := &World{eng: eng, acct: acct}
+	w := &World{eng: eng, acct: acct, envelopes: make([]sim.FreeList[envelope], eng.NumShards())}
 	n := len(hcas)
 	for i := 0; i < n; i++ {
-		w.ranks = append(w.ranks, &Rank{world: w, id: i, qps: make([]*ib.QP, n)})
+		shard := hcas[i].Node().Group().ShardIndex()
+		w.ranks = append(w.ranks, &Rank{world: w, id: i, qps: make([]*ib.QP, n), envelopes: &w.envelopes[shard], out: make([][]byte, n)})
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -117,10 +130,12 @@ func (r *Rank) SendOwned(p *sim.Proc, dst int, body []byte) {
 	if r.world.acct != nil {
 		r.world.acct(r.id, int64(len(body)))
 	}
+	env := r.envelopes.Take()
+	env.body = body
 	// Control QPs never see injected completion errors; a failure here
 	// would mean a partition cut client-to-client links, which mini-MPI
 	// (like MPI itself) does not survive.
-	sim.Must(r.qps[dst].Send(p, len(body), body))
+	sim.Must(r.qps[dst].Send(p, len(body), env))
 }
 
 // Recv blocks until a message from rank src arrives and returns its payload,
@@ -130,8 +145,12 @@ func (r *Rank) Recv(p *sim.Proc, src int) []byte {
 		sim.Failf("mpi: recv from self")
 	}
 	_, payload := r.qps[src].Recv(p)
+	env := payload.(*envelope)
+	body := env.body
+	env.body = nil
+	r.envelopes.Put(env)
 	p.Sleep(SoftwareOverhead)
-	return payload.([]byte)
+	return body
 }
 
 // Barrier blocks until every rank has entered it. The implementation is
@@ -168,13 +187,15 @@ func (r *Rank) Bcast(p *sim.Proc, root int, data []byte) []byte {
 }
 
 // Gather collects each rank's data at root; root receives the slices in
-// rank order (its own contribution included), others receive nil.
+// rank order (its own contribution included), others receive nil. Like
+// every collective's result, root's slice is the rank's own, valid until its
+// next collective call; the parts received are the caller's.
 func (r *Rank) Gather(p *sim.Proc, root int, data []byte) [][]byte {
 	if r.id != root {
 		r.Send(p, root, data)
 		return nil
 	}
-	out := make([][]byte, r.Size())
+	out := r.out
 	out[root] = data
 	for i := 0; i < r.Size(); i++ {
 		if i != root {
@@ -184,7 +205,8 @@ func (r *Rank) Gather(p *sim.Proc, root int, data []byte) [][]byte {
 	return out
 }
 
-// Allgather gives every rank every rank's contribution, in rank order.
+// Allgather gives every rank every rank's contribution, in rank order; a
+// rank's own is data itself, the others' are the caller's.
 func (r *Rank) Allgather(p *sim.Proc, data []byte) [][]byte {
 	parts := r.Gather(p, 0, data)
 	if r.id == 0 {
@@ -195,18 +217,22 @@ func (r *Rank) Allgather(p *sim.Proc, data []byte) [][]byte {
 		}
 		return parts
 	}
-	out := make([][]byte, r.Size())
+	out := r.out
 	for j := range out {
 		out[j] = r.Recv(p, 0)
 	}
+	// Root sends every rank its own part back too; the copy goes to the pool.
+	r.scratch.Put(out[r.id])
+	out[r.id] = data
 	return out
 }
 
 // Alltoallv sends a copy of parts[j] to rank j and returns the parts
 // received from every rank, indexed by source (parts[self] is passed through
-// locally). Sends are buffered (they complete without waiting for the
-// receiver), so posting all sends before draining receives cannot deadlock;
-// rounds are shifted so senders do not all hit the same receiver at once.
+// locally), in a slice valid until the rank's next collective call. Sends
+// are buffered (they complete without waiting for the receiver), so posting
+// all sends before draining receives cannot deadlock; rounds are shifted so
+// senders do not all hit the same receiver at once.
 func (r *Rank) Alltoallv(p *sim.Proc, parts [][]byte) [][]byte {
 	return r.alltoallv(p, parts, (*Rank).Send)
 }
@@ -222,7 +248,7 @@ func (r *Rank) alltoallv(p *sim.Proc, parts [][]byte, send func(*Rank, *sim.Proc
 	if len(parts) != n {
 		sim.Failf("mpi: Alltoallv needs %d parts, got %d", n, len(parts))
 	}
-	out := make([][]byte, n)
+	out := r.out
 	out[r.id] = parts[r.id]
 	for k := 1; k < n; k++ {
 		send(r, p, (r.id+k)%n, parts[(r.id+k)%n])

@@ -34,17 +34,22 @@ type pieceRef struct {
 	frags       []ib.SGE
 }
 
-// tpScratch is the descriptor storage of a two-phase round, kept on the File
-// from one round to the next so that a round in steady state allocates none:
-// what clipToExtent cut the round's window down to, what splitByOwner made of
-// that (frags backs every pieceRef.frags of the round), and the spans of the
-// pieces a write round received.
+// tpScratch is the descriptor storage of a two-phase round, kept per client
+// (clientState) from one round to the next so that a round in steady state
+// allocates none: what clipToExtent cut the round's window down to, the
+// round's file domains, what splitByOwner made of that (frags backs every
+// pieceRef.frags of the round), the messages for each peer, and the spans of
+// the pieces a write round received.
 type tpScratch struct {
 	segs  []ib.SGE
 	accs  []pvfs.OffLen
+	doms  []pvfs.OffLen
 	owned [][]pieceRef
 	frags []ib.SGE
+	parts [][]byte
 	spans []span
+	// ext is the rank's extent as exchangeExtents encodes it.
+	ext [16]byte
 	// piece is forEachPiece's fragment list; the independent Multiple I/O
 	// path walks its pieces with it too.
 	piece []ib.SGE
@@ -53,9 +58,11 @@ type tpScratch struct {
 // span is a file range [lo, hi).
 type span struct{ lo, hi int64 }
 
-// domains splits [lo, hi) into n even shares.
-func domains(lo, hi int64, n int) []pvfs.OffLen {
-	out := make([]pvfs.OffLen, n)
+// domains splits [lo, hi) into n even shares, in sc.doms.
+func (sc *tpScratch) domains(lo, hi int64, n int) []pvfs.OffLen {
+	out := slices.Grow(sc.doms[:0], n)[:n]
+	sc.doms = out
+	clear(out)
 	if hi <= lo {
 		return out
 	}
@@ -115,17 +122,24 @@ func (sc *tpScratch) splitByOwner(memSegs []ib.SGE, fileAccs []pvfs.OffLen, doms
 	return sc.owned, err
 }
 
+// messages returns sc.parts cut to one empty message per rank.
+func (sc *tpScratch) messages(n int) [][]byte {
+	sc.parts = slices.Grow(sc.parts[:0], n)[:n]
+	clear(sc.parts)
+	return sc.parts
+}
+
 // exchangeExtents allgathers each rank's (lo,hi) and returns the global
 // extent; ranks with no accesses contribute an empty sentinel.
-func (f *File) exchangeExtents(p *sim.Proc, fileAccs []pvfs.OffLen) (int64, int64) {
+func (f *File) exchangeExtents(p *sim.Proc, sc *tpScratch, fileAccs []pvfs.OffLen) (int64, int64) {
 	lo, hi := int64(math.MaxInt64), int64(-1)
 	if len(fileAccs) > 0 {
 		lo, hi = extentOf(fileAccs)
 	}
-	var enc [16]byte
-	binary.LittleEndian.PutUint64(enc[:], uint64(lo))
+	enc := sc.ext[:]
+	binary.LittleEndian.PutUint64(enc, uint64(lo))
 	binary.LittleEndian.PutUint64(enc[8:], uint64(hi))
-	all := f.rank.Allgather(p, enc[:])
+	all := f.rank.Allgather(p, enc)
 	glo, ghi := int64(math.MaxInt64), int64(-1)
 	for _, e := range all {
 		l := int64(binary.LittleEndian.Uint64(e))
@@ -140,6 +154,7 @@ func (f *File) exchangeExtents(p *sim.Proc, fileAccs []pvfs.OffLen) (int64, int6
 			ghi = h
 		}
 	}
+	all[f.rank.ID()] = nil // enc itself, not a message body
 	f.release(all)
 	return glo, ghi
 }
@@ -196,11 +211,13 @@ const collectiveWindow = 4 << 20
 // collectiveRounds drives one collective access, write or read alike: agree
 // on the global extent, then run round over it window by window.
 func (f *File) collectiveRounds(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen,
-	round func(f *File, p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen, glo, ghi int64) error) error {
+	round func(f *File, p *sim.Proc, sc *tpScratch, memSegs []ib.SGE, fileAccs []pvfs.OffLen, glo, ghi int64) error) error {
 	if f.rank == nil {
 		return ErrNoWorld
 	}
-	glo, ghi := f.exchangeExtents(p, fileAccs)
+	sc := f.st.scratch()
+	defer f.st.done(sc)
+	glo, ghi := f.exchangeExtents(p, sc, fileAccs)
 	if ghi <= glo {
 		f.rank.Barrier(p)
 		return nil
@@ -214,11 +231,11 @@ func (f *File) collectiveRounds(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.O
 	step := window * int64(f.rank.Size())
 	for lo := glo; lo < ghi; lo += step {
 		hi := min(lo+step, ghi)
-		segs, accs, err := f.tp.clipToExtent(memSegs, fileAccs, lo, hi)
+		segs, accs, err := sc.clipToExtent(memSegs, fileAccs, lo, hi)
 		if err != nil {
 			return err
 		}
-		if err := round(f, p, segs, accs, lo, hi); err != nil {
+		if err := round(f, p, sc, segs, accs, lo, hi); err != nil {
 			return err
 		}
 	}
@@ -239,9 +256,9 @@ func pieceHdrAt(b []byte) (off, length int64) {
 	return int64(binary.LittleEndian.Uint64(b)), int64(binary.LittleEndian.Uint64(b[8:]))
 }
 
-func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen, glo, ghi int64) error {
-	doms := domains(glo, ghi, f.rank.Size())
-	owned, err := f.tp.splitByOwner(memSegs, fileAccs, doms)
+func (f *File) collectiveWriteRound(p *sim.Proc, sc *tpScratch, memSegs []ib.SGE, fileAccs []pvfs.OffLen, glo, ghi int64) error {
+	doms := sc.domains(glo, ghi, f.rank.Size())
+	owned, err := sc.splitByOwner(memSegs, fileAccs, doms)
 	if err != nil {
 		return err
 	}
@@ -253,7 +270,7 @@ func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pv
 	// over, not copied: each becomes its owner's to release, and what this
 	// rank receives (its own message included) goes to its pool once the
 	// domain is assembled.
-	parts := make([][]byte, f.rank.Size())
+	parts := sc.messages(f.rank.Size())
 	var packed int64
 	for owner, pieces := range owned {
 		size := 0
@@ -280,7 +297,7 @@ func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pv
 	defer f.release(got)
 
 	// I/O phase: assemble my domain and write it contiguously.
-	spans := f.tp.spans[:0]
+	spans := sc.spans[:0]
 	for _, msg := range got {
 		for len(msg) > 0 {
 			off, length := pieceHdrAt(msg)
@@ -288,7 +305,7 @@ func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pv
 			msg = msg[pieceHdr+length:]
 		}
 	}
-	f.tp.spans = spans
+	sc.spans = spans
 	if len(spans) == 0 {
 		return nil
 	}
@@ -325,9 +342,9 @@ func (f *File) collectiveWriteRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pv
 	return f.fh.Write(p, buf, wHi-wLo, wLo, pvfs.OpOptions{Sieve: sieve.Never})
 }
 
-func (f *File) collectiveReadRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen, glo, ghi int64) error {
-	doms := domains(glo, ghi, f.rank.Size())
-	owned, err := f.tp.splitByOwner(memSegs, fileAccs, doms)
+func (f *File) collectiveReadRound(p *sim.Proc, sc *tpScratch, memSegs []ib.SGE, fileAccs []pvfs.OffLen, glo, ghi int64) error {
+	doms := sc.domains(glo, ghi, f.rank.Size())
+	owned, err := sc.splitByOwner(memSegs, fileAccs, doms)
 	if err != nil {
 		return err
 	}
@@ -335,7 +352,7 @@ func (f *File) collectiveReadRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvf
 	space, pool := f.client.Space(), f.rank.Scratch()
 
 	// Phase 1: ship request descriptors to the owners.
-	reqs := make([][]byte, f.rank.Size())
+	reqs := sc.messages(f.rank.Size())
 	for owner, pieces := range owned {
 		buf := pool.Get(pieceHdr * len(pieces))
 		for i, pc := range pieces {
@@ -344,43 +361,12 @@ func (f *File) collectiveReadRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvf
 		reqs[owner] = buf
 	}
 	gotReqs := f.rank.AlltoallvOwned(p, reqs)
-	defer f.release(gotReqs)
-
-	// I/O phase: read the requested span of my domain once, then carve
-	// out each requester's pieces.
-	rLo, rHi := int64(math.MaxInt64), int64(-1)
-	for _, msg := range gotReqs {
-		for ; len(msg) > 0; msg = msg[pieceHdr:] {
-			off, length := pieceHdrAt(msg)
-			rLo, rHi = min(rLo, off), max(rHi, off+length)
-		}
-	}
-	replies := make([][]byte, f.rank.Size())
-	if rHi > rLo {
-		buf := f.ensureTPBuf(rHi - rLo)
-		if err := f.fh.Read(p, buf, rHi-rLo, rLo, pvfs.OpOptions{Sieve: sieve.Never}); err != nil {
-			return err
-		}
-		var carved int64
-		for src, req := range gotReqs {
-			size := int64(0)
-			for msg := req; len(msg) > 0; msg = msg[pieceHdr:] {
-				_, length := pieceHdrAt(msg)
-				size += length
-			}
-			out := pool.Get(int(size))
-			at := int64(0)
-			for msg := req; len(msg) > 0; msg = msg[pieceHdr:] {
-				off, length := pieceHdrAt(msg)
-				if err := space.ReadInto(buf+mem.Addr(off-rLo), out[at:at+length]); err != nil {
-					return err
-				}
-				at += length
-			}
-			carved += size
-			replies[src] = out
-		}
-		p.Sleep(cfgIB.MemcpyTime(carved))
+	// The requests go back to the pool before the second exchange, which
+	// returns its parts in the same slice.
+	replies, err := f.carveReplies(p, sc, gotReqs)
+	f.release(gotReqs)
+	if err != nil {
+		return err
 	}
 	gotData := f.rank.AlltoallvOwned(p, replies)
 	defer f.release(gotData)
@@ -401,4 +387,47 @@ func (f *File) collectiveReadRound(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvf
 	}
 	p.Sleep(cfgIB.MemcpyTime(scattered))
 	return nil
+}
+
+// carveReplies is a read round's I/O phase: read the requested span of my
+// domain once, then carve out each requester's pieces, one reply per rank
+// in sc.parts.
+func (f *File) carveReplies(p *sim.Proc, sc *tpScratch, gotReqs [][]byte) ([][]byte, error) {
+	space, pool := f.client.Space(), f.rank.Scratch()
+	rLo, rHi := int64(math.MaxInt64), int64(-1)
+	for _, msg := range gotReqs {
+		for ; len(msg) > 0; msg = msg[pieceHdr:] {
+			off, length := pieceHdrAt(msg)
+			rLo, rHi = min(rLo, off), max(rHi, off+length)
+		}
+	}
+	replies := sc.messages(f.rank.Size())
+	if rHi <= rLo {
+		return replies, nil
+	}
+	buf := f.ensureTPBuf(rHi - rLo)
+	if err := f.fh.Read(p, buf, rHi-rLo, rLo, pvfs.OpOptions{Sieve: sieve.Never}); err != nil {
+		return nil, err
+	}
+	var carved int64
+	for src, req := range gotReqs {
+		size := int64(0)
+		for msg := req; len(msg) > 0; msg = msg[pieceHdr:] {
+			_, length := pieceHdrAt(msg)
+			size += length
+		}
+		out := pool.Get(int(size))
+		at := int64(0)
+		for msg := req; len(msg) > 0; msg = msg[pieceHdr:] {
+			off, length := pieceHdrAt(msg)
+			if err := space.ReadInto(buf+mem.Addr(off-rLo), out[at:at+length]); err != nil {
+				return nil, err
+			}
+			at += length
+		}
+		carved += size
+		replies[src] = out
+	}
+	p.Sleep(f.client.Cluster().Cfg.IB.MemcpyTime(carved))
+	return replies, nil
 }

@@ -73,8 +73,8 @@ type File struct {
 	// cbWindow overrides the per-rank collective buffering window
 	// (ROMIO's cb_buffer_size); zero means the default.
 	cbWindow int64
-	// tp holds the two-phase descriptor slices between rounds.
-	tp tpScratch
+	// st is the client's MPI-IO state, which holds the descriptor scratch.
+	st *clientState
 
 	// cache, when non-nil, is the client-side page cache the independent
 	// list methods route through (see EnableCache).
@@ -93,6 +93,7 @@ func Open(p *sim.Proc, client *pvfs.Client, rank *mpi.Rank, name string) *File {
 		fh:        client.Open(p, name),
 		rank:      rank,
 		dsBufSize: DefaultDSBufferSize,
+		st:        stateOf(client),
 	}
 	f.dsBuf = client.Space().Malloc(f.dsBufSize)
 	return f
@@ -329,7 +330,9 @@ func forEachPiece(scratch *[]ib.SGE, memSegs []ib.SGE, fileAccs []pvfs.OffLen, f
 // a cache attached, one cache operation per region: exactly the Unix-style
 // call stream a client buffer cache is built to absorb.
 func (f *File) multiple(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen, write bool) error {
-	return forEachPiece(&f.tp.piece, memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
+	sc := f.st.scratch()
+	defer f.st.done(sc)
+	return forEachPiece(&sc.piece, memSegs, fileAccs, func(acc pvfs.OffLen, segs []ib.SGE) error {
 		if f.cache != nil {
 			if write {
 				return f.cache.WriteList(p, segs, []pvfs.OffLen{acc})

@@ -20,9 +20,7 @@ func newHCA(t *testing.T) (*sim.Engine, *ib.HCA) {
 func run(t *testing.T, eng *sim.Engine) {
 	t.Helper()
 	if err := eng.Run(); err != nil {
-		if _, ok := err.(*sim.DeadlockError); !ok {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
 	}
 }
 

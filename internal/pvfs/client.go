@@ -207,7 +207,7 @@ func (c *Client) connect() {
 			cliAddr: fastAddr,
 			cliKey:  fastMR.Key,
 		}
-		cl.Eng.GoOn(s.node.Group(), fmt.Sprintf("iod[io%d<-cn%d]", s.idx, c.idx), sconn.serve)
+		cl.Eng.GoDaemonOn(s.node.Group(), fmt.Sprintf("iod[io%d<-cn%d]", s.idx, c.idx), sconn.serve)
 	}
 	cq, mq := ib.Connect(c.hca, cl.Manager.hca)
 	// Metadata is a control path: the fault plane injects no completion
@@ -215,7 +215,7 @@ func (c *Client) connect() {
 	cq.MarkControl()
 	mq.MarkControl()
 	c.mgr = &clientConn{qp: cq, mu: cl.Eng.NewResource(fmt.Sprintf("mgrconn[cn%d]", c.idx), 1)}
-	cl.Eng.GoOn(cl.Manager.node.Group(), fmt.Sprintf("mgr[<-cn%d]", c.idx),
+	cl.Eng.GoDaemonOn(cl.Manager.node.Group(), fmt.Sprintf("mgr[<-cn%d]", c.idx),
 		func(p *sim.Proc) { cl.Manager.serve(p, mq) })
 	// Lease callback channel, manager → client: the manager pushes recalls,
 	// the client's daemon acks them. Control path like the metadata QP.
@@ -223,7 +223,7 @@ func (c *Client) connect() {
 	cbCli.MarkControl()
 	cbMgr.MarkControl()
 	cl.Manager.cbs[c.idx] = cbMgr
-	cl.Eng.GoOn(c.node.Group(), fmt.Sprintf("cb[cn%d]", c.idx),
+	cl.Eng.GoDaemonOn(c.node.Group(), fmt.Sprintf("cb[cn%d]", c.idx),
 		func(p *sim.Proc) { c.serveRecalls(p, cbCli) })
 }
 
@@ -259,11 +259,16 @@ func (c *Client) OpenStriped(p *sim.Proc, name string, stripeSize int64) *FileHa
 	defer c.mgr.mu.Release()
 	c.acct.OpenReqs++
 	resp, err := c.rpc(p, c.mgr, reqSize(0), func(seq int64) any {
-		return &reqOpen{Seq: seq, Name: name, StripeSize: stripeSize}
+		req := c.recs.take(recOpen, seq)
+		req.Name, req.Total = name, stripeSize
+		return req
 	})
 	sim.Must(err)
-	r := resp.(*respOpen)
-	return &FileHandle{client: c, id: r.FileID, name: name, stripeSize: r.StripeSize}
+	r, err := asReply(resp, recOpenResp)
+	sim.Must(err)
+	fh := &FileHandle{client: c, id: r.FileID, name: name, stripeSize: r.Total}
+	c.recs.put(r)
+	return fh
 }
 
 // OpOptions tunes one list-I/O operation. The zero value is the production
@@ -373,18 +378,23 @@ func (pl *opPlan) fileShare(q *sim.Proc, i int) {
 func (c *Client) Remove(p *sim.Proc, name string) {
 	c.mgr.mu.Acquire(p)
 	resp, err := c.rpc(p, c.mgr, reqSize(0), func(seq int64) any {
-		return &reqUnlink{Seq: seq, Name: name, Ctx: p.TraceCtx()}
+		req := c.recs.take(recUnlink, seq)
+		req.Name, req.Ctx = name, p.TraceCtx()
+		return req
 	})
 	c.mgr.mu.Release()
 	sim.Must(err)
-	un := resp.(*respUnlink)
-	if !un.Found {
+	un, err := asReply(resp, recUnlinkResp)
+	sim.Must(err)
+	id, found := un.FileID, un.Total != 0
+	c.recs.put(un)
+	if !found {
 		return
 	}
 	pl := c.takePlan()
 	defer c.releasePlan(pl)
 	pl.toAllServers()
-	pl.fileID, pl.kind = un.FileID, recRemove
+	pl.fileID, pl.kind = id, recRemove
 	c.fanOut(p, fanRemove, pl, (*opPlan).fileShare)
 }
 

@@ -2,7 +2,6 @@ package pvfs
 
 import (
 	"fmt"
-	"strings"
 
 	"pvfsib/internal/disk"
 	"pvfsib/internal/fault"
@@ -190,7 +189,7 @@ func NewCluster(eng *sim.Engine, cfg Config, nServers, nClients int) *Cluster {
 		mq.MarkControl()
 		s.mgrQP = sq
 		s.mgrMu = eng.NewResource(fmt.Sprintf("mgrconn[io%d]", s.idx), 1)
-		c.Eng.GoOn(c.Manager.node.Group(), fmt.Sprintf("mgr[<-io%d]", s.idx),
+		c.Eng.GoDaemonOn(c.Manager.node.Group(), fmt.Sprintf("mgr[<-io%d]", s.idx),
 			func(p *sim.Proc) { c.Manager.serve(p, mq) })
 		// Daemons register at boot; boot happens statically here.
 		c.Manager.iods[s.idx] = 0
@@ -243,40 +242,9 @@ func (c *Cluster) Snapshot() stats.Snapshot {
 	return s
 }
 
-// infraPrefixes name the service processes that legitimately park forever
-// waiting for work.
-var infraPrefixes = []string{"hca[", "iod[", "mgr[", "cb["}
-
-func isInfra(name string) bool {
-	for _, p := range infraPrefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
-}
-
 // Run drives the simulation until all application processes finish. The
-// infrastructure processes (the adapters' read responders, I/O daemons, the
-// manager) park forever waiting for more work; a parked *application*
-// process is a real deadlock and is reported.
-func (c *Cluster) Run() error {
-	err := c.Eng.Run()
-	if err == nil {
-		return nil
-	}
-	de, ok := err.(*sim.DeadlockError)
-	if !ok {
-		return err
-	}
-	var stuck []string
-	for _, name := range de.Parked {
-		if !isInfra(name) {
-			stuck = append(stuck, name)
-		}
-	}
-	if len(stuck) > 0 {
-		return &sim.DeadlockError{Time: de.Time, Parked: stuck}
-	}
-	return nil
-}
+// infrastructure processes (the adapters' read responders, the I/O daemons'
+// connection loops, the manager, the clients' recall daemons) are daemons
+// that park forever waiting for more work; a parked *application* process is
+// a real deadlock and is reported.
+func (c *Cluster) Run() error { return c.Eng.Run() }

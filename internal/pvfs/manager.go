@@ -40,6 +40,9 @@ type Manager struct {
 	cbs       map[int]*ib.QP
 	recallSeq int64
 
+	// recs is the record pool of the manager's engine shard (proto.go).
+	recs *recordPool
+
 	// acct tallies the manager's counters (lease grants and recalls).
 	acct stats.Acct
 
@@ -61,6 +64,7 @@ func newManager(c *Cluster) *Manager {
 		space: c.Servers[0].space,
 		hca:   c.Servers[0].hca,
 	}
+	m.recs = c.recordPool(m.node)
 	m.setMetrics(nil)
 	return m
 }
@@ -70,28 +74,8 @@ func (m *Manager) serve(p *sim.Proc, qp *ib.QP) {
 	for {
 		_, payload := qp.Recv(p)
 		switch req := payload.(type) {
-		case *reqOpen:
-			meta, ok := m.byName[req.Name]
-			if !ok {
-				stripe := req.StripeSize
-				if stripe <= 0 {
-					stripe = m.cfg.StripeSize
-				}
-				meta = &fileMeta{id: m.nextID, stripeSize: stripe}
-				m.nextID++
-				m.byName[req.Name] = meta
-			}
-			m.send(p, qp, &respOpen{Seq: req.Seq, FileID: meta.id, StripeSize: meta.stripeSize})
-		case *reqUnlink:
-			p.SetTraceCtx(req.Ctx)
-			meta, ok := m.byName[req.Name]
-			var id int64
-			if ok {
-				id = meta.id
-				delete(m.byName, req.Name)
-			}
-			m.send(p, qp, &respUnlink{Seq: req.Seq, FileID: id, Found: ok})
-			p.SetTraceCtx(0)
+		case *record:
+			m.serveName(p, qp, req)
 		case *reqIodRegister:
 			m.iods[req.Server] = p.Now()
 			m.send(p, qp, &respIodRegister{})
@@ -105,13 +89,49 @@ func (m *Manager) serve(p *sim.Proc, qp *ib.QP) {
 	}
 }
 
+// serveName answers an open or an unlink, recycling the request.
+func (m *Manager) serveName(p *sim.Proc, qp *ib.QP, req *record) {
+	var resp *record
+	switch req.Kind {
+	case recOpen:
+		meta, ok := m.byName[req.Name]
+		if !ok {
+			stripe := req.Total
+			if stripe <= 0 {
+				stripe = m.cfg.StripeSize
+			}
+			meta = &fileMeta{id: m.nextID, stripeSize: stripe}
+			m.nextID++
+			m.byName[req.Name] = meta
+		}
+		resp = m.recs.take(recOpenResp, req.Seq)
+		resp.FileID, resp.Total = meta.id, meta.stripeSize
+	case recUnlink:
+		p.SetTraceCtx(req.Ctx)
+		resp = m.recs.take(recUnlinkResp, req.Seq)
+		if meta, ok := m.byName[req.Name]; ok {
+			resp.FileID, resp.Total = meta.id, 1
+			delete(m.byName, req.Name)
+		}
+	default:
+		sim.Failf("pvfs: manager: unexpected %v record", req.Kind)
+	}
+	m.recs.put(req)
+	m.send(p, qp, resp)
+	p.SetTraceCtx(0)
+}
+
 // send replies on a metadata connection. Control QPs never see injected
 // completion errors, but a partition that happens to cover the manager's
 // node can still eat a reply; the client-side timeout covers that, so the
-// manager just drops the error and serves on.
+// manager just drops the error and serves on; a record that failed to go
+// never left this node and goes back to the pool.
 func (m *Manager) send(p *sim.Proc, qp *ib.QP, resp any) {
 	if err := qp.Send(p, smallReplyBytes, resp); err != nil {
 		qp.Reset(p)
+		if r, ok := resp.(*record); ok {
+			m.recs.put(r)
+		}
 	}
 }
 

@@ -16,25 +16,10 @@ const (
 	smallReplyBytes = 32
 )
 
-// reqOpen asks the metadata manager for a file handle, creating the file if
-// necessary. StripeSize, when nonzero, sets the new file's striping unit
-// (ignored for existing files — striping is immutable after create, as in
-// PVFS).
-type reqOpen struct {
-	Seq        int64
-	Name       string
-	StripeSize int64
-}
-
-type respOpen struct {
-	Seq        int64
-	FileID     int64
-	StripeSize int64
-}
-
-// record is the one message type between a client and an iod: list-I/O
+// record is the one message type between a client and an iod, and of the
+// name-space requests between a client and the metadata manager: list-I/O
 // requests, the rendezvous messages of a gather transfer, whole-file
-// requests and the replies, told apart by Kind. Records are pooled per
+// requests, opens and unlinks, and the replies, told apart by Kind. Records are pooled per
 // engine shard exactly as simnet.Message and the adapters' wire structs are
 // — the sender takes one from its shard's free list, the consumer recycles
 // it into its own — and because requests and replies are the same type, a
@@ -75,6 +60,11 @@ type record struct {
 	// of a gather read.
 	Addr mem.Addr
 	Key  ib.Key
+	// Name is the file name of a recOpen or recUnlink. A recOpen's Total is
+	// the striping unit a new file gets (zero: the cluster's), a
+	// recOpenResp's the file's; a recUnlinkResp's Total is 1 if the name
+	// existed.
+	Name string
 }
 
 // recKind says which message of the data path a record is.
@@ -108,10 +98,16 @@ const (
 	recStatResp
 	recRemove
 	recRemoveResp
+	// The name-space requests to the metadata manager: open (creating the
+	// file if needed) and unlink, and their replies, which carry FileID.
+	recOpen
+	recOpenResp
+	recUnlink
+	recUnlinkResp
 )
 
 var recKindNames = [...]string{"free", "write", "write-ready", "write-done", "write-resp", "read", "read-resp", "read-done",
-	"sync", "sync-resp", "stat", "stat-resp", "remove", "remove-resp"}
+	"sync", "sync-resp", "stat", "stat-resp", "remove", "remove-resp", "open", "open-resp", "unlink", "unlink-resp"}
 
 func (k recKind) String() string { return recKindNames[k] }
 
@@ -134,7 +130,7 @@ func (rp *recordPool) put(r *record) {
 	if r.Kind == recFree {
 		sim.Failf("pvfs: record recycled twice")
 	}
-	r.Kind, r.Data = recFree, nil
+	r.Kind, r.Data, r.Name = recFree, nil, ""
 	if sim.PoisonReleased {
 		// No MR owns the last address and key, so an RDMA aimed at a
 		// released record's staging buffer fails.
@@ -142,20 +138,6 @@ func (rp *recordPool) put(r *record) {
 		poisonAccs(r.Accs)
 	}
 	rp.Put(r)
-}
-
-// reqUnlink asks the manager to drop a name from the name space.
-type reqUnlink struct {
-	Seq  int64
-	Name string
-	// Ctx is the sender's packed trace context (see record.Ctx).
-	Ctx uint64
-}
-
-type respUnlink struct {
-	Seq    int64
-	FileID int64
-	Found  bool
 }
 
 // reqIodRegister announces a (re)started I/O daemon to the metadata
@@ -211,10 +193,8 @@ type respLeaseRecallAck struct{ Seq int64 }
 // sequence numbers; a request retry gets a fresh number.
 type seqer interface{ seqNum() int64 }
 
-func (r *respOpen) seqNum() int64   { return r.Seq }
-func (r *respUnlink) seqNum() int64 { return r.Seq }
-func (r *record) seqNum() int64     { return r.Seq }
-func (r *respLease) seqNum() int64  { return r.Seq }
+func (r *record) seqNum() int64    { return r.Seq }
+func (r *respLease) seqNum() int64 { return r.Seq }
 
 func (r *respLeaseRelease) seqNum() int64 { return r.Seq }
 

@@ -2,6 +2,7 @@ package pvfs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -1192,4 +1193,13 @@ func TestTortureMixedWorkload(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStripeNameIsSixDigits: a stripe file is named f%06d without fmt.
+func TestStripeNameIsSixDigits(t *testing.T) {
+	for _, id := range []int64{0, 7, 42, 99999, 100000, 123456, 1234567} {
+		if got, want := string(stripeName(nil, id)), fmt.Sprintf("f%06d", id); got != want {
+			t.Errorf("stripeName(%d) = %q, want %q", id, got, want)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package pvfs
 
 import (
 	"fmt"
+	"strconv"
 
 	"pvfsib/internal/disk"
 	"pvfsib/internal/ib"
@@ -42,6 +43,10 @@ type Server struct {
 	ioMu *sim.Resource
 
 	files map[int64]*localfs.File
+	// names holds the stripe-file name of each id in files or being opened:
+	// a new file's first requests, one per connection, open it at once,
+	// and the name is built for the first.
+	names map[int64]string
 
 	// down marks the daemon crashed (fault plane): handlers abort and all
 	// traffic is discarded until restart.
@@ -96,6 +101,7 @@ func newServer(c *Cluster, idx int) *Server {
 		dsk:     disk.New(c.Eng, node.Name+".disk", c.Cfg.Disk),
 		ioMu:    c.Eng.NewResource(fmt.Sprintf("io%d.iod", idx), 1),
 		files:   make(map[int64]*localfs.File),
+		names:   make(map[int64]string),
 	}
 	s.fs = localfs.New(c.Eng, s.dsk, c.Cfg.FS)
 	staging, err := ib.NewBufPool(s.hca, c.Cfg.StagingBuffers, c.Cfg.MaxRequestBytes, &s.scratch)
@@ -124,9 +130,35 @@ func (s *Server) file(p *sim.Proc, id int64) *localfs.File {
 	if f, ok := s.files[id]; ok {
 		return f
 	}
-	f := s.fs.Open(p, fmt.Sprintf("f%06d", id))
+	name, ok := s.names[id]
+	if !ok {
+		var b [16]byte
+		name = string(stripeName(b[:0], id))
+		s.names[id] = name
+	}
+	f := s.fs.Open(p, name)
 	s.files[id] = f
 	return f
+}
+
+// stripeName appends the local name of file id's stripe file, f%06d.
+func stripeName(b []byte, id int64) []byte {
+	b = append(b, 'f')
+	for w := int64(100000); w > 1 && id < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, id, 10)
+}
+
+// current returns the stripe file the handler looked up as f at generation
+// gen, or, if it was removed while the handler waited and its record may be
+// another file's by now, the file the id names now — as for a request that
+// arrives after the remove.
+func (s *Server) current(p *sim.Proc, id int64, f *localfs.File, gen int64) *localfs.File {
+	if f.Gen() == gen {
+		return f
+	}
+	return s.file(p, id)
 }
 
 // serve is the per-connection handler loop. A handler can return a pushed-back
@@ -167,9 +199,10 @@ func (sc *serverConn) serve(p *sim.Proc) {
 			s.acquireIO(p)
 			if req.Kind == recSync {
 				s.file(p, req.FileID).Sync(p)
-			} else if _, ok := s.files[req.FileID]; ok {
+			} else if f, ok := s.files[req.FileID]; ok {
 				delete(s.files, req.FileID)
-				s.fs.Remove(p, fmt.Sprintf("f%06d", req.FileID))
+				delete(s.names, req.FileID)
+				s.fs.Remove(p, f.Name())
 			}
 			s.releaseIO(p)
 			sc.reply(p, smallReplyBytes, s.recs.take(req.Kind+1, req.Seq))
@@ -293,6 +326,7 @@ func (sc *serverConn) waitDone(p *sim.Proc, seq int64, want recKind) (ok bool, p
 func (sc *serverConn) handleWrite(p *sim.Proc, req *record) (next any) {
 	s := sc.srv
 	f := s.file(p, req.FileID)
+	gen := f.Gen()
 	var data []byte
 	if req.Stream {
 		// Stream sockets: kernel-to-user copy of the inline payload.
@@ -325,6 +359,7 @@ func (sc *serverConn) handleWrite(p *sim.Proc, req *record) (next any) {
 		buf.Put()
 	}
 	s.acquireIO(p)
+	f = s.current(p, req.FileID, f, gen)
 	sieve.Write(p, f, req.Accs, data, s.sieveParams, req.Sieve, &s.SieveStats)
 	s.releaseIO(p)
 	if !req.Stream {
@@ -354,7 +389,9 @@ func (sc *serverConn) takePacked(n int64) []byte {
 func (sc *serverConn) handleRead(p *sim.Proc, req *record) (next any) {
 	s := sc.srv
 	f := s.file(p, req.FileID)
+	gen := f.Gen()
 	s.acquireIO(p)
+	f = s.current(p, req.FileID, f, gen)
 	if req.Stream {
 		// The reply owns a stream payload from here on, so it is not scratch.
 		data := make([]byte, req.Total)

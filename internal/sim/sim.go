@@ -476,6 +476,9 @@ type Proc struct {
 	sleeping bool     // parked with the wake slot already queued (Sleep)
 	idx      int      // position in its shard's proc list, for O(1) removal
 	wait     *timeout // the timed wait in progress, nil if none (RecvTimeout)
+	// daemon marks a service process that may park forever waiting for
+	// work; Run does not count it as deadlocked (GoDaemonOn).
+	daemon bool
 	// traceCtx is the packed trace context (request + span IDs) the
 	// process is currently working under. The engine never interprets it
 	// — it is an opaque word the trace layer threads through spawns and
@@ -508,14 +511,14 @@ func (p *Proc) Now() Time { return p.g.sh.now }
 // engine is idle (GoOn). The process's handle is the argument fn receives.
 func (e *Engine) Go(name string, fn func(p *Proc)) {
 	g := e.groupless("Go")
-	e.goAt(g, g, g.sh.now, name, fn)
+	e.goAt(g, g, g.sh.now, name, fn, false)
 }
 
 // GoAt spawns a new process in the default group that begins executing at
 // time t.
 func (e *Engine) GoAt(t Time, name string, fn func(p *Proc)) {
 	g := e.groupless("GoAt")
-	e.goAt(g, g, t, name, fn)
+	e.goAt(g, g, t, name, fn, false)
 }
 
 // GoOn spawns a new process in group g. It is legal only while the engine is
@@ -530,21 +533,32 @@ func (e *Engine) GoAtOn(g *Group, t Time, name string, fn func(p *Proc)) {
 	if e.running {
 		Failf("sim: GoOn/GoAtOn while running; spawn same-group children with Proc.Go")
 	}
-	e.goAt(g, g, t, name, fn)
+	e.goAt(g, g, t, name, fn, false)
+}
+
+// GoDaemonOn is GoOn for a service process — an adapter's responder, a
+// daemon's connection loop — that parks forever waiting for work once the
+// application is done. Run returns nil with daemons parked; only a parked
+// process spawned otherwise is a deadlock.
+func (e *Engine) GoDaemonOn(g *Group, name string, fn func(p *Proc)) {
+	if e.running {
+		Failf("sim: GoDaemonOn while running")
+	}
+	e.goAt(g, g, g.sh.now, name, fn, true)
 }
 
 // Go spawns a child process in the calling process's group, beginning at the
 // current virtual time.
 func (p *Proc) Go(name string, fn func(q *Proc)) {
-	p.eng.goAt(p.g, p.g, p.g.sh.now, name, fn)
+	p.eng.goAt(p.g, p.g, p.g.sh.now, name, fn, false)
 }
 
 // goAt starts fn on an idle carrier, its record reset all but the carrier link.
-func (e *Engine) goAt(origin, g *Group, t Time, name string, fn func(p *Proc)) {
+func (e *Engine) goAt(origin, g *Group, t Time, name string, fn func(p *Proc), daemon bool) {
 	s := g.sh
 	c := s.takeCarrier()
 	p := &c.p
-	*p = Proc{eng: e, g: g, name: name, fn: fn, c: c, idx: len(s.procs)}
+	*p = Proc{eng: e, g: g, name: name, fn: fn, c: c, idx: len(s.procs), daemon: daemon}
 	p.wakeEv.proc = p
 	s.procs = append(s.procs, p)
 	e.scheduleEv(&p.wakeEv, t, origin, g)
@@ -636,11 +650,11 @@ func (p *Proc) Sleep(d Duration) {
 // process's group run before the process continues. Equivalent to Sleep(0).
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// DeadlockError reports a simulation where parked processes remain but no
-// events are pending to wake them.
+// DeadlockError reports a simulation where parked processes other than
+// daemons remain but no events are pending to wake them.
 type DeadlockError struct {
 	Time   Time
-	Parked []string // names of parked processes
+	Parked []string // names of the parked processes that are not daemons
 }
 
 func (e *DeadlockError) Error() string {
@@ -649,8 +663,9 @@ func (e *DeadlockError) Error() string {
 }
 
 // Run executes events until the queue is empty. It returns a *DeadlockError
-// if processes remain parked with no pending events, and re-panics if any
-// process panicked.
+// if processes other than daemons remain parked with no pending events, and
+// re-panics if any process panicked. A Run that ends with only daemons
+// parked allocates nothing.
 func (e *Engine) Run() error {
 	return e.RunUntil(Time(1<<62 - 1))
 }
@@ -766,17 +781,24 @@ func (e *Engine) runSharded(limit Time) error {
 }
 
 func (e *Engine) checkDeadlock() error {
-	nParked := 0
+	stuck := 0
 	for _, s := range e.shards {
-		nParked += s.nParked
+		if s.nParked == 0 {
+			continue
+		}
+		for _, p := range s.procs {
+			if p.parked && !p.daemon {
+				stuck++
+			}
+		}
 	}
-	if nParked == 0 {
+	if stuck == 0 {
 		return nil
 	}
-	names := make([]string, 0, nParked)
+	names := make([]string, 0, stuck)
 	for _, s := range e.shards {
 		for _, p := range s.procs {
-			if p.parked {
+			if p.parked && !p.daemon {
 				names = append(names, p.name)
 			}
 		}

@@ -320,6 +320,29 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestParkedDaemonsAreNotDeadlocked: a daemon parked for good does not make
+// a run a deadlock, and a deadlock names only the processes that are not
+// daemons.
+func TestParkedDaemonsAreNotDeadlocked(t *testing.T) {
+	e := NewEngine()
+	work := e.NewMailbox("work")
+	e.GoDaemonOn(e.DefaultGroup(), "server", func(p *Proc) {
+		for {
+			work.Recv(p)
+		}
+	})
+	e.Go("client", func(p *Proc) { work.Send(1) })
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run() = %v with only a daemon parked", err)
+	}
+	never := e.NewMailbox("never")
+	e.Go("stuck", func(p *Proc) { never.Recv(p) })
+	de, ok := e.Run().(*DeadlockError)
+	if !ok || len(de.Parked) != 1 || de.Parked[0] != "stuck" {
+		t.Errorf("Run() = %v, want a deadlock naming [stuck]", de)
+	}
+}
+
 func TestProcessPanicPropagates(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -35,8 +35,8 @@ func Measure(t testing.TB, name string, step func()) {
 // unless a steady-state step allocates nothing. A step lets the engine run
 // for a bounded virtual time, which batch must finish within; a sleeper
 // with a far-future wake keeps an event queued, so the run stops at the
-// horizon instead of reporting the service processes parked forever as a
-// deadlock. A batch that needs set-up in its process (opening a file) does
+// horizon instead of reporting the batch's own process, parked between
+// steps, as a deadlock. A batch that needs set-up in its process (opening a file) does
 // it on its first call; the warm-up steps absorb it.
 func AllocFree(t testing.TB, eng *sim.Engine, name string, batch func(p *sim.Proc)) {
 	t.Helper()

@@ -5,6 +5,11 @@
 // (Tables 5-6). Patterns are pure data — pairs of flattened memory and file
 // region lists describing the same bytes — so benchmarks and examples can
 // materialize them in any client's address space.
+//
+// Each pattern is flattened once per process, as ROMIO flattens a committed
+// datatype once: the constructors keep what they built in a cache keyed by
+// their arguments and hand the same lists to every later call, so callers
+// must treat a pattern's lists as read-only (see cache.go).
 package workload
 
 import (
@@ -42,6 +47,10 @@ func (p Pattern) check() Pattern {
 // Memory is noncontiguous (subarray rows inside the full array); the file
 // is contiguous.
 func SubarrayWrite(n int64, px, py, ix, iy int, elem int64) Pattern {
+	return cached(flatKey{kind: kindSubarray, args: [7]int64{n, int64(px), int64(py), int64(ix), int64(iy), elem}})
+}
+
+func subarrayWrite(n int64, px, py, ix, iy int, elem int64) Pattern {
 	subRows, subCols := n/int64(py), n/int64(px)
 	// The block decomposition keeps every subarray inside the array, so the
 	// constructor cannot fail for any (px, py, ix, iy) grid position.
@@ -60,6 +69,10 @@ func SubarrayWrite(n int64, px, py, ix, iy int, elem int64) Pattern {
 // nprocs processes; each process accesses one block column (1 unit out of
 // every nprocs in each row). Memory is contiguous; the file is strided.
 func BlockColumn(n int64, nprocs, rank int, elem int64) Pattern {
+	return cached(flatKey{kind: kindBlockColumn, args: [7]int64{n, int64(nprocs), int64(rank), elem}})
+}
+
+func blockColumn(n int64, nprocs, rank int, elem int64) Pattern {
 	colw := n / int64(nprocs) * elem
 	rowBytes := n * elem
 	// The vector is this call's own, so it is displaced where it stands.
@@ -101,13 +114,17 @@ func (s TileSpec) FileBytes() int64 {
 // memory is contiguous — exactly the mpi-tile-io shape. The tile excludes
 // the overlap (write pattern).
 func (s TileSpec) Tile(rank int) Pattern {
-	return s.tile(rank, 0)
+	return cached(s.key(rank, 0))
 }
 
 // TileWithOverlap returns the rank's read pattern including the Overlap
 // border clamped to the display edges.
 func (s TileSpec) TileWithOverlap(rank int) Pattern {
-	return s.tile(rank, s.Overlap)
+	return cached(s.key(rank, s.Overlap))
+}
+
+func (s TileSpec) key(rank int, overlap int64) flatKey {
+	return flatKey{kind: kindTile, args: [7]int64{int64(s.TilesX), int64(s.TilesY), s.PixelsX, s.PixelsY, s.Elem, int64(rank), overlap}}
 }
 
 func (s TileSpec) tile(rank int, overlap int64) Pattern {
@@ -178,6 +195,10 @@ func (s BTIOSpec) FileBytes() int64 { return int64(s.Dumps) * s.DumpBytes() }
 // holds 1024 noncontiguous runs of 2560 bytes per dump (adjacent j lines
 // belong to different ranks, so runs never merge).
 func (s BTIOSpec) Dump(rank, d int) Pattern {
+	return cached(flatKey{kind: kindDump, args: [7]int64{s.Grid, int64(s.NProcs), int64(rank), int64(d)}})
+}
+
+func (s BTIOSpec) dump(rank, d int) Pattern {
 	side := isqrt(s.NProcs)
 	if side*side != s.NProcs {
 		sim.Failf("workload: BTIO needs a square process count")

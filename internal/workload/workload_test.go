@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pvfsib/internal/pvfs"
+	"pvfsib/internal/sim"
 )
 
 func TestSubarrayWrite(t *testing.T) {
@@ -71,18 +72,98 @@ func TestBlockColumnTilesFile(t *testing.T) {
 
 // TestPatternsBuildTheirListOnce: the block-column view is displaced where
 // the vector constructor built it, and a BTIO dump sizes its run list before
-// filling it — one file list per pattern, plus the one-entry memory list.
+// filling it — one file list per pattern, plus the one-entry memory list —
+// when the cache does not hold them.
 func TestPatternsBuildTheirListOnce(t *testing.T) {
-	if n := testing.AllocsPerRun(10, func() { BlockColumn(64, 4, 1, 4) }); n > 2 {
-		t.Errorf("BlockColumn: %.0f allocations, want 2", n)
+	if n := testing.AllocsPerRun(10, func() { blockColumn(64, 4, 1, 4) }); n > 2 {
+		t.Errorf("blockColumn: %.0f allocations, want 2", n)
 	}
 	s := PaperBTIOSpec()
-	if n := testing.AllocsPerRun(10, func() { s.Dump(1, 3) }); n > 2 {
-		t.Errorf("BTIOSpec.Dump: %.0f allocations, want 2", n)
+	if n := testing.AllocsPerRun(10, func() { s.dump(1, 3) }); n > 2 {
+		t.Errorf("BTIOSpec.dump: %.0f allocations, want 2", n)
 	}
 	// One process owns every line of the cube, so its dump is one run.
 	if p := (BTIOSpec{Grid: 8, NProcs: 1, Dumps: 1}).Dump(0, 0); len(p.File) != 1 || p.File[0].Len != 8*8*8*CellBytes {
 		t.Errorf("single-process dump: %v", p.File)
+	}
+}
+
+// TestPatternCacheLookupAllocFree: once built, every constructor returns its
+// pattern from the cache without allocating, the very lists it returned
+// before, capped at their length so an append copies.
+func TestPatternCacheLookupAllocFree(t *testing.T) {
+	tiles, btio := PaperTileSpec(), PaperBTIOSpec()
+	tiles.Overlap = 8
+	calls := []func() Pattern{
+		func() Pattern { return SubarrayWrite(256, 2, 2, 1, 0, 4) },
+		func() Pattern { return BlockColumn(512, 4, 3, 4) },
+		func() Pattern { return tiles.Tile(2) },
+		func() Pattern { return tiles.TileWithOverlap(2) },
+		func() Pattern { return btio.Dump(1, 7) },
+	}
+	for i, call := range calls {
+		first := call()
+		if n := testing.AllocsPerRun(20, func() { call() }); n != 0 {
+			t.Errorf("call %d: %.1f allocations per cached lookup, want 0", i, n)
+		}
+		again := call()
+		if &again.File[0] != &first.File[0] || &again.Mem[0] != &first.Mem[0] {
+			t.Errorf("call %d: a second call built its lists again", i)
+		}
+		if cap(again.File) != len(again.File) || cap(again.Mem) != len(again.Mem) {
+			t.Errorf("call %d: shared lists have room to append into", i)
+		}
+	}
+	if err := VerifyPatternCache(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPatternCacheCatchesWrites: under sim.PoisonReleased a cache hit
+// re-checks the entry, so a caller that wrote into a shared list fails the
+// next lookup, and VerifyPatternCache names the entry.
+func TestPatternCacheCatchesWrites(t *testing.T) {
+	defer func(was bool) { sim.PoisonReleased = was }(sim.PoisonReleased)
+	sim.PoisonReleased = true
+	p := BlockColumn(96, 3, 2, 4) // a shape no other test asks for
+	p.File[1].Len++
+	defer func() { p.File[1].Len-- }()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a lookup after a write into the shared pattern passed")
+			}
+		}()
+		BlockColumn(96, 3, 2, 4)
+	}()
+	if err := VerifyPatternCache(); err == nil {
+		t.Error("VerifyPatternCache found nothing wrong with a written entry")
+	}
+}
+
+// cachedPatterns reports how many patterns the cache holds.
+func cachedPatterns() int {
+	flatCache.Lock()
+	defer flatCache.Unlock()
+	return len(flatCache.m)
+}
+
+// TestPatternCacheBounded: past patternCacheBytes the constructors build
+// uncached.
+func TestPatternCacheBounded(t *testing.T) {
+	before := cachedPatterns()
+	flatCache.Lock()
+	saved := flatCache.bytes
+	flatCache.bytes = patternCacheBytes
+	flatCache.Unlock()
+	defer func() {
+		flatCache.Lock()
+		flatCache.bytes = saved
+		flatCache.Unlock()
+	}()
+	a, b := BlockColumn(80, 4, 1, 4), BlockColumn(80, 4, 1, 4)
+	if &a.File[0] == &b.File[0] || cachedPatterns() != before {
+		t.Error("a full cache took another pattern")
 	}
 }
 
