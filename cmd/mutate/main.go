@@ -282,7 +282,7 @@ func gates(dir, lint, pkg string, pkgs []string, hash string) []gate {
 // binary exits, or its build fails — and names the package's first failing
 // test.
 func testGate(name, dir string, pkgs []string) gate {
-	start := time.Now() //pvfslint:ok detcheck the ledger's seconds are host diagnostics, never a deterministic output
+	start := time.Now()
 	out, secs, err := command(dir, "go", append([]string{"test", "-count=1", "-json", "-timeout=300s"}, pkgs...)...)
 	g := gate{Gate: name, Caught: err != nil, Seconds: secs}
 	firstTest := map[string]string{}
@@ -330,9 +330,9 @@ func command(dir, name string, args ...string) ([]byte, float64, error) {
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	start := time.Now() //pvfslint:ok detcheck the ledger's seconds are host diagnostics, never a deterministic output
+	start := time.Now()
 	err := cmd.Run()
-	secs := time.Since(start).Seconds() //pvfslint:ok detcheck the ledger's seconds are host diagnostics, never a deterministic output
+	secs := time.Since(start).Seconds()
 	if err != nil {
 		err = fmt.Errorf("%s: %v: %s", name, err, firstLine(stderr.Bytes()))
 	}

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
+
+	"pvfsib/internal/analysis/suite"
 )
 
 // TestCatalogueApplies: every row's old text occurs exactly once in its
@@ -54,5 +58,46 @@ func TestVerdictRule(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("verdicts\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestLedgerMatchesSuite: the committed ledger judges exactly the suite's
+// analyzers, each of which stays, over one row per catalogue entry, so a
+// stale ledger, or a cut verdict not yet applied, fails here.
+func TestLedgerMatchesSuite(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_mutation.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var led ledger
+	if err := json.Unmarshal(data, &led); err != nil {
+		t.Fatal(err)
+	}
+	var names, judged []string
+	for _, a := range suite.All() {
+		names = append(names, a.Name)
+	}
+	for _, v := range led.Analyzers {
+		judged = append(judged, v.Analyzer)
+		if v.Verdict != "stays" {
+			t.Errorf("the ledger's verdict on %s is %q: apply it", v.Analyzer, v.Verdict)
+		}
+	}
+	if !reflect.DeepEqual(judged, names) {
+		t.Errorf("the ledger judges %v, the suite is %v", judged, names)
+	}
+	rows, err := readCatalogue("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, m := range rows {
+		want = append(want, m.Name)
+	}
+	for _, r := range led.Rows {
+		got = append(got, r.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the ledger's rows are %v, the catalogue's %v", got, want)
 	}
 }

@@ -166,16 +166,16 @@ func main() {
 
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	start := time.Now() //pvfslint:ok detcheck -hostmeta wall time is host diagnostics, never part of results
+	start := time.Now()
 	perExp := make(map[string]float64, len(todo))
 	perExpAlloc := make(map[string]uint64, len(todo))
 
 	opts := bench.RunOpts{Short: *short, Seed: *seed, Parallel: *parallel, Shards: *shards}
 	for _, e := range todo {
-		t0 := time.Now() //pvfslint:ok detcheck per-experiment wall time is host diagnostics, never part of results
+		t0 := time.Now()
 		a0 := totalAlloc(*hostmeta)
 		tbl := e.Run(opts)
-		perExp[e.ID] = time.Since(t0).Seconds() //pvfslint:ok detcheck -hostmeta timing is host diagnostics, never compared across runs
+		perExp[e.ID] = time.Since(t0).Seconds()
 		perExpAlloc[e.ID] = totalAlloc(*hostmeta) - a0
 		switch *format {
 		case "csv":
@@ -187,7 +187,6 @@ func main() {
 		}
 		fmt.Println(tbl)
 		if *timings {
-			//pvfslint:ok detcheck -timings prints host wall time on request, outside the result tables
 			fmt.Printf("(%s took %.1fs host time)\n\n", e.ID, time.Since(t0).Seconds())
 		}
 	}
@@ -198,7 +197,7 @@ func main() {
 		meta := hostMeta{
 			Parallel:    *parallel,
 			GoMaxProcs:  runtime.GOMAXPROCS(0),
-			WallSeconds: time.Since(start).Seconds(), //pvfslint:ok detcheck -hostmeta wall time is host diagnostics, never part of results
+			WallSeconds: time.Since(start).Seconds(),
 			Mallocs:     m1.Mallocs - m0.Mallocs,
 			TotalAlloc:  m1.TotalAlloc - m0.TotalAlloc,
 			HostWork:    bench.Retired(),

@@ -1,11 +1,8 @@
-// Pvfslint runs the repository's static-analysis suite of five analyzers:
-// nopanic (no panic in library packages), lifetime (registrations and spans
-// are released exactly once on every path), errflow (repo-API errors are
-// checked, not dropped), detcheck (nondeterminism sources must not reach
-// deterministic outputs — interprocedural, over the callgraph layer), and
-// okreason (every suppression names an analyzer of the suite and gives a
-// reason). The mutation ledger (cmd/mutate, DESIGN.md §6.1) decides which
-// of them keep their place.
+// Pvfslint runs the repository's static-analysis suite of two analyzers:
+// nopanic (no panic in library packages) and okreason (every suppression
+// names an analyzer of the suite and gives a reason). The mutation ledger
+// (cmd/mutate, DESIGN.md §6.1) decides which analyzers keep their place;
+// what tests catch as soon, no analyzer repeats.
 //
 // Usage:
 //
@@ -20,8 +17,7 @@
 //	               analyzer, message); human-readable lines still go to stderr
 //	-time          report per-analyzer wall time to stderr
 //	-budget DUR    fail (exit 1) if the whole suite takes longer than DUR,
-//	               even with no findings — the CI guard that keeps the
-//	               interprocedural pass from silently blowing up lint time
+//	               even with no findings
 //	-only NAMES    run only the comma-separated analyzers (unknown names are
 //	               a usage error)
 //

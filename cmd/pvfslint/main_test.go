@@ -23,6 +23,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-only the other cut analyzer", []string{"-only", "sgelimit"}},
 		{"-only the cut lock analyzer", []string{"-only", "lockorder"}},
 		{"-only the cut hot-path analyzer", []string{"-only", "hotpath"}},
+		{"-only an analyzer cut for the tests that catch its rows", []string{"-only", "lifetime,errflow,detcheck"}},
 		{"a go vet protocol flag", []string{"-V=full"}},
 	}
 	for _, tc := range cases {

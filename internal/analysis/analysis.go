@@ -13,9 +13,9 @@
 //	//pvfslint:ok <analyzer> <reason>
 //
 // placed on the flagged line or the line above it. The reason is mandatory
-// by convention: a suppression is an audited, documented exception (for
-// example a wall-clock read that only feeds a host diagnostic), not an
-// opt-out.
+// (the okreason analyzer enforces it): a suppression is an audited,
+// documented exception (for example a panic on a caller bug that an error
+// return would spread to every call site), not an opt-out.
 package analysis
 
 import (
@@ -24,7 +24,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"time"
 )
 
 // Analyzer describes one named check.
@@ -47,13 +46,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Repo is the driver-run-wide store shared by every pass of one driver
-	// invocation. Interprocedural analyzers (detcheck) stash cross-package
-	// state here — the call-graph program and function summaries — relying
-	// on the loader's dependency-first package order. Drivers always set
-	// it.
-	Repo *Repo
-
 	// Report delivers a finding. Drivers set it; suppressed findings are
 	// filtered before it is called.
 	Report func(Diagnostic)
@@ -69,25 +61,6 @@ type lineKey struct {
 	file *token.File
 	line int
 }
-
-// Repo carries state across the packages of one driver run: a keyed store
-// for interprocedural analyzers plus per-analyzer wall-clock totals (the
-// numbers behind pvfslint -time and the lint budget).
-type Repo struct {
-	state  map[string]any
-	Timing map[string]time.Duration
-}
-
-// NewRepo returns an empty run-wide store.
-func NewRepo() *Repo {
-	return &Repo{state: make(map[string]any), Timing: make(map[string]time.Duration)}
-}
-
-// Get returns the value stored under key, or nil.
-func (r *Repo) Get(key string) any { return r.state[key] }
-
-// Set stores v under key.
-func (r *Repo) Set(key string, v any) { r.state[key] = v }
 
 // Diagnostic is one finding at a source position.
 type Diagnostic struct {
@@ -145,82 +118,9 @@ func OKDirective(text string) (args []string, ok bool) {
 	return fields[1:], true
 }
 
-// PathHasSuffix reports whether a package import path is pkg or ends with
-// "/pkg". Analyzers match repo packages this way so that both the real
-// module packages ("pvfsib/internal/ib") and test-corpus stubs
-// ("pvfsib/internal/ib" under an analyzer's testdata/src) are recognized.
-func PathHasSuffix(path, pkg string) bool {
-	return path == pkg || strings.HasSuffix(path, "/"+pkg)
-}
-
 // IsPkg reports whether the types.Package is the named repo package,
-// matching by import-path suffix (see PathHasSuffix).
+// matching by import-path suffix, so that both the real module package
+// ("pvfsib/internal/sim") and a test corpus's stub of it are recognized.
 func IsPkg(pkg *types.Package, suffix string) bool {
-	return pkg != nil && PathHasSuffix(pkg.Path(), suffix)
-}
-
-// NamedFrom reports whether t (after unwrapping pointers and aliases) is the
-// named type typeName declared in the package whose path ends with pkgSuffix.
-func NamedFrom(t types.Type, pkgSuffix, typeName string) bool {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-			continue
-		case *types.Alias:
-			t = types.Unalias(u)
-			continue
-		}
-		break
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Name() != typeName {
-		return false
-	}
-	return IsPkg(obj.Pkg(), pkgSuffix)
-}
-
-// ReceiverMethod reports whether the call is a method call named method on a
-// value whose type is typeName from the package ending in pkgSuffix, and
-// returns the receiver expression.
-func ReceiverMethod(info *types.Info, call *ast.CallExpr, pkgSuffix, typeName, method string) (ast.Expr, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != method {
-		return nil, false
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok {
-		return nil, false
-	}
-	if !NamedFrom(tv.Type, pkgSuffix, typeName) {
-		return nil, false
-	}
-	return sel.X, true
-}
-
-// ExprString renders a (small) expression for use in messages and as a map
-// key when comparing receiver expressions lexically.
-func ExprString(fset *token.FileSet, e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return ExprString(fset, e.X) + "." + e.Sel.Name
-	case *ast.ParenExpr:
-		return ExprString(fset, e.X)
-	case *ast.StarExpr:
-		return "*" + ExprString(fset, e.X)
-	case *ast.IndexExpr:
-		return ExprString(fset, e.X) + "[" + ExprString(fset, e.Index) + "]"
-	case *ast.CallExpr:
-		return ExprString(fset, e.Fun) + "(...)"
-	case *ast.BasicLit:
-		return e.Value
-	default:
-		return fmt.Sprintf("<%T>", e)
-	}
+	return pkg != nil && (pkg.Path() == suffix || strings.HasSuffix(pkg.Path(), "/"+suffix))
 }

@@ -8,9 +8,8 @@
 //
 // A corpus lives under an analyzer's testdata/src/<importpath>/ directory.
 // Each package is type-checked from source; imports resolve only within the
-// corpus (testdata stubs mimic just enough of pvfsib/internal/{sim,mem,ib}
-// for the analyzers' type checks to engage), so corpora must not import the
-// standard library.
+// corpus (a testdata stub stands in for pvfsib/internal/sim where an
+// analyzer needs one), so corpora must not import the standard library.
 //
 // The expectation comment is `// want` followed by one or more backquoted
 // Go regular expressions, all of which must match diagnostics reported on
@@ -36,13 +35,8 @@ import (
 )
 
 // Run analyzes the package at import path pkgPath under dir/src and checks
-// // want expectations in its files.
-//
-// The whole import closure of the target package is analyzed, dependencies
-// first, with one shared analysis.Repo — the loader's contract — so an
-// interprocedural analyzer (detcheck) sees its stub callees' summaries.
-// Expectations are still checked only against the target package:
-// diagnostics landing in stub files are discarded.
+// // want expectations in its files. The packages it imports are
+// type-checked from the corpus, not analyzed.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	t.Helper()
 	ld := &loader{
@@ -54,32 +48,16 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	if err != nil {
 		t.Fatalf("loading %s: %v", pkgPath, err)
 	}
-
-	repo := analysis.NewRepo()
-	var diags []analysis.Diagnostic
-	for _, dep := range ld.order {
-		ds, err := analysis.RunAll([]*analysis.Analyzer{a}, ld.fset, dep.files, dep.pkg, dep.info, repo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags = append(diags, ds...)
+	diags, err := analysis.RunAll([]*analysis.Analyzer{a}, ld.fset, lp.files, lp.pkg, lp.info, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	wants := collectWants(t, ld.fset, lp.files)
 
-	// Only diagnostics in the target package's own files face the // want
-	// check; stub packages exist to be typed against, not to be clean.
-	targetFiles := make(map[string]bool, len(lp.files))
-	for _, f := range lp.files {
-		targetFiles[ld.fset.Position(f.Package).Filename] = true
-	}
-
 	got := make(map[key][]string)
 	for _, d := range diags {
 		pos := ld.fset.Position(d.Pos)
-		if !targetFiles[pos.Filename] {
-			continue
-		}
 		k := key{pos.Filename, pos.Line}
 		got[k] = append(got[k], d.Message)
 	}
@@ -175,10 +153,6 @@ type loader struct {
 	root string
 	fset *token.FileSet
 	pkgs map[string]*loadedPkg
-	// order lists packages in completion order of the import recursion —
-	// dependencies before dependents, the order interprocedural analysis
-	// wants.
-	order []*loadedPkg
 }
 
 func (ld *loader) load(path string) (*loadedPkg, error) {
@@ -218,7 +192,6 @@ func (ld *loader) load(path string) (*loadedPkg, error) {
 	}
 	lp := &loadedPkg{pkg: pkg, files: files, info: info}
 	ld.pkgs[path] = lp
-	ld.order = append(ld.order, lp)
 	return lp, nil
 }
 

@@ -54,11 +54,6 @@ func (f Finding) String() string {
 // go list patterns, in dir. It returns all findings sorted by position and
 // the per-analyzer wall-clock totals for the whole run (the numbers behind
 // pvfslint -time and the lint budget).
-//
-// One analysis.Repo is shared by every package, and "go list -deps" emits
-// dependencies before dependents, so an interprocedural analyzer (detcheck)
-// sees every in-module callee's summary before the caller's package —
-// provided the patterns cover the dependency (as ./... does).
 func Packages(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, map[string]time.Duration, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Standard,Export,GoFiles,Module"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -101,7 +96,7 @@ func Packages(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]
 		targets[string(line)] = true
 	}
 
-	repo := analysis.NewRepo()
+	timing := make(map[string]time.Duration)
 	fset := token.NewFileSet()
 	// The packages share one importer, so each dependency is read once.
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -118,7 +113,7 @@ func Packages(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]
 		if p.Standard || p.Module == nil || !targets[p.ImportPath] {
 			continue
 		}
-		diags, err := check(fset, p, imp, analyzers, repo)
+		diags, err := check(fset, p, imp, analyzers, timing)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -136,12 +131,12 @@ func Packages(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]
 		}
 		return a.Column < b.Column
 	})
-	return findings, repo.Timing, nil
+	return findings, timing, nil
 }
 
 // check parses p's files, type-checks them with imports resolved by imp,
-// and runs the analyzers with repo.
-func check(fset *token.FileSet, p *listPackage, imp types.Importer, analyzers []*analysis.Analyzer, repo *analysis.Repo) ([]analysis.Diagnostic, error) {
+// and runs the analyzers, adding their wall time to timing.
+func check(fset *token.FileSet, p *listPackage, imp types.Importer, analyzers []*analysis.Analyzer, timing map[string]time.Duration) ([]analysis.Diagnostic, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
@@ -156,5 +151,5 @@ func check(fset *token.FileSet, p *listPackage, imp types.Importer, analyzers []
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
 	}
-	return analysis.RunAll(analyzers, fset, files, pkg, info, repo)
+	return analysis.RunAll(analyzers, fset, files, pkg, info, timing)
 }

@@ -29,7 +29,7 @@ func runOn(t *testing.T, src string) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := okreason.New("detcheck", "nopanic", "lifetime")
+	suite := okreason.New("nopanic")
 	diags, err := analysis.RunAll([]*analysis.Analyzer{suite}, fset, []*ast.File{f}, pkg, info, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func runOn(t *testing.T, src string) []analysis.Diagnostic {
 func TestWellFormedDirectiveIsSilent(t *testing.T) {
 	diags := runOn(t, `package a
 func f() {
-	//pvfslint:ok lifetime the caller releases the registration
+	//pvfslint:ok nopanic a negative size is a caller bug
 	_ = 0
 }`)
 	if len(diags) != 0 {
@@ -51,13 +51,13 @@ func f() {
 func TestMissingReasonIsFlagged(t *testing.T) {
 	diags := runOn(t, `package a
 func f() {
-	//pvfslint:ok detcheck
+	//pvfslint:ok nopanic
 	_ = 0
 }`)
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
 	}
-	if !strings.Contains(diags[0].Message, "pvfslint:ok detcheck gives no reason") {
+	if !strings.Contains(diags[0].Message, "pvfslint:ok nopanic gives no reason") {
 		t.Fatalf("unexpected message: %s", diags[0].Message)
 	}
 }

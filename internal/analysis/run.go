@@ -22,15 +22,10 @@ func NewInfo() *types.Info {
 }
 
 // RunAll runs every analyzer over one type-checked package and returns the
-// combined diagnostics. Drivers that walk a whole module in dependency order
-// (the loader) pass the same Repo for every package, giving interprocedural
-// analyzers their cross-package summaries; nil makes a fresh store, so the
-// analyzers see only this package. Per-analyzer wall time is accumulated
-// into repo.Timing.
-func RunAll(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, repo *Repo) ([]Diagnostic, error) {
-	if repo == nil {
-		repo = NewRepo()
-	}
+// combined diagnostics. Each analyzer's wall time is added to timing under
+// its name when timing is not nil (the numbers behind pvfslint -time and
+// the lint budget).
+func RunAll(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, timing map[string]time.Duration) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -39,12 +34,13 @@ func RunAll(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-			Repo:      repo,
 			Report:    func(d Diagnostic) { out = append(out, d) },
 		}
 		start := time.Now()
 		err := a.Run(pass)
-		repo.Timing[a.Name] += time.Since(start)
+		if timing != nil {
+			timing[a.Name] += time.Since(start)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path(), err)
 		}

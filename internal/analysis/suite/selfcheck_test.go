@@ -8,12 +8,10 @@ import (
 	"pvfsib/internal/analysis/load"
 )
 
-// TestRepositoryIsClean runs the whole pvfslint suite over this repository,
-// test files included, and fails on any finding. This is the tier-1 guard
-// behind the invariants the analyzers enforce: a regression that
-// reintroduces a library panic, a leaked registration or span, a dropped
-// error, or a blocking call under a held resource fails `go test ./...`,
-// not just the lint step.
+// TestRepositoryIsClean runs the whole pvfslint suite over this
+// repository's non-test files and fails on any finding, so that a library
+// panic, or a suppression that names no analyzer or gives no reason, fails
+// `go test ./...`, not just the lint step.
 func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to the go command")

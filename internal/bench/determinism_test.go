@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// TestBreakdownDeterministicAcrossGOMAXPROCS is the regression test for the
-// invariant detcheck protects statically: experiment output must be
+// TestBreakdownDeterministicAcrossGOMAXPROCS: experiment output must be
 // byte-identical however the Go scheduler slices the run. The breakdown
 // experiment (span tracing, the most stage-accounting-sensitive table) runs
 // on an 8-worker cell pool twice — once on a single P, where goroutines

@@ -153,6 +153,16 @@ func (c *RegCache) Flush(p *sim.Proc) error {
 	}
 }
 
+// Census reports the references the cache holds: every Get not yet
+// matched by its Put.
+func (c *RegCache) Census(add func(pool string, out int64)) {
+	refs := 0
+	for _, ent := range c.all {
+		refs += ent.refs
+	}
+	add("ib.regcache-refs", int64(refs))
+}
+
 // Len reports the number of cached regions (referenced or not).
 func (c *RegCache) Len() int { return len(c.entries) }
 

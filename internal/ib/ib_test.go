@@ -12,6 +12,7 @@ import (
 	"pvfsib/internal/sim"
 	"pvfsib/internal/sim/simtest"
 	"pvfsib/internal/simnet"
+	"pvfsib/internal/trace"
 )
 
 // A recycled wire record and the staging bytes it carried are overwritten,
@@ -107,6 +108,69 @@ func TestRegisterPinLimit(t *testing.T) {
 		}
 	})
 	run(t, eng)
+}
+
+// wrFailAll is a fault plane that completes every work request in error.
+type wrFailAll struct{ quietPlane }
+
+func (wrFailAll) WRError(sim.Time, string) bool { return true }
+
+// TestTracedSpansAllEnd: with a tracer attached, every span the adapter
+// opens is ended exactly once on every path — a registration that succeeds
+// and one over the pin limit, a deregistration, and RDMA writes and reads
+// whose work request completes in error — so none is open when they have
+// returned. A second End of one span fails the run (sim.PoisonReleased).
+func TestTracedSpansAllEnd(t *testing.T) {
+	eng := sim.NewEngine()
+	net := simnet.New(eng, simnet.DefaultParams())
+	params := DefaultParams()
+	params.MaxPinnedBytes = 4 * mem.PageSize
+	a := NewHCA(net.AddNode("a"), mem.NewAddrSpace("a"), params)
+	b := NewHCA(net.AddNode("b"), mem.NewAddrSpace("b"), params)
+	tr := trace.NewTracer("a", "b")
+	a.SetTracer(tr)
+	b.SetTracer(tr)
+	qa, _ := Connect(a, b)
+	src := a.Space().Malloc(8 * mem.PageSize)
+	dst := b.Space().Malloc(mem.PageSize)
+	eng.Go("t", func(p *sim.Proc) {
+		mr, err := a.Register(p, mem.Extent{Addr: src, Len: 3 * mem.PageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Register(p, mem.Extent{Addr: src + 4*mem.PageSize, Len: 2 * mem.PageSize}); err != ErrPinLimit {
+			t.Errorf("err = %v, want ErrPinLimit", err)
+		}
+		mrB, err := b.Register(p, mem.Extent{Addr: dst, Len: mem.PageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.SetFaults(wrFailAll{})
+		sges := []SGE{{Addr: src, Len: 512}}
+		var wc *WCError
+		if err := qa.RDMAWrite(p, sges, dst, mrB.Key); !errors.As(err, &wc) || wc.Op != "rdma-write" {
+			t.Errorf("RDMA write under a WR fault returned %v", err)
+		}
+		qa.Reset(p)
+		if err := qa.RDMARead(p, sges, dst, mrB.Key); !errors.As(err, &wc) || wc.Op != "rdma-read" {
+			t.Errorf("RDMA read under a WR fault returned %v", err)
+		}
+		if err := a.Deregister(p, mr); err != nil {
+			t.Error(err)
+		}
+	})
+	run(t, eng)
+	if tr.Len() == 0 {
+		t.Fatal("nothing traced")
+	}
+	if n := tr.Open(); n != 0 {
+		for _, s := range tr.Spans() {
+			if !s.Ended {
+				t.Errorf("%s span %q on %s never ended", s.Stage, s.Kind, s.Node)
+			}
+		}
+		t.Fatalf("%d spans open", n)
+	}
 }
 
 func TestSendRecv(t *testing.T) {

@@ -2,6 +2,7 @@ package localfs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,7 @@ import (
 	"pvfsib/internal/sim"
 	"pvfsib/internal/sim/simtest"
 	"pvfsib/internal/simnet"
+	"pvfsib/internal/trace"
 )
 
 func newFS(t testing.TB) (*sim.Engine, *FS) {
@@ -246,6 +248,45 @@ func TestDistinctFilesLiveInDistinctRegions(t *testing.T) {
 		b.ReadAt(p, 0, 4096)
 		if fs.Disk().Counters.Seeks-seeks0 < 2 {
 			t.Error("cross-file access should seek")
+		}
+	})
+}
+
+// TestSyncAllVisitsFilesInCreationOrder: SyncAll flushes the files in the
+// order they were created, on every call. File i is given i+1 dirty
+// blocks, so the sizes of the disk writes name the files in flush order.
+// Sixteen files and many calls, so that a map's order cannot pass by
+// chance.
+func TestSyncAllVisitsFilesInCreationOrder(t *testing.T) {
+	const nFiles, block = 16, 4 << 10
+	eng, fs := newFS(t)
+	tr := trace.NewTracer("d")
+	fs.Disk().SetTracer(tr)
+	runSim(t, eng, func(p *sim.Proc) {
+		var files []*File
+		for i := range nFiles {
+			files = append(files, fs.Open(p, fmt.Sprintf("f%02d", nFiles-i)))
+		}
+		for round := range 32 {
+			for i, f := range files {
+				f.WriteAt(p, 0, make([]byte, (i+1)*block))
+			}
+			before := tr.Len()
+			fs.SyncAll(p)
+			var sizes []int64
+			for _, s := range tr.Spans()[before:] {
+				if s.Kind == "disk.write" {
+					sizes = append(sizes, s.Bytes/block)
+				}
+			}
+			for i, n := range sizes {
+				if n != int64(i+1) {
+					t.Fatalf("round %d: files flushed in the order %v (blocks each), want 1, 2, … %d", round, sizes, nFiles)
+				}
+			}
+			if len(sizes) != nFiles {
+				t.Fatalf("round %d: %d disk writes, want one per file", round, len(sizes))
+			}
 		}
 	})
 }

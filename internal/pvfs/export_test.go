@@ -34,8 +34,8 @@ func init() { sim.PoisonReleased = true }
 // census sums, pool by pool, what the cluster's pools handed out and did not
 // get back: every shard's free lists of events, carriers, messages, wire
 // records and protocol records, every adapter's reply mailboxes, the staging
-// and scratch buffers, every file system's loans, and every client's
-// operation plans.
+// and scratch buffers, every file system's loans, every client's operation
+// plans and pin-down cache references, and the spans not ended.
 func (c *Cluster) census() map[string]int64 {
 	out := map[string]int64{}
 	add := func(pool string, n int64) { out[pool] += n }
@@ -55,6 +55,8 @@ func (c *Cluster) census() map[string]int64 {
 	for _, cl := range c.Clients {
 		cl.hca.Census(add)
 		add("pvfs.plans", cl.plans.Out())
+		cl.cache.Census(add)
 	}
+	add("trace.open", int64(c.Spans.Open()))
 	return out
 }

@@ -2,6 +2,7 @@ package pvfs
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -371,4 +372,139 @@ func TestLateRDMAWriteMissesRelentStaging(t *testing.T) {
 	if s := c.Snapshot(); s.ServerAborts != 1 || s.Retries != 1 {
 		t.Errorf("%d aborts and %d retries, want the late write's one", s.ServerAborts, s.Retries)
 	}
+}
+
+// TestExpiredRendezvousPutsStagingBack slows a client's link to its server
+// for the first attempt of a gather write, so that the write-done notice
+// comes after the server's rendezvous timeout. The server aborts the write
+// and must put the staging buffer back: once the client's retry completes,
+// every staging buffer and every byte of the server's scratch is home, and
+// every span has ended.
+func TestExpiredRendezvousPutsStagingBack(t *testing.T) {
+	const total = 16 << 10
+	cfg := DefaultConfig()
+	cfg.Recovery.ServerTimeout = 150 * time.Microsecond
+	cfg.Faults = &fault.Plan{Seed: 1}
+	c := NewCluster(sim.NewEngine(), cfg, 1, 1)
+	tr := c.EnableSpans()
+	cl, srv := c.Clients[0], c.Servers[0]
+	c.Eng.GoOn(cl.node.Group(), "script", func(p *sim.Proc) {
+		fh := cl.Open(p, "f")
+		src, want := fill(cl, total, 5)
+		c.AttachFaults(&fault.Plan{Seed: 1, Spikes: []fault.Spike{
+			{From: int(cl.node.ID), To: int(srv.node.ID), Dur: time.Millisecond, Extra: 160 * time.Microsecond},
+		}})
+		if err := fh.Write(p, src, total, 0, OpOptions{Transfer: ForceGather}); err != nil {
+			t.Errorf("Write: %v", err)
+			return
+		}
+		dst := cl.Space().Malloc(total)
+		if err := fh.Read(p, dst, total, 0, OpOptions{}); err != nil {
+			t.Errorf("Read: %v", err)
+		} else if got, err := cl.Space().Read(dst, total); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("read-back differs (%v)", err)
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	hit := false
+	for _, s := range tr.Spans() {
+		hit = hit || s.Kind == "iod-abort" && strings.Contains(s.Attrs, "rendezvous expired")
+	}
+	if !hit {
+		t.Fatal("the rendezvous did not expire")
+	}
+	census := c.census()
+	for _, pool := range []string{"ib.staging", "pvfs.iod-scratch", "trace.open"} {
+		if out := census[pool]; out != 0 {
+			t.Errorf("%s: %d taken and not given back", pool, out)
+		}
+	}
+	c.Eng.Shutdown()
+}
+
+// failDraw completes the nth work request its adapter posts in error, and
+// no other.
+type failDraw struct{ n, drawn int }
+
+func (f *failDraw) WRError(sim.Time, string) bool { f.drawn++; return f.drawn == f.n }
+func (f *failDraw) RegFail(sim.Time, string) bool { return false }
+
+// oneAttempt is a cluster with a fault plane that injects nothing of its
+// own and a client that gives a chunk up after its first failed attempt, so
+// that an operation returns what that attempt failed with.
+func oneAttempt(wire Wire) *Cluster {
+	cfg := DefaultConfig()
+	cfg.Wire = wire
+	cfg.Faults = &fault.Plan{Seed: 1}
+	cfg.Recovery.MaxRetries = 1
+	return NewCluster(sim.NewEngine(), cfg, 1, 1)
+}
+
+// TestRDMAFaultFailsTheAttempt: a gather write's RDMA write, or a scatter
+// read's RDMA read, that completes in error fails the attempt with that
+// completion error — not with whatever the next work request on the
+// broken queue pair runs into.
+func TestRDMAFaultFailsTheAttempt(t *testing.T) {
+	const total = 16 << 10
+	for _, op := range []string{"rdma-write", "rdma-read"} {
+		t.Run(op, func(t *testing.T) {
+			c := oneAttempt(WireVerbs)
+			cl := c.Clients[0]
+			gather := OpOptions{Transfer: ForceGather}
+			app(t, c, func(p *sim.Proc) {
+				fh := cl.Open(p, "f")
+				src, _ := fill(cl, total, 1)
+				if op == "rdma-read" {
+					if err := fh.Write(p, src, total, 0, gather); err != nil {
+						t.Fatalf("setup write: %v", err)
+					}
+				}
+				// The request's send is the first work request, the
+				// RDMA the second.
+				cl.hca.SetFaults(&failDraw{n: 2})
+				var err error
+				if op == "rdma-write" {
+					err = fh.Write(p, src, total, 0, gather)
+				} else {
+					err = fh.Read(p, src, total, 0, gather)
+				}
+				var wc *ib.WCError
+				if !errors.As(err, &wc) || wc.Op != op {
+					t.Errorf("%s completing in error: the operation returned %v", op, err)
+				}
+			})
+		})
+	}
+}
+
+// TestPackFromUnmappedSegmentFails: a packed write whose user segment is
+// not mapped fails instead of pushing whatever the staging buffer held.
+func TestPackFromUnmappedSegmentFails(t *testing.T) {
+	c := newCluster(t, 1, 1)
+	cl := c.Clients[0]
+	app(t, c, func(p *sim.Proc) {
+		fh := cl.Open(p, "f")
+		unmapped := cl.Space().Malloc(mem.PageSize) + mem.PageSize // past the last mapping
+		if err := fh.Write(p, unmapped, 4<<10, 0, OpOptions{Transfer: ForcePack}); err == nil {
+			t.Error("a packed write from an unmapped segment succeeded")
+		}
+	})
+}
+
+// TestStreamWriteLostReplyFails: over stream sockets, a write whose reply
+// the server could not send is not reported done.
+func TestStreamWriteLostReplyFails(t *testing.T) {
+	c := oneAttempt(WireStream)
+	cl := c.Clients[0]
+	app(t, c, func(p *sim.Proc) {
+		fh := cl.Open(p, "f")
+		src, _ := fill(cl, 4<<10, 2)
+		// The write's reply is the first work request the server posts.
+		c.Servers[0].hca.SetFaults(&failDraw{n: 1})
+		if err := fh.Write(p, src, 4<<10, 0, OpOptions{}); !errors.Is(err, errTimeout) {
+			t.Errorf("a stream write whose reply was lost returned %v, want a timeout", err)
+		}
+	})
 }

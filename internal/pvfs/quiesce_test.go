@@ -36,8 +36,9 @@ func pinned(c *Cluster) pinning {
 }
 
 // TestQuiescenceAfterMixedScript: every client writes a strided list across
-// all servers, syncs, reads it back, does a one-server write and read,
-// stats and removes its file — fault-free and under the storm plan. When
+// all servers, syncs, reads it back through OGR and again as one declared
+// allocation, does a one-server write and read, stats and removes its file
+// — fault-free and under the storm plan, traced. When
 // the script is done nothing of it is left anywhere on the message path: no
 // event pending, no message staged at a port or inside an adapter, every
 // read responder parked idle and nothing else parked, and pinning back at
@@ -47,8 +48,9 @@ func pinned(c *Cluster) pinning {
 // processes; under faults nothing is recycled twice (a message, wire record
 // or record dropped on a cut link or discarded by a down adapter is the
 // garbage collector's) and the engine's pools are exact: no timeout record
-// is out and no carrier but the parked processes' — on one engine shard and
-// on four, where requests and replies carry objects from shard to shard.
+// is out and no carrier but the parked processes', no pin-down cache
+// reference is held and no span is open — on one engine shard and on four,
+// where requests and replies carry objects from shard to shard.
 func TestQuiescenceAfterMixedScript(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		t.Run(fmt.Sprintf("faults=%t", faulty), func(t *testing.T) {
@@ -67,6 +69,7 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 	}
 	c := NewCluster(sim.NewEngine(), cfg, 4, 4)
 	mx := c.EnableMetrics(metrics.Config{})
+	c.EnableSpans()
 	base := pinned(c)
 	for ci, cl := range c.Clients {
 		c.Eng.GoOn(cl.node.Group(), fmt.Sprintf("script%d", ci), func(p *sim.Proc) {
@@ -106,7 +109,8 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 	daemons := (nS + nC) + nS*nC + (nS + nC) + nC
 	census := c.census()
 	pools := []string{"sim.events", "sim.carriers", "sim.timeouts", "simnet.messages", "ib.wires", "ib.read-mailboxes",
-		"ib.scratch", "ib.staging", "localfs.loans", "pvfs.records", "pvfs.plans", "pvfs.iod-scratch"}
+		"ib.scratch", "ib.staging", "ib.regcache-refs", "localfs.loans", "pvfs.records", "pvfs.plans", "pvfs.iod-scratch",
+		"trace.open"}
 	for _, pool := range pools {
 		out, want := census[pool], int64(0)
 		if pool == "sim.carriers" {
@@ -115,8 +119,11 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 		// The engine's own pools lose nothing to a fault: with no event
 		// left, every timer has fired and every live process is parked.
 		// Nor do the loans: every path out of a read handler releases its
-		// loan with its staging buffer.
-		exact := !faulty || strings.HasPrefix(pool, "sim.") || pool == "localfs.loans"
+		// loan with its staging buffer. Every operation puts back the
+		// pin-down cache references it took and ends every span it opened,
+		// whatever failed.
+		exact := !faulty || strings.HasPrefix(pool, "sim.") || pool == "localfs.loans" ||
+			pool == "ib.regcache-refs" || pool == "trace.open"
 		if out < 0 || exact && out != want {
 			t.Errorf("%s: %d taken and not recycled, want %d", pool, out, want)
 		}
@@ -176,6 +183,12 @@ func quiesceScript(t *testing.T, p *sim.Proc, cl *Client, ci int) {
 	}
 	if got, err := cl.Space().Read(dst, total); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("cn%d: list read-back differs (%v)", ci, err)
+	}
+	// Again through the pin-down cache, as one declared allocation.
+	declared := OpOptions{Reg: RegDeclared, Allocation: mem.Extent{Addr: dst, Len: total}}
+	if err := fh.ReadList(p, rsegs, accs, declared); err != nil {
+		t.Errorf("cn%d: declared ReadList: %v", ci, err)
+		return
 	}
 	// A 3 kB piece inside one stripe: one server, the Multiple I/O shape.
 	if err := fh.Write(p, src, 3<<10, 1<<10, OpOptions{}); err != nil {

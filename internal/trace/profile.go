@@ -44,8 +44,8 @@ type Profile struct {
 const dispatchKind = "srv.dispatch"
 
 // Profile aggregates the tracer's span table. Open (never-ended) spans
-// contribute nothing — the lifetime analyzer exists to keep those from
-// occurring in the first place.
+// contribute nothing; Tracer.Open counts them, and the census tests hold
+// that count to 0.
 func (t *Tracer) Profile() *Profile {
 	p := &Profile{}
 	if t == nil {

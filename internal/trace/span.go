@@ -242,16 +242,15 @@ func (t *Tracer) Instant(now sim.Time, ctx Ctx, node, kind string, bytes int64, 
 }
 
 // End closes the span at the given virtual time. Ending a span twice, or
-// touching it after End (SetBytes, Annotate), is a bug (the lifetime
-// analyzer flags both statically); at runtime the second End wins so a
-// trace is still produced for inspection.
+// touching it after End (SetBytes, Annotate), is a bug: under
+// sim.PoisonReleased a second End fails the run, and Tracer.Open counts the
+// spans a path forgot to end. Otherwise the second End wins, so a trace is
+// still produced for inspection.
 func (s Span) End(now sim.Time) {
 	if s.t == nil {
 		return
 	}
-	r := s.t.rec(s.id)
-	r.End = now
-	r.Ended = true
+	s.t.end(s.id, now)
 }
 
 // EndErr closes the span and records the error that terminated it; a nil
@@ -260,12 +259,21 @@ func (s Span) EndErr(now sim.Time, err error) {
 	if s.t == nil {
 		return
 	}
-	r := s.t.rec(s.id)
-	r.End = now
-	r.Ended = true
+	r := s.t.end(s.id, now)
 	if err != nil {
 		r.Err = err.Error()
 	}
+}
+
+// end closes a recorded span and returns its record.
+func (t *Tracer) end(id SpanID, now sim.Time) *SpanRec {
+	r := t.rec(id)
+	if r.Ended && sim.PoisonReleased {
+		sim.Failf("trace: %s span %q on %s ended twice", r.Stage, r.Kind, r.Node)
+	}
+	r.End = now
+	r.Ended = true
+	return r
 }
 
 // SetBytes records the payload size the span moved.
@@ -332,6 +340,24 @@ func (t *Tracer) Len() int {
 	n := 0
 	for _, tab := range t.order {
 		n += len(tab.spans)
+	}
+	return n
+}
+
+// Open reports how many recorded spans have not ended. Once every
+// operation has returned it is 0: a span still open is one that a path
+// forgot to end.
+func (t *Tracer) Open() int {
+	if t == nil {
+		return 0
+	}
+	n := 0
+	for _, tab := range t.order {
+		for i := range tab.spans {
+			if !tab.spans[i].Ended {
+				n++
+			}
+		}
 	}
 	return n
 }

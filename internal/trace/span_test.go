@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
+
+	"pvfsib/internal/sim"
 )
 
 // TestNilTracerZeroAlloc pins the tracing-off contract: every span
@@ -206,6 +210,55 @@ func TestProfileSelfTime(t *testing.T) {
 	if got := p.TotalNs(); got != 100 {
 		t.Errorf("total = %d, want 100", got)
 	}
+}
+
+// TestProfileInflightSortedByNode: the in-flight gauges come out in node
+// name order on every build, however the dispatch spans' nodes were
+// registered and whatever order a map hands them over in. Nine nodes and
+// many builds, so that no draw comes out sorted by chance every time.
+func TestProfileInflightSortedByNode(t *testing.T) {
+	var names []string
+	for i := 8; i >= 0; i-- {
+		names = append(names, fmt.Sprintf("io%d", i))
+	}
+	tr := NewTracer(names...)
+	for i, n := range names {
+		tr.Start(sim.Time(i), 0, n, dispatchKind, StageOther).End(sim.Time(i + 10))
+	}
+	for range 64 {
+		p := tr.Profile()
+		if len(p.Inflight) != len(names) {
+			t.Fatalf("%d gauges, want %d", len(p.Inflight), len(names))
+		}
+		if !slices.IsSortedFunc(p.Inflight, func(a, b NodeGauge) int { return strings.Compare(a.Node, b.Node) }) {
+			t.Fatalf("gauges not sorted by node: %v", p.Inflight)
+		}
+	}
+}
+
+// TestOpenCountsUnendedSpans: Open counts the spans not yet ended, and
+// under sim.PoisonReleased a second End of one span fails the run.
+func TestOpenCountsUnendedSpans(t *testing.T) {
+	tr := NewTracer("cn0")
+	root := tr.NewRequest(0, "cn0", "listio-write")
+	sp := tr.Start(1, root.Ctx(), "cn0", "pvfs.attempt", StageOther)
+	tr.Instant(2, sp.Ctx(), "cn0", "iod-abort", 0, "reply lost")
+	if n := tr.Open(); n != 2 {
+		t.Errorf("Open = %d with two spans open, want 2", n)
+	}
+	sp.EndErr(3, errors.New("timeout"))
+	root.End(4)
+	if n := tr.Open(); n != 0 {
+		t.Errorf("Open = %d after every span ended, want 0", n)
+	}
+	defer func(was bool) { sim.PoisonReleased = was }(sim.PoisonReleased)
+	sim.PoisonReleased = true
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "ended twice") {
+			t.Errorf("a second End under poison: %v, want a failure", r)
+		}
+	}()
+	sp.End(5)
 }
 
 // TestPerfettoSchema parses the export back and checks the Chrome
