@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -146,16 +147,23 @@ func TestQuiescentRunAllocFree(t *testing.T) {
 	}
 }
 
-// TestDisabledTracerAllocFree covers (trace.Tracer).Start and the span
-// methods: with no tracer attached the span API must cost nothing, because
-// every simulator hot path calls it unconditionally.
+// TestDisabledTracerAllocFree covers (trace.Tracer).Start, the span
+// methods and Instant: with no tracer attached the span API must cost
+// nothing, because every simulator hot path calls it unconditionally, and an
+// Instant — the shape of an iod abort, which describes itself with the
+// operation, its sequence number and the reason — formats nothing.
 func TestDisabledTracerAllocFree(t *testing.T) {
 	var tr *trace.Tracer
+	op, why := "write", "write-ready reply lost"
 	simtest.Measure(t, "disabled tracer", func() {
 		for i := 0; i < 64; i++ {
 			sp := tr.Start(0, trace.Ctx(i), "node", "bench.span", trace.StageOther)
 			sp.SetBytes(4096)
 			sp.Annotate("i=%d", i)
+			seq := int64(1000 + i)
+			tr.Instant(sim.Time(i), sp.Ctx(), "node", "iod-abort", 0, func() string {
+				return fmt.Sprintf("%s seq=%d: %s", op, seq, why)
+			})
 			sp.End(sim.Time(i))
 		}
 	})

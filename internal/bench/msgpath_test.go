@@ -38,13 +38,11 @@ import (
 //     a gather operation plans its group registration in its plan and finds
 //     its buffers in the pin-down cache, and the children of an operation
 //     that spans servers run on recycled carriers with their process
-//     records, so every row allocates nothing but collective I/O's message
-//     bodies that its extents' Allgather misses in the root's pool — (n-1)²
-//     a call, one at two ranks, which the pool's host cost counts as fresh:
-//     its two-phase scratch is the client's, its exchange messages ride
-//     pooled envelopes into reused result slices. A descriptor rebuilt per
-//     request, or a process record per child, moves a row by the number of
-//     its requests.
+//     records, and collective I/O's two-phase scratch is the client's, its
+//     exchange messages ride pooled envelopes into reused result slices and
+//     its bodies come from and go back to the shard's pool, so no row
+//     allocates. A descriptor rebuilt per request, or a process record per
+//     child, moves a row by the number of its requests.
 //
 // The three list-shaped methods take their transfer scheme from the
 // operation's options, so they run under each; data sieving and collective
@@ -116,10 +114,9 @@ func TestMultipleIOEventBudget(t *testing.T) {
 		// Writes as Multiple I/O, reads the 1 MB extent whole and extracts.
 		{"datasieving", 1, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.DataSieving),
 			[][4]int64{{1331, 249, 2018304, 0}}},
-		// Two ranks: pack, hand over, assemble, one contiguous request each;
-		// a write and a read, so two Allgather pool misses.
+		// Two ranks: pack, hand over, assemble, one contiguous request each.
 		{"collective", 2, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.Collective),
-			[][4]int64{{838, 418, 6713440, 2}}},
+			[][4]int64{{838, 418, 6713440, 0}}},
 	} {
 		for i, tr := range row.schemes {
 			t.Run(fmt.Sprintf("%s/%s", row.method, tr), func(t *testing.T) {

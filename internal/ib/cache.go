@@ -22,12 +22,12 @@ type RegCache struct {
 	maxBytes   int64
 	maxEntries int
 
-	entries map[Key]*cacheEntry
-	// all holds every entry in registration order. Lookups scan it instead
-	// of the entries map so that which covering region a hit returns — and
-	// with it the hit/miss counters and eviction pattern — is identical on
-	// every run.
-	all   []*cacheEntry
+	// all holds every entry, by value, in registration order: a
+	// registration costs the cache no record of its own, and an eviction's
+	// slot is reused by the next. Get scans it in order, so which covering
+	// region a hit returns — and with it the hit/miss counters and eviction
+	// pattern — is identical on every run; Put finds its entry there too.
+	all   []cacheEntry
 	bytes int64
 	// releases counts Puts that left an entry unreferenced; each such entry
 	// keeps the count as its stamp, so the least recently released one —
@@ -45,19 +45,15 @@ type cacheEntry struct {
 // maxBytes bounds the total pinned bytes held by the cache; maxEntries
 // bounds the number of cached regions.
 func NewRegCache(h *HCA, maxBytes int64, maxEntries int) *RegCache {
-	return &RegCache{
-		hca:        h,
-		maxBytes:   maxBytes,
-		maxEntries: maxEntries,
-		entries:    make(map[Key]*cacheEntry),
-	}
+	return &RegCache{hca: h, maxBytes: maxBytes, maxEntries: maxEntries}
 }
 
 // Get returns a registered region covering e, registering it if no cached
 // region covers it. The returned MR is referenced and must be released with
 // Put. A cache hit costs no virtual time.
 func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
-	for _, ent := range c.all {
+	for i := range c.all {
+		ent := &c.all[i]
 		if ent.mr.Covers(e) {
 			c.hca.mx.regHits.Add(p.Now(), 1)
 			ent.refs++
@@ -67,7 +63,7 @@ func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
 	c.hca.mx.regMiss.Add(p.Now(), 1)
 	// Evict until the new region fits.
 	need := e.Pages() * mem.PageSize
-	for c.bytes+need > c.maxBytes || len(c.entries) >= c.maxEntries {
+	for c.bytes+need > c.maxBytes || len(c.all) >= c.maxEntries {
 		evicted, err := c.evictOne(p)
 		if err != nil {
 			return nil, err
@@ -80,9 +76,7 @@ func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
 	if err != nil {
 		return nil, err
 	}
-	ent := &cacheEntry{mr: mr, refs: 1}
-	c.all = append(c.all, ent)
-	c.entries[mr.Key] = ent
+	c.all = append(c.all, cacheEntry{mr: mr, refs: 1})
 	c.bytes += need
 	return mr, nil
 }
@@ -95,8 +89,14 @@ func (c *RegCache) Get(p *sim.Proc, e mem.Extent) (*MR, error) {
 // registration thrashing when the pinnable budget is smaller than an
 // operation's working set (Section 4.2).
 func (c *RegCache) Put(p *sim.Proc, mr *MR) error {
-	ent, ok := c.entries[mr.Key]
-	if !ok {
+	var ent *cacheEntry
+	for i := range c.all {
+		if c.all[i].mr == mr {
+			ent = &c.all[i]
+			break
+		}
+	}
+	if ent == nil {
 		return fmt.Errorf("ib: RegCache.Put of unknown MR (key %d): %w", mr.Key, ErrInvalidMR)
 	}
 	if ent.refs <= 0 {
@@ -107,7 +107,7 @@ func (c *RegCache) Put(p *sim.Proc, mr *MR) error {
 		c.releases++
 		ent.released = c.releases
 	}
-	for c.bytes > c.maxBytes || len(c.entries) > c.maxEntries {
+	for c.bytes > c.maxBytes || len(c.all) > c.maxEntries {
 		evicted, err := c.evictOne(p)
 		if err != nil {
 			return err
@@ -119,22 +119,22 @@ func (c *RegCache) Put(p *sim.Proc, mr *MR) error {
 	return nil
 }
 
-// evictOne deregisters the least-recently-released unreferenced entry.
+// evictOne deregisters the least-recently-released unreferenced entry; its
+// MR goes back to the HCA (Deregister).
 func (c *RegCache) evictOne(p *sim.Proc) (bool, error) {
 	victim := -1
-	for i, ent := range c.all {
-		if ent.refs == 0 && (victim < 0 || ent.released < c.all[victim].released) {
+	for i := range c.all {
+		if ent := &c.all[i]; ent.refs == 0 && (victim < 0 || ent.released < c.all[victim].released) {
 			victim = i
 		}
 	}
 	if victim < 0 {
 		return false, nil
 	}
-	ent := c.all[victim]
+	mr := c.all[victim].mr
 	c.all = slices.Delete(c.all, victim, victim+1)
-	delete(c.entries, ent.mr.Key)
-	c.bytes -= ent.mr.Extent.Pages() * mem.PageSize
-	if err := c.hca.Deregister(p, ent.mr); err != nil {
+	c.bytes -= mr.Extent.Pages() * mem.PageSize
+	if err := c.hca.Deregister(p, mr); err != nil {
 		return false, fmt.Errorf("ib: RegCache eviction: %w", err)
 	}
 	return true, nil
@@ -157,14 +157,14 @@ func (c *RegCache) Flush(p *sim.Proc) error {
 // matched by its Put.
 func (c *RegCache) Census(add func(pool string, out int64)) {
 	refs := 0
-	for _, ent := range c.all {
-		refs += ent.refs
+	for i := range c.all {
+		refs += c.all[i].refs
 	}
 	add("ib.regcache-refs", int64(refs))
 }
 
 // Len reports the number of cached regions (referenced or not).
-func (c *RegCache) Len() int { return len(c.entries) }
+func (c *RegCache) Len() int { return len(c.all) }
 
 // Bytes reports the total pinned bytes held by the cache.
 func (c *RegCache) Bytes() int64 { return c.bytes }

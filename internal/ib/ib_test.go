@@ -22,10 +22,15 @@ func init() { sim.PoisonReleased = true }
 // pair builds two HCA-equipped nodes on one fabric.
 func pair(t *testing.T) (*sim.Engine, *HCA, *HCA) {
 	t.Helper()
+	return pairWith(DefaultParams())
+}
+
+// pairWith is pair with both adapters built from params.
+func pairWith(params Params) (*sim.Engine, *HCA, *HCA) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.DefaultParams())
-	a := NewHCA(net.AddNode("a"), mem.NewAddrSpace("a"), DefaultParams())
-	b := NewHCA(net.AddNode("b"), mem.NewAddrSpace("b"), DefaultParams())
+	a := NewHCA(net.AddNode("a"), mem.NewAddrSpace("a"), params)
+	b := NewHCA(net.AddNode("b"), mem.NewAddrSpace("b"), params)
 	return eng, a, b
 }
 
@@ -148,7 +153,7 @@ func TestTracedSpansAllEnd(t *testing.T) {
 		a.SetFaults(wrFailAll{})
 		sges := []SGE{{Addr: src, Len: 512}}
 		var wc *WCError
-		if err := qa.RDMAWrite(p, sges, dst, mrB.Key); !errors.As(err, &wc) || wc.Op != "rdma-write" {
+		if err := qa.RDMAWrite(p, sges, dst, mrB.Key); !errors.As(err, &wc) || wc.Op != "rdma-write" || !errors.Is(err, ErrWC) {
 			t.Errorf("RDMA write under a WR fault returned %v", err)
 		}
 		qa.Reset(p)
@@ -344,25 +349,82 @@ func TestRDMAReadLatencyMatchesTable2(t *testing.T) {
 	}
 }
 
-func TestRDMAWriteSplitsAtMaxSGE(t *testing.T) {
-	eng, a, b := pair(t)
-	qa, _ := Connect(a, b)
-	const nseg = 200 // > 3 * 64
-	src := a.Space().Malloc(int64(nseg) * 256)
-	dst := b.Space().Malloc(int64(nseg) * 64)
-	var segs []SGE
-	for i := 0; i < nseg; i++ {
-		segs = append(segs, SGE{Addr: src + mem.Addr(i*256), Len: 64})
+// splitPair is pair with both adapters' scatter/gather limit at maxSGE.
+func splitPair(maxSGE int) (*sim.Engine, *HCA, *HCA) {
+	params := DefaultParams()
+	params.MaxSGE = maxSGE
+	return pairWith(params)
+}
+
+// splitSGEs is the list the split tests post: 200 runs of 64 bytes, one
+// every 256, more than three work requests' worth at the hardware limit.
+const splitSGEs = 200
+
+func splitList(base mem.Addr) []SGE {
+	segs := make([]SGE, splitSGEs)
+	for i := range segs {
+		segs[i] = SGE{Addr: base + mem.Addr(i*256), Len: 64}
 	}
-	eng.Go("t", func(p *sim.Proc) {
-		mrB, _ := b.Register(p, mem.Extent{Addr: dst, Len: int64(nseg) * 64})
-		a.Register(p, mem.Extent{Addr: src, Len: int64(nseg) * 256})
-		qa.RDMAWrite(p, segs, dst, mrB.Key)
-	})
-	run(t, eng)
-	// ceil(200/64) = 4 work requests.
-	if a.Counters.RDMAWrites != 4 {
-		t.Errorf("RDMAWrites = %d, want 4", a.Counters.RDMAWrites)
+	return segs
+}
+
+// TestRDMAWriteSplitsAtMaxSGE: a gather list longer than Params.MaxSGE goes
+// out as ceil(len/MaxSGE) work requests, at the hardware limit and below it.
+func TestRDMAWriteSplitsAtMaxSGE(t *testing.T) {
+	for _, maxSGE := range []int{HardMaxSGE, 16} {
+		t.Run(fmt.Sprintf("maxsge=%d", maxSGE), func(t *testing.T) {
+			eng, a, b := splitPair(maxSGE)
+			qa, _ := Connect(a, b)
+			src := a.Space().Malloc(splitSGEs * 256)
+			dst := b.Space().Malloc(splitSGEs * 64)
+			eng.Go("t", func(p *sim.Proc) {
+				mrB, _ := b.Register(p, mem.Extent{Addr: dst, Len: splitSGEs * 64})
+				a.Register(p, mem.Extent{Addr: src, Len: splitSGEs * 256})
+				sim.Must(qa.RDMAWrite(p, splitList(src), dst, mrB.Key))
+			})
+			run(t, eng)
+			if want := int64((splitSGEs + maxSGE - 1) / maxSGE); a.Counters.RDMAWrites != want {
+				t.Errorf("RDMAWrites = %d, want %d", a.Counters.RDMAWrites, want)
+			}
+		})
+	}
+}
+
+// TestRDMAReadSplitsAtMaxSGE: a scatter list longer than Params.MaxSGE is
+// read as ceil(len/MaxSGE) work requests, and every run lands where its
+// entry names.
+func TestRDMAReadSplitsAtMaxSGE(t *testing.T) {
+	for _, maxSGE := range []int{HardMaxSGE, 16} {
+		t.Run(fmt.Sprintf("maxsge=%d", maxSGE), func(t *testing.T) {
+			eng, a, b := splitPair(maxSGE)
+			qa, _ := Connect(a, b)
+			src := b.Space().Malloc(splitSGEs * 64)
+			want := make([]byte, splitSGEs*64)
+			for i := range want {
+				want[i] = byte(i * 7)
+			}
+			sim.Must(b.Space().Write(src, want))
+			dst := a.Space().Malloc(splitSGEs * 256)
+			segs := splitList(dst)
+			eng.Go("t", func(p *sim.Proc) {
+				mrB, _ := b.Register(p, mem.Extent{Addr: src, Len: splitSGEs * 64})
+				a.Register(p, mem.Extent{Addr: dst, Len: splitSGEs * 256})
+				sim.Must(qa.RDMARead(p, segs, src, mrB.Key))
+			})
+			run(t, eng)
+			if want := int64((splitSGEs + maxSGE - 1) / maxSGE); a.Counters.RDMAReads != want {
+				t.Errorf("RDMAReads = %d, want %d", a.Counters.RDMAReads, want)
+			}
+			var got []byte
+			for _, s := range segs {
+				b, err := a.Space().Read(s.Addr, s.Len)
+				sim.Must(err)
+				got = append(got, b...)
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("scattered data differs from the source")
+			}
+		})
 	}
 }
 
@@ -506,6 +568,70 @@ func TestRegCacheReferencedEntriesNotEvicted(t *testing.T) {
 		}
 		cache.Put(p, m1)
 		cache.Put(p, m2)
+	})
+	run(t, eng)
+}
+
+// TestRegCacheChurnAllocFree: a cache whose buffer moves to a new address
+// every round — the two-phase exchange buffer of a reopened file — registers
+// the new region in the slot and the MR record that evicting the old one
+// freed, so a warm round allocates nothing.
+func TestRegCacheChurnAllocFree(t *testing.T) {
+	eng, a, _ := pair(t)
+	const region = 4 * mem.PageSize
+	cache := NewRegCache(a, 2*region, 16)
+	addrs := [3]mem.Addr{}
+	for i := range addrs {
+		addrs[i] = a.Space().Malloc(region)
+	}
+	round := 0
+	simtest.AllocFree(t, eng, "regcache churn", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			mr, err := cache.Get(p, mem.Extent{Addr: addrs[round%len(addrs)], Len: region})
+			sim.Must(err)
+			sim.Must(cache.Put(p, mr))
+			round++
+		}
+	})
+	if a.Counters.Deregistrations == 0 || cache.Len() != 2 {
+		t.Errorf("%d deregistrations, %d regions cached: the cache did not churn", a.Counters.Deregistrations, cache.Len())
+	}
+	a.Census(func(pool string, n int64) {
+		if pool == "ib.mrs" && n != 0 {
+			t.Errorf("%d region records neither registered nor free", n)
+		}
+	})
+}
+
+// TestDeregisteredMRIsRecycledUnderANewKey: Register hands out a
+// deregistered region's record again, under a key no region has had, so a
+// peer's stale rkey names nothing; released, the record reads invalid.
+func TestDeregisteredMRIsRecycledUnderANewKey(t *testing.T) {
+	eng, a, b := pair(t)
+	qa, _ := Connect(a, b)
+	src := a.Space().Malloc(mem.PageSize)
+	dst := b.Space().Malloc(mem.PageSize)
+	eng.Go("t", func(p *sim.Proc) {
+		a.Register(p, mem.Extent{Addr: src, Len: mem.PageSize})
+		old, err := b.Register(p, mem.Extent{Addr: dst, Len: mem.PageSize})
+		sim.Must(err)
+		stale := old.Key
+		sim.Must(b.Deregister(p, old))
+		if old.Valid() || old.Covers(mem.Extent{Addr: dst, Len: 1}) {
+			t.Error("a released MR still reads as a region")
+		}
+		mr, err := b.Register(p, mem.Extent{Addr: dst, Len: mem.PageSize})
+		sim.Must(err)
+		if mr != old {
+			t.Error("Register did not reuse the released record")
+		}
+		if mr.Key == stale {
+			t.Fatalf("the recycled record kept its old key %d", stale)
+		}
+		if err := b.checkRemote(stale, mem.Extent{Addr: dst, Len: 64}); err == nil {
+			t.Error("a stale rkey names the recycled region")
+		}
+		sim.Must(qa.RDMAWrite(p, []SGE{{Addr: src, Len: 64}}, dst, mr.Key))
 	})
 	run(t, eng)
 }

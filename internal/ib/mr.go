@@ -95,10 +95,7 @@ func (h *HCA) Register(p *sim.Proc, e mem.Extent) (*MR, error) {
 	p.Sleep(cost)
 	h.Counters.Registrations++
 	h.Counters.RegTime += cost
-	h.nextKey++
-	mr := &MR{Key: h.nextKey, Extent: e, hca: h, valid: true}
-	h.mrs[mr.Key] = mr
-	h.pinnedBytes += pages * mem.PageSize
+	mr := h.newMR(e)
 	h.mx.pinned.Set(p.Now(), h.pinnedBytes)
 	if sp.Recording() {
 		sp.Annotate("pages=%d", pages)
@@ -116,18 +113,29 @@ func (h *HCA) RegisterStatic(e mem.Extent) (*MR, error) {
 	if e.Len <= 0 || !h.space.Allocated(e) {
 		return nil, fmt.Errorf("ib: RegisterStatic of invalid extent %v: %w", e, ErrNotAllocated)
 	}
+	return h.newMR(e), nil
+}
+
+// newMR pins e under the next key, in a record from the HCA's free list. A
+// recycled record takes a key no region has had, so a stale key held by a
+// peer still names no region.
+func (h *HCA) newMR(e mem.Extent) *MR {
 	h.nextKey++
-	mr := &MR{Key: h.nextKey, Extent: e, hca: h, valid: true}
+	mr := h.freeMRs.Take()
+	*mr = MR{Key: h.nextKey, Extent: e, hca: h, valid: true}
 	h.mrs[mr.Key] = mr
 	h.pinnedBytes += e.Pages() * mem.PageSize
-	return mr, nil
+	return mr
 }
 
 // ErrInvalidMR is returned by Deregister for a region that was never
 // registered on this HCA or was already deregistered.
 var ErrInvalidMR = errors.New("ib: deregister of invalid MR")
 
-// Deregister unpins the region, charging the deregistration cost.
+// Deregister unpins the region, charging the deregistration cost. The MR
+// goes back to the HCA's free list, so the caller must drop it: a later
+// Register may hand the same record out again. Until then it reads invalid,
+// and under sim.PoisonReleased its key and extent are cleared as well.
 func (h *HCA) Deregister(p *sim.Proc, mr *MR) error {
 	if !mr.Valid() {
 		return ErrInvalidMR
@@ -143,6 +151,10 @@ func (h *HCA) Deregister(p *sim.Proc, mr *MR) error {
 	h.mx.pinned.Set(p.Now(), h.pinnedBytes)
 	h.Counters.Deregistrations++
 	h.Counters.DeregTime += cost
+	if sim.PoisonReleased {
+		*mr = MR{}
+	}
+	h.freeMRs.Put(mr)
 	return nil
 }
 

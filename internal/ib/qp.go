@@ -34,6 +34,7 @@ type HCA struct {
 	params Params
 
 	mrs         map[Key]*MR
+	freeMRs     sim.FreeList[MR] // deregistered regions' records
 	nextKey     Key
 	pinnedBytes int64
 
@@ -292,9 +293,11 @@ func Census(net *simnet.Network, shards int, add func(pool string, out int64)) {
 	}
 }
 
-// Census reports the adapter's reply mailboxes taken and not recycled.
+// Census reports the adapter's reply mailboxes taken and not recycled, and
+// its region records neither registered nor free.
 func (h *HCA) Census(add func(pool string, out int64)) {
 	add("ib.read-mailboxes", h.readMBs.Out())
+	add("ib.mrs", h.freeMRs.Out()-int64(len(h.mrs)))
 }
 
 // deliver disposes of one inbound wire message without waiting, at the

@@ -53,6 +53,14 @@ func (e *WCError) Error() string {
 	return fmt.Sprintf("ib: %s completed with status %s", e.Op, e.Status)
 }
 
+// ErrWC matches every *WCError under errors.Is, whatever its status: the
+// test for "a work completion failed" that, unlike errors.As, needs no
+// target variable and so allocates nothing.
+var ErrWC = errors.New("ib: work completion error")
+
+// Is reports whether target is ErrWC.
+func (e *WCError) Is(target error) bool { return target == ErrWC }
+
 // ErrQPState is returned for work posted to a queue pair in the error
 // state; the caller must Reset the QP first.
 var ErrQPState = errors.New("ib: queue pair in error state")

@@ -31,6 +31,13 @@ type World struct {
 	acct func(rank int, bytes int64)
 	// envelopes holds each engine shard's envelopes not in flight.
 	envelopes []sim.FreeList[envelope]
+	// scratch recycles each engine shard's message bodies: Send draws its
+	// copy from the sender's shard and a receiver that is done with a body
+	// puts it into its own (Rank.Scratch). A body sent and received on one
+	// shard goes back to the pool it came from, so a collective keeps that
+	// shard's pool level whatever its pattern; only a body that crosses
+	// shards changes pools.
+	scratch []mem.ScratchPool
 }
 
 // envelope carries one message body through a queue pair. The QP's payload
@@ -45,16 +52,11 @@ type Rank struct {
 	id    int
 	qps   []*ib.QP // index = peer rank; nil for self
 
-	// scratch recycles message bodies: Send draws its copy from it and a
-	// receiver that is done with a body puts it there (Scratch). Only the
-	// rank's own process touches it. A body is taken from the sender's pool
-	// and released into the receiver's, so buffers migrate between ranks;
-	// an exchange in which every rank sends what it receives keeps the
-	// pools level.
-	scratch mem.ScratchPool
-	copied  int64 // bytes Send copied, host side
-	// envelopes is the list of the rank's shard (World.envelopes).
+	copied int64 // bytes Send copied, host side
+	// envelopes and scratch are the rank's shard's (World.envelopes,
+	// World.scratch).
 	envelopes *sim.FreeList[envelope]
+	scratch   *mem.ScratchPool
 	// out holds what a collective returns, until the rank's next one.
 	out [][]byte
 }
@@ -62,11 +64,12 @@ type Rank struct {
 // NewWorld builds a world with one rank per HCA (rank i on hcas[i]) and
 // fully connects them. acct may be nil.
 func NewWorld(eng *sim.Engine, hcas []*ib.HCA, acct func(rank int, bytes int64)) *World {
-	w := &World{eng: eng, acct: acct, envelopes: make([]sim.FreeList[envelope], eng.NumShards())}
+	shards := eng.NumShards()
+	w := &World{eng: eng, acct: acct, envelopes: make([]sim.FreeList[envelope], shards), scratch: make([]mem.ScratchPool, shards)}
 	n := len(hcas)
 	for i := 0; i < n; i++ {
 		shard := hcas[i].Node().Group().ShardIndex()
-		w.ranks = append(w.ranks, &Rank{world: w, id: i, qps: make([]*ib.QP, n), envelopes: &w.envelopes[shard], out: make([][]byte, n)})
+		w.ranks = append(w.ranks, &Rank{world: w, id: i, qps: make([]*ib.QP, n), envelopes: &w.envelopes[shard], scratch: &w.scratch[shard], out: make([][]byte, n)})
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -86,12 +89,14 @@ func NewWorld(eng *sim.Engine, hcas []*ib.HCA, acct func(rank int, bytes int64))
 func (w *World) Size() int { return len(w.ranks) }
 
 // HostCost returns what the ranks' message bodies have cost the host so far:
-// the bytes Send copied and the traffic of the ranks' pools.
+// the bytes Send copied and the traffic of the shards' pools.
 func (w *World) HostCost() sim.HostCost {
 	var hc sim.HostCost
 	for _, r := range w.ranks {
 		hc.BytesCopied += r.copied
-		hc.Add(r.scratch.HostCost())
+	}
+	for i := range w.scratch {
+		hc.Add(w.scratch[i].HostCost())
 	}
 	return hc
 }
@@ -105,11 +110,11 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return len(r.world.ranks) }
 
-// Scratch returns the rank's pool of message bodies. A body built for
-// SendOwned comes from Get; the rank that received it (or any other body)
-// and is done with it gives it to Put. Only the rank's own process may use
-// the pool.
-func (r *Rank) Scratch() *mem.ScratchPool { return &r.scratch }
+// Scratch returns the pool of message bodies of the rank's engine shard. A
+// body built for SendOwned comes from Get; the rank that received it (or any
+// other body) and is done with it gives it to Put. Only processes of the
+// rank's shard may use the pool; ranks on one shard share it.
+func (r *Rank) Scratch() *mem.ScratchPool { return r.scratch }
 
 // Send delivers a copy of data to rank dst (blocking until the send side
 // completes, like a buffered MPI_Send); the caller keeps data and may

@@ -373,3 +373,31 @@ func TestAlltoallvOwnedAllocFree(t *testing.T) {
 }
 
 var rankNames = [...]string{"rank0", "rank1", "rank2", "rank3"}
+
+// TestAllgatherAllocFree is two-phase I/O's extent exchange: the root sends
+// every rank every part, n(n-1) bodies, and gets n-1 back, yet bodies sent
+// and received on one shard go back to the pool they came from, so a
+// steady-state Allgather allocates nothing.
+func TestAllgatherAllocFree(t *testing.T) {
+	const n = 4
+	eng, w := world(t, n, nil)
+	bodies := make([]func(p *sim.Proc), n)
+	for i := range bodies {
+		r, extent := w.Rank(i), make([]byte, 16)
+		bodies[i] = func(p *sim.Proc) {
+			for j, part := range r.Allgather(p, extent) {
+				if j != r.ID() {
+					r.Scratch().Put(part)
+				}
+			}
+		}
+	}
+	simtest.Measure(t, "allgather", func() {
+		for i, body := range bodies {
+			eng.Go(rankNames[i], body)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

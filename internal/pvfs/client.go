@@ -474,6 +474,8 @@ func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen,
 		// take the stream path regardless of the pack decision.
 		pack = true
 	} else if !pack {
+		var err error
+		what := "list buffer"
 		switch opts.Reg {
 		case RegExplicit:
 			// Application pre-registered everything; nothing to do (the
@@ -484,11 +486,8 @@ func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen,
 			if opts.Allocation.Len <= 0 {
 				return fmt.Errorf("pvfs: RegDeclared requires OpOptions.Allocation")
 			}
-			mr, err := c.cache.Get(p, opts.Allocation)
-			if err != nil {
-				return fmt.Errorf("pvfs: declared allocation registration: %w", err)
-			}
-			declMR = mr
+			what = "declared allocation"
+			declMR, err = c.cache.Get(p, opts.Allocation)
 		default:
 			var ogrCfg ogr.Config
 			reg, ogrCfg = c.registrar(opts.Reg)
@@ -496,21 +495,21 @@ func (fh *FileHandle) doListOp(p *sim.Proc, memSegs []ib.SGE, fileAccs []OffLen,
 			for _, s := range memSegs {
 				pl.exts = append(pl.exts, s.Extent())
 			}
-			var err error
 			regRes, err = pl.reg.RegisterBuffers(p, reg, c.space, pl.exts, ogrCfg)
-			if err != nil {
-				if c.cluster.recovery() == nil || !recoverable(err) {
-					return fmt.Errorf("pvfs: list buffer registration: %w", err)
-				}
-				// Graceful degradation: pinning pressure keeps the user
-				// buffers out of RDMA reach, but the pre-registered
-				// Fast-RDMA buffers always work — fall back to Pack/Unpack.
-				c.acct.Fallbacks++
-				c.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), c.node.Name, "fallback-pack", total,
-					"registration failed: %v", err)
-				pack = true
-				regRes = nil
+		}
+		if err != nil {
+			if c.cluster.recovery() == nil || !recoverable(err) {
+				return fmt.Errorf("pvfs: %s registration: %w", what, err)
 			}
+			// Graceful degradation: pinning pressure keeps the user
+			// buffers out of RDMA reach, but the pre-registered
+			// Fast-RDMA buffers always work — fall back to Pack/Unpack.
+			c.acct.Fallbacks++
+			c.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), c.node.Name, "fallback-pack", total, func() string {
+				return fmt.Sprintf("registration failed: %v", err)
+			})
+			pack = true
+			regRes = nil
 		}
 	}
 	var firstErr error
@@ -612,8 +611,9 @@ restart:
 				gatherFails++
 				if gatherFails >= rec.FallbackAfter {
 					c.acct.Fallbacks++
-					c.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), c.node.Name, "fallback-pack", ch.total,
-						"io%d gather failed %d times", part.srv, gatherFails)
+					c.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), c.node.Name, "fallback-pack", ch.total, func() string {
+						return fmt.Sprintf("io%d gather failed %d times", part.srv, gatherFails)
+					})
 					pack = true
 					goto restart
 				}

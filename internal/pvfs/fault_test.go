@@ -3,6 +3,7 @@ package pvfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -507,4 +508,55 @@ func TestStreamWriteLostReplyFails(t *testing.T) {
 			t.Errorf("a stream write whose reply was lost returned %v, want a timeout", err)
 		}
 	})
+}
+
+// TestRegPressureFallsBackToPack: under a fault plane that rejects every
+// registration, a gathered write degrades to Pack/Unpack through the
+// pre-registered buffers — counted as one fallback — whether it registers
+// its buffers by OGR through the cache or declares their allocation.
+func TestRegPressureFallsBackToPack(t *testing.T) {
+	const total = 128 << 10
+	for _, reg := range []struct {
+		name   string
+		policy RegPolicy
+	}{{"ogr", RegCached}, {"declared", RegDeclared}} {
+		t.Run(reg.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Faults = &fault.Plan{Seed: 1, RegFailRate: 1}
+			c := NewCluster(sim.NewEngine(), cfg, 2, 1)
+			cl := c.Clients[0]
+			app(t, c, func(p *sim.Proc) {
+				fh := cl.Open(p, "f")
+				src, want := fill(cl, total, 3)
+				opts := OpOptions{Reg: reg.policy, Allocation: mem.Extent{Addr: src, Len: total}}
+				if err := fh.Write(p, src, total, 0, opts); err != nil {
+					t.Fatalf("write under registration pressure: %v", err)
+				}
+				dst := cl.Space().Malloc(total)
+				sim.Must(fh.Read(p, dst, total, 0, OpOptions{Transfer: ForcePack}))
+				if got, err := cl.Space().Read(dst, total); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("read back other bytes than were written (%v)", err)
+				}
+			})
+			if s := c.Snapshot(); s.Fallbacks != 1 {
+				t.Errorf("%d fallbacks, want 1", s.Fallbacks)
+			}
+		})
+	}
+}
+
+// TestRecoverableAllocatesNothing: classifying a failed attempt's error —
+// a completion error wrapped on its way up, or joined with another — needs
+// no allocation, and a registration bug is still not worth a retry.
+func TestRecoverableAllocatesNothing(t *testing.T) {
+	wc := fmt.Errorf("pvfs: gather write: %w", &ib.WCError{Status: ib.WCWorkRequestError, Op: "rdma-write"})
+	joined := errors.Join(errors.New("first"), wc)
+	bug := fmt.Errorf("pvfs: list buffer registration: %w", ib.ErrNotAllocated)
+	if !recoverable(wc) || !recoverable(joined) || recoverable(bug) {
+		t.Fatalf("recoverable: wrapped %v, joined %v, registration bug %v; want true, true, false",
+			recoverable(wc), recoverable(joined), recoverable(bug))
+	}
+	if n := testing.AllocsPerRun(100, func() { recoverable(wc); recoverable(bug) }); n != 0 {
+		t.Errorf("%.0f allocations a classification, want 0", n)
+	}
 }

@@ -79,7 +79,7 @@ func (s *Server) crash(at sim.Time) {
 	s.hca.SetDown(true)
 	s.files = make(map[int64]*localfs.File)
 	s.acct.Crashes++
-	s.cluster.Spans.Instant(at, 0, s.node.Name, "iod-crash", 0, "daemon down, open files dropped")
+	s.cluster.Spans.Instant(at, 0, s.node.Name, "iod-crash", 0, func() string { return "daemon down, open files dropped" })
 }
 
 // restart brings the daemon back: the adapter accepts traffic again and
@@ -90,7 +90,7 @@ func (s *Server) restart(p *sim.Proc) {
 	s.hca.SetDown(false)
 	s.acct.Restarts++
 	s.registerWithManager(p)
-	s.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "iod-restart", 0, "daemon up, re-registered")
+	s.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "iod-restart", 0, func() string { return "daemon up, re-registered" })
 }
 
 // registerWithManager performs the iod registration RPC over the daemon's
@@ -101,7 +101,7 @@ func (s *Server) registerWithManager(p *sim.Proc) {
 	if err := s.mgrQP.Send(p, reqSize(0), &reqIodRegister{Server: s.idx}); err != nil {
 		// Control path; only a partition can fail it. The daemon still
 		// serves — registration is advisory bookkeeping in this model.
-		s.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "iod-register-fail", 0, "%v", err)
+		s.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "iod-register-fail", 0, err.Error)
 		return
 	}
 	_, resp := s.mgrQP.Recv(p)

@@ -109,8 +109,8 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 	daemons := (nS + nC) + nS*nC + (nS + nC) + nC
 	census := c.census()
 	pools := []string{"sim.events", "sim.carriers", "sim.timeouts", "simnet.messages", "ib.wires", "ib.read-mailboxes",
-		"ib.scratch", "ib.staging", "ib.regcache-refs", "localfs.loans", "pvfs.records", "pvfs.plans", "pvfs.iod-scratch",
-		"trace.open"}
+		"ib.scratch", "ib.staging", "ib.mrs", "ib.regcache-refs", "localfs.loans", "pvfs.records",
+		"pvfs.plans", "pvfs.iod-scratch", "trace.open"}
 	for _, pool := range pools {
 		out, want := census[pool], int64(0)
 		if pool == "sim.carriers" {
@@ -121,9 +121,9 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 		// Nor do the loans: every path out of a read handler releases its
 		// loan with its staging buffer. Every operation puts back the
 		// pin-down cache references it took and ends every span it opened,
-		// whatever failed.
-		exact := !faulty || strings.HasPrefix(pool, "sim.") || pool == "localfs.loans" ||
-			pool == "ib.regcache-refs" || pool == "trace.open"
+		// whatever failed, and every region record is registered or free.
+		exact := !faulty || strings.HasPrefix(pool, "sim.") || pool == "ib.mrs" || pool == "ib.regcache-refs" ||
+			pool == "localfs.loans" || pool == "trace.open"
 		if out < 0 || exact && out != want {
 			t.Errorf("%s: %d taken and not recycled, want %d", pool, out, want)
 		}

@@ -17,9 +17,8 @@ var errTimeout = errors.New("pvfs: request timed out")
 // crashed adapter — and therefore worth a retry. Anything else (bad
 // arguments, registration bugs, model invariant violations) propagates.
 func recoverable(err error) bool {
-	var wc *ib.WCError
 	return errors.Is(err, errTimeout) ||
-		errors.As(err, &wc) ||
+		errors.Is(err, ib.ErrWC) ||
 		errors.Is(err, ib.ErrQPState) ||
 		errors.Is(err, ib.ErrHCADown) ||
 		errors.Is(err, ib.ErrRegPressure) ||

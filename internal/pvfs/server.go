@@ -284,7 +284,9 @@ func (sc *serverConn) reply(p *sim.Proc, size int, r *record) bool {
 func (sc *serverConn) abort(p *sim.Proc, op string, seq int64, why string) {
 	s := sc.srv
 	s.acct.ServerAborts++
-	s.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "iod-abort", 0, "%s seq=%d: %s", op, seq, why)
+	s.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "iod-abort", 0, func() string {
+		return fmt.Sprintf("%s seq=%d: %s", op, seq, why)
+	})
 }
 
 // waitDone waits for the rendezvous completion notice (want) matching seq. Without a

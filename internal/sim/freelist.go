@@ -2,7 +2,7 @@ package sim
 
 // FreeList is a LIFO of recycled *T: the one free-list discipline of the
 // simulator, behind its events, carriers and timeouts, the fabric's messages,
-// the adapters' wire records and read mailboxes, and the file system's
+// the adapters' wire records, read mailboxes and region records, and the file system's
 // protocol records and operation plans. Each list belongs to one engine shard (or to
 // one object that lives on one), so it needs no lock; an object may come back
 // to a different shard's list than the one it left, and the counts of every

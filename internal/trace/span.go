@@ -230,14 +230,17 @@ func (t *Tracer) open(now sim.Time, parent SpanID, req ReqID, node, kind string,
 // Instant records something that happened at one moment — a crash, an
 // abort, a fallback decision — as an already-ended zero-length span under
 // ctx (a detached root when ctx is zero), so it shows up in every span view
-// under the request it hit without adding time to any stage.
-func (t *Tracer) Instant(now sim.Time, ctx Ctx, node, kind string, bytes int64, format string, args ...any) {
+// under the request it hit without adding time to any stage. attrs, which
+// describes it, runs only when t records: a caller's values are formatted,
+// and boxed, only then, and a closure that Instant does not keep stays on
+// the caller's stack, so a disabled tracer costs a fault path nothing.
+func (t *Tracer) Instant(now sim.Time, ctx Ctx, node, kind string, bytes int64, attrs func() string) {
 	if t == nil {
 		return
 	}
 	r := t.rec(t.open(now, ctx.Span(), ctx.Req(), node, kind, StageOther).id)
 	r.Bytes = bytes
-	r.Attrs = fmt.Sprintf(format, args...)
+	r.Attrs = attrs()
 	r.End, r.Ended = now, true
 }
 

@@ -25,7 +25,7 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 		if sp.Recording() {
 			t.Fatal("nil tracer reports Recording")
 		}
-		tr.Instant(2, sp.Ctx(), "cn0", "iod-abort", 0, "reply lost")
+		tr.Instant(2, sp.Ctx(), "cn0", "iod-abort", 0, func() string { return "reply lost" })
 		sp.EndErr(2, nil)
 		root.End(3)
 	})
@@ -96,8 +96,8 @@ func TestInstantIsZeroLengthSpan(t *testing.T) {
 	tr := NewTracer("cn0", "io1")
 	root := tr.NewRequest(100, "cn0", "listio-write")
 	srv := tr.Start(120, root.Ctx(), "io1", "srv.dispatch", StageOther)
-	tr.Instant(120, root.Ctx(), "cn0", "fallback-pack", 4096, "io%d gather failed %d times", 1, 2)
-	tr.Instant(130, 0, "io1", "iod-crash", 0, "daemon down")
+	tr.Instant(120, root.Ctx(), "cn0", "fallback-pack", 4096, func() string { return fmt.Sprintf("io%d gather failed %d times", 1, 2) })
+	tr.Instant(130, 0, "io1", "iod-crash", 0, func() string { return "daemon down" })
 	srv.End(150)
 	root.End(200)
 
@@ -242,7 +242,7 @@ func TestOpenCountsUnendedSpans(t *testing.T) {
 	tr := NewTracer("cn0")
 	root := tr.NewRequest(0, "cn0", "listio-write")
 	sp := tr.Start(1, root.Ctx(), "cn0", "pvfs.attempt", StageOther)
-	tr.Instant(2, sp.Ctx(), "cn0", "iod-abort", 0, "reply lost")
+	tr.Instant(2, sp.Ctx(), "cn0", "iod-abort", 0, func() string { return "reply lost" })
 	if n := tr.Open(); n != 2 {
 		t.Errorf("Open = %d with two spans open, want 2", n)
 	}
