@@ -2,7 +2,7 @@ GO ?= go
 
 BIN := bin/pvfslint
 
-.PHONY: all build test race lint vet check mutate bench-smoke bench-cache bench-scale bench-hostcost bench-check bench-go trace-smoke metrics-smoke fuzz loc clean
+.PHONY: all build test race lint vet check mutate bench-smoke bench-cache bench-scale bench-hostcost bench-paper bench-check bench-go trace-smoke metrics-smoke fuzz loc clean
 
 # LINT_BUDGET caps the whole analyzer suite's wall time in lint.
 LINT_BUDGET ?= 30s
@@ -85,6 +85,17 @@ bench-cache:
 bench-hostcost:
 	$(GO) run ./cmd/pvfsbench -short -seed 1 -parallel 1 -shards 1 -format json -timings=false -run hostcost > BENCH_hostcost.json
 	@echo "wrote BENCH_hostcost.json"
+
+# bench-paper runs, at their full sweeps, the experiments whose paper field
+# cites a number, archives the paper's values beside ours as
+# BENCH_paper.json (one row per cited cell or ratio, the shape claims as
+# notes), and renders that file into EXPERIMENTS.md's paper-vs-measured
+# block. Deterministic at a fixed seed; TestExperimentsPaperBlock fails when
+# the block, the file and the registry disagree.
+bench-paper:
+	$(GO) run ./cmd/pvfsbench -seed 1 -format json -timings=false -run paper > BENCH_paper.json
+	$(GO) test -count=1 -run TestExperimentsPaperBlock ./internal/bench -update
+	@echo "wrote BENCH_paper.json and EXPERIMENTS.md's paper-vs-measured block"
 
 # trace-smoke runs the traced breakdown workload (ListIO+ADS, short) and
 # archives the Perfetto trace (open in ui.perfetto.dev or chrome://tracing)

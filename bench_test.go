@@ -43,7 +43,6 @@ func BenchmarkFig7BlockColumnRead(b *testing.B)     { runExperiment(b, "fig7") }
 func BenchmarkFig8TiledNoDisk(b *testing.B)         { runExperiment(b, "fig8") }
 func BenchmarkFig9TiledDisk(b *testing.B)           { runExperiment(b, "fig9") }
 func BenchmarkTable5BTIO(b *testing.B)              { runExperiment(b, "table5") }
-func BenchmarkTable6BTIOStats(b *testing.B)         { runExperiment(b, "table6") }
 func BenchmarkAblationSGELimit(b *testing.B)        { runExperiment(b, "ablation-sge") }
 func BenchmarkAblationHybridThreshold(b *testing.B) { runExperiment(b, "ablation-hybrid") }
 func BenchmarkAblationADSModel(b *testing.B)        { runExperiment(b, "ablation-adsmodel") }

@@ -10,6 +10,9 @@
 //	pvfsbench -run hostcost         run everything and print what each experiment cost
 //	                                the host in exact counts instead of its table
 //	                                (BENCH_hostcost.json; not part of 'all')
+//	pvfsbench -run paper            run the experiments the paper reports numbers for
+//	                                and set its values beside ours (BENCH_paper.json;
+//	                                not part of 'all')
 //	pvfsbench -short -run all       smaller sweeps for a quick look
 //	pvfsbench -seed 7 -run faults   reseed the fault plane (same seed, same table)
 //	pvfsbench -parallel 4           run independent cells on 4 workers
@@ -27,14 +30,16 @@
 //	pvfsbench -cpuprofile cpu.pb    write a CPU profile of the run
 //	pvfsbench -memprofile mem.pb    write a heap profile at exit
 //
-// Each experiment prints a plain-text table; the titles carry the paper's
-// reference values where the paper states them. The tables are functions
+// Each experiment prints a plain-text table; -run paper sets the paper's
+// numbers and shape claims beside ours. The tables are functions
 // of (-short, -seed) only: every cell runs on its own deterministic
 // simulated cluster, so -parallel changes wall-clock time, never output.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -65,31 +70,24 @@ type hostMeta struct {
 // the critical-path breakdown table.
 func writeTrace(path string, short bool) error {
 	tr := bench.TraceRun(short)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WritePerfetto(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
 	prof := tr.Profile()
-	bf, err := os.Create(path + ".breakdown.json")
-	if err != nil {
+	var trace, breakdown bytes.Buffer
+	if err := errors.Join(tr.WritePerfetto(&trace), prof.WriteJSON(&breakdown)); err != nil {
 		return err
 	}
-	if err := prof.WriteJSON(bf); err != nil {
-		bf.Close()
-		return err
-	}
-	if err := bf.Close(); err != nil {
+	if err := errors.Join(os.WriteFile(path, trace.Bytes(), 0o666), os.WriteFile(path+".breakdown.json", breakdown.Bytes(), 0o666)); err != nil {
 		return err
 	}
 	fmt.Printf("trace: %d spans, %d requests -> %s\n", tr.Len(), tr.Requests(), path)
 	return prof.WriteBreakdown(os.Stdout)
+}
+
+// check prints a non-nil err and exits with status 1.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
 // totalAlloc returns the bytes the process has allocated so far, or 0 when
@@ -106,7 +104,7 @@ func totalAlloc(wanted bool) uint64 {
 func main() {
 	var (
 		list     = flag.Bool("list", false, "list experiments and exit")
-		run      = flag.String("run", "all", "experiment ids to run (comma-separated), 'all', or 'hostcost' (what each experiment of 'all' costs the host, in exact counts)")
+		run      = flag.String("run", "all", "experiment ids to run (comma-separated), 'all', 'hostcost' (what each experiment of 'all' costs the host, in exact counts) or 'paper' (the paper's numbers beside ours)")
 		short    = flag.Bool("short", false, "reduced sweeps (faster)")
 		seed     = flag.Int64("seed", 1, "seed for randomized experiments (fault plane)")
 		parallel = flag.Int("parallel", 0, "cell workers per experiment (0 = GOMAXPROCS)")
@@ -121,18 +119,14 @@ func main() {
 	flag.Parse()
 
 	if *tracef != "" {
-		if err := writeTrace(*tracef, *short); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(writeTrace(*tracef, *short))
 		return
 	}
 
 	if *list {
-		for _, e := range bench.Registry {
+		for _, e := range append(bench.Registry, bench.HostCost, bench.Paper) {
 			fmt.Printf("%-18s %s\n", e.ID, e.Title)
 		}
-		fmt.Printf("%-18s %s\n", bench.HostCost.ID, bench.HostCost.Title)
 		return
 	}
 
@@ -152,15 +146,9 @@ func main() {
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(pprof.StartCPUProfile(f))
 		defer pprof.StopCPUProfile()
 	}
 
@@ -205,24 +193,15 @@ func main() {
 			ExpAlloc:    perExpAlloc,
 		}
 		b, err := json.Marshal(map[string]hostMeta{"hostmeta": meta})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		fmt.Println(string(b))
 	}
 
 	if *memprof != "" {
 		f, err := os.Create(*memprof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		defer f.Close()
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(pprof.WriteHeapProfile(f))
 	}
 }

@@ -17,8 +17,7 @@ import (
 // the Figure 3 gather,one-reg measurement with different limits.
 var ablationSGE = Experiment{
 	ID:     "ablation-sge",
-	Title:  "SGE limit sensitivity",
-	table:  "Gather/scatter bandwidth vs. SGE limit (2048x2048 array)",
+	Title:  "Gather/scatter bandwidth vs. SGE limit (2048x2048 array)",
 	header: []string{"max_sge", "gather_onereg_MB_s"},
 	notes:  []string{"smaller limits split the transfer into more work requests, each paying its own overhead"},
 	sweep: func(o RunOpts) []group {
@@ -38,8 +37,7 @@ var ablationSGE = Experiment{
 // interleaved writes with the staging-buffer size as the threshold.
 var ablationHybrid = Experiment{
 	ID:     "ablation-hybrid",
-	Title:  "Hybrid threshold sweep",
-	table:  "Hybrid crossover threshold sweep, 128-segment write bandwidth (MB/s)",
+	Title:  "Hybrid crossover threshold sweep, 128-segment write bandwidth (MB/s)",
 	header: []string{"threshold_kB", "segs_512B", "segs_8kB"},
 	notes:  []string{"the paper picks the 64 kB stripe size; small ops prefer pack, large ops gather"},
 	sweep: func(o RunOpts) []group {
@@ -69,8 +67,7 @@ func sieveModeWrite(b bed, file string, n int64, mode sieve.Mode) ioResult {
 // sieving wins) and a sparse large-access pattern (where it loses).
 var ablationADSModel = Experiment{
 	ID:     "ablation-adsmodel",
-	Title:  "ADS cost-model decision quality",
-	table:  "ADS decision quality: block-column write bandwidth (MB/s)",
+	Title:  "ADS decision quality: block-column write bandwidth (MB/s)",
 	header: []string{"array", "never", "always", "model(auto)"},
 	notes:  []string{"the model should track the better of always/never in each regime"},
 	sweep: func(o RunOpts) []group {
@@ -91,8 +88,7 @@ type ogrLayout struct {
 // over a single-array layout and a multi-array layout with allocated gaps.
 var ablationOGRGroup = Experiment{
 	ID:     "ablation-ogrgroup",
-	Title:  "OGR grouping strategies",
-	table:  "OGR grouping strategies: registration time (µs) for 1024 x 4kB buffers",
+	Title:  "OGR grouping strategies: registration time (µs) for 1024 x 4kB buffers",
 	header: []string{"layout", "individual", "whole_span", "cost_model"},
 	notes:  []string{"whole-span registers gap pages too; the cost model splits only when the gap outweighs an extra operation"},
 	sweep: func(o RunOpts) []group {

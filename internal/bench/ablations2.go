@@ -31,8 +31,7 @@ var fabrics = []fabric{
 // 128 x 8 kB list writes.
 var ablationNetwork = Experiment{
 	ID:     "ablation-network",
-	Title:  "Transmission schemes vs. network generation",
-	table:  "Transmission schemes vs. network generation (MB/s)",
+	Title:  "Transmission schemes vs. network generation (MB/s)",
 	header: []string{"network", "multiple", "pack", "gather_onereg", "best/worst"},
 	notes:  []string{"scheme spread is large on InfiniBand and shrinks toward 1 on the conventional wire"},
 	sweep: func(o RunOpts) []group {
@@ -64,8 +63,7 @@ var ablationNetwork = Experiment{
 // everything; a fitting one hits.
 var ablationRegThrash = Experiment{
 	ID:     "ablation-regthrash",
-	Title:  "Registration thrashing under pin limits",
-	table:  "Registration thrashing under a pinned-memory limit (write bandwidth, MB/s)",
+	Title:  "Registration thrashing under a pinned-memory limit (write bandwidth, MB/s)",
 	header: []string{"cache_entries", "individual+cache", "ogr+cache", "ogr_hits", "indiv_hits"},
 	notes:  []string{"1024 buffers per op: per-buffer caching needs 1024 entries to ever hit; OGR needs one"},
 	sweep: func(o RunOpts) []group {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -10,19 +12,31 @@ import (
 // regimes flip. Absolute values are checked loosely (the substrate is a
 // simulator, not the authors' testbed).
 
+// nearPaper fails t unless experiment id's cell (row, col) in tbl is within
+// tol (a fraction) of the value its paper field cites.
+func nearPaper(t *testing.T, tbl *Table, row, col string, tol float64) {
+	t.Helper()
+	e, err := Lookup(tbl.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(e.paper, func(c cite) bool { return c.row == row && c.col == col && c.over == "" })
+	if i < 0 {
+		t.Fatalf("%s cites no paper value for %s %s", tbl.ID, row, col)
+	}
+	want := e.paper[i].paper
+	if got := tbl.CellF(tbl.FindRow(row), col); math.Abs(got/want-1) > tol {
+		t.Errorf("%s %s = %v, want within %.1f%% of the paper's %v", row, col, got, 100*tol, want)
+	}
+}
+
 func TestTable2MatchesPaper(t *testing.T) {
 	tbl := shortTable(t, "table2")
-	// RDMA write ≈ 6.0µs / 827 MB/s.
-	if lat := tbl.CellF(0, "latency_us"); lat < 5.5 || lat > 7 {
-		t.Errorf("RDMA write latency = %v µs, want ≈6.0", lat)
+	for _, row := range table2Rows {
+		nearPaper(t, tbl, row, "bandwidth_MB_s", 0.015)
 	}
-	if bwv := tbl.CellF(0, "bandwidth_MB_s"); bwv < 800 || bwv > 840 {
-		t.Errorf("RDMA write bandwidth = %v, want ≈827", bwv)
-	}
-	// RDMA read ≈ 12.4µs.
-	if lat := tbl.CellF(1, "latency_us"); lat < 11 || lat > 14 {
-		t.Errorf("RDMA read latency = %v µs, want ≈12.4", lat)
-	}
+	nearPaper(t, tbl, "VAPI RDMA Write", "latency_us", 0.08)
+	nearPaper(t, tbl, "VAPI RDMA Read", "latency_us", 0.1)
 	// MPI latency above verbs latency.
 	if tbl.CellF(2, "latency_us") <= tbl.CellF(0, "latency_us") {
 		t.Error("MPI latency should exceed raw verbs latency")
@@ -31,18 +45,9 @@ func TestTable2MatchesPaper(t *testing.T) {
 
 func TestTable3MatchesPaper(t *testing.T) {
 	tbl := shortTable(t, "table3")
-	cold, warm := tbl.FindRow("without cache"), tbl.FindRow("with cache")
-	if w := tbl.CellF(cold, "write_MB_s"); w < 20 || w > 30 {
-		t.Errorf("uncached write = %v, want ≈25", w)
-	}
-	if r := tbl.CellF(cold, "read_MB_s"); r < 15 || r > 25 {
-		t.Errorf("uncached read = %v, want ≈20", r)
-	}
-	if w := tbl.CellF(warm, "write_MB_s"); w < 270 || w > 320 {
-		t.Errorf("cached write = %v, want ≈303", w)
-	}
-	if r := tbl.CellF(warm, "read_MB_s"); r < 1200 || r > 1450 {
-		t.Errorf("cached read = %v, want ≈1391", r)
+	for _, row := range []string{"without cache", "with cache"} {
+		nearPaper(t, tbl, row, "write_MB_s", 0.04)
+		nearPaper(t, tbl, row, "read_MB_s", 0.04)
 	}
 }
 
@@ -90,7 +95,7 @@ func TestFig4HybridTracksWinner(t *testing.T) {
 		if gather > best {
 			best = gather
 		}
-		if hybrid < 0.8*best {
+		if hybrid < 0.9*best {
 			t.Errorf("row %v: hybrid %v far below best %v", tbl.Rows[i][0], hybrid, best)
 		}
 	}
@@ -202,54 +207,51 @@ func TestFig9DiskBoundShape(t *testing.T) {
 
 func TestTable5Shape(t *testing.T) {
 	tbl := shortTable(t, "table5")
-	get := func(label string) float64 { return tbl.CellF(tbl.FindRow(label), "time_s") }
-	noio := get("no I/O")
-	multiple := get("Multiple I/O")
-	list := get("List I/O")
-	ads := get("List I/O with ADS")
-	ds := get("Data Sieving")
-	if multiple < noio || list < noio || ads < noio {
-		t.Error("I/O must not make the run faster than no I/O")
+	noio := tbl.CellF(tbl.FindRow("no I/O"), "time_s")
+	over := map[string]float64{}
+	for _, c := range btioCases {
+		over[c] = tbl.CellF(tbl.FindRow(c), "io_overhead_ms")
+		if time := tbl.CellF(tbl.FindRow(c), "time_s"); time < noio {
+			t.Errorf("%s (%v s) ran faster than no I/O (%v s)", c, time, noio)
+		}
 	}
-	if multiple < list {
-		t.Errorf("Multiple (%v) should cost at least as much as List (%v)", multiple, list)
+	// ADS has the least overhead and Multiple I/O the most.
+	for _, c := range btioCases {
+		if c != "List I/O with ADS" && over[c] <= over["List I/O with ADS"] {
+			t.Errorf("%s overhead %v ms not above ADS's %v", c, over[c], over["List I/O with ADS"])
+		}
+		if c != "Multiple I/O" && over[c] >= over["Multiple I/O"] {
+			t.Errorf("%s overhead %v ms not below Multiple I/O's %v", c, over[c], over["Multiple I/O"])
+		}
 	}
-	if ads > list*1.05 {
-		t.Errorf("ADS (%v) should not exceed plain List (%v)", ads, list)
-	}
-	if ds < list {
-		t.Errorf("DS writes degenerate to multiple, total (%v) should exceed List (%v)", ds, list)
-	}
+	// The paper's List I/O ahead of Collective I/O does not hold here; the
+	// paper experiment records it as a deviation.
 }
 
+// TestTable6Shape checks the paper's Table 6 claims on the counts table5
+// reports beside each run's times.
 func TestTable6Shape(t *testing.T) {
-	tbl := shortTable(t, "table6")
-	req := tbl.FindRow("req #")
-	fsr := tbl.FindRow("read #")
-	fsw := tbl.FindRow("write #")
-	cellF := func(row int, col string) float64 { return tbl.CellF(row, col) }
+	tbl := shortTable(t, "table5")
+	cellF := func(row, col string) float64 { return tbl.CellF(tbl.FindRow(row), col) }
 	// List I/O slashes request counts versus Multiple I/O.
-	if cellF(req, "List") >= cellF(req, "Mult.")/4 {
-		t.Errorf("List req# (%v) should be far below Multiple (%v)", cellF(req, "List"), cellF(req, "Mult."))
+	if cellF("List I/O", "req#") >= cellF("Multiple I/O", "req#")/4 {
+		t.Errorf("List req# (%v) should be far below Multiple (%v)", cellF("List I/O", "req#"), cellF("Multiple I/O", "req#"))
 	}
 	// ADS slashes file accesses versus plain list I/O.
-	if cellF(fsr, "ADS") >= cellF(fsr, "List")/2 {
-		t.Errorf("ADS read# (%v) should be far below List (%v)", cellF(fsr, "ADS"), cellF(fsr, "List"))
-	}
-	if cellF(fsw, "ADS") >= cellF(fsw, "List")/2 {
-		t.Errorf("ADS write# (%v) should be far below List (%v)", cellF(fsw, "ADS"), cellF(fsw, "List"))
+	for _, col := range []string{"read#", "write#"} {
+		if cellF("List I/O with ADS", col) >= cellF("List I/O", col)/2 {
+			t.Errorf("ADS %s (%v) should be far below List (%v)", col, cellF("List I/O with ADS", col), cellF("List I/O", col))
+		}
 	}
 	// Client data sieving moves more data than any list method.
-	csRow := tbl.FindRow("c/s comm (MB)")
-	if cellF(csRow, "DS") <= cellF(csRow, "List") {
+	if cellF("Data Sieving", "cs_MB") <= cellF("List I/O", "cs_MB") {
 		t.Error("DS should move extra (unwanted) data over the network")
 	}
 	// Only collective I/O talks client-to-client.
-	ccRow := tbl.FindRow("c/c comm (MB)")
-	if cellF(ccRow, "Coll.") <= 0 {
+	if cellF("Collective I/O", "cc_MB") <= 0 {
 		t.Error("collective I/O must exchange data between compute nodes")
 	}
-	if cellF(ccRow, "List") != 0 {
+	if cellF("List I/O", "cc_MB") != 0 {
 		t.Error("list I/O must not talk client-to-client")
 	}
 }
@@ -314,7 +316,7 @@ func TestRegistryLookup(t *testing.T) {
 			t.Errorf("duplicate experiment id %s", e.ID)
 		}
 		seen[e.ID] = true
-		if e.sweep == nil || e.Title == "" || e.table == "" || len(e.header) == 0 {
+		if e.sweep == nil || e.Title == "" || len(e.header) == 0 {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}

@@ -22,8 +22,7 @@ type breakdownResult struct {
 // counterpart of Figures 6/7 — not how fast each method is, but why.
 var breakdown = Experiment{
 	ID:    "breakdown",
-	Title: "Per-stage time decomposition by access method (span tracing)",
-	table: "Per-stage time decomposition by access method (span-plane self time)",
+	Title: "Per-stage time decomposition by access method (span-plane self time)",
 	header: []string{"method", "ms", "req#", "p99_ms", "inflight",
 		"reg%", "pack%", "wire%", "queue%", "sieve%", "disk%", "other%"},
 	notes: []string{

@@ -35,20 +35,16 @@ func (cs cacheCase) label() string {
 // independent simulations.
 var cache = Experiment{
 	ID:    "cache",
-	Title: "Client page cache: write-behind and read-ahead ablation",
-	table: "Client page cache: reuse x hole density x cache size, write-behind ablation (64 x 2kB ops/round, 1 client, 4 servers)",
+	Title: "Client page cache: reuse x hole density x cache size, write-behind ablation (64 x 2kB ops/round, 1 client, 4 servers)",
 	header: []string{"case", "reuse", "density", "pages",
 		"uncached_mbs", "wt_mbs", "wb_mbs", "uncached_rpc", "wb_rpc", "wb_hit_pct", "wb_coalesce"},
 	notes: []string{"all cells verified byte-identical read-back; write-behind turns per-segment RPCs into coalesced list flushes"},
 	sweep: func(o RunOpts) []group {
-		cases := []cacheCase{{reuse: 1, density: 2, pages: 64}, {reuse: 4, density: 2, pages: 64}}
-		if !o.Short {
-			cases = nil
-			for _, reuse := range []int{1, 4} {
-				for _, density := range []int64{2, 4} {
-					for _, pages := range []int{16, 64} {
-						cases = append(cases, cacheCase{reuse: reuse, density: density, pages: pages})
-					}
+		var cases []cacheCase
+		for _, reuse := range []int{1, 4} {
+			for _, density := range pick(o.Short, []int64{2}, []int64{2, 4}) {
+				for _, pages := range pick(o.Short, []int{64}, []int{16, 64}) {
+					cases = append(cases, cacheCase{reuse: reuse, density: density, pages: pages})
 				}
 			}
 		}

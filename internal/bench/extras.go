@@ -19,8 +19,7 @@ import (
 // paper's introduction cites for PVFS-over-TCP performance problems.
 var extraNoncontig = Experiment{
 	ID:     "extra-noncontig",
-	Title:  "ROMIO noncontig benchmark (paper ref [15])",
-	table:  "ROMIO noncontig benchmark, aggregate bandwidth (MB/s)",
+	Title:  "ROMIO noncontig benchmark, aggregate bandwidth (MB/s)",
 	header: []string{"veclen", "op", "multiple", "datasieving", "listio", "listio+ads"},
 	notes:  []string{"vector of count blocks, each veclen*8 bytes, strided by nprocs; smaller veclen = finer fragmentation"},
 	sweep: func(o RunOpts) []group {
@@ -57,8 +56,7 @@ type diskProfile struct {
 // individual access. Sync writes of the block-column pattern.
 var extraDiskSpeed = Experiment{
 	ID:     "extra-diskspeed",
-	Title:  "ADS decisions adapt to disk speed",
-	table:  "ADS decision vs. storage profile, block-column sync write (MB/s)",
+	Title:  "ADS decision vs. storage profile, block-column sync write (MB/s)",
 	header: []string{"disk", "never", "always", "model(auto)", "auto_sieved_windows"},
 	notes:  []string{"auto should track the better forced mode on every profile; the SSD-like row flips the decision to individual access"},
 	sweep: func(o RunOpts) []group {
@@ -106,8 +104,7 @@ type regScheme struct {
 // paper chose. The subarray write of Table 4, steady state.
 var extraAppAware = Experiment{
 	ID:     "extra-appaware",
-	Title:  "App-aware registration alternatives (Section 4.2.1)",
-	table:  "Application-aware registration alternatives, subarray write (MB/s)",
+	Title:  "Application-aware registration alternatives, subarray write (MB/s)",
 	header: []string{"scheme", "agg_MB_s", "regs", "app_changes"},
 	notes:  []string{"OGR reaches the app-aware schemes' performance without any application change — the design argument of Section 4.2"},
 	sweep: func(o RunOpts) []group {
@@ -148,10 +145,9 @@ type queryMethod struct {
 // mincore-style per-page probe. The OGR+Q scenario of Table 4.
 var extraQueryMethod = Experiment{
 	ID:     "extra-querymethod",
-	Title:  "OS hole-query mechanisms (Section 4.3)",
-	table:  "OS hole-query mechanisms in OGR's fallback (registration time, µs)",
+	Title:  "OS hole-query mechanisms in OGR's fallback (registration time, µs)",
 	header: []string{"method", "reg_time_us", "regs"},
-	notes:  []string{"paper: ~70µs per 1000 holes via the kernel walk vs ~1100µs via /proc"},
+	paper:  []cite{{claim: "the kernel walk of a custom system call finds the holes far faster than reading /proc/pid/maps"}},
 	sweep: func(o RunOpts) []group {
 		nseg := pick(o.Short, 256, 1024)
 		return each([]queryMethod{

@@ -52,8 +52,7 @@ var storm = faultScenario{name: "storm", rate: 0.02, plan: func(seed int64) *fau
 // o.Shards; the result is byte-identical for every value.
 var faults = Experiment{
 	ID:    "faults",
-	Title: "Recovery under injected faults (fault-plane sweep)",
-	table: "Recovery under injected faults: completion time and recovery work (4+4, 64x4kB per rank)",
+	Title: "Recovery under injected faults: completion time and recovery work (4+4, 64x4kB per rank)",
 	header: []string{"scenario", "wr_rate",
 		"time_ms", "retries", "timeouts", "fallbacks", "aborts", "qp_resets"},
 	notes: []string{"all cells verified byte-identical read-back; time grows with fault rate while the data stays intact"},

@@ -26,11 +26,10 @@ import (
 //	gather,one reg    — Optimistic Group Registration, one gather write
 var fig3 = Experiment{
 	ID:    "fig3",
-	Title: "Noncontiguous transfer schemes (Figure 3)",
-	table: "Noncontiguous transfer schemes, subarray write bandwidth (MB/s)",
+	Title: "Noncontiguous transfer schemes, subarray write bandwidth, MB/s (Figure 3)",
 	header: []string{"array", "contig_noreg", "multiple_noreg",
 		"pack_noreg", "pack_reg", "gather_multreg", "gather_onereg"},
-	notes: []string{"paper shape: pack wins small arrays; gather,one reg approaches contiguous for large; gather,mult reg pays per-row registration"},
+	paper: []cite{{claim: "pack wins small arrays; gather,one reg approaches contiguous for large; gather,mult reg pays per-row registration"}},
 	sweep: func(o RunOpts) []group {
 		return each(pick(o.Short, []int64{256, 1024}, []int64{256, 512, 1024, 2048, 4096}),
 			func(n int64) map[string]float64 { return fig3RowOn(n, ib.DefaultParams(), simnet.DefaultParams()) },

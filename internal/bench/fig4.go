@@ -13,10 +13,9 @@ import (
 // cell per (segment size, scheme).
 var fig4 = Experiment{
 	ID:     "fig4",
-	Title:  "List I/O transfer schemes (Figure 4)",
-	table:  "List I/O transfer schemes, 128 segments, aggregate bandwidth (MB/s)",
+	Title:  "List I/O transfer schemes, 128 segments, aggregate bandwidth, MB/s (Figure 4)",
 	header: []string{"seg_bytes", "op", "pack", "gather", "hybrid"},
-	notes:  []string{"paper shape: pack wins small totals, gather wins large, hybrid tracks the winner (crossover at the 64kB stripe size)"},
+	paper:  []cite{{claim: "pack wins small totals, gather wins large, hybrid tracks the winner (crossover at the stripe size)"}},
 	sweep: func(o RunOpts) []group {
 		return grid(pick(o.Short, []int64{128, 2048, 8192}, []int64{128, 256, 512, 1024, 2048, 4096, 8192}),
 			[]pvfs.Transfer{pvfs.ForcePack, pvfs.ForceGather, pvfs.Hybrid},

@@ -42,11 +42,17 @@ func blockColumnSweep(variants []variant, val func(ioResult) any) func(o RunOpts
 // without sync. ROMIO Data Sieving degenerates to Multiple I/O for writes.
 var fig6 = Experiment{
 	ID:     "fig6",
-	Title:  "Block-column writes (Figure 6)",
-	table:  "Block-column WRITE bandwidth (MB/s)",
+	Title:  "Block-column WRITE bandwidth, MB/s (Figure 6)",
 	header: []string{"array", "sync", "multiple", "datasieving", "listio", "listio+ads"},
-	notes:  []string{"paper shape: list I/O beats ROMIO DS by 3.5-12x; ADS helps small arrays and merges with plain list I/O at 2048+"},
-	sweep:  blockColumnSweep([]variant{{"nosync", listIO{}}, {"sync", listIO{sync: true}}}, wMBs),
+	paper: []cite{
+		{claim: "ROMIO DS writes degenerate to Multiple I/O; list I/O beats both; ADS helps small arrays and merges with plain list I/O at large ones"},
+		{row: "lowest", col: "listio", over: "multiple", paper: 3.5, claim: "list I/O beats Multiple I/O at every point"},
+		{row: "highest", col: "listio", over: "multiple", paper: 12.1, claim: "list I/O beats Multiple I/O at every point"},
+		{row: "512, nosync", col: "listio+ads", over: "listio", paper: 1.9, claim: "ADS speeds list I/O up at small arrays"},
+		{row: "512, sync", col: "listio+ads", over: "listio", paper: 1.3, claim: "ADS speeds list I/O up at small arrays"},
+		{row: "2048, nosync", col: "listio+ads", over: "listio", paper: 1, claim: "deviation: the two list I/O curves merge from here on in the paper, one array size later in ours"},
+	},
+	sweep: blockColumnSweep([]variant{{"nosync", listIO{}}, {"sync", listIO{sync: true}}}, wMBs),
 }
 
 // fig7 reproduces Figure 7: block-column reads, cached and uncached. The
@@ -54,10 +60,9 @@ var fig6 = Experiment{
 // synced and every server's page cache dropped before the measured read.
 var fig7 = Experiment{
 	ID:     "fig7",
-	Title:  "Block-column reads (Figure 7)",
-	table:  "Block-column READ bandwidth (MB/s)",
+	Title:  "Block-column READ bandwidth, MB/s (Figure 7)",
 	header: []string{"array", "cache", "multiple", "datasieving", "listio", "listio+ads"},
-	notes:  []string{"paper shape: cached, ADS wins small arrays; uncached, DS is competitive until transfer overheads catch up at large sizes"},
+	paper:  []cite{{claim: "cached, ADS wins small arrays; uncached, DS is competitive until transfer overheads catch up at large sizes"}},
 	sweep:  blockColumnSweep([]variant{{"cached", populatedRead(false)}, {"uncached", populatedRead(true)}}, rMBs),
 }
 

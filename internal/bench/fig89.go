@@ -30,20 +30,23 @@ func tileSweep(diskEffects bool) func(o RunOpts) []group {
 // writes are not synced and reads come from the servers' file caches.
 var fig8 = Experiment{
 	ID:     "fig8",
-	Title:  "Tiled I/O without disk effects (Figure 8)",
-	table:  "Tiled I/O without disk effects, bandwidth (MB/s)",
+	Title:  "Tiled I/O without disk effects, bandwidth, MB/s (Figure 8)",
 	header: []string{"op", "multiple", "datasieving", "listio", "listio+ads"},
-	notes:  []string{"paper shape: List+ADS ~5.7x Multiple for write, ~8.8x for read; 8.4%/45% over plain List I/O"},
-	sweep:  tileSweep(false),
+	paper: []cite{
+		{row: "write", col: "listio+ads", over: "multiple", paper: 5.7, claim: "List+ADS far ahead of Multiple I/O"},
+		{row: "read", col: "listio+ads", over: "multiple", paper: 8.8, claim: "List+ADS far ahead of Multiple I/O"},
+		{row: "write", col: "listio+ads", over: "listio", paper: 1.084, claim: "List+ADS ahead of plain list I/O"},
+		{row: "read", col: "listio+ads", over: "listio", paper: 1.45, claim: "List+ADS ahead of plain list I/O"},
+	},
+	sweep: tileSweep(false),
 }
 
 // fig9 reproduces Figure 9: the same accesses with disk effects — writes
 // synced to disk, reads from dropped caches.
 var fig9 = Experiment{
 	ID:     "fig9",
-	Title:  "Tiled I/O with disk effects (Figure 9)",
-	table:  "Tiled I/O with disk effects, bandwidth (MB/s)",
+	Title:  "Tiled I/O with disk effects, bandwidth, MB/s (Figure 9)",
 	header: []string{"op", "multiple", "datasieving", "listio", "listio+ads"},
-	notes:  []string{"paper shape: ADS still wins writes; for reads ROMIO DS overtakes when the disk dominates"},
+	paper:  []cite{{claim: "ADS still wins writes; for reads ROMIO DS overtakes when the disk dominates"}},
 	sweep:  tileSweep(true),
 }

@@ -72,7 +72,7 @@ func loadGolden(t testing.TB) map[string]string {
 }
 
 // TestRegistryGolden pins every experiment's short-mode output to the
-// committed bytes: a refactor of the harness either reproduces all 27
+// committed bytes: a refactor of the harness either reproduces all 26
 // tables exactly or fails here. `go test -run TestRegistryGolden -update`
 // regenerates the file after a deliberate change.
 func TestRegistryGolden(t *testing.T) {

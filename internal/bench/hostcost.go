@@ -16,8 +16,7 @@ import (
 // cluster, so it is not in Registry and `-run all` does not print it.
 var HostCost = Experiment{
 	ID:    "hostcost",
-	Title: "Host cost of every experiment in exact counts (not part of 'all')",
-	table: "Host cost per experiment: engine events, process switches, inline wakes, bytes copied, bytes cleared in set-up and after",
+	Title: "Host cost per experiment: engine events, process switches, inline wakes, bytes copied, bytes cleared in set-up and after",
 	header: []string{"experiment", "requests", "payload_bytes",
 		"events", "resumes", "inline_wakes", "bytes_copied", "setup_cleared", "steady_cleared",
 		"events/req", "resumes/req", "inline_wakes/req", "copied/req", "cleared/req",
@@ -43,10 +42,6 @@ var HostCost = Experiment{
 // cost the host; keep, when set, is handed every table. Nothing else may
 // retire cells meanwhile: a cost is the difference of two Retired readings.
 func costOf(exps []Experiment, o RunOpts, keep func(*Table)) []HostWork {
-	// As in a new process: table5 runs BTIO, table6 reuses it.
-	btioMu.Lock()
-	clear(btioMemo)
-	btioMu.Unlock()
 	out := make([]HostWork, len(exps))
 	for i, e := range exps {
 		before := Retired()

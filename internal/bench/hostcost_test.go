@@ -60,7 +60,7 @@ func TestHostCostFile(t *testing.T) {
 		// Bare fabric, transfer schemes, MPI collectives, faults, the page
 		// cache, spans, metrics: every kind of cell, cheaply.
 		var sample []Experiment
-		for _, id := range []string{"fig3", "fig4", "table5", "table6", "faults", "cache", "breakdown", "timeline"} {
+		for _, id := range []string{"fig3", "fig4", "table5", "faults", "cache", "breakdown", "timeline"} {
 			e, err := Lookup(id)
 			if err != nil {
 				t.Fatal(err)

@@ -23,11 +23,7 @@ func kneeIndex(vals []float64, gain float64) int {
 // sweep, read along virtual time. Returns -1 when the resource never
 // saturates.
 func saturationPoint(util, queue []float64, pin float64) int {
-	n := len(util)
-	if len(queue) < n {
-		n = len(queue)
-	}
-	for i := 1; i < n; i++ {
+	for i := 1; i < min(len(util), len(queue)); i++ {
 		if util[i] >= pin && queue[i] > 0 && queue[i] >= queue[i-1] {
 			return i
 		}

@@ -29,14 +29,15 @@ type RunOpts struct {
 // the table looks like and the sweep of independent cells that fills it.
 type Experiment struct {
 	ID    string
-	Title string // the -list line
+	Title string // the -list line and the table's title
 
-	// table, header and notes describe the result table: its title (with
-	// the paper's reference values where the paper states them), column
-	// names, and the static footnotes printed after any computed ones.
-	table  string
+	// header and notes describe the result table: its column names and the
+	// static footnotes printed after any computed ones.
 	header []string
 	notes  []string
+	// paper is what the paper reports for the table (see cite): the one
+	// copy of its numbers, which Paper sets beside ours.
+	paper []cite
 	// sweep declares the experiment's row groups for the given options —
 	// axes, typed cell function and row renderer (see grid); Run executes
 	// them.
@@ -45,23 +46,20 @@ type Experiment struct {
 
 // Registry lists every experiment in paper order, then the ablations.
 var Registry = []Experiment{
-	table2, table3, fig3, fig4, table4, fig6, fig7, fig8, fig9, table5, table6,
+	table2, table3, fig3, fig4, table4, fig6, fig7, fig8, fig9, table5,
 	ablationSGE, ablationHybrid, ablationADSModel, ablationOGRGroup, ablationNetwork, ablationRegThrash,
 	extraNoncontig, extraDiskSpeed, extraScaling, extraAppAware, extraQueryMethod,
 	faults, scale, breakdown, cache, timeline,
 }
 
-// Lookup finds an experiment by id: one of Registry, or HostCost.
+// Lookup finds an experiment by id: one of Registry, HostCost or Paper.
 func Lookup(id string) (Experiment, error) {
-	known := append(Registry[:len(Registry):len(Registry)], HostCost)
-	for _, e := range known {
+	var ids []string
+	for _, e := range append(Registry[:len(Registry):len(Registry)], HostCost, Paper) {
 		if e.ID == id {
 			return e, nil
 		}
-	}
-	ids := make([]string, len(known))
-	for i, e := range known {
-		ids[i] = e.ID
+		ids = append(ids, e.ID)
 	}
 	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ids)

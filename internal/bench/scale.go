@@ -29,8 +29,7 @@ func geometryCell(iods, clients int, stripe int64, shards int, runs ...listIO) [
 // given client population can actually use.
 var scale = Experiment{
 	ID:     "scale",
-	Title:  "Cell scaling: iods x clients x stripe with knee detection",
-	table:  "Cell scaling: aggregate list-I/O bandwidth by iods x clients x stripe (MB/s)",
+	Title:  "Cell scaling: aggregate list-I/O bandwidth by iods x clients x stripe (MB/s)",
 	header: []string{"stripe_kb", "clients", "iods", "write_MBs", "read_MBs"},
 	sweep: func(o RunOpts) []group {
 		iods := pick(o.Short, []int{1, 2, 4}, []int{1, 2, 4, 8})
@@ -64,8 +63,7 @@ var scale = Experiment{
 // disjoint offsets and then block-column list I/O on the one cluster.
 var extraScaling = Experiment{
 	ID:     "extra-scaling",
-	Title:  "Bandwidth scaling with server count",
-	table:  "Aggregate bandwidth vs. I/O server count (4 clients, MB/s)",
+	Title:  "Aggregate bandwidth vs. I/O server count (4 clients, MB/s)",
 	header: []string{"servers", "contig_write", "contig_read", "list_write", "list_read"},
 	notes:  []string{"striping should scale bandwidth until the clients' links saturate"},
 	sweep: func(o RunOpts) []group {

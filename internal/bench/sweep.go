@@ -122,7 +122,7 @@ func (e Experiment) Run(o RunOpts) *Table {
 
 // newTable returns the experiment's empty result table.
 func (e Experiment) newTable() *Table {
-	return &Table{ID: e.ID, Title: e.table, Header: e.header}
+	return &Table{ID: e.ID, Title: e.Title, Header: e.header}
 }
 
 // runCells executes cells on a bounded worker pool and returns results in

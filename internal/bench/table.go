@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -21,8 +22,8 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
-	// Notes are printed under the table (calibration caveats, paper
-	// reference values).
+	// Notes are printed under the table (calibration caveats, what a
+	// column counts, derived verdicts).
 	Notes []string
 }
 
@@ -77,13 +78,11 @@ func (t *Table) String() string {
 		b.WriteByte('\n')
 	}
 	line(t.Header)
+	dashes := make([]string, len(widths))
 	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
+		dashes[i] = strings.Repeat("-", w)
 	}
-	b.WriteByte('\n')
+	line(dashes)
 	for _, row := range t.Rows {
 		line(row)
 	}
@@ -111,11 +110,12 @@ func (t *Table) CellF(row int, header string) float64 {
 	return f
 }
 
-// FindRow returns the index of the first row whose first cell equals label,
-// or -1.
+// FindRow returns the index of the first row whose leading cells, joined by
+// ", ", equal label (the first cell alone for a label without ", "), or -1.
 func (t *Table) FindRow(label string) int {
+	n := strings.Count(label, ", ") + 1
 	for i, r := range t.Rows {
-		if len(r) > 0 && r[0] == label {
+		if len(r) >= n && strings.Join(r[:n], ", ") == label {
 			return i
 		}
 	}
@@ -135,27 +135,8 @@ func (t *Table) JSON() string {
 // plotting the figure series outside the tool.
 func (t *Table) CSV() string {
 	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	for i, h := range t.Header {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(esc(h))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(esc(c))
-		}
-		b.WriteByte('\n')
-	}
+	w := csv.NewWriter(&b)
+	sim.Must(w.Write(t.Header))
+	sim.Must(w.WriteAll(t.Rows)) // a strings.Builder cannot fail a write
 	return b.String()
 }

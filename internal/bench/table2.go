@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
 	"pvfsib/internal/mpi"
@@ -17,22 +19,24 @@ type transport struct {
 	measure func(bigSize int64) latBW
 }
 
+// table2Rows labels Table 2's transports.
+var table2Rows = []string{"VAPI RDMA Write", "VAPI RDMA Read", "MVAPICH (MPI)"}
+
 // table2 reproduces the paper's Table 2: raw network performance — 4-byte
 // one-way latency and large-message bandwidth for VAPI RDMA write, VAPI
 // RDMA read, and the MPI layer (the paper's MVAPICH). One cell per
 // transport.
 var table2 = Experiment{
-	ID:     "table2",
-	Title:  "Network performance (Table 2)",
-	table:  "Network performance (paper: write 6.0µs/827MB/s, read 12.4µs/816MB/s, MPI 6.8µs/822MB/s)",
+	ID:    "table2",
+	Title: "Network performance: one-way latency and large-message bandwidth (Table 2)",
+	paper: slices.Concat(
+		column("latency_us", "calibration target", table2Rows, 6.0, 12.4, 6.8),
+		column("bandwidth_MB_s", "calibration target", table2Rows, 827, 816, 822),
+	),
 	header: []string{"transport", "latency_us", "bandwidth_MB_s"},
 	sweep: func(o RunOpts) []group {
 		bigSize := pick[int64](o.Short, 8*MB, 64*MB)
-		return each([]transport{
-			{"VAPI RDMA Write", table2Write},
-			{"VAPI RDMA Read", table2Read},
-			{"MVAPICH (MPI)", table2MPI},
-		},
+		return each([]transport{{table2Rows[0], table2Write}, {table2Rows[1], table2Read}, {table2Rows[2], table2MPI}},
 			func(tr transport) latBW { return tr.measure(bigSize) },
 			func(t *Table, tr transport, r latBW) { t.Add(tr.label, r.latUS, r.bw) })
 	},

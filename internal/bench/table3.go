@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"pvfsib/internal/disk"
 	"pvfsib/internal/localfs"
 	"pvfsib/internal/sim"
@@ -14,9 +16,12 @@ type table3Result struct{ wCold, rCold, wWarm, rWarm float64 }
 // the bonnie benchmark). A single cell: the bonnie phases share one file
 // system state, so they cannot split.
 var table3 = Experiment{
-	ID:     "table3",
-	Title:  "Local file system performance (Table 3)",
-	table:  "File system performance (paper: write 25/303 MB/s, read 20/1391 MB/s)",
+	ID:    "table3",
+	Title: "Local file system sequential bandwidth, MB/s (Table 3)",
+	paper: slices.Concat(
+		column("write_MB_s", "calibration target", []string{"without cache", "with cache"}, 25, 303),
+		column("read_MB_s", "calibration target", []string{"without cache", "with cache"}, 20, 1391),
+	),
 	header: []string{"case", "write_MB_s", "read_MB_s"},
 	sweep: func(o RunOpts) []group {
 		return each([]int64{pick[int64](o.Short, 16*MB, 64*MB)}, table3Cell,
@@ -34,41 +39,37 @@ func table3Cell(total int64) table3Result {
 	d := disk.New(eng, "disk", disk.DefaultParams())
 	fs := localfs.New(eng, d, localfs.DefaultParams())
 
-	var wCold, rCold, wWarm, rWarm float64
+	var r table3Result
 	eng.Go("bonnie", func(p *sim.Proc) {
 		f := fs.Open(p, "bonnie")
 		buf := make([]byte, chunk)
-
-		// Without cache: write the file and force it to the media.
-		t0 := p.Now()
-		for off := int64(0); off < total; off += chunk {
-			f.WriteAt(p, off, buf)
+		// pass times one sequential sweep over the file, then a sync when
+		// asked, in MB/s.
+		pass := func(write, sync bool) float64 {
+			t0 := p.Now()
+			for off := int64(0); off < total; off += chunk {
+				if write {
+					f.WriteAt(p, off, buf)
+				} else {
+					f.ReadAt(p, off, chunk)
+				}
+			}
+			if sync {
+				f.Sync(p)
+			}
+			return bw(total, p.Now().Sub(t0))
 		}
-		f.Sync(p)
-		wCold = bw(total, p.Now().Sub(t0))
-
-		// Without cache: drop caches, then read sequentially.
+		// Without cache: write the file and force it to the media, then
+		// drop caches and read it sequentially.
+		r.wCold = pass(true, true)
 		fs.DropCaches(p)
-		t0 = p.Now()
-		for off := int64(0); off < total; off += chunk {
-			f.ReadAt(p, off, chunk)
-		}
-		rCold = bw(total, p.Now().Sub(t0))
-
+		r.rCold = pass(false, false)
 		// With cache: rewrite while everything is resident (no sync) and
 		// reread the cached file.
-		t0 = p.Now()
-		for off := int64(0); off < total; off += chunk {
-			f.WriteAt(p, off, buf)
-		}
-		wWarm = bw(total, p.Now().Sub(t0))
-		t0 = p.Now()
-		for off := int64(0); off < total; off += chunk {
-			f.ReadAt(p, off, chunk)
-		}
-		rWarm = bw(total, p.Now().Sub(t0))
+		r.wWarm = pass(true, false)
+		r.rWarm = pass(false, false)
 	})
 	sim.Must(eng.Run())
 	retire(eng, HostWork{}, eng.Telemetry(), fs)
-	return table3Result{wCold, rCold, wWarm, rWarm}
+	return r
 }

@@ -26,8 +26,7 @@ import (
 // o.Shards; the series are identical for every shard count.
 var timeline = Experiment{
 	ID:    "timeline",
-	Title: "Checkpoint-burst timeline: sampled utilization/queue series with saturation detection",
-	table: "Checkpoint-burst timeline: per-interval utilization and queue depths (metrics plane)",
+	Title: "Checkpoint-burst timeline: per-interval utilization and queue depths (metrics plane)",
 	header: []string{"t_us", "tx_MBs", "net_util", "inflight",
 		"disk_util", "disk_q", "disp_q", "io_q", "dirty_pages", "wb_MBs"},
 	sweep: func(o RunOpts) []group {

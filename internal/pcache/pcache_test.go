@@ -451,6 +451,57 @@ func TestLeaseCoherence(t *testing.T) {
 	}
 }
 
+// TestHitDoesNotWaitOutLeaseRoundTrip: a process whose access needs a lease
+// the cache does not hold takes the manager round trip with the cache mutex
+// released, so another process's hit on the same cached file completes as
+// fast as a lone hit instead of waiting the round trip out.
+func TestHitDoesNotWaitOutLeaseRoundTrip(t *testing.T) {
+	const page = 8 << 10
+	c := newCluster(t, 2, 1)
+	cl := c.Clients[0]
+	var f *File
+	var buf mem.Addr
+	var lone sim.Duration
+	app(t, c, func(p *sim.Proc) {
+		f = New(cl.Open(p, "shared"), testCfg())
+		buf = cl.Space().Malloc(4 * page)
+		// A read lease and four resident pages, then one lone hit.
+		if err := f.Read(p, buf, 4*page, 0); err != nil {
+			t.Fatal(err)
+		}
+		t0 := p.Now()
+		if err := f.Read(p, buf, 2<<10, 0); err != nil {
+			t.Fatal(err)
+		}
+		lone = p.Now().Sub(t0)
+	})
+	// At one instant: a writer that must upgrade to a write lease, and a
+	// reader whose access the read lease covers.
+	var hit sim.Duration
+	var hitDone, writeDone sim.Time
+	c.Eng.Go("writer", func(p *sim.Proc) {
+		if err := f.Write(p, buf, 2<<10, page); err != nil {
+			t.Error(err)
+		}
+		writeDone = p.Now()
+	})
+	c.Eng.Go("reader", func(p *sim.Proc) {
+		t0 := p.Now()
+		if err := f.Read(p, buf+2*page, 2<<10, 0); err != nil {
+			t.Error(err)
+		}
+		hitDone = p.Now()
+		hit = hitDone.Sub(t0)
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if hit != lone || hitDone >= writeDone {
+		t.Errorf("a hit beside a lease upgrade took %v (done at %v, the upgrading write at %v); a lone hit takes %v",
+			hit, hitDone, writeDone, lone)
+	}
+}
+
 // coherenceStorm runs the conflicting-lease workload under an iod
 // crash/restart plan and returns the final (snapshot, virtual time) pair
 // for determinism comparison.
