@@ -6,13 +6,19 @@
 // crashes). An Injector compiles a Plan into the runtime object the
 // substrate layers consult: simnet asks it about every message before
 // transmission, ib about every posted work request and registration
-// attempt, disk about every transfer. Each registered node draws from its
-// own seeded generator (seeded by plan seed and node name), so a node's
-// fault schedule is a pure function of (that node's workload, plan, seed)
-// — independent of how other nodes' events interleave, which is what keeps
-// the schedule byte-identical at any engine shard count. Unregistered
-// callers share a root stream, which is fine only under a single-shard
-// engine. Per-node state also means the injector needs no locks: every
+// attempt, disk about every transfer.
+//
+// Each registered node draws from its own stream, seeded by plan seed and
+// node name, so a node's fault schedule is a pure function of (that node's
+// workload, plan, seed) — independent of how other nodes' events
+// interleave, which is what keeps the schedule byte-identical at any engine
+// shard count. Unregistered callers share a root stream, which is fine
+// only under a single-shard engine. The streams live in a Streams table
+// that a cluster builds once and every injector it attaches shares; an
+// injector keeps only its own counters. A stream's generator is seeded on
+// its first draw under an injector, on the drawing node's shard, so
+// re-arming a plan costs no seeding and a stream that never draws is never
+// seeded. Per-node state also means the injector needs no locks: every
 // stream and counter set is touched only from its node's shard.
 //
 // The package deliberately imports only internal/sim: the substrate layers
@@ -132,72 +138,28 @@ func (c *Counters) add(o Counters) {
 	c.DiskSlow += o.DiskSlow
 }
 
-// stream is one node's private draw source and fault tally.
+// stream is one node's draw source. Its generator is made, or reseeded for
+// the current injector, by the stream's first draw under that injector.
 type stream struct {
-	rng *rand.Rand
-	c   Counters
+	salt  int64      // folded into the plan seed: the name's FNV-1a hash, 0 for the root
+	rng   *rand.Rand // nil until the stream's first draw
+	epoch uint64     // the injector rng was last seeded for
 }
 
-// Rands keeps one generator per stream across injectors, so a caller that
-// attaches plan after plan reseeds them instead of building a fresh source
-// (about 4.9 kB) per node per plan. A reseeded generator draws exactly what
-// a fresh one would. Building an injector reseeds the generators of those
-// built before it from the same Rands, so only the last may draw; their
-// counters stay their own. The zero value is ready to use.
-type Rands struct{ byName map[string]*rand.Rand }
-
-// seeded returns name's generator reseeded with seed, made on first use.
-func (rs *Rands) seeded(name string, seed int64) *rand.Rand {
-	r := rs.byName[name]
-	if r == nil {
-		if rs.byName == nil {
-			rs.byName = make(map[string]*rand.Rand)
-		}
-		r = rand.New(rand.NewSource(seed))
-		rs.byName[name] = r
-	}
-	r.Seed(seed)
-	return r
-}
-
-// Injector is a compiled Plan: the object the substrate layers consult.
-// Register every node (and RegisterLinks the fabric) before the run
-// starts; after that the maps are read-only and each node's stream is
-// touched only from that node's events, so the injector is safe under a
-// sharded engine with no locking.
-type Injector struct {
-	plan  Plan
-	rands *Rands     // where the streams' generators come from
-	rng   *rand.Rand // root stream, for draws by unregistered nodes
-
-	streams map[string]*stream // per registered node, immutable at runtime
-	order   []*stream          // registration order, for Totals
-	links   []Counters         // drop/spike tallies per sender fabric id
-
-	// Counters tallies faults charged to the root stream (unregistered
-	// nodes and links). Registered runs should read Totals instead.
-	Counters Counters
-}
-
-// NewInjector compiles the plan, applying defaults for zero penalty fields.
-func NewInjector(plan Plan) *Injector { return NewInjectorFrom(plan, new(Rands)) }
-
-// NewInjectorFrom is NewInjector with its streams' generators, the root
-// stream's (named "") and every registered node's, taken from rs and
-// reseeded.
-func NewInjectorFrom(plan Plan, rs *Rands) *Injector {
-	if plan.DiskErrorPenalty == 0 {
-		plan.DiskErrorPenalty = 2 * time.Millisecond
-	}
-	if plan.DiskSlowPenalty == 0 {
-		plan.DiskSlowPenalty = time.Millisecond
-	}
-	return &Injector{
-		plan:    plan,
-		rands:   rs,
-		rng:     rs.seeded("", plan.Seed),
-		streams: make(map[string]*stream),
-	}
+// Streams is a cluster's table of fault streams: one per registered node,
+// the root stream for draws by unregistered nodes, and the number of fabric
+// senders whose link faults are tallied. Register the names and links
+// before building the injectors that use them; after that the table is
+// read-only but for each stream's own generator, which only its node's
+// draws touch. The injectors built on one table take turns: building one
+// makes it current, and only the current injector may draw. The zero value
+// is ready to use.
+type Streams struct {
+	index   map[string]int // registered name → position in streams
+	streams []*stream
+	root    stream
+	links   int
+	epoch   uint64 // injectors built on the table; the current one's number
 }
 
 // fnv64 is FNV-1a, used to fold a node name into its stream seed.
@@ -210,26 +172,65 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// Register gives node its own draw stream and counter set, seeded from the
-// plan seed and the node name. Call before the simulation runs (the stream
-// map is read-only afterwards); registering the same name twice is a no-op
-// so re-attaching a plan stays simple.
-func (in *Injector) Register(node string) {
-	if _, ok := in.streams[node]; ok {
-		return
+// Register gives every name not yet in the table its own stream, seeded
+// from the plan seed and the name; a name already registered keeps its
+// stream.
+func (t *Streams) Register(names ...string) {
+	if t.index == nil {
+		t.index = make(map[string]int, len(names))
 	}
-	st := &stream{rng: in.rands.seeded(node, in.plan.Seed^int64(fnv64(node)))}
-	in.streams[node] = st
-	in.order = append(in.order, st)
+	for _, name := range names {
+		if _, ok := t.index[name]; ok {
+			continue
+		}
+		t.index[name] = len(t.streams)
+		t.streams = append(t.streams, &stream{salt: int64(fnv64(name))})
+	}
 }
 
-// RegisterLinks sizes the per-sender link counters for fabric node ids
-// [0, n). SendVerdict runs on the sender's shard, so tallying per sender
-// keeps partition and spike counts race-free.
-func (in *Injector) RegisterLinks(n int) {
-	if n > len(in.links) {
-		in.links = append(in.links, make([]Counters, n-len(in.links))...)
+// RegisterLinks has the injectors tally link faults per sender for fabric
+// node ids [0, n). SendVerdict runs on the sender's shard, so tallying per
+// sender keeps partition and spike counts race-free.
+func (t *Streams) RegisterLinks(n int) { t.links = max(t.links, n) }
+
+// Len reports how many streams are registered.
+func (t *Streams) Len() int { return len(t.streams) }
+
+// Injector is a compiled Plan: the object the substrate layers consult.
+// Every stream it draws from is its table's; its counters are its own, so
+// an earlier injector's Totals stay what they were when a later one is
+// built on the same table.
+type Injector struct {
+	plan  Plan
+	t     *Streams
+	epoch uint64 // the table's number for this injector
+
+	nodes []Counters // per registered stream, in table order
+	links []Counters // drop/spike tallies per sender fabric id
+
+	// Counters tallies faults charged to the root stream (unregistered
+	// nodes and links). Registered runs should read Totals instead.
+	Counters Counters
+}
+
+// NewInjector compiles the plan on a table of its own, where every node
+// draws from the root stream and every link fault is charged to Counters.
+func NewInjector(plan Plan) *Injector { return NewInjectorOn(plan, new(Streams)) }
+
+// NewInjectorOn compiles the plan on the table t, applying defaults for
+// zero penalty fields, and makes it t's current injector. It seeds nothing:
+// each stream seeds itself for the injector on its first draw.
+func NewInjectorOn(plan Plan, t *Streams) *Injector {
+	if plan.DiskErrorPenalty == 0 {
+		plan.DiskErrorPenalty = 2 * time.Millisecond
 	}
+	if plan.DiskSlowPenalty == 0 {
+		plan.DiskSlowPenalty = time.Millisecond
+	}
+	t.epoch++
+	n := len(t.streams)
+	counts := make([]Counters, n+t.links)
+	return &Injector{plan: plan, t: t, epoch: t.epoch, nodes: counts[:n:n], links: counts[n:]}
 }
 
 // Totals sums the fault tallies across the root stream, every registered
@@ -237,8 +238,8 @@ func (in *Injector) RegisterLinks(n int) {
 // observed retries against.
 func (in *Injector) Totals() Counters {
 	t := in.Counters
-	for _, st := range in.order {
-		t.add(st.c)
+	for i := range in.nodes {
+		t.add(in.nodes[i])
 	}
 	for i := range in.links {
 		t.add(in.links[i])
@@ -246,12 +247,30 @@ func (in *Injector) Totals() Counters {
 	return t
 }
 
-// draws returns the rng and counter set for one node's probabilistic draw.
-func (in *Injector) draws(node string) (*rand.Rand, *Counters) {
-	if st, ok := in.streams[node]; ok {
-		return st.rng, &st.c
+// draws returns the stream and counter set for one node's probabilistic
+// draw.
+func (in *Injector) draws(node string) (*stream, *Counters) {
+	if i, ok := in.t.index[node]; ok {
+		return in.t.streams[i], &in.nodes[i]
 	}
-	return in.rng, &in.Counters
+	return &in.t.root, &in.Counters
+}
+
+// float64 is the stream's next draw under the injector. The stream's first
+// draw under it seeds the generator with the plan seed and the stream's
+// salt — made on the stream's first draw ever, reseeded after — so every
+// draw is what a generator freshly seeded for the plan would give.
+func (in *Injector) float64(st *stream) float64 {
+	if st.epoch != in.epoch {
+		seed := in.plan.Seed ^ st.salt
+		if st.rng == nil {
+			st.rng = rand.New(rand.NewSource(seed))
+		} else {
+			st.rng.Seed(seed)
+		}
+		st.epoch = in.epoch
+	}
+	return st.rng.Float64()
 }
 
 // linkCounters returns the tally for messages sent by fabric node `from`.
@@ -303,8 +322,8 @@ func (in *Injector) WRError(now sim.Time, node string) bool {
 	if in.plan.WRErrorRate <= 0 {
 		return false
 	}
-	rng, c := in.draws(node)
-	if rng.Float64() < in.plan.WRErrorRate {
+	st, c := in.draws(node)
+	if in.float64(st) < in.plan.WRErrorRate {
 		c.WRErrors++
 		return true
 	}
@@ -317,8 +336,8 @@ func (in *Injector) RegFail(now sim.Time, node string) bool {
 	if in.plan.RegFailRate <= 0 {
 		return false
 	}
-	rng, c := in.draws(node)
-	if rng.Float64() < in.plan.RegFailRate {
+	st, c := in.draws(node)
+	if in.float64(st) < in.plan.RegFailRate {
 		c.RegFailures++
 		return true
 	}
@@ -329,13 +348,16 @@ func (in *Injector) RegFail(now sim.Time, node string) bool {
 // one transfer (slowdowns plus internally-retried transient errors) on the
 // named device.
 func (in *Injector) DiskFault(now sim.Time, node string, read bool, size int64) sim.Duration {
+	if in.plan.DiskErrorRate <= 0 && in.plan.DiskSlowRate <= 0 {
+		return 0
+	}
 	var extra sim.Duration
-	rng, c := in.draws(node)
-	if in.plan.DiskErrorRate > 0 && rng.Float64() < in.plan.DiskErrorRate {
+	st, c := in.draws(node)
+	if in.plan.DiskErrorRate > 0 && in.float64(st) < in.plan.DiskErrorRate {
 		c.DiskErrors++
 		extra += in.plan.DiskErrorPenalty
 	}
-	if in.plan.DiskSlowRate > 0 && rng.Float64() < in.plan.DiskSlowRate {
+	if in.plan.DiskSlowRate > 0 && in.float64(st) < in.plan.DiskSlowRate {
 		c.DiskSlow++
 		extra += in.plan.DiskSlowPenalty
 	}

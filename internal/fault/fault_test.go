@@ -1,7 +1,7 @@
 package fault
 
 import (
-	"slices"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -92,47 +92,63 @@ func TestEmpty(t *testing.T) {
 	}
 }
 
-// TestRandsReseedLikeFresh is attach plan A, detach, attach plan B with the
-// generators kept across the attaches, as a cluster keeps them: B draws on
-// every stream, the root's and each registered node's, exactly what an
-// injector built fresh for B draws, and A's counters are untouched.
+// TestRandsReseedLikeFresh arms three plans one after the other on one
+// table, as a cluster re-arms its plans: "io0" draws under the first and
+// the third but not the second, "io0.disk" only under the second, "cn0"
+// never, and an unregistered node draws from the root stream under every
+// plan. Every draw is the one a generator freshly seeded for its plan and
+// stream gives, a stream that never draws is never seeded, and each
+// injector keeps its own counters.
 func TestRandsReseedLikeFresh(t *testing.T) {
-	planA := Plan{Seed: 7, WRErrorRate: 0.3, DiskErrorRate: 0.2}
-	planB := Plan{Seed: 11, WRErrorRate: 0.5, RegFailRate: 0.4, DiskSlowRate: 0.3}
-	nodes := []string{"io0", "io0.disk", "cn0", "unregistered"}
-	build := func(plan Plan, rs *Rands) *Injector {
-		in := NewInjectorFrom(plan, rs)
-		for _, n := range nodes[:3] {
-			in.Register(n)
-		}
-		return in
+	const draws = 64
+	plans := []Plan{
+		{Seed: 7, WRErrorRate: 0.5},
+		{Seed: 11, DiskErrorRate: 0.5},
+		{Seed: 13, WRErrorRate: 0.5},
 	}
-	draws := func(in *Injector) (out []bool) {
-		for i := 0; i < 64; i++ {
-			for _, n := range nodes {
-				out = append(out, in.WRError(0, n), in.RegFail(0, n), in.DiskFault(0, n, true, 4096) > 0)
+	var tab Streams
+	tab.Register("io0", "io0.disk", "cn0")
+	var injectors []*Injector
+	var totals []Counters
+	for i, plan := range plans {
+		in := NewInjectorOn(plan, &tab)
+		// check compares node's draws under the plan with a generator
+		// seeded as the stream's: the root's ("") with the plan seed alone.
+		check := func(node, stream string, draw func() bool) {
+			salt := int64(0)
+			if stream != "" {
+				salt = int64(fnv64(stream))
+			}
+			fresh := rand.New(rand.NewSource(plan.Seed ^ salt))
+			for j := 0; j < draws; j++ {
+				if got, want := draw(), fresh.Float64() < 0.5; got != want {
+					t.Fatalf("plan %d: %s's draw %d is %t, a fresh generator's %t", i+1, node, j, got, want)
+				}
 			}
 		}
-		return out
+		wr := func(node string) func() bool { return func() bool { return in.WRError(0, node) } }
+		dsk := func(node string) func() bool { return func() bool { return in.DiskFault(0, node, true, 4096) > 0 } }
+		if plan.WRErrorRate > 0 {
+			check("io0", "io0", wr("io0"))
+			check("unregistered", "", wr("unregistered"))
+		} else {
+			check("io0.disk", "io0.disk", dsk("io0.disk"))
+			check("unregistered", "", dsk("unregistered"))
+		}
+		if tot := in.Totals(); tot.WRErrors+tot.DiskErrors == 0 {
+			t.Fatalf("plan %d injected %v: the script draws too little", i+1, tot)
+		}
+		injectors = append(injectors, in)
+		totals = append(totals, in.Totals())
 	}
-	var rs Rands
-	a := build(planA, &rs)
-	draws(a)
-	totalsA := a.Totals()
-	if totalsA.WRErrors == 0 || totalsA.DiskErrors == 0 {
-		t.Fatalf("plan A injected %v: the script draws too little", totalsA)
+	for i, in := range injectors {
+		if in.Totals() != totals[i] {
+			t.Errorf("plan %d's counters moved from %v to %v after later plans drew", i+1, totals[i], in.Totals())
+		}
 	}
-	b, fresh := build(planB, &rs), build(planB, new(Rands))
-	if got, want := draws(b), draws(fresh); !slices.Equal(got, want) {
-		t.Error("an injector on reseeded generators draws other values than a fresh one")
-	}
-	if b.Totals() != fresh.Totals() {
-		t.Errorf("reseeded injector counted %v, fresh one %v", b.Totals(), fresh.Totals())
-	}
-	if a.Totals() != totalsA {
-		t.Errorf("plan A's counters moved from %v to %v after plan B drew", totalsA, a.Totals())
-	}
-	if len(rs.byName) != len(nodes) {
-		t.Errorf("%d generators kept for %d streams", len(rs.byName), len(nodes))
+	for name, i := range tab.index {
+		if seeded, drew := tab.streams[i].rng != nil, name != "cn0"; seeded != drew {
+			t.Errorf("%s: generator made %t, stream drew %t", name, seeded, drew)
+		}
 	}
 }

@@ -44,10 +44,11 @@ type HCA struct {
 	reads      map[uint64]*sim.Mailbox
 	readMBs    sim.FreeList[sim.Mailbox] // drained reply mailboxes, reused across reads
 
-	faults FaultInjector
-	tracer *trace.Tracer
-	mx     hcaMetrics
-	down   bool
+	faults  FaultInjector
+	discard Discarder
+	tracer  *trace.Tracer
+	mx      hcaMetrics
+	down    bool
 
 	// The read responder (respond) and the arrivals it holds up. serving is
 	// the validated read request the responder has been handed, nil while it
@@ -316,7 +317,7 @@ func (h *HCA) Census(add func(pool string, out int64)) {
 func (h *HCA) deliver(m *simnet.Message) (read bool) {
 	w := m.Payload.(*wire)
 	if h.down {
-		h.putWire(w)
+		h.discardWire(w)
 		return false
 	}
 	switch w.kind {
@@ -431,7 +432,7 @@ func (w *wire) source() error {
 // attached Send never fails.
 func (q *QP) Send(p *sim.Proc, size int, payload any) error {
 	h := q.hca
-	if err := q.wrFault(p, "send"); err != nil {
+	if err := q.wrFault(p, opSend); err != nil {
 		return err
 	}
 	sp := h.tracer.Start(p.Now(), trace.Ctx(p.TraceCtx()), h.node.Name, "ib.send", trace.StageWire)
@@ -445,7 +446,7 @@ func (q *QP) Send(p *sim.Proc, size int, payload any) error {
 	if err != nil {
 		h.putWire(w) // dropped on the wire; never reached the peer
 		h.mx.sendQ.Add(p.Now(), -1)
-		err = q.wireFault("send", err)
+		err = q.wireFault(opSend, err)
 		sp.EndErr(p.Now(), err)
 		return err
 	}
@@ -543,7 +544,7 @@ func (q *QP) RDMAWrite(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error 
 			}
 			off += int(s.Len)
 		}
-		if err := q.wrFault(p, "rdma-write"); err != nil {
+		if err := q.wrFault(p, opRDMAWrite); err != nil {
 			h.scratch().Put(data)
 			sp.EndErr(p.Now(), err)
 			return err
@@ -558,7 +559,7 @@ func (q *QP) RDMAWrite(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error 
 		if err != nil {
 			h.putWire(w) // dropped on the wire; never reached the peer
 			h.mx.sendQ.Add(p.Now(), -1)
-			err = q.wireFault("rdma-write", err)
+			err = q.wireFault(opRDMAWrite, err)
 			sp.EndErr(p.Now(), err)
 			return err
 		}
@@ -618,7 +619,7 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 		wr := sges[:n]
 		sges = sges[n:]
 		size := TotalLen(wr)
-		if err := q.wrFault(p, "rdma-read"); err != nil {
+		if err := q.wrFault(p, opRDMARead); err != nil {
 			sp.EndErr(p.Now(), err)
 			return err
 		}
@@ -640,7 +641,7 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 			delete(h.reads, id)
 			h.mx.outReads.Add(p.Now(), -1)
 			h.putWire(req)
-			err = q.wireFault("rdma-read", err)
+			err = q.wireFault(opRDMARead, err)
 			sp.EndErr(p.Now(), err)
 			return err
 		}
@@ -666,7 +667,7 @@ func (q *QP) RDMARead(p *sim.Proc, sges []SGE, raddr mem.Addr, rkey Key) error {
 				h.readMBs.Put(mb)
 				q.state = QPError
 				h.Counters.WRErrors++
-				wcErr := &WCError{Status: WCResponseTimeout, Op: "rdma-read"}
+				wcErr := wcError(WCResponseTimeout, opRDMARead)
 				sp.EndErr(p.Now(), wcErr)
 				return wcErr
 			}

@@ -43,11 +43,38 @@ func (s WCStatus) String() string {
 }
 
 // WCError is a failed work completion. After one, the queue pair is in the
-// error state and rejects further work until Reset.
+// error state and rejects further work until Reset. The adapter reports
+// every (status, operation) pair with one shared value (wcError), so a
+// failed completion allocates nothing; a receiver must not modify it.
 type WCError struct {
 	Status WCStatus
 	Op     string // "send", "rdma-write", "rdma-read"
 }
+
+// wrOp is the operation a work request performs.
+type wrOp uint8
+
+const (
+	opSend wrOp = iota
+	opRDMAWrite
+	opRDMARead
+)
+
+var wrOpNames = [...]string{opSend: "send", opRDMAWrite: "rdma-write", opRDMARead: "rdma-read"}
+
+// wcErrors holds the shared value of every failed completion the adapter
+// reports, by status and operation.
+var wcErrors = func() (t [WCResponseTimeout + 1][len(wrOpNames)]*WCError) {
+	for st := WCRetryExceeded; st <= WCResponseTimeout; st++ {
+		for op, name := range wrOpNames {
+			t[st][op] = &WCError{Status: st, Op: name}
+		}
+	}
+	return t
+}()
+
+// wcError returns the shared value of a failed completion.
+func wcError(st WCStatus, op wrOp) *WCError { return wcErrors[st][op] }
 
 func (e *WCError) Error() string {
 	return fmt.Sprintf("ib: %s completed with status %s", e.Op, e.Status)
@@ -80,6 +107,27 @@ type FaultInjector interface {
 // SetFaults attaches (or, with nil, detaches) the fault injector. Without
 // one, no fault checks run anywhere in the adapter.
 func (h *HCA) SetFaults(f FaultInjector) { h.faults = f }
+
+// Discarder takes back the payload of a channel-semantics send that an
+// adapter threw away undelivered: one that arrived while the adapter was
+// down, or one a QP reset drained from its inbox. Discard runs on the
+// discarding adapter's shard, and is handed that adapter.
+type Discarder interface {
+	Discard(h *HCA, payload any)
+}
+
+// SetDiscarder sets (or, with nil, clears) where the adapter's discarded
+// send payloads go. Without one they are the garbage collector's.
+func (h *HCA) SetDiscarder(d Discarder) { h.discard = d }
+
+// discardWire recycles a wire record whose message never reached its
+// consumer, handing a send's payload to the discarder first.
+func (h *HCA) discardWire(w *wire) {
+	if w.kind == wireSend && h.discard != nil {
+		h.discard.Discard(h, w.payload)
+	}
+	h.putWire(w)
+}
 
 // SetTracer attaches (or, with nil, detaches) the span tracer. Without
 // one the adapter's hot paths record nothing and allocate nothing.
@@ -127,7 +175,7 @@ func (q *QP) Reset(p *sim.Proc) {
 		if !ok {
 			break
 		}
-		q.hca.putWire(v.(*wire))
+		q.hca.discardWire(v.(*wire))
 	}
 	q.state = QPReady
 	q.hca.Counters.QPResets++
@@ -137,7 +185,7 @@ func (q *QP) Reset(p *sim.Proc) {
 // wrFault consults the fault plane for one posted work request; on
 // injection the QP enters the error state. It also rejects work posted
 // while down or in the error state.
-func (q *QP) wrFault(p *sim.Proc, op string) error {
+func (q *QP) wrFault(p *sim.Proc, op wrOp) error {
 	h := q.hca
 	if h.down {
 		return ErrHCADown
@@ -148,18 +196,18 @@ func (q *QP) wrFault(p *sim.Proc, op string) error {
 	if h.faults != nil && !q.control && h.faults.WRError(p.Now(), h.node.Name) {
 		q.state = QPError
 		h.Counters.WRErrors++
-		return &WCError{Status: WCWorkRequestError, Op: op}
+		return wcError(WCWorkRequestError, op)
 	}
 	return nil
 }
 
 // wireFault converts a fabric send failure (partition) into the completion
 // error the initiator would see, moving the QP to the error state.
-func (q *QP) wireFault(op string, err error) error {
+func (q *QP) wireFault(op wrOp, err error) error {
 	if err == nil {
 		return nil
 	}
 	q.state = QPError
 	q.hca.Counters.WRErrors++
-	return &WCError{Status: WCRetryExceeded, Op: op}
+	return wcError(WCRetryExceeded, op)
 }

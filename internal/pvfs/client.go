@@ -677,6 +677,16 @@ func (c *Client) send(p *sim.Proc, conn *clientConn, size int, req any) error {
 	return err
 }
 
+// failed names the step of a chunk that ended with err. An error the fault
+// plane retries reaches no caller, so it goes up bare and formats nothing;
+// if the retries run out, runPart wraps the last one.
+func (c *Client) failed(step string, err error) error {
+	if c.cluster.recovery() != nil && recoverable(err) {
+		return err
+	}
+	return fmt.Errorf("pvfs: %s: %w", step, err)
+}
+
 // expect waits for the reply of the given kind to request seq and returns
 // it; the caller recycles it.
 func (c *Client) expect(p *sim.Proc, conn *clientConn, seq int64, kind recKind) (*record, error) {
@@ -746,7 +756,7 @@ func (c *Client) writeChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chun
 		}
 		c.cpuCopy(p, "pvfs.pack", ch.total, cl.Cfg.IB.MemcpyTime(ch.total))
 		if err := conn.qp.RDMAWrite(p, []ib.SGE{{Addr: conn.fastBuf.Addr, Len: ch.total}}, conn.srvAddr, conn.srvKey); err != nil {
-			return fmt.Errorf("pvfs: pack push: %w", err)
+			return c.failed("pack push", err)
 		}
 		if err := c.send(p, conn, reqSize(len(ch.accs)), c.request(p, recWrite, seq, fileID, ch, pack, opts)); err != nil {
 			return err
@@ -765,7 +775,7 @@ func (c *Client) writeChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chun
 	addr, key := ready.Addr, ready.Key
 	c.recs.put(ready)
 	if err := conn.qp.RDMAWrite(p, ch.segs, addr, key); err != nil {
-		return fmt.Errorf("pvfs: gather write: %w", err)
+		return c.failed("gather write", err)
 	}
 	if err := c.send(p, conn, reqSize(0), c.recs.take(recWriteDone, seq)); err != nil {
 		return err
@@ -832,7 +842,7 @@ func (c *Client) readChunk(p *sim.Proc, conn *clientConn, fileID int64, ch chunk
 	addr, key := ready.Addr, ready.Key
 	c.recs.put(ready)
 	if err := conn.qp.RDMARead(p, ch.segs, addr, key); err != nil {
-		return fmt.Errorf("pvfs: scatter read: %w", err)
+		return c.failed("scatter read", err)
 	}
 	return c.send(p, conn, reqSize(0), c.recs.take(recReadDone, seq))
 }

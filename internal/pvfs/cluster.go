@@ -31,8 +31,8 @@ type Cluster struct {
 
 	// Faults is the attached fault injector, nil for fault-free runs
 	// (attach with Cfg.Faults or AttachFaults).
-	Faults     *fault.Injector
-	faultRands fault.Rands // one generator per fault stream, reseeded by every AttachFaults
+	Faults       *fault.Injector
+	faultStreams fault.Streams // every injector's streams, built by the first AttachFaults
 
 	// Metrics, when non-nil, is the virtual-time metrics registry wired
 	// into every layer (attach with EnableMetrics). Nil keeps every
@@ -48,7 +48,7 @@ type Cluster struct {
 
 	// recs holds one record pool per engine shard (proto.go); a node's
 	// processes use the pool of the shard the node runs on.
-	recs []recordPool
+	recs recordPools
 }
 
 // recordPool returns the pool of the shard that runs the node.
@@ -116,10 +116,11 @@ func (c *Cluster) DisableSpans() {
 // cluster's span tracer, metrics registry and fault injector — each nil
 // when detached — into every layer that consults them: the fabric, each
 // server's adapter, disk, sieve and daemon, each client's adapter and
-// library, and the manager (whose adapter is server 0's). Handing a layer
-// a plane that did not change leaves that plane's output as it was, so
-// attaching one plane never perturbs another. Call while the engine is
-// idle.
+// library, and the manager (whose adapter is server 0's). Every adapter
+// also gets the record pools, to hand back the records a fault discards.
+// Handing a layer a plane that did not change leaves that plane's output
+// as it was, so attaching one plane never perturbs another. Call while the
+// engine is idle.
 func (c *Cluster) attach() {
 	tr, mx := c.Spans, c.Metrics
 	// A nil *fault.Injector in an interface would be a non-nil hook.
@@ -135,6 +136,7 @@ func (c *Cluster) attach() {
 		h.SetTracer(tr)
 		h.SetMetrics(mx)
 		h.SetFaults(inj)
+		h.SetDiscarder(&c.recs)
 	}
 	c.Net.SetTracer(tr)
 	c.Net.SetMetrics(mx)
@@ -173,7 +175,7 @@ func NewCluster(eng *sim.Engine, cfg Config, nServers, nClients int) *Cluster {
 		Net: simnet.New(eng, cfg.Net),
 		Cfg: cfg,
 	}
-	c.recs = make([]recordPool, eng.NumShards())
+	c.recs = make(recordPools, eng.NumShards())
 	for i := 0; i < nServers; i++ {
 		s := newServer(c, i)
 		c.Servers = append(c.Servers, s)

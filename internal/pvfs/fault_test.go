@@ -560,3 +560,31 @@ func TestRecoverableAllocatesNothing(t *testing.T) {
 		t.Errorf("%.0f allocations a classification, want 0", n)
 	}
 }
+
+// TestReattachFaultsAllocFree: on a warm cluster — one that has run the
+// storm under a plan, so its stream table is built and its streams seeded —
+// arming a plan, running the daemon crash and restart it schedules, and
+// detaching it makes the injector and its one counter slice and nothing
+// else: not a stream, a generator, a seed or a callback per node, so the
+// count is the same on a 2+2 cluster and on a 4+4 one.
+func TestReattachFaultsAllocFree(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		c := NewCluster(sim.NewEngine(), DefaultConfig(), n, n)
+		plan := stormPlan(3)
+		plan.Crashes = []fault.Crash{{Server: 1, At: 300 * time.Microsecond, Down: 600 * time.Microsecond}}
+		c.AttachFaults(plan)
+		stormWorkload(t, c)
+		c.AttachFaults(nil)
+		allocs := testing.AllocsPerRun(10, func() {
+			c.AttachFaults(plan)
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			c.AttachFaults(nil)
+		})
+		if allocs != 2 {
+			t.Errorf("%d+%d cluster: %.1f allocations to arm, crash, restart and detach a plan, want 2 (the injector and its counters)", n, n, allocs)
+		}
+		c.Eng.Shutdown()
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pvfsib/internal/fault"
-	"pvfsib/internal/localfs"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/trace"
 )
@@ -35,26 +34,23 @@ func (c *Cluster) AttachFaults(plan *fault.Plan) *fault.Injector {
 	// tallies into its own counter set, so the fault schedule and counts
 	// are independent of cross-node event interleaving — byte-identical at
 	// any engine shard count — and every injector access is shard-local.
-	c.Faults = fault.NewInjectorFrom(*plan, &c.faultRands)
-	for _, name := range c.names {
-		c.Faults.Register(name)
+	// The streams are the cluster's, made by its first attach; re-arming a
+	// plan makes only the injector and its counters.
+	if c.faultStreams.Len() == 0 {
+		c.faultStreams.Register(c.names...)
+		c.faultStreams.RegisterLinks(c.Net.NumNodes())
 	}
-	c.Faults.RegisterLinks(c.Net.NumNodes())
+	c.Faults = fault.NewInjectorOn(*plan, &c.faultStreams)
 	c.attach()
 	now := c.Eng.Now()
 	for _, cr := range plan.Crashes {
-		cr := cr
 		srv := c.Servers[cr.Server]
 		// Crash and restart land on the crashing daemon's own group: the
 		// handlers touch only that server's state, so a sharded engine can
-		// replay them without cross-shard traffic. The crash callback gets
-		// its scheduled time explicitly — an event callback must not read
-		// the engine-wide clock, which other shards may have run past.
-		at := now.Add(cr.At)
-		c.Eng.ScheduleOn(srv.node.Group(), at, func() { srv.crash(at) })
-		c.Eng.GoAtOn(srv.node.Group(), now.Add(cr.At+cr.Down),
-			fmt.Sprintf("iod[restart-io%d]", cr.Server),
-			func(p *sim.Proc) { srv.restart(p) })
+		// replay them without cross-shard traffic.
+		srv.armCrash()
+		c.Eng.ScheduleOn(srv.node.Group(), now.Add(cr.At), srv.onCrash)
+		c.Eng.GoAtOn(srv.node.Group(), now.Add(cr.At+cr.Down), srv.restartName, srv.onRestart)
 	}
 	return c.Faults
 }
@@ -69,15 +65,33 @@ func (c *Cluster) recovery() *Recovery {
 	return &c.Cfg.Recovery
 }
 
+// armCrash binds the daemon's crash and restart callbacks and its
+// registration message, on the first plan that crashes it; every later
+// plan schedules the same ones.
+func (s *Server) armCrash() {
+	if s.onCrash != nil {
+		return
+	}
+	s.onCrash = s.crash
+	s.onRestart = s.restart
+	s.restartName = fmt.Sprintf("iod[restart-io%d]", s.idx)
+	s.register = &reqIodRegister{Server: s.idx}
+}
+
 // crash kills the I/O daemon: the adapter discards all traffic, in-flight
 // request handling aborts at its next step, and the daemon's open file
 // table is lost. The local file system (kernel page cache included)
 // survives — this is a daemon restart, not a node power loss, so
-// acknowledged data is never lost.
-func (s *Server) crash(at sim.Time) {
+// acknowledged data is never lost. It runs as an event of the daemon's own
+// group, so the group's clock is the crash time (the engine-wide clock,
+// which other shards may have run past, is not).
+func (s *Server) crash() {
+	at := s.node.Group().Now()
 	s.down = true
 	s.hca.SetDown(true)
-	s.files = make(map[int64]*localfs.File)
+	// Cleared, not remade: the restarted daemon reopens its files into the
+	// table's storage.
+	clear(s.files)
 	s.acct.Crashes++
 	s.cluster.Spans.Instant(at, 0, s.node.Name, "iod-crash", 0, func() string { return "daemon down, open files dropped" })
 }
@@ -98,7 +112,7 @@ func (s *Server) restart(p *sim.Proc) {
 func (s *Server) registerWithManager(p *sim.Proc) {
 	s.mgrMu.Acquire(p)
 	defer s.mgrMu.Release()
-	if err := s.mgrQP.Send(p, reqSize(0), &reqIodRegister{Server: s.idx}); err != nil {
+	if err := s.mgrQP.Send(p, reqSize(0), s.register); err != nil {
 		// Control path; only a partition can fail it. The daemon still
 		// serves — registration is advisory bookkeeping in this model.
 		s.cluster.Spans.Instant(p.Now(), trace.Ctx(p.TraceCtx()), s.node.Name, "iod-register-fail", 0, err.Error)

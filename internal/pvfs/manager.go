@@ -26,7 +26,7 @@ type Manager struct {
 	cluster *Cluster
 	cfg     *Config
 	nextID  int64
-	byName  map[string]*fileMeta
+	byName  map[string]fileMeta // by value: a create allocates no record
 	// iods records each I/O daemon's last registration time. Daemons
 	// register at boot (statically, time zero) and re-register after a
 	// fault-plane restart.
@@ -54,7 +54,7 @@ func newManager(c *Cluster) *Manager {
 	m := &Manager{
 		cluster: c,
 		cfg:     &c.Cfg,
-		byName:  make(map[string]*fileMeta),
+		byName:  make(map[string]fileMeta),
 		iods:    make(map[int]sim.Time),
 		leases:  make(map[int64]*leaseState),
 		leaseMu: c.Eng.NewResource("mgr.leases", 1),
@@ -100,7 +100,7 @@ func (m *Manager) serveName(p *sim.Proc, qp *ib.QP, req *record) {
 			if stripe <= 0 {
 				stripe = m.cfg.StripeSize
 			}
-			meta = &fileMeta{id: m.nextID, stripeSize: stripe}
+			meta = fileMeta{id: m.nextID, stripeSize: stripe}
 			m.nextID++
 			m.byName[req.Name] = meta
 		}

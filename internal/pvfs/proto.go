@@ -115,6 +115,18 @@ func (k recKind) String() string { return recKindNames[k] }
 // on that shard touches it, so it needs no lock.
 type recordPool struct{ sim.FreeList[record] }
 
+// recordPools holds one record pool per engine shard. It is every adapter's
+// ib.Discarder: a record an adapter throws away undelivered goes back to the
+// pool of the shard that adapter runs on, the one executing the discard.
+type recordPools []recordPool
+
+// Discard implements ib.Discarder.
+func (rp *recordPools) Discard(h *ib.HCA, payload any) {
+	if r, ok := payload.(*record); ok {
+		(*rp)[h.Node().Group().ShardIndex()].put(r)
+	}
+}
+
 // take returns a record of the given kind and sequence number, every other
 // field zero and Accs empty, from the free list or fresh.
 func (rp *recordPool) take(kind recKind, seq int64) *record {
@@ -123,9 +135,12 @@ func (rp *recordPool) take(kind recKind, seq int64) *record {
 	return r
 }
 
-// put recycles a record its consumer is done with. A record that never
-// comes back — dropped on a cut link, discarded by a down adapter, drained
-// by a QP reset — is the garbage collector's.
+// put recycles a record its consumer is done with. A record a fault keeps
+// from its consumer comes back too: one whose send failed goes back to the
+// sender's pool (Client.send, serverConn.reply, Manager.send), one a down
+// adapter discards or a QP reset drains to the discarding node's
+// (recordPools.Discard), one a crashed daemon had already received to the
+// daemon's (serverConn.serve).
 func (rp *recordPool) put(r *record) {
 	if r.Kind == recFree {
 		sim.Failf("pvfs: record recycled twice")

@@ -45,12 +45,13 @@ func pinned(c *Cluster) pinning {
 // what set-up registered. Nor in any pool (Cluster.census): fault-free
 // everything taken from a free list, a scratch pool or a staging pool has
 // been recycled into one, but for the carriers of the parked service
-// processes; under faults nothing is recycled twice (a message, wire record
-// or record dropped on a cut link or discarded by a down adapter is the
-// garbage collector's) and the engine's pools are exact: no timeout record
-// is out and no carrier but the parked processes', no pin-down cache
-// reference is held and no span is open — on one engine shard and on four,
-// where requests and replies carry objects from shard to shard.
+// processes; under faults nothing is recycled twice (a message or wire
+// record dropped on a cut link or discarded by a down adapter is the
+// garbage collector's), every protocol record is back — the ones a fault
+// discarded too — and the engine's pools are exact: no timeout record is
+// out and no carrier but the parked processes', no pin-down cache reference
+// is held and no span is open — on one engine shard and on four, where
+// requests and replies carry objects from shard to shard.
 func TestQuiescenceAfterMixedScript(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		t.Run(fmt.Sprintf("faults=%t", faulty), func(t *testing.T) {
@@ -121,9 +122,10 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 		// Nor do the loans: every path out of a read handler releases its
 		// loan with its staging buffer. Every operation puts back the
 		// pin-down cache references it took and ends every span it opened,
-		// whatever failed, and every region record is registered or free.
+		// whatever failed, every region record is registered or free, and
+		// every protocol record a fault kept from its consumer went back.
 		exact := !faulty || strings.HasPrefix(pool, "sim.") || pool == "ib.mrs" || pool == "ib.regcache-refs" ||
-			pool == "localfs.loans" || pool == "trace.open"
+			pool == "localfs.loans" || pool == "pvfs.records" || pool == "trace.open"
 		if out < 0 || exact && out != want {
 			t.Errorf("%s: %d taken and not recycled, want %d", pool, out, want)
 		}

@@ -49,8 +49,14 @@ type Server struct {
 	names map[int64]string
 
 	// down marks the daemon crashed (fault plane): handlers abort and all
-	// traffic is discarded until restart.
-	down bool
+	// traffic is discarded until restart. onCrash, onRestart and
+	// restartName are what a plan schedules, and register is what the
+	// restarted daemon sends the manager (armCrash).
+	down        bool
+	onCrash     func()
+	onRestart   func(p *sim.Proc)
+	restartName string
+	register    *reqIodRegister
 	// mgrQP/mgrMu is the daemon's control connection to the metadata
 	// manager, used to (re)register after a restart.
 	mgrQP *ib.QP
@@ -178,6 +184,9 @@ func (sc *serverConn) serve(p *sim.Proc) {
 		if s.down {
 			// Crashed daemon: drop anything already delivered before the
 			// adapter went down.
+			if r, ok := payload.(*record); ok {
+				s.recs.put(r)
+			}
 			continue
 		}
 		req, ok := payload.(*record)
