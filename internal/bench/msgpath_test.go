@@ -113,7 +113,7 @@ func TestMultipleIOEventBudget(t *testing.T) {
 			[][4]int64{{287, 211, packed, 0}, {356, 245, gathered, 0}, {356, 245, gathered, 0}}},
 		// Writes as Multiple I/O, reads the 1 MB extent whole and extracts.
 		{"datasieving", 1, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.DataSieving),
-			[][4]int64{{1331, 249, 2018304, 0}}},
+			[][4]int64{{1331, 249, 983040, 0}}},
 		// Two ranks: pack, hand over, assemble, one contiguous request each.
 		{"collective", 2, []pvfs.Transfer{pvfs.Hybrid}, viaMPIIO(mpiio.Collective),
 			[][4]int64{{838, 418, 6713440, 0}}},

@@ -24,8 +24,11 @@
 // straight out of the extents — an RDMA read lands file bytes in the
 // client's segment in one copy. The file settles a loan (copies its pieces
 // into the storage) before it changes a byte the loan spans, and ReadInto
-// and ReadAt are a loan settled at once. Loans are pooled, so a read
-// allocates nothing but the fresh slice ReadAt returns.
+// and ReadAt are a loan settled at once. A loan forks: part of what it owes
+// becomes a loan of its own into other storage (Fork), which is how a
+// client's data-sieving window takes a window range over from the daemon's
+// staging buffer without copying it. Loans are pooled, so a read allocates
+// nothing but the fresh slice ReadAt returns.
 package localfs
 
 import (
@@ -35,6 +38,7 @@ import (
 	"time"
 
 	"pvfsib/internal/disk"
+	"pvfsib/internal/mem"
 	"pvfsib/internal/sim"
 	"pvfsib/internal/simnet"
 )
@@ -102,7 +106,10 @@ type FS struct {
 	freeExt []*extent // extents of removed files, extentKeepBytes at most
 	// freeFiles holds removed files' records for Open to reuse.
 	freeFiles []*File
-	loans     sim.FreeList[Loan]
+	// loans and forks pool the loans Lend and Fork make, apart: a fork
+	// lends a piece or two, a daemon's loan as many as its request names,
+	// and a pooled loan keeps the piece slice it grew.
+	loans, forks sim.FreeList[Loan]
 	// syncList is SyncAll's list of files between calls (sortedFiles).
 	syncList []*File
 
@@ -127,7 +134,7 @@ func (fs *FS) HostCost() sim.HostCost { return fs.host }
 
 // Census reports the loans lent and not released.
 func (fs *FS) Census(add func(pool string, out int64)) {
-	add("localfs.loans", fs.loans.Out())
+	add("localfs.loans", fs.loans.Out()+fs.forks.Out())
 }
 
 // Disk returns the underlying device.
@@ -581,7 +588,8 @@ func (f *File) copyOut(off int64, dst []byte) (copied int64) {
 // per file system and listed in their file's unsettled loans.
 type Loan struct {
 	fs     *FS
-	file   *File // nil while the loan is in the pool
+	pool   *sim.FreeList[Loan] // the one it goes back to
+	file   *File               // nil while the loan is in the pool
 	dst    []byte
 	pieces []lentPiece // ordered by Pos while sorted is set
 	sorted bool
@@ -602,9 +610,12 @@ type lentPiece struct {
 
 // Lend starts a loan of the file's bytes into dst, which the taker keeps
 // owning; ReadPieces adds to it. Release ends it.
-func (f *File) Lend(dst []byte) *Loan {
-	l := f.fs.loans.Take()
-	l.fs, l.file, l.dst, l.sorted = f.fs, f, dst, true
+func (f *File) Lend(dst []byte) *Loan { return f.lend(dst, &f.fs.loans) }
+
+// lend is Lend with a loan from pool.
+func (f *File) lend(dst []byte, pool *sim.FreeList[Loan]) *Loan {
+	l := pool.Take()
+	l.fs, l.pool, l.file, l.dst, l.sorted = f.fs, pool, f, dst, true
 	l.lo, l.hi = 0, 0
 	l.next = f.loans
 	if f.loans != nil {
@@ -642,10 +653,7 @@ func (l *Loan) ReadAt(dst []byte, off int64) {
 		copy(dst, l.dst[off:])
 		return
 	}
-	if !l.sorted {
-		slices.SortFunc(l.pieces, func(a, b lentPiece) int { return cmp.Compare(a.Pos, b.Pos) })
-		l.sorted = true
-	}
+	l.sort()
 	i := l.find(off)
 	for len(dst) > 0 {
 		if i == len(l.pieces) || l.pieces[i].Pos > off {
@@ -667,6 +675,49 @@ func (l *Loan) ReadAt(dst []byte, off int64) {
 		l.hint = i
 		i++
 	}
+}
+
+// sort orders the loan's pieces by Pos, as ReadAt and Fork read them.
+func (l *Loan) sort() {
+	if !l.sorted {
+		slices.SortFunc(l.pieces, func(a, b lentPiece) int { return cmp.Compare(a.Pos, b.Pos) })
+		l.sorted = true
+	}
+}
+
+// Fork lends dst, storage of the taker's, the len(dst) bytes the loan owes
+// its storage from offset off, as a loan of its own of the same file: taken
+// from the pool and listed with the file's unsettled loans, so that a write
+// or Remove of the file settles it first. The loan itself is left as it
+// was. A loan that has settled, or does not lend every one of those bytes
+// (its storage holds the others), forks nothing and returns nil.
+func (l *Loan) Fork(dst []byte, off int64) mem.Lender {
+	if l.file == nil {
+		sim.Failf("localfs: fork of a released loan")
+	}
+	if l.settled || len(dst) == 0 {
+		return nil
+	}
+	l.sort()
+	first, end := l.find(off), off+int64(len(dst))
+	for i, at := first, off; at < end; i++ {
+		if i == len(l.pieces) || l.pieces[i].Pos > at {
+			return nil
+		}
+		at = max(at, l.pieces[i].Pos+l.pieces[i].Len)
+	}
+	f := l.file.lend(dst, &l.fs.forks)
+	for i, at := first, off; at < end; i++ {
+		pc := l.pieces[i]
+		skip := at - pc.Pos
+		if skip >= pc.Len {
+			continue // covered by the piece before
+		}
+		n := min(pc.Len-skip, end-at)
+		f.add(Piece{Off: pc.Off + skip, Len: n, Pos: at - off}, min(max(pc.avail-skip, 0), n))
+		at += n
+	}
+	return f
 }
 
 // find returns the index of the first piece that ends past off, trying the
@@ -718,7 +769,7 @@ func (l *Loan) Release() {
 	}
 	l.file, l.dst, l.settled, l.hint = nil, nil, false, 0
 	l.pieces = l.pieces[:0]
-	l.fs.loans.Put(l)
+	l.pool.Put(l)
 }
 
 // unlink takes the loan out of its file's unsettled loans.

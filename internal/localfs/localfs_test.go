@@ -384,14 +384,17 @@ func TestCreateRemoveAllocFree(t *testing.T) {
 
 // TestLoanAllocFree: an I/O daemon's gathered read in steady state — a loan
 // of strided pieces from the pool, lent to a staging mapping, landed in a
-// client's space straight out of the extents, a write that settles another
-// loan, and the releases — allocates nothing.
+// client's space straight out of the extents, landed again in a per-call
+// window as forks of the loan and read back out of them, a write that
+// settles another loan, and the releases — allocates nothing.
 func TestLoanAllocFree(t *testing.T) {
 	const pieces, piece, stride = 16, 2 << 10, 3 << 10
 	eng, fs := newFS(t)
 	iod, client := mem.NewAddrSpace("iod"), mem.NewAddrSpace("client")
 	staging := iod.Malloc(pieces * piece)
 	dst := client.Malloc(pieces * piece)
+	window := client.Malloc(pieces * piece)
+	client.PerCall(window)
 	storage := make([]byte, pieces*piece)
 	block := make([]byte, piece)
 	accs := make([]Piece, pieces)
@@ -403,21 +406,27 @@ func TestLoanAllocFree(t *testing.T) {
 		if f == nil {
 			f = fs.Open(p, "lent")
 			f.WriteAt(p, 0, make([]byte, pieces*stride))
-			sim.Must(client.Write(dst, storage)) // backs the client's mapping
+			sim.Must(client.Write(dst, storage)) // backs the client's mappings
+			sim.Must(client.Write(window, storage))
 		}
 		l := f.Lend(storage)
 		f.ReadPieces(p, 0, pieces*stride, accs, l)
 		iod.Exchange(staging, storage)
 		iod.Lend(staging, l)
 		sim.Must(client.CopyFrom(dst, iod, staging, pieces*piece))
+		for i := int64(0); i < pieces; i++ { // a fork a piece
+			sim.Must(client.CopyFrom(window+mem.Addr(i*piece), iod, staging+mem.Addr(i*piece), piece))
+		}
 		iod.Exchange(staging, nil)
+		sim.Must(client.Copy(dst, window, pieces*piece))
+		client.EndCall(window)
 
 		settled := f.Lend(storage)
 		f.ReadPieces(p, 0, pieces*stride, accs, settled)
 		f.WriteAt(p, stride, block)
 		settled.Release()
 	})
-	if out := fs.loans.Out(); out != 0 {
+	if out := fs.loans.Out() + fs.forks.Out(); out != 0 {
 		t.Errorf("%d loans not released", out)
 	}
 }

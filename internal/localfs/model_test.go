@@ -276,6 +276,46 @@ func (x *fsPair) lend(h *handle, off, size int64, pieces []Piece, tail int64) {
 	x.lent = append(x.lent, ln)
 }
 
+// fork forks the n bytes at off of a loan held open into storage of their
+// own, and holds the fork open too: it must read what the loan reads there,
+// until a write or a Remove settles it. A loan forks only what it lends and
+// only until it settles; otherwise the bytes are read out of it, as a
+// landing copies them. Servicing pieces as spans, they are copied.
+func (x *fsPair) fork(ln *lent, off, n int64) {
+	x.t.Helper()
+	// The fork's pieces are the loan's, cut to the range and placed in it.
+	var pieces []Piece
+	for _, pc := range ln.pieces {
+		if lo, hi := max(pc.Pos, off), min(pc.Pos+pc.Len, off+n); lo < hi {
+			pieces = append(pieces, Piece{Off: pc.Off + lo - pc.Pos, Len: hi - lo, Pos: lo - off})
+		}
+	}
+	fk := &lent{h: ln.h, pieces: pieces, storage: bytes.Repeat([]byte{0xEE}, int(n)), want: ln.want[off : off+n]}
+	x.lent = append(x.lent, fk)
+	if ln.loan == nil {
+		copy(fk.storage, ln.storage[off:])
+		return
+	}
+	covered := true
+	for at := int64(0); covered && at < n; {
+		covered = false
+		for _, pc := range pieces {
+			if pc.Pos <= at && at < pc.Pos+pc.Len {
+				at, covered = pc.Pos+pc.Len, true
+			}
+		}
+	}
+	f := ln.loan.Fork(fk.storage, off)
+	if want := covered && !ln.loan.settled; (f != nil) != want {
+		x.t.Fatalf("%s: fork of %d+%d of a loan of %v (settled %t): forked %t, want %t", ln.h.name, off, n, ln.pieces, ln.loan.settled, f != nil, want)
+	}
+	if f == nil {
+		ln.loan.ReadAt(fk.storage, off)
+		return
+	}
+	fk.loan = f.(*Loan)
+}
+
 // readLent reads n bytes at off of a loan held open.
 func (x *fsPair) readLent(ln *lent, off, n int64) {
 	x.t.Helper()
@@ -418,7 +458,7 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 		sc := &script{b: data}
 		names := []string{"a", "b", "c"}
 		for ops := 0; len(sc.b) > 0 && ops < 400; ops++ {
-			op := sc.byte() % 24
+			op := sc.byte() % 25
 			if op < 2 || len(x.handles) == 0 {
 				x.openFile(names[sc.byte()%3])
 				continue
@@ -457,6 +497,12 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 				}
 			case op == 22:
 				x.release(int(sc.byte()%int64(len(x.lent))), sc.byte()%2 == 0)
+			case op == 24:
+				ln := x.lent[sc.byte()%int64(len(x.lent))]
+				if size := int64(len(ln.want)); size > 0 {
+					off := sc.word() % size
+					x.fork(ln, off, 1+sc.word()%(size-off))
+				}
 			default: // a write over a lent piece, of its file or of the one that took its extents
 				ln := x.lent[sc.byte()%int64(len(x.lent))]
 				if sc.byte()%2 == 0 && !ln.h.removed {
@@ -475,7 +521,7 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 		for len(x.lent) > 0 {
 			x.release(len(x.lent)-1, len(x.lent)%2 == 0)
 		}
-		if out := fs.loans.Out(); out != 0 {
+		if out := fs.loans.Out() + fs.forks.Out(); out != 0 {
 			t.Fatalf("%d loans not released", out)
 		}
 		x.sweep()

@@ -23,7 +23,9 @@
 // an I/O daemon lends a request the bytes the request names. Lend goes one
 // step further: the mapping owes its bytes to a Lender — the daemon's file
 // — and a read of it copies them from there until something settles them
-// into the mapping's storage.
+// into the mapping's storage. A per-call mapping (PerCall) takes such a
+// debt over when bytes land in it instead of copying them: a range of it
+// owes its bytes to a fork of the lender until the call ends (EndCall).
 package mem
 
 import (
@@ -125,18 +127,30 @@ type mapping struct {
 	// data is the backed prefix of the mapping: size bytes, or fewer after
 	// an Exchange, or nil while it is unbacked. A byte past it fails.
 	data []byte
-	// reserved marks a mapping no access has touched yet: its first byte
-	// access backs all of it.
-	reserved bool
 	// dirtyLo and dirtyHi bound the bytes of data ever written, so that
 	// recycling clears those and not the whole mapping.
 	dirtyLo, dirtyHi int
+	// lends are the ranges of data that owe their bytes to a lender, sorted
+	// and disjoint: the whole of it after Lend, landed ranges of a per-call
+	// mapping. Reads ask the lender; a write of the range releases it, after
+	// having it settle its bytes into data unless the write covers them all.
+	lends []lend
+	// reserved marks a mapping no access has touched yet: its first byte
+	// access backs all of it.
+	reserved bool
 	// part marks a piece of a partly freed backed mapping: it shares its
 	// storage with its siblings, which therefore is never recycled.
 	part bool
-	// lender, when set, owes the mapping its bytes (Lend): reads ask it,
-	// and it settles them into data before anything writes data.
-	lender Lender
+	// perCall marks a mapping whose contents die at the end of each call of
+	// its owner (PerCall).
+	perCall bool
+}
+
+// lend is a range [lo, hi) of a mapping's storage that owes its bytes to l,
+// which reads them from offset 0 at lo.
+type lend struct {
+	lo, hi int
+	l      Lender
 }
 
 func (m *mapping) end() Addr { return m.base + Addr(m.size) }
@@ -145,25 +159,83 @@ func (m *mapping) dirty(lo, hi int) {
 	m.dirtyLo, m.dirtyHi = min(m.dirtyLo, lo), max(m.dirtyHi, hi)
 }
 
-// settle has m's lender, if it has one, put what it owes into m's storage
-// and lets it go: from then on the storage holds the mapping's bytes.
-func (m *mapping) settle() {
-	if l := m.lender; l != nil {
-		m.lender = nil
-		l.Settle()
-		l.Release()
+// firstLend returns the index of the first of m's lends that ends past off.
+func (m *mapping) firstLend(off int) int {
+	lo, hi := 0, len(m.lends)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); m.lends[mid].hi > off {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
+	return lo
 }
 
-// Lender owes a lent mapping its bytes (AddrSpace.Lend).
+// unlend releases the lends of m that overlap [lo, hi) before those bytes
+// are written. A lend the write covers whole goes unsettled, as nothing it
+// owes outlives the write; any other first settles what it owes into the
+// storage, and so does every one when settle is set (the write reads m).
+func (m *mapping) unlend(lo, hi int, settle bool) {
+	i := m.firstLend(lo)
+	j := i
+	for ; j < len(m.lends) && m.lends[j].lo < hi; j++ {
+		ld := m.lends[j]
+		if settle || ld.lo < lo || hi < ld.hi {
+			ld.l.Settle()
+		}
+		ld.l.Release()
+	}
+	m.lends = slices.Delete(m.lends, i, j)
+}
+
+// readAt fills dst with m's bytes from offset off — a lender's where the
+// range is lent, data's elsewhere — and returns how many it copied. With to
+// set, dst is to's storage from offset at, and a lent range whose lender
+// forks into it is lent to to instead of copied.
+func (m *mapping) readAt(dst, data []byte, off int, to *mapping, at int) (copied int64) {
+	for i := m.firstLend(off); len(dst) > 0; {
+		if i < len(m.lends) && m.lends[i].lo <= off {
+			ld := m.lends[i]
+			n := min(len(dst), ld.hi-off)
+			var f Lender
+			if to != nil {
+				f = ld.l.Fork(dst[:n], int64(off-ld.lo))
+			}
+			if f != nil {
+				to.lends = slices.Insert(to.lends, to.firstLend(at), lend{lo: at, hi: at + n, l: f})
+				to.dirty(at, at+n) // the fork settles there
+			} else {
+				ld.l.ReadAt(dst[:n], int64(off-ld.lo))
+				copied += int64(n)
+			}
+			dst, off, at, i = dst[n:], off+n, at+n, i+1
+			continue
+		}
+		end := len(data)
+		if i < len(m.lends) {
+			end = m.lends[i].lo
+		}
+		n := copy(dst[:min(len(dst), end-off)], data[off:])
+		dst, off, at = dst[n:], off+n, at+n
+		copied += int64(n)
+	}
+	return copied
+}
+
+// Lender owes a lent mapping its bytes (AddrSpace.Lend), or a range of one.
 type Lender interface {
-	// ReadAt fills dst with the mapping's bytes from offset off.
+	// ReadAt fills dst with the bytes owed from offset off.
 	ReadAt(dst []byte, off int64)
-	// Settle copies what the lender owes into the storage the mapping held
-	// when it was lent; a second Settle does nothing.
+	// Settle copies what the lender owes into the storage it was lent to; a
+	// second Settle does nothing.
 	Settle()
 	// Release ends the loan: the mapping no longer refers to the lender.
 	Release()
+	// Fork lends dst, storage of its own, the len(dst) bytes owed from
+	// offset off, and returns their lender; or returns nil and lends
+	// nothing, when it owes them no longer or not all of them.
+	Fork(dst []byte, off int64) Lender
 }
 
 // piece returns the mapping of bytes [lo, hi) after a partial Free: a
@@ -293,7 +365,7 @@ func (s *AddrSpace) Free(e Extent) {
 	j := i
 	for ; j < len(s.maps) && s.maps[j].base < hi; j++ {
 		m := &s.maps[j]
-		m.settle() // what stays of m keeps its storage
+		m.unlend(0, m.size, true) // what stays of m keeps its storage
 		if lo <= m.base && m.end() <= hi {
 			s.recycle(m)
 			continue
@@ -387,8 +459,12 @@ func (s *AddrSpace) Write(addr Addr, data []byte) error {
 	s.host.BytesCopied += int64(len(data))
 	for off := int(addr - s.maps[i].base); len(data) > 0; i, off = i+1, 0 {
 		m := &s.maps[i]
-		m.settle()
-		n := copy(s.bytes(m)[off:], data)
+		b := s.bytes(m)[off:]
+		n := min(len(b), len(data))
+		if len(m.lends) > 0 {
+			m.unlend(off, off+n, false)
+		}
+		copy(b, data[:n])
 		m.dirty(off, off+n)
 		data = data[n:]
 	}
@@ -406,7 +482,7 @@ func (s *AddrSpace) Read(addr Addr, length int64) ([]byte, error) {
 }
 
 // ReadInto is like Read but fills the provided slice, avoiding allocation.
-// A lent mapping's bytes come from its lender.
+// A lent range's bytes come from its lender.
 func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
 	if len(dst) == 0 {
 		return nil
@@ -418,12 +494,13 @@ func (s *AddrSpace) ReadInto(addr Addr, dst []byte) error {
 	s.host.BytesCopied += int64(len(dst))
 	for off := int(addr - s.maps[i].base); len(dst) > 0; i, off = i+1, 0 {
 		m := &s.maps[i]
-		if m.lender == nil {
-			dst = dst[copy(dst, s.bytes(m)[off:]):]
+		data := s.bytes(m)
+		if len(m.lends) == 0 {
+			dst = dst[copy(dst, data[off:]):]
 			continue
 		}
-		n := min(len(dst), len(m.data)-off)
-		m.lender.ReadAt(dst[:n], int64(off))
+		n := min(len(dst), len(data)-off)
+		m.readAt(dst[:n], data, off, nil, 0)
 		dst = dst[n:]
 	}
 	return nil
@@ -440,8 +517,9 @@ func (s *AddrSpace) Copy(dst, src Addr, n int64) error { return s.CopyFrom(dst, 
 // Copy does inside one space (from may be s): one memmove per pair of
 // mappings crossed, no buffer between them, and nothing written on failure.
 // It is how an RDMA read lands straight from the responder's memory, or
-// from the lender of the responder's mapping. The bytes count as copied in
-// s.
+// from the lender of the responder's mapping. Into a per-call mapping a
+// lent range lands by a fork of its lender instead (PerCall). The bytes
+// copied count in s.
 func (s *AddrSpace) CopyFrom(dst Addr, from *AddrSpace, src Addr, n int64) error {
 	if n <= 0 {
 		return nil
@@ -456,14 +534,12 @@ func (s *AddrSpace) CopyFrom(dst Addr, from *AddrSpace, src Addr, n int64) error
 	// Usually one copy in all. With dst inside [src, src+n) of the same
 	// space the pairs go last to first, so no source byte is overwritten
 	// before it is read.
-	s.host.BytesCopied += n
 	back := from == s && src < dst && dst < src+Addr(n)
 	if back {
 		si, di = s.search(src+Addr(n)-1), s.search(dst+Addr(n)-1)
 	}
 	for n > 0 {
 		sm, dm := &from.maps[si], &s.maps[di]
-		dm.settle() // before sm is read: it may be dm
 		sd, dd := from.bytes(sm), s.bytes(dm)
 		so, do := int64(src)-int64(sm.base), int64(dst)-int64(dm.base)
 		var c int64
@@ -486,10 +562,17 @@ func (s *AddrSpace) CopyFrom(dst Addr, from *AddrSpace, src Addr, n int64) error
 				di++
 			}
 		}
-		if sm.lender != nil {
-			sm.lender.ReadAt(dd[do:do+c], so)
-		} else {
+		if len(dm.lends) > 0 {
+			dm.unlend(int(do), int(do+c), sm == dm) // before sm is read: it may be dm
+		}
+		switch {
+		case len(sm.lends) == 0:
 			copy(dd[do:do+c], sd[so:so+c])
+			s.host.BytesCopied += c
+		case dm.perCall && sm != dm:
+			s.host.BytesCopied += sm.readAt(dd[do:do+c], sd, int(so), dm, int(do))
+		default:
+			s.host.BytesCopied += sm.readAt(dd[do:do+c], sd, int(so), nil, 0)
 		}
 		dm.dirty(int(do), int(do+c))
 		n -= c
@@ -510,17 +593,16 @@ func (s *AddrSpace) Accessible(e Extent) bool {
 // mapping is backed up to len(data); it keeps its addresses and
 // registrations, but a byte access past its backing fails as one to
 // unallocated memory does. A piece of a partly freed mapping shares storage:
-// no exchange. A lent mapping's lender is released without settling: the
-// storage given back holds only what the lender settled into it, if it did.
+// no exchange. A lent mapping's lenders are released without settling: the
+// storage given back holds only what they settled into it, if they did.
 func (s *AddrSpace) Exchange(addr Addr, data []byte) []byte {
 	i := s.search(addr)
 	if i == len(s.maps) || s.maps[i].base != addr || s.maps[i].part || len(data) > s.maps[i].size {
 		sim.Failf("mem: %s: no whole mapping of at least %d bytes at %#x to exchange", s.name, len(data), uint64(addr))
 	}
 	m := &s.maps[i]
-	if l := m.lender; l != nil {
-		m.lender = nil
-		l.Release()
+	if len(m.lends) > 0 {
+		m.unlend(0, m.size, false)
 	}
 	old := m.data
 	m.data, m.reserved, m.dirtyLo, m.dirtyHi = data, false, 0, m.size
@@ -530,18 +612,54 @@ func (s *AddrSpace) Exchange(addr Addr, data []byte) []byte {
 // Lend makes the whole mapping that starts at addr owe its bytes to l. A
 // read of it — ReadInto, the source side of CopyFrom — asks l for them, and
 // whatever writes its storage — Write, CopyFrom into it, Free — has l settle
-// them there first; Exchange releases l unsettled. The mapping keeps its
-// storage, so Accessible and every fence on it answer as for a backed
-// mapping. A mapping no access has touched has nothing to lend.
+// them there first, unless the write covers them all; Exchange releases l
+// unsettled. The mapping keeps its storage, so Accessible and every fence
+// on it answer as for a backed mapping. A mapping no access has touched has
+// nothing to lend; one without storage owes nothing, and releases l.
 func (s *AddrSpace) Lend(addr Addr, l Lender) {
-	i := s.search(addr)
-	if i == len(s.maps) || s.maps[i].base != addr || s.maps[i].part || s.maps[i].reserved {
-		sim.Failf("mem: %s: no whole touched mapping at %#x to lend", s.name, uint64(addr))
+	m := s.whole(addr, "lend")
+	if m.reserved {
+		sim.Failf("mem: %s: no touched mapping at %#x to lend", s.name, uint64(addr))
 	}
-	m := &s.maps[i]
-	m.settle()
-	m.lender = l
+	m.unlend(0, m.size, true)
+	if len(m.data) == 0 {
+		l.Release()
+		return
+	}
+	m.lends = append(m.lends, lend{lo: 0, hi: len(m.data), l: l})
 	m.dirty(0, len(m.data)) // the settle writes it
+}
+
+// PerCall marks the whole mapping that starts at addr as one whose contents
+// die at the end of each call of its owner, which says so by EndCall — a
+// buffer like ROMIO's data-sieving read buffer, freed when the call
+// returns. CopyFrom into it from a range a Lender owes does not copy the
+// bytes but forks the lender (Lender.Fork) into the mapping's storage, so
+// the landed range owes its bytes in turn; what the lender will not fork,
+// it copies. Marking a marked mapping again does nothing.
+func (s *AddrSpace) PerCall(addr Addr) { s.whole(addr, "mark per-call").perCall = true }
+
+// EndCall ends a call of the per-call mapping that starts at addr: every
+// range a landing lent it is released unsettled, and its storage there,
+// which holds nothing of the call's, is poisoned under sim.PoisonReleased.
+func (s *AddrSpace) EndCall(addr Addr) {
+	m := s.whole(addr, "end the call of")
+	for _, ld := range m.lends {
+		ld.l.Release()
+		if sim.PoisonReleased {
+			poison(m.data[ld.lo:ld.hi])
+		}
+	}
+	m.lends = slices.Delete(m.lends, 0, len(m.lends))
+}
+
+// whole returns the mapping that starts at addr, which must be a whole one.
+func (s *AddrSpace) whole(addr Addr, what string) *mapping {
+	i := s.search(addr)
+	if i == len(s.maps) || s.maps[i].base != addr || s.maps[i].part {
+		sim.Failf("mem: %s: no whole mapping at %#x to %s", s.name, uint64(addr), what)
+	}
+	return &s.maps[i]
 }
 
 // HostCost returns what the space's storage has cost the host so far: bytes
@@ -648,11 +766,8 @@ func (p *ScratchPool) Put(b []byte) {
 		return
 	}
 	p.puts++
-	if sim.PoisonReleased && len(b) > 0 {
-		b[0] = 0xDB
-		for n := 1; n < len(b); n *= 2 {
-			copy(b[n:], b[:n])
-		}
+	if sim.PoisonReleased {
+		poison(b)
 	}
 	if c < 1<<scratchMinBits || c > 1<<scratchMaxBits || c&(c-1) != 0 {
 		return
@@ -660,5 +775,17 @@ func (p *ScratchPool) Put(b []byte) {
 	cl := scratchClass(c)
 	if len(p.classes[cl]) < scratchKeep(cl) {
 		p.classes[cl] = append(p.classes[cl], b[:0])
+	}
+}
+
+// poison overwrites b with 0xDB bytes, so that a reader of storage released
+// under sim.PoisonReleased sees garbage.
+func poison(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = 0xDB
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
 	}
 }

@@ -281,12 +281,48 @@ func (p *pair) fill(n int64) []byte {
 	return data
 }
 
+// write writes n fresh bytes at addr. A lent range it covers whole must go
+// unsettled, and one it covers in part settled; both are released.
 func (p *pair) write(addr Addr, n int64) {
 	p.t.Helper()
 	data := p.fill(n)
-	if a, b := errText(p.s.Write(addr, data)), errText(p.m.Write(addr, data)); a != b {
+	whole, part := p.lendsUnder(addr, n)
+	err := p.s.Write(addr, data)
+	if a, b := errText(err), errText(p.m.Write(addr, data)); a != b {
 		p.t.Fatalf("Write(%#x, %d): %q, oracle %q", uint64(addr), n, a, b)
 	}
+	if err != nil {
+		return
+	}
+	for _, l := range whole {
+		if !l.released || l.settled {
+			p.t.Fatalf("Write(%#x, %d) over the whole of a lent range: released %t, settled %t; want released unsettled", uint64(addr), n, l.released, l.settled)
+		}
+	}
+	for _, l := range part {
+		if !l.released || !l.settled {
+			p.t.Fatalf("Write(%#x, %d) over part of a lent range: released %t, settled %t; want settled and released", uint64(addr), n, l.released, l.settled)
+		}
+	}
+}
+
+// lendsUnder returns the stubs of the lent ranges that n bytes at addr
+// cover whole, and of those they cover in part.
+func (p *pair) lendsUnder(addr Addr, n int64) (whole, part []*stubLender) {
+	for i := range p.s.maps {
+		m := &p.s.maps[i]
+		for _, ld := range m.lends {
+			lo, hi := m.base+Addr(ld.lo), m.base+Addr(ld.hi)
+			switch {
+			case hi <= addr || addr+Addr(n) <= lo:
+			case addr <= lo && hi <= addr+Addr(n):
+				whole = append(whole, ld.l.(*stubLender))
+			default:
+				part = append(part, ld.l.(*stubLender))
+			}
+		}
+	}
+	return whole, part
 }
 
 func (p *pair) read(addr Addr, n int64) {
@@ -336,28 +372,32 @@ func (p *pair) exchange(e Extent, length int64) {
 		data = p.fill(min(length, n))
 	}
 	want := p.m.Exchange(e.Addr, n, data)
-	l := p.lent(e.Addr)
-	var held []byte // what a lent mapping's storage held: the stub never settled
-	if l != nil {
-		held = bytes.Clone(l.storage)
-		want = held
+	// A lent range gives back what the mapping's storage held there: its
+	// lender is released unsettled.
+	lends := p.lends(e.Addr)
+	for _, l := range lends {
+		copy(want[l.at:], l.storage)
 	}
 	got := p.s.Exchange(e.Addr, data)
-	if l != nil && (!l.released || l.settled) {
-		p.t.Fatalf("Exchange of a lent mapping: loan released %t, settled %t; want released unsettled", l.released, l.settled)
+	for _, l := range lends {
+		if !l.released || l.settled {
+			p.t.Fatalf("Exchange of a lent mapping: loan released %t, settled %t; want released unsettled", l.released, l.settled)
+		}
 	}
 	if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
 		p.t.Fatalf("Exchange(%v, %d bytes) gave back %d bytes, oracle %d, or different ones", e, len(data), len(got), len(want))
 	}
 }
 
-// stubLender owes a lent mapping the bytes it was made with; the storage
-// is what the mapping held at the lend, and the stub fails the test on any
-// call after its release.
+// stubLender owes a lent range the bytes it was made with; the storage is
+// the range's, at offset at of its mapping, and the stub fails the test on
+// any call after its release. It forks unless refuse is set.
 type stubLender struct {
 	t        testing.TB
 	owed     []byte
 	storage  []byte
+	at       int
+	refuse   bool
 	settled  bool
 	released bool
 }
@@ -386,33 +426,94 @@ func (l *stubLender) Release() {
 	l.released = true
 }
 
-// lent returns the stub the whole mapping at addr owes its bytes to, nil if
-// it is not lent.
-func (p *pair) lent(addr Addr) *stubLender {
-	if i := p.s.search(addr); i < len(p.s.maps) && p.s.maps[i].base == addr && p.s.maps[i].lender != nil {
-		return p.s.maps[i].lender.(*stubLender)
+func (l *stubLender) Fork(dst []byte, off int64) Lender {
+	l.live("Fork")
+	if l.refuse || l.settled {
+		return nil
 	}
-	return nil
+	// The mapping's offset is the space's to know; lends sets it.
+	return &stubLender{t: l.t, owed: l.owed[off : off+int64(len(dst))], storage: dst}
+}
+
+// lends returns the stubs the mapping at addr owes its bytes to, with their
+// offsets in it, none if it is not a whole mapping.
+func (p *pair) lends(addr Addr) []*stubLender {
+	i := p.s.search(addr)
+	if i == len(p.s.maps) || p.s.maps[i].base != addr {
+		return nil
+	}
+	var out []*stubLender
+	for _, ld := range p.s.maps[i].lends {
+		l := ld.l.(*stubLender)
+		l.at = ld.lo
+		out = append(out, l)
+	}
+	return out
+}
+
+// whole returns the mapping Malloc made for e if it is still whole, nil if
+// it was freed since, wholly or in part.
+func (p *pair) whole(e Extent) *mapping {
+	i := p.s.search(e.Addr)
+	if i == len(p.s.maps) || p.s.maps[i].base != e.Addr || p.s.maps[i].part {
+		return nil
+	}
+	if n := (e.Len + PageSize - 1) / PageSize * PageSize; p.s.maps[i].size != int(n) {
+		return nil
+	}
+	return &p.s.maps[i]
 }
 
 // lend lends the mapping Malloc made for e, if it is still whole and has
 // been touched, to a stub owing fresh bytes; the oracle takes those bytes
-// as written. What the mapping's storage held stays in it.
-func (p *pair) lend(e Extent) {
+// as written. What the mapping's storage held stays in it, and every
+// lender it had settles it there before its release.
+func (p *pair) lend(e Extent, refuse bool) {
 	p.t.Helper()
-	i := p.s.search(e.Addr)
-	if i == len(p.s.maps) || p.s.maps[i].base != e.Addr || p.s.maps[i].part || p.s.maps[i].reserved {
+	m := p.whole(e)
+	if m == nil || m.reserved {
 		return
 	}
-	m := &p.s.maps[i]
-	old := p.lent(e.Addr)
-	l := &stubLender{t: p.t, owed: p.fill(int64(len(m.data))), storage: m.data}
+	old := p.lends(e.Addr)
+	l := &stubLender{t: p.t, owed: p.fill(int64(len(m.data))), storage: m.data, refuse: refuse}
 	p.s.Lend(e.Addr, l)
-	if old != nil && !(old.settled && old.released) {
-		p.t.Fatalf("Lend over a lent mapping: the loan before was settled %t, released %t", old.settled, old.released)
+	for _, o := range old {
+		if !o.settled || !o.released {
+			p.t.Fatalf("Lend over a lent mapping: a loan before was settled %t, released %t", o.settled, o.released)
+		}
 	}
 	if len(l.owed) > 0 {
 		sim.Must(p.m.Write(e.Addr, l.owed))
+	}
+}
+
+// perCall marks the mapping Malloc made for e, if it is still whole, as
+// per-call: from here on what lands in it from a lent range is lent to it.
+func (p *pair) perCall(e Extent) {
+	if p.whole(e) != nil {
+		p.s.PerCall(e.Addr)
+	}
+}
+
+// endCall ends a call of the mapping Malloc made for e, if it is still
+// whole and per-call: every range lent to it is released, and under
+// sim.PoisonReleased the oracle takes the poison the storage holds there as
+// written.
+func (p *pair) endCall(e Extent) {
+	p.t.Helper()
+	if m := p.whole(e); m == nil || !m.perCall {
+		return
+	}
+	lends := p.lends(e.Addr)
+	p.s.EndCall(e.Addr)
+	for _, l := range lends {
+		if !l.released {
+			p.t.Fatalf("EndCall left the range at +%d lent", l.at)
+		}
+		sim.Must(p.m.Write(e.Addr+Addr(l.at), bytes.Repeat([]byte{0xDB}, len(l.storage))))
+	}
+	if len(p.lends(e.Addr)) != 0 {
+		p.t.Fatalf("EndCall left %d ranges lent", len(p.lends(e.Addr)))
 	}
 }
 
@@ -495,14 +596,17 @@ func (p *pair) place(sc *script) (Addr, int64) {
 }
 
 // runScript interprets data against two fresh pairs, one address space and
-// its peer: every op but the last two works on the current pair.
+// its peer: every op but the last two works on the current pair. Released
+// storage is poisoned, as a dropped per-call range must read.
 func runScript(t testing.TB, data []byte) {
 	t.Helper()
+	defer func(was bool) { sim.PoisonReleased = was }(sim.PoisonReleased)
+	sim.PoisonReleased = true
 	p, peer := newPair(t), newPair(t)
 	peer.s.name, peer.m.name = "y", "y"
 	sc := &script{b: data}
 	for ops := 0; len(sc.b) > 0 && ops < 2000; ops++ {
-		switch op := sc.byte() % 18; op {
+		switch op := sc.byte() % 21; op {
 		case 0:
 			p.malloc(1 + sc.word()%(6*PageSize))
 		case 1: // a size seen before: the one that recycles
@@ -555,9 +659,26 @@ func runScript(t testing.TB, data []byte) {
 			src, n := peer.place(sc)
 			dst, _ := p.place(sc)
 			p.copyFrom(dst, peer, src, n)
-		case 17:
+		case 17: // whole, forking or not
 			if len(p.allocs) > 0 {
-				p.lend(p.allocs[sc.byte()%int64(len(p.allocs))])
+				p.lend(p.allocs[sc.byte()%int64(len(p.allocs))], sc.byte()%4 == 0)
+			}
+		case 18: // what lands in it from here on is lent to it
+			if len(p.allocs) > 0 {
+				p.perCall(p.allocs[sc.byte()%int64(len(p.allocs))])
+			}
+		case 19: // the call ends: its lent ranges go
+			if len(p.allocs) > 0 {
+				p.endCall(p.allocs[sc.byte()%int64(len(p.allocs))])
+			}
+		case 20: // a landing from the peer's lent mapping into a per-call one
+			if len(p.allocs) > 0 && len(peer.allocs) > 0 {
+				dst := p.allocs[sc.byte()%int64(len(p.allocs))]
+				src := peer.allocs[sc.byte()%int64(len(peer.allocs))]
+				p.perCall(dst)
+				peer.lend(src, false)
+				n := 1 + sc.word()%min(dst.Len, src.Len)
+				p.copyFrom(dst.Addr+Addr(sc.word()%(dst.Len-n+1)), peer, src.Addr+Addr(sc.word()%(src.Len-n+1)), n)
 			}
 		}
 		p.backings()

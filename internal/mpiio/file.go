@@ -349,6 +349,13 @@ func (f *File) multiple(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen, w
 
 // dsRead is ROMIO client-side data sieving: read the full extent in windows
 // through ordinary contiguous PVFS reads, then extract the wanted pieces.
+// ROMIO's ADIOI_GEN_ReadStrided allocates its read buffer for the call and
+// frees it before returning, so the window's contents die with the call:
+// dsBuf is a per-call mapping (mem.AddrSpace.PerCall). A window range an
+// iod on this engine shard lends lands as a loan of the iod's file rather
+// than as a copy, only the extracted pieces are copied, once, out of the
+// file, and EndCall drops the loans. The virtual clock charges the whole
+// window's transfer and every extraction's copy all the same.
 func (f *File) dsRead(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen) error {
 	if len(fileAccs) == 0 {
 		return nil
@@ -358,6 +365,8 @@ func (f *File) dsRead(p *sim.Proc, memSegs []ib.SGE, fileAccs []pvfs.OffLen) err
 	}
 	lo, hi := extentOf(fileAccs)
 	space, cfgIB := f.client.Space(), f.client.Cluster().Cfg.IB
+	space.PerCall(f.dsBuf)
+	defer space.EndCall(f.dsBuf)
 	// Regions before first end at or below the current window; at is where
 	// first's bytes start in memory. The next window resumes from there.
 	first, at := 0, memCursor{segs: memSegs}
