@@ -449,6 +449,50 @@ func TestRDMAWriteUnregisteredLocalFails(t *testing.T) {
 	run(t, eng)
 }
 
+// TestLocalSGEStraddlingTwoRegionsFails: two regions register adjacent
+// halves of one buffer. An SGE inside either passes the local check — the
+// second after the first, so the check tries the region that covered the
+// last SGE and falls back to the others — but one straddling the boundary
+// is covered by no single region and fails, before and after a covered SGE
+// in the same list, and again once a region is deregistered.
+func TestLocalSGEStraddlingTwoRegionsFails(t *testing.T) {
+	eng, a, b := pair(t)
+	qa, _ := Connect(a, b)
+	src := a.Space().Malloc(2 * mem.PageSize)
+	dst := b.Space().Malloc(2 * mem.PageSize)
+	eng.Go("t", func(p *sim.Proc) {
+		mrB, _ := b.Register(p, mem.Extent{Addr: dst, Len: 2 * mem.PageSize})
+		lo, err := a.Register(p, mem.Extent{Addr: src, Len: mem.PageSize})
+		sim.Must(err)
+		hi, err := a.Register(p, mem.Extent{Addr: src + mem.PageSize, Len: mem.PageSize})
+		sim.Must(err)
+		inLo := SGE{Addr: src + 16, Len: 64}
+		inHi := SGE{Addr: src + mem.PageSize + 16, Len: 64}
+		across := SGE{Addr: src + mem.PageSize - 32, Len: 64}
+		for _, sges := range [][]SGE{{inLo}, {inHi}, {inLo, inHi}, {inHi, inLo}} {
+			if err := qa.RDMAWrite(p, sges, dst, mrB.Key); err != nil {
+				t.Errorf("%v: %v", sges, err)
+			}
+		}
+		for _, sges := range [][]SGE{{across}, {inLo, across}, {inHi, across}, {across, inHi}} {
+			if err := qa.RDMAWrite(p, sges, dst, mrB.Key); err == nil {
+				t.Errorf("%v: an SGE across two regions passed", sges)
+			}
+			if err := qa.RDMARead(p, sges, dst, mrB.Key); err == nil {
+				t.Errorf("%v: an SGE across two regions passed a read", sges)
+			}
+		}
+		sim.Must(qa.RDMAWrite(p, []SGE{inHi}, dst, mrB.Key))
+		sim.Must(a.Deregister(p, hi))
+		if err := qa.RDMAWrite(p, []SGE{inHi}, dst, mrB.Key); err == nil {
+			t.Error("an SGE in a deregistered region passed")
+		}
+		sim.Must(qa.RDMAWrite(p, []SGE{inLo}, dst, mrB.Key))
+		sim.Must(a.Deregister(p, lo))
+	})
+	run(t, eng)
+}
+
 func TestRDMAWriteOutsideRemoteRegionPanics(t *testing.T) {
 	eng, a, b := pair(t)
 	qa, _ := Connect(a, b)

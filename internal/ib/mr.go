@@ -179,9 +179,16 @@ func (h *HCA) checkRemote(key Key, e mem.Extent) error {
 }
 
 // coveredLocally reports whether the extent lies inside some registered MR.
+// The region that covered the last extent is tried first — consecutive SGEs
+// and operations mostly fall in one buffer — before a scan of every region,
+// which grows with the registrations the pin-down cache keeps.
 func (h *HCA) coveredLocally(e mem.Extent) bool {
+	if mr := h.lastLocal; mr.Valid() && mr.Covers(e) {
+		return true
+	}
 	for _, mr := range h.mrs {
 		if mr.Covers(e) {
+			h.lastLocal = mr
 			return true
 		}
 	}

@@ -35,6 +35,7 @@ type HCA struct {
 
 	mrs         map[Key]*MR
 	freeMRs     sim.FreeList[MR] // deregistered regions' records
+	lastLocal   *MR              // the region that covered the last local SGE
 	nextKey     Key
 	pinnedBytes int64
 

@@ -1,59 +1,39 @@
-//go:build go1.24
-
 package mpiio
 
 import (
-	"runtime"
-	"sync"
-	"weak"
-
+	"pvfsib/internal/pcache"
 	"pvfsib/internal/pvfs"
 )
 
 // clientState is what MPI-IO keeps per client rather than per File: the
-// descriptor scratch of two-phase rounds and of Multiple I/O. A benchmark
-// round or a checkpoint reopens its file every time, and scratch that lived
-// on the File grew again with every open; kept per client it stays warm, so
-// a round in steady state allocates nothing whether or not its File is new.
-// Only the client's own processes touch it, all on the client's shard.
-//
-// The state hangs off a process-wide table keyed by a weak pointer to the
-// client — pvfs.Client has no slot for an upper layer — and leaves the
-// table when the client is collected, so a finished cluster is not pinned.
+// descriptor scratch of two-phase rounds and of Multiple I/O, and the page
+// cache records of closed caches. A benchmark round or a checkpoint reopens
+// its file every time, and scratch that lived on the File grew again with
+// every open; kept per client it stays warm, so a round in steady state
+// allocates nothing whether or not its File is new. It lives in the
+// client's upper-layer slot (pvfs.Client.SetUpper), so it dies with the
+// client — a table beside the client would pin it, since a cache record
+// points back at its client. Only the client's own processes touch it, all
+// on the client's shard.
 type clientState struct {
 	tp tpScratch
 	// busy is set while a call holds tp. A second process of the same
 	// client that runs MPI-IO meanwhile gets scratch of its own.
 	busy bool
-}
-
-var clientStates struct {
-	sync.Mutex
-	m map[weak.Pointer[pvfs.Client]]*clientState
+	// caches holds the records of the client's disabled page caches, which
+	// the next EnableCache rebuilds (pcache.Reuse) instead of making anew.
+	caches []*pcache.File
 }
 
 // stateOf returns the client's MPI-IO state, making it on the client's first
 // open.
 func stateOf(c *pvfs.Client) *clientState {
-	k := weak.Make(c)
-	clientStates.Lock()
-	defer clientStates.Unlock()
-	if st := clientStates.m[k]; st != nil {
+	if st, ok := c.Upper().(*clientState); ok {
 		return st
 	}
-	if clientStates.m == nil {
-		clientStates.m = make(map[weak.Pointer[pvfs.Client]]*clientState)
-	}
 	st := new(clientState)
-	clientStates.m[k] = st
-	runtime.AddCleanup(c, forgetClient, k)
+	c.SetUpper(st)
 	return st
-}
-
-func forgetClient(k weak.Pointer[pvfs.Client]) {
-	clientStates.Lock()
-	delete(clientStates.m, k)
-	clientStates.Unlock()
 }
 
 // scratch lends the client's descriptor scratch to one call, which gives it
@@ -71,3 +51,19 @@ func (st *clientState) done(sc *tpScratch) {
 		st.busy = false
 	}
 }
+
+// cache attaches a page cache to fh in the most recently disabled record,
+// or in a fresh one when there is none.
+func (st *clientState) cache(fh *pvfs.FileHandle, cfg pcache.Config) *pcache.File {
+	n := len(st.caches) - 1
+	if n < 0 {
+		return pcache.New(fh, cfg)
+	}
+	old := st.caches[n]
+	st.caches[n] = nil
+	st.caches = st.caches[:n]
+	return pcache.Reuse(old, fh, cfg)
+}
+
+// uncache keeps a closed cache's record for the next EnableCache.
+func (st *clientState) uncache(c *pcache.File) { st.caches = append(st.caches, c) }

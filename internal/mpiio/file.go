@@ -143,10 +143,12 @@ func (f *File) ReadView(p *sim.Proc, method Method, memSegs []ib.SGE, viewOff, n
 // independent per-rank methods (MultipleIO, ListIO, ListIOADS) route
 // through the cache; DataSieving reads and Collective operations keep
 // their own buffering strategies and go direct, after flushing the cache
-// so they never observe stale write-behind state.
+// so they never observe stale write-behind state. The cache returned is
+// valid until DisableCache, which hands its record back to the client for
+// the next EnableCache to rebuild.
 func (f *File) EnableCache(cfg pcache.Config) *pcache.File {
 	if f.cache == nil {
-		f.cache = pcache.New(f.fh, cfg)
+		f.cache = f.st.cache(f.fh, cfg)
 	}
 	return f.cache
 }
@@ -154,12 +156,16 @@ func (f *File) EnableCache(cfg pcache.Config) *pcache.File {
 // Cache returns the attached page cache, nil when caching is off.
 func (f *File) Cache() *pcache.File { return f.cache }
 
-// DisableCache flushes and detaches the page cache.
+// DisableCache flushes and detaches the page cache. A cache that closed
+// cleanly goes back to the client.
 func (f *File) DisableCache(p *sim.Proc) error {
 	if f.cache == nil {
 		return nil
 	}
 	err := f.cache.Close(p)
+	if err == nil {
+		f.st.uncache(f.cache)
+	}
 	f.cache = nil
 	return err
 }

@@ -39,8 +39,9 @@
 package pcache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
@@ -153,41 +154,79 @@ type File struct {
 	ibp       ib.Params
 	closed    bool
 
-	unregister func()
+	// hook registers the cache for the file's lease recalls (onRecall).
+	hook pvfs.RecallHook
 
-	// Scratch reused across slow-path operations.
-	pnos  []int64
-	fsegs []ib.SGE
-	faccs []pvfs.OffLen
+	// Scratch reused across slow-path operations. fetchLocked works from
+	// its own fill/fillFrames: the frames it takes may flush, and a flush
+	// reuses pnos, fsegs and faccs.
+	pnos       []int64
+	fsegs      []ib.SGE
+	faccs      []pvfs.OffLen
+	fill       []int64
+	fillFrames []int32
 }
 
 // New attaches a page cache to an open file. The arena is allocated
 // immediately; leases are acquired lazily on first access. Multiple caches
 // on one client for the same file are legal (each registers its own recall
-// callback) but pointless; one cache per (client, file) is the intended
-// shape.
-func New(fh *pvfs.FileHandle, cfg Config) *File {
+// hook) but pointless; one cache per (client, file) is the intended shape.
+func New(fh *pvfs.FileHandle, cfg Config) *File { return Reuse(nil, fh, cfg) }
+
+// Reuse attaches a page cache to an open file as New does, rebuilt in old
+// when old is a closed cache of the same client with frames enough for the
+// configuration, and in a fresh record otherwise. A rebuilt record keeps
+// its frame and page tables, its slow-path scratch and its mutex, and reads
+// in every other field as a fresh one: no page, no lease, a reset stride
+// detector, nothing dirty and nothing sampled into the client's gauges.
+// Its arena is allocated anew all the same — the pin-down cache knows
+// registrations by address, and an arena at the old address would hit
+// registrations a fresh one misses.
+func Reuse(old *File, fh *pvfs.FileHandle, cfg Config) *File {
 	cfg = cfg.withDefaults()
 	cl := fh.Client()
 	clu := cl.Cluster()
-	size := int64(cfg.Pages) * cfg.PageSize
-	f := &File{
-		fh:     fh,
-		cl:     cl,
-		clu:    clu,
-		acct:   cl.Acct(),
-		mx:     cl.CacheMetrics(),
-		cfg:    cfg,
-		arena:  mem.Extent{Addr: cl.Space().Malloc(size), Len: size},
-		frames: make([]frame, cfg.Pages),
-		table:  make(map[int64]int32, cfg.Pages),
-		node:   cl.Node().Name,
-		ibp:    clu.Cfg.IB,
-		mu:     clu.Eng.NewResource(fmt.Sprintf("pcache[%s@%s]", fh.Name(), cl.Node().Name), 1),
+	f := old
+	if f == nil || !f.closed || f.cl != cl || cap(f.frames) < cfg.Pages {
+		f = &File{
+			frames: make([]frame, cfg.Pages),
+			table:  make(map[int64]int32, cfg.Pages),
+			// Named after the client alone: the record may serve one
+			// file after another.
+			mu: clu.Eng.NewResource("pcache@"+cl.Node().Name, 1),
+		}
 	}
-	f.unregister = fh.OnLeaseRecall(f.onRecall)
+	frames := f.frames[:cfg.Pages]
+	clear(frames)
+	clear(f.table)
+	size := int64(cfg.Pages) * cfg.PageSize
+	*f = File{
+		fh:         fh,
+		cl:         cl,
+		clu:        clu,
+		acct:       cl.Acct(),
+		mx:         cl.CacheMetrics(),
+		cfg:        cfg,
+		arena:      mem.Extent{Addr: cl.Space().Malloc(size), Len: size},
+		frames:     frames,
+		table:      f.table,
+		node:       cl.Node().Name,
+		ibp:        clu.Cfg.IB,
+		mu:         f.mu,
+		pnos:       f.pnos[:0],
+		fsegs:      f.fsegs[:0],
+		faccs:      f.faccs[:0],
+		fill:       f.fill[:0],
+		fillFrames: f.fillFrames[:0],
+	}
+	fh.OnLeaseRecall(&f.hook, (*recaller)(f))
 	return f
 }
+
+// recaller is the cache as its recall hook sees it.
+type recaller File
+
+func (r *recaller) Recall(p *sim.Proc) { (*File)(r).onRecall(p) }
 
 // Handle returns the underlying uncached file handle.
 func (f *File) Handle() *pvfs.FileHandle { return f.fh }
@@ -498,7 +537,7 @@ func (f *File) runLocked(p *sim.Proc, segs []ib.SGE, accs []pvfs.OffLen, write b
 			f.pnos = append(f.pnos, off/ps)
 		}
 	}
-	sort.SliceStable(f.pnos, func(i, j int) bool { return f.pnos[i] < f.pnos[j] })
+	slices.Sort(f.pnos)
 	f.pnos = dedupSorted(f.pnos)
 	misses := len(f.pnos)
 	// Read-ahead: feed the detector in access order, then extend the fetch
@@ -611,18 +650,20 @@ func (f *File) writeThroughLocked(p *sim.Proc, segs []ib.SGE, accs []pvfs.OffLen
 // demand misses, last `ra` are prefetch) into frames with one list read.
 func (f *File) fetchLocked(p *sim.Proc, misses, ra int) error {
 	ps := f.cfg.PageSize
-	sort.SliceStable(f.pnos, func(i, j int) bool { return f.pnos[i] < f.pnos[j] })
-	// Work from a local copy: takeFrameLocked may flush, and flushLocked
-	// reuses the shared scratch slices (f.pnos, f.fsegs, f.faccs).
-	pnos := append([]int64(nil), f.pnos...)
-	frames := make([]int32, len(pnos))
-	for i := range pnos {
+	slices.Sort(f.pnos)
+	// Work from a copy: takeFrameLocked may flush, and flushLocked reuses
+	// the shared scratch slices (f.pnos, f.fsegs, f.faccs).
+	pnos := append(f.fill[:0], f.pnos...)
+	frames := f.fillFrames[:0]
+	f.fill = pnos
+	for range pnos {
 		fi, err := f.takeFrameLocked(p)
 		if err != nil {
 			return err
 		}
-		frames[i] = fi
+		frames = append(frames, fi)
 	}
+	f.fillFrames = frames
 	f.fsegs = f.fsegs[:0]
 	f.faccs = f.faccs[:0]
 	for i, pno := range pnos {
@@ -708,8 +749,8 @@ func (f *File) flushLocked(p *sim.Proc) error {
 			f.pnos = append(f.pnos, int64(i))
 		}
 	}
-	sort.SliceStable(f.pnos, func(i, j int) bool {
-		return f.frames[f.pnos[i]].pno < f.frames[f.pnos[j]].pno
+	slices.SortFunc(f.pnos, func(a, b int64) int {
+		return cmp.Compare(f.frames[a].pno, f.frames[b].pno)
 	})
 	f.fsegs = f.fsegs[:0]
 	f.faccs = f.faccs[:0]
@@ -775,10 +816,10 @@ func (f *File) invalidateLocked() {
 	f.det.Reset()
 }
 
-// onRecall is the lease-recall callback, run on the client's recall
-// daemon: flush, invalidate, drop the lease, and let the daemon ack. A
-// duplicate delivery (resent recall after a lost ack) finds nothing dirty
-// and nothing resident — a no-op.
+// onRecall is the lease-recall hook, run on the client's recall daemon:
+// flush, invalidate, drop the lease, and let the daemon ack. A duplicate
+// delivery (resent recall after a lost ack) finds nothing dirty and nothing
+// resident — a no-op.
 func (f *File) onRecall(p *sim.Proc) {
 	f.mu.Acquire(p)
 	sp := f.startSpan(p, "cache.recall", trace.StageOther, 0)
@@ -838,9 +879,9 @@ func (f *File) Invalidate(p *sim.Proc) error {
 }
 
 // Close flushes, invalidates, releases the lease, and detaches the recall
-// callback. The arena stays allocated: its registration may live on in the
-// pin-down cache, and simulated process memory is reclaimed with the
-// address space.
+// hook; Reuse may then rebuild the record for another file. The arena
+// stays allocated: its registration may live on in the pin-down cache, and
+// simulated process memory is reclaimed with the address space.
 func (f *File) Close(p *sim.Proc) error {
 	if f.closed {
 		return nil
@@ -856,7 +897,7 @@ func (f *File) Close(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	f.unregister()
+	f.hook.Unregister()
 	if f.mode != leaseNone {
 		f.mode = leaseNone
 		if err := f.fh.ReleaseLease(p); err != nil {

@@ -31,9 +31,11 @@ type Client struct {
 	// nextSeq numbers this client's requests; a retry gets a fresh number
 	// so stale replies to abandoned attempts are recognizable.
 	nextSeq int64
-	// recallFns holds per-file lease recall callbacks (lease.go), run in
-	// registration order by the client's recall daemon.
-	recallFns map[int64][]*recallFn
+	// recalls holds each file's first lease recall hook (lease.go); the
+	// recall daemon runs a file's hooks in registration order, from a copy
+	// it keeps in recallScratch.
+	recalls       map[int64]*RecallHook
+	recallScratch []*RecallHook
 	// plans holds the operation plans not in use (split.go).
 	plans sim.FreeList[opPlan]
 	// recs is the record pool of the client's engine shard (proto.go).
@@ -47,6 +49,9 @@ type Client struct {
 	// cacheMX holds the page cache's instrument handles (metrics.go).
 	mx      clientMetrics
 	cacheMX CacheMetrics
+
+	// upper is the state a layer above keeps per client (SetUpper).
+	upper any
 }
 
 // Acct exposes the client's own protocol counters; higher layers that act
@@ -152,6 +157,14 @@ func (c *Client) RegCache() *ib.RegCache { return c.cache }
 
 // Cluster returns the cluster this client belongs to.
 func (c *Client) Cluster() *Cluster { return c.cluster }
+
+// Upper returns what SetUpper last stored, nil before.
+func (c *Client) Upper() any { return c.upper }
+
+// SetUpper stores the state a layer above keeps per client — MPI-IO's
+// scratch and its idle page-cache records — which lives and dies with the
+// client. Only the client's own processes may call it, on its shard.
+func (c *Client) SetUpper(v any) { c.upper = v }
 
 func newClient(cl *Cluster, idx int) *Client {
 	name := fmt.Sprintf("cn%d", idx)

@@ -1,6 +1,8 @@
 package pvfs
 
 import (
+	"slices"
+
 	"pvfsib/internal/ib"
 	"pvfsib/internal/sim"
 )
@@ -24,68 +26,98 @@ import (
 
 // leaseState is the manager's record for one file: reader holders in grant
 // order (a deterministic slice, never a map, so recall order is stable
-// across runs) plus at most one writer.
+// across runs) plus at most one writer. It leaves the table when the file
+// is unlinked and no holder is left (dropLease), and goes back to the
+// manager's free list with its readers slice.
 type leaseState struct {
 	readers []int
-	writer  int // client index, -1 when none
+	writer  int  // client index, -1 when none
+	gone    bool // the file is unlinked; the last release drops the state
 }
 
-// handleLease serves one reqLease on the manager. The lease mutex is held
+func (ls *leaseState) held() bool { return ls.writer >= 0 || len(ls.readers) > 0 }
+
+// handleLease serves one recLease on the manager. The lease mutex is held
 // across the entire recall-then-grant sequence so two concurrent
 // conflicting requests serialize: the second requester's recalls see the
-// first one's finished grant state.
-func (m *Manager) handleLease(p *sim.Proc, qp *ib.QP, req *reqLease) {
+// first one's finished grant state. A recalled holder stays in the table
+// until its ack is in, so an unlink meanwhile cannot drop the state.
+func (m *Manager) handleLease(p *sim.Proc, qp *ib.QP, req *record) {
+	id, client, write := req.FileID, req.Client, req.Write
+	resp := m.recs.take(recLeaseResp, req.Seq)
+	m.recs.put(req)
 	m.leaseMu.Acquire(p)
-	ls := m.leases[req.FileID]
+	ls := m.leases[id]
 	if ls == nil {
-		ls = &leaseState{writer: -1}
-		m.leases[req.FileID] = ls
+		ls = m.freeLeases.Take()
+		*ls = leaseState{readers: ls.readers[:0], writer: -1}
+		m.leases[id] = ls
 	}
-	if req.Write {
-		// Exclusive: recall every other holder.
-		for len(ls.readers) > 0 {
-			r := ls.readers[0]
-			if r == req.Client {
-				if len(ls.readers) == 1 {
-					break
-				}
-				// Move self to the end so the loop can drain the rest.
-				ls.readers = append(ls.readers[1:], r)
-				continue
+	if write {
+		// Exclusive: recall every other holder, readers in grant order.
+		// Nothing else changes the table while the mutex is held, so the
+		// readers leave it together once every recall is acked.
+		for _, r := range ls.readers {
+			if r != client {
+				m.recall(p, r, id)
 			}
-			m.recall(p, r, req.FileID)
-			ls.readers = ls.readers[1:]
 		}
-		if ls.writer >= 0 && ls.writer != req.Client {
-			m.recall(p, ls.writer, req.FileID)
+		if ls.writer >= 0 && ls.writer != client {
+			m.recall(p, ls.writer, id)
 		}
 		ls.readers = ls.readers[:0]
-		ls.writer = req.Client
+		ls.writer = client
 	} else {
-		if ls.writer >= 0 && ls.writer != req.Client {
-			m.recall(p, ls.writer, req.FileID)
+		if ls.writer >= 0 && ls.writer != client {
+			m.recall(p, ls.writer, id)
 			ls.writer = -1
 		}
-		if ls.writer != req.Client && !containsInt(ls.readers, req.Client) {
-			ls.readers = append(ls.readers, req.Client)
+		if ls.writer != client && !slices.Contains(ls.readers, client) {
+			ls.readers = append(ls.readers, client)
 		}
 	}
 	m.mx.leaseGrants.Add(p.Now(), 1)
 	m.leaseMu.Release()
-	m.send(p, qp, &respLease{Seq: req.Seq})
+	m.send(p, qp, resp)
 }
 
 // handleLeaseRelease drops a voluntary release into the table.
-func (m *Manager) handleLeaseRelease(p *sim.Proc, qp *ib.QP, req *reqLeaseRelease) {
+func (m *Manager) handleLeaseRelease(p *sim.Proc, qp *ib.QP, req *record) {
+	id, client := req.FileID, req.Client
+	resp := m.recs.take(recLeaseReleaseResp, req.Seq)
+	m.recs.put(req)
 	m.leaseMu.Acquire(p)
-	if ls := m.leases[req.FileID]; ls != nil {
-		if ls.writer == req.Client {
+	if ls := m.leases[id]; ls != nil {
+		if ls.writer == client {
 			ls.writer = -1
 		}
-		ls.readers = removeInt(ls.readers, req.Client)
+		ls.readers = removeInt(ls.readers, client)
+		if ls.gone && !ls.held() {
+			m.dropLease(id, ls)
+		}
 	}
 	m.leaseMu.Release()
-	m.send(p, qp, &respLeaseRelease{Seq: req.Seq})
+	m.send(p, qp, resp)
+}
+
+// unlinked forgets the lease state of an unlinked file: at once when no
+// client holds a lease on it, otherwise at the last release. File ids are
+// never reused, so a state kept past that would never be read again.
+func (m *Manager) unlinked(id int64) {
+	ls := m.leases[id]
+	if ls == nil {
+		return
+	}
+	if ls.held() {
+		ls.gone = true
+		return
+	}
+	m.dropLease(id, ls)
+}
+
+func (m *Manager) dropLease(id int64, ls *leaseState) {
+	delete(m.leases, id)
+	m.freeLeases.Put(ls)
 }
 
 // recall revokes one client's lease on one file and waits for the ack.
@@ -99,10 +131,13 @@ func (m *Manager) recall(p *sim.Proc, client int, fileID int64) {
 	for attempt := 0; ; attempt++ {
 		m.recallSeq++
 		seq := m.recallSeq
-		if err := qp.Send(p, reqSize(0), &reqLeaseRecall{Seq: seq, FileID: fileID}); err != nil {
+		req := m.recs.take(recLeaseRecall, seq)
+		req.FileID = fileID
+		if err := qp.Send(p, reqSize(0), req); err != nil {
 			// Control QPs see no injected completion errors; only a
 			// partition can eat the send, and partitions imply a fault
-			// plane with a recovery policy.
+			// plane with a recovery policy. The record never left.
+			m.recs.put(req)
 			if rec == nil {
 				sim.Failf("pvfs: manager: recall send failed without fault plane: %v", err)
 			}
@@ -112,8 +147,7 @@ func (m *Manager) recall(p *sim.Proc, client int, fileID int64) {
 		}
 		if rec == nil {
 			for {
-				_, payload := qp.Recv(p)
-				if ack, ok := payload.(*respLeaseRecallAck); ok && ack.Seq == seq {
+				if _, payload := qp.Recv(p); m.acks(payload, seq) {
 					return
 				}
 			}
@@ -123,7 +157,7 @@ func (m *Manager) recall(p *sim.Proc, client int, fileID int64) {
 			if !ok {
 				break
 			}
-			if ack, ok := payload.(*respLeaseRecallAck); ok && ack.Seq == seq {
+			if m.acks(payload, seq) {
 				return
 			}
 			// A stale ack from a resent earlier recall: discard and keep
@@ -131,6 +165,18 @@ func (m *Manager) recall(p *sim.Proc, client int, fileID int64) {
 		}
 		p.Sleep(retryBackoff(rec, attempt))
 	}
+}
+
+// acks recycles a message from a callback QP and reports whether it is the
+// ack of recall seq.
+func (m *Manager) acks(payload any, seq int64) bool {
+	ack, ok := payload.(*record)
+	if !ok || ack.Kind != recLeaseRecallAck {
+		sim.Failf("pvfs: manager: unexpected callback message %T %v", payload, payload)
+	}
+	match := ack.Seq == seq
+	m.recs.put(ack)
+	return match
 }
 
 // AcquireLease obtains (or refreshes) this client's lease on the file. A
@@ -143,10 +189,7 @@ func (fh *FileHandle) AcquireLease(p *sim.Proc, write bool) error {
 	c.mgr.mu.Acquire(p)
 	defer c.mgr.mu.Release()
 	c.acct.LeaseReqs++
-	_, err := c.rpc(p, c.mgr, reqSize(0), func(seq int64) any {
-		return &reqLease{Seq: seq, FileID: fh.id, Client: c.idx, Write: write}
-	})
-	return err
+	return c.leaseRPC(p, recLease, fh.id, write)
 }
 
 // ReleaseLease returns this client's lease on the file, if any.
@@ -154,57 +197,128 @@ func (fh *FileHandle) ReleaseLease(p *sim.Proc) error {
 	c := fh.client
 	c.mgr.mu.Acquire(p)
 	defer c.mgr.mu.Release()
-	_, err := c.rpc(p, c.mgr, reqSize(0), func(seq int64) any {
-		return &reqLeaseRelease{Seq: seq, FileID: fh.id, Client: c.idx}
-	})
-	return err
+	return c.leaseRPC(p, recLeaseRelease, fh.id, false)
 }
 
-// OnLeaseRecall registers a callback run (on the client's recall daemon
-// process) whenever the manager recalls this client's lease on the file.
-// The callback must leave no stale cached state behind when it returns —
-// the daemon acks the recall right after, and the manager then re-grants
-// the file to someone else. Returns an unregister function.
-func (fh *FileHandle) OnLeaseRecall(fn func(p *sim.Proc)) func() {
-	c := fh.client
-	if c.recallFns == nil {
-		c.recallFns = make(map[int64][]*recallFn)
+// leaseRPC sends one lease request of the given kind to the manager and
+// recycles its reply.
+func (c *Client) leaseRPC(p *sim.Proc, kind recKind, fileID int64, write bool) error {
+	resp, err := c.rpc(p, c.mgr, reqSize(0), func(seq int64) any {
+		req := c.recs.take(kind, seq)
+		req.FileID, req.Client, req.Write = fileID, c.idx, write
+		return req
+	})
+	if err != nil {
+		return err
 	}
-	entry := &recallFn{fn: fn}
-	c.recallFns[fh.id] = append(c.recallFns[fh.id], entry)
-	return func() {
-		fns := c.recallFns[fh.id]
-		for i, e := range fns {
-			if e == entry {
-				c.recallFns[fh.id] = append(fns[:i:i], fns[i+1:]...)
-				return
+	r, err := asReply(resp, kind+1)
+	if err != nil {
+		return err
+	}
+	c.recs.put(r)
+	return nil
+}
+
+// Recaller is what a lease recall runs on the client. Its Recall must leave
+// no stale cached state behind when it returns — the recall daemon acks
+// right after, and the manager then re-grants the file to someone else.
+type Recaller interface{ Recall(p *sim.Proc) }
+
+// RecallHook registers one Recaller for one file's lease recalls. It lives
+// in the record that owns the cached state, so registering allocates
+// nothing; the zero value is unregistered. The client keeps each file's
+// hooks as a list threaded through them, in registration order.
+type RecallHook struct {
+	r      Recaller
+	c      *Client // nil while unregistered
+	fileID int64
+	next   *RecallHook
+}
+
+// OnLeaseRecall registers h to run r (on the client's recall daemon
+// process) whenever the manager recalls this client's lease on the file,
+// after the hooks registered for the file before it. h must not be
+// registered already; Unregister detaches it.
+func (fh *FileHandle) OnLeaseRecall(h *RecallHook, r Recaller) {
+	if h.c != nil {
+		sim.Failf("pvfs: %s: recall hook registered twice", fh.name)
+	}
+	c := fh.client
+	*h = RecallHook{r: r, c: c, fileID: fh.id}
+	if c.recalls == nil {
+		c.recalls = make(map[int64]*RecallHook)
+	}
+	last := c.recalls[fh.id]
+	if last == nil {
+		c.recalls[fh.id] = h
+		return
+	}
+	for last.next != nil {
+		last = last.next
+	}
+	last.next = h
+}
+
+// Unregister detaches the hook; the file's entry leaves the client's table
+// with its last hook. Unregistering an unregistered hook is a no-op.
+func (h *RecallHook) Unregister() {
+	c := h.c
+	if c == nil {
+		return
+	}
+	if head := c.recalls[h.fileID]; head == h {
+		if h.next == nil {
+			delete(c.recalls, h.fileID)
+		} else {
+			c.recalls[h.fileID] = h.next
+		}
+	} else {
+		for e := head; e != nil; e = e.next {
+			if e.next == h {
+				e.next = h.next
+				break
 			}
 		}
 	}
+	*h = RecallHook{}
 }
 
-// recallFn wraps a recall callback so unregistration can match by identity.
-type recallFn struct{ fn func(p *sim.Proc) }
-
 // serveRecalls is the client's recall daemon: one park-forever process per
-// client draining the manager's callback QP. Handlers registered for the
+// client draining the manager's callback QP. Hooks registered for the
 // recalled file run in registration order; duplicate deliveries (a resend
 // after a lost ack) re-run them, which the cache makes a no-op.
 func (c *Client) serveRecalls(p *sim.Proc, qp *ib.QP) {
 	for {
 		_, payload := qp.Recv(p)
-		req, ok := payload.(*reqLeaseRecall)
-		if !ok {
-			sim.Failf("pvfs: cn%d recall daemon: unexpected message %T", c.idx, payload)
+		req, ok := payload.(*record)
+		if !ok || req.Kind != recLeaseRecall {
+			sim.Failf("pvfs: cn%d recall daemon: unexpected message %T %v", c.idx, payload, payload)
 		}
-		fns := c.recallFns[req.FileID]
-		for i := 0; i < len(fns); i++ {
-			fns[i].fn(p)
-		}
-		if err := qp.Send(p, smallReplyBytes, &respLeaseRecallAck{Seq: req.Seq}); err != nil {
+		fileID, seq := req.FileID, req.Seq
+		c.recs.put(req)
+		c.runRecalls(p, fileID)
+		if ack := c.recs.take(recLeaseRecallAck, seq); qp.Send(p, smallReplyBytes, ack) != nil {
 			// Partition ate the ack; the manager resends the recall and
-			// the handlers re-run idempotently.
+			// the hooks re-run idempotently.
+			c.recs.put(ack)
 			qp.Reset(p)
+		}
+	}
+}
+
+// runRecalls runs the file's hooks. A hook's Recall may block, and a hook
+// may be unregistered meanwhile — its cache closed, the record perhaps
+// registered again for another file — so the daemon walks a copy of the
+// list and skips a hook no longer registered for this file.
+func (c *Client) runRecalls(p *sim.Proc, fileID int64) {
+	hooks := c.recallScratch[:0]
+	for h := c.recalls[fileID]; h != nil; h = h.next {
+		hooks = append(hooks, h)
+	}
+	c.recallScratch = hooks
+	for _, h := range hooks {
+		if h.c == c && h.fileID == fileID {
+			h.r.Recall(p)
 		}
 	}
 }
@@ -219,20 +333,10 @@ func (m *Manager) LeaseHolders(fileID int64) (readers []int, writer int) {
 	return append([]int(nil), ls.readers...), ls.writer
 }
 
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
+// removeInt removes v from s in place, keeping the order of the rest.
 func removeInt(s []int, v int) []int {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i:i], s[i+1:]...)
-		}
+	if i := slices.Index(s, v); i >= 0 {
+		return slices.Delete(s, i, i+1)
 	}
 	return s
 }

@@ -33,12 +33,14 @@ type Manager struct {
 	iods map[int]sim.Time
 
 	// Lease coherence state (lease.go). leaseMu is held across a whole
-	// recall-then-grant sequence; cbs holds the manager side of each
-	// client's callback QP; recallSeq numbers manager-initiated recalls.
-	leases    map[int64]*leaseState
-	leaseMu   *sim.Resource
-	cbs       map[int]*ib.QP
-	recallSeq int64
+	// recall-then-grant sequence; freeLeases holds the states dropped with
+	// their unlinked files; cbs holds the manager side of each client's callback QP;
+	// recallSeq numbers manager-initiated recalls.
+	leases     map[int64]*leaseState
+	freeLeases sim.FreeList[leaseState]
+	leaseMu    *sim.Resource
+	cbs        map[int]*ib.QP
+	recallSeq  int64
 
 	// recs is the record pool of the manager's engine shard (proto.go).
 	recs *recordPool
@@ -75,14 +77,17 @@ func (m *Manager) serve(p *sim.Proc, qp *ib.QP) {
 		_, payload := qp.Recv(p)
 		switch req := payload.(type) {
 		case *record:
-			m.serveName(p, qp, req)
+			switch req.Kind {
+			case recLease:
+				m.handleLease(p, qp, req)
+			case recLeaseRelease:
+				m.handleLeaseRelease(p, qp, req)
+			default:
+				m.serveName(p, qp, req)
+			}
 		case *reqIodRegister:
 			m.iods[req.Server] = p.Now()
 			m.send(p, qp, &respIodRegister{})
-		case *reqLease:
-			m.handleLease(p, qp, req)
-		case *reqLeaseRelease:
-			m.handleLeaseRelease(p, qp, req)
 		default:
 			sim.Failf("pvfs: manager: unexpected message %T", payload)
 		}
@@ -112,6 +117,7 @@ func (m *Manager) serveName(p *sim.Proc, qp *ib.QP, req *record) {
 		if meta, ok := m.byName[req.Name]; ok {
 			resp.FileID, resp.Total = meta.id, 1
 			delete(m.byName, req.Name)
+			m.unlinked(meta.id)
 		}
 	default:
 		sim.Failf("pvfs: manager: unexpected %v record", req.Kind)

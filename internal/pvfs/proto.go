@@ -16,15 +16,16 @@ const (
 	smallReplyBytes = 32
 )
 
-// record is the one message type between a client and an iod, and of the
-// name-space requests between a client and the metadata manager: list-I/O
-// requests, the rendezvous messages of a gather transfer, whole-file
-// requests, opens and unlinks, and the replies, told apart by Kind. Records are pooled per
-// engine shard exactly as simnet.Message and the adapters' wire structs are
-// — the sender takes one from its shard's free list, the consumer recycles
-// it into its own — and because requests and replies are the same type, a
-// connection's traffic recirculates them between the two shards' pools
-// instead of draining one and growing the other.
+// record is the one message type between a client and an iod, and of every
+// message between a client and the metadata manager: list-I/O requests, the
+// rendezvous messages of a gather transfer, whole-file requests, opens,
+// unlinks, leases and their recalls, and the replies, told apart by Kind.
+// Records are pooled per engine shard exactly as simnet.Message and the
+// adapters' wire structs are — the sender takes one from its shard's free
+// list, the consumer recycles it into its own — and because requests and
+// replies are the same type, a connection's traffic recirculates them
+// between the two shards' pools instead of draining one and growing the
+// other.
 //
 // A record owns its region list. The sender copies a chunk's regions into
 // Accs when it builds the request, which is what serialisation does on a
@@ -65,6 +66,11 @@ type record struct {
 	// recOpenResp's the file's; a recUnlinkResp's Total is 1 if the name
 	// existed.
 	Name string
+	// Client is the index of the client that sends a recLease or a
+	// recLeaseRelease, the lease holder's identity; Write asks a recLease
+	// for the exclusive write lease rather than a shared read lease.
+	Client int
+	Write  bool
 }
 
 // recKind says which message of the data path a record is.
@@ -104,10 +110,31 @@ const (
 	recOpenResp
 	recUnlink
 	recUnlinkResp
+	// The lease requests to the metadata manager (lease.go) and their
+	// replies. A recLease asks for a per-file cache lease: a read lease lets
+	// the client serve reads from cached pages, a write lease also covers
+	// dirty write-behind pages. Any number of clients may hold read leases;
+	// a write lease is exclusive, and conflicting holders are recalled
+	// before the reply is sent, so a granted lease is safe to act on at
+	// once. A recLeaseRelease returns a lease voluntarily (cache close);
+	// releasing one the manager does not record — one a recall already
+	// revoked — is a no-op.
+	recLease
+	recLeaseResp
+	recLeaseRelease
+	recLeaseReleaseResp
+	// recLeaseRecall is the manager's callback revoking a client's lease on
+	// FileID: the client flushes its dirty pages, invalidates the file's
+	// cached pages and acks with recLeaseRecallAck. Recalls are idempotent —
+	// a resend after a lost ack re-runs a no-op flush — and carry the
+	// manager's own sequence numbers, a space apart from client requests'.
+	recLeaseRecall
+	recLeaseRecallAck
 )
 
 var recKindNames = [...]string{"free", "write", "write-ready", "write-done", "write-resp", "read", "read-resp", "read-done",
-	"sync", "sync-resp", "stat", "stat-resp", "remove", "remove-resp", "open", "open-resp", "unlink", "unlink-resp"}
+	"sync", "sync-resp", "stat", "stat-resp", "remove", "remove-resp", "open", "open-resp", "unlink", "unlink-resp",
+	"lease", "lease-resp", "lease-release", "lease-release-resp", "lease-recall", "lease-recall-ack"}
 
 func (k recKind) String() string { return recKindNames[k] }
 
@@ -137,10 +164,10 @@ func (rp *recordPool) take(kind recKind, seq int64) *record {
 
 // put recycles a record its consumer is done with. A record a fault keeps
 // from its consumer comes back too: one whose send failed goes back to the
-// sender's pool (Client.send, serverConn.reply, Manager.send), one a down
-// adapter discards or a QP reset drains to the discarding node's
-// (recordPools.Discard), one a crashed daemon had already received to the
-// daemon's (serverConn.serve).
+// sender's pool (Client.send, serverConn.reply, Manager.send, the manager's
+// recall and the client's recall ack), one a down adapter discards or a QP
+// reset drains to the discarding node's (recordPools.Discard), one a
+// crashed daemon had already received to the daemon's (serverConn.serve).
 func (rp *recordPool) put(r *record) {
 	if r.Kind == recFree {
 		sim.Failf("pvfs: record recycled twice")
@@ -163,54 +190,5 @@ type reqIodRegister struct {
 }
 
 type respIodRegister struct{}
-
-// reqLease asks the manager for a per-file cache lease. A read lease lets
-// the client serve reads from cached pages; a write lease additionally
-// covers dirty write-behind pages. Any number of clients may hold read
-// leases; a write lease is exclusive. Conflicting holders are recalled
-// (reqLeaseRecall) before the grant reply is sent, so a granted lease is
-// immediately safe to act on.
-type reqLease struct {
-	Seq    int64
-	FileID int64
-	Client int // requesting client's index, the lease holder identity
-	Write  bool
-}
-
-type respLease struct{ Seq int64 }
-
-// reqLeaseRelease returns a lease voluntarily (cache close). Releasing a
-// lease the manager does not record — e.g. one already revoked by a recall —
-// is a no-op.
-type reqLeaseRelease struct {
-	Seq    int64
-	FileID int64
-	Client int
-}
-
-type respLeaseRelease struct{ Seq int64 }
-
-// reqLeaseRecall is the manager-to-client callback revoking a lease: the
-// client must flush dirty pages, invalidate the file's cached pages, and
-// ack. Recalls are idempotent — a resend after a lost ack re-runs a no-op
-// flush — and carry their own sequence numbers (manager-minted, so a
-// distinct space from client request numbers).
-type reqLeaseRecall struct {
-	Seq    int64
-	FileID int64
-}
-
-type respLeaseRecallAck struct{ Seq int64 }
-
-// seqer is implemented by every response that echoes its request's
-// sequence number. The recovery layer filters stale responses — replies to
-// an attempt the client already timed out and re-issued — by comparing
-// sequence numbers; a request retry gets a fresh number.
-type seqer interface{ seqNum() int64 }
-
-func (r *record) seqNum() int64    { return r.Seq }
-func (r *respLease) seqNum() int64 { return r.Seq }
-
-func (r *respLeaseRelease) seqNum() int64 { return r.Seq }
 
 func reqSize(npairs int) int { return reqHeaderBytes + npairs*bytesPerPair }

@@ -37,8 +37,10 @@ func pinned(c *Cluster) pinning {
 
 // TestQuiescenceAfterMixedScript: every client writes a strided list across
 // all servers, syncs, reads it back through OGR and again as one declared
-// allocation, does a one-server write and read, stats and removes its file
-// — fault-free and under the storm plan, traced. When
+// allocation, does a one-server write and read, stats, leases and removes
+// its file, and takes the write lease on a file all clients share, which
+// recalls the lease of the client before — fault-free and under the storm
+// plan, traced. When
 // the script is done nothing of it is left anywhere on the message path: no
 // event pending, no message staged at a port or inside an adapter, every
 // read responder parked idle and nothing else parked, and pinning back at
@@ -80,8 +82,12 @@ func quiescence(t *testing.T, faulty bool, shards int) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Snapshot(); faulty && (s.Retries == 0 || s.Timeouts == 0) {
+	s := c.Snapshot()
+	if faulty && (s.Retries == 0 || s.Timeouts == 0) {
 		t.Errorf("plan not exercised: %d retries, %d timeouts", s.Retries, s.Timeouts)
+	}
+	if n := int64(len(c.Clients) - 1); s.LeaseRecalls != n {
+		t.Errorf("%d lease recalls, want %d", s.LeaseRecalls, n)
 	}
 	if n := c.Eng.Pending(); n != 0 {
 		t.Errorf("%d events pending", n)
@@ -207,7 +213,27 @@ func quiesceScript(t *testing.T, p *sim.Proc, cl *Client, ci int) {
 	if size, want := fh.Stat(p), int64(nSegs-1)*stride+segLen; size != want {
 		t.Errorf("cn%d: Stat = %d, want %d", ci, size, want)
 	}
+	// The lease records: a read and a write lease on the client's own file
+	// and a release, then the write lease on a file every client shares,
+	// which the client keeps, so that each one after the first recalls the
+	// one before, and the recalled client's hook runs.
+	var hooks [2]RecallHook
+	fh.OnLeaseRecall(&hooks[0], new(recallCount))
+	for _, write := range []bool{false, true} {
+		if err := fh.AcquireLease(p, write); err != nil {
+			t.Errorf("cn%d: AcquireLease(%t): %v", ci, write, err)
+		}
+	}
+	if err := fh.ReleaseLease(p); err != nil {
+		t.Errorf("cn%d: ReleaseLease: %v", ci, err)
+	}
+	hooks[0].Unregister()
 	cl.Remove(p, fh.Name())
+	shared := cl.Open(p, "quiesce-shared")
+	shared.OnLeaseRecall(&hooks[1], new(recallCount))
+	if err := shared.AcquireLease(p, true); err != nil {
+		t.Errorf("cn%d: AcquireLease on the shared file: %v", ci, err)
+	}
 	if err := cl.RegCache().Flush(p); err != nil {
 		t.Errorf("cn%d: flushing the pin-down cache: %v", ci, err)
 	}

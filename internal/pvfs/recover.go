@@ -28,7 +28,8 @@ func recoverable(err error) bool {
 // recvResp waits for the reply to request seq. Without a fault plane it
 // blocks exactly like the original protocol. Under faults it waits at most
 // Recovery.Timeout and discards stale replies — responses to an earlier
-// attempt this client already timed out and re-issued.
+// attempt this client already timed out and re-issued, told by the sequence
+// number every reply echoes (a retry gets a fresh one) — into the pool.
 func (c *Client) recvResp(p *sim.Proc, conn *clientConn, seq int64) (any, error) {
 	rec := c.cluster.recovery()
 	if rec == nil {
@@ -41,10 +42,8 @@ func (c *Client) recvResp(p *sim.Proc, conn *clientConn, seq int64) (any, error)
 			c.mx.timeouts.Add(p.Now(), 1)
 			return nil, errTimeout
 		}
-		if s, ok := payload.(seqer); ok && s.seqNum() != seq {
-			if r, isRec := payload.(*record); isRec {
-				c.recs.put(r)
-			}
+		if r, ok := payload.(*record); ok && r.Seq != seq {
+			c.recs.put(r)
 			continue
 		}
 		return payload, nil
