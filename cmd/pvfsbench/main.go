@@ -23,7 +23,10 @@
 //	                                bytes allocated in all and per experiment, mallocs,
 //	                                engine events, process switches, inline wakes,
 //	                                requests and payload bytes, bytes copied and
-//	                                cleared, storage allocated fresh and recycled
+//	                                cleared, storage allocated fresh and recycled,
+//	                                and the process's storage store: what shut-down
+//	                                cells handed in and later cells borrowed (process-
+//	                                wide, so it depends on which cells ran where)
 //	pvfsbench -trace out.json       run a traced workload, write a Perfetto trace
 //	                                (plus out.json.breakdown.json) and print the
 //	                                critical-path breakdown
@@ -49,6 +52,7 @@ import (
 	"time"
 
 	"pvfsib/internal/bench"
+	"pvfsib/internal/mem"
 )
 
 // hostMeta is the -hostmeta record: host-side measurements that are
@@ -61,6 +65,7 @@ type hostMeta struct {
 	Mallocs        uint64             `json:"mallocs"`
 	TotalAlloc     uint64             `json:"total_alloc_bytes"`
 	bench.HostWork                    // the exact counts: engine work, bytes copied and cleared, storage reuse
+	Store          mem.StoreStats     `json:"store"` // retired clusters' storage the later ones borrowed, and what is left
 	Experiments    map[string]float64 `json:"experiment_wall_s"`
 	ExpAlloc       map[string]uint64  `json:"experiment_alloc_bytes"`
 }
@@ -111,7 +116,7 @@ func main() {
 		shards   = flag.Int("shards", 0, "engine shards per cell (0 or 1 = single-threaded engine; output is identical for every value)")
 		timings  = flag.Bool("timings", true, "print real (host) runtime per experiment")
 		format   = flag.String("format", "table", "output format: table, csv, or json")
-		hostmeta = flag.Bool("hostmeta", false, "append a JSON host record (wall clock and bytes allocated in all and per experiment, mallocs, engine events, process switches, inline wakes, bytes copied and cleared, storage reuse) after the tables")
+		hostmeta = flag.Bool("hostmeta", false, "append a JSON host record (wall clock and bytes allocated in all and per experiment, mallocs, engine events, process switches, inline wakes, bytes copied and cleared, storage reuse, and the storage store's borrows) after the tables")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		tracef   = flag.String("trace", "", "run a traced workload and write a Perfetto (Chrome trace-event) JSON file")
@@ -189,6 +194,7 @@ func main() {
 			Mallocs:     m1.Mallocs - m0.Mallocs,
 			TotalAlloc:  m1.TotalAlloc - m0.TotalAlloc,
 			HostWork:    bench.Retired(),
+			Store:       mem.Store(),
 			Experiments: perExp,
 			ExpAlloc:    perExpAlloc,
 		}

@@ -15,7 +15,8 @@
 // blocks written, allocated on the first write into their range; Remove
 // keeps a removed file's extents, and its File record with its lock table,
 // for the files created next, so creating and removing a file allocates
-// nothing once warm. ReadPieces and WritePieces charge a whole span but move
+// nothing once warm; a retired file system's extents back the file systems
+// made after it (Retire). ReadPieces and WritePieces charge a whole span but move
 // only the pieces of it that a caller names, the host side of a
 // data-sieving window.
 //
@@ -117,6 +118,8 @@ type FS struct {
 	Counters Counters
 	// host counts what the file bytes cost the host (see HostCost).
 	host sim.HostCost
+	// retired is set by Retire: every later call fails.
+	retired bool
 }
 
 // New creates a file system over the given disk.
@@ -135,6 +138,44 @@ func (fs *FS) HostCost() sim.HostCost { return fs.host }
 // Census reports the loans lent and not released.
 func (fs *FS) Census(add func(pool string, out int64)) {
 	add("localfs.loans", fs.loans.Out()+fs.forks.Out())
+}
+
+// Retire ends the file system once its owner is shut down: every extent of
+// its files and of removed files, cleared over its written and stale blocks,
+// goes to the store (mem.Keep) for the file systems made next. Every later
+// call on it or on one of its files and loans fails through sim.Failf;
+// HostCost and Counters still read what it did.
+func (fs *FS) Retire() {
+	bs := fs.params.BlockSize
+	keep := func(e *extent) {
+		for dirty := e.written | e.stale; dirty != 0; {
+			b := bits.TrailingZeros64(dirty)
+			n := bits.TrailingZeros64(^(dirty >> b)) // the run of dirty blocks from b
+			clear(e.data[int64(b)*bs : int64(b+n)*bs])
+			dirty &^= (uint64(1)<<n - 1) << b
+		}
+		mem.Keep(e.data)
+		e.data = nil
+	}
+	for _, f := range fs.sortedFiles() {
+		for _, e := range f.data {
+			if e != nil {
+				keep(e)
+			}
+		}
+		f.data = nil
+	}
+	for _, e := range fs.freeExt {
+		keep(e)
+	}
+	fs.freeExt, fs.syncList, fs.retired = nil, nil, true
+}
+
+// live fails a call on a retired file system.
+func (fs *FS) live() {
+	if fs.retired {
+		sim.Failf("localfs: %s: call on a retired file system", fs.dsk.Name())
+	}
 }
 
 // Disk returns the underlying device.
@@ -162,6 +203,7 @@ type File struct {
 
 // Open returns the named file, creating it if needed.
 func (fs *FS) Open(p *sim.Proc, name string) *File {
+	fs.live()
 	fs.Counters.OpenCalls++
 	p.Sleep(fs.params.OpenOverhead)
 	if f, ok := fs.files[name]; ok {
@@ -186,6 +228,7 @@ func (fs *FS) Open(p *sim.Proc, name string) *File {
 // Remove; Gen tells a holder that it happened. It reports whether the file
 // existed.
 func (fs *FS) Remove(p *sim.Proc, name string) bool {
+	fs.live()
 	p.Sleep(fs.params.OpenOverhead)
 	f, ok := fs.files[name]
 	if !ok {
@@ -269,6 +312,7 @@ func (f *File) ReadPieces(p *sim.Proc, off, size int64, pieces []Piece, l *Loan)
 // cache lacks (with read-ahead), and the copy-out bandwidth.
 func (f *File) chargeRead(p *sim.Proc, off, size int64) int64 {
 	fs := f.fs
+	fs.live()
 	fs.Counters.ReadCalls++
 	p.Sleep(fs.params.CallOverhead)
 	size = min(size, f.size-off)
@@ -358,6 +402,7 @@ func (f *File) WritePieces(p *sim.Proc, off, size int64, pieces []Piece, buf []b
 // whether there is anything to write.
 func (f *File) chargeWrite(p *sim.Proc, off, size int64) bool {
 	fs := f.fs
+	fs.live()
 	fs.Counters.WriteCalls++
 	p.Sleep(fs.params.CallOverhead)
 	if size == 0 {
@@ -393,12 +438,14 @@ func (f *File) dirty(p *sim.Proc, off, size int64) {
 // Sync flushes the file's dirty blocks to media in offset order, coalescing
 // adjacent blocks into single device writes, like fsync(2).
 func (f *File) Sync(p *sim.Proc) {
+	f.fs.live()
 	f.fs.Counters.SyncCalls++
 	f.fs.cache.flushFile(p, f)
 }
 
 // SyncAll flushes every file, in creation order.
 func (fs *FS) SyncAll(p *sim.Proc) {
+	fs.live()
 	files := fs.sortedFiles()
 	for _, f := range files {
 		f.Sync(p)
@@ -434,6 +481,7 @@ func (fs *FS) CacheBytesUsed() int64 { return fs.cache.bytes }
 // Lock acquires a byte-range lock on the file, blocking while any
 // overlapping range is held. The paper's O_lock is charged.
 func (f *File) Lock(p *sim.Proc, off, size int64) {
+	f.fs.live()
 	f.fs.Counters.LockOps++
 	p.Sleep(f.fs.params.LockOverhead)
 	f.locks.lock(p, off, size)
@@ -441,6 +489,7 @@ func (f *File) Lock(p *sim.Proc, off, size int64) {
 
 // Unlock releases a byte-range lock (O_unlock charged).
 func (f *File) Unlock(p *sim.Proc, off, size int64) {
+	f.fs.live()
 	f.fs.Counters.LockOps++
 	p.Sleep(f.fs.params.LockOverhead)
 	f.locks.unlock(off, size)
@@ -480,7 +529,8 @@ func (f *File) ext(i int64) *extent {
 }
 
 // extent returns the file's i-th extent, recycling a removed file's or
-// making one if the file has none there.
+// making one if the file has none there: from the store if a retired file
+// system handed one in, else by make.
 func (f *File) extent(i int64) *extent {
 	if e := f.ext(i); e != nil {
 		return e
@@ -495,7 +545,11 @@ func (f *File) extent(i int64) *extent {
 		fs.freeExt = fs.freeExt[:n-1]
 		fs.host.Recycled++
 	} else {
-		e = &extent{data: make([]byte, extentBlocks*fs.params.BlockSize)}
+		// The store's storage counts as the make it replaces.
+		e = &extent{data: mem.Borrow(int(extentBlocks * fs.params.BlockSize))}
+		if e.data == nil {
+			e.data = make([]byte, extentBlocks*fs.params.BlockSize)
+		}
 		fs.host.Fresh++
 		fs.host.BytesCleared += extentBlocks * fs.params.BlockSize
 	}
@@ -553,6 +607,7 @@ func (f *File) copyIn(off int64, data []byte) {
 // of written blocks or of holes within an extent, and returns how many it
 // copied rather than cleared.
 func (f *File) copyOut(off int64, dst []byte) (copied int64) {
+	f.fs.live()
 	bs := f.fs.params.BlockSize
 	extBytes := extentBlocks * bs
 	for len(dst) > 0 {
@@ -614,6 +669,7 @@ func (f *File) Lend(dst []byte) *Loan { return f.lend(dst, &f.fs.loans) }
 
 // lend is Lend with a loan from pool.
 func (f *File) lend(dst []byte, pool *sim.FreeList[Loan]) *Loan {
+	f.fs.live()
 	l := pool.Take()
 	l.fs, l.pool, l.file, l.dst, l.sorted = f.fs, pool, f, dst, true
 	l.lo, l.hi = 0, 0

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pvfsib/internal/disk"
+	"pvfsib/internal/mem"
 	"pvfsib/internal/sim"
 )
 
@@ -67,6 +68,16 @@ func (f *blockFile) copyOut(off int64, dst []byte) {
 	}
 }
 
+// extents counts the extents the file's written blocks lie in: the ones
+// the FS gave it storage for.
+func (f *blockFile) extents() int64 {
+	seen := map[int64]bool{}
+	for blk := range f.data {
+		seen[blk/extentBlocks] = true
+	}
+	return int64(len(seen))
+}
+
 func (f *blockFile) writeAt(off int64, data []byte) {
 	if len(data) == 0 {
 		return
@@ -120,6 +131,10 @@ type fsPair struct {
 	spans   bool
 	ref     *mapCache // the page cache the FS's is held to (checkCache)
 	lent    []*lent   // loans held open
+	// gone counts the extents of the files the FS removed; retired holds
+	// the file systems the script retired before it (rebuild).
+	gone    int64
+	retired []*FS
 }
 
 func newFSPair(t testing.TB, p *sim.Proc, fs *FS) *fsPair {
@@ -152,6 +167,7 @@ func (x *fsPair) remove(name string) {
 		x.t.Fatalf("Remove(%q) = %t with the file open: %t", name, got, h != nil)
 	}
 	if h != nil {
+		x.gone += h.m.extents()
 		delete(x.open, name)
 		h.removed = true
 		x.handles = slices.DeleteFunc(x.handles, func(o *handle) bool { return o == h })
@@ -382,6 +398,63 @@ func (x *fsPair) sweep() {
 			x.read(h, off, 1<<20)
 		}
 	}
+	x.checkExtents()
+}
+
+// checkExtents holds the FS's storage counts to the oracle: every extent its
+// files have, or that files it removed had, came from make, the store or
+// its own removed files, once — and only a removed file's counts as
+// recycled, so a borrow from the store counts as the make it replaces.
+func (x *fsPair) checkExtents() {
+	x.t.Helper()
+	live := int64(0)
+	for _, h := range x.handles {
+		live += h.m.extents()
+	}
+	if hc := x.fs.HostCost(); hc.Fresh+hc.Recycled != x.gone+live || hc.Recycled > x.gone {
+		x.t.Fatalf("%d fresh + %d recycled extents; oracle %d in files and %d in removed ones", hc.Fresh, hc.Recycled, live, x.gone)
+	}
+}
+
+// rebuild retires the file system — its extents poisoned on the way into
+// the store or not — once every loan held open is released unsettled, as a
+// cluster's memories retire before its file systems, and carries on with a
+// new one over the same disk. The new one opens the old one's files and
+// writes one byte into every block the old one had written, so that their
+// extents come from the store: every other byte of the block must read as
+// zero.
+func (x *fsPair) rebuild(poisoned bool) {
+	x.t.Helper()
+	for len(x.lent) > 0 {
+		x.release(len(x.lent)-1, false)
+	}
+	defer func(was bool) { sim.PoisonReleased = was }(sim.PoisonReleased)
+	sim.PoisonReleased = poisoned
+	old := x.fs
+	old.Retire()
+	x.retired = append(x.retired, old)
+	x.fs, x.gone = New(old.eng, old.dsk, old.params), 0
+	wroteBack := x.ref.wroteBack
+	x.ref = newFSPair(x.t, x.p, x.fs).ref
+	x.ref.wroteBack = wroteBack
+	handles := x.handles
+	x.open, x.handles = map[string]*handle{}, nil
+	bs := x.fs.params.BlockSize
+	for _, h := range handles {
+		nh := x.openFile(h.name)
+		blks := make([]int64, 0, len(h.m.data))
+		for blk := range h.m.data {
+			blks = append(blks, blk)
+		}
+		slices.Sort(blks)
+		for _, blk := range blks {
+			x.write(nh, blk*bs+blk%bs, 1)
+		}
+		for _, blk := range blks {
+			x.read(nh, blk*bs, bs)
+		}
+	}
+	x.checkExtents()
 }
 
 // script turns a byte string into calls; it reads as zeros past its end.
@@ -458,7 +531,11 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 		sc := &script{b: data}
 		names := []string{"a", "b", "c"}
 		for ops := 0; len(sc.b) > 0 && ops < 400; ops++ {
-			op := sc.byte() % 25
+			op := sc.byte() % 26
+			if op == 25 { // the file system retires, and a new one borrows its extents
+				x.rebuild(sc.byte()%2 == 0)
+				continue
+			}
 			if op < 2 || len(x.handles) == 0 {
 				x.openFile(names[sc.byte()%3])
 				continue
@@ -475,7 +552,7 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 				h.f.Sync(p)
 				x.ref.flushFile(h.f)
 			case op == 14:
-				fs.DropCaches(p)
+				x.fs.DropCaches(p)
 				x.ref.clear()
 			case op == 15:
 				x.remove(names[sc.byte()%3])
@@ -521,15 +598,31 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 		for len(x.lent) > 0 {
 			x.release(len(x.lent)-1, len(x.lent)%2 == 0)
 		}
-		if out := fs.loans.Out() + fs.forks.Out(); out != 0 {
+		if out := x.fs.loans.Out() + x.fs.forks.Out(); out != 0 {
 			t.Fatalf("%d loans not released", out)
 		}
 		x.sweep()
 		x.checkCache()
-		hc := fs.HostCost()
-		out = scriptRun{p.Now(), fs.Counters, fs.dsk.Counters, hc.Fresh, hc.Recycled, fs.CacheBytesUsed(), x.ref.wroteBack}
+		out = scriptRun{now: p.Now(), disk: fs.dsk.Counters, cacheBytes: x.fs.CacheBytesUsed(), wroteBack: x.ref.wroteBack}
+		for _, fs := range append(x.retired, x.fs) {
+			hc := fs.HostCost()
+			out.counters.add(fs.Counters)
+			out.fresh += hc.Fresh
+			out.recycled += hc.Recycled
+		}
 	})
 	return out
+}
+
+// add adds o's counts to c.
+func (c *Counters) add(o Counters) {
+	c.OpenCalls += o.OpenCalls
+	c.ReadCalls += o.ReadCalls
+	c.WriteCalls += o.WriteCalls
+	c.SyncCalls += o.SyncCalls
+	c.LockOps += o.LockOps
+	c.BytesRead += o.BytesRead
+	c.BytesWrote += o.BytesWrote
 }
 
 // checkFileScript runs a script servicing pieces both ways, each against
@@ -545,7 +638,7 @@ func checkFileScript(t testing.TB, data []byte) scriptRun {
 
 func TestFileExtentsModelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20030903))
-	wroteBack := 0
+	wroteBack, borrows := 0, mem.Store().Borrows
 	for iter := 0; iter < 40; iter++ {
 		data := make([]byte, 100+rng.Intn(2500))
 		rng.Read(data)
@@ -553,6 +646,9 @@ func TestFileExtentsModelRandom(t *testing.T) {
 	}
 	if wroteBack == 0 {
 		t.Error("no script evicted a dirty block: the cache is too large to test write-back")
+	}
+	if mem.Store().Borrows == borrows {
+		t.Error("no rebuilt file system borrowed an extent from the store")
 	}
 }
 

@@ -13,7 +13,8 @@
 // Real data flows through the address space — tests can verify end-to-end
 // integrity of every transfer path — while all costs are virtual time.
 // An access costs one copy per mapping it crosses, usually one. Freed
-// addresses are never handed out again; freed storage is (DESIGN.md §8.4).
+// addresses are never handed out again; freed storage is, and a retired
+// space's storage backs the spaces made after it (DESIGN.md §8.4).
 //
 // Malloc reserves: it takes the address, and the registration a caller
 // makes over it is charged as pinned on the virtual clock, but the mapping
@@ -115,6 +116,8 @@ type AddrSpace struct {
 	MallocCalls int
 	// host counts what the accesses cost the host (see HostCost).
 	host sim.HostCost
+	// retired is set by Retire: every later access fails.
+	retired bool
 }
 
 // recycleMaxBytes bounds the freed storage one address space keeps.
@@ -267,6 +270,9 @@ func (s *AddrSpace) Malloc(size int64) Addr {
 		//pvfslint:ok nopanic Malloc's contract mirrors C malloc: a nonpositive size is a caller bug, and an error return would infect every inline call site
 		panic("mem: Malloc of nonpositive size")
 	}
+	if s.retired {
+		s.dead()
+	}
 	base := s.brk
 	n := (size + PageSize - 1) / PageSize * PageSize
 	s.maps = append(s.maps, mapping{base: base, size: int(n), reserved: true})
@@ -276,7 +282,8 @@ func (s *AddrSpace) Malloc(size int64) Addr {
 }
 
 // bytes returns the storage of m, backing a reserved mapping first with
-// recycled storage of its size if any is kept, and fresh storage otherwise.
+// recycled storage of its size if any is kept, and fresh storage otherwise:
+// a retired space's from the store (Borrow), or a make.
 func (s *AddrSpace) bytes(m *mapping) []byte {
 	if !m.reserved {
 		return m.data
@@ -289,7 +296,10 @@ func (s *AddrSpace) bytes(m *mapping) []byte {
 		s.freeBytes -= n
 		s.host.Recycled++
 	} else {
-		m.data = make([]byte, n)
+		// The store's storage counts as the make it replaces.
+		if m.data = Borrow(int(n)); m.data == nil {
+			m.data = make([]byte, n)
+		}
 		s.host.Fresh++
 		s.host.BytesCleared += n
 	}
@@ -325,6 +335,9 @@ func (s *AddrSpace) search(addr Addr) int {
 		} else {
 			lo = mid + 1
 		}
+	}
+	if lo == len(s.maps) && s.retired { // a retired space has no mappings
+		s.dead()
 	}
 	s.hint = lo
 	return lo
@@ -398,6 +411,39 @@ func (s *AddrSpace) recycle(m *mapping) {
 	}
 	*l = append(*l, m.data)
 	s.freeBytes += n
+}
+
+// Retire ends the space once its owner is shut down: the lent ranges are
+// released unsettled, and the storage of every whole backed mapping —
+// cleared over its dirty hull — and of the free lists goes to the store for
+// the spaces made next (Keep). Every later access to the space fails
+// through sim.Failf; HostCost still reads what it cost.
+func (s *AddrSpace) Retire() {
+	for i := range s.maps {
+		m := &s.maps[i]
+		for _, ld := range m.lends {
+			ld.l.Release()
+		}
+		m.lends = nil
+		if m.part || m.reserved || len(m.data) != m.size {
+			continue
+		}
+		if m.dirtyLo < m.dirtyHi {
+			clear(m.data[m.dirtyLo:m.dirtyHi])
+		}
+		Keep(m.data)
+	}
+	for _, l := range s.free {
+		for _, b := range *l {
+			Keep(b)
+		}
+	}
+	s.maps, s.free, s.freeBytes, s.hint, s.retired = nil, nil, 0, 0, true
+}
+
+// dead fails an access to a retired space.
+func (s *AddrSpace) dead() {
+	sim.Failf("mem: %s: access to a retired address space", s.name)
 }
 
 // Allocated reports whether every page overlapping the extent is allocated.
@@ -563,7 +609,14 @@ func (s *AddrSpace) CopyFrom(dst Addr, from *AddrSpace, src Addr, n int64) error
 			}
 		}
 		if len(dm.lends) > 0 {
-			dm.unlend(int(do), int(do+c), sm == dm) // before sm is read: it may be dm
+			// Before sm is read: it may be dm, and then the source's lent
+			// ranges settle too, or a piecewise read of them would see
+			// bytes the copy has already overwritten.
+			lo, hi := do, do+c
+			if sm == dm {
+				lo, hi = min(so, do), max(so, do)+c
+			}
+			dm.unlend(int(lo), int(hi), sm == dm)
 		}
 		switch {
 		case len(sm.lends) == 0:
@@ -681,8 +734,9 @@ func (s *AddrSpace) AllocatedPages() int {
 // RDMA gather staging, the I/O daemon's request payloads and sieve windows,
 // and similar copies that live only for one hop. It is not safe for
 // concurrent use; each pool belongs to one node (or one engine shard),
-// serialized by the engine's one-process-at-a-time execution. A nil pool is
-// valid: Get allocates and Put discards.
+// serialized by the engine's one-process-at-a-time execution. A miss takes
+// a retired pool's buffer from the store before it allocates (Retire). A nil
+// pool is valid: Get allocates and Put discards.
 const (
 	scratchMinBits   = 6  // 64 B smallest class
 	scratchMaxBits   = 26 // 64 MiB largest pooled class
@@ -697,8 +751,8 @@ type ScratchPool struct {
 	classes [scratchClasses][][]byte
 
 	// Gets and Hits count requests and free-list hits, for tests and the
-	// allocation-trajectory numbers in BENCH_smoke.json; puts counts the
-	// buffers handed back, kept or not.
+	// pools' host cost (HostCost); puts counts the buffers handed back, kept
+	// or not.
 	Gets, Hits int64
 	puts       int64
 	// missBytes is the storage the misses allocated.
@@ -741,8 +795,24 @@ func (p *ScratchPool) Get(n int) []byte {
 		p.Hits++
 		return b[:n]
 	}
+	// A miss: a retired pool's buffer from the store, counted as the make
+	// it replaces.
 	p.missBytes += 1 << (scratchMinBits + c)
+	if b := borrowScratch(c); b != nil {
+		return b[:n]
+	}
 	return make([]byte, n, 1<<(scratchMinBits+c))
+}
+
+// Retire hands the pool's free buffers to the store for the pools made next,
+// once its owner is shut down. The pool is empty afterwards.
+func (p *ScratchPool) Retire() {
+	for c, l := range p.classes {
+		for _, b := range l {
+			keepScratch(b)
+		}
+		p.classes[c] = nil
+	}
 }
 
 // Out is how many buffers Get handed out and Put has not had back. Summed

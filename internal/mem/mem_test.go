@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -441,5 +442,32 @@ func TestShortExchange(t *testing.T) {
 	}
 	if _, err := s.Read(b, PageSize); err != nil {
 		t.Errorf("the neighbour: %v", err)
+	}
+}
+
+// TestCopyUpOverLentSource: a copy up within one per-call mapping whose
+// source holds a lent range the destination does not reach still reads
+// every source byte before the copy overwrites it, as memmove does.
+func TestCopyUpOverLentSource(t *testing.T) {
+	s := NewAddrSpace("t")
+	a, b := s.Malloc(PageSize), s.Malloc(4*PageSize)
+	pattern := func(n int, seed byte) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = seed + byte(i*7)
+		}
+		return out
+	}
+	sim.Must(s.Write(a, make([]byte, PageSize)))
+	owed := pattern(PageSize, 0xA1)
+	s.Lend(a, &stubLender{t: t, owed: owed, storage: s.maps[s.search(a)].data})
+	orig := pattern(4*PageSize, 3)
+	sim.Must(s.Write(b, orig))
+	s.PerCall(b)
+	sim.Must(s.CopyFrom(b+1000, s, a, 100)) // b's [1000, 1100) is lent now
+	want := append(append(slices.Clone(orig[900:1000]), owed[:100]...), orig[1100:1300]...)
+	sim.Must(s.Copy(b+1200, b+900, 400))
+	if got, err := s.Read(b+1200, 400); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("Copy(b+1200, b+900, 400) over a lent source range (%v): the destination differs from the source before the copy", err)
 	}
 }

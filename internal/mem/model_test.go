@@ -567,6 +567,41 @@ func (p *pair) sweep() {
 	}
 }
 
+// rebuild retires the space — its storage poisoned on the way into the store
+// or not — and returns a pair on a new space that mallocs the size of every
+// whole mapping the old one had, so that their first touches borrow what the
+// old one handed in: every byte must read as zero, and every backing count
+// as the oracle's. The retirement releases every lent range unsettled.
+func (p *pair) rebuild(poisoned bool) *pair {
+	p.t.Helper()
+	var lends []*stubLender
+	var sizes []int64
+	for i := range p.s.maps {
+		lends = append(lends, p.lends(p.s.maps[i].base)...)
+		if !p.s.maps[i].part {
+			sizes = append(sizes, int64(p.s.maps[i].size))
+		}
+	}
+	defer func(was bool) { sim.PoisonReleased = was }(sim.PoisonReleased)
+	sim.PoisonReleased = poisoned
+	p.s.Retire()
+	for _, l := range lends {
+		if !l.released || l.settled {
+			p.t.Fatalf("Retire of a lent mapping: loan released %t, settled %t; want released unsettled", l.released, l.settled)
+		}
+	}
+	q := newPair(p.t)
+	q.s.name, q.m.name = p.s.name, p.m.name
+	for _, n := range sizes {
+		q.malloc(n)
+	}
+	q.sweep()
+	if hc := q.s.HostCost(); hc.Recycled != 0 {
+		p.t.Fatalf("a new space backed %d mappings with recycled storage before it freed any", hc.Recycled)
+	}
+	return q
+}
+
 // script turns a byte string into calls: each op draws its operands from
 // the bytes that follow, and reads as zeros past the end.
 type script struct {
@@ -606,7 +641,7 @@ func runScript(t testing.TB, data []byte) {
 	peer.s.name, peer.m.name = "y", "y"
 	sc := &script{b: data}
 	for ops := 0; len(sc.b) > 0 && ops < 2000; ops++ {
-		switch op := sc.byte() % 21; op {
+		switch op := sc.byte() % 22; op {
 		case 0:
 			p.malloc(1 + sc.word()%(6*PageSize))
 		case 1: // a size seen before: the one that recycles
@@ -680,6 +715,8 @@ func runScript(t testing.TB, data []byte) {
 				n := 1 + sc.word()%min(dst.Len, src.Len)
 				p.copyFrom(dst.Addr+Addr(sc.word()%(dst.Len-n+1)), peer, src.Addr+Addr(sc.word()%(src.Len-n+1)), n)
 			}
+		case 21: // the space retires, and a new one backs its sizes from the store
+			p = p.rebuild(sc.byte()%2 == 0)
 		}
 		p.backings()
 		peer.backings()
@@ -690,10 +727,14 @@ func runScript(t testing.TB, data []byte) {
 
 func TestAddrSpaceModelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20030902))
+	borrows := Store().Borrows
 	for iter := 0; iter < 150; iter++ {
 		data := make([]byte, 200+rng.Intn(6000))
 		rng.Read(data)
 		runScript(t, data)
+	}
+	if Store().Borrows == borrows {
+		t.Error("no rebuilt space borrowed storage from the store")
 	}
 }
 

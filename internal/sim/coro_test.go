@@ -162,6 +162,41 @@ func TestShutdownBeforeFirstEvent(t *testing.T) {
 	}
 }
 
+// TestShutdownEndsUnstartedProcesses: a process spawned for a time past the
+// engine's last run has a carrier but no body under way — a fresh one, or
+// the idle carrier of a process that returned. Shutdown ends both kinds, so
+// fifty such engines leave no goroutine behind.
+func TestShutdownEndsUnstartedProcesses(t *testing.T) {
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	ran := 0
+	for i := 0; i < 50; i++ {
+		e := NewEngine()
+		e.Go("first", func(p *Proc) { p.Sleep(time.Microsecond) })
+		if i%2 == 0 { // before the run: a carrier of its own
+			e.GoAt(Time(time.Hour), "late", func(p *Proc) { ran++ })
+		}
+		if err := e.RunUntil(Time(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 { // after it: first's idle carrier
+			e.GoAt(Time(time.Hour), "late", func(p *Proc) { ran++ })
+			if err := e.RunUntil(Time(2 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Shutdown()
+		if live := len(e.shards[0].procs); live != 0 {
+			t.Fatalf("engine %d: %d processes listed after Shutdown", i, live)
+		}
+	}
+	if ran != 0 {
+		t.Errorf("Shutdown ran %d bodies of processes that had not started", ran)
+	}
+	runtime.GC()
+	waitGoroutines(t, base)
+}
+
 // runPanic runs the engine and returns what Run panicked with.
 func runPanic(t *testing.T, e *Engine) (r any) {
 	t.Helper()

@@ -193,7 +193,22 @@ type Engine struct {
 	sharded   bool // len(shards) > 1
 	stopped   atomic.Bool
 	windows   int64 // barrier rounds executed by runSharded
+	// retirer is the owner Shutdown hands the engine's world back to once
+	// it has unwound (SetRetirer).
+	retirer Retirer
 }
+
+// Retirer owns what an engine's processes worked on — a cluster's memories,
+// file systems and staging pools — and gives its storage back when the
+// engine is shut down.
+type Retirer interface {
+	// Retire runs once, after Shutdown has ended every process.
+	Retire()
+}
+
+// SetRetirer makes Shutdown end with r.Retire. An engine has one such slot;
+// setting it again replaces the retirer.
+func (e *Engine) SetRetirer(r Retirer) { e.retirer = r }
 
 // ShardLoad is one shard's execution telemetry, accumulated across Run
 // calls.
@@ -813,28 +828,31 @@ func (e *Engine) checkDeadlock() error {
 // intended for benchmarks that only need the clock reading.
 func (e *Engine) Stop() { e.stopped.Store(true) }
 
-// Shutdown terminates every parked process so that the engine — and
-// everything its processes reference — becomes garbage-collectable.
-// Without it, service processes that wait forever (device engines, daemon
-// loops) pin their whole simulated world in memory for the life of the Go
-// process. Parked bodies unwind (their deferred functions run) and idle
-// carriers end; a process whose first event never ran is not parked, and its
-// carrier stays suspended as its goroutine used to. Call it when a
+// Shutdown terminates every process so that the engine — and everything
+// its processes reference — becomes garbage-collectable. Without it,
+// service processes that wait forever (device engines, daemon loops) pin
+// their whole simulated world in memory for the life of the Go process.
+// Started bodies unwind (their deferred functions run), a process whose
+// first event never ran ends without running its body, and idle carriers
+// end, so no goroutine of the engine's outlives it. Then the retirer, if
+// one is set, hands the world's storage back (SetRetirer). Call it when a
 // simulation will not be used again; the engine must not be used afterwards.
 func (e *Engine) Shutdown() {
 	for _, s := range e.shards {
-		procs := make([]*Proc, 0, s.nParked)
-		for _, p := range s.procs {
+		// Last first: an unwinding body unregisters itself, which moves the
+		// last process into its slot; one that never started does not.
+		for n := len(s.procs); n > 0; n = len(s.procs) {
+			p := s.procs[n-1]
 			if p.parked {
-				procs = append(procs, p)
+				p.parked, p.sleeping = false, false
+				s.nParked--
 			}
-		}
-		for _, p := range procs {
-			p.parked = false
-			p.sleeping = false
-			s.nParked--
 			s.cur = p // the body unwinds as the running process
 			p.c.stop()
+			if len(s.procs) == n {
+				s.procs[n-1] = nil
+				s.procs = s.procs[:n-1]
+			}
 		}
 		for _, c := range s.carriers.free {
 			c.stop()
@@ -842,6 +860,10 @@ func (e *Engine) Shutdown() {
 		s.cur, s.carriers = nil, FreeList[carrier]{}
 		s.events = nil
 		s.inbox = nil
+	}
+	if r := e.retirer; r != nil {
+		e.retirer = nil
+		r.Retire()
 	}
 }
 
