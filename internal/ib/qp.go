@@ -285,15 +285,6 @@ func PoolHostCost(net *simnet.Network, shards int) sim.HostCost {
 	return hc
 }
 
-// RetirePools hands the free staging buffers of a fabric's adapters, one pool
-// per engine shard, to the store once the engine is shut down
-// (mem.ScratchPool.Retire).
-func RetirePools(net *simnet.Network, shards int) {
-	for i := 0; i < shards; i++ {
-		wirePoolOf(net, i).scratch.Retire()
-	}
-}
-
 // Census reports, shard by shard, the wire records and staging buffers a
 // fabric's adapters took from their pools and did not recycle.
 func Census(net *simnet.Network, shards int, add func(pool string, out int64)) {

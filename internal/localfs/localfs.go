@@ -141,20 +141,15 @@ func (fs *FS) Census(add func(pool string, out int64)) {
 }
 
 // Retire ends the file system once its owner is shut down: every extent of
-// its files and of removed files, cleared over its written and stale blocks,
-// goes to the store (mem.Keep) for the file systems made next. Every later
-// call on it or on one of its files and loans fails through sim.Failf;
-// HostCost and Counters still read what it did.
+// its files and of removed files goes to the store (mem.Keep), to be cleared
+// over the hull of its written and stale blocks, for the file systems made
+// next. Every later call on it or on one of its files and loans fails
+// through sim.Failf; HostCost and Counters still read what it did.
 func (fs *FS) Retire() {
-	bs := fs.params.BlockSize
+	bs := int(fs.params.BlockSize)
 	keep := func(e *extent) {
-		for dirty := e.written | e.stale; dirty != 0; {
-			b := bits.TrailingZeros64(dirty)
-			n := bits.TrailingZeros64(^(dirty >> b)) // the run of dirty blocks from b
-			clear(e.data[int64(b)*bs : int64(b+n)*bs])
-			dirty &^= (uint64(1)<<n - 1) << b
-		}
-		mem.Keep(e.data)
+		dirty := e.written | e.stale
+		mem.Keep(e.data, bits.TrailingZeros64(dirty)*bs, bits.Len64(dirty)*bs)
 		e.data = nil
 	}
 	for _, f := range fs.sortedFiles() {

@@ -135,6 +135,7 @@ type fsPair struct {
 	// the file systems the script retired before it (rebuild).
 	gone    int64
 	retired []*FS
+	ee      [2][]byte // bufs's storage
 }
 
 func newFSPair(t testing.TB, p *sim.Proc, fs *FS) *fsPair {
@@ -186,7 +187,7 @@ func (x *fsPair) write(h *handle, off, n int64) {
 
 func (x *fsPair) read(h *handle, off, n int64) {
 	x.t.Helper()
-	got, want := bytes.Repeat([]byte{0xEE}, int(n)), bytes.Repeat([]byte{0xEE}, int(n))
+	got, want := x.bufs(n)
 	x.ref.read(h, off, n)
 	if a, b := h.f.ReadInto(x.p, off, got), h.m.readInto(off, want); a != b {
 		x.t.Fatalf("%s: ReadInto(%d, %d) = %d, oracle %d", h.name, off, n, a, b)
@@ -198,6 +199,23 @@ func (x *fsPair) read(h *handle, off, n int64) {
 		}
 		x.t.Fatalf("%s: ReadInto(%d, %d): byte %d is %#x, oracle %#x", h.name, off, n, i, got[i], want[i])
 	}
+}
+
+// bufs returns two n-byte buffers of 0xEE bytes, the same storage on every
+// call, for a read and the oracle's read to land in.
+func (x *fsPair) bufs(n int64) (got, want []byte) {
+	if int64(len(x.ee[0])) < n {
+		x.ee = [2][]byte{make([]byte, n), make([]byte, n)}
+	}
+	got, want = x.ee[0][:n], x.ee[1][:n]
+	if n > 0 {
+		got[0] = 0xEE
+		for k := 1; k < len(got); k *= 2 {
+			copy(got[k:], got[:k])
+		}
+		copy(want, got)
+	}
+	return got, want
 }
 
 // fill returns n never-zero bytes of the next stamp.
@@ -229,7 +247,7 @@ func (x *fsPair) writePieces(h *handle, off, size int64, pieces []Piece) {
 func (x *fsPair) readPieces(h *handle, off, size int64, pieces []Piece) {
 	x.t.Helper()
 	n := piecesLen(pieces)
-	got, want := bytes.Repeat([]byte{0xEE}, int(n)), bytes.Repeat([]byte{0xEE}, int(n))
+	got, want := x.bufs(n)
 	x.ref.read(h, off, size)
 	if x.spans {
 		span := make([]byte, size)
@@ -418,11 +436,11 @@ func (x *fsPair) checkExtents() {
 
 // rebuild retires the file system — its extents poisoned on the way into
 // the store or not — once every loan held open is released unsettled, as a
-// cluster's memories retire before its file systems, and carries on with a
-// new one over the same disk. The new one opens the old one's files and
-// writes one byte into every block the old one had written, so that their
-// extents come from the store: every other byte of the block must read as
-// zero.
+// cluster's memories retire before its file systems, and goes on with a new
+// one over the same disk. The new one opens the old one's files and writes
+// one byte into the first block the old one had written in each extent, so
+// that the extent comes from the store: every other byte of the blocks the
+// old one had written there must read as zero.
 func (x *fsPair) rebuild(poisoned bool) {
 	x.t.Helper()
 	for len(x.lent) > 0 {
@@ -447,11 +465,13 @@ func (x *fsPair) rebuild(poisoned bool) {
 			blks = append(blks, blk)
 		}
 		slices.Sort(blks)
-		for _, blk := range blks {
-			x.write(nh, blk*bs+blk%bs, 1)
-		}
-		for _, blk := range blks {
-			x.read(nh, blk*bs, bs)
+		for i := 0; i < len(blks); {
+			first, last := blks[i], blks[i]
+			for ; i < len(blks) && blks[i]/extentBlocks == first/extentBlocks; i++ {
+				last = blks[i]
+			}
+			x.write(nh, first*bs+first%bs, 1)
+			x.read(nh, first*bs, (last-first+1)*bs)
 		}
 	}
 	x.checkExtents()
@@ -519,7 +539,8 @@ type scriptRun struct {
 // runFileScript interprets data against a fresh file system, servicing
 // pieces as spans when spans is set. The page cache holds scriptCacheBlocks,
 // so that scripts evict and write back, and is held to the reference after
-// every op.
+// every op. At the end the file system retires, its extents poisoned in the
+// store for every other length of data, and a new one borrows them.
 func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 	t.Helper()
 	eng, fs := newFS(t)
@@ -531,11 +552,7 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 		sc := &script{b: data}
 		names := []string{"a", "b", "c"}
 		for ops := 0; len(sc.b) > 0 && ops < 400; ops++ {
-			op := sc.byte() % 26
-			if op == 25 { // the file system retires, and a new one borrows its extents
-				x.rebuild(sc.byte()%2 == 0)
-				continue
-			}
+			op := sc.byte() % 25
 			if op < 2 || len(x.handles) == 0 {
 				x.openFile(names[sc.byte()%3])
 				continue
@@ -603,6 +620,7 @@ func runFileScript(t testing.TB, data []byte, spans bool) scriptRun {
 		}
 		x.sweep()
 		x.checkCache()
+		x.rebuild(len(data)%2 == 0)
 		out = scriptRun{now: p.Now(), disk: fs.dsk.Counters, cacheBytes: x.fs.CacheBytesUsed(), wroteBack: x.ref.wroteBack}
 		for _, fs := range append(x.retired, x.fs) {
 			hc := fs.HostCost()

@@ -414,7 +414,7 @@ func (s *AddrSpace) recycle(m *mapping) {
 }
 
 // Retire ends the space once its owner is shut down: the lent ranges are
-// released unsettled, and the storage of every whole backed mapping —
+// released unsettled, and the storage of every whole backed mapping — to be
 // cleared over its dirty hull — and of the free lists goes to the store for
 // the spaces made next (Keep). Every later access to the space fails
 // through sim.Failf; HostCost still reads what it cost.
@@ -428,14 +428,11 @@ func (s *AddrSpace) Retire() {
 		if m.part || m.reserved || len(m.data) != m.size {
 			continue
 		}
-		if m.dirtyLo < m.dirtyHi {
-			clear(m.data[m.dirtyLo:m.dirtyHi])
-		}
-		Keep(m.data)
+		Keep(m.data, m.dirtyLo, m.dirtyHi)
 	}
 	for _, l := range s.free {
 		for _, b := range *l {
-			Keep(b)
+			Keep(b, 0, 0)
 		}
 	}
 	s.maps, s.free, s.freeBytes, s.hint, s.retired = nil, nil, 0, 0, true
@@ -734,9 +731,8 @@ func (s *AddrSpace) AllocatedPages() int {
 // RDMA gather staging, the I/O daemon's request payloads and sieve windows,
 // and similar copies that live only for one hop. It is not safe for
 // concurrent use; each pool belongs to one node (or one engine shard),
-// serialized by the engine's one-process-at-a-time execution. A miss takes
-// a retired pool's buffer from the store before it allocates (Retire). A nil
-// pool is valid: Get allocates and Put discards.
+// serialized by the engine's one-process-at-a-time execution. A nil pool is
+// valid: Get allocates and Put discards.
 const (
 	scratchMinBits   = 6  // 64 B smallest class
 	scratchMaxBits   = 26 // 64 MiB largest pooled class
@@ -795,24 +791,8 @@ func (p *ScratchPool) Get(n int) []byte {
 		p.Hits++
 		return b[:n]
 	}
-	// A miss: a retired pool's buffer from the store, counted as the make
-	// it replaces.
 	p.missBytes += 1 << (scratchMinBits + c)
-	if b := borrowScratch(c); b != nil {
-		return b[:n]
-	}
 	return make([]byte, n, 1<<(scratchMinBits+c))
-}
-
-// Retire hands the pool's free buffers to the store for the pools made next,
-// once its owner is shut down. The pool is empty afterwards.
-func (p *ScratchPool) Retire() {
-	for c, l := range p.classes {
-		for _, b := range l {
-			keepScratch(b)
-		}
-		p.classes[c] = nil
-	}
 }
 
 // Out is how many buffers Get handed out and Put has not had back. Summed

@@ -471,3 +471,30 @@ func TestCopyUpOverLentSource(t *testing.T) {
 		t.Errorf("Copy(b+1200, b+900, 400) over a lent source range (%v): the destination differs from the source before the copy", err)
 	}
 }
+
+// TestStoreBound: a store keeps what retirements hand in up to its bound and
+// leaves a piece that would pass it to the collector without clearing it; a
+// borrow makes room.
+func TestStoreBound(t *testing.T) {
+	st := storage{max: 3 * PageSize}
+	const page, two = PageSize, 2 * PageSize
+	for range 4 {
+		st.put(make([]byte, page), 0, 0)
+	}
+	st.put(make([]byte, two), 0, 0)
+	if got := st.stats.BytesHeld; got != 3*PageSize || len(st.pieces[page]) != 3 || len(st.pieces[two]) != 0 {
+		t.Fatalf("after 4 pages and a 2-page piece into a 3-page store: %d bytes held, %d pages, %d 2-page pieces; want 3 pages", got, len(st.pieces[page]), len(st.pieces[two]))
+	}
+	if _, ok := st.take(page); !ok {
+		t.Fatal("a kept page could not be borrowed")
+	}
+	dropped := bytes.Repeat([]byte{7}, two)
+	st.put(dropped, 0, two) // one page of room: dropped, and not cleared
+	if got := st.stats; got.BytesHeld != 2*PageSize || got.Borrows != 1 || got.BytesServed != PageSize || dropped[0] != 7 {
+		t.Fatalf("after a borrow and a 2-page piece with a page of room: %+v, the piece's first byte %d; want 2 pages held and the piece untouched", got, dropped[0])
+	}
+	st.put(make([]byte, page), 0, 0)
+	if got := st.stats.BytesHeld; got != 3*PageSize || len(st.pieces[page]) != 3 {
+		t.Fatalf("%d bytes held, %d pages; want the room the borrow made filled by a page", got, len(st.pieces[page]))
+	}
+}

@@ -568,11 +568,11 @@ func (p *pair) sweep() {
 }
 
 // rebuild retires the space — its storage poisoned on the way into the store
-// or not — and returns a pair on a new space that mallocs the size of every
+// or not — and sweeps a pair on a new space that mallocs the size of every
 // whole mapping the old one had, so that their first touches borrow what the
 // old one handed in: every byte must read as zero, and every backing count
 // as the oracle's. The retirement releases every lent range unsettled.
-func (p *pair) rebuild(poisoned bool) *pair {
+func (p *pair) rebuild(poisoned bool) {
 	p.t.Helper()
 	var lends []*stubLender
 	var sizes []int64
@@ -599,7 +599,6 @@ func (p *pair) rebuild(poisoned bool) *pair {
 	if hc := q.s.HostCost(); hc.Recycled != 0 {
 		p.t.Fatalf("a new space backed %d mappings with recycled storage before it freed any", hc.Recycled)
 	}
-	return q
 }
 
 // script turns a byte string into calls: each op draws its operands from
@@ -632,7 +631,9 @@ func (p *pair) place(sc *script) (Addr, int64) {
 
 // runScript interprets data against two fresh pairs, one address space and
 // its peer: every op but the last two works on the current pair. Released
-// storage is poisoned, as a dropped per-call range must read.
+// storage is poisoned, as a dropped per-call range must read. At the end the
+// pair's space retires, its storage poisoned in the store for every other
+// length of data, and a new space backs its sizes from the store.
 func runScript(t testing.TB, data []byte) {
 	t.Helper()
 	defer func(was bool) { sim.PoisonReleased = was }(sim.PoisonReleased)
@@ -641,7 +642,7 @@ func runScript(t testing.TB, data []byte) {
 	peer.s.name, peer.m.name = "y", "y"
 	sc := &script{b: data}
 	for ops := 0; len(sc.b) > 0 && ops < 2000; ops++ {
-		switch op := sc.byte() % 22; op {
+		switch op := sc.byte() % 21; op {
 		case 0:
 			p.malloc(1 + sc.word()%(6*PageSize))
 		case 1: // a size seen before: the one that recycles
@@ -715,14 +716,13 @@ func runScript(t testing.TB, data []byte) {
 				n := 1 + sc.word()%min(dst.Len, src.Len)
 				p.copyFrom(dst.Addr+Addr(sc.word()%(dst.Len-n+1)), peer, src.Addr+Addr(sc.word()%(src.Len-n+1)), n)
 			}
-		case 21: // the space retires, and a new one backs its sizes from the store
-			p = p.rebuild(sc.byte()%2 == 0)
 		}
 		p.backings()
 		peer.backings()
 	}
 	p.sweep()
 	peer.sweep()
+	p.rebuild(len(data)%2 == 0)
 }
 
 func TestAddrSpaceModelRandom(t *testing.T) {

@@ -7,26 +7,23 @@ import (
 	"pvfsib/internal/sim"
 )
 
-// The store is the second tier of every storage free list: the process-wide
-// keeper of what retired address spaces, file systems and scratch pools held
+// The store is the second tier of the mapping and extent free lists: the
+// process-wide keeper of what retired address spaces and file systems held
 // (DESIGN.md §8.4). A list asks it only when it misses itself, and only
 // retirement fills it, so a cycle on a live cluster never reaches it while
-// the cluster after a retired one backs its first touches, its new extents
-// and its scratch misses with what the retired one paid for. What a borrow
-// hands out is indistinguishable from the make it replaces: zeroed storage
-// reads as zeros over all of it, and its taker counts it as fresh.
+// the cluster after a retired one backs its first touches and its new
+// extents with what the retired one paid for. What a borrow hands out is
+// indistinguishable from the make it replaces: it reads as zeros over all
+// of it, and its taker counts it as fresh.
 //
-// Storage that enters zeroed is kept by exact size, so a mapping and a file
-// extent of the same size trade it; scratch buffers, whose contents are
-// undefined, by size class. One mutex guards both, taken only on a miss of
-// the list in front and at retirement.
+// Storage is kept by exact size, so a mapping and a file extent of the same
+// size trade it. One mutex guards the store, taken only on a miss of the
+// list in front, at retirement and by DropStore.
 
-// storeMaxBytes bounds what the store holds in all. Of the clusters whose
-// successors borrow, the largest — blockcol-read's four iods and four
-// clients after their cycles — hands in 275 MiB, and the bound keeps it
-// whole. When a retirement would pass the bound, the store drops the size it
-// used longest ago, so a run that moves on to other shapes does not keep the
-// old ones.
+// storeMaxBytes bounds what the store holds in all. Of the benchmark's
+// clusters, the one whose successors borrow — blockcol-read's four iods and
+// four clients after their cycles — hands in 229 MiB, and the bound keeps
+// it whole. A piece that would pass the bound is left to the collector.
 const storeMaxBytes = 320 << 20
 
 // stored is one piece of storage in the store; poisoned says that it was
@@ -37,26 +34,16 @@ type stored struct {
 	poisoned bool
 }
 
-// storeKey names a bucket: zeroed storage of exactly n bytes, or scratch
-// buffers of capacity n.
-type storeKey struct {
-	n       int
-	scratch bool
+// storage is a store of at most max bytes.
+type storage struct {
+	mu     sync.Mutex
+	max    int64
+	pieces map[int][]stored // by length
+	stats  StoreStats
 }
 
-// bucket is the storage of one key, and when the store last took from it or
-// put into it.
-type bucket struct {
-	l    []stored
-	used int64
-}
-
-var store struct {
-	mu      sync.Mutex
-	buckets map[storeKey]*bucket
-	clock   int64 // counts takes and puts, for bucket.used
-	stats   StoreStats
-}
+// store is the process's one store.
+var store = storage{max: storeMaxBytes}
 
 // StoreStats is the store's traffic since the process started. It is
 // process-wide — which cells ran before which on which worker decides it — so
@@ -74,11 +61,20 @@ func Store() StoreStats {
 	return store.stats
 }
 
+// DropStore leaves everything the store holds to the collector, for a
+// process that builds no more clusters (pvfsib's Cluster.Close).
+func DropStore() {
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	store.pieces = nil
+	store.stats.BytesHeld = 0
+}
+
 // Borrow returns n bytes of zeroed storage that a retired owner handed in,
 // or nil when the store holds none of exactly that size. The taker counts it
 // as the make it replaces.
 func Borrow(n int) []byte {
-	s, ok := take(storeKey{n: n})
+	s, ok := store.take(n)
 	if !ok {
 		return nil
 	}
@@ -89,89 +85,63 @@ func Borrow(n int) []byte {
 	return s.b
 }
 
-// Keep hands b, which must read as zeros all over, to the store for a later
-// Borrow of its length. Its owner must be done with it: the store owns it
-// now. Under sim.PoisonReleased it is poisoned, and Borrow checks that the
+// Keep hands b, which must read as zeros outside its bytes [lo, hi), to the
+// store for a later Borrow of its length; the store clears those bytes if it
+// takes b, and leaves b to the collector uncleared if b would pass the
+// bound. Its owner must be done with it: the store owns it now. Under
+// sim.PoisonReleased it is poisoned instead, and Borrow checks that the
 // poison is still intact, so a write through a dead owner's reference shows.
-func Keep(b []byte) { put(storeKey{n: len(b)}, b) }
+func Keep(b []byte, lo, hi int) { store.put(b, lo, hi) }
 
-// borrowScratch returns a buffer of scratch class c that a retired pool
-// handed in, its contents undefined, or nil if the store holds none.
-func borrowScratch(c int) []byte {
-	s, ok := take(storeKey{n: 1 << (scratchMinBits + c), scratch: true})
-	if ok && s.poisoned {
-		checkPoison(s.b)
-	}
-	return s.b
-}
-
-// keepScratch hands a free scratch buffer to the store, whole, poisoned
-// under sim.PoisonReleased as Keep's.
-func keepScratch(b []byte) { put(storeKey{n: cap(b), scratch: true}, b[:cap(b)]) }
-
-// take removes and returns the last piece of k's bucket.
-func take(k storeKey) (stored, bool) {
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	bk := store.buckets[k]
-	if bk == nil || len(bk.l) == 0 {
+// take removes and returns the last piece of n bytes kept.
+func (st *storage) take(n int) (stored, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	l := st.pieces[n]
+	if len(l) == 0 {
 		return stored{}, false
 	}
-	s := bk.l[len(bk.l)-1]
-	bk.l[len(bk.l)-1] = stored{}
-	bk.l = bk.l[:len(bk.l)-1]
-	store.clock++
-	bk.used = store.clock
-	store.stats.Borrows++
-	store.stats.BytesServed += int64(k.n)
-	store.stats.BytesHeld -= int64(k.n)
+	s := l[len(l)-1]
+	l[len(l)-1] = stored{}
+	st.pieces[n] = l[:len(l)-1]
+	st.stats.Borrows++
+	st.stats.BytesServed += int64(n)
+	st.stats.BytesHeld -= int64(n)
 	return s, true
 }
 
-// put adds b to k's bucket, making room first by dropping the buckets used
-// longest ago; b itself is dropped if that is not enough.
-func put(k storeKey, b []byte) {
+// put keeps b once it has cleared b[lo:hi), or poisoned b, unless that
+// would pass the bound: then b is dropped, and nothing of it is cleared.
+// The clear runs outside the lock; if a concurrent put took the room
+// meanwhile, b is dropped after all.
+func (st *storage) put(b []byte, lo, hi int) {
+	n := len(b)
+	if !st.room(n) {
+		return
+	}
 	s := stored{b: b, poisoned: sim.PoisonReleased}
 	if s.poisoned {
 		poison(b)
+	} else if lo < hi {
+		clear(b[lo:hi])
 	}
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	for store.stats.BytesHeld+int64(k.n) > storeMaxBytes {
-		if !evict(k) {
-			return
-		}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.stats.BytesHeld+int64(n) > st.max {
+		return
 	}
-	bk := store.buckets[k]
-	if bk == nil {
-		if store.buckets == nil {
-			store.buckets = make(map[storeKey]*bucket)
-		}
-		bk = new(bucket)
-		store.buckets[k] = bk
+	if st.pieces == nil {
+		st.pieces = make(map[int][]stored)
 	}
-	bk.l = append(bk.l, s)
-	store.clock++
-	bk.used = store.clock
-	store.stats.BytesHeld += int64(k.n)
+	st.pieces[n] = append(st.pieces[n], s)
+	st.stats.BytesHeld += int64(n)
 }
 
-// evict drops the whole of the nonempty bucket other than keep's that was
-// used longest ago, and reports whether there was one.
-func evict(keep storeKey) bool {
-	var oldest storeKey
-	var victim *bucket
-	for k, bk := range store.buckets {
-		if k != keep && len(bk.l) > 0 && (victim == nil || bk.used < victim.used) {
-			oldest, victim = k, bk
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	store.stats.BytesHeld -= int64(oldest.n * len(victim.l))
-	delete(store.buckets, oldest)
-	return true
+// room reports whether n more bytes fit under the bound.
+func (st *storage) room(n int) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.stats.BytesHeld+int64(n) <= st.max
 }
 
 // poisonBlock is what a poisoned stretch of storage reads, block by block.

@@ -210,11 +210,11 @@ func NewCluster(eng *sim.Engine, cfg Config, nServers, nClients int) *Cluster {
 }
 
 // retiring is a cluster as its engine's retirer: Engine.Shutdown, once every
-// process has unwound, hands the storage of the cluster's memories, file
-// systems and staging pools to the store that backs the clusters built next
-// (mem.Keep). The memories go before the file systems, so that a client's
-// window lent by an iod's file is released while the file is alive.
-// Afterwards every access to a node's memory or files fails.
+// process has unwound, hands the storage of the cluster's memories and file
+// systems to the store that backs the clusters built next (mem.Keep). The
+// memories go before the file systems, so that a client's window lent by an
+// iod's file is released while the file is alive. Afterwards every access to
+// a node's memory or files fails.
 type retiring Cluster
 
 func (r *retiring) Retire() {
@@ -225,9 +225,7 @@ func (r *retiring) Retire() {
 	for _, s := range c.Servers {
 		s.space.Retire()
 		s.fs.Retire()
-		s.scratch.Retire()
 	}
-	ib.RetirePools(c.Net, c.Eng.NumShards())
 }
 
 // Snapshot gathers the cluster-wide counters (Table 4 / Table 6 material).

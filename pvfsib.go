@@ -342,9 +342,14 @@ func (c *Cluster) Run(fn func(p *Proc, cl *Client)) error {
 }
 
 // Close terminates the cluster's service processes so the simulated world
-// can be garbage-collected. Call it when building many clusters in one Go
+// can be garbage-collected, and leaves the storage that shut-down clusters
+// handed to the process's store to the collector too, so that nothing of
+// the cluster is kept. Call it when building many clusters in one Go
 // process; the cluster must not be used afterwards.
-func (c *Cluster) Close() { c.inner.Eng.Shutdown() }
+func (c *Cluster) Close() {
+	c.inner.Eng.Shutdown()
+	mem.DropStore()
+}
 
 // Tracer is the request-scoped span tracer: every request's journey
 // through the layers as one span tree on the virtual clock, with fault

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pvfsib"
+	"pvfsib/internal/mem"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -54,6 +55,10 @@ func TestFacadeQuickstart(t *testing.T) {
 	snap := c.Snapshot()
 	if snap.WriteReqs == 0 || snap.ReadReqs == 0 {
 		t.Errorf("snapshot did not count requests: %+v", snap)
+	}
+	c.Close()
+	if held := mem.Store().BytesHeld; held != 0 {
+		t.Errorf("Close left %d bytes of storage in the process's store", held)
 	}
 }
 
