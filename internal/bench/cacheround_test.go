@@ -134,18 +134,14 @@ func (r *cacheRound) step() sim.Duration {
 // EnableCache rebuilds it, with its frame and page tables, its scratch and
 // its mutex; the slow paths sort in place; the recall hook lives in the
 // record; the lease requests, grants, recalls and acks ride pooled records;
-// and the manager's lease state of an unlinked file goes back to a free
-// list. So all a warm round allocates is per rank the mpiio.File and
-// pvfs.FileHandle of its two opens, and per new file the stripe-file name
-// each I/O server makes when it first opens the file, which the sync's
-// fan-out makes every server do. The count is exact: an open has nothing
-// to close it, and a name lives as long as its file.
+// the manager's lease state of an unlinked file goes back to a free list;
+// and each I/O server names a new file's stripe file from the slot the
+// last remove freed. So all a warm round allocates is per rank the
+// mpiio.File of each of its two opens, which holds its PVFS handle. The
+// count is exact: an open has nothing to close it, so its record cannot be
+// recycled.
 func TestCacheRoundAllocFree(t *testing.T) {
-	const (
-		opens = crRanks * 2 * 2     // two opens a rank: mpiio.File, pvfs.FileHandle
-		names = crRanks * crServers // one stripe name per file per server
-		want  = opens + names
-	)
+	const want = crRanks * 2 // two opens a rank, one mpiio.File each
 	f := newFixture(pvfs.DefaultConfig(), crServers, crRanks)
 	defer f.close()
 	r := newCacheRound(f, false)
@@ -177,7 +173,7 @@ func TestCacheRoundAllocFree(t *testing.T) {
 		return // the detector's runtime allocates too
 	}
 	if mallocs != want {
-		t.Errorf("%.0f mallocs a round, want %d: %d for the opens, %d for the stripe names", mallocs, want, opens, names)
+		t.Errorf("%.0f mallocs a round, want %d for the opens", mallocs, want)
 	}
 }
 

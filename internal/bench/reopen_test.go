@@ -20,13 +20,13 @@ import (
 // comes from the flatten cache, the message bodies go back to the pool of
 // the shard they came from and the pin-down cache recycles the entries and
 // regions it evicts as each round's exchange buffer lands at a new address.
-// So all a step allocates is per rank the mpiio.File and pvfs.FileHandle
-// records an open returns, and no pool misses. The count is exact: an open
-// has nothing to close it, so none of its records can be recycled.
+// So all a step allocates is per rank the mpiio.File an open returns, which
+// holds its PVFS handle, and no pool misses. The count is exact: an open
+// has nothing to close it, so its record cannot be recycled.
 func TestCollectiveReopenAllocFree(t *testing.T) {
 	const (
 		ranks = 4
-		opens = ranks * 2 // mpiio.File, pvfs.FileHandle
+		opens = ranks // one mpiio.File each
 	)
 	spec := workload.BTIOSpec{Grid: 16, NProcs: ranks, Dumps: 2}
 	f := newFixture(pvfs.DefaultConfig(), 4, ranks)

@@ -49,3 +49,29 @@ func TestClientStateDiesWithClient(t *testing.T) {
 	}
 	t.Errorf("%d of %d clients still live after their cluster was dropped", live, len(clients))
 }
+
+// TestParkedCacheDropsFile: a File holds its PVFS handle, and a cache
+// attached to it points at that handle. Once DisableCache parks the cache's
+// record with the client, the record holds no handle, so a File its caller
+// has dropped is collected while the client and the record live on.
+func TestParkedCacheDropsFile(t *testing.T) {
+	c, w := fixture(t, 2, 1)
+	defer c.Eng.Shutdown()
+	var file weak.Pointer[File]
+	spawnRanks(t, c, w, func(p *sim.Proc, rank *mpi.Rank, cl *pvfs.Client) {
+		f := Open(p, cl, rank, "f")
+		file = weak.Make(f)
+		f.EnableCache(pcache.DefaultConfig())
+		sim.Must(f.DisableCache(p))
+		if n := len(stateOf(cl).caches); n != 1 || stateOf(cl).caches[0].Handle() != nil {
+			t.Errorf("%d parked cache records, the first holding a handle: want 1 holding none", n)
+		}
+	})
+	for range 10 {
+		runtime.GC()
+		if file.Value() == nil {
+			return
+		}
+	}
+	t.Error("a dropped File is still live: its parked cache record keeps it")
+}

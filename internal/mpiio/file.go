@@ -57,8 +57,9 @@ const DefaultDSBufferSize = 4 << 20
 // File is an open MPI-IO file on one rank.
 type File struct {
 	client *pvfs.Client
-	fh     *pvfs.FileHandle
-	rank   *mpi.Rank // nil when opened without a world (independent only)
+	// fh is held by value, so an open allocates only the File.
+	fh   pvfs.FileHandle
+	rank *mpi.Rank // nil when opened without a world (independent only)
 
 	view    View
 	hasView bool
@@ -90,7 +91,7 @@ func (f *File) SetCollectiveBuffer(n int64) { f.cbWindow = n }
 func Open(p *sim.Proc, client *pvfs.Client, rank *mpi.Rank, name string) *File {
 	f := &File{
 		client:    client,
-		fh:        client.Open(p, name),
+		fh:        client.OpenHandle(p, name, 0),
 		rank:      rank,
 		dsBufSize: DefaultDSBufferSize,
 		st:        stateOf(client),
@@ -100,7 +101,7 @@ func Open(p *sim.Proc, client *pvfs.Client, rank *mpi.Rank, name string) *File {
 }
 
 // Handle returns the underlying PVFS file handle.
-func (f *File) Handle() *pvfs.FileHandle { return f.fh }
+func (f *File) Handle() *pvfs.FileHandle { return &f.fh }
 
 // SetView installs an MPI-IO file view and resets the individual file
 // pointer, as MPI_File_set_view does.
@@ -148,7 +149,7 @@ func (f *File) ReadView(p *sim.Proc, method Method, memSegs []ib.SGE, viewOff, n
 // the next EnableCache to rebuild.
 func (f *File) EnableCache(cfg pcache.Config) *pcache.File {
 	if f.cache == nil {
-		f.cache = f.st.cache(f.fh, cfg)
+		f.cache = f.st.cache(&f.fh, cfg)
 	}
 	return f.cache
 }

@@ -228,8 +228,14 @@ type recaller File
 
 func (r *recaller) Recall(p *sim.Proc) { (*File)(r).onRecall(p) }
 
-// Handle returns the underlying uncached file handle.
+// Handle returns the underlying uncached file handle, nil once the cache is
+// closed.
 func (f *File) Handle() *pvfs.FileHandle { return f.fh }
+
+// errClosed is what an operation on a closed cache returns.
+func (f *File) errClosed() error {
+	return fmt.Errorf("pcache@%s: operation on closed cache", f.node)
+}
 
 // sampleMX re-samples the occupancy gauges from the table and dirty
 // count, emitting only the delta since the last sample. Call with the
@@ -341,7 +347,7 @@ func (f *File) Read(p *sim.Proc, addr mem.Addr, n, off int64) error {
 
 func (f *File) listOp(p *sim.Proc, segs []ib.SGE, accs []pvfs.OffLen, write bool) error {
 	if f.closed {
-		return fmt.Errorf("pcache: %s: operation on closed cache", f.fh.Name())
+		return f.errClosed()
 	}
 	if err := validate(segs, accs); err != nil {
 		return err
@@ -849,6 +855,9 @@ func (f *File) Flush(p *sim.Proc) error {
 
 // Sync flushes dirty pages and then fsyncs the file on every server.
 func (f *File) Sync(p *sim.Proc) error {
+	if f.closed {
+		return f.errClosed()
+	}
 	if err := f.Flush(p); err != nil {
 		return err
 	}
@@ -859,6 +868,9 @@ func (f *File) Sync(p *sim.Proc) error {
 // Stat flushes write-behind state and returns the file's logical size, so
 // cached and uncached Stat agree.
 func (f *File) Stat(p *sim.Proc) (int64, error) {
+	if f.closed {
+		return 0, f.errClosed()
+	}
 	if err := f.Flush(p); err != nil {
 		return 0, err
 	}
@@ -878,10 +890,11 @@ func (f *File) Invalidate(p *sim.Proc) error {
 	return err
 }
 
-// Close flushes, invalidates, releases the lease, and detaches the recall
-// hook; Reuse may then rebuild the record for another file. The arena
-// stays allocated: its registration may live on in the pin-down cache, and
-// simulated process memory is reclaimed with the address space.
+// Close flushes, invalidates, releases the lease, detaches the recall hook
+// and drops the file handle; Reuse may then rebuild the record for another
+// file. The arena stays allocated: its registration may live on in the
+// pin-down cache, and simulated process memory is reclaimed with the
+// address space.
 func (f *File) Close(p *sim.Proc) error {
 	if f.closed {
 		return nil
@@ -904,6 +917,9 @@ func (f *File) Close(p *sim.Proc) error {
 			return err
 		}
 	}
+	// A closed record keeps no handle: the handle may live inside the
+	// caller's open-file record, which a parked cache must not keep alive.
+	f.fh = nil
 	return nil
 }
 

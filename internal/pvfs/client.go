@@ -268,6 +268,13 @@ func (c *Client) Open(p *sim.Proc, name string) *FileHandle {
 // files; stripeSize <= 0 means the cluster default. Striping is immutable
 // after creation — opening an existing file returns its original striping.
 func (c *Client) OpenStriped(p *sim.Proc, name string, stripeSize int64) *FileHandle {
+	fh := c.OpenHandle(p, name, stripeSize)
+	return &fh
+}
+
+// OpenHandle is OpenStriped returning the handle by value, for a caller
+// that keeps it inside a record of its own and so allocates nothing for it.
+func (c *Client) OpenHandle(p *sim.Proc, name string, stripeSize int64) FileHandle {
 	c.mgr.mu.Acquire(p)
 	defer c.mgr.mu.Release()
 	c.acct.OpenReqs++
@@ -279,7 +286,7 @@ func (c *Client) OpenStriped(p *sim.Proc, name string, stripeSize int64) *FileHa
 	sim.Must(err)
 	r, err := asReply(resp, recOpenResp)
 	sim.Must(err)
-	fh := &FileHandle{client: c, id: r.FileID, name: name, stripeSize: r.Total}
+	fh := FileHandle{client: c, id: r.FileID, name: name, stripeSize: r.Total}
 	c.recs.put(r)
 	return fh
 }

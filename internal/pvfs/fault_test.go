@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -586,5 +587,117 @@ func TestReattachFaultsAllocFree(t *testing.T) {
 			t.Errorf("%d+%d cluster: %.1f allocations to arm, crash, restart and detach a plan, want 2 (the injector and its counters)", n, n, allocs)
 		}
 		c.Eng.Shutdown()
+	}
+}
+
+// restarted is what each iod of restartCluster held at 4 ms, between its
+// restart and run: its name for the file and whether it had it open.
+type restarted struct {
+	name string
+	open bool
+}
+
+// restartCluster is a 2+1 cluster whose io1 crashes at 2 ms and restarts at
+// 3 ms. Its client has written four stripes of the file "f" — two on each
+// iod — before the crash, and run comes back at 5 ms, after the restart,
+// with the bytes written.
+func restartCluster(t *testing.T, shards int, run func(p *sim.Proc, fh *FileHandle)) (*Cluster, []byte, [2]restarted) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Shards = shards
+	cfg.Faults = &fault.Plan{Crashes: []fault.Crash{{Server: 1, At: 2 * time.Millisecond, Down: time.Millisecond}}}
+	c := NewCluster(sim.NewEngine(), cfg, 2, 1)
+	cl := c.Clients[0]
+	var want []byte
+	var fileID int64
+	c.Eng.GoOn(cl.node.Group(), "app", func(p *sim.Proc) {
+		fh := cl.Open(p, "f")
+		fileID = fh.id
+		addr, data := fill(cl, 4*cfg.StripeSize, 3)
+		want = data
+		sim.Must(fh.Write(p, addr, int64(len(data)), 0, OpOptions{}))
+		if p.Now() >= sim.Time(2*time.Millisecond) {
+			t.Errorf("the file was written by %v, not before the crash", p.Now())
+		}
+		p.Sleep(sim.Time(5 * time.Millisecond).Sub(p.Now()))
+		run(p, fh)
+	})
+	var seen [2]restarted
+	for i, s := range c.Servers {
+		c.Eng.GoOn(s.node.Group(), "probe", func(p *sim.Proc) {
+			p.Sleep(4 * time.Millisecond)
+			_, open := s.files[fileID]
+			seen[i] = restarted{s.names[fileID], open}
+		})
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Snapshot(); s.Crashes != 1 || s.Restarts != 1 {
+		t.Fatalf("crash/restart = %d/%d, want 1/1", s.Crashes, s.Restarts)
+	}
+	if seen[0].name == "" || seen[1].name == "" || !seen[0].open || seen[1].open {
+		t.Fatalf("the iods held %+v between the restart and the access, want a name on each, the file open on io0 alone", seen)
+	}
+	return c, want, seen
+}
+
+// TestRemoveAfterRestartFreesStripe: a file removed after an iod restarted
+// and before it reopened the file loses its stripe file there too, and the
+// iod's name for it goes back to the free list, as on the iod that never
+// crashed.
+func TestRemoveAfterRestartFreesStripe(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, _, seen := restartCluster(t, shards, func(p *sim.Proc, fh *FileHandle) {
+				fh.client.Remove(p, "f")
+			})
+			for i, s := range c.Servers {
+				name := seen[i].name
+				if len(s.names) != 0 || len(s.files) != 0 || !slices.Equal(s.freeNames, []string{name}) {
+					t.Errorf("io%d: %d names, %d open files and free names %q after the remove, want 0, 0 and [%q]", i, len(s.names), len(s.files), s.freeNames, name)
+				}
+				c.Eng.GoOn(s.node.Group(), "probe", func(p *sim.Proc) {
+					if s.fs.Remove(p, name) {
+						t.Errorf("io%d still holds stripe file %s", i, name)
+					}
+				})
+			}
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestStripeSlotSurvivesRestart: a restarted iod reopens a file under the
+// name it had before the crash and reads back the bytes written then.
+func TestStripeSlotSurvivesRestart(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var got []byte
+			c, want, seen := restartCluster(t, shards, func(p *sim.Proc, fh *FileHandle) {
+				cl := fh.client
+				n := 4 * cl.cluster.Cfg.StripeSize
+				buf := cl.Space().Malloc(n)
+				sim.Must(fh.Read(p, buf, n, 0, OpOptions{}))
+				var err error
+				if got, err = cl.Space().Read(buf, n); err != nil {
+					t.Error(err)
+				}
+			})
+			if !bytes.Equal(got, want) {
+				t.Error("the file read back after the restart differs from what was written before the crash")
+			}
+			s := c.Servers[1]
+			for id, name := range s.names {
+				if f, open := s.files[id]; !open || f.Name() != seen[1].name || name != seen[1].name {
+					t.Errorf("io1 after the read: file open %t under %q, want open under %q", open, name, seen[1].name)
+				}
+			}
+			if len(s.names) != 1 || s.nextSlot != 1 {
+				t.Errorf("io1 after the read: %d names from %d slots, want 1 from 1", len(s.names), s.nextSlot)
+			}
+		})
 	}
 }

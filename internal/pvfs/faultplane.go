@@ -90,7 +90,7 @@ func (s *Server) crash() {
 	s.down = true
 	s.hca.SetDown(true)
 	// Cleared, not remade: the restarted daemon reopens its files into the
-	// table's storage.
+	// table's storage, each under its name in s.names, which is on disk.
 	clear(s.files)
 	s.acct.Crashes++
 	s.cluster.Spans.Instant(at, 0, s.node.Name, "iod-crash", 0, func() string { return "daemon down, open files dropped" })

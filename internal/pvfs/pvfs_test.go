@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pvfsib/internal/ib"
 	"pvfsib/internal/mem"
@@ -1195,11 +1196,115 @@ func TestTortureMixedWorkload(t *testing.T) {
 	})
 }
 
-// TestStripeNameIsSixDigits: a stripe file is named f%06d without fmt.
-func TestStripeNameIsSixDigits(t *testing.T) {
-	for _, id := range []int64{0, 7, 42, 99999, 100000, 123456, 1234567} {
-		if got, want := string(stripeName(nil, id)), fmt.Sprintf("f%06d", id); got != want {
-			t.Errorf("stripeName(%d) = %q, want %q", id, got, want)
+// TestStripeSlotNames: an iod names stripe files f%06d after slots, not
+// file ids. Two live files never share a name, and the slot a remove frees
+// is the next one a new file takes, on every iod.
+func TestStripeSlotNames(t *testing.T) {
+	for _, slot := range []int64{0, 7, 42, 99999, 100000, 123456, 1234567} {
+		if got, want := string(stripeName(nil, slot)), fmt.Sprintf("f%06d", slot); got != want {
+			t.Errorf("stripeName(%d) = %q, want %q", slot, got, want)
 		}
 	}
+	c := newCluster(t, 2, 1)
+	cl := c.Clients[0]
+	ids := map[string]int64{}
+	var freed [2]string
+	app(t, c, func(p *sim.Proc) {
+		addr, _ := fill(cl, 2*c.Cfg.StripeSize, 1)
+		create := func(name string) {
+			fh := cl.Open(p, name)
+			sim.Must(fh.Write(p, addr, 2*c.Cfg.StripeSize, 0, OpOptions{}))
+			ids[name] = fh.id
+		}
+		create("a")
+		create("b")
+		create("c")
+		for i, s := range c.Servers {
+			freed[i] = s.names[ids["b"]]
+		}
+		cl.Remove(p, "b")
+		create("d")
+	})
+	for i, s := range c.Servers {
+		live := map[string]bool{}
+		for _, name := range []string{"a", "c", "d"} {
+			n, ok := s.names[ids[name]]
+			if !ok || live[n] {
+				t.Errorf("io%d: file %s named %q, shared or missing among %v", i, name, n, s.names)
+			}
+			live[n] = true
+		}
+		if got := s.names[ids["d"]]; got != freed[i] {
+			t.Errorf("io%d: the new file took %q, not the removed file's %q", i, got, freed[i])
+		}
+		if len(s.names) != 3 || s.nextSlot != 3 || len(s.freeNames) != 0 {
+			t.Errorf("io%d: %d names from %d slots, %d free; want 3 from 3, none free", i, len(s.names), s.nextSlot, len(s.freeNames))
+		}
+	}
+}
+
+// TestRemoveDuringFirstOpen: a remove that reaches an iod while a request's
+// first open of the file waits there takes the file's name away, and the
+// open must not enter the file it returns in the table — the remove is
+// about to unlink it, so the entry would outlive it. The remove is swept
+// across the open's wait; a probe on the iod samples its tables every
+// microsecond, and at least one remove must land inside the wait. After
+// each run every open entry is under its file's live name, and no free
+// name has a stripe file behind it.
+func TestRemoveDuringFirstOpen(t *testing.T) {
+	const at = sim.Time(time.Millisecond)
+	hits := 0
+	for delta := -40 * time.Microsecond; delta <= 40*time.Microsecond; delta += time.Microsecond {
+		c := newCluster(t, 1, 2)
+		a, b := c.Clients[0], c.Clients[1]
+		s := c.Servers[0]
+		id := int64(-1)
+		c.Eng.Go("writer", func(p *sim.Proc) {
+			fh := a.Open(p, "f")
+			id = fh.id
+			addr, _ := fill(a, 4<<10, 1)
+			p.Sleep(at.Sub(p.Now()))
+			sim.Must(fh.Write(p, addr, 4<<10, 0, OpOptions{}))
+		})
+		c.Eng.Go("remover", func(p *sim.Proc) {
+			p.Sleep(at.Sub(p.Now()) + delta)
+			b.Remove(p, "f")
+		})
+		c.Eng.GoOn(s.node.Group(), "probe", func(p *sim.Proc) {
+			p.Sleep(at.Sub(p.Now()) - 50*time.Microsecond)
+			opening := false
+			for range 200 {
+				_, named := s.names[id]
+				_, open := s.files[id]
+				if opening && !named && !open {
+					hits++
+				}
+				if open && !named {
+					t.Errorf("delta %v: file %d open at %v without a name", delta, id, p.Now())
+					return
+				}
+				opening = named && !open
+				p.Sleep(time.Microsecond)
+			}
+		})
+		app(t, c, func(p *sim.Proc) {})
+		for id, f := range s.files {
+			if s.names[id] != f.Name() || f.Name() == "" {
+				t.Errorf("delta %v: file %d open under %q, named %q", delta, id, f.Name(), s.names[id])
+			}
+		}
+		c.Eng.GoOn(s.node.Group(), "orphans", func(p *sim.Proc) {
+			for _, name := range s.freeNames {
+				if s.fs.Remove(p, name) {
+					t.Errorf("delta %v: free name %s has a stripe file", delta, name)
+				}
+			}
+		})
+		app(t, c, func(p *sim.Proc) {})
+		c.Eng.Shutdown()
+	}
+	if hits == 0 {
+		t.Error("no remove landed while the first open waited")
+	}
+	t.Logf("%d removes landed while the first open waited", hits)
 }

@@ -42,11 +42,21 @@ type Server struct {
 	// different client connections never overlap (network phases do).
 	ioMu *sim.Resource
 
+	// files is the daemon's open-file table, which a crash loses.
 	files map[int64]*localfs.File
-	// names holds the stripe-file name of each id in files or being opened:
-	// a new file's first requests, one per connection, open it at once,
-	// and the name is built for the first.
-	names map[int64]string
+	// names is the daemon's directory on its local disk: the stripe-file
+	// name of each id it has opened and not yet removed. Unlike files it
+	// survives a crash, so a restarted daemon reopens a file under its old
+	// name and removes one it has not reopened. A name is a slot's, never
+	// derived from the id: a remove puts it on freeNames once the local
+	// file is gone, and a new file takes the last name freed, or the next
+	// slot when there is none. So at most one id holds a name at a time, a
+	// late request for a removed id cannot reach the file that took its
+	// name, and creating and removing files allocates nothing in steady
+	// state. Only the server's group touches the three.
+	names     map[int64]string
+	freeNames []string
+	nextSlot  int64
 
 	// down marks the daemon crashed (fault plane): handlers abort and all
 	// traffic is discarded until restart. onCrash, onRestart and
@@ -132,28 +142,60 @@ type serverConn struct {
 }
 
 // file returns the local stripe file for a handle, opening it on first use.
+// The first requests of a new file, one per connection, may open it at once:
+// the name goes to the first, and the others open it under that name. A
+// remove that runs while the open waits takes the name away, and the file
+// the open returns is then not entered in the table.
 func (s *Server) file(p *sim.Proc, id int64) *localfs.File {
 	if f, ok := s.files[id]; ok {
 		return f
 	}
 	name, ok := s.names[id]
 	if !ok {
-		var b [16]byte
-		name = string(stripeName(b[:0], id))
+		name = s.takeName()
 		s.names[id] = name
 	}
 	f := s.fs.Open(p, name)
-	s.files[id] = f
+	if s.names[id] == name {
+		s.files[id] = f
+	}
 	return f
 }
 
-// stripeName appends the local name of file id's stripe file, f%06d.
-func stripeName(b []byte, id int64) []byte {
+// takeName returns the name of a free slot: the one freed last, or a new
+// slot's when none is free.
+func (s *Server) takeName() string {
+	if n := len(s.freeNames) - 1; n >= 0 {
+		name := s.freeNames[n]
+		s.freeNames = s.freeNames[:n]
+		return name
+	}
+	var b [16]byte
+	name := string(stripeName(b[:0], s.nextSlot))
+	s.nextSlot++
+	return name
+}
+
+// remove deletes file id's stripe file, open or not, and frees its name
+// once the local file is gone.
+func (s *Server) remove(p *sim.Proc, id int64) {
+	name, ok := s.names[id]
+	if !ok {
+		return
+	}
+	delete(s.files, id)
+	delete(s.names, id)
+	s.fs.Remove(p, name)
+	s.freeNames = append(s.freeNames, name)
+}
+
+// stripeName appends the local name of slot's stripe file, f%06d.
+func stripeName(b []byte, slot int64) []byte {
 	b = append(b, 'f')
-	for w := int64(100000); w > 1 && id < w; w /= 10 {
+	for w := int64(100000); w > 1 && slot < w; w /= 10 {
 		b = append(b, '0')
 	}
-	return strconv.AppendInt(b, id, 10)
+	return strconv.AppendInt(b, slot, 10)
 }
 
 // current returns the stripe file the handler looked up as f at generation
@@ -208,10 +250,8 @@ func (sc *serverConn) serve(p *sim.Proc) {
 			s.acquireIO(p)
 			if req.Kind == recSync {
 				s.file(p, req.FileID).Sync(p)
-			} else if f, ok := s.files[req.FileID]; ok {
-				delete(s.files, req.FileID)
-				delete(s.names, req.FileID)
-				s.fs.Remove(p, f.Name())
+			} else {
+				s.remove(p, req.FileID)
 			}
 			s.releaseIO(p)
 			sc.reply(p, smallReplyBytes, s.recs.take(req.Kind+1, req.Seq))
