@@ -23,24 +23,24 @@ import (
 //
 //   - The rounds' virtual times and fault tallies are the same at one
 //     engine shard and at four, and the last round reads back what it
-//     wrote: the plans share the cluster's stream table, and each stream
-//     seeds itself for a plan on the shard that first draws from it under
-//     that plan.
+//     wrote: every plan re-arms the cluster's one injector, and each
+//     stream seeds itself for a plan on the shard that first draws from it
+//     under that plan.
 //   - On one shard a warm round — every plan armed once before, so the
-//     stream table, the generators and every pool have grown — allocates
-//     beyond what spawning the ranks costs exactly the injector and its
-//     counter slice: a record a fault discards goes back to its pool, an
-//     injected error is a shared value, a retried attempt formats nothing
-//     and a crash clears the daemon's file table instead of remaking it.
-//     On four shards a round also refills the pools that faults drain on
-//     one shard and grow on another, a count that drifts from round to
-//     round, so it is not held.
+//     injector's streams, the generators and every pool have grown —
+//     allocates nothing beyond what spawning the ranks costs: the plan
+//     re-arms the injector in place, a record a fault discards goes back
+//     to its pool, an injected error is a shared value, a retried attempt
+//     formats nothing and a crash clears the daemon's file table instead
+//     of remaking it. On four shards a round also refills the pools that
+//     faults drain on one shard and grow on another, a count that drifts
+//     from round to round, so it is not held.
 func TestFaultStormEventBudget(t *testing.T) {
 	const (
 		pieces = 64
 		piece  = 4 << 10
 		nPlans = 5
-		budget = 2 // the injector and its counters
+		budget = 0
 	)
 	type outcome struct {
 		elapsed sim.Duration

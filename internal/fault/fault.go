@@ -3,7 +3,7 @@
 // A Plan is pure data: probabilistic fault rates (NIC work-request
 // completion errors, registration failures, disk errors and slowdowns) and
 // scheduled fault windows (link latency spikes, link partitions, I/O-daemon
-// crashes). An Injector compiles a Plan into the runtime object the
+// crashes). An Injector, armed with a Plan, is the runtime object the
 // substrate layers consult: simnet asks it about every message before
 // transmission, ib about every posted work request and registration
 // attempt, disk about every transfer.
@@ -13,13 +13,13 @@
 // workload, plan, seed) — independent of how other nodes' events
 // interleave, which is what keeps the schedule byte-identical at any engine
 // shard count. Unregistered callers share a root stream, which is fine
-// only under a single-shard engine. The streams live in a Streams table
-// that a cluster builds once and every injector it attaches shares; an
-// injector keeps only its own counters. A stream's generator is seeded on
-// its first draw under an injector, on the drawing node's shard, so
-// re-arming a plan costs no seeding and a stream that never draws is never
-// seeded. Per-node state also means the injector needs no locks: every
-// stream and counter set is touched only from its node's shard.
+// only under a single-shard engine. A cluster keeps one injector and
+// re-arms it with each plan: arming zeroes the tallies and starts a new
+// epoch, and a stream seeds its generator on its first draw of the epoch,
+// on the drawing node's shard, so arming allocates and seeds nothing and a
+// stream that never draws is never seeded. Per-node state also means the
+// injector needs no locks: every stream and tally is touched only from its
+// node's shard.
 //
 // The package deliberately imports only internal/sim: the substrate layers
 // each declare the small interface they need (simnet.FaultPolicy,
@@ -139,27 +139,11 @@ func (c *Counters) add(o Counters) {
 }
 
 // stream is one node's draw source. Its generator is made, or reseeded for
-// the current injector, by the stream's first draw under that injector.
+// the current arming, by the stream's first draw under that arming.
 type stream struct {
 	salt  int64      // folded into the plan seed: the name's FNV-1a hash, 0 for the root
 	rng   *rand.Rand // nil until the stream's first draw
-	epoch uint64     // the injector rng was last seeded for
-}
-
-// Streams is a cluster's table of fault streams: one per registered node,
-// the root stream for draws by unregistered nodes, and the number of fabric
-// senders whose link faults are tallied. Register the names and links
-// before building the injectors that use them; after that the table is
-// read-only but for each stream's own generator, which only its node's
-// draws touch. The injectors built on one table take turns: building one
-// makes it current, and only the current injector may draw. The zero value
-// is ready to use.
-type Streams struct {
-	index   map[string]int // registered name → position in streams
-	streams []*stream
-	root    stream
-	links   int
-	epoch   uint64 // injectors built on the table; the current one's number
+	epoch uint64     // the arming rng was last seeded for
 }
 
 // fnv64 is FNV-1a, used to fold a node name into its stream seed.
@@ -172,70 +156,77 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// Register gives every name not yet in the table its own stream, seeded
-// from the plan seed and the name; a name already registered keeps its
-// stream.
-func (t *Streams) Register(names ...string) {
-	if t.index == nil {
-		t.index = make(map[string]int, len(names))
-	}
-	for _, name := range names {
-		if _, ok := t.index[name]; ok {
-			continue
-		}
-		t.index[name] = len(t.streams)
-		t.streams = append(t.streams, &stream{salt: int64(fnv64(name))})
-	}
-}
-
-// RegisterLinks has the injectors tally link faults per sender for fabric
-// node ids [0, n). SendVerdict runs on the sender's shard, so tallying per
-// sender keeps partition and spike counts race-free.
-func (t *Streams) RegisterLinks(n int) { t.links = max(t.links, n) }
-
-// Len reports how many streams are registered.
-func (t *Streams) Len() int { return len(t.streams) }
-
-// Injector is a compiled Plan: the object the substrate layers consult.
-// Every stream it draws from is its table's; its counters are its own, so
-// an earlier injector's Totals stay what they were when a later one is
-// built on the same table.
+// Injector is an armed Plan: the object the substrate layers consult. It
+// holds a stream and a tally per registered node, the root stream for draws
+// by unregistered nodes, and a tally per fabric sender. Arm arms it, and
+// re-arms it in place with another plan. The zero value has nothing
+// registered and an empty plan armed; with nothing registered, every node
+// draws from the root stream and every link fault is charged to Counters.
 type Injector struct {
 	plan  Plan
-	t     *Streams
-	epoch uint64 // the table's number for this injector
+	epoch uint64 // armings so far: the current one's number
 
-	nodes []Counters // per registered stream, in table order
-	links []Counters // drop/spike tallies per sender fabric id
+	index   map[string]int // registered name → position in streams and nodes
+	streams []stream
+	root    stream
+	nodes   []Counters // per registered stream
+	links   []Counters // drop/spike tallies per sender fabric id
 
 	// Counters tallies faults charged to the root stream (unregistered
 	// nodes and links). Registered runs should read Totals instead.
 	Counters Counters
 }
 
-// NewInjector compiles the plan on a table of its own, where every node
-// draws from the root stream and every link fault is charged to Counters.
-func NewInjector(plan Plan) *Injector { return NewInjectorOn(plan, new(Streams)) }
+// Register gives every name not yet registered its own stream, seeded from
+// the plan seed and the name; a name already registered keeps its stream.
+func (in *Injector) Register(names ...string) {
+	if in.index == nil {
+		in.index = make(map[string]int, len(names))
+	}
+	for _, name := range names {
+		if _, ok := in.index[name]; ok {
+			continue
+		}
+		in.index[name] = len(in.streams)
+		in.streams = append(in.streams, stream{salt: int64(fnv64(name))})
+		in.nodes = append(in.nodes, Counters{})
+	}
+}
 
-// NewInjectorOn compiles the plan on the table t, applying defaults for
-// zero penalty fields, and makes it t's current injector. It seeds nothing:
-// each stream seeds itself for the injector on its first draw.
-func NewInjectorOn(plan Plan, t *Streams) *Injector {
+// RegisterLinks tallies link faults per sender for fabric node ids [0, n).
+// SendVerdict runs on the sender's shard, so tallying per sender keeps
+// partition and spike counts race-free.
+func (in *Injector) RegisterLinks(n int) {
+	if n > len(in.links) {
+		in.links = append(in.links, make([]Counters, n-len(in.links))...)
+	}
+}
+
+// Len reports how many streams are registered.
+func (in *Injector) Len() int { return len(in.streams) }
+
+// Arm compiles the plan into the injector, applying defaults for zero
+// penalty fields, and starts every tally at zero; until then Totals reads
+// the previous arming's. It seeds nothing: each stream reseeds itself for
+// the new arming on its first draw. Register and arm while the engine is
+// idle (or, on a one-shard engine, from a process).
+func (in *Injector) Arm(plan Plan) {
 	if plan.DiskErrorPenalty == 0 {
 		plan.DiskErrorPenalty = 2 * time.Millisecond
 	}
 	if plan.DiskSlowPenalty == 0 {
 		plan.DiskSlowPenalty = time.Millisecond
 	}
-	t.epoch++
-	n := len(t.streams)
-	counts := make([]Counters, n+t.links)
-	return &Injector{plan: plan, t: t, epoch: t.epoch, nodes: counts[:n:n], links: counts[n:]}
+	in.plan = plan
+	in.epoch++
+	in.Counters = Counters{}
+	clear(in.nodes)
+	clear(in.links)
 }
 
-// Totals sums the fault tallies across the root stream, every registered
-// node, and every link — the ground truth a recovery test compares its
-// observed retries against.
+// Totals sums the current arming's fault tallies across the root stream,
+// every registered node, and every link — the ground truth a recovery test
+// compares its observed retries against.
 func (in *Injector) Totals() Counters {
 	t := in.Counters
 	for i := range in.nodes {
@@ -250,16 +241,16 @@ func (in *Injector) Totals() Counters {
 // draws returns the stream and counter set for one node's probabilistic
 // draw.
 func (in *Injector) draws(node string) (*stream, *Counters) {
-	if i, ok := in.t.index[node]; ok {
-		return in.t.streams[i], &in.nodes[i]
+	if i, ok := in.index[node]; ok {
+		return &in.streams[i], &in.nodes[i]
 	}
-	return &in.t.root, &in.Counters
+	return &in.root, &in.Counters
 }
 
-// float64 is the stream's next draw under the injector. The stream's first
-// draw under it seeds the generator with the plan seed and the stream's
-// salt — made on the stream's first draw ever, reseeded after — so every
-// draw is what a generator freshly seeded for the plan would give.
+// float64 is the stream's next draw under the current arming. The stream's
+// first draw under it seeds the generator with the plan seed and the
+// stream's salt — made on the stream's first draw ever, reseeded after — so
+// every draw is what a generator freshly seeded for the plan would give.
 func (in *Injector) float64(st *stream) float64 {
 	if st.epoch != in.epoch {
 		seed := in.plan.Seed ^ st.salt
@@ -281,7 +272,7 @@ func (in *Injector) linkCounters(from int) *Counters {
 	return &in.Counters
 }
 
-// Plan returns the compiled plan.
+// Plan returns the armed plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
 // matches reports whether the (a, b) endpoint pattern covers the (from, to)

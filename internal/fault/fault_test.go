@@ -9,7 +9,8 @@ import (
 )
 
 func TestSendVerdictCutWindow(t *testing.T) {
-	in := NewInjector(Plan{Cuts: []Cut{{A: 1, B: 4, At: 10 * time.Microsecond, Dur: 5 * time.Microsecond}}})
+	var in Injector
+	in.Arm(Plan{Cuts: []Cut{{A: 1, B: 4, At: 10 * time.Microsecond, Dur: 5 * time.Microsecond}}})
 	us := func(d int64) sim.Time { return sim.Time(d * 1000) }
 
 	if drop, _ := in.SendVerdict(us(9), 1, 4, 100); drop {
@@ -33,7 +34,8 @@ func TestSendVerdictCutWindow(t *testing.T) {
 }
 
 func TestSendVerdictWildcardAndSpike(t *testing.T) {
-	in := NewInjector(Plan{
+	var in Injector
+	in.Arm(Plan{
 		Cuts:   []Cut{{A: Wildcard, B: 3, At: 0, Dur: time.Millisecond}},
 		Spikes: []Spike{{From: 0, To: Wildcard, At: 0, Dur: time.Millisecond, Extra: 7 * time.Microsecond}},
 	})
@@ -51,7 +53,8 @@ func TestSendVerdictWildcardAndSpike(t *testing.T) {
 
 func TestProbabilisticDrawsAreSeeded(t *testing.T) {
 	draw := func(seed int64) (a, b [64]bool) {
-		in := NewInjector(Plan{Seed: seed, WRErrorRate: 0.3, RegFailRate: 0.3})
+		var in Injector
+		in.Arm(Plan{Seed: seed, WRErrorRate: 0.3, RegFailRate: 0.3})
 		for i := range a {
 			a[i] = in.WRError(0, "n")
 			b[i] = in.RegFail(0, "n")
@@ -70,7 +73,8 @@ func TestProbabilisticDrawsAreSeeded(t *testing.T) {
 }
 
 func TestDiskFaultDefaultsAndCounters(t *testing.T) {
-	in := NewInjector(Plan{Seed: 7, DiskErrorRate: 1, DiskSlowRate: 1})
+	var in Injector
+	in.Arm(Plan{Seed: 7, DiskErrorRate: 1, DiskSlowRate: 1})
 	extra := in.DiskFault(0, "d", true, 4096)
 	if extra != 3*time.Millisecond {
 		t.Fatalf("extra = %v, want 3ms (2ms error + 1ms slow defaults)", extra)
@@ -93,12 +97,13 @@ func TestEmpty(t *testing.T) {
 }
 
 // TestRandsReseedLikeFresh arms three plans one after the other on one
-// table, as a cluster re-arms its plans: "io0" draws under the first and
+// injector, as a cluster re-arms its plans: "io0" draws under the first and
 // the third but not the second, "io0.disk" only under the second, "cn0"
 // never, and an unregistered node draws from the root stream under every
 // plan. Every draw is the one a generator freshly seeded for its plan and
-// stream gives, a stream that never draws is never seeded, and each
-// injector keeps its own counters.
+// stream gives, a stream that never draws is never seeded, the tallies
+// count exactly the current plan's faults and stay readable until the next
+// plan is armed, and arming starts them at zero.
 func TestRandsReseedLikeFresh(t *testing.T) {
 	const draws = 64
 	plans := []Plan{
@@ -106,12 +111,14 @@ func TestRandsReseedLikeFresh(t *testing.T) {
 		{Seed: 11, DiskErrorRate: 0.5},
 		{Seed: 13, WRErrorRate: 0.5},
 	}
-	var tab Streams
-	tab.Register("io0", "io0.disk", "cn0")
-	var injectors []*Injector
-	var totals []Counters
+	var in Injector
+	in.Register("io0", "io0.disk", "cn0")
 	for i, plan := range plans {
-		in := NewInjectorOn(plan, &tab)
+		in.Arm(plan)
+		if tot := in.Totals(); tot != (Counters{}) {
+			t.Fatalf("plan %d armed with tallies %v, want zero", i+1, tot)
+		}
+		injected := int64(0)
 		// check compares node's draws under the plan with a generator
 		// seeded as the stream's: the root's ("") with the plan seed alone.
 		check := func(node, stream string, draw func() bool) {
@@ -121,8 +128,12 @@ func TestRandsReseedLikeFresh(t *testing.T) {
 			}
 			fresh := rand.New(rand.NewSource(plan.Seed ^ salt))
 			for j := 0; j < draws; j++ {
-				if got, want := draw(), fresh.Float64() < 0.5; got != want {
+				got, want := draw(), fresh.Float64() < 0.5
+				if got != want {
 					t.Fatalf("plan %d: %s's draw %d is %t, a fresh generator's %t", i+1, node, j, got, want)
+				}
+				if got {
+					injected++
 				}
 			}
 		}
@@ -135,19 +146,15 @@ func TestRandsReseedLikeFresh(t *testing.T) {
 			check("io0.disk", "io0.disk", dsk("io0.disk"))
 			check("unregistered", "", dsk("unregistered"))
 		}
-		if tot := in.Totals(); tot.WRErrors+tot.DiskErrors == 0 {
-			t.Fatalf("plan %d injected %v: the script draws too little", i+1, tot)
+		if injected == 0 {
+			t.Fatalf("plan %d injected nothing: the script draws too little", i+1)
 		}
-		injectors = append(injectors, in)
-		totals = append(totals, in.Totals())
-	}
-	for i, in := range injectors {
-		if in.Totals() != totals[i] {
-			t.Errorf("plan %d's counters moved from %v to %v after later plans drew", i+1, totals[i], in.Totals())
+		if tot := in.Totals(); tot.WRErrors+tot.DiskErrors != injected {
+			t.Errorf("plan %d tallies %v, want %d faults", i+1, tot, injected)
 		}
 	}
-	for name, i := range tab.index {
-		if seeded, drew := tab.streams[i].rng != nil, name != "cn0"; seeded != drew {
+	for name, i := range in.index {
+		if seeded, drew := in.streams[i].rng != nil, name != "cn0"; seeded != drew {
 			t.Errorf("%s: generator made %t, stream drew %t", name, seeded, drew)
 		}
 	}

@@ -30,9 +30,10 @@ type Cluster struct {
 	Spans *trace.Tracer
 
 	// Faults is the attached fault injector, nil for fault-free runs
-	// (attach with Cfg.Faults or AttachFaults).
-	Faults       *fault.Injector
-	faultStreams fault.Streams // every injector's streams, built by the first AttachFaults
+	// (attach with Cfg.Faults or AttachFaults): &faults, the cluster's one
+	// injector, which every plan re-arms.
+	Faults *fault.Injector
+	faults fault.Injector
 
 	// Metrics, when non-nil, is the virtual-time metrics registry wired
 	// into every layer (attach with EnableMetrics). Nil keeps every

@@ -563,28 +563,34 @@ func TestRecoverableAllocatesNothing(t *testing.T) {
 }
 
 // TestReattachFaultsAllocFree: on a warm cluster — one that has run the
-// storm under a plan, so its stream table is built and its streams seeded —
+// storm under a plan, so its injector's streams are registered and seeded —
 // arming a plan, running the daemon crash and restart it schedules, and
-// detaching it makes the injector and its one counter slice and nothing
-// else: not a stream, a generator, a seed or a callback per node, so the
-// count is the same on a 2+2 cluster and on a 4+4 one.
+// detaching it allocates nothing: the plan re-arms the cluster's one
+// injector in place, so the count is 0 on a 2+2 cluster and on a 4+4 one.
+// The detached injector's tallies stay readable until the next plan, which
+// starts them at zero.
 func TestReattachFaultsAllocFree(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		c := NewCluster(sim.NewEngine(), DefaultConfig(), n, n)
 		plan := stormPlan(3)
 		plan.Crashes = []fault.Crash{{Server: 1, At: 300 * time.Microsecond, Down: 600 * time.Microsecond}}
-		c.AttachFaults(plan)
+		inj := c.AttachFaults(plan)
 		stormWorkload(t, c)
 		c.AttachFaults(nil)
+		if inj.Totals() == (fault.Counters{}) {
+			t.Fatalf("%d+%d cluster: the detached injector reads no faults after the storm", n, n)
+		}
 		allocs := testing.AllocsPerRun(10, func() {
-			c.AttachFaults(plan)
+			if c.AttachFaults(plan) != inj || inj.Totals() != (fault.Counters{}) {
+				t.Fatalf("%d+%d cluster: re-arming made another injector or kept its tallies", n, n)
+			}
 			if err := c.Run(); err != nil {
 				t.Fatal(err)
 			}
 			c.AttachFaults(nil)
 		})
-		if allocs != 2 {
-			t.Errorf("%d+%d cluster: %.1f allocations to arm, crash, restart and detach a plan, want 2 (the injector and its counters)", n, n, allocs)
+		if allocs != 0 {
+			t.Errorf("%d+%d cluster: %.1f allocations to arm, crash, restart and detach a plan, want 0", n, n, allocs)
 		}
 		c.Eng.Shutdown()
 	}

@@ -8,13 +8,13 @@ import (
 	"pvfsib/internal/trace"
 )
 
-// AttachFaults compiles the plan and wires the injector into every
-// substrate layer: the fabric consults it per message, every adapter per
-// work request and registration, every disk per transfer. Scheduled daemon
-// crashes are planted on the event timeline (times are relative to the
-// current virtual time). Attaching replaces any previous plan; attaching a
-// nil plan detaches everything and restores the zero-overhead fault-free
-// paths.
+// AttachFaults arms the cluster's injector with the plan and wires it into
+// every substrate layer: the fabric consults it per message, every adapter
+// per work request and registration, every disk per transfer. Scheduled
+// daemon crashes are planted on the event timeline (times are relative to
+// the current virtual time). Attaching replaces any previous plan and
+// starts the tallies at zero; a nil plan detaches everything, restoring the
+// zero-overhead fault-free paths, and leaves the tallies readable.
 //
 // The manager is co-located with server 0 (as in the paper's testbed), so
 // a plan must not crash server 0 — metadata has no retry story by design.
@@ -34,13 +34,13 @@ func (c *Cluster) AttachFaults(plan *fault.Plan) *fault.Injector {
 	// tallies into its own counter set, so the fault schedule and counts
 	// are independent of cross-node event interleaving — byte-identical at
 	// any engine shard count — and every injector access is shard-local.
-	// The streams are the cluster's, made by its first attach; re-arming a
-	// plan makes only the injector and its counters.
-	if c.faultStreams.Len() == 0 {
-		c.faultStreams.Register(c.names...)
-		c.faultStreams.RegisterLinks(c.Net.NumNodes())
+	// The first attach registers them; every plan re-arms them in place.
+	if c.faults.Len() == 0 {
+		c.faults.Register(c.names...)
+		c.faults.RegisterLinks(c.Net.NumNodes())
 	}
-	c.Faults = fault.NewInjectorOn(*plan, &c.faultStreams)
+	c.faults.Arm(*plan)
+	c.Faults = &c.faults
 	c.attach()
 	now := c.Eng.Now()
 	for _, cr := range plan.Crashes {

@@ -15,7 +15,8 @@ import (
 // serialization time.
 func TestPartitionDropsAndHeals(t *testing.T) {
 	eng, net, a, b := testNet(t)
-	inj := fault.NewInjector(fault.Plan{
+	inj := new(fault.Injector)
+	inj.Arm(fault.Plan{
 		Cuts: []fault.Cut{{A: 0, B: 1, At: 100 * time.Microsecond, Dur: 200 * time.Microsecond}},
 	})
 	net.SetFaults(inj)
@@ -62,7 +63,8 @@ func TestPartitionDropsAndHeals(t *testing.T) {
 // before the transmit engine.
 func TestSpikeStallsWithoutReordering(t *testing.T) {
 	eng, net, a, b := testNet(t)
-	inj := fault.NewInjector(fault.Plan{
+	inj := new(fault.Injector)
+	inj.Arm(fault.Plan{
 		Spikes: []fault.Spike{{From: 0, To: 1, At: 0, Dur: 50 * time.Microsecond, Extra: 30 * time.Microsecond}},
 	})
 	net.SetFaults(inj)
@@ -97,7 +99,8 @@ func TestConcurrentSendersSerializeUnderFaults(t *testing.T) {
 	net := New(eng, DefaultParams())
 	dst := net.AddNode("dst")
 	const nSenders, perSender, size = 4, 8, 8192
-	inj := fault.NewInjector(fault.Plan{
+	inj := new(fault.Injector)
+	inj.Arm(fault.Plan{
 		Seed: 3,
 		Spikes: []fault.Spike{
 			{From: fault.Wildcard, To: 0, At: 0, Dur: 20 * time.Microsecond, Extra: 5 * time.Microsecond},
